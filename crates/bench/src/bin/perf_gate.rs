@@ -1,83 +1,64 @@
-//! `perf-gate` — CI performance-regression gate. Compares freshly emitted
-//! `BENCH_newton.json` / `BENCH_stamp.json` documents against the committed
+//! `perf-gate` — CI performance-regression gate. Compares the freshly
+//! emitted `BENCH_*.json` documents of [`MANIFEST`] against the committed
 //! baselines on their ratio-type metrics (speedups), prints a delta table,
 //! and exits non-zero when any metric regressed beyond the tolerance.
 //!
-//! Usage:
+//! Usage, with one flag pair per manifest row (`newton`, `stamp`, `sweep`,
+//! `overhead`, `solver`):
 //!
 //! ```text
-//! perf-gate --newton-baseline <file>   --newton-fresh <file> \
-//!           --stamp-baseline <file>    --stamp-fresh <file> \
-//!           --sweep-baseline <file>    --sweep-fresh <file> \
-//!           --overhead-baseline <file> --overhead-fresh <file> \
-//!           --solver-baseline <file>   --solver-fresh <file> [--tolerance 0.15]
+//! perf-gate --<stem>-baseline <file> --<stem>-fresh <file> ... [--tolerance 0.15]
 //! ```
 
-use wavepipe_bench::perfgate::{gate, DEFAULT_TOLERANCE};
+use wavepipe_bench::perfgate::{gate, MANIFEST};
 
-fn required(flag: &str, v: Option<String>) -> String {
-    v.unwrap_or_else(|| {
-        eprintln!("perf-gate: missing required flag {flag} <file>");
-        std::process::exit(2);
-    })
+fn fail(msg: String) -> ! {
+    eprintln!("perf-gate: {msg}");
+    std::process::exit(2);
 }
 
 fn main() {
     let mut args = std::env::args().skip(1);
-    let mut newton_baseline = None;
-    let mut newton_fresh = None;
-    let mut stamp_baseline = None;
-    let mut stamp_fresh = None;
-    let mut sweep_baseline = None;
-    let mut sweep_fresh = None;
-    let mut overhead_baseline = None;
-    let mut overhead_fresh = None;
-    let mut solver_baseline = None;
-    let mut solver_fresh = None;
-    let mut tolerance = DEFAULT_TOLERANCE;
+    // Per manifest row: the (baseline, fresh) paths named on the command line.
+    let mut paths: Vec<[Option<String>; 2]> = vec![[None, None]; MANIFEST.len()];
+    let mut tolerance = None;
     while let Some(a) = args.next() {
-        match a.as_str() {
-            "--newton-baseline" => newton_baseline = args.next(),
-            "--newton-fresh" => newton_fresh = args.next(),
-            "--stamp-baseline" => stamp_baseline = args.next(),
-            "--stamp-fresh" => stamp_fresh = args.next(),
-            "--sweep-baseline" => sweep_baseline = args.next(),
-            "--sweep-fresh" => sweep_fresh = args.next(),
-            "--overhead-baseline" => overhead_baseline = args.next(),
-            "--overhead-fresh" => overhead_fresh = args.next(),
-            "--solver-baseline" => solver_baseline = args.next(),
-            "--solver-fresh" => solver_fresh = args.next(),
-            "--tolerance" => {
-                let t = args.next().and_then(|v| v.parse::<f64>().ok());
-                tolerance = t.unwrap_or_else(|| {
-                    eprintln!("perf-gate: --tolerance needs a number like 0.15");
-                    std::process::exit(2);
-                });
+        if a == "--tolerance" {
+            match args.next().and_then(|v| v.parse::<f64>().ok()) {
+                Some(t) => tolerance = Some(t),
+                None => fail("--tolerance needs a number like 0.15".to_string()),
             }
-            other => {
-                eprintln!("perf-gate: unknown argument `{other}`");
-                std::process::exit(2);
+            continue;
+        }
+        let slot = MANIFEST.iter().zip(&mut paths).find_map(|(s, p)| {
+            let side = a.strip_prefix("--")?.strip_prefix(s.stem)?;
+            match side {
+                "-baseline" => Some(&mut p[0]),
+                "-fresh" => Some(&mut p[1]),
+                _ => None,
             }
+        });
+        match slot {
+            Some(slot) => *slot = args.next(),
+            None => fail(format!("unknown argument `{a}`")),
         }
     }
-    let read = |name: &str, path: String| {
-        std::fs::read_to_string(&path).unwrap_or_else(|e| {
-            eprintln!("perf-gate: cannot read {name} {path}: {e}");
-            std::process::exit(2);
+    let docs: Vec<(String, String)> = MANIFEST
+        .iter()
+        .zip(paths)
+        .map(|(s, [baseline, fresh])| {
+            let read = |side: &str, path: Option<String>| {
+                let path = path.unwrap_or_else(|| {
+                    fail(format!("missing required flag --{}-{side} <file>", s.stem))
+                });
+                std::fs::read_to_string(&path)
+                    .unwrap_or_else(|e| fail(format!("cannot read {} {side} {path}: {e}", s.stem)))
+            };
+            (read("baseline", baseline), read("fresh", fresh))
         })
-    };
-    let nb = read("newton baseline", required("--newton-baseline", newton_baseline));
-    let nf = read("newton fresh", required("--newton-fresh", newton_fresh));
-    let sb = read("stamp baseline", required("--stamp-baseline", stamp_baseline));
-    let sf = read("stamp fresh", required("--stamp-fresh", stamp_fresh));
-    let wb = read("sweep baseline", required("--sweep-baseline", sweep_baseline));
-    let wf = read("sweep fresh", required("--sweep-fresh", sweep_fresh));
-    let ob = read("overhead baseline", required("--overhead-baseline", overhead_baseline));
-    let of = read("overhead fresh", required("--overhead-fresh", overhead_fresh));
-    let vb = read("solver baseline", required("--solver-baseline", solver_baseline));
-    let vf = read("solver fresh", required("--solver-fresh", solver_fresh));
+        .collect();
 
-    match gate(&nb, &nf, &sb, &sf, &wb, &wf, &ob, &of, &vb, &vf, tolerance) {
+    match gate(MANIFEST, &docs, tolerance) {
         Ok(report) => {
             print!("{}", report.table());
             if report.passed() {

@@ -1,19 +1,87 @@
 //! CI performance-regression gate over the committed bench baselines.
 //!
-//! The `newton_path` and `stamp` binaries emit `BENCH_newton.json` /
-//! `BENCH_stamp.json`; the committed copies at the repo root are the
-//! baseline. The gate re-runs the benches, extracts the *ratio-type*
-//! metrics (speedups — wall-millisecond columns vary with host load, but a
-//! speedup is a same-host ratio and stays comparable), and fails when any
-//! drops below `1 - tolerance` of its baseline. Improvements never fail the
-//! gate; they only show up in the delta table as candidates for a baseline
-//! refresh.
+//! The bench binaries emit `BENCH_*.json` documents; the committed copies at
+//! the repo root are the baseline. The gate re-runs the benches, extracts
+//! the *ratio-type* metrics (speedups — wall-millisecond columns vary with
+//! host load, but a speedup is a same-host ratio and stays comparable), and
+//! fails when any drops below `1 - tolerance` of its baseline. Improvements
+//! never fail the gate; they only show up in the delta table as candidates
+//! for a baseline refresh.
+//!
+//! [`MANIFEST`] is the single list of gated documents: one row per
+//! `BENCH_*.json` drives both the `perf-gate` command line and the gate
+//! itself, so gating a new document is a one-row change.
 
 use std::fmt::Write as _;
 use wavepipe_telemetry::json::{self, JsonValue};
 
 /// Default relative tolerance: a metric may lose up to 15% before failing.
 pub const DEFAULT_TOLERANCE: f64 = 0.15;
+
+/// Extracted `(key, value)` metrics of one document.
+pub type Metrics = Vec<(String, f64)>;
+
+/// One gated bench document.
+#[derive(Debug, Clone, Copy)]
+pub struct Source {
+    /// Flag stem: `perf-gate --<stem>-baseline <file> --<stem>-fresh <file>`.
+    pub stem: &'static str,
+    /// The committed document's name at the repo root (prefixes errors).
+    pub file: &'static str,
+    /// Pulls the ratio-type metrics out of the parsed document.
+    pub extract: fn(&JsonValue) -> Result<Metrics, String>,
+    /// Relative loss a metric of this document may take before failing.
+    pub tolerance: f64,
+}
+
+/// Every gated document, in delta-table order.
+pub const MANIFEST: &[Source] = &[
+    Source {
+        stem: "newton",
+        file: "BENCH_newton.json",
+        extract: newton_metrics,
+        tolerance: DEFAULT_TOLERANCE,
+    },
+    Source {
+        stem: "stamp",
+        file: "BENCH_stamp.json",
+        extract: stamp_metrics,
+        tolerance: DEFAULT_TOLERANCE,
+    },
+    Source {
+        stem: "sweep",
+        file: "BENCH_sweep.json",
+        extract: sweep_metrics,
+        tolerance: DEFAULT_TOLERANCE,
+    },
+    Source {
+        stem: "overhead",
+        file: "BENCH_overhead.json",
+        extract: overhead_metrics,
+        tolerance: DEFAULT_TOLERANCE,
+    },
+    Source {
+        stem: "solver",
+        file: "BENCH_solver.json",
+        extract: solver_metrics,
+        tolerance: DEFAULT_TOLERANCE,
+    },
+];
+
+impl Source {
+    /// Parses `doc` and extracts this document's metrics.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the file when the document does not parse
+    /// or lacks the expected fields.
+    pub fn metrics(&self, doc: &str) -> Result<Metrics, String> {
+        json::parse(doc)
+            .map_err(|e| e.to_string())
+            .and_then(|v| (self.extract)(&v))
+            .map_err(|e| format!("{}: {e}", self.file))
+    }
+}
 
 /// One comparable metric extracted from a bench JSON document.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,6 +92,8 @@ pub struct Metric {
     pub baseline: f64,
     /// Freshly measured value.
     pub fresh: f64,
+    /// Relative loss allowed before the metric fails.
+    pub tolerance: f64,
 }
 
 impl Metric {
@@ -35,62 +105,47 @@ impl Metric {
         self.fresh / self.baseline - 1.0
     }
 
-    /// Whether this metric regressed beyond the tolerance.
-    pub fn failed(&self, tolerance: f64) -> bool {
-        self.delta() < -tolerance
+    /// Whether this metric regressed beyond its tolerance.
+    pub fn failed(&self) -> bool {
+        self.delta() < -self.tolerance
     }
 }
 
-/// Extracts the speedup metrics from a `BENCH_newton.json` document
-/// (an array of per-circuit rows).
-///
-/// # Errors
-///
-/// Returns a message when the document does not parse or lacks the
-/// expected fields.
-pub fn newton_metrics(doc: &str) -> Result<Vec<(String, f64)>, String> {
-    let v = json::parse(doc).map_err(|e| format!("BENCH_newton.json: {e}"))?;
-    let rows = v.as_array().ok_or("BENCH_newton.json: expected a top-level array")?;
+fn rows(doc: &JsonValue) -> Result<&[JsonValue], String> {
+    doc.as_array().ok_or_else(|| "expected a top-level array".to_string())
+}
+
+fn text<'a>(row: &'a JsonValue, field: &str) -> Result<&'a str, String> {
+    row.get(field).and_then(JsonValue::as_str).ok_or_else(|| format!("row without {field}"))
+}
+
+fn num(row: &JsonValue, who: &str, field: &str) -> Result<f64, String> {
+    row.get(field).and_then(JsonValue::as_f64).ok_or_else(|| format!("{who} lacks {field}"))
+}
+
+/// `BENCH_newton.json` (an array of per-circuit rows): the caches-on
+/// speedup of every circuit.
+fn newton_metrics(doc: &JsonValue) -> Result<Metrics, String> {
     let mut out = Vec::new();
-    for row in rows {
-        let name = row
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or("BENCH_newton.json: row without name")?;
-        let speedup = row
-            .get("speedup")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("BENCH_newton.json: {name} lacks speedup"))?;
-        out.push((format!("newton/{name}/speedup"), speedup));
+    for row in rows(doc)? {
+        let name = text(row, "name")?;
+        out.push((format!("newton/{name}/speedup"), num(row, name, "speedup")?));
     }
     Ok(out)
 }
 
-/// Extracts the per-worker-count newton speedups from a `BENCH_stamp.json`
-/// document (`{circuit: [{workers, newton_speedup, ...}]}`).
-///
-/// # Errors
-///
-/// Returns a message when the document does not parse or lacks the
-/// expected fields.
-pub fn stamp_metrics(doc: &str) -> Result<Vec<(String, f64)>, String> {
-    let v = json::parse(doc).map_err(|e| format!("BENCH_stamp.json: {e}"))?;
-    let JsonValue::Obj(groups) = &v else {
-        return Err("BENCH_stamp.json: expected a top-level object".to_string());
+/// `BENCH_stamp.json` (`{circuit: [{workers, newton_speedup, ...}]}`): the
+/// per-worker-count newton speedups.
+fn stamp_metrics(doc: &JsonValue) -> Result<Metrics, String> {
+    let JsonValue::Obj(groups) = doc else {
+        return Err("expected a top-level object".to_string());
     };
     let mut out = Vec::new();
     for (circuit, points) in groups {
-        let points =
-            points.as_array().ok_or_else(|| format!("BENCH_stamp.json: {circuit} not an array"))?;
+        let points = points.as_array().ok_or_else(|| format!("{circuit} not an array"))?;
         for p in points {
-            let workers = p
-                .get("workers")
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("BENCH_stamp.json: {circuit} point without workers"))?;
-            let s = p
-                .get("newton_speedup")
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("BENCH_stamp.json: {circuit} lacks newton_speedup"))?;
+            let workers = num(p, circuit, "workers")?;
+            let s = num(p, circuit, "newton_speedup")?;
             // workers=0 is the serial anchor (speedup identically 1).
             if workers > 0.0 {
                 out.push((format!("stamp/{circuit}/w{workers}/newton_speedup"), s));
@@ -100,110 +155,49 @@ pub fn stamp_metrics(doc: &str) -> Result<Vec<(String, f64)>, String> {
     Ok(out)
 }
 
-/// Extracts the ratio-type metrics from a `BENCH_sweep.json` document (an
-/// array of per-configuration rows): the modeled batch throughput gain,
-/// the real single-core work ratio, and the measured SIMD-tier speedup
-/// over the classic batched path. Wall-millisecond columns are skipped
-/// for the usual reason — they vary with host load, ratios do not.
-///
-/// # Errors
-///
-/// Returns a message when the document does not parse or lacks the
-/// expected fields.
-pub fn sweep_metrics(doc: &str) -> Result<Vec<(String, f64)>, String> {
-    let v = json::parse(doc).map_err(|e| format!("BENCH_sweep.json: {e}"))?;
-    let rows = v.as_array().ok_or("BENCH_sweep.json: expected a top-level array")?;
+/// `BENCH_sweep.json` (an array of per-configuration rows): the modeled
+/// batch throughput gain, the real single-core work ratio, and the measured
+/// wall ratio of the lane-packed tier over the classic batched path.
+fn sweep_metrics(doc: &JsonValue) -> Result<Metrics, String> {
     let mut out = Vec::new();
-    for row in rows {
-        let circuit = row
-            .get("circuit")
-            .and_then(JsonValue::as_str)
-            .ok_or("BENCH_sweep.json: row without circuit")?;
-        let speedup = row
-            .get("modeled_speedup")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("BENCH_sweep.json: {circuit} lacks modeled_speedup"))?;
-        let work = row
-            .get("work_ratio")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("BENCH_sweep.json: {circuit} lacks work_ratio"))?;
-        let simd = row
-            .get("simd_speedup")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("BENCH_sweep.json: {circuit} lacks simd_speedup"))?;
-        out.push((format!("sweep/{circuit}/modeled_speedup"), speedup));
-        out.push((format!("sweep/{circuit}/work_ratio"), work));
-        out.push((format!("sweep/{circuit}/simd_speedup"), simd));
+    for row in rows(doc)? {
+        let circuit = text(row, "circuit")?;
+        for field in ["modeled_speedup", "work_ratio", "simd_speedup"] {
+            out.push((format!("sweep/{circuit}/{field}"), num(row, circuit, field)?));
+        }
     }
     Ok(out)
 }
 
-/// Extracts the ratio-type metrics from a `BENCH_overhead.json` document
-/// (an array of per-circuit rows from the `overhead` binary): the
-/// recovery-off/on wall-time ratio (≈1 when the ladder is free on clean
-/// runs; drops when arming it starts costing) and the rescue-free fraction
-/// of accepted points (exactly 1 on a clean run — any clean-run ladder
-/// engagement drops it deterministically, no timing noise involved).
-///
-/// # Errors
-///
-/// Returns a message when the document does not parse or lacks the
-/// expected fields.
-pub fn overhead_metrics(doc: &str) -> Result<Vec<(String, f64)>, String> {
-    let v = json::parse(doc).map_err(|e| format!("BENCH_overhead.json: {e}"))?;
-    let rows = v.as_array().ok_or("BENCH_overhead.json: expected a top-level array")?;
+/// `BENCH_overhead.json` (an array of per-circuit rows from the `overhead`
+/// binary): the recovery-off/on wall-time ratio (≈1 when the ladder is free
+/// on clean runs; drops when arming it starts costing) and the rescue-free
+/// fraction of accepted points (exactly 1 on a clean run — any clean-run
+/// ladder engagement drops it deterministically, no timing noise involved).
+fn overhead_metrics(doc: &JsonValue) -> Result<Metrics, String> {
     let mut out = Vec::new();
-    for row in rows {
-        let circuit = row
-            .get("circuit")
-            .and_then(JsonValue::as_str)
-            .ok_or("BENCH_overhead.json: row without circuit")?;
-        let ratio = row
-            .get("off_on_ratio")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("BENCH_overhead.json: {circuit} lacks off_on_ratio"))?;
-        let rescue_free = row
-            .get("rescue_free_fraction")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("BENCH_overhead.json: {circuit} lacks rescue_free_fraction"))?;
-        out.push((format!("recovery/{circuit}/off_on_ratio"), ratio));
-        out.push((format!("recovery/{circuit}/rescue_free_fraction"), rescue_free));
+    for row in rows(doc)? {
+        let circuit = text(row, "circuit")?;
+        for field in ["off_on_ratio", "rescue_free_fraction"] {
+            out.push((format!("recovery/{circuit}/{field}"), num(row, circuit, field)?));
+        }
     }
     Ok(out)
 }
 
-/// Extracts the ratio-type metrics from a `BENCH_solver.json` document (an
-/// array of per-grid-size rows from the `solver_bakeoff` binary): the
-/// min-degree/RCM fill ratio (deterministic — orderings don't depend on the
-/// host) for every row, and the direct/GMRES wall-time ratio for rows at or
-/// past the crossover scale (64 unknowns and up; the sub-64 rows time
-/// single-digit-microsecond solves, which is noise, not signal).
-///
-/// # Errors
-///
-/// Returns a message when the document does not parse or lacks the
-/// expected fields.
-pub fn solver_metrics(doc: &str) -> Result<Vec<(String, f64)>, String> {
-    let v = json::parse(doc).map_err(|e| format!("BENCH_solver.json: {e}"))?;
-    let rows = v.as_array().ok_or("BENCH_solver.json: expected a top-level array")?;
+/// `BENCH_solver.json` (an array of per-grid-size rows from the
+/// `solver_bakeoff` binary): the min-degree/RCM fill ratio (deterministic —
+/// orderings don't depend on the host) for every row, and the direct/GMRES
+/// wall-time ratio for rows at or past the crossover scale (64 unknowns and
+/// up; the sub-64 rows time single-digit-microsecond solves, which is
+/// noise, not signal).
+fn solver_metrics(doc: &JsonValue) -> Result<Metrics, String> {
     let mut out = Vec::new();
-    for row in rows {
-        let circuit = row
-            .get("circuit")
-            .and_then(JsonValue::as_str)
-            .ok_or("BENCH_solver.json: row without circuit")?;
-        let unknowns = row
-            .get("unknowns")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("BENCH_solver.json: {circuit} lacks unknowns"))?;
-        let fill = row
-            .get("mindeg_over_rcm_fill")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("BENCH_solver.json: {circuit} lacks mindeg_over_rcm_fill"))?;
-        let speedup = row
-            .get("gmres_speedup")
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("BENCH_solver.json: {circuit} lacks gmres_speedup"))?;
+    for row in rows(doc)? {
+        let circuit = text(row, "circuit")?;
+        let unknowns = num(row, circuit, "unknowns")?;
+        let fill = num(row, circuit, "mindeg_over_rcm_fill")?;
+        let speedup = num(row, circuit, "gmres_speedup")?;
         out.push((format!("solver/{circuit}/mindeg_over_rcm_fill"), fill));
         if unknowns >= 64.0 {
             out.push((format!("solver/{circuit}/gmres_speedup"), speedup));
@@ -218,7 +212,11 @@ pub fn solver_metrics(doc: &str) -> Result<Vec<(String, f64)>, String> {
 /// # Errors
 ///
 /// Returns a message listing unmatched keys.
-pub fn pair(baseline: &[(String, f64)], fresh: &[(String, f64)]) -> Result<Vec<Metric>, String> {
+pub fn pair(
+    baseline: &[(String, f64)],
+    fresh: &[(String, f64)],
+    tolerance: f64,
+) -> Result<Vec<Metric>, String> {
     let fresh_map: std::collections::BTreeMap<&str, f64> =
         fresh.iter().map(|(k, v)| (k.as_str(), *v)).collect();
     let base_keys: std::collections::BTreeSet<&str> =
@@ -227,7 +225,7 @@ pub fn pair(baseline: &[(String, f64)], fresh: &[(String, f64)]) -> Result<Vec<M
     let mut out = Vec::new();
     for (key, b) in baseline {
         match fresh_map.get(key.as_str()) {
-            Some(&f) => out.push(Metric { key: key.clone(), baseline: *b, fresh: f }),
+            Some(&f) => out.push(Metric { key: key.clone(), baseline: *b, fresh: f, tolerance }),
             None => missing.push(key),
         }
     }
@@ -242,24 +240,17 @@ pub fn pair(baseline: &[(String, f64)], fresh: &[(String, f64)]) -> Result<Vec<M
     Ok(out)
 }
 
-/// The gate verdict: the rendered delta table plus pass/fail.
+/// The gate verdict: every compared metric, renderable as a delta table.
 #[derive(Debug)]
 pub struct GateReport {
     /// All compared metrics.
     pub metrics: Vec<Metric>,
-    /// Tolerance used.
-    pub tolerance: f64,
 }
 
 impl GateReport {
-    /// Compares paired metrics under a tolerance.
-    pub fn new(metrics: Vec<Metric>, tolerance: f64) -> Self {
-        GateReport { metrics, tolerance }
-    }
-
-    /// The metrics that regressed beyond the tolerance.
+    /// The metrics that regressed beyond their tolerance.
     pub fn failures(&self) -> Vec<&Metric> {
-        self.metrics.iter().filter(|m| m.failed(self.tolerance)).collect()
+        self.metrics.iter().filter(|m| m.failed()).collect()
     }
 
     /// Whether the gate passes.
@@ -275,18 +266,17 @@ impl GateReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "perf gate (tolerance -{:.0}%): {} metrics, {} regressed",
-            self.tolerance * 100.0,
+            "perf gate: {} metrics, {} regressed",
             self.metrics.len(),
             self.failures().len()
         );
         let _ = writeln!(
             out,
-            "  {:<width$}  {:>9}  {:>9}  {:>8}  verdict",
-            "metric", "base", "fresh", "delta"
+            "  {:<width$}  {:>9}  {:>9}  {:>8}  {:>5}  verdict",
+            "metric", "base", "fresh", "delta", "tol"
         );
         for m in rows {
-            let verdict = if m.failed(self.tolerance) {
+            let verdict = if m.failed() {
                 "FAIL"
             } else if m.delta() >= 0.0 {
                 "ok +"
@@ -295,11 +285,12 @@ impl GateReport {
             };
             let _ = writeln!(
                 out,
-                "  {:<width$}  {:>9.3}  {:>9.3}  {:>7.1}%  {}",
+                "  {:<width$}  {:>9.3}  {:>9.3}  {:>7.1}%  {:>4.0}%  {}",
                 m.key,
                 m.baseline,
                 m.fresh,
                 m.delta() * 100.0,
+                -m.tolerance * 100.0,
                 verdict
             );
         }
@@ -307,37 +298,25 @@ impl GateReport {
     }
 }
 
-/// Runs the full gate over baseline/fresh document pairs.
+/// Runs the gate: `docs[i]` is the `(baseline, fresh)` document pair of
+/// `manifest[i]`; `tolerance` overrides every row's own when given.
 ///
 /// # Errors
 ///
 /// Returns a message when a document is malformed or the metric sets
 /// diverge — both are gate failures distinct from a perf regression.
-#[allow(clippy::too_many_arguments)]
 pub fn gate(
-    newton_baseline: &str,
-    newton_fresh: &str,
-    stamp_baseline: &str,
-    stamp_fresh: &str,
-    sweep_baseline: &str,
-    sweep_fresh: &str,
-    overhead_baseline: &str,
-    overhead_fresh: &str,
-    solver_baseline: &str,
-    solver_fresh: &str,
-    tolerance: f64,
+    manifest: &[Source],
+    docs: &[(String, String)],
+    tolerance: Option<f64>,
 ) -> Result<GateReport, String> {
-    let mut base = newton_metrics(newton_baseline)?;
-    base.extend(stamp_metrics(stamp_baseline)?);
-    base.extend(sweep_metrics(sweep_baseline)?);
-    base.extend(overhead_metrics(overhead_baseline)?);
-    base.extend(solver_metrics(solver_baseline)?);
-    let mut fresh = newton_metrics(newton_fresh)?;
-    fresh.extend(stamp_metrics(stamp_fresh)?);
-    fresh.extend(sweep_metrics(sweep_fresh)?);
-    fresh.extend(overhead_metrics(overhead_fresh)?);
-    fresh.extend(solver_metrics(solver_fresh)?);
-    Ok(GateReport::new(pair(&base, &fresh)?, tolerance))
+    assert_eq!(manifest.len(), docs.len(), "one document pair per manifest row");
+    let mut metrics = Vec::new();
+    for (source, (baseline, fresh)) in manifest.iter().zip(docs) {
+        let tol = tolerance.unwrap_or(source.tolerance);
+        metrics.extend(pair(&source.metrics(baseline)?, &source.metrics(fresh)?, tol)?);
+    }
+    Ok(GateReport { metrics })
 }
 
 #[cfg(test)]
@@ -384,22 +363,27 @@ mod tests {
         )
     }
 
+    fn source(stem: &str) -> &'static Source {
+        MANIFEST.iter().find(|s| s.stem == stem).expect("stem in manifest")
+    }
+
+    /// Gates the fixture documents against themselves, except that the
+    /// fresh newton document is `fresh_newton`.
+    fn gate_with(fresh_newton: &str) -> Result<GateReport, String> {
+        let docs: Vec<(String, String)> = [NEWTON, STAMP, SWEEP, OVERHEAD, SOLVER]
+            .iter()
+            .zip(MANIFEST)
+            .map(|(doc, s)| {
+                let fresh = if s.stem == "newton" { fresh_newton } else { doc };
+                (doc.to_string(), fresh.to_string())
+            })
+            .collect();
+        gate(MANIFEST, &docs, None)
+    }
+
     #[test]
     fn identical_runs_pass() {
-        let r = gate(
-            NEWTON,
-            NEWTON,
-            STAMP,
-            STAMP,
-            SWEEP,
-            SWEEP,
-            OVERHEAD,
-            OVERHEAD,
-            SOLVER,
-            SOLVER,
-            DEFAULT_TOLERANCE,
-        )
-        .unwrap();
+        let r = gate_with(NEWTON).unwrap();
         assert!(r.passed(), "{}", r.table());
         // 2 newton + 1 non-serial stamp + 3 sweep + 2 recovery
         // + 2 solver fill + 1 crossover-scale solver speedup
@@ -409,21 +393,7 @@ mod tests {
     #[test]
     fn injected_twenty_percent_slowdown_fails() {
         // The acceptance scenario: a 20% speedup loss must trip a 15% gate.
-        let slow = scaled_newton(0.8);
-        let r = gate(
-            NEWTON,
-            &slow,
-            STAMP,
-            STAMP,
-            SWEEP,
-            SWEEP,
-            OVERHEAD,
-            OVERHEAD,
-            SOLVER,
-            SOLVER,
-            DEFAULT_TOLERANCE,
-        )
-        .unwrap();
+        let r = gate_with(&scaled_newton(0.8)).unwrap();
         assert!(!r.passed());
         assert_eq!(r.failures().len(), 2);
         let table = r.table();
@@ -434,84 +404,53 @@ mod tests {
 
     #[test]
     fn slowdown_within_tolerance_passes() {
-        let slight = scaled_newton(0.9); // -10% on a 15% gate
-        let r = gate(
-            NEWTON,
-            &slight,
-            STAMP,
-            STAMP,
-            SWEEP,
-            SWEEP,
-            OVERHEAD,
-            OVERHEAD,
-            SOLVER,
-            SOLVER,
-            DEFAULT_TOLERANCE,
-        )
-        .unwrap();
+        let r = gate_with(&scaled_newton(0.9)).unwrap(); // -10% on a 15% gate
         assert!(r.passed(), "{}", r.table());
     }
 
     #[test]
     fn improvements_never_fail() {
-        let faster = scaled_newton(1.5);
-        let r = gate(
-            NEWTON,
-            &faster,
-            STAMP,
-            STAMP,
-            SWEEP,
-            SWEEP,
-            OVERHEAD,
-            OVERHEAD,
-            SOLVER,
-            SOLVER,
-            DEFAULT_TOLERANCE,
-        )
-        .unwrap();
+        let r = gate_with(&scaled_newton(1.5)).unwrap();
         assert!(r.passed(), "{}", r.table());
         assert!(r.table().contains("ok +"));
     }
 
     #[test]
     fn diverging_metric_sets_are_an_error() {
-        let renamed = NEWTON.replace("\"a\"", "\"renamed\"");
-        let err = gate(
-            NEWTON,
-            &renamed,
-            STAMP,
-            STAMP,
-            SWEEP,
-            SWEEP,
-            OVERHEAD,
-            OVERHEAD,
-            SOLVER,
-            SOLVER,
-            DEFAULT_TOLERANCE,
-        )
-        .unwrap_err();
+        let err = gate_with(&NEWTON.replace("\"a\"", "\"renamed\"")).unwrap_err();
         assert!(err.contains("newton/a/speedup"), "{err}");
         assert!(err.contains("renamed"), "{err}");
     }
 
     #[test]
+    fn tolerance_override_applies_to_every_row() {
+        let docs: Vec<(String, String)> =
+            vec![(NEWTON.to_string(), scaled_newton(0.9)), (STAMP.to_string(), STAMP.to_string())];
+        assert!(gate(&MANIFEST[..2], &docs, None).unwrap().passed());
+        assert!(!gate(&MANIFEST[..2], &docs, Some(0.05)).unwrap().passed());
+    }
+
+    #[test]
     fn malformed_documents_are_an_error() {
-        assert!(newton_metrics("{not json").is_err());
-        assert!(newton_metrics("{}").is_err());
-        assert!(stamp_metrics("[]").is_err());
-        assert!(newton_metrics(r#"[{"name":"x"}]"#).is_err());
-        assert!(sweep_metrics("{}").is_err());
-        assert!(sweep_metrics(r#"[{"circuit":"x","work_ratio":1.0}]"#).is_err());
-        assert!(
-            sweep_metrics(r#"[{"circuit":"x","work_ratio":1.0,"modeled_speedup":7.0}]"#).is_err()
-        );
-        assert!(solver_metrics("{}").is_err());
-        assert!(solver_metrics(r#"[{"circuit":"x","unknowns":16}]"#).is_err());
+        let (newton, stamp, sweep, solver) =
+            (source("newton"), source("stamp"), source("sweep"), source("solver"));
+        let err = newton.metrics("{not json").unwrap_err();
+        assert!(err.starts_with("BENCH_newton.json: "), "{err}");
+        assert!(newton.metrics("{}").is_err());
+        assert!(stamp.metrics("[]").is_err());
+        assert!(newton.metrics(r#"[{"name":"x"}]"#).is_err());
+        assert!(sweep.metrics("{}").is_err());
+        assert!(sweep.metrics(r#"[{"circuit":"x","work_ratio":1.0}]"#).is_err());
+        assert!(sweep
+            .metrics(r#"[{"circuit":"x","work_ratio":1.0,"modeled_speedup":7.0}]"#)
+            .is_err());
+        assert!(solver.metrics("{}").is_err());
+        assert!(solver.metrics(r#"[{"circuit":"x","unknowns":16}]"#).is_err());
     }
 
     #[test]
     fn serial_anchor_points_are_skipped() {
-        let ms = stamp_metrics(STAMP).unwrap();
+        let ms = source("stamp").metrics(STAMP).unwrap();
         assert_eq!(ms.len(), 1);
         assert_eq!(ms[0].0, "stamp/a/w2/newton_speedup");
     }
@@ -520,7 +459,7 @@ mod tests {
     fn sub_crossover_solver_timings_are_skipped() {
         // Fill ratios gate on every row; the noisy microsecond-scale
         // speedup of the 16-unknown grid does not.
-        let ms = solver_metrics(SOLVER).unwrap();
+        let ms = source("solver").metrics(SOLVER).unwrap();
         let keys: Vec<&str> = ms.iter().map(|(k, _)| k.as_str()).collect();
         assert_eq!(
             keys,

@@ -8,8 +8,7 @@
 //! DC solve, then a step loop of predict → stamp → factor/solve → converge →
 //! LTE-accept. This module re-implements only the *orchestration* of that
 //! loop; every numeric kernel is either the identical function
-//! ([`MnaSystem::stamp_lane`] — the monomorphized, bitwise-identical twin of
-//! [`MnaSystem::stamp_with`] — [`lte_step_control`], [`HistoryWindow`]
+//! ([`MnaSystem::stamp_lane`], [`lte_step_control`], [`HistoryWindow`]
 //! predict/accept, [`MnaSystem::cap_currents_after`]) or a lane-packed kernel
 //! proven bit-equal to its scalar counterpart
 //! ([`LanePackedLu::refactor_lanes`] / [`LanePackedLu::solve_lanes`] vs
@@ -651,7 +650,7 @@ fn tick(lanes: &mut [Option<Lane>], pack: &mut Option<LanePackedLu>, g: &GroupCt
 }
 
 /// Fresh pivot search for one lane (the classic `backend.factor` fallback),
-/// mirroring `BatchedDirectLu::factor`. On success the factors are
+/// mirroring `DirectLu::factor` under a shared ordering. On success the factors are
 /// re-adopted into the pack when the new structure matches, else kept
 /// scalar. Returns the lane's next role.
 fn fresh_factor(

@@ -85,7 +85,7 @@ pub use options::{CacheCtl, SimOptions};
 pub use parstamp::StampExecutor;
 pub use result::TransientResult;
 pub use sensitivity::{run_dc_sensitivity, SensitivityResult};
-pub use solver::{BatchedDirectLu, DirectLu, SolverBackend, SolverFactory, SolverHandle};
+pub use solver::{DirectLu, SolverBackend, SolverFactory, SolverHandle};
 pub use stats::SimStats;
 pub use transient::{
     run_transient, run_transient_compiled, run_transient_recoverable,

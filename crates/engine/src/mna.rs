@@ -14,6 +14,7 @@ use crate::devices::{
 use crate::error::Result;
 use crate::integrate::IntegCoeffs;
 use crate::options::CacheCtl;
+use std::ops::Range;
 use wavepipe_circuit::{Circuit, Element, MosPolarity, Node, Waveform};
 use wavepipe_sparse::{CooMatrix, CscMatrix};
 
@@ -324,8 +325,9 @@ pub(crate) struct StampCaches {
     /// evaluated, its junction limiter did not fire, and `gmin` has not
     /// changed since).
     valid: Vec<bool>,
-    /// Per-device bypass decision for the current stamp pass (recomputed
-    /// from `valid` + the iterate by `compute_bypass_mask`).
+    /// Per-device bypass decision of the current stamp pass (recomputed from
+    /// `valid` + the iterate: up-front by `compute_bypass_mask` on the
+    /// parallel path, device by device on the serial one).
     pub(crate) mask: Vec<bool>,
     /// Controlling terminal voltages at the last actual evaluation, flat in
     /// `MnaSystem::ctrl_span` order. Updated *only* on evaluation — updating
@@ -343,13 +345,24 @@ pub(crate) struct StampCaches {
     /// Matrix values snapshot taken after the prologue + linear phase
     /// (nonlinear slots still zero), replayed on a key hit.
     lin_mat: Vec<f64>,
-    /// RHS snapshot taken after the linear phase of the most recent
-    /// [`MnaSystem::stamp_lane`] pass. Linear-device RHS contributions
-    /// depend only on the companion key's inputs plus the previous-point
-    /// solutions and capacitor currents — never on the Newton iterate — so
-    /// within one Newton point the lane tier replays this snapshot on
-    /// iterations after the first instead of re-walking the linear devices.
+    /// RHS snapshot taken after the linear phase of the most recent stamp
+    /// pass that walked it. Linear-device RHS contributions depend only on
+    /// the companion key's inputs plus the previous-point solutions and
+    /// capacitor currents — never on the Newton iterate — so within one
+    /// Newton point iterations after the first replay this snapshot instead
+    /// of re-walking the linear devices.
     lin_rhs: Vec<f64>,
+}
+
+impl StampCaches {
+    /// Start-of-pass check: a changed junction `gmin` invalidates every
+    /// cached device evaluation.
+    fn sync_gmin(&mut self, gmin: f64) {
+        if gmin != self.gmin {
+            self.valid.fill(false);
+            self.gmin = gmin;
+        }
+    }
 }
 
 /// What one stamping pass did, for work accounting.
@@ -434,55 +447,60 @@ impl StampPlan {
     }
 }
 
-/// Where a stamping pass delivers its emissions. All three variants share the
-/// same ground-skip rule, so the emission *sequence* (and hence the slot
-/// table and the per-device spans) is identical across them.
-pub(crate) enum Sink<'a> {
-    /// Pattern pass: records matrix positions and RHS target unknowns.
-    Record { mat: &'a mut Vec<(usize, usize)>, rhs: &'a mut Vec<u32> },
-    /// Serial stamp: scatters through the slot table into the workspace.
-    Write { values: &'a mut [f64], slots: &'a [usize], cursor: usize, rhs: &'a mut [f64] },
-    /// Parallel evaluation: writes values densely in emission order into
-    /// pre-sized buffers (the plan spans fix every count up-front, so plain
-    /// cursor stores suffice — no `push` capacity checks on the hot path);
-    /// the accumulator later scatters them through the slot table in the
-    /// fixed color-then-element order.
-    Buffer { mat: &'a mut [f64], mat_cursor: usize, rhs: &'a mut [f64], rhs_cursor: usize },
-    /// Companion-cache hit: the matrix was already replayed wholesale, so
-    /// matrix emissions are dropped and only the (time/history-dependent)
-    /// RHS is re-emitted, exactly as `Write` would.
-    RhsOnly { rhs: &'a mut [f64] },
-}
-
 /// Emission target for [`MnaSystem::emit_device`]. Every implementation
 /// applies the same ground-skip rule, so the emission *sequence* (and hence
-/// the slot table and the per-device spans) is identical across sinks. The
-/// [`Sink`] enum serves the classic paths; the lane-packed stamp passes
-/// dedicated concrete sinks instead, monomorphizing the whole device
-/// evaluation so no per-emission variant dispatch survives inlining.
+/// the slot table and the per-device spans) is identical across sinks. Each
+/// sink is a concrete type, so the whole device evaluation is monomorphized
+/// per sink and no per-emission dispatch survives inlining.
 pub(crate) trait EmitSink {
     fn mat(&mut self, r: usize, c: usize, v: f64);
     fn rhs(&mut self, u: usize, v: f64);
 }
 
-impl EmitSink for Sink<'_> {
+/// Pattern pass: records matrix positions and RHS target unknowns.
+struct RecordSink {
+    mat: Vec<(usize, usize)>,
+    rhs: Vec<u32>,
+}
+
+impl EmitSink for RecordSink {
+    #[inline]
+    fn mat(&mut self, r: usize, c: usize, _v: f64) {
+        if r == GND || c == GND {
+            return;
+        }
+        self.mat.push((r, c));
+    }
+
+    #[inline]
+    fn rhs(&mut self, u: usize, _v: f64) {
+        if u == GND {
+            return;
+        }
+        self.rhs.push(u as u32);
+    }
+}
+
+/// Parallel evaluation: writes values densely in emission order into
+/// pre-sized buffers (the plan spans fix every count up-front, so plain
+/// cursor stores suffice — no `push` capacity checks on the hot path); the
+/// accumulator later scatters them through the slot table in the fixed
+/// color-then-element order.
+struct BufferSink<'a> {
+    mat: &'a mut [f64],
+    mat_cursor: usize,
+    rhs: &'a mut [f64],
+    rhs_cursor: usize,
+}
+
+impl EmitSink for BufferSink<'_> {
     #[inline]
     fn mat(&mut self, r: usize, c: usize, v: f64) {
         if r == GND || c == GND {
             return;
         }
-        match self {
-            Sink::Record { mat, .. } => mat.push((r, c)),
-            Sink::Write { values, slots, cursor, .. } => {
-                values[slots[*cursor]] += v;
-                *cursor += 1;
-            }
-            Sink::Buffer { mat, mat_cursor, .. } => {
-                mat[*mat_cursor] = v;
-                *mat_cursor += 1;
-            }
-            Sink::RhsOnly { .. } => {}
-        }
+        self.mat[self.mat_cursor] = v;
+        self.mat_cursor += 1;
     }
 
     #[inline]
@@ -490,21 +508,14 @@ impl EmitSink for Sink<'_> {
         if u == GND {
             return;
         }
-        match self {
-            Sink::Record { rhs, .. } => rhs.push(u as u32),
-            Sink::Write { rhs, .. } => rhs[u] += v,
-            Sink::Buffer { rhs, rhs_cursor, .. } => {
-                rhs[*rhs_cursor] = v;
-                *rhs_cursor += 1;
-            }
-            Sink::RhsOnly { rhs } => rhs[u] += v,
-        }
+        self.rhs[self.rhs_cursor] = v;
+        self.rhs_cursor += 1;
     }
 }
 
-/// Monomorphized [`Sink::RhsOnly`]: companion-hit linear re-emission on the
-/// lane path. Matrix emissions are dropped (the memcpy already restored
-/// them), RHS adds land directly.
+/// Companion-cache hit: the matrix was already replayed wholesale, so
+/// matrix emissions are dropped and only the (time/history-dependent) RHS
+/// is re-emitted, exactly as [`WriteSink`] would.
 struct RhsOnlySink<'a> {
     rhs: &'a mut [f64],
 }
@@ -522,8 +533,8 @@ impl EmitSink for RhsOnlySink<'_> {
     }
 }
 
-/// Monomorphized [`Sink::Write`]: full linear restamp on the lane path,
-/// scattering through the slot table in emission-cursor order.
+/// Full linear restamp: scatters through the slot table into the workspace
+/// in emission-cursor order.
 struct WriteSink<'a> {
     values: &'a mut [f64],
     slots: &'a [usize],
@@ -550,11 +561,10 @@ impl EmitSink for WriteSink<'_> {
     }
 }
 
-/// Fresh nonlinear evaluation on the lane path: stores each emission into
-/// the device's bypass-cache span (replay on a later bypass hit needs it)
-/// and scatters it into the matrix/RHS in the same pass — fusing the
-/// classic buffer-then-scatter into one sweep. The per-slot addition order
-/// is unchanged because the classic scatter replays the cache span in
+/// Fresh serial nonlinear evaluation: stores each emission into the
+/// device's bypass-cache span (replay on a later bypass hit needs it) and
+/// scatters it into the matrix/RHS in the same pass. The per-slot addition
+/// order equals the replay scatter's, which walks the cache span in
 /// emission order; `slots`/`cmat` are pre-sliced to the device's span so
 /// the cursor is span-relative.
 struct FusedNlSink<'a> {
@@ -958,8 +968,6 @@ impl MnaSystem {
     /// then freezes the CSC pattern, the per-emission slot table, and the
     /// per-device conflict coloring for the parallel stamp path.
     fn build_pattern(&mut self) {
-        let mut entries = Vec::new();
-        let mut rhs_targets: Vec<u32> = Vec::new();
         let zeros = vec![0.0_f64; self.n_unknowns];
         let caps = vec![0.0_f64; self.n_cap_states];
         let mut junction = vec![0.0_f64; self.n_junctions];
@@ -977,39 +985,31 @@ impl MnaSystem {
         };
         let mut mat_span = vec![(0u32, 0u32); self.devices.len()];
         let mut rhs_span = vec![(0u32, 0u32); self.devices.len()];
-        {
-            let mut jct = Junction::InPlace(&mut junction);
-            let mut sink = Sink::Record { mat: &mut entries, rhs: &mut rhs_targets };
-            // Shunt prologue occupies emission cursors 0..n_nodes, exactly as
-            // in the stamp's linear phase.
-            for i in 0..self.n_nodes {
-                sink.mat(i, i, 0.0);
-            }
-            // Stamp emission order: prologue, linear devices, nonlinear
-            // devices (element order within each class). Keeping the record
-            // pass and every numeric path on this one order is what keeps the
-            // slot table and the per-device spans valid everywhere.
-            for &d in self.lin_elem.iter().chain(&self.nl_elem) {
-                let (m0, r0) = match &sink {
-                    Sink::Record { mat, rhs } => (mat.len() as u32, rhs.len() as u32),
-                    _ => unreachable!(),
-                };
-                Self::emit_device(
-                    &self.devices[d as usize],
-                    &input,
-                    &zeros,
-                    &mut jct,
-                    &mut limited,
-                    &mut sink,
-                );
-                let (m1, r1) = match &sink {
-                    Sink::Record { mat, rhs } => (mat.len() as u32, rhs.len() as u32),
-                    _ => unreachable!(),
-                };
-                mat_span[d as usize] = (m0, m1);
-                rhs_span[d as usize] = (r0, r1);
-            }
+        let mut jct = Junction::InPlace(&mut junction);
+        let mut sink = RecordSink { mat: Vec::new(), rhs: Vec::new() };
+        // Shunt prologue occupies emission cursors 0..n_nodes, exactly as
+        // in the stamp's linear phase.
+        for i in 0..self.n_nodes {
+            sink.mat(i, i, 0.0);
         }
+        // Stamp emission order: prologue, linear devices, nonlinear
+        // devices (element order within each class). Keeping the record
+        // pass and every numeric path on this one order is what keeps the
+        // slot table and the per-device spans valid everywhere.
+        for &d in self.lin_elem.iter().chain(&self.nl_elem) {
+            let (m0, r0) = (sink.mat.len() as u32, sink.rhs.len() as u32);
+            Self::emit_device(
+                &self.devices[d as usize],
+                &input,
+                &zeros,
+                &mut jct,
+                &mut limited,
+                &mut sink,
+            );
+            mat_span[d as usize] = (m0, sink.mat.len() as u32);
+            rhs_span[d as usize] = (r0, sink.rhs.len() as u32);
+        }
+        let RecordSink { mat: entries, rhs: rhs_targets } = sink;
         let n = self.n_unknowns;
         let mut coo = CooMatrix::with_capacity(n, n, entries.len());
         for &(r, c) in &entries {
@@ -1243,19 +1243,13 @@ impl MnaSystem {
     /// `stamp_with(ws, input, x_iter, &CacheCtl::disabled())`; returns the
     /// number of device evaluations performed (for work accounting).
     pub fn stamp(&self, ws: &mut MnaWorkspace, input: &StampInput<'_>, x_iter: &[f64]) -> usize {
-        self.stamp_with(ws, input, x_iter, &CacheCtl::disabled()).evals
+        self.stamp_lane(ws, input, x_iter, &CacheCtl::disabled(), true).evals
     }
 
     /// Stamps the linearised system at iterate `x_iter` into `ws`, using the
-    /// workspace's solver caches as `ctl` allows: the linear phase may replay
-    /// the companion-cached matrix, and nonlinear devices whose controlling
-    /// voltages are within the bypass tolerance replay their cached stamp.
-    ///
-    /// The emission order is fixed (node-shunt prologue, linear devices in
-    /// element order, nonlinear devices in element order) for every `ctl`
-    /// setting, and every cache decision is a deterministic function of the
-    /// iterate and the workspace state — so two runs with the same options
-    /// produce bitwise-identical results, serial or parallel.
+    /// workspace's solver caches as `ctl` allows: [`MnaSystem::stamp_lane`]
+    /// for a caller that has no Newton iteration count to offer (every call
+    /// is treated as the first iteration of its point).
     pub fn stamp_with(
         &self,
         ws: &mut MnaWorkspace,
@@ -1263,185 +1257,22 @@ impl MnaSystem {
         x_iter: &[f64],
         ctl: &CacheCtl,
     ) -> StampResult {
-        self.compute_bypass_mask(&mut ws.caches, input, x_iter, ctl);
-        let companion_hit = self.stamp_linear_phase(ws, input, x_iter, ctl);
-        let (nl_evals, bypassed) = self.stamp_nonlinear_serial(ws, input, x_iter);
-        StampResult { evals: self.lin_elem.len() + nl_evals, bypassed, companion_hit }
+        self.stamp_lane(ws, input, x_iter, ctl, true)
     }
 
-    /// Decides, per nonlinear device, whether its cached stamp may be
-    /// replayed this pass: the cache must be valid (evaluated, unlimited,
-    /// same `gmin`) and every controlling terminal voltage must be within
-    /// `vabs + vrel * max(|v|, |v_ref|)` of the evaluation reference.
-    /// Shared verbatim by the serial and parallel paths (the parallel master
-    /// computes the mask once and ships it to the workers).
-    pub(crate) fn compute_bypass_mask(
-        &self,
-        caches: &mut StampCaches,
-        input: &StampInput<'_>,
-        x: &[f64],
-        ctl: &CacheCtl,
-    ) {
-        if input.gmin != caches.gmin {
-            caches.valid.fill(false);
-            caches.gmin = input.gmin;
-        }
-        if !ctl.bypass {
-            caches.mask.fill(false);
-            return;
-        }
-        for &d in &self.nl_elem {
-            let du = d as usize;
-            let (c0, c1) = self.ctrl_span[du];
-            let mut ok = caches.valid[du] && c0 != c1;
-            for k in c0..c1 {
-                if !ok {
-                    break;
-                }
-                let t = self.ctrl_nodes[k as usize];
-                let v = if t == u32::MAX { 0.0 } else { x[t as usize] };
-                let vref = caches.ctrl[k as usize];
-                let tol = ctl.bypass_vabs + ctl.bypass_vrel * v.abs().max(vref.abs());
-                // NaN-safe: a non-finite iterate never bypasses.
-                ok = (v - vref).abs() <= tol;
-            }
-            caches.mask[du] = ok;
-        }
-    }
-
-    /// Linear phase: zeroes the workspace, applies the node-shunt prologue,
-    /// and stamps every linear device — replaying the assembled matrix from
-    /// the companion cache when the step-size key matches (the RHS carries
-    /// the time- and history-dependent terms, so it is always re-emitted).
-    /// Returns whether the cache hit.
-    pub(crate) fn stamp_linear_phase(
-        &self,
-        ws: &mut MnaWorkspace,
-        input: &StampInput<'_>,
-        x: &[f64],
-        ctl: &CacheCtl,
-    ) -> bool {
-        ws.rhs.fill(0.0);
-        ws.limited = false;
-        let key = LinKey::of(input);
-        let MnaWorkspace { matrix, rhs, junction_state, limited, caches } = ws;
-        let hit = ctl.companion && caches.lin_key == Some(key);
-        let mut jct = Junction::InPlace(junction_state);
-        if hit {
-            // One memcpy restores prologue + linear matrix (and zeroes the
-            // nonlinear slots, which were zero in the snapshot).
-            matrix.values_mut().copy_from_slice(&caches.lin_mat);
-            let mut sink = Sink::RhsOnly { rhs };
-            for &d in &self.lin_elem {
-                Self::emit_device(
-                    &self.devices[d as usize],
-                    input,
-                    x,
-                    &mut jct,
-                    limited,
-                    &mut sink,
-                );
-            }
-        } else {
-            matrix.set_values_zero();
-            {
-                let values = matrix.values_mut();
-                for i in 0..self.n_nodes {
-                    values[self.slots[i]] += input.gshunt;
-                }
-                let mut sink =
-                    Sink::Write { values, slots: &self.slots, cursor: self.n_nodes, rhs };
-                for &d in &self.lin_elem {
-                    Self::emit_device(
-                        &self.devices[d as usize],
-                        input,
-                        x,
-                        &mut jct,
-                        limited,
-                        &mut sink,
-                    );
-                }
-            }
-            caches.lin_mat.copy_from_slice(matrix.values());
-            caches.lin_key = if ctl.companion { Some(key) } else { None };
-        }
-        hit
-    }
-
-    /// Serial nonlinear phase: element order, each device either replayed
-    /// from its bypass cache or evaluated into it, then scattered through
-    /// the slot table. Returns `(evaluated, bypassed)` counts.
-    fn stamp_nonlinear_serial(
-        &self,
-        ws: &mut MnaWorkspace,
-        input: &StampInput<'_>,
-        x: &[f64],
-    ) -> (usize, usize) {
-        let MnaWorkspace { matrix, rhs, junction_state, limited, caches } = ws;
-        let StampCaches { valid, mask, ctrl, mat: cmat, rhs: crhs, .. } = caches;
-        let values = matrix.values_mut();
-        let mut jct = Junction::InPlace(junction_state);
-        let (mut evals, mut bypassed) = (0usize, 0usize);
-        for &d in &self.nl_elem {
-            let du = d as usize;
-            let (m0, m1) = self.plan.mat_span[du];
-            let (r0, r1) = self.plan.rhs_span[du];
-            let (m0, m1, r0, r1) = (m0 as usize, m1 as usize, r0 as usize, r1 as usize);
-            if mask[du] {
-                bypassed += 1;
-            } else {
-                let mut dev_limited = false;
-                {
-                    let mut sink = Sink::Buffer {
-                        mat: &mut cmat[m0..m1],
-                        mat_cursor: 0,
-                        rhs: &mut crhs[r0..r1],
-                        rhs_cursor: 0,
-                    };
-                    Self::emit_device(
-                        &self.devices[du],
-                        input,
-                        x,
-                        &mut jct,
-                        &mut dev_limited,
-                        &mut sink,
-                    );
-                }
-                *limited |= dev_limited;
-                let (c0, c1) = self.ctrl_span[du];
-                if c0 != c1 {
-                    valid[du] = !dev_limited;
-                    for k in c0..c1 {
-                        let t = self.ctrl_nodes[k as usize];
-                        ctrl[k as usize] = if t == u32::MAX { 0.0 } else { x[t as usize] };
-                    }
-                }
-                evals += 1;
-            }
-            // Scatter the (fresh or replayed) emissions: same per-slot
-            // addition order either way.
-            for (k, &slot) in self.slots[m0..m1].iter().enumerate() {
-                values[slot] += cmat[m0 + k];
-            }
-            for (k, &u) in self.plan.rhs_targets[r0..r1].iter().enumerate() {
-                rhs[u as usize] += crhs[r0 + k];
-            }
-        }
-        (evals, bypassed)
-    }
-
-    /// Lane-tier stamp: same cache decisions, device order, and emission
-    /// sequence as [`MnaSystem::stamp_with`] — bitwise-identical results —
-    /// with the emission plumbing monomorphized. The classic path routes
-    /// every emission through the `Sink` enum (a variant dispatch per
-    /// matrix entry) and buffers nonlinear stamps before a separate scatter
-    /// pass; here each sink is a concrete type the compiler inlines whole,
-    /// and fresh nonlinear evaluations scatter as they emit. With ~40
-    /// linear companion re-emissions and ~16 device evaluations per Newton
-    /// iteration on digital workloads, stamping dominates the serial
-    /// profile, so the lane-packed batch tier calls this instead of
-    /// `stamp_with` to buy its throughput edge on the stamp side as well
-    /// as the solve side.
+    /// The serial stamping kernel — every tier (serial engine, pipelining
+    /// lanes, the stamp executor's degraded mode, both batch tiers) stamps
+    /// through it; the name dates from when only the lane-packed batch tier
+    /// did. The linear phase may replay the companion-cached matrix, and
+    /// nonlinear devices whose controlling voltages are within the bypass
+    /// tolerance replay their cached stamp.
+    ///
+    /// The emission order is fixed (node-shunt prologue, linear devices in
+    /// element order, nonlinear devices in element order) for every `ctl`
+    /// setting, and every cache decision is a deterministic function of the
+    /// iterate and the workspace state — so two runs with the same options
+    /// produce bitwise-identical results, serial or parallel.
+    ///
     /// `first_iter` marks the first Newton iteration of the current time
     /// point. On later iterations of the same point every input of the
     /// linear phase other than the iterate — time, integration
@@ -1457,24 +1288,123 @@ impl MnaSystem {
         ctl: &CacheCtl,
         first_iter: bool,
     ) -> StampResult {
-        // The `gmin` prologue of `compute_bypass_mask`, at the same point in
-        // the call sequence. The per-device tolerance checks themselves are
-        // folded into the fused nonlinear pass below: they are pure
-        // predicates of state that pass never mutates before reading, so
-        // deciding each device at its own turn reproduces the mask bit for
-        // bit without a separate traversal (or the mask array itself).
-        if input.gmin != ws.caches.gmin {
-            ws.caches.valid.fill(false);
-            ws.caches.gmin = input.gmin;
-        }
-        let companion_hit = self.stamp_linear_phase_lane(ws, input, x_iter, ctl, first_iter);
+        ws.caches.sync_gmin(input.gmin);
+        let companion_hit = self.stamp_linear_phase(ws, input, x_iter, ctl, first_iter);
         let (nl_evals, bypassed) = self.stamp_nonlinear_fused(ws, input, x_iter, ctl);
         StampResult { evals: self.lin_elem.len() + nl_evals, bypassed, companion_hit }
     }
 
-    /// [`MnaSystem::stamp_linear_phase`] with monomorphized sinks: identical
-    /// control flow, cache updates, and emission order.
-    fn stamp_linear_phase_lane(
+    // `inline(always)` on the four per-device helpers below is measured, not
+    // habit: under plain `#[inline]` they stayed out of line in the kernel's
+    // nonlinear loop and a fully-bypassed stamp of an 80-stage inverter
+    // chain cost ~12 % more (benchmark metric `mna.stamp_lane_call_us`).
+
+    /// Device `d`'s `[start, end)` emission ranges: matrix cursors (indices
+    /// into the slot table and the bypass matrix cache) and RHS cursors.
+    #[inline(always)]
+    fn spans(&self, d: usize) -> (Range<usize>, Range<usize>) {
+        let (m0, m1) = self.plan.mat_span[d];
+        let (r0, r1) = self.plan.rhs_span[d];
+        (m0 as usize..m1 as usize, r0 as usize..r1 as usize)
+    }
+
+    /// The bypass predicate: device `d`'s cached stamp may be replayed when
+    /// the cache is valid (evaluated, unlimited, same `gmin`) and every
+    /// controlling terminal voltage is within
+    /// `vabs + vrel * max(|v|, |v_ref|)` of the evaluation reference. A pure
+    /// function of state no stamp pass mutates before reading it, so the
+    /// serial kernel deciding each device at its own turn and the parallel
+    /// master deciding all of them up-front agree bit for bit.
+    #[inline(always)]
+    fn may_bypass(
+        &self,
+        d: usize,
+        valid: &[bool],
+        ctrl: &[f64],
+        x: &[f64],
+        ctl: &CacheCtl,
+    ) -> bool {
+        let (c0, c1) = self.ctrl_span[d];
+        let mut ok = ctl.bypass && valid[d] && c0 != c1;
+        for k in c0..c1 {
+            if !ok {
+                break;
+            }
+            let t = self.ctrl_nodes[k as usize];
+            let v = if t == u32::MAX { 0.0 } else { x[t as usize] };
+            let vref = ctrl[k as usize];
+            let tol = ctl.bypass_vabs + ctl.bypass_vrel * v.abs().max(vref.abs());
+            // NaN-safe: a non-finite iterate never bypasses.
+            ok = (v - vref).abs() <= tol;
+        }
+        ok
+    }
+
+    /// Books a fresh evaluation of bypassable device `d` at iterate `x`:
+    /// the cache is replayable unless the junction limiter fired, and `x`
+    /// becomes the tolerance reference.
+    #[inline(always)]
+    fn note_evaluated(
+        &self,
+        d: usize,
+        dev_limited: bool,
+        valid: &mut [bool],
+        ctrl: &mut [f64],
+        x: &[f64],
+    ) {
+        let (c0, c1) = self.ctrl_span[d];
+        if c0 != c1 {
+            valid[d] = !dev_limited;
+            for k in c0..c1 {
+                let t = self.ctrl_nodes[k as usize];
+                ctrl[k as usize] = if t == u32::MAX { 0.0 } else { x[t as usize] };
+            }
+        }
+    }
+
+    /// Scatters device `d`'s cached emissions through the slot table, in
+    /// emission order — the per-slot addition order of a fresh evaluation.
+    #[inline(always)]
+    fn scatter_cached(
+        &self,
+        d: usize,
+        cmat: &[f64],
+        crhs: &[f64],
+        values: &mut [f64],
+        rhs: &mut [f64],
+    ) {
+        let (m, r) = self.spans(d);
+        for (&slot, &v) in self.slots[m.clone()].iter().zip(&cmat[m]) {
+            values[slot] += v;
+        }
+        for (&u, &v) in self.plan.rhs_targets[r.clone()].iter().zip(&crhs[r]) {
+            rhs[u as usize] += v;
+        }
+    }
+
+    /// Decides, per nonlinear device, whether its cached stamp may be
+    /// replayed this pass, for the parallel path: the master computes the
+    /// mask once and ships it to the workers.
+    pub(crate) fn compute_bypass_mask(
+        &self,
+        caches: &mut StampCaches,
+        input: &StampInput<'_>,
+        x: &[f64],
+        ctl: &CacheCtl,
+    ) {
+        caches.sync_gmin(input.gmin);
+        for &d in &self.nl_elem {
+            let d = d as usize;
+            caches.mask[d] = self.may_bypass(d, &caches.valid, &caches.ctrl, x, ctl);
+        }
+    }
+
+    /// Linear phase: zeroes the workspace, applies the node-shunt prologue,
+    /// and stamps every linear device — replaying the assembled matrix from
+    /// the companion cache when the step-size key matches, and on iterations
+    /// after the first of a point (`first_iter` false) the linear RHS as
+    /// well. Returns whether the cache hit.
+    pub(crate) fn stamp_linear_phase(
         &self,
         ws: &mut MnaWorkspace,
         input: &StampInput<'_>,
@@ -1499,6 +1429,10 @@ impl MnaSystem {
         rhs.fill(0.0);
         let mut jct = Junction::InPlace(junction_state);
         if hit {
+            // One memcpy restores prologue + linear matrix (and zeroes the
+            // nonlinear slots, which were zero in the snapshot); the RHS
+            // carries the time- and history-dependent terms, so it is
+            // re-emitted.
             matrix.values_mut().copy_from_slice(&caches.lin_mat);
             let (a1, a2, b1) = match input.coeffs {
                 Some(c) => (c.a1, c.a2, c.b1),
@@ -1558,12 +1492,12 @@ impl MnaSystem {
         hit
     }
 
-    /// [`MnaSystem::stamp_nonlinear_serial`] with the buffer-then-scatter
-    /// split fused into one pass for fresh evaluations: each emission is
-    /// stored into the bypass-cache span *and* scattered immediately. The
-    /// per-slot addition order is exactly the classic scatter's (the cache
-    /// span is written and replayed in emission order), so results stay
-    /// bitwise identical.
+    /// Serial nonlinear phase: element order, each device either replayed
+    /// from its bypass cache or evaluated into it and scattered in the same
+    /// sweep. The bypass decision is taken at the device's own turn (nothing
+    /// this loop writes is read by a later device's predicate) and recorded
+    /// in `caches.mask` for the per-class metrics. Returns
+    /// `(evaluated, bypassed)` counts.
     fn stamp_nonlinear_fused(
         &self,
         ws: &mut MnaWorkspace,
@@ -1572,74 +1506,35 @@ impl MnaSystem {
         ctl: &CacheCtl,
     ) -> (usize, usize) {
         let MnaWorkspace { matrix, rhs, junction_state, limited, caches } = ws;
-        let StampCaches { valid, ctrl, mat: cmat, rhs: crhs, .. } = caches;
+        let StampCaches { valid, mask, ctrl, mat: cmat, rhs: crhs, .. } = caches;
         let values = matrix.values_mut();
         let mut jct = Junction::InPlace(junction_state);
-        let (mut evals, mut bypassed) = (0usize, 0usize);
+        let mut bypassed = 0usize;
         for &d in &self.nl_elem {
             let du = d as usize;
-            let (m0, m1) = self.plan.mat_span[du];
-            let (r0, r1) = self.plan.rhs_span[du];
-            let (m0, m1, r0, r1) = (m0 as usize, m1 as usize, r0 as usize, r1 as usize);
-            // Inline bypass decision — the same predicate
-            // `compute_bypass_mask` evaluates for this device, decided at
-            // the device's own turn (nothing this loop writes is read by a
-            // later device's predicate).
-            let (c0, c1) = self.ctrl_span[du];
-            let mut bypass_ok = ctl.bypass && valid[du] && c0 != c1;
-            for k in c0..c1 {
-                if !bypass_ok {
-                    break;
-                }
-                let t = self.ctrl_nodes[k as usize];
-                let v = if t == u32::MAX { 0.0 } else { x[t as usize] };
-                let vref = ctrl[k as usize];
-                let tol = ctl.bypass_vabs + ctl.bypass_vrel * v.abs().max(vref.abs());
-                // NaN-safe: a non-finite iterate never bypasses.
-                bypass_ok = (v - vref).abs() <= tol;
-            }
-            if bypass_ok {
+            let bypass = self.may_bypass(du, valid, ctrl, x, ctl);
+            mask[du] = bypass;
+            if bypass {
                 bypassed += 1;
-                // Bypass replay: scatter the cached stamp, same as classic.
-                for (k, &slot) in self.slots[m0..m1].iter().enumerate() {
-                    values[slot] += cmat[m0 + k];
-                }
-                for (k, &u) in self.plan.rhs_targets[r0..r1].iter().enumerate() {
-                    rhs[u as usize] += crhs[r0 + k];
-                }
-            } else {
-                let mut dev_limited = false;
-                {
-                    let mut sink = FusedNlSink {
-                        cmat: &mut cmat[m0..m1],
-                        crhs: &mut crhs[r0..r1],
-                        slots: &self.slots[m0..m1],
-                        values: &mut *values,
-                        rhs: rhs.as_mut_slice(),
-                        mc: 0,
-                        rc: 0,
-                    };
-                    Self::emit_device(
-                        &self.devices[du],
-                        input,
-                        x,
-                        &mut jct,
-                        &mut dev_limited,
-                        &mut sink,
-                    );
-                }
-                *limited |= dev_limited;
-                if c0 != c1 {
-                    valid[du] = !dev_limited;
-                    for k in c0..c1 {
-                        let t = self.ctrl_nodes[k as usize];
-                        ctrl[k as usize] = if t == u32::MAX { 0.0 } else { x[t as usize] };
-                    }
-                }
-                evals += 1;
+                self.scatter_cached(du, cmat, crhs, values, rhs);
+                continue;
             }
+            let (m, r) = self.spans(du);
+            let mut dev_limited = false;
+            let mut sink = FusedNlSink {
+                cmat: &mut cmat[m.clone()],
+                crhs: &mut crhs[r],
+                slots: &self.slots[m],
+                values: &mut *values,
+                rhs: rhs.as_mut_slice(),
+                mc: 0,
+                rc: 0,
+            };
+            Self::emit_device(&self.devices[du], input, x, &mut jct, &mut dev_limited, &mut sink);
+            *limited |= dev_limited;
+            self.note_evaluated(du, dev_limited, valid, ctrl, x);
         }
-        (evals, bypassed)
+        (self.nl_elem.len() - bypassed, bypassed)
     }
 
     /// The compile-time parallel-stamp plan (spans, coloring, replay order).
@@ -1697,10 +1592,9 @@ impl MnaSystem {
             if mask[d as usize] {
                 continue;
             }
-            let (m0, m1) = self.plan.mat_span[d as usize];
-            mat_len += (m1 - m0) as usize;
-            let (r0, r1) = self.plan.rhs_span[d as usize];
-            rhs_len += (r1 - r0) as usize;
+            let (m, r) = self.spans(d as usize);
+            mat_len += m.len();
+            rhs_len += r.len();
         }
         mat_out.resize(mat_len, 0.0);
         rhs_out.resize(rhs_len, 0.0);
@@ -1708,7 +1602,7 @@ impl MnaSystem {
         limited_devs.clear();
         let mut limited = false;
         let mut jct = Junction::Buffered { snapshot: junction_snapshot, writes: jct_out };
-        let mut sink = Sink::Buffer { mat: mat_out, mat_cursor: 0, rhs: rhs_out, rhs_cursor: 0 };
+        let mut sink = BufferSink { mat: mat_out, mat_cursor: 0, rhs: rhs_out, rhs_cursor: 0 };
         for &d in devices {
             if mask[d as usize] {
                 continue;
@@ -1727,11 +1621,7 @@ impl MnaSystem {
                 limited_devs.push(d);
             }
         }
-        debug_assert!(matches!(
-            sink,
-            Sink::Buffer { mat_cursor, rhs_cursor, .. }
-                if mat_cursor == mat_len && rhs_cursor == rhs_len
-        ));
+        debug_assert_eq!((sink.mat_cursor, sink.rhs_cursor), (mat_len, rhs_len));
         limited
     }
 
@@ -1762,37 +1652,26 @@ impl MnaSystem {
         let (mut evals, mut bypassed) = (0usize, 0usize);
         for &d in devices {
             let du = d as usize;
-            let (m0, m1) = self.plan.mat_span[du];
-            let (r0, r1) = self.plan.rhs_span[du];
-            let (m0, m1, r0, r1) = (m0 as usize, m1 as usize, r0 as usize, r1 as usize);
             if mask[du] {
                 bypassed += 1;
             } else {
-                cmat[m0..m1].copy_from_slice(&mat_vals[mi..mi + (m1 - m0)]);
-                crhs[r0..r1].copy_from_slice(&rhs_vals[ri..ri + (r1 - r0)]);
-                mi += m1 - m0;
-                ri += r1 - r0;
+                let (m, r) = self.spans(du);
+                let (mn, rn) = (m.len(), r.len());
+                cmat[m].copy_from_slice(&mat_vals[mi..mi + mn]);
+                crhs[r].copy_from_slice(&rhs_vals[ri..ri + rn]);
+                mi += mn;
+                ri += rn;
                 let dev_limited = li < limited_devs.len() && limited_devs[li] == d;
                 if dev_limited {
                     li += 1;
                     *limited = true;
                 }
-                let (c0, c1) = self.ctrl_span[du];
-                if c0 != c1 {
-                    valid[du] = !dev_limited;
-                    for k in c0..c1 {
-                        let t = self.ctrl_nodes[k as usize];
-                        ctrl[k as usize] = if t == u32::MAX { 0.0 } else { x[t as usize] };
-                    }
-                }
+                self.note_evaluated(du, dev_limited, valid, ctrl, x);
                 evals += 1;
             }
-            for (k, &slot) in self.slots[m0..m1].iter().enumerate() {
-                values[slot] += cmat[m0 + k];
-            }
-            for (k, &u) in self.plan.rhs_targets[r0..r1].iter().enumerate() {
-                rhs[u as usize] += crhs[r0 + k];
-            }
+            // Fresh or replayed, the emissions scatter from the cache: same
+            // per-slot addition order either way.
+            self.scatter_cached(du, cmat, crhs, values, rhs);
         }
         debug_assert_eq!(mi, mat_vals.len());
         debug_assert_eq!(ri, rhs_vals.len());

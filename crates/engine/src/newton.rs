@@ -310,10 +310,10 @@ pub fn newton_solve(
         opts.probe.emit(input.time, EventKind::NewtonIter { iteration: it as u32 });
         opts.metrics.inc(Counter::NewtonIterations);
         let sres = match exec.as_deref_mut() {
-            Some(e) => e.stamp(ws, input, &x, &ctl, &opts.probe, &opts.metrics, stats),
+            Some(e) => e.stamp(ws, input, &x, &ctl, it == 1, &opts.probe, &opts.metrics, stats),
             None => {
                 let t0 = Instant::now();
-                let res = sys.stamp_with(ws, input, &x, &ctl);
+                let res = sys.stamp_lane(ws, input, &x, &ctl, it == 1);
                 let ns = t0.elapsed().as_nanos();
                 stats.stamp_ns += ns;
                 stats.stamp_modeled_ns += ns;

@@ -12,7 +12,7 @@
 //! coloring guarantees matches the serial per-slot addition order. Device
 //! bypass is decided on the master before dispatch (one mask per stamp
 //! call), so workers skip exactly the devices the serial path skips. The
-//! result is bit-identical to [`MnaSystem::stamp_with`], independent of
+//! result is bit-identical to [`MnaSystem::stamp_lane`], independent of
 //! worker count, scheduling, and cache knob settings.
 //!
 //! Timing: [`SimStats::stamp_ns`] gets the actual wall time of each call,
@@ -27,7 +27,7 @@
 //! that worker; the master evaluates the affected chunks inline from the
 //! retained snapshot — same devices, same order, bit-identical results —
 //! and then degrades the executor permanently to the serial
-//! [`MnaSystem::stamp`] path, emitting [`EventKind::WorkerLost`] and
+//! [`MnaSystem::stamp_lane`] kernel, emitting [`EventKind::WorkerLost`] and
 //! [`EventKind::FallbackSerial`] once.
 
 use crate::fault::FaultHandle;
@@ -344,7 +344,7 @@ impl StampExecutor {
         self.n_workers
     }
 
-    /// Parallel equivalent of [`MnaSystem::stamp_with`]: bit-identical
+    /// Parallel equivalent of [`MnaSystem::stamp_lane`]: bit-identical
     /// results, concurrent nonlinear device evaluation. Records actual and
     /// critical-path-modeled stamp time into `stats`, emits per-color spans
     /// through `probe` when enabled, and mirrors worker-loss / fallback
@@ -356,12 +356,13 @@ impl StampExecutor {
         input: &StampInput<'_>,
         x_iter: &[f64],
         ctl: &CacheCtl,
+        first_iter: bool,
         probe: &ProbeHandle,
         metrics: &MetricsHandle,
         stats: &mut SimStats,
     ) -> StampResult {
         if self.broken {
-            return self.stamp_serial(ws, input, x_iter, ctl, stats);
+            return self.stamp_serial(ws, input, x_iter, ctl, first_iter, stats);
         }
         let t_call = Instant::now();
         // Decide bypass on the master (exactly as the serial path does),
@@ -414,7 +415,7 @@ impl StampExecutor {
 
         // The master stamps the linear phase itself while the workers chew
         // on the nonlinear chunks.
-        let companion_hit = self.sys.stamp_linear_phase(ws, input, x_iter, ctl);
+        let companion_hit = self.sys.stamp_linear_phase(ws, input, x_iter, ctl, first_iter);
         let serial_ns = t_call.elapsed().as_nanos() as u64;
 
         // Accumulate strictly in chunk order (= color-then-element order
@@ -532,8 +533,8 @@ impl StampExecutor {
     }
 
     /// Serial fallback once a worker has been lost: delegates to
-    /// [`MnaSystem::stamp_with`] with the *same* cache controls, the very
-    /// path parallel stamping is bit-identical to, so degradation never
+    /// [`MnaSystem::stamp_lane`] with the *same* cache controls, the very
+    /// kernel parallel stamping is bit-identical to, so degradation never
     /// changes results.
     fn stamp_serial(
         &mut self,
@@ -541,10 +542,11 @@ impl StampExecutor {
         input: &StampInput<'_>,
         x_iter: &[f64],
         ctl: &CacheCtl,
+        first_iter: bool,
         stats: &mut SimStats,
     ) -> StampResult {
         let t0 = Instant::now();
-        let res = self.sys.stamp_with(ws, input, x_iter, ctl);
+        let res = self.sys.stamp_lane(ws, input, x_iter, ctl, first_iter);
         let ns = t0.elapsed().as_nanos();
         stats.stamp_ns += ns;
         stats.stamp_modeled_ns += ns;

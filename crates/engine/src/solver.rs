@@ -13,13 +13,13 @@
 //! it produces bitwise-identical solution vectors on every run. [`DirectLu`]
 //! is additionally pinned to be bit-identical to the historical direct
 //! `SparseLu` calls (same ordering, same pivoting, same triangular solves),
-//! so swapping the seam in changed no waveform anywhere. [`BatchedDirectLu`]
-//! shares one precomputed fill-reducing ordering across instances; because
-//! the orderings in [`wavepipe_sparse::ordering`] are pure functions of the
-//! matrix *pattern* — they never read values — an instance factored through
-//! it is bit-identical to the same instance factored through [`DirectLu`],
-//! which computes the identical permutation from the identical shared
-//! pattern. Custom backends that cannot honour bit-determinism must say so
+//! so swapping the seam in changed no waveform anywhere. A batched sweep
+//! hands every instance's `DirectLu` one precomputed fill-reducing ordering
+//! ([`DirectLu::with_shared_ordering`]); because the orderings in
+//! [`wavepipe_sparse::ordering`] are pure functions of the matrix *pattern*
+//! — they never read values — an instance factored through the shared
+//! ordering is bit-identical to the same instance deriving the identical
+//! permutation from the identical shared pattern itself. Custom backends that cannot honour bit-determinism must say so
 //! in their documentation: WavePipe's accuracy-equivalence tests pin the
 //! default paths bitwise.
 
@@ -105,14 +105,22 @@ fn unfactored(n: usize) -> SparseError {
     SparseError::DimensionMismatch { expected: n, found: 0 }
 }
 
-/// The default backend: one [`SparseLu`] per solver, exactly as the Newton
+/// The direct backend: one [`SparseLu`] per solver, exactly as the Newton
 /// loop historically used it. Bit-identical to the pre-trait direct calls —
-/// `factor` runs the default fill-reducing ordering and threshold pivoting,
+/// `factor` runs threshold pivoting under a fill-reducing ordering,
 /// `refactor` replays frozen pivots KLU-style.
+///
+/// The ordering is derived from each matrix by default. Many sweep instances
+/// share one compiled MNA pattern, and the ordering is a pure function of
+/// that pattern, so a batch computes it once and hands an `Arc` of it to
+/// every instance's backend ([`DirectLu::with_shared_ordering`]): the
+/// per-instance symbolic cost goes away and not a bit changes (see the
+/// [module docs](self)).
 #[derive(Debug, Default, Clone)]
 pub struct DirectLu {
     lu: Option<SparseLu>,
     opts: LuOptions,
+    ordering: Option<Arc<Permutation>>,
 }
 
 impl DirectLu {
@@ -123,7 +131,14 @@ impl DirectLu {
 
     /// A fresh backend with explicit LU options.
     pub fn with_options(opts: LuOptions) -> Self {
-        DirectLu { lu: None, opts }
+        DirectLu { opts, ..DirectLu::default() }
+    }
+
+    /// A fresh backend factoring through the shared, precomputed `ordering`
+    /// (as computed by [`wavepipe_sparse::ordering::order`] on the shared
+    /// pattern) instead of re-deriving one per fresh factorization.
+    pub fn with_shared_ordering(ordering: Arc<Permutation>) -> Self {
+        DirectLu { ordering: Some(ordering), ..DirectLu::default() }
     }
 
     /// The current factorization, if one is held.
@@ -140,66 +155,10 @@ impl DirectLu {
 impl SolverBackend for DirectLu {
     fn factor(&mut self, a: &CscMatrix) -> Result<()> {
         self.lu = None;
-        self.lu = Some(SparseLu::factor(a, &self.opts)?);
-        Ok(())
-    }
-
-    fn refactor(&mut self, a: &CscMatrix) -> Result<()> {
-        let lu = self.lu.as_mut().ok_or_else(|| unfactored(a.ncols()))?;
-        lu.refactor(a)
-    }
-
-    fn solve(&self, b: &[f64], x: &mut [f64], scratch: &mut [f64]) -> Result<()> {
-        let lu = self.lu.as_ref().ok_or_else(|| unfactored(b.len()))?;
-        lu.solve_with_scratch(b, x, scratch)
-    }
-
-    fn factored(&self) -> bool {
-        self.lu.is_some()
-    }
-
-    fn invalidate(&mut self) {
-        self.lu = None;
-    }
-
-    fn clone_box(&self) -> Box<dyn SolverBackend> {
-        Box::new(self.clone())
-    }
-
-    fn take_lu(&mut self) -> Option<SparseLu> {
-        self.lu.take()
-    }
-}
-
-/// The batched-sweep backend: like [`DirectLu`] but factoring through a
-/// *shared, precomputed* fill-reducing ordering instead of re-deriving one
-/// per fresh factorization.
-///
-/// Many sweep instances share one compiled MNA pattern; the symbolic
-/// ordering is a pure function of that pattern, so computing it once and
-/// handing an `Arc` of it to every instance's backend removes the
-/// per-instance symbolic cost while staying bit-identical to [`DirectLu`]
-/// (which would compute the same permutation from the same pattern — see
-/// the [module docs](self)).
-#[derive(Debug, Clone)]
-pub struct BatchedDirectLu {
-    ordering: Arc<Permutation>,
-    lu: Option<SparseLu>,
-    opts: LuOptions,
-}
-
-impl BatchedDirectLu {
-    /// A fresh backend factoring through the shared `ordering` (as computed
-    /// by [`wavepipe_sparse::ordering::order`] on the shared pattern).
-    pub fn new(ordering: Arc<Permutation>) -> Self {
-        BatchedDirectLu { ordering, lu: None, opts: LuOptions::default() }
-    }
-}
-
-impl SolverBackend for BatchedDirectLu {
-    fn factor(&mut self, a: &CscMatrix) -> Result<()> {
-        self.lu = None;
-        self.lu = Some(SparseLu::factor_with_ordering(a, &self.opts, (*self.ordering).clone())?);
+        self.lu = Some(match &self.ordering {
+            Some(q) => SparseLu::factor_with_ordering(a, &self.opts, (**q).clone())?,
+            None => SparseLu::factor(a, &self.opts)?,
+        });
         Ok(())
     }
 
@@ -236,25 +195,11 @@ pub trait SolverFactory: fmt::Debug + Send + Sync {
     fn make(&self) -> Box<dyn SolverBackend>;
 }
 
-#[derive(Debug)]
-struct BatchedFactory {
-    ordering: Arc<Permutation>,
-}
-
-impl SolverFactory for BatchedFactory {
+/// A configured `DirectLu` is its own factory: `make` hands out unfactored
+/// copies carrying the same options and shared ordering.
+impl SolverFactory for DirectLu {
     fn make(&self) -> Box<dyn SolverBackend> {
-        Box::new(BatchedDirectLu::new(Arc::clone(&self.ordering)))
-    }
-}
-
-#[derive(Debug)]
-struct DirectFactory {
-    opts: LuOptions,
-}
-
-impl SolverFactory for DirectFactory {
-    fn make(&self) -> Box<dyn SolverBackend> {
-        Box::new(DirectLu::with_options(self.opts.clone()))
+        Box::new(DirectLu { lu: None, ..self.clone() })
     }
 }
 
@@ -262,9 +207,8 @@ impl SolverFactory for DirectFactory {
 /// [`crate::SimOptions`] like the probe/metrics/fault handles.
 ///
 /// The default handle builds [`DirectLu`] — the classic serial behaviour.
-/// [`SolverHandle::batched`] builds [`BatchedDirectLu`] instances sharing
-/// one precomputed ordering; [`SolverHandle::new`] accepts any custom
-/// factory. Equality is identity-based (two handles are equal when they
+/// [`SolverHandle::batched`] builds `DirectLu` instances sharing one
+/// precomputed ordering; [`SolverHandle::new`] accepts any custom factory. Equality is identity-based (two handles are equal when they
 /// share the same factory allocation), mirroring the other handles on
 /// `SimOptions`.
 #[derive(Clone, Default)]
@@ -279,16 +223,16 @@ impl SolverHandle {
     }
 
     /// Backends sharing one precomputed fill-reducing `ordering` (the
-    /// batched-sweep path; see [`BatchedDirectLu`]).
+    /// batched-sweep path; see [`DirectLu::with_shared_ordering`]).
     pub fn batched(ordering: Arc<Permutation>) -> Self {
-        SolverHandle { factory: Some(Arc::new(BatchedFactory { ordering })) }
+        SolverHandle::new(Arc::new(DirectLu::with_shared_ordering(ordering)))
     }
 
     /// [`DirectLu`] backends with explicit [`LuOptions`] — the hook behind
     /// the `WAVEPIPE_ORDERING` knob (direct solves through a non-default
     /// fill-reducing ordering).
     pub fn direct_with_options(opts: LuOptions) -> Self {
-        SolverHandle { factory: Some(Arc::new(DirectFactory { opts })) }
+        SolverHandle::new(Arc::new(DirectLu::with_options(opts)))
     }
 
     /// A handle around a custom factory.
@@ -369,18 +313,20 @@ mod tests {
     }
 
     #[test]
-    fn batched_lu_with_shared_ordering_matches_direct_bitwise() {
+    fn shared_ordering_matches_own_ordering_bitwise() {
         let a = small_matrix(1.0);
         let b = [1.0, -2.0, 0.5, 3.0];
         let q = Arc::new(order(&a, LuOptions::default().ordering).unwrap());
-        let mut direct = DirectLu::new();
-        let mut batched = BatchedDirectLu::new(q);
+        let mut own = DirectLu::new();
+        // Through the handle, so the factory path (`make` from a configured
+        // prototype) is what gets compared.
+        let mut shared = SolverHandle::batched(q).make();
         // Two "instances" with different values over the same pattern.
         for scale in [1.0, 3.5] {
             let ai = small_matrix(scale);
-            let xd = solve_through(&mut direct, &ai, &b);
-            let xb = solve_through(&mut batched, &ai, &b);
-            assert_eq!(xb, xd, "shared-ordering factorization diverged at scale {scale}");
+            let xo = solve_through(&mut own, &ai, &b);
+            let xs = solve_through(shared.as_mut(), &ai, &b);
+            assert_eq!(xs, xo, "shared-ordering factorization diverged at scale {scale}");
         }
     }
 

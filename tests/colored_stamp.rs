@@ -1,0 +1,211 @@
+//! Bit-identity of every way to stamp against the plain serial device walk.
+//!
+//! The parallel stamp executor must produce *exactly* the same matrix
+//! values, RHS, junction state, and limiting flag as the serial kernel —
+//! not merely numerically close — at every worker count, and the kernel's
+//! per-point linear-RHS replay must reproduce the walk it skips. These tests
+//! enforce that at the single-stamp level (randomized iterates,
+//! property-based) and at the whole-waveform level (full transient runs over
+//! the generator suite, plus the lane-packed batch tier at every lane width
+//! against classic single runs).
+
+use proptest::prelude::*;
+use std::sync::Arc;
+use wavepipe::batch::{BatchSim, ParamKind};
+use wavepipe::circuit::{generators, Element};
+use wavepipe::engine::{
+    run_transient, run_transient_compiled, FaultHandle, MetricsHandle, MnaSystem, ProbeHandle,
+    SimOptions, SimStats, SolverHandle, StampExecutor, StampInput, TransientResult,
+};
+
+/// Deterministic pseudo-random iterate: enough structure to push junctions
+/// into different regions without platform-dependent RNG state.
+fn iterate(n: usize, seed: f64) -> Vec<f64> {
+    (0..n).map(|i| seed * (0.7 * i as f64 + seed).sin()).collect()
+}
+
+fn dc_input<'a>(zeros: &'a [f64], caps: &'a [f64], gshunt: f64) -> StampInput<'a> {
+    StampInput {
+        time: 0.0,
+        coeffs: None,
+        x_prev: zeros,
+        x_prev2: zeros,
+        cap_currents: caps,
+        gmin: 1e-12,
+        gshunt,
+        source_scale: 1.0,
+        ic_mode: false,
+    }
+}
+
+/// Stamps a sequence of iterates three ways with the device-bypass and
+/// companion caches enabled, asserting bitwise identity after each stamp:
+/// the walk (`stamp_with`: linear devices re-emitted every call), the serial
+/// kernel treating the sequence as the Newton iterations of one point (calls
+/// after the first replay the linear RHS snapshot), and an executor doing
+/// the same. The sequence deliberately exercises the caches: later iterates
+/// repeat and then barely perturb an earlier one, so some stamps replay
+/// every nonlinear device from cache and some replay a mix.
+fn assert_stamps_bit_identical(b: &generators::Benchmark, seed: f64, gshunt: f64, workers: usize) {
+    let sys = Arc::new(MnaSystem::compile(&b.circuit).expect("compile"));
+    let n = sys.n_unknowns();
+    let zeros = vec![0.0; n];
+    let caps = vec![0.0; sys.cap_state_count()];
+    let input = dc_input(&zeros, &caps, gshunt);
+    // Pinned on (the CI caches-off leg flips the env defaults): bit-identity
+    // must hold with bypass and companion replay active.
+    let ctl = SimOptions::default().with_bypass(true).with_companion_cache(true).cache_ctl();
+
+    let mut ws_walk = sys.new_workspace();
+    let mut ws_ser = sys.new_workspace();
+    let mut ws_par = sys.new_workspace();
+    let Some(mut exec) = StampExecutor::new(&sys, workers, &FaultHandle::none()) else {
+        return; // no devices: nothing to compare
+    };
+    let probe = ProbeHandle::none();
+    let metrics = MetricsHandle::none();
+    let mut stats = SimStats::new();
+
+    let x0 = iterate(n, seed);
+    let x1 = iterate(n, seed + 1.0);
+    // Identical to x1: every valid nonlinear device bypasses.
+    let x2 = x1.clone();
+    // Mixed: even unknowns move within the bypass tolerance, odd ones far
+    // outside it.
+    let x3: Vec<f64> =
+        x1.iter().enumerate().map(|(i, v)| v + if i % 2 == 0 { 1e-9 } else { 1e-2 }).collect();
+    for (step, x) in [x0, x1, x2, x3].iter().enumerate() {
+        let first = step == 0;
+        let res_walk = sys.stamp_with(&mut ws_walk, &input, x, &ctl);
+        let res_ser = sys.stamp_lane(&mut ws_ser, &input, x, &ctl, first);
+        let res_par = exec.stamp(&mut ws_par, &input, x, &ctl, first, &probe, &metrics, &mut stats);
+        for (what, res, ws) in [("serial", res_ser, &ws_ser), ("parallel", res_par, &ws_par)] {
+            let ctx = format!("{} step {step} workers {workers} {what}", b.name);
+            assert_eq!(res_walk, res, "{ctx}: stamp result");
+            assert_eq!(ws_walk.limited, ws.limited, "{ctx}: limited flag");
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(ws_walk.matrix.values()), bits(ws.matrix.values()), "{ctx}: matrix");
+            assert_eq!(bits(&ws_walk.rhs), bits(&ws.rhs), "{ctx}: rhs");
+            assert_eq!(bits(&ws_walk.junction_state), bits(&ws.junction_state), "{ctx}: junction");
+        }
+    }
+}
+
+fn assert_results_bit_identical(want: &TransientResult, got: &TransientResult, ctx: &str) {
+    assert_eq!(want.times(), got.times(), "{ctx}: accepted times differ");
+    for k in 0..want.len() {
+        for (i, (a, p)) in want.solution(k).iter().zip(got.solution(k)).enumerate() {
+            assert_eq!(a.to_bits(), p.to_bits(), "{ctx}: point {k} unknown {i}: {a:e} vs {p:e}");
+        }
+    }
+}
+
+/// Runs a full transient serially and with `workers` stamp workers and
+/// asserts the accepted times and every solution vector are bit-identical.
+fn assert_waveforms_bit_identical(b: &generators::Benchmark, workers: usize) {
+    let sys = Arc::new(MnaSystem::compile(&b.circuit).expect("compile"));
+    // Caches pinned on: degradation to serial must stay exact even while
+    // bypass and chord reuse are active.
+    let serial =
+        SimOptions::default().with_stamp_workers(0).with_bypass(true).with_chord_newton(true);
+    let par =
+        SimOptions::default().with_stamp_workers(workers).with_bypass(true).with_chord_newton(true);
+    let r0 = run_transient_compiled(&sys, b.tstep, b.tstop, &serial).expect("serial run");
+    let rw = run_transient_compiled(&sys, b.tstep, b.tstop, &par).expect("parallel run");
+    assert_results_bit_identical(&r0, &rw, &format!("{} x{workers}", b.name));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn stamps_bit_identical_across_suite(
+        seed in -2.0f64..2.0,
+        gshunt_idx in 0usize..3,
+        workers in 1usize..=4,
+    ) {
+        let gshunt = [0.0f64, 1e-6, 1e-2][gshunt_idx];
+        for b in generators::small_suite() {
+            assert_stamps_bit_identical(&b, seed, gshunt, workers);
+        }
+    }
+
+    #[test]
+    fn transient_waveforms_bit_identical(
+        bench in 0usize..16,
+        workers in 1usize..=4,
+    ) {
+        let suite = generators::small_suite();
+        let b = &suite[bench % suite.len()];
+        assert_waveforms_bit_identical(b, workers);
+    }
+}
+
+#[test]
+fn every_generator_circuit_is_bit_identical_at_two_workers() {
+    // Deterministic sweep of the full suite (the proptests sample it): the
+    // canonical 2-worker configuration must be exact on every circuit.
+    for b in generators::small_suite() {
+        assert_waveforms_bit_identical(&b, 2);
+    }
+}
+
+/// The lane-packed batch tier at every supported lane width against classic
+/// single runs of the hand-patched circuit, with the chord, bypass, and
+/// companion caches all live (one fixed case of the proptest in
+/// `crates/batch/tests/bit_identity.rs`, which `cargo test -q` does not
+/// run). Width 1 exercises the lane-tier control flow with no packing;
+/// width 4 packs the whole group.
+#[test]
+fn lane_widths_are_bit_identical_to_classic_single_runs() {
+    let b = generators::inverter_chain(3);
+    // Direct LU pinned: the batch engine always solves through the shared
+    // direct backend, so the single-run reference must not drift onto the
+    // iterative path under `WAVEPIPE_SOLVER=gmres`.
+    let opts = SimOptions::default()
+        .with_bypass(true)
+        .with_chord_newton(true)
+        .with_companion_cache(true)
+        .with_stamp_workers(0)
+        .with_solver(SolverHandle::direct());
+    let corners = [[1.0e-4, 20e-15], [1.2e-4, 30e-15], [0.8e-4, 12e-15], [1.1e-4, 38e-15]];
+    let refs: Vec<TransientResult> = corners
+        .iter()
+        .map(|&[kp, cl]| {
+            let mut ckt = b.circuit.clone();
+            if let Some(Element::Mosfet { model, .. }) = ckt.element_mut("Mn0") {
+                model.kp = kp;
+            }
+            if let Some(Element::Capacitor { capacitance, .. }) = ckt.element_mut("Cl1") {
+                *capacitance = cl;
+            }
+            run_transient(&ckt, b.tstep, b.tstop, &opts).expect("reference run")
+        })
+        .collect();
+    for lane_width in [1usize, 2, 4] {
+        let mut batch = BatchSim::compile(&b.circuit, b.tstep, b.tstop)
+            .expect("compile")
+            .with_threads(1)
+            .with_sim(opts.clone())
+            .with_simd(true)
+            .with_lane_width(lane_width);
+        batch.param("Mn0", ParamKind::MosKp).expect("kp column");
+        batch.param("Cl1", ParamKind::Capacitance).expect("cl column");
+        for c in &corners {
+            batch.add_instance(c).expect("instance");
+        }
+        let got = batch.run().expect("batch run").into_results();
+        assert_eq!(got.len(), refs.len());
+        for (i, (g, w)) in got.iter().zip(&refs).enumerate() {
+            assert_results_bit_identical(w, g, &format!("lane_width={lane_width} instance={i}"));
+        }
+    }
+}
+
+#[test]
+fn executor_declines_zero_workers_and_empty_systems() {
+    let b = generators::rc_ladder(3);
+    let sys = Arc::new(MnaSystem::compile(&b.circuit).unwrap());
+    assert!(StampExecutor::new(&sys, 0, &FaultHandle::none()).is_none());
+    assert!(StampExecutor::new(&sys, 2, &FaultHandle::none()).is_some());
+}
