@@ -6,7 +6,8 @@
 //! **stable** section derived purely from event counts and metric counters
 //! (byte-reproducible across identical seeded runs at a fixed thread
 //! count — the determinism tests pin this), and a **timing** section
-//! derived from timestamps (varies run to run, suppressed by `--stable`).
+//! derived from timestamps (varies run to run, suppressed by `--stable`),
+//! which for a live run ends with the report's measured hand-off ledger.
 //!
 //! The binary (`cargo run -p wavepipe-bench --bin wavepipe-doctor`) is a
 //! thin wrapper over this module so the logic stays testable.
@@ -115,12 +116,43 @@ pub fn doctor_text(
     snapshot: Option<&Snapshot>,
     stable_only: bool,
 ) -> String {
+    render_text(title, analysis, snapshot, stable_only, None)
+}
+
+/// [`doctor_text`], the timing section closed by the hand-off ledger of the
+/// live run's `report`. The ledger is measured by the run, not derived from
+/// events — a replay has none — and is wall-clock, so the stable report
+/// never carries it.
+fn render_text(
+    title: &str,
+    analysis: &TraceAnalysis,
+    snapshot: Option<&Snapshot>,
+    stable_only: bool,
+    report: Option<&WavePipeReport>,
+) -> String {
+    use std::fmt::Write as _;
     let mut out = analysis.stable_report(title);
     if let Some(snap) = snapshot {
         out.push_str(&class_cache_table(snap));
     }
     if !stable_only {
         out.push_str(&analysis.timing_report());
+        if let Some(r) = report {
+            let ms = |ns: u128| ns as f64 / 1e6;
+            let ledger = r.dispatch_ns + r.lead_ns + r.wait_ns + r.commit_ns;
+            let _ = writeln!(
+                out,
+                "  hand-off ledger: dispatch {:.3} ms  lead solve {:.3} ms  sync-wait {:.3} ms  \
+                 commit {:.3} ms  ({:.1}% of {:.3} ms run wall, {} rounds)",
+                ms(r.dispatch_ns),
+                ms(r.lead_ns),
+                ms(r.wait_ns),
+                ms(r.commit_ns),
+                ledger as f64 / r.total.wall_ns.max(1) as f64 * 100.0,
+                ms(r.total.wall_ns),
+                r.rounds
+            );
+        }
     }
     out
 }
@@ -137,15 +169,35 @@ pub fn doctor_json(
     snapshot: Option<&Snapshot>,
     stable_only: bool,
 ) -> String {
+    render_json(title, analysis, snapshot, stable_only, None)
+}
+
+/// [`doctor_json`] plus, for a live run's `report` and unless `stable_only`,
+/// a `"handoff"` object with the measured ledger (see [`render_text`]).
+fn render_json(
+    title: &str,
+    analysis: &TraceAnalysis,
+    snapshot: Option<&Snapshot>,
+    stable_only: bool,
+    report: Option<&WavePipeReport>,
+) -> String {
     let metrics = snapshot.map_or_else(
         || "null".to_string(),
         |s| if stable_only { stable_metrics_json(s) } else { s.to_json() },
     );
+    let handoff = report.filter(|_| !stable_only).map_or_else(String::new, |r| {
+        format!(
+            ",\"handoff\":{{\"dispatch_ns\":{},\"lead_ns\":{},\"wait_ns\":{},\
+             \"commit_ns\":{},\"wall_ns\":{}}}",
+            r.dispatch_ns, r.lead_ns, r.wait_ns, r.commit_ns, r.total.wall_ns
+        )
+    });
     format!(
-        "{{\"title\":\"{}\",\"analysis\":{},\"metrics\":{}}}",
+        "{{\"title\":\"{}\",\"analysis\":{},\"metrics\":{}{}}}",
         wavepipe_telemetry::json::escape(title),
         analysis.to_json(stable_only),
-        metrics
+        metrics,
+        handoff
     )
 }
 
@@ -268,24 +320,26 @@ impl DoctorArgs {
 /// Returns a message when a replay file cannot be read or parsed.
 pub fn run_doctor(args: &DoctorArgs) -> Result<String, String> {
     let title = args.title();
-    let (analysis, snapshot) = match &args.replay {
+    let (analysis, snapshot, report) = match &args.replay {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
             let events = wavepipe_telemetry::jsonl::parse_jsonl(&text)
                 .map_err(|e| format!("{}: {e}", path.display()))?;
-            (analyze(&events), None)
+            (analyze(&events), None, None)
         }
         None => {
             let b = circuit_by_spec(&args.spec)?;
             let run = run_instrumented(&b, args.scheme, args.threads);
-            (analyze(&run.events), Some(run.snapshot))
+            (analyze(&run.events), Some(run.snapshot), Some(run.report))
         }
     };
+    // The serial step loop has no rounds and so no ledger.
+    let report = report.as_ref().filter(|r| r.scheme != Scheme::Serial);
     Ok(if args.json {
-        doctor_json(&title, &analysis, snapshot.as_ref(), args.stable_only)
+        render_json(&title, &analysis, snapshot.as_ref(), args.stable_only, report)
     } else {
-        doctor_text(&title, &analysis, snapshot.as_ref(), args.stable_only)
+        render_text(&title, &analysis, snapshot.as_ref(), args.stable_only, report)
     })
 }
 
@@ -355,6 +409,32 @@ mod tests {
         let parsed = wavepipe_telemetry::json::parse(&json_doc).expect("doctor json parses");
         assert!(parsed.get("analysis").is_some());
         assert!(parsed.get("metrics").is_some());
+    }
+
+    #[test]
+    fn live_runs_close_the_timing_section_with_the_handoff_ledger() {
+        let live = |json: bool, stable_only: bool| {
+            run_doctor(&DoctorArgs {
+                spec: "rc_ladder:6".to_string(),
+                scheme: Scheme::Backward,
+                threads: 2,
+                json,
+                stable_only,
+                replay: None,
+            })
+            .unwrap()
+        };
+        let text = live(false, false);
+        let ledger = text.lines().last().unwrap();
+        assert!(ledger.starts_with("  hand-off ledger: dispatch "), "{text}");
+        assert!(ledger.contains("sync-wait"), "{ledger}");
+        assert!(!live(false, true).contains("hand-off"));
+        let doc = wavepipe_telemetry::json::parse(&live(true, false)).expect("doctor json parses");
+        let handoff = doc.get("handoff").expect("handoff object");
+        for part in ["dispatch_ns", "lead_ns", "wait_ns", "commit_ns", "wall_ns"] {
+            assert!(handoff.get(part).is_some(), "{part}");
+        }
+        assert!(!live(true, true).contains("handoff"));
     }
 
     #[test]

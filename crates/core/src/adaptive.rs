@@ -16,7 +16,7 @@
 use crate::backward::backward_round;
 use crate::forward::forward_round;
 use crate::options::{Scheme, WavePipeOptions};
-use crate::pipeline::Driver;
+use crate::pipeline::{drive, Driver};
 use crate::report::{RunOutcome, WavePipeReport};
 use wavepipe_circuit::Circuit;
 use wavepipe_engine::Result;
@@ -62,13 +62,8 @@ pub fn run_adaptive_recoverable(
     // Start equal so the first probes decide.
     let mut eff = [1.0_f64, 1.0];
     let mut round_idx = 0usize;
-    let mut error = None;
 
-    while !drv.done() {
-        if let Err(e) = drv.check_budget() {
-            error = Some(e);
-            break;
-        }
+    let error = drive(&mut drv, width, |drv, w| {
         let forward_better = eff[1] > eff[0];
         let probe = round_idx % PROBE_PERIOD == PROBE_PERIOD - 1;
         // Normally play the winner; on probe rounds, play the loser.
@@ -77,23 +72,15 @@ pub fn run_adaptive_recoverable(
         let choice = if use_forward { "adaptive_forward" } else { "adaptive_backward" };
         drv.wp.sim.metrics.add_labeled(Family::RoundsByScheme, choice, 1);
 
-        let w = drv.round_width(width);
         let cw0 = drv.critical_work;
-        let outcome =
-            if use_forward { forward_round(&mut drv, w) } else { backward_round(&mut drv, w) };
-        let committed = match outcome {
-            Ok(c) => c,
-            Err(e) => {
-                error = Some(e);
-                break;
-            }
-        };
+        let committed = if use_forward { forward_round(drv, w) } else { backward_round(drv, w) }?;
         let dcw = (drv.critical_work - cw0).max(1);
         let e = committed as f64 * 1000.0 / dcw as f64;
         let idx = usize::from(use_forward);
         eff[idx] = (1.0 - EMA_ALPHA) * eff[idx] + EMA_ALPHA * e;
         round_idx += 1;
-    }
+        Ok(committed)
+    });
 
     Ok(RunOutcome { report: drv.finish(Scheme::Adaptive), error })
 }

@@ -27,6 +27,7 @@ use crate::options::Scheme;
 use crate::options::WavePipeOptions;
 use crate::pipeline::{drive, usable_prefix, Commit, Driver, Task};
 use crate::report::{RunOutcome, WavePipeReport};
+use std::sync::Arc;
 use wavepipe_circuit::Circuit;
 use wavepipe_engine::Result;
 use wavepipe_telemetry::{Counter, DiscardReason, EventKind};
@@ -72,18 +73,18 @@ pub fn run_backward_recoverable(
 ///
 /// Same failure modes as the serial engine.
 pub(crate) fn backward_round(drv: &mut Driver, width: usize) -> Result<usize> {
-    let wp = drv.wp.clone();
     drv.h = drv.h.clamp(drv.hmin, drv.hmax);
     // Ladder with LTE-budget-limited width (full width in growth phases,
     // base-only when error-bound).
     let targets = drv.backward_ladder(width);
     let (targets, hit) = drv.clip_targets(&targets);
-    wp.sim.probe.emit(drv.hw.t(), EventKind::RoundStart { width: targets.len() as u32 });
+    drv.wp.sim.probe.emit(drv.hw.t(), EventKind::RoundStart { width: targets.len() as u32 });
 
-    // All tasks share the same (true) history snapshot.
+    // All tasks share one snapshot of the same (true) history.
+    let hw = Arc::new(drv.hw.clone());
     let tasks: Vec<Task> =
-        targets.iter().map(|&t| Task { hw: drv.hw.clone(), t, guess: None }).collect();
-    let sols = drv.solve_round(tasks, wp.sim.max_newton_iters)?;
+        targets.iter().map(|&t| Task { hw: Arc::clone(&hw), t, guess: None }).collect();
+    let sols = drv.solve_round(tasks, drv.wp.sim.max_newton_iters)?;
 
     // Account the concurrent work and drop anything past a lost worker —
     // every pool task is speculative, so truncation is always safe.
@@ -102,8 +103,8 @@ pub(crate) fn backward_round(drv: &mut Driver, width: usize) -> Result<usize> {
                 if i > 0 {
                     drv.lead_accepted += 1;
                     drv.note_lead(true);
-                    wp.sim.probe.emit(sol.t, EventKind::LeadAccepted);
-                    wp.sim.metrics.inc(Counter::LeadAccepted);
+                    drv.wp.sim.probe.emit(sol.t, EventKind::LeadAccepted);
+                    drv.wp.sim.metrics.inc(Counter::LeadAccepted);
                 }
                 drv.h = h_next;
             }
@@ -113,11 +114,11 @@ pub(crate) fn backward_round(drv: &mut Driver, width: usize) -> Result<usize> {
                 } else {
                     drv.lead_rejected += 1;
                     drv.note_lead(false);
-                    wp.sim.probe.emit(
+                    drv.wp.sim.probe.emit(
                         sol.t,
                         EventKind::LeadDiscarded { reason: DiscardReason::LteRejected },
                     );
-                    wp.sim.metrics.inc(Counter::LeadDiscarded);
+                    drv.wp.sim.metrics.inc(Counter::LeadDiscarded);
                     // The accepted prefix stands. The failed lead's retry
                     // proposal is relative to its larger stride, so it must
                     // not override a smaller base proposal.
@@ -131,11 +132,11 @@ pub(crate) fn backward_round(drv: &mut Driver, width: usize) -> Result<usize> {
                 } else {
                     drv.lead_rejected += 1;
                     drv.note_lead(false);
-                    wp.sim.probe.emit(
+                    drv.wp.sim.probe.emit(
                         sol.t,
                         EventKind::LeadDiscarded { reason: DiscardReason::NewtonRejected },
                     );
-                    wp.sim.metrics.inc(Counter::LeadDiscarded);
+                    drv.wp.sim.metrics.inc(Counter::LeadDiscarded);
                 }
                 break;
             }
@@ -148,7 +149,7 @@ pub(crate) fn backward_round(drv: &mut Driver, width: usize) -> Result<usize> {
         drv.handle_breakpoint_landing();
     }
     let committed = committed + rescued_commits;
-    wp.sim.probe.emit(drv.hw.t(), EventKind::RoundEnd { committed: committed as u32 });
+    drv.wp.sim.probe.emit(drv.hw.t(), EventKind::RoundEnd { committed: committed as u32 });
     Ok(committed)
 }
 

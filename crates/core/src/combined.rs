@@ -11,6 +11,7 @@ use crate::forward::{prediction_close, speculate_next};
 use crate::options::{Scheme, WavePipeOptions};
 use crate::pipeline::{drive, usable_prefix, Commit, Driver, Task};
 use crate::report::{RunOutcome, WavePipeReport};
+use std::sync::Arc;
 use wavepipe_circuit::Circuit;
 use wavepipe_engine::Result;
 use wavepipe_telemetry::{Counter, DiscardReason, EventKind};
@@ -66,7 +67,6 @@ pub fn run_combined_recoverable(
 ///
 /// Same failure modes as the serial engine.
 pub(crate) fn combined_round(drv: &mut Driver, width: usize) -> Result<usize> {
-    let wp = drv.wp.clone();
     let bp_width = width.saturating_sub(1).max(1);
     {
         drv.h = drv.h.clamp(drv.hmin, drv.hmax);
@@ -86,29 +86,30 @@ pub(crate) fn combined_round(drv: &mut Driver, width: usize) -> Result<usize> {
         if speculate && ladder_len >= 2 {
             let last = *targets.last().expect("non-empty ladder");
             let prev = targets[ladder_len - 2];
-            let fwd_gap = ((last - prev) * wp.fp_stride_factor).clamp(drv.hmin, drv.hmax);
+            let fwd_gap = ((last - prev) * drv.wp.fp_stride_factor).clamp(drv.hmin, drv.hmax);
             targets.push(last + fwd_gap);
         }
         let (targets, hit) = drv.clip_targets(&targets);
-        wp.sim.probe.emit(drv.hw.t(), EventKind::RoundStart { width: targets.len() as u32 });
+        drv.wp.sim.probe.emit(drv.hw.t(), EventKind::RoundStart { width: targets.len() as u32 });
         let n_bp_targets = targets.len().min(ladder_len);
         let has_fwd = targets.len() > ladder_len;
 
-        // Backward tasks share the true history; the forward task runs on a
-        // lead-speculated window.
+        // Backward tasks share one snapshot of the true history; the forward
+        // task runs on a lead-speculated window.
+        let hw = Arc::new(drv.hw.clone());
         let mut tasks: Vec<Task> = targets[..n_bp_targets]
             .iter()
-            .map(|&tt| Task { hw: drv.hw.clone(), t: tt, guess: None })
+            .map(|&tt| Task { hw: Arc::clone(&hw), t: tt, guess: None })
             .collect();
         let mut lead_prediction: Option<Vec<f64>> = None;
         if has_fwd {
             let lead_t = targets[n_bp_targets - 1];
             let (spec_hw, pred) = speculate_next(drv, &drv.hw, lead_t);
             lead_prediction = Some(pred);
-            tasks.push(Task { hw: spec_hw, t: targets[n_bp_targets], guess: None });
+            tasks.push(Task { hw: Arc::new(spec_hw), t: targets[n_bp_targets], guess: None });
         }
 
-        let sols = drv.solve_round(tasks, wp.sim.max_newton_iters)?;
+        let sols = drv.solve_round(tasks, drv.wp.sim.max_newton_iters)?;
         // Everything past a lost worker is dropped; ladder slots that went
         // missing simply leave the round short (`committed` stays below
         // `n_bp_targets`, so the forward point is discarded too).
@@ -124,8 +125,8 @@ pub(crate) fn combined_round(drv: &mut Driver, width: usize) -> Result<usize> {
                     committed += 1;
                     if i > 0 {
                         drv.lead_accepted += 1;
-                        wp.sim.probe.emit(sol.t, EventKind::LeadAccepted);
-                        wp.sim.metrics.inc(Counter::LeadAccepted);
+                        drv.wp.sim.probe.emit(sol.t, EventKind::LeadAccepted);
+                        drv.wp.sim.metrics.inc(Counter::LeadAccepted);
                     }
                     drv.h = h_next;
                 }
@@ -135,11 +136,11 @@ pub(crate) fn combined_round(drv: &mut Driver, width: usize) -> Result<usize> {
                     } else {
                         drv.lead_rejected += 1;
                         drv.note_lead(false);
-                        wp.sim.probe.emit(
+                        drv.wp.sim.probe.emit(
                             sol.t,
                             EventKind::LeadDiscarded { reason: DiscardReason::LteRejected },
                         );
-                        wp.sim.metrics.inc(Counter::LeadDiscarded);
+                        drv.wp.sim.metrics.inc(Counter::LeadDiscarded);
                         drv.h = drv.h.min(h_retry).max(drv.hmin);
                     }
                     break;
@@ -155,11 +156,11 @@ pub(crate) fn combined_round(drv: &mut Driver, width: usize) -> Result<usize> {
                     } else {
                         drv.lead_rejected += 1;
                         drv.note_lead(false);
-                        wp.sim.probe.emit(
+                        drv.wp.sim.probe.emit(
                             sol.t,
                             EventKind::LeadDiscarded { reason: DiscardReason::NewtonRejected },
                         );
-                        wp.sim.metrics.inc(Counter::LeadDiscarded);
+                        drv.wp.sim.metrics.inc(Counter::LeadDiscarded);
                     }
                     break;
                 }
@@ -180,36 +181,36 @@ pub(crate) fn combined_round(drv: &mut Driver, width: usize) -> Result<usize> {
                 && spec.converged
                 && lead_prediction.as_deref().is_some_and(|p| prediction_close(drv, p, lead_true));
             if pred_ok {
-                let refined = drv.refine_solve(spec.t, &spec.x, wp.fp_refine_iters)?;
+                let refined = drv.refine_solve(spec.t, &spec.x, drv.wp.fp_refine_iters)?;
                 drv.account_sequential(&refined.stats);
                 match drv.try_commit(&refined) {
                     Commit::Accepted { h_next } => {
                         drv.spec_accepted += 1;
-                        wp.sim.probe.emit(refined.t, EventKind::SpeculationAccepted);
-                        wp.sim.metrics.inc(Counter::SpeculationAccepted);
+                        drv.wp.sim.probe.emit(refined.t, EventKind::SpeculationAccepted);
+                        drv.wp.sim.metrics.inc(Counter::SpeculationAccepted);
                         drv.h = h_next;
                         committed += 1;
                     }
                     Commit::RejectedLte { h_retry } => {
                         drv.total.steps_rejected_lte += 1;
                         drv.spec_rejected += 1;
-                        wp.sim.probe.emit(
+                        drv.wp.sim.probe.emit(
                             refined.t,
                             EventKind::SpeculationDiscarded { reason: DiscardReason::LteRejected },
                         );
-                        wp.sim.metrics.inc(Counter::SpeculationDiscarded);
+                        drv.wp.sim.metrics.inc(Counter::SpeculationDiscarded);
                         drv.h = h_retry;
                         committed_all = false;
                     }
                     Commit::RejectedNewton => {
                         drv.spec_rejected += 1;
-                        wp.sim.probe.emit(
+                        drv.wp.sim.probe.emit(
                             refined.t,
                             EventKind::SpeculationDiscarded {
                                 reason: DiscardReason::NewtonRejected,
                             },
                         );
-                        wp.sim.metrics.inc(Counter::SpeculationDiscarded);
+                        drv.wp.sim.metrics.inc(Counter::SpeculationDiscarded);
                         committed_all = false;
                     }
                 }
@@ -222,8 +223,8 @@ pub(crate) fn combined_round(drv: &mut Driver, width: usize) -> Result<usize> {
                 } else {
                     DiscardReason::PredictionFar
                 };
-                wp.sim.probe.emit(spec.t, EventKind::SpeculationDiscarded { reason });
-                wp.sim.metrics.inc(Counter::SpeculationDiscarded);
+                drv.wp.sim.probe.emit(spec.t, EventKind::SpeculationDiscarded { reason });
+                drv.wp.sim.metrics.inc(Counter::SpeculationDiscarded);
                 committed_all = false;
             }
         }
@@ -232,7 +233,7 @@ pub(crate) fn combined_round(drv: &mut Driver, width: usize) -> Result<usize> {
             drv.handle_breakpoint_landing();
         }
         let committed = committed + rescued_commits;
-        wp.sim.probe.emit(drv.hw.t(), EventKind::RoundEnd { committed: committed as u32 });
+        drv.wp.sim.probe.emit(drv.hw.t(), EventKind::RoundEnd { committed: committed as u32 });
         Ok(committed)
     }
 }

@@ -22,6 +22,7 @@
 use crate::options::{Scheme, WavePipeOptions};
 use crate::pipeline::{drive, usable_prefix, Commit, Driver, Task};
 use crate::report::{RunOutcome, WavePipeReport};
+use std::sync::Arc;
 use wavepipe_circuit::Circuit;
 use wavepipe_engine::{HistoryWindow, PointSolution, Result};
 use wavepipe_sparse::vector::wrms_norm;
@@ -108,12 +109,12 @@ pub fn run_forward_recoverable(
 ///
 /// Same failure modes as the serial engine.
 pub(crate) fn forward_round(drv: &mut Driver, width: usize) -> Result<usize> {
-    let wp = drv.wp.clone();
     {
         drv.h = drv.h.clamp(drv.hmin, drv.hmax);
         // Target ladder: follow the stride trajectory serial would take —
         // the recent LTE growth prediction — scaled by the ablation knob.
-        let growth = (drv.last_growth.clamp(1.0, wp.sim.rmax) * wp.fp_stride_factor).max(0.1);
+        let growth =
+            (drv.last_growth.clamp(1.0, drv.wp.sim.rmax) * drv.wp.fp_stride_factor).max(0.1);
         let mut targets = Vec::with_capacity(width);
         let mut t = drv.hw.t();
         let mut gap = drv.h;
@@ -123,22 +124,22 @@ pub(crate) fn forward_round(drv: &mut Driver, width: usize) -> Result<usize> {
             gap = (gap * growth).clamp(drv.hmin, drv.hmax);
         }
         let (targets, hit) = drv.clip_targets(&targets);
-        wp.sim.probe.emit(drv.hw.t(), EventKind::RoundStart { width: targets.len() as u32 });
+        drv.wp.sim.probe.emit(drv.hw.t(), EventKind::RoundStart { width: targets.len() as u32 });
 
-        // Build the speculative chain of windows.
+        // Build the speculative chain of windows, one snapshot each.
         let mut tasks = Vec::with_capacity(targets.len());
         let mut predictions: Vec<Vec<f64>> = Vec::with_capacity(targets.len());
-        let mut window = drv.hw.clone();
+        let mut window = Arc::new(drv.hw.clone());
         for (i, &tt) in targets.iter().enumerate() {
-            tasks.push(Task { hw: window.clone(), t: tt, guess: None });
+            tasks.push(Task { hw: Arc::clone(&window), t: tt, guess: None });
             if i + 1 < targets.len() {
                 let (next, pred) = speculate_next(drv, &window, tt);
                 predictions.push(pred);
-                window = next;
+                window = Arc::new(next);
             }
         }
 
-        let sols = drv.solve_round(tasks, wp.sim.max_newton_iters)?;
+        let sols = drv.solve_round(tasks, drv.wp.sim.max_newton_iters)?;
         // Chain slots past a lost worker are dropped (slots >= 1 are all
         // speculative here); the surviving prefix commits normally.
         let (solutions, truncated) = usable_prefix(drv, sols, 1)?;
@@ -157,7 +158,7 @@ pub(crate) fn forward_round(drv: &mut Driver, width: usize) -> Result<usize> {
                     emit_chain_discard(drv, &solutions, 1, DiscardReason::ChainBroken);
                 }
                 drv.base_lte_reject(h_attempt, h_retry);
-                wp.sim.probe.emit(drv.hw.t(), EventKind::RoundEnd { committed: 0 });
+                drv.wp.sim.probe.emit(drv.hw.t(), EventKind::RoundEnd { committed: 0 });
                 return Ok(0);
             }
             Commit::RejectedNewton => {
@@ -167,7 +168,10 @@ pub(crate) fn forward_round(drv: &mut Driver, width: usize) -> Result<usize> {
                 }
                 let rescued = drv.newton_backoff(h_attempt, base.iterations)?;
                 let committed = usize::from(rescued);
-                wp.sim.probe.emit(drv.hw.t(), EventKind::RoundEnd { committed: committed as u32 });
+                drv.wp
+                    .sim
+                    .probe
+                    .emit(drv.hw.t(), EventKind::RoundEnd { committed: committed as u32 });
                 return Ok(committed);
             }
         };
@@ -192,7 +196,7 @@ pub(crate) fn forward_round(drv: &mut Driver, width: usize) -> Result<usize> {
             // speculative iterate, under a short iteration budget — if the
             // warm start cannot converge within it, the speculation was not
             // close enough to pay off. Sequential: goes on the critical path.
-            let refined = drv.refine_solve(spec_sol.t, &spec_sol.x, wp.fp_refine_iters)?;
+            let refined = drv.refine_solve(spec_sol.t, &spec_sol.x, drv.wp.fp_refine_iters)?;
             drv.account_sequential(&refined.stats);
             if !refined.converged {
                 // Not an error and not a step problem: the point will be
@@ -205,8 +209,8 @@ pub(crate) fn forward_round(drv: &mut Driver, width: usize) -> Result<usize> {
             match drv.try_commit(&refined) {
                 Commit::Accepted { h_next } => {
                     drv.spec_accepted += 1;
-                    wp.sim.probe.emit(refined.t, EventKind::SpeculationAccepted);
-                    wp.sim.metrics.inc(Counter::SpeculationAccepted);
+                    drv.wp.sim.probe.emit(refined.t, EventKind::SpeculationAccepted);
+                    drv.wp.sim.metrics.inc(Counter::SpeculationAccepted);
                     committed += 1;
                     drv.h = h_next;
                     truth = refined.x.clone();
@@ -231,7 +235,7 @@ pub(crate) fn forward_round(drv: &mut Driver, width: usize) -> Result<usize> {
         if hit && committed_all {
             drv.handle_breakpoint_landing();
         }
-        wp.sim.probe.emit(drv.hw.t(), EventKind::RoundEnd { committed: committed as u32 });
+        drv.wp.sim.probe.emit(drv.hw.t(), EventKind::RoundEnd { committed: committed as u32 });
         Ok(committed)
     }
 }

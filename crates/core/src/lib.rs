@@ -110,6 +110,10 @@ pub fn run_wavepipe_recoverable(
                 rounds: total.steps_accepted + total.steps_rejected(),
                 critical_work: total.work_units(),
                 critical_ns: total.wall_ns,
+                dispatch_ns: 0,
+                lead_ns: 0,
+                wait_ns: 0,
+                commit_ns: 0,
                 total,
                 result,
                 lead_accepted: 0,

@@ -5,8 +5,9 @@
 use crate::options::{Scheme, WavePipeOptions};
 use crate::report::WavePipeReport;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{channel, Receiver, RecvError, Sender, TryRecvError};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use wavepipe_circuit::Circuit;
 use wavepipe_engine::lte::lte_step_control;
 use wavepipe_engine::{
@@ -38,10 +39,57 @@ pub(crate) fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// How long a lane polls its channel for the next hand-off before it parks
+/// in the blocking `recv()`. One constant, justified by the per-round waits
+/// behind the ledger (DESIGN.md, "Round hand-off"): parked, every hand-off
+/// costs a futex wake and a halted vCPU, which on the digital chains (solves
+/// of 20-50 us) is most of the round. 200 us covers nearly every wait there
+/// and four in five on the 32x32 grid, where 50 us covered a third and
+/// measured 8-14 % slower. Waits beyond it run to milliseconds (narrow rounds,
+/// long lead solves) and absorb a park, so the bound is also the most an
+/// idle lane burns per hand-off.
+const POLL_BOUND: Duration = Duration::from_micros(200);
+
+#[cfg(test)]
+thread_local! {
+    /// `try_recv` calls made by [`recv_handoff`] on this thread.
+    static POLLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Receives the next item of a hand-off channel: polls for at most `poll`
+/// (not at all when `None`, the run having more threads than cores), then
+/// parks in the blocking `recv()`. Between polls the lane yields rather than
+/// spins: when the scheduler has woken the peer onto this lane's core, a
+/// spinning lane holds that core for the whole bound while the thread it
+/// waits for cannot run (measured 5x on an 8x8 grid); yielding hands it over
+/// and costs one cheap syscall when nobody else wants the core. A
+/// disconnected channel reports as it does from `recv()`, whichever phase
+/// notices it.
+fn recv_handoff<T>(rx: &Receiver<T>, poll: Option<Duration>) -> std::result::Result<T, RecvError> {
+    if let Some(bound) = poll {
+        let start = Instant::now();
+        loop {
+            #[cfg(test)]
+            POLLS.with(|p| p.set(p.get() + 1));
+            match rx.try_recv() {
+                Ok(item) => return Ok(item),
+                Err(TryRecvError::Disconnected) => return Err(RecvError),
+                Err(TryRecvError::Empty) => {}
+            }
+            if start.elapsed() >= bound {
+                break;
+            }
+            std::thread::yield_now();
+        }
+    }
+    rx.recv()
+}
+
 /// One concurrent point-solve request.
 pub(crate) struct Task {
-    /// History window the solve integrates from (true or speculative).
-    pub hw: HistoryWindow,
+    /// History window the solve integrates from (true or speculative);
+    /// tasks integrating from the same window share one snapshot.
+    pub hw: Arc<HistoryWindow>,
     /// Target time.
     pub t: f64,
     /// Optional Newton initial guess (defaults to the window's predictor).
@@ -59,7 +107,7 @@ struct Job {
 /// One pool lane: the job channel and thread handle, plus the remaining
 /// respawn budget. `sender` is `None` while the worker is dead.
 struct WorkerSlot {
-    sender: Option<std::sync::mpsc::Sender<Job>>,
+    sender: Option<Sender<Job>>,
     handle: Option<std::thread::JoinHandle<()>>,
     respawns_left: usize,
 }
@@ -79,25 +127,36 @@ struct WorkerSlot {
 /// degrading ultimately to the serial single-lane schedule.
 pub(crate) struct WorkerPool {
     slots: Vec<WorkerSlot>,
-    results: std::sync::mpsc::Receiver<(usize, Result<PointSolution>)>,
+    results: Receiver<(usize, Result<PointSolution>)>,
     /// Kept so the result channel can never disconnect (workers hold clones)
     /// and so respawned workers can be handed a sender.
-    result_tx: std::sync::mpsc::Sender<(usize, Result<PointSolution>)>,
+    result_tx: Sender<(usize, Result<PointSolution>)>,
     sys: Arc<MnaSystem>,
     lane_sim: SimOptions,
+    /// Poll bound of [`recv_handoff`] for every lane of the run, the
+    /// coordinator included: `Some` only when the run's threads fit in the
+    /// visible cores.
+    poll: Option<Duration>,
 }
 
 impl WorkerPool {
     /// Spawns `n` workers for the given compiled system, each with a respawn
     /// budget of `respawns`.
-    fn new(sys: &Arc<MnaSystem>, sim: &SimOptions, n: usize, respawns: usize) -> Self {
-        let (result_tx, results) = std::sync::mpsc::channel();
+    fn new(
+        sys: &Arc<MnaSystem>,
+        sim: &SimOptions,
+        n: usize,
+        respawns: usize,
+        poll: Option<Duration>,
+    ) -> Self {
+        let (result_tx, results) = channel();
         let mut pool = WorkerPool {
             slots: Vec::with_capacity(n),
             results,
             result_tx,
             sys: Arc::clone(sys),
             lane_sim: sim.clone(),
+            poll,
         };
         for i in 0..n {
             let (tx, handle) = pool.spawn_worker(i);
@@ -111,12 +170,10 @@ impl WorkerPool {
     }
 
     /// Spawns the thread for pool slot `i` (fresh solver, lane `i + 1`).
-    fn spawn_worker(
-        &self,
-        i: usize,
-    ) -> (std::sync::mpsc::Sender<Job>, std::thread::JoinHandle<()>) {
-        let (tx, rx) = std::sync::mpsc::channel::<Job>();
+    fn spawn_worker(&self, i: usize) -> (Sender<Job>, std::thread::JoinHandle<()>) {
+        let (tx, rx) = channel::<Job>();
         let out = self.result_tx.clone();
+        let poll = self.poll;
         // Worker i solves the (i+1)-th task of every round; tag its probe
         // (and fault handle) with that lane so traces show the pipelining
         // overlap and injected faults can target individual lanes.
@@ -127,7 +184,7 @@ impl WorkerPool {
         worker_sim.faults = self.lane_sim.faults.with_lane(lane);
         let mut solver = PointSolver::new(Arc::clone(&self.sys), worker_sim);
         let handle = std::thread::spawn(move || {
-            while let Ok(job) = rx.recv() {
+            while let Ok(job) = recv_handoff(&rx, poll) {
                 // Contain panics (organic or injected): always reply, then
                 // retire — the solver's internal state cannot be trusted
                 // after an unwind through it.
@@ -262,6 +319,20 @@ pub(crate) struct Driver {
     pub total: SimStats,
     pub critical_work: u64,
     pub critical_ns: u128,
+    /// The hand-off ledger: four laps of one clock ([`Driver::lap`]) per
+    /// round, so the sums partition the stepping loop's wall time exactly.
+    /// `dispatch_ns`: from the previous round's end (the first round: from
+    /// the end of set-up) until this round's tasks are with their lanes.
+    pub dispatch_ns: u128,
+    /// The coordinating lane's own solve.
+    pub lead_ns: u128,
+    /// From the end of that solve until the last worker reply is in; a
+    /// round that dispatched nothing takes no lap, so width 1 reads zero.
+    pub wait_ns: u128,
+    /// From there to the round's end: accounting, commits, refinements.
+    pub commit_ns: u128,
+    /// Where the last ledger lap ended.
+    mark: Instant,
     pub rounds: usize,
     pub lead_accepted: usize,
     pub lead_rejected: usize,
@@ -279,6 +350,21 @@ impl Driver {
     /// Compiles the circuit, solves the operating point (counted on the
     /// critical path — it is inherently sequential), and prepares the run.
     pub fn new(circuit: &Circuit, tstep: f64, tstop: f64, wp: &WavePipeOptions) -> Result<Self> {
+        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+        Self::with_cores(circuit, tstep, tstop, wp, cores)
+    }
+
+    /// [`Driver::new`] on a host with `cores` visible cores. Lanes poll for
+    /// their hand-offs only when every thread of the run — each lane plus
+    /// its stamp workers — has a core of its own: a lane that polls on a
+    /// shared core competes for it with the thread it is waiting for.
+    fn with_cores(
+        circuit: &Circuit,
+        tstep: f64,
+        tstop: f64,
+        wp: &WavePipeOptions,
+        cores: usize,
+    ) -> Result<Self> {
         if !(tstop > 0.0 && tstop.is_finite()) {
             return Err(EngineError::BadParameter { name: "tstop", value: tstop });
         }
@@ -292,7 +378,9 @@ impl Driver {
         // so the thread budget splits lanes x stamp workers.
         let lane_sim = wp.lane_sim();
         let mut lead = PointSolver::new(Arc::clone(&sys), lane_sim.clone());
-        let pool = WorkerPool::new(&sys, &lane_sim, width.saturating_sub(1), wp.worker_respawns);
+        let poll = (width * (1 + wp.stamp_workers) <= cores).then_some(POLL_BOUND);
+        let pool =
+            WorkerPool::new(&sys, &lane_sim, width.saturating_sub(1), wp.worker_respawns, poll);
         let node_names: Vec<String> = sys.node_names().to_vec();
         let mut result = TransientResult::new(sys.n_unknowns(), node_names);
         result.set_branch_names(sys.branch_names().to_vec());
@@ -336,6 +424,11 @@ impl Driver {
             total: dc_stats,
             critical_work,
             critical_ns,
+            dispatch_ns: 0,
+            lead_ns: 0,
+            wait_ns: 0,
+            commit_ns: 0,
+            mark: Instant::now(),
             rounds: 0,
             lead_accepted: 0,
             lead_rejected: 0,
@@ -345,6 +438,14 @@ impl Driver {
             serial_fallback_emitted: false,
             run_start,
         })
+    }
+
+    /// Ends a ledger lap: the nanoseconds since the previous lap ended.
+    fn lap(&mut self) -> u128 {
+        let now = Instant::now();
+        let ns = now.duration_since(self.mark).as_nanos();
+        self.mark = now;
+        ns
     }
 
     /// Solves up to `1 + pool_size` tasks concurrently: task 0 on the
@@ -421,11 +522,13 @@ impl Driver {
                 }));
             }
         }
+        self.dispatch_ns += self.lap();
         if let Some((slot, task)) = first {
             out[slot] = Some(self.lead_solve(&task.hw, task.t, task.guess.as_deref(), max_iters));
         }
+        self.lead_ns += self.lap();
         for _ in 0..dispatched {
-            let received = self.pool.results.recv();
+            let received = recv_handoff(&self.pool.results, self.pool.poll);
             match received {
                 Ok((slot, r)) => {
                     if matches!(r, Err(EngineError::WorkerLost { .. })) {
@@ -437,6 +540,9 @@ impl Driver {
                 }
                 Err(_) => break, // cannot happen (pool holds a sender); stop waiting
             }
+        }
+        if dispatched > 0 {
+            self.wait_ns += self.lap();
         }
         // Bring lost workers back while their respawn budget lasts, so a
         // transient fault costs one narrow round rather than the whole run.
@@ -819,6 +925,10 @@ impl Driver {
             total: self.total,
             critical_work: self.critical_work,
             critical_ns: self.critical_ns,
+            dispatch_ns: self.dispatch_ns,
+            lead_ns: self.lead_ns,
+            wait_ns: self.wait_ns,
+            commit_ns: self.commit_ns,
             lead_accepted: self.lead_accepted,
             lead_rejected: self.lead_rejected,
             speculation_accepted: self.spec_accepted,
@@ -885,8 +995,9 @@ fn emit_discard(drv: &Driver, t: f64, slot: usize, spec_from: usize, reason: Dis
 
 /// The shared scheme loop: rounds until `tstop`, checking the deadline /
 /// cancellation token at every round boundary and narrowing the round width
-/// to what the worker pool can still serve. Returns the terminal error of a
-/// partial run, or `None` when the run completed.
+/// to what the worker pool can still serve, and closing each round's ledger
+/// (`commit_ns`). Returns the terminal error of a partial run, or `None` when
+/// the run completed.
 pub(crate) fn drive(
     drv: &mut Driver,
     width: usize,
@@ -897,9 +1008,183 @@ pub(crate) fn drive(
             return Some(e);
         }
         let w = drv.round_width(width);
-        if let Err(e) = round(drv, w) {
+        let outcome = round(drv, w);
+        drv.commit_ns += drv.lap();
+        if let Err(e) = outcome {
             return Some(e);
         }
     }
     None
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backward::backward_round;
+    use crate::combined::combined_round;
+    use wavepipe_circuit::generators::{self, Benchmark};
+
+    /// Far longer than any test runs: a receive that returns sooner was
+    /// served by the poll loop, not by the parked `recv()` behind it.
+    const LONG_POLL: Duration = Duration::from_secs(30);
+    /// A hundred [`POLL_BOUND`]s: by then a polling receiver has parked.
+    const PARKED_BY: Duration = Duration::from_millis(20);
+
+    fn polls() -> u64 {
+        POLLS.with(std::cell::Cell::get)
+    }
+
+    /// Runs `recv_handoff(.., poll)` on this thread while another thread
+    /// waits `delay` after the receive is about to start and then sends 7
+    /// (`send == true`) or drops the sender. The delays only make the
+    /// intended interleaving all but certain; every assertion made on the
+    /// outcome holds under any interleaving.
+    fn receive_while(
+        poll: Option<Duration>,
+        delay: Duration,
+        send: bool,
+    ) -> (std::result::Result<u32, RecvError>, Duration, u64) {
+        let (tx, rx) = channel::<u32>();
+        let (go_tx, go_rx) = channel::<()>();
+        let peer = std::thread::spawn(move || {
+            go_rx.recv().expect("receiver signals before it receives");
+            std::thread::sleep(delay);
+            if send {
+                tx.send(7).expect("receiver is alive");
+            }
+        });
+        let polls_before = polls();
+        go_tx.send(()).expect("peer is alive");
+        let start = Instant::now();
+        let got = recv_handoff(&rx, poll);
+        let took = start.elapsed();
+        peer.join().expect("peer thread");
+        (got, took, polls() - polls_before)
+    }
+
+    #[test]
+    fn queued_item_is_taken_by_the_first_poll() {
+        let (tx, rx) = channel::<u32>();
+        tx.send(7).unwrap();
+        let before = polls();
+        assert_eq!(recv_handoff(&rx, Some(POLL_BOUND)), Ok(7));
+        assert_eq!(polls() - before, 1);
+    }
+
+    #[test]
+    fn item_sent_mid_poll_is_received_without_parking() {
+        let (got, took, _) = receive_while(Some(LONG_POLL), Duration::from_millis(2), true);
+        assert_eq!(got, Ok(7));
+        assert!(took < LONG_POLL, "served by the parked recv after {took:?}");
+    }
+
+    #[test]
+    fn item_sent_after_parking_is_received() {
+        let (got, _, polled) = receive_while(Some(POLL_BOUND), PARKED_BY, true);
+        assert_eq!(got, Ok(7));
+        assert!(polled >= 1);
+    }
+
+    #[test]
+    fn dropped_sender_is_a_disconnect_mid_poll_and_after_parking() {
+        let (got, took, _) = receive_while(Some(LONG_POLL), Duration::from_millis(2), false);
+        assert_eq!(got, Err(RecvError));
+        assert!(took < LONG_POLL, "noticed only by the parked recv after {took:?}");
+        let (got, _, _) = receive_while(Some(POLL_BOUND), PARKED_BY, false);
+        assert_eq!(got, Err(RecvError));
+    }
+
+    #[test]
+    fn closed_gate_blocks_without_polling() {
+        let (got, _, polled) = receive_while(None, Duration::from_millis(5), true);
+        assert_eq!(got, Ok(7));
+        assert_eq!(polled, 0);
+        let (got, _, polled) = receive_while(None, Duration::from_millis(5), false);
+        assert_eq!(got, Err(RecvError));
+        assert_eq!(polled, 0);
+    }
+
+    fn wp(scheme: Scheme, threads: usize) -> WavePipeOptions {
+        // Pin serial stamping so the `WAVEPIPE_STAMP_WORKERS` override cannot
+        // fold the thread budget into fewer lanes.
+        WavePipeOptions::new(scheme, threads).with_stamp_workers(0)
+    }
+
+    fn driver(b: &Benchmark, wp: &WavePipeOptions, cores: usize) -> Driver {
+        Driver::with_cores(&b.circuit, b.tstep, b.tstop, wp, cores).expect("driver set-up")
+    }
+
+    #[test]
+    fn gate_opens_only_when_every_run_thread_has_a_core() {
+        let b = generators::rc_ladder(4);
+        let x2 = wp(Scheme::Backward, 2);
+        assert!(driver(&b, &x2, 2).pool.poll.is_some());
+        assert!(driver(&b, &x2, 1).pool.poll.is_none());
+        // 2 lanes x (1 + 2 stamp workers) = 6 threads.
+        let x2s2 = WavePipeOptions::new(Scheme::Backward, 4).with_stamp_workers(2);
+        assert!(driver(&b, &x2s2, 6).pool.poll.is_some());
+        assert!(driver(&b, &x2s2, 5).pool.poll.is_none());
+    }
+
+    #[test]
+    fn driver_with_idle_workers_drops_promptly() {
+        let b = generators::rc_ladder(4);
+        for cores in [usize::MAX, 1] {
+            let drv = driver(&b, &wp(Scheme::Backward, 3), cores);
+            // Let the idle workers run out their poll bound and park.
+            std::thread::sleep(PARKED_BY);
+            let start = Instant::now();
+            drop(drv);
+            assert!(start.elapsed() < Duration::from_secs(1), "cores {cores}: drop hung");
+        }
+    }
+
+    type Round = fn(&mut Driver, usize) -> Result<usize>;
+
+    #[test]
+    fn polling_changes_no_bit_and_no_count() {
+        let b = generators::inverter_chain(8);
+        let cases: [(Scheme, usize, Round); 2] =
+            [(Scheme::Backward, 2, backward_round), (Scheme::Combined, 3, combined_round)];
+        for (scheme, width, round) in cases {
+            let run = |cores: usize| {
+                let mut drv = driver(&b, &wp(scheme, width), cores);
+                assert_eq!(drv.pool.poll.is_some(), cores >= width);
+                assert!(drive(&mut drv, width, round).is_none());
+                drv.finish(scheme)
+            };
+            let (open, closed) = (run(usize::MAX), run(1));
+            let bits = |r: &WavePipeReport| -> Vec<u64> {
+                let res = &r.result;
+                (0..res.len())
+                    .flat_map(|k| std::iter::once(&res.times()[k]).chain(res.solution(k)))
+                    .map(|v| v.to_bits())
+                    .collect()
+            };
+            assert!(open.result.len() > 10, "{scheme}");
+            assert_eq!(bits(&open), bits(&closed), "{scheme}: waveform bits");
+            assert_eq!(open.total.newton_iterations, closed.total.newton_iterations, "{scheme}");
+            assert_eq!(open.rounds, closed.rounds, "{scheme}");
+        }
+    }
+
+    #[test]
+    fn ledger_partitions_the_stepping_loop() {
+        let b = generators::power_grid(8, 8);
+        let mut drv = Driver::new(&b.circuit, b.tstep, b.tstop, &wp(Scheme::Backward, 2)).unwrap();
+        let dc_ns = drv.critical_ns;
+        assert!(drive(&mut drv, 2, backward_round).is_none());
+        let rep = drv.finish(Scheme::Backward);
+        let parts = [rep.dispatch_ns, rep.lead_ns, rep.wait_ns, rep.commit_ns];
+        assert!(parts.iter().all(|&p| p > 0), "{parts:?}");
+        let ledger: u128 = parts.iter().sum();
+        assert!(ledger <= rep.total.wall_ns, "{ledger} > {}", rep.total.wall_ns);
+        let stepping = rep.total.wall_ns - dc_ns;
+        assert!(ledger * 10 >= stepping * 9, "ledger {ledger} ns of {stepping} ns stepping");
+
+        let x1 = crate::run_wavepipe(&b.circuit, b.tstep, b.tstop, &wp(Scheme::Backward, 1))
+            .expect("width-1 run");
+        assert_eq!(x1.wait_ns, 0);
+        assert!(x1.lead_ns > 0 && x1.commit_ns > 0);
+    }
 }
