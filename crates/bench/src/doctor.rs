@@ -137,21 +137,8 @@ fn render_text(
     }
     if !stable_only {
         out.push_str(&analysis.timing_report());
-        if let Some(r) = report {
-            let ms = |ns: u128| ns as f64 / 1e6;
-            let ledger = r.dispatch_ns + r.lead_ns + r.wait_ns + r.commit_ns;
-            let _ = writeln!(
-                out,
-                "  hand-off ledger: dispatch {:.3} ms  lead solve {:.3} ms  sync-wait {:.3} ms  \
-                 commit {:.3} ms  ({:.1}% of {:.3} ms run wall, {} rounds)",
-                ms(r.dispatch_ns),
-                ms(r.lead_ns),
-                ms(r.wait_ns),
-                ms(r.commit_ns),
-                ledger as f64 / r.total.wall_ns.max(1) as f64 * 100.0,
-                ms(r.total.wall_ns),
-                r.rounds
-            );
+        if let Some(ledger) = report.and_then(WavePipeReport::handoff_ledger) {
+            let _ = writeln!(out, "  {ledger}");
         }
     }
     out
@@ -173,7 +160,8 @@ pub fn doctor_json(
 }
 
 /// [`doctor_json`] plus, for a live run's `report` and unless `stable_only`,
-/// a `"handoff"` object with the measured ledger (see [`render_text`]).
+/// a `"handoff"` object with the measured ledger (see [`render_text`]; all
+/// zeros for a serial run).
 fn render_json(
     title: &str,
     analysis: &TraceAnalysis,
@@ -334,8 +322,7 @@ pub fn run_doctor(args: &DoctorArgs) -> Result<String, String> {
             (analyze(&run.events), Some(run.snapshot), Some(run.report))
         }
     };
-    // The serial step loop has no rounds and so no ledger.
-    let report = report.as_ref().filter(|r| r.scheme != Scheme::Serial);
+    let report = report.as_ref();
     Ok(if args.json {
         render_json(&title, &analysis, snapshot.as_ref(), args.stable_only, report)
     } else {
@@ -426,8 +413,7 @@ mod tests {
         };
         let text = live(false, false);
         let ledger = text.lines().last().unwrap();
-        assert!(ledger.starts_with("  hand-off ledger: dispatch "), "{text}");
-        assert!(ledger.contains("sync-wait"), "{ledger}");
+        assert!(ledger.starts_with("  hand-off dispatch/lead/wait/commit "), "{text}");
         assert!(!live(false, true).contains("hand-off"));
         let doc = wavepipe_telemetry::json::parse(&live(true, false)).expect("doctor json parses");
         let handoff = doc.get("handoff").expect("handoff object");

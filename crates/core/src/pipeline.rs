@@ -50,37 +50,28 @@ pub(crate) fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
 /// idle lane burns per hand-off.
 const POLL_BOUND: Duration = Duration::from_micros(200);
 
-#[cfg(test)]
-thread_local! {
-    /// `try_recv` calls made by [`recv_handoff`] on this thread.
-    static POLLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Receives the next item of a hand-off channel: polls for at most `poll`
-/// (not at all when `None`, the run having more threads than cores), then
-/// parks in the blocking `recv()`. Between polls the lane yields rather than
-/// spins: when the scheduler has woken the peer onto this lane's core, a
-/// spinning lane holds that core for the whole bound while the thread it
-/// waits for cannot run (measured 5x on an 8x8 grid); yielding hands it over
-/// and costs one cheap syscall when nobody else wants the core. A
-/// disconnected channel reports as it does from `recv()`, whichever phase
+/// Receives the next item of a hand-off channel: polls for at most `bound`
+/// ([`POLL_BOUND`] at both call sites; a parameter so the tests can tell the
+/// two phases apart), then parks in the blocking `recv()`. Between polls the
+/// lane yields rather than spins, which is what lets every run poll, however
+/// many cores it has: a spinning lane holds its core for the whole bound
+/// while the thread it waits for may be queued behind it (measured 5x on an
+/// 8x8 grid with the worker woken onto the coordinator's core); yielding
+/// hands the core over and costs one cheap syscall when nobody else wants it.
+/// A disconnected channel reports as it does from `recv()`, whichever phase
 /// notices it.
-fn recv_handoff<T>(rx: &Receiver<T>, poll: Option<Duration>) -> std::result::Result<T, RecvError> {
-    if let Some(bound) = poll {
-        let start = Instant::now();
-        loop {
-            #[cfg(test)]
-            POLLS.with(|p| p.set(p.get() + 1));
-            match rx.try_recv() {
-                Ok(item) => return Ok(item),
-                Err(TryRecvError::Disconnected) => return Err(RecvError),
-                Err(TryRecvError::Empty) => {}
-            }
-            if start.elapsed() >= bound {
-                break;
-            }
-            std::thread::yield_now();
+fn recv_handoff<T>(rx: &Receiver<T>, bound: Duration) -> std::result::Result<T, RecvError> {
+    let start = Instant::now();
+    loop {
+        match rx.try_recv() {
+            Ok(item) => return Ok(item),
+            Err(TryRecvError::Disconnected) => return Err(RecvError),
+            Err(TryRecvError::Empty) => {}
         }
+        if start.elapsed() >= bound {
+            break;
+        }
+        std::thread::yield_now();
     }
     rx.recv()
 }
@@ -133,22 +124,12 @@ pub(crate) struct WorkerPool {
     result_tx: Sender<(usize, Result<PointSolution>)>,
     sys: Arc<MnaSystem>,
     lane_sim: SimOptions,
-    /// Poll bound of [`recv_handoff`] for every lane of the run, the
-    /// coordinator included: `Some` only when the run's threads fit in the
-    /// visible cores.
-    poll: Option<Duration>,
 }
 
 impl WorkerPool {
     /// Spawns `n` workers for the given compiled system, each with a respawn
     /// budget of `respawns`.
-    fn new(
-        sys: &Arc<MnaSystem>,
-        sim: &SimOptions,
-        n: usize,
-        respawns: usize,
-        poll: Option<Duration>,
-    ) -> Self {
+    fn new(sys: &Arc<MnaSystem>, sim: &SimOptions, n: usize, respawns: usize) -> Self {
         let (result_tx, results) = channel();
         let mut pool = WorkerPool {
             slots: Vec::with_capacity(n),
@@ -156,7 +137,6 @@ impl WorkerPool {
             result_tx,
             sys: Arc::clone(sys),
             lane_sim: sim.clone(),
-            poll,
         };
         for i in 0..n {
             let (tx, handle) = pool.spawn_worker(i);
@@ -173,7 +153,6 @@ impl WorkerPool {
     fn spawn_worker(&self, i: usize) -> (Sender<Job>, std::thread::JoinHandle<()>) {
         let (tx, rx) = channel::<Job>();
         let out = self.result_tx.clone();
-        let poll = self.poll;
         // Worker i solves the (i+1)-th task of every round; tag its probe
         // (and fault handle) with that lane so traces show the pipelining
         // overlap and injected faults can target individual lanes.
@@ -184,7 +163,7 @@ impl WorkerPool {
         worker_sim.faults = self.lane_sim.faults.with_lane(lane);
         let mut solver = PointSolver::new(Arc::clone(&self.sys), worker_sim);
         let handle = std::thread::spawn(move || {
-            while let Ok(job) = recv_handoff(&rx, poll) {
+            while let Ok(job) = recv_handoff(&rx, POLL_BOUND) {
                 // Contain panics (organic or injected): always reply, then
                 // retire — the solver's internal state cannot be trusted
                 // after an unwind through it.
@@ -350,21 +329,6 @@ impl Driver {
     /// Compiles the circuit, solves the operating point (counted on the
     /// critical path — it is inherently sequential), and prepares the run.
     pub fn new(circuit: &Circuit, tstep: f64, tstop: f64, wp: &WavePipeOptions) -> Result<Self> {
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        Self::with_cores(circuit, tstep, tstop, wp, cores)
-    }
-
-    /// [`Driver::new`] on a host with `cores` visible cores. Lanes poll for
-    /// their hand-offs only when every thread of the run — each lane plus
-    /// its stamp workers — has a core of its own: a lane that polls on a
-    /// shared core competes for it with the thread it is waiting for.
-    fn with_cores(
-        circuit: &Circuit,
-        tstep: f64,
-        tstop: f64,
-        wp: &WavePipeOptions,
-        cores: usize,
-    ) -> Result<Self> {
         if !(tstop > 0.0 && tstop.is_finite()) {
             return Err(EngineError::BadParameter { name: "tstop", value: tstop });
         }
@@ -378,9 +342,7 @@ impl Driver {
         // so the thread budget splits lanes x stamp workers.
         let lane_sim = wp.lane_sim();
         let mut lead = PointSolver::new(Arc::clone(&sys), lane_sim.clone());
-        let poll = (width * (1 + wp.stamp_workers) <= cores).then_some(POLL_BOUND);
-        let pool =
-            WorkerPool::new(&sys, &lane_sim, width.saturating_sub(1), wp.worker_respawns, poll);
+        let pool = WorkerPool::new(&sys, &lane_sim, width.saturating_sub(1), wp.worker_respawns);
         let node_names: Vec<String> = sys.node_names().to_vec();
         let mut result = TransientResult::new(sys.n_unknowns(), node_names);
         result.set_branch_names(sys.branch_names().to_vec());
@@ -528,7 +490,7 @@ impl Driver {
         }
         self.lead_ns += self.lap();
         for _ in 0..dispatched {
-            let received = recv_handoff(&self.pool.results, self.pool.poll);
+            let received = recv_handoff(&self.pool.results, POLL_BOUND);
             match received {
                 Ok((slot, r)) => {
                     if matches!(r, Err(EngineError::WorkerLost { .. })) {
@@ -1021,8 +983,7 @@ pub(crate) fn drive(
 mod tests {
     use super::*;
     use crate::backward::backward_round;
-    use crate::combined::combined_round;
-    use wavepipe_circuit::generators::{self, Benchmark};
+    use wavepipe_circuit::generators;
 
     /// Far longer than any test runs: a receive that returns sooner was
     /// served by the poll loop, not by the parked `recv()` behind it.
@@ -1030,20 +991,16 @@ mod tests {
     /// A hundred [`POLL_BOUND`]s: by then a polling receiver has parked.
     const PARKED_BY: Duration = Duration::from_millis(20);
 
-    fn polls() -> u64 {
-        POLLS.with(std::cell::Cell::get)
-    }
-
-    /// Runs `recv_handoff(.., poll)` on this thread while another thread
+    /// Runs `recv_handoff(.., bound)` on this thread while another thread
     /// waits `delay` after the receive is about to start and then sends 7
     /// (`send == true`) or drops the sender. The delays only make the
     /// intended interleaving all but certain; every assertion made on the
     /// outcome holds under any interleaving.
     fn receive_while(
-        poll: Option<Duration>,
+        bound: Duration,
         delay: Duration,
         send: bool,
-    ) -> (std::result::Result<u32, RecvError>, Duration, u64) {
+    ) -> (std::result::Result<u32, RecvError>, Duration) {
         let (tx, rx) = channel::<u32>();
         let (go_tx, go_rx) = channel::<()>();
         let peer = std::thread::spawn(move || {
@@ -1053,55 +1010,46 @@ mod tests {
                 tx.send(7).expect("receiver is alive");
             }
         });
-        let polls_before = polls();
         go_tx.send(()).expect("peer is alive");
         let start = Instant::now();
-        let got = recv_handoff(&rx, poll);
+        let got = recv_handoff(&rx, bound);
         let took = start.elapsed();
         peer.join().expect("peer thread");
-        (got, took, polls() - polls_before)
+        (got, took)
     }
 
     #[test]
-    fn queued_item_is_taken_by_the_first_poll() {
+    fn queued_item_is_received() {
         let (tx, rx) = channel::<u32>();
         tx.send(7).unwrap();
-        let before = polls();
-        assert_eq!(recv_handoff(&rx, Some(POLL_BOUND)), Ok(7));
-        assert_eq!(polls() - before, 1);
+        assert_eq!(recv_handoff(&rx, POLL_BOUND), Ok(7));
+        // A zero bound still polls once before it parks.
+        tx.send(8).unwrap();
+        drop(tx);
+        assert_eq!(recv_handoff(&rx, Duration::ZERO), Ok(8));
+        assert_eq!(recv_handoff(&rx, Duration::ZERO), Err(RecvError));
     }
 
     #[test]
     fn item_sent_mid_poll_is_received_without_parking() {
-        let (got, took, _) = receive_while(Some(LONG_POLL), Duration::from_millis(2), true);
+        let (got, took) = receive_while(LONG_POLL, Duration::from_millis(2), true);
         assert_eq!(got, Ok(7));
         assert!(took < LONG_POLL, "served by the parked recv after {took:?}");
     }
 
     #[test]
     fn item_sent_after_parking_is_received() {
-        let (got, _, polled) = receive_while(Some(POLL_BOUND), PARKED_BY, true);
+        let (got, _) = receive_while(POLL_BOUND, PARKED_BY, true);
         assert_eq!(got, Ok(7));
-        assert!(polled >= 1);
     }
 
     #[test]
     fn dropped_sender_is_a_disconnect_mid_poll_and_after_parking() {
-        let (got, took, _) = receive_while(Some(LONG_POLL), Duration::from_millis(2), false);
+        let (got, took) = receive_while(LONG_POLL, Duration::from_millis(2), false);
         assert_eq!(got, Err(RecvError));
         assert!(took < LONG_POLL, "noticed only by the parked recv after {took:?}");
-        let (got, _, _) = receive_while(Some(POLL_BOUND), PARKED_BY, false);
+        let (got, _) = receive_while(POLL_BOUND, PARKED_BY, false);
         assert_eq!(got, Err(RecvError));
-    }
-
-    #[test]
-    fn closed_gate_blocks_without_polling() {
-        let (got, _, polled) = receive_while(None, Duration::from_millis(5), true);
-        assert_eq!(got, Ok(7));
-        assert_eq!(polled, 0);
-        let (got, _, polled) = receive_while(None, Duration::from_millis(5), false);
-        assert_eq!(got, Err(RecvError));
-        assert_eq!(polled, 0);
     }
 
     fn wp(scheme: Scheme, threads: usize) -> WavePipeOptions {
@@ -1110,76 +1058,31 @@ mod tests {
         WavePipeOptions::new(scheme, threads).with_stamp_workers(0)
     }
 
-    fn driver(b: &Benchmark, wp: &WavePipeOptions, cores: usize) -> Driver {
-        Driver::with_cores(&b.circuit, b.tstep, b.tstop, wp, cores).expect("driver set-up")
-    }
-
-    #[test]
-    fn gate_opens_only_when_every_run_thread_has_a_core() {
-        let b = generators::rc_ladder(4);
-        let x2 = wp(Scheme::Backward, 2);
-        assert!(driver(&b, &x2, 2).pool.poll.is_some());
-        assert!(driver(&b, &x2, 1).pool.poll.is_none());
-        // 2 lanes x (1 + 2 stamp workers) = 6 threads.
-        let x2s2 = WavePipeOptions::new(Scheme::Backward, 4).with_stamp_workers(2);
-        assert!(driver(&b, &x2s2, 6).pool.poll.is_some());
-        assert!(driver(&b, &x2s2, 5).pool.poll.is_none());
-    }
-
     #[test]
     fn driver_with_idle_workers_drops_promptly() {
         let b = generators::rc_ladder(4);
-        for cores in [usize::MAX, 1] {
-            let drv = driver(&b, &wp(Scheme::Backward, 3), cores);
-            // Let the idle workers run out their poll bound and park.
-            std::thread::sleep(PARKED_BY);
-            let start = Instant::now();
-            drop(drv);
-            assert!(start.elapsed() < Duration::from_secs(1), "cores {cores}: drop hung");
-        }
-    }
-
-    type Round = fn(&mut Driver, usize) -> Result<usize>;
-
-    #[test]
-    fn polling_changes_no_bit_and_no_count() {
-        let b = generators::inverter_chain(8);
-        let cases: [(Scheme, usize, Round); 2] =
-            [(Scheme::Backward, 2, backward_round), (Scheme::Combined, 3, combined_round)];
-        for (scheme, width, round) in cases {
-            let run = |cores: usize| {
-                let mut drv = driver(&b, &wp(scheme, width), cores);
-                assert_eq!(drv.pool.poll.is_some(), cores >= width);
-                assert!(drive(&mut drv, width, round).is_none());
-                drv.finish(scheme)
-            };
-            let (open, closed) = (run(usize::MAX), run(1));
-            let bits = |r: &WavePipeReport| -> Vec<u64> {
-                let res = &r.result;
-                (0..res.len())
-                    .flat_map(|k| std::iter::once(&res.times()[k]).chain(res.solution(k)))
-                    .map(|v| v.to_bits())
-                    .collect()
-            };
-            assert!(open.result.len() > 10, "{scheme}");
-            assert_eq!(bits(&open), bits(&closed), "{scheme}: waveform bits");
-            assert_eq!(open.total.newton_iterations, closed.total.newton_iterations, "{scheme}");
-            assert_eq!(open.rounds, closed.rounds, "{scheme}");
-        }
+        let drv = Driver::new(&b.circuit, b.tstep, b.tstop, &wp(Scheme::Backward, 3)).unwrap();
+        // Let the idle workers run out their poll bound and park.
+        std::thread::sleep(PARKED_BY);
+        let start = Instant::now();
+        drop(drv);
+        assert!(start.elapsed() < Duration::from_secs(1), "drop hung");
     }
 
     #[test]
     fn ledger_partitions_the_stepping_loop() {
         let b = generators::power_grid(8, 8);
         let mut drv = Driver::new(&b.circuit, b.tstep, b.tstop, &wp(Scheme::Backward, 2)).unwrap();
-        let dc_ns = drv.critical_ns;
+        // Set-up and worker spawn are behind us: from here to the end of
+        // `drive` the ledger's laps are all that runs.
+        let start = Instant::now();
         assert!(drive(&mut drv, 2, backward_round).is_none());
+        let stepping = start.elapsed().as_nanos();
         let rep = drv.finish(Scheme::Backward);
         let parts = [rep.dispatch_ns, rep.lead_ns, rep.wait_ns, rep.commit_ns];
         assert!(parts.iter().all(|&p| p > 0), "{parts:?}");
         let ledger: u128 = parts.iter().sum();
         assert!(ledger <= rep.total.wall_ns, "{ledger} > {}", rep.total.wall_ns);
-        let stepping = rep.total.wall_ns - dc_ns;
         assert!(ledger * 10 >= stepping * 9, "ledger {ledger} ns of {stepping} ns stepping");
 
         let x1 = crate::run_wavepipe(&b.circuit, b.tstep, b.tstop, &wp(Scheme::Backward, 1))

@@ -116,19 +116,7 @@ impl WavePipeReport {
         } else {
             String::new()
         };
-        let ms = |ns: u128| ns as f64 / 1e6;
-        // The serial step loop has no rounds and so no ledger.
-        let handoff = if self.scheme == Scheme::Serial {
-            String::new()
-        } else {
-            format!(
-                ", hand-off dispatch/lead/wait/commit {:.2}/{:.2}/{:.2}/{:.2} ms",
-                ms(self.dispatch_ns),
-                ms(self.lead_ns),
-                ms(self.wait_ns),
-                ms(self.commit_ns)
-            )
-        };
+        let handoff = self.handoff_ledger().map_or_else(String::new, |l| format!(", {l}"));
         format!(
             "{} x{}: {} pts, {} rounds, cp {} units / {:.2} ms, accept {:.0}%{}{}",
             self.scheme,
@@ -136,11 +124,26 @@ impl WavePipeReport {
             self.result.len(),
             self.rounds,
             self.critical_work,
-            ms(self.critical_ns),
+            self.critical_ns as f64 / 1e6,
             self.accept_rate() * 100.0,
             faults,
             handoff
         )
+    }
+
+    /// The hand-off ledger as one printable clause; `None` for
+    /// [`Scheme::Serial`], whose step loop has no rounds and so no ledger.
+    pub fn handoff_ledger(&self) -> Option<String> {
+        let ms = |ns: u128| ns as f64 / 1e6;
+        (self.scheme != Scheme::Serial).then(|| {
+            format!(
+                "hand-off dispatch/lead/wait/commit {:.2}/{:.2}/{:.2}/{:.2} ms",
+                ms(self.dispatch_ns),
+                ms(self.lead_ns),
+                ms(self.wait_ns),
+                ms(self.commit_ns)
+            )
+        })
     }
 }
 
@@ -227,6 +230,7 @@ mod tests {
         assert!(s.contains("backward"));
         assert!(s.contains("dispatch/lead/wait/commit 0.10/0.80/0.30/0.05 ms"), "{s}");
         let serial = WavePipeReport { scheme: Scheme::Serial, ..dummy_report(1) };
+        assert_eq!(serial.handoff_ledger(), None);
         assert!(!serial.summary().contains("hand-off"));
     }
 
