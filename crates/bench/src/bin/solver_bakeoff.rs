@@ -10,6 +10,11 @@
 //! * **gmres**: ILU(0) factorization plus one restarted-GMRES solve to
 //!   the backend's default relative tolerance (1e-10).
 //!
+//! A transient pass pays that fresh cost once and then refactors with frozen
+//! pivots hundreds of times, so each row also times what the pass mostly
+//! runs: `refactor_us` ([`SparseLu::refactor`] of the same matrix) and
+//! `solve_us` (one `solve_with_scratch`). Neither enters a gated ratio.
+//!
 //! Ladder/line matrices are banded and the direct path is unbeatable
 //! there; on the 2-D mesh fill-in grows superlinearly with grid size and
 //! the iterative path crosses over. The emitted `BENCH_solver.json` records
@@ -92,8 +97,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             direct_ns = direct_ns.min(t0.elapsed().as_nanos());
         }
 
+        let mut lu = SparseLu::factor(&a, &direct_opts)?;
+        let (mut x, mut scratch) = (vec![0.0; dim], vec![0.0; dim]);
+        let (mut refactor_ns, mut solve_ns) = (u128::MAX, u128::MAX);
+        for _ in 0..REPS {
+            let t0 = Instant::now();
+            lu.refactor(&a)?;
+            refactor_ns = refactor_ns.min(t0.elapsed().as_nanos());
+            let t0 = Instant::now();
+            lu.solve_with_scratch(&b, &mut x, &mut scratch)?;
+            solve_ns = solve_ns.min(t0.elapsed().as_nanos());
+            black_box(&x);
+        }
+
         let gopts = GmresOptions::default();
-        let mut x = vec![0.0; dim];
         let mut iterations = 0usize;
         black_box(Ilu0::factor(&a)?);
         let mut gmres_ns = u128::MAX;
@@ -109,11 +126,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
 
         let direct_us = direct_ns as f64 / 1e3;
+        let refactor_us = refactor_ns as f64 / 1e3;
+        let solve_us = solve_ns as f64 / 1e3;
         let gmres_us = gmres_ns as f64 / 1e3;
         let speedup = direct_us / gmres_us;
         let name = format!("power_grid({n},{n})");
         println!(
-            "{name}: unknowns {dim} direct {direct_us:.1}us gmres {gmres_us:.1}us \
+            "{name}: unknowns {dim} direct {direct_us:.1}us (refactor {refactor_us:.1}us \
+             solve {solve_us:.1}us) gmres {gmres_us:.1}us \
              ({iterations} iters) speedup {speedup:.2}{} | fill mindeg {mindeg_nnz} \
              rcm {rcm_nnz} (mindeg/rcm {fill_ratio:.3})",
             if speedup >= 1.0 { " <- crossover" } else { "" },
@@ -127,13 +147,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             doc,
             "\n  {{\"circuit\":\"{}\",\"unknowns\":{dim},\"nnz\":{},\
              \"mindeg_fill_nnz\":{mindeg_nnz},\"rcm_fill_nnz\":{rcm_nnz},\
-             \"mindeg_over_rcm_fill\":{},\"direct_us\":{},\"gmres_us\":{},\
+             \"mindeg_over_rcm_fill\":{},\"direct_us\":{},\"refactor_us\":{},\
+             \"solve_us\":{},\"gmres_us\":{},\
              \"gmres_iterations\":{iterations},\"gmres_speedup\":{},\
              \"crossover\":{}}}",
             wavepipe_telemetry::json::escape(&name),
             a.nnz(),
             wavepipe_telemetry::json::fmt_f64(fill_ratio),
             wavepipe_telemetry::json::fmt_f64(direct_us),
+            wavepipe_telemetry::json::fmt_f64(refactor_us),
+            wavepipe_telemetry::json::fmt_f64(solve_us),
             wavepipe_telemetry::json::fmt_f64(gmres_us),
             wavepipe_telemetry::json::fmt_f64(speedup),
             speedup >= 1.0,

@@ -26,6 +26,8 @@ pub struct LinearCache {
     pub(crate) x_new: Vec<f64>,
     scratch: Vec<f64>,
     resid: Vec<f64>,
+    /// Row-sum buffer of the backward-error check's `norm_inf`.
+    rowsum: Vec<f64>,
     /// Linear-stamp key the cached factors were computed under. Chord reuse
     /// is only legal while the key matches (same `h`, same `gshunt`, same
     /// analysis mode); `None` disables reuse until the next factorization.
@@ -42,6 +44,7 @@ impl Default for LinearCache {
             x_new: Vec::new(),
             scratch: Vec::new(),
             resid: Vec::new(),
+            rowsum: Vec::new(),
             key: None,
             last_dx: None,
         }
@@ -55,6 +58,7 @@ impl Clone for LinearCache {
             x_new: self.x_new.clone(),
             scratch: self.scratch.clone(),
             resid: self.resid.clone(),
+            rowsum: Vec::new(),
             key: self.key,
             last_dx: self.last_dx,
         }
@@ -110,7 +114,7 @@ impl LinearCache {
         Vec<f64>,
         Vec<f64>,
     ) {
-        let LinearCache { mut backend, x_new, scratch, resid, key, last_dx } = self;
+        let LinearCache { mut backend, x_new, scratch, resid, key, last_dx, .. } = self;
         (backend.take_lu(), key, last_dx, x_new, scratch, resid)
     }
 
@@ -229,7 +233,8 @@ impl LinearCache {
             stats.solves += 1;
             // Backward-error verification.
             ws.matrix.residual_into(&self.x_new, &ws.rhs, &mut self.resid)?;
-            let scale = ws.matrix.norm_inf() * wavepipe_sparse::vector::norm_inf(&self.x_new)
+            let scale = ws.matrix.norm_inf_with_scratch(&mut self.rowsum)
+                * wavepipe_sparse::vector::norm_inf(&self.x_new)
                 + wavepipe_sparse::vector::norm_inf(&ws.rhs);
             let r = wavepipe_sparse::vector::norm_inf(&self.resid);
             if r.is_finite() && r <= 1e-8 * scale.max(f64::MIN_POSITIVE) {

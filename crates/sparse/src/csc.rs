@@ -323,16 +323,11 @@ impl CscMatrix {
 
     /// Infinity norm of the matrix (maximum absolute row sum).
     pub fn norm_inf(&self) -> f64 {
-        let mut rowsum = vec![0.0f64; self.nrows];
-        for p in 0..self.nnz() {
-            rowsum[self.row_idx[p]] += self.values[p].abs();
-        }
-        rowsum.into_iter().fold(0.0, f64::max)
+        self.norm_inf_with_scratch(&mut Vec::new())
     }
 
-    /// Infinity norm using a caller-provided row-sum buffer — same
-    /// accumulation and reduction order as [`CscMatrix::norm_inf`] (so the
-    /// result is bit-identical), without the per-call allocation.
+    /// [`CscMatrix::norm_inf`] with a caller-provided row-sum buffer, for
+    /// callers that take the norm once per factorization.
     pub fn norm_inf_with_scratch(&self, rowsum: &mut Vec<f64>) -> f64 {
         rowsum.clear();
         rowsum.resize(self.nrows, 0.0);

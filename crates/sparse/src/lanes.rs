@@ -93,10 +93,12 @@ impl LanePackedLu {
             p: seed.p.clone(),
             pinv: seed.pinv.clone(),
             l_colptr: seed.l_colptr.clone(),
-            l_rows: seed.l_rows.clone(),
+            // The lane kernels index their workspace by ORIGINAL row id;
+            // `SparseLu` stores pivot positions.
+            l_rows: seed.l_rows.iter().map(|&t| seed.p[t as usize]).collect(),
             u_colptr: seed.u_colptr.clone(),
-            u_rows: seed.u_rows.clone(),
-            a_nnz: seed.a_nnz,
+            u_rows: seed.u_rows.iter().map(|&t| t as usize).collect(),
+            a_nnz: seed.a_nnz(),
             l_vals: vec![0.0; seed.l_vals.len() * k],
             u_vals: vec![0.0; seed.u_vals.len() * k],
             u_diag: vec![0.0; n * k],
@@ -126,15 +128,15 @@ impl LanePackedLu {
     /// this pack, i.e. its numeric values can live in a lane.
     pub fn structure_matches(&self, lu: &SparseLu) -> bool {
         lu.n == self.n
-            && lu.a_nnz == self.a_nnz
+            && lu.a_nnz() == self.a_nnz
             && lu.opts.pivot_floor == self.pivot_floor
             && lu.q.perm() == self.q.perm()
             && lu.p == self.p
             && lu.pinv == self.pinv
             && lu.l_colptr == self.l_colptr
-            && lu.l_rows == self.l_rows
+            && lu.l_rows.iter().map(|&t| lu.p[t as usize]).eq(self.l_rows.iter().copied())
             && lu.u_colptr == self.u_colptr
-            && lu.u_rows == self.u_rows
+            && lu.u_rows.iter().map(|&t| t as usize).eq(self.u_rows.iter().copied())
     }
 
     /// Copies `lu`'s numeric values into `lane`. Returns `false` (without

@@ -10,6 +10,30 @@
 //!   iteration hot path: no graph traversal, no pivot search.
 //! * [`SparseLu::solve`] / [`SparseLu::solve_with_scratch`] — triangular
 //!   solves.
+//!
+//! # Stored layout
+//!
+//! Once `factor` has chosen the pivots, everything the numeric kernels index
+//! is kept in *pivot coordinates* (row `r` of `A` sits at position `pinv[r]`)
+//! as `u32`, so the kernels run over zipped slices with no permutation
+//! lookups:
+//!
+//! * `L` by column, row positions ascending within a column. The order of
+//!   rows inside an `L` column enters no refactorization or forward/backward
+//!   solve result (every row of a column is a distinct target); only
+//!   [`SparseLu::solve_transpose`] accumulates along it.
+//! * strict `U` by column, in the elimination (DFS-topological) order the
+//!   pivoting factorization found. That order *is* the order in which every
+//!   factor entry receives its updates, so it is never re-sorted.
+//! * a scatter map from each stored entry of `A` (CSC order) to its pivot
+//!   position, with `A`'s column pointers to validate the pattern against.
+//! * a chain plan over `U`'s stored entries: consecutive entries `t1, t2, ..`
+//!   of one `U` column form a chain while the sorted `L(ti)` is `[ti+1]`
+//!   followed by `L(ti+1)` (a supernode, met in elimination order). A chain's
+//!   common rows are updated in one pass, up to four source columns per row
+//!   visit and in stored order, so each workspace entry still receives the
+//!   same products in the same sequence as one column at a time.
+//! * the dense refactorization workspace, all-zero between calls.
 
 use crate::csc::CscMatrix;
 use crate::error::{Result, SparseError};
@@ -73,24 +97,51 @@ pub struct SparseLu {
     /// Original-row -> pivot-position.
     pub(crate) pinv: Vec<usize>,
     // L: unit lower triangular, stored by factorization column; row indices
-    // are ORIGINAL row ids (mapped through pinv when solving).
+    // are PIVOT POSITIONS (> column index), ascending within a column.
     pub(crate) l_colptr: Vec<usize>,
-    pub(crate) l_rows: Vec<usize>,
+    pub(crate) l_rows: Vec<u32>,
     pub(crate) l_vals: Vec<f64>,
     // U: strictly upper part stored by column; row indices are PIVOT
     // POSITIONS (< column index), recorded in elimination (topological)
     // order so refactorization can replay updates directly.
     pub(crate) u_colptr: Vec<usize>,
-    pub(crate) u_rows: Vec<usize>,
+    pub(crate) u_rows: Vec<u32>,
     pub(crate) u_vals: Vec<f64>,
     /// U diagonal (the pivots) by column.
     pub(crate) u_diag: Vec<f64>,
-    /// nnz of the matrix this factorization was computed from (cheap pattern
-    /// compatibility check for `refactor`).
-    pub(crate) a_nnz: usize,
+    /// Chain plan, per stored U entry: how many entries of its chain are left
+    /// from this one on (saturating, so a lower bound). `u_run[up] > 1` means
+    /// the sorted `L(u_rows[up])` is `[u_rows[up + 1]]` followed by
+    /// `L(u_rows[up + 1])`.
+    u_run: Vec<u8>,
+    /// Column pointers of the factored matrix: the pattern `refactor` accepts.
+    a_colptr: Vec<usize>,
+    /// Pivot position of each stored entry of the factored matrix, CSC order.
+    a_pos: Vec<u32>,
+    /// Dense refactorization workspace in pivot coordinates; every kernel
+    /// that writes it leaves it all-zero, error returns included.
+    work: Vec<f64>,
 }
 
 const UNASSIGNED: usize = usize::MAX;
+
+/// Widest block of chained source columns one row visit applies.
+const BLOCK: usize = 4;
+
+/// `x[rows[e]] -= cols[0][e] * xr[0]; .. -= cols[W - 1][e] * xr[W - 1]` for
+/// every `e`: the one scatter-update of the numeric kernels. Each target
+/// receives its `W` products one rounded subtraction at a time, in order.
+#[inline(always)]
+fn update_rows<const W: usize>(x: &mut [f64], rows: &[u32], cols: [&[f64]; W], xr: [f64; W]) {
+    let cols = cols.map(|c| &c[..rows.len()]);
+    for (e, &r) in rows.iter().enumerate() {
+        let mut v = x[r as usize];
+        for c in 0..W {
+            v -= cols[c][e] * xr[c];
+        }
+        x[r as usize] = v;
+    }
+}
 
 impl SparseLu {
     /// Factors the square matrix `a`, choosing the column ordering and the
@@ -114,7 +165,8 @@ impl SparseLu {
     /// # Errors
     ///
     /// Same as [`SparseLu::factor`], plus
-    /// [`SparseError::DimensionMismatch`] if `q.len() != a.ncols()`.
+    /// [`SparseError::DimensionMismatch`] if `q.len() != a.ncols()` or the
+    /// dimension does not fit the `u32` indices of the stored layout.
     pub fn factor_with_ordering(a: &CscMatrix, opts: &LuOptions, q: Permutation) -> Result<Self> {
         if a.nrows() != a.ncols() {
             return Err(SparseError::NotSquare { nrows: a.nrows(), ncols: a.ncols() });
@@ -123,6 +175,9 @@ impl SparseLu {
             return Err(SparseError::DimensionMismatch { expected: a.ncols(), found: q.len() });
         }
         let n = a.ncols();
+        if u32::try_from(n).is_err() {
+            return Err(SparseError::DimensionMismatch { expected: u32::MAX as usize, found: n });
+        }
         let mut lu = SparseLu {
             n,
             opts: opts.clone(),
@@ -136,17 +191,23 @@ impl SparseLu {
             u_rows: Vec::with_capacity(a.nnz() * 2),
             u_vals: Vec::with_capacity(a.nnz() * 2),
             u_diag: vec![0.0; n],
-            a_nnz: a.nnz(),
+            u_run: Vec::new(),
+            a_colptr: a.col_ptr().to_vec(),
+            a_pos: Vec::new(),
+            work: vec![0.0; n],
         };
         lu.factor_numeric_with_pivoting(a)?;
+        lu.store_pivot_layout(a);
         Ok(lu)
     }
 
-    /// Gilbert–Peierls left-looking factorization with pivot search.
+    /// Gilbert–Peierls left-looking factorization with pivot search. While
+    /// it runs `l_rows` holds ORIGINAL row ids in discovery order (pivot
+    /// positions of later rows are not known yet).
     fn factor_numeric_with_pivoting(&mut self, a: &CscMatrix) -> Result<()> {
         let n = self.n;
-        // Dense workspace indexed by ORIGINAL row id.
-        let mut x = vec![0.0_f64; n];
+        // Dense workspace, here indexed by ORIGINAL row id.
+        let mut x = std::mem::take(&mut self.work);
         // Visit marks for the reachability DFS: mark[i] == k+1 means row i
         // was reached while processing column k.
         let mut mark = vec![0usize; n];
@@ -181,7 +242,7 @@ impl SparseLu {
                     let mut c = child_pos;
                     let mut next_child = None;
                     while c < le - ls {
-                        let rr = self.l_rows[ls + c];
+                        let rr = self.l_rows[ls + c] as usize;
                         c += 1;
                         if mark[rr] != stamp {
                             next_child = Some(rr);
@@ -222,7 +283,7 @@ impl SparseLu {
                 }
                 let xr = x[r];
                 for pp in self.l_colptr[t]..self.l_colptr[t + 1] {
-                    x[self.l_rows[pp]] -= self.l_vals[pp] * xr;
+                    x[self.l_rows[pp] as usize] -= self.l_vals[pp] * xr;
                 }
             }
 
@@ -260,20 +321,64 @@ impl SparseLu {
             for &r in topo.iter() {
                 let t = self.pinv[r];
                 if t != UNASSIGNED && t != k {
-                    self.u_rows.push(t);
+                    self.u_rows.push(t as u32);
                     self.u_vals.push(x[r]);
                 }
             }
             self.u_colptr[k + 1] = self.u_rows.len();
             for &r in topo.iter() {
                 if self.pinv[r] == UNASSIGNED {
-                    self.l_rows.push(r);
+                    self.l_rows.push(r as u32);
                     self.l_vals.push(x[r] / pivot);
                 }
             }
             self.l_colptr[k + 1] = self.l_rows.len();
         }
+        x.fill(0.0);
+        self.work = x;
         Ok(())
+    }
+
+    /// Rewrites the finished factors into the layout the numeric kernels
+    /// index (see the module docs): `L` rows as ascending pivot positions,
+    /// the scatter map of `a`'s entries, and the chain plan over `U`. Linear
+    /// in `nnz(L) + nnz(U) + nnz(A)` apart from the per-column sorts.
+    fn store_pivot_layout(&mut self, a: &CscMatrix) {
+        let n = self.n;
+        for k in 0..n {
+            let lr = self.l_colptr[k]..self.l_colptr[k + 1];
+            let (rows, vals) = (&mut self.l_rows[lr.clone()], &mut self.l_vals[lr]);
+            // Sort the column through the (zeroed) dense workspace: park each
+            // value at its pivot position, sort the positions, pick them up.
+            for (r, &v) in rows.iter_mut().zip(&*vals) {
+                *r = self.pinv[*r as usize] as u32;
+                self.work[*r as usize] = v;
+            }
+            rows.sort_unstable();
+            for (&r, v) in rows.iter().zip(vals) {
+                *v = std::mem::take(&mut self.work[r as usize]);
+            }
+        }
+        self.a_pos = a.row_idx().iter().map(|&r| self.pinv[r] as u32).collect();
+
+        let l_col = |t: usize| &self.l_rows[self.l_colptr[t]..self.l_colptr[t + 1]];
+        // next[t]: the column that continues a chain from t — the first row
+        // t' of the sorted L(t), when the rest of L(t) is L(t').
+        const NONE: u32 = u32::MAX;
+        let next: Vec<u32> = (0..n)
+            .map(|t| match l_col(t).split_first() {
+                Some((&t2, rest)) if rest == l_col(t2 as usize) => t2,
+                _ => NONE,
+            })
+            .collect();
+        self.u_run = vec![1; self.u_rows.len()];
+        for k in 0..n {
+            for up in (self.u_colptr[k] + 1..self.u_colptr[k + 1]).rev() {
+                if next[self.u_rows[up - 1] as usize] == self.u_rows[up] {
+                    self.u_run[up - 1] = self.u_run[up].saturating_add(1);
+                }
+            }
+        }
     }
 
     /// Recomputes the numeric factors for a matrix with the *same pattern*
@@ -284,91 +389,156 @@ impl SparseLu {
     ///
     /// # Errors
     ///
-    /// * [`SparseError::DimensionMismatch`] if `a`'s shape or nnz differs
-    ///   from the originally factored matrix.
+    /// * [`SparseError::DimensionMismatch`] if `a`'s shape, nnz or column
+    ///   pointers differ from the originally factored matrix.
     /// * [`SparseError::PivotDegraded`] if a frozen pivot's magnitude falls
     ///   below the stability floor — the caller should run a fresh
     ///   [`SparseLu::factor`].
     /// * [`SparseError::NotFinite`] if `a` contains NaN/inf.
+    ///
+    /// After an error the factor values are unspecified; the object itself
+    /// stays usable for a later `refactor`.
     pub fn refactor(&mut self, a: &CscMatrix) -> Result<()> {
-        if a.nrows() != self.n || a.ncols() != self.n {
-            return Err(SparseError::DimensionMismatch { expected: self.n, found: a.nrows() });
-        }
-        if a.nnz() != self.a_nnz {
-            return Err(SparseError::DimensionMismatch { expected: self.a_nnz, found: a.nnz() });
-        }
-        let n = self.n;
-        let mut x = vec![0.0_f64; n];
-        for k in 0..n {
-            let j = self.q.perm()[k];
-            let (us, ue) = (self.u_colptr[k], self.u_colptr[k + 1]);
-            let (ls, le) = (self.l_colptr[k], self.l_colptr[k + 1]);
-
-            // Scatter A(:,j). All pattern positions of this column's reach
-            // were zeroed after the previous column (gather loop below), so
-            // the workspace is clean.
-            let (a_rows, a_vals) = a.col(j);
-            for (&r, &v) in a_rows.iter().zip(a_vals) {
+        self.check_pattern(a)?;
+        let Self {
+            n,
+            opts,
+            q,
+            l_colptr,
+            l_rows,
+            l_vals,
+            u_colptr,
+            u_rows,
+            u_vals,
+            u_diag,
+            u_run,
+            a_colptr,
+            a_pos,
+            work: x,
+            ..
+        } = self;
+        for k in 0..*n {
+            // Scatter A(:,j). Every position a column touches is zeroed
+            // again as it is read below, so the workspace is clean.
+            let j = q.perm()[k];
+            let ar = a_colptr[j]..a_colptr[j + 1];
+            let pos = &a_pos[ar.clone()];
+            for (&i, &v) in pos.iter().zip(&a.values()[ar]) {
                 if !v.is_finite() {
+                    pos.iter().for_each(|&i| x[i as usize] = 0.0);
                     return Err(SparseError::NotFinite {
                         context: "matrix entry during refactorization",
                     });
                 }
-                x[r] = v;
+                x[i as usize] = v;
             }
             // Replay updates: U rows are stored in elimination (topological)
             // order, so applying them front-to-back is exactly the original
-            // update sequence.
-            for up in us..ue {
-                let t = self.u_rows[up];
-                let xr = x[self.p[t]];
-                self.u_vals[up] = xr;
-                if xr != 0.0 {
-                    for pp in self.l_colptr[t]..self.l_colptr[t + 1] {
-                        x[self.l_rows[pp]] -= self.l_vals[pp] * xr;
+            // update sequence. A block of up to BLOCK chained entries first
+            // settles its own rows (the head of each chained L column, one
+            // source column at a time), then updates the rows common to all
+            // of them — L of the block's last column, the tail of every
+            // other — in one pass.
+            let mut col_max = 0.0_f64;
+            let (mut up, ue) = (u_colptr[k], u_colptr[k + 1]);
+            while up < ue {
+                let w = usize::from(u_run[up]).min(BLOCK);
+                if w == 1 {
+                    // No chain: the plain column update. Its own branch
+                    // because matrices without supernodes run nothing else,
+                    // and the block set-up below costs them a quarter more.
+                    let t = u_rows[up] as usize;
+                    let v = std::mem::take(&mut x[t]);
+                    u_vals[up] = v;
+                    col_max = col_max.max(v.abs());
+                    if v != 0.0 {
+                        let lr = l_colptr[t]..l_colptr[t + 1];
+                        update_rows(x, &l_rows[lr.clone()], [&l_vals[lr]], [v]);
+                    }
+                    up += 1;
+                    continue;
+                }
+                let ts = &u_rows[up..up + w];
+                let mut xr = [0.0_f64; BLOCK];
+                let mut all_nonzero = true;
+                for i in 0..w {
+                    let v = std::mem::take(&mut x[ts[i] as usize]);
+                    u_vals[up + i] = v;
+                    xr[i] = v;
+                    col_max = col_max.max(v.abs());
+                    if v != 0.0 {
+                        let ls = l_colptr[ts[i] as usize];
+                        update_rows(x, &ts[i + 1..], [&l_vals[ls..]], [v]);
+                    } else {
+                        all_nonzero = false;
                     }
                 }
-            }
-            let piv_row = self.p[k];
-            let pivot = x[piv_row];
-            // Degradation check: the frozen pivot must not be tiny either
-            // absolutely or RELATIVE to its column — values restamped with
-            // very different magnitudes (e.g. a companion model at a much
-            // smaller time step) can make a once-good pivot numerically
-            // meaningless while still above any absolute floor, which would
-            // silently produce garbage solutions.
-            let mut col_max = pivot.abs();
-            for up in us..ue {
-                col_max = col_max.max(self.u_vals[up].abs());
-            }
-            for lp in ls..le {
-                col_max = col_max.max(x[self.l_rows[lp]].abs());
-            }
-            if pivot.abs() < self.opts.pivot_floor || pivot.abs() < 1e-10 * col_max {
-                // Clean the workspace before bailing so the factor object
-                // can be refactored again after a fresh stamp.
-                for up in us..ue {
-                    x[self.p[self.u_rows[up]]] = 0.0;
+                let last = ts[w - 1] as usize;
+                let rows = &l_rows[l_colptr[last]..l_colptr[last + 1]];
+                let tail = |i: usize| {
+                    let le = l_colptr[ts[i] as usize + 1];
+                    &l_vals[le - rows.len()..le]
+                };
+                match (w, all_nonzero) {
+                    (2, true) => update_rows(x, rows, [tail(0), tail(1)], [xr[0], xr[1]]),
+                    (3, true) => {
+                        update_rows(x, rows, [tail(0), tail(1), tail(2)], [xr[0], xr[1], xr[2]])
+                    }
+                    (4, true) => update_rows(x, rows, [tail(0), tail(1), tail(2), tail(3)], xr),
+                    // A zero multiplier in the block: one column at a time
+                    // skips a zero source column, which keeps the sign of a
+                    // zero target that applying it could flip.
+                    _ => {
+                        for (i, &v) in xr[..w].iter().enumerate() {
+                            if v != 0.0 {
+                                update_rows(x, rows, [tail(i)], [v]);
+                            }
+                        }
+                    }
                 }
-                for lp in ls..le {
-                    x[self.l_rows[lp]] = 0.0;
-                }
-                x[piv_row] = 0.0;
+                up += w;
+            }
+            // Gather (and zero) the pivot and the L part. Degradation check:
+            // the frozen pivot must not be tiny either absolutely or
+            // RELATIVE to its column — values restamped with very different
+            // magnitudes (e.g. a companion model at a much smaller time
+            // step) can make a once-good pivot numerically meaningless while
+            // still above any absolute floor, which would silently produce
+            // garbage solutions.
+            let pivot = std::mem::take(&mut x[k]);
+            col_max = col_max.max(pivot.abs());
+            let lr = l_colptr[k]..l_colptr[k + 1];
+            for (&r, l) in l_rows[lr.clone()].iter().zip(&mut l_vals[lr]) {
+                let v = std::mem::take(&mut x[r as usize]);
+                col_max = col_max.max(v.abs());
+                *l = v / pivot;
+            }
+            if pivot.abs() < opts.pivot_floor || pivot.abs() < 1e-10 * col_max {
                 return Err(SparseError::PivotDegraded { column: k, magnitude: pivot.abs() });
             }
-            self.u_diag[k] = pivot;
-            // Gather (and zero) the L part.
-            for lp in ls..le {
-                let r = self.l_rows[lp];
-                self.l_vals[lp] = x[r] / pivot;
-                x[r] = 0.0;
-            }
-            // Zero the U part and the pivot.
-            for up in us..ue {
-                x[self.p[self.u_rows[up]]] = 0.0;
-            }
-            x[piv_row] = 0.0;
+            u_diag[k] = pivot;
         }
+        Ok(())
+    }
+
+    /// `refactor`'s input check: shape, nnz and column pointers must be
+    /// those of the factored matrix (the scatter map is per stored entry).
+    fn check_pattern(&self, a: &CscMatrix) -> Result<()> {
+        if a.nrows() != self.n || a.ncols() != self.n {
+            return Err(SparseError::DimensionMismatch { expected: self.n, found: a.nrows() });
+        }
+        if a.nnz() != self.a_nnz() {
+            return Err(SparseError::DimensionMismatch { expected: self.a_nnz(), found: a.nnz() });
+        }
+        if let Some((&want, &got)) =
+            self.a_colptr.iter().zip(a.col_ptr()).find(|(want, got)| want != got)
+        {
+            return Err(SparseError::DimensionMismatch { expected: want, found: got });
+        }
+        debug_assert!(
+            a.row_idx().iter().zip(&self.a_pos).all(|(&r, &i)| self.pinv[r] == i as usize),
+            "refactor: row indices differ from the factored matrix"
+        );
         Ok(())
     }
 
@@ -387,12 +557,17 @@ impl SparseLu {
         self.u_rows.len() + self.n
     }
 
+    /// Number of stored entries of the factored matrix.
+    pub(crate) fn a_nnz(&self) -> usize {
+        self.a_pos.len()
+    }
+
     /// Fill ratio: `(nnz(L) + nnz(U)) / nnz(A)`.
     pub fn fill_ratio(&self) -> f64 {
-        if self.a_nnz == 0 {
+        if self.a_nnz() == 0 {
             return 0.0;
         }
-        (self.nnz_l() + self.nnz_u()) as f64 / self.a_nnz as f64
+        (self.nnz_l() + self.nnz_u()) as f64 / self.a_nnz() as f64
     }
 
     /// Crude reciprocal condition estimate: `min |u_kk| / max |u_kk|`.
@@ -441,15 +616,14 @@ impl SparseLu {
         }
         let y = scratch;
         // Forward solve L y = P b (unit diagonal), in pivot coordinates.
-        for k in 0..self.n {
-            y[k] = b[self.p[k]];
+        for (yk, &pk) in y.iter_mut().zip(&self.p) {
+            *yk = b[pk];
         }
         for k in 0..self.n {
             let yk = y[k];
             if yk != 0.0 {
-                for pp in self.l_colptr[k]..self.l_colptr[k + 1] {
-                    y[self.pinv[self.l_rows[pp]]] -= self.l_vals[pp] * yk;
-                }
+                let lr = self.l_colptr[k]..self.l_colptr[k + 1];
+                update_rows(y, &self.l_rows[lr.clone()], [&self.l_vals[lr]], [yk]);
             }
         }
         // Backward solve U w = y, in pivot coordinates (columns right-to-left).
@@ -457,14 +631,13 @@ impl SparseLu {
             let wk = y[k] / self.u_diag[k];
             y[k] = wk;
             if wk != 0.0 {
-                for up in self.u_colptr[k]..self.u_colptr[k + 1] {
-                    y[self.u_rows[up]] -= self.u_vals[up] * wk;
-                }
+                let ur = self.u_colptr[k]..self.u_colptr[k + 1];
+                update_rows(y, &self.u_rows[ur.clone()], [&self.u_vals[ur]], [wk]);
             }
         }
         // Undo the column permutation: x[q[k]] = w[k].
-        for k in 0..self.n {
-            x[self.q.perm()[k]] = y[k];
+        for (&yk, &qk) in y.iter().zip(self.q.perm()) {
+            x[qk] = yk;
         }
         Ok(())
     }
@@ -490,18 +663,20 @@ impl SparseLu {
         // the entries U(t, k) with t < k, giving a dot-product forward
         // substitution.
         for k in 0..n {
+            let ur = self.u_colptr[k]..self.u_colptr[k + 1];
             let mut s = w[k];
-            for up in self.u_colptr[k]..self.u_colptr[k + 1] {
-                s -= self.u_vals[up] * w[self.u_rows[up]];
+            for (&t, &u) in self.u_rows[ur.clone()].iter().zip(&self.u_vals[ur]) {
+                s -= u * w[t as usize];
             }
             w[k] = s / self.u_diag[k];
         }
         // u = L^-T v: L^T is unit upper triangular; L's column k holds
-        // L(pinv[r], k) with pinv[r] > k.
+        // L(r, k) with r > k.
         for k in (0..n).rev() {
+            let lr = self.l_colptr[k]..self.l_colptr[k + 1];
             let mut s = w[k];
-            for lp in self.l_colptr[k]..self.l_colptr[k + 1] {
-                s -= self.l_vals[lp] * w[self.pinv[self.l_rows[lp]]];
+            for (&r, &l) in self.l_rows[lr.clone()].iter().zip(&self.l_vals[lr]) {
+                s -= l * w[r as usize];
             }
             w[k] = s;
         }
@@ -590,6 +765,9 @@ mod tests {
     use super::*;
     use crate::coo::CooMatrix;
     use crate::dense::DenseMatrix;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     fn laplacian_2d(nx: usize, ny: usize) -> CscMatrix {
         let n = nx * ny;
@@ -855,5 +1033,307 @@ mod tests {
         let opts = LuOptions { pivot_threshold: 1.0, ..LuOptions::default() };
         let lu = SparseLu::factor(&a, &opts).unwrap();
         assert_solves(&a, &lu, 1e-10);
+    }
+
+    #[test]
+    fn refactor_rejects_a_different_pattern_of_equal_nnz() {
+        let entries = |moved: (usize, usize)| {
+            let mut t = CooMatrix::new(3, 3);
+            for (i, d) in [4.0, 5.0, 6.0].into_iter().enumerate() {
+                t.push(i, i, d).unwrap();
+            }
+            t.push(moved.0, moved.1, -1.0).unwrap();
+            t.to_csc()
+        };
+        let a = entries((0, 1));
+        let moved = entries((0, 2));
+        assert_eq!((a.nrows(), a.nnz()), (moved.nrows(), moved.nnz()));
+        let mut lu = SparseLu::factor(&a, &LuOptions::default()).unwrap();
+        assert!(matches!(lu.refactor(&moved), Err(SparseError::DimensionMismatch { .. })));
+        lu.refactor(&a).unwrap();
+        assert_solves(&a, &lu, 1e-12);
+    }
+
+    // ---- The kernels against a column-at-a-time reference ----------------
+
+    /// The refactorization loop as it was before chains, written against the
+    /// stored layout: one source column at a time with the `xr != 0.0` skip,
+    /// a private workspace scattered through `pinv` (not the scatter map),
+    /// separate `col_max` and zeroing passes.
+    fn refactor_reference(lu: &mut SparseLu, a: &CscMatrix) -> Result<()> {
+        lu.check_pattern(a)?;
+        let mut x = vec![0.0_f64; lu.n];
+        for k in 0..lu.n {
+            let (us, ue) = (lu.u_colptr[k], lu.u_colptr[k + 1]);
+            let (ls, le) = (lu.l_colptr[k], lu.l_colptr[k + 1]);
+            let (a_rows, a_vals) = a.col(lu.q.perm()[k]);
+            for (&r, &v) in a_rows.iter().zip(a_vals) {
+                if !v.is_finite() {
+                    return Err(SparseError::NotFinite {
+                        context: "matrix entry during refactorization",
+                    });
+                }
+                x[lu.pinv[r]] = v;
+            }
+            for up in us..ue {
+                let t = lu.u_rows[up] as usize;
+                let xr = x[t];
+                lu.u_vals[up] = xr;
+                if xr != 0.0 {
+                    for pp in lu.l_colptr[t]..lu.l_colptr[t + 1] {
+                        x[lu.l_rows[pp] as usize] -= lu.l_vals[pp] * xr;
+                    }
+                }
+            }
+            let pivot = x[k];
+            let mut col_max = pivot.abs();
+            for up in us..ue {
+                col_max = col_max.max(lu.u_vals[up].abs());
+            }
+            for lp in ls..le {
+                col_max = col_max.max(x[lu.l_rows[lp] as usize].abs());
+            }
+            if pivot.abs() < lu.opts.pivot_floor || pivot.abs() < 1e-10 * col_max {
+                return Err(SparseError::PivotDegraded { column: k, magnitude: pivot.abs() });
+            }
+            lu.u_diag[k] = pivot;
+            for lp in ls..le {
+                let r = lu.l_rows[lp] as usize;
+                lu.l_vals[lp] = x[r] / pivot;
+                x[r] = 0.0;
+            }
+            for up in us..ue {
+                x[lu.u_rows[up] as usize] = 0.0;
+            }
+            x[k] = 0.0;
+        }
+        Ok(())
+    }
+
+    /// Forward/backward substitution as indexed loops over the stored layout.
+    fn solve_reference(lu: &SparseLu, b: &[f64]) -> Vec<f64> {
+        let n = lu.n;
+        let mut y: Vec<f64> = (0..n).map(|k| b[lu.p[k]]).collect();
+        for k in 0..n {
+            let yk = y[k];
+            if yk != 0.0 {
+                for pp in lu.l_colptr[k]..lu.l_colptr[k + 1] {
+                    y[lu.l_rows[pp] as usize] -= lu.l_vals[pp] * yk;
+                }
+            }
+        }
+        for k in (0..n).rev() {
+            let wk = y[k] / lu.u_diag[k];
+            y[k] = wk;
+            if wk != 0.0 {
+                for up in lu.u_colptr[k]..lu.u_colptr[k + 1] {
+                    y[lu.u_rows[up] as usize] -= lu.u_vals[up] * wk;
+                }
+            }
+        }
+        let mut x = vec![0.0; n];
+        for k in 0..n {
+            x[lu.q.perm()[k]] = y[k];
+        }
+        x
+    }
+
+    /// The transposed solve as indexed dot products over the stored layout.
+    fn solve_transpose_reference(lu: &SparseLu, b: &[f64]) -> Vec<f64> {
+        let n = lu.n;
+        let mut w: Vec<f64> = (0..n).map(|k| b[lu.q.perm()[k]]).collect();
+        for k in 0..n {
+            let mut s = w[k];
+            for up in lu.u_colptr[k]..lu.u_colptr[k + 1] {
+                s -= lu.u_vals[up] * w[lu.u_rows[up] as usize];
+            }
+            w[k] = s / lu.u_diag[k];
+        }
+        for k in (0..n).rev() {
+            let mut s = w[k];
+            for lp in lu.l_colptr[k]..lu.l_colptr[k + 1] {
+                s -= lu.l_vals[lp] * w[lu.l_rows[lp] as usize];
+            }
+            w[k] = s;
+        }
+        let mut x = vec![0.0; n];
+        for k in 0..n {
+            x[lu.p[k]] = w[k];
+        }
+        x
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Refactors `lu` with the kernel and `reference` with the reference
+    /// loop; on success the factors and both solves must agree bit for bit,
+    /// on failure the errors must be equal, and either way the persistent
+    /// workspace must be back to all (positive) zeros.
+    fn assert_refactor_matches_reference(
+        lu: &mut SparseLu,
+        reference: &mut SparseLu,
+        a: &CscMatrix,
+    ) -> Result<()> {
+        let got = lu.refactor(a);
+        assert_eq!(got, refactor_reference(reference, a));
+        assert!(lu.work.iter().all(|v| v.to_bits() == 0), "workspace left dirty after {got:?}");
+        if got.is_ok() {
+            assert_eq!(bits(&lu.l_vals), bits(&reference.l_vals));
+            assert_eq!(bits(&lu.u_vals), bits(&reference.u_vals));
+            assert_eq!(bits(&lu.u_diag), bits(&reference.u_diag));
+            let b: Vec<f64> = (0..lu.n).map(|i| (i as f64 * 0.37).sin() + 0.25).collect();
+            assert_eq!(bits(&lu.solve(&b)?), bits(&solve_reference(reference, &b)));
+            assert_eq!(
+                bits(&lu.solve_transpose(&b)?),
+                bits(&solve_transpose_reference(reference, &b))
+            );
+        }
+        got
+    }
+
+    /// Blocks of two or more chained entries, as `refactor` splits them,
+    /// that hold a zero multiplier after a refactorization: each took the
+    /// per-column fallback.
+    fn blocks_with_a_zero_multiplier(lu: &SparseLu) -> usize {
+        let mut count = 0;
+        for k in 0..lu.n {
+            let (mut up, ue) = (lu.u_colptr[k], lu.u_colptr[k + 1]);
+            while up < ue {
+                let w = usize::from(lu.u_run[up]).min(BLOCK);
+                count += usize::from(w > 1 && lu.u_vals[up..up + w].contains(&0.0));
+                up += w;
+            }
+        }
+        count
+    }
+
+    #[test]
+    fn laplacian_runs_the_four_wide_block_its_remainders_and_the_zero_fallback() {
+        let a = laplacian_2d(12, 12);
+        let mut lu = SparseLu::factor(&a, &LuOptions::default()).unwrap();
+        // A chain of 5..=7 entries splits into a block of four and a
+        // remainder of one, two or three; this mesh has all of them.
+        for width in 5..=7 {
+            assert!(lu.u_run.contains(&width), "no chain of width {width}");
+        }
+        let mut reference = lu.clone();
+        assert_refactor_matches_reference(&mut lu, &mut reference, &a).unwrap();
+        assert_eq!(blocks_with_a_zero_multiplier(&lu), 0);
+        // Explicit zeros in every third column's off-diagonals put zero
+        // multipliers next to nonzero ones inside chains.
+        let mut zeros = a.clone();
+        let coords: Vec<(usize, usize)> = a.iter().map(|(r, c, _)| (r, c)).collect();
+        for (v, &(r, c)) in zeros.values_mut().iter_mut().zip(&coords) {
+            if r != c && c % 3 == 0 && (r + c) % 2 == 1 {
+                *v = 0.0;
+            }
+        }
+        assert_refactor_matches_reference(&mut lu, &mut reference, &zeros).unwrap();
+        assert!(blocks_with_a_zero_multiplier(&lu) > 0, "zero-multiplier fallback did not run");
+        assert_refactor_matches_reference(&mut lu, &mut reference, &a).unwrap();
+    }
+
+    /// A banded pattern with random fill outside the band. Every even row
+    /// `i` flagged in the returned `branch` has no diagonal entry and a strong
+    /// `(i, i + 1)` / `(i + 1, i)` pair instead (an MNA voltage-source
+    /// branch), which forces an off-diagonal pivot.
+    fn banded_plus_fill(n: usize, band: usize, rng: &mut StdRng) -> (CscMatrix, Vec<bool>) {
+        let mut branch = vec![false; n];
+        for i in (0..n - 1).step_by(2) {
+            branch[i] = rng.gen_range(0..5usize) == 0;
+        }
+        // Kept for certain: diagonals of ordinary rows and the branch pairs.
+        let fixed = |r: usize, c: usize| match r.abs_diff(c) {
+            0 => Some(!branch[r]),
+            1 if branch[r.min(c)] => Some(true),
+            _ => None,
+        };
+        let mut t = CooMatrix::new(n, n);
+        for r in 0..n {
+            for c in r.saturating_sub(band)..(r + band + 1).min(n) {
+                if fixed(r, c).unwrap_or_else(|| rng.gen_range(0..10usize) < 7) {
+                    t.push(r, c, 1.0).unwrap();
+                }
+            }
+        }
+        for _ in 0..n / 2 {
+            let (r, c) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if r.abs_diff(c) > band {
+                t.push(r, c, 1.0).unwrap();
+            }
+        }
+        (t.to_csc(), branch)
+    }
+
+    /// Redraws every value of `pattern`: dominant diagonals, strong branch
+    /// pairs, weak off-diagonals of which about one in `zero_one_in` is an
+    /// explicit zero of either sign (`0` for none) — a skipped zero source
+    /// column and an applied one differ only in the sign of a zero target.
+    fn redraw(
+        pattern: &CscMatrix,
+        branch: &[bool],
+        zero_one_in: usize,
+        rng: &mut StdRng,
+    ) -> CscMatrix {
+        let coords: Vec<(usize, usize)> = pattern.iter().map(|(r, c, _)| (r, c)).collect();
+        let mut a = pattern.clone();
+        for (v, (r, c)) in a.values_mut().iter_mut().zip(coords) {
+            *v = if r == c {
+                rng.gen_range(4.0..9.0)
+            } else if r.abs_diff(c) == 1 && branch[r.min(c)] {
+                rng.gen_range(1.0..2.0)
+            } else if zero_one_in > 0 && rng.gen_range(0..zero_one_in) == 0 {
+                [0.0, -0.0][rng.gen_range(0..2usize)]
+            } else {
+                rng.gen_range(-1.0..1.0)
+            };
+        }
+        a
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn refactor_and_solves_are_bit_equal_to_the_reference(
+            n in 4usize..=48,
+            band in 1usize..=4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (pattern, branch) = banded_plus_fill(n, band, &mut rng);
+            let first = redraw(&pattern, &branch, 0, &mut rng);
+            let Ok(mut lu) = SparseLu::factor(&first, &LuOptions::default()) else {
+                return Err(TestCaseError::Reject("singular draw"));
+            };
+            let mut reference = lu.clone();
+            // Values redrawn per refactorization; a frozen pivot may degrade
+            // on a draw, in which case both sides must say so alike.
+            for zero_one_in in [0, 6, 3] {
+                let a = redraw(&pattern, &branch, zero_one_in, &mut rng);
+                let _ = assert_refactor_matches_reference(&mut lu, &mut reference, &a);
+            }
+            // A zeroed column collapses its frozen pivot after the columns
+            // before it went through; a NaN stops a scatter half-way. The
+            // good matrix afterwards finds the workspace clean.
+            let good = redraw(&pattern, &branch, 0, &mut rng);
+            if assert_refactor_matches_reference(&mut lu, &mut reference, &good).is_err() {
+                return Err(TestCaseError::Reject("frozen pivots degraded on the good draw"));
+            }
+            let j = rng.gen_range(0..n);
+            let mut degraded = good.clone();
+            let (s, e) = (degraded.col_ptr()[j], degraded.col_ptr()[j + 1]);
+            degraded.values_mut()[s..e].fill(0.0);
+            let got = assert_refactor_matches_reference(&mut lu, &mut reference, &degraded);
+            prop_assert!(matches!(got, Err(SparseError::PivotDegraded { .. })), "{:?}", got);
+            assert_refactor_matches_reference(&mut lu, &mut reference, &good).unwrap();
+            let mut nan = good.clone();
+            nan.values_mut()[e - 1] = f64::NAN;
+            let got = assert_refactor_matches_reference(&mut lu, &mut reference, &nan);
+            prop_assert!(matches!(got, Err(SparseError::NotFinite { .. })), "{:?}", got);
+            assert_refactor_matches_reference(&mut lu, &mut reference, &good).unwrap();
+        }
     }
 }

@@ -6,7 +6,10 @@
 //! the trajectories against constants generated at the commit *before* the
 //! stamping kernel and direct-LU backend were unified: FNV-1a over
 //! `f64::to_bits` of every accepted time point and every solution sample,
-//! plus the Newton / point / factorization counters.
+//! plus the Newton / point / factorization counters. The `power_grid(16,16)`
+//! rows were added, at the commit before it, by the change that rewrote the
+//! frozen-pivot LU kernels: half of that grid's refactorization multiply-adds
+//! run in supernode chains of four or more, a tenth of the 6x6 grid's.
 //!
 //! The constants depend on the host's `libm` (`exp`/`ln` in the device
 //! models); on a mismatch the failure message prints the whole table in
@@ -34,6 +37,10 @@ const GOLDEN: &[Row] = &[
     ("power_grid(6,6)", "serial", false, 0x28faa76184af2963, 604, 301, 604),
     ("power_grid(6,6)", "backward_x2", true, 0xea28e0e8b75f89a4, 780, 319, 396),
     ("power_grid(6,6)", "backward_x2", false, 0x2db574d521c4b012, 780, 319, 780),
+    ("power_grid(16,16)", "serial", true, 0x228643530391cec1, 907, 461, 376),
+    ("power_grid(16,16)", "serial", false, 0x7f35f759ec6604e5, 907, 461, 907),
+    ("power_grid(16,16)", "backward_x2", true, 0x8b4ee93e81dbdd62, 966, 472, 486),
+    ("power_grid(16,16)", "backward_x2", false, 0xf0ef38ff3290cfd2, 966, 472, 966),
     ("diode_rectifier", "serial", true, 0x8378fa08c648a5a1, 1037, 276, 400),
     ("diode_rectifier", "serial", false, 0xc62f148d7f0a11c6, 954, 280, 954),
     ("diode_rectifier", "backward_x2", true, 0xe01347380128d376, 1838, 304, 665),
@@ -87,10 +94,11 @@ fn run(b: &Benchmark, scheme: &str, caches: bool) -> (TransientResult, SimStats)
 
 #[test]
 fn trajectories_match_the_parent_commit_bit_for_bit() {
-    let decks: [(&'static str, Benchmark); 4] = [
+    let decks: [(&'static str, Benchmark); 5] = [
         ("inverter_chain(8)", generators::inverter_chain(8)),
         ("rc_ladder(30)", generators::rc_ladder(30)),
         ("power_grid(6,6)", generators::power_grid(6, 6)),
+        ("power_grid(16,16)", generators::power_grid(16, 16)),
         ("diode_rectifier", generators::diode_rectifier()),
     ];
     let mut got: Vec<Row> = Vec::new();
