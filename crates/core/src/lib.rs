@@ -19,10 +19,16 @@
 //! * [`Scheme::Adaptive`] — per-round selection between backward and
 //!   forward based on measured efficiency (an extension beyond the paper).
 //!
+//! The four are one round planner (`round`) under different
+//! `(ladder, chain)` plans — `(p, 0)`, `(1, p-1)`, `(p-1, 1)` and a per-round
+//! choice between the first two — driving the lanes of `pipeline`.
+//!
 //! Every accepted point passes the **same** Newton tolerance and
-//! local-truncation-error test as the serial engine (the code is literally
-//! shared), so convergence and accuracy are never compromised — misprediction
-//! and over-ambitious leads only cost discarded work.
+//! local-truncation-error test as the serial engine: a round commits through
+//! the engine's own [`wavepipe_engine::StepController`], the one the serial
+//! loop runs on, so at one thread every scheme *is* the serial run.
+//! Convergence and accuracy are never compromised — misprediction and
+//! over-ambitious leads only cost discarded work.
 //!
 //! # Example
 //!
@@ -43,13 +49,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod adaptive;
-pub mod backward;
-pub mod combined;
-pub mod forward;
 mod options;
 mod pipeline;
 mod report;
+mod round;
 pub mod verify;
 
 pub use options::{Scheme, WavePipeOptions};
@@ -125,9 +128,6 @@ pub fn run_wavepipe_recoverable(
             };
             Ok(RunOutcome { report, error: outcome.error })
         }
-        Scheme::Backward => backward::run_backward_recoverable(circuit, tstep, tstop, opts),
-        Scheme::Forward => forward::run_forward_recoverable(circuit, tstep, tstop, opts),
-        Scheme::Combined => combined::run_combined_recoverable(circuit, tstep, tstop, opts),
-        Scheme::Adaptive => adaptive::run_adaptive_recoverable(circuit, tstep, tstop, opts),
+        _ => round::run(circuit, tstep, tstop, opts),
     }
 }

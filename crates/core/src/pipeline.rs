@@ -1,6 +1,9 @@
-//! Shared machinery for the pipelining schemes: the run driver (history,
-//! breakpoints, step control, commit logic identical to the serial engine)
-//! and the concurrent round executor.
+//! What a pipelined run has that a serial one does not: the lanes. The
+//! [`Driver`] owns the worker pool and the concurrent round executor, the
+//! hand-off ledger, the critical-path accounting and the lead-placement
+//! state; every step decision it delegates to the engine's
+//! [`StepController`] — the one the serial loop runs on — so there is no
+//! second copy of step control here to keep equal.
 
 use crate::options::{Scheme, WavePipeOptions};
 use crate::report::WavePipeReport;
@@ -9,12 +12,11 @@ use std::sync::mpsc::{channel, Receiver, RecvError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use wavepipe_circuit::Circuit;
-use wavepipe_engine::lte::lte_step_control;
 use wavepipe_engine::{
-    EngineError, HistoryWindow, MnaSystem, PointSolution, PointSolver, Result, SimOptions,
-    SimStats, TransientResult,
+    Commit, EngineError, HistoryWindow, MnaSystem, PointSolution, PointSolver, Result, SimOptions,
+    SimStats, StepController,
 };
-use wavepipe_telemetry::{Counter, DiscardReason, EventKind, Family, Gauge, Series};
+use wavepipe_telemetry::{Counter, DiscardReason, EventKind, Family, Gauge};
 
 /// Static label for a scheme, for metric families (avoids a per-point
 /// `to_string` allocation on the accept path).
@@ -247,41 +249,19 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Outcome of attempting to commit one candidate point.
-pub(crate) enum Commit {
-    /// Point accepted; `h_next` is the LTE-proposed next step.
-    Accepted {
-        /// Proposed next step size.
-        h_next: f64,
-    },
-    /// Rejected by the LTE test; retry with `h_retry`.
-    RejectedLte {
-        /// Suggested retry step.
-        h_retry: f64,
-    },
-    /// Newton did not converge (or produced non-finite values).
-    RejectedNewton,
-}
-
-/// The per-run driver: everything the scheme loops share.
+/// The per-run driver: the lanes, and everything the round planner needs
+/// to schedule them.
 pub(crate) struct Driver {
-    pub sys: Arc<MnaSystem>,
     /// Solver used by the coordinating thread (round base points,
-    /// speculative refinements).
+    /// speculative refinements, rescues).
     pub lead: PointSolver,
     pool: WorkerPool,
     pub wp: WavePipeOptions,
-    pub tstep: f64,
-    pub tstop: f64,
-    pub hmin: f64,
-    pub hmax: f64,
-    bps: Vec<f64>,
-    next_bp: usize,
-    pub hw: HistoryWindow,
-    /// Current base step proposal.
-    pub h: f64,
+    /// Step control: the window, breakpoints, history, base step, waveform
+    /// and counters. Slot 0 of every round is its serial point.
+    pub ctl: StepController,
     /// LTE growth factor observed at the last accepted point (used by the
-    /// adaptive backward-lead placement).
+    /// forward stride rule).
     pub last_growth: f64,
     /// LTE error ratio observed at the last accepted point (<= 1).
     pub last_ratio: f64,
@@ -291,11 +271,6 @@ pub(crate) struct Driver {
     /// Hysteresis state: whether deep ladders / speculation are currently
     /// enabled (flips at lead-EMA 0.45 up / 0.25 down).
     deep_mode: bool,
-    /// Consecutive base-point LTE rejections (escape hatch for error floors,
-    /// mirroring the serial engine's backward-Euler restart).
-    lte_reject_streak: usize,
-    pub result: TransientResult,
-    pub total: SimStats,
     pub critical_work: u64,
     pub critical_ns: u128,
     /// The hand-off ledger: four laps of one clock ([`Driver::lap`]) per
@@ -329,63 +304,27 @@ impl Driver {
     /// Compiles the circuit, solves the operating point (counted on the
     /// critical path — it is inherently sequential), and prepares the run.
     pub fn new(circuit: &Circuit, tstep: f64, tstop: f64, wp: &WavePipeOptions) -> Result<Self> {
-        if !(tstop > 0.0 && tstop.is_finite()) {
-            return Err(EngineError::BadParameter { name: "tstop", value: tstop });
-        }
-        if !(tstep > 0.0 && tstep.is_finite()) {
-            return Err(EngineError::BadParameter { name: "tstep", value: tstep });
-        }
         let run_start = Instant::now();
         let sys = Arc::new(MnaSystem::compile(circuit)?);
-        let width = wp.width();
         // Each lane (lead + pool workers) gets the per-lane engine options,
         // so the thread budget splits lanes x stamp workers.
         let lane_sim = wp.lane_sim();
         let mut lead = PointSolver::new(Arc::clone(&sys), lane_sim.clone());
-        let pool = WorkerPool::new(&sys, &lane_sim, width.saturating_sub(1), wp.worker_respawns);
-        let node_names: Vec<String> = sys.node_names().to_vec();
-        let mut result = TransientResult::new(sys.n_unknowns(), node_names);
-        result.set_branch_names(sys.branch_names().to_vec());
-
-        let mut dc_stats = SimStats::new();
+        let pool =
+            WorkerPool::new(&sys, &lane_sim, wp.width().saturating_sub(1), wp.worker_respawns);
         let dc_start = Instant::now();
-        let x0 = lead.initial_state(&mut dc_stats)?;
-        dc_stats.wall_ns = dc_start.elapsed().as_nanos();
-        result.push(0.0, &x0);
-        // Arm the deadline only now, after the DC solve, mirroring the serial
-        // engine: a zero budget still yields the `t = 0` point.
-        wp.sim.arm_deadline();
-        let hw = HistoryWindow::start(x0, sys.cap_state_count());
-
-        let bps = sys.breakpoints(tstop);
-        let hmin = wp.sim.hmin(tstop);
-        let hmax = wp.sim.hmax(tstop);
-        let h = tstep.min(hmax).min(tstop / 100.0).max(hmin);
-        let critical_work = dc_stats.work_units();
-        let critical_ns = dc_stats.wall_ns;
-
+        let ctl = StepController::start(&mut lead, tstep, tstop, &wp.sim)?;
         Ok(Driver {
-            sys,
             lead,
             pool,
             wp: wp.clone(),
-            tstep,
-            tstop,
-            hmin,
-            hmax,
-            bps,
-            next_bp: 0,
-            hw,
-            h,
             last_growth: 1.0,
             last_ratio: 0.5,
             lead_ema: 0.5,
             deep_mode: true,
-            lte_reject_streak: 0,
-            result,
-            total: dc_stats,
-            critical_work,
-            critical_ns,
+            critical_work: ctl.stats().work_units(),
+            critical_ns: dc_start.elapsed().as_nanos(),
+            ctl,
             dispatch_ns: 0,
             lead_ns: 0,
             wait_ns: 0,
@@ -511,7 +450,7 @@ impl Driver {
         self.pool.respawn_dead();
         if self.pool.len() > 0 && self.pool.alive() == 0 && !self.serial_fallback_emitted {
             self.serial_fallback_emitted = true;
-            self.wp.sim.probe.emit(self.hw.t(), EventKind::FallbackSerial);
+            self.wp.sim.probe.emit(self.ctl.t(), EventKind::FallbackSerial);
             self.wp.sim.metrics.inc(Counter::SerialFallbacks);
         }
         Ok(out
@@ -567,7 +506,7 @@ impl Driver {
         max_iters: usize,
     ) -> Result<PointSolution> {
         match catch_unwind(AssertUnwindSafe(|| {
-            self.lead.solve_point(&self.hw, t, Some(guess), max_iters)
+            self.lead.solve_point(self.ctl.history(), t, Some(guess), max_iters)
         })) {
             Ok(r) => r,
             Err(payload) => Err(EngineError::WorkerLost { lane: 0, cause: panic_cause(payload) }),
@@ -581,122 +520,30 @@ impl Driver {
         requested.min(1 + self.pool.alive()).max(1)
     }
 
-    /// Checks the run's cancellation token / deadline at a round boundary.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Cancelled`] or [`EngineError::DeadlineExceeded`].
-    pub fn check_budget(&self) -> Result<()> {
-        self.wp.sim.check_budget(self.hw.t())
-    }
-
-    /// `true` once the simulation reached `tstop`.
-    pub fn done(&self) -> bool {
-        self.hw.t() >= self.tstop - 0.5 * self.hmin
-    }
-
-    /// The next un-passed breakpoint (or `tstop`). Also advances past any
-    /// breakpoints the history has already crossed.
-    pub fn horizon(&mut self) -> f64 {
-        while self.next_bp < self.bps.len()
-            && self.bps[self.next_bp] <= self.hw.t() + 0.5 * self.hmin
-        {
-            self.next_bp += 1;
-        }
-        self.bps.get(self.next_bp).copied().unwrap_or(self.tstop).min(self.tstop)
-    }
-
-    /// Clips an ascending target list at the horizon: targets beyond it are
-    /// dropped and the last kept target snaps onto it. Returns the clipped
-    /// list and whether the final target sits on the horizon (a breakpoint
-    /// or `tstop`).
-    pub fn clip_targets(&mut self, raw: &[f64]) -> (Vec<f64>, bool) {
-        let limit = self.horizon();
-        let mut out = Vec::with_capacity(raw.len());
-        let mut hit = false;
-        for &t in raw {
-            if t >= limit - 0.5 * self.hmin {
-                out.push(limit);
-                hit = true;
-                break;
-            }
-            out.push(t);
-        }
-        (out, hit)
-    }
-
-    /// Serial-identical commit test for a candidate: Newton convergence,
-    /// finiteness, and the LTE accept/reject with the *actual* integration
-    /// stride the candidate used.
+    /// [`StepController::try_commit`], plus what the lanes want to know
+    /// about an accepted point: its growth and error ratio place the next
+    /// round's leads.
     pub fn try_commit(&mut self, sol: &PointSolution) -> Commit {
-        if !sol.converged || !wavepipe_sparse::vector::all_finite(&sol.x) {
-            return Commit::RejectedNewton;
+        let commit = self.ctl.try_commit(sol);
+        if let Commit::Accepted { growth, ratio, .. } = commit {
+            self.last_growth = growth;
+            self.last_ratio = ratio;
+            self.count_scheme_point();
         }
-        let needed = sol.method.order() + 1;
-        let h_used = sol.coeffs.h;
-        if self.hw.usable_for_lte() >= needed {
-            let refs: Vec<&[f64]> =
-                self.hw.solutions()[..needed].iter().map(|v| v.as_slice()).collect();
-            let d = lte_step_control(
-                sol.method,
-                sol.t,
-                &sol.x,
-                h_used,
-                &self.hw.times()[..needed],
-                &refs,
-                &self.wp.sim,
-            );
-            if !d.accept && h_used > self.hmin * 1.01 {
-                return Commit::RejectedLte { h_retry: d.h_new };
-            }
-            self.lte_reject_streak = 0;
-            self.last_growth = (d.h_new / h_used).max(0.1);
-            self.last_ratio = d.ratio.max(1e-9);
-            self.accept(sol);
-            Commit::Accepted { h_next: d.h_new }
-        } else {
-            self.last_growth = self.wp.sim.rmax;
-            self.last_ratio = 1e-9;
-            self.accept(sol);
-            Commit::Accepted { h_next: h_used * self.wp.sim.rmax }
-        }
+        commit
     }
 
-    fn accept(&mut self, sol: &PointSolution) {
-        self.wp.sim.probe.emit(sol.t, EventKind::PointAccepted { h: sol.coeffs.h });
-        let m = &self.wp.sim.metrics;
-        if m.enabled() {
-            m.inc(Counter::PointsAccepted);
-            m.add_lane(Family::PointsByLane, 1);
-            m.add_labeled(Family::PointsByScheme, scheme_label(self.wp.scheme), 1);
-            m.observe(Series::StepSize, sol.coeffs.h);
-            m.set_gauge(Gauge::CurrentH, sol.coeffs.h);
-        }
-        self.hw.accept(sol);
-        self.result.push(sol.t, &sol.x);
-        self.total.steps_accepted += 1;
+    fn count_scheme_point(&self) {
+        self.wp.sim.metrics.add_labeled(Family::PointsByScheme, scheme_label(self.wp.scheme), 1);
     }
 
-    /// Handles landing on the horizon: if it was a real breakpoint, restart
-    /// integration and shrink the step for the corner.
-    pub fn handle_breakpoint_landing(&mut self) {
-        let t = self.hw.t();
-        if self.next_bp < self.bps.len() && (self.bps[self.next_bp] - t).abs() <= 0.5 * self.hmin {
-            self.next_bp += 1;
-            self.hw.mark_discontinuity();
-            let to_next =
-                self.bps.get(self.next_bp).map_or(self.tstop - t, |&b| b - t).max(self.hmin);
-            self.h = self.h.min(self.tstep * 0.25).min((to_next * 0.25).max(self.hmin));
-        }
-    }
-
-    /// Adds a round's concurrent task costs: everything into `total`, the
-    /// maximum into the critical path.
+    /// Adds a round's concurrent task costs: everything into the run's
+    /// totals, the maximum into the critical path.
     pub fn account_parallel(&mut self, task_stats: &[SimStats]) {
         let mut max_work = 0u64;
         let mut max_ns = 0u128;
         for s in task_stats {
-            self.total += *s;
+            *self.ctl.stats_mut() += *s;
             max_work = max_work.max(s.work_units());
             max_ns = max_ns.max(s.wall_ns);
         }
@@ -714,7 +561,7 @@ impl Driver {
     /// Adds inherently sequential work (speculation refinement, serial
     /// fix-up solves) to both totals and the critical path.
     pub fn account_sequential(&mut self, s: &SimStats) {
-        self.total += *s;
+        *self.ctl.stats_mut() += *s;
         self.critical_work += s.work_units();
         self.critical_ns += s.wall_ns;
     }
@@ -738,8 +585,9 @@ impl Driver {
     /// is not launched at all — in error-bound phases it would fail its LTE
     /// test with certainty, and an un-launched task keeps the round's
     /// critical path at the base solve. In growth phases (tiny error ratio)
-    /// the budget is huge and the full ladder width is used.
-    pub fn backward_ladder(&self, width: usize) -> Vec<f64> {
+    /// the budget is huge and the full ladder width is used. Also returns
+    /// the last rung's gap, which a speculative chain strides on from.
+    pub fn backward_ladder(&self, width: usize) -> (Vec<f64>, f64) {
         let growth = self.lead_growth();
         let order = self.wp.sim.method.order() as f64;
         // Total stride budget from the last accepted point. Not clamped to
@@ -751,7 +599,7 @@ impl Driver {
         // where leads keep paying, the full configured slack applies.
         let budget = if self.wp.bp_adaptive_lead && self.wp.bp_budget_slack.is_finite() {
             let slack = 1.0 + (self.wp.bp_budget_slack - 1.0) * (self.lead_ema / 0.3).min(1.0);
-            self.h * (0.95 / self.last_ratio).powf(1.0 / (order + 1.0)) * slack
+            self.ctl.h() * (0.95 / self.last_ratio).powf(1.0 / (order + 1.0)) * slack
         } else {
             f64::INFINITY
         };
@@ -770,36 +618,20 @@ impl Driver {
         let width =
             if self.wp.bp_adaptive_lead && !self.deep_mode() { width.min(2) } else { width };
         let mut targets = Vec::with_capacity(width);
-        let t0 = self.hw.t();
+        let t0 = self.ctl.t();
         let mut t = t0;
-        let mut gap = self.h;
+        let mut gap = self.ctl.h();
+        let mut last_gap = gap;
         for i in 0..width {
             t += gap;
             if i > 0 && t - t0 > budget {
                 break;
             }
             targets.push(t);
-            gap = (gap * growth).min(self.hmax);
+            last_gap = gap;
+            gap = (gap * growth).min(self.ctl.hmax());
         }
-        targets
-    }
-
-    /// Handles an LTE rejection of the round's *base* point: mirrors the
-    /// serial engine exactly, including the backward-Euler restart escape
-    /// when the error estimate stops responding to step shrinks
-    /// (trapezoidal ringing / noise-dominated divided differences).
-    pub fn base_lte_reject(&mut self, h_attempt: f64, h_retry: f64) {
-        self.total.steps_rejected_lte += 1;
-        self.wp.sim.metrics.inc(Counter::LteRejects);
-        self.lte_reject_streak += 1;
-        let crawling = h_attempt < self.hmin * 1e3;
-        if self.lte_reject_streak >= 3 || crawling {
-            self.hw.mark_discontinuity();
-            self.lte_reject_streak = 0;
-            self.h = h_attempt;
-        } else {
-            self.h = h_retry;
-        }
+        (targets, last_gap)
     }
 
     /// Records a lead-point outcome in the accept-rate EMA.
@@ -825,66 +657,39 @@ impl Driver {
         self.deep_mode
     }
 
-    /// Newton failure on the base point: shrink and retry — and when the
-    /// step has already collapsed to the floor, run the engine's convergence
-    /// recovery ladder on the *lead* lane (speculation was already discarded
-    /// by the caller; a rescued point commits through the same accept
-    /// machinery and restarts integration exactly as the serial loop does,
-    /// preserving waveform bit-identity with the serial recovery path).
-    /// `failed_iters` is the iteration count of the failing base solve, for
-    /// the failure report. Returns `true` when a rescued point was committed
-    /// (so callers can count it in the round's committed total).
+    /// Newton failure on the base point: the controller shrinks the step,
+    /// and once that falls below the floor runs the recovery ladder on the
+    /// *lead* lane (speculation was already discarded by the caller) — the
+    /// serial loop's own sequence, so the waveform stays bit-identical with
+    /// the serial recovery path. The ladder is inherently sequential work.
+    /// Returns `true` when a rescued point was committed (so callers can
+    /// count it in the round's committed total).
     ///
     /// # Errors
     ///
-    /// * [`EngineError::TimestepTooSmall`] when the retry step would go
-    ///   below `hmin` and recovery is disabled.
-    /// * [`EngineError::NoConvergence`] when every recovery rung failed.
-    /// * Budget errors propagating out of a rescue solve.
+    /// See [`StepController::rescue`].
     pub fn newton_backoff(&mut self, h_attempt: f64, failed_iters: usize) -> Result<bool> {
-        self.total.steps_rejected_newton += 1;
-        self.wp.sim.metrics.inc(Counter::NewtonRejects);
-        self.h = h_attempt * self.wp.sim.nr_shrink;
-        if self.h < self.hmin {
-            if !self.wp.sim.recovery {
-                return Err(EngineError::TimestepTooSmall {
-                    time: self.hw.t(),
-                    step: self.h,
-                    hmin: self.hmin,
-                });
-            }
-            // The ladder is inherently sequential work on the lead lane.
-            let mut rstats = SimStats::new();
-            let rescued = self.lead.rescue_point(
-                &self.hw,
-                h_attempt,
-                self.hmin,
-                failed_iters,
-                &mut rstats,
-            )?;
-            self.account_sequential(&rstats);
-            self.accept(&rescued);
-            self.hw.mark_discontinuity();
-            self.lte_reject_streak = 0;
-            self.h = self.hmin;
-            return Ok(true);
+        if !self.ctl.newton_reject(h_attempt) {
+            return Ok(false);
         }
-        Ok(false)
+        let work = self.ctl.rescue(&mut self.lead, h_attempt, failed_iters)?;
+        self.critical_work += work.work_units();
+        self.critical_ns += work.wall_ns;
+        self.count_scheme_point();
+        Ok(true)
     }
 
     /// Packages the run into a report.
-    pub fn finish(mut self, scheme: Scheme) -> WavePipeReport {
-        self.total.wall_ns = self.run_start.elapsed().as_nanos();
-        let mut result = self.result;
-        result.set_stats(self.total);
+    pub fn finish(self, scheme: Scheme) -> WavePipeReport {
+        let result = self.ctl.finish(self.run_start.elapsed().as_nanos());
         WavePipeReport {
+            total: *result.stats(),
             result,
             scheme,
             threads: self.wp.threads,
             lanes: self.wp.lanes(),
             stamp_workers: self.wp.stamp_workers,
             rounds: self.rounds,
-            total: self.total,
             critical_work: self.critical_work,
             critical_ns: self.critical_ns,
             dispatch_ns: self.dispatch_ns,
@@ -906,9 +711,8 @@ impl Driver {
 /// (the base solve is not speculative) and propagates; an error at slot
 /// `i > 0` truncates the round there — every pool task is speculative, so
 /// discarding it and everything after is always safe; the committed prefix
-/// stays serial-identical. Returns the solutions and whether truncation
-/// happened. Slots below `spec_from` emit [`EventKind::LeadDiscarded`],
-/// the rest [`EventKind::SpeculationDiscarded`].
+/// stays serial-identical. Slots below `spec_from` emit
+/// [`EventKind::LeadDiscarded`], the rest [`EventKind::SpeculationDiscarded`].
 ///
 /// # Errors
 ///
@@ -917,7 +721,7 @@ pub(crate) fn usable_prefix(
     drv: &mut Driver,
     sols: Vec<Result<PointSolution>>,
     spec_from: usize,
-) -> Result<(Vec<PointSolution>, bool)> {
+) -> Result<Vec<PointSolution>> {
     let mut costs: Vec<SimStats> = Vec::with_capacity(sols.len());
     let mut solutions: Vec<PointSolution> = Vec::with_capacity(sols.len());
     let mut truncated = false;
@@ -935,13 +739,13 @@ pub(crate) fn usable_prefix(
             }
             Err(e) if i == 0 => return Err(e),
             Err(_) => {
-                emit_discard(drv, drv.hw.t(), i, spec_from, DiscardReason::WorkerLost);
+                emit_discard(drv, drv.ctl.t(), i, spec_from, DiscardReason::WorkerLost);
                 truncated = true;
             }
         }
     }
     drv.account_parallel(&costs);
-    Ok((solutions, truncated))
+    Ok(solutions)
 }
 
 fn emit_discard(drv: &Driver, t: f64, slot: usize, spec_from: usize, reason: DiscardReason) {
@@ -965,8 +769,8 @@ pub(crate) fn drive(
     width: usize,
     mut round: impl FnMut(&mut Driver, usize) -> Result<usize>,
 ) -> Option<EngineError> {
-    while !drv.done() {
-        if let Err(e) = drv.check_budget() {
+    while !drv.ctl.done() {
+        if let Err(e) = drv.ctl.check_budget() {
             return Some(e);
         }
         let w = drv.round_width(width);
@@ -982,8 +786,12 @@ pub(crate) fn drive(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backward::backward_round;
+    use crate::round::{round, Plan};
     use wavepipe_circuit::generators;
+
+    fn backward_round(drv: &mut Driver, width: usize) -> Result<usize> {
+        round(drv, Plan::of(Scheme::Backward, width))
+    }
 
     /// Far longer than any test runs: a receive that returns sooner was
     /// served by the poll loop, not by the parked `recv()` behind it.

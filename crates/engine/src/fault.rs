@@ -14,8 +14,15 @@
 //!   retries through (forced singular factorizations anywhere, NaN solutions
 //!   on speculative lanes only): worker panics would permanently shrink
 //!   pools and defeat the suite's speedup assertions, and a NaN on lane 0
-//!   would turn a serial run into a genuine [`crate::EngineError::NumericalBlowup`].
-//!   Targeted rules have no such restriction.
+//!   ends the run. Targeted rules have no such restriction.
+//!
+//! **The one rule for a non-finite point.** A converged but non-finite
+//! solution of the point the serial engine would have attempted — the serial
+//! loop's point, slot 0 of every pipelined round (lane 0's base solve) — is
+//! a terminal [`crate::EngineError::NumericalBlowup`] with the accepted
+//! prefix kept, in both tiers alike: shrinking the step cannot repair it. On
+//! any other slot the point was speculative and is merely discarded
+//! ([`crate::Commit::NonFinite`]).
 //!
 //! Determinism matters: the same plan against the same binary injects the
 //! same faults at the same points, so a chaos-leg failure in CI reproduces

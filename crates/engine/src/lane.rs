@@ -1,21 +1,27 @@
 //! The lane-packed batch execution tier: up to [`MAX_LANES`] transient
 //! instances advanced together, sharing one pass over the LU index structure
-//! per linear solve while every instance keeps its **own** scalar controller.
+//! per linear solve while every instance keeps its **own** step controller.
 //!
 //! # How it stays bit-identical
 //!
 //! The classic per-instance path is `run_transient_recoverable_compiled`:
-//! DC solve, then a step loop of predict → stamp → factor/solve → converge →
-//! LTE-accept. This module re-implements only the *orchestration* of that
-//! loop; every numeric kernel is either the identical function
-//! ([`MnaSystem::stamp_lane`], [`lte_step_control`], [`HistoryWindow`]
-//! predict/accept, [`MnaSystem::cap_currents_after`]) or a lane-packed kernel
-//! proven bit-equal to its scalar counterpart
-//! ([`LanePackedLu::refactor_lanes`] / [`LanePackedLu::solve_lanes`] vs
-//! [`SparseLu::refactor`] / `solve_with_scratch` — see
-//! [`wavepipe_sparse::lanes`]). Each lane keeps private step size, history
-//! window, Newton iterate, chord key, and LTE streak, so control flow per
-//! lane replays the classic loop decision-for-decision; lanes only
+//! DC solve, then a step loop of propose → predict → stamp → factor/solve →
+//! converge → commit. Two parts of that loop are not re-implemented here at
+//! all: the DC solve runs on the classic [`PointSolver`], and every *step
+//! decision* — the proposal with its clamping and breakpoint snapping, the
+//! Newton-reject shrink, the LTE accept/reject with its backward-Euler
+//! escape, the accept, the restart after a corner — is taken by the same
+//! [`StepController`] the classic loop runs on, one per lane. What this
+//! module does re-implement is the *Newton iteration* between proposal and
+//! commit, spread over ticks so lanes can share bulk kernels: every numeric
+//! kernel in it is either the identical function
+//! ([`MnaSystem::stamp_lane`], [`crate::HistoryWindow`] predict,
+//! [`MnaSystem::cap_currents_after`]) or a lane-packed kernel proven
+//! bit-equal to its scalar counterpart ([`LanePackedLu::refactor_lanes`] /
+//! [`LanePackedLu::solve_lanes`] vs [`SparseLu::refactor`] /
+//! `solve_with_scratch` — see [`wavepipe_sparse::lanes`]). Each lane keeps a
+//! private controller, Newton iterate and chord key, so control flow per
+//! lane follows the classic loop decision for decision; lanes only
 //! *synchronize* on bulk kernels, never on decisions.
 //!
 //! Two escape hatches preserve identity on the paths this module does not
@@ -25,10 +31,11 @@
 //!   pivoting is value-dependent) runs its linear algebra through a private
 //!   [`SparseLu`] inside the same tick loop — packed stamping, scalar
 //!   solves;
-//! * a lane that reaches any unmirrored path — the recovery ladder
-//!   (`h < hmin`), numerical blowup, a failed DC solve — is **ejected**: the
-//!   batch layer reruns it through the classic path from scratch, which *is*
-//!   the reference. Ejection can cost wall-clock, never bits.
+//! * a lane that reaches any unmirrored path — the controller reporting the
+//!   step below the floor (where the classic loop enters the recovery
+//!   ladder), a non-finite point or step, a failed DC solve — is **ejected**:
+//!   the batch layer reruns it through the classic path from scratch, which
+//!   *is* the reference. Ejection can cost wall-clock, never bits.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -36,15 +43,15 @@ use std::time::Instant;
 use wavepipe_sparse::lanes::{LanePackedLu, LaneSolve, MAX_LANES};
 use wavepipe_sparse::vector::{all_finite, norm_inf};
 use wavepipe_sparse::{CscMatrix, LuOptions, Permutation, SparseError, SparseLu};
-use wavepipe_telemetry::Counter;
+use wavepipe_telemetry::{Counter, MetricsHandle};
 
 use crate::integrate::{IntegCoeffs, Method};
-use crate::lte::lte_step_control;
 use crate::mna::{LinKey, MnaSystem, MnaWorkspace, StampInput};
 use crate::options::{CacheCtl, SimOptions};
 use crate::result::TransientResult;
 use crate::stats::SimStats;
-use crate::transient::{state_coeffs, HistoryWindow, PointSolution, PointSolver};
+use crate::stepctl::{Commit, StepController};
+use crate::transient::{state_coeffs, PointSolution, PointSolver};
 
 /// Engine-facing name for the lane-packed direct backend: K instances'
 /// numeric LU factors interleaved over one shared symbolic structure, with
@@ -113,9 +120,9 @@ enum Role {
 struct Lane {
     sys: Arc<MnaSystem>,
     ws: MnaWorkspace,
-    hw: HistoryWindow,
-    result: TransientResult,
-    stats: SimStats,
+    /// Every step decision (and the history, waveform and counters they
+    /// act on) — the classic loop's own controller, one per lane.
+    ctl: StepController,
     /// Stats snapshot taken after DC: the classic DC path publishes its own
     /// live metrics, so the group-end aggregate publishes only the delta.
     dc_stats: SimStats,
@@ -128,14 +135,10 @@ struct Lane {
     scratch: Vec<f64>,
     resid: Vec<f64>,
     rowsum: Vec<f64>,
-    bps: Vec<f64>,
-    next_bp: usize,
-    h: f64,
-    lte_streak: usize,
     phase: Phase,
     // Current point.
     t_new: f64,
-    hit_bp: bool,
+    on_horizon: bool,
     method: Method,
     coeffs: IntegCoeffs,
     it: usize,
@@ -179,10 +182,6 @@ struct GroupCtx {
     ctl: CacheCtl,
     lu_opts: LuOptions,
     ordering: Arc<Permutation>,
-    tstep: f64,
-    tstop: f64,
-    hmin: f64,
-    hmax: f64,
 }
 
 /// Runs up to [`MAX_LANES`] compiled instances to `tstop` through the
@@ -214,22 +213,17 @@ pub fn run_lane_group(
     debug_assert!(!opts.probe.enabled(), "lane tier does not mirror probe events");
     debug_assert!(!opts.faults.enabled(), "lane tier does not mirror fault injection");
     debug_assert_eq!(opts.stamp_workers, 0, "lane tier stamps serially");
-    if !(tstop > 0.0 && tstop.is_finite() && tstep > 0.0 && tstep.is_finite()) {
-        // The classic path rejects these with `BadParameter`; let the rerun
-        // produce that exact error.
-        return (0..k).map(|_| LaneOutcome::Ejected).collect();
-    }
     let group_start = Instant::now();
     let g = GroupCtx {
         opts: opts.clone(),
         ctl: opts.cache_ctl(),
         lu_opts: LuOptions::default(),
         ordering: Arc::clone(ordering),
-        tstep,
-        tstop,
-        hmin: opts.hmin(tstop),
-        hmax: opts.hmax(tstop),
     };
+    // The controllers publish nothing: this tier reports exact aggregates
+    // for completed lanes at group end, and an ejected lane's steps are
+    // published by its classic rerun.
+    let quiet = SimOptions { metrics: MetricsHandle::none(), ..opts.clone() };
 
     // --- DC phase: the classic solver IS the DC path (bit-identity for
     // free); afterwards each lane inherits its workspace, factors, chord
@@ -239,15 +233,13 @@ pub fn run_lane_group(
     let mut ejected = 0u64;
     let mut packed_solves = 0u64;
     for sys in systems {
-        let mut stats = SimStats::new();
         let mut solver = PointSolver::new(Arc::clone(sys), g.opts.clone());
-        let x0 = match solver.initial_state(&mut stats) {
-            Ok(x0) => x0,
-            Err(_) => {
-                lanes.push(None);
-                ejected += 1;
-                continue;
-            }
+        // A failed DC solve (or a window the classic path rejects with
+        // `BadParameter`): let the rerun produce that exact error.
+        let Ok(ctl) = StepController::start(&mut solver, tstep, tstop, &quiet) else {
+            lanes.push(None);
+            ejected += 1;
+            continue;
         };
         let (ws, cache) = solver.into_lane_parts();
         let (lu, key, last_dx, x_new, scratch, resid) = cache.into_lane_seed();
@@ -257,21 +249,13 @@ pub fn run_lane_group(
             ejected += 1;
             continue;
         };
-        let node_names: Vec<String> =
-            (0..sys.n_nodes()).map(|i| sys.node_name_of(i).to_string()).collect();
-        let mut result = TransientResult::new(sys.n_unknowns(), node_names);
-        result.set_branch_names(sys.branch_names().to_vec());
-        result.push(0.0, &x0);
         let n = sys.n_unknowns();
-        let hw = HistoryWindow::start(x0, sys.cap_state_count());
-        let h = tstep.min(g.hmax).min(tstop / 100.0).max(g.hmin);
+        let h = ctl.h();
         let mut lane = Lane {
             sys: Arc::clone(sys),
             ws,
-            hw,
-            result,
-            stats,
-            dc_stats: SimStats::new(),
+            dc_stats: *ctl.stats(),
+            ctl,
             factors: Factors::Scalar(Box::new(lu)),
             key,
             last_dx,
@@ -280,13 +264,9 @@ pub fn run_lane_group(
             scratch,
             resid,
             rowsum: Vec::new(),
-            bps: sys.breakpoints(tstop),
-            next_bp: 0,
-            h,
-            lte_streak: 0,
             phase: Phase::Begin,
             t_new: 0.0,
-            hit_bp: false,
+            on_horizon: false,
             method: g.opts.method,
             coeffs: IntegCoeffs::new(g.opts.method, h, h),
             it: 0,
@@ -306,7 +286,6 @@ pub fn run_lane_group(
         lane.x_new.resize(n, 0.0);
         lane.scratch.resize(n, 0.0);
         lane.resid.resize(n, 0.0);
-        lane.dc_stats = lane.stats;
         lanes.push(Some(lane));
     }
     // Seed the pack from the first live lane's DC factors; lanes whose pivot
@@ -345,7 +324,7 @@ pub fn run_lane_group(
             if slot.phase != Phase::Finished {
                 continue;
             }
-            let (s, b) = (&slot.stats, &slot.dc_stats);
+            let (s, b) = (slot.ctl.stats(), &slot.dc_stats);
             let d = |tot: usize, base: usize| (tot - base) as u64;
             m.add(Counter::NewtonIterations, d(s.newton_iterations, b.newton_iterations));
             m.add(Counter::DeviceEvals, d(s.device_evals, b.device_evals));
@@ -370,12 +349,10 @@ pub fn run_lane_group(
     lanes
         .into_iter()
         .map(|slot| match slot {
-            Some(mut lane) if lane.phase == Phase::Finished => {
+            Some(lane) if lane.phase == Phase::Finished => {
                 // Lanes run interleaved, so per-lane wall clock is the group
                 // wall clock; stamp_ns stays 0 (no timers in the hot path).
-                lane.stats.wall_ns = wall;
-                lane.result.set_stats(lane.stats);
-                LaneOutcome::Completed(Box::new(lane.result))
+                LaneOutcome::Completed(Box::new(lane.ctl.finish(wall)))
             }
             _ => LaneOutcome::Ejected,
         })
@@ -403,18 +380,16 @@ fn tick(lanes: &mut [Option<Lane>], pack: &mut Option<LanePackedLu>, g: &GroupCt
             continue;
         }
         lane.it += 1;
-        lane.stats.newton_iterations += 1;
-        let x_prev2: &[f64] = if lane.hw.solutions().len() >= 2 {
-            &lane.hw.solutions()[1]
-        } else {
-            &lane.hw.solutions()[0]
-        };
+        lane.ctl.stats_mut().newton_iterations += 1;
+        let hw = lane.ctl.history();
+        let x_prev2: &[f64] =
+            if hw.solutions().len() >= 2 { &hw.solutions()[1] } else { &hw.solutions()[0] };
         let input = StampInput {
             time: lane.t_new,
             coeffs: Some(lane.coeffs),
-            x_prev: lane.hw.x(),
+            x_prev: hw.x(),
             x_prev2,
-            cap_currents: lane.hw.cap_currents(),
+            cap_currents: hw.cap_currents(),
             gmin: g.opts.gmin,
             gshunt: 0.0,
             source_scale: 1.0,
@@ -422,10 +397,10 @@ fn tick(lanes: &mut [Option<Lane>], pack: &mut Option<LanePackedLu>, g: &GroupCt
         };
         lane.tick_key = LinKey::of(&input);
         let sres = lane.sys.stamp_lane(&mut lane.ws, &input, &lane.x, &g.ctl, lane.it == 1);
-        lane.stats.device_evals += sres.evals;
-        lane.stats.bypass_hits += sres.bypassed;
+        lane.ctl.stats_mut().device_evals += sres.evals;
+        lane.ctl.stats_mut().bypass_hits += sres.bypassed;
         if sres.companion_hit {
-            lane.stats.companion_hits += 1;
+            lane.ctl.stats_mut().companion_hits += 1;
         }
         role[i] = if all_finite(&lane.ws.rhs) {
             Role::Stamped
@@ -488,7 +463,7 @@ fn tick(lanes: &mut [Option<Lane>], pack: &mut Option<LanePackedLu>, g: &GroupCt
             }
         }
         if matches!(role[i], Role::ChordPacked | Role::ChordScalar) {
-            lane.stats.solves += 1;
+            lane.ctl.stats_mut().solves += 1;
             let dxn = norm_inf(&lane.x_new);
             let contracting = match lane.last_dx {
                 None => true,
@@ -499,7 +474,7 @@ fn tick(lanes: &mut [Option<Lane>], pack: &mut Option<LanePackedLu>, g: &GroupCt
                     *xn += xi;
                 }
                 lane.last_dx = Some(dxn);
-                lane.stats.jacobian_reuses += 1;
+                lane.ctl.stats_mut().jacobian_reuses += 1;
                 role[i] = Role::Done { solved: true };
             } else {
                 // Contraction stalled: pay for a factorization this tick.
@@ -538,8 +513,8 @@ fn tick(lanes: &mut [Option<Lane>], pack: &mut Option<LanePackedLu>, g: &GroupCt
         match &mut lane.factors {
             Factors::Packed => match ref_errs[i].take() {
                 None => {
-                    lane.stats.factorizations += 1;
-                    lane.stats.refactorizations += 1;
+                    lane.ctl.stats_mut().factorizations += 1;
+                    lane.ctl.stats_mut().refactorizations += 1;
                     role[i] = Role::PackedRefOk;
                 }
                 Some(SparseError::PivotDegraded { .. }) => {
@@ -555,8 +530,8 @@ fn tick(lanes: &mut [Option<Lane>], pack: &mut Option<LanePackedLu>, g: &GroupCt
             },
             Factors::Scalar(lu) => match lu.refactor(&lane.ws.matrix) {
                 Ok(()) => {
-                    lane.stats.factorizations += 1;
-                    lane.stats.refactorizations += 1;
+                    lane.ctl.stats_mut().factorizations += 1;
+                    lane.ctl.stats_mut().refactorizations += 1;
                     role[i] = Role::ScalarRefOk;
                 }
                 Err(SparseError::PivotDegraded { .. }) => {
@@ -603,7 +578,7 @@ fn tick(lanes: &mut [Option<Lane>], pack: &mut Option<LanePackedLu>, g: &GroupCt
             Role::PackedRefOk => {}
             _ => continue,
         }
-        lane.stats.solves += 1;
+        lane.ctl.stats_mut().solves += 1;
         role[i] = Role::Done { solved: verify_or_retry(lane, pack, i, g) };
     }
 
@@ -643,7 +618,7 @@ fn tick(lanes: &mut [Option<Lane>], pack: &mut Option<LanePackedLu>, g: &GroupCt
             }
         }
         if let Some(converged) = point_done {
-            finish_point(lane, converged, g);
+            finish_point(lane, converged);
         }
     }
     packed_solves
@@ -662,7 +637,7 @@ fn fresh_factor(
     lane.fresh = true;
     match SparseLu::factor_with_ordering(&lane.ws.matrix, &g.lu_opts, (*g.ordering).clone()) {
         Ok(lu) => {
-            lane.stats.factorizations += 1;
+            lane.ctl.stats_mut().factorizations += 1;
             lane.install_fresh(lu, pack, idx);
             match lane.factors {
                 Factors::Packed => Role::PackedRefOk,
@@ -712,13 +687,13 @@ fn verify_or_retry(
         // scalar solves are bit-identical, so placement doesn't matter.
         match SparseLu::factor_with_ordering(&lane.ws.matrix, &g.lu_opts, (*g.ordering).clone()) {
             Ok(lu) => {
-                lane.stats.factorizations += 1;
+                lane.ctl.stats_mut().factorizations += 1;
                 if lu.solve_with_scratch(&lane.ws.rhs, &mut lane.x_new, &mut lane.scratch).is_err()
                 {
                     lane.linear_error(pack, idx);
                     return false;
                 }
-                lane.stats.solves += 1;
+                lane.ctl.stats_mut().solves += 1;
                 lane.fresh = true;
                 lane.install_fresh(lu, pack, idx);
             }
@@ -732,116 +707,59 @@ fn verify_or_retry(
     false
 }
 
-/// Classic step-loop head + `solve_point` head: finish/eject checks, step
-/// clamping, breakpoint snapping, integration coefficients, predictor.
+/// The lane's share of a point's head: the controller proposes the target
+/// (finish / eject checks, step clamping, breakpoint snapping), the lane
+/// sets up what `solve_point` would — integration coefficients, predictor.
 fn begin_point(lane: &mut Lane, g: &GroupCtx) {
-    // Written as the negation of the classic loop-head guard
-    // (`while t < tstop - hmin/2`) so the two agree on every input,
-    // NaN included.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    if !(lane.hw.t() < g.tstop - 0.5 * g.hmin) {
+    if lane.ctl.done() {
         lane.phase = Phase::Finished;
         return;
     }
-    if !lane.h.is_finite() {
+    let Ok((t_new, on_horizon)) = lane.ctl.propose() else {
         // Classic: NumericalBlowup — not mirrored; rerun classically.
         lane.phase = Phase::Ejected;
         return;
-    }
-    lane.h = lane.h.clamp(g.hmin, g.hmax);
-    let mut t_new = lane.hw.t() + lane.h;
-    let mut hit_bp = false;
-    while lane.next_bp < lane.bps.len() && lane.bps[lane.next_bp] <= lane.hw.t() + 0.5 * g.hmin {
-        lane.next_bp += 1;
-    }
-    if lane.next_bp < lane.bps.len() && t_new >= lane.bps[lane.next_bp] - 0.5 * g.hmin {
-        t_new = lane.bps[lane.next_bp];
-        hit_bp = true;
-    }
-    if t_new > g.tstop {
-        t_new = g.tstop;
-    }
-    let h = t_new - lane.hw.t();
-    let method = lane.hw.effective_method(g.opts.method);
-    let h_prev = lane.hw.h_prev().unwrap_or(h);
+    };
+    let hw = lane.ctl.history();
+    let h = t_new - hw.t();
+    let method = hw.effective_method(g.opts.method);
+    let h_prev = hw.h_prev().unwrap_or(h);
     lane.coeffs = IntegCoeffs::new(method, h, h_prev);
     lane.method = method;
     lane.t_new = t_new;
-    lane.hit_bp = hit_bp;
-    lane.x = lane.hw.predict(t_new);
+    lane.on_horizon = on_horizon;
+    lane.x = hw.predict(t_new);
     lane.it = 0;
     lane.last_dx = None; // begin_solve()
     lane.phase = Phase::Iter;
 }
 
-/// Classic `solve_point` tail + step-loop tail: cap-current propagation,
-/// rejection bookkeeping, LTE control, accept, breakpoint restart.
-fn finish_point(lane: &mut Lane, converged: bool, g: &GroupCtx) {
-    let t_new = lane.t_new;
-    let h_attempt = t_new - lane.hw.t();
+/// The lane's share of a point's tail: what `solve_point` would hand back
+/// (capacitor currents, the rejection note to the chord cache), then the
+/// controller's verdict. Where the classic loop would rescue or end the run
+/// — the step below the floor, a non-finite point — the lane ejects.
+fn finish_point(lane: &mut Lane, converged: bool) {
+    let h_attempt = lane.coeffs.h;
     if !converged {
         // note_rejection(): chord reuse must re-qualify.
         lane.key = None;
         lane.last_dx = None;
-        lane.stats.steps_rejected_newton += 1;
-        lane.h = h_attempt * g.opts.nr_shrink;
-        if lane.h < g.hmin {
-            // Classic: recovery ladder (or TimestepTooSmall) — not
-            // mirrored; the classic rerun reproduces it exactly.
-            lane.phase = Phase::Ejected;
-            return;
-        }
-        lane.phase = Phase::Begin;
+        // Below the floor the classic loop enters the recovery ladder (or
+        // ends with TimestepTooSmall) — not mirrored; the classic rerun
+        // reproduces it exactly.
+        lane.phase = if lane.ctl.newton_reject(h_attempt) { Phase::Ejected } else { Phase::Begin };
         return;
     }
-    let x_prev2: &[f64] = if lane.hw.solutions().len() >= 2 {
-        &lane.hw.solutions()[1]
-    } else {
-        &lane.hw.solutions()[0]
-    };
-    let sc = state_coeffs(&lane.hw, t_new);
+    let hw = lane.ctl.history();
+    let x_prev2: &[f64] =
+        if hw.solutions().len() >= 2 { &hw.solutions()[1] } else { &hw.solutions()[0] };
+    let sc = state_coeffs(hw, lane.t_new);
     let cap_currents =
-        lane.sys.cap_currents_after(&sc, &lane.x, lane.hw.x(), x_prev2, lane.hw.cap_currents());
-    if !all_finite(&lane.x) {
-        // Classic: NumericalBlowup.
-        lane.phase = Phase::Ejected;
-        return;
-    }
-    let needed = lane.method.order() + 1;
-    if lane.hw.usable_for_lte() >= needed {
-        let refs: Vec<&[f64]> =
-            lane.hw.solutions()[..needed].iter().map(|v| v.as_slice()).collect();
-        let d = lte_step_control(
-            lane.method,
-            t_new,
-            &lane.x,
-            h_attempt,
-            &lane.hw.times()[..needed],
-            &refs,
-            &g.opts,
-        );
-        if !d.accept && h_attempt > g.hmin * 1.01 {
-            lane.stats.steps_rejected_lte += 1;
-            lane.lte_streak += 1;
-            let crawling = h_attempt < g.hmin * 1e3;
-            if lane.lte_streak >= 3 || crawling {
-                lane.hw.mark_discontinuity();
-                lane.lte_streak = 0;
-                lane.h = h_attempt;
-            } else {
-                lane.h = d.h_new;
-            }
-            lane.phase = Phase::Begin;
-            return;
-        }
-        lane.lte_streak = 0;
-        lane.h = d.h_new;
-    } else {
-        lane.h = h_attempt * g.opts.rmax;
-    }
+        lane.sys.cap_currents_after(&sc, &lane.x, hw.x(), x_prev2, hw.cap_currents());
     let sol = PointSolution {
-        t: t_new,
-        x: lane.x.clone(),
+        t: lane.t_new,
+        // The iterate is dead from here on: `begin_point` replaces it.
+        x: std::mem::take(&mut lane.x),
         method: lane.method,
         coeffs: lane.coeffs,
         converged: true,
@@ -849,15 +767,16 @@ fn finish_point(lane: &mut Lane, converged: bool, g: &GroupCtx) {
         cap_currents,
         stats: SimStats::new(),
     };
-    lane.hw.accept(&sol);
-    lane.result.push(t_new, &sol.x);
-    lane.stats.steps_accepted += 1;
-    if lane.hit_bp {
-        lane.next_bp += 1;
-        lane.hw.mark_discontinuity();
-        let to_next =
-            lane.bps.get(lane.next_bp).map_or(g.tstop - lane.hw.t(), |&b| b - lane.hw.t());
-        lane.h = lane.h.min(g.tstep * 0.25).min((to_next * 0.25).max(g.hmin));
-    }
     lane.phase = Phase::Begin;
+    match lane.ctl.try_commit(&sol) {
+        Commit::Accepted { .. } => {
+            if lane.on_horizon {
+                lane.ctl.land_on_breakpoint();
+            }
+        }
+        Commit::RejectedLte { h_retry } => lane.ctl.base_lte_reject(h_attempt, h_retry),
+        // Classic: NumericalBlowup. (`RejectedNewton` cannot come back for a
+        // point handed over as converged.)
+        Commit::NonFinite | Commit::RejectedNewton => lane.phase = Phase::Ejected,
+    }
 }

@@ -11,7 +11,9 @@
 //!   operating point with gmin/source-stepping continuation ([`dcop`]).
 //! * Variable-step integration (backward Euler, trapezoidal, Gear2/BDF2
 //!   with true variable-step coefficients, [`integrate`]), divided-difference
-//!   LTE control ([`lte`]), and source-breakpoint handling ([`transient`]).
+//!   LTE estimation ([`lte`]), and one [`StepController`] ([`stepctl`]) that
+//!   takes every step decision: source breakpoints, Newton-reject shrink, LTE
+//!   accept/reject, convergence recovery ([`recovery`]).
 //!
 //! Beyond transient analysis the engine provides the surrounding toolbox:
 //! AC small-signal sweeps ([`ac`]), DC transfer sweeps ([`dcsweep`]),
@@ -21,8 +23,12 @@
 //! ([`rawfile`]).
 //!
 //! The transient loop is deliberately factored into [`HistoryWindow`] +
-//! [`PointSolver`] so that `wavepipe-core` can solve *multiple adjacent time
-//! points concurrently* with exactly the same numerics as the serial loop.
+//! [`PointSolver`] + [`StepController`] so that `wavepipe-core` can solve
+//! *multiple adjacent time points concurrently* with exactly the same
+//! numerics, and commit them through exactly the same controller, as the
+//! serial loop ([`transient`]) — which is that arrangement at width 1. The
+//! lane-packed batch tier ([`lane`]) is the third loop on the same
+//! controller.
 //!
 //! # Example
 //!
@@ -70,6 +76,7 @@ pub mod sensitivity;
 pub mod solver;
 pub mod spectrum;
 mod stats;
+pub mod stepctl;
 pub mod transient;
 
 pub use ac::{run_ac, AcResult, Phasor};
@@ -87,6 +94,7 @@ pub use result::TransientResult;
 pub use sensitivity::{run_dc_sensitivity, SensitivityResult};
 pub use solver::{DirectLu, SolverBackend, SolverFactory, SolverHandle};
 pub use stats::SimStats;
+pub use stepctl::{Commit, StepController};
 pub use transient::{
     run_transient, run_transient_compiled, run_transient_recoverable,
     run_transient_recoverable_compiled, HistoryWindow, PointSolution, PointSolver,

@@ -7,25 +7,28 @@
 //!   concurrent WavePipe tasks can each take a consistent snapshot.
 //! * [`PointSolver`] — solves one time point from a history window
 //!   (companion stamping + Newton). Cloneable: one per thread.
-//! * [`run_transient`] — the serial reference loop: breakpoint handling,
-//!   LTE accept/reject, step-size control. WavePipe reuses all the same
-//!   pieces, so its accepted points satisfy identical accuracy tests.
+//! * [`run_transient`] — the serial loop, which is the width-1 round:
+//!   check the budget, let the [`StepController`] propose the next time,
+//!   solve it, hand the solution back to the controller as slot 0. Every
+//!   step decision (breakpoints, LTE accept/reject, step-size control,
+//!   recovery) lives in [`crate::stepctl`], and WavePipe's rounds run on the
+//!   same controller, so their accepted points pass the identical tests.
 
 use crate::dcop::dc_operating_point;
 use crate::error::{EngineError, Result};
 use crate::fault::FaultKind;
 use crate::integrate::{IntegCoeffs, Method};
-use crate::lte::lte_step_control;
 use crate::mna::{MnaSystem, MnaWorkspace, StampInput};
 use crate::newton::{newton_solve, LinearCache};
 use crate::options::SimOptions;
 use crate::parstamp::StampExecutor;
 use crate::result::TransientResult;
 use crate::stats::SimStats;
+use crate::stepctl::{Commit, StepController};
 use std::sync::Arc;
 use std::time::Instant;
 use wavepipe_circuit::Circuit;
-use wavepipe_telemetry::{Counter, EventKind, Family, Gauge, Series};
+use wavepipe_telemetry::{Counter, EventKind, Family, Series};
 
 /// Number of past points retained for companions, prediction, and LTE.
 const WINDOW: usize = 4;
@@ -403,53 +406,20 @@ impl PointSolver {
             Some(FaultKind::SlowSolve { millis }) => {
                 std::thread::sleep(std::time::Duration::from_millis(millis));
             }
-            Some(FaultKind::ForceNonConvergence) => {
+            Some(kind @ (FaultKind::ForceNonConvergence | FaultKind::SingularMatrix)) => {
                 // Report the point as unconverged no matter what Newton would
-                // have done, leaving the caches untouched (a genuinely stale
-                // cache is exactly what the recovery ladder's rollback rung
-                // exists to clear). The step controller shrinks to the floor
-                // and then enters the ladder; rescue solves are fault-exempt,
-                // so the rescue always lands.
-                let mut stats = SimStats::new();
-                stats.wall_ns += start.elapsed().as_nanos();
-                self.opts.probe.emit(
-                    t_new,
-                    EventKind::SolveEnd { iterations: max_iters as u32, converged: false },
-                );
-                self.publish_solve_metrics(max_iters, start);
-                return Ok(PointSolution {
-                    t: t_new,
-                    x: hw.xs[0].clone(),
-                    method,
-                    coeffs,
-                    converged: false,
-                    iterations: max_iters,
-                    cap_currents: Vec::new(),
-                    stats,
-                });
-            }
-            Some(FaultKind::SingularMatrix) => {
-                // Behave exactly like a genuinely singular companion matrix
-                // (the `EngineError::Linear` branch below): unconverged
-                // result, poisoned factorization dropped.
-                self.cache.invalidate();
-                let mut stats = SimStats::new();
-                stats.wall_ns += start.elapsed().as_nanos();
-                self.opts.probe.emit(
-                    t_new,
-                    EventKind::SolveEnd { iterations: max_iters as u32, converged: false },
-                );
-                self.publish_solve_metrics(max_iters, start);
-                return Ok(PointSolution {
-                    t: t_new,
-                    x: hw.xs[0].clone(),
-                    method,
-                    coeffs,
-                    converged: false,
-                    iterations: max_iters,
-                    cap_currents: Vec::new(),
-                    stats,
-                });
+                // have done. A forced non-convergence leaves the caches
+                // untouched (a genuinely stale cache is exactly what the
+                // recovery ladder's rollback rung exists to clear; the step
+                // controller shrinks to the floor and then enters the ladder,
+                // whose rescue solves are fault-exempt, so the rescue always
+                // lands). An injected singular matrix behaves exactly like a
+                // genuine one (the `EngineError::Linear` branch below):
+                // poisoned factorization dropped.
+                if kind == FaultKind::SingularMatrix {
+                    self.cache.invalidate();
+                }
+                return Ok(self.unconverged(hw, t_new, coeffs, max_iters, SimStats::new(), start));
             }
             _ => {}
         }
@@ -487,22 +457,7 @@ impl PointSolver {
                 // non-convergence so the controller backs off; drop the
                 // (possibly poisoned) factorization.
                 self.cache.invalidate();
-                stats.wall_ns += start.elapsed().as_nanos();
-                self.opts.probe.emit(
-                    t_new,
-                    EventKind::SolveEnd { iterations: max_iters as u32, converged: false },
-                );
-                self.publish_solve_metrics(max_iters, start);
-                return Ok(PointSolution {
-                    t: t_new,
-                    x: hw.xs[0].clone(),
-                    method,
-                    coeffs,
-                    converged: false,
-                    iterations: max_iters,
-                    cap_currents: Vec::new(),
-                    stats,
-                });
+                return Ok(self.unconverged(hw, t_new, coeffs, max_iters, stats, start));
             }
             Err(e) => return Err(e),
         };
@@ -542,6 +497,36 @@ impl PointSolver {
         })
     }
 
+    /// The point reported as not converged after burning the whole iteration
+    /// budget: the solution is the previous point's, there are no capacitor
+    /// currents, and the solve is closed out in the event stream and the
+    /// metrics like any other.
+    fn unconverged(
+        &self,
+        hw: &HistoryWindow,
+        t_new: f64,
+        coeffs: IntegCoeffs,
+        max_iters: usize,
+        mut stats: SimStats,
+        start: Instant,
+    ) -> PointSolution {
+        stats.wall_ns += start.elapsed().as_nanos();
+        self.opts
+            .probe
+            .emit(t_new, EventKind::SolveEnd { iterations: max_iters as u32, converged: false });
+        self.publish_solve_metrics(max_iters, start);
+        PointSolution {
+            t: t_new,
+            x: hw.xs[0].clone(),
+            method: coeffs.method,
+            coeffs,
+            converged: false,
+            iterations: max_iters,
+            cap_currents: Vec::new(),
+            stats,
+        }
+    }
+
     /// Mirrors a finished point-solve into the metrics registry: scalar and
     /// per-lane solve counts plus the iteration / wall-time series. The
     /// wall-time series is timing data — anything that promises byte
@@ -566,18 +551,6 @@ fn publish_solve_metrics_cold(
     m.add_lane(Family::SolvesByLane, 1);
     m.observe(Series::NewtonItersPerSolve, iterations as f64);
     m.observe(Series::SolveMicros, start.elapsed().as_nanos() as f64 / 1e3);
-}
-
-/// Out-of-line publish of one accepted point: scalar and per-lane counts,
-/// the step-size series, and the live `current_h` gauge. `#[cold]` so the
-/// accept path of the step loop stays small when no registry is attached.
-#[cold]
-#[inline(never)]
-fn publish_accept_metrics(m: &wavepipe_telemetry::MetricsHandle, h_committed: f64, h_next: f64) {
-    m.inc(Counter::PointsAccepted);
-    m.add_lane(Family::PointsByLane, 1);
-    m.observe(Series::StepSize, h_committed);
-    m.set_gauge(Gauge::CurrentH, h_next);
 }
 
 /// A transient run's result together with the error (if any) that ended it:
@@ -676,167 +649,38 @@ pub fn run_transient_recoverable_compiled(
     tstop: f64,
     opts: &SimOptions,
 ) -> Result<TransientOutcome> {
-    if !(tstop > 0.0 && tstop.is_finite()) {
-        return Err(EngineError::BadParameter { name: "tstop", value: tstop });
-    }
-    if !(tstep > 0.0 && tstep.is_finite()) {
-        return Err(EngineError::BadParameter { name: "tstep", value: tstep });
-    }
     let run_start = Instant::now();
-    let mut stats = SimStats::new();
     let mut solver = PointSolver::new(Arc::clone(sys), opts.clone());
-    let node_names: Vec<String> = (0..sys.n_nodes()).map(|i| nth_node_name(sys, i)).collect();
-    let mut result = TransientResult::new(sys.n_unknowns(), node_names);
-    result.set_branch_names(sys.branch_names().to_vec());
-
-    // t = 0: DC operating point (or the UIC initial-condition solve).
-    let x0 = solver.initial_state(&mut stats)?;
-    result.push(0.0, &x0);
-    let mut hw = HistoryWindow::start(x0, sys.cap_state_count());
-
-    // The wall-clock budget starts now — after the initial solve, so even a
-    // zero budget yields the `t = 0` point.
-    opts.arm_deadline();
-
-    let bps = sys.breakpoints(tstop);
-    let mut next_bp = 0usize;
-    let hmin = opts.hmin(tstop);
-    let hmax = opts.hmax(tstop);
-    let mut h = tstep.min(hmax).min(tstop / 100.0).max(hmin);
-
-    // Consecutive LTE rejections at the same position: the signature of an
-    // h-independent error floor (trapezoidal ringing, solver-noise-dominated
-    // divided differences). Escape by restarting integration with the
-    // damped order-1 method instead of shrinking the step forever.
-    let mut lte_reject_streak = 0usize;
-    // The stepping loop proper, with every mid-run failure funnelled into a
-    // captured error so the accepted prefix survives.
-    let loop_outcome = (|| -> Result<()> {
-        while hw.t() < tstop - 0.5 * hmin {
-            opts.check_budget(hw.t())?;
-            if !h.is_finite() {
-                return Err(EngineError::NumericalBlowup { time: hw.t() });
-            }
-            h = h.clamp(hmin, hmax);
-            // Propose the next time, snapping onto breakpoints.
-            let mut t_new = hw.t() + h;
-            let mut hit_bp = false;
-            while next_bp < bps.len() && bps[next_bp] <= hw.t() + 0.5 * hmin {
-                next_bp += 1; // skip already-passed breakpoints
-            }
-            if next_bp < bps.len() && t_new >= bps[next_bp] - 0.5 * hmin {
-                t_new = bps[next_bp];
-                hit_bp = true;
-            }
-            if t_new > tstop {
-                t_new = tstop;
-            }
-
-            let sol = solver.solve_point(&hw, t_new, None, opts.max_newton_iters)?;
-            stats += sol.stats;
-            let h_attempt = t_new - hw.t();
-            if !sol.converged {
-                stats.steps_rejected_newton += 1;
-                opts.metrics.inc(Counter::NewtonRejects);
-                h = h_attempt * opts.nr_shrink;
-                if h < hmin {
-                    if !opts.recovery {
-                        return Err(EngineError::TimestepTooSmall { time: hw.t(), step: h, hmin });
+    let mut ctl = StepController::start(&mut solver, tstep, tstop, opts)?;
+    // The stepping loop proper — the width-1 round: propose the serial
+    // point, solve it, commit it as slot 0. Every mid-run failure is
+    // funnelled into a captured error so the accepted prefix survives.
+    let error = (|| -> Result<()> {
+        while !ctl.done() {
+            ctl.check_budget()?;
+            let (t_new, on_horizon) = ctl.propose()?;
+            let sol = solver.solve_point(ctl.history(), t_new, None, opts.max_newton_iters)?;
+            *ctl.stats_mut() += sol.stats;
+            let h_attempt = sol.coeffs.h;
+            match ctl.try_commit(&sol) {
+                Commit::Accepted { .. } => {
+                    if on_horizon {
+                        ctl.land_on_breakpoint();
                     }
-                    // The step collapsed below the floor: enter the recovery
-                    // ladder instead of giving up. A rescued point is a fully
-                    // converged true-system solution; accept it like any
-                    // other (LTE cannot reject a step at or below `hmin`)
-                    // and restart integration cautiously from the floor.
-                    let rescued =
-                        solver.rescue_point(&hw, h_attempt, hmin, sol.iterations, &mut stats)?;
-                    if !wavepipe_sparse::vector::all_finite(&rescued.x) {
-                        return Err(EngineError::NumericalBlowup { time: rescued.t });
-                    }
-                    let t_rescued = rescued.t;
-                    opts.probe.emit(t_rescued, EventKind::PointAccepted { h: rescued.coeffs.h });
-                    if opts.metrics.enabled() {
-                        publish_accept_metrics(&opts.metrics, rescued.coeffs.h, hmin);
-                    }
-                    hw.accept(&rescued);
-                    result.push(t_rescued, &rescued.x);
-                    stats.steps_accepted += 1;
-                    hw.mark_discontinuity();
-                    lte_reject_streak = 0;
-                    h = hmin;
                 }
-                continue;
-            }
-            if !wavepipe_sparse::vector::all_finite(&sol.x) {
-                return Err(EngineError::NumericalBlowup { time: t_new });
-            }
-
-            // LTE accept/reject when enough smooth history exists.
-            let needed = sol.method.order() + 1;
-            if hw.usable_for_lte() >= needed {
-                let refs: Vec<&[f64]> =
-                    hw.solutions()[..needed].iter().map(|v| v.as_slice()).collect();
-                let d = lte_step_control(
-                    sol.method,
-                    t_new,
-                    &sol.x,
-                    h_attempt,
-                    &hw.times()[..needed],
-                    &refs,
-                    opts,
-                );
-                if !d.accept && h_attempt > hmin * 1.01 {
-                    stats.steps_rejected_lte += 1;
-                    opts.metrics.inc(Counter::LteRejects);
-                    lte_reject_streak += 1;
-                    // Two signatures of an error floor the step cannot buy out
-                    // of: several rejections in a row, or a rejection while
-                    // already crawling far below the natural step scale. Either
-                    // way the estimate is dominated by point-to-point artifacts
-                    // (trapezoidal ringing / solver noise), which shrinking h
-                    // cannot fix — damp them with a backward-Euler restart.
-                    let crawling = h_attempt < hmin * 1e3;
-                    if lte_reject_streak >= 3 || crawling {
-                        hw.mark_discontinuity();
-                        lte_reject_streak = 0;
-                        h = h_attempt;
-                    } else {
-                        h = d.h_new;
+                Commit::RejectedLte { h_retry } => ctl.base_lte_reject(h_attempt, h_retry),
+                Commit::RejectedNewton => {
+                    if ctl.newton_reject(h_attempt) {
+                        ctl.rescue(&mut solver, h_attempt, sol.iterations)?;
                     }
-                    continue;
                 }
-                lte_reject_streak = 0;
-                h = d.h_new;
-            } else {
-                h = h_attempt * opts.rmax;
-            }
-
-            opts.probe.emit(t_new, EventKind::PointAccepted { h: sol.coeffs.h });
-            if opts.metrics.enabled() {
-                publish_accept_metrics(&opts.metrics, sol.coeffs.h, h);
-            }
-            hw.accept(&sol);
-            result.push(t_new, &sol.x);
-            stats.steps_accepted += 1;
-
-            if hit_bp {
-                next_bp += 1;
-                hw.mark_discontinuity();
-                // Restart cautiously after the corner.
-                let to_next = bps.get(next_bp).map_or(tstop - hw.t(), |&b| b - hw.t());
-                h = h.min(tstep * 0.25).min((to_next * 0.25).max(hmin));
+                Commit::NonFinite => return Err(EngineError::NumericalBlowup { time: t_new }),
             }
         }
         Ok(())
-    })();
-
-    stats.wall_ns = run_start.elapsed().as_nanos();
-    result.set_stats(stats);
-    Ok(TransientOutcome { result, error: loop_outcome.err() })
-}
-
-fn nth_node_name(sys: &MnaSystem, unknown: usize) -> String {
-    sys.node_name_of(unknown).to_string()
+    })()
+    .err();
+    Ok(TransientOutcome { result: ctl.finish(run_start.elapsed().as_nanos()), error })
 }
 
 #[cfg(test)]

@@ -9,7 +9,14 @@
 //! plus the Newton / point / factorization counters. The `power_grid(16,16)`
 //! rows were added, at the commit before it, by the change that rewrote the
 //! frozen-pivot LU kernels: half of that grid's refactorization multiply-adds
-//! run in supernode chains of four or more, a tenth of the 6x6 grid's.
+//! run in supernode chains of four or more, a tenth of the 6x6 grid's. The
+//! `forward_x2`, `adaptive_x2` and `combined_x3` rows were generated at the
+//! commit before step control moved into `engine::StepController` and the
+//! four scheme files became one round planner; that change left every
+//! serial, backward, forward and adaptive row as it was and regenerated the
+//! `combined_x3` rows, whose round now feeds accepted leads to the lead
+//! accept-rate EMA and strides its forward link by Forward's rule
+//! (CHANGES.md, PR 16).
 //!
 //! The constants depend on the host's `libm` (`exp`/`ln` in the device
 //! models); on a mismatch the failure message prints the whole table in
@@ -29,23 +36,55 @@ const GOLDEN: &[Row] = &[
     ("inverter_chain(8)", "serial", false, 0xbe50abc534d4a7e0, 1524, 536, 1524),
     ("inverter_chain(8)", "backward_x2", true, 0x42cd2e45af2ae51d, 2775, 616, 1155),
     ("inverter_chain(8)", "backward_x2", false, 0x460674e299048b53, 2645, 613, 2645),
+    ("inverter_chain(8)", "forward_x2", true, 0x924fd2d102842321, 2681, 552, 976),
+    ("inverter_chain(8)", "forward_x2", false, 0x72e8d8284371d499, 2454, 552, 2454),
+    ("inverter_chain(8)", "adaptive_x2", true, 0x961c9cdc7888e838, 2609, 588, 1063),
+    ("inverter_chain(8)", "adaptive_x2", false, 0x18fdcb4780ec8487, 2434, 580, 2434),
+    ("inverter_chain(8)", "combined_x3", true, 0xc6ea07c0fa6d649f, 3055, 605, 1209),
+    ("inverter_chain(8)", "combined_x3", false, 0x8546d5bd3f386c6a, 2854, 608, 2854),
     ("rc_ladder(30)", "serial", true, 0x20eb48617a68e1d9, 297, 148, 127),
     ("rc_ladder(30)", "serial", false, 0x683310fe4f833f2c, 297, 148, 297),
     ("rc_ladder(30)", "backward_x2", true, 0x75bda7bc0f4a6b5f, 542, 165, 264),
     ("rc_ladder(30)", "backward_x2", false, 0x1a1de6bf7f989179, 542, 165, 542),
+    ("rc_ladder(30)", "forward_x2", true, 0xc530db5482910fc7, 468, 148, 210),
+    ("rc_ladder(30)", "forward_x2", false, 0x737ef1e9e9ef59f8, 468, 148, 468),
+    ("rc_ladder(30)", "adaptive_x2", true, 0x05352757841d195e, 536, 166, 258),
+    ("rc_ladder(30)", "adaptive_x2", false, 0xbd8dfc0f8be8be28, 536, 166, 536),
+    ("rc_ladder(30)", "combined_x3", true, 0xa06291dffa1e93bb, 562, 165, 274),
+    ("rc_ladder(30)", "combined_x3", false, 0x318e0943840d048e, 562, 165, 562),
     ("power_grid(6,6)", "serial", true, 0x30d2beb9631dea2f, 604, 301, 259),
     ("power_grid(6,6)", "serial", false, 0x28faa76184af2963, 604, 301, 604),
     ("power_grid(6,6)", "backward_x2", true, 0xea28e0e8b75f89a4, 780, 319, 396),
     ("power_grid(6,6)", "backward_x2", false, 0x2db574d521c4b012, 780, 319, 780),
+    ("power_grid(6,6)", "forward_x2", true, 0xb534d83ee59948aa, 836, 298, 430),
+    ("power_grid(6,6)", "forward_x2", false, 0xca47ad931f78b575, 836, 298, 836),
+    ("power_grid(6,6)", "adaptive_x2", true, 0x26abeac34b2126e6, 787, 318, 399),
+    ("power_grid(6,6)", "adaptive_x2", false, 0x881f5b9d827ab8b5, 787, 318, 787),
+    ("power_grid(6,6)", "combined_x3", true, 0x87b0d360f1a5a619, 1118, 356, 578),
+    ("power_grid(6,6)", "combined_x3", false, 0x1eb65f242d5ee8f0, 1118, 356, 1118),
     ("power_grid(16,16)", "serial", true, 0x228643530391cec1, 907, 461, 376),
     ("power_grid(16,16)", "serial", false, 0x7f35f759ec6604e5, 907, 461, 907),
     ("power_grid(16,16)", "backward_x2", true, 0x8b4ee93e81dbdd62, 966, 472, 486),
     ("power_grid(16,16)", "backward_x2", false, 0xf0ef38ff3290cfd2, 966, 472, 966),
+    ("power_grid(16,16)", "forward_x2", true, 0xef068afb4c35b55d, 1290, 461, 645),
+    ("power_grid(16,16)", "forward_x2", false, 0xcf3cc696ab0f0dd9, 1290, 461, 1290),
+    ("power_grid(16,16)", "adaptive_x2", true, 0xb8f8eb6e5517e4f4, 1022, 470, 511),
+    ("power_grid(16,16)", "adaptive_x2", false, 0x1ff4dcc9f82bc9ce, 1022, 470, 1022),
+    ("power_grid(16,16)", "combined_x3", true, 0x82da26b04f22833c, 1248, 493, 617),
+    ("power_grid(16,16)", "combined_x3", false, 0x53fd21372a48df94, 1248, 493, 1248),
     ("diode_rectifier", "serial", true, 0x8378fa08c648a5a1, 1037, 276, 400),
     ("diode_rectifier", "serial", false, 0xc62f148d7f0a11c6, 954, 280, 954),
     ("diode_rectifier", "backward_x2", true, 0xe01347380128d376, 1838, 304, 665),
     ("diode_rectifier", "backward_x2", false, 0x29b1a00f987a4e16, 1654, 311, 1654),
+    ("diode_rectifier", "forward_x2", true, 0x1b4c028a6fc30a1e, 1846, 285, 659),
+    ("diode_rectifier", "forward_x2", false, 0x89e88e558ff1c4ee, 1724, 296, 1724),
+    ("diode_rectifier", "adaptive_x2", true, 0x506a7a54e9583117, 1825, 291, 668),
+    ("diode_rectifier", "adaptive_x2", false, 0xf31f8d9a6e5bcbc1, 1686, 302, 1686),
+    ("diode_rectifier", "combined_x3", true, 0x88f8d30039b7777c, 1849, 306, 659),
+    ("diode_rectifier", "combined_x3", false, 0x36259ff6f842ea32, 1628, 301, 1628),
 ];
+
+const SCHEMES: [&str; 5] = ["serial", "backward_x2", "forward_x2", "adaptive_x2", "combined_x3"];
 
 /// Everything an environment leg of CI can flip is pinned, so the same
 /// constants hold under `WAVEPIPE_STAMP_WORKERS`, the chaos seeds,
@@ -84,9 +123,15 @@ fn run(b: &Benchmark, scheme: &str, caches: bool) -> (TransientResult, SimStats)
             (r, stats)
         }
         _ => {
-            let opts =
-                WavePipeOptions::new(Scheme::Backward, 2).with_stamp_workers(0).with_sim(sim);
-            let rep = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).expect("backward x2 run");
+            let (kind, threads) = match scheme {
+                "backward_x2" => (Scheme::Backward, 2),
+                "forward_x2" => (Scheme::Forward, 2),
+                "adaptive_x2" => (Scheme::Adaptive, 2),
+                "combined_x3" => (Scheme::Combined, 3),
+                other => panic!("no such golden scheme: {other}"),
+            };
+            let opts = WavePipeOptions::new(kind, threads).with_stamp_workers(0).with_sim(sim);
+            let rep = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).expect(scheme);
             (rep.result, rep.total)
         }
     }
@@ -103,7 +148,7 @@ fn trajectories_match_the_parent_commit_bit_for_bit() {
     ];
     let mut got: Vec<Row> = Vec::new();
     for (name, b) in &decks {
-        for scheme in ["serial", "backward_x2"] {
+        for scheme in SCHEMES {
             for caches in [true, false] {
                 let (r, s) = run(b, scheme, caches);
                 got.push((

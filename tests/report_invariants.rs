@@ -1,9 +1,9 @@
 //! Invariants of the WavePipe reports and options across schemes — the
 //! bookkeeping that the speedup claims rest on.
 
-use wavepipe_circuit::generators;
-use wavepipe_core::{run_wavepipe, Scheme, WavePipeOptions};
-use wavepipe_engine::run_transient;
+use wavepipe::circuit::generators;
+use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
+use wavepipe::engine::run_transient;
 
 #[test]
 fn report_counters_are_internally_consistent() {
