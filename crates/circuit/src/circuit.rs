@@ -2,8 +2,10 @@
 
 use crate::element::{BjtModel, DiodeModel, Element, MosModel, Node};
 use crate::waveform::Waveform;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasher, Hasher};
 
 /// Error produced while building or validating a [`Circuit`].
 #[derive(Debug, Clone, PartialEq)]
@@ -15,7 +17,8 @@ pub enum CircuitError {
         /// The offending value.
         value: f64,
     },
-    /// Two elements share the same instance name.
+    /// Two elements share the same instance name (names compare
+    /// case-insensitively, as in SPICE).
     DuplicateName {
         /// The duplicated name.
         name: String,
@@ -58,6 +61,79 @@ impl fmt::Display for CircuitError {
 
 impl std::error::Error for CircuitError {}
 
+/// Index from element name to position in [`Circuit::elements`]: an
+/// open-addressing table of positions, probed from the hash of the
+/// ASCII-lowercased name and confirmed against the element's own name, so no
+/// name is stored a second time. Nothing is ever removed, which keeps linear
+/// probing trivially correct.
+#[derive(Debug, Clone, Default)]
+struct NameIndex {
+    /// [`NameIndex::EMPTY`] or a position in `elements`; the length is zero
+    /// or a power of two and at most half the slots are taken.
+    slots: Vec<u32>,
+    /// Per-circuit hash keys: names come from netlists, so probe sequences
+    /// must not be predictable.
+    keys: RandomState,
+}
+
+impl NameIndex {
+    const EMPTY: u32 = u32::MAX;
+
+    /// The slot a probe for `name` starts at (`slots` must not be empty).
+    fn home(&self, name: &str) -> usize {
+        let mut h = self.keys.build_hasher();
+        let mut buf = [0u8; 16];
+        for chunk in name.as_bytes().chunks(buf.len()) {
+            let folded = &mut buf[..chunk.len()];
+            folded.copy_from_slice(chunk);
+            folded.make_ascii_lowercase();
+            h.write(folded);
+        }
+        // Truncation keeps the low bits, which is all the mask uses.
+        h.finish() as usize & (self.slots.len() - 1)
+    }
+
+    /// Position of the element whose name equals `name` ignoring ASCII case.
+    fn find(&self, elements: &[Element], name: &str) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(name);
+        while self.slots[at] != Self::EMPTY {
+            let i = self.slots[at] as usize;
+            if elements[i].name().eq_ignore_ascii_case(name) {
+                return Some(i);
+            }
+            at = (at + 1) & mask;
+        }
+        None
+    }
+
+    /// Enters `elements[i]`, whose name must not be present yet.
+    fn place(&mut self, elements: &[Element], i: usize) {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(elements[i].name());
+        while self.slots[at] != Self::EMPTY {
+            at = (at + 1) & mask;
+        }
+        self.slots[at] = u32::try_from(i).expect("element positions fit the index's u32 slots");
+    }
+
+    /// Enters the last of `elements`, doubling the table first when it would
+    /// pass half full.
+    fn push_last(&mut self, elements: &[Element]) {
+        if elements.len() * 2 > self.slots.len() {
+            self.slots.clear();
+            self.slots.resize((elements.len() * 2).next_power_of_two().max(16), Self::EMPTY);
+            for i in 0..elements.len() - 1 {
+                self.place(elements, i);
+            }
+        }
+        self.place(elements, elements.len() - 1);
+    }
+}
+
 /// A circuit netlist: a set of named nodes plus a list of [`Element`]s.
 ///
 /// Build programmatically with the `add_*` methods, or parse a SPICE-style
@@ -86,6 +162,9 @@ pub struct Circuit {
     /// id -> name, index 0 is ground.
     node_list: Vec<String>,
     elements: Vec<Element>,
+    /// Where each element name sits in `elements`; every push goes through
+    /// [`Circuit::push_element`] to keep the two in step.
+    names: NameIndex,
 }
 
 impl Circuit {
@@ -99,6 +178,7 @@ impl Circuit {
             node_names: HashMap::new(),
             node_list: vec!["0".to_string()],
             elements: Vec::new(),
+            names: NameIndex::default(),
         }
     }
 
@@ -158,15 +238,20 @@ impl Circuit {
     /// The named element, if present. The lookup is case-insensitive,
     /// matching netlist conventions.
     pub fn element(&self, name: &str) -> Option<&Element> {
-        self.elements.iter().find(|e| e.name().eq_ignore_ascii_case(name))
+        self.names.find(&self.elements, name).map(|i| &self.elements[i])
     }
 
     /// Mutable access to the named element (case-insensitive), for patching
     /// parameter values between compiles — the per-instance edit a batched
     /// sweep applies. Structure (terminals, element kind) is fixed by the
     /// element's variant; only its value fields can change through this.
+    ///
+    /// Do not rename the element through the returned reference: the name
+    /// index is keyed by the name an element was added under, so a renamed
+    /// element would be found under neither name and its new name would not
+    /// count as taken.
     pub fn element_mut(&mut self, name: &str) -> Option<&mut Element> {
-        self.elements.iter_mut().find(|e| e.name().eq_ignore_ascii_case(name))
+        self.names.find(&self.elements, name).map(|i| &mut self.elements[i])
     }
 
     /// Number of elements.
@@ -184,11 +269,19 @@ impl Circuit {
         self.node_count() + self.elements.iter().filter(|e| e.has_branch_current()).count()
     }
 
+    /// Names are taken case-insensitively, by the same comparison
+    /// [`Circuit::element`] looks them up with.
     fn check_name(&self, name: &str) -> Result<(), CircuitError> {
-        if self.elements.iter().any(|e| e.name() == name) {
+        if self.names.find(&self.elements, name).is_some() {
             return Err(CircuitError::DuplicateName { name: name.to_string() });
         }
         Ok(())
+    }
+
+    /// Appends an element whose name passed [`Circuit::check_name`].
+    fn push_element(&mut self, element: Element) {
+        self.elements.push(element);
+        self.names.push_last(&self.elements);
     }
 
     fn check_positive(name: &str, value: f64) -> Result<(), CircuitError> {
@@ -213,7 +306,7 @@ impl Circuit {
     ) -> Result<(), CircuitError> {
         self.check_name(name)?;
         Self::check_positive(name, r)?;
-        self.elements.push(Element::Resistor { name: name.to_string(), p, n, resistance: r });
+        self.push_element(Element::Resistor { name: name.to_string(), p, n, resistance: r });
         Ok(())
     }
 
@@ -231,7 +324,7 @@ impl Circuit {
     ) -> Result<(), CircuitError> {
         self.check_name(name)?;
         Self::check_positive(name, c)?;
-        self.elements.push(Element::Capacitor {
+        self.push_element(Element::Capacitor {
             name: name.to_string(),
             p,
             n,
@@ -256,7 +349,7 @@ impl Circuit {
     ) -> Result<(), CircuitError> {
         self.check_name(name)?;
         Self::check_positive(name, c)?;
-        self.elements.push(Element::Capacitor {
+        self.push_element(Element::Capacitor {
             name: name.to_string(),
             p,
             n,
@@ -280,7 +373,7 @@ impl Circuit {
     ) -> Result<(), CircuitError> {
         self.check_name(name)?;
         Self::check_positive(name, l)?;
-        self.elements.push(Element::Inductor {
+        self.push_element(Element::Inductor {
             name: name.to_string(),
             p,
             n,
@@ -303,7 +396,7 @@ impl Circuit {
         waveform: Waveform,
     ) -> Result<(), CircuitError> {
         self.check_name(name)?;
-        self.elements.push(Element::VoltageSource {
+        self.push_element(Element::VoltageSource {
             name: name.to_string(),
             p,
             n,
@@ -328,7 +421,7 @@ impl Circuit {
         ac_magnitude: f64,
     ) -> Result<(), CircuitError> {
         self.check_name(name)?;
-        self.elements.push(Element::VoltageSource {
+        self.push_element(Element::VoltageSource {
             name: name.to_string(),
             p,
             n,
@@ -351,7 +444,7 @@ impl Circuit {
         waveform: Waveform,
     ) -> Result<(), CircuitError> {
         self.check_name(name)?;
-        self.elements.push(Element::CurrentSource {
+        self.push_element(Element::CurrentSource {
             name: name.to_string(),
             p,
             n,
@@ -375,7 +468,7 @@ impl Circuit {
         ac_magnitude: f64,
     ) -> Result<(), CircuitError> {
         self.check_name(name)?;
-        self.elements.push(Element::CurrentSource {
+        self.push_element(Element::CurrentSource {
             name: name.to_string(),
             p,
             n,
@@ -398,7 +491,7 @@ impl Circuit {
         model: DiodeModel,
     ) -> Result<(), CircuitError> {
         self.check_name(name)?;
-        self.elements.push(Element::Diode { name: name.to_string(), p, n, model });
+        self.push_element(Element::Diode { name: name.to_string(), p, n, model });
         Ok(())
     }
 
@@ -436,7 +529,7 @@ impl Circuit {
         model: MosModel,
     ) -> Result<(), CircuitError> {
         self.check_name(name)?;
-        self.elements.push(Element::Mosfet { name: name.to_string(), d, g, s, b, model });
+        self.push_element(Element::Mosfet { name: name.to_string(), d, g, s, b, model });
         Ok(())
     }
 
@@ -454,7 +547,7 @@ impl Circuit {
         model: BjtModel,
     ) -> Result<(), CircuitError> {
         self.check_name(name)?;
-        self.elements.push(Element::Bjt { name: name.to_string(), c, b, e, model });
+        self.push_element(Element::Bjt { name: name.to_string(), c, b, e, model });
         Ok(())
     }
 
@@ -473,7 +566,7 @@ impl Circuit {
         gain: f64,
     ) -> Result<(), CircuitError> {
         self.check_name(name)?;
-        self.elements.push(Element::Vcvs { name: name.to_string(), p, n, cp, cn, gain });
+        self.push_element(Element::Vcvs { name: name.to_string(), p, n, cp, cn, gain });
         Ok(())
     }
 
@@ -492,7 +585,7 @@ impl Circuit {
         gm: f64,
     ) -> Result<(), CircuitError> {
         self.check_name(name)?;
-        self.elements.push(Element::Vccs { name: name.to_string(), p, n, cp, cn, gm });
+        self.push_element(Element::Vccs { name: name.to_string(), p, n, cp, cn, gm });
         Ok(())
     }
 
@@ -605,6 +698,22 @@ mod tests {
             ckt.add_resistor("R1", a, Circuit::GROUND, 1.0),
             Err(CircuitError::DuplicateName { .. })
         ));
+    }
+
+    #[test]
+    fn names_differing_only_in_case_are_duplicates() {
+        // `element("r1")` finds `R1`, so accepting both would leave the
+        // second unreachable by name.
+        let mut ckt = rc();
+        let a = ckt.node("a");
+        assert_eq!(
+            ckt.add_resistor("r1", a, Circuit::GROUND, 1.0),
+            Err(CircuitError::DuplicateName { name: "r1".to_string() })
+        );
+        assert_eq!(ckt.element_count(), 3);
+        assert!(
+            matches!(ckt.element("r1"), Some(Element::Resistor { resistance, .. }) if *resistance == 1e3)
+        );
     }
 
     #[test]

@@ -14,8 +14,10 @@ use std::time::{Duration, Instant};
 use wavepipe_circuit::Circuit;
 use wavepipe_engine::{
     Commit, EngineError, HistoryWindow, MnaSystem, PointSolution, PointSolver, Result, SimOptions,
-    SimStats, StepController,
+    SimStats, SolverHandle, StepController,
 };
+use wavepipe_sparse::ordering::order;
+use wavepipe_sparse::LuOptions;
 use wavepipe_telemetry::{Counter, DiscardReason, EventKind, Family, Gauge};
 
 /// Static label for a scheme, for metric families (avoids a per-point
@@ -308,7 +310,15 @@ impl Driver {
         let sys = Arc::new(MnaSystem::compile(circuit)?);
         // Each lane (lead + pool workers) gets the per-lane engine options,
         // so the thread budget splits lanes x stamp workers.
-        let lane_sim = wp.lane_sim();
+        let mut lane_sim = wp.lane_sim();
+        if lane_sim.solver.is_direct() {
+            // The fill-reducing ordering is a function of the pattern alone:
+            // work it out once for all lanes, as a batch does for its
+            // instances. A solver the caller chose is left as it is.
+            let ordering =
+                order(sys.pattern(), LuOptions::default().ordering).map_err(EngineError::Linear)?;
+            lane_sim.solver = SolverHandle::batched(Arc::new(ordering));
+        }
         let mut lead = PointSolver::new(Arc::clone(&sys), lane_sim.clone());
         let pool =
             WorkerPool::new(&sys, &lane_sim, wp.width().saturating_sub(1), wp.worker_respawns);

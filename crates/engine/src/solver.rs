@@ -13,18 +13,20 @@
 //! it produces bitwise-identical solution vectors on every run. [`DirectLu`]
 //! is additionally pinned to be bit-identical to the historical direct
 //! `SparseLu` calls (same ordering, same pivoting, same triangular solves),
-//! so swapping the seam in changed no waveform anywhere. A batched sweep
-//! hands every instance's `DirectLu` one precomputed fill-reducing ordering
-//! ([`DirectLu::with_shared_ordering`]); because the orderings in
-//! [`wavepipe_sparse::ordering`] are pure functions of the matrix *pattern*
-//! — they never read values — an instance factored through the shared
-//! ordering is bit-identical to the same instance deriving the identical
-//! permutation from the identical shared pattern itself. Custom backends that cannot honour bit-determinism must say so
+//! so swapping the seam in changed no waveform anywhere. A batched sweep and
+//! a pipelined run hand the `DirectLu` of every instance or lane one
+//! precomputed fill-reducing ordering ([`DirectLu::with_shared_ordering`]);
+//! because the orderings in [`wavepipe_sparse::ordering`] are pure functions
+//! of the matrix *pattern* — they never read values — a backend factoring
+//! through the shared ordering is bit-identical to the same backend deriving
+//! the identical permutation from the identical pattern itself. Custom
+//! backends that cannot honour bit-determinism must say so
 //! in their documentation: WavePipe's accuracy-equivalence tests pin the
 //! default paths bitwise.
 
 use std::fmt;
 use std::sync::Arc;
+use wavepipe_sparse::ordering::order;
 use wavepipe_sparse::{CscMatrix, LuOptions, Permutation, Result, SparseError, SparseLu};
 
 /// A linear-solver backend for the Newton loop: numeric factorization and
@@ -110,17 +112,24 @@ fn unfactored(n: usize) -> SparseError {
 /// `factor` runs threshold pivoting under a fill-reducing ordering,
 /// `refactor` replays frozen pivots KLU-style.
 ///
-/// The ordering is derived from each matrix by default. Many sweep instances
-/// share one compiled MNA pattern, and the ordering is a pure function of
-/// that pattern, so a batch computes it once and hands an `Arc` of it to
-/// every instance's backend ([`DirectLu::with_shared_ordering`]): the
-/// per-instance symbolic cost goes away and not a bit changes (see the
-/// [module docs](self)).
+/// The ordering is a pure function of the matrix pattern, so it is worked out
+/// once: a backend keeps the permutation of its first fresh factorization for
+/// later ones of the same column pointers (a `PivotDegraded` re-pivot searches
+/// pivots again, not the ordering), and owners of many backends over one
+/// compiled MNA pattern — a batch's instances, a pipelined run's lanes —
+/// compute it themselves and hand every backend an `Arc` of it
+/// ([`DirectLu::with_shared_ordering`]). Not a bit changes either way (see
+/// the [module docs](self)).
 #[derive(Debug, Default, Clone)]
 pub struct DirectLu {
     lu: Option<SparseLu>,
     opts: LuOptions,
+    /// The permutation fresh factorizations go through: handed in, or kept
+    /// from this backend's first one.
     ordering: Option<Arc<Permutation>>,
+    /// Column pointers of the matrix a kept ordering was derived from; empty
+    /// for one handed in, whose owner vouches for the pattern.
+    derived_for: Vec<usize>,
 }
 
 impl DirectLu {
@@ -136,7 +145,7 @@ impl DirectLu {
 
     /// A fresh backend factoring through the shared, precomputed `ordering`
     /// (as computed by [`wavepipe_sparse::ordering::order`] on the shared
-    /// pattern) instead of re-deriving one per fresh factorization.
+    /// pattern) instead of deriving one at its first fresh factorization.
     pub fn with_shared_ordering(ordering: Arc<Permutation>) -> Self {
         DirectLu { ordering: Some(ordering), ..DirectLu::default() }
     }
@@ -155,10 +164,19 @@ impl DirectLu {
 impl SolverBackend for DirectLu {
     fn factor(&mut self, a: &CscMatrix) -> Result<()> {
         self.lu = None;
-        self.lu = Some(match &self.ordering {
-            Some(q) => SparseLu::factor_with_ordering(a, &self.opts, (**q).clone())?,
-            None => SparseLu::factor(a, &self.opts)?,
-        });
+        if !self.derived_for.is_empty() && self.derived_for != a.col_ptr() {
+            self.ordering = None;
+        }
+        let q = match &self.ordering {
+            Some(q) => Permutation::clone(q),
+            None => {
+                let q = order(a, self.opts.ordering)?;
+                self.derived_for = a.col_ptr().to_vec();
+                self.ordering = Some(Arc::new(q.clone()));
+                q
+            }
+        };
+        self.lu = Some(SparseLu::factor_with_ordering(a, &self.opts, q)?);
         Ok(())
     }
 
@@ -208,7 +226,8 @@ impl SolverFactory for DirectLu {
 ///
 /// The default handle builds [`DirectLu`] — the classic serial behaviour.
 /// [`SolverHandle::batched`] builds `DirectLu` instances sharing one
-/// precomputed ordering; [`SolverHandle::new`] accepts any custom factory. Equality is identity-based (two handles are equal when they
+/// precomputed ordering; [`SolverHandle::new`] accepts any custom factory.
+/// Equality is identity-based (two handles are equal when they
 /// share the same factory allocation), mirroring the other handles on
 /// `SimOptions`.
 #[derive(Clone, Default)]
@@ -222,8 +241,9 @@ impl SolverHandle {
         SolverHandle { factory: None }
     }
 
-    /// Backends sharing one precomputed fill-reducing `ordering` (the
-    /// batched-sweep path; see [`DirectLu::with_shared_ordering`]).
+    /// Backends sharing one precomputed fill-reducing `ordering` (what a
+    /// batched sweep gives its instances and a pipelined run its lanes; see
+    /// [`DirectLu::with_shared_ordering`]).
     pub fn batched(ordering: Arc<Permutation>) -> Self {
         SolverHandle::new(Arc::new(DirectLu::with_shared_ordering(ordering)))
     }
@@ -276,7 +296,6 @@ impl PartialEq for SolverHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wavepipe_sparse::ordering::order;
     use wavepipe_sparse::CooMatrix;
 
     fn small_matrix(scale: f64) -> CscMatrix {
@@ -328,6 +347,34 @@ mod tests {
             let xs = solve_through(shared.as_mut(), &ai, &b);
             assert_eq!(xs, xo, "shared-ordering factorization diverged at scale {scale}");
         }
+    }
+
+    #[test]
+    fn kept_ordering_serves_re_pivots_and_yields_to_a_new_pattern() {
+        let b = [1.0, -2.0, 0.5, 3.0];
+        let mut backend = DirectLu::new();
+        // Same pattern, new values: the kept permutation is the one a fresh
+        // backend would derive.
+        for scale in [1.0, 3.5] {
+            let a = small_matrix(scale);
+            let x = solve_through(&mut backend, &a, &b);
+            assert_eq!(x, solve_through(&mut DirectLu::new(), &a, &b));
+        }
+        // Other column pointers: the kept permutation must not be reused.
+        let mut t = CooMatrix::new(4, 4);
+        for i in 0..4 {
+            t.push(i, i, 4.0).unwrap();
+            t.push(i, 3, 1.0).unwrap();
+            t.push(3, i, 1.0).unwrap();
+        }
+        let hub = t.to_csc();
+        assert_ne!(hub.col_ptr(), small_matrix(1.0).col_ptr());
+        let x = solve_through(&mut backend, &hub, &b);
+        assert_eq!(x, solve_through(&mut DirectLu::new(), &hub, &b));
+        assert_eq!(
+            backend.ordering.as_deref(),
+            Some(&order(&hub, LuOptions::default().ordering).unwrap())
+        );
     }
 
     #[test]

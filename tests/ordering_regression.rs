@@ -87,3 +87,29 @@ fn rcm_deficit_on_power_grid_stays_pinned() {
     let (_, mindeg, rcm) = fill_counts(&generators::power_grid(8, 8).circuit);
     assert_eq!((mindeg, rcm), (680, 816), "power_grid(8,8) fill counts moved");
 }
+
+#[test]
+fn min_degree_permutations_are_the_linear_scans() {
+    // FNV-1a over the permutation `min_degree` returned on each real MNA
+    // pattern while it still scanned every node per elimination (recorded at
+    // the commit before the heap-and-merge rewrite). A different permutation
+    // is a different operation sequence in every LU kernel, so these pin the
+    // bits of every waveform from the ordering's side.
+    let pinned: [(generators::Benchmark, u64); 5] = [
+        (generators::power_grid(16, 16), 0x4b40_7604_dd76_e7fd),
+        (generators::power_grid(32, 32), 0xc93a_855b_ed83_acb7),
+        (generators::power_grid(64, 64), 0x7d04_5da9_d364_ecf1),
+        (generators::inverter_chain(80), 0x99f0_7a5a_6626_6cb5),
+        (generators::nand_chain(40), 0xffcd_f61d_40fe_2e7f),
+    ];
+    for (b, expected) in pinned {
+        let sys = MnaSystem::compile(&b.circuit).expect("compile");
+        let q = wavepipe::sparse::ordering::order(sys.pattern(), OrderingKind::MinDegree)
+            .expect("square pattern");
+        let sum = q
+            .perm()
+            .iter()
+            .fold(0xcbf2_9ce4_8422_2325_u64, |h, &p| (h ^ p as u64).wrapping_mul(0x0100_0000_01b3));
+        assert_eq!(sum, expected, "{}: min-degree permutation moved", b.name);
+    }
+}
