@@ -47,6 +47,7 @@ use wavepipe_telemetry::{Counter, MetricsHandle};
 
 use crate::integrate::{IntegCoeffs, Method};
 use crate::mna::{LinKey, MnaSystem, MnaWorkspace, StampInput};
+use crate::newton::solve_verified;
 use crate::options::{CacheCtl, SimOptions};
 use crate::result::TransientResult;
 use crate::stats::SimStats;
@@ -469,7 +470,8 @@ fn tick(lanes: &mut [Option<Lane>], pack: &mut Option<LanePackedLu>, g: &GroupCt
                 None => true,
                 Some(prev) => dxn <= g.opts.chord_theta * prev,
             };
-            if dxn.is_finite() && contracting {
+            // As in the classic chord step: `norm_inf` drops NaN.
+            if all_finite(&lane.x_new) && contracting {
                 for (xn, &xi) in lane.x_new.iter_mut().zip(&lane.x) {
                     *xn += xi;
                 }
@@ -662,14 +664,17 @@ fn verify_or_retry(
     g: &GroupCtx,
 ) -> bool {
     for attempt in 0..2 {
-        if lane.ws.matrix.residual_into(&lane.x_new, &lane.ws.rhs, &mut lane.resid).is_err() {
+        let Ok(verified) = solve_verified(
+            &lane.ws.matrix,
+            &lane.x_new,
+            &lane.ws.rhs,
+            &mut lane.resid,
+            &mut lane.rowsum,
+        ) else {
             lane.linear_error(pack, idx);
             return false;
-        }
-        let scale = lane.ws.matrix.norm_inf_with_scratch(&mut lane.rowsum) * norm_inf(&lane.x_new)
-            + norm_inf(&lane.ws.rhs);
-        let r = norm_inf(&lane.resid);
-        if r.is_finite() && r <= 1e-8 * scale.max(f64::MIN_POSITIVE) {
+        };
+        if verified {
             lane.key = Some(lane.tick_key);
             let mut dxn = 0.0f64;
             for (&xn, &xi) in lane.x_new.iter().zip(&lane.x) {

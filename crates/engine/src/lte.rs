@@ -13,31 +13,45 @@ use crate::options::SimOptions;
 use wavepipe_sparse::vector::wrms_norm;
 use wavepipe_telemetry::EventKind;
 
+/// Most points a divided difference is taken over: the candidate plus
+/// `order + 1` history points, for methods of order at most two.
+const MAX_POINTS: usize = 4;
+
 /// Computes the order-`(len-1)` divided difference of a vector-valued sample
-/// set. `times[0]`/`xs[0]` is the newest point.
+/// set in `table`, a buffer the caller keeps from one evaluation to the next,
+/// and returns it (the table's first column). `times[0]`/`xs[0]` is the
+/// newest point.
 ///
 /// # Panics
 ///
 /// Panics if fewer than 2 points are given, lengths mismatch, or two sample
 /// times coincide.
-pub fn divided_difference(times: &[f64], xs: &[&[f64]]) -> Vec<f64> {
+pub fn divided_difference<'t>(
+    times: &[f64],
+    xs: &[&[f64]],
+    table: &'t mut Vec<f64>,
+) -> &'t mut [f64] {
     assert!(times.len() >= 2, "need at least two points");
     assert_eq!(times.len(), xs.len());
     let n = xs[0].len();
     let m = times.len();
     // Work columns: start with the raw samples, contract m-1 times.
-    let mut cols: Vec<Vec<f64>> = xs.iter().map(|x| x.to_vec()).collect();
+    table.clear();
+    for x in xs {
+        assert_eq!(x.len(), n);
+        table.extend_from_slice(x);
+    }
     for level in 1..m {
         for j in 0..(m - level) {
             let dt = times[j] - times[j + level];
             assert!(dt != 0.0, "coincident time points in divided difference");
-            #[allow(clippy::needless_range_loop)] // two columns indexed in lockstep
-            for k in 0..n {
-                cols[j][k] = (cols[j][k] - cols[j + 1][k]) / dt;
+            let (col, next) = table[j * n..(j + 2) * n].split_at_mut(n);
+            for (c, &c1) in col.iter_mut().zip(&*next) {
+                *c = (*c - c1) / dt;
             }
         }
     }
-    cols.swap_remove(0)
+    &mut table[..n]
 }
 
 /// Result of the LTE test for a candidate point.
@@ -62,15 +76,18 @@ pub struct LteDecision {
 /// integrate across several committed points, so it is passed explicitly.
 ///
 /// The returned `h_new` is already clamped to the growth limit `opts.rmax`
-/// on accept, and to `[0.1, 0.9] * h` on reject.
+/// on accept, and to `[0.1, 0.9] * h` on reject. `table` is the
+/// [`divided_difference`] buffer its owner keeps between points.
+#[allow(clippy::too_many_arguments)] // analysis context is deliberately explicit
 pub fn lte_step_control(
     method: Method,
     t_new: f64,
     x_new: &[f64],
     h: f64,
     times: &[f64],
-    xs: &[&[f64]],
+    xs: &[Vec<f64>],
     opts: &SimOptions,
+    table: &mut Vec<f64>,
 ) -> LteDecision {
     let p = method.order();
     let needed = p + 1;
@@ -78,24 +95,25 @@ pub fn lte_step_control(
     assert!(h > 0.0, "integration stride must be positive");
 
     // Assemble candidate + history windows for the divided difference.
-    let mut dd_times = Vec::with_capacity(p + 2);
-    let mut dd_xs: Vec<&[f64]> = Vec::with_capacity(p + 2);
-    dd_times.push(t_new);
-    dd_xs.push(x_new);
+    let m = needed + 1;
+    let mut dd_times = [t_new; MAX_POINTS];
+    let mut dd_xs = [x_new; MAX_POINTS];
     for i in 0..needed {
-        dd_times.push(times[i]);
-        dd_xs.push(xs[i]);
+        dd_times[i + 1] = times[i];
+        dd_xs[i + 1] = &xs[i];
     }
-    let dd = divided_difference(&dd_times, &dd_xs);
+    let lte = divided_difference(&dd_times[..m], &dd_xs[..m], table);
 
     // x^(p+1) ~= (p+1)! * DD_{p+1};  LTE = C * h^(p+1) * x^(p+1).
     let factorial = (1..=(p + 1)).product::<usize>() as f64;
     let scale = method.error_constant() * factorial * h.powi(p as i32 + 1);
-    let lte: Vec<f64> = dd.iter().map(|&d| d * scale).collect();
+    for d in lte.iter_mut() {
+        *d *= scale;
+    }
 
     // Weighted norm relative to the solution magnitude; TRTOL absorbs the
     // deliberate overestimation of the bound.
-    let ratio = wrms_norm(&lte, x_new, opts.reltol, opts.lte_abstol) / opts.trtol;
+    let ratio = wrms_norm(lte, x_new, opts.reltol, opts.lte_abstol) / opts.trtol;
     if !ratio.is_finite() {
         // Degenerate divided differences (e.g. near-coincident history
         // times): treat as a hard rejection with a conservative retry.
@@ -128,13 +146,108 @@ pub fn lte_step_control(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The divided difference as it was before the table was kept: one
+    /// freshly allocated column per sample.
+    fn divided_difference_reference(times: &[f64], xs: &[&[f64]]) -> Vec<f64> {
+        let n = xs[0].len();
+        let m = times.len();
+        let mut cols: Vec<Vec<f64>> = xs.iter().map(|x| x.to_vec()).collect();
+        for level in 1..m {
+            for j in 0..(m - level) {
+                let dt = times[j] - times[j + level];
+                #[allow(clippy::needless_range_loop)] // two columns indexed in lockstep
+                for k in 0..n {
+                    cols[j][k] = (cols[j][k] - cols[j + 1][k]) / dt;
+                }
+            }
+        }
+        cols.swap_remove(0)
+    }
+
+    /// The error ratio as [`lte_step_control`] computed it from that.
+    fn ratio_reference(
+        method: Method,
+        t_new: f64,
+        x_new: &[f64],
+        h: f64,
+        times: &[f64],
+        xs: &[Vec<f64>],
+        opts: &SimOptions,
+    ) -> f64 {
+        let p = method.order();
+        let mut dd_times = vec![t_new];
+        let mut dd_xs: Vec<&[f64]> = vec![x_new];
+        for i in 0..=p {
+            dd_times.push(times[i]);
+            dd_xs.push(&xs[i]);
+        }
+        let dd = divided_difference_reference(&dd_times, &dd_xs);
+        let factorial = (1..=(p + 1)).product::<usize>() as f64;
+        let scale = method.error_constant() * factorial * h.powi(p as i32 + 1);
+        let lte: Vec<f64> = dd.iter().map(|&d| d * scale).collect();
+        wrms_norm(&lte, x_new, opts.reltol, opts.lte_abstol) / opts.trtol
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Orders 1 and 2, a table reused (dirty, and of the wrong size)
+        /// from one evaluation to the next, uneven steps, signed zeros.
+        #[test]
+        fn kept_table_gives_the_bits_of_the_allocating_version(
+            n in 1usize..=40,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let opts = SimOptions::default();
+            let mut table = vec![f64::NAN; rng.gen_range(0..200usize)];
+            for method in [Method::BackwardEuler, Method::Trapezoidal, Method::Gear2] {
+                let mut t = 1.0;
+                let mut times = Vec::new();
+                for _ in 0..=method.order() + 1 {
+                    times.push(t);
+                    t -= rng.gen_range(1e-3..0.3);
+                }
+                let t_new = times.remove(0);
+                let mut sample = || -> Vec<f64> {
+                    (0..n)
+                        .map(|_| match rng.gen_range(0..8usize) {
+                            0 => [0.0, -0.0][rng.gen_range(0..2usize)],
+                            _ => rng.gen_range(-2.0..2.0),
+                        })
+                        .collect()
+                };
+                let x_new = sample();
+                let xs: Vec<Vec<f64>> = times.iter().map(|_| sample()).collect();
+                let h = t_new - times[0];
+
+                let mut dd_xs: Vec<&[f64]> = vec![&x_new];
+                dd_xs.extend(xs.iter().map(|x| x.as_slice()));
+                let mut dd_times = vec![t_new];
+                dd_times.extend(&times);
+                let want = divided_difference_reference(&dd_times, &dd_xs);
+                let got = divided_difference(&dd_times, &dd_xs, &mut table);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(got), bits(&want));
+
+                let d = lte_step_control(method, t_new, &x_new, h, &times, &xs, &opts, &mut table);
+                let want = ratio_reference(method, t_new, &x_new, h, &times, &xs, &opts);
+                prop_assert_eq!(d.ratio.to_bits(), want.to_bits());
+                prop_assert_eq!(d.accept, want <= 1.0);
+            }
+        }
+    }
 
     #[test]
     fn dd_first_order_is_slope() {
         let xs0 = [4.0];
         let xs1 = [2.0];
-        let dd = divided_difference(&[2.0, 1.0], &[&xs0, &xs1]);
+        let dd = divided_difference_reference(&[2.0, 1.0], &[&xs0, &xs1]);
         assert_eq!(dd, vec![2.0]);
+        assert_eq!(divided_difference(&[2.0, 1.0], &[&xs0, &xs1], &mut Vec::new()), [2.0]);
     }
 
     #[test]
@@ -144,7 +257,8 @@ mod tests {
         let f = |x: f64| 2.0 * x * x - x + 1.0;
         let xs: Vec<[f64; 1]> = t.iter().map(|&tt| [f(tt)]).collect();
         let refs: Vec<&[f64]> = xs.iter().map(|a| a.as_slice()).collect();
-        let dd = divided_difference(&t, &refs);
+        let mut table = Vec::new();
+        let dd = divided_difference(&t, &refs, &mut table);
         assert!(dd[0].abs() < 1e-10, "dd = {}", dd[0]);
     }
 
@@ -154,12 +268,26 @@ mod tests {
         let t = [2.0, 1.2, 0.7, 0.1];
         let xs: Vec<[f64; 1]> = t.iter().map(|&tt| [tt * tt * tt]).collect();
         let refs: Vec<&[f64]> = xs.iter().map(|a| a.as_slice()).collect();
-        let dd = divided_difference(&t, &refs);
+        let mut table = Vec::new();
+        let dd = divided_difference(&t, &refs, &mut table);
         assert!((dd[0] - 1.0).abs() < 1e-9, "dd = {}", dd[0]);
     }
 
     fn history_of(f: impl Fn(f64) -> f64, ts: &[f64]) -> Vec<Vec<f64>> {
         ts.iter().map(|&t| vec![f(t)]).collect()
+    }
+
+    /// [`lte_step_control`] with a table of its own.
+    fn decide(
+        method: Method,
+        t_new: f64,
+        x_new: &[f64],
+        h: f64,
+        times: &[f64],
+        xs: &[Vec<f64>],
+        opts: &SimOptions,
+    ) -> LteDecision {
+        lte_step_control(method, t_new, x_new, h, times, xs, opts, &mut Vec::new())
     }
 
     #[test]
@@ -169,9 +297,8 @@ mod tests {
         let f = |t: f64| 0.5 * t + 1.0;
         let times = [3.0, 2.0, 1.0];
         let hist = history_of(f, &times);
-        let refs: Vec<&[f64]> = hist.iter().map(|v| v.as_slice()).collect();
         let xn = [f(4.0)];
-        let d = lte_step_control(Method::Trapezoidal, 4.0, &xn, 1.0, &times, &refs, &opts);
+        let d = decide(Method::Trapezoidal, 4.0, &xn, 1.0, &times, &hist, &opts);
         assert!(d.accept);
         assert!(d.h_new >= 1.0 * opts.rmax * 0.99, "h_new = {}", d.h_new);
     }
@@ -183,9 +310,8 @@ mod tests {
         let f = |t: f64| (10.0 * t).powi(3) * 1e3;
         let times = [3.0, 2.0, 1.0];
         let hist = history_of(f, &times);
-        let refs: Vec<&[f64]> = hist.iter().map(|v| v.as_slice()).collect();
         let xn = [f(4.0)];
-        let d = lte_step_control(Method::Trapezoidal, 4.0, &xn, 1.0, &times, &refs, &opts);
+        let d = decide(Method::Trapezoidal, 4.0, &xn, 1.0, &times, &hist, &opts);
         assert!(!d.accept, "ratio = {}", d.ratio);
         assert!(d.h_new < 1.0);
         assert!(d.h_new >= 0.1 * 0.99);
@@ -197,9 +323,8 @@ mod tests {
         let f = |t: f64| t;
         let times = [2.0, 1.0];
         let hist = history_of(f, &times);
-        let refs: Vec<&[f64]> = hist.iter().map(|v| v.as_slice()).collect();
         let xn = [3.0];
-        let d = lte_step_control(Method::BackwardEuler, 3.0, &xn, 1.0, &times, &refs, &opts);
+        let d = decide(Method::BackwardEuler, 3.0, &xn, 1.0, &times, &hist, &opts);
         assert!(d.accept);
     }
 
@@ -208,12 +333,11 @@ mod tests {
         let f = |t: f64| (t).sin() * 5.0;
         let times = [0.9, 0.6, 0.3];
         let hist = history_of(f, &times);
-        let refs: Vec<&[f64]> = hist.iter().map(|v| v.as_slice()).collect();
         let xn = [f(1.2)];
         let loose = SimOptions { reltol: 1e-2, ..SimOptions::default() };
         let tight = SimOptions { reltol: 1e-8, lte_abstol: 1e-12, ..SimOptions::default() };
-        let dl = lte_step_control(Method::Trapezoidal, 1.2, &xn, 0.3, &times, &refs, &loose);
-        let dt = lte_step_control(Method::Trapezoidal, 1.2, &xn, 0.3, &times, &refs, &tight);
+        let dl = decide(Method::Trapezoidal, 1.2, &xn, 0.3, &times, &hist, &loose);
+        let dt = decide(Method::Trapezoidal, 1.2, &xn, 0.3, &times, &hist, &tight);
         assert!(dt.ratio > dl.ratio);
     }
 
@@ -222,9 +346,8 @@ mod tests {
     fn insufficient_history_panics() {
         let opts = SimOptions::default();
         let times = [1.0];
-        let x0 = [1.0];
-        let refs: Vec<&[f64]> = vec![&x0];
+        let hist = vec![vec![1.0]];
         let xn = [2.0];
-        let _ = lte_step_control(Method::Trapezoidal, 2.0, &xn, 1.0, &times, &refs, &opts);
+        let _ = decide(Method::Trapezoidal, 2.0, &xn, 1.0, &times, &hist, &opts);
     }
 }

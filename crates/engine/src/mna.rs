@@ -15,6 +15,7 @@ use crate::error::Result;
 use crate::integrate::IntegCoeffs;
 use crate::options::CacheCtl;
 use std::ops::Range;
+use std::sync::Arc;
 use wavepipe_circuit::{Circuit, Element, MosPolarity, Node, Waveform};
 use wavepipe_sparse::{CooMatrix, CscMatrix};
 
@@ -396,6 +397,11 @@ pub struct MnaSystem {
     lin_elem: Vec<u32>,
     /// Nonlinear devices, element order.
     nl_elem: Vec<u32>,
+    /// Devices that own a capacitor state (`Cap`, `Jcap`), element order:
+    /// what [`MnaSystem::cap_currents_after`] walks at every solved point.
+    /// Structure, not values: systems rebuilt by
+    /// [`MnaSystem::with_values_from`] share it.
+    cap_elem: Arc<[u32]>,
     /// Controlling terminal unknowns of bypassable devices, flat
     /// (`u32::MAX` = ground).
     ctrl_nodes: Vec<u32>,
@@ -672,6 +678,9 @@ impl MnaSystem {
         let n_nodes = circuit.node_count();
         let t = Self::build_devices(circuit);
         let node_names: Vec<String> = circuit.signal_node_names().map(str::to_string).collect();
+        let cap_elem = (0..t.devices.len() as u32)
+            .filter(|&d| matches!(t.devices[d as usize], Dev::Cap { .. } | Dev::Jcap { .. }))
+            .collect();
         let mut sys = MnaSystem {
             devices: t.devices,
             n_nodes,
@@ -687,6 +696,7 @@ impl MnaSystem {
             plan: StampPlan::default(),
             lin_elem: t.lin_elem,
             nl_elem: t.nl_elem,
+            cap_elem,
             ctrl_nodes: t.ctrl_nodes,
             ctrl_span: t.ctrl_span,
         };
@@ -959,6 +969,7 @@ impl MnaSystem {
             plan: self.plan.clone(),
             lin_elem: t.lin_elem,
             nl_elem: t.nl_elem,
+            cap_elem: Arc::clone(&self.cap_elem),
             ctrl_nodes: t.ctrl_nodes,
             ctrl_span: t.ctrl_span,
         })
@@ -1692,8 +1703,8 @@ impl MnaSystem {
         cap_prev: &[f64],
     ) -> Vec<f64> {
         let mut out = vec![0.0; self.n_cap_states];
-        for dev in &self.devices {
-            match *dev {
+        for &d in self.cap_elem.iter() {
+            match self.devices[d as usize] {
                 Dev::Cap { p, n, c, state, .. } => {
                     let u_new = volt(x_new, p) - volt(x_new, n);
                     let u_prev = volt(x_prev, p) - volt(x_prev, n);

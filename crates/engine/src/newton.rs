@@ -7,7 +7,8 @@ use crate::parstamp::StampExecutor;
 use crate::solver::{DirectLu, SolverBackend};
 use crate::stats::SimStats;
 use std::time::Instant;
-use wavepipe_sparse::SparseError;
+use wavepipe_sparse::vector::{all_finite, norm_inf};
+use wavepipe_sparse::{CscMatrix, SparseError};
 use wavepipe_telemetry::{Counter, EventKind, Family};
 
 /// Cached linear-solver state: the solver backend holding the current
@@ -26,7 +27,7 @@ pub struct LinearCache {
     pub(crate) x_new: Vec<f64>,
     scratch: Vec<f64>,
     resid: Vec<f64>,
-    /// Row-sum buffer of the backward-error check's `norm_inf`.
+    /// Row-sum buffer of the backward-error check's matrix norm.
     rowsum: Vec<f64>,
     /// Linear-stamp key the cached factors were computed under. Chord reuse
     /// is only legal while the key matches (same `h`, same `gshunt`, same
@@ -192,12 +193,13 @@ impl LinearCache {
             ws.matrix.residual_into(x, &ws.rhs, &mut self.resid)?;
             self.backend.solve(&self.resid, &mut self.x_new, &mut self.scratch)?;
             stats.solves += 1;
-            let dxn = wavepipe_sparse::vector::norm_inf(&self.x_new);
+            let dxn = norm_inf(&self.x_new);
             let contracting = match self.last_dx {
                 None => true,
                 Some(prev) => dxn <= opts.chord_theta * prev,
             };
-            if dxn.is_finite() && contracting {
+            // `norm_inf` drops NaN, so finiteness is asked of the entries.
+            if all_finite(&self.x_new) && contracting {
                 for (xn, &xi) in self.x_new.iter_mut().zip(x) {
                     *xn += xi;
                 }
@@ -231,13 +233,8 @@ impl LinearCache {
             }
             self.backend.solve(&ws.rhs, &mut self.x_new, &mut self.scratch)?;
             stats.solves += 1;
-            // Backward-error verification.
-            ws.matrix.residual_into(&self.x_new, &ws.rhs, &mut self.resid)?;
-            let scale = ws.matrix.norm_inf_with_scratch(&mut self.rowsum)
-                * wavepipe_sparse::vector::norm_inf(&self.x_new)
-                + wavepipe_sparse::vector::norm_inf(&ws.rhs);
-            let r = wavepipe_sparse::vector::norm_inf(&self.resid);
-            if r.is_finite() && r <= 1e-8 * scale.max(f64::MIN_POSITIVE) {
+            if solve_verified(&ws.matrix, &self.x_new, &ws.rhs, &mut self.resid, &mut self.rowsum)?
+            {
                 self.key = Some(key);
                 let mut dxn = 0.0f64;
                 for (&xn, &xi) in self.x_new.iter().zip(x) {
@@ -256,6 +253,23 @@ impl LinearCache {
         self.key = None;
         Ok(false)
     }
+}
+
+/// Backward-error verification of `x_new` as the solution of `matrix * x =
+/// rhs`, from one walk of the matrix: `‖rhs − A·x_new‖∞ ≤ 1e-8 · (‖A‖∞ ·
+/// ‖x_new‖∞ + ‖rhs‖∞)`. A residual holding a NaN or an infinity fails
+/// whatever the norms say — they fold with `f64::max`, which drops NaN.
+/// `resid` receives the residual; `rowsum` is the matrix norm's buffer.
+pub(crate) fn solve_verified(
+    matrix: &CscMatrix,
+    x_new: &[f64],
+    rhs: &[f64],
+    resid: &mut [f64],
+    rowsum: &mut Vec<f64>,
+) -> std::result::Result<bool, SparseError> {
+    let e = matrix.backward_error_into(x_new, rhs, resid, rowsum)?;
+    let scale = e.matrix_norm * e.x_norm + e.b_norm;
+    Ok(e.residual_finite && e.residual_norm <= 1e-8 * scale.max(f64::MIN_POSITIVE))
 }
 
 /// Outcome of a Newton solve.
@@ -338,7 +352,7 @@ pub fn newton_solve(
         if opts.metrics.enabled() {
             publish_stamp_metrics(sys, ws, opts, &sres);
         }
-        if !wavepipe_sparse::vector::all_finite(&ws.rhs) {
+        if !all_finite(&ws.rhs) {
             // Companion history produced a non-finite excitation: give up on
             // this point so the step controller backs off.
             return Ok(NewtonOutcome { x, iterations: it, converged: false });
@@ -372,7 +386,7 @@ pub fn newton_solve(
             return Ok(NewtonOutcome { x, iterations: it, converged: false });
         }
         let x_new = cache.x_new.as_slice();
-        if !wavepipe_sparse::vector::all_finite(x_new) {
+        if !all_finite(x_new) {
             // Blowup: report as non-convergence so the step controller backs off.
             return Ok(NewtonOutcome { x, iterations: it, converged: false });
         }
@@ -535,6 +549,62 @@ mod tests {
         assert_eq!(stats.factorizations, 1);
         assert_eq!(stats.refactorizations, 0);
         assert_eq!(stats.jacobian_reuses, out.iterations - 1);
+    }
+
+    /// A direct backend whose every solve hands back one NaN beside the
+    /// entries the factors produced.
+    #[derive(Debug, Clone, Default)]
+    struct OneNan(DirectLu);
+
+    impl SolverBackend for OneNan {
+        fn factor(&mut self, a: &CscMatrix) -> wavepipe_sparse::Result<()> {
+            self.0.factor(a)
+        }
+        fn refactor(&mut self, a: &CscMatrix) -> wavepipe_sparse::Result<()> {
+            self.0.refactor(a)
+        }
+        fn solve(&self, b: &[f64], x: &mut [f64], s: &mut [f64]) -> wavepipe_sparse::Result<()> {
+            self.0.solve(b, x, s)?;
+            x[1] = f64::NAN;
+            Ok(())
+        }
+        fn factored(&self) -> bool {
+            self.0.factored()
+        }
+        fn invalidate(&mut self) {
+            self.0.invalidate();
+        }
+        fn clone_box(&self) -> Box<dyn SolverBackend> {
+            Box::new(self.clone())
+        }
+    }
+
+    #[test]
+    fn a_nan_beside_finite_entries_fails_verification() {
+        // The residual norms fold with `f64::max`, which drops NaN: the
+        // source's branch row does not see node `b` (unknown 1) and has a
+        // tiny residual, so without the explicit flag this solve verified as
+        // good.
+        let opts = SimOptions::default().with_chord_newton(false).with_bypass(false);
+        let sys = MnaSystem::compile(&divider_circuit()).unwrap();
+        let mut ws = sys.new_workspace();
+        let zeros = vec![0.0; sys.n_unknowns()];
+        let caps = vec![0.0; sys.cap_state_count()];
+        let input = dc_input(&zeros, &caps, &opts);
+        sys.stamp(&mut ws, &input, &zeros);
+        let mut cache = LinearCache::with_backend(Box::new(OneNan::default()));
+        let mut stats = SimStats::new();
+        let solved = cache.factor_and_solve(&ws, &input, &zeros, &opts, &mut stats).unwrap();
+        assert!(!solved, "a residual holding NaN verified as good");
+        assert!(cache.resid.iter().any(|r| r.is_nan()) && cache.resid.iter().any(|r| !r.is_nan()));
+        // The factorization was fresh, so there is no retry and no chord key.
+        assert_eq!((stats.factorizations, stats.solves), (1, 1));
+        assert_eq!(cache.key, None);
+        // Newton reports the point as not converged after that one iteration.
+        let out =
+            newton_solve(&sys, &mut ws, &mut cache, None, &input, &zeros, 20, &opts, &mut stats)
+                .unwrap();
+        assert!(!out.converged && out.iterations == 1);
     }
 
     #[test]

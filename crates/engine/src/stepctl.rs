@@ -69,6 +69,8 @@ pub struct StepController {
     /// signature of an h-independent error floor (trapezoidal ringing,
     /// solver-noise-dominated divided differences).
     lte_reject_streak: usize,
+    /// Divided-difference table of the LTE test, kept from point to point.
+    lte_table: Vec<f64>,
     result: TransientResult,
     stats: SimStats,
 }
@@ -115,6 +117,7 @@ impl StepController {
             hw: HistoryWindow::start(x0, sys.cap_state_count()),
             h: tstep.min(hmax).min(tstop / 100.0).max(hmin),
             lte_reject_streak: 0,
+            lte_table: Vec::new(),
             result,
             stats,
         })
@@ -248,16 +251,15 @@ impl StepController {
         let needed = sol.method.order() + 1;
         let h_used = sol.coeffs.h;
         let (h_next, growth, ratio) = if self.hw.usable_for_lte() >= needed {
-            let refs: Vec<&[f64]> =
-                self.hw.solutions()[..needed].iter().map(|v| v.as_slice()).collect();
             let d = lte_step_control(
                 sol.method,
                 sol.t,
                 &sol.x,
                 h_used,
                 &self.hw.times()[..needed],
-                &refs,
+                &self.hw.solutions()[..needed],
                 &self.opts,
+                &mut self.lte_table,
             );
             if !d.accept && h_used > self.hmin * 1.01 {
                 return Commit::RejectedLte { h_retry: d.h_new };

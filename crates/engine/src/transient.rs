@@ -142,8 +142,17 @@ impl HistoryWindow {
     /// Newton initial guess — and by WavePipe's forward pipelining as the
     /// speculative history value.
     pub fn predict(&self, t_new: f64) -> Vec<f64> {
+        let mut out = Vec::new();
+        self.predict_into(t_new, &mut out);
+        out
+    }
+
+    /// [`HistoryWindow::predict`] into a buffer the caller keeps.
+    pub fn predict_into(&self, t_new: f64, out: &mut Vec<f64>) {
+        out.clear();
         if self.times.len() < 2 || self.points_since_restart == 0 {
-            return self.xs[0].clone();
+            out.extend_from_slice(&self.xs[0]);
+            return;
         }
         if self.times.len() >= 3 && self.points_since_restart >= 2 {
             // Quadratic Lagrange extrapolation through the last three points
@@ -152,29 +161,36 @@ impl HistoryWindow {
             let l0 = (t_new - t1) * (t_new - t2) / ((t0 - t1) * (t0 - t2));
             let l1 = (t_new - t0) * (t_new - t2) / ((t1 - t0) * (t1 - t2));
             let l2 = (t_new - t0) * (t_new - t1) / ((t2 - t0) * (t2 - t1));
-            return self.xs[0]
-                .iter()
-                .zip(&self.xs[1])
-                .zip(&self.xs[2])
-                .map(|((&x0, &x1), &x2)| l0 * x0 + l1 * x1 + l2 * x2)
-                .collect();
+            out.extend(
+                self.xs[0]
+                    .iter()
+                    .zip(&self.xs[1])
+                    .zip(&self.xs[2])
+                    .map(|((&x0, &x1), &x2)| l0 * x0 + l1 * x1 + l2 * x2),
+            );
+            return;
         }
         let dt = self.times[0] - self.times[1];
         let scale = (t_new - self.times[0]) / dt;
-        self.xs[0].iter().zip(&self.xs[1]).map(|(&x0, &x1)| x0 + (x0 - x1) * scale).collect()
+        out.extend(self.xs[0].iter().zip(&self.xs[1]).map(|(&x0, &x1)| x0 + (x0 - x1) * scale));
     }
 
     /// Accepts a solved point, rolling the window forward. The capacitor
     /// currents were computed by [`PointSolver::solve_point`] against the
     /// *same history the companion integration used* — important for
     /// WavePipe, where the committing window may already contain trailing
-    /// points the solve never saw.
+    /// points the solve never saw. A full window rolls in place: the oldest
+    /// solution's buffer takes the new one.
     pub fn accept(&mut self, sol: &PointSolution) {
+        if self.xs.len() == WINDOW {
+            self.xs.rotate_right(1);
+            self.xs[0].clone_from(&sol.x);
+        } else {
+            self.xs.insert(0, sol.x.clone());
+        }
         self.times.insert(0, sol.t);
-        self.xs.insert(0, sol.x.clone());
         self.times.truncate(WINDOW);
-        self.xs.truncate(WINDOW);
-        self.cap_currents = sol.cap_currents.clone();
+        self.cap_currents.clone_from(&sol.cap_currents);
         self.points_since_restart += 1;
     }
 
@@ -243,6 +259,9 @@ pub struct PointSolver {
     pub(crate) ws: MnaWorkspace,
     pub(crate) cache: LinearCache,
     pub(crate) exec: Option<StampExecutor>,
+    /// The predictor's output, the Newton start of a point solved without an
+    /// explicit guess.
+    guess: Vec<f64>,
     /// Monotone per-solver solve counter — together with the fault handle's
     /// lane tag, the deterministic coordinate fault injection keys on.
     solve_seq: u64,
@@ -261,6 +280,7 @@ impl Clone for PointSolver {
                 .exec
                 .as_ref()
                 .and_then(|e| StampExecutor::new(&self.sys, e.workers(), &self.opts.faults)),
+            guess: Vec::new(),
             solve_seq: self.solve_seq,
         }
     }
@@ -276,7 +296,7 @@ impl PointSolver {
             None
         };
         let cache = LinearCache::for_options(&opts);
-        PointSolver { sys, opts, ws, cache, exec, solve_seq: 0 }
+        PointSolver { sys, opts, ws, cache, exec, guess: Vec::new(), solve_seq: 0 }
     }
 
     /// The compiled system.
@@ -436,8 +456,11 @@ impl PointSolver {
             ic_mode: false,
         };
         let guess = match x_guess {
-            Some(g) => g.to_vec(),
-            None => hw.predict(t_new),
+            Some(g) => g,
+            None => {
+                hw.predict_into(t_new, &mut self.guess);
+                &self.guess
+            }
         };
         let mut stats = SimStats::new();
         let outcome = match newton_solve(
@@ -446,7 +469,7 @@ impl PointSolver {
             &mut self.cache,
             self.exec.as_mut(),
             &input,
-            &guess,
+            guess,
             max_iters,
             &self.opts,
             &mut stats,

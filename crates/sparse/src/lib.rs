@@ -65,7 +65,7 @@ pub mod ordering;
 pub mod vector;
 
 pub use coo::CooMatrix;
-pub use csc::CscMatrix;
+pub use csc::{BackwardError, CscMatrix};
 pub use dense::DenseMatrix;
 pub use error::{Result, SparseError};
 pub use gmres::{gmres, GmresOptions, GmresOutcome};

@@ -33,6 +33,11 @@
 //!   common rows are updated in one pass, up to four source columns per row
 //!   visit and in stored order, so each workspace entry still receives the
 //!   same products in the same sequence as one column at a time.
+//!
+//! Every kernel applies a source column (or a block of them) to its target
+//! rows through one function, `update_rows`, which takes the targets four at
+//! a time through a local array; the order of subtractions per target is
+//! that of the plain loop.
 //! * the dense refactorization workspace, all-zero between calls.
 
 use crate::csc::CscMatrix;
@@ -128,12 +133,45 @@ const UNASSIGNED: usize = usize::MAX;
 /// Widest block of chained source columns one row visit applies.
 const BLOCK: usize = 4;
 
+/// Targets one register chunk of [`update_rows`] holds. The chunk body is
+/// written out for four.
+const CHUNK: usize = 4;
+
 /// `x[rows[e]] -= cols[0][e] * xr[0]; .. -= cols[W - 1][e] * xr[W - 1]` for
 /// every `e`: the one scatter-update of the numeric kernels. Each target
 /// receives its `W` products one rounded subtraction at a time, in order.
+///
+/// Targets go `CHUNK` at a time: loaded into a local array, updated from the
+/// contiguous value slices with the source column outermost, stored back —
+/// four independent subtraction chains instead of a load, `W` subtractions
+/// and a store that the next target's load has to wait behind. The rows of
+/// one `L` or `U` column are distinct, so the targets of a chunk never alias
+/// and each still sees exactly the subtractions, in the order, of the
+/// one-target-at-a-time loop that takes the remainder (and all of a column
+/// shorter than a chunk).
 #[inline(always)]
 fn update_rows<const W: usize>(x: &mut [f64], rows: &[u32], cols: [&[f64]; W], xr: [f64; W]) {
     let cols = cols.map(|c| &c[..rows.len()]);
+    let mut e = 0;
+    while e + CHUNK <= rows.len() {
+        let r = &rows[e..e + CHUNK];
+        let mut v = [x[r[0] as usize], x[r[1] as usize], x[r[2] as usize], x[r[3] as usize]];
+        for c in 0..W {
+            let l = &cols[c][e..e + CHUNK];
+            v = [
+                v[0] - l[0] * xr[c],
+                v[1] - l[1] * xr[c],
+                v[2] - l[2] * xr[c],
+                v[3] - l[3] * xr[c],
+            ];
+        }
+        x[r[0] as usize] = v[0];
+        x[r[1] as usize] = v[1];
+        x[r[2] as usize] = v[2];
+        x[r[3] as usize] = v[3];
+        e += CHUNK;
+    }
+    let (rows, cols) = (&rows[e..], cols.map(|c| &c[e..]));
     for (e, &r) in rows.iter().enumerate() {
         let mut v = x[r as usize];
         for c in 0..W {
@@ -398,6 +436,20 @@ impl SparseLu {
     ///
     /// After an error the factor values are unspecified; the object itself
     /// stays usable for a later `refactor`.
+    ///
+    /// # What the degradation check sees
+    ///
+    /// The column maximum a pivot is compared with folds `f64::max` over the
+    /// magnitudes of the column's `U` entries, its pivot and its `L` entries
+    /// before the division, and `f64::max` drops NaN. Entries of `a` are
+    /// checked for finiteness as they are scattered, so a NaN or an infinity
+    /// can only arise *inside* the elimination (an overflow, `inf - inf`):
+    /// an infinite entry beside a finite pivot makes the column maximum
+    /// infinite and the pivot reads as degraded; a NaN entry is invisible to
+    /// the maximum, and a NaN or infinite pivot passes both comparisons.
+    /// Such factors are returned as `Ok`; what rejects them is the caller's
+    /// backward-error check of the solve, which asks the residual for
+    /// finiteness explicitly.
     pub fn refactor(&mut self, a: &CscMatrix) -> Result<()> {
         self.check_pattern(a)?;
         let Self {
@@ -508,10 +560,23 @@ impl SparseLu {
             let pivot = std::mem::take(&mut x[k]);
             col_max = col_max.max(pivot.abs());
             let lr = l_colptr[k]..l_colptr[k + 1];
-            for (&r, l) in l_rows[lr.clone()].iter().zip(&mut l_vals[lr]) {
-                let v = std::mem::take(&mut x[r as usize]);
-                col_max = col_max.max(v.abs());
-                *l = v / pivot;
+            let (rows, l_col) = (&l_rows[lr.clone()], &mut l_vals[lr]);
+            if rows.len() < CHUNK {
+                for (&r, l) in rows.iter().zip(l_col) {
+                    let v = std::mem::take(&mut x[r as usize]);
+                    col_max = col_max.max(v.abs());
+                    *l = v / pivot;
+                }
+            } else {
+                // The column is gathered first and divided in a loop of its
+                // own, which is then nothing but contiguous divisions.
+                for (&r, l) in rows.iter().zip(l_col.iter_mut()) {
+                    *l = std::mem::take(&mut x[r as usize]);
+                    col_max = col_max.max(l.abs());
+                }
+                for l in l_col {
+                    *l /= pivot;
+                }
             }
             if pivot.abs() < opts.pivot_floor || pivot.abs() < 1e-10 * col_max {
                 return Err(SparseError::PivotDegraded { column: k, magnitude: pivot.abs() });
@@ -1293,6 +1358,49 @@ mod tests {
         a
     }
 
+    /// The refactorization sequence every pattern goes through, kernel
+    /// against reference: redrawn values without and with explicit zeros of
+    /// either sign, then a zeroed column (collapses its frozen pivot after
+    /// the columns before it went through) and a NaN (stops a scatter
+    /// half-way), each followed by a good matrix that must find the
+    /// workspace clean.
+    fn check_refactor_sequence(
+        pattern: &CscMatrix,
+        branch: &[bool],
+        opts: &LuOptions,
+        rng: &mut StdRng,
+    ) -> std::result::Result<SparseLu, TestCaseError> {
+        let n = pattern.ncols();
+        let first = redraw(pattern, branch, 0, rng);
+        let Ok(mut lu) = SparseLu::factor(&first, opts) else {
+            return Err(TestCaseError::Reject("singular draw"));
+        };
+        let mut reference = lu.clone();
+        // Values redrawn per refactorization; a frozen pivot may degrade
+        // on a draw, in which case both sides must say so alike.
+        for zero_one_in in [0, 6, 3] {
+            let a = redraw(pattern, branch, zero_one_in, rng);
+            let _ = assert_refactor_matches_reference(&mut lu, &mut reference, &a);
+        }
+        let good = redraw(pattern, branch, 0, rng);
+        if assert_refactor_matches_reference(&mut lu, &mut reference, &good).is_err() {
+            return Err(TestCaseError::Reject("frozen pivots degraded on the good draw"));
+        }
+        let j = rng.gen_range(0..n);
+        let mut degraded = good.clone();
+        let (s, e) = (degraded.col_ptr()[j], degraded.col_ptr()[j + 1]);
+        degraded.values_mut()[s..e].fill(0.0);
+        let got = assert_refactor_matches_reference(&mut lu, &mut reference, &degraded);
+        prop_assert!(matches!(got, Err(SparseError::PivotDegraded { .. })), "{:?}", got);
+        assert_refactor_matches_reference(&mut lu, &mut reference, &good).unwrap();
+        let mut nan = good.clone();
+        nan.values_mut()[e - 1] = f64::NAN;
+        let got = assert_refactor_matches_reference(&mut lu, &mut reference, &nan);
+        prop_assert!(matches!(got, Err(SparseError::NotFinite { .. })), "{:?}", got);
+        assert_refactor_matches_reference(&mut lu, &mut reference, &good).unwrap();
+        Ok(lu)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -1304,36 +1412,109 @@ mod tests {
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let (pattern, branch) = banded_plus_fill(n, band, &mut rng);
-            let first = redraw(&pattern, &branch, 0, &mut rng);
-            let Ok(mut lu) = SparseLu::factor(&first, &LuOptions::default()) else {
-                return Err(TestCaseError::Reject("singular draw"));
-            };
-            let mut reference = lu.clone();
-            // Values redrawn per refactorization; a frozen pivot may degrade
-            // on a draw, in which case both sides must say so alike.
-            for zero_one_in in [0, 6, 3] {
-                let a = redraw(&pattern, &branch, zero_one_in, &mut rng);
-                let _ = assert_refactor_matches_reference(&mut lu, &mut reference, &a);
+            check_refactor_sequence(&pattern, &branch, &LuOptions::default(), &mut rng)?;
+        }
+    }
+
+    /// A pattern from its coordinates, values all one.
+    fn pattern_of(n: usize, coords: impl IntoIterator<Item = (usize, usize)>) -> CscMatrix {
+        let mut t = CooMatrix::new(n, n);
+        for (r, c) in coords {
+            t.push(r, c, 1.0).unwrap();
+        }
+        t.to_csc()
+    }
+
+    /// Runs [`check_refactor_sequence`] in the natural ordering (so the test
+    /// decides which column holds what), retrying the rare draw on which a
+    /// frozen pivot degrades.
+    fn check_in_natural_order(pattern: &CscMatrix, seed: u64) -> SparseLu {
+        let opts = LuOptions { ordering: OrderingKind::Natural, ..LuOptions::default() };
+        let branch = vec![false; pattern.ncols()];
+        (seed..seed + 20)
+            .find_map(|s| {
+                let mut rng = StdRng::seed_from_u64(s);
+                match check_refactor_sequence(pattern, &branch, &opts, &mut rng) {
+                    Ok(lu) => Some(lu),
+                    Err(TestCaseError::Reject(_)) => None,
+                    Err(TestCaseError::Fail(msg)) => panic!("{msg}"),
+                }
+            })
+            .expect("a draw whose frozen pivots hold")
+    }
+
+    #[test]
+    fn every_row_count_around_the_chunk_is_bit_equal_in_the_plain_and_block_paths() {
+        for m in 0..=2 * CHUNK + 1 {
+            // Plain path (`W = 1`): column 0 reaches rows 1..=m and the last
+            // column reaches row 0, so refactoring the last column applies
+            // L(0), m rows, as a single unchained source column; so does the
+            // forward solve, and the backward solve the last column of U.
+            let n = m + 2;
+            let diag = (0..n).map(|i| (i, i));
+            let bordered = pattern_of(n, diag.chain((1..=m).map(|r| (r, 0))).chain([(0, n - 1)]));
+            let lu = check_in_natural_order(&bordered, 7 + m as u64);
+            assert_eq!(lu.l_colptr[1] - lu.l_colptr[0], m);
+            assert_eq!(lu.u_colptr[n] - lu.u_colptr[n - 1], m + 1);
+            if m >= 2 {
+                assert_eq!(lu.u_run[lu.u_colptr[n - 1]], 1, "L(0) is not a chain head");
             }
-            // A zeroed column collapses its frozen pivot after the columns
-            // before it went through; a NaN stops a scatter half-way. The
-            // good matrix afterwards finds the workspace clean.
-            let good = redraw(&pattern, &branch, 0, &mut rng);
-            if assert_refactor_matches_reference(&mut lu, &mut reference, &good).is_err() {
-                return Err(TestCaseError::Reject("frozen pivots degraded on the good draw"));
+            // Block path: a dense matrix is one chain, so the first block of
+            // its last column updates the m rows of L(BLOCK - 1) from BLOCK
+            // source columns (m = 0 leaves that column a block of three),
+            // and the shorter columns before it run every smaller count
+            // through the narrower blocks.
+            let d = m + BLOCK;
+            let dense = pattern_of(d, (0..d).flat_map(|r| (0..d).map(move |c| (r, c))));
+            let lu = check_in_natural_order(&dense, 70 + m as u64);
+            assert_eq!(lu.l_colptr[BLOCK] - lu.l_colptr[BLOCK - 1], m);
+            assert_eq!(usize::from(lu.u_run[lu.u_colptr[d - 1]]), d - 1);
+        }
+    }
+
+    /// `update_rows` itself against one source column and one target at a
+    /// time, values chosen to show any reordering: signed zeros among the
+    /// targets, the values and the multipliers, a NaN and an infinity.
+    fn check_update_rows<const W: usize>(m: usize, rng: &mut StdRng) {
+        let special = [0.0, -0.0, f64::NAN, f64::INFINITY, 1.0e-300];
+        let draw = |rng: &mut StdRng| match rng.gen_range(0..4usize) {
+            0 => special[rng.gen_range(0..special.len())],
+            _ => rng.gen_range(-2.0..2.0),
+        };
+        // Distinct targets in no particular order, as in a U column.
+        let mut rows: Vec<u32> = (0..3 * CHUNK as u32 + 2).collect();
+        for i in (1..rows.len()).rev() {
+            rows.swap(i, rng.gen_range(0..=i));
+        }
+        let x0: Vec<f64> = rows.iter().map(|_| draw(rng)).collect();
+        rows.truncate(m);
+        let cols: [Vec<f64>; W] = std::array::from_fn(|_| (0..m + 3).map(|_| draw(rng)).collect());
+        let xr: [f64; W] = std::array::from_fn(|_| draw(rng));
+        let mut want = x0.clone();
+        for (e, &r) in rows.iter().enumerate() {
+            for c in 0..W {
+                want[r as usize] -= cols[c][e] * xr[c];
             }
-            let j = rng.gen_range(0..n);
-            let mut degraded = good.clone();
-            let (s, e) = (degraded.col_ptr()[j], degraded.col_ptr()[j + 1]);
-            degraded.values_mut()[s..e].fill(0.0);
-            let got = assert_refactor_matches_reference(&mut lu, &mut reference, &degraded);
-            prop_assert!(matches!(got, Err(SparseError::PivotDegraded { .. })), "{:?}", got);
-            assert_refactor_matches_reference(&mut lu, &mut reference, &good).unwrap();
-            let mut nan = good.clone();
-            nan.values_mut()[e - 1] = f64::NAN;
-            let got = assert_refactor_matches_reference(&mut lu, &mut reference, &nan);
-            prop_assert!(matches!(got, Err(SparseError::NotFinite { .. })), "{:?}", got);
-            assert_refactor_matches_reference(&mut lu, &mut reference, &good).unwrap();
+        }
+        let mut got = x0;
+        update_rows(&mut got, &rows, std::array::from_fn(|c| cols[c].as_slice()), xr);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            // Which NaN a NaN operand yields is the instruction selector's
+            // choice; that it is one is not.
+            assert!(g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()), "W {W} m {m} x[{i}]");
+        }
+    }
+
+    #[test]
+    fn update_rows_is_one_target_at_a_time_at_every_width_and_row_count() {
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        for m in 0..=2 * CHUNK + 1 {
+            for _ in 0..40 {
+                check_update_rows::<1>(m, &mut rng);
+                check_update_rows::<2>(m, &mut rng);
+                check_update_rows::<3>(m, &mut rng);
+                check_update_rows::<4>(m, &mut rng);
+            }
         }
     }
 }

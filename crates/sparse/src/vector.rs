@@ -5,6 +5,10 @@
 
 /// Returns the infinity norm `max_i |x_i|` of `x` (0.0 for an empty slice).
 ///
+/// The fold is `f64::max`, which drops NaN: a NaN entry beside finite ones
+/// does not show in the result, so a finiteness check of the norm only ever
+/// catches ±inf. Ask [`all_finite`] of the entries where NaN matters.
+///
 /// ```
 /// assert_eq!(wavepipe_sparse::vector::norm_inf(&[1.0, -3.0, 2.0]), 3.0);
 /// ```

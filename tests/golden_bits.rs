@@ -16,7 +16,11 @@
 //! serial, backward, forward and adaptive row as it was and regenerated the
 //! `combined_x3` rows, whose round now feeds accepted leads to the lead
 //! accept-rate EMA and strides its forward link by Forward's rule
-//! (CHANGES.md, PR 16).
+//! (CHANGES.md, PR 16). The `power_grid(32,32)` rows (serial and Backward x2
+//! only: the benchmark's grid, whose L columns run to dozens of rows) were
+//! generated at the commit before `update_rows` took its targets in register
+//! chunks of four and the Newton tail became one pass; the 16x16 grid's
+//! columns barely reach a second chunk.
 //!
 //! The constants depend on the host's `libm` (`exp`/`ln` in the device
 //! models); on a mismatch the failure message prints the whole table in
@@ -82,6 +86,10 @@ const GOLDEN: &[Row] = &[
     ("diode_rectifier", "adaptive_x2", false, 0xf31f8d9a6e5bcbc1, 1686, 302, 1686),
     ("diode_rectifier", "combined_x3", true, 0x88f8d30039b7777c, 1849, 306, 659),
     ("diode_rectifier", "combined_x3", false, 0x36259ff6f842ea32, 1628, 301, 1628),
+    ("power_grid(32,32)", "serial", true, 0xbeeab462ce17a646, 885, 466, 378),
+    ("power_grid(32,32)", "serial", false, 0xa81a746a2d2076a4, 885, 466, 885),
+    ("power_grid(32,32)", "backward_x2", true, 0xffc6c17d4cc96d2d, 792, 398, 402),
+    ("power_grid(32,32)", "backward_x2", false, 0x28990a0b9b127f56, 792, 398, 792),
 ];
 
 const SCHEMES: [&str; 5] = ["serial", "backward_x2", "forward_x2", "adaptive_x2", "combined_x3"];
@@ -139,16 +147,17 @@ fn run(b: &Benchmark, scheme: &str, caches: bool) -> (TransientResult, SimStats)
 
 #[test]
 fn trajectories_match_the_parent_commit_bit_for_bit() {
-    let decks: [(&'static str, Benchmark); 5] = [
-        ("inverter_chain(8)", generators::inverter_chain(8)),
-        ("rc_ladder(30)", generators::rc_ladder(30)),
-        ("power_grid(6,6)", generators::power_grid(6, 6)),
-        ("power_grid(16,16)", generators::power_grid(16, 16)),
-        ("diode_rectifier", generators::diode_rectifier()),
+    let decks: [(&'static str, Benchmark, &[&'static str]); 6] = [
+        ("inverter_chain(8)", generators::inverter_chain(8), &SCHEMES),
+        ("rc_ladder(30)", generators::rc_ladder(30), &SCHEMES),
+        ("power_grid(6,6)", generators::power_grid(6, 6), &SCHEMES),
+        ("power_grid(16,16)", generators::power_grid(16, 16), &SCHEMES),
+        ("diode_rectifier", generators::diode_rectifier(), &SCHEMES),
+        ("power_grid(32,32)", generators::power_grid(32, 32), &SCHEMES[..2]),
     ];
     let mut got: Vec<Row> = Vec::new();
-    for (name, b) in &decks {
-        for scheme in SCHEMES {
+    for (name, b, schemes) in &decks {
+        for &scheme in *schemes {
             for caches in [true, false] {
                 let (r, s) = run(b, scheme, caches);
                 got.push((
