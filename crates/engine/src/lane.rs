@@ -33,7 +33,10 @@
 //!   solves;
 //! * a lane that reaches any unmirrored path — the controller reporting the
 //!   step below the floor (where the classic loop enters the recovery
-//!   ladder), a non-finite point or step, a failed DC solve — is **ejected**:
+//!   ladder), a non-finite point or step, a failed DC solve, a linearization
+//!   whose key the classic path would find in its *spare* factor set (the
+//!   pack keeps one set per lane; the lane drives the classic path's own
+//!   `FactorKeys`, so it knows) — is **ejected**:
 //!   the batch layer reruns it through the classic path from scratch, which
 //!   *is* the reference. Ejection can cost wall-clock, never bits.
 
@@ -47,7 +50,7 @@ use wavepipe_telemetry::{Counter, MetricsHandle};
 
 use crate::integrate::{IntegCoeffs, Method};
 use crate::mna::{LinKey, MnaSystem, MnaWorkspace, StampInput};
-use crate::newton::solve_verified;
+use crate::newton::{solve_verified, FactorKeys, KeyTurn};
 use crate::options::{CacheCtl, SimOptions};
 use crate::result::TransientResult;
 use crate::stats::SimStats;
@@ -128,7 +131,10 @@ struct Lane {
     /// live metrics, so the group-end aggregate publishes only the delta.
     dc_stats: SimStats,
     factors: Factors,
-    key: Option<LinKey>,
+    /// The classic cache's key bookkeeping, spare included: the lane holds
+    /// one numeric set, but parks and un-parks keys exactly as
+    /// `LinearCache` would, and ejects on a spare hit.
+    keys: FactorKeys,
     last_dx: Option<f64>,
     /// Current Newton iterate.
     x: Vec<f64>,
@@ -164,7 +170,7 @@ impl Lane {
             }
         }
         self.factors = Factors::None;
-        self.key = None;
+        self.keys = FactorKeys::default();
         self.last_dx = None;
     }
 
@@ -243,7 +249,7 @@ pub fn run_lane_group(
             continue;
         };
         let (ws, cache) = solver.into_lane_parts();
-        let (lu, key, last_dx, x_new, scratch, resid) = cache.into_lane_seed();
+        let (lu, keys, last_dx, x_new, scratch, resid) = cache.into_lane_seed();
         let Some(lu) = lu else {
             // Backend without extractable direct factors: not lane-packable.
             lanes.push(None);
@@ -258,7 +264,7 @@ pub fn run_lane_group(
             dc_stats: *ctl.stats(),
             ctl,
             factors: Factors::Scalar(Box::new(lu)),
-            key,
+            keys,
             last_dx,
             x: Vec::new(),
             x_new,
@@ -420,11 +426,23 @@ fn tick(lanes: &mut [Option<Lane>], pack: &mut Option<LanePackedLu>, g: &GroupCt
         if role[i] != Role::Stamped {
             continue;
         }
-        let eligible = g.opts.chord_newton
-            && !lane.ws.limited
-            && lane.factored()
-            && lane.key == Some(lane.tick_key);
-        if !eligible {
+        let mut hit = false;
+        if g.opts.chord_newton && lane.factored() {
+            // `factor_and_solve`'s look at the spare set. The lane has none:
+            // parking is bookkeeping only (a refactorization lands the same
+            // bits in either set), reuse of parked factors is not mirrored.
+            match lane.keys.turn(lane.tick_key) {
+                KeyTurn::SpareHit => {
+                    lane.phase = Phase::Ejected;
+                    role[i] = Role::Off;
+                    continue;
+                }
+                turn @ KeyTurn::Park => lane.keys.swapped(turn),
+                KeyTurn::Hit => hit = true,
+                KeyTurn::Miss => {}
+            }
+        }
+        if !hit || lane.ws.limited {
             role[i] = Role::Refactor;
             continue;
         }
@@ -637,6 +655,7 @@ fn fresh_factor(
     g: &GroupCtx,
 ) -> Role {
     lane.fresh = true;
+    lane.keys.fresh_plan();
     match SparseLu::factor_with_ordering(&lane.ws.matrix, &g.lu_opts, (*g.ordering).clone()) {
         Ok(lu) => {
             lane.ctl.stats_mut().factorizations += 1;
@@ -675,7 +694,7 @@ fn verify_or_retry(
             return false;
         };
         if verified {
-            lane.key = Some(lane.tick_key);
+            lane.keys.factored(lane.tick_key);
             let mut dxn = 0.0f64;
             for (&xn, &xi) in lane.x_new.iter().zip(&lane.x) {
                 dxn = dxn.max((xn - xi).abs());
@@ -684,12 +703,13 @@ fn verify_or_retry(
             return true;
         }
         if lane.fresh || attempt > 0 {
-            lane.key = None;
+            lane.keys.clear_active();
             return false;
         }
         // Retry with a fresh factorization (classic attempt 1). Solve
         // through the local factors before installing them — the packed and
         // scalar solves are bit-identical, so placement doesn't matter.
+        lane.keys.fresh_plan();
         match SparseLu::factor_with_ordering(&lane.ws.matrix, &g.lu_opts, (*g.ordering).clone()) {
             Ok(lu) => {
                 lane.ctl.stats_mut().factorizations += 1;
@@ -708,7 +728,7 @@ fn verify_or_retry(
             }
         }
     }
-    lane.key = None;
+    lane.keys.clear_active();
     false
 }
 
@@ -747,7 +767,7 @@ fn finish_point(lane: &mut Lane, converged: bool) {
     let h_attempt = lane.coeffs.h;
     if !converged {
         // note_rejection(): chord reuse must re-qualify.
-        lane.key = None;
+        lane.keys.clear_active();
         lane.last_dx = None;
         // Below the floor the classic loop enters the recovery ladder (or
         // ends with TimestepTooSmall) — not mirrored; the classic rerun

@@ -11,6 +11,80 @@ use wavepipe_sparse::vector::{all_finite, norm_inf};
 use wavepipe_sparse::{CscMatrix, SparseError};
 use wavepipe_telemetry::{Counter, EventKind, Family};
 
+/// Which [`LinKey`] each of a backend's two numeric factor sets was computed
+/// under, and the one rule that moves them: *keep the factors we had before
+/// this refactorization*. [`LinearCache`] drives it beside a real backend;
+/// the lane tier ([`crate::lane`]) drives the same bookkeeping beside its
+/// packed factors and ejects where the classic path would reach into the
+/// spare, so the rule exists once.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct FactorKeys {
+    /// Key of the set solves go through. Chord reuse is only legal while it
+    /// matches (same `h`, same `gshunt`, same analysis mode); `None` disables
+    /// reuse until the next verified factorization.
+    active: Option<LinKey>,
+    /// Key of the parked set; `None` while nothing usable is parked.
+    spare: Option<LinKey>,
+}
+
+/// What a linearization's key finds in a [`FactorKeys`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum KeyTurn {
+    /// The active set was computed under this key.
+    Hit,
+    /// The parked set was: trade places and reuse it.
+    SpareHit,
+    /// Neither was, and the active set is worth keeping: trade places so the
+    /// refactorization that follows overwrites the older set.
+    Park,
+    /// Neither was, and the active set's key is gone (a rejected point, a
+    /// failed verification): refactor over it.
+    Miss,
+}
+
+impl FactorKeys {
+    /// The rule. Exact keys, one parked set: a run whose steps cycle through
+    /// more than two keys never finds "the one before" asked for again.
+    pub(crate) fn turn(&self, key: LinKey) -> KeyTurn {
+        if self.active == Some(key) {
+            KeyTurn::Hit
+        } else if self.spare == Some(key) {
+            KeyTurn::SpareHit
+        } else if self.active.is_some() {
+            KeyTurn::Park
+        } else {
+            KeyTurn::Miss
+        }
+    }
+
+    /// The two sets traded places, for `turn` ([`KeyTurn::SpareHit`] or
+    /// [`KeyTurn::Park`]). After a park the set now active is the one about
+    /// to be overwritten, so it has no key.
+    pub(crate) fn swapped(&mut self, turn: KeyTurn) {
+        std::mem::swap(&mut self.active, &mut self.spare);
+        if turn == KeyTurn::Park {
+            self.active = None;
+        }
+    }
+
+    /// The active set verified as the factors of `key`'s matrix.
+    pub(crate) fn factored(&mut self, key: LinKey) {
+        self.active = Some(key);
+    }
+
+    /// The active set was computed along a path the caller abandoned (a
+    /// rejected point, a failed verification). The parked one was not.
+    pub(crate) fn clear_active(&mut self) {
+        self.active = None;
+    }
+
+    /// A fresh pivot search replaced the plan both sets lived over: the
+    /// parked one is gone.
+    pub(crate) fn fresh_plan(&mut self) {
+        self.spare = None;
+    }
+}
+
 /// Cached linear-solver state: the solver backend holding the current
 /// factorization (reused across stamps with the fixed pattern) and solve
 /// scratch buffers, plus the chord/modified-Newton bookkeeping that decides
@@ -29,10 +103,9 @@ pub struct LinearCache {
     resid: Vec<f64>,
     /// Row-sum buffer of the backward-error check's matrix norm.
     rowsum: Vec<f64>,
-    /// Linear-stamp key the cached factors were computed under. Chord reuse
-    /// is only legal while the key matches (same `h`, same `gshunt`, same
-    /// analysis mode); `None` disables reuse until the next factorization.
-    key: Option<LinKey>,
+    /// Linear-stamp keys the backend's active and spare factors were
+    /// computed under.
+    keys: FactorKeys,
     /// Newton update norm of the previous iterate in the current solve, for
     /// the contraction-rate gate. Reset at the start of every solve.
     last_dx: Option<f64>,
@@ -46,7 +119,7 @@ impl Default for LinearCache {
             scratch: Vec::new(),
             resid: Vec::new(),
             rowsum: Vec::new(),
-            key: None,
+            keys: FactorKeys::default(),
             last_dx: None,
         }
     }
@@ -60,7 +133,7 @@ impl Clone for LinearCache {
             scratch: self.scratch.clone(),
             resid: self.resid.clone(),
             rowsum: Vec::new(),
-            key: self.key,
+            keys: self.keys,
             last_dx: self.last_dx,
         }
     }
@@ -81,7 +154,7 @@ impl LinearCache {
     /// Drops the cached factorization (forces a fresh pivot search next time).
     pub fn invalidate(&mut self) {
         self.backend.invalidate();
-        self.key = None;
+        self.keys = FactorKeys::default();
         self.last_dx = None;
     }
 
@@ -91,32 +164,27 @@ impl LinearCache {
         self.last_dx = None;
     }
 
-    /// Notes a rejected time point: the factors were computed at a state the
-    /// controller abandoned, so chord reuse must re-qualify via a fresh
-    /// factorization.
+    /// Notes a rejected time point: the active factors were computed at a
+    /// state the controller abandoned, so chord reuse must re-qualify via a
+    /// fresh factorization (and they are not worth parking). The spare set
+    /// predates the abandoned point and keeps its key.
     pub fn note_rejection(&mut self) {
-        self.key = None;
+        self.keys.clear_active();
         self.last_dx = None;
     }
 
     /// Dismantles the cache into the seed state a lane of the packed batch
     /// tier continues from: the direct LU factors (if the backend can
     /// surrender them — see [`SolverBackend::take_lu`]), the linear-stamp
-    /// key and chord contraction-rate those factors were computed under, and
+    /// keys and chord contraction-rate those factors were computed under, and
     /// the reusable solve buffers.
     #[allow(clippy::type_complexity)]
     pub(crate) fn into_lane_seed(
         self,
-    ) -> (
-        Option<wavepipe_sparse::SparseLu>,
-        Option<LinKey>,
-        Option<f64>,
-        Vec<f64>,
-        Vec<f64>,
-        Vec<f64>,
-    ) {
-        let LinearCache { mut backend, x_new, scratch, resid, key, last_dx, .. } = self;
-        (backend.take_lu(), key, last_dx, x_new, scratch, resid)
+    ) -> (Option<wavepipe_sparse::SparseLu>, FactorKeys, Option<f64>, Vec<f64>, Vec<f64>, Vec<f64>)
+    {
+        let LinearCache { mut backend, x_new, scratch, resid, keys, last_dx, .. } = self;
+        (backend.take_lu(), keys, last_dx, x_new, scratch, resid)
     }
 
     /// Produces the next Newton iterate in `self.x_new` for the freshly
@@ -125,7 +193,12 @@ impl LinearCache {
     /// 1. **Chord reuse** (when enabled, un-limited, and the linear-stamp key
     ///    matches the cached factors): one triangular solve of the delta form
     ///    `dx = LU⁻¹(rhs − A·x)`, accepted only while the update norms keep
-    ///    contracting at rate `chord_theta`.
+    ///    contracting at rate `chord_theta`. With chord reuse enabled, a key
+    ///    that differs from the active factors' first consults the backend's
+    ///    spare set ([`FactorKeys`]): factors parked under exactly this key
+    ///    trade places with the active ones and are reused the same way;
+    ///    otherwise the active ones are parked, so that path 2 overwrites the
+    ///    older set.
     /// 2. Frozen-pivot refactorization of the existing pivot order.
     /// 3. Fresh factorization with full pivot search.
     ///
@@ -187,7 +260,19 @@ impl LinearCache {
         self.scratch.resize(n, 0.0);
         self.resid.resize(n, 0.0);
         let key = LinKey::of(input);
-        if opts.chord_newton && !ws.limited && self.backend.factored() && self.key == Some(key) {
+        // With chord reuse on, the key first has its turn at the two factor
+        // sets; `hit` says whether the active one is now this key's.
+        let mut hit = false;
+        if opts.chord_newton {
+            let turn = self.keys.turn(key);
+            let swap = matches!(turn, KeyTurn::SpareHit | KeyTurn::Park);
+            let swapped = swap && self.backend.swap_spare();
+            if swapped {
+                self.keys.swapped(turn);
+            }
+            hit = turn == KeyTurn::Hit || (swapped && turn == KeyTurn::SpareHit);
+        }
+        if hit && !ws.limited && self.backend.factored() {
             // Chord step: solve the delta form against the *stale* factors
             // but the *fresh* matrix/RHS, so the fixed point is unchanged.
             ws.matrix.residual_into(x, &ws.rhs, &mut self.resid)?;
@@ -213,6 +298,7 @@ impl LinearCache {
         for attempt in 0..2 {
             let fresh = !self.backend.factored() || attempt > 0;
             if fresh {
+                self.keys.fresh_plan();
                 self.backend.factor(&ws.matrix)?;
                 stats.factorizations += 1;
             } else {
@@ -225,6 +311,7 @@ impl LinearCache {
                     }
                     Err(SparseError::PivotDegraded { .. }) => {
                         // Frozen pivot order went bad: re-pivot from scratch.
+                        self.keys.fresh_plan();
                         self.backend.factor(&ws.matrix)?;
                         stats.factorizations += 1;
                     }
@@ -235,7 +322,7 @@ impl LinearCache {
             stats.solves += 1;
             if solve_verified(&ws.matrix, &self.x_new, &ws.rhs, &mut self.resid, &mut self.rowsum)?
             {
-                self.key = Some(key);
+                self.keys.factored(key);
                 let mut dxn = 0.0f64;
                 for (&xn, &xi) in self.x_new.iter().zip(x) {
                     dxn = dxn.max((xn - xi).abs());
@@ -245,12 +332,12 @@ impl LinearCache {
             }
             if fresh {
                 // Even full pivoting cannot solve this system reliably.
-                self.key = None;
+                self.keys.clear_active();
                 return Ok(false);
             }
             // Fall through: retry with a fresh factorization.
         }
-        self.key = None;
+        self.keys.clear_active();
         Ok(false)
     }
 }
@@ -599,12 +686,162 @@ mod tests {
         assert!(cache.resid.iter().any(|r| r.is_nan()) && cache.resid.iter().any(|r| !r.is_nan()));
         // The factorization was fresh, so there is no retry and no chord key.
         assert_eq!((stats.factorizations, stats.solves), (1, 1));
-        assert_eq!(cache.key, None);
+        assert_eq!(cache.keys, FactorKeys::default());
         // Newton reports the point as not converged after that one iteration.
         let out =
             newton_solve(&sys, &mut ws, &mut cache, None, &input, &zeros, 20, &opts, &mut stats)
                 .unwrap();
         assert!(!out.converged && out.iterations == 1);
+    }
+
+    /// A direct backend that logs every call the cache makes; `spare: false`
+    /// leaves [`SolverBackend::swap_spare`] at the trait's "unsupported".
+    #[derive(Debug, Clone)]
+    struct Logged {
+        inner: DirectLu,
+        spare: bool,
+        log: std::sync::Arc<std::sync::Mutex<Vec<&'static str>>>,
+    }
+
+    impl Logged {
+        fn note(&self, call: &'static str) {
+            self.log.lock().expect("no test thread panics holding the log").push(call);
+        }
+    }
+
+    impl SolverBackend for Logged {
+        fn factor(&mut self, a: &CscMatrix) -> wavepipe_sparse::Result<()> {
+            self.note("factor");
+            self.inner.factor(a)
+        }
+        fn refactor(&mut self, a: &CscMatrix) -> wavepipe_sparse::Result<()> {
+            self.note("refactor");
+            self.inner.refactor(a)
+        }
+        fn solve(&self, b: &[f64], x: &mut [f64], s: &mut [f64]) -> wavepipe_sparse::Result<()> {
+            self.note("solve");
+            self.inner.solve(b, x, s)
+        }
+        fn factored(&self) -> bool {
+            self.inner.factored()
+        }
+        fn invalidate(&mut self) {
+            self.inner.invalidate();
+        }
+        fn clone_box(&self) -> Box<dyn SolverBackend> {
+            Box::new(self.clone())
+        }
+        fn swap_spare(&mut self) -> bool {
+            if !self.spare {
+                return false;
+            }
+            self.note("swap");
+            self.inner.swap_spare()
+        }
+    }
+
+    /// Runs one linearization per entry of `steps` on an RC low-pass (the
+    /// step size is the key; `'!'` notes a rejected point instead) and
+    /// returns the backend calls each one made. Every solve must solve its
+    /// own system, whichever factor set served it.
+    fn calls_per_key(steps: &str, chord: bool, spare: bool) -> Vec<String> {
+        let mut ckt = Circuit::new("rc");
+        let (a, b) = (ckt.node("a"), ckt.node("b"));
+        ckt.add_vsource("V1", a, Circuit::GROUND, Waveform::dc(1.0)).unwrap();
+        ckt.add_resistor("R1", a, b, 1e3).unwrap();
+        ckt.add_capacitor("C1", b, Circuit::GROUND, 1e-9).unwrap();
+        let sys = MnaSystem::compile(&ckt).unwrap();
+        let mut ws = sys.new_workspace();
+        let opts = SimOptions::default()
+            .with_chord_newton(chord)
+            .with_bypass(false)
+            .with_companion_cache(false);
+        let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+        let backend = Logged { inner: DirectLu::new(), spare, log: log.clone() };
+        let mut cache = LinearCache::with_backend(Box::new(backend));
+        let mut stats = SimStats::new();
+        let x = vec![0.25; sys.n_unknowns()];
+        let caps = vec![0.0; sys.cap_state_count()];
+        let mut out = Vec::new();
+        for step in steps.chars() {
+            if step == '!' {
+                cache.note_rejection();
+                continue;
+            }
+            let h = match step {
+                'a' => 1e-9,
+                'b' => 2e-9,
+                'c' => 4e-9,
+                other => panic!("no such step: {other}"),
+            };
+            let input = StampInput {
+                coeffs: Some(crate::integrate::IntegCoeffs::new(opts.method, h, h)),
+                ..dc_input(&x, &caps, &opts)
+            };
+            sys.stamp(&mut ws, &input, &x);
+            cache.begin_solve();
+            assert!(cache.factor_and_solve(&ws, &input, &x, &opts, &mut stats).unwrap());
+            let mut resid = vec![0.0; x.len()];
+            ws.matrix.residual_into(&cache.x_new, &ws.rhs, &mut resid).unwrap();
+            assert!(norm_inf(&resid) <= 1e-9 * norm_inf(&ws.rhs), "step {step}: {resid:?}");
+            out.push(log.lock().unwrap().drain(..).collect::<Vec<_>>().join(" "));
+        }
+        out
+    }
+
+    #[test]
+    fn the_factors_left_one_refactorization_ago_are_swapped_back_not_recomputed() {
+        assert_eq!(
+            calls_per_key("abacb", true, true),
+            [
+                "factor solve",
+                // `a`'s factors are parked, `b`'s land in the new spare set.
+                "swap refactor solve",
+                // The spare holds `a`: one chord solve, no numeric work.
+                "swap solve",
+                // `c` overwrites the older set (`b`'s); `a`'s are parked again ...
+                "swap refactor solve",
+                // ... so `b` finds neither set its own and overwrites `a`'s.
+                "swap refactor solve",
+            ]
+        );
+    }
+
+    #[test]
+    fn without_chord_newton_nothing_is_ever_parked() {
+        let refactored = ["factor solve", "refactor solve", "refactor solve", "refactor solve"];
+        assert_eq!(calls_per_key("abab", false, true), refactored);
+    }
+
+    #[test]
+    fn a_rejected_point_s_factors_are_not_parked() {
+        assert_eq!(
+            calls_per_key("a!ba", true, true),
+            // `b` refactors over the abandoned set in place, so `a` finds
+            // nothing parked and parks `b`.
+            ["factor solve", "refactor solve", "swap refactor solve"]
+        );
+        // A rejection leaves the spare alone: `a` is still parked under `b`.
+        assert_eq!(
+            calls_per_key("ab!a", true, true),
+            ["factor solve", "swap refactor solve", "swap solve"]
+        );
+    }
+
+    #[test]
+    fn a_backend_without_a_spare_sees_the_call_sequence_it_always_did() {
+        assert_eq!(
+            calls_per_key("abacb", true, false),
+            [
+                "factor solve",
+                "refactor solve",
+                "refactor solve",
+                "refactor solve",
+                "refactor solve"
+            ]
+        );
+        // The same key twice running is the chord path, as before.
+        assert_eq!(calls_per_key("aab", true, false), ["factor solve", "solve", "refactor solve"]);
     }
 
     #[test]

@@ -7,10 +7,11 @@
 //! escapes, the failing point is retried through a sequence of increasingly
 //! aggressive rungs —
 //!
-//! 1. **Cache-poisoning rollback**: every solver cache (bypass masks, chord
-//!    LU key, companion matrix) is invalidated and the point is re-solved at
-//!    the step floor with the caches *disabled*, so a stale cached stamp
-//!    cannot have been the reason Newton diverged.
+//! 1. **Cache-poisoning rollback**: every solver cache (bypass masks, the
+//!    chord LU keys of the active *and* the spare factor set, companion
+//!    matrix) is invalidated and the point is re-solved at the step floor
+//!    with the caches *disabled*, so a stale cached stamp cannot have been
+//!    the reason Newton diverged.
 //! 2. **Deep step cuts**: the step is cut in quarters below the LTE floor
 //!    for a bounded budget ([`crate::SimOptions::recovery_deep_cuts`]) — a
 //!    few points of order-1 crawl through a violent corner costs far less

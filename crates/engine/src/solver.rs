@@ -25,6 +25,7 @@
 //! default paths bitwise.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use wavepipe_sparse::ordering::order;
 use wavepipe_sparse::{CscMatrix, LuOptions, Permutation, Result, SparseError, SparseLu};
@@ -100,6 +101,20 @@ pub trait SolverBackend: fmt::Debug + Send {
     fn take_lu(&mut self) -> Option<SparseLu> {
         None
     }
+
+    /// Trades the current numeric factors with a spare set kept over the
+    /// same pivot order and elimination pattern (see
+    /// [`SparseLu::swap_spare`]): what was current is parked intact and
+    /// comes back with the next swap; what becomes current holds the factors
+    /// parked earlier, or none before the first `refactor` into it. A fresh
+    /// [`factor`](SolverBackend::factor) and
+    /// [`invalidate`](SolverBackend::invalidate) drop the spare. Returns
+    /// `false`, having done nothing, when the backend is unfactored or keeps
+    /// no such set (the default) — the Newton cache then runs as if the spare
+    /// did not exist.
+    fn swap_spare(&mut self) -> bool {
+        false
+    }
 }
 
 /// The solve-layer error for operating on an unfactored backend.
@@ -114,7 +129,7 @@ fn unfactored(n: usize) -> SparseError {
 ///
 /// The ordering is a pure function of the matrix pattern, so it is worked out
 /// once: a backend keeps the permutation of its first fresh factorization for
-/// later ones of the same column pointers (a `PivotDegraded` re-pivot searches
+/// later ones of the same pattern (a `PivotDegraded` re-pivot searches
 /// pivots again, not the ordering), and owners of many backends over one
 /// compiled MNA pattern — a batch's instances, a pipelined run's lanes —
 /// compute it themselves and hand every backend an `Arc` of it
@@ -127,9 +142,18 @@ pub struct DirectLu {
     /// The permutation fresh factorizations go through: handed in, or kept
     /// from this backend's first one.
     ordering: Option<Arc<Permutation>>,
-    /// Column pointers of the matrix a kept ordering was derived from; empty
-    /// for one handed in, whose owner vouches for the pattern.
-    derived_for: Vec<usize>,
+    /// Pattern of the matrix a kept ordering was derived from — its column
+    /// pointers and a hash of its row indices ([`rows_hash`]); `None` for one
+    /// handed in, whose owner vouches for the pattern.
+    derived_for: Option<(Vec<usize>, u64)>,
+}
+
+/// SipHash (fixed keys) of a matrix's row indices: what a kept ordering
+/// remembers of them, at 8 bytes instead of 8 per stored entry.
+fn rows_hash(a: &CscMatrix) -> u64 {
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    a.row_idx().hash(&mut h);
+    h.finish()
 }
 
 impl DirectLu {
@@ -164,14 +188,19 @@ impl DirectLu {
 impl SolverBackend for DirectLu {
     fn factor(&mut self, a: &CscMatrix) -> Result<()> {
         self.lu = None;
-        if !self.derived_for.is_empty() && self.derived_for != a.col_ptr() {
+        // Fresh factorizations are rare: walking the whole pattern is free.
+        if self
+            .derived_for
+            .as_ref()
+            .is_some_and(|(cp, rows)| cp != a.col_ptr() || *rows != rows_hash(a))
+        {
             self.ordering = None;
         }
         let q = match &self.ordering {
             Some(q) => Permutation::clone(q),
             None => {
                 let q = order(a, self.opts.ordering)?;
-                self.derived_for = a.col_ptr().to_vec();
+                self.derived_for = Some((a.col_ptr().to_vec(), rows_hash(a)));
                 self.ordering = Some(Arc::new(q.clone()));
                 q
             }
@@ -204,6 +233,10 @@ impl SolverBackend for DirectLu {
 
     fn take_lu(&mut self) -> Option<SparseLu> {
         self.lu.take()
+    }
+
+    fn swap_spare(&mut self) -> bool {
+        self.lu.as_mut().map(SparseLu::swap_spare).is_some()
     }
 }
 
@@ -375,6 +408,57 @@ mod tests {
             backend.ordering.as_deref(),
             Some(&order(&hub, LuOptions::default().ordering).unwrap())
         );
+    }
+
+    #[test]
+    fn kept_ordering_yields_to_other_rows_under_the_same_column_pointers() {
+        // Two patterns with the same column counts and different rows: the
+        // dense row sits on unknown 0 in one and on unknown 3 in the other,
+        // and minimum degree orders them differently.
+        let hub = |h: usize| {
+            let mut t = CooMatrix::new(4, 4);
+            for i in 0..4 {
+                t.push(i, i, 3.0 + 0.7 * i as f64).unwrap();
+            }
+            // Column c holds two entries, or four when it is c = 1.
+            for r in (0..4).filter(|&r| r != 1) {
+                t.push(r, 1, 0.3 + 0.11 * r as f64).unwrap();
+            }
+            for c in (0..4).filter(|&c| c != 1 && c != h) {
+                t.push(h, c, -0.9 + 0.13 * c as f64).unwrap();
+            }
+            t.push((h + 2) % 4, h, 0.45).unwrap();
+            t.to_csc()
+        };
+        let (a, b) = (hub(0), hub(3));
+        assert_eq!(a.col_ptr(), b.col_ptr());
+        assert_ne!(a.row_idx(), b.row_idx());
+        let kind = LuOptions::default().ordering;
+        assert_ne!(order(&a, kind).unwrap(), order(&b, kind).unwrap());
+        let rhs = [1.0, -2.0, 0.5, 3.0];
+        let mut reused = DirectLu::new();
+        for m in [&a, &b, &a] {
+            let x = solve_through(&mut reused, m, &rhs);
+            assert_eq!(x, solve_through(&mut DirectLu::new(), m, &rhs));
+            assert_eq!(reused.ordering.as_deref(), Some(&order(m, kind).unwrap()));
+        }
+    }
+
+    #[test]
+    fn swap_spare_needs_factors_and_parks_them_intact() {
+        let (a1, a2) = (small_matrix(1.0), small_matrix(2.5));
+        let b = [0.5, 1.5, -1.0, 2.0];
+        let mut backend = DirectLu::new();
+        assert!(!backend.swap_spare(), "nothing to park before a factorization");
+        let x1 = solve_through(&mut backend, &a1, &b);
+        assert!(backend.swap_spare());
+        backend.refactor(&a2).unwrap();
+        assert!(backend.swap_spare());
+        let (mut x, mut scratch) = (vec![0.0; 4], vec![0.0; 4]);
+        backend.solve(&b, &mut x, &mut scratch).unwrap();
+        assert_eq!(x, x1, "the parked factors came back changed");
+        backend.invalidate();
+        assert!(!backend.swap_spare());
     }
 
     #[test]

@@ -84,23 +84,24 @@ impl LanePackedLu {
     /// Panics if `k == 0` or `k > MAX_LANES`.
     pub fn from_structure(k: usize, seed: &SparseLu) -> Self {
         assert!((1..=MAX_LANES).contains(&k), "lane count {k} outside 1..={MAX_LANES}");
-        let n = seed.n;
+        let plan = &*seed.plan;
+        let n = plan.n;
         LanePackedLu {
             k,
             n,
             pivot_floor: seed.opts.pivot_floor,
-            q: seed.q.clone(),
-            p: seed.p.clone(),
-            pinv: seed.pinv.clone(),
-            l_colptr: seed.l_colptr.clone(),
+            q: plan.q.clone(),
+            p: plan.p.clone(),
+            pinv: plan.pinv.clone(),
+            l_colptr: plan.l_colptr.clone(),
             // The lane kernels index their workspace by ORIGINAL row id;
             // `SparseLu` stores pivot positions.
-            l_rows: seed.l_rows.iter().map(|&t| seed.p[t as usize]).collect(),
-            u_colptr: seed.u_colptr.clone(),
-            u_rows: seed.u_rows.iter().map(|&t| t as usize).collect(),
+            l_rows: plan.l_rows.iter().map(|&t| plan.p[t as usize]).collect(),
+            u_colptr: plan.u_colptr.clone(),
+            u_rows: plan.u_rows.iter().map(|&t| t as usize).collect(),
             a_nnz: seed.a_nnz(),
-            l_vals: vec![0.0; seed.l_vals.len() * k],
-            u_vals: vec![0.0; seed.u_vals.len() * k],
+            l_vals: vec![0.0; plan.l_rows.len() * k],
+            u_vals: vec![0.0; plan.u_rows.len() * k],
             u_diag: vec![0.0; n * k],
             x: vec![0.0; n * k],
             y: vec![0.0; n * k],
@@ -127,16 +128,17 @@ impl LanePackedLu {
     /// pivot sequence, elimination pattern, pattern nnz, and pivot floor) as
     /// this pack, i.e. its numeric values can live in a lane.
     pub fn structure_matches(&self, lu: &SparseLu) -> bool {
-        lu.n == self.n
+        let plan = &*lu.plan;
+        plan.n == self.n
             && lu.a_nnz() == self.a_nnz
             && lu.opts.pivot_floor == self.pivot_floor
-            && lu.q.perm() == self.q.perm()
-            && lu.p == self.p
-            && lu.pinv == self.pinv
-            && lu.l_colptr == self.l_colptr
-            && lu.l_rows.iter().map(|&t| lu.p[t as usize]).eq(self.l_rows.iter().copied())
-            && lu.u_colptr == self.u_colptr
-            && lu.u_rows.iter().map(|&t| t as usize).eq(self.u_rows.iter().copied())
+            && plan.q.perm() == self.q.perm()
+            && plan.p == self.p
+            && plan.pinv == self.pinv
+            && plan.l_colptr == self.l_colptr
+            && plan.l_rows.iter().map(|&t| plan.p[t as usize]).eq(self.l_rows.iter().copied())
+            && plan.u_colptr == self.u_colptr
+            && plan.u_rows.iter().map(|&t| t as usize).eq(self.u_rows.iter().copied())
     }
 
     /// Copies `lu`'s numeric values into `lane`. Returns `false` (without
@@ -151,13 +153,13 @@ impl LanePackedLu {
             return false;
         }
         let k = self.k;
-        for (i, &v) in lu.l_vals.iter().enumerate() {
+        for (i, &v) in lu.vals.l_vals.iter().enumerate() {
             self.l_vals[i * k + lane] = v;
         }
-        for (i, &v) in lu.u_vals.iter().enumerate() {
+        for (i, &v) in lu.vals.u_vals.iter().enumerate() {
             self.u_vals[i * k + lane] = v;
         }
-        for (i, &v) in lu.u_diag.iter().enumerate() {
+        for (i, &v) in lu.vals.u_diag.iter().enumerate() {
             self.u_diag[i * k + lane] = v;
         }
         self.present[lane] = true;

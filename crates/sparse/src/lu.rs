@@ -39,10 +39,25 @@
 //! a time through a local array; the order of subtractions per target is
 //! that of the plain loop.
 //! * the dense refactorization workspace, all-zero between calls.
+//!
+//! # Plan and numeric sets
+//!
+//! What `factor` decides — ordering, pivot sequence, the index arrays of `L`
+//! and `U`, the chain plan, the scatter map — is the *plan*: immutable once
+//! built, held behind an `Arc`. What `refactor` writes — the values of `L`,
+//! strict `U` and the pivots — is a *numeric set*. A clone shares the plan
+//! and copies only values; a fresh `factor` builds a new plan. One factor
+//! object may hold a second, *spare* numeric set over the same plan
+//! ([`SparseLu::swap_spare`]): `refactor` and the solves work on the active
+//! set, the spare keeps the factors of another matrix of the same pattern
+//! until the two trade places. `refactor` is a pure function of the plan and
+//! the matrix (every value it reads it has written earlier in the same
+//! pass), so which set it lands in changes no bit.
 
 use crate::csc::CscMatrix;
 use crate::error::{Result, SparseError};
 use crate::ordering::{order, OrderingKind, Permutation};
+use std::sync::Arc;
 
 /// Options controlling the sparse LU factorization.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,8 +108,22 @@ impl Default for LuOptions {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SparseLu {
-    pub(crate) n: usize,
     pub(crate) opts: LuOptions,
+    pub(crate) plan: Arc<LuPlan>,
+    /// The active numeric set: what `refactor` writes and the solves read.
+    pub(crate) vals: LuValues,
+    /// The parked numeric set, allocated by the first [`SparseLu::swap_spare`].
+    spare: Option<LuValues>,
+    /// Dense refactorization workspace in pivot coordinates; every kernel
+    /// that writes it leaves it all-zero, error returns included.
+    work: Vec<f64>,
+}
+
+/// The symbolic half of a factorization (see the [module docs](self)): what
+/// the pivoting `factor` chose, read-only to every numeric kernel.
+#[derive(Debug)]
+pub(crate) struct LuPlan {
+    pub(crate) n: usize,
     /// Column permutation (fill ordering), new-to-old.
     pub(crate) q: Permutation,
     /// Pivot-position -> original-row.
@@ -105,15 +134,11 @@ pub struct SparseLu {
     // are PIVOT POSITIONS (> column index), ascending within a column.
     pub(crate) l_colptr: Vec<usize>,
     pub(crate) l_rows: Vec<u32>,
-    pub(crate) l_vals: Vec<f64>,
     // U: strictly upper part stored by column; row indices are PIVOT
     // POSITIONS (< column index), recorded in elimination (topological)
     // order so refactorization can replay updates directly.
     pub(crate) u_colptr: Vec<usize>,
     pub(crate) u_rows: Vec<u32>,
-    pub(crate) u_vals: Vec<f64>,
-    /// U diagonal (the pivots) by column.
-    pub(crate) u_diag: Vec<f64>,
     /// Chain plan, per stored U entry: how many entries of its chain are left
     /// from this one on (saturating, so a lower bound). `u_run[up] > 1` means
     /// the sorted `L(u_rows[up])` is `[u_rows[up + 1]]` followed by
@@ -123,9 +148,49 @@ pub struct SparseLu {
     a_colptr: Vec<usize>,
     /// Pivot position of each stored entry of the factored matrix, CSC order.
     a_pos: Vec<u32>,
-    /// Dense refactorization workspace in pivot coordinates; every kernel
-    /// that writes it leaves it all-zero, error returns included.
-    work: Vec<f64>,
+}
+
+/// A [`LuPlan`]'s arrays as slices. A numeric kernel takes this once, before
+/// its loops, so they index locals and never re-read a `Vec` header through
+/// the `Arc` (which the compiler cannot prove a store to the workspace leaves
+/// alone).
+struct PlanView<'a> {
+    n: usize,
+    q: &'a [usize],
+    p: &'a [usize],
+    l_colptr: &'a [usize],
+    l_rows: &'a [u32],
+    u_colptr: &'a [usize],
+    u_rows: &'a [u32],
+    u_run: &'a [u8],
+    a_colptr: &'a [usize],
+    a_pos: &'a [u32],
+}
+
+impl LuPlan {
+    fn view(&self) -> PlanView<'_> {
+        PlanView {
+            n: self.n,
+            q: self.q.perm(),
+            p: &self.p,
+            l_colptr: &self.l_colptr,
+            l_rows: &self.l_rows,
+            u_colptr: &self.u_colptr,
+            u_rows: &self.u_rows,
+            u_run: &self.u_run,
+            a_colptr: &self.a_colptr,
+            a_pos: &self.a_pos,
+        }
+    }
+}
+
+/// One numeric set over a [`LuPlan`]: the values parallel to `l_rows` and
+/// `u_rows`, and the `U` diagonal (the pivots) by column.
+#[derive(Debug, Clone)]
+pub(crate) struct LuValues {
+    pub(crate) l_vals: Vec<f64>,
+    pub(crate) u_vals: Vec<f64>,
+    pub(crate) u_diag: Vec<f64>,
 }
 
 const UNASSIGNED: usize = usize::MAX;
@@ -216,36 +281,44 @@ impl SparseLu {
         if u32::try_from(n).is_err() {
             return Err(SparseError::DimensionMismatch { expected: u32::MAX as usize, found: n });
         }
-        let mut lu = SparseLu {
+        let mut plan = LuPlan {
             n,
-            opts: opts.clone(),
             q,
             p: vec![UNASSIGNED; n],
             pinv: vec![UNASSIGNED; n],
             l_colptr: vec![0; n + 1],
             l_rows: Vec::with_capacity(a.nnz() * 2),
-            l_vals: Vec::with_capacity(a.nnz() * 2),
             u_colptr: vec![0; n + 1],
             u_rows: Vec::with_capacity(a.nnz() * 2),
-            u_vals: Vec::with_capacity(a.nnz() * 2),
-            u_diag: vec![0.0; n],
             u_run: Vec::new(),
             a_colptr: a.col_ptr().to_vec(),
             a_pos: Vec::new(),
-            work: vec![0.0; n],
         };
-        lu.factor_numeric_with_pivoting(a)?;
-        lu.store_pivot_layout(a);
-        Ok(lu)
+        let mut vals = LuValues {
+            l_vals: Vec::with_capacity(a.nnz() * 2),
+            u_vals: Vec::with_capacity(a.nnz() * 2),
+            u_diag: vec![0.0; n],
+        };
+        let mut work = vec![0.0; n];
+        plan.factor_numeric_with_pivoting(&mut vals, &mut work, opts, a)?;
+        plan.store_pivot_layout(&mut vals, &mut work, a);
+        Ok(SparseLu { opts: opts.clone(), plan: Arc::new(plan), vals, spare: None, work })
     }
+}
 
+impl LuPlan {
     /// Gilbert–Peierls left-looking factorization with pivot search. While
     /// it runs `l_rows` holds ORIGINAL row ids in discovery order (pivot
     /// positions of later rows are not known yet).
-    fn factor_numeric_with_pivoting(&mut self, a: &CscMatrix) -> Result<()> {
+    fn factor_numeric_with_pivoting(
+        &mut self,
+        vals: &mut LuValues,
+        x: &mut [f64],
+        opts: &LuOptions,
+        a: &CscMatrix,
+    ) -> Result<()> {
         let n = self.n;
-        // Dense workspace, here indexed by ORIGINAL row id.
-        let mut x = std::mem::take(&mut self.work);
+        // `x` is the dense workspace, here indexed by ORIGINAL row id.
         // Visit marks for the reachability DFS: mark[i] == k+1 means row i
         // was reached while processing column k.
         let mut mark = vec![0usize; n];
@@ -321,7 +394,7 @@ impl SparseLu {
                 }
                 let xr = x[r];
                 for pp in self.l_colptr[t]..self.l_colptr[t + 1] {
-                    x[self.l_rows[pp] as usize] -= self.l_vals[pp] * xr;
+                    x[self.l_rows[pp] as usize] -= vals.l_vals[pp] * xr;
                 }
             }
 
@@ -342,10 +415,10 @@ impl SparseLu {
                     }
                 }
             }
-            if max_row == UNASSIGNED || max_mag < self.opts.pivot_floor {
+            if max_row == UNASSIGNED || max_mag < opts.pivot_floor {
                 return Err(SparseError::Singular { column: k });
             }
-            let piv_row = if diag_mag >= self.opts.pivot_threshold * max_mag && diag_mag > 0.0 {
+            let piv_row = if diag_mag >= opts.pivot_threshold * max_mag && diag_mag > 0.0 {
                 diag_row
             } else {
                 max_row
@@ -353,27 +426,26 @@ impl SparseLu {
             let pivot = x[piv_row];
             self.p[k] = piv_row;
             self.pinv[piv_row] = k;
-            self.u_diag[k] = pivot;
+            vals.u_diag[k] = pivot;
 
             // --- Gather U column k (pivot positions, topo order) and L column k. ---
             for &r in topo.iter() {
                 let t = self.pinv[r];
                 if t != UNASSIGNED && t != k {
                     self.u_rows.push(t as u32);
-                    self.u_vals.push(x[r]);
+                    vals.u_vals.push(x[r]);
                 }
             }
             self.u_colptr[k + 1] = self.u_rows.len();
             for &r in topo.iter() {
                 if self.pinv[r] == UNASSIGNED {
                     self.l_rows.push(r as u32);
-                    self.l_vals.push(x[r] / pivot);
+                    vals.l_vals.push(x[r] / pivot);
                 }
             }
             self.l_colptr[k + 1] = self.l_rows.len();
         }
         x.fill(0.0);
-        self.work = x;
         Ok(())
     }
 
@@ -381,20 +453,20 @@ impl SparseLu {
     /// index (see the module docs): `L` rows as ascending pivot positions,
     /// the scatter map of `a`'s entries, and the chain plan over `U`. Linear
     /// in `nnz(L) + nnz(U) + nnz(A)` apart from the per-column sorts.
-    fn store_pivot_layout(&mut self, a: &CscMatrix) {
+    fn store_pivot_layout(&mut self, vals: &mut LuValues, work: &mut [f64], a: &CscMatrix) {
         let n = self.n;
         for k in 0..n {
             let lr = self.l_colptr[k]..self.l_colptr[k + 1];
-            let (rows, vals) = (&mut self.l_rows[lr.clone()], &mut self.l_vals[lr]);
+            let (rows, vals) = (&mut self.l_rows[lr.clone()], &mut vals.l_vals[lr]);
             // Sort the column through the (zeroed) dense workspace: park each
             // value at its pivot position, sort the positions, pick them up.
             for (r, &v) in rows.iter_mut().zip(&*vals) {
                 *r = self.pinv[*r as usize] as u32;
-                self.work[*r as usize] = v;
+                work[*r as usize] = v;
             }
             rows.sort_unstable();
             for (&r, v) in rows.iter().zip(vals) {
-                *v = std::mem::take(&mut self.work[r as usize]);
+                *v = std::mem::take(&mut work[r as usize]);
             }
         }
         self.a_pos = a.row_idx().iter().map(|&r| self.pinv[r] as u32).collect();
@@ -418,7 +490,9 @@ impl SparseLu {
             }
         }
     }
+}
 
+impl SparseLu {
     /// Recomputes the numeric factors for a matrix with the *same pattern*
     /// as the one originally factored, reusing the recorded pivot order and
     /// elimination pattern (no pivot search, no graph traversal).
@@ -452,27 +526,13 @@ impl SparseLu {
     /// finiteness explicitly.
     pub fn refactor(&mut self, a: &CscMatrix) -> Result<()> {
         self.check_pattern(a)?;
-        let Self {
-            n,
-            opts,
-            q,
-            l_colptr,
-            l_rows,
-            l_vals,
-            u_colptr,
-            u_rows,
-            u_vals,
-            u_diag,
-            u_run,
-            a_colptr,
-            a_pos,
-            work: x,
-            ..
-        } = self;
-        for k in 0..*n {
+        let Self { opts, plan, vals: LuValues { l_vals, u_vals, u_diag }, work: x, .. } = self;
+        let PlanView { n, q, l_colptr, l_rows, u_colptr, u_rows, u_run, a_colptr, a_pos, .. } =
+            plan.view();
+        for k in 0..n {
             // Scatter A(:,j). Every position a column touches is zeroed
             // again as it is read below, so the workspace is clean.
-            let j = q.perm()[k];
+            let j = q[k];
             let ar = a_colptr[j]..a_colptr[j + 1];
             let pos = &a_pos[ar.clone()];
             for (&i, &v) in pos.iter().zip(&a.values()[ar]) {
@@ -586,22 +646,39 @@ impl SparseLu {
         Ok(())
     }
 
+    /// Trades the active numeric set with the spare one over the same plan.
+    ///
+    /// The set that was active is parked with its factors intact and comes
+    /// back with the next call. The spare is allocated by the first call and
+    /// then holds no factors: `refactor` must run before the next solve. A
+    /// fresh `factor` returns a new object, which has no spare.
+    pub fn swap_spare(&mut self) {
+        let active = &self.vals;
+        let spare = self.spare.get_or_insert_with(|| LuValues {
+            l_vals: vec![0.0; active.l_vals.len()],
+            u_vals: vec![0.0; active.u_vals.len()],
+            u_diag: vec![0.0; active.u_diag.len()],
+        });
+        std::mem::swap(&mut self.vals, spare);
+    }
+
     /// `refactor`'s input check: shape, nnz and column pointers must be
     /// those of the factored matrix (the scatter map is per stored entry).
     fn check_pattern(&self, a: &CscMatrix) -> Result<()> {
-        if a.nrows() != self.n || a.ncols() != self.n {
-            return Err(SparseError::DimensionMismatch { expected: self.n, found: a.nrows() });
+        let plan = &*self.plan;
+        if a.nrows() != plan.n || a.ncols() != plan.n {
+            return Err(SparseError::DimensionMismatch { expected: plan.n, found: a.nrows() });
         }
         if a.nnz() != self.a_nnz() {
             return Err(SparseError::DimensionMismatch { expected: self.a_nnz(), found: a.nnz() });
         }
         if let Some((&want, &got)) =
-            self.a_colptr.iter().zip(a.col_ptr()).find(|(want, got)| want != got)
+            plan.a_colptr.iter().zip(a.col_ptr()).find(|(want, got)| want != got)
         {
             return Err(SparseError::DimensionMismatch { expected: want, found: got });
         }
         debug_assert!(
-            a.row_idx().iter().zip(&self.a_pos).all(|(&r, &i)| self.pinv[r] == i as usize),
+            a.row_idx().iter().zip(&plan.a_pos).all(|(&r, &i)| plan.pinv[r] == i as usize),
             "refactor: row indices differ from the factored matrix"
         );
         Ok(())
@@ -609,22 +686,22 @@ impl SparseLu {
 
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
-        self.n
+        self.plan.n
     }
 
     /// Number of stored off-diagonal entries in `L`.
     pub fn nnz_l(&self) -> usize {
-        self.l_rows.len()
+        self.plan.l_rows.len()
     }
 
     /// Number of stored entries in `U` (including the diagonal).
     pub fn nnz_u(&self) -> usize {
-        self.u_rows.len() + self.n
+        self.plan.u_rows.len() + self.plan.n
     }
 
     /// Number of stored entries of the factored matrix.
     pub(crate) fn a_nnz(&self) -> usize {
-        self.a_pos.len()
+        self.plan.a_pos.len()
     }
 
     /// Fill ratio: `(nnz(L) + nnz(U)) / nnz(A)`.
@@ -641,7 +718,7 @@ impl SparseLu {
     pub fn rcond_estimate(&self) -> f64 {
         let mut lo = f64::INFINITY;
         let mut hi = 0.0_f64;
-        for &d in &self.u_diag {
+        for &d in &self.vals.u_diag {
             let m = d.abs();
             lo = lo.min(m);
             hi = hi.max(m);
@@ -659,8 +736,8 @@ impl SparseLu {
     ///
     /// Returns [`SparseError::DimensionMismatch`] if `b.len() != dim()`.
     pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = vec![0.0; self.n];
-        let mut scratch = vec![0.0; self.n];
+        let mut x = vec![0.0; self.dim()];
+        let mut scratch = vec![0.0; self.dim()];
         self.solve_with_scratch(b, &mut x, &mut scratch)?;
         Ok(x)
     }
@@ -673,35 +750,37 @@ impl SparseLu {
     /// Returns [`SparseError::DimensionMismatch`] if any buffer length
     /// differs from `dim()`.
     pub fn solve_with_scratch(&self, b: &[f64], x: &mut [f64], scratch: &mut [f64]) -> Result<()> {
-        if b.len() != self.n || x.len() != self.n || scratch.len() != self.n {
+        let PlanView { n, q, p, l_colptr, l_rows, u_colptr, u_rows, .. } = self.plan.view();
+        let LuValues { l_vals, u_vals, u_diag } = &self.vals;
+        if b.len() != n || x.len() != n || scratch.len() != n {
             return Err(SparseError::DimensionMismatch {
-                expected: self.n,
+                expected: n,
                 found: b.len().min(x.len()).min(scratch.len()),
             });
         }
         let y = scratch;
         // Forward solve L y = P b (unit diagonal), in pivot coordinates.
-        for (yk, &pk) in y.iter_mut().zip(&self.p) {
+        for (yk, &pk) in y.iter_mut().zip(p) {
             *yk = b[pk];
         }
-        for k in 0..self.n {
+        for k in 0..n {
             let yk = y[k];
             if yk != 0.0 {
-                let lr = self.l_colptr[k]..self.l_colptr[k + 1];
-                update_rows(y, &self.l_rows[lr.clone()], [&self.l_vals[lr]], [yk]);
+                let lr = l_colptr[k]..l_colptr[k + 1];
+                update_rows(y, &l_rows[lr.clone()], [&l_vals[lr]], [yk]);
             }
         }
         // Backward solve U w = y, in pivot coordinates (columns right-to-left).
-        for k in (0..self.n).rev() {
-            let wk = y[k] / self.u_diag[k];
+        for k in (0..n).rev() {
+            let wk = y[k] / u_diag[k];
             y[k] = wk;
             if wk != 0.0 {
-                let ur = self.u_colptr[k]..self.u_colptr[k + 1];
-                update_rows(y, &self.u_rows[ur.clone()], [&self.u_vals[ur]], [wk]);
+                let ur = u_colptr[k]..u_colptr[k + 1];
+                update_rows(y, &u_rows[ur.clone()], [&u_vals[ur]], [wk]);
             }
         }
         // Undo the column permutation: x[q[k]] = w[k].
-        for (&yk, &qk) in y.iter().zip(self.q.perm()) {
+        for (&yk, &qk) in y.iter().zip(q) {
             x[qk] = yk;
         }
         Ok(())
@@ -716,31 +795,32 @@ impl SparseLu {
     ///
     /// Returns [`SparseError::DimensionMismatch`] if `b.len() != dim()`.
     pub fn solve_transpose(&self, b: &[f64]) -> Result<Vec<f64>> {
-        if b.len() != self.n {
-            return Err(SparseError::DimensionMismatch { expected: self.n, found: b.len() });
+        let PlanView { n, q, p, l_colptr, l_rows, u_colptr, u_rows, .. } = self.plan.view();
+        let LuValues { l_vals, u_vals, u_diag } = &self.vals;
+        if b.len() != n {
+            return Err(SparseError::DimensionMismatch { expected: n, found: b.len() });
         }
-        let n = self.n;
         // From P A Q = L U:  A^T = Q U^T L^T P, so
         // x = A^-T b = P^T L^-T U^-T Q^T b.
         // w = Q^T b  (w[k] = b[q[k]]).
-        let mut w: Vec<f64> = (0..n).map(|k| b[self.q.perm()[k]]).collect();
+        let mut w: Vec<f64> = (0..n).map(|k| b[q[k]]).collect();
         // v = U^-T w: U^T is lower triangular; U's column k holds exactly
         // the entries U(t, k) with t < k, giving a dot-product forward
         // substitution.
         for k in 0..n {
-            let ur = self.u_colptr[k]..self.u_colptr[k + 1];
+            let ur = u_colptr[k]..u_colptr[k + 1];
             let mut s = w[k];
-            for (&t, &u) in self.u_rows[ur.clone()].iter().zip(&self.u_vals[ur]) {
+            for (&t, &u) in u_rows[ur.clone()].iter().zip(&u_vals[ur]) {
                 s -= u * w[t as usize];
             }
-            w[k] = s / self.u_diag[k];
+            w[k] = s / u_diag[k];
         }
         // u = L^-T v: L^T is unit upper triangular; L's column k holds
         // L(r, k) with r > k.
         for k in (0..n).rev() {
-            let lr = self.l_colptr[k]..self.l_colptr[k + 1];
+            let lr = l_colptr[k]..l_colptr[k + 1];
             let mut s = w[k];
-            for (&r, &l) in self.l_rows[lr.clone()].iter().zip(&self.l_vals[lr]) {
+            for (&r, &l) in l_rows[lr.clone()].iter().zip(&l_vals[lr]) {
                 s -= l * w[r as usize];
             }
             w[k] = s;
@@ -748,7 +828,7 @@ impl SparseLu {
         // x = P^T u: x[p[k]] = u[k].
         let mut x = vec![0.0; n];
         for k in 0..n {
-            x[self.p[k]] = w[k];
+            x[p[k]] = w[k];
         }
         Ok(x)
     }
@@ -763,7 +843,7 @@ impl SparseLu {
     ///
     /// Propagates solver errors; `a` must be the factored matrix.
     pub fn condest_1(&self, a: &CscMatrix) -> Result<f64> {
-        let n = self.n;
+        let n = self.dim();
         if n == 0 {
             return Ok(0.0);
         }
@@ -813,10 +893,10 @@ impl SparseLu {
     /// [`CscMatrix::residual_into`].
     pub fn solve_refined(&self, a: &CscMatrix, b: &[f64]) -> Result<Vec<f64>> {
         let mut x = self.solve(b)?;
-        let mut r = vec![0.0; self.n];
+        let mut r = vec![0.0; self.dim()];
         a.residual_into(&x, b, &mut r)?;
-        let mut dx = vec![0.0; self.n];
-        let mut scratch = vec![0.0; self.n];
+        let mut dx = vec![0.0; self.dim()];
+        let mut scratch = vec![0.0; self.dim()];
         self.solve_with_scratch(&r, &mut dx, &mut scratch)?;
         for (xi, di) in x.iter_mut().zip(&dx) {
             *xi += di;
@@ -1127,48 +1207,48 @@ mod tests {
     /// separate `col_max` and zeroing passes.
     fn refactor_reference(lu: &mut SparseLu, a: &CscMatrix) -> Result<()> {
         lu.check_pattern(a)?;
-        let mut x = vec![0.0_f64; lu.n];
-        for k in 0..lu.n {
-            let (us, ue) = (lu.u_colptr[k], lu.u_colptr[k + 1]);
-            let (ls, le) = (lu.l_colptr[k], lu.l_colptr[k + 1]);
-            let (a_rows, a_vals) = a.col(lu.q.perm()[k]);
+        let mut x = vec![0.0_f64; lu.plan.n];
+        for k in 0..lu.plan.n {
+            let (us, ue) = (lu.plan.u_colptr[k], lu.plan.u_colptr[k + 1]);
+            let (ls, le) = (lu.plan.l_colptr[k], lu.plan.l_colptr[k + 1]);
+            let (a_rows, a_vals) = a.col(lu.plan.q.perm()[k]);
             for (&r, &v) in a_rows.iter().zip(a_vals) {
                 if !v.is_finite() {
                     return Err(SparseError::NotFinite {
                         context: "matrix entry during refactorization",
                     });
                 }
-                x[lu.pinv[r]] = v;
+                x[lu.plan.pinv[r]] = v;
             }
             for up in us..ue {
-                let t = lu.u_rows[up] as usize;
+                let t = lu.plan.u_rows[up] as usize;
                 let xr = x[t];
-                lu.u_vals[up] = xr;
+                lu.vals.u_vals[up] = xr;
                 if xr != 0.0 {
-                    for pp in lu.l_colptr[t]..lu.l_colptr[t + 1] {
-                        x[lu.l_rows[pp] as usize] -= lu.l_vals[pp] * xr;
+                    for pp in lu.plan.l_colptr[t]..lu.plan.l_colptr[t + 1] {
+                        x[lu.plan.l_rows[pp] as usize] -= lu.vals.l_vals[pp] * xr;
                     }
                 }
             }
             let pivot = x[k];
             let mut col_max = pivot.abs();
             for up in us..ue {
-                col_max = col_max.max(lu.u_vals[up].abs());
+                col_max = col_max.max(lu.vals.u_vals[up].abs());
             }
             for lp in ls..le {
-                col_max = col_max.max(x[lu.l_rows[lp] as usize].abs());
+                col_max = col_max.max(x[lu.plan.l_rows[lp] as usize].abs());
             }
             if pivot.abs() < lu.opts.pivot_floor || pivot.abs() < 1e-10 * col_max {
                 return Err(SparseError::PivotDegraded { column: k, magnitude: pivot.abs() });
             }
-            lu.u_diag[k] = pivot;
+            lu.vals.u_diag[k] = pivot;
             for lp in ls..le {
-                let r = lu.l_rows[lp] as usize;
-                lu.l_vals[lp] = x[r] / pivot;
+                let r = lu.plan.l_rows[lp] as usize;
+                lu.vals.l_vals[lp] = x[r] / pivot;
                 x[r] = 0.0;
             }
             for up in us..ue {
-                x[lu.u_rows[up] as usize] = 0.0;
+                x[lu.plan.u_rows[up] as usize] = 0.0;
             }
             x[k] = 0.0;
         }
@@ -1177,53 +1257,53 @@ mod tests {
 
     /// Forward/backward substitution as indexed loops over the stored layout.
     fn solve_reference(lu: &SparseLu, b: &[f64]) -> Vec<f64> {
-        let n = lu.n;
-        let mut y: Vec<f64> = (0..n).map(|k| b[lu.p[k]]).collect();
+        let n = lu.plan.n;
+        let mut y: Vec<f64> = (0..n).map(|k| b[lu.plan.p[k]]).collect();
         for k in 0..n {
             let yk = y[k];
             if yk != 0.0 {
-                for pp in lu.l_colptr[k]..lu.l_colptr[k + 1] {
-                    y[lu.l_rows[pp] as usize] -= lu.l_vals[pp] * yk;
+                for pp in lu.plan.l_colptr[k]..lu.plan.l_colptr[k + 1] {
+                    y[lu.plan.l_rows[pp] as usize] -= lu.vals.l_vals[pp] * yk;
                 }
             }
         }
         for k in (0..n).rev() {
-            let wk = y[k] / lu.u_diag[k];
+            let wk = y[k] / lu.vals.u_diag[k];
             y[k] = wk;
             if wk != 0.0 {
-                for up in lu.u_colptr[k]..lu.u_colptr[k + 1] {
-                    y[lu.u_rows[up] as usize] -= lu.u_vals[up] * wk;
+                for up in lu.plan.u_colptr[k]..lu.plan.u_colptr[k + 1] {
+                    y[lu.plan.u_rows[up] as usize] -= lu.vals.u_vals[up] * wk;
                 }
             }
         }
         let mut x = vec![0.0; n];
         for k in 0..n {
-            x[lu.q.perm()[k]] = y[k];
+            x[lu.plan.q.perm()[k]] = y[k];
         }
         x
     }
 
     /// The transposed solve as indexed dot products over the stored layout.
     fn solve_transpose_reference(lu: &SparseLu, b: &[f64]) -> Vec<f64> {
-        let n = lu.n;
-        let mut w: Vec<f64> = (0..n).map(|k| b[lu.q.perm()[k]]).collect();
+        let n = lu.plan.n;
+        let mut w: Vec<f64> = (0..n).map(|k| b[lu.plan.q.perm()[k]]).collect();
         for k in 0..n {
             let mut s = w[k];
-            for up in lu.u_colptr[k]..lu.u_colptr[k + 1] {
-                s -= lu.u_vals[up] * w[lu.u_rows[up] as usize];
+            for up in lu.plan.u_colptr[k]..lu.plan.u_colptr[k + 1] {
+                s -= lu.vals.u_vals[up] * w[lu.plan.u_rows[up] as usize];
             }
-            w[k] = s / lu.u_diag[k];
+            w[k] = s / lu.vals.u_diag[k];
         }
         for k in (0..n).rev() {
             let mut s = w[k];
-            for lp in lu.l_colptr[k]..lu.l_colptr[k + 1] {
-                s -= lu.l_vals[lp] * w[lu.l_rows[lp] as usize];
+            for lp in lu.plan.l_colptr[k]..lu.plan.l_colptr[k + 1] {
+                s -= lu.vals.l_vals[lp] * w[lu.plan.l_rows[lp] as usize];
             }
             w[k] = s;
         }
         let mut x = vec![0.0; n];
         for k in 0..n {
-            x[lu.p[k]] = w[k];
+            x[lu.plan.p[k]] = w[k];
         }
         x
     }
@@ -1245,10 +1325,10 @@ mod tests {
         assert_eq!(got, refactor_reference(reference, a));
         assert!(lu.work.iter().all(|v| v.to_bits() == 0), "workspace left dirty after {got:?}");
         if got.is_ok() {
-            assert_eq!(bits(&lu.l_vals), bits(&reference.l_vals));
-            assert_eq!(bits(&lu.u_vals), bits(&reference.u_vals));
-            assert_eq!(bits(&lu.u_diag), bits(&reference.u_diag));
-            let b: Vec<f64> = (0..lu.n).map(|i| (i as f64 * 0.37).sin() + 0.25).collect();
+            assert_eq!(bits(&lu.vals.l_vals), bits(&reference.vals.l_vals));
+            assert_eq!(bits(&lu.vals.u_vals), bits(&reference.vals.u_vals));
+            assert_eq!(bits(&lu.vals.u_diag), bits(&reference.vals.u_diag));
+            let b: Vec<f64> = (0..lu.plan.n).map(|i| (i as f64 * 0.37).sin() + 0.25).collect();
             assert_eq!(bits(&lu.solve(&b)?), bits(&solve_reference(reference, &b)));
             assert_eq!(
                 bits(&lu.solve_transpose(&b)?),
@@ -1263,11 +1343,11 @@ mod tests {
     /// per-column fallback.
     fn blocks_with_a_zero_multiplier(lu: &SparseLu) -> usize {
         let mut count = 0;
-        for k in 0..lu.n {
-            let (mut up, ue) = (lu.u_colptr[k], lu.u_colptr[k + 1]);
+        for k in 0..lu.plan.n {
+            let (mut up, ue) = (lu.plan.u_colptr[k], lu.plan.u_colptr[k + 1]);
             while up < ue {
-                let w = usize::from(lu.u_run[up]).min(BLOCK);
-                count += usize::from(w > 1 && lu.u_vals[up..up + w].contains(&0.0));
+                let w = usize::from(lu.plan.u_run[up]).min(BLOCK);
+                count += usize::from(w > 1 && lu.vals.u_vals[up..up + w].contains(&0.0));
                 up += w;
             }
         }
@@ -1281,7 +1361,7 @@ mod tests {
         // A chain of 5..=7 entries splits into a block of four and a
         // remainder of one, two or three; this mesh has all of them.
         for width in 5..=7 {
-            assert!(lu.u_run.contains(&width), "no chain of width {width}");
+            assert!(lu.plan.u_run.contains(&width), "no chain of width {width}");
         }
         let mut reference = lu.clone();
         assert_refactor_matches_reference(&mut lu, &mut reference, &a).unwrap();
@@ -1416,6 +1496,74 @@ mod tests {
         }
     }
 
+    fn assert_same_factors(got: &SparseLu, want: &SparseLu, b: &[f64]) {
+        assert_eq!(bits(&got.vals.l_vals), bits(&want.vals.l_vals));
+        assert_eq!(bits(&got.vals.u_vals), bits(&want.vals.u_vals));
+        assert_eq!(bits(&got.vals.u_diag), bits(&want.vals.u_diag));
+        assert_eq!(bits(&got.solve(b).unwrap()), bits(&want.solve(b).unwrap()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One object alternating between its two numeric sets against two
+        /// one-set objects, one per matrix: whichever set a refactorization
+        /// lands in, factors and solutions are those of a plain `refactor`,
+        /// and a parked set comes back as it was left.
+        #[test]
+        fn either_numeric_set_refactors_to_the_bits_of_a_one_set_refactor(
+            n in 4usize..=40,
+            band in 1usize..=4,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (pattern, branch) = banded_plus_fill(n, band, &mut rng);
+            let first = redraw(&pattern, &branch, 0, &mut rng);
+            let Ok(mut lu) = SparseLu::factor(&first, &LuOptions::default()) else {
+                return Err(TestCaseError::Reject("singular draw"));
+            };
+            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 0.25).collect();
+            let (a1, a2) = (redraw(&pattern, &branch, 6, &mut rng), redraw(&pattern, &branch, 0, &mut rng));
+            let (mut one, mut two) = (lu.clone(), lu.clone());
+            prop_assert!(Arc::ptr_eq(&lu.plan, &one.plan), "a clone built its own plan");
+            if one.refactor(&a1).is_err() || two.refactor(&a2).is_err() {
+                return Err(TestCaseError::Reject("frozen pivots degraded"));
+            }
+            // The clones' values are their own: `lu` still holds `first`'s.
+            assert_same_factors(&lu, &SparseLu::factor(&first, &LuOptions::default()).unwrap(), &b);
+            lu.refactor(&a1).unwrap();
+            assert_same_factors(&lu, &one, &b);
+            lu.swap_spare(); // allocates the spare; `a1`'s factors are parked
+            lu.refactor(&a2).unwrap();
+            assert_same_factors(&lu, &two, &b);
+            lu.swap_spare(); // no refactorization: the parked set as it was left
+            assert_same_factors(&lu, &one, &b);
+            lu.refactor(&a2).unwrap(); // the same matrix into the other set
+            assert_same_factors(&lu, &two, &b);
+            prop_assert!(lu.work.iter().all(|v| v.to_bits() == 0));
+            prop_assert!(Arc::ptr_eq(&lu.plan, &lu.clone().plan));
+
+            // A degraded pivot, then the re-pivot a caller answers it with:
+            // the new object has a plan of its own and no spare.
+            let j = rng.gen_range(0..n);
+            let mut degraded = a2.clone();
+            let (s, e) = (degraded.col_ptr()[j], degraded.col_ptr()[j + 1]);
+            degraded.values_mut()[s..e].fill(0.0);
+            prop_assert!(matches!(lu.refactor(&degraded), Err(SparseError::PivotDegraded { .. })));
+            let q = lu.plan.q.clone();
+            let Ok(repivoted) = SparseLu::factor_with_ordering(&a1, &LuOptions::default(), q) else {
+                return Err(TestCaseError::Reject("singular draw"));
+            };
+            prop_assert!(repivoted.spare.is_none() && !Arc::ptr_eq(&repivoted.plan, &lu.plan));
+            // The old object stays usable, either set, after the failure.
+            lu.refactor(&a1).unwrap();
+            assert_same_factors(&lu, &one, &b);
+            lu.swap_spare();
+            lu.refactor(&a2).unwrap();
+            assert_same_factors(&lu, &two, &b);
+        }
+    }
+
     /// A pattern from its coordinates, values all one.
     fn pattern_of(n: usize, coords: impl IntoIterator<Item = (usize, usize)>) -> CscMatrix {
         let mut t = CooMatrix::new(n, n);
@@ -1454,10 +1602,10 @@ mod tests {
             let diag = (0..n).map(|i| (i, i));
             let bordered = pattern_of(n, diag.chain((1..=m).map(|r| (r, 0))).chain([(0, n - 1)]));
             let lu = check_in_natural_order(&bordered, 7 + m as u64);
-            assert_eq!(lu.l_colptr[1] - lu.l_colptr[0], m);
-            assert_eq!(lu.u_colptr[n] - lu.u_colptr[n - 1], m + 1);
+            assert_eq!(lu.plan.l_colptr[1] - lu.plan.l_colptr[0], m);
+            assert_eq!(lu.plan.u_colptr[n] - lu.plan.u_colptr[n - 1], m + 1);
             if m >= 2 {
-                assert_eq!(lu.u_run[lu.u_colptr[n - 1]], 1, "L(0) is not a chain head");
+                assert_eq!(lu.plan.u_run[lu.plan.u_colptr[n - 1]], 1, "L(0) is not a chain head");
             }
             // Block path: a dense matrix is one chain, so the first block of
             // its last column updates the m rows of L(BLOCK - 1) from BLOCK
@@ -1467,8 +1615,8 @@ mod tests {
             let d = m + BLOCK;
             let dense = pattern_of(d, (0..d).flat_map(|r| (0..d).map(move |c| (r, c))));
             let lu = check_in_natural_order(&dense, 70 + m as u64);
-            assert_eq!(lu.l_colptr[BLOCK] - lu.l_colptr[BLOCK - 1], m);
-            assert_eq!(usize::from(lu.u_run[lu.u_colptr[d - 1]]), d - 1);
+            assert_eq!(lu.plan.l_colptr[BLOCK] - lu.plan.l_colptr[BLOCK - 1], m);
+            assert_eq!(usize::from(lu.plan.u_run[lu.plan.u_colptr[d - 1]]), d - 1);
         }
     }
 
