@@ -434,7 +434,7 @@ impl BatchSim {
     /// supported in both tiers.
     pub fn lane_width_in_use(&self) -> usize {
         let eligible = self.simd
-            && env_flag("WAVEPIPE_SIMD")
+            && wavepipe_engine::env::flag("WAVEPIPE_SIMD", true)
             && self.sim.stamp_workers == 0
             && self.sim.deadline.is_none()
             && self.sim.cancel.is_none()
@@ -818,16 +818,6 @@ pub struct BatchDispatch {
     pub prep_ns: u128,
     /// Total wall nanoseconds for the whole batch, preparation included.
     pub wall_ns: u128,
-}
-
-/// `WAVEPIPE_SIMD=0`/`false`/`off`/`no` forces the lane-packed batch tier
-/// off for the whole process (the forced-scalar CI leg); anything else —
-/// including unset — leaves it available. Mirrors the engine's cache knobs.
-fn env_flag(name: &str) -> bool {
-    match std::env::var(name) {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-        Err(_) => true,
-    }
 }
 
 /// The outcome of [`BatchSim::run`]: one [`TransientResult`] per instance,

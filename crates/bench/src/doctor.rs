@@ -383,6 +383,26 @@ mod tests {
     }
 
     #[test]
+    fn the_fold_and_the_live_registry_agree_on_every_shared_name() {
+        // Two instruments, one run: a name both carry means one quantity.
+        for (spec, scheme, threads) in [
+            ("inverter_chain:40", Scheme::Combined, 3),
+            ("power_grid:8,8", Scheme::Backward, 2),
+            ("rc_ladder:8", Scheme::Serial, 1),
+        ] {
+            let run = run_instrumented(&circuit_by_spec(spec).unwrap(), scheme, threads);
+            let mut shared = 0;
+            for (name, folded) in analyze(&run.events).counts.scalars() {
+                if let Some(&(_, live)) = run.snapshot.counters.iter().find(|(n, _)| *n == name) {
+                    assert_eq!(folded, live, "{spec} {scheme} x{threads}: `{name}`");
+                    shared += 1;
+                }
+            }
+            assert!(shared >= 20, "only {shared} shared names");
+        }
+    }
+
+    #[test]
     fn report_sections_respect_stable_flag() {
         let b = generators::rc_ladder(6);
         let run = run_instrumented(&b, Scheme::Backward, 2);

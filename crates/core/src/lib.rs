@@ -124,7 +124,6 @@ pub fn run_wavepipe_recoverable(
                 speculation_accepted: 0,
                 speculation_rejected: 0,
                 workers_lost: 0,
-                telemetry: opts.sim.probe.summary(),
             };
             Ok(RunOutcome { report, error: outcome.error })
         }

@@ -711,7 +711,6 @@ impl Driver {
             speculation_accepted: self.spec_accepted,
             speculation_rejected: self.spec_rejected,
             workers_lost: self.workers_lost,
-            telemetry: self.wp.sim.probe.summary(),
         }
     }
 }

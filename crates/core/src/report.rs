@@ -2,7 +2,6 @@
 
 use crate::options::Scheme;
 use wavepipe_engine::{EngineError, Result, SimStats, TransientResult};
-use wavepipe_telemetry::TelemetrySummary;
 
 /// Outcome of a WavePipe run: the waveform plus parallel work accounting.
 ///
@@ -68,9 +67,6 @@ pub struct WavePipeReport {
     /// worker counts again). Worker loss never affects the waveform — lost
     /// tasks are speculative and are simply discarded.
     pub workers_lost: usize,
-    /// Aggregated telemetry (`None` unless a probe with summary support —
-    /// e.g. [`wavepipe_telemetry::RecordingProbe`] — was attached to the run).
-    pub telemetry: Option<TelemetrySummary>,
 }
 
 impl WavePipeReport {
@@ -199,7 +195,6 @@ mod tests {
             speculation_accepted: 0,
             speculation_rejected: 0,
             workers_lost: 0,
-            telemetry: None,
         }
     }
 

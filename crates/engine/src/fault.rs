@@ -28,6 +28,7 @@
 //! same faults at the same points, so a chaos-leg failure in CI reproduces
 //! locally by exporting the same seed.
 
+use crate::env;
 use std::sync::{Arc, OnceLock};
 
 /// What to inject at a chosen solve.
@@ -120,11 +121,8 @@ impl FaultPlan {
     /// `WAVEPIPE_FAULT_NC` additionally enables forced-non-convergence
     /// chaos draws (the recovery-ladder CI leg).
     pub fn from_env() -> Option<Self> {
-        let seed = std::env::var("WAVEPIPE_FAULT_SEED").ok()?.parse().ok()?;
-        let nc = std::env::var("WAVEPIPE_FAULT_NC")
-            .map(|v| !matches!(v.trim(), "" | "0" | "false" | "off" | "no"))
-            .unwrap_or(false);
-        if nc {
+        let seed = env::number("WAVEPIPE_FAULT_SEED")?;
+        if env::flag("WAVEPIPE_FAULT_NC", false) {
             Some(FaultPlan::seeded_with_nonconvergence(seed))
         } else {
             Some(FaultPlan::seeded(seed))

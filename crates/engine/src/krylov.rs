@@ -60,7 +60,7 @@ use std::sync::Arc;
 use wavepipe_sparse::gmres::{gmres, GmresOptions};
 use wavepipe_sparse::{CscMatrix, Ilu0, LuOptions, OrderingKind, Result, SparseError};
 
-use crate::options::env_flag_value;
+use crate::env;
 use crate::solver::{DirectLu, SolverBackend, SolverFactory, SolverHandle};
 
 /// Tuning knobs for [`GmresBackend`], settable programmatically or from the
@@ -115,16 +115,16 @@ impl GmresConfig {
     /// `WAVEPIPE_ORDERING`. Unparsable values are ignored (defaults kept).
     pub fn from_env() -> Self {
         let mut cfg = GmresConfig::default();
-        if let Some(v) = env_flag_value("WAVEPIPE_GMRES_RESTART").and_then(|s| s.parse().ok()) {
+        if let Some(v) = env::value("WAVEPIPE_GMRES_RESTART").and_then(|s| s.parse().ok()) {
             cfg.restart = v;
         }
-        if let Some(v) = env_flag_value("WAVEPIPE_GMRES_TOL").and_then(|s| s.parse().ok()) {
+        if let Some(v) = env::value("WAVEPIPE_GMRES_TOL").and_then(|s| s.parse().ok()) {
             cfg.tol = v;
         }
-        if let Some(v) = env_flag_value("WAVEPIPE_GMRES_MAXITERS").and_then(|s| s.parse().ok()) {
+        if let Some(v) = env::value("WAVEPIPE_GMRES_MAXITERS").and_then(|s| s.parse().ok()) {
             cfg.max_iters = v;
         }
-        if let Some(k) = env_flag_value("WAVEPIPE_ORDERING").and_then(|s| parse_ordering(&s)) {
+        if let Some(k) = env::value("WAVEPIPE_ORDERING").and_then(|s| parse_ordering(&s)) {
             cfg.ordering = k;
         }
         cfg

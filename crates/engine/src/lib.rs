@@ -58,6 +58,7 @@ pub mod cancel;
 pub mod dcop;
 pub mod dcsweep;
 pub mod devices;
+pub mod env;
 mod error;
 pub mod fault;
 pub mod integrate;

@@ -1,6 +1,7 @@
 //! Simulation options shared by DC and transient analysis.
 
 use crate::cancel::CancelToken;
+use crate::env;
 use crate::error::{EngineError, Result};
 use crate::fault::{FaultHandle, FaultPlan};
 use crate::integrate::Method;
@@ -168,44 +169,18 @@ impl CacheCtl {
     }
 }
 
-fn default_stamp_workers() -> usize {
-    std::env::var("WAVEPIPE_STAMP_WORKERS").ok().and_then(|v| v.parse().ok()).unwrap_or(0)
-}
-
-/// `WAVEPIPE_BYPASS=0`/`false` (or `WAVEPIPE_CHORD=...`) turns a default-on
-/// cache off for a whole test suite; anything else leaves it on.
-fn env_flag(name: &str) -> bool {
-    match std::env::var(name) {
-        Ok(v) => !matches!(v.trim(), "0" | "false" | "off" | "no"),
-        Err(_) => true,
-    }
-}
-
-/// A non-empty environment value, trimmed; `None` when unset or blank.
-/// Shared by the solver-selection knobs (`WAVEPIPE_SOLVER`,
-/// `WAVEPIPE_GMRES_*`, `WAVEPIPE_ORDERING`).
-pub(crate) fn env_flag_value(name: &str) -> Option<String> {
-    let v = std::env::var(name).ok()?;
-    let v = v.trim();
-    if v.is_empty() {
-        None
-    } else {
-        Some(v.to_string())
-    }
-}
-
 /// Default solver selection: `WAVEPIPE_SOLVER=gmres` switches every analysis
 /// of the process to the Krylov backend (tuned by the `WAVEPIPE_GMRES_*`
 /// knobs); otherwise direct LU, through `WAVEPIPE_ORDERING` when that names
 /// a non-default fill-reducing ordering.
 fn default_solver() -> SolverHandle {
     use wavepipe_sparse::LuOptions;
-    if let Some(v) = env_flag_value("WAVEPIPE_SOLVER") {
+    if let Some(v) = env::value("WAVEPIPE_SOLVER") {
         if v.eq_ignore_ascii_case("gmres") {
             return SolverHandle::gmres(crate::krylov::GmresConfig::from_env());
         }
     }
-    match env_flag_value("WAVEPIPE_ORDERING").and_then(|s| crate::krylov::parse_ordering(&s)) {
+    match env::value("WAVEPIPE_ORDERING").and_then(|s| crate::krylov::parse_ordering(&s)) {
         Some(kind) if kind != LuOptions::default().ordering => {
             SolverHandle::direct_with_options(LuOptions { ordering: kind, ..LuOptions::default() })
         }
@@ -232,18 +207,20 @@ impl Default for SimOptions {
             use_ic: false,
             probe: ProbeHandle::none(),
             metrics: MetricsHandle::none(),
-            stamp_workers: default_stamp_workers(),
+            stamp_workers: env::number("WAVEPIPE_STAMP_WORKERS").unwrap_or(0),
             deadline: None,
             cancel: None,
             faults: FaultHandle::from_env_cached(),
-            bypass: env_flag("WAVEPIPE_BYPASS"),
+            // `WAVEPIPE_BYPASS=0` (likewise `_CHORD`, `_RECOVERY`) turns a
+            // default-on layer off for a whole test suite.
+            bypass: env::flag("WAVEPIPE_BYPASS", true),
             bypass_vabs: 1e-6,
             bypass_vrel: 1e-5,
-            chord_newton: env_flag("WAVEPIPE_CHORD"),
+            chord_newton: env::flag("WAVEPIPE_CHORD", true),
             chord_theta: 0.5,
             companion_cache: true,
             solver: default_solver(),
-            recovery: env_flag("WAVEPIPE_RECOVERY"),
+            recovery: env::flag("WAVEPIPE_RECOVERY", true),
             recovery_deep_cuts: 3,
         }
     }

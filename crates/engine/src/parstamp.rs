@@ -30,6 +30,7 @@
 //! [`MnaSystem::stamp_lane`] kernel, emitting [`EventKind::WorkerLost`] and
 //! [`EventKind::FallbackSerial`] once.
 
+use crate::env;
 use crate::fault::FaultHandle;
 use crate::integrate::IntegCoeffs;
 use crate::mna::{MnaSystem, MnaWorkspace, StampInput, StampResult};
@@ -330,7 +331,7 @@ impl StampExecutor {
             worker_dead: vec![false; n_workers],
             broken: false,
             fallback_logged: false,
-            sequential: std::env::var_os("WAVEPIPE_STAMP_SEQUENTIAL").is_some_and(|v| v != "0"),
+            sequential: env::set_and_not_zero("WAVEPIPE_STAMP_SEQUENTIAL"),
         })
     }
 

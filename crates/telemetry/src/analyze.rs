@@ -21,80 +21,121 @@
 use crate::event::{Event, EventKind};
 use crate::histogram::Histogram;
 use crate::json;
-use crate::metrics::Snapshot;
-use std::collections::HashMap;
+use crate::metrics::{Family, Snapshot};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write as _;
 
-/// Count-derived run statistics (byte-reproducible for a fixed seed and
-/// thread count).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Counts {
+/// Declares [`Counts`]: each scalar is written once, and its field name is
+/// its wire name — zero-initialisation, [`Counts::scalars`] (hence the JSON
+/// encoding and the by-name lookup) all come from this one list.
+macro_rules! counts {
+    ($($(#[$doc:meta])* $field:ident,)+) => {
+        /// Count-derived run statistics (byte-reproducible for a fixed seed
+        /// and thread count).
+        #[derive(Debug, Clone, PartialEq)]
+        pub struct Counts {
+            $($(#[$doc])* pub $field: u64,)+
+            /// `(lane, solves)` per lane, ascending by lane.
+            pub lane_solves: Vec<(u32, u64)>,
+            /// Newton iterations per solve (from SolveEnd).
+            pub newton_iters: Histogram,
+            /// Integration strides of accepted points, seconds.
+            pub step_sizes: Histogram,
+            /// Discard reasons across leads and speculations, descending by
+            /// count then name.
+            pub discard_reasons: Vec<(String, u64)>,
+        }
+
+        impl Counts {
+            fn zero() -> Self {
+                Counts {
+                    $($field: 0,)+
+                    lane_solves: Vec::new(),
+                    newton_iters: Histogram::integer(20),
+                    step_sizes: Histogram::log10(-15, 0, 2),
+                    discard_reasons: Vec::new(),
+                }
+            }
+
+            /// `(wire name, value)` of every scalar, in declaration order.
+            pub fn scalars(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($field), self.$field),)+]
+            }
+        }
+    };
+}
+
+counts! {
     /// Pipelined rounds (RoundStart events).
-    pub rounds: u64,
+    rounds,
     /// Committed points.
-    pub points_accepted: u64,
+    points_accepted,
     /// Point-solves finished (SolveEnd events).
-    pub solves: u64,
+    solves,
     /// Solves that ended unconverged.
-    pub solves_unconverged: u64,
-    /// `(lane, solves)` per lane, ascending by lane.
-    pub lane_solves: Vec<(u32, u64)>,
-    /// Newton iterations per solve (from SolveEnd).
-    pub newton_iters: Histogram,
-    /// Total Newton iterations across all solves.
-    pub newton_total: u64,
-    /// LTE rejections.
-    pub lte_rejects: u64,
-    /// Backward leads committed / discarded.
-    pub lead_accepted: u64,
+    solves_unconverged,
+    /// Newton iterations: every `NewtonIter` event, the operating point's
+    /// (emitted before any solve span) included — the same quantity as the
+    /// live `Counter::NewtonIterations` and `SimStats::newton_iterations`.
+    /// The per-solve distribution is [`Counts::newton_iters`].
+    newton_iterations,
+    /// Failed LTE tests (`LteReject` events), the tests that threw away a
+    /// lead or a speculation included. *Not* the step-rejection count: that
+    /// is `Counter::LteRejects` / `SimStats::steps_rejected_lte`, which
+    /// counts only the rejections that made the run retry a step.
+    lte_tests_failed,
+    /// Backward leads committed.
+    lead_accepted,
     /// Backward leads discarded.
-    pub lead_discarded: u64,
-    /// Forward speculations committed / discarded.
-    pub speculation_accepted: u64,
+    lead_discarded,
+    /// Forward speculations committed.
+    speculation_accepted,
     /// Forward speculations discarded.
-    pub speculation_discarded: u64,
-    /// Discard reasons across leads and speculations, descending by count
-    /// then name.
-    pub discard_reasons: Vec<(String, u64)>,
+    speculation_discarded,
     /// Numeric factorization passes of any kind.
-    pub factorizations: u64,
+    factorizations,
     /// Frozen-pivot refactorizations (subset of `factorizations`).
-    pub refactorizations: u64,
+    refactorizations,
     /// Chord iterations that reused the previous LU.
-    pub jacobian_reuses: u64,
+    jacobian_reuses,
     /// Nonlinear device evaluations skipped by the bypass.
-    pub bypassed_devices: u64,
+    bypassed_devices,
     /// Linear stamps replayed from the companion cache.
-    pub companion_hits: u64,
+    companion_hits,
     /// Adaptive rounds that chose forward pipelining.
-    pub adaptive_forward: u64,
+    adaptive_forward,
     /// Adaptive rounds that chose backward pipelining.
-    pub adaptive_backward: u64,
+    adaptive_backward,
     /// Stamp color groups accumulated by the parallel stamp path.
-    pub stamp_color_groups: u64,
+    stamp_color_groups,
     /// Worker threads lost to panics.
-    pub workers_lost: u64,
+    workers_lost,
     /// Serial-fallback transitions.
-    pub serial_fallbacks: u64,
+    serial_fallbacks,
     /// Wall-clock budget expirations.
-    pub deadline_hits: u64,
+    deadline_hits,
     /// Convergence recovery ladders engaged.
-    pub recovery_attempts: u64,
+    recovery_attempts,
     /// Recovery rungs that produced a converged point.
-    pub recovery_rescues: u64,
+    recovery_rescues,
     /// Solver-cache invalidations forced by the recovery ladder.
-    pub cache_rollbacks: u64,
+    cache_rollbacks,
     /// Linear solves through the Krylov (GMRES) path.
-    pub krylov_solves: u64,
+    krylov_solves,
     /// GMRES iterations summed over those solves.
-    pub krylov_iterations: u64,
+    krylov_iterations,
     /// Preconditioner (re)builds on the Krylov path.
-    pub precond_refreshes: u64,
+    precond_refreshes,
     /// Krylov solves completed by the direct-LU fallback.
-    pub solver_fallbacks: u64,
+    solver_fallbacks,
 }
 
 impl Counts {
+    /// Scalar by wire name (`None` for a name [`Counts::scalars`] lacks).
+    pub fn scalar(&self, name: &str) -> Option<u64> {
+        self.scalars().into_iter().find(|&(n, _)| n == name).map(|(_, v)| v)
+    }
+
     /// Solves whose result was thrown away (discarded leads plus discarded
     /// speculations).
     pub fn wasted_solves(&self) -> u64 {
@@ -139,9 +180,23 @@ pub struct Timing {
     pub rounds_ns: u64,
     /// Wall time inside parallel stamp color spans (all lanes summed).
     pub stamp_span_ns: u64,
+    /// Sum over rounds of the *longest* concurrent solve — the solve part of
+    /// the critical path.
+    pub critical_solve_ns: u64,
+    /// Sum over rounds of *all* concurrent solves — the machine work.
+    pub total_solve_ns: u64,
 }
 
 impl Timing {
+    /// Achieved solve concurrency: machine solve time over critical-path
+    /// solve time (1.0 = no overlap, `p` = perfect `p`-wide pipelining).
+    pub fn solve_overlap(&self) -> f64 {
+        if self.critical_solve_ns == 0 {
+            return 1.0;
+        }
+        self.total_solve_ns as f64 / self.critical_solve_ns as f64
+    }
+
     /// The dominant wall-time component as a `(label, fraction)` pair —
     /// the headline of a doctor report.
     pub fn dominant(&self) -> (&'static str, f64) {
@@ -180,40 +235,8 @@ pub fn pct(num: u64, den: u64) -> String {
 /// Analyzes a recorded event stream (in record order, as produced by
 /// [`crate::RecordingProbe::events`] or [`crate::jsonl::parse_jsonl`]).
 pub fn analyze(events: &[Event]) -> TraceAnalysis {
-    let mut c = Counts {
-        rounds: 0,
-        points_accepted: 0,
-        solves: 0,
-        solves_unconverged: 0,
-        lane_solves: Vec::new(),
-        newton_iters: Histogram::integer(20),
-        newton_total: 0,
-        lte_rejects: 0,
-        lead_accepted: 0,
-        lead_discarded: 0,
-        speculation_accepted: 0,
-        speculation_discarded: 0,
-        discard_reasons: Vec::new(),
-        factorizations: 0,
-        refactorizations: 0,
-        jacobian_reuses: 0,
-        bypassed_devices: 0,
-        companion_hits: 0,
-        adaptive_forward: 0,
-        adaptive_backward: 0,
-        stamp_color_groups: 0,
-        workers_lost: 0,
-        serial_fallbacks: 0,
-        deadline_hits: 0,
-        recovery_attempts: 0,
-        recovery_rescues: 0,
-        cache_rollbacks: 0,
-        krylov_solves: 0,
-        krylov_iterations: 0,
-        precond_refreshes: 0,
-        solver_fallbacks: 0,
-    };
-    let mut lane_solves: HashMap<u32, u64> = HashMap::new();
+    let mut c = Counts::zero();
+    let mut lane_solves: BTreeMap<u32, u64> = BTreeMap::new();
     let mut reasons: HashMap<&'static str, u64> = HashMap::new();
 
     // Timing state. Solve spans use last-start-wins (dispatch stamps a
@@ -225,10 +248,11 @@ pub fn analyze(events: &[Event]) -> TraceAnalysis {
         end: u64,
         first_solve_start: u64,
         last_solve_end: u64,
+        longest_solve: u64,
+        solve_sum: u64,
     }
     let mut open_solve: HashMap<u32, (u64, u64)> = HashMap::new(); // lane -> (first, last) start
-    let mut lane_busy: HashMap<u32, u64> = HashMap::new();
-    let mut lane_blocked: HashMap<u32, u64> = HashMap::new();
+    let mut lanes: BTreeMap<u32, LaneTiming> = BTreeMap::new();
     let mut open_stamp: HashMap<u32, u64> = HashMap::new();
     let mut rounds: HashMap<u64, RoundAgg> = HashMap::new();
     let mut stamp_span_ns = 0u64;
@@ -261,24 +285,35 @@ pub fn analyze(events: &[Event]) -> TraceAnalysis {
                 if !converged {
                     c.solves_unconverged += 1;
                 }
-                c.newton_total += u64::from(iterations);
                 c.newton_iters.observe(f64::from(iterations));
                 *lane_solves.entry(ev.lane).or_insert(0) += 1;
                 if let Some((first, last)) = open_solve.remove(&ev.lane) {
-                    *lane_busy.entry(ev.lane).or_insert(0) += ev.ts_ns.saturating_sub(last);
-                    *lane_blocked.entry(ev.lane).or_insert(0) += last.saturating_sub(first);
+                    let busy = ev.ts_ns.saturating_sub(last);
+                    let lane = lanes.entry(ev.lane).or_insert(LaneTiming {
+                        lane: ev.lane,
+                        busy_ns: 0,
+                        blocked_ns: 0,
+                    });
+                    lane.busy_ns += busy;
+                    lane.blocked_ns += last.saturating_sub(first);
                     let agg = rounds.entry(ev.round).or_default();
                     agg.last_solve_end = agg.last_solve_end.max(ev.ts_ns);
+                    agg.longest_solve = agg.longest_solve.max(busy);
+                    agg.solve_sum += busy;
                 }
             }
-            EventKind::NewtonIter { .. } | EventKind::StepSizeChosen { .. } => {}
+            EventKind::NewtonIter { .. } => c.newton_iterations += 1,
+            EventKind::StepSizeChosen { .. } => {}
             EventKind::Factorization => c.factorizations += 1,
             EventKind::Refactorization => c.refactorizations += 1,
             EventKind::JacobianReuse => c.jacobian_reuses += 1,
             EventKind::BypassedDevices { devices } => c.bypassed_devices += u64::from(devices),
             EventKind::CompanionHit => c.companion_hits += 1,
-            EventKind::LteReject { .. } => c.lte_rejects += 1,
-            EventKind::PointAccepted { .. } => c.points_accepted += 1,
+            EventKind::LteReject { .. } => c.lte_tests_failed += 1,
+            EventKind::PointAccepted { h } => {
+                c.points_accepted += 1;
+                c.step_sizes.observe(h);
+            }
             EventKind::LeadAccepted => c.lead_accepted += 1,
             EventKind::LeadDiscarded { reason } => {
                 c.lead_discarded += 1;
@@ -326,9 +361,7 @@ pub fn analyze(events: &[Event]) -> TraceAnalysis {
         }
     }
 
-    let mut ls: Vec<(u32, u64)> = lane_solves.into_iter().collect();
-    ls.sort_unstable();
-    c.lane_solves = ls;
+    c.lane_solves = lane_solves.into_iter().collect();
     let mut reasons: Vec<(String, u64)> =
         reasons.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
     reasons.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -336,11 +369,14 @@ pub fn analyze(events: &[Event]) -> TraceAnalysis {
 
     // Fold the per-round spans into the wall-time decomposition.
     let (mut solve_phase, mut commit, mut launch, mut rounds_ns) = (0u64, 0u64, 0u64, 0u64);
+    let (mut critical_solve_ns, mut total_solve_ns) = (0u64, 0u64);
     for agg in rounds.values() {
         if agg.end <= agg.start {
-            continue; // round never closed (e.g. truncated stream)
+            continue; // no round (a serial run's round 0) or never closed
         }
         rounds_ns += agg.end - agg.start;
+        critical_solve_ns += agg.longest_solve;
+        total_solve_ns += agg.solve_sum;
         if agg.first_solve_start != u64::MAX && agg.last_solve_end > 0 {
             let first = agg.first_solve_start.max(agg.start);
             let last = agg.last_solve_end.clamp(first, agg.end);
@@ -349,15 +385,7 @@ pub fn analyze(events: &[Event]) -> TraceAnalysis {
             commit += agg.end - last;
         }
     }
-    let mut lanes: Vec<LaneTiming> = lane_busy
-        .iter()
-        .map(|(&lane, &busy_ns)| LaneTiming {
-            lane,
-            busy_ns,
-            blocked_ns: lane_blocked.get(&lane).copied().unwrap_or(0),
-        })
-        .collect();
-    lanes.sort_unstable_by_key(|l| l.lane);
+    let lanes: Vec<LaneTiming> = lanes.into_values().collect();
     let lead_ns = lanes.iter().filter(|l| l.lane == 0).map(|l| l.busy_ns).sum();
     let speculative_ns = lanes.iter().filter(|l| l.lane != 0).map(|l| l.busy_ns).sum();
     let timing = Timing {
@@ -370,6 +398,8 @@ pub fn analyze(events: &[Event]) -> TraceAnalysis {
         launch_ns: launch,
         rounds_ns,
         stamp_span_ns,
+        critical_solve_ns,
+        total_solve_ns,
     };
     TraceAnalysis { counts: c, timing }
 }
@@ -401,11 +431,11 @@ impl TraceAnalysis {
         let _ = writeln!(
             out,
             "  newton iterations         {:>10}  (p50 {} / p99 {} per solve)",
-            c.newton_total,
+            c.newton_iterations,
             quant(&c.newton_iters, 0.5),
             quant(&c.newton_iters, 0.99)
         );
-        let _ = writeln!(out, "  lte rejects               {:>10}", c.lte_rejects);
+        let _ = writeln!(out, "  lte tests failed          {:>10}", c.lte_tests_failed);
         let lead_issued = c.lead_accepted + c.lead_discarded;
         let spec_issued = c.speculation_accepted + c.speculation_discarded;
         let _ = writeln!(
@@ -456,7 +486,9 @@ impl TraceAnalysis {
         let _ = writeln!(
             out,
             "  companion replay          {:>10}  of newton stamps ({} hits)",
-            pct(c.companion_hits, c.newton_total),
+            // Over the transient's stamps, i.e. the iterations inside solve
+            // spans (the operating point's run before the first span).
+            pct(c.companion_hits, c.newton_iters.sum() as u64),
             c.companion_hits
         );
         let _ = writeln!(out, "  bypassed device evals     {:>10}", c.bypassed_devices);
@@ -523,6 +555,11 @@ impl TraceAnalysis {
             t.lead_ns as f64 / 1e6,
             t.speculative_ns as f64 / 1e6
         );
+        let _ = writeln!(
+            out,
+            "  solve overlap: {:.2}x (all solves over the longest solve of each round)",
+            t.solve_overlap()
+        );
         if t.stamp_span_ns > 0 {
             let _ = writeln!(
                 out,
@@ -546,9 +583,13 @@ impl TraceAnalysis {
         out
     }
 
-    /// Both sections.
+    /// Both sections, with the accepted-step-size distribution (count-derived
+    /// too, but too long for the stable section) between them.
     pub fn report(&self, title: &str) -> String {
         let mut out = self.stable_report(title);
+        if self.counts.step_sizes.count() > 0 {
+            let _ = write!(out, "  accepted step sizes (s):\n{}", self.counts.step_sizes);
+        }
         out.push_str(&self.timing_report());
         out
     }
@@ -558,34 +599,7 @@ impl TraceAnalysis {
     pub fn to_json(&self, stable_only: bool) -> String {
         let c = &self.counts;
         let mut out = String::from("{\"stable\":{");
-        let scalars: [(&str, u64); 25] = [
-            ("rounds", c.rounds),
-            ("points_accepted", c.points_accepted),
-            ("solves", c.solves),
-            ("solves_unconverged", c.solves_unconverged),
-            ("newton_iterations", c.newton_total),
-            ("lte_rejects", c.lte_rejects),
-            ("lead_accepted", c.lead_accepted),
-            ("lead_discarded", c.lead_discarded),
-            ("speculation_accepted", c.speculation_accepted),
-            ("speculation_discarded", c.speculation_discarded),
-            ("factorizations", c.factorizations),
-            ("refactorizations", c.refactorizations),
-            ("jacobian_reuses", c.jacobian_reuses),
-            ("bypassed_devices", c.bypassed_devices),
-            ("companion_hits", c.companion_hits),
-            ("stamp_color_groups", c.stamp_color_groups),
-            ("workers_lost", c.workers_lost),
-            ("deadline_hits", c.deadline_hits),
-            ("recovery_attempts", c.recovery_attempts),
-            ("recovery_rescues", c.recovery_rescues),
-            ("cache_rollbacks", c.cache_rollbacks),
-            ("krylov_solves", c.krylov_solves),
-            ("krylov_iterations", c.krylov_iterations),
-            ("precond_refreshes", c.precond_refreshes),
-            ("solver_fallbacks", c.solver_fallbacks),
-        ];
-        for (i, (name, v)) in scalars.iter().enumerate() {
+        for (i, (name, v)) in c.scalars().iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -612,7 +626,8 @@ impl TraceAnalysis {
                 out,
                 ",\"timing\":{{\"wall_ns\":{},\"solve_phase_ns\":{},\"commit_ns\":{},\
                  \"launch_ns\":{},\"rounds_ns\":{},\"lead_ns\":{},\"speculative_ns\":{},\
-                 \"stamp_span_ns\":{},\"lanes\":[",
+                 \"stamp_span_ns\":{},\"critical_solve_ns\":{},\"total_solve_ns\":{},\
+                 \"lanes\":[",
                 t.wall_ns,
                 t.solve_phase_ns,
                 t.commit_ns,
@@ -620,7 +635,9 @@ impl TraceAnalysis {
                 t.rounds_ns,
                 t.lead_ns,
                 t.speculative_ns,
-                t.stamp_span_ns
+                t.stamp_span_ns,
+                t.critical_solve_ns,
+                t.total_solve_ns
             );
             for (i, l) in t.lanes.iter().enumerate() {
                 if i > 0 {
@@ -639,50 +656,46 @@ impl TraceAnalysis {
     }
 }
 
+/// `(label, a's count, b's count)` for every label either family carries,
+/// ascending by label.
+fn family_pair(snapshot: &Snapshot, a: Family, b: Family) -> Vec<(&str, u64, u64)> {
+    let (a, b) = (a.name(), b.name());
+    let labels: BTreeSet<&str> = snapshot
+        .labeled
+        .iter()
+        .filter(|lv| lv.family == a || lv.family == b)
+        .map(|lv| lv.label.as_str())
+        .collect();
+    let row = |l| (l, snapshot.labeled_value(a, l), snapshot.labeled_value(b, l));
+    labels.into_iter().map(row).collect()
+}
+
 /// Renders the per-device-class and per-cache-layer families of a metrics
 /// [`Snapshot`] as a stable table (counts only, deterministic): the piece
 /// of the doctor report the event stream alone cannot provide.
 pub fn class_cache_table(snapshot: &Snapshot) -> String {
     let mut out = String::new();
-    let classes: Vec<&str> = snapshot
-        .labeled
-        .iter()
-        .filter(|lv| lv.family == "class_evals" || lv.family == "class_bypassed")
-        .map(|lv| lv.label.as_str())
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
+    let classes = family_pair(snapshot, Family::EvalsByClass, Family::BypassByClass);
     if !classes.is_empty() {
         let _ = writeln!(out, "  -- per device class --");
-        for class in classes {
-            let evals = snapshot.labeled_value("class_evals", class);
-            let byp = snapshot.labeled_value("class_bypassed", class);
-            let _ = writeln!(
-                out,
-                "  {class:<10} evals {evals:>10}  bypassed {byp:>10}  ({} bypass rate)",
-                pct(byp, byp + evals)
-            );
-        }
     }
-    let caches: Vec<&str> = snapshot
-        .labeled
-        .iter()
-        .filter(|lv| lv.family == "cache_hits" || lv.family == "cache_misses")
-        .map(|lv| lv.label.as_str())
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect();
+    for (class, evals, byp) in classes {
+        let _ = writeln!(
+            out,
+            "  {class:<10} evals {evals:>10}  bypassed {byp:>10}  ({} bypass rate)",
+            pct(byp, byp + evals)
+        );
+    }
+    let caches = family_pair(snapshot, Family::CacheHits, Family::CacheMisses);
     if !caches.is_empty() {
         let _ = writeln!(out, "  -- per cache layer --");
-        for cache in caches {
-            let hits = snapshot.labeled_value("cache_hits", cache);
-            let misses = snapshot.labeled_value("cache_misses", cache);
-            let _ = writeln!(
-                out,
-                "  {cache:<10} hits  {hits:>10}  misses   {misses:>10}  ({} hit rate)",
-                pct(hits, hits + misses)
-            );
-        }
+    }
+    for (cache, hits, misses) in caches {
+        let _ = writeln!(
+            out,
+            "  {cache:<10} hits  {hits:>10}  misses   {misses:>10}  ({} hit rate)",
+            pct(hits, hits + misses)
+        );
     }
     out
 }
@@ -734,7 +747,8 @@ mod tests {
         assert_eq!(c.points_accepted, 1);
         assert_eq!(c.solves, 3);
         assert_eq!(c.solves_unconverged, 1);
-        assert_eq!(c.newton_total, 12);
+        assert_eq!(c.newton_iters.sum(), 12.0);
+        assert_eq!(c.step_sizes.count(), 1);
         assert_eq!(c.lane_solves, vec![(0, 2), (1, 1)]);
         assert_eq!(c.lead_accepted, 1);
         assert_eq!(c.lead_discarded, 1);
@@ -764,6 +778,112 @@ mod tests {
         assert_eq!(lane0.busy_ns, 40 + 48);
         assert_eq!(t.lead_ns, 88);
         assert_eq!(t.speculative_ns, 65);
+        // Longest solve per round 65 + 48, all solves 40 + 65 + 48.
+        assert_eq!(t.critical_solve_ns, 113);
+        assert_eq!(t.total_solve_ns, 153);
+        assert!((t.solve_overlap() - 153.0 / 113.0).abs() < 1e-12);
+        // A serial stream has no rounds, hence nothing to overlap.
+        assert_eq!(analyze(&[]).timing.solve_overlap(), 1.0);
+    }
+
+    /// One or two events of every kind that feeds a scalar the sample stream
+    /// leaves at zero.
+    fn counter_stream() -> Vec<Event> {
+        let krylov = |iterations, precond_refreshes, fallback| EventKind::KrylovSolve {
+            iterations,
+            restarts: 1,
+            precond_refreshes,
+            fallback,
+        };
+        [
+            EventKind::NewtonIter { iteration: 1 },
+            EventKind::NewtonIter { iteration: 2 },
+            EventKind::Factorization,
+            EventKind::Factorization,
+            EventKind::Refactorization,
+            EventKind::JacobianReuse,
+            EventKind::BypassedDevices { devices: 7 },
+            EventKind::BypassedDevices { devices: 2 },
+            EventKind::CompanionHit,
+            EventKind::LteReject { ratio: 2.0, h_retry: 1e-10 },
+            EventKind::SpeculationAccepted,
+            EventKind::SpeculationDiscarded { reason: DiscardReason::ChainBroken },
+            EventKind::AdaptiveChoice { forward: true },
+            EventKind::AdaptiveChoice { forward: false },
+            EventKind::AdaptiveChoice { forward: false },
+            EventKind::StampColorStart { color: 0 },
+            EventKind::StampColorEnd { color: 0, devices: 8 },
+            EventKind::WorkerLost { lane: 2 },
+            EventKind::WorkerLost { lane: 1 },
+            EventKind::FallbackSerial,
+            EventKind::DeadlineHit,
+            EventKind::RecoveryAttempt { h: 1e-15 },
+            EventKind::CachePoisonRollback,
+            EventKind::RecoveryRung { rung: 1, success: false },
+            EventKind::RecoveryRung { rung: 2, success: true },
+            krylov(12, 1, false),
+            krylov(30, 0, true),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, kind)| ev(10 * i as u64, 1, 0, kind))
+        .collect()
+    }
+
+    #[test]
+    fn every_count_feeding_kind_lands_in_its_scalar() {
+        let a = analyze(&counter_stream());
+        let want = [
+            ("newton_iterations", 2),
+            ("factorizations", 2),
+            ("refactorizations", 1),
+            ("jacobian_reuses", 1),
+            ("bypassed_devices", 9),
+            ("companion_hits", 1),
+            ("lte_tests_failed", 1),
+            ("speculation_accepted", 1),
+            ("speculation_discarded", 1),
+            ("adaptive_forward", 1),
+            ("adaptive_backward", 2),
+            ("stamp_color_groups", 1),
+            ("workers_lost", 2),
+            ("serial_fallbacks", 1),
+            ("deadline_hits", 1),
+            ("recovery_attempts", 1),
+            ("recovery_rescues", 1),
+            ("cache_rollbacks", 1),
+            ("krylov_solves", 2),
+            ("krylov_iterations", 42),
+            ("precond_refreshes", 1),
+            ("solver_fallbacks", 1),
+        ];
+        for (name, v) in want {
+            assert_eq!(a.counts.scalar(name), Some(v), "{name}");
+        }
+        assert_eq!(a.counts.scalar("no_such_count"), None);
+        assert_eq!(a.timing.stamp_span_ns, 10);
+        let stable = a.stable_report("t");
+        for line in ["adaptive choices", "krylov solves", "faults", "recovery", "stamp color"] {
+            assert!(stable.contains(line), "{line}: {stable}");
+        }
+        // A stream without those events prints none of the optional lines.
+        let clean = analyze(&sample_stream()).stable_report("t");
+        for line in ["adaptive choices", "krylov solves", "faults", "recovery", "stamp color"] {
+            assert!(!clean.contains(line), "{line}: {clean}");
+        }
+    }
+
+    #[test]
+    fn every_scalar_appears_in_the_json() {
+        let a = analyze(&counter_stream());
+        let doc = json::parse(&a.to_json(true)).expect("doctor json parses");
+        let stable = doc.get("stable").expect("stable object");
+        let scalars = a.counts.scalars();
+        assert!(scalars.len() >= 28);
+        for (name, v) in scalars {
+            let got = stable.get(name).and_then(|j| j.as_f64());
+            assert_eq!(got, Some(v as f64), "`{name}` missing from the JSON");
+        }
     }
 
     #[test]
@@ -794,6 +914,11 @@ mod tests {
         let timing = a.timing_report();
         assert!(timing.contains("bottleneck:"));
         assert!(timing.contains("lane 0"));
+        assert!(timing.contains("solve overlap: 1.35x"), "{timing}");
+        let full = a.report("t");
+        assert!(full.starts_with(&a.stable_report("t")) && full.ends_with(&timing));
+        assert!(full.contains("accepted step sizes (s):\n"), "{full}");
+        assert!(!analyze(&[]).report("t").contains("accepted step sizes"));
         let json_doc = a.to_json(false);
         let parsed = json::parse(&json_doc).expect("doctor json parses");
         assert_eq!(

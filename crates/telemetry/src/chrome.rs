@@ -164,35 +164,6 @@ pub fn write_chrome_trace<W: Write>(events: &[Event], out: &mut W) -> io::Result
                     complete(&mut objs, ROUNDS_TID, &name, start, ev.ts_ns, &args);
                 }
             }
-            EventKind::LteReject { ratio, h_retry } => {
-                let args = format!(
-                    "\"t_sim\":{},\"ratio\":{},\"h_retry\":{}",
-                    json::fmt_f64(ev.t_sim),
-                    json::fmt_f64(ratio),
-                    json::fmt_f64(h_retry)
-                );
-                instant(&mut objs, ev.lane, "lte_reject", ev.ts_ns, &args);
-            }
-            EventKind::LeadAccepted | EventKind::SpeculationAccepted => {
-                let args = format!("\"t_sim\":{}", json::fmt_f64(ev.t_sim));
-                instant(&mut objs, ev.lane, ev.kind.name(), ev.ts_ns, &args);
-                accept_ema += ACCEPT_EMA_ALPHA * (1.0 - accept_ema);
-                counter(&mut objs, "accept rate (ema)", ev.ts_ns, "rate", accept_ema);
-            }
-            EventKind::LeadDiscarded { reason } | EventKind::SpeculationDiscarded { reason } => {
-                let args = format!(
-                    "\"t_sim\":{},\"reason\":\"{}\"",
-                    json::fmt_f64(ev.t_sim),
-                    reason.name()
-                );
-                instant(&mut objs, ev.lane, ev.kind.name(), ev.ts_ns, &args);
-                accept_ema -= ACCEPT_EMA_ALPHA * accept_ema;
-                counter(&mut objs, "accept rate (ema)", ev.ts_ns, "rate", accept_ema);
-            }
-            EventKind::AdaptiveChoice { forward } => {
-                let args = format!("\"forward\":{forward}");
-                instant(&mut objs, ROUNDS_TID, "adaptive_choice", ev.ts_ns, &args);
-            }
             EventKind::StampColorStart { color } => {
                 open_stamp[ev.lane as usize] = Some((ev.ts_ns, color));
             }
@@ -212,35 +183,6 @@ pub fn write_chrome_trace<W: Write>(events: &[Event], out: &mut W) -> io::Result
                     }
                 }
             }
-            EventKind::WorkerLost { lane } => {
-                let args = format!("\"lost_lane\":{lane}");
-                instant(&mut objs, ev.lane, "worker_lost", ev.ts_ns, &args);
-            }
-            EventKind::FallbackSerial => {
-                instant(&mut objs, ev.lane, "fallback_serial", ev.ts_ns, "");
-            }
-            EventKind::DeadlineHit => {
-                instant(&mut objs, ROUNDS_TID, "deadline_hit", ev.ts_ns, "");
-            }
-            EventKind::RecoveryAttempt { h } => {
-                let args =
-                    format!("\"t_sim\":{},\"h\":{}", json::fmt_f64(ev.t_sim), json::fmt_f64(h));
-                instant(&mut objs, ev.lane, "recovery_attempt", ev.ts_ns, &args);
-            }
-            EventKind::RecoveryRung { rung, success } => {
-                let args = format!("\"rung\":{rung},\"success\":{success}");
-                instant(&mut objs, ev.lane, "recovery_rung", ev.ts_ns, &args);
-            }
-            EventKind::CachePoisonRollback => {
-                instant(&mut objs, ev.lane, "cache_poison_rollback", ev.ts_ns, "");
-            }
-            EventKind::KrylovSolve { iterations, restarts, precond_refreshes, fallback } => {
-                let args = format!(
-                    "\"iterations\":{iterations},\"restarts\":{restarts},\
-                     \"precond_refreshes\":{precond_refreshes},\"fallback\":{fallback}"
-                );
-                instant(&mut objs, ev.lane, "krylov_solve", ev.ts_ns, &args);
-            }
             EventKind::BypassedDevices { devices } => {
                 // No span — just the hit-rate counter. The largest batch seen
                 // so far stands in for the circuit's nonlinear device count
@@ -256,7 +198,7 @@ pub fn write_chrome_trace<W: Write>(events: &[Event], out: &mut W) -> io::Result
                 }
             }
             // Per-iteration and per-factorization events are deliberately not
-            // rendered: they are summary/JSONL material and would swamp the
+            // rendered: they are analysis/JSONL material and would swamp the
             // timeline.
             EventKind::NewtonIter { .. }
             | EventKind::Factorization
@@ -265,6 +207,31 @@ pub fn write_chrome_trace<W: Write>(events: &[Event], out: &mut W) -> io::Result
             | EventKind::CompanionHit
             | EventKind::StepSizeChosen { .. }
             | EventKind::PointAccepted { .. } => {}
+            // Every other kind is an instant carrying `t_sim` and its declared
+            // payload: on the emitting lane's track, or on the rounds track
+            // for the two run-level decisions.
+            kind => {
+                let tid = match kind {
+                    EventKind::AdaptiveChoice { .. } | EventKind::DeadlineHit => ROUNDS_TID,
+                    _ => ev.lane,
+                };
+                let mut args = format!("\"t_sim\":{}", json::fmt_f64(ev.t_sim));
+                kind.encode_payload(&mut args);
+                instant(&mut objs, tid, kind.name(), ev.ts_ns, &args);
+                // Lead and speculation outcomes also move the accept-rate EMA
+                // toward 1 (accepted) or 0 (discarded).
+                let outcome = match kind {
+                    EventKind::LeadAccepted | EventKind::SpeculationAccepted => Some(1.0),
+                    EventKind::LeadDiscarded { .. } | EventKind::SpeculationDiscarded { .. } => {
+                        Some(0.0)
+                    }
+                    _ => None,
+                };
+                if let Some(toward) = outcome {
+                    accept_ema += ACCEPT_EMA_ALPHA * (toward - accept_ema);
+                    counter(&mut objs, "accept rate (ema)", ev.ts_ns, "rate", accept_ema);
+                }
+            }
         }
     }
 

@@ -1,146 +1,282 @@
-//! The typed event taxonomy every instrumented layer emits.
+//! The typed event taxonomy every instrumented layer emits, declared once:
+//! the [`event_kinds!`] table below is the only place a kind's variant, wire
+//! name and payload fields are written, and [`EventKind`], its `name()`, its
+//! `SAMPLES` and the JSONL payload codec are all derived from it.
 
-/// Why a speculative or leading solve was thrown away.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DiscardReason {
-    /// The speculative Newton solve itself did not converge.
-    Unconverged,
-    /// The predicted history was too far from the truth to warm-start from.
-    PredictionFar,
-    /// The warm-start refinement did not converge within its iteration budget.
-    RefineBudget,
-    /// The refined point failed the LTE accept test.
-    LteRejected,
-    /// The refined point failed the Newton/finiteness commit test.
-    NewtonRejected,
-    /// An earlier link of the speculative chain broke, invalidating this one.
-    ChainBroken,
-    /// The worker holding the solve died; the task's result never arrived.
-    WorkerLost,
+use crate::json::{self, JsonValue};
+use std::fmt::Write as _;
+
+named_enum! {
+    /// Why a speculative or leading solve was thrown away.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum DiscardReason {
+        /// The speculative Newton solve itself did not converge.
+        Unconverged = "unconverged",
+        /// The predicted history was too far from the truth to warm-start from.
+        PredictionFar = "prediction_far",
+        /// The warm-start refinement did not converge within its iteration budget.
+        RefineBudget = "refine_budget",
+        /// The refined point failed the LTE accept test.
+        LteRejected = "lte_rejected",
+        /// The refined point failed the Newton/finiteness commit test.
+        NewtonRejected = "newton_rejected",
+        /// An earlier link of the speculative chain broke, invalidating this one.
+        ChainBroken = "chain_broken",
+        /// The worker holding the solve died; the task's result never arrived.
+        WorkerLost = "worker_lost",
+    }
 }
 
 impl DiscardReason {
-    /// Stable machine-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            DiscardReason::Unconverged => "unconverged",
-            DiscardReason::PredictionFar => "prediction_far",
-            DiscardReason::RefineBudget => "refine_budget",
-            DiscardReason::LteRejected => "lte_rejected",
-            DiscardReason::NewtonRejected => "newton_rejected",
-            DiscardReason::ChainBroken => "chain_broken",
-            DiscardReason::WorkerLost => "worker_lost",
-        }
-    }
-
     /// Inverse of [`DiscardReason::name`].
     pub fn from_name(s: &str) -> Option<Self> {
-        Some(match s {
-            "unconverged" => DiscardReason::Unconverged,
-            "prediction_far" => DiscardReason::PredictionFar,
-            "refine_budget" => DiscardReason::RefineBudget,
-            "lte_rejected" => DiscardReason::LteRejected,
-            "newton_rejected" => DiscardReason::NewtonRejected,
-            "chain_broken" => DiscardReason::ChainBroken,
-            "worker_lost" => DiscardReason::WorkerLost,
-            _ => return None,
-        })
+        Self::ALL.into_iter().find(|r| r.name() == s)
     }
 }
 
-/// What happened. Every variant is cheap to construct (`Copy`, no heap).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum EventKind {
+/// A type a wire field can have: how it is written into a JSONL object and
+/// how it is checked back out of one. The importer reads files from outside
+/// the program, so `decode` accepts exactly the values `encode` can produce.
+pub(crate) trait Field: Copy {
+    /// The value [`EventKind::SAMPLES`] carries in fields of this type.
+    const SAMPLE: Self;
+
+    /// Appends the JSON rendering of the value.
+    fn encode(self, out: &mut String);
+
+    /// Reads the value back; `Err` says what was expected instead.
+    fn decode(v: &JsonValue) -> Result<Self, &'static str>;
+}
+
+/// Integers are integral, non-negative and no larger than `max`. (JSON
+/// numbers parse as `f64`, so `u64` values above 2^53 come back rounded and
+/// `u64::MAX` arrives as 2^64 = `max`, which the caller's cast saturates.)
+fn decode_uint(v: &JsonValue, max: f64) -> Option<f64> {
+    v.as_f64().filter(|x| (0.0..=max).contains(x) && x.fract() == 0.0)
+}
+
+impl Field for u32 {
+    const SAMPLE: Self = 3;
+
+    fn encode(self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn decode(v: &JsonValue) -> Result<Self, &'static str> {
+        decode_uint(v, f64::from(u32::MAX)).map(|x| x as u32).ok_or("an integer in 0..=4294967295")
+    }
+}
+
+impl Field for u64 {
+    const SAMPLE: Self = 3;
+
+    fn encode(self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn decode(v: &JsonValue) -> Result<Self, &'static str> {
+        decode_uint(v, u64::MAX as f64).map(|x| x as u64).ok_or("an integer in 0..=2^64-1")
+    }
+}
+
+impl Field for f64 {
+    const SAMPLE: Self = 2.5e-9;
+
+    fn encode(self, out: &mut String) {
+        out.push_str(&json::fmt_f64(self));
+    }
+
+    fn decode(v: &JsonValue) -> Result<Self, &'static str> {
+        v.as_f64().ok_or("a number")
+    }
+}
+
+impl Field for bool {
+    const SAMPLE: Self = true;
+
+    fn encode(self, out: &mut String) {
+        let _ = write!(out, "{self}");
+    }
+
+    fn decode(v: &JsonValue) -> Result<Self, &'static str> {
+        v.as_bool().ok_or("true or false")
+    }
+}
+
+impl Field for DiscardReason {
+    const SAMPLE: Self = DiscardReason::LteRejected;
+
+    fn encode(self, out: &mut String) {
+        let _ = write!(out, "\"{}\"", self.name());
+    }
+
+    fn decode(v: &JsonValue) -> Result<Self, &'static str> {
+        v.as_str().and_then(DiscardReason::from_name).ok_or("a discard reason name")
+    }
+}
+
+/// Reads field `key` of the JSONL object `obj`; the error names the field.
+pub(crate) fn read_field<T: Field>(obj: &JsonValue, key: &str) -> Result<T, String> {
+    let v = obj.get(key).ok_or_else(|| format!("missing field `{key}`"))?;
+    T::decode(v).map_err(|want| format!("field `{key}`: expected {want}"))
+}
+
+/// A field's wire key: its name unless the table gives another.
+macro_rules! wire_key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
+
+/// The event table. One entry per kind: doc, variant, wire name, and the
+/// typed payload fields (`name: type`, with `= "key"` where the wire key is
+/// not the field name).
+macro_rules! event_kinds {
+    ($(
+        $(#[$doc:meta])*
+        $variant:ident = $wire:literal $({$(
+            $(#[$fdoc:meta])*
+            $field:ident: $ty:ty $(= $key:literal)?,
+        )+})?,
+    )+) => {
+        /// What happened. Every variant is cheap to construct (`Copy`, no heap).
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        pub enum EventKind {
+            $($(#[$doc])* $variant $({$($(#[$fdoc])* $field: $ty,)+})?,)+
+        }
+
+        impl EventKind {
+            /// One event of every kind, in declaration order, each field
+            /// holding its type's fixed sample value — what the codec tests
+            /// iterate so that a new kind is covered without being listed.
+            pub const SAMPLES: [EventKind; [$($wire),+].len()] =
+                [$(EventKind::$variant $({$($field: <$ty as Field>::SAMPLE,)+})?,)+];
+
+            /// Stable machine-readable name of the variant.
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $(EventKind::$variant $({$($field: _,)+})? => $wire,)+
+                }
+            }
+
+            /// Appends the payload as `,"key":value` pairs in field order.
+            pub(crate) fn encode_payload(&self, out: &mut String) {
+                match *self {
+                    $(EventKind::$variant $({$($field,)+})? => {$($(
+                        out.push_str(concat!(",\"", wire_key!($field $($key)?), "\":"));
+                        $field.encode(out);
+                    )+)?})+
+                }
+            }
+
+            /// Rebuilds the kind named `name` from the payload fields of the
+            /// JSONL object `obj`.
+            pub(crate) fn decode(name: &str, obj: &JsonValue) -> Result<Self, String> {
+                Ok(match name {
+                    $($wire => EventKind::$variant $({$(
+                        $field: read_field(obj, wire_key!($field $($key)?))?,
+                    )+})?,)+
+                    other => return Err(format!("unknown kind `{other}`")),
+                })
+            }
+        }
+    };
+}
+
+event_kinds! {
     /// A pipelined round began; `width` concurrent solves were launched.
-    RoundStart {
+    RoundStart = "round_start" {
         /// Number of concurrent point-solve tasks in the round.
         width: u32,
     },
     /// The round (solves + commits) finished with `committed` accepted points.
-    RoundEnd {
+    RoundEnd = "round_end" {
         /// Points committed by the round.
         committed: u32,
     },
     /// A point-solve started on some lane; `h` is the integration stride.
-    SolveStart {
+    SolveStart = "solve_start" {
         /// Integration stride of the attempt.
         h: f64,
     },
     /// The point-solve on this lane finished.
-    SolveEnd {
+    SolveEnd = "solve_end" {
         /// Newton iterations spent.
         iterations: u32,
         /// Whether Newton converged.
         converged: bool,
     },
     /// One Newton iteration (stamp + factor + solve) completed.
-    NewtonIter {
+    NewtonIter = "newton_iter" {
         /// 1-based iteration index within the solve.
         iteration: u32,
     },
     /// A numeric factorization pass of any kind (fresh pivot search or
     /// frozen-pivot refactorization).
-    Factorization,
+    Factorization = "factorization",
     /// A fast refactorization on the frozen pivot order (a subset of the
     /// [`EventKind::Factorization`] passes — both events are emitted).
-    Refactorization,
+    Refactorization = "refactorization",
     /// A chord/modified-Newton iteration reused the previous LU factors
     /// without any numeric factorization pass.
-    JacobianReuse,
+    JacobianReuse = "jacobian_reuse",
     /// One stamp pass replayed `devices` nonlinear devices from their bypass
     /// caches instead of re-evaluating the models.
-    BypassedDevices {
+    BypassedDevices = "bypassed_devices" {
         /// Devices bypassed in this stamp pass.
         devices: u32,
     },
     /// The assembled linear matrix was replayed from the step-size-keyed
     /// companion cache instead of being re-stamped.
-    CompanionHit,
+    CompanionHit = "companion_hit",
     /// The LTE test rejected a candidate point.
-    LteReject {
+    LteReject = "lte_reject" {
         /// Weighted error ratio (> 1).
         ratio: f64,
         /// Suggested retry stride.
         h_retry: f64,
     },
     /// The LTE test accepted a candidate and proposed the next step.
-    StepSizeChosen {
+    StepSizeChosen = "step_size_chosen" {
         /// Proposed next stride.
         h: f64,
         /// Weighted error ratio (<= 1).
         ratio: f64,
     },
     /// A candidate point was committed to the waveform.
-    PointAccepted {
+    PointAccepted = "point_accepted" {
         /// Stride the point was integrated with.
         h: f64,
     },
     /// A backward-pipelined lead point survived its commit tests.
-    LeadAccepted,
+    LeadAccepted = "lead_accepted",
     /// A backward-pipelined lead point was discarded.
-    LeadDiscarded {
+    LeadDiscarded = "lead_discarded" {
         /// Why the lead was thrown away.
         reason: DiscardReason,
     },
     /// A forward-pipelined speculative point was refined and committed.
-    SpeculationAccepted,
+    SpeculationAccepted = "speculation_accepted",
     /// A forward-pipelined speculative point was discarded.
-    SpeculationDiscarded {
+    SpeculationDiscarded = "speculation_discarded" {
         /// Why the speculation was thrown away.
         reason: DiscardReason,
     },
     /// The adaptive scheduler picked the scheme for the next round.
-    AdaptiveChoice {
+    AdaptiveChoice = "adaptive_choice" {
         /// `true` = forward pipelining, `false` = backward.
         forward: bool,
     },
     /// The parallel stamp path began accumulating one color group.
-    StampColorStart {
+    StampColorStart = "stamp_color_start" {
         /// 0-based stamp color (conflict-free device group).
         color: u32,
     },
     /// The parallel stamp path finished accumulating one color group.
-    StampColorEnd {
+    StampColorEnd = "stamp_color_end" {
         /// 0-based stamp color (conflict-free device group).
         color: u32,
         /// Devices in the group.
@@ -148,25 +284,26 @@ pub enum EventKind {
     },
     /// A worker thread (pool lane or stamp worker) panicked or disappeared
     /// and was retired from service.
-    WorkerLost {
-        /// Lane the lost worker served.
-        lane: u32,
+    WorkerLost = "worker_lost" {
+        /// Lane the lost worker served (`lost_lane` on the wire, where `lane`
+        /// is the envelope's emitting lane).
+        lane: u32 = "lost_lane",
     },
     /// A parallel component degraded itself to its serial path (a lane pool
     /// shrinking to the coordinating thread, or a stamp executor switching
     /// to inline evaluation).
-    FallbackSerial,
+    FallbackSerial = "fallback_serial",
     /// The wall-clock budget expired; the run is stopping at the accepted
     /// prefix.
-    DeadlineHit,
+    DeadlineHit = "deadline_hit",
     /// Newton failed at a timepoint below the step floor; the convergence
     /// recovery ladder engaged instead of aborting the run.
-    RecoveryAttempt {
+    RecoveryAttempt = "recovery_attempt" {
         /// The stride of the failing attempt.
         h: f64,
     },
     /// One rung of the recovery ladder finished.
-    RecoveryRung {
+    RecoveryRung = "recovery_rung" {
         /// 1-based rung index (1 = cache rollback, 2 = deep step cut,
         /// 3 = local gmin ramp).
         rung: u32,
@@ -175,9 +312,9 @@ pub enum EventKind {
     },
     /// The recovery ladder invalidated the solver caches (bypass masks,
     /// chord LU key, companion cache) suspecting a poisoned entry.
-    CachePoisonRollback,
+    CachePoisonRollback = "cache_poison_rollback",
     /// One linear solve went through the iterative (Krylov) solver path.
-    KrylovSolve {
+    KrylovSolve = "krylov_solve" {
         /// GMRES iterations (Arnoldi steps) spent on the solve.
         iterations: u32,
         /// Restart cycles beyond the first.
@@ -187,41 +324,6 @@ pub enum EventKind {
         /// Whether the solve completed on the direct-LU fallback.
         fallback: bool,
     },
-}
-
-impl EventKind {
-    /// Stable machine-readable name of the variant.
-    pub fn name(&self) -> &'static str {
-        match self {
-            EventKind::RoundStart { .. } => "round_start",
-            EventKind::RoundEnd { .. } => "round_end",
-            EventKind::SolveStart { .. } => "solve_start",
-            EventKind::SolveEnd { .. } => "solve_end",
-            EventKind::NewtonIter { .. } => "newton_iter",
-            EventKind::Factorization => "factorization",
-            EventKind::Refactorization => "refactorization",
-            EventKind::JacobianReuse => "jacobian_reuse",
-            EventKind::BypassedDevices { .. } => "bypassed_devices",
-            EventKind::CompanionHit => "companion_hit",
-            EventKind::LteReject { .. } => "lte_reject",
-            EventKind::StepSizeChosen { .. } => "step_size_chosen",
-            EventKind::PointAccepted { .. } => "point_accepted",
-            EventKind::LeadAccepted => "lead_accepted",
-            EventKind::LeadDiscarded { .. } => "lead_discarded",
-            EventKind::SpeculationAccepted => "speculation_accepted",
-            EventKind::SpeculationDiscarded { .. } => "speculation_discarded",
-            EventKind::AdaptiveChoice { .. } => "adaptive_choice",
-            EventKind::StampColorStart { .. } => "stamp_color_start",
-            EventKind::StampColorEnd { .. } => "stamp_color_end",
-            EventKind::WorkerLost { .. } => "worker_lost",
-            EventKind::FallbackSerial => "fallback_serial",
-            EventKind::DeadlineHit => "deadline_hit",
-            EventKind::RecoveryAttempt { .. } => "recovery_attempt",
-            EventKind::RecoveryRung { .. } => "recovery_rung",
-            EventKind::CachePoisonRollback => "cache_poison_rollback",
-            EventKind::KrylovSolve { .. } => "krylov_solve",
-        }
-    }
 }
 
 /// One recorded telemetry event.
@@ -251,55 +353,14 @@ mod tests {
 
     #[test]
     fn names_are_stable_and_distinct() {
-        let kinds = [
-            EventKind::RoundStart { width: 1 },
-            EventKind::RoundEnd { committed: 0 },
-            EventKind::SolveStart { h: 1.0 },
-            EventKind::SolveEnd { iterations: 2, converged: true },
-            EventKind::NewtonIter { iteration: 1 },
-            EventKind::Factorization,
-            EventKind::Refactorization,
-            EventKind::JacobianReuse,
-            EventKind::BypassedDevices { devices: 3 },
-            EventKind::CompanionHit,
-            EventKind::LteReject { ratio: 2.0, h_retry: 0.5 },
-            EventKind::StepSizeChosen { h: 1.0, ratio: 0.5 },
-            EventKind::PointAccepted { h: 1.0 },
-            EventKind::LeadAccepted,
-            EventKind::LeadDiscarded { reason: DiscardReason::LteRejected },
-            EventKind::SpeculationAccepted,
-            EventKind::SpeculationDiscarded { reason: DiscardReason::PredictionFar },
-            EventKind::AdaptiveChoice { forward: true },
-            EventKind::StampColorStart { color: 0 },
-            EventKind::StampColorEnd { color: 0, devices: 4 },
-            EventKind::WorkerLost { lane: 1 },
-            EventKind::FallbackSerial,
-            EventKind::DeadlineHit,
-            EventKind::RecoveryAttempt { h: 1e-12 },
-            EventKind::RecoveryRung { rung: 1, success: false },
-            EventKind::CachePoisonRollback,
-            EventKind::KrylovSolve {
-                iterations: 4,
-                restarts: 0,
-                precond_refreshes: 1,
-                fallback: false,
-            },
-        ];
-        let names: std::collections::HashSet<&str> = kinds.iter().map(|k| k.name()).collect();
-        assert_eq!(names.len(), kinds.len());
+        let names: std::collections::HashSet<&str> =
+            EventKind::SAMPLES.iter().map(EventKind::name).collect();
+        assert_eq!(names.len(), EventKind::SAMPLES.len());
     }
 
     #[test]
     fn discard_reason_round_trips() {
-        for r in [
-            DiscardReason::Unconverged,
-            DiscardReason::PredictionFar,
-            DiscardReason::RefineBudget,
-            DiscardReason::LteRejected,
-            DiscardReason::NewtonRejected,
-            DiscardReason::ChainBroken,
-            DiscardReason::WorkerLost,
-        ] {
+        for r in DiscardReason::ALL {
             assert_eq!(DiscardReason::from_name(r.name()), Some(r));
         }
         assert_eq!(DiscardReason::from_name("nope"), None);

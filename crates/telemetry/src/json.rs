@@ -97,14 +97,17 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Formats an `f64` so it parses back to the same value and is valid JSON
-/// (no bare `inf`/`NaN` — they are clamped to large magnitudes / zero, which
-/// the telemetry stream never produces anyway).
+/// Formats an `f64` so it parses back to the same value and is valid JSON.
+/// JSON has no `inf`/`NaN`: NaN is written as `0` and every magnitude of
+/// 1e308 or more as `±1e308` — the infinities included, which the stream
+/// does produce (`LteReject { ratio: INFINITY, .. }` for a non-finite LTE
+/// norm). Clamping at the written value makes it a fixed point: `1e308`
+/// reads back as 1e308 and re-serialises to the same bytes.
 pub fn fmt_f64(v: f64) -> String {
     if v.is_nan() {
         return "0".to_string();
     }
-    if v.is_infinite() {
+    if v.abs() >= 1e308 {
         return if v > 0.0 { "1e308".to_string() } else { "-1e308".to_string() };
     }
     let s = format!("{v}");

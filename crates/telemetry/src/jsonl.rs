@@ -1,7 +1,10 @@
 //! JSONL (one JSON object per line) export and import of event streams —
-//! the machine-analysis format.
+//! the machine-analysis format. This file owns the envelope (`ts_ns`,
+//! `round`, `lane`, `t_sim`, `kind`) and the line handling; each kind's
+//! payload is written and read by the codec `event.rs` derives from the
+//! event table.
 
-use crate::event::{DiscardReason, Event, EventKind};
+use crate::event::{read_field, Event, EventKind};
 use crate::json::{self, JsonValue};
 use std::io::{self, Write};
 
@@ -21,74 +24,7 @@ pub fn event_to_json(ev: &Event) -> String {
         json::fmt_f64(ev.t_sim),
         ev.kind.name()
     );
-    match ev.kind {
-        EventKind::RoundStart { width } => {
-            let _ = write!(s, ",\"width\":{width}");
-        }
-        EventKind::RoundEnd { committed } => {
-            let _ = write!(s, ",\"committed\":{committed}");
-        }
-        EventKind::SolveStart { h } => {
-            let _ = write!(s, ",\"h\":{}", json::fmt_f64(h));
-        }
-        EventKind::SolveEnd { iterations, converged } => {
-            let _ = write!(s, ",\"iterations\":{iterations},\"converged\":{converged}");
-        }
-        EventKind::NewtonIter { iteration } => {
-            let _ = write!(s, ",\"iteration\":{iteration}");
-        }
-        EventKind::Factorization
-        | EventKind::Refactorization
-        | EventKind::JacobianReuse
-        | EventKind::CompanionHit => {}
-        EventKind::BypassedDevices { devices } => {
-            let _ = write!(s, ",\"devices\":{devices}");
-        }
-        EventKind::LteReject { ratio, h_retry } => {
-            let _ = write!(
-                s,
-                ",\"ratio\":{},\"h_retry\":{}",
-                json::fmt_f64(ratio),
-                json::fmt_f64(h_retry)
-            );
-        }
-        EventKind::StepSizeChosen { h, ratio } => {
-            let _ = write!(s, ",\"h\":{},\"ratio\":{}", json::fmt_f64(h), json::fmt_f64(ratio));
-        }
-        EventKind::PointAccepted { h } => {
-            let _ = write!(s, ",\"h\":{}", json::fmt_f64(h));
-        }
-        EventKind::LeadAccepted | EventKind::SpeculationAccepted => {}
-        EventKind::LeadDiscarded { reason } | EventKind::SpeculationDiscarded { reason } => {
-            let _ = write!(s, ",\"reason\":\"{}\"", reason.name());
-        }
-        EventKind::AdaptiveChoice { forward } => {
-            let _ = write!(s, ",\"forward\":{forward}");
-        }
-        EventKind::StampColorStart { color } => {
-            let _ = write!(s, ",\"color\":{color}");
-        }
-        EventKind::StampColorEnd { color, devices } => {
-            let _ = write!(s, ",\"color\":{color},\"devices\":{devices}");
-        }
-        EventKind::WorkerLost { lane } => {
-            let _ = write!(s, ",\"lost_lane\":{lane}");
-        }
-        EventKind::FallbackSerial | EventKind::DeadlineHit | EventKind::CachePoisonRollback => {}
-        EventKind::RecoveryAttempt { h } => {
-            let _ = write!(s, ",\"h\":{}", json::fmt_f64(h));
-        }
-        EventKind::RecoveryRung { rung, success } => {
-            let _ = write!(s, ",\"rung\":{rung},\"success\":{success}");
-        }
-        EventKind::KrylovSolve { iterations, restarts, precond_refreshes, fallback } => {
-            let _ = write!(
-                s,
-                ",\"iterations\":{iterations},\"restarts\":{restarts},\
-                 \"precond_refreshes\":{precond_refreshes},\"fallback\":{fallback}"
-            );
-        }
-    }
+    ev.kind.encode_payload(&mut s);
     s.push('}');
     s
 }
@@ -123,111 +59,26 @@ impl std::fmt::Display for JsonlError {
 
 impl std::error::Error for JsonlError {}
 
-fn field_f64(v: &JsonValue, key: &str, line: usize) -> Result<f64, JsonlError> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| JsonlError { line, msg: format!("missing numeric field `{key}`") })
-}
-
-fn field_u64(v: &JsonValue, key: &str, line: usize) -> Result<u64, JsonlError> {
-    Ok(field_f64(v, key, line)? as u64)
-}
-
 /// Parses one JSONL line back into an [`Event`].
 ///
 /// # Errors
 ///
-/// Returns [`JsonlError`] for malformed JSON or unknown/incomplete kinds.
+/// Returns [`JsonlError`] for malformed JSON, an unknown kind, or a field
+/// that is missing, of the wrong type, or — for the integer fields — not an
+/// integer in range; the message names the field.
 pub fn event_from_json(text: &str, line: usize) -> Result<Event, JsonlError> {
-    let v = json::parse(text).map_err(|e| JsonlError { line, msg: e.to_string() })?;
-    let kind_name = v
+    let err = move |msg: String| JsonlError { line, msg };
+    let v = json::parse(text).map_err(|e| err(e.to_string()))?;
+    let kind = v
         .get("kind")
         .and_then(JsonValue::as_str)
-        .ok_or_else(|| JsonlError { line, msg: "missing `kind`".to_string() })?;
-    let reason = || -> Result<DiscardReason, JsonlError> {
-        let name = v
-            .get("reason")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| JsonlError { line, msg: "missing `reason`".to_string() })?;
-        DiscardReason::from_name(name)
-            .ok_or_else(|| JsonlError { line, msg: format!("unknown reason `{name}`") })
-    };
-    let kind = match kind_name {
-        "round_start" => EventKind::RoundStart { width: field_u64(&v, "width", line)? as u32 },
-        "round_end" => EventKind::RoundEnd { committed: field_u64(&v, "committed", line)? as u32 },
-        "solve_start" => EventKind::SolveStart { h: field_f64(&v, "h", line)? },
-        "solve_end" => EventKind::SolveEnd {
-            iterations: field_u64(&v, "iterations", line)? as u32,
-            converged: v
-                .get("converged")
-                .and_then(JsonValue::as_bool)
-                .ok_or_else(|| JsonlError { line, msg: "missing `converged`".to_string() })?,
-        },
-        "newton_iter" => {
-            EventKind::NewtonIter { iteration: field_u64(&v, "iteration", line)? as u32 }
-        }
-        "factorization" => EventKind::Factorization,
-        "refactorization" => EventKind::Refactorization,
-        "jacobian_reuse" => EventKind::JacobianReuse,
-        "bypassed_devices" => {
-            EventKind::BypassedDevices { devices: field_u64(&v, "devices", line)? as u32 }
-        }
-        "companion_hit" => EventKind::CompanionHit,
-        "lte_reject" => EventKind::LteReject {
-            ratio: field_f64(&v, "ratio", line)?,
-            h_retry: field_f64(&v, "h_retry", line)?,
-        },
-        "step_size_chosen" => EventKind::StepSizeChosen {
-            h: field_f64(&v, "h", line)?,
-            ratio: field_f64(&v, "ratio", line)?,
-        },
-        "point_accepted" => EventKind::PointAccepted { h: field_f64(&v, "h", line)? },
-        "lead_accepted" => EventKind::LeadAccepted,
-        "lead_discarded" => EventKind::LeadDiscarded { reason: reason()? },
-        "speculation_accepted" => EventKind::SpeculationAccepted,
-        "speculation_discarded" => EventKind::SpeculationDiscarded { reason: reason()? },
-        "adaptive_choice" => EventKind::AdaptiveChoice {
-            forward: v
-                .get("forward")
-                .and_then(JsonValue::as_bool)
-                .ok_or_else(|| JsonlError { line, msg: "missing `forward`".to_string() })?,
-        },
-        "stamp_color_start" => {
-            EventKind::StampColorStart { color: field_u64(&v, "color", line)? as u32 }
-        }
-        "stamp_color_end" => EventKind::StampColorEnd {
-            color: field_u64(&v, "color", line)? as u32,
-            devices: field_u64(&v, "devices", line)? as u32,
-        },
-        "worker_lost" => EventKind::WorkerLost { lane: field_u64(&v, "lost_lane", line)? as u32 },
-        "fallback_serial" => EventKind::FallbackSerial,
-        "deadline_hit" => EventKind::DeadlineHit,
-        "recovery_attempt" => EventKind::RecoveryAttempt { h: field_f64(&v, "h", line)? },
-        "recovery_rung" => EventKind::RecoveryRung {
-            rung: field_u64(&v, "rung", line)? as u32,
-            success: v
-                .get("success")
-                .and_then(JsonValue::as_bool)
-                .ok_or_else(|| JsonlError { line, msg: "missing `success`".to_string() })?,
-        },
-        "cache_poison_rollback" => EventKind::CachePoisonRollback,
-        "krylov_solve" => EventKind::KrylovSolve {
-            iterations: field_u64(&v, "iterations", line)? as u32,
-            restarts: field_u64(&v, "restarts", line)? as u32,
-            precond_refreshes: field_u64(&v, "precond_refreshes", line)? as u32,
-            fallback: v
-                .get("fallback")
-                .and_then(JsonValue::as_bool)
-                .ok_or_else(|| JsonlError { line, msg: "missing `fallback`".to_string() })?,
-        },
-        other => return Err(JsonlError { line, msg: format!("unknown kind `{other}`") }),
-    };
+        .ok_or_else(|| err("missing field `kind`".to_string()))?;
     Ok(Event {
-        ts_ns: field_u64(&v, "ts_ns", line)?,
-        round: field_u64(&v, "round", line)?,
-        lane: field_u64(&v, "lane", line)? as u32,
-        t_sim: field_f64(&v, "t_sim", line)?,
-        kind,
+        ts_ns: read_field(&v, "ts_ns").map_err(err)?,
+        round: read_field(&v, "round").map_err(err)?,
+        lane: read_field(&v, "lane").map_err(err)?,
+        t_sim: read_field(&v, "t_sim").map_err(err)?,
+        kind: EventKind::decode(kind, &v).map_err(err)?,
     })
 }
 
@@ -252,41 +103,7 @@ mod tests {
     use super::*;
 
     fn sample_events() -> Vec<Event> {
-        let kinds = [
-            EventKind::RoundStart { width: 3 },
-            EventKind::SolveStart { h: 2.5e-9 },
-            EventKind::NewtonIter { iteration: 1 },
-            EventKind::Factorization,
-            EventKind::Refactorization,
-            EventKind::JacobianReuse,
-            EventKind::BypassedDevices { devices: 9 },
-            EventKind::CompanionHit,
-            EventKind::SolveEnd { iterations: 4, converged: true },
-            EventKind::LteReject { ratio: 1.75, h_retry: 1.25e-9 },
-            EventKind::StepSizeChosen { h: 3e-9, ratio: 0.4 },
-            EventKind::PointAccepted { h: 2.5e-9 },
-            EventKind::LeadAccepted,
-            EventKind::LeadDiscarded { reason: DiscardReason::NewtonRejected },
-            EventKind::SpeculationAccepted,
-            EventKind::SpeculationDiscarded { reason: DiscardReason::PredictionFar },
-            EventKind::AdaptiveChoice { forward: false },
-            EventKind::StampColorStart { color: 3 },
-            EventKind::StampColorEnd { color: 3, devices: 17 },
-            EventKind::WorkerLost { lane: 2 },
-            EventKind::FallbackSerial,
-            EventKind::DeadlineHit,
-            EventKind::RecoveryAttempt { h: 3.2e-15 },
-            EventKind::RecoveryRung { rung: 3, success: true },
-            EventKind::CachePoisonRollback,
-            EventKind::KrylovSolve {
-                iterations: 12,
-                restarts: 1,
-                precond_refreshes: 1,
-                fallback: false,
-            },
-            EventKind::RoundEnd { committed: 2 },
-        ];
-        kinds
+        EventKind::SAMPLES
             .into_iter()
             .enumerate()
             .map(|(i, kind)| Event {
@@ -314,8 +131,8 @@ mod tests {
     fn every_kind_reserializes_to_identical_bytes() {
         // Stronger than value equality: serialize -> parse -> serialize must
         // reproduce every byte, so archived traces can be re-emitted (e.g.
-        // by a filter tool) without spurious diffs. Covers all 27 variants
-        // plus awkward float shapes (negative, subnormal-ish, integral).
+        // by a filter tool) without spurious diffs. Covers every kind plus
+        // awkward float shapes (negative, subnormal-ish, integral).
         let mut events = sample_events();
         events.push(Event {
             ts_ns: u64::MAX,
@@ -351,6 +168,43 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn integers_are_checked_not_cast() {
+        // A replay file comes from outside the program: `-1`, `1.5` and
+        // 2^32+1 used to import as 0, 1 and 1. Payload field, then envelope.
+        for bad in ["-1", "1.5", "4294967297"] {
+            let payload = format!(
+                "{{\"ts_ns\":1,\"round\":0,\"lane\":0,\"t_sim\":0,\
+                 \"kind\":\"round_start\",\"width\":{bad}}}"
+            );
+            let err = event_from_json(&payload, 7).unwrap_err();
+            assert_eq!(err.line, 7);
+            assert!(err.msg.contains("`width`"), "{bad}: {}", err.msg);
+            let envelope = format!(
+                "{{\"ts_ns\":1,\"round\":0,\"lane\":{bad},\"t_sim\":0,\
+                 \"kind\":\"factorization\"}}"
+            );
+            let err = event_from_json(&envelope, 9).unwrap_err();
+            assert_eq!(err.line, 9);
+            assert!(err.msg.contains("`lane`"), "{bad}: {}", err.msg);
+        }
+    }
+
+    #[test]
+    fn infinite_ratios_are_written_as_a_large_finite_number() {
+        // `engine::lte` emits `ratio: INFINITY` for a non-finite LTE norm.
+        let ev = Event {
+            ts_ns: 7,
+            round: 2,
+            lane: 0,
+            t_sim: 1e-9,
+            kind: EventKind::LteReject { ratio: f64::INFINITY, h_retry: 1e-12 },
+        };
+        let first = event_to_json(&ev);
+        assert!(first.contains("\"ratio\":1e308,"), "{first}");
+        assert_eq!(event_to_json(&event_from_json(&first, 1).unwrap()), first);
     }
 
     #[test]

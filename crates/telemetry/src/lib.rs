@@ -11,9 +11,18 @@
 //! * [`chrome`] — Chrome trace-event JSON (`chrome://tracing` / Perfetto)
 //!   rendering rounds and point-solves as per-lane duration spans, making
 //!   pipelining overlap visible;
-//! * [`TelemetrySummary`] — in-process histograms (Newton iterations per
-//!   solve, step-size distribution, round critical-path breakdown) that
-//!   `WavePipeReport` embeds.
+//! * [`analyze()`] — the one fold over the stream: the counts, histograms
+//!   and wall-time decomposition that `wavepipe-doctor` and
+//!   `netlist_runner` print.
+//!
+//! Each of these reads the schema from one place. The event kinds — variant,
+//! wire name, typed payload fields — are one table in `event.rs`, from which
+//! [`EventKind`], [`EventKind::name`], [`EventKind::SAMPLES`] and the JSONL
+//! payload codec are derived; [`analyze::Counts`]' scalars and the metric
+//! enums ([`Counter`], [`Gauge`], [`Family`], [`Series`]) each declare their
+//! names once. Adding an event is one entry in that table, plus an arm in
+//! [`chrome`] only if it opens or closes a span and a line in
+//! [`analyze()`] only if it feeds a count.
 //!
 //! Telemetry never feeds back into the simulation: probes only observe, so
 //! a recorded run is bit-identical to an unrecorded one.
@@ -40,6 +49,31 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+/// Declares a fieldless enum whose variants each carry a stable wire name:
+/// the enum, `ALL` and `name()` all come from the one list.
+macro_rules! named_enum {
+    ($(#[$meta:meta])* pub enum $name:ident {
+        $($(#[$vmeta:meta])* $variant:ident = $wire:literal,)+
+    }) => {
+        $(#[$meta])*
+        pub enum $name {
+            $($(#[$vmeta])* $variant,)+
+        }
+
+        impl $name {
+            /// Every variant, in declaration (= stable exposition) order.
+            pub const ALL: [$name; [$($wire),+].len()] = [$($name::$variant),+];
+
+            /// Stable machine-readable name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($name::$variant => $wire,)+
+                }
+            }
+        }
+    };
+}
+
 pub mod analyze;
 pub mod chrome;
 mod event;
@@ -48,7 +82,6 @@ pub mod json;
 pub mod jsonl;
 pub mod metrics;
 mod probe;
-mod summary;
 
 pub use analyze::{analyze, TraceAnalysis};
 pub use event::{DiscardReason, Event, EventKind};
@@ -57,4 +90,3 @@ pub use metrics::{
     Counter, Family, Gauge, LabeledValue, MetricsHandle, MetricsRegistry, Series, Snapshot,
 };
 pub use probe::{NullProbe, Probe, ProbeHandle, RecordingProbe};
-pub use summary::TelemetrySummary;

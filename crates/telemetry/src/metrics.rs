@@ -30,198 +30,94 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Monotonic event counters, one atomic cell each.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)] // the names are the documentation
-pub enum Counter {
-    Rounds,
-    PointsAccepted,
-    LteRejects,
-    NewtonRejects,
-    Solves,
-    NewtonIterations,
-    Factorizations,
-    Refactorizations,
-    JacobianReuses,
-    DeviceEvals,
-    BypassedDevices,
-    CompanionHits,
-    LeadAccepted,
-    LeadDiscarded,
-    SpeculationAccepted,
-    SpeculationDiscarded,
-    WorkersLost,
-    SerialFallbacks,
-    DeadlineHits,
-    RecoveryAttempts,
-    RecoveryRescues,
-    CacheRollbacks,
-    KrylovIterations,
-    PrecondRefreshes,
-    SolverFallbacks,
-    LaneGroups,
-    LanePackedSolves,
-    LaneEjections,
-}
-
-impl Counter {
-    /// Every counter, in stable exposition order.
-    pub const ALL: [Counter; 28] = [
-        Counter::Rounds,
-        Counter::PointsAccepted,
-        Counter::LteRejects,
-        Counter::NewtonRejects,
-        Counter::Solves,
-        Counter::NewtonIterations,
-        Counter::Factorizations,
-        Counter::Refactorizations,
-        Counter::JacobianReuses,
-        Counter::DeviceEvals,
-        Counter::BypassedDevices,
-        Counter::CompanionHits,
-        Counter::LeadAccepted,
-        Counter::LeadDiscarded,
-        Counter::SpeculationAccepted,
-        Counter::SpeculationDiscarded,
-        Counter::WorkersLost,
-        Counter::SerialFallbacks,
-        Counter::DeadlineHits,
-        Counter::RecoveryAttempts,
-        Counter::RecoveryRescues,
-        Counter::CacheRollbacks,
-        Counter::KrylovIterations,
-        Counter::PrecondRefreshes,
-        Counter::SolverFallbacks,
-        Counter::LaneGroups,
-        Counter::LanePackedSolves,
-        Counter::LaneEjections,
-    ];
-
-    /// Stable machine-readable name (also the Prometheus metric stem).
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::Rounds => "rounds",
-            Counter::PointsAccepted => "points_accepted",
-            Counter::LteRejects => "lte_rejects",
-            Counter::NewtonRejects => "newton_rejects",
-            Counter::Solves => "solves",
-            Counter::NewtonIterations => "newton_iterations",
-            Counter::Factorizations => "factorizations",
-            Counter::Refactorizations => "refactorizations",
-            Counter::JacobianReuses => "jacobian_reuses",
-            Counter::DeviceEvals => "device_evals",
-            Counter::BypassedDevices => "bypassed_devices",
-            Counter::CompanionHits => "companion_hits",
-            Counter::LeadAccepted => "lead_accepted",
-            Counter::LeadDiscarded => "lead_discarded",
-            Counter::SpeculationAccepted => "speculation_accepted",
-            Counter::SpeculationDiscarded => "speculation_discarded",
-            Counter::WorkersLost => "workers_lost",
-            Counter::SerialFallbacks => "serial_fallbacks",
-            Counter::DeadlineHits => "deadline_hits",
-            Counter::RecoveryAttempts => "recovery_attempts",
-            Counter::RecoveryRescues => "recovery_rescues",
-            Counter::CacheRollbacks => "cache_rollbacks",
-            Counter::KrylovIterations => "krylov_iterations",
-            Counter::PrecondRefreshes => "precond_refreshes",
-            Counter::SolverFallbacks => "solver_fallbacks",
-            Counter::LaneGroups => "lane_groups",
-            Counter::LanePackedSolves => "lane_packed_solves",
-            Counter::LaneEjections => "lane_ejections",
-        }
+named_enum! {
+    /// Monotonic event counters, one atomic cell each. The wire name is also
+    /// the Prometheus metric stem.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    #[allow(missing_docs)] // the names are the documentation
+    pub enum Counter {
+        Rounds = "rounds",
+        PointsAccepted = "points_accepted",
+        /// Steps the run had to retry because the LTE test failed on the base
+        /// point (`SimStats::steps_rejected_lte`). A failed test that only
+        /// threw away a lead or a speculation is not one — the trace analysis
+        /// counts those too, as `lte_tests_failed`.
+        LteRejects = "lte_rejects",
+        NewtonRejects = "newton_rejects",
+        Solves = "solves",
+        /// Every Newton iteration, the operating point's included
+        /// (`SimStats::newton_iterations`).
+        NewtonIterations = "newton_iterations",
+        Factorizations = "factorizations",
+        Refactorizations = "refactorizations",
+        JacobianReuses = "jacobian_reuses",
+        DeviceEvals = "device_evals",
+        BypassedDevices = "bypassed_devices",
+        CompanionHits = "companion_hits",
+        LeadAccepted = "lead_accepted",
+        LeadDiscarded = "lead_discarded",
+        SpeculationAccepted = "speculation_accepted",
+        SpeculationDiscarded = "speculation_discarded",
+        WorkersLost = "workers_lost",
+        SerialFallbacks = "serial_fallbacks",
+        DeadlineHits = "deadline_hits",
+        RecoveryAttempts = "recovery_attempts",
+        RecoveryRescues = "recovery_rescues",
+        CacheRollbacks = "cache_rollbacks",
+        KrylovIterations = "krylov_iterations",
+        PrecondRefreshes = "precond_refreshes",
+        SolverFallbacks = "solver_fallbacks",
+        LaneGroups = "lane_groups",
+        LanePackedSolves = "lane_packed_solves",
+        LaneEjections = "lane_ejections",
     }
 }
 
-/// Instantaneous values (last write wins), stored as `f64` bits in an
-/// atomic cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub enum Gauge {
-    /// EMA of the backward-lead accept rate (0..1).
-    LeadAcceptEma,
-    /// Whether the combined scheme is currently speculating (0 or 1).
-    DeepMode,
-    /// Current integration stride, seconds.
-    CurrentH,
-    /// Width of the most recent pipelined round.
-    RoundWidth,
-    /// Lanes observed active so far (max lane + 1).
-    ActiveLanes,
-}
-
-impl Gauge {
-    /// Every gauge, in stable exposition order.
-    pub const ALL: [Gauge; 5] = [
-        Gauge::LeadAcceptEma,
-        Gauge::DeepMode,
-        Gauge::CurrentH,
-        Gauge::RoundWidth,
-        Gauge::ActiveLanes,
-    ];
-
-    /// Stable machine-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Gauge::LeadAcceptEma => "lead_accept_ema",
-            Gauge::DeepMode => "deep_mode",
-            Gauge::CurrentH => "current_h",
-            Gauge::RoundWidth => "round_width",
-            Gauge::ActiveLanes => "active_lanes",
-        }
+named_enum! {
+    /// Instantaneous values (last write wins), stored as `f64` bits in an
+    /// atomic cell.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Gauge {
+        /// EMA of the backward-lead accept rate (0..1).
+        LeadAcceptEma = "lead_accept_ema",
+        /// Whether the combined scheme is currently speculating (0 or 1).
+        DeepMode = "deep_mode",
+        /// Current integration stride, seconds.
+        CurrentH = "current_h",
+        /// Width of the most recent pipelined round.
+        RoundWidth = "round_width",
+        /// Lanes observed active so far (max lane + 1).
+        ActiveLanes = "active_lanes",
     }
 }
 
-/// Labeled counter families: the same few stories broken down by lane,
-/// scheme, device class, or cache layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[allow(missing_docs)]
-pub enum Family {
-    /// Point-solves per pipeline lane (`lane="0"`, ...).
-    SolvesByLane,
-    /// Committed points per pipeline lane.
-    PointsByLane,
-    /// Committed points per scheme (`scheme="backward"`, ...) — more than
-    /// one label appears only under the adaptive scheduler.
-    PointsByScheme,
-    /// Pipelined rounds per scheme.
-    RoundsByScheme,
-    /// Nonlinear model evaluations per device class (`class="mos"`, ...).
-    EvalsByClass,
-    /// Bypassed (cache-replayed) nonlinear devices per device class.
-    BypassByClass,
-    /// Hits per solver cache layer (`cache="bypass"|"chord"|"companion"`).
-    CacheHits,
-    /// Misses per solver cache layer.
-    CacheMisses,
+named_enum! {
+    /// Labeled counter families: the same few stories broken down by lane,
+    /// scheme, device class, or cache layer. The wire name is also the
+    /// Prometheus metric stem.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum Family {
+        /// Point-solves per pipeline lane (`lane="0"`, ...).
+        SolvesByLane = "lane_solves",
+        /// Committed points per pipeline lane.
+        PointsByLane = "lane_points",
+        /// Committed points per scheme (`scheme="backward"`, ...) — more than
+        /// one label appears only under the adaptive scheduler.
+        PointsByScheme = "scheme_points",
+        /// Pipelined rounds per scheme.
+        RoundsByScheme = "scheme_rounds",
+        /// Nonlinear model evaluations per device class (`class="mos"`, ...).
+        EvalsByClass = "class_evals",
+        /// Bypassed (cache-replayed) nonlinear devices per device class.
+        BypassByClass = "class_bypassed",
+        /// Hits per solver cache layer (`cache="bypass"|"chord"|"companion"`).
+        CacheHits = "cache_hits",
+        /// Misses per solver cache layer.
+        CacheMisses = "cache_misses",
+    }
 }
 
 impl Family {
-    /// Every family, in stable exposition order.
-    pub const ALL: [Family; 8] = [
-        Family::SolvesByLane,
-        Family::PointsByLane,
-        Family::PointsByScheme,
-        Family::RoundsByScheme,
-        Family::EvalsByClass,
-        Family::BypassByClass,
-        Family::CacheHits,
-        Family::CacheMisses,
-    ];
-
-    /// Stable machine-readable name (also the Prometheus metric stem).
-    pub fn name(self) -> &'static str {
-        match self {
-            Family::SolvesByLane => "lane_solves",
-            Family::PointsByLane => "lane_points",
-            Family::PointsByScheme => "scheme_points",
-            Family::RoundsByScheme => "scheme_rounds",
-            Family::EvalsByClass => "class_evals",
-            Family::BypassByClass => "class_bypassed",
-            Family::CacheHits => "cache_hits",
-            Family::CacheMisses => "cache_misses",
-        }
-    }
-
     /// The label key this family is broken down by.
     pub fn label_key(self) -> &'static str {
         match self {
@@ -233,32 +129,21 @@ impl Family {
     }
 }
 
-/// Streaming histogram series kept by the registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Series {
-    /// Newton iterations per point-solve.
-    NewtonItersPerSolve,
-    /// Accepted step sizes, seconds.
-    StepSize,
-    /// Point-solve wall time, microseconds (timing — excluded from anything
-    /// that promises byte-stability).
-    SolveMicros,
+named_enum! {
+    /// Streaming histogram series kept by the registry.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Series {
+        /// Newton iterations per point-solve.
+        NewtonItersPerSolve = "newton_iters_per_solve",
+        /// Accepted step sizes, seconds.
+        StepSize = "step_size",
+        /// Point-solve wall time, microseconds (timing — excluded from
+        /// anything that promises byte-stability).
+        SolveMicros = "solve_us",
+    }
 }
 
 impl Series {
-    /// Every series, in stable exposition order.
-    pub const ALL: [Series; 3] =
-        [Series::NewtonItersPerSolve, Series::StepSize, Series::SolveMicros];
-
-    /// Stable machine-readable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Series::NewtonItersPerSolve => "newton_iters_per_solve",
-            Series::StepSize => "step_size",
-            Series::SolveMicros => "solve_us",
-        }
-    }
-
     fn fresh(self) -> Histogram {
         match self {
             Series::NewtonItersPerSolve => Histogram::integer(16),

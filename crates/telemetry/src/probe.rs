@@ -1,7 +1,6 @@
 //! The probe trait and its two standard implementations.
 
 use crate::event::{Event, EventKind};
-use crate::summary::TelemetrySummary;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -15,11 +14,6 @@ use std::time::Instant;
 pub trait Probe: Send + Sync + fmt::Debug {
     /// Records one event emitted on `lane` at simulated time `t_sim`.
     fn record(&self, lane: u32, t_sim: f64, kind: EventKind);
-
-    /// A summary of everything recorded so far, if this probe keeps one.
-    fn summary(&self) -> Option<TelemetrySummary> {
-        None
-    }
 }
 
 /// A probe that drops everything. Exists so code can be written against a
@@ -106,10 +100,6 @@ impl Probe for RecordingProbe {
         };
         self.events.lock().expect("telemetry buffer poisoned").push(ev);
     }
-
-    fn summary(&self) -> Option<TelemetrySummary> {
-        Some(TelemetrySummary::from_events(&self.events.lock().expect("telemetry buffer poisoned")))
-    }
 }
 
 /// A cloneable, lane-tagged handle to an optional probe.
@@ -158,11 +148,6 @@ impl ProbeHandle {
             p.record(self.lane, t_sim, kind);
         }
     }
-
-    /// The attached probe's summary, if any.
-    pub fn summary(&self) -> Option<TelemetrySummary> {
-        self.probe.as_ref().and_then(|p| p.summary())
-    }
 }
 
 impl fmt::Debug for ProbeHandle {
@@ -198,7 +183,6 @@ mod tests {
         assert!(!h.enabled());
         h.emit(0.0, EventKind::Factorization); // must be a no-op
         assert_eq!(h, ProbeHandle::default());
-        assert!(h.summary().is_none());
     }
 
     #[test]

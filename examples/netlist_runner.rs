@@ -18,8 +18,8 @@
 //! `<path>`: `chrome` (default) produces a Chrome trace-event JSON document
 //! (load it in `chrome://tracing` or Perfetto to *see* the per-lane
 //! pipelining overlap), `jsonl` one JSON object per event for scripted
-//! analysis. A telemetry summary (histograms, lane utilisation) is printed
-//! either way.
+//! analysis. The trace analysis `wavepipe-doctor` prints (counts, step-size
+//! histogram, per-lane utilisation) follows either way.
 //!
 //! `--metrics` attaches a live [`MetricsRegistry`] and prints the end-of-run
 //! snapshot as a human table (`pretty`), JSON (`json`) or Prometheus text
@@ -39,7 +39,7 @@ use wavepipe::circuit::parse_netlist;
 use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
 use wavepipe::engine::{run_ac, run_dc_sweep, spectrum, EngineError};
 use wavepipe::telemetry::{
-    chrome, jsonl, MetricsHandle, MetricsRegistry, ProbeHandle, RecordingProbe,
+    analyze, chrome, jsonl, MetricsHandle, MetricsRegistry, ProbeHandle, RecordingProbe,
 };
 
 /// Cause-specific process exit code, so scripted sweeps can tell a
@@ -255,9 +255,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         }
         file.flush()?;
         println!("trace   : {} ({} events)", path.display(), events.len());
-        if let Some(summary) = &report.telemetry {
-            print!("{summary}");
-        }
+        let deck = args.get(1).map_or("built-in demo", String::as_str);
+        let title = format!("{deck}, {scheme} x{threads}");
+        print!("{}", analyze(&events).report(&title));
     }
 
     // Distortion report when the deck has a sine-driven node (demo decks).

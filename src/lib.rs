@@ -12,7 +12,7 @@
 //! * [`core`] — the paper's contribution: backward/forward/combined waveform
 //!   pipelining with critical-path work accounting.
 //! * [`telemetry`] — zero-overhead-when-disabled instrumentation: typed
-//!   event probes, JSONL and Chrome-trace exporters, run summaries.
+//!   event probes, JSONL and Chrome-trace exporters, the trace analysis.
 //!
 //! # Quickstart
 //!

@@ -6,7 +6,9 @@
 use std::sync::Arc;
 use wavepipe::circuit::generators;
 use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
-use wavepipe::telemetry::{chrome, json, jsonl, EventKind, Probe, ProbeHandle, RecordingProbe};
+use wavepipe::telemetry::{
+    analyze, chrome, json, jsonl, Event, EventKind, ProbeHandle, RecordingProbe,
+};
 
 fn traced_run(
     scheme: Scheme,
@@ -93,9 +95,58 @@ fn serial_engine_emits_balanced_solve_spans() {
     let accepted =
         events.iter().filter(|e| matches!(e.kind, EventKind::PointAccepted { .. })).count();
     assert_eq!(accepted, res.stats().steps_accepted);
-    // Everything on lane 0, and the summary agrees.
+    // Everything on lane 0, and the fold agrees.
     assert!(events.iter().all(|e| e.lane == 0));
-    let summary = probe.summary().unwrap();
-    assert_eq!(summary.points_accepted as usize, accepted);
-    assert_eq!(summary.active_lanes(), 1);
+    let analysis = analyze(&events);
+    assert_eq!(analysis.counts.points_accepted as usize, accepted);
+    assert_eq!(analysis.timing.lanes.len(), 1);
+}
+
+/// One JSONL line per event kind, written by the commit before the codec was
+/// derived from the event table (`EventKind::SAMPLES[i]` inside the envelope
+/// `ts_ns` 1000 + i, `round` 1, `lane` i mod 3, `t_sim` 1 ns). The wire
+/// format is a contract with archived traces: these bytes may only be added
+/// to.
+const GOLDEN_LINES: [&str; 27] = [
+    r#"{"ts_ns":1000,"round":1,"lane":0,"t_sim":0.000000001,"kind":"round_start","width":3}"#,
+    r#"{"ts_ns":1001,"round":1,"lane":1,"t_sim":0.000000001,"kind":"round_end","committed":3}"#,
+    r#"{"ts_ns":1002,"round":1,"lane":2,"t_sim":0.000000001,"kind":"solve_start","h":0.0000000025}"#,
+    r#"{"ts_ns":1003,"round":1,"lane":0,"t_sim":0.000000001,"kind":"solve_end","iterations":3,"converged":true}"#,
+    r#"{"ts_ns":1004,"round":1,"lane":1,"t_sim":0.000000001,"kind":"newton_iter","iteration":3}"#,
+    r#"{"ts_ns":1005,"round":1,"lane":2,"t_sim":0.000000001,"kind":"factorization"}"#,
+    r#"{"ts_ns":1006,"round":1,"lane":0,"t_sim":0.000000001,"kind":"refactorization"}"#,
+    r#"{"ts_ns":1007,"round":1,"lane":1,"t_sim":0.000000001,"kind":"jacobian_reuse"}"#,
+    r#"{"ts_ns":1008,"round":1,"lane":2,"t_sim":0.000000001,"kind":"bypassed_devices","devices":3}"#,
+    r#"{"ts_ns":1009,"round":1,"lane":0,"t_sim":0.000000001,"kind":"companion_hit"}"#,
+    r#"{"ts_ns":1010,"round":1,"lane":1,"t_sim":0.000000001,"kind":"lte_reject","ratio":0.0000000025,"h_retry":0.0000000025}"#,
+    r#"{"ts_ns":1011,"round":1,"lane":2,"t_sim":0.000000001,"kind":"step_size_chosen","h":0.0000000025,"ratio":0.0000000025}"#,
+    r#"{"ts_ns":1012,"round":1,"lane":0,"t_sim":0.000000001,"kind":"point_accepted","h":0.0000000025}"#,
+    r#"{"ts_ns":1013,"round":1,"lane":1,"t_sim":0.000000001,"kind":"lead_accepted"}"#,
+    r#"{"ts_ns":1014,"round":1,"lane":2,"t_sim":0.000000001,"kind":"lead_discarded","reason":"lte_rejected"}"#,
+    r#"{"ts_ns":1015,"round":1,"lane":0,"t_sim":0.000000001,"kind":"speculation_accepted"}"#,
+    r#"{"ts_ns":1016,"round":1,"lane":1,"t_sim":0.000000001,"kind":"speculation_discarded","reason":"lte_rejected"}"#,
+    r#"{"ts_ns":1017,"round":1,"lane":2,"t_sim":0.000000001,"kind":"adaptive_choice","forward":true}"#,
+    r#"{"ts_ns":1018,"round":1,"lane":0,"t_sim":0.000000001,"kind":"stamp_color_start","color":3}"#,
+    r#"{"ts_ns":1019,"round":1,"lane":1,"t_sim":0.000000001,"kind":"stamp_color_end","color":3,"devices":3}"#,
+    r#"{"ts_ns":1020,"round":1,"lane":2,"t_sim":0.000000001,"kind":"worker_lost","lost_lane":3}"#,
+    r#"{"ts_ns":1021,"round":1,"lane":0,"t_sim":0.000000001,"kind":"fallback_serial"}"#,
+    r#"{"ts_ns":1022,"round":1,"lane":1,"t_sim":0.000000001,"kind":"deadline_hit"}"#,
+    r#"{"ts_ns":1023,"round":1,"lane":2,"t_sim":0.000000001,"kind":"recovery_attempt","h":0.0000000025}"#,
+    r#"{"ts_ns":1024,"round":1,"lane":0,"t_sim":0.000000001,"kind":"recovery_rung","rung":3,"success":true}"#,
+    r#"{"ts_ns":1025,"round":1,"lane":1,"t_sim":0.000000001,"kind":"cache_poison_rollback"}"#,
+    r#"{"ts_ns":1026,"round":1,"lane":2,"t_sim":0.000000001,"kind":"krylov_solve","iterations":3,"restarts":3,"precond_refreshes":3,"fallback":true}"#,
+];
+
+#[test]
+fn every_kind_keeps_its_golden_jsonl_bytes() {
+    // A new kind without a pinned line fails here.
+    assert_eq!(EventKind::SAMPLES.len(), GOLDEN_LINES.len());
+    for (i, (kind, line)) in EventKind::SAMPLES.into_iter().zip(GOLDEN_LINES).enumerate() {
+        let ev =
+            Event { ts_ns: 1000 + i as u64, round: 1, lane: (i % 3) as u32, t_sim: 1e-9, kind };
+        assert_eq!(jsonl::event_to_json(&ev), line, "{} encodes differently", kind.name());
+        let back = jsonl::event_from_json(line, i + 1).expect("golden line decodes");
+        assert_eq!(back, ev, "{} decodes differently", kind.name());
+        assert_eq!(jsonl::event_to_json(&back), line, "{} re-encodes differently", kind.name());
+    }
 }
