@@ -26,14 +26,6 @@
 //!   over `threads / stamp_workers` batch workers (the same two-level
 //!   split as `wavepipe-core`), so intra-step stamp parallelism and
 //!   across-instance parallelism share one budget.
-//! * **Lane-packed SIMD tier.** When eligible (serial stamping, no
-//!   deadline/cancel/faults/probe/UIC), instances run in lane groups of up
-//!   to [`wavepipe_sparse::lanes::MAX_LANES`]: each group shares one pass
-//!   over the LU index structure per numeric factorization and triangular
-//!   solve while every instance keeps its own Newton/timestep controller,
-//!   so every result stays bit-identical to the classic path (instances
-//!   the tier cannot finish are transparently re-run classically). Off
-//!   switch: [`BatchSim::with_simd`] or `WAVEPIPE_SIMD=0`.
 //! * **Streaming.** [`BatchSim::run_each`] delivers each instance's result
 //!   through a callback as it completes; `run`/`run_outcome` are collecting
 //!   wrappers over it.
@@ -50,8 +42,11 @@
 //! single-run API on the same patched circuit: value re-lowering uses the
 //! same device-construction code path as a fresh compile, and the shared
 //! ordering is exactly the one a fresh [`wavepipe_sparse::SparseLu`]
-//! factorization would compute from the (shared) pattern. This is pinned by
-//! the property tests in `tests/bit_identity.rs`.
+//! factorization would compute from the (shared) pattern. Every instance
+//! runs the engine's one serial loop, so its [`wavepipe_engine::SimStats`]
+//! counters are its solo run's too. This is pinned by the property tests in
+//! `tests/bit_identity.rs` and, in the root package, by
+//! `tests/colored_stamp.rs` and `tests/spare_factors.rs`.
 //!
 //! # Example
 //!
@@ -89,11 +84,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use wavepipe_circuit::{Circuit, Element, Waveform};
-use wavepipe_engine::lane::{run_lane_group, LaneOutcome};
 use wavepipe_engine::transient::run_transient_recoverable_compiled;
 use wavepipe_engine::{EngineError, MnaSystem, SimOptions, SolverHandle, TransientResult};
-use wavepipe_sparse::lanes::MAX_LANES;
-use wavepipe_sparse::{LuOptions, Permutation};
+use wavepipe_sparse::LuOptions;
 
 /// Which value of a named element a batch parameter column drives.
 ///
@@ -342,8 +335,6 @@ pub struct BatchSim {
     tstop: f64,
     sim: SimOptions,
     threads: usize,
-    simd: bool,
-    lane_width: usize,
     params: Vec<ParamSpec>,
     /// SoA storage: `columns[p][i]` is the value of parameter column `p`
     /// for instance `i`. All columns always have the same length.
@@ -367,8 +358,6 @@ impl BatchSim {
             tstop,
             sim: SimOptions::default(),
             threads: 1,
-            simd: true,
-            lane_width: MAX_LANES,
             params: Vec::new(),
             columns: Vec::new(),
             n_instances: 0,
@@ -404,48 +393,14 @@ impl BatchSim {
         self
     }
 
-    /// Whether the lane-packed (SIMD) batch tier may run (default `true`).
-    /// `WAVEPIPE_SIMD=0` forces it off process-wide regardless of this
-    /// setting — that is the forced-scalar CI leg. The tier is only *used*
-    /// when the run is eligible for it; see [`BatchSim::lane_width_in_use`].
+    /// Inert: the lane-packed tier this switched is deleted, and a batch
+    /// has one path whatever is passed. Kept because `benchmark/`, which a
+    /// code change may not edit, calls it; it goes with ROADMAP item 4's
+    /// benchmark-only follow-up.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_simd(mut self, simd: bool) -> Self {
-        self.simd = simd;
+    pub fn with_simd(self, _: bool) -> Self {
         self
-    }
-
-    /// Instances packed per lane group in the SIMD tier, clamped to
-    /// `1..=MAX_LANES` (default `MAX_LANES` = 4). Width 1 still exercises
-    /// the lane-tier code path (useful for pinning its bit-identity), it
-    /// just packs nothing.
-    #[must_use]
-    pub fn with_lane_width(mut self, lane_width: usize) -> Self {
-        self.lane_width = lane_width.clamp(1, MAX_LANES);
-        self
-    }
-
-    /// The lane width the next run will actually use: `0` when the SIMD
-    /// tier is disabled ([`BatchSim::with_simd`], `WAVEPIPE_SIMD=0`) or the
-    /// configuration is ineligible for it, else the configured width.
-    ///
-    /// Eligibility: serial stamping, no deadline or cancel token, no fault
-    /// injection, no trace probe, no UIC start. Each of those features is
-    /// mirrored only by the classic per-instance path; metrics are
-    /// supported in both tiers.
-    pub fn lane_width_in_use(&self) -> usize {
-        let eligible = self.simd
-            && wavepipe_engine::env::flag("WAVEPIPE_SIMD", true)
-            && self.sim.stamp_workers == 0
-            && self.sim.deadline.is_none()
-            && self.sim.cancel.is_none()
-            && !self.sim.faults.enabled()
-            && !self.sim.probe.enabled()
-            && !self.sim.use_ic;
-        if eligible {
-            self.lane_width
-        } else {
-            0
-        }
     }
 
     /// Register a parameter column driving `kind` of the named element
@@ -653,16 +608,6 @@ impl BatchSim {
     /// mutate captured state freely; keep it cheap, since a slow callback
     /// backpressures every worker.
     ///
-    /// When the batch is eligible for the lane-packed SIMD tier
-    /// ([`BatchSim::lane_width_in_use`]), instances are executed in lane
-    /// groups of up to that width: one group shares each pass over the LU
-    /// index structure while every instance keeps its own step controller,
-    /// so each result stays bit-identical to the classic path. An instance
-    /// the lane tier cannot finish (failed DC, recovery-ladder entry,
-    /// numerical blowup, a panic anywhere in the group) is transparently
-    /// re-run through the classic fault-isolated path, which reproduces the
-    /// classic behaviour — including its quarantine semantics — exactly.
-    ///
     /// # Errors
     ///
     /// [`BatchError::NoInstances`] for an empty batch, or
@@ -680,101 +625,34 @@ impl BatchSim {
             wavepipe_sparse::ordering::order(self.sys.pattern(), LuOptions::default().ordering)
                 .map_err(|e| BatchError::Engine(EngineError::Linear(e)))?,
         );
-        let opts = self.sim.clone().with_solver(SolverHandle::batched(Arc::clone(&ordering)));
-        let lane_width = self.lane_width_in_use();
-        // A unit of work is one instance (classic) or one lane group (SIMD).
-        let n_units =
-            if lane_width > 0 { self.n_instances.div_ceil(lane_width) } else { self.n_instances };
-        let workers = self.workers().min(n_units);
+        let opts = self.sim.clone().with_solver(SolverHandle::batched(ordering));
+        let workers = self.workers().min(self.n_instances);
         let prep_ns = start.elapsed().as_nanos();
 
         let sink = Mutex::new(on_result);
-        let run_unit = |u: usize| {
-            if lane_width > 0 {
-                self.run_lane_unit(u, lane_width, &opts, &ordering, &sink);
-            } else {
-                let r = self.run_instance_isolated(u, &opts);
-                (sink.lock().expect("result sink poisoned"))(u, r);
-            }
+        let run_one = |i: usize| {
+            let r = self.run_instance_isolated(i, &opts);
+            (sink.lock().expect("result sink poisoned"))(i, r);
         };
         if workers <= 1 {
-            for u in 0..n_units {
-                run_unit(u);
+            for i in 0..self.n_instances {
+                run_one(i);
             }
         } else {
             std::thread::scope(|scope| {
                 for w in 0..workers {
-                    let run_unit = &run_unit;
+                    let run_one = &run_one;
                     scope.spawn(move || {
-                        let mut u = w;
-                        while u < n_units {
-                            run_unit(u);
-                            u += workers;
+                        let mut i = w;
+                        while i < self.n_instances {
+                            run_one(i);
+                            i += workers;
                         }
                     });
                 }
             });
         }
-        Ok(BatchDispatch { workers, lane_width, prep_ns, wall_ns: start.elapsed().as_nanos() })
-    }
-
-    /// One SIMD-tier unit: derive the group's instance systems, run them as
-    /// a lane group, and stream the results. Every path the lane tier does
-    /// not cover falls back to [`BatchSim::run_instance_isolated`], which
-    /// reproduces classic behaviour exactly (see the lane-group docs).
-    fn run_lane_unit<F>(
-        &self,
-        unit: usize,
-        lane_width: usize,
-        opts: &SimOptions,
-        ordering: &Arc<Permutation>,
-        sink: &Mutex<F>,
-    ) where
-        F: FnMut(usize, Result<TransientResult, QuarantineReport>) + Send,
-    {
-        let emit = |i: usize, r: Result<TransientResult, QuarantineReport>| {
-            (sink.lock().expect("result sink poisoned"))(i, r);
-        };
-        let lo = unit * lane_width;
-        let hi = (lo + lane_width).min(self.n_instances);
-        let mut systems: Vec<Arc<MnaSystem>> = Vec::with_capacity(hi - lo);
-        let mut packed: Vec<usize> = Vec::with_capacity(hi - lo);
-        for i in lo..hi {
-            let ckt = self.instance_circuit(i);
-            match self.sys.with_values_from(&ckt) {
-                Ok(sys) => {
-                    systems.push(Arc::new(sys));
-                    packed.push(i);
-                }
-                // Derivation failed: the classic path owns this error (and
-                // its retry/quarantine semantics).
-                Err(_) => emit(i, self.run_instance_isolated(i, opts)),
-            }
-        }
-        if systems.is_empty() {
-            return;
-        }
-        let group = catch_unwind(AssertUnwindSafe(|| {
-            run_lane_group(&systems, self.tstep, self.tstop, opts, ordering)
-        }));
-        match group {
-            Ok(outcomes) => {
-                for (outcome, &i) in outcomes.into_iter().zip(&packed) {
-                    match outcome {
-                        LaneOutcome::Completed(r) => emit(i, Ok(*r)),
-                        LaneOutcome::Ejected => emit(i, self.run_instance_isolated(i, opts)),
-                    }
-                }
-            }
-            // A panic inside the shared tick loop cannot be attributed to
-            // one lane; rerun the whole group classically, where panic
-            // containment is per instance.
-            Err(_) => {
-                for &i in &packed {
-                    emit(i, self.run_instance_isolated(i, opts));
-                }
-            }
-        }
+        Ok(BatchDispatch { workers, lane_width: 0, prep_ns, wall_ns: start.elapsed().as_nanos() })
     }
 
     /// Run every instance and collect the results in instance order,
@@ -802,16 +680,17 @@ impl BatchSim {
     }
 }
 
-/// How a [`BatchSim::run_each`] dispatch was executed: worker count, the
-/// lane width actually used, and the shared-preparation / total wall times.
+/// How a [`BatchSim::run_each`] dispatch was executed: worker count and the
+/// shared-preparation / total wall times.
 #[derive(Debug, Clone, Copy)]
 #[non_exhaustive]
 pub struct BatchDispatch {
     /// Batch workers that executed the run.
     pub workers: usize,
     /// Lane width of the SIMD tier, or `0` when the classic per-instance
-    /// path ran (disabled or ineligible — see
-    /// [`BatchSim::lane_width_in_use`]).
+    /// path ran. That path is the only one left, so this always reads `0`;
+    /// the field stays because `benchmark/` reads it and goes with
+    /// [`BatchSim::with_simd`].
     pub lane_width: usize,
     /// Wall nanoseconds spent on shared preparation (the symbolic ordering)
     /// before any instance ran.
@@ -1075,11 +954,8 @@ mod tests {
         }
         let run = batch.run().unwrap();
         assert_eq!(run.results().len(), 3);
-        // Workers stripe over work units: one lane group packing all three
-        // instances when the SIMD tier is live, three single instances on
-        // the forced-scalar leg (`WAVEPIPE_SIMD=0`).
-        let expect_workers = if batch.lane_width_in_use() > 0 { 1 } else { 2 };
-        assert_eq!(run.workers(), expect_workers);
+        // Three instances striped over two threads.
+        assert_eq!(run.workers(), 2);
         for ((r, c), got) in corners.iter().zip(run.results()) {
             let mut ckt = rc_circuit();
             if let Some(Element::Resistor { resistance, .. }) = ckt.element_mut("R1") {
@@ -1097,6 +973,35 @@ mod tests {
             for k in 0..want.len() {
                 assert_eq!(got.solution(k), want.solution(k), "solutions diverged at point {k}");
             }
+        }
+    }
+
+    #[test]
+    fn with_simd_is_inert() {
+        let run = |simd: bool| {
+            let mut batch = BatchSim::compile(&rc_circuit(), 1e-8, 2e-6).unwrap().with_simd(simd);
+            batch.param("R1", ParamKind::Resistance).unwrap();
+            for r in [0.5e3, 1e3, 2e3] {
+                batch.add_instance(&[r]).unwrap();
+            }
+            let mut results = vec![None; 3];
+            let dispatch = batch.run_each(|i, r| results[i] = Some(r.unwrap())).unwrap();
+            assert_eq!(dispatch.lane_width, 0);
+            results
+        };
+        for (on, off) in run(true).into_iter().zip(run(false)) {
+            let (on, off) = (on.unwrap(), off.unwrap());
+            assert_eq!(on.times(), off.times());
+            for k in 0..on.len() {
+                assert_eq!(on.solution(k), off.solution(k), "point {k}");
+            }
+            // Every counter; the wall-clock fields are the only ones that may differ.
+            let counts = |s: &wavepipe_engine::SimStats| {
+                let mut s = *s;
+                (s.wall_ns, s.stamp_ns, s.stamp_modeled_ns) = (0, 0, 0);
+                s
+            };
+            assert_eq!(counts(on.stats()), counts(off.stats()));
         }
     }
 

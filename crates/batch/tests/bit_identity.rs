@@ -132,7 +132,7 @@ proptest! {
 
     #[test]
     fn batched_instances_are_bitwise_identical_to_single_runs(
-        corners in proptest::collection::vec(corner(), 2..4)
+        corners in proptest::collection::vec(corner(), 2..5)
     ) {
         let refs: Vec<_> = corners.iter().map(reference).collect();
         for workers in [1usize, 4] {
@@ -143,38 +143,12 @@ proptest! {
             }
         }
     }
-
-    /// The SIMD tier at every supported lane width stays bit-identical to
-    /// the classic single runs — with the chord, bypass, and companion
-    /// caches all live. Width 1 exercises the lane-tier control flow with
-    /// no actual packing; width 4 packs a full group. (On the forced-scalar
-    /// `WAVEPIPE_SIMD=0` CI leg every width degenerates to the classic
-    /// path, which trivially satisfies the property.)
-    #[test]
-    fn simd_lane_widths_are_bitwise_identical(
-        corners in proptest::collection::vec(corner(), 3..5)
-    ) {
-        let refs: Vec<_> = corners.iter().map(reference).collect();
-        for lane_width in [1usize, 2, 4] {
-            let got = batch_sim(&corners, 1)
-                .with_simd(true)
-                .with_lane_width(lane_width)
-                .run()
-                .expect("batch run")
-                .into_results();
-            prop_assert_eq!(got.len(), refs.len());
-            for (i, (g, w)) in got.iter().zip(&refs).enumerate() {
-                assert_bitwise_equal(g, w, &format!("lane_width={lane_width} instance={i}"));
-            }
-        }
-    }
 }
 
-/// A poisoned instance in the middle of a lane group must be ejected and
-/// quarantined through the classic path while its lane-mates' waveforms
-/// stay bit-identical — lane compaction must not perturb survivors.
+/// A poisoned instance in the middle of a batch is quarantined while its
+/// neighbours' waveforms stay bit-identical to their solo runs.
 #[test]
-fn quarantined_instance_mid_group_keeps_survivors_bit_identical() {
+fn quarantined_instance_keeps_survivors_bit_identical() {
     let corners = vec![
         Corner { kp_n: 1e-4, vt0_p: -0.7, cl: 20e-15 },
         Corner { kp_n: 1.1e-4, vt0_p: -0.65, cl: 25e-15 },
@@ -183,19 +157,13 @@ fn quarantined_instance_mid_group_keeps_survivors_bit_identical() {
     ];
     let refs: Vec<_> =
         corners.iter().enumerate().filter(|(i, _)| *i != 2).map(|(_, c)| reference(c)).collect();
-    for lane_width in [2usize, 4] {
-        let out = batch_sim(&corners, 1)
-            .with_simd(true)
-            .with_lane_width(lane_width)
-            .run_outcome()
-            .expect("batch dispatch");
-        let qidx: Vec<usize> = out.quarantined().iter().map(|q| q.index).collect();
-        assert_eq!(qidx, vec![2], "lane_width={lane_width}: only the poisoned instance fails");
-        let survivors: Vec<_> = out.completed().map(|(i, r)| (i, r.clone())).collect();
-        assert_eq!(survivors.len(), 3);
-        for ((i, got), want) in survivors.iter().zip(&refs) {
-            assert_bitwise_equal(got, want, &format!("lane_width={lane_width} survivor={i}"));
-        }
+    let out = batch_sim(&corners, 1).run_outcome().expect("batch dispatch");
+    let qidx: Vec<usize> = out.quarantined().iter().map(|q| q.index).collect();
+    assert_eq!(qidx, vec![2], "only the poisoned instance fails");
+    let survivors: Vec<_> = out.completed().map(|(i, r)| (i, r.clone())).collect();
+    assert_eq!(survivors.len(), 3);
+    for ((i, got), want) in survivors.iter().zip(&refs) {
+        assert_bitwise_equal(got, want, &format!("survivor={i}"));
     }
 }
 

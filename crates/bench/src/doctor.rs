@@ -403,6 +403,28 @@ mod tests {
     }
 
     #[test]
+    fn the_live_registry_counts_the_steps_the_run_s_own_stats_count() {
+        // A speculating scheme rejects steps on refined speculative points
+        // too; the registry must see those, not only base-point rejections.
+        for (scheme, threads) in [(Scheme::Forward, 2), (Scheme::Combined, 3)] {
+            let run =
+                run_instrumented(&circuit_by_spec("inverter_chain:40").unwrap(), scheme, threads);
+            let stats = run.report.result.stats();
+            for (name, want) in [
+                ("lte_rejects", stats.steps_rejected_lte),
+                ("newton_rejects", stats.steps_rejected_newton),
+                ("points_accepted", stats.steps_accepted),
+            ] {
+                assert_eq!(
+                    run.snapshot.counter(name),
+                    want as u64,
+                    "{scheme} x{threads}: `{name}`"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn report_sections_respect_stable_flag() {
         let b = generators::rc_ladder(6);
         let run = run_instrumented(&b, Scheme::Backward, 2);

@@ -156,13 +156,12 @@ fn stamp_metrics(doc: &JsonValue) -> Result<Metrics, String> {
 }
 
 /// `BENCH_sweep.json` (an array of per-configuration rows): the modeled
-/// batch throughput gain, the real single-core work ratio, and the measured
-/// wall ratio of the lane-packed tier over the classic batched path.
+/// batch throughput gain and the real single-core work ratio.
 fn sweep_metrics(doc: &JsonValue) -> Result<Metrics, String> {
     let mut out = Vec::new();
     for row in rows(doc)? {
         let circuit = text(row, "circuit")?;
-        for field in ["modeled_speedup", "work_ratio", "simd_speedup"] {
+        for field in ["modeled_speedup", "work_ratio"] {
             out.push((format!("sweep/{circuit}/{field}"), num(row, circuit, field)?));
         }
     }
@@ -339,7 +338,7 @@ mod tests {
     const SWEEP: &str = r#"[
       {"circuit":"c","instances":100,"workers":8,"independent_ms":500.0,
        "batched_cpu_ms":450.0,"batched_makespan_ms":65.0,
-       "work_ratio":1.11,"modeled_speedup":7.7,"simd_speedup":1.55}
+       "work_ratio":1.11,"modeled_speedup":7.7}
     ]"#;
     const OVERHEAD: &str = r#"[
       {"circuit":"g","serial_off_us":900,"serial_on_us":905,"backward2_us":600,
@@ -390,9 +389,9 @@ mod tests {
     fn identical_runs_pass() {
         let r = gate_with(NEWTON).unwrap();
         assert!(r.passed(), "{}", r.table());
-        // 2 newton + 1 non-serial stamp + 3 sweep + 2 recovery
+        // 2 newton + 1 non-serial stamp + 2 sweep + 2 recovery
         // + 2 solver fill + 1 solver GMRES-vs-refactor ratio at 64+ unknowns
-        assert_eq!(r.metrics.len(), 11);
+        assert_eq!(r.metrics.len(), 10);
     }
 
     #[test]
@@ -446,9 +445,6 @@ mod tests {
         assert!(newton.metrics(r#"[{"name":"x"}]"#).is_err());
         assert!(sweep.metrics("{}").is_err());
         assert!(sweep.metrics(r#"[{"circuit":"x","work_ratio":1.0}]"#).is_err());
-        assert!(sweep
-            .metrics(r#"[{"circuit":"x","work_ratio":1.0,"modeled_speedup":7.0}]"#)
-            .is_err());
         assert!(solver.metrics("{}").is_err());
         assert!(solver.metrics(r#"[{"circuit":"x","unknowns":16}]"#).is_err());
     }

@@ -50,11 +50,6 @@ pub struct SweepRow {
     pub work_ratio: f64,
     /// Modeled throughput gain, `independent_ms / batched_makespan_ms`.
     pub modeled_speedup: f64,
-    /// **Measured** (not modeled) per-instance throughput gain of the
-    /// lane-packed SIMD tier over the classic batched path at the *same*
-    /// thread count: wall of the scalar `run()` divided by wall of the SIMD
-    /// `run()`, both dispatched sequentially on this host.
-    pub simd_speedup: f64,
 }
 
 /// Deterministic corner multiplier stream: a tiny LCG (no external RNG in
@@ -161,14 +156,11 @@ pub fn fig_sweep(b: &Benchmark, instances: usize, workers: usize) -> (String, Sw
 
     // Batched engine, dispatched sequentially (one worker) so that each
     // instance's wall is measured contention-free; the striping below
-    // models the parallel machine. The SIMD tier is pinned OFF here: the
-    // makespan model stripes *per-instance* walls, and lane-tier instances
-    // only have a shared group wall.
+    // models the parallel machine.
     let t0 = Instant::now();
     let mut batch = BatchSim::compile(&b.circuit, b.tstep, b.tstop)
         .unwrap_or_else(|e| panic!("{}: batch compile failed: {e}", b.name))
-        .with_sim(opts.clone())
-        .with_simd(false);
+        .with_sim(opts);
     for i in 0..stages {
         batch.param(&format!("Mn{i}"), ParamKind::MosKp).expect("Mn kp column");
         batch.param(&format!("Mp{i}"), ParamKind::MosKp).expect("Mp kp column");
@@ -177,22 +169,8 @@ pub fn fig_sweep(b: &Benchmark, instances: usize, workers: usize) -> (String, Sw
     for row in &rows {
         batch.add_instance(row).expect("instance row");
     }
-    let t_run = Instant::now();
     let run = batch.run().unwrap_or_else(|e| panic!("{}: batch run failed: {e}", b.name));
-    let scalar_leg_ns = t_run.elapsed().as_nanos();
     let batched_ns = t0.elapsed().as_nanos();
-    // Each timed leg of the scalar-vs-SIMD comparison runs twice and keeps
-    // the *minimum* wall: on a shared single-core host one-shot walls carry
-    // scheduler noise that would swamp the ~1.5x ratio under test, and the
-    // minimum is the classic noise-robust estimator of the true cost. Both
-    // legs are timed the same way — wall of the whole `run()` call over the
-    // identical instance set — so dispatch overhead is charged to both.
-    let scalar_run_ns = {
-        let b2 = batch.clone();
-        let t = Instant::now();
-        b2.run().unwrap_or_else(|e| panic!("{}: batch rerun failed: {e}", b.name));
-        scalar_leg_ns.min(t.elapsed().as_nanos())
-    };
 
     // Correctness cross-check: identical time grids instance by instance.
     for (i, (got, want)) in run.results().iter().zip(&independent).enumerate() {
@@ -203,35 +181,6 @@ pub fn fig_sweep(b: &Benchmark, instances: usize, workers: usize) -> (String, Sw
             b.name
         );
     }
-
-    // SIMD tier, same thread count (sequential dispatch), measured for
-    // real: same batch definition with the lane tier forced on. The wall
-    // ratio of the two `run()` calls IS the per-instance throughput ratio —
-    // both runs execute the identical instance set. Correctness rides along
-    // via the same time-grid cross-check (ulp-level identity is pinned in
-    // `wavepipe-batch/tests/bit_identity.rs`).
-    let simd_batch = batch.clone().with_simd(true);
-    let simd_speedup = if simd_batch.lane_width_in_use() > 0 {
-        let t = Instant::now();
-        let sr =
-            simd_batch.run().unwrap_or_else(|e| panic!("{}: SIMD batch run failed: {e}", b.name));
-        let mut simd_ns = t.elapsed().as_nanos();
-        for (i, (got, want)) in sr.results().iter().zip(&independent).enumerate() {
-            assert_eq!(
-                got.times(),
-                want.times(),
-                "{}: SIMD instance {i} diverged from its independent twin",
-                b.name
-            );
-        }
-        let b2 = batch.clone().with_simd(true);
-        let t = Instant::now();
-        b2.run().unwrap_or_else(|e| panic!("{}: SIMD batch rerun failed: {e}", b.name));
-        simd_ns = simd_ns.min(t.elapsed().as_nanos());
-        scalar_run_ns as f64 / simd_ns.max(1) as f64
-    } else {
-        1.0 // forced-scalar leg (`WAVEPIPE_SIMD=0`): nothing to measure
-    };
 
     // Modeled makespan: stripe the measured per-instance walls round-robin
     // over the workers (exactly BatchSim's assignment) and take the
@@ -258,27 +207,18 @@ pub fn fig_sweep(b: &Benchmark, instances: usize, workers: usize) -> (String, Sw
         batched_makespan_ms: makespan_ns as f64 / 1e6,
         work_ratio: independent_ns as f64 / batched_ns.max(1) as f64,
         modeled_speedup: independent_ns as f64 / makespan_ns.max(1) as f64,
-        simd_speedup,
     };
 
     let mut out = String::new();
     let _ = writeln!(out, "Batched corner sweep: BatchSim vs independent runs");
     let _ = writeln!(
         out,
-        "{:<22} {:>5} {:>4} {:>12} {:>12} {:>13} {:>6} {:>8} {:>6}",
-        "circuit",
-        "inst",
-        "wrk",
-        "indep (ms)",
-        "batch (ms)",
-        "makespan (ms)",
-        "work",
-        "modeled",
-        "simd"
+        "{:<22} {:>5} {:>4} {:>12} {:>12} {:>13} {:>6} {:>8}",
+        "circuit", "inst", "wrk", "indep (ms)", "batch (ms)", "makespan (ms)", "work", "modeled"
     );
     let _ = writeln!(
         out,
-        "{:<22} {:>5} {:>4} {:>12.1} {:>12.1} {:>13.1} {:>5.2}x {:>7.2}x {:>5.2}x",
+        "{:<22} {:>5} {:>4} {:>12.1} {:>12.1} {:>13.1} {:>5.2}x {:>7.2}x",
         row.circuit,
         row.instances,
         row.workers,
@@ -287,7 +227,6 @@ pub fn fig_sweep(b: &Benchmark, instances: usize, workers: usize) -> (String, Sw
         row.batched_makespan_ms,
         row.work_ratio,
         row.modeled_speedup,
-        row.simd_speedup,
     );
     (out, row)
 }
@@ -304,7 +243,7 @@ pub fn sweep_to_json(rows: &[SweepRow]) -> String {
             out,
             "\n  {{\"circuit\":\"{}\",\"instances\":{},\"workers\":{},\
              \"independent_ms\":{},\"batched_cpu_ms\":{},\"batched_makespan_ms\":{},\
-             \"work_ratio\":{},\"modeled_speedup\":{},\"simd_speedup\":{}}}",
+             \"work_ratio\":{},\"modeled_speedup\":{}}}",
             json::escape(&r.circuit),
             r.instances,
             r.workers,
@@ -313,7 +252,6 @@ pub fn sweep_to_json(rows: &[SweepRow]) -> String {
             json::fmt_f64(r.batched_makespan_ms),
             json::fmt_f64(r.work_ratio),
             json::fmt_f64(r.modeled_speedup),
-            json::fmt_f64(r.simd_speedup),
         );
     }
     out.push_str("\n]\n");
@@ -360,7 +298,6 @@ mod tests {
             batched_makespan_ms: 130.0,
             work_ratio: 1.11,
             modeled_speedup: 7.69,
-            simd_speedup: 1.8,
         }];
         let doc = sweep_to_json(&rows);
         let v = json::parse(&doc).expect("valid json");

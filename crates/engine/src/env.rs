@@ -4,7 +4,7 @@
 //!
 //! | rule | knobs |
 //! |------|-------|
-//! | [`flag`], default on | `WAVEPIPE_BYPASS`, `WAVEPIPE_CHORD`, `WAVEPIPE_RECOVERY`, `WAVEPIPE_SIMD` |
+//! | [`flag`], default on | `WAVEPIPE_BYPASS`, `WAVEPIPE_CHORD`, `WAVEPIPE_RECOVERY` |
 //! | [`flag`], default off | `WAVEPIPE_FAULT_NC` |
 //! | [`value`] | `WAVEPIPE_SOLVER`, `WAVEPIPE_ORDERING`, and — parsed — the `WAVEPIPE_GMRES_*` tunings |
 //! | [`number`] | `WAVEPIPE_STAMP_WORKERS`, `WAVEPIPE_FAULT_SEED` |

@@ -26,9 +26,7 @@
 //! [`PointSolver`] + [`StepController`] so that `wavepipe-core` can solve
 //! *multiple adjacent time points concurrently* with exactly the same
 //! numerics, and commit them through exactly the same controller, as the
-//! serial loop ([`transient`]) — which is that arrangement at width 1. The
-//! lane-packed batch tier ([`lane`]) is the third loop on the same
-//! controller.
+//! serial loop ([`transient`]) — which is that arrangement at width 1.
 //!
 //! # Example
 //!
@@ -63,7 +61,6 @@ mod error;
 pub mod fault;
 pub mod integrate;
 pub mod krylov;
-pub mod lane;
 pub mod lte;
 pub mod measure;
 pub mod mna;
@@ -87,7 +84,6 @@ pub use error::{ConvergenceReport, EngineError, RecoveryRung, Result};
 pub use fault::{FaultHandle, FaultKind, FaultPlan};
 pub use integrate::{IntegCoeffs, Method};
 pub use krylov::{parse_ordering, GmresBackend, GmresConfig, KrylovStats};
-pub use lane::{run_lane_group, LaneOutcome, SimdBatchedLu};
 pub use mna::{MnaSystem, MnaWorkspace, StampInput, StampResult};
 pub use options::{CacheCtl, SimOptions};
 pub use parstamp::StampExecutor;

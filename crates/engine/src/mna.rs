@@ -1271,12 +1271,13 @@ impl MnaSystem {
         self.stamp_lane(ws, input, x_iter, ctl, true)
     }
 
-    /// The serial stamping kernel — every tier (serial engine, pipelining
-    /// lanes, the stamp executor's degraded mode, both batch tiers) stamps
-    /// through it; the name dates from when only the lane-packed batch tier
-    /// did. The linear phase may replay the companion-cached matrix, and
-    /// nonlinear devices whose controlling voltages are within the bypass
-    /// tolerance replay their cached stamp.
+    /// The serial stamping kernel — every path (serial engine, pipelining
+    /// lanes, the stamp executor's degraded mode, batch instances) stamps
+    /// through it; the name dates from the lane-packed batch tier that first
+    /// called it, since deleted, and stays because `benchmark/` times the
+    /// kernel by this name. The linear phase may replay the companion-cached
+    /// matrix, and nonlinear devices whose controlling voltages are within
+    /// the bypass tolerance replay their cached stamp.
     ///
     /// The emission order is fixed (node-shunt prologue, linear devices in
     /// element order, nonlinear devices in element order) for every `ctl`

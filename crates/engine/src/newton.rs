@@ -13,12 +13,10 @@ use wavepipe_telemetry::{Counter, EventKind, Family};
 
 /// Which [`LinKey`] each of a backend's two numeric factor sets was computed
 /// under, and the one rule that moves them: *keep the factors we had before
-/// this refactorization*. [`LinearCache`] drives it beside a real backend;
-/// the lane tier ([`crate::lane`]) drives the same bookkeeping beside its
-/// packed factors and ejects where the classic path would reach into the
-/// spare, so the rule exists once.
+/// this refactorization*. [`LinearCache`] is its one driver, beside a real
+/// backend.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct FactorKeys {
+struct FactorKeys {
     /// Key of the set solves go through. Chord reuse is only legal while it
     /// matches (same `h`, same `gshunt`, same analysis mode); `None` disables
     /// reuse until the next verified factorization.
@@ -29,7 +27,7 @@ pub(crate) struct FactorKeys {
 
 /// What a linearization's key finds in a [`FactorKeys`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum KeyTurn {
+enum KeyTurn {
     /// The active set was computed under this key.
     Hit,
     /// The parked set was: trade places and reuse it.
@@ -45,7 +43,7 @@ pub(crate) enum KeyTurn {
 impl FactorKeys {
     /// The rule. Exact keys, one parked set: a run whose steps cycle through
     /// more than two keys never finds "the one before" asked for again.
-    pub(crate) fn turn(&self, key: LinKey) -> KeyTurn {
+    fn turn(&self, key: LinKey) -> KeyTurn {
         if self.active == Some(key) {
             KeyTurn::Hit
         } else if self.spare == Some(key) {
@@ -60,7 +58,7 @@ impl FactorKeys {
     /// The two sets traded places, for `turn` ([`KeyTurn::SpareHit`] or
     /// [`KeyTurn::Park`]). After a park the set now active is the one about
     /// to be overwritten, so it has no key.
-    pub(crate) fn swapped(&mut self, turn: KeyTurn) {
+    fn swapped(&mut self, turn: KeyTurn) {
         std::mem::swap(&mut self.active, &mut self.spare);
         if turn == KeyTurn::Park {
             self.active = None;
@@ -68,19 +66,19 @@ impl FactorKeys {
     }
 
     /// The active set verified as the factors of `key`'s matrix.
-    pub(crate) fn factored(&mut self, key: LinKey) {
+    fn factored(&mut self, key: LinKey) {
         self.active = Some(key);
     }
 
     /// The active set was computed along a path the caller abandoned (a
     /// rejected point, a failed verification). The parked one was not.
-    pub(crate) fn clear_active(&mut self) {
+    fn clear_active(&mut self) {
         self.active = None;
     }
 
     /// A fresh pivot search replaced the plan both sets lived over: the
     /// parked one is gone.
-    pub(crate) fn fresh_plan(&mut self) {
+    fn fresh_plan(&mut self) {
         self.spare = None;
     }
 }
@@ -98,7 +96,7 @@ impl FactorKeys {
 #[derive(Debug)]
 pub struct LinearCache {
     backend: Box<dyn SolverBackend>,
-    pub(crate) x_new: Vec<f64>,
+    x_new: Vec<f64>,
     scratch: Vec<f64>,
     resid: Vec<f64>,
     /// Row-sum buffer of the backward-error check's matrix norm.
@@ -171,20 +169,6 @@ impl LinearCache {
     pub fn note_rejection(&mut self) {
         self.keys.clear_active();
         self.last_dx = None;
-    }
-
-    /// Dismantles the cache into the seed state a lane of the packed batch
-    /// tier continues from: the direct LU factors (if the backend can
-    /// surrender them — see [`SolverBackend::take_lu`]), the linear-stamp
-    /// keys and chord contraction-rate those factors were computed under, and
-    /// the reusable solve buffers.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_lane_seed(
-        self,
-    ) -> (Option<wavepipe_sparse::SparseLu>, FactorKeys, Option<f64>, Vec<f64>, Vec<f64>, Vec<f64>)
-    {
-        let LinearCache { mut backend, x_new, scratch, resid, keys, last_dx, .. } = self;
-        (backend.take_lu(), keys, last_dx, x_new, scratch, resid)
     }
 
     /// Produces the next Newton iterate in `self.x_new` for the freshly
@@ -347,7 +331,7 @@ impl LinearCache {
 /// ‖x_new‖∞ + ‖rhs‖∞)`. A residual holding a NaN or an infinity fails
 /// whatever the norms say — they fold with `f64::max`, which drops NaN.
 /// `resid` receives the residual; `rowsum` is the matrix norm's buffer.
-pub(crate) fn solve_verified(
+fn solve_verified(
     matrix: &CscMatrix,
     x_new: &[f64],
     rhs: &[f64],

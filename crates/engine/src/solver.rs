@@ -93,15 +93,6 @@ pub trait SolverBackend: fmt::Debug + Send {
         None
     }
 
-    /// Takes the current [`SparseLu`] factors out of the backend, leaving it
-    /// unfactored — the hand-off that seeds a lane of the packed batch tier
-    /// (see [`crate::lane`]) from a scalar solve. Backends without extractable
-    /// direct factors return `None` (the default); such backends simply make
-    /// their instances ineligible for lane packing.
-    fn take_lu(&mut self) -> Option<SparseLu> {
-        None
-    }
-
     /// Trades the current numeric factors with a spare set kept over the
     /// same pivot order and elimination pattern (see
     /// [`SparseLu::swap_spare`]): what was current is parked intact and
@@ -229,10 +220,6 @@ impl SolverBackend for DirectLu {
 
     fn clone_box(&self) -> Box<dyn SolverBackend> {
         Box::new(self.clone())
-    }
-
-    fn take_lu(&mut self) -> Option<SparseLu> {
-        self.lu.take()
     }
 
     fn swap_spare(&mut self) -> bool {

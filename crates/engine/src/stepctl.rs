@@ -1,11 +1,11 @@
 //! The step controller: every decision about *which* time point to attempt
 //! next and whether a solved candidate is kept.
 //!
-//! There is exactly one implementation, and three loops drive it:
-//! [`crate::run_transient`]'s serial loop, the round planner of
-//! `wavepipe-core` (whose slot 0 is the serial point and whose other slots
-//! are candidates for the same tests), and the lane-packed batch tier
-//! ([`crate::lane`]). That is why width-1 pipelining *is* the serial run and
+//! There is exactly one implementation, and two loops drive it:
+//! [`crate::run_transient`]'s serial loop (which is also every batch
+//! instance's loop) and the round planner of `wavepipe-core` (whose slot 0 is
+//! the serial point and whose other slots are candidates for the same
+//! tests). That is why width-1 pipelining *is* the serial run and
 //! why a pipelined point is never less accurate than a serial one: the
 //! breakpoint snapping, the Newton-reject shrink, the LTE accept/reject with
 //! its backward-Euler escape, the accept itself and the restart after a
@@ -316,6 +316,7 @@ impl StepController {
     /// stride is the next base step.
     pub fn spec_lte_reject(&mut self, h_retry: f64) {
         self.stats.steps_rejected_lte += 1;
+        self.opts.metrics.inc(Counter::LteRejects);
         self.h = h_retry;
     }
 

@@ -375,13 +375,6 @@ impl PointSolver {
         Ok(out.x)
     }
 
-    /// Dismantles the solver into the workspace and linear cache a lane of
-    /// the packed batch tier continues from after the DC solve (see
-    /// [`crate::lane`]).
-    pub(crate) fn into_lane_parts(self) -> (MnaWorkspace, LinearCache) {
-        (self.ws, self.cache)
-    }
-
     /// Solves the circuit at `t_new` from the history window `hw`.
     ///
     /// `x_guess` overrides the default predictor as the Newton start;

@@ -1,6 +1,10 @@
 //! Lane-packed numeric LU: refactor/solve up to [`MAX_LANES`] independent
 //! matrices that share one symbolic factorization in a single sweep.
 //!
+//! **No caller in the program.** The batch tier described below is deleted;
+//! this module is compiled only because `benchmark/src/layers.rs` times it
+//! (`lanes.*`), and goes with ROADMAP item 4's benchmark-only follow-up.
+//!
 //! The batch engine runs many transient instances whose MNA matrices share
 //! the same pattern and (usually) the same frozen pivot sequence. A
 //! [`LanePackedLu`] stores the factor *values* of up to `K` such instances

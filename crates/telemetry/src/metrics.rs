@@ -39,8 +39,9 @@ named_enum! {
         Rounds = "rounds",
         PointsAccepted = "points_accepted",
         /// Steps the run had to retry because the LTE test failed on the base
-        /// point (`SimStats::steps_rejected_lte`). A failed test that only
-        /// threw away a lead or a speculation is not one — the trace analysis
+        /// point or on a speculative point re-solved against the true history
+        /// (`SimStats::steps_rejected_lte`). A failed test that only threw
+        /// away a lead or a speculation is not one — the trace analysis
         /// counts those too, as `lte_tests_failed`.
         LteRejects = "lte_rejects",
         NewtonRejects = "newton_rejects",
@@ -67,9 +68,6 @@ named_enum! {
         KrylovIterations = "krylov_iterations",
         PrecondRefreshes = "precond_refreshes",
         SolverFallbacks = "solver_fallbacks",
-        LaneGroups = "lane_groups",
-        LanePackedSolves = "lane_packed_solves",
-        LaneEjections = "lane_ejections",
     }
 }
 

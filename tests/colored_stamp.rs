@@ -6,8 +6,7 @@
 //! per-point linear-RHS replay must reproduce the walk it skips. These tests
 //! enforce that at the single-stamp level (randomized iterates,
 //! property-based) and at the whole-waveform level (full transient runs over
-//! the generator suite, plus the lane-packed batch tier at every lane width
-//! against classic single runs).
+//! the generator suite, plus a batch's instances against their solo runs).
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -150,14 +149,13 @@ fn every_generator_circuit_is_bit_identical_at_two_workers() {
     }
 }
 
-/// The lane-packed batch tier at every supported lane width against classic
-/// single runs of the hand-patched circuit, with the chord, bypass, and
-/// companion caches all live (one fixed case of the proptest in
-/// `crates/batch/tests/bit_identity.rs`, which `cargo test -q` does not
-/// run). Width 1 exercises the lane-tier control flow with no packing;
-/// width 4 packs the whole group.
+/// A batch instance is its solo run: the same bits and the same work counts
+/// as `run_transient` on the hand-patched circuit, with the chord, bypass and
+/// companion caches all live, at one batch worker and at two (one fixed case
+/// of the proptest in `crates/batch/tests/bit_identity.rs`, which
+/// `cargo test -q` does not run).
 #[test]
-fn lane_widths_are_bit_identical_to_classic_single_runs() {
+fn batch_instances_are_their_solo_runs_bits_and_counts() {
     let b = generators::inverter_chain(3);
     // Direct LU pinned: the batch engine always solves through the shared
     // direct backend, so the single-run reference must not drift onto the
@@ -182,13 +180,15 @@ fn lane_widths_are_bit_identical_to_classic_single_runs() {
             run_transient(&ckt, b.tstep, b.tstop, &opts).expect("reference run")
         })
         .collect();
-    for lane_width in [1usize, 2, 4] {
+    let counts = |r: &TransientResult| {
+        let s = r.stats();
+        (s.newton_iterations, s.factorizations, s.refactorizations, s.steps_accepted)
+    };
+    for threads in [1usize, 2] {
         let mut batch = BatchSim::compile(&b.circuit, b.tstep, b.tstop)
             .expect("compile")
-            .with_threads(1)
-            .with_sim(opts.clone())
-            .with_simd(true)
-            .with_lane_width(lane_width);
+            .with_threads(threads)
+            .with_sim(opts.clone());
         batch.param("Mn0", ParamKind::MosKp).expect("kp column");
         batch.param("Cl1", ParamKind::Capacitance).expect("cl column");
         for c in &corners {
@@ -197,7 +197,9 @@ fn lane_widths_are_bit_identical_to_classic_single_runs() {
         let got = batch.run().expect("batch run").into_results();
         assert_eq!(got.len(), refs.len());
         for (i, (g, w)) in got.iter().zip(&refs).enumerate() {
-            assert_results_bit_identical(w, g, &format!("lane_width={lane_width} instance={i}"));
+            let what = format!("threads={threads} instance={i}");
+            assert_results_bit_identical(w, g, &what);
+            assert_eq!(counts(g), counts(w), "{what}: work counts diverged");
         }
     }
 }

@@ -1,13 +1,13 @@
-//! The spare numeric factor set across the tiers.
+//! The spare numeric factor set, in a serial run and in a batch.
 //!
 //! A serial run takes spare hits when its step sizes alternate between two
 //! values: the deck below restarts integration at a source corner every `D`
 //! seconds, and each restart ladder settles into `D/4` (backward Euler),
 //! `D/2`, `D/4` (trapezoidal) — linear-stamp keys `4/D, 4/D, 8/D`, so every
-//! ladder asks once for the key of the factors left one refactorization ago. The lane
-//! tier of a batch keeps one numeric set per lane: it must *eject* such an
-//! instance to the classic rerun, never diverge from it, and must not eject
-//! where no spare hit occurs (the benchmark's `corner_sweep` shape).
+//! ladder asks once for the key of the factors left one refactorization ago.
+//! A batch instance runs the same loop over the same cache, so it takes the
+//! same hits: it is its solo run bit for bit and count for count — on this
+//! deck and on the benchmark's `corner_sweep` shape, which takes none.
 
 use std::sync::Arc;
 use wavepipe::batch::{BatchSim, ParamKind};
@@ -18,7 +18,6 @@ use wavepipe::engine::{
     TransientResult,
 };
 use wavepipe::sparse::CscMatrix;
-use wavepipe::telemetry::{Counter, MetricsHandle, MetricsRegistry};
 
 /// Corner spacing: a power of two, so every time and step is exact.
 const D: f64 = 1.0 / (1u64 << 20) as f64;
@@ -108,26 +107,28 @@ fn assert_bit_identical(got: &TransientResult, want: &TransientResult, what: &st
     }
 }
 
-/// Runs `corners` (one multiplier per registered column) as a batch with the
-/// lane tier at its default and checks every instance against its solo run.
-/// Returns the lane tier's ejection count, `None` when an environment leg
-/// (`WAVEPIPE_SIMD=0`) has the tier off.
-fn batch_against_solo(
-    b: &Benchmark,
-    columns: &[(&str, ParamKind)],
-    corners: &[Vec<f64>],
-) -> Option<u64> {
+/// The deck's serial run with the spare set and through [`NoSpare`].
+fn with_and_without_spare(b: &Benchmark) -> (TransientResult, TransientResult) {
+    let with_spare = run_transient(&b.circuit, b.tstep, b.tstop, &pinned()).expect("serial run");
+    let no_spare = pinned().with_solver(SolverHandle::new(Arc::new(NoSpare::default())));
+    let without = run_transient(&b.circuit, b.tstep, b.tstop, &no_spare).expect("reference run");
+    (with_spare, without)
+}
+
+/// Runs `corners` (one multiplier per registered column) as a batch and
+/// checks every instance against its solo run: the same bits, and the same
+/// numeric factorizations — a spare hit the solo run takes, the instance
+/// takes too.
+fn batch_against_solo(b: &Benchmark, columns: &[(&str, ParamKind)], corners: &[Vec<f64>]) {
     let nominal = |name: &str| match b.circuit.element(name) {
         Some(Element::Capacitor { capacitance, .. }) => *capacitance,
         Some(Element::Mosfet { model, .. }) => model.kp,
         other => panic!("no nominal value for {name}: {other:?}"),
     };
-    let registry = Arc::new(MetricsRegistry::new());
-    let sim = pinned().with_metrics(MetricsHandle::new(registry.clone()));
     let mut batch = BatchSim::compile(&b.circuit, b.tstep, b.tstop)
         .expect("compile")
         .with_threads(1)
-        .with_sim(sim);
+        .with_sim(pinned());
     for &(name, kind) in columns {
         batch.param(name, kind).expect("column");
     }
@@ -146,21 +147,18 @@ fn batch_against_solo(
         }
         solo.push(run_transient(&ckt, b.tstep, b.tstop, &pinned()).expect("solo run"));
     }
-    let lanes_on = batch.lane_width_in_use() > 0;
     let got = batch.run().expect("batch run").into_results();
     assert_eq!(got.len(), solo.len());
     for (i, (g, w)) in got.iter().zip(&solo).enumerate() {
         assert_bit_identical(g, w, &format!("{} instance {i}", b.name));
+        assert_eq!(g.stats().factorizations, w.stats().factorizations, "{} instance {i}", b.name);
     }
-    lanes_on.then(|| registry.get(Counter::LaneEjections))
 }
 
 #[test]
-fn a_serial_run_reuses_parked_factors_and_the_lane_tier_ejects_instead_of_diverging() {
+fn a_serial_run_reuses_parked_factors_and_so_does_every_batch_instance() {
     let b = zigzag_rc();
-    let with_spare = run_transient(&b.circuit, b.tstep, b.tstop, &pinned()).expect("serial run");
-    let no_spare = pinned().with_solver(SolverHandle::new(Arc::new(NoSpare::default())));
-    let without = run_transient(&b.circuit, b.tstep, b.tstop, &no_spare).expect("reference run");
+    let (with_spare, without) = with_and_without_spare(&b);
 
     // Both runs walk the same ladders, which settle into the three steps
     // the module docs describe within a few corners.
@@ -180,18 +178,16 @@ fn a_serial_run_reuses_parked_factors_and_the_lane_tier_ejects_instead_of_diverg
     assert!(4 * stats.factorizations < without.stats().factorizations, "{stats:?}");
     assert_eq!(stats.newton_iterations, without.stats().newton_iterations);
 
-    // The same deck as a batch of corners: whatever tier ran an instance, it
-    // is its solo run, and the lane tier got there by ejecting.
+    // The same deck as a batch of corners: every instance is its solo run,
+    // spare hits included.
     let corners: Vec<Vec<f64>> =
         [1.0, 0.93, 1.04, 1.08].iter().map(|&m| vec![m, 2.0 - m]).collect();
     let columns = [("C1", ParamKind::Capacitance), ("C2", ParamKind::Capacitance)];
-    if let Some(ejections) = batch_against_solo(&b, &columns, &corners) {
-        assert_eq!(ejections, corners.len() as u64, "every instance takes spare hits");
-    }
+    batch_against_solo(&b, &columns, &corners);
 }
 
 #[test]
-fn the_corner_sweep_shape_takes_no_spare_hit_and_ejects_nothing() {
+fn the_corner_sweep_shape_is_its_solo_runs_and_takes_no_spare_hit() {
     let b = generators::inverter_chain(8);
     let columns: Vec<(String, ParamKind)> = (0..8)
         .flat_map(|i| {
@@ -210,7 +206,11 @@ fn the_corner_sweep_shape_takes_no_spare_hit_and_ejects_nothing() {
         0.9 + 0.2 * ((state >> 11) as f64 / (1u64 << 53) as f64)
     };
     let corners: Vec<Vec<f64>> = (0..6).map(|_| columns.iter().map(|_| draw()).collect()).collect();
-    if let Some(ejections) = batch_against_solo(&b, &columns, &corners) {
-        assert_eq!(ejections, 0);
-    }
+    batch_against_solo(&b, &columns, &corners);
+
+    // No spare hit on this shape: a cache with no spare set to ask pays for
+    // exactly the same numeric factorizations.
+    let (with_spare, without) = with_and_without_spare(&b);
+    assert_bit_identical(&with_spare, &without, "no-spare reference");
+    assert_eq!(with_spare.stats().factorizations, without.stats().factorizations);
 }
