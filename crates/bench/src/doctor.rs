@@ -425,6 +425,68 @@ mod tests {
     }
 
     #[test]
+    fn a_parked_hit_is_a_factorization_saved_and_the_cache_table_shows_it() {
+        use wavepipe_circuit::{Circuit, Waveform};
+        use wavepipe_engine::{run_transient, FaultPlan, GmresConfig, SimOptions, SolverHandle};
+        // Corners every 2 d behind `tstep = d/2`: every restart climbs d/8,
+        // d/4, d/2, d, d/8 — four linear-stamp keys in rotation (the deck of
+        // `tests/spare_factors.rs`).
+        let d = 1.0 / f64::from(1u32 << 20);
+        let mut ckt = Circuit::new("zigzag rc");
+        let (a, b, c) = (ckt.node("a"), ckt.node("b"), ckt.node("c"));
+        let zigzag = (0..=32).map(|k| (f64::from(k) * 2.0 * d, f64::from(k % 2) * 0.2)).collect();
+        ckt.add_vsource("V1", a, Circuit::GROUND, Waveform::pwl(zigzag)).unwrap();
+        ckt.add_resistor("R1", a, b, 1e3).unwrap();
+        ckt.add_capacitor("C1", b, Circuit::GROUND, 100e-9).unwrap();
+        ckt.add_resistor("R2", b, c, 1e3).unwrap();
+        ckt.add_capacitor("C2", c, Circuit::GROUND, 100e-9).unwrap();
+        let deck = Benchmark {
+            name: "zigzag_rc".into(),
+            circuit: ckt,
+            tstep: d / 2.0,
+            tstop: 64.0 * d,
+            class: generators::CircuitClass::Analog,
+            probes: vec!["c".into()],
+        };
+        // Everything an environment leg of CI can flip is pinned.
+        let pinned = |solver: SolverHandle| {
+            SimOptions::default()
+                .with_bypass(true)
+                .with_chord_newton(true)
+                .with_companion_cache(true)
+                .with_stamp_workers(0)
+                .with_faults(FaultPlan::new())
+                .with_solver(solver)
+        };
+        let (probe, registry) = (RecordingProbe::shared(), MetricsRegistry::shared());
+        let opts = WavePipeOptions::new(Scheme::Serial, 1)
+            .with_stamp_workers(0)
+            .with_sim(pinned(SolverHandle::direct()))
+            .with_probe(ProbeHandle::new(probe.clone()))
+            .with_metrics(MetricsHandle::new(registry.clone()));
+        let report = run_wavepipe(&deck.circuit, deck.tstep, deck.tstop, &opts).unwrap();
+        let run = DoctorRun { report, events: probe.events(), snapshot: registry.snapshot() };
+        // The count without parked sets: the GMRES backend keeps none, and
+        // with no iterations allowed it is the direct backend call for call
+        // (`tests/solver_equivalence.rs`).
+        let nowhere = SolverHandle::gmres(GmresConfig { max_iters: 0, ..GmresConfig::default() });
+        let reference =
+            run_transient(&deck.circuit, deck.tstep, deck.tstop, &pinned(nowhere)).unwrap();
+        let saved = reference.stats().factorizations - run.report.total.factorizations;
+        assert!(saved >= 90, "{saved} factorizations saved");
+        assert_eq!(run.snapshot.labeled_value("cache_hits", "parked"), saved as u64);
+        // Every other new key was factored for (a linear deck: no chord step
+        // ever stalls into a factorization of its own).
+        assert_eq!(
+            run.snapshot.labeled_value("cache_misses", "parked"),
+            run.snapshot.counter("factorizations")
+        );
+        let text = doctor_text("t", &analyze(&run.events), Some(&run.snapshot), true);
+        let row = text.lines().find(|l| l.trim_start().starts_with("parked")).expect("parked row");
+        assert!(row.contains(&format!("hits  {saved:>10}")), "{row}");
+    }
+
+    #[test]
     fn report_sections_respect_stable_flag() {
         let b = generators::rc_ladder(6);
         let run = run_instrumented(&b, Scheme::Backward, 2);

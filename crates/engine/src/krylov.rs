@@ -48,6 +48,16 @@
 //! waveforms are **bitwise identical** to the direct path. The
 //! solver-equivalence suite pins this.
 //!
+//! The reference is a `DirectLu` *that parks no factor sets*. This backend
+//! leaves [`SolverBackend::swap_parked`] at the trait's default on purpose:
+//! it is being cut down to its fallback role, not grown, so a chord step the
+//! plain direct backend takes on factors it had parked (a power grid's step
+//! ladder asks for them; the band-structured and digital classes never do)
+//! is a refactorization here, as it was for both before there were parked
+//! sets. The suite compares the forced fallback with a `DirectLu` behind a
+//! wrapper without `swap_parked`, and holds the default backend equal to
+//! both on the classes that take no parked hit.
+//!
 //! Known (documented) deviations under fallback: factorization errors such
 //! as [`SparseError::Singular`] surface from `solve` rather than from
 //! `factor`/`refactor` (the same error value propagates to the same caller),

@@ -11,18 +11,33 @@ use wavepipe_sparse::vector::{all_finite, norm_inf};
 use wavepipe_sparse::{CscMatrix, SparseError};
 use wavepipe_telemetry::{Counter, EventKind, Family};
 
-/// Which [`LinKey`] each of a backend's two numeric factor sets was computed
-/// under, and the one rule that moves them: *keep the factors we had before
-/// this refactorization*. [`LinearCache`] is its one driver, beside a real
-/// backend.
+/// Parked numeric factor sets a backend is asked to keep beside its active
+/// one. The step ladder a transient run climbs after every source corner has
+/// four rungs (`h, 2h, 4h, 8h`), so four sets in all is where an exact-key
+/// LRU stops missing on it: `power_grid(32,32)` serial refactors at 378, 378,
+/// 378, 120, 80 of its 378 key changes with 1, 2, 3, 4, 5 sets (DESIGN.md
+/// "Plan, numeric sets and the parked list" has the table and what the fifth
+/// set would cost).
+const PARKED_SETS: usize = 3;
+
+/// Which [`LinKey`] each of a backend's numeric factor sets — the active one
+/// and [`PARKED_SETS`] parked ones — was computed under, and the one rule
+/// that moves them: *keep the factors of the keys most recently solved
+/// under*. [`LinearCache`] is its one driver, beside a real backend.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct FactorKeys {
     /// Key of the set solves go through. Chord reuse is only legal while it
     /// matches (same `h`, same `gshunt`, same analysis mode); `None` disables
     /// reuse until the next verified factorization.
     active: Option<LinKey>,
-    /// Key of the parked set; `None` while nothing usable is parked.
-    spare: Option<LinKey>,
+    /// Key of the set parked in each slot; `None` while the slot holds
+    /// nothing usable.
+    parked: [Option<LinKey>; PARKED_SETS],
+    /// The recency order: `clock` as it read when each slot last took the
+    /// set that was active. The lowest belongs to the least recently active.
+    parked_at: [u64; PARKED_SETS],
+    /// Counts the trades.
+    clock: u64,
 }
 
 /// What a linearization's key finds in a [`FactorKeys`].
@@ -30,39 +45,47 @@ struct FactorKeys {
 enum KeyTurn {
     /// The active set was computed under this key.
     Hit,
-    /// The parked set was: trade places and reuse it.
-    SpareHit,
-    /// Neither was, and the active set is worth keeping: trade places so the
-    /// refactorization that follows overwrites the older set.
-    Park,
-    /// Neither was, and the active set's key is gone (a rejected point, a
+    /// The set parked in this slot was: trade places and reuse it.
+    ParkedHit(usize),
+    /// None was, and the active set is worth keeping: trade places with this
+    /// slot so the refactorization that follows overwrites what it held — an
+    /// empty slot first, else the least recently active set.
+    Park(usize),
+    /// None was, and the active set's key is gone (a rejected point, a
     /// failed verification): refactor over it.
     Miss,
 }
 
 impl FactorKeys {
-    /// The rule. Exact keys, one parked set: a run whose steps cycle through
-    /// more than two keys never finds "the one before" asked for again.
+    /// The rule: exact keys, least recently active out.
     fn turn(&self, key: LinKey) -> KeyTurn {
         if self.active == Some(key) {
             KeyTurn::Hit
-        } else if self.spare == Some(key) {
-            KeyTurn::SpareHit
+        } else if let Some(slot) = self.parked.iter().position(|&k| k == Some(key)) {
+            KeyTurn::ParkedHit(slot)
         } else if self.active.is_some() {
-            KeyTurn::Park
+            let oldest = (0..PARKED_SETS)
+                .min_by_key(|&s| (self.parked[s].is_some(), self.parked_at[s]))
+                .expect("PARKED_SETS is not zero");
+            KeyTurn::Park(oldest)
         } else {
             KeyTurn::Miss
         }
     }
 
-    /// The two sets traded places, for `turn` ([`KeyTurn::SpareHit`] or
-    /// [`KeyTurn::Park`]). After a park the set now active is the one about
-    /// to be overwritten, so it has no key.
+    /// The active set traded places with the one in `turn`'s slot
+    /// ([`KeyTurn::ParkedHit`] or [`KeyTurn::Park`]). After a park the set
+    /// now active is the one about to be overwritten, so it has no key.
     fn swapped(&mut self, turn: KeyTurn) {
-        std::mem::swap(&mut self.active, &mut self.spare);
-        if turn == KeyTurn::Park {
+        let (KeyTurn::ParkedHit(slot) | KeyTurn::Park(slot)) = turn else {
+            return;
+        };
+        std::mem::swap(&mut self.active, &mut self.parked[slot]);
+        if matches!(turn, KeyTurn::Park(_)) {
             self.active = None;
         }
+        self.clock += 1;
+        self.parked_at[slot] = self.clock;
     }
 
     /// The active set verified as the factors of `key`'s matrix.
@@ -71,15 +94,15 @@ impl FactorKeys {
     }
 
     /// The active set was computed along a path the caller abandoned (a
-    /// rejected point, a failed verification). The parked one was not.
+    /// rejected point, a failed verification). The parked ones were not.
     fn clear_active(&mut self) {
         self.active = None;
     }
 
-    /// A fresh pivot search replaced the plan both sets lived over: the
-    /// parked one is gone.
+    /// A fresh pivot search replaced the plan every set lived over: the
+    /// parked ones are gone.
     fn fresh_plan(&mut self) {
-        self.spare = None;
+        self.parked = [None; PARKED_SETS];
     }
 }
 
@@ -101,7 +124,7 @@ pub struct LinearCache {
     resid: Vec<f64>,
     /// Row-sum buffer of the backward-error check's matrix norm.
     rowsum: Vec<f64>,
-    /// Linear-stamp keys the backend's active and spare factors were
+    /// Linear-stamp keys the backend's active and parked factors were
     /// computed under.
     keys: FactorKeys,
     /// Newton update norm of the previous iterate in the current solve, for
@@ -164,8 +187,8 @@ impl LinearCache {
 
     /// Notes a rejected time point: the active factors were computed at a
     /// state the controller abandoned, so chord reuse must re-qualify via a
-    /// fresh factorization (and they are not worth parking). The spare set
-    /// predates the abandoned point and keeps its key.
+    /// fresh factorization (and they are not worth parking). The parked sets
+    /// predate the abandoned point and keep their keys.
     pub fn note_rejection(&mut self) {
         self.keys.clear_active();
         self.last_dx = None;
@@ -179,10 +202,10 @@ impl LinearCache {
     ///    `dx = LU⁻¹(rhs − A·x)`, accepted only while the update norms keep
     ///    contracting at rate `chord_theta`. With chord reuse enabled, a key
     ///    that differs from the active factors' first consults the backend's
-    ///    spare set ([`FactorKeys`]): factors parked under exactly this key
+    ///    parked sets ([`FactorKeys`]): factors parked under exactly this key
     ///    trade places with the active ones and are reused the same way;
-    ///    otherwise the active ones are parked, so that path 2 overwrites the
-    ///    older set.
+    ///    otherwise the active ones are parked, so that path 2 overwrites an
+    ///    empty set or the least recently active one.
     /// 2. Frozen-pivot refactorization of the existing pivot order.
     /// 3. Fresh factorization with full pivot search.
     ///
@@ -244,17 +267,22 @@ impl LinearCache {
         self.scratch.resize(n, 0.0);
         self.resid.resize(n, 0.0);
         let key = LinKey::of(input);
-        // With chord reuse on, the key first has its turn at the two factor
-        // sets; `hit` says whether the active one is now this key's.
-        let mut hit = false;
+        // With chord reuse on, the key first has its turn at the factor sets;
+        // `hit` says whether the active one is now this key's, `parked_hit`
+        // that it was parked until this call.
+        let (mut hit, mut parked_hit) = (false, false);
         if opts.chord_newton {
             let turn = self.keys.turn(key);
-            let swap = matches!(turn, KeyTurn::SpareHit | KeyTurn::Park);
-            let swapped = swap && self.backend.swap_spare();
-            if swapped {
-                self.keys.swapped(turn);
+            if let KeyTurn::ParkedHit(slot) | KeyTurn::Park(slot) = turn {
+                if self.backend.swap_parked(slot) {
+                    self.keys.swapped(turn);
+                    parked_hit = matches!(turn, KeyTurn::ParkedHit(_));
+                }
             }
-            hit = turn == KeyTurn::Hit || (swapped && turn == KeyTurn::SpareHit);
+            hit = turn == KeyTurn::Hit || parked_hit;
+            if !hit && opts.metrics.enabled() {
+                publish_parked_metrics(opts, Family::CacheMisses);
+            }
         }
         if hit && !ws.limited && self.backend.factored() {
             // Chord step: solve the delta form against the *stale* factors
@@ -274,6 +302,9 @@ impl LinearCache {
                 }
                 self.last_dx = Some(dxn);
                 stats.jacobian_reuses += 1;
+                if parked_hit && opts.metrics.enabled() {
+                    publish_parked_metrics(opts, Family::CacheHits);
+                }
                 return Ok(true);
             }
             // Contraction stalled (or blew up): pay for a factorization of
@@ -535,6 +566,17 @@ fn publish_linear_metrics(opts: &SimOptions, factored: u64, refactored: u64, reu
     }
 }
 
+/// One turn of a new key at the parked factor sets, into the `parked` cache
+/// layer: a hit is a chord step taken on factors that were parked — a numeric
+/// factorization saved, beside the `chord` layer's count of the step itself —
+/// and a miss a key no set was kept for. `#[cold]`/out-of-line for the same
+/// reason as [`publish_stamp_metrics`].
+#[cold]
+#[inline(never)]
+fn publish_parked_metrics(opts: &SimOptions, outcome: Family) {
+    opts.metrics.add_labeled(outcome, "parked", 1);
+}
+
 /// Mirrors one Krylov-path solve's counter deltas (GMRES iterations,
 /// preconditioner refreshes, direct fallbacks) into the registry.
 /// `#[cold]`/out-of-line for the same reason as [`publish_stamp_metrics`].
@@ -678,12 +720,12 @@ mod tests {
         assert!(!out.converged && out.iterations == 1);
     }
 
-    /// A direct backend that logs every call the cache makes; `spare: false`
-    /// leaves [`SolverBackend::swap_spare`] at the trait's "unsupported".
+    /// A direct backend that logs every call the cache makes; `parks: false`
+    /// leaves [`SolverBackend::swap_parked`] at the trait's "unsupported".
     #[derive(Debug, Clone)]
     struct Logged {
         inner: DirectLu,
-        spare: bool,
+        parks: bool,
         log: std::sync::Arc<std::sync::Mutex<Vec<&'static str>>>,
     }
 
@@ -715,12 +757,12 @@ mod tests {
         fn clone_box(&self) -> Box<dyn SolverBackend> {
             Box::new(self.clone())
         }
-        fn swap_spare(&mut self) -> bool {
-            if !self.spare {
+        fn swap_parked(&mut self, slot: usize) -> bool {
+            if !self.parks {
                 return false;
             }
             self.note("swap");
-            self.inner.swap_spare()
+            self.inner.swap_parked(slot)
         }
     }
 
@@ -728,7 +770,7 @@ mod tests {
     /// step size is the key; `'!'` notes a rejected point instead) and
     /// returns the backend calls each one made. Every solve must solve its
     /// own system, whichever factor set served it.
-    fn calls_per_key(steps: &str, chord: bool, spare: bool) -> Vec<String> {
+    fn calls_per_key(steps: &str, chord: bool, parks: bool) -> Vec<String> {
         let mut ckt = Circuit::new("rc");
         let (a, b) = (ckt.node("a"), ckt.node("b"));
         ckt.add_vsource("V1", a, Circuit::GROUND, Waveform::dc(1.0)).unwrap();
@@ -741,7 +783,7 @@ mod tests {
             .with_bypass(false)
             .with_companion_cache(false);
         let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let backend = Logged { inner: DirectLu::new(), spare, log: log.clone() };
+        let backend = Logged { inner: DirectLu::new(), parks, log: log.clone() };
         let mut cache = LinearCache::with_backend(Box::new(backend));
         let mut stats = SimStats::new();
         let x = vec![0.25; sys.n_unknowns()];
@@ -752,12 +794,8 @@ mod tests {
                 cache.note_rejection();
                 continue;
             }
-            let h = match step {
-                'a' => 1e-9,
-                'b' => 2e-9,
-                'c' => 4e-9,
-                other => panic!("no such step: {other}"),
-            };
+            assert!(('a'..='e').contains(&step), "no such step: {step}");
+            let h = 1e-9 * f64::from(1u32 << (step as u32 - 'a' as u32));
             let input = StampInput {
                 coeffs: Some(crate::integrate::IntegCoeffs::new(opts.method, h, h)),
                 ..dc_input(&x, &caps, &opts)
@@ -773,21 +811,45 @@ mod tests {
         out
     }
 
+    const PARK: &str = "swap refactor solve";
+    const PARKED_HIT: &str = "swap solve";
+
     #[test]
-    fn the_factors_left_one_refactorization_ago_are_swapped_back_not_recomputed() {
+    fn factors_left_up_to_three_refactorizations_ago_are_swapped_back_not_recomputed() {
         assert_eq!(
             calls_per_key("abacb", true, true),
             [
                 "factor solve",
-                // `a`'s factors are parked, `b`'s land in the new spare set.
-                "swap refactor solve",
-                // The spare holds `a`: one chord solve, no numeric work.
-                "swap solve",
-                // `c` overwrites the older set (`b`'s); `a`'s are parked again ...
-                "swap refactor solve",
-                // ... so `b` finds neither set its own and overwrites `a`'s.
-                "swap refactor solve",
+                // `a`'s factors are parked, `b`'s land in a new set.
+                PARK,
+                // A slot holds `a`: one chord solve, no numeric work.
+                PARKED_HIT,
+                // `c` lands in a new set too; `a`'s are parked again ...
+                PARK,
+                // ... beside `b`'s, which are still there.
+                PARKED_HIT,
             ]
+        );
+        // The four-rung ladder: one fresh factorization, one refactorization
+        // per new rung, then every rung is a trade and a chord solve.
+        assert_eq!(
+            calls_per_key("abcdabcd", true, true),
+            ["factor solve", PARK, PARK, PARK, PARKED_HIT, PARKED_HIT, PARKED_HIT, PARKED_HIT]
+        );
+    }
+
+    #[test]
+    fn a_fifth_key_evicts_the_least_recently_active_set() {
+        // `e` finds every slot taken and overwrites `a`'s, parked first and
+        // never asked for since: `a` is refactored again ...
+        assert_eq!(
+            calls_per_key("abcdea", true, true),
+            ["factor solve", PARK, PARK, PARK, PARK, PARK]
+        );
+        // ... where asking for `a` in between makes `b`'s the oldest.
+        assert_eq!(
+            calls_per_key("abcdaeab", true, true),
+            ["factor solve", PARK, PARK, PARK, PARKED_HIT, PARK, PARKED_HIT, PARK]
         );
     }
 
@@ -803,17 +865,20 @@ mod tests {
             calls_per_key("a!ba", true, true),
             // `b` refactors over the abandoned set in place, so `a` finds
             // nothing parked and parks `b`.
-            ["factor solve", "refactor solve", "swap refactor solve"]
+            ["factor solve", "refactor solve", PARK]
         );
-        // A rejection leaves the spare alone: `a` is still parked under `b`.
+        // A rejection leaves the parked sets alone: `a` is still there.
+        assert_eq!(calls_per_key("ab!a", true, true), ["factor solve", PARK, PARKED_HIT]);
+        // The abandoned set `a` traded places with is an empty slot: `c`
+        // parks `a` there, and `b`, never parked, is refactored.
         assert_eq!(
-            calls_per_key("ab!a", true, true),
-            ["factor solve", "swap refactor solve", "swap solve"]
+            calls_per_key("ab!acab", true, true),
+            ["factor solve", PARK, PARKED_HIT, PARK, PARKED_HIT, PARK]
         );
     }
 
     #[test]
-    fn a_backend_without_a_spare_sees_the_call_sequence_it_always_did() {
+    fn a_backend_without_parked_sets_sees_the_call_sequence_it_always_did() {
         assert_eq!(
             calls_per_key("abacb", true, false),
             [
@@ -826,6 +891,69 @@ mod tests {
         );
         // The same key twice running is the chord path, as before.
         assert_eq!(calls_per_key("aab", true, false), ["factor solve", "solve", "refactor solve"]);
+    }
+
+    /// Key number `i`, told apart by the continuation shunt.
+    fn key(i: u8) -> LinKey {
+        let opts = SimOptions::default();
+        LinKey::of(&StampInput { gshunt: f64::from(i), ..dc_input(&[], &[], &opts) })
+    }
+
+    proptest::proptest! {
+        /// [`FactorKeys`] against the textbook list: the keys factors are
+        /// held for, most recently active first, four at most; the front is
+        /// the active set's (`None` once its point was rejected). Any mix of
+        /// linearizations (a key number), rejected points (8) and re-pivots
+        /// (9) takes both to the same keys by the same kind of turn.
+        #[test]
+        fn factor_keys_are_an_lru_of_four_over_exact_keys(
+            ops in proptest::collection::vec(0u8..10, 0..200),
+        ) {
+            let mut keys = FactorKeys::default();
+            let mut lru: Vec<Option<u8>> = Vec::new();
+            for op in ops {
+                match op {
+                    8 => {
+                        keys.clear_active();
+                        lru.iter_mut().take(1).for_each(|front| *front = None);
+                    }
+                    9 => {
+                        keys.fresh_plan();
+                        lru.truncate(1);
+                    }
+                    k => {
+                        let want = match lru.iter().position(|&held| held == Some(k)) {
+                            Some(0) => KeyTurn::Hit,
+                            Some(_) => KeyTurn::ParkedHit(0),
+                            None if lru.first().copied().flatten().is_some() => KeyTurn::Park(0),
+                            None => KeyTurn::Miss,
+                        };
+                        lru.retain(|&held| held != Some(k));
+                        if lru.first() == Some(&None) {
+                            lru.remove(0);
+                        }
+                        lru.insert(0, Some(k));
+                        lru.truncate(1 + PARKED_SETS);
+
+                        let turn = keys.turn(key(k));
+                        // The same kind of turn, whichever slot.
+                        proptest::prop_assert!(
+                            std::mem::discriminant(&turn) == std::mem::discriminant(&want),
+                            "{turn:?} where the list says {want:?}"
+                        );
+                        keys.swapped(turn);
+                        keys.factored(key(k));
+                    }
+                }
+                proptest::prop_assert_eq!(keys.active, lru.first().copied().flatten().map(key));
+                let mut parked: Vec<u8> = lru.iter().skip(1).map(|k| k.unwrap()).collect();
+                parked.sort_unstable();
+                let held: Vec<u8> =
+                    (0..8).filter(|&k| keys.parked.contains(&Some(key(k)))).collect();
+                proptest::prop_assert_eq!(&held, &parked);
+                proptest::prop_assert_eq!(keys.parked.iter().flatten().count(), held.len());
+            }
+        }
     }
 
     #[test]

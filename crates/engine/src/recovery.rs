@@ -8,7 +8,7 @@
 //! aggressive rungs —
 //!
 //! 1. **Cache-poisoning rollback**: every solver cache (bypass masks, the
-//!    chord LU keys of the active *and* the spare factor set, companion
+//!    chord LU keys of the active *and* every parked factor set, companion
 //!    matrix) is invalidated and the point is re-solved at the step floor
 //!    with the caches *disabled*, so a stale cached stamp cannot have been
 //!    the reason Newton diverged.

@@ -5,24 +5,34 @@ use crate::stats::SimStats;
 /// The recorded outcome of a transient analysis: every accepted time point
 /// with its full solution vector, plus run statistics.
 ///
-/// Storage is a flat row-major array (`n_points x n_unknowns`), with node
-/// names carried along so results are self-describing.
+/// Storage is row-major (`n_points x n_unknowns`) in blocks of a power-of-two
+/// number of rows, with node names carried along so results are
+/// self-describing. A block is allocated whole and filled in place, so a
+/// stored row never moves: growing the waveform by reallocating one flat
+/// array stranded 0.4–0.5 MiB of a run's peak memory on the 1,032-unknown
+/// grid (EXPERIMENTS.md E22).
 #[derive(Debug, Clone)]
 pub struct TransientResult {
     times: Vec<f64>,
-    data: Vec<f64>,
+    /// Row `k` is row `k & (2^block_shift - 1)` of block `k >> block_shift`.
+    blocks: Vec<Vec<f64>>,
+    block_shift: u32,
     n_unknowns: usize,
     node_names: Vec<String>,
     branch_names: Vec<(String, usize)>,
     stats: SimStats,
 }
 
+/// Samples a block holds at most (64 KiB of them), unless one row is longer.
+const BLOCK_SAMPLES: usize = 8192;
+
 impl TransientResult {
     /// Creates an empty result for a system with the given unknown layout.
     pub fn new(n_unknowns: usize, node_names: Vec<String>) -> Self {
         TransientResult {
             times: Vec::new(),
-            data: Vec::new(),
+            blocks: Vec::new(),
+            block_shift: (BLOCK_SAMPLES / n_unknowns.max(1)).max(1).ilog2(),
             n_unknowns,
             node_names,
             branch_names: Vec::new(),
@@ -55,6 +65,11 @@ impl TransientResult {
             .map(|&(_, u)| u)
     }
 
+    /// Where row `k` sits within its block, `blocks[k >> block_shift]`.
+    fn row_in_block(&self, k: usize) -> usize {
+        k & ((1 << self.block_shift) - 1)
+    }
+
     /// Appends an accepted point.
     ///
     /// # Panics
@@ -66,8 +81,11 @@ impl TransientResult {
         if let Some(&last) = self.times.last() {
             assert!(t > last, "time must increase: {t} after {last}");
         }
+        if self.row_in_block(self.times.len()) == 0 {
+            self.blocks.push(Vec::with_capacity(self.n_unknowns << self.block_shift));
+        }
         self.times.push(t);
-        self.data.extend_from_slice(x);
+        self.blocks.last_mut().expect("a block was pushed for row 0").extend_from_slice(x);
     }
 
     /// Replaces the run statistics.
@@ -112,7 +130,8 @@ impl TransientResult {
     ///
     /// Panics if `k` is out of range.
     pub fn solution(&self, k: usize) -> &[f64] {
-        &self.data[k * self.n_unknowns..(k + 1) * self.n_unknowns]
+        let row = self.row_in_block(k);
+        &self.blocks[k >> self.block_shift][row * self.n_unknowns..(row + 1) * self.n_unknowns]
     }
 
     /// Unknown index of a node name, if present.
@@ -132,11 +151,7 @@ impl TransientResult {
     /// Panics if `unknown` is out of range.
     pub fn trace(&self, unknown: usize) -> Vec<(f64, f64)> {
         assert!(unknown < self.n_unknowns);
-        self.times
-            .iter()
-            .enumerate()
-            .map(|(k, &t)| (t, self.data[k * self.n_unknowns + unknown]))
-            .collect()
+        self.times.iter().enumerate().map(|(k, &t)| (t, self.solution(k)[unknown])).collect()
     }
 
     /// Linearly interpolated value of an unknown at time `t` (clamped to the
@@ -148,7 +163,7 @@ impl TransientResult {
     pub fn sample(&self, unknown: usize, t: f64) -> f64 {
         assert!(!self.is_empty());
         assert!(unknown < self.n_unknowns);
-        let at = |k: usize| self.data[k * self.n_unknowns + unknown];
+        let at = |k: usize| self.solution(k)[unknown];
         if t <= self.times[0] {
             return at(0);
         }
@@ -199,7 +214,7 @@ impl TransientResult {
         for (k, &t) in self.times.iter().enumerate() {
             out.push_str(&format!("{t:.6e}"));
             for &(_, u) in unknowns {
-                out.push_str(&format!(",{:.6e}", self.data[k * self.n_unknowns + u]));
+                out.push_str(&format!(",{:.6e}", self.solution(k)[u]));
             }
             out.push('\n');
         }
@@ -282,6 +297,45 @@ mod tests {
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "t,a");
         assert_eq!(lines.len(), 12);
+    }
+
+    /// Row `k` of the block-boundary results: unknown `u` holds `k + u/n`.
+    fn boundary_row(k: usize, n: usize) -> Vec<f64> {
+        (0..n).map(|u| k as f64 + u as f64 / n as f64).collect()
+    }
+
+    #[test]
+    fn every_reader_crosses_block_boundaries() {
+        for n in [1usize, 1032] {
+            let mut r = TransientResult::new(n, vec!["a".into()]);
+            let b = 1usize << r.block_shift;
+            assert!(b * n <= BLOCK_SAMPLES && 2 * b * n > BLOCK_SAMPLES, "{b} rows of {n}");
+            let (mut first_row, mut moved) = (None, false);
+            for k in 0..=2 * b + 1 {
+                r.push(k as f64, &boundary_row(k, n));
+                let at = r.solution(0).as_ptr();
+                moved |= *first_row.get_or_insert(at) != at;
+            }
+            assert!(!moved, "row 0 moved while the result grew");
+            assert_eq!(r.blocks.len(), 3);
+            assert!(r.blocks.iter().all(|blk| blk.capacity() == b * n));
+            let u = n - 1;
+            let csv = r.to_csv(&[("last".into(), u)]);
+            let lines: Vec<&str> = csv.lines().skip(1).collect();
+            let trace = r.trace(u);
+            assert_eq!((lines.len(), trace.len()), (r.len(), r.len()));
+            for k in [0, b - 1, b, b + 1, 2 * b - 1, 2 * b, 2 * b + 1] {
+                let want = boundary_row(k, n);
+                assert_eq!(r.solution(k), &want[..], "row {k} of {n}");
+                assert_eq!(trace[k], (k as f64, want[u]));
+                assert_eq!(r.sample(u, k as f64), want[u]);
+                assert_eq!(lines[k], format!("{:.6e},{:.6e}", k as f64, want[u]));
+            }
+            // Halfway from the last row of one block to the first of the next.
+            let mid = r.sample(u, b as f64 - 0.5);
+            assert_eq!(mid, (boundary_row(b - 1, n)[u] + boundary_row(b, n)[u]) / 2.0);
+            assert_eq!(r.clone().solution(b + 1), r.solution(b + 1));
+        }
     }
 
     #[test]

@@ -93,17 +93,17 @@ pub trait SolverBackend: fmt::Debug + Send {
         None
     }
 
-    /// Trades the current numeric factors with a spare set kept over the
-    /// same pivot order and elimination pattern (see
-    /// [`SparseLu::swap_spare`]): what was current is parked intact and
-    /// comes back with the next swap; what becomes current holds the factors
-    /// parked earlier, or none before the first `refactor` into it. A fresh
-    /// [`factor`](SolverBackend::factor) and
-    /// [`invalidate`](SolverBackend::invalidate) drop the spare. Returns
-    /// `false`, having done nothing, when the backend is unfactored or keeps
-    /// no such set (the default) — the Newton cache then runs as if the spare
-    /// did not exist.
-    fn swap_spare(&mut self) -> bool {
+    /// Trades the current numeric factors with the set parked in `slot`
+    /// over the same pivot order and elimination pattern (see
+    /// [`SparseLu::swap_parked`]): what was current is parked intact and
+    /// comes back with the next swap naming that slot; what becomes current
+    /// holds the factors parked there earlier, or none before the first
+    /// `refactor` into it. A fresh [`factor`](SolverBackend::factor) and
+    /// [`invalidate`](SolverBackend::invalidate) drop every parked set.
+    /// Returns `false`, having done nothing, when the backend is unfactored
+    /// or keeps no such sets (the default) — the Newton cache then runs as if
+    /// there were nothing to park in.
+    fn swap_parked(&mut self, _slot: usize) -> bool {
         false
     }
 }
@@ -222,8 +222,8 @@ impl SolverBackend for DirectLu {
         Box::new(self.clone())
     }
 
-    fn swap_spare(&mut self) -> bool {
-        self.lu.as_mut().map(SparseLu::swap_spare).is_some()
+    fn swap_parked(&mut self, slot: usize) -> bool {
+        self.lu.as_mut().map(|lu| lu.swap_parked(slot)).is_some()
     }
 }
 
@@ -432,20 +432,32 @@ mod tests {
     }
 
     #[test]
-    fn swap_spare_needs_factors_and_parks_them_intact() {
-        let (a1, a2) = (small_matrix(1.0), small_matrix(2.5));
+    fn swap_parked_needs_factors_and_parks_them_intact() {
         let b = [0.5, 1.5, -1.0, 2.0];
         let mut backend = DirectLu::new();
-        assert!(!backend.swap_spare(), "nothing to park before a factorization");
-        let x1 = solve_through(&mut backend, &a1, &b);
-        assert!(backend.swap_spare());
-        backend.refactor(&a2).unwrap();
-        assert!(backend.swap_spare());
+        assert!(!backend.swap_parked(0), "nothing to park before a factorization");
+        let x1 = solve_through(&mut backend, &small_matrix(1.0), &b);
         let (mut x, mut scratch) = (vec![0.0; 4], vec![0.0; 4]);
-        backend.solve(&b, &mut x, &mut scratch).unwrap();
-        assert_eq!(x, x1, "the parked factors came back changed");
+        // One set of factors left in every slot, then each asked for again.
+        let scales = [2.5, 0.75, 4.0];
+        let mut parked = vec![x1];
+        for (slot, &scale) in scales.iter().enumerate() {
+            assert!(backend.swap_parked(slot));
+            backend.refactor(&small_matrix(scale)).unwrap();
+            backend.solve(&b, &mut x, &mut scratch).unwrap();
+            parked.push(x.clone());
+        }
+        // Slot `s` holds what was current when it was named: the factors of
+        // the matrix before `scales[s]`. Taking them out leaves the current
+        // ones (of `scales[2]`) behind, so they are swapped back each time.
+        for (slot, left) in parked.iter().take(scales.len()).enumerate() {
+            assert!(backend.swap_parked(slot));
+            backend.solve(&b, &mut x, &mut scratch).unwrap();
+            assert_eq!(&x, left, "the factors parked in slot {slot} came back changed");
+            assert!(backend.swap_parked(slot));
+        }
         backend.invalidate();
-        assert!(!backend.swap_spare());
+        assert!(!backend.swap_parked(0));
     }
 
     #[test]

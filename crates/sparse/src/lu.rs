@@ -47,12 +47,14 @@
 //! built, held behind an `Arc`. What `refactor` writes — the values of `L`,
 //! strict `U` and the pivots — is a *numeric set*. A clone shares the plan
 //! and copies only values; a fresh `factor` builds a new plan. One factor
-//! object may hold a second, *spare* numeric set over the same plan
-//! ([`SparseLu::swap_spare`]): `refactor` and the solves work on the active
-//! set, the spare keeps the factors of another matrix of the same pattern
-//! until the two trade places. `refactor` is a pure function of the plan and
-//! the matrix (every value it reads it has written earlier in the same
-//! pass), so which set it lands in changes no bit.
+//! object may hold further, *parked* numeric sets over the same plan, in
+//! numbered slots ([`SparseLu::swap_parked`]): `refactor` and the solves work
+//! on the active set, a parked one keeps the factors of another matrix of the
+//! same pattern until it trades places with the active one. `refactor` is a
+//! pure function of the plan and the matrix (every value it reads it has
+//! written earlier in the same pass), so which set it lands in changes no
+//! bit. How many slots are used, and which factors are worth keeping in
+//! them, is the caller's rule; this module only stores them.
 
 use crate::csc::CscMatrix;
 use crate::error::{Result, SparseError};
@@ -112,8 +114,9 @@ pub struct SparseLu {
     pub(crate) plan: Arc<LuPlan>,
     /// The active numeric set: what `refactor` writes and the solves read.
     pub(crate) vals: LuValues,
-    /// The parked numeric set, allocated by the first [`SparseLu::swap_spare`].
-    spare: Option<LuValues>,
+    /// The parked numeric sets by slot, each allocated by the first
+    /// [`SparseLu::swap_parked`] that names it.
+    parked: Vec<LuValues>,
     /// Dense refactorization workspace in pivot coordinates; every kernel
     /// that writes it leaves it all-zero, error returns included.
     work: Vec<f64>,
@@ -302,7 +305,7 @@ impl SparseLu {
         let mut work = vec![0.0; n];
         plan.factor_numeric_with_pivoting(&mut vals, &mut work, opts, a)?;
         plan.store_pivot_layout(&mut vals, &mut work, a);
-        Ok(SparseLu { opts: opts.clone(), plan: Arc::new(plan), vals, spare: None, work })
+        Ok(SparseLu { opts: opts.clone(), plan: Arc::new(plan), vals, parked: Vec::new(), work })
     }
 }
 
@@ -646,20 +649,24 @@ impl SparseLu {
         Ok(())
     }
 
-    /// Trades the active numeric set with the spare one over the same plan.
+    /// Trades the active numeric set with the parked one in `slot`, over the
+    /// same plan.
     ///
     /// The set that was active is parked with its factors intact and comes
-    /// back with the next call. The spare is allocated by the first call and
-    /// then holds no factors: `refactor` must run before the next solve. A
-    /// fresh `factor` returns a new object, which has no spare.
-    pub fn swap_spare(&mut self) {
+    /// back with the next call naming the same slot. A slot is allocated by
+    /// the first call that names it (with every slot below it) and then
+    /// holds no factors: `refactor` must run before the next solve. A fresh
+    /// `factor` returns a new object, which has no parked sets.
+    pub fn swap_parked(&mut self, slot: usize) {
         let active = &self.vals;
-        let spare = self.spare.get_or_insert_with(|| LuValues {
-            l_vals: vec![0.0; active.l_vals.len()],
-            u_vals: vec![0.0; active.u_vals.len()],
-            u_diag: vec![0.0; active.u_diag.len()],
-        });
-        std::mem::swap(&mut self.vals, spare);
+        if self.parked.len() <= slot {
+            self.parked.resize_with(slot + 1, || LuValues {
+                l_vals: vec![0.0; active.l_vals.len()],
+                u_vals: vec![0.0; active.u_vals.len()],
+                u_diag: vec![0.0; active.u_diag.len()],
+            });
+        }
+        std::mem::swap(&mut self.vals, &mut self.parked[slot]);
     }
 
     /// `refactor`'s input check: shape, nnz and column pointers must be
@@ -1506,12 +1513,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// One object alternating between its two numeric sets against two
-        /// one-set objects, one per matrix: whichever set a refactorization
-        /// lands in, factors and solutions are those of a plain `refactor`,
-        /// and a parked set comes back as it was left.
+        /// One object walking its four numeric sets (the active one and
+        /// three parked slots) against four one-set objects, one per matrix:
+        /// whichever set a refactorization lands in, factors and solutions
+        /// are those of a plain `refactor`, and a parked set comes back as
+        /// it was left, however many trades later.
         #[test]
-        fn either_numeric_set_refactors_to_the_bits_of_a_one_set_refactor(
+        fn any_numeric_set_refactors_to_the_bits_of_a_one_set_refactor(
             n in 4usize..=40,
             band in 1usize..=4,
             seed in 0u64..u64::MAX,
@@ -1523,44 +1531,63 @@ mod tests {
                 return Err(TestCaseError::Reject("singular draw"));
             };
             let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 0.25).collect();
-            let (a1, a2) = (redraw(&pattern, &branch, 6, &mut rng), redraw(&pattern, &branch, 0, &mut rng));
-            let (mut one, mut two) = (lu.clone(), lu.clone());
-            prop_assert!(Arc::ptr_eq(&lu.plan, &one.plan), "a clone built its own plan");
-            if one.refactor(&a1).is_err() || two.refactor(&a2).is_err() {
-                return Err(TestCaseError::Reject("frozen pivots degraded"));
+            let mats: Vec<CscMatrix> =
+                [6, 0, 3, 0].iter().map(|&zeros| redraw(&pattern, &branch, zeros, &mut rng)).collect();
+            let mut refs = Vec::new();
+            for a in &mats {
+                let mut one = lu.clone();
+                prop_assert!(Arc::ptr_eq(&lu.plan, &one.plan), "a clone built its own plan");
+                if one.refactor(a).is_err() {
+                    return Err(TestCaseError::Reject("frozen pivots degraded"));
+                }
+                refs.push(one);
             }
             // The clones' values are their own: `lu` still holds `first`'s.
             assert_same_factors(&lu, &SparseLu::factor(&first, &LuOptions::default()).unwrap(), &b);
-            lu.refactor(&a1).unwrap();
-            assert_same_factors(&lu, &one, &b);
-            lu.swap_spare(); // allocates the spare; `a1`'s factors are parked
-            lu.refactor(&a2).unwrap();
-            assert_same_factors(&lu, &two, &b);
-            lu.swap_spare(); // no refactorization: the parked set as it was left
-            assert_same_factors(&lu, &one, &b);
-            lu.refactor(&a2).unwrap(); // the same matrix into the other set
-            assert_same_factors(&lu, &two, &b);
+
+            // Which matrix each set holds the factors of: the active one,
+            // then the slots. A slot never named holds nothing.
+            let mut held: [Option<usize>; 4] = [None; 4];
+            for _ in 0..24 {
+                if rng.gen_range(0..2usize) == 0 {
+                    let m = rng.gen_range(0..mats.len());
+                    lu.refactor(&mats[m]).unwrap();
+                    held[0] = Some(m);
+                } else {
+                    let slot = rng.gen_range(0..3usize);
+                    lu.swap_parked(slot);
+                    held.swap(0, slot + 1);
+                }
+                if let Some(m) = held[0] {
+                    assert_same_factors(&lu, &refs[m], &b);
+                }
+            }
+            prop_assert!(lu.parked.len() <= 3);
             prop_assert!(lu.work.iter().all(|v| v.to_bits() == 0));
             prop_assert!(Arc::ptr_eq(&lu.plan, &lu.clone().plan));
 
             // A degraded pivot, then the re-pivot a caller answers it with:
-            // the new object has a plan of its own and no spare.
+            // the new object has a plan of its own and nothing parked.
+            lu.swap_parked(2);
+            lu.refactor(&mats[1]).unwrap();
             let j = rng.gen_range(0..n);
-            let mut degraded = a2.clone();
+            let mut degraded = mats[1].clone();
             let (s, e) = (degraded.col_ptr()[j], degraded.col_ptr()[j + 1]);
             degraded.values_mut()[s..e].fill(0.0);
             prop_assert!(matches!(lu.refactor(&degraded), Err(SparseError::PivotDegraded { .. })));
             let q = lu.plan.q.clone();
-            let Ok(repivoted) = SparseLu::factor_with_ordering(&a1, &LuOptions::default(), q) else {
+            let Ok(repivoted) = SparseLu::factor_with_ordering(&mats[0], &LuOptions::default(), q) else {
                 return Err(TestCaseError::Reject("singular draw"));
             };
-            prop_assert!(repivoted.spare.is_none() && !Arc::ptr_eq(&repivoted.plan, &lu.plan));
-            // The old object stays usable, either set, after the failure.
-            lu.refactor(&a1).unwrap();
-            assert_same_factors(&lu, &one, &b);
-            lu.swap_spare();
-            lu.refactor(&a2).unwrap();
-            assert_same_factors(&lu, &two, &b);
+            prop_assert!(repivoted.parked.is_empty() && !Arc::ptr_eq(&repivoted.plan, &lu.plan));
+            // The old object stays usable, every set, after the failure.
+            for (slot, m) in [(0, 0), (1, 2), (2, 3)] {
+                lu.refactor(&mats[m]).unwrap();
+                assert_same_factors(&lu, &refs[m], &b);
+                lu.swap_parked(slot);
+            }
+            lu.swap_parked(1);
+            assert_same_factors(&lu, &refs[2], &b);
         }
     }
 

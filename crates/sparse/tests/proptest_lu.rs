@@ -93,6 +93,44 @@ proptest! {
     }
 
     #[test]
+    fn parked_sets_solve_as_a_one_set_refactor_would(
+        a in dominant_matrix(),
+        scales in proptest::collection::vec(0.5f64..2.0, 4..5),
+        slots in proptest::collection::vec(0usize..3, 1..12),
+    ) {
+        // Through the public surface only: every numeric set of one object
+        // (the active one, three parked slots) gives, bit for bit, the
+        // solution of a one-set object refactored with the same matrix, and
+        // keeps giving it while the other sets are refactored and traded.
+        let n = a.ncols();
+        let scaled = |scale: f64| {
+            let mut m = a.clone();
+            m.values_mut().iter_mut().for_each(|v| *v *= scale);
+            m
+        };
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
+        let mut lu = SparseLu::factor(&a, &LuOptions::default()).expect("factor");
+        let one_set = |m: &CscMatrix| {
+            let mut one = lu.clone();
+            one.refactor(m).expect("refactor");
+            one.solve(&b).expect("solve")
+        };
+        let want: Vec<Vec<f64>> = scales.iter().map(|&s| one_set(&scaled(s))).collect();
+        // Which scale each set holds the factors of: active, then the slots.
+        let mut held = [None; 4];
+        for (turn, &slot) in slots.iter().enumerate() {
+            let pick = turn % scales.len();
+            lu.refactor(&scaled(scales[pick])).expect("refactor");
+            held[0] = Some(pick);
+            lu.swap_parked(slot);
+            held.swap(0, slot + 1);
+            if let Some(pick) = held[0] {
+                prop_assert_eq!(&lu.solve(&b).expect("solve"), &want[pick]);
+            }
+        }
+    }
+
+    #[test]
     fn solve_residual_is_small(a in dominant_matrix()) {
         let n = a.ncols();
         let b: Vec<f64> = (0..n).map(|i| ((i % 5) as f64) - 2.0).collect();

@@ -108,7 +108,8 @@ named_enum! {
         EvalsByClass = "class_evals",
         /// Bypassed (cache-replayed) nonlinear devices per device class.
         BypassByClass = "class_bypassed",
-        /// Hits per solver cache layer (`cache="bypass"|"chord"|"companion"`).
+        /// Hits per solver cache layer
+        /// (`cache="bypass"|"chord"|"companion"|"parked"`).
         CacheHits = "cache_hits",
         /// Misses per solver cache layer.
         CacheMisses = "cache_misses",

@@ -12,12 +12,20 @@
 //!   inner direct backend (`max_iters = 0`, or a tolerance no iteration can
 //!   meet), the backend must replay the exact call sequence the reference
 //!   `DirectLu` would have seen — frozen-factor chord solves included — and
-//!   produce bitwise-identical waveforms.
+//!   produce bitwise-identical waveforms. The reference is a `DirectLu` that
+//!   parks no factor sets (`common::no_parking`): `GmresBackend` keeps none, so a
+//!   chord step the default backend takes on factors it had parked is one
+//!   the fallback cannot mirror (`power_grid(4,4)` takes such steps). Where
+//!   the default backend takes none — the other three classes — it is
+//!   bit-equal to both.
 //!
 //! Knobs are pinned explicitly (solver handle included) so the assertions
 //! hold unchanged on the CI env-matrix legs, `WAVEPIPE_SOLVER=gmres`
 //! included.
 
+mod common;
+
+use common::no_parking;
 use proptest::prelude::*;
 use wavepipe::circuit::generators::{self, Benchmark};
 use wavepipe::engine::{
@@ -108,7 +116,7 @@ fn forced_fallback_is_bit_identical_on_all_classes() {
     // max_iters = 0: GMRES never runs, every solve replays the pending
     // factor/refactor sequence against the inner DirectLu.
     for b in suite() {
-        let reference = run(&b, &caches_on(SolverHandle::direct()));
+        let reference = run(&b, &caches_on(no_parking()));
         let forced = GmresConfig { max_iters: 0, ..GmresConfig::default() };
         let fallback = run(&b, &caches_on(SolverHandle::gmres(forced)));
         assert_bit_identical(&reference, &fallback, &format!("{} forced fallback", b.name));
@@ -121,12 +129,31 @@ fn forced_fallback_is_bit_identical_on_all_classes() {
 }
 
 #[test]
+fn the_default_backend_is_the_no_parking_reference_where_it_takes_no_parked_hit() {
+    // The other half of the contract: on the classes whose keys never come
+    // back within four, parking changes nothing, so the forced fallback is
+    // still bit-equal to the backend a user gets by default.
+    for b in &suite()[..3] {
+        let default = run(b, &caches_on(SolverHandle::direct()));
+        let reference = run(b, &caches_on(no_parking()));
+        assert_bit_identical(&default, &reference, &format!("{} default backend", b.name));
+        assert_eq!(default.stats().factorizations, reference.stats().factorizations, "{}", b.name);
+    }
+    // The grid is why the reference parks nothing: the default backend
+    // solves the same points with fewer numeric factorizations.
+    let b = &suite()[3];
+    let default = run(b, &caches_on(SolverHandle::direct()));
+    let reference = run(b, &caches_on(no_parking()));
+    assert!(default.stats().factorizations < reference.stats().factorizations, "{}", b.name);
+}
+
+#[test]
 fn unreachable_tolerance_forces_fallback_bit_identically() {
     // The other way to force the fallback: a tolerance no finite-precision
     // iteration can meet, so GMRES burns its budget, stagnates, and every
     // solve completes on the direct path.
     let b = generators::power_grid(4, 4);
-    let reference = run(&b, &caches_on(SolverHandle::direct()));
+    let reference = run(&b, &caches_on(no_parking()));
     let forced = GmresConfig { tol: 0.0, max_iters: 8, restart: 4, ..GmresConfig::default() };
     let fallback = run(&b, &caches_on(SolverHandle::gmres(forced)));
     assert_bit_identical(&reference, &fallback, "tolerance-forced fallback");

@@ -1,34 +1,43 @@
-//! The spare numeric factor set, in a serial run and in a batch.
+//! The parked numeric factor sets, in a serial run, a batch and a pipeline.
 //!
-//! A serial run takes spare hits when its step sizes alternate between two
-//! values: the deck below restarts integration at a source corner every `D`
-//! seconds, and each restart ladder settles into `D/4` (backward Euler),
-//! `D/2`, `D/4` (trapezoidal) — linear-stamp keys `4/D, 4/D, 8/D`, so every
-//! ladder asks once for the key of the factors left one refactorization ago.
+//! A serial run takes parked hits when its step sizes come back to a value
+//! they left at most three keys ago. Both decks below restart integration at
+//! a source corner every so many `D` seconds, and each restart climbs the
+//! same ladder:
+//!
+//! * corners every `D`, `tstep = 4 D`: `D/4` (backward Euler), `D/2`, `D/4`
+//!   (trapezoidal) — linear-stamp keys `4/D, 4/D, 8/D`, so every ladder asks
+//!   once for the key of the factors left one refactorization ago;
+//! * corners every `2 D`, `tstep = D/2`: `D/8` (backward Euler), `D/4`,
+//!   `D/2`, `D`, `D/8` — keys `8/D, 8/D, 4/D, 2/D, 16/D`, four in rotation,
+//!   which one parked set never serves and three always do.
+//!
 //! A batch instance runs the same loop over the same cache, so it takes the
-//! same hits: it is its solo run bit for bit and count for count — on this
-//! deck and on the benchmark's `corner_sweep` shape, which takes none.
+//! same hits: it is its solo run bit for bit and count for count — on these
+//! decks and on the benchmark's `corner_sweep` shape, which takes none. A
+//! pipelined run's lanes each keep their own sets and repeat themselves run
+//! to run.
 
-use std::sync::Arc;
+mod common;
+
+use common::no_parking;
 use wavepipe::batch::{BatchSim, ParamKind};
 use wavepipe::circuit::generators::{self, Benchmark, CircuitClass};
 use wavepipe::circuit::{Circuit, Element, Waveform};
-use wavepipe::engine::{
-    run_transient, DirectLu, SimOptions, SolverBackend, SolverFactory, SolverHandle,
-    TransientResult,
-};
-use wavepipe::sparse::CscMatrix;
+use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
+use wavepipe::engine::{run_transient, SimOptions, SolverHandle, TransientResult};
 
-/// Corner spacing: a power of two, so every time and step is exact.
+/// The time unit: a power of two, so every time and step is exact.
 const D: f64 = 1.0 / (1u64 << 20) as f64;
 const CORNERS: usize = 32;
 
-/// A two-pole RC low-pass (time constants a hundred `D`) behind a zigzag.
-fn zigzag_rc() -> Benchmark {
+/// A two-pole RC low-pass (time constants a hundred `D`) behind a zigzag
+/// with a corner every `spacing` seconds.
+fn zigzag_rc(spacing: f64, tstep: f64) -> Benchmark {
     let mut ckt = Circuit::new("zigzag rc");
     let (a, b, c) = (ckt.node("a"), ckt.node("b"), ckt.node("c"));
     let zigzag =
-        (0..=CORNERS).map(|k| (k as f64 * D, if k % 2 == 0 { 0.0 } else { 0.2 })).collect();
+        (0..=CORNERS).map(|k| (k as f64 * spacing, if k % 2 == 0 { 0.0 } else { 0.2 })).collect();
     ckt.add_vsource("V1", a, Circuit::GROUND, Waveform::pwl(zigzag)).unwrap();
     ckt.add_resistor("R1", a, b, 1e3).unwrap();
     ckt.add_capacitor("C1", b, Circuit::GROUND, 100e-9).unwrap();
@@ -37,11 +46,21 @@ fn zigzag_rc() -> Benchmark {
     Benchmark {
         name: "zigzag_rc".into(),
         circuit: ckt,
-        tstep: 4.0 * D,
-        tstop: CORNERS as f64 * D,
+        tstep,
+        tstop: CORNERS as f64 * spacing,
         class: CircuitClass::Analog,
         probes: vec!["c".into()],
     }
+}
+
+/// Keys alternate between two values.
+fn two_key_deck() -> Benchmark {
+    zigzag_rc(D, 4.0 * D)
+}
+
+/// Keys cycle through four values.
+fn four_key_deck() -> Benchmark {
+    zigzag_rc(2.0 * D, D / 2.0)
 }
 
 /// Every cache on and everything an environment leg of CI can flip pinned.
@@ -54,43 +73,11 @@ fn pinned() -> SimOptions {
         .with_solver(SolverHandle::direct())
 }
 
-/// `DirectLu` behind the trait's default `swap_spare`: the cache as it was
-/// before it had a spare set to ask for.
-#[derive(Debug, Clone, Default)]
-struct NoSpare(DirectLu);
-
-impl SolverBackend for NoSpare {
-    fn factor(&mut self, a: &CscMatrix) -> wavepipe::sparse::Result<()> {
-        self.0.factor(a)
-    }
-    fn refactor(&mut self, a: &CscMatrix) -> wavepipe::sparse::Result<()> {
-        self.0.refactor(a)
-    }
-    fn solve(&self, b: &[f64], x: &mut [f64], s: &mut [f64]) -> wavepipe::sparse::Result<()> {
-        self.0.solve(b, x, s)
-    }
-    fn factored(&self) -> bool {
-        self.0.factored()
-    }
-    fn invalidate(&mut self) {
-        self.0.invalidate();
-    }
-    fn clone_box(&self) -> Box<dyn SolverBackend> {
-        Box::new(self.clone())
-    }
-}
-
-impl SolverFactory for NoSpare {
-    fn make(&self) -> Box<dyn SolverBackend> {
-        Box::new(NoSpare::default())
-    }
-}
-
 /// Accepted points whose linear-stamp key differs from their predecessor's:
 /// the key is `a0`, `1/h` for the backward-Euler point after a corner (and
 /// after `t = 0`) and `2/h` for every other.
-fn key_changes(r: &TransientResult) -> usize {
-    let on_corner = |t: f64| (t / D).fract() == 0.0;
+fn key_changes(r: &TransientResult, spacing: f64) -> usize {
+    let on_corner = |t: f64| (t / spacing).fract() == 0.0;
     let a0: Vec<u64> = r
         .times()
         .windows(2)
@@ -107,17 +94,18 @@ fn assert_bit_identical(got: &TransientResult, want: &TransientResult, what: &st
     }
 }
 
-/// The deck's serial run with the spare set and through [`NoSpare`].
-fn with_and_without_spare(b: &Benchmark) -> (TransientResult, TransientResult) {
-    let with_spare = run_transient(&b.circuit, b.tstep, b.tstop, &pinned()).expect("serial run");
-    let no_spare = pinned().with_solver(SolverHandle::new(Arc::new(NoSpare::default())));
-    let without = run_transient(&b.circuit, b.tstep, b.tstop, &no_spare).expect("reference run");
-    (with_spare, without)
+/// The deck's serial run with the parked sets and through a backend with
+/// nowhere to park.
+fn with_and_without_parking(b: &Benchmark) -> (TransientResult, TransientResult) {
+    let with = run_transient(&b.circuit, b.tstep, b.tstop, &pinned()).expect("serial run");
+    let nowhere = pinned().with_solver(no_parking());
+    let without = run_transient(&b.circuit, b.tstep, b.tstop, &nowhere).expect("reference run");
+    (with, without)
 }
 
 /// Runs `corners` (one multiplier per registered column) as a batch and
 /// checks every instance against its solo run: the same bits, and the same
-/// numeric factorizations — a spare hit the solo run takes, the instance
+/// numeric factorizations — a parked hit the solo run takes, the instance
 /// takes too.
 fn batch_against_solo(b: &Benchmark, columns: &[(&str, ParamKind)], corners: &[Vec<f64>]) {
     let nominal = |name: &str| match b.circuit.element(name) {
@@ -155,35 +143,79 @@ fn batch_against_solo(b: &Benchmark, columns: &[(&str, ParamKind)], corners: &[V
     }
 }
 
+/// The two capacitors of a zigzag deck at four corners.
+fn zigzag_corners() -> ([(&'static str, ParamKind); 2], Vec<Vec<f64>>) {
+    let corners = [1.0, 0.93, 1.04, 1.08].iter().map(|&m| vec![m, 2.0 - m]).collect();
+    ([("C1", ParamKind::Capacitance), ("C2", ParamKind::Capacitance)], corners)
+}
+
 #[test]
 fn a_serial_run_reuses_parked_factors_and_so_does_every_batch_instance() {
-    let b = zigzag_rc();
-    let (with_spare, without) = with_and_without_spare(&b);
+    let b = two_key_deck();
+    let (with, without) = with_and_without_parking(&b);
 
     // Both runs walk the same ladders, which settle into the three steps
     // the module docs describe within a few corners.
-    assert_eq!(with_spare.times(), without.times());
-    let tail: Vec<f64> = with_spare.times().windows(2).map(|w| (w[1] - w[0]) / D).collect();
+    assert_eq!(with.times(), without.times());
+    let tail: Vec<f64> = with.times().windows(2).map(|w| (w[1] - w[0]) / D).collect();
     assert_eq!(tail[tail.len() - 6..], [0.25, 0.5, 0.25, 0.25, 0.5, 0.25]);
-    let changes = key_changes(&with_spare);
+    let changes = key_changes(&with, D);
     assert!(changes >= CORNERS, "{changes} key changes");
-    // Without a spare set every change of key costs a numeric factorization
+    // With nowhere to park every change of key costs a numeric factorization
     // (the reconstruction of the keys above is what this line checks) ...
     assert!(without.stats().factorizations >= changes, "{:?}", without.stats());
-    // ... with one, fewer factorizations than key changes: some point whose
-    // key differs from its predecessor's was solved on parked factors — every
-    // one, once the ladders have settled.
-    let stats = with_spare.stats();
+    // ... with parked sets, fewer factorizations than key changes: some point
+    // whose key differs from its predecessor's was solved on parked factors —
+    // every one, once the ladders have settled.
+    let stats = with.stats();
     assert!(stats.factorizations < changes, "{changes} key changes, {stats:?}");
     assert!(4 * stats.factorizations < without.stats().factorizations, "{stats:?}");
     assert_eq!(stats.newton_iterations, without.stats().newton_iterations);
 
     // The same deck as a batch of corners: every instance is its solo run,
-    // spare hits included.
-    let corners: Vec<Vec<f64>> =
-        [1.0, 0.93, 1.04, 1.08].iter().map(|&m| vec![m, 2.0 - m]).collect();
-    let columns = [("C1", ParamKind::Capacitance), ("C2", ParamKind::Capacitance)];
+    // parked hits included.
+    let (columns, corners) = zigzag_corners();
     batch_against_solo(&b, &columns, &corners);
+}
+
+#[test]
+fn four_keys_in_rotation_are_all_served_from_parked_sets() {
+    let b = four_key_deck();
+    let (with, without) = with_and_without_parking(&b);
+
+    // The five-step ladder of the module docs, on both runs once the first
+    // few corners are behind them (until then the error estimate picks the
+    // fourth step, to the last bit of a solution parked hits round otherwise).
+    for r in [&with, &without] {
+        let steps: Vec<f64> = r.times().windows(2).map(|w| (w[1] - w[0]) / D).collect();
+        for ladder in steps.rchunks(5).take(CORNERS / 2) {
+            assert_eq!(ladder, [0.125, 0.25, 0.5, 1.0, 0.125]);
+        }
+    }
+    // Three changes of key per ladder, each a numeric factorization with
+    // nowhere to park ...
+    let changes = key_changes(&with, 2.0 * D);
+    assert!(changes >= 3 * (CORNERS - 1), "{changes} key changes");
+    assert!(without.stats().factorizations >= changes, "{:?}", without.stats());
+    // ... and, with three parked sets, none once each of the four keys has
+    // been factored for: fewer factorizations than there are corners.
+    let stats = with.stats();
+    assert!(stats.factorizations < CORNERS, "{stats:?}");
+    assert_eq!(stats.newton_iterations, without.stats().newton_iterations);
+
+    let (columns, corners) = zigzag_corners();
+    batch_against_solo(&b, &columns, &corners);
+
+    // Each lane of a pipeline owns a cache and its parked sets; what it finds
+    // in them depends on the points it was dealt, not on timing.
+    let backward = || {
+        let opts =
+            WavePipeOptions::new(Scheme::Backward, 2).with_stamp_workers(0).with_sim(pinned());
+        run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).expect("Backward x2")
+    };
+    let (first, second) = (backward(), backward());
+    assert_bit_identical(&first.result, &second.result, "Backward x2, run to run");
+    assert_eq!(first.total.factorizations, second.total.factorizations);
 }
 
 #[test]
@@ -208,9 +240,9 @@ fn the_corner_sweep_shape_is_its_solo_runs_and_takes_no_spare_hit() {
     let corners: Vec<Vec<f64>> = (0..6).map(|_| columns.iter().map(|_| draw()).collect()).collect();
     batch_against_solo(&b, &columns, &corners);
 
-    // No spare hit on this shape: a cache with no spare set to ask pays for
+    // No parked hit on this shape: a cache with nowhere to park pays for
     // exactly the same numeric factorizations.
-    let (with_spare, without) = with_and_without_spare(&b);
-    assert_bit_identical(&with_spare, &without, "no-spare reference");
-    assert_eq!(with_spare.stats().factorizations, without.stats().factorizations);
+    let (with, without) = with_and_without_parking(&b);
+    assert_bit_identical(&with, &without, "no-parking reference");
+    assert_eq!(with.stats().factorizations, without.stats().factorizations);
 }
