@@ -23,9 +23,7 @@
 //!   row across all columns), keeping the sweep definition compact and the
 //!   per-instance patch loop cache-friendly.
 //! * **Thread-striped dispatch.** [`BatchSim::run`] distributes instances
-//!   over `threads / stamp_workers` batch workers (the same two-level
-//!   split as `wavepipe-core`), so intra-step stamp parallelism and
-//!   across-instance parallelism share one budget.
+//!   over [`BatchSim::with_threads`] batch workers.
 //! * **Streaming.** [`BatchSim::run_each`] delivers each instance's result
 //!   through a callback as it completes; `run`/`run_outcome` are collecting
 //!   wrappers over it.
@@ -46,7 +44,7 @@
 //! runs the engine's one serial loop, so its [`wavepipe_engine::SimStats`]
 //! counters are its solo run's too. This is pinned by the property tests in
 //! `tests/bit_identity.rs` and, in the root package, by
-//! `tests/colored_stamp.rs` and `tests/spare_factors.rs`.
+//! `tests/stamp_kernel.rs` and `tests/spare_factors.rs`.
 //!
 //! # Example
 //!
@@ -364,10 +362,8 @@ impl BatchSim {
         })
     }
 
-    /// Total thread budget for the batch (default 1). Instances are striped
-    /// over `threads / max(stamp_workers, 1)` batch workers, mirroring the
-    /// two-level split of `wavepipe-core`: intra-step stamp workers and
-    /// across-instance workers draw from one budget.
+    /// Thread budget for the batch (default 1): instances are striped over
+    /// that many batch workers.
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
@@ -381,15 +377,6 @@ impl BatchSim {
     #[must_use]
     pub fn with_sim(mut self, sim: SimOptions) -> Self {
         self.sim = sim;
-        self
-    }
-
-    /// Stamp workers per instance (forwarded to
-    /// [`SimOptions::with_stamp_workers`]). Part of the two-level thread
-    /// split; see [`BatchSim::with_threads`].
-    #[must_use]
-    pub fn with_stamp_workers(mut self, stamp_workers: usize) -> Self {
-        self.sim = self.sim.with_stamp_workers(stamp_workers);
         self
     }
 
@@ -626,7 +613,7 @@ impl BatchSim {
                 .map_err(|e| BatchError::Engine(EngineError::Linear(e)))?,
         );
         let opts = self.sim.clone().with_solver(SolverHandle::batched(ordering));
-        let workers = self.workers().min(self.n_instances);
+        let workers = self.threads.min(self.n_instances);
         let prep_ns = start.elapsed().as_nanos();
 
         let sink = Mutex::new(on_result);
@@ -671,12 +658,6 @@ impl BatchSim {
     /// does not converge (even after its degraded-cache retry).
     pub fn run(&self) -> Result<BatchRun, BatchError> {
         self.run_outcome()?.into_run()
-    }
-
-    /// Batch workers implied by the two-level thread split:
-    /// `threads / max(stamp_workers, 1)`, at least 1.
-    pub fn workers(&self) -> usize {
-        (self.threads / self.sim.stamp_workers.max(1)).max(1)
     }
 }
 
@@ -928,24 +909,8 @@ mod tests {
     }
 
     #[test]
-    fn two_level_split_determines_workers() {
-        let batch = BatchSim::compile(&rc_circuit(), 1e-8, 1e-6)
-            .unwrap()
-            .with_threads(8)
-            .with_stamp_workers(2);
-        assert_eq!(batch.workers(), 4);
-        let serial = BatchSim::compile(&rc_circuit(), 1e-8, 1e-6).unwrap();
-        assert_eq!(serial.workers(), 1);
-    }
-
-    #[test]
     fn batch_matches_single_runs() {
-        // Pin serial stamping so a `WAVEPIPE_STAMP_WORKERS` CI leg cannot
-        // steal threads from the batch-level split.
-        let mut batch = BatchSim::compile(&rc_circuit(), 1e-8, 2e-6)
-            .unwrap()
-            .with_threads(2)
-            .with_stamp_workers(0);
+        let mut batch = BatchSim::compile(&rc_circuit(), 1e-8, 2e-6).unwrap().with_threads(2);
         batch.param("R1", ParamKind::Resistance).unwrap();
         batch.param("C1", ParamKind::Capacitance).unwrap();
         let corners = [(0.5e3, 1e-9), (1e3, 1e-9), (2e3, 2e-9)];
@@ -998,7 +963,7 @@ mod tests {
             // Every counter; the wall-clock fields are the only ones that may differ.
             let counts = |s: &wavepipe_engine::SimStats| {
                 let mut s = *s;
-                (s.wall_ns, s.stamp_ns, s.stamp_modeled_ns) = (0, 0, 0);
+                (s.wall_ns, s.stamp_ns) = (0, 0);
                 s
             };
             assert_eq!(counts(on.stats()), counts(off.stats()));
@@ -1066,10 +1031,7 @@ mod tests {
         // The acceptance scenario: 100 instances, 3 poisoned. The 97 clean
         // ones complete bit-identical to single runs; the 3 poisoned come
         // back as structured quarantine reports instead of erroring.
-        let mut batch = BatchSim::compile(&rc_circuit(), 1e-8, 1e-6)
-            .unwrap()
-            .with_threads(4)
-            .with_stamp_workers(0);
+        let mut batch = BatchSim::compile(&rc_circuit(), 1e-8, 1e-6).unwrap().with_threads(4);
         batch.param("R1", ParamKind::Resistance).unwrap();
         let poisoned = [7usize, 41, 88];
         for i in 0..100 {

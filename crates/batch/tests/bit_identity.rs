@@ -73,7 +73,6 @@ fn pinned_opts() -> SimOptions {
         .with_bypass(true)
         .with_chord_newton(true)
         .with_companion_cache(true)
-        .with_stamp_workers(0)
         .with_solver(SolverHandle::direct())
 }
 

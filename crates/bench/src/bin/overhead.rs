@@ -28,9 +28,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let small = args.iter().any(|a| a == "--small");
     let b = if small { generators::power_grid(4, 4) } else { generators::power_grid(12, 12) };
 
-    let off = SimOptions::default().with_stamp_workers(0).with_recovery(false);
-    let on = SimOptions::default().with_stamp_workers(0).with_recovery(true);
-    let wp = WavePipeOptions::new(Scheme::Backward, 2).with_stamp_workers(0);
+    let off = SimOptions::default().with_recovery(false);
+    let on = SimOptions::default().with_recovery(true);
+    let wp = WavePipeOptions::new(Scheme::Backward, 2);
 
     // Warm-up: fault the allocator and branch predictors equally.
     black_box(run_transient(&b.circuit, b.tstep, b.tstop, &off).unwrap());

@@ -454,13 +454,11 @@ mod tests {
                 .with_bypass(true)
                 .with_chord_newton(true)
                 .with_companion_cache(true)
-                .with_stamp_workers(0)
                 .with_faults(FaultPlan::new())
                 .with_solver(solver)
         };
         let (probe, registry) = (RecordingProbe::shared(), MetricsRegistry::shared());
         let opts = WavePipeOptions::new(Scheme::Serial, 1)
-            .with_stamp_workers(0)
             .with_sim(pinned(SolverHandle::direct()))
             .with_probe(ProbeHandle::new(probe.clone()))
             .with_metrics(MetricsHandle::new(registry.clone()));

@@ -340,133 +340,6 @@ pub fn fig_bp_ablation(b: &Benchmark) -> String {
     out
 }
 
-/// One measured point of the intra-step stamp-parallelism figure.
-#[derive(Debug, Clone)]
-pub struct StampPoint {
-    /// Stamp workers (`0` = serial stamping).
-    pub workers: usize,
-    /// Actual time spent stamping across the run, milliseconds.
-    pub stamp_ms: f64,
-    /// Critical-path-modeled stamp time (busiest worker + serial snapshot
-    /// and accumulation), milliseconds. Equals `stamp_ms` when serial.
-    pub modeled_stamp_ms: f64,
-    /// Stamp-phase-only modeled speedup vs the serial stamp.
-    pub stamp_speedup: f64,
-    /// Modeled per-point Newton speedup: serial wall over serial wall with
-    /// the stamp phase replaced by its parallel critical-path model. Valid
-    /// because colored stamping is bit-identical, so both runs perform the
-    /// same Newton trajectory point for point.
-    pub newton_speedup: f64,
-}
-
-/// **Stamp figure (E9)** — serial vs graph-colored parallel stamping: stamp
-/// time and modeled per-point Newton speedup at 1..=`max_workers` stamp
-/// workers. Every configuration is the *same* Newton trajectory (parallel
-/// stamping is bit-identical), so the comparison isolates device-evaluation
-/// parallelism from step-control noise.
-pub fn fig_stamp_scaling(b: &Benchmark, max_workers: usize) -> (String, Vec<StampPoint>) {
-    // Calibration dispatch: time each chunk's evaluation uncontended, so the
-    // critical-path model is not inflated by core oversubscription on the
-    // bench host (results are bit-identical with or without it).
-    std::env::set_var("WAVEPIPE_STAMP_SEQUENTIAL", "1");
-    // Each configuration is measured `REPEATS` times and the fastest run is
-    // kept — the minimum is the standard noise-floor estimator on a shared
-    // host. Trajectory identity is asserted on every run regardless.
-    const REPEATS: usize = 3;
-    let serial = run_serial(b);
-    let (mut wall0, mut stamp0) = (serial.stats().wall_ns as f64, serial.stats().stamp_ns as f64);
-    for _ in 1..REPEATS {
-        let again = run_serial(b);
-        if (again.stats().wall_ns as f64) < wall0 {
-            wall0 = again.stats().wall_ns as f64;
-            stamp0 = again.stats().stamp_ns as f64;
-        }
-    }
-    let mut out = String::new();
-    let _ = writeln!(out, "Stamp scaling: colored parallel device evaluation — {}", b.name);
-    let _ = writeln!(
-        out,
-        "{:<8} {:>12} {:>14} {:>12} {:>14}",
-        "workers", "stamp (ms)", "modeled (ms)", "stamp spdup", "newton spdup"
-    );
-    let mut points = Vec::with_capacity(max_workers + 1);
-    for workers in 0..=max_workers {
-        let stats = if workers == 0 {
-            let mut s = *serial.stats();
-            s.wall_ns = wall0 as u128;
-            s.stamp_ns = stamp0 as u128;
-            s.stamp_modeled_ns = stamp0 as u128;
-            s
-        } else {
-            let opts = SimOptions::default().with_stamp_workers(workers);
-            let mut best: Option<wavepipe_engine::SimStats> = None;
-            for _ in 0..REPEATS {
-                let res = run_transient(&b.circuit, b.tstep, b.tstop, &opts)
-                    .unwrap_or_else(|e| panic!("{}: stamp x{workers} failed: {e}", b.name));
-                assert_eq!(
-                    res.times(),
-                    serial.times(),
-                    "{}: parallel stamping altered the trajectory",
-                    b.name
-                );
-                if best.is_none_or(|s| res.stats().stamp_modeled_ns < s.stamp_modeled_ns) {
-                    best = Some(*res.stats());
-                }
-            }
-            best.expect("at least one repeat")
-        };
-        let modeled = stats.stamp_modeled_ns as f64;
-        let p = StampPoint {
-            workers,
-            stamp_ms: stats.stamp_ns as f64 / 1e6,
-            modeled_stamp_ms: modeled / 1e6,
-            stamp_speedup: if modeled > 0.0 { stamp0 / modeled } else { 1.0 },
-            newton_speedup: if wall0 > 0.0 { wall0 / (wall0 - stamp0 + modeled) } else { 1.0 },
-        };
-        let _ = writeln!(
-            out,
-            "{:<8} {:>12.2} {:>14.2} {:>11.2}x {:>13.2}x",
-            if p.workers == 0 { "serial".to_string() } else { format!("{}", p.workers) },
-            p.stamp_ms,
-            p.modeled_stamp_ms,
-            p.stamp_speedup,
-            p.newton_speedup,
-        );
-        points.push(p);
-    }
-    (out, points)
-}
-
-/// Machine-readable form of the stamp-scaling series — written by the
-/// `stamp` binary as `BENCH_stamp.json`.
-pub fn stamp_scaling_to_json(groups: &[(&str, &[StampPoint])]) -> String {
-    let mut out = String::from("{");
-    for (gi, (name, pts)) in groups.iter().enumerate() {
-        if gi > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\n  \"{}\": [", json::escape(name));
-        for (pi, p) in pts.iter().enumerate() {
-            if pi > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\n    {{\"workers\":{},\"stamp_ms\":{},\"modeled_stamp_ms\":{},\
-                 \"stamp_speedup\":{},\"newton_speedup\":{}}}",
-                p.workers,
-                json::fmt_f64(p.stamp_ms),
-                json::fmt_f64(p.modeled_stamp_ms),
-                json::fmt_f64(p.stamp_speedup),
-                json::fmt_f64(p.newton_speedup)
-            );
-        }
-        out.push_str("\n  ]");
-    }
-    out.push_str("\n}\n");
-    out
-}
-
 /// One caches-off / caches-on measurement pair — a row of the **Newton
 /// hot-path figure (E11)**.
 #[derive(Debug, Clone)]
@@ -505,15 +378,11 @@ pub struct NewtonPathRow {
 pub fn fig_newton_path(subjects: &[Benchmark]) -> (String, Vec<NewtonPathRow>) {
     const REPEATS: usize = 3;
     let off_opts = SimOptions::default()
-        .with_stamp_workers(0)
         .with_bypass(false)
         .with_chord_newton(false)
         .with_companion_cache(false);
-    let on_opts = SimOptions::default()
-        .with_stamp_workers(0)
-        .with_bypass(true)
-        .with_chord_newton(true)
-        .with_companion_cache(true);
+    let on_opts =
+        SimOptions::default().with_bypass(true).with_chord_newton(true).with_companion_cache(true);
     let best = |b: &Benchmark, opts: &SimOptions, what: &str| -> TransientResult {
         let mut best: Option<TransientResult> = None;
         for _ in 0..REPEATS {

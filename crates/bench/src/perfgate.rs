@@ -43,12 +43,6 @@ pub const MANIFEST: &[Source] = &[
         tolerance: DEFAULT_TOLERANCE,
     },
     Source {
-        stem: "stamp",
-        file: "BENCH_stamp.json",
-        extract: stamp_metrics,
-        tolerance: DEFAULT_TOLERANCE,
-    },
-    Source {
         stem: "sweep",
         file: "BENCH_sweep.json",
         extract: sweep_metrics,
@@ -130,27 +124,6 @@ fn newton_metrics(doc: &JsonValue) -> Result<Metrics, String> {
     for row in rows(doc)? {
         let name = text(row, "name")?;
         out.push((format!("newton/{name}/speedup"), num(row, name, "speedup")?));
-    }
-    Ok(out)
-}
-
-/// `BENCH_stamp.json` (`{circuit: [{workers, newton_speedup, ...}]}`): the
-/// per-worker-count newton speedups.
-fn stamp_metrics(doc: &JsonValue) -> Result<Metrics, String> {
-    let JsonValue::Obj(groups) = doc else {
-        return Err("expected a top-level object".to_string());
-    };
-    let mut out = Vec::new();
-    for (circuit, points) in groups {
-        let points = points.as_array().ok_or_else(|| format!("{circuit} not an array"))?;
-        for p in points {
-            let workers = num(p, circuit, "workers")?;
-            let s = num(p, circuit, "newton_speedup")?;
-            // workers=0 is the serial anchor (speedup identically 1).
-            if workers > 0.0 {
-                out.push((format!("stamp/{circuit}/w{workers}/newton_speedup"), s));
-            }
-        }
     }
     Ok(out)
 }
@@ -329,12 +302,6 @@ mod tests {
       {"name":"a","speedup":1.6,"off_ms":10.0,"on_ms":6.0},
       {"name":"b","speedup":1.3,"off_ms":20.0,"on_ms":15.0}
     ]"#;
-    const STAMP: &str = r#"{
-      "a": [
-        {"workers":0,"newton_speedup":1.0,"stamp_ms":5.0},
-        {"workers":2,"newton_speedup":1.2,"stamp_ms":4.0}
-      ]
-    }"#;
     const SWEEP: &str = r#"[
       {"circuit":"c","instances":100,"workers":8,"independent_ms":500.0,
        "batched_cpu_ms":450.0,"batched_makespan_ms":65.0,
@@ -374,7 +341,7 @@ mod tests {
     /// Gates the fixture documents against themselves, except that the
     /// fresh newton document is `fresh_newton`.
     fn gate_with(fresh_newton: &str) -> Result<GateReport, String> {
-        let docs: Vec<(String, String)> = [NEWTON, STAMP, SWEEP, OVERHEAD, SOLVER]
+        let docs: Vec<(String, String)> = [NEWTON, SWEEP, OVERHEAD, SOLVER]
             .iter()
             .zip(MANIFEST)
             .map(|(doc, s)| {
@@ -389,9 +356,9 @@ mod tests {
     fn identical_runs_pass() {
         let r = gate_with(NEWTON).unwrap();
         assert!(r.passed(), "{}", r.table());
-        // 2 newton + 1 non-serial stamp + 2 sweep + 2 recovery
+        // 2 newton + 2 sweep + 2 recovery
         // + 2 solver fill + 1 solver GMRES-vs-refactor ratio at 64+ unknowns
-        assert_eq!(r.metrics.len(), 10);
+        assert_eq!(r.metrics.len(), 9);
     }
 
     #[test]
@@ -429,31 +396,22 @@ mod tests {
     #[test]
     fn tolerance_override_applies_to_every_row() {
         let docs: Vec<(String, String)> =
-            vec![(NEWTON.to_string(), scaled_newton(0.9)), (STAMP.to_string(), STAMP.to_string())];
+            vec![(NEWTON.to_string(), scaled_newton(0.9)), (SWEEP.to_string(), SWEEP.to_string())];
         assert!(gate(&MANIFEST[..2], &docs, None).unwrap().passed());
         assert!(!gate(&MANIFEST[..2], &docs, Some(0.05)).unwrap().passed());
     }
 
     #[test]
     fn malformed_documents_are_an_error() {
-        let (newton, stamp, sweep, solver) =
-            (source("newton"), source("stamp"), source("sweep"), source("solver"));
+        let (newton, sweep, solver) = (source("newton"), source("sweep"), source("solver"));
         let err = newton.metrics("{not json").unwrap_err();
         assert!(err.starts_with("BENCH_newton.json: "), "{err}");
         assert!(newton.metrics("{}").is_err());
-        assert!(stamp.metrics("[]").is_err());
         assert!(newton.metrics(r#"[{"name":"x"}]"#).is_err());
         assert!(sweep.metrics("{}").is_err());
         assert!(sweep.metrics(r#"[{"circuit":"x","work_ratio":1.0}]"#).is_err());
         assert!(solver.metrics("{}").is_err());
         assert!(solver.metrics(r#"[{"circuit":"x","unknowns":16}]"#).is_err());
-    }
-
-    #[test]
-    fn serial_anchor_points_are_skipped() {
-        let ms = source("stamp").metrics(STAMP).unwrap();
-        assert_eq!(ms.len(), 1);
-        assert_eq!(ms[0].0, "stamp/a/w2/newton_speedup");
     }
 
     #[test]

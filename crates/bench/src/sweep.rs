@@ -14,7 +14,7 @@
 //!   round-robin over the workers exactly as [`BatchSim::run`] stripes
 //!   instances; the modeled makespan is the shared prep plus the heaviest
 //!   worker's total. This is the same modeled-parallel-machine convention
-//!   used by the stamp-scaling figure and `CaseOutcome::wall_speedup`: on a
+//!   used by `CaseOutcome::wall_speedup`: on a
 //!   single-core CI host the round maxima approximate a real multi-core
 //!   box without timing noise from oversubscription.
 //!
@@ -139,7 +139,7 @@ pub fn fig_sweep(b: &Benchmark, instances: usize, workers: usize) -> (String, Sw
     // through its shared batched direct backend, so the independent loop
     // must match it for the time-grid cross-check (and for the work-ratio
     // comparison to be solver-for-solver) even under `WAVEPIPE_SOLVER`.
-    let opts = SimOptions::default().with_stamp_workers(0).with_solver(SolverHandle::direct());
+    let opts = SimOptions::default().with_solver(SolverHandle::direct());
 
     // Independent loop: rebuild + recompile + solve per instance, each
     // timed individually.

@@ -101,15 +101,12 @@ pub fn run_wavepipe_recoverable(
 ) -> Result<RunOutcome> {
     match opts.scheme {
         Scheme::Serial => {
-            // Serial in the lane dimension only: stamp_workers still applies.
-            let outcome = run_transient_recoverable(circuit, tstep, tstop, &opts.lane_sim())?;
+            let outcome = run_transient_recoverable(circuit, tstep, tstop, &opts.sim)?;
             let result = outcome.result;
             let total = *result.stats();
             let report = WavePipeReport {
                 scheme: Scheme::Serial,
-                threads: 1 + opts.stamp_workers,
-                lanes: 1,
-                stamp_workers: opts.stamp_workers,
+                threads: 1,
                 rounds: total.steps_accepted + total.steps_rejected(),
                 critical_work: total.work_units(),
                 critical_ns: total.wall_ns,

@@ -44,16 +44,9 @@ impl std::fmt::Display for Scheme {
 pub struct WavePipeOptions {
     /// Pipelining scheme.
     pub scheme: Scheme,
-    /// Total thread budget (including the coordinating thread). Clamped to
-    /// at least 1; `Serial` ignores it for lane-level parallelism but still
-    /// honours [`WavePipeOptions::stamp_workers`].
+    /// Total thread budget (including the coordinating thread): one
+    /// pipeline lane each. Clamped to at least 1; `Serial` ignores it.
     pub threads: usize,
-    /// Stamp workers *per lane* for intra-step parallel device evaluation
-    /// (`0` = serial stamping, the default). When set, the thread budget is
-    /// split two-level: `threads / stamp_workers` pipeline lanes, each
-    /// driving `stamp_workers` device-evaluation workers — e.g. `threads: 4,
-    /// stamp_workers: 2` is a 2×2 split. See [`WavePipeOptions::lanes`].
-    pub stamp_workers: usize,
     /// Forward pipelining: pre-filter — multiplier on the Newton tolerance
     /// (node voltages only) above which a prediction is considered hopeless
     /// and the speculative solve is discarded without a refinement attempt.
@@ -100,15 +93,9 @@ pub struct WavePipeOptions {
 
 impl Default for WavePipeOptions {
     fn default() -> Self {
-        // Inherit the engine-level default (which honours the
-        // `WAVEPIPE_STAMP_WORKERS` environment override) so the env var
-        // reaches wavepipe runs too; `lane_sim()` re-applies this field on
-        // top of `sim`, so it must start out consistent.
-        let sim = SimOptions::default();
         WavePipeOptions {
             scheme: Scheme::default(),
             threads: 2,
-            stamp_workers: sim.stamp_workers,
             fp_accept_factor: 200.0,
             fp_refine_iters: 4,
             fp_stride_factor: 1.0,
@@ -116,7 +103,7 @@ impl Default for WavePipeOptions {
             bp_growth_gate: 0.0,
             bp_budget_slack: f64::INFINITY,
             worker_respawns: 1,
-            sim,
+            sim: SimOptions::default(),
         }
     }
 }
@@ -141,11 +128,13 @@ impl WavePipeOptions {
         self
     }
 
-    /// Sets the per-lane stamp worker count (`0` disables intra-step
-    /// parallelism). See [`WavePipeOptions::stamp_workers`].
+    /// Inert: the stamp-worker layer this sized is deleted, and every lane
+    /// stamps through the one serial kernel whatever is passed. Kept because
+    /// `benchmark/`, which a code change may not edit, calls it; it goes
+    /// with ROADMAP item 4's benchmark-only follow-up.
+    #[doc(hidden)]
     #[must_use]
-    pub fn with_stamp_workers(mut self, workers: usize) -> Self {
-        self.stamp_workers = workers;
+    pub fn with_stamp_workers(self, _: usize) -> Self {
         self
     }
 
@@ -271,30 +260,11 @@ impl WavePipeOptions {
         self
     }
 
-    /// Number of pipeline lanes the thread budget affords: `threads` when
-    /// stamping is serial, `threads / stamp_workers` (at least 1) under the
-    /// two-level split.
-    pub fn lanes(&self) -> usize {
-        let threads = self.threads.max(1);
-        match threads.checked_div(self.stamp_workers) {
-            None => threads,
-            Some(lanes) => lanes.max(1),
-        }
-    }
-
-    /// Engine options for one pipeline lane: the embedded [`SimOptions`]
-    /// with the per-lane stamp worker count applied.
-    pub fn lane_sim(&self) -> SimOptions {
-        let mut sim = self.sim.clone();
-        sim.stamp_workers = self.stamp_workers;
-        sim
-    }
-
     /// Number of concurrent point-solves a round may issue.
     pub fn width(&self) -> usize {
         match self.scheme {
             Scheme::Serial => 1,
-            _ => self.lanes(),
+            _ => self.threads.max(1),
         }
     }
 }
@@ -318,23 +288,8 @@ mod tests {
 
     #[test]
     fn width_is_one_for_serial() {
-        // `with_stamp_workers(0)` pins the tests against the ambient
-        // `WAVEPIPE_STAMP_WORKERS` override, which `default()` inherits.
-        let o = WavePipeOptions::new(Scheme::Serial, 8).with_stamp_workers(0);
-        assert_eq!(o.width(), 1);
-        assert_eq!(WavePipeOptions::new(Scheme::Backward, 3).with_stamp_workers(0).width(), 3);
-    }
-
-    #[test]
-    fn thread_budget_splits_into_lanes_and_stamp_workers() {
-        let o = WavePipeOptions::new(Scheme::Backward, 4).with_stamp_workers(0);
-        assert_eq!(o.lanes(), 4);
-        let o = o.with_stamp_workers(2);
-        assert_eq!(o.lanes(), 2, "4 threads = 2 lanes x 2 stamp workers");
-        assert_eq!(o.width(), 2);
-        assert_eq!(o.lane_sim().stamp_workers, 2);
-        // Oversubscribed stamp workers still leave one lane.
-        assert_eq!(WavePipeOptions::new(Scheme::Backward, 2).with_stamp_workers(8).lanes(), 1);
+        assert_eq!(WavePipeOptions::new(Scheme::Serial, 8).width(), 1);
+        assert_eq!(WavePipeOptions::new(Scheme::Backward, 3).width(), 3);
     }
 
     #[test]
@@ -342,12 +297,10 @@ mod tests {
         let o = WavePipeOptions::default()
             .with_scheme(Scheme::Forward)
             .with_threads(6)
-            .with_stamp_workers(3)
             .with_fp_refine_iters(7)
             .with_bp_adaptive_lead(false);
         assert_eq!(o.scheme, Scheme::Forward);
         assert_eq!(o.threads, 6);
-        assert_eq!(o.lanes(), 2);
         assert_eq!(o.fp_refine_iters, 7);
         assert!(!o.bp_adaptive_lead);
     }

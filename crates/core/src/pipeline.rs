@@ -308,9 +308,7 @@ impl Driver {
     pub fn new(circuit: &Circuit, tstep: f64, tstop: f64, wp: &WavePipeOptions) -> Result<Self> {
         let run_start = Instant::now();
         let sys = Arc::new(MnaSystem::compile(circuit)?);
-        // Each lane (lead + pool workers) gets the per-lane engine options,
-        // so the thread budget splits lanes x stamp workers.
-        let mut lane_sim = wp.lane_sim();
+        let mut lane_sim = wp.sim.clone();
         if lane_sim.solver.is_direct() {
             // The fill-reducing ordering is a function of the pattern alone:
             // work it out once for all lanes, as a batch does for its
@@ -697,8 +695,6 @@ impl Driver {
             result,
             scheme,
             threads: self.wp.threads,
-            lanes: self.wp.lanes(),
-            stamp_workers: self.wp.stamp_workers,
             rounds: self.rounds,
             critical_work: self.critical_work,
             critical_ns: self.critical_ns,
@@ -869,16 +865,12 @@ mod tests {
         assert_eq!(got, Err(RecvError));
     }
 
-    fn wp(scheme: Scheme, threads: usize) -> WavePipeOptions {
-        // Pin serial stamping so the `WAVEPIPE_STAMP_WORKERS` override cannot
-        // fold the thread budget into fewer lanes.
-        WavePipeOptions::new(scheme, threads).with_stamp_workers(0)
-    }
-
     #[test]
     fn driver_with_idle_workers_drops_promptly() {
         let b = generators::rc_ladder(4);
-        let drv = Driver::new(&b.circuit, b.tstep, b.tstop, &wp(Scheme::Backward, 3)).unwrap();
+        let drv =
+            Driver::new(&b.circuit, b.tstep, b.tstop, &WavePipeOptions::new(Scheme::Backward, 3))
+                .unwrap();
         // Let the idle workers run out their poll bound and park.
         std::thread::sleep(PARKED_BY);
         let start = Instant::now();
@@ -889,7 +881,9 @@ mod tests {
     #[test]
     fn ledger_partitions_the_stepping_loop() {
         let b = generators::power_grid(8, 8);
-        let mut drv = Driver::new(&b.circuit, b.tstep, b.tstop, &wp(Scheme::Backward, 2)).unwrap();
+        let mut drv =
+            Driver::new(&b.circuit, b.tstep, b.tstop, &WavePipeOptions::new(Scheme::Backward, 2))
+                .unwrap();
         // Set-up and worker spawn are behind us: from here to the end of
         // `drive` the ledger's laps are all that runs.
         let start = Instant::now();
@@ -902,8 +896,13 @@ mod tests {
         assert!(ledger <= rep.total.wall_ns, "{ledger} > {}", rep.total.wall_ns);
         assert!(ledger * 10 >= stepping * 9, "ledger {ledger} ns of {stepping} ns stepping");
 
-        let x1 = crate::run_wavepipe(&b.circuit, b.tstep, b.tstop, &wp(Scheme::Backward, 1))
-            .expect("width-1 run");
+        let x1 = crate::run_wavepipe(
+            &b.circuit,
+            b.tstep,
+            b.tstop,
+            &WavePipeOptions::new(Scheme::Backward, 1),
+        )
+        .expect("width-1 run");
         assert_eq!(x1.wait_ns, 0);
         assert!(x1.lead_ns > 0 && x1.commit_ns > 0);
     }

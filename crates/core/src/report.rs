@@ -25,13 +25,9 @@ pub struct WavePipeReport {
     pub result: TransientResult,
     /// The scheme that produced it.
     pub scheme: Scheme,
-    /// Threads configured (total budget across lanes and stamp workers).
+    /// Threads configured, one pipeline lane each (`1` for a
+    /// [`Scheme::Serial`] run).
     pub threads: usize,
-    /// Pipeline lanes the budget afforded (equals `threads` unless the
-    /// two-level lanes x stamp-workers split is active).
-    pub lanes: usize,
-    /// Per-lane stamp workers (`0` when stamping ran serially).
-    pub stamp_workers: usize,
     /// Parallel rounds executed.
     pub rounds: usize,
     /// Work summed across all threads.
@@ -99,14 +95,8 @@ impl WavePipeReport {
         (self.lead_accepted + self.speculation_accepted) as f64 / total as f64
     }
 
-    /// One-line human-readable summary. With the two-level split active the
-    /// thread count is shown as `lanes x stamp workers`.
+    /// One-line human-readable summary.
     pub fn summary(&self) -> String {
-        let split = if self.stamp_workers > 0 {
-            format!("{}={}x{}", self.threads, self.lanes, self.stamp_workers)
-        } else {
-            format!("{}", self.threads)
-        };
         let faults = if self.workers_lost > 0 {
             format!(", {} workers lost", self.workers_lost)
         } else {
@@ -116,7 +106,7 @@ impl WavePipeReport {
         format!(
             "{} x{}: {} pts, {} rounds, cp {} units / {:.2} ms, accept {:.0}%{}{}",
             self.scheme,
-            split,
+            self.threads,
             self.result.len(),
             self.rounds,
             self.critical_work,
@@ -180,8 +170,6 @@ mod tests {
             result: TransientResult::new(1, vec!["a".into()]),
             scheme: Scheme::Backward,
             threads: 2,
-            lanes: 2,
-            stamp_workers: 0,
             rounds: 10,
             total: SimStats::new(),
             critical_work,
@@ -222,7 +210,7 @@ mod tests {
     #[test]
     fn summary_contains_scheme_and_ledger() {
         let s = dummy_report(1).summary();
-        assert!(s.contains("backward"));
+        assert!(s.contains("backward x2:"), "{s}");
         assert!(s.contains("dispatch/lead/wait/commit 0.10/0.80/0.30/0.05 ms"), "{s}");
         let serial = WavePipeReport { scheme: Scheme::Serial, ..dummy_report(1) };
         assert_eq!(serial.handoff_ledger(), None);
@@ -246,14 +234,5 @@ mod tests {
             error: Some(EngineError::Cancelled { time: 1e-9 }),
         };
         assert!(matches!(partial.into_result(), Err(EngineError::Cancelled { .. })));
-    }
-
-    #[test]
-    fn summary_shows_thread_split_when_stamping_in_parallel() {
-        let mut r = dummy_report(1);
-        r.threads = 4;
-        r.lanes = 2;
-        r.stamp_workers = 2;
-        assert!(r.summary().contains("x4=2x2"), "{}", r.summary());
     }
 }

@@ -358,14 +358,6 @@ mod tests {
     use wavepipe_circuit::generators::{self, Benchmark};
     use wavepipe_engine::{run_transient, SimOptions, TransientResult};
 
-    /// Options with serial stamping pinned: most of these tests assert
-    /// lane-level scheduling at exact thread counts, which the
-    /// `WAVEPIPE_STAMP_WORKERS` override would otherwise fold into a smaller
-    /// lane budget.
-    fn wp(scheme: Scheme, threads: usize) -> WavePipeOptions {
-        WavePipeOptions::new(scheme, threads).with_stamp_workers(0)
-    }
-
     fn serial(b: &Benchmark) -> TransientResult {
         run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default()).unwrap()
     }
@@ -394,8 +386,13 @@ mod tests {
         // leads, so its EMA could only fall and speculation latched off.
         let b = generators::power_grid(4, 4);
         for plan in [Plan { ladder: 2, chain: 0 }, Plan { ladder: 2, chain: 1 }] {
-            let mut drv = Driver::new(&b.circuit, b.tstep, b.tstop, &wp(Scheme::Combined, 3))
-                .expect("driver");
+            let mut drv = Driver::new(
+                &b.circuit,
+                b.tstep,
+                b.tstop,
+                &WavePipeOptions::new(Scheme::Combined, 3),
+            )
+            .expect("driver");
             let mut seen = 0usize;
             while !drv.ctl.done() {
                 let (ema, accepted) = (drv.lead_ema, drv.lead_accepted);
@@ -413,7 +410,7 @@ mod tests {
     fn backward_matches_serial_on_rc_ladder() {
         let b = generators::rc_ladder(8);
         let serial = serial(&b);
-        let rep = run(&b, &wp(Scheme::Backward, 2));
+        let rep = run(&b, &WavePipeOptions::new(Scheme::Backward, 2));
         let probe = serial.unknown_of(&b.probes[0]).unwrap();
         let dev = serial.max_deviation(&rep.result, probe);
         assert!(dev < 0.02, "deviation vs serial = {dev}");
@@ -425,7 +422,7 @@ mod tests {
         // discontinuities (where serial is limited to one rmax stretch per
         // solve); the pulsed power grid spends most of its time there.
         let b = generators::power_grid(4, 4);
-        let rep = run(&b, &wp(Scheme::Backward, 2));
+        let rep = run(&b, &WavePipeOptions::new(Scheme::Backward, 2));
         let speedup = rep.modeled_speedup(serial(&b).stats());
         assert!(speedup > 1.3, "modeled speedup = {speedup:.2}");
         assert!(rep.lead_accepted > 0);
@@ -434,7 +431,7 @@ mod tests {
     #[test]
     fn one_thread_backward_degenerates_to_serial_behaviour() {
         let b = generators::rc_ladder(6);
-        let rep = run(&b, &wp(Scheme::Backward, 1));
+        let rep = run(&b, &WavePipeOptions::new(Scheme::Backward, 1));
         assert_eq!(rep.lead_accepted, 0);
         assert_eq!(rep.lead_rejected, 0);
         assert!(rep.result.len() > 10);
@@ -447,7 +444,7 @@ mod tests {
         // of the same magnitude), so the accuracy assertion uses the RMS
         // metric plus a generous pointwise band.
         let b = generators::diode_rectifier();
-        let rep = run(&b, &wp(Scheme::Backward, 2));
+        let rep = run(&b, &WavePipeOptions::new(Scheme::Backward, 2));
         let eq = verify::compare(&serial(&b), &rep.result);
         assert!(eq.rms_rel() < 0.01, "rms deviation = {}", eq.rms_rel());
         assert!(eq.max_rel() < 0.10, "max deviation = {}", eq.max_rel());
@@ -457,7 +454,7 @@ mod tests {
     fn forward_matches_serial_on_rc_ladder() {
         let b = generators::rc_ladder(8);
         let serial = serial(&b);
-        let rep = run(&b, &wp(Scheme::Forward, 2));
+        let rep = run(&b, &WavePipeOptions::new(Scheme::Forward, 2));
         let probe = serial.unknown_of(&b.probes[0]).unwrap();
         let dev = serial.max_deviation(&rep.result, probe);
         assert!(dev < 0.02, "deviation vs serial = {dev}");
@@ -466,7 +463,7 @@ mod tests {
     #[test]
     fn forward_accepts_speculation_on_smooth_waveforms() {
         let b = generators::amp_chain(1);
-        let rep = run(&b, &wp(Scheme::Forward, 2));
+        let rep = run(&b, &WavePipeOptions::new(Scheme::Forward, 2));
         let total_spec = rep.speculation_accepted + rep.speculation_rejected;
         assert!(total_spec > 0, "no speculation attempted");
         assert!(
@@ -485,11 +482,13 @@ mod tests {
         // best case is parity; on Newton-heavier nonlinear circuits the
         // refinement is cheaper than a cold solve and FP pulls ahead.
         let lin = generators::rc_ladder(8);
-        let s_lin = run(&lin, &wp(Scheme::Forward, 2)).modeled_speedup(serial(&lin).stats());
+        let s_lin = run(&lin, &WavePipeOptions::new(Scheme::Forward, 2))
+            .modeled_speedup(serial(&lin).stats());
         assert!(s_lin > 0.80, "linear-circuit FP should stay near parity, got {s_lin:.3}");
 
         let amp = generators::amp_chain(1);
-        let s_amp = run(&amp, &wp(Scheme::Forward, 2)).modeled_speedup(serial(&amp).stats());
+        let s_amp = run(&amp, &WavePipeOptions::new(Scheme::Forward, 2))
+            .modeled_speedup(serial(&amp).stats());
         assert!(s_amp > 1.0, "nonlinear-circuit FP speedup = {s_amp:.3}");
     }
 
@@ -497,7 +496,7 @@ mod tests {
     fn forward_handles_digital_switching() {
         let b = generators::inverter_chain(3);
         let serial = serial(&b);
-        let rep = run(&b, &wp(Scheme::Forward, 2));
+        let rep = run(&b, &WavePipeOptions::new(Scheme::Forward, 2));
         let probe = serial.unknown_of(&b.probes[0]).unwrap();
         // Digital edges shift slightly between grids; compare peak behaviour
         // and a generous pointwise band rather than exact alignment.
@@ -523,8 +522,10 @@ mod tests {
         // neighbourhood — the speculation may add or cost a little.
         let b = generators::power_grid(4, 4);
         let serial = serial(&b);
-        let s_bwd = run(&b, &wp(Scheme::Backward, 2)).modeled_speedup(serial.stats());
-        let s_cmb = run(&b, &wp(Scheme::Combined, 4)).modeled_speedup(serial.stats());
+        let s_bwd =
+            run(&b, &WavePipeOptions::new(Scheme::Backward, 2)).modeled_speedup(serial.stats());
+        let s_cmb =
+            run(&b, &WavePipeOptions::new(Scheme::Combined, 4)).modeled_speedup(serial.stats());
         assert!(s_bwd > 1.15, "backward should pay here, got {s_bwd:.2}");
         assert!(s_cmb > s_bwd * 0.75, "combined ({s_cmb:.2}) should track backward ({s_bwd:.2})");
     }
@@ -568,7 +569,7 @@ mod tests {
         // Probing guarantees both lead and speculation statistics appear on
         // a long enough run.
         let b = generators::diode_rectifier();
-        let rep = run(&b, &wp(Scheme::Adaptive, 2));
+        let rep = run(&b, &WavePipeOptions::new(Scheme::Adaptive, 2));
         let bp_attempts = rep.lead_accepted + rep.lead_rejected;
         let fp_attempts = rep.speculation_accepted + rep.speculation_rejected;
         assert!(bp_attempts > 0, "no backward rounds were played");

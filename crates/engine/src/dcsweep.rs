@@ -107,9 +107,6 @@ pub fn run_dc_sweep(
 
     let mut data = Vec::with_capacity(values.len() * n);
     // First point with full continuation.
-    //
-    // The sweep mutates `sys` between points, so the stamp executor's frozen
-    // snapshot would go stale: every solve here stays on the serial path.
     let mut x = dc_operating_point(&sys, &mut ws, &mut cache, None, opts, &mut stats)?;
     data.extend_from_slice(&x);
 
@@ -132,7 +129,6 @@ pub fn run_dc_sweep(
             &sys,
             &mut ws,
             &mut cache,
-            None,
             &input,
             &x,
             opts.max_dc_iters,

@@ -7,8 +7,7 @@
 //! | [`flag`], default on | `WAVEPIPE_BYPASS`, `WAVEPIPE_CHORD`, `WAVEPIPE_RECOVERY` |
 //! | [`flag`], default off | `WAVEPIPE_FAULT_NC` |
 //! | [`value`] | `WAVEPIPE_SOLVER`, `WAVEPIPE_ORDERING`, and — parsed — the `WAVEPIPE_GMRES_*` tunings |
-//! | [`number`] | `WAVEPIPE_STAMP_WORKERS`, `WAVEPIPE_FAULT_SEED` |
-//! | [`set_and_not_zero`] | `WAVEPIPE_STAMP_SEQUENTIAL` |
+//! | [`number`] | `WAVEPIPE_FAULT_SEED` |
 
 use std::str::FromStr;
 
@@ -31,12 +30,6 @@ pub fn number<T: FromStr>(name: &str) -> Option<T> {
     std::env::var(name).ok()?.parse().ok()
 }
 
-/// On when the knob is set to anything but exactly `0` — a blank value and
-/// `false` included.
-pub fn set_and_not_zero(name: &str) -> bool {
-    std::env::var_os(name).is_some_and(|v| v != "0")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -48,22 +41,20 @@ mod tests {
         let name = "WP_ENV_RULES_TEST";
         assert_eq!((value(name), flag(name, true), flag(name, false)), (None, true, false));
         assert_eq!(number::<usize>(name), None);
-        assert!(!set_and_not_zero(name));
-        for (raw, trimmed, on, num, not_zero) in [
-            (" gmres ", Some("gmres"), true, None, true),
-            ("  ", None, true, None, true),
-            (" off", Some("off"), false, None, true),
-            ("false", Some("false"), false, None, true),
-            ("0", Some("0"), false, Some(0usize), false),
-            ("2", Some("2"), true, Some(2), true),
-            (" 2", Some("2"), true, None, true),
+        for (raw, trimmed, on, num) in [
+            (" gmres ", Some("gmres"), true, None),
+            ("  ", None, true, None),
+            (" off", Some("off"), false, None),
+            ("false", Some("false"), false, None),
+            ("0", Some("0"), false, Some(0usize)),
+            ("2", Some("2"), true, Some(2)),
+            (" 2", Some("2"), true, None),
         ] {
             std::env::set_var(name, raw);
             assert_eq!(value(name).as_deref(), trimmed, "{raw:?}");
             assert_eq!(flag(name, true), on, "{raw:?}");
             assert_eq!(flag(name, false), on && trimmed.is_some(), "{raw:?}");
             assert_eq!(number(name), num, "{raw:?}");
-            assert_eq!(set_and_not_zero(name), not_zero, "{raw:?}");
         }
         std::env::remove_var(name);
     }

@@ -114,7 +114,7 @@ pub enum EngineError {
         /// The missing source name.
         name: String,
     },
-    /// A pool or stamp worker died (panicked or disappeared) while holding a
+    /// A pool worker died (panicked or disappeared) while holding a
     /// task. The runtime drains the round, retires the worker, and continues
     /// on the surviving lanes; this error only escapes when the *lead* lane
     /// is the one that died.

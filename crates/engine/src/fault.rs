@@ -4,9 +4,8 @@
 //! (lane, per-solver solve index) and *nothing else*, whether to inject a
 //! fault and which kind. Two modes compose:
 //!
-//! * **Targeted rules** ([`FaultPlan::with_solve_fault`],
-//!   [`FaultPlan::with_stamp_panic`]) pin a specific fault to a specific
-//!   lane/solve or stamp worker/call — the tool the regression tests use to
+//! * **Targeted rules** ([`FaultPlan::with_solve_fault`]) pin a specific
+//!   fault to a specific lane/solve — the tool the regression tests use to
 //!   reproduce one failure exactly.
 //! * **Seeded chaos** ([`FaultPlan::seeded`], env-selectable via
 //!   `WAVEPIPE_FAULT_SEED`) sprays rare pseudo-random faults across the whole
@@ -67,12 +66,6 @@ struct SolveRule {
     kind: FaultKind,
 }
 
-#[derive(Debug, Clone, PartialEq)]
-struct StampRule {
-    worker: usize,
-    call: u64,
-}
-
 /// A deterministic schedule of injected faults. Inert by default.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultPlan {
@@ -81,7 +74,6 @@ pub struct FaultPlan {
     /// (opt-in: the classic chaos legs pin soft singular/NaN faults only).
     nc_chaos: bool,
     solve_rules: Vec<SolveRule>,
-    stamp_rules: Vec<StampRule>,
 }
 
 /// splitmix64-style avalanche of (seed, lane, solve) into a chaos draw.
@@ -137,16 +129,9 @@ impl FaultPlan {
         self
     }
 
-    /// Builder: panics stamp worker `worker` on its `call`-th evaluation.
-    #[must_use]
-    pub fn with_stamp_panic(mut self, worker: usize, call: u64) -> Self {
-        self.stamp_rules.push(StampRule { worker, call });
-        self
-    }
-
     /// True when the plan can never fire.
     pub fn is_inert(&self) -> bool {
-        self.seed.is_none() && self.solve_rules.is_empty() && self.stamp_rules.is_empty()
+        self.seed.is_none() && self.solve_rules.is_empty()
     }
 
     /// The fault (if any) for the `solve`-th point solve on `lane`.
@@ -175,17 +160,9 @@ impl FaultPlan {
             Some(FaultKind::SingularMatrix)
         }
     }
-
-    /// True when stamp worker `worker` should panic on its `call`-th
-    /// evaluation. Chaos never fires here: a stamp-worker panic permanently
-    /// degrades the executor to serial stamping, which would silently void
-    /// the suite's parallel-stamping coverage.
-    pub fn stamp_panic(&self, worker: usize, call: u64) -> bool {
-        self.stamp_rules.iter().any(|r| r.worker == worker && r.call == call)
-    }
 }
 
-/// Shared handle threading a [`FaultPlan`] through solvers and executors,
+/// Shared handle threading a [`FaultPlan`] through solvers,
 /// mirroring [`wavepipe_telemetry::ProbeHandle`]: an inert handle is a
 /// single branch per solve, and `with_lane` tags each pipeline lane's copy
 /// so injection sites know where they run.
@@ -241,16 +218,6 @@ impl FaultHandle {
     pub fn solve_fault(&self, solve: u64) -> Option<FaultKind> {
         self.plan.as_ref()?.solve_fault(self.lane, solve)
     }
-
-    /// True when stamp worker `worker` should panic on its `call`-th
-    /// evaluation.
-    #[inline]
-    pub fn stamp_panic(&self, worker: usize, call: u64) -> bool {
-        match &self.plan {
-            Some(p) => p.stamp_panic(worker, call),
-            None => false,
-        }
-    }
 }
 
 impl PartialEq for FaultHandle {
@@ -275,7 +242,6 @@ mod tests {
         for s in 0..1000 {
             assert_eq!(h.solve_fault(s), None);
         }
-        assert!(!h.stamp_panic(0, 0));
     }
 
     #[test]
@@ -322,7 +288,6 @@ mod tests {
         }
         assert!(fired > 0, "chaos never fired in 16000 draws");
         assert!(fired < 160, "chaos fired implausibly often: {fired}");
-        assert!(!a.stamp_panic(0, 0), "chaos must not panic stamp workers");
     }
 
     #[test]
@@ -352,14 +317,6 @@ mod tests {
         let b = FaultPlan::seeded(2);
         let same = (0..20_000u64).all(|s| a.solve_fault(1, s) == b.solve_fault(1, s));
         assert!(!same, "seeds 1 and 2 produced identical schedules");
-    }
-
-    #[test]
-    fn stamp_rule_targets_one_call() {
-        let h = FaultHandle::new(FaultPlan::new().with_stamp_panic(1, 3));
-        assert!(h.stamp_panic(1, 3));
-        assert!(!h.stamp_panic(1, 2));
-        assert!(!h.stamp_panic(0, 3));
     }
 
     #[test]

@@ -66,7 +66,6 @@ pub mod measure;
 pub mod mna;
 pub mod newton;
 mod options;
-pub mod parstamp;
 pub mod rawfile;
 pub mod recovery;
 mod result;
@@ -86,7 +85,6 @@ pub use integrate::{IntegCoeffs, Method};
 pub use krylov::{parse_ordering, GmresBackend, GmresConfig, KrylovStats};
 pub use mna::{MnaSystem, MnaWorkspace, StampInput, StampResult};
 pub use options::{CacheCtl, SimOptions};
-pub use parstamp::StampExecutor;
 pub use result::TransientResult;
 pub use sensitivity::{run_dc_sensitivity, SensitivityResult};
 pub use solver::{DirectLu, SolverBackend, SolverFactory, SolverHandle};

@@ -316,10 +316,8 @@ impl LinKey {
 /// step-size-keyed companion (linear-matrix) cache.
 ///
 /// The bypass decision is a pure function of the iterate and this state, and
-/// the state itself only changes on actual device evaluations — which the
-/// serial and parallel stamp paths perform for exactly the same devices with
-/// exactly the same inputs — so caching never breaks the parallel-vs-serial
-/// bit-identity property.
+/// the state itself only changes on actual device evaluations, so two runs
+/// with the same options take the same decisions.
 #[derive(Debug, Clone)]
 pub(crate) struct StampCaches {
     /// Per-device: the cached stamp may be replayed (the device was
@@ -327,8 +325,7 @@ pub(crate) struct StampCaches {
     /// changed since).
     valid: Vec<bool>,
     /// Per-device bypass decision of the current stamp pass (recomputed from
-    /// `valid` + the iterate: up-front by `compute_bypass_mask` on the
-    /// parallel path, device by device on the serial one).
+    /// `valid` + the iterate, device by device).
     pub(crate) mask: Vec<bool>,
     /// Controlling terminal voltages at the last actual evaluation, flat in
     /// `MnaSystem::ctrl_span` order. Updated *only* on evaluation — updating
@@ -410,47 +407,19 @@ pub struct MnaSystem {
     ctrl_span: Vec<(u32, u32)>,
 }
 
-/// Compile-time plan for colored parallel stamping: per-device emission
-/// spans plus a conflict coloring that fixes the accumulation order.
-///
-/// Two devices *conflict* iff they write a shared matrix slot or RHS entry.
-/// Colors are assigned by *level*: a device's color is one more than the
-/// highest color among earlier (lower-index) devices it conflicts with. This
-/// is a proper coloring (conflicting devices never share a color), and it has
-/// the stronger property that replaying devices in color-then-element order
-/// visits every conflicting pair in element order — so each matrix slot and
-/// RHS entry receives its floating-point contributions in exactly the serial
-/// sequence, making parallel stamping bit-identical to serial.
+/// Per-device emission spans, frozen at compile time: where each device's
+/// matrix and RHS emissions sit in emission order, which is how the bypass
+/// cache finds a device's stamp to replay.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct StampPlan {
+struct StampPlan {
     /// Per-device `[start, end)` of matrix emissions, in emission-cursor
     /// space (indices into `MnaSystem::slots`; the node-shunt prologue
     /// occupies cursors `0..n_nodes`).
-    pub mat_span: Vec<(u32, u32)>,
+    mat_span: Vec<(u32, u32)>,
     /// Per-device `[start, end)` into `rhs_targets`.
-    pub rhs_span: Vec<(u32, u32)>,
+    rhs_span: Vec<(u32, u32)>,
     /// Unknown index of every non-ground RHS emission, in emission order.
-    pub rhs_targets: Vec<u32>,
-    /// Per-device color (stamp group).
-    pub color: Vec<u32>,
-    /// Device indices sorted color-then-element: `order[group[c]..group[c+1]]`
-    /// is color `c`'s group, ascending by element index within the group.
-    pub order: Vec<u32>,
-    /// Color group boundaries into `order` (`n_colors + 1` entries).
-    pub group: Vec<u32>,
-    /// `order` restricted to nonlinear devices — the subset the parallel
-    /// path actually farms out (linear devices are stamped by the master's
-    /// linear phase). Conflicting nonlinear pairs keep their strictly
-    /// increasing colors from the full coloring, so replaying `nl_order`
-    /// still visits them in element order.
-    pub nl_order: Vec<u32>,
-}
-
-impl StampPlan {
-    /// Number of stamp colors (conflict-free device groups).
-    pub fn n_colors(&self) -> usize {
-        self.group.len().saturating_sub(1)
-    }
+    rhs_targets: Vec<u32>,
 }
 
 /// Emission target for [`MnaSystem::emit_device`]. Every implementation
@@ -484,38 +453,6 @@ impl EmitSink for RecordSink {
             return;
         }
         self.rhs.push(u as u32);
-    }
-}
-
-/// Parallel evaluation: writes values densely in emission order into
-/// pre-sized buffers (the plan spans fix every count up-front, so plain
-/// cursor stores suffice — no `push` capacity checks on the hot path); the
-/// accumulator later scatters them through the slot table in the fixed
-/// color-then-element order.
-struct BufferSink<'a> {
-    mat: &'a mut [f64],
-    mat_cursor: usize,
-    rhs: &'a mut [f64],
-    rhs_cursor: usize,
-}
-
-impl EmitSink for BufferSink<'_> {
-    #[inline]
-    fn mat(&mut self, r: usize, c: usize, v: f64) {
-        if r == GND || c == GND {
-            return;
-        }
-        self.mat[self.mat_cursor] = v;
-        self.mat_cursor += 1;
-    }
-
-    #[inline]
-    fn rhs(&mut self, u: usize, v: f64) {
-        if u == GND {
-            return;
-        }
-        self.rhs[self.rhs_cursor] = v;
-        self.rhs_cursor += 1;
     }
 }
 
@@ -605,37 +542,6 @@ impl EmitSink for FusedNlSink<'_> {
     }
 }
 
-/// How a stamping pass reads and writes the `pnjlim` junction memory.
-///
-/// Serial stamping updates the workspace in place. Parallel evaluation reads
-/// an immutable pre-stamp snapshot and records its writes so the accumulator
-/// can replay them; every junction slot is owned by exactly one device, so
-/// the replay order across devices is irrelevant.
-pub(crate) enum Junction<'a> {
-    /// Serial stamp: the workspace's junction state, updated in place.
-    InPlace(&'a mut [f64]),
-    /// Parallel evaluation: snapshot reads, recorded writes.
-    Buffered { snapshot: &'a [f64], writes: &'a mut Vec<(u32, f64)> },
-}
-
-impl Junction<'_> {
-    #[inline]
-    fn get(&self, i: usize) -> f64 {
-        match self {
-            Junction::InPlace(j) => j[i],
-            Junction::Buffered { snapshot, .. } => snapshot[i],
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, i: usize, v: f64) {
-        match self {
-            Junction::InPlace(j) => j[i] = v,
-            Junction::Buffered { writes, .. } => writes.push((i as u32, v)),
-        }
-    }
-}
-
 #[inline]
 fn volt(x: &[f64], u: usize) -> f64 {
     if u == GND {
@@ -647,8 +553,8 @@ fn volt(x: &[f64], u: usize) -> f64 {
 
 /// The value-bearing half of a compiled system: everything `compile` derives
 /// from element parameters, separated from the frozen structural half
-/// (pattern, slot table, coloring) so a parameter sweep can rebuild only
-/// this part. Built by [`MnaSystem::build_devices`], the single derivation
+/// (pattern, slot table, emission spans) so a parameter sweep can rebuild
+/// only this part. Built by [`MnaSystem::build_devices`], the single derivation
 /// path shared by [`MnaSystem::compile`] and
 /// [`MnaSystem::with_values_from`] — sharing the code is what makes the
 /// derived constants (`g = 1/R`, `beta`, `vt0_eq`, ...) bit-identical
@@ -905,7 +811,7 @@ impl MnaSystem {
     /// Recompiles only the *values* of `circuit` against this system's
     /// frozen structure: the device list is rebuilt through the same
     /// derivation path as [`MnaSystem::compile`], while the pattern, slot
-    /// table, and conflict coloring are shared from `self`.
+    /// table, and emission spans are shared from `self`.
     ///
     /// This is the compile-once half of batched sweeps: the emission
     /// sequence of every device is value-independent (kind and terminals
@@ -977,7 +883,7 @@ impl MnaSystem {
 
     /// Emission pass that records every matrix position a stamp can touch,
     /// then freezes the CSC pattern, the per-emission slot table, and the
-    /// per-device conflict coloring for the parallel stamp path.
+    /// per-device emission spans.
     fn build_pattern(&mut self) {
         let zeros = vec![0.0_f64; self.n_unknowns];
         let caps = vec![0.0_f64; self.n_cap_states];
@@ -996,7 +902,6 @@ impl MnaSystem {
         };
         let mut mat_span = vec![(0u32, 0u32); self.devices.len()];
         let mut rhs_span = vec![(0u32, 0u32); self.devices.len()];
-        let mut jct = Junction::InPlace(&mut junction);
         let mut sink = RecordSink { mat: Vec::new(), rhs: Vec::new() };
         // Shunt prologue occupies emission cursors 0..n_nodes, exactly as
         // in the stamp's linear phase.
@@ -1013,7 +918,7 @@ impl MnaSystem {
                 &self.devices[d as usize],
                 &input,
                 &zeros,
-                &mut jct,
+                &mut junction,
                 &mut limited,
                 &mut sink,
             );
@@ -1032,68 +937,7 @@ impl MnaSystem {
             .map(|&(r, c)| pattern.find_index(r, c).expect("entry present in pattern"))
             .collect();
         self.pattern = pattern;
-        self.plan = self.build_plan(mat_span, rhs_span, rhs_targets);
-    }
-
-    /// Level-colors the device conflict graph and freezes the replay order.
-    fn build_plan(
-        &self,
-        mat_span: Vec<(u32, u32)>,
-        rhs_span: Vec<(u32, u32)>,
-        rhs_targets: Vec<u32>,
-    ) -> StampPlan {
-        let nd = self.devices.len();
-        // Running level per matrix slot / RHS entry: one more than the
-        // highest color among already-colored writers of that slot.
-        let mut slot_level = vec![0u32; self.pattern.nnz()];
-        let mut rhs_level = vec![0u32; self.n_unknowns];
-        let mut color = vec![0u32; nd];
-        for d in 0..nd {
-            let mut c = 0u32;
-            for cursor in mat_span[d].0..mat_span[d].1 {
-                c = c.max(slot_level[self.slots[cursor as usize]]);
-            }
-            for k in rhs_span[d].0..rhs_span[d].1 {
-                c = c.max(rhs_level[rhs_targets[k as usize] as usize]);
-            }
-            color[d] = c;
-            for cursor in mat_span[d].0..mat_span[d].1 {
-                let lvl = &mut slot_level[self.slots[cursor as usize]];
-                *lvl = (*lvl).max(c + 1);
-            }
-            for k in rhs_span[d].0..rhs_span[d].1 {
-                let lvl = &mut rhs_level[rhs_targets[k as usize] as usize];
-                *lvl = (*lvl).max(c + 1);
-            }
-        }
-        // Counting sort by color: stable, so each group stays ascending by
-        // element index.
-        let n_colors = color.iter().map(|&c| c as usize + 1).max().unwrap_or(0);
-        let mut group = vec![0u32; n_colors + 1];
-        for &c in &color {
-            group[c as usize + 1] += 1;
-        }
-        for i in 1..group.len() {
-            group[i] += group[i - 1];
-        }
-        let mut cursor: Vec<u32> = group[..n_colors].to_vec();
-        let mut order = vec![0u32; nd];
-        for (d, &c) in color.iter().enumerate() {
-            order[cursor[c as usize] as usize] = d as u32;
-            cursor[c as usize] += 1;
-        }
-        // Nonlinear projection of the replay order: same color-then-element
-        // sequence, linear devices dropped (the master's linear phase stamps
-        // those before any nonlinear accumulation).
-        let mut nl_order = Vec::with_capacity(self.nl_elem.len());
-        for c in 0..n_colors {
-            for &d in &order[group[c] as usize..group[c + 1] as usize] {
-                if self.devices[d as usize].is_nonlinear() {
-                    nl_order.push(d);
-                }
-            }
-        }
-        StampPlan { mat_span, rhs_span, rhs_targets, color, order, group, nl_order }
+        self.plan = StampPlan { mat_span, rhs_span, rhs_targets };
     }
 
     /// Number of MNA unknowns (node voltages + branch currents).
@@ -1271,19 +1115,19 @@ impl MnaSystem {
         self.stamp_lane(ws, input, x_iter, ctl, true)
     }
 
-    /// The serial stamping kernel — every path (serial engine, pipelining
-    /// lanes, the stamp executor's degraded mode, batch instances) stamps
-    /// through it; the name dates from the lane-packed batch tier that first
-    /// called it, since deleted, and stays because `benchmark/` times the
-    /// kernel by this name. The linear phase may replay the companion-cached
-    /// matrix, and nonlinear devices whose controlling voltages are within
-    /// the bypass tolerance replay their cached stamp.
+    /// The stamping kernel — every path (serial engine, pipelining lanes,
+    /// batch instances) stamps through it; the name dates from the
+    /// lane-packed batch tier that first called it, since deleted, and stays
+    /// because `benchmark/` times the kernel by this name. The linear phase
+    /// may replay the companion-cached matrix, and nonlinear devices whose
+    /// controlling voltages are within the bypass tolerance replay their
+    /// cached stamp.
     ///
     /// The emission order is fixed (node-shunt prologue, linear devices in
     /// element order, nonlinear devices in element order) for every `ctl`
     /// setting, and every cache decision is a deterministic function of the
     /// iterate and the workspace state — so two runs with the same options
-    /// produce bitwise-identical results, serial or parallel.
+    /// produce bitwise-identical results.
     ///
     /// `first_iter` marks the first Newton iteration of the current time
     /// point. On later iterations of the same point every input of the
@@ -1323,10 +1167,7 @@ impl MnaSystem {
     /// The bypass predicate: device `d`'s cached stamp may be replayed when
     /// the cache is valid (evaluated, unlimited, same `gmin`) and every
     /// controlling terminal voltage is within
-    /// `vabs + vrel * max(|v|, |v_ref|)` of the evaluation reference. A pure
-    /// function of state no stamp pass mutates before reading it, so the
-    /// serial kernel deciding each device at its own turn and the parallel
-    /// master deciding all of them up-front agree bit for bit.
+    /// `vabs + vrel * max(|v|, |v_ref|)` of the evaluation reference.
     #[inline(always)]
     fn may_bypass(
         &self,
@@ -1394,29 +1235,12 @@ impl MnaSystem {
         }
     }
 
-    /// Decides, per nonlinear device, whether its cached stamp may be
-    /// replayed this pass, for the parallel path: the master computes the
-    /// mask once and ships it to the workers.
-    pub(crate) fn compute_bypass_mask(
-        &self,
-        caches: &mut StampCaches,
-        input: &StampInput<'_>,
-        x: &[f64],
-        ctl: &CacheCtl,
-    ) {
-        caches.sync_gmin(input.gmin);
-        for &d in &self.nl_elem {
-            let d = d as usize;
-            caches.mask[d] = self.may_bypass(d, &caches.valid, &caches.ctrl, x, ctl);
-        }
-    }
-
     /// Linear phase: zeroes the workspace, applies the node-shunt prologue,
     /// and stamps every linear device — replaying the assembled matrix from
     /// the companion cache when the step-size key matches, and on iterations
     /// after the first of a point (`first_iter` false) the linear RHS as
     /// well. Returns whether the cache hit.
-    pub(crate) fn stamp_linear_phase(
+    fn stamp_linear_phase(
         &self,
         ws: &mut MnaWorkspace,
         input: &StampInput<'_>,
@@ -1439,7 +1263,6 @@ impl MnaSystem {
             return true;
         }
         rhs.fill(0.0);
-        let mut jct = Junction::InPlace(junction_state);
         if hit {
             // One memcpy restores prologue + linear matrix (and zeroes the
             // nonlinear slots, which were zero in the snapshot); the RHS
@@ -1473,7 +1296,7 @@ impl MnaSystem {
                     &self.devices[d as usize],
                     input,
                     x,
-                    &mut jct,
+                    junction_state,
                     limited,
                     &mut sink,
                 );
@@ -1491,7 +1314,7 @@ impl MnaSystem {
                         &self.devices[d as usize],
                         input,
                         x,
-                        &mut jct,
+                        junction_state,
                         limited,
                         &mut sink,
                     );
@@ -1520,7 +1343,6 @@ impl MnaSystem {
         let MnaWorkspace { matrix, rhs, junction_state, limited, caches } = ws;
         let StampCaches { valid, mask, ctrl, mat: cmat, rhs: crhs, .. } = caches;
         let values = matrix.values_mut();
-        let mut jct = Junction::InPlace(junction_state);
         let mut bypassed = 0usize;
         for &d in &self.nl_elem {
             let du = d as usize;
@@ -1542,155 +1364,18 @@ impl MnaSystem {
                 mc: 0,
                 rc: 0,
             };
-            Self::emit_device(&self.devices[du], input, x, &mut jct, &mut dev_limited, &mut sink);
+            Self::emit_device(
+                &self.devices[du],
+                input,
+                x,
+                junction_state,
+                &mut dev_limited,
+                &mut sink,
+            );
             *limited |= dev_limited;
             self.note_evaluated(du, dev_limited, valid, ctrl, x);
         }
         (self.nl_elem.len() - bypassed, bypassed)
-    }
-
-    /// The compile-time parallel-stamp plan (spans, coloring, replay order).
-    pub(crate) fn plan(&self) -> &StampPlan {
-        &self.plan
-    }
-
-    /// Rough relative evaluation cost of device `d`, used to balance
-    /// parallel stamp chunks (nonlinear model evaluations dominate; linear
-    /// stamps are almost free).
-    pub(crate) fn device_eval_weight(&self, d: usize) -> u64 {
-        match self.devices[d] {
-            Dev::Bjt { .. } => 10,
-            Dev::Mos { .. } => 8,
-            Dev::Diode { .. } => 5,
-            Dev::Jcap { .. } => 4,
-            Dev::Cap { .. } | Dev::Ind { .. } => 2,
-            _ => 1,
-        }
-    }
-
-    /// Number of stamp colors the conflict coloring produced.
-    pub fn stamp_color_count(&self) -> usize {
-        self.plan.n_colors()
-    }
-
-    /// Number of linear (always-evaluated) devices, for work accounting on
-    /// the parallel path whose master stamps the linear phase itself.
-    pub(crate) fn linear_device_count(&self) -> usize {
-        self.lin_elem.len()
-    }
-
-    /// Worker-side evaluation of a device subset into dense buffers, in the
-    /// order given by `devices` (indices into the compiled device list),
-    /// skipping devices the bypass `mask` marks for replay. Per-device
-    /// limiter hits are appended to `limited_devs` (in chunk order); returns
-    /// whether any junction voltage was limited.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn eval_devices(
-        &self,
-        input: &StampInput<'_>,
-        x: &[f64],
-        junction_snapshot: &[f64],
-        devices: &[u32],
-        mask: &[bool],
-        mat_out: &mut Vec<f64>,
-        rhs_out: &mut Vec<f64>,
-        jct_out: &mut Vec<(u32, f64)>,
-        limited_devs: &mut Vec<u32>,
-    ) -> bool {
-        // The plan spans fix the emission counts up-front, so the buffers
-        // can be sized once and filled with cursor stores.
-        let (mut mat_len, mut rhs_len) = (0usize, 0usize);
-        for &d in devices {
-            if mask[d as usize] {
-                continue;
-            }
-            let (m, r) = self.spans(d as usize);
-            mat_len += m.len();
-            rhs_len += r.len();
-        }
-        mat_out.resize(mat_len, 0.0);
-        rhs_out.resize(rhs_len, 0.0);
-        jct_out.clear();
-        limited_devs.clear();
-        let mut limited = false;
-        let mut jct = Junction::Buffered { snapshot: junction_snapshot, writes: jct_out };
-        let mut sink = BufferSink { mat: mat_out, mat_cursor: 0, rhs: rhs_out, rhs_cursor: 0 };
-        for &d in devices {
-            if mask[d as usize] {
-                continue;
-            }
-            let mut dev_limited = false;
-            Self::emit_device(
-                &self.devices[d as usize],
-                input,
-                x,
-                &mut jct,
-                &mut dev_limited,
-                &mut sink,
-            );
-            if dev_limited {
-                limited = true;
-                limited_devs.push(d);
-            }
-        }
-        debug_assert_eq!((sink.mat_cursor, sink.rhs_cursor), (mat_len, rhs_len));
-        limited
-    }
-
-    /// Master-side accumulation of one evaluated chunk into the workspace:
-    /// bypassed devices replay their cached emissions, evaluated ones are
-    /// recorded into the cache and scattered from it.
-    ///
-    /// `devices` must be the same slice (same order) the chunk was evaluated
-    /// with, `limited_devs` the evaluator's per-device limiter hits (in
-    /// chunk order), and `x` the iterate the chunk was evaluated at; chunks
-    /// must be accumulated in ascending color-then-element order for
-    /// bit-identity with the serial path. Returns `(evaluated, bypassed)`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn accumulate_devices(
-        &self,
-        ws: &mut MnaWorkspace,
-        devices: &[u32],
-        mat_vals: &[f64],
-        rhs_vals: &[f64],
-        jct_writes: &[(u32, f64)],
-        limited_devs: &[u32],
-        x: &[f64],
-    ) -> (usize, usize) {
-        let MnaWorkspace { matrix, rhs, junction_state, limited, caches } = ws;
-        let StampCaches { valid, mask, ctrl, mat: cmat, rhs: crhs, .. } = caches;
-        let values = matrix.values_mut();
-        let (mut mi, mut ri, mut li) = (0usize, 0usize, 0usize);
-        let (mut evals, mut bypassed) = (0usize, 0usize);
-        for &d in devices {
-            let du = d as usize;
-            if mask[du] {
-                bypassed += 1;
-            } else {
-                let (m, r) = self.spans(du);
-                let (mn, rn) = (m.len(), r.len());
-                cmat[m].copy_from_slice(&mat_vals[mi..mi + mn]);
-                crhs[r].copy_from_slice(&rhs_vals[ri..ri + rn]);
-                mi += mn;
-                ri += rn;
-                let dev_limited = li < limited_devs.len() && limited_devs[li] == d;
-                if dev_limited {
-                    li += 1;
-                    *limited = true;
-                }
-                self.note_evaluated(du, dev_limited, valid, ctrl, x);
-                evals += 1;
-            }
-            // Fresh or replayed, the emissions scatter from the cache: same
-            // per-slot addition order either way.
-            self.scatter_cached(du, cmat, crhs, values, rhs);
-        }
-        debug_assert_eq!(mi, mat_vals.len());
-        debug_assert_eq!(ri, rhs_vals.len());
-        for &(j, v) in jct_writes {
-            junction_state[j as usize] = v;
-        }
-        (evals, bypassed)
     }
 
     /// Capacitor currents at the newly accepted point, for the next step's
@@ -1731,12 +1416,12 @@ impl MnaSystem {
 
     /// Evaluates and emits one device. Emission order and count are
     /// value-independent, which is what keeps the slot table and the
-    /// per-device spans valid across the serial and parallel paths.
+    /// per-device spans valid for every stamp.
     fn emit_device<S: EmitSink>(
         dev: &Dev,
         input: &StampInput<'_>,
         x: &[f64],
-        junction: &mut Junction<'_>,
+        junction: &mut [f64],
         limited: &mut bool,
         sink: &mut S,
     ) {
@@ -1844,11 +1529,11 @@ impl MnaSystem {
                 }
                 Dev::Diode { p, n, is, nvt, vcrit, jct } => {
                     let u_raw = volt(x, p) - volt(x, n);
-                    let u = pnjlim(u_raw, junction.get(jct), nvt, vcrit);
+                    let u = pnjlim(u_raw, junction[jct], nvt, vcrit);
                     if (u - u_raw).abs() > 1e-10 {
                         *limited = true;
                     }
-                    junction.set(jct, u);
+                    junction[jct] = u;
                     let (i_d, g_d) = diode_eval(u, is, nvt);
                     let g = g_d + input.gmin;
                     sink.mat(p, p, g);
@@ -1888,13 +1573,13 @@ impl MnaSystem {
                     let vcrit = junction_vcrit(is, nvt);
                     let vbe_raw = sign * (vb - ve);
                     let vbc_raw = sign * (vb - vc);
-                    let vbe = pnjlim(vbe_raw, junction.get(jct_be), nvt, vcrit);
-                    let vbc = pnjlim(vbc_raw, junction.get(jct_bc), nvt, vcrit);
+                    let vbe = pnjlim(vbe_raw, junction[jct_be], nvt, vcrit);
+                    let vbc = pnjlim(vbc_raw, junction[jct_bc], nvt, vcrit);
                     if (vbe - vbe_raw).abs() > 1e-10 || (vbc - vbc_raw).abs() > 1e-10 {
                         *limited = true;
                     }
-                    junction.set(jct_be, vbe);
-                    junction.set(jct_bc, vbc);
+                    junction[jct_be] = vbe;
+                    junction[jct_bc] = vbc;
                     let ev = bjt_eval(vbe, vbc, sign, is, bf, br);
                     // Reconstruct limited node voltages for the equivalent
                     // currents: the linearisation point is (vbe, vbc) in the
@@ -2077,68 +1762,6 @@ mod tests {
         // i = gm*vin = 2 mA out of `out` node -> v(out) = -2 V across 1k.
         let out_i = sys.node_unknown("out").unwrap();
         assert!((sol[out_i] + 2.0).abs() < 1e-4, "v(out) = {}", sol[out_i]);
-    }
-
-    /// For every matrix slot and RHS entry, collect the list of devices
-    /// writing it, in element order.
-    fn writers_of(sys: &MnaSystem) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
-        let plan = &sys.plan;
-        let mut slot_writers: Vec<Vec<usize>> = vec![Vec::new(); sys.pattern.nnz()];
-        let mut rhs_writers: Vec<Vec<usize>> = vec![Vec::new(); sys.n_unknowns];
-        for d in 0..plan.mat_span.len() {
-            let mut seen = std::collections::HashSet::new();
-            for cursor in plan.mat_span[d].0..plan.mat_span[d].1 {
-                if seen.insert(sys.slots[cursor as usize]) {
-                    slot_writers[sys.slots[cursor as usize]].push(d);
-                }
-            }
-            let mut seen = std::collections::HashSet::new();
-            for k in plan.rhs_span[d].0..plan.rhs_span[d].1 {
-                let u = plan.rhs_targets[k as usize] as usize;
-                if seen.insert(u) {
-                    rhs_writers[u].push(d);
-                }
-            }
-        }
-        (slot_writers, rhs_writers)
-    }
-
-    #[test]
-    fn coloring_never_co_groups_conflicting_elements() {
-        for b in wavepipe_circuit::generators::small_suite() {
-            let sys = MnaSystem::compile(&b.circuit).unwrap();
-            let plan = &sys.plan;
-            let (slot_writers, rhs_writers) = writers_of(&sys);
-            for writers in slot_writers.iter().chain(&rhs_writers) {
-                // Conflicting devices must get strictly increasing colors in
-                // element order — the property that makes color-then-element
-                // replay reproduce the serial per-slot addition order (and,
-                // a fortiori, a proper coloring).
-                for w in writers.windows(2) {
-                    assert!(
-                        plan.color[w[0]] < plan.color[w[1]],
-                        "{}: devices {} and {} share a slot but have colors {} >= {}",
-                        b.name,
-                        w[0],
-                        w[1],
-                        plan.color[w[0]],
-                        plan.color[w[1]],
-                    );
-                }
-            }
-            // The replay order must be a permutation grouped by ascending
-            // color, ascending element index within each group.
-            assert_eq!(plan.order.len(), sys.devices.len());
-            for c in 0..plan.n_colors() {
-                let grp = &plan.order[plan.group[c] as usize..plan.group[c + 1] as usize];
-                for w in grp.windows(2) {
-                    assert!(w[0] < w[1], "{}: group {c} not ascending", b.name);
-                }
-                for &d in grp {
-                    assert_eq!(plan.color[d as usize] as usize, c);
-                }
-            }
-        }
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::error::Result;
 use crate::mna::{LinKey, MnaSystem, MnaWorkspace, StampInput};
 use crate::options::SimOptions;
-use crate::parstamp::StampExecutor;
 use crate::solver::{DirectLu, SolverBackend};
 use crate::stats::SimStats;
 use std::time::Instant;
@@ -392,10 +391,6 @@ pub struct NewtonOutcome {
 /// SPICE per-unknown delta test (`vntol`/`reltol` on node voltages,
 /// `abstol`/`reltol` on branch currents).
 ///
-/// With `exec: Some(..)` the stamp runs on the executor's worker set
-/// (colored parallel device evaluation); the executor must have been built
-/// for the same `sys`. Results are bit-identical either way.
-///
 /// # Errors
 ///
 /// Returns [`crate::EngineError::Linear`] if the matrix is singular beyond repair.
@@ -406,19 +401,12 @@ pub fn newton_solve(
     sys: &MnaSystem,
     ws: &mut MnaWorkspace,
     cache: &mut LinearCache,
-    mut exec: Option<&mut StampExecutor>,
     input: &StampInput<'_>,
     x0: &[f64],
     max_iters: usize,
     opts: &SimOptions,
     stats: &mut SimStats,
 ) -> Result<NewtonOutcome> {
-    if let Some(e) = exec.as_deref() {
-        debug_assert!(
-            std::ptr::eq::<MnaSystem>(&**e.system(), sys),
-            "stamp executor built for a different system"
-        );
-    }
     let n_nodes = sys.n_nodes();
     let ctl = opts.cache_ctl();
     cache.begin_solve();
@@ -430,17 +418,9 @@ pub fn newton_solve(
         stats.newton_iterations += 1;
         opts.probe.emit(input.time, EventKind::NewtonIter { iteration: it as u32 });
         opts.metrics.inc(Counter::NewtonIterations);
-        let sres = match exec.as_deref_mut() {
-            Some(e) => e.stamp(ws, input, &x, &ctl, it == 1, &opts.probe, &opts.metrics, stats),
-            None => {
-                let t0 = Instant::now();
-                let res = sys.stamp_lane(ws, input, &x, &ctl, it == 1);
-                let ns = t0.elapsed().as_nanos();
-                stats.stamp_ns += ns;
-                stats.stamp_modeled_ns += ns;
-                res
-            }
-        };
+        let t0 = Instant::now();
+        let sres = sys.stamp_lane(ws, input, &x, &ctl, it == 1);
+        stats.stamp_ns += t0.elapsed().as_nanos();
         stats.device_evals += sres.evals;
         stats.bypass_hits += sres.bypassed;
         if sres.bypassed > 0 {
@@ -628,7 +608,6 @@ mod tests {
             &sys,
             &mut ws,
             &mut cache,
-            None,
             &dc_input(&zeros, &caps, opts),
             &zeros,
             20,
@@ -715,8 +694,7 @@ mod tests {
         assert_eq!(cache.keys, FactorKeys::default());
         // Newton reports the point as not converged after that one iteration.
         let out =
-            newton_solve(&sys, &mut ws, &mut cache, None, &input, &zeros, 20, &opts, &mut stats)
-                .unwrap();
+            newton_solve(&sys, &mut ws, &mut cache, &input, &zeros, 20, &opts, &mut stats).unwrap();
         assert!(!out.converged && out.iterations == 1);
     }
 
@@ -978,7 +956,6 @@ mod tests {
             &sys,
             &mut ws,
             &mut cache,
-            None,
             &dc_input(&zeros, &caps, &opts),
             &zeros,
             100,
@@ -1015,7 +992,6 @@ mod tests {
             &sys,
             &mut ws,
             &mut cache,
-            None,
             &dc_input(&zeros, &caps, &opts),
             &zeros,
             1,

@@ -63,13 +63,12 @@ pub struct SimOptions {
     /// buffer. The default ([`MetricsHandle::none`]) makes every publish a
     /// single branch. Like probes, metrics only observe.
     pub metrics: MetricsHandle,
-    /// Intra-step stamp workers for graph-colored parallel device
-    /// evaluation. `0` (the default) stamps serially on the solver thread;
-    /// `n >= 1` evaluates devices on `n` persistent worker threads and
-    /// accumulates in a fixed color-then-element order, producing results
-    /// bit-identical to the serial path. The default honours the
-    /// `WAVEPIPE_STAMP_WORKERS` environment variable so a whole test suite
-    /// can be forced onto the parallel path.
+    /// Inert: the stamp-worker layer this sized is deleted, and nothing in
+    /// the program reads the field — it holds what
+    /// [`SimOptions::with_stamp_workers`] last set, `0` by default. Kept
+    /// because `benchmark/`, which a code change may not edit, reads it; it
+    /// goes with ROADMAP item 4's benchmark-only follow-up.
+    #[doc(hidden)]
     pub stamp_workers: usize,
     /// Wall-clock budget for one analysis run. `None` (default) runs to
     /// completion. The budget is armed after the DC/initial solve and
@@ -93,9 +92,8 @@ pub struct SimOptions {
     /// voltages moved less than the bypass tolerance since their last
     /// evaluation replay their cached stamp instead of re-evaluating the
     /// model. Deterministic (the decision is a pure function of the iterate
-    /// and the per-workspace cache state) and identical on the serial and
-    /// parallel stamp paths. The default honours `WAVEPIPE_BYPASS`
-    /// (`0`/`false` disables); on otherwise.
+    /// and the per-workspace cache state). The default honours
+    /// `WAVEPIPE_BYPASS` (`0`/`false` disables); on otherwise.
     pub bypass: bool,
     /// Absolute bypass tolerance on controlling voltages, volts. Default
     /// `1e-6` (equal to `VNTOL`).
@@ -207,7 +205,7 @@ impl Default for SimOptions {
             use_ic: false,
             probe: ProbeHandle::none(),
             metrics: MetricsHandle::none(),
-            stamp_workers: env::number("WAVEPIPE_STAMP_WORKERS").unwrap_or(0),
+            stamp_workers: 0,
             deadline: None,
             cancel: None,
             faults: FaultHandle::from_env_cached(),
@@ -277,7 +275,10 @@ impl SimOptions {
         self
     }
 
-    /// Builder: sets the number of intra-step stamp workers (`0` = serial).
+    /// Inert: sets [`SimOptions::stamp_workers`], which nothing reads — every
+    /// solver stamps through the one serial kernel whatever is passed. Kept
+    /// for `benchmark/`, like the field.
+    #[doc(hidden)]
     #[must_use]
     pub fn with_stamp_workers(mut self, stamp_workers: usize) -> Self {
         self.stamp_workers = stamp_workers;
@@ -444,13 +445,11 @@ mod tests {
             .with_method(Method::Gear2)
             .with_reltol(1e-4)
             .with_rmax(4.0)
-            .with_use_ic(true)
-            .with_stamp_workers(3);
+            .with_use_ic(true);
         assert_eq!(o.method, Method::Gear2);
         assert_eq!(o.reltol, 1e-4);
         assert_eq!(o.rmax, 4.0);
         assert!(o.use_ic);
-        assert_eq!(o.stamp_workers, 3);
         assert_eq!(o.vntol, base.vntol);
         assert_eq!(o.gmin, base.gmin);
     }

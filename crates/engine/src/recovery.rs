@@ -244,7 +244,6 @@ impl PointSolver {
             &self.sys,
             &mut self.ws,
             &mut self.cache,
-            self.exec.as_mut(),
             &input,
             &guess,
             self.opts.max_newton_iters,

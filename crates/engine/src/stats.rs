@@ -51,15 +51,8 @@ pub struct SimStats {
     pub solver_fallbacks: usize,
     /// Wall-clock time spent, nanoseconds.
     pub wall_ns: u128,
-    /// Wall-clock time spent inside `MnaSystem::stamp` (serial or parallel
-    /// path), nanoseconds.
+    /// Wall-clock time spent inside `MnaSystem::stamp_lane`, nanoseconds.
     pub stamp_ns: u128,
-    /// Critical-path model of the stamp time, nanoseconds: on the parallel
-    /// path this is the busiest worker's evaluation time plus the
-    /// master-serial snapshot/accumulate overhead — what an otherwise-idle
-    /// machine with enough cores would realise. On the serial path it equals
-    /// [`SimStats::stamp_ns`].
-    pub stamp_modeled_ns: u128,
 }
 
 impl SimStats {
@@ -127,7 +120,6 @@ impl Add for SimStats {
             solver_fallbacks: self.solver_fallbacks + rhs.solver_fallbacks,
             wall_ns: self.wall_ns + rhs.wall_ns,
             stamp_ns: self.stamp_ns + rhs.stamp_ns,
-            stamp_modeled_ns: self.stamp_modeled_ns + rhs.stamp_modeled_ns,
         }
     }
 }
@@ -174,11 +166,9 @@ mod tests {
 
     #[test]
     fn stamp_timings_accumulate() {
-        let a = SimStats { stamp_ns: 100, stamp_modeled_ns: 60, ..SimStats::new() };
-        let b = SimStats { stamp_ns: 50, stamp_modeled_ns: 20, ..SimStats::new() };
-        let c = a + b;
-        assert_eq!(c.stamp_ns, 150);
-        assert_eq!(c.stamp_modeled_ns, 80);
+        let a = SimStats { stamp_ns: 100, ..SimStats::new() };
+        let b = SimStats { stamp_ns: 50, ..SimStats::new() };
+        assert_eq!((a + b).stamp_ns, 150);
     }
 
     #[test]

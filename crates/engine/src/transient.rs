@@ -21,7 +21,6 @@ use crate::integrate::{IntegCoeffs, Method};
 use crate::mna::{MnaSystem, MnaWorkspace, StampInput};
 use crate::newton::{newton_solve, LinearCache};
 use crate::options::SimOptions;
-use crate::parstamp::StampExecutor;
 use crate::result::TransientResult;
 use crate::stats::SimStats;
 use crate::stepctl::{Commit, StepController};
@@ -248,17 +247,12 @@ pub struct PointSolution {
 ///
 /// Owns the per-thread mutable state (matrix values, RHS, LU factors), while
 /// the compiled [`MnaSystem`] is shared. Clone one per WavePipe thread.
-///
-/// With [`SimOptions::stamp_workers`] `>= 1` each solver also owns a
-/// [`StampExecutor`] — a private worker set evaluating devices in parallel
-/// during every stamp, with bit-identical results to the serial path.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PointSolver {
     pub(crate) sys: Arc<MnaSystem>,
     pub(crate) opts: SimOptions,
     pub(crate) ws: MnaWorkspace,
     pub(crate) cache: LinearCache,
-    pub(crate) exec: Option<StampExecutor>,
     /// The predictor's output, the Newton start of a point solved without an
     /// explicit guess.
     guess: Vec<f64>,
@@ -267,36 +261,12 @@ pub struct PointSolver {
     solve_seq: u64,
 }
 
-impl Clone for PointSolver {
-    fn clone(&self) -> Self {
-        // Worker threads are not shareable state: each clone gets its own
-        // executor so WavePipe lanes never contend on one worker set.
-        PointSolver {
-            sys: Arc::clone(&self.sys),
-            opts: self.opts.clone(),
-            ws: self.ws.clone(),
-            cache: self.cache.clone(),
-            exec: self
-                .exec
-                .as_ref()
-                .and_then(|e| StampExecutor::new(&self.sys, e.workers(), &self.opts.faults)),
-            guess: Vec::new(),
-            solve_seq: self.solve_seq,
-        }
-    }
-}
-
 impl PointSolver {
     /// Creates a solver for a compiled system.
     pub fn new(sys: Arc<MnaSystem>, opts: SimOptions) -> Self {
         let ws = sys.new_workspace();
-        let exec = if opts.stamp_workers >= 1 {
-            StampExecutor::new(&sys, opts.stamp_workers, &opts.faults)
-        } else {
-            None
-        };
         let cache = LinearCache::for_options(&opts);
-        PointSolver { sys, opts, ws, cache, exec, guess: Vec::new(), solve_seq: 0 }
+        PointSolver { sys, opts, ws, cache, guess: Vec::new(), solve_seq: 0 }
     }
 
     /// The compiled system.
@@ -315,14 +285,7 @@ impl PointSolver {
     ///
     /// See [`dc_operating_point`].
     pub fn dc_op(&mut self, stats: &mut SimStats) -> Result<Vec<f64>> {
-        dc_operating_point(
-            &self.sys,
-            &mut self.ws,
-            &mut self.cache,
-            self.exec.as_mut(),
-            &self.opts,
-            stats,
-        )
+        dc_operating_point(&self.sys, &mut self.ws, &mut self.cache, None, &self.opts, stats)
     }
 
     /// Computes the transient starting state: the DC operating point, or —
@@ -355,7 +318,6 @@ impl PointSolver {
             &self.sys,
             &mut self.ws,
             &mut self.cache,
-            self.exec.as_mut(),
             &input,
             &zeros,
             self.opts.max_dc_iters,
@@ -460,7 +422,6 @@ impl PointSolver {
             &self.sys,
             &mut self.ws,
             &mut self.cache,
-            self.exec.as_mut(),
             &input,
             guess,
             max_iters,

@@ -106,8 +106,6 @@ counts! {
     adaptive_forward,
     /// Adaptive rounds that chose backward pipelining.
     adaptive_backward,
-    /// Stamp color groups accumulated by the parallel stamp path.
-    stamp_color_groups,
     /// Worker threads lost to panics.
     workers_lost,
     /// Serial-fallback transitions.
@@ -178,8 +176,6 @@ pub struct Timing {
     pub launch_ns: u64,
     /// Wall time inside rounds altogether.
     pub rounds_ns: u64,
-    /// Wall time inside parallel stamp color spans (all lanes summed).
-    pub stamp_span_ns: u64,
     /// Sum over rounds of the *longest* concurrent solve — the solve part of
     /// the critical path.
     pub critical_solve_ns: u64,
@@ -253,9 +249,7 @@ pub fn analyze(events: &[Event]) -> TraceAnalysis {
     }
     let mut open_solve: HashMap<u32, (u64, u64)> = HashMap::new(); // lane -> (first, last) start
     let mut lanes: BTreeMap<u32, LaneTiming> = BTreeMap::new();
-    let mut open_stamp: HashMap<u32, u64> = HashMap::new();
     let mut rounds: HashMap<u64, RoundAgg> = HashMap::new();
-    let mut stamp_span_ns = 0u64;
     let (mut ts_min, mut ts_max) = (u64::MAX, 0u64);
 
     for ev in events {
@@ -331,15 +325,6 @@ pub fn analyze(events: &[Event]) -> TraceAnalysis {
                     c.adaptive_backward += 1;
                 }
             }
-            EventKind::StampColorStart { .. } => {
-                open_stamp.insert(ev.lane, ev.ts_ns);
-            }
-            EventKind::StampColorEnd { .. } => {
-                c.stamp_color_groups += 1;
-                if let Some(start) = open_stamp.remove(&ev.lane) {
-                    stamp_span_ns += ev.ts_ns.saturating_sub(start);
-                }
-            }
             EventKind::WorkerLost { .. } => c.workers_lost += 1,
             EventKind::FallbackSerial => c.serial_fallbacks += 1,
             EventKind::DeadlineHit => c.deadline_hits += 1,
@@ -397,7 +382,6 @@ pub fn analyze(events: &[Event]) -> TraceAnalysis {
         commit_ns: commit,
         launch_ns: launch,
         rounds_ns,
-        stamp_span_ns,
         critical_solve_ns,
         total_solve_ns,
     };
@@ -505,9 +489,6 @@ impl TraceAnalysis {
                 c.solver_fallbacks
             );
         }
-        if c.stamp_color_groups > 0 {
-            let _ = writeln!(out, "  stamp color groups        {:>10}", c.stamp_color_groups);
-        }
         if c.workers_lost + c.serial_fallbacks + c.deadline_hits > 0 {
             let _ = writeln!(
                 out,
@@ -560,13 +541,6 @@ impl TraceAnalysis {
             "  solve overlap: {:.2}x (all solves over the longest solve of each round)",
             t.solve_overlap()
         );
-        if t.stamp_span_ns > 0 {
-            let _ = writeln!(
-                out,
-                "  stamp worker spans: {:.3} ms accumulated",
-                t.stamp_span_ns as f64 / 1e6
-            );
-        }
         for l in &t.lanes {
             let busy = l.busy_ns as f64 / wall;
             let blocked = l.blocked_ns as f64 / wall;
@@ -626,7 +600,7 @@ impl TraceAnalysis {
                 out,
                 ",\"timing\":{{\"wall_ns\":{},\"solve_phase_ns\":{},\"commit_ns\":{},\
                  \"launch_ns\":{},\"rounds_ns\":{},\"lead_ns\":{},\"speculative_ns\":{},\
-                 \"stamp_span_ns\":{},\"critical_solve_ns\":{},\"total_solve_ns\":{},\
+                 \"critical_solve_ns\":{},\"total_solve_ns\":{},\
                  \"lanes\":[",
                 t.wall_ns,
                 t.solve_phase_ns,
@@ -635,7 +609,6 @@ impl TraceAnalysis {
                 t.rounds_ns,
                 t.lead_ns,
                 t.speculative_ns,
-                t.stamp_span_ns,
                 t.critical_solve_ns,
                 t.total_solve_ns
             );
@@ -811,8 +784,6 @@ mod tests {
             EventKind::AdaptiveChoice { forward: true },
             EventKind::AdaptiveChoice { forward: false },
             EventKind::AdaptiveChoice { forward: false },
-            EventKind::StampColorStart { color: 0 },
-            EventKind::StampColorEnd { color: 0, devices: 8 },
             EventKind::WorkerLost { lane: 2 },
             EventKind::WorkerLost { lane: 1 },
             EventKind::FallbackSerial,
@@ -845,7 +816,6 @@ mod tests {
             ("speculation_discarded", 1),
             ("adaptive_forward", 1),
             ("adaptive_backward", 2),
-            ("stamp_color_groups", 1),
             ("workers_lost", 2),
             ("serial_fallbacks", 1),
             ("deadline_hits", 1),
@@ -861,14 +831,13 @@ mod tests {
             assert_eq!(a.counts.scalar(name), Some(v), "{name}");
         }
         assert_eq!(a.counts.scalar("no_such_count"), None);
-        assert_eq!(a.timing.stamp_span_ns, 10);
         let stable = a.stable_report("t");
-        for line in ["adaptive choices", "krylov solves", "faults", "recovery", "stamp color"] {
+        for line in ["adaptive choices", "krylov solves", "faults", "recovery"] {
             assert!(stable.contains(line), "{line}: {stable}");
         }
         // A stream without those events prints none of the optional lines.
         let clean = analyze(&sample_stream()).stable_report("t");
-        for line in ["adaptive choices", "krylov solves", "faults", "recovery", "stamp color"] {
+        for line in ["adaptive choices", "krylov solves", "faults", "recovery"] {
             assert!(!clean.contains(line), "{line}: {clean}");
         }
     }
@@ -879,7 +848,7 @@ mod tests {
         let doc = json::parse(&a.to_json(true)).expect("doctor json parses");
         let stable = doc.get("stable").expect("stable object");
         let scalars = a.counts.scalars();
-        assert!(scalars.len() >= 28);
+        assert!(scalars.len() >= 27);
         for (name, v) in scalars {
             let got = stable.get(name).and_then(|j| j.as_f64());
             assert_eq!(got, Some(v as f64), "`{name}` missing from the JSON");

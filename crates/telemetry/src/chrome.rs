@@ -17,11 +17,6 @@ use std::io::{self, Write};
 /// Synthetic track id for round spans (real lanes are small integers).
 pub const ROUNDS_TID: u32 = 1000;
 
-/// Base of the synthetic track ids carrying per-color stamp spans: lane `n`'s
-/// stamp activity renders on track `STAMPS_TID_BASE + n`, directly below its
-/// solve track in the timeline.
-pub const STAMPS_TID_BASE: u32 = 2000;
-
 fn us(ns: u64) -> String {
     // Trace-event timestamps are microseconds; keep nanosecond resolution
     // with a fractional part.
@@ -89,19 +84,9 @@ pub fn write_chrome_trace<W: Write>(events: &[Event], out: &mut W) -> io::Result
         meta(&mut objs, lane, &name);
     }
     meta(&mut objs, ROUNDS_TID, "rounds");
-    for lane in 0..=max_lane {
-        if events
-            .iter()
-            .any(|e| e.lane == lane && matches!(e.kind, EventKind::StampColorStart { .. }))
-        {
-            meta(&mut objs, STAMPS_TID_BASE + lane, &format!("lane {lane} stamps"));
-        }
-    }
 
-    // Open spans: one solve slot per lane, one stamp-color slot per lane,
-    // one round slot.
+    // Open spans: one solve slot per lane, one round slot.
     let mut open_solve: Vec<Option<(u64, f64, f64)>> = vec![None; max_lane as usize + 1];
-    let mut open_stamp: Vec<Option<(u64, u32)>> = vec![None; max_lane as usize + 1];
     let mut open_round: Option<(u64, u64, u32)> = None;
     // Counter-track state: accept-rate EMA over lead/speculation outcomes,
     // concurrently in-flight solves, and the bypass hit-rate proxy (total
@@ -162,25 +147,6 @@ pub fn write_chrome_trace<W: Write>(events: &[Event], out: &mut W) -> io::Result
                     let args = format!("\"width\":{width},\"committed\":{committed}");
                     let name = format!("round {round}");
                     complete(&mut objs, ROUNDS_TID, &name, start, ev.ts_ns, &args);
-                }
-            }
-            EventKind::StampColorStart { color } => {
-                open_stamp[ev.lane as usize] = Some((ev.ts_ns, color));
-            }
-            EventKind::StampColorEnd { color, devices } => {
-                if let Some((start, c0)) = open_stamp[ev.lane as usize].take() {
-                    if c0 == color {
-                        let args = format!("\"color\":{color},\"devices\":{devices}");
-                        let name = format!("color {color}");
-                        complete(
-                            &mut objs,
-                            STAMPS_TID_BASE + ev.lane,
-                            &name,
-                            start,
-                            ev.ts_ns,
-                            &args,
-                        );
-                    }
                 }
             }
             EventKind::BypassedDevices { devices } => {
@@ -336,42 +302,6 @@ mod tests {
         let events = vec![
             ev(10, 1, 2, EventKind::SolveEnd { iterations: 1, converged: false }),
             ev(20, 2, 0, EventKind::RoundStart { width: 1 }),
-        ];
-        let text = chrome_trace_string(&events);
-        let doc = crate::json::parse(&text).expect("valid JSON");
-        assert!(spans(&doc).is_empty());
-    }
-
-    #[test]
-    fn stamp_color_spans_render_on_their_own_track() {
-        let events = vec![
-            ev(5, 1, 1, EventKind::SolveStart { h: 1e-9 }),
-            ev(10, 1, 1, EventKind::StampColorStart { color: 0 }),
-            ev(20, 1, 1, EventKind::StampColorEnd { color: 0, devices: 6 }),
-            ev(20, 1, 1, EventKind::StampColorStart { color: 1 }),
-            ev(35, 1, 1, EventKind::StampColorEnd { color: 1, devices: 2 }),
-            ev(50, 1, 1, EventKind::SolveEnd { iterations: 2, converged: true }),
-        ];
-        let text = chrome_trace_string(&events);
-        let doc = crate::json::parse(&text).expect("valid JSON");
-        let xs = spans(&doc);
-        // One solve span plus two stamp-color spans.
-        assert_eq!(xs.len(), 3);
-        let stamp_tid = (STAMPS_TID_BASE + 1) as f64;
-        let stamps: Vec<_> = xs
-            .iter()
-            .filter(|x| x.get("tid").and_then(JsonValue::as_f64) == Some(stamp_tid))
-            .collect();
-        assert_eq!(stamps.len(), 2);
-        assert!(text.contains("lane 1 stamps"));
-        assert!(text.contains("\"color\":1"));
-    }
-
-    #[test]
-    fn mismatched_stamp_colors_are_dropped() {
-        let events = vec![
-            ev(10, 1, 0, EventKind::StampColorStart { color: 0 }),
-            ev(20, 1, 0, EventKind::StampColorEnd { color: 7, devices: 1 }),
         ];
         let text = chrome_trace_string(&events);
         let doc = crate::json::parse(&text).expect("valid JSON");

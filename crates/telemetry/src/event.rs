@@ -270,28 +270,15 @@ event_kinds! {
         /// `true` = forward pipelining, `false` = backward.
         forward: bool,
     },
-    /// The parallel stamp path began accumulating one color group.
-    StampColorStart = "stamp_color_start" {
-        /// 0-based stamp color (conflict-free device group).
-        color: u32,
-    },
-    /// The parallel stamp path finished accumulating one color group.
-    StampColorEnd = "stamp_color_end" {
-        /// 0-based stamp color (conflict-free device group).
-        color: u32,
-        /// Devices in the group.
-        devices: u32,
-    },
-    /// A worker thread (pool lane or stamp worker) panicked or disappeared
-    /// and was retired from service.
+    /// A pool lane's worker thread panicked or disappeared and was retired
+    /// from service.
     WorkerLost = "worker_lost" {
         /// Lane the lost worker served (`lost_lane` on the wire, where `lane`
         /// is the envelope's emitting lane).
         lane: u32 = "lost_lane",
     },
-    /// A parallel component degraded itself to its serial path (a lane pool
-    /// shrinking to the coordinating thread, or a stamp executor switching
-    /// to inline evaluation).
+    /// The lane pool shrank to the coordinating thread: the run continues
+    /// on its serial path.
     FallbackSerial = "fallback_serial",
     /// The wall-clock budget expired; the run is stopping at the accepted
     /// prefix.
@@ -356,6 +343,7 @@ mod tests {
         let names: std::collections::HashSet<&str> =
             EventKind::SAMPLES.iter().map(EventKind::name).collect();
         assert_eq!(names.len(), EventKind::SAMPLES.len());
+        assert_eq!(names.len(), 25);
     }
 
     #[test]

@@ -211,5 +211,11 @@ mod tests {
     fn unknown_kind_is_rejected() {
         let line = "{\"ts_ns\":1,\"round\":0,\"lane\":0,\"t_sim\":0,\"kind\":\"mystery\"}";
         assert!(event_from_json(line, 1).unwrap_err().msg.contains("unknown kind"));
+        // A trace written while the stamp-worker layer existed holds two
+        // kinds that are gone: replaying it names the line and the kind.
+        let old_trace = "{\"ts_ns\":1,\"round\":0,\"lane\":0,\"t_sim\":0,\"kind\":\"factorization\"}\n\
+             {\"ts_ns\":2,\"round\":0,\"lane\":0,\"t_sim\":0,\"kind\":\"stamp_color_start\",\"color\":0}\n";
+        let err = parse_jsonl(old_trace).unwrap_err();
+        assert_eq!((err.line, err.msg.as_str()), (2, "unknown kind `stamp_color_start`"));
     }
 }

@@ -74,11 +74,9 @@ fn a_solved_point_allocates_its_two_vectors_and_little_else() {
     let b = generators::inverter_chain(8);
     let sys = Arc::new(MnaSystem::compile(&b.circuit).expect("compile"));
     // Pinned like the golden runs, so no environment leg of CI changes what
-    // is counted: no stamp workers, no injected faults, direct LU.
-    let opts = SimOptions::default()
-        .with_stamp_workers(0)
-        .with_solver(SolverHandle::direct())
-        .with_faults(FaultPlan::new());
+    // is counted: no injected faults, direct LU.
+    let opts =
+        SimOptions::default().with_solver(SolverHandle::direct()).with_faults(FaultPlan::new());
     let (short_allocs, short_solves) = run(&sys, b.tstep, b.tstop / 4.0, &opts);
     let (long_allocs, long_solves) = run(&sys, b.tstep, b.tstop, &opts);
     assert!(long_solves >= short_solves + 300, "{short_solves} -> {long_solves} solves");

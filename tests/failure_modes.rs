@@ -123,15 +123,13 @@ fn persistent_worker_panics_collapse_to_serial_identical_waveform() {
     // by construction — the committed grid must be bit-identical to the
     // plain serial engine's.
     let b = generators::rc_ladder(8);
-    let serial =
-        run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default().with_stamp_workers(0))
-            .unwrap();
+    let serial = run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default()).unwrap();
     let plan = FaultPlan::new().with_solve_fault(1, None, FaultKind::PanicWorker).with_solve_fault(
         2,
         None,
         FaultKind::PanicWorker,
     );
-    let opts = WavePipeOptions::new(Scheme::Backward, 3).with_stamp_workers(0).with_faults(plan);
+    let opts = WavePipeOptions::new(Scheme::Backward, 3).with_faults(plan);
     let rep = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).unwrap();
     assert!(rep.workers_lost >= 2, "expected both pool lanes lost, got {}", rep.workers_lost);
     assert!(rep.summary().contains("workers lost"), "{}", rep.summary());
@@ -144,13 +142,10 @@ fn soft_faults_on_leads_leave_the_grid_serial_identical() {
     // absorbed by the existing commit tests (unconverged / non-finite →
     // discard); no worker dies and the accepted grid equals serial's.
     let b = generators::rc_ladder(8);
-    let serial =
-        run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default().with_stamp_workers(0))
-            .unwrap();
+    let serial = run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default()).unwrap();
     for kind in [FaultKind::SingularMatrix, FaultKind::NanSolution] {
         let plan = FaultPlan::new().with_solve_fault(1, None, kind);
-        let opts =
-            WavePipeOptions::new(Scheme::Backward, 2).with_stamp_workers(0).with_faults(plan);
+        let opts = WavePipeOptions::new(Scheme::Backward, 2).with_faults(plan);
         let rep = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).unwrap();
         assert_eq!(rep.workers_lost, 0, "{kind:?} must not kill a worker");
         assert_eq!(rep.lead_accepted, 0, "{kind:?}: every lead should be discarded");
@@ -166,11 +161,9 @@ fn single_worker_panic_respawns_and_run_stays_accurate() {
     // Either way the run completes with normal accuracy — worker loss only
     // ever discards speculative work.
     let b = generators::power_grid(4, 4);
-    let serial =
-        run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default().with_stamp_workers(0))
-            .unwrap();
+    let serial = run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default()).unwrap();
     let plan = FaultPlan::new().with_solve_fault(1, Some(5), FaultKind::PanicWorker);
-    let opts = WavePipeOptions::new(Scheme::Backward, 2).with_stamp_workers(0).with_faults(plan);
+    let opts = WavePipeOptions::new(Scheme::Backward, 2).with_faults(plan);
     let rep = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).unwrap();
     assert_eq!(rep.workers_lost, 2, "initial worker and its respawn both hit solve #5");
     assert!(rep.lead_accepted > 0, "solves before the fault should contribute leads");
@@ -199,8 +192,7 @@ fn zero_deadline_keeps_the_dc_point_as_partial_result() {
 
     // WavePipe level, every parallel scheme.
     for scheme in [Scheme::Backward, Scheme::Forward, Scheme::Combined, Scheme::Adaptive] {
-        let opts =
-            WavePipeOptions::new(scheme, 3).with_stamp_workers(0).with_deadline(Duration::ZERO);
+        let opts = WavePipeOptions::new(scheme, 3).with_deadline(Duration::ZERO);
         let out = run_wavepipe_recoverable(&b.circuit, b.tstep, b.tstop, &opts).unwrap();
         assert!(
             matches!(out.error, Some(EngineError::DeadlineExceeded { .. })),
@@ -220,8 +212,7 @@ fn pre_cancelled_token_is_terminal_before_any_result() {
     let b = generators::rc_ladder(4);
     let token = CancelToken::new();
     token.cancel();
-    let opts =
-        WavePipeOptions::new(Scheme::Backward, 2).with_stamp_workers(0).with_cancel_token(token);
+    let opts = WavePipeOptions::new(Scheme::Backward, 2).with_cancel_token(token);
     let err = run_wavepipe_recoverable(&b.circuit, b.tstep, b.tstop, &opts).unwrap_err();
     assert!(matches!(err, EngineError::Cancelled { .. }), "got {err}");
 }
@@ -236,7 +227,6 @@ fn mid_run_cancellation_keeps_the_accepted_prefix() {
     let token = CancelToken::new();
     let plan = FaultPlan::new().with_solve_fault(0, None, FaultKind::SlowSolve { millis: 200 });
     let opts = WavePipeOptions::new(Scheme::Backward, 2)
-        .with_stamp_workers(0)
         .with_cancel_token(token.clone())
         .with_faults(plan);
     let canceller = std::thread::spawn(move || {
@@ -250,37 +240,12 @@ fn mid_run_cancellation_keeps_the_accepted_prefix() {
 }
 
 #[test]
-fn stamp_worker_panic_degrades_to_serial_stamping_identically() {
-    // A stamp worker panicking mid-run breaks the executor permanently; all
-    // later stamps run serially. Chunks are accumulated in a fixed order
-    // either way, so the waveform stays bit-identical to serial stamping.
-    let b = generators::rc_ladder(8);
-    let serial =
-        run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default().with_stamp_workers(0))
-            .unwrap();
-    let faulted = run_transient(
-        &b.circuit,
-        b.tstep,
-        b.tstop,
-        &SimOptions::default()
-            .with_stamp_workers(2)
-            .with_faults(FaultPlan::new().with_stamp_panic(0, 5)),
-    )
-    .unwrap();
-    assert_bit_identical(&serial, &faulted, "degraded parallel stamping vs serial");
-}
-
-#[test]
 fn chaos_seed_runs_complete_and_stay_accurate() {
     // The CI chaos leg in miniature: a seeded plan spraying soft faults
     // across the run must neither break completion nor accuracy.
     let b = generators::power_grid(4, 4);
-    let serial =
-        run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default().with_stamp_workers(0))
-            .unwrap();
-    let opts = WavePipeOptions::new(Scheme::Backward, 2)
-        .with_stamp_workers(0)
-        .with_faults(FaultPlan::seeded(0xC0FFEE));
+    let serial = run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default()).unwrap();
+    let opts = WavePipeOptions::new(Scheme::Backward, 2).with_faults(FaultPlan::seeded(0xC0FFEE));
     let rep = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).unwrap();
     let eq = wavepipe::core::verify::compare(&serial, &rep.result);
     assert!(eq.rms_rel() < 0.02, "rms deviation under chaos = {}", eq.rms_rel());

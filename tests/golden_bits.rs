@@ -1,8 +1,8 @@
 //! Golden waveform bits across a refactor boundary.
 //!
 //! Every other bit-identity test in the repo compares two paths of the
-//! *same* build (serial vs colored-parallel, classic vs lane tier), so a
-//! refactor that moves both sides in step passes them all. This test pins
+//! *same* build (the walk vs the kernel, a batch instance vs its solo run),
+//! so a refactor that moves both sides in step passes them all. This test pins
 //! the trajectories against constants generated at the commit *before* the
 //! stamping kernel and direct-LU backend were unified: FNV-1a over
 //! `f64::to_bits` of every accepted time point and every solution sample,
@@ -115,11 +115,10 @@ const GOLDEN: &[Row] = &[
 const SCHEMES: [&str; 5] = ["serial", "backward_x2", "forward_x2", "adaptive_x2", "combined_x3"];
 
 /// Everything an environment leg of CI can flip is pinned, so the same
-/// constants hold under `WAVEPIPE_STAMP_WORKERS`, the chaos seeds,
-/// `WAVEPIPE_BYPASS/CHORD=0` and `WAVEPIPE_SOLVER=gmres`.
+/// constants hold under the chaos seeds, `WAVEPIPE_BYPASS/CHORD=0` and
+/// `WAVEPIPE_SOLVER=gmres`.
 fn pinned(caches: bool) -> SimOptions {
     SimOptions::default()
-        .with_stamp_workers(0)
         .with_solver(SolverHandle::direct())
         .with_faults(FaultPlan::new())
         .with_recovery(true)
@@ -158,7 +157,7 @@ fn run(b: &Benchmark, scheme: &str, caches: bool) -> (TransientResult, SimStats)
                 "combined_x3" => (Scheme::Combined, 3),
                 other => panic!("no such golden scheme: {other}"),
             };
-            let opts = WavePipeOptions::new(kind, threads).with_stamp_workers(0).with_sim(sim);
+            let opts = WavePipeOptions::new(kind, threads).with_sim(sim);
             let rep = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).expect(scheme);
             (rep.result, rep.total)
         }

@@ -33,7 +33,6 @@ use wavepipe::engine::{run_transient, FaultPlan, SimOptions, SolverHandle, Trans
 /// `tests/golden_bits.rs`.
 fn pinned(caches: bool) -> SimOptions {
     SimOptions::default()
-        .with_stamp_workers(0)
         .with_solver(SolverHandle::direct())
         .with_faults(FaultPlan::new())
         .with_recovery(true)
@@ -51,7 +50,7 @@ fn run(b: &Benchmark, scheme: &str, sim: SimOptions) -> TransientResult {
         "combined_x3" => (Scheme::Combined, 3),
         other => panic!("no such scheme: {other}"),
     };
-    let opts = WavePipeOptions::new(kind, threads).with_stamp_workers(0).with_sim(sim);
+    let opts = WavePipeOptions::new(kind, threads).with_sim(sim);
     run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).expect(scheme).result
 }
 

@@ -42,13 +42,10 @@ fn nc_burst(n: u64) -> FaultPlan {
 #[test]
 fn forced_nonconvergence_is_rescued_in_the_serial_engine() {
     let b = generators::rc_ladder(6);
-    let clean =
-        run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default().with_stamp_workers(0))
-            .unwrap();
+    let clean = run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default()).unwrap();
 
     let registry = MetricsRegistry::shared();
     let opts = SimOptions::default()
-        .with_stamp_workers(0)
         .with_faults(nc_burst(30))
         .with_metrics(MetricsHandle::new(registry.clone()));
     let rescued = run_transient(&b.circuit, b.tstep, b.tstop, &opts)
@@ -74,8 +71,7 @@ fn recovery_off_surfaces_timestep_too_small() {
     // The exact same burst with the ladder disabled is the classic death:
     // the controller shrinks to the floor and gives up.
     let b = generators::rc_ladder(6);
-    let opts =
-        SimOptions::default().with_stamp_workers(0).with_faults(nc_burst(30)).with_recovery(false);
+    let opts = SimOptions::default().with_faults(nc_burst(30)).with_recovery(false);
     let err = run_transient(&b.circuit, b.tstep, b.tstop, &opts).unwrap_err();
     assert!(matches!(err, EngineError::TimestepTooSmall { .. }), "got {err}");
 }
@@ -85,10 +81,8 @@ fn stiff_diode_transient_completes_via_the_ladder() {
     // The acceptance fixture: a nonlinear rectifier whose solves are forced
     // unconverged long enough to previously abort, now completes.
     let b = generators::diode_rectifier();
-    let clean =
-        run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default().with_stamp_workers(0))
-            .unwrap();
-    let opts = SimOptions::default().with_stamp_workers(0).with_faults(nc_burst(25));
+    let clean = run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default()).unwrap();
+    let opts = SimOptions::default().with_faults(nc_burst(25));
     assert!(
         run_transient(&b.circuit, b.tstep, b.tstop, &opts.clone().with_recovery(false)).is_err(),
         "without the ladder this fixture must die"
@@ -103,11 +97,9 @@ fn every_scheme_survives_forced_nonconvergence_on_the_lead_lane() {
     // The Driver's `newton_backoff` mirrors the serial rescue-commit
     // sequence; all four pipelining schemes must absorb a lead-lane burst.
     let b = generators::rc_ladder(6);
-    let clean =
-        run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default().with_stamp_workers(0))
-            .unwrap();
+    let clean = run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default()).unwrap();
     for scheme in [Scheme::Backward, Scheme::Forward, Scheme::Combined, Scheme::Adaptive] {
-        let opts = WavePipeOptions::new(scheme, 3).with_stamp_workers(0).with_faults(nc_burst(30));
+        let opts = WavePipeOptions::new(scheme, 3).with_faults(nc_burst(30));
         let rep = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts)
             .unwrap_or_else(|e| panic!("{scheme}: ladder failed to rescue: {e}"));
         let eq = wavepipe::core::verify::compare(&clean, &rep.result);
@@ -121,11 +113,8 @@ fn nonconvergence_chaos_is_deterministic_and_accurate() {
     // draws across the run must neither break completion, nor accuracy,
     // nor run-to-run bit determinism.
     let b = generators::power_grid(4, 4);
-    let serial =
-        run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default().with_stamp_workers(0))
-            .unwrap();
+    let serial = run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default()).unwrap();
     let opts = WavePipeOptions::new(Scheme::Backward, 2)
-        .with_stamp_workers(0)
         .with_faults(FaultPlan::seeded_with_nonconvergence(0xC0FFEE));
     let r1 = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).unwrap();
     let r2 = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).unwrap();
@@ -150,12 +139,12 @@ proptest! {
             Scheme::Combined,
             Scheme::Adaptive,
         ][scheme_ix];
-        let base = WavePipeOptions::new(scheme, 2).with_stamp_workers(0);
+        let base = WavePipeOptions::new(scheme, 2);
         let on = base.clone().with_sim(
-            SimOptions::default().with_stamp_workers(0).with_recovery(true),
+            SimOptions::default().with_recovery(true),
         );
         let off = base.with_sim(
-            SimOptions::default().with_stamp_workers(0).with_recovery(false),
+            SimOptions::default().with_recovery(false),
         );
         let r_on = run_wavepipe(&b.circuit, b.tstep, b.tstop, &on).unwrap();
         let r_off = run_wavepipe(&b.circuit, b.tstep, b.tstop, &off).unwrap();
@@ -172,19 +161,11 @@ proptest! {
 #[test]
 fn clean_serial_run_is_bit_identical_with_recovery_on_or_off() {
     let b = generators::diode_rectifier();
-    let on = run_transient(
-        &b.circuit,
-        b.tstep,
-        b.tstop,
-        &SimOptions::default().with_stamp_workers(0).with_recovery(true),
-    )
-    .unwrap();
-    let off = run_transient(
-        &b.circuit,
-        b.tstep,
-        b.tstop,
-        &SimOptions::default().with_stamp_workers(0).with_recovery(false),
-    )
-    .unwrap();
+    let on =
+        run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default().with_recovery(true))
+            .unwrap();
+    let off =
+        run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default().with_recovery(false))
+            .unwrap();
     assert_bit_identical(&on, &off, "serial recovery on vs off");
 }

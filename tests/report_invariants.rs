@@ -52,11 +52,9 @@ fn options_ablation_knobs_change_behaviour() {
     let b = generators::power_grid(4, 4);
     let serial =
         run_transient(&b.circuit, b.tstep, b.tstop, &WavePipeOptions::default().sim).unwrap();
-    // Pin serial stamping: the knob only matters when lead lanes exist, and
-    // the `WAVEPIPE_STAMP_WORKERS` override would fold 2 threads into 1 lane.
-    let mut on = WavePipeOptions::new(Scheme::Backward, 2).with_stamp_workers(0);
+    let mut on = WavePipeOptions::new(Scheme::Backward, 2);
     on.bp_adaptive_lead = true;
-    let mut off = WavePipeOptions::new(Scheme::Backward, 2).with_stamp_workers(0);
+    let mut off = WavePipeOptions::new(Scheme::Backward, 2);
     off.bp_adaptive_lead = false;
     let r_on = run_wavepipe(&b.circuit, b.tstep, b.tstop, &on).unwrap();
     let r_off = run_wavepipe(&b.circuit, b.tstep, b.tstop, &off).unwrap();

@@ -1,11 +1,9 @@
 //! Solver-caching layers end to end: device bypass, chord Newton with LU
 //! reuse, and companion caching must speed the hot path up *without* moving
-//! the waveform beyond LTE-scale noise, and must compose with the fault
-//! ladder — a panic inside a bypassed-then-revalidated device still degrades
-//! to serial stamping bit-identically.
+//! the waveform beyond LTE-scale noise.
 
 use wavepipe::circuit::generators;
-use wavepipe::engine::{run_transient, FaultPlan, SimOptions, SolverHandle, TransientResult};
+use wavepipe::engine::{run_transient, FaultPlan, SimOptions, SolverHandle};
 
 /// Knobs pinned explicitly: the CI caches-off leg flips the env defaults,
 /// and these tests must assert the same thing on every leg. The empty fault
@@ -19,7 +17,6 @@ fn caches_off() -> SimOptions {
         .with_bypass(false)
         .with_chord_newton(false)
         .with_companion_cache(false)
-        .with_stamp_workers(0)
         .with_faults(FaultPlan::new())
         .with_solver(SolverHandle::direct())
 }
@@ -29,7 +26,6 @@ fn caches_on() -> SimOptions {
         .with_bypass(true)
         .with_chord_newton(true)
         .with_companion_cache(true)
-        .with_stamp_workers(0)
         .with_faults(FaultPlan::new())
         .with_solver(SolverHandle::direct())
 }
@@ -94,32 +90,4 @@ fn counters_are_dark_when_knobs_are_off() {
     assert_eq!(s.bypass_hits, 0);
     assert_eq!(s.jacobian_reuses, 0);
     assert_eq!(s.companion_hits, 0);
-}
-
-fn assert_bit_identical(a: &TransientResult, b: &TransientResult, what: &str) {
-    assert_eq!(a.times(), b.times(), "{what}: time grids differ");
-    for k in 0..a.len() {
-        assert_eq!(a.solution(k), b.solution(k), "{what}: solutions differ at point {k}");
-    }
-}
-
-#[test]
-fn stamp_worker_panic_with_bypass_active_still_degrades_identically() {
-    // PR3 ladder under the caching layers: a worker panic mid-run (after the
-    // caches have warmed up and devices have been bypassed and revalidated)
-    // breaks the executor permanently and all later stamps run serially. The
-    // bypass mask is computed on the master and device caches live in the
-    // workspace, so the degraded run must stay bit-identical to a serial run
-    // with the same knobs — on a MOSFET circuit where bypass actually fires.
-    let b = generators::inverter_chain(6);
-    let serial = run_transient(&b.circuit, b.tstep, b.tstop, &caches_on()).unwrap();
-    let faulted = run_transient(
-        &b.circuit,
-        b.tstep,
-        b.tstop,
-        &caches_on().with_stamp_workers(2).with_faults(FaultPlan::new().with_stamp_panic(0, 5)),
-    )
-    .unwrap();
-    assert!(serial.stats().bypass_hits > 0, "test premise: bypass must fire on this circuit");
-    assert_bit_identical(&serial, &faulted, "degraded cached stamping vs serial cached");
 }

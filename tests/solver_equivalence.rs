@@ -50,7 +50,6 @@ fn caches_on(solver: SolverHandle) -> SimOptions {
         .with_bypass(true)
         .with_chord_newton(true)
         .with_companion_cache(true)
-        .with_stamp_workers(0)
         .with_faults(FaultPlan::new())
         .with_solver(solver)
 }

@@ -69,7 +69,6 @@ fn pinned() -> SimOptions {
         .with_bypass(true)
         .with_chord_newton(true)
         .with_companion_cache(true)
-        .with_stamp_workers(0)
         .with_solver(SolverHandle::direct())
 }
 
@@ -209,8 +208,7 @@ fn four_keys_in_rotation_are_all_served_from_parked_sets() {
     // Each lane of a pipeline owns a cache and its parked sets; what it finds
     // in them depends on the points it was dealt, not on timing.
     let backward = || {
-        let opts =
-            WavePipeOptions::new(Scheme::Backward, 2).with_stamp_workers(0).with_sim(pinned());
+        let opts = WavePipeOptions::new(Scheme::Backward, 2).with_sim(pinned());
         run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).expect("Backward x2")
     };
     let (first, second) = (backward(), backward());

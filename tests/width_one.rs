@@ -18,11 +18,7 @@ const SCHEMES: [Scheme; 5] =
 /// Everything an environment leg of CI can flip is pinned (as
 /// `golden_bits.rs::pinned` does); the fault plan is the test's own.
 fn pinned(plan: FaultPlan) -> SimOptions {
-    SimOptions::default()
-        .with_stamp_workers(0)
-        .with_solver(SolverHandle::direct())
-        .with_faults(plan)
-        .with_recovery(true)
+    SimOptions::default().with_solver(SolverHandle::direct()).with_faults(plan).with_recovery(true)
 }
 
 fn serial(b: &Benchmark, plan: &FaultPlan) -> TransientOutcome {
@@ -31,7 +27,7 @@ fn serial(b: &Benchmark, plan: &FaultPlan) -> TransientOutcome {
 }
 
 fn width_one(b: &Benchmark, scheme: Scheme, plan: &FaultPlan) -> RunOutcome {
-    let opts = WavePipeOptions::new(scheme, 1).with_stamp_workers(0).with_sim(pinned(plan.clone()));
+    let opts = WavePipeOptions::new(scheme, 1).with_sim(pinned(plan.clone()));
     run_wavepipe_recoverable(&b.circuit, b.tstep, b.tstop, &opts)
         .unwrap_or_else(|e| panic!("{} {scheme} x1: set-up: {e}", b.name))
 }
