@@ -485,6 +485,36 @@ mod tests {
     }
 
     #[test]
+    fn a_lane_s_pivot_check_is_the_plan_layer_s_hit_or_miss_and_the_cache_table_shows_it() {
+        use wavepipe_engine::{FaultPlan, SimOptions, SolverHandle};
+        // Everything an environment leg of CI can flip is pinned: a lane is
+        // handed the operating point's plan only under the direct backend.
+        let sim = SimOptions::default()
+            .with_bypass(true)
+            .with_chord_newton(true)
+            .with_companion_cache(true)
+            .with_faults(FaultPlan::new())
+            .with_solver(SolverHandle::direct());
+        // The grid's worker keeps the plan; the chain's pivots its first
+        // transient matrix otherwise and pays its own factorization.
+        for (spec, hits, misses) in [("power_grid:16,16", 1, 0), ("inverter_chain:8", 0, 1)] {
+            let b = circuit_by_spec(spec).unwrap();
+            let (probe, registry) = (RecordingProbe::shared(), MetricsRegistry::shared());
+            let opts = WavePipeOptions::new(Scheme::Backward, 2)
+                .with_sim(sim.clone())
+                .with_probe(ProbeHandle::new(probe.clone()))
+                .with_metrics(MetricsHandle::new(registry.clone()));
+            run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).unwrap();
+            let snapshot = registry.snapshot();
+            assert_eq!(snapshot.labeled_value("cache_hits", "plan"), hits, "{spec}");
+            assert_eq!(snapshot.labeled_value("cache_misses", "plan"), misses, "{spec}");
+            let text = doctor_text("t", &analyze(&probe.events()), Some(&snapshot), true);
+            let row = text.lines().find(|l| l.trim_start().starts_with("plan")).expect("plan row");
+            assert!(row.contains(&format!("hits  {hits:>10}  misses   {misses:>10}")), "{row}");
+        }
+    }
+
+    #[test]
     fn report_sections_respect_stable_flag() {
         let b = generators::rc_ladder(6);
         let run = run_instrumented(&b, Scheme::Backward, 2);

@@ -16,8 +16,6 @@ use wavepipe_engine::{
     Commit, EngineError, HistoryWindow, MnaSystem, PointSolution, PointSolver, Result, SimOptions,
     SimStats, SolverHandle, StepController,
 };
-use wavepipe_sparse::ordering::order;
-use wavepipe_sparse::LuOptions;
 use wavepipe_telemetry::{Counter, DiscardReason, EventKind, Family, Gauge};
 
 /// Static label for a scheme, for metric families (avoids a per-point
@@ -304,24 +302,27 @@ pub(crate) struct Driver {
 
 impl Driver {
     /// Compiles the circuit, solves the operating point (counted on the
-    /// critical path — it is inherently sequential), and prepares the run.
+    /// critical path — it is inherently sequential), and prepares the run:
+    /// the worker lanes come last, so that they can start on the plan of the
+    /// operating point's factorization.
     pub fn new(circuit: &Circuit, tstep: f64, tstop: f64, wp: &WavePipeOptions) -> Result<Self> {
         let run_start = Instant::now();
         let sys = Arc::new(MnaSystem::compile(circuit)?);
-        let mut lane_sim = wp.sim.clone();
-        if lane_sim.solver.is_direct() {
-            // The fill-reducing ordering is a function of the pattern alone:
-            // work it out once for all lanes, as a batch does for its
-            // instances. A solver the caller chose is left as it is.
-            let ordering =
-                order(sys.pattern(), LuOptions::default().ordering).map_err(EngineError::Linear)?;
-            lane_sim.solver = SolverHandle::batched(Arc::new(ordering));
-        }
-        let mut lead = PointSolver::new(Arc::clone(&sys), lane_sim.clone());
-        let pool =
-            WorkerPool::new(&sys, &lane_sim, wp.width().saturating_sub(1), wp.worker_respawns);
+        let mut lead = PointSolver::new(Arc::clone(&sys), wp.sim.clone());
         let dc_start = Instant::now();
         let ctl = StepController::start(&mut lead, tstep, tstop, &wp.sim)?;
+        let critical_ns = dc_start.elapsed().as_nanos();
+        let mut lane_sim = wp.sim.clone();
+        if let Some(plan) = lead.shared_plan().filter(|_| lane_sim.solver.is_direct()) {
+            // One plan per run: every worker adopts the coordinating lane's
+            // (ordering, pivot sequence, index arrays) under the pivot check,
+            // and pays a private factorization only where its first matrix
+            // would have pivoted otherwise. A solver the caller chose is left
+            // as it is.
+            lane_sim.solver = SolverHandle::adopting(plan);
+        }
+        let pool =
+            WorkerPool::new(&sys, &lane_sim, wp.width().saturating_sub(1), wp.worker_respawns);
         Ok(Driver {
             lead,
             pool,
@@ -331,7 +332,7 @@ impl Driver {
             lead_ema: 0.5,
             deep_mode: true,
             critical_work: ctl.stats().work_units(),
-            critical_ns: dc_start.elapsed().as_nanos(),
+            critical_ns,
             ctl,
             dispatch_ns: 0,
             lead_ns: 0,

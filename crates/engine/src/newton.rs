@@ -7,17 +7,19 @@ use crate::solver::{DirectLu, SolverBackend};
 use crate::stats::SimStats;
 use std::time::Instant;
 use wavepipe_sparse::vector::{all_finite, norm_inf};
-use wavepipe_sparse::{CscMatrix, SparseError};
+use wavepipe_sparse::{CscMatrix, SharedPlan, SparseError};
 use wavepipe_telemetry::{Counter, EventKind, Family};
 
 /// Parked numeric factor sets a backend is asked to keep beside its active
-/// one. The step ladder a transient run climbs after every source corner has
-/// four rungs (`h, 2h, 4h, 8h`), so four sets in all is where an exact-key
-/// LRU stops missing on it: `power_grid(32,32)` serial refactors at 378, 378,
-/// 378, 120, 80 of its 378 key changes with 1, 2, 3, 4, 5 sets (DESIGN.md
-/// "Plan, numeric sets and the parked list" has the table and what the fifth
-/// set would cost).
-const PARKED_SETS: usize = 3;
+/// one: five sets in all. After every source corner a transient run climbs a
+/// step ladder (`h, 2h, 4h, 8h`, now and then a longer rung), and the next
+/// corner asks again for rungs the last one left; an exact-key LRU stops
+/// missing on a ladder only once it holds the ladder and more, so the misses
+/// fall with every set: `power_grid(32,32)` serial refactors at 378, 378,
+/// 378, 120, 80 and 54 of its 378 key changes with one to six sets. Five is
+/// where the benchmark's memory bound stops it (DESIGN.md "Why four parked
+/// sets" has the table and what the fifth cost and the sixth would).
+const PARKED_SETS: usize = 4;
 
 /// Which [`LinKey`] each of a backend's numeric factor sets — the active one
 /// and [`PARKED_SETS`] parked ones — was computed under, and the one rule
@@ -171,6 +173,12 @@ impl LinearCache {
         LinearCache { backend, ..LinearCache::default() }
     }
 
+    /// The plan of the backend's current factorization, for other solvers'
+    /// backends to adopt (see [`SolverBackend::shared_plan`]).
+    pub fn shared_plan(&self) -> Option<SharedPlan> {
+        self.backend.shared_plan()
+    }
+
     /// Drops the cached factorization (forces a fresh pivot search next time).
     pub fn invalidate(&mut self) {
         self.backend.invalidate();
@@ -280,7 +288,7 @@ impl LinearCache {
             }
             hit = turn == KeyTurn::Hit || parked_hit;
             if !hit && opts.metrics.enabled() {
-                publish_parked_metrics(opts, Family::CacheMisses);
+                publish_cache_outcome(opts, Family::CacheMisses, "parked");
             }
         }
         if hit && !ws.limited && self.backend.factored() {
@@ -302,7 +310,7 @@ impl LinearCache {
                 self.last_dx = Some(dxn);
                 stats.jacobian_reuses += 1;
                 if parked_hit && opts.metrics.enabled() {
-                    publish_parked_metrics(opts, Family::CacheHits);
+                    publish_cache_outcome(opts, Family::CacheHits, "parked");
                 }
                 return Ok(true);
             }
@@ -316,15 +324,31 @@ impl LinearCache {
                 self.backend.factor(&ws.matrix)?;
                 stats.factorizations += 1;
             } else {
+                // The first refactorization over an adopted plan is its
+                // pivot check: the `plan` cache layer's hit or miss.
+                let adopting = self.backend.adopts_plan();
                 match self.backend.refactor(&ws.matrix) {
                     Ok(()) => {
                         // A frozen-pivot pass is still a numeric
-                        // factorization: counted in both totals.
+                        // factorization: counted in both totals. A checked
+                        // pass over an adopted plan stands in for the fresh
+                        // factorization the lane paid without one, and is
+                        // charged as that, so that the work model, which
+                        // the Adaptive scheduler reads, sees the run it
+                        // always saw.
                         stats.factorizations += 1;
-                        stats.refactorizations += 1;
+                        if !adopting {
+                            stats.refactorizations += 1;
+                        } else if opts.metrics.enabled() {
+                            publish_cache_outcome(opts, Family::CacheHits, "plan");
+                        }
                     }
                     Err(SparseError::PivotDegraded { .. }) => {
-                        // Frozen pivot order went bad: re-pivot from scratch.
+                        // Frozen pivot order went bad (or an adopted one
+                        // failed its check): re-pivot from scratch.
+                        if adopting && opts.metrics.enabled() {
+                            publish_cache_outcome(opts, Family::CacheMisses, "plan");
+                        }
                         self.keys.fresh_plan();
                         self.backend.factor(&ws.matrix)?;
                         stats.factorizations += 1;
@@ -546,15 +570,17 @@ fn publish_linear_metrics(opts: &SimOptions, factored: u64, refactored: u64, reu
     }
 }
 
-/// One turn of a new key at the parked factor sets, into the `parked` cache
-/// layer: a hit is a chord step taken on factors that were parked — a numeric
-/// factorization saved, beside the `chord` layer's count of the step itself —
-/// and a miss a key no set was kept for. `#[cold]`/out-of-line for the same
-/// reason as [`publish_stamp_metrics`].
+/// One outcome of a factor-level cache layer. `parked`: a new key's turn at
+/// the parked factor sets — a hit is a chord step taken on factors that were
+/// parked, a numeric factorization saved beside the `chord` layer's count of
+/// the step itself, a miss a key no set was kept for. `plan`: an adopted
+/// plan's pivot check — a hit is a refactorization where the lane would have
+/// pivoted afresh, a miss the private factorization a failed check pays.
+/// `#[cold]`/out-of-line for the same reason as [`publish_stamp_metrics`].
 #[cold]
 #[inline(never)]
-fn publish_parked_metrics(opts: &SimOptions, outcome: Family) {
-    opts.metrics.add_labeled(outcome, "parked", 1);
+fn publish_cache_outcome(opts: &SimOptions, outcome: Family, cache: &'static str) {
+    opts.metrics.add_labeled(outcome, cache, 1);
 }
 
 /// Mirrors one Krylov-path solve's counter deltas (GMRES iterations,
@@ -742,6 +768,9 @@ mod tests {
             self.note("swap");
             self.inner.swap_parked(slot)
         }
+        fn adopts_plan(&self) -> bool {
+            self.inner.adopts_plan()
+        }
     }
 
     /// Runs one linearization per entry of `steps` on an RC low-pass (the
@@ -749,19 +778,24 @@ mod tests {
     /// returns the backend calls each one made. Every solve must solve its
     /// own system, whichever factor set served it.
     fn calls_per_key(steps: &str, chord: bool, parks: bool) -> Vec<String> {
-        let mut ckt = Circuit::new("rc");
-        let (a, b) = (ckt.node("a"), ckt.node("b"));
-        ckt.add_vsource("V1", a, Circuit::GROUND, Waveform::dc(1.0)).unwrap();
-        ckt.add_resistor("R1", a, b, 1e3).unwrap();
-        ckt.add_capacitor("C1", b, Circuit::GROUND, 1e-9).unwrap();
-        let sys = MnaSystem::compile(&ckt).unwrap();
+        calls_through(DirectLu::new(), steps, chord, parks).0
+    }
+
+    /// [`calls_per_key`] through `inner`, with the counters of the run.
+    fn calls_through(
+        inner: DirectLu,
+        steps: &str,
+        chord: bool,
+        parks: bool,
+    ) -> (Vec<String>, SimStats) {
+        let sys = rc_low_pass();
         let mut ws = sys.new_workspace();
         let opts = SimOptions::default()
             .with_chord_newton(chord)
             .with_bypass(false)
             .with_companion_cache(false);
         let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let backend = Logged { inner: DirectLu::new(), parks, log: log.clone() };
+        let backend = Logged { inner, parks, log: log.clone() };
         let mut cache = LinearCache::with_backend(Box::new(backend));
         let mut stats = SimStats::new();
         let x = vec![0.25; sys.n_unknowns()];
@@ -772,12 +806,7 @@ mod tests {
                 cache.note_rejection();
                 continue;
             }
-            assert!(('a'..='e').contains(&step), "no such step: {step}");
-            let h = 1e-9 * f64::from(1u32 << (step as u32 - 'a' as u32));
-            let input = StampInput {
-                coeffs: Some(crate::integrate::IntegCoeffs::new(opts.method, h, h)),
-                ..dc_input(&x, &caps, &opts)
-            };
+            let input = rc_step(step, &x, &caps, &opts);
             sys.stamp(&mut ws, &input, &x);
             cache.begin_solve();
             assert!(cache.factor_and_solve(&ws, &input, &x, &opts, &mut stats).unwrap());
@@ -786,14 +815,34 @@ mod tests {
             assert!(norm_inf(&resid) <= 1e-9 * norm_inf(&ws.rhs), "step {step}: {resid:?}");
             out.push(log.lock().unwrap().drain(..).collect::<Vec<_>>().join(" "));
         }
-        out
+        (out, stats)
+    }
+
+    /// The RC low-pass of [`calls_per_key`].
+    fn rc_low_pass() -> MnaSystem {
+        let mut ckt = Circuit::new("rc");
+        let (a, b) = (ckt.node("a"), ckt.node("b"));
+        ckt.add_vsource("V1", a, Circuit::GROUND, Waveform::dc(1.0)).unwrap();
+        ckt.add_resistor("R1", a, b, 1e3).unwrap();
+        ckt.add_capacitor("C1", b, Circuit::GROUND, 1e-9).unwrap();
+        MnaSystem::compile(&ckt).unwrap()
+    }
+
+    /// The stamp input of step `'a'` (1 ns) .. `'f'` (32 ns).
+    fn rc_step<'a>(step: char, x: &'a [f64], caps: &'a [f64], opts: &SimOptions) -> StampInput<'a> {
+        assert!(('a'..='f').contains(&step), "no such step: {step}");
+        let h = 1e-9 * f64::from(1u32 << (step as u32 - 'a' as u32));
+        StampInput {
+            coeffs: Some(crate::integrate::IntegCoeffs::new(opts.method, h, h)),
+            ..dc_input(x, caps, opts)
+        }
     }
 
     const PARK: &str = "swap refactor solve";
     const PARKED_HIT: &str = "swap solve";
 
     #[test]
-    fn factors_left_up_to_three_refactorizations_ago_are_swapped_back_not_recomputed() {
+    fn factors_left_up_to_four_refactorizations_ago_are_swapped_back_not_recomputed() {
         assert_eq!(
             calls_per_key("abacb", true, true),
             [
@@ -808,27 +857,62 @@ mod tests {
                 PARKED_HIT,
             ]
         );
-        // The four-rung ladder: one fresh factorization, one refactorization
+        // A five-rung ladder: one fresh factorization, one refactorization
         // per new rung, then every rung is a trade and a chord solve.
         assert_eq!(
-            calls_per_key("abcdabcd", true, true),
-            ["factor solve", PARK, PARK, PARK, PARKED_HIT, PARKED_HIT, PARKED_HIT, PARKED_HIT]
+            calls_per_key("abcdeabcde", true, true),
+            [
+                "factor solve",
+                PARK,
+                PARK,
+                PARK,
+                PARK,
+                PARKED_HIT,
+                PARKED_HIT,
+                PARKED_HIT,
+                PARKED_HIT,
+                PARKED_HIT
+            ]
         );
     }
 
     #[test]
-    fn a_fifth_key_evicts_the_least_recently_active_set() {
-        // `e` finds every slot taken and overwrites `a`'s, parked first and
+    fn a_sixth_key_evicts_the_least_recently_active_set() {
+        // `f` finds every slot taken and overwrites `a`'s, parked first and
         // never asked for since: `a` is refactored again ...
         assert_eq!(
-            calls_per_key("abcdea", true, true),
-            ["factor solve", PARK, PARK, PARK, PARK, PARK]
+            calls_per_key("abcdefa", true, true),
+            ["factor solve", PARK, PARK, PARK, PARK, PARK, PARK]
         );
         // ... where asking for `a` in between makes `b`'s the oldest.
         assert_eq!(
-            calls_per_key("abcdaeab", true, true),
-            ["factor solve", PARK, PARK, PARK, PARKED_HIT, PARK, PARKED_HIT, PARK]
+            calls_per_key("abcdeafab", true, true),
+            ["factor solve", PARK, PARK, PARK, PARK, PARKED_HIT, PARK, PARKED_HIT, PARK]
         );
+    }
+
+    #[test]
+    fn a_backend_handed_a_plan_refactors_its_first_matrix_and_is_charged_a_factorization() {
+        // The owner pivots the matrix of step `a` ...
+        let sys = rc_low_pass();
+        let mut ws = sys.new_workspace();
+        let opts = SimOptions::default();
+        let (x, caps) = (vec![0.25; sys.n_unknowns()], vec![0.0; sys.cap_state_count()]);
+        sys.stamp(&mut ws, &rc_step('a', &x, &caps, &opts), &x);
+        let mut owner = DirectLu::new();
+        owner.factor(&ws.matrix).unwrap();
+        let plan = owner.shared_plan().expect("a factored direct backend hands out its plan");
+        // ... a backend handed its plan refactors instead of factoring, at `c`
+        // as at any step (this matrix pivots as `a`'s did), and after that
+        // the sequence is the one a backend that factored itself runs.
+        let (calls, stats) = calls_through(DirectLu::adopting(plan), "cbc", true, true);
+        assert_eq!(calls, ["refactor solve", PARK, PARKED_HIT]);
+        assert_eq!(calls[1..], calls_per_key("cbc", true, true)[1..]);
+        // The checked refactorization stands in for the fresh factorization
+        // it replaced, and the counters charge it as that one.
+        let (_, own) = calls_through(DirectLu::new(), "cbc", true, true);
+        assert_eq!(stats, own);
+        assert_eq!((stats.factorizations, stats.refactorizations), (2, 1));
     }
 
     #[test]
@@ -879,12 +963,12 @@ mod tests {
 
     proptest::proptest! {
         /// [`FactorKeys`] against the textbook list: the keys factors are
-        /// held for, most recently active first, four at most; the front is
+        /// held for, most recently active first, five at most; the front is
         /// the active set's (`None` once its point was rejected). Any mix of
         /// linearizations (a key number), rejected points (8) and re-pivots
         /// (9) takes both to the same keys by the same kind of turn.
         #[test]
-        fn factor_keys_are_an_lru_of_four_over_exact_keys(
+        fn factor_keys_are_an_lru_of_five_over_exact_keys(
             ops in proptest::collection::vec(0u8..10, 0..200),
         ) {
             let mut keys = FactorKeys::default();

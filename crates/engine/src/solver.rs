@@ -13,13 +13,17 @@
 //! it produces bitwise-identical solution vectors on every run. [`DirectLu`]
 //! is additionally pinned to be bit-identical to the historical direct
 //! `SparseLu` calls (same ordering, same pivoting, same triangular solves),
-//! so swapping the seam in changed no waveform anywhere. A batched sweep and
-//! a pipelined run hand the `DirectLu` of every instance or lane one
-//! precomputed fill-reducing ordering ([`DirectLu::with_shared_ordering`]);
-//! because the orderings in [`wavepipe_sparse::ordering`] are pure functions
-//! of the matrix *pattern* — they never read values — a backend factoring
-//! through the shared ordering is bit-identical to the same backend deriving
-//! the identical permutation from the identical pattern itself. Custom
+//! so swapping the seam in changed no waveform anywhere. A batched sweep
+//! hands the `DirectLu` of every instance one precomputed fill-reducing
+//! ordering ([`DirectLu::with_shared_ordering`]); because the orderings in
+//! [`wavepipe_sparse::ordering`] are pure functions of the matrix *pattern* —
+//! they never read values — a backend factoring through the shared ordering
+//! is bit-identical to the same backend deriving the identical permutation
+//! from the identical pattern itself. A pipelined run hands its worker lanes
+//! the coordinating lane's whole plan ([`DirectLu::adopting`]); a lane keeps
+//! it only where a check proves its own pivot search would have rebuilt it,
+//! in which case its factors are the ones that search would have computed,
+//! bit for bit (see [`SparseLu::adopt`]). Custom
 //! backends that cannot honour bit-determinism must say so
 //! in their documentation: WavePipe's accuracy-equivalence tests pin the
 //! default paths bitwise.
@@ -28,7 +32,9 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use wavepipe_sparse::ordering::order;
-use wavepipe_sparse::{CscMatrix, LuOptions, Permutation, Result, SparseError, SparseLu};
+use wavepipe_sparse::{
+    CscMatrix, LuOptions, Permutation, Result, SharedPlan, SparseError, SparseLu,
+};
 
 /// A linear-solver backend for the Newton loop: numeric factorization and
 /// triangular solves over a fixed sparsity pattern.
@@ -106,6 +112,20 @@ pub trait SolverBackend: fmt::Debug + Send {
     fn swap_parked(&mut self, _slot: usize) -> bool {
         false
     }
+
+    /// The plan of the current factorization, for another backend to adopt
+    /// ([`SolverHandle::adopting`]); `None` (the default) when there is none
+    /// or the backend has no plan to hand out.
+    fn shared_plan(&self) -> Option<SharedPlan> {
+        None
+    }
+
+    /// Whether the next [`refactor`](SolverBackend::refactor) is the first
+    /// over a plan adopted from another backend, the one that checks its
+    /// pivots (`false`, the default, for a backend that adopts none).
+    fn adopts_plan(&self) -> bool {
+        false
+    }
 }
 
 /// The solve-layer error for operating on an unfactored backend.
@@ -121,11 +141,18 @@ fn unfactored(n: usize) -> SparseError {
 /// The ordering is a pure function of the matrix pattern, so it is worked out
 /// once: a backend keeps the permutation of its first fresh factorization for
 /// later ones of the same pattern (a `PivotDegraded` re-pivot searches
-/// pivots again, not the ordering), and owners of many backends over one
-/// compiled MNA pattern — a batch's instances, a pipelined run's lanes —
-/// compute it themselves and hand every backend an `Arc` of it
-/// ([`DirectLu::with_shared_ordering`]). Not a bit changes either way (see
+/// pivots again, not the ordering), and an owner of many backends over one
+/// compiled MNA pattern — a batch, for its instances — computes it itself
+/// and hands every backend an `Arc` of it ([`DirectLu::with_shared_ordering`]). Not a bit changes either way (see
 /// the [module docs](self)).
+///
+/// A backend can also be handed a whole plan — ordering, pivot sequence and
+/// the index arrays of `L` and `U` — that another backend's fresh
+/// factorization built ([`DirectLu::adopting`]): it counts as factored, and
+/// its first `refactor` adopts the plan under the pivot check of
+/// [`SparseLu::adopt`], failing with [`SparseError::PivotDegraded`] where the
+/// matrix would have pivoted otherwise, so that the caller's usual answer —
+/// a fresh `factor` — pays the private factorization it always paid.
 #[derive(Debug, Default, Clone)]
 pub struct DirectLu {
     lu: Option<SparseLu>,
@@ -137,6 +164,8 @@ pub struct DirectLu {
     /// pointers and a hash of its row indices ([`rows_hash`]); `None` for one
     /// handed in, whose owner vouches for the pattern.
     derived_for: Option<(Vec<usize>, u64)>,
+    /// A plan handed in and not adopted yet: the next `refactor` adopts it.
+    plan: Option<SharedPlan>,
 }
 
 /// SipHash (fixed keys) of a matrix's row indices: what a kept ordering
@@ -165,6 +194,16 @@ impl DirectLu {
         DirectLu { ordering: Some(ordering), ..DirectLu::default() }
     }
 
+    /// A backend that adopts `plan` at its first `refactor` (see the type
+    /// docs) and factors afresh through the plan's ordering.
+    pub fn adopting(plan: SharedPlan) -> Self {
+        DirectLu {
+            ordering: Some(Arc::new(plan.ordering().clone())),
+            plan: Some(plan),
+            ..DirectLu::default()
+        }
+    }
+
     /// The current factorization, if one is held.
     ///
     /// [`crate::krylov::GmresBackend`] uses this to reuse frozen
@@ -179,6 +218,7 @@ impl DirectLu {
 impl SolverBackend for DirectLu {
     fn factor(&mut self, a: &CscMatrix) -> Result<()> {
         self.lu = None;
+        self.plan = None;
         // Fresh factorizations are rare: walking the whole pattern is free.
         if self
             .derived_for
@@ -201,6 +241,9 @@ impl SolverBackend for DirectLu {
     }
 
     fn refactor(&mut self, a: &CscMatrix) -> Result<()> {
+        if let Some(plan) = self.plan.take() {
+            self.lu = Some(SparseLu::adopt(&plan, &self.opts));
+        }
         let lu = self.lu.as_mut().ok_or_else(|| unfactored(a.ncols()))?;
         lu.refactor(a)
     }
@@ -211,11 +254,12 @@ impl SolverBackend for DirectLu {
     }
 
     fn factored(&self) -> bool {
-        self.lu.is_some()
+        self.lu.is_some() || self.plan.is_some()
     }
 
     fn invalidate(&mut self) {
         self.lu = None;
+        self.plan = None;
     }
 
     fn clone_box(&self) -> Box<dyn SolverBackend> {
@@ -224,6 +268,14 @@ impl SolverBackend for DirectLu {
 
     fn swap_parked(&mut self, slot: usize) -> bool {
         self.lu.as_mut().map(|lu| lu.swap_parked(slot)).is_some()
+    }
+
+    fn shared_plan(&self) -> Option<SharedPlan> {
+        self.lu.as_ref().map(SparseLu::shared_plan)
+    }
+
+    fn adopts_plan(&self) -> bool {
+        self.plan.is_some()
     }
 }
 
@@ -234,7 +286,7 @@ pub trait SolverFactory: fmt::Debug + Send + Sync {
 }
 
 /// A configured `DirectLu` is its own factory: `make` hands out unfactored
-/// copies carrying the same options and shared ordering.
+/// copies carrying the same options, shared ordering and plan to adopt.
 impl SolverFactory for DirectLu {
     fn make(&self) -> Box<dyn SolverBackend> {
         Box::new(DirectLu { lu: None, ..self.clone() })
@@ -262,10 +314,18 @@ impl SolverHandle {
     }
 
     /// Backends sharing one precomputed fill-reducing `ordering` (what a
-    /// batched sweep gives its instances and a pipelined run its lanes; see
+    /// batched sweep gives its instances; a pipelined run hands its lanes a
+    /// whole plan, [`SolverHandle::adopting`]; see
     /// [`DirectLu::with_shared_ordering`]).
     pub fn batched(ordering: Arc<Permutation>) -> Self {
         SolverHandle::new(Arc::new(DirectLu::with_shared_ordering(ordering)))
+    }
+
+    /// Backends that each adopt `plan` at their first refactorization (what
+    /// a pipelined run gives its worker lanes, `plan` being its coordinating
+    /// lane's; see [`DirectLu::adopting`]).
+    pub fn adopting(plan: SharedPlan) -> Self {
+        SolverHandle::new(Arc::new(DirectLu::adopting(plan)))
     }
 
     /// [`DirectLu`] backends with explicit [`LuOptions`] — the hook behind
@@ -316,7 +376,7 @@ impl PartialEq for SolverHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wavepipe_sparse::CooMatrix;
+    use wavepipe_sparse::{CooMatrix, OrderingKind};
 
     fn small_matrix(scale: f64) -> CscMatrix {
         // A 4x4 asymmetric pattern with enough structure for the orderings
@@ -458,6 +518,54 @@ mod tests {
         }
         backend.invalidate();
         assert!(!backend.swap_parked(0));
+    }
+
+    /// Column 0 holds an explicit zero on its diagonal and `below` in rows 1
+    /// and 2, which pivoting chooses between (an MNA branch column).
+    fn branch_column(below: [f64; 2]) -> CscMatrix {
+        let mut t = CooMatrix::new(3, 3);
+        for (r, c, v) in [(0, 0, 0.0), (1, 0, below[0]), (2, 0, below[1]), (0, 1, 1.0)] {
+            t.push(r, c, v).unwrap();
+        }
+        t.push(1, 2, 1.0).unwrap();
+        t.push(2, 2, 1.0).unwrap();
+        t.to_csc()
+    }
+
+    #[test]
+    fn a_handed_plan_is_kept_where_its_pivots_hold_and_repivoted_where_not() {
+        let natural = || LuOptions { ordering: OrderingKind::Natural, ..LuOptions::default() };
+        let mut owner = DirectLu::with_options(natural());
+        owner.factor(&branch_column([2.0, 1.0])).unwrap();
+        let handle = SolverHandle::adopting(owner.shared_plan().expect("factored"));
+        let b = [1.0, -2.0, 0.5];
+        // Row 1 still the largest; row 2 the largest; a tie.
+        for (below, kept) in [([3.0, -1.5], true), ([1.0, 3.0], false), ([1.0, -1.0], false)] {
+            let a = branch_column(below);
+            let mut lane = handle.make();
+            assert!(lane.factored() && lane.adopts_plan());
+            // What the Newton cache does with a backend that reports factors.
+            match lane.refactor(&a) {
+                Ok(()) => assert!(kept, "{below:?} kept a plan it should have refused"),
+                Err(SparseError::PivotDegraded { .. }) => {
+                    assert!(!kept, "{below:?} refused a plan it could keep");
+                    lane.factor(&a).unwrap();
+                }
+                Err(e) => panic!("{below:?}: {e}"),
+            }
+            assert!(!lane.adopts_plan());
+            // Either way the lane holds the factors of a backend that never
+            // adopted anything, bit for bit.
+            let (mut x, mut scratch) = (vec![0.0; 3], vec![0.0; 3]);
+            lane.solve(&b, &mut x, &mut scratch).unwrap();
+            let own = solve_through(&mut DirectLu::with_options(natural()), &a, &b);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&x), bits(&own), "{below:?}");
+        }
+        // Dropping the factors drops the plan too: the next pass pivots.
+        let mut lane = handle.make();
+        lane.invalidate();
+        assert!(!lane.factored() && !lane.adopts_plan());
     }
 
     #[test]

@@ -27,6 +27,7 @@ use crate::stepctl::{Commit, StepController};
 use std::sync::Arc;
 use std::time::Instant;
 use wavepipe_circuit::Circuit;
+use wavepipe_sparse::SharedPlan;
 use wavepipe_telemetry::{Counter, EventKind, Family, Series};
 
 /// Number of past points retained for companions, prediction, and LTE.
@@ -277,6 +278,13 @@ impl PointSolver {
     /// The options in effect.
     pub fn options(&self) -> &SimOptions {
         &self.opts
+    }
+
+    /// The LU plan this solver's factors live over, for other solvers to
+    /// adopt ([`crate::SolverHandle::adopting`]); `None` while it holds no
+    /// factorization or its backend hands out no plan.
+    pub fn shared_plan(&self) -> Option<SharedPlan> {
+        self.cache.shared_plan()
     }
 
     /// Computes the DC operating point (the `t = 0` state).

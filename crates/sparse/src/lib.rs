@@ -71,6 +71,6 @@ pub use error::{Result, SparseError};
 pub use gmres::{gmres, GmresOptions, GmresOutcome};
 pub use ilu::Ilu0;
 pub use lanes::{LanePackedLu, LaneSolve, MAX_LANES};
-pub use lu::{LuOptions, SparseLu};
+pub use lu::{LuOptions, SharedPlan, SparseLu};
 pub use operator::{IdentityPrecond, Preconditioner, SparseOperator};
 pub use ordering::{OrderingKind, Permutation};

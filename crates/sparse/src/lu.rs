@@ -55,6 +55,28 @@
 //! written earlier in the same pass), so which set it lands in changes no
 //! bit. How many slots are used, and which factors are worth keeping in
 //! them, is the caller's rule; this module only stores them.
+//!
+//! # Adopting another owner's plan
+//!
+//! A plan can be handed to another owner ([`SparseLu::shared_plan`], an
+//! opaque [`SharedPlan`]) who adopts it ([`SparseLu::adopt`]) instead of
+//! pivoting its own first matrix. The adopter's first `refactor` then checks,
+//! column by column and before it gathers the column, that `factor` would
+//! have chosen exactly the plan's pivot from the candidates it holds: the
+//! diagonal when it is nonzero and at least `pivot_threshold` times the
+//! largest candidate, else the unique largest candidate. An exact tie for the
+//! largest magnitude, where `factor` would take whichever its search met
+//! first, fails the check, as does any other mismatch; a failed check returns
+//! [`SparseError::PivotDegraded`], which a caller already answers with a
+//! fresh `factor`. A check that passes at every column means `factor` of the
+//! same matrix under the plan's ordering would have rebuilt this plan, index
+//! for index, and computed every value by the same operations in the same
+//! order, so the adopter's factors are those of the `factor` it skipped, bit
+//! for bit (the unit tests compare `L`, `U` and the pivots by `to_bits`). The
+//! one operation the two do not share is a zero multiplier, which `factor`
+//! applies and `refactor` skips; that can only flip the sign of a zero
+//! target that is already negative, and only a `-0.0` stored in the matrix
+//! starts one, so a matrix holding one fails the check as well.
 
 use crate::csc::CscMatrix;
 use crate::error::{Result, SparseError};
@@ -120,6 +142,21 @@ pub struct SparseLu {
     /// Dense refactorization workspace in pivot coordinates; every kernel
     /// that writes it leaves it all-zero, error returns included.
     work: Vec<f64>,
+    /// The plan was adopted ([`SparseLu::adopt`]) and no `refactor` over it
+    /// has passed the pivot check yet.
+    unchecked: bool,
+}
+
+/// A factorization's plan as another owner adopts it ([`SparseLu::adopt`]):
+/// opaque, and a clone is one more reference to the same plan.
+#[derive(Debug, Clone)]
+pub struct SharedPlan(Arc<LuPlan>);
+
+impl SharedPlan {
+    /// The fill-reducing column ordering the plan was factored under.
+    pub fn ordering(&self) -> &Permutation {
+        &self.0.q
+    }
 }
 
 /// The symbolic half of a factorization (see the [module docs](self)): what
@@ -305,7 +342,46 @@ impl SparseLu {
         let mut work = vec![0.0; n];
         plan.factor_numeric_with_pivoting(&mut vals, &mut work, opts, a)?;
         plan.store_pivot_layout(&mut vals, &mut work, a);
-        Ok(SparseLu { opts: opts.clone(), plan: Arc::new(plan), vals, parked: Vec::new(), work })
+        Ok(SparseLu {
+            opts: opts.clone(),
+            plan: Arc::new(plan),
+            vals,
+            parked: Vec::new(),
+            work,
+            unchecked: false,
+        })
+    }
+
+    /// This factorization's plan, for another owner to [`adopt`](Self::adopt).
+    pub fn shared_plan(&self) -> SharedPlan {
+        SharedPlan(Arc::clone(&self.plan))
+    }
+
+    /// A factor object over `plan`, which some other owner's `factor` built,
+    /// holding no factors yet. Its first [`refactor`](Self::refactor) checks,
+    /// column by column, that `factor`'s threshold pivoting would have chosen
+    /// the plan's pivot for that matrix — the diagonal when it is nonzero and
+    /// at least `pivot_threshold` times the largest candidate, else the
+    /// largest, which must beat every other candidate strictly — and fails
+    /// with [`SparseError::PivotDegraded`] where it would not, and on a
+    /// matrix holding a `-0.0`. Where the check passes, the factors are those
+    /// `factor` of the same matrix under the plan's ordering computes, bit for
+    /// bit. Solving before a `refactor` succeeded is meaningless.
+    pub fn adopt(plan: &SharedPlan, opts: &LuOptions) -> Self {
+        let plan = Arc::clone(&plan.0);
+        let vals = LuValues {
+            l_vals: vec![0.0; plan.l_rows.len()],
+            u_vals: vec![0.0; plan.u_rows.len()],
+            u_diag: vec![0.0; plan.n],
+        };
+        SparseLu {
+            opts: opts.clone(),
+            work: vec![0.0; plan.n],
+            plan,
+            vals,
+            parked: Vec::new(),
+            unchecked: true,
+        }
     }
 }
 
@@ -495,6 +571,36 @@ impl LuPlan {
     }
 }
 
+impl LuPlan {
+    /// The pivot check of an adopted plan, for column `k` with its updates
+    /// applied: whether `factor`'s threshold pivoting would pick position `k`
+    /// from the candidates in `x` — position `k` and the rows of `L(k)`. That
+    /// is the diagonal when it is nonzero and at least `tau` times the largest
+    /// candidate magnitude, else the largest, which must beat every other
+    /// strictly: on a tie `factor` takes the one its search met first, an
+    /// order the stored layout does not keep. The maxima drop NaN as
+    /// `factor`'s comparisons do. Out of line and cold: it runs on one pass
+    /// per adopted plan, and the loop it is called from is the hot path.
+    #[cold]
+    #[inline(never)]
+    fn factor_picks(&self, x: &[f64], k: usize, tau: f64) -> bool {
+        let pivot = x[k].abs();
+        let rows = &self.l_rows[self.l_colptr[k]..self.l_colptr[k + 1]];
+        let others = rows.iter().fold(0.0_f64, |m, &r| m.max(x[r as usize].abs()));
+        // Where the diagonal sits now. Outside `L(k)` and `k` the workspace
+        // is zero by now (the `U` entries before `k` were taken), so a
+        // diagonal that is no candidate reads zero.
+        let diag = self.pinv[self.q.perm()[k]];
+        let d = x[diag].abs();
+        let diagonal = d > 0.0 && d >= tau * pivot.max(others);
+        if diag == k {
+            diagonal
+        } else {
+            !diagonal && pivot > others
+        }
+    }
+}
+
 impl SparseLu {
     /// Recomputes the numeric factors for a matrix with the *same pattern*
     /// as the one originally factored, reusing the recorded pivot order and
@@ -527,11 +633,21 @@ impl SparseLu {
     /// Such factors are returned as `Ok`; what rejects them is the caller's
     /// backward-error check of the solve, which asks the residual for
     /// finiteness explicitly.
+    ///
+    /// Over an [adopted](Self::adopt) plan, until one call succeeds, a column
+    /// whose pivot `factor` would not have chosen for `a` is reported as
+    /// [`SparseError::PivotDegraded`] too.
     pub fn refactor(&mut self, a: &CscMatrix) -> Result<()> {
         self.check_pattern(a)?;
-        let Self { opts, plan, vals: LuValues { l_vals, u_vals, u_diag }, work: x, .. } = self;
+        let Self {
+            opts, plan, vals: LuValues { l_vals, u_vals, u_diag }, work: x, unchecked, ..
+        } = self;
         let PlanView { n, q, l_colptr, l_rows, u_colptr, u_rows, u_run, a_colptr, a_pos, .. } =
             plan.view();
+        let check = *unchecked;
+        if check && a.values().iter().any(|v| *v == 0.0 && v.is_sign_negative()) {
+            return Err(SparseError::PivotDegraded { column: 0, magnitude: 0.0 });
+        }
         for k in 0..n {
             // Scatter A(:,j). Every position a column touches is zeroed
             // again as it is read below, so the workspace is clean.
@@ -613,6 +729,7 @@ impl SparseLu {
                 }
                 up += w;
             }
+            let picked = !check || plan.factor_picks(x, k, opts.pivot_threshold);
             // Gather (and zero) the pivot and the L part. Degradation check:
             // the frozen pivot must not be tiny either absolutely or
             // RELATIVE to its column — values restamped with very different
@@ -641,11 +758,12 @@ impl SparseLu {
                     *l /= pivot;
                 }
             }
-            if pivot.abs() < opts.pivot_floor || pivot.abs() < 1e-10 * col_max {
+            if !picked || pivot.abs() < opts.pivot_floor || pivot.abs() < 1e-10 * col_max {
                 return Err(SparseError::PivotDegraded { column: k, magnitude: pivot.abs() });
             }
             u_diag[k] = pivot;
         }
+        *unchecked = false;
         Ok(())
     }
 
@@ -1588,6 +1706,126 @@ mod tests {
             }
             lu.swap_parked(1);
             assert_same_factors(&lu, &refs[2], &b);
+        }
+    }
+
+    // ---- Adopting another owner's plan -----------------------------------
+
+    /// Adopts `owner`'s plan, refactors it with `a` and holds the outcome
+    /// against a fresh `factor` of `a` under the plan's ordering: a check
+    /// that passes means that factorization rebuilt the plan index for index
+    /// and computed the adopter's factors bit for bit; one that fails is a
+    /// `PivotDegraded` that leaves the workspace clean and the check armed.
+    /// Returns whether the check passed.
+    fn check_adoption(owner: &SparseLu, a: &CscMatrix) -> bool {
+        let mut adopter = SparseLu::adopt(&owner.shared_plan(), &owner.opts);
+        assert!(Arc::ptr_eq(&adopter.plan, &owner.plan) && adopter.unchecked);
+        let got = adopter.refactor(a);
+        assert!(adopter.work.iter().all(|v| v.to_bits() == 0), "workspace left dirty");
+        let fresh = SparseLu::factor_with_ordering(a, &owner.opts, owner.plan.q.clone());
+        let Ok(()) = got else {
+            assert!(matches!(got, Err(SparseError::PivotDegraded { .. })), "{got:?}");
+            assert!(adopter.unchecked, "a failed check disarmed itself");
+            return false;
+        };
+        let fresh = fresh.expect("a passed check stands for a factorization that succeeds");
+        let (mine, theirs) = (&*adopter.plan, &*fresh.plan);
+        assert_eq!(mine.p, theirs.p);
+        assert_eq!(mine.pinv, theirs.pinv);
+        assert_eq!((&mine.l_colptr, &mine.l_rows), (&theirs.l_colptr, &theirs.l_rows));
+        assert_eq!((&mine.u_colptr, &mine.u_rows), (&theirs.u_colptr, &theirs.u_rows));
+        assert_eq!((&mine.u_run, &mine.a_pos), (&theirs.u_run, &theirs.a_pos));
+        let b: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.37).sin() + 0.25).collect();
+        assert_same_factors(&adopter, &fresh, &b);
+        assert!(!adopter.unchecked);
+        true
+    }
+
+    #[test]
+    fn an_adopted_plan_refactors_to_the_bits_of_the_factor_it_skips_or_fails_closed() {
+        let opts = LuOptions::default();
+        let (mut passed, mut failed) = (0, 0);
+        for seed in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (n, band) = (rng.gen_range(4..=40usize), rng.gen_range(1..=4usize));
+            let (pattern, branch) = banded_plus_fill(n, band, &mut rng);
+            let Ok(owner) = SparseLu::factor(&redraw(&pattern, &branch, 0, &mut rng), &opts) else {
+                continue;
+            };
+            let mut a = redraw(&pattern, &branch, 0, &mut rng);
+            // Every other draw weakens one ordinary diagonal far enough that
+            // pivoting may leave it for an off-diagonal candidate.
+            let weak: Vec<usize> = (0..n).filter(|&i| !branch[i]).collect();
+            if seed % 2 == 1 && !weak.is_empty() {
+                let j = weak[rng.gen_range(0..weak.len())];
+                let coords: Vec<(usize, usize)> = a.iter().map(|(r, c, _)| (r, c)).collect();
+                for (v, &(r, c)) in a.values_mut().iter_mut().zip(&coords) {
+                    if (r, c) == (j, j) {
+                        *v *= 0.01;
+                    }
+                }
+            }
+            if check_adoption(&owner, &a) {
+                passed += 1;
+            } else {
+                failed += 1;
+            }
+        }
+        // Both sides of the check, many times each.
+        assert!(passed >= 100 && failed >= 40, "{passed} passed, {failed} failed");
+    }
+
+    /// Column 0 holds an explicit zero on its diagonal and `below` in rows
+    /// 1 and 2 (an MNA branch column: pivoting must leave the diagonal);
+    /// the rest is nonsingular whatever `below` is.
+    fn branch_column(below: [f64; 2]) -> CscMatrix {
+        let mut t = CooMatrix::new(3, 3);
+        for (r, c, v) in [(0, 0, 0.0), (1, 0, below[0]), (2, 0, below[1]), (0, 1, 1.0)] {
+            t.push(r, c, v).unwrap();
+        }
+        t.push(1, 2, 1.0).unwrap();
+        t.push(2, 2, 1.0).unwrap();
+        t.to_csc()
+    }
+
+    #[test]
+    fn the_check_takes_a_strict_largest_off_diagonal_and_refuses_a_tie_or_another_row() {
+        let opts = LuOptions { ordering: OrderingKind::Natural, ..LuOptions::default() };
+        let owner = SparseLu::factor(&branch_column([2.0, 1.0]), &opts).unwrap();
+        assert_eq!(owner.plan.p[0], 1, "row 1 is the largest candidate");
+        // Row 1 still strictly the largest: the check passes, bit for bit.
+        assert!(check_adoption(&owner, &branch_column([3.0, -1.5])));
+        // Row 2 the largest: pivoting would take another row.
+        assert!(!check_adoption(&owner, &branch_column([1.0, 3.0])));
+        // An exact tie in magnitude: `factor` takes whichever its search
+        // met first, an order the plan does not keep, so the check refuses.
+        assert!(!check_adoption(&owner, &branch_column([1.0, -1.0])));
+        let mut adopter = SparseLu::adopt(&owner.shared_plan(), &opts);
+        let tie = branch_column([1.0, -1.0]);
+        assert_eq!(
+            adopter.refactor(&tie),
+            Err(SparseError::PivotDegraded { column: 0, magnitude: 1.0 })
+        );
+        // Once a check has passed the plan is this owner's: the tie that the
+        // check refused is an ordinary refactorization now.
+        adopter.refactor(&branch_column([3.0, -1.5])).unwrap();
+        adopter.refactor(&tie).unwrap();
+        assert_solves(&tie, &adopter, 1e-12);
+    }
+
+    #[test]
+    fn a_negative_zero_in_the_matrix_fails_the_check() {
+        let a = laplacian_2d(4, 4);
+        let owner = SparseLu::factor(&a, &LuOptions::default()).unwrap();
+        assert!(check_adoption(&owner, &a));
+        // A zero multiplier `factor` applies and `refactor` skips can flip the
+        // sign of a negative zero: such a matrix is refused, a positive zero
+        // is not.
+        let off_diagonal = a.iter().position(|(r, c, _)| r != c).unwrap();
+        for (zero, passes) in [(0.0, true), (-0.0, false)] {
+            let mut z = a.clone();
+            z.values_mut()[off_diagonal] = zero;
+            assert_eq!(check_adoption(&owner, &z), passes, "{zero:?}");
         }
     }
 

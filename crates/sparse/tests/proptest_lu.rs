@@ -3,7 +3,10 @@
 //! numerically indistinguishable from a fresh factorization.
 
 use proptest::prelude::*;
-use wavepipe_sparse::{CooMatrix, CscMatrix, DenseMatrix, LuOptions, OrderingKind, SparseLu};
+use proptest::test_runner::TestCaseError;
+use wavepipe_sparse::{
+    CooMatrix, CscMatrix, DenseMatrix, LuOptions, OrderingKind, SparseError, SparseLu,
+};
 
 /// Strategy: a random diagonally dominant sparse matrix of dimension 2..=24.
 ///
@@ -27,6 +30,47 @@ fn dominant_matrix() -> impl Strategy<Value = CscMatrix> {
                 t.push(i, i, rowsum[i] + 1.0 + (i as f64) * 0.01).expect("in bounds");
             }
             t.to_csc()
+        })
+    })
+}
+
+/// Strategy: [`dominant_matrix`] with MNA branch rows, and a second matrix of
+/// its pattern. Each flagged unknown `i < n - 1` loses its diagonal (an
+/// explicit zero stays in the pattern, as a voltage source's does) and gets a
+/// pair of entries `(i, i + 1)`, `(i + 1, i)` of magnitude 2 to 4: pivoting
+/// must take an off-diagonal there. The second matrix scales every entry of
+/// the first by its own factor in `[0.25, 4)`, so that a pivot chosen on one
+/// may be the wrong one for the other.
+fn branch_matrix_pair() -> impl Strategy<Value = (CscMatrix, CscMatrix)> {
+    (2usize..=24).prop_flat_map(|n| {
+        let offdiag = proptest::collection::vec((0usize..n, 0usize..n, -1.0f64..1.0), 0..(3 * n));
+        let branch = proptest::collection::vec((0u8..10, 2.0f64..4.0), n..n + 1);
+        let scales = proptest::collection::vec(0.25f64..4.0, 6 * n..6 * n + 1);
+        (offdiag, branch, scales).prop_map(move |(entries, branch, scales)| {
+            // About three unknowns in ten start a branch pair (never two in a row).
+            let flagged = |i: usize| branch[i].0 < 3;
+            let is_branch = |i: usize| i + 1 < n && flagged(i) && (i == 0 || !flagged(i - 1));
+            let mut t = CooMatrix::new(n, n);
+            let mut rowsum = vec![0.0f64; n];
+            for (r, c, v) in entries {
+                if r != c && !is_branch(r) {
+                    t.push(r, c, v).expect("in bounds");
+                    rowsum[r] += v.abs();
+                }
+            }
+            for i in 0..n {
+                if is_branch(i) {
+                    t.push(i, i, 0.0).expect("in bounds");
+                    t.push(i, i + 1, branch[i].1).expect("in bounds");
+                    t.push(i + 1, i, -branch[i].1).expect("in bounds");
+                } else {
+                    t.push(i, i, rowsum[i] + 1.0 + (i as f64) * 0.01).expect("in bounds");
+                }
+            }
+            let a = t.to_csc();
+            let mut b = a.clone();
+            b.values_mut().iter_mut().zip(&scales).for_each(|(v, s)| *v *= s);
+            (a, b)
         })
     })
 }
@@ -127,6 +171,50 @@ proptest! {
             if let Some(pick) = held[0] {
                 prop_assert_eq!(&lu.solve(&b).expect("solve"), &want[pick]);
             }
+        }
+    }
+
+    #[test]
+    fn an_adopted_plan_solves_as_the_factor_it_skips_or_is_refused(
+        (a, b) in branch_matrix_pair(),
+    ) {
+        // Through the public surface: a plan pivoted on `a`, adopted for `b`.
+        // Where the pivot check passes, every solve (each unit vector, plain
+        // and transposed) is bit for bit that of `b`'s own factorization;
+        // where it fails, the error is `PivotDegraded`, and the re-pivot a
+        // caller answers it with is that own factorization.
+        let opts = LuOptions::default();
+        let Ok(owner) = SparseLu::factor(&a, &opts) else {
+            return Err(TestCaseError::Reject("singular draw"));
+        };
+        let plan = owner.shared_plan();
+        let mut adopter = SparseLu::adopt(&plan, &opts);
+        let checked = adopter.refactor(&b);
+        let own = SparseLu::factor(&b, &opts);
+        let n = b.ncols();
+        let bits = |x: Vec<f64>| x.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let same_solves = |got: &SparseLu, want: &SparseLu| {
+            (0..n).all(|i| {
+                let e: Vec<f64> = (0..n).map(|k| f64::from(u8::from(k == i))).collect();
+                bits(got.solve(&e).unwrap()) == bits(want.solve(&e).unwrap())
+                    && bits(got.solve_transpose(&e).unwrap())
+                        == bits(want.solve_transpose(&e).unwrap())
+            })
+        };
+        match checked {
+            Ok(()) => {
+                let own = own.expect("a passed check stands for a factorization that succeeds");
+                prop_assert_eq!((adopter.nnz_l(), adopter.nnz_u()), (own.nnz_l(), own.nnz_u()));
+                prop_assert!(same_solves(&adopter, &own));
+            }
+            Err(SparseError::PivotDegraded { .. }) => {
+                let repivot = SparseLu::factor_with_ordering(&b, &opts, plan.ordering().clone());
+                match (repivot, own) {
+                    (Ok(repivot), Ok(own)) => prop_assert!(same_solves(&repivot, &own)),
+                    (repivot, own) => prop_assert_eq!(repivot.err(), own.err()),
+                }
+            }
+            Err(e) => prop_assert!(false, "{e:?}"),
         }
     }
 

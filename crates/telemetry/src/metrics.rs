@@ -109,7 +109,7 @@ named_enum! {
         /// Bypassed (cache-replayed) nonlinear devices per device class.
         BypassByClass = "class_bypassed",
         /// Hits per solver cache layer
-        /// (`cache="bypass"|"chord"|"companion"|"parked"`).
+        /// (`cache="bypass"|"chord"|"companion"|"parked"|"plan"`).
         CacheHits = "cache_hits",
         /// Misses per solver cache layer.
         CacheMisses = "cache_misses",

@@ -41,6 +41,17 @@
 //! iterations or points column, no caches-off row and no `inverter_chain(8)`
 //! or `diode_rectifier` row moved.
 //!
+//! PR 25 regenerated seventeen rows, all with the caches on, every
+//! `power_grid` and `rc_ladder` row of them (EXPERIMENTS.md E24 lists them old
+//! beside new, `tests/oracle.rs` holds every moved grid's error no higher):
+//! a fifth numeric factor set keeps a rung of the step ladder that the next
+//! source corner asks for again (serial 120 → 80, 149 → 116, 210 → 209,
+//! 127 → 119 factorizations; 32x32 Backward x2 163 → 152). The same change
+//! hands pipelined worker lanes the operating point's LU plan under a pivot
+//! check, and that moves nothing: a build with only the fifth set computes
+//! this table exactly. No iterations or points column, no caches-off row and
+//! no `inverter_chain(8)` or `diode_rectifier` row moved.
+//!
 //! The constants depend on the host's `libm` (`exp`/`ln` in the device
 //! models); on a mismatch the failure message prints the rows that moved,
 //! old beside new, and then the whole table in source form. Regenerate only
@@ -66,35 +77,35 @@ const GOLDEN: &[Row] = &[
     ("inverter_chain(8)", "adaptive_x2", false, 0x18fdcb4780ec8487, 2434, 580, 2434),
     ("inverter_chain(8)", "combined_x3", true, 0xc6ea07c0fa6d649f, 3055, 605, 1209),
     ("inverter_chain(8)", "combined_x3", false, 0x8546d5bd3f386c6a, 2854, 608, 2854),
-    ("rc_ladder(30)", "serial", true, 0x20eb48617a68e1d9, 297, 148, 127),
+    ("rc_ladder(30)", "serial", true, 0x3792faeeb4b6bdb7, 297, 148, 119),
     ("rc_ladder(30)", "serial", false, 0x683310fe4f833f2c, 297, 148, 297),
-    ("rc_ladder(30)", "backward_x2", true, 0x75bda7bc0f4a6b5f, 542, 165, 264),
+    ("rc_ladder(30)", "backward_x2", true, 0x422defecd5a96dfd, 542, 165, 263),
     ("rc_ladder(30)", "backward_x2", false, 0x1a1de6bf7f989179, 542, 165, 542),
-    ("rc_ladder(30)", "forward_x2", true, 0x0f2c8fbd46801884, 468, 148, 202),
+    ("rc_ladder(30)", "forward_x2", true, 0x32ef4bc83650141e, 468, 148, 201),
     ("rc_ladder(30)", "forward_x2", false, 0x737ef1e9e9ef59f8, 468, 148, 468),
-    ("rc_ladder(30)", "adaptive_x2", true, 0x05352757841d195e, 536, 166, 257),
+    ("rc_ladder(30)", "adaptive_x2", true, 0x71f5a2df111ceb00, 536, 166, 256),
     ("rc_ladder(30)", "adaptive_x2", false, 0xbd8dfc0f8be8be28, 536, 166, 536),
-    ("rc_ladder(30)", "combined_x3", true, 0xa06291dffa1e93bb, 562, 165, 274),
+    ("rc_ladder(30)", "combined_x3", true, 0x95b7ee7f2ea7f16c, 562, 165, 273),
     ("rc_ladder(30)", "combined_x3", false, 0x318e0943840d048e, 562, 165, 562),
-    ("power_grid(6,6)", "serial", true, 0x575e09284c8c5a99, 604, 301, 210),
+    ("power_grid(6,6)", "serial", true, 0xc533a749f61006c8, 604, 301, 209),
     ("power_grid(6,6)", "serial", false, 0x28faa76184af2963, 604, 301, 604),
-    ("power_grid(6,6)", "backward_x2", true, 0x0d9ebff8fbac051a, 780, 319, 353),
+    ("power_grid(6,6)", "backward_x2", true, 0xe952e2bd1f704e82, 780, 319, 340),
     ("power_grid(6,6)", "backward_x2", false, 0x2db574d521c4b012, 780, 319, 780),
-    ("power_grid(6,6)", "forward_x2", true, 0x50d132b951b84cef, 836, 298, 341),
+    ("power_grid(6,6)", "forward_x2", true, 0xe610f49a75c92bc1, 836, 298, 241),
     ("power_grid(6,6)", "forward_x2", false, 0xca47ad931f78b575, 836, 298, 836),
-    ("power_grid(6,6)", "adaptive_x2", true, 0x9724ae7822bd2322, 787, 318, 358),
+    ("power_grid(6,6)", "adaptive_x2", true, 0xa398f2efaba779b5, 787, 318, 346),
     ("power_grid(6,6)", "adaptive_x2", false, 0x881f5b9d827ab8b5, 787, 318, 787),
-    ("power_grid(6,6)", "combined_x3", true, 0x43455e8de507ae7e, 1118, 356, 532),
+    ("power_grid(6,6)", "combined_x3", true, 0xedad4b090c4fde15, 1118, 356, 508),
     ("power_grid(6,6)", "combined_x3", false, 0x1eb65f242d5ee8f0, 1118, 356, 1118),
-    ("power_grid(16,16)", "serial", true, 0x101cd1b052be170a, 907, 461, 149),
+    ("power_grid(16,16)", "serial", true, 0xcba1b6bb3fb9785b, 907, 461, 116),
     ("power_grid(16,16)", "serial", false, 0x7f35f759ec6604e5, 907, 461, 907),
-    ("power_grid(16,16)", "backward_x2", true, 0x5fcb97525fbd6510, 966, 472, 397),
+    ("power_grid(16,16)", "backward_x2", true, 0xf718898da539cdfe, 966, 472, 376),
     ("power_grid(16,16)", "backward_x2", false, 0xf0ef38ff3290cfd2, 966, 472, 966),
-    ("power_grid(16,16)", "forward_x2", true, 0x4a5050091f423c6c, 1290, 461, 483),
+    ("power_grid(16,16)", "forward_x2", true, 0xa85b458c10326bb5, 1290, 461, 207),
     ("power_grid(16,16)", "forward_x2", false, 0xcf3cc696ab0f0dd9, 1290, 461, 1290),
-    ("power_grid(16,16)", "adaptive_x2", true, 0x5f534820b97bd530, 1022, 470, 421),
+    ("power_grid(16,16)", "adaptive_x2", true, 0x68dd6860d42e3628, 1022, 470, 407),
     ("power_grid(16,16)", "adaptive_x2", false, 0x1ff4dcc9f82bc9ce, 1022, 470, 1022),
-    ("power_grid(16,16)", "combined_x3", true, 0x74f4468f111351c6, 1248, 493, 478),
+    ("power_grid(16,16)", "combined_x3", true, 0x1cde927f9d9493e3, 1248, 493, 463),
     ("power_grid(16,16)", "combined_x3", false, 0x53fd21372a48df94, 1248, 493, 1248),
     ("diode_rectifier", "serial", true, 0x8378fa08c648a5a1, 1037, 276, 400),
     ("diode_rectifier", "serial", false, 0xc62f148d7f0a11c6, 954, 280, 954),
@@ -106,9 +117,9 @@ const GOLDEN: &[Row] = &[
     ("diode_rectifier", "adaptive_x2", false, 0xf31f8d9a6e5bcbc1, 1686, 302, 1686),
     ("diode_rectifier", "combined_x3", true, 0x88f8d30039b7777c, 1849, 306, 659),
     ("diode_rectifier", "combined_x3", false, 0x36259ff6f842ea32, 1628, 301, 1628),
-    ("power_grid(32,32)", "serial", true, 0x69552c85e06e9db6, 885, 466, 120),
+    ("power_grid(32,32)", "serial", true, 0x60f27ed2ef13ddf4, 885, 466, 80),
     ("power_grid(32,32)", "serial", false, 0xa81a746a2d2076a4, 885, 466, 885),
-    ("power_grid(32,32)", "backward_x2", true, 0x1292e21c490a7e59, 792, 398, 163),
+    ("power_grid(32,32)", "backward_x2", true, 0xc1347725c4905c48, 792, 398, 152),
     ("power_grid(32,32)", "backward_x2", false, 0x28990a0b9b127f56, 792, 398, 792),
 ];
 

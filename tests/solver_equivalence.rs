@@ -15,9 +15,10 @@
 //!   produce bitwise-identical waveforms. The reference is a `DirectLu` that
 //!   parks no factor sets (`common::no_parking`): `GmresBackend` keeps none, so a
 //!   chord step the default backend takes on factors it had parked is one
-//!   the fallback cannot mirror (`power_grid(4,4)` takes such steps). Where
-//!   the default backend takes none — the other three classes — it is
-//!   bit-equal to both.
+//!   the fallback cannot mirror (`power_grid(4,4)` and, with five sets,
+//!   `rc_ladder(10)` take such steps). Where the default backend takes none
+//!   — the other two classes, and `diode_rectifier` — it is bit-equal to
+//!   both.
 //!
 //! Knobs are pinned explicitly (solver handle included) so the assertions
 //! hold unchanged on the CI env-matrix legs, `WAVEPIPE_SOLVER=gmres`
@@ -130,20 +131,25 @@ fn forced_fallback_is_bit_identical_on_all_classes() {
 #[test]
 fn the_default_backend_is_the_no_parking_reference_where_it_takes_no_parked_hit() {
     // The other half of the contract: on the classes whose keys never come
-    // back within four, parking changes nothing, so the forced fallback is
-    // still bit-equal to the backend a user gets by default.
-    for b in &suite()[..3] {
+    // back within five, parking changes nothing, so the forced fallback is
+    // still bit-equal to the backend a user gets by default. The rectifier
+    // stands in for the ladder as the third such class: a diode deck whose
+    // keys do not recur within five either.
+    let [ladder, line, chain, grid] = suite();
+    for b in [&line, &chain, &generators::diode_rectifier()] {
         let default = run(b, &caches_on(SolverHandle::direct()));
         let reference = run(b, &caches_on(no_parking()));
         assert_bit_identical(&default, &reference, &format!("{} default backend", b.name));
         assert_eq!(default.stats().factorizations, reference.stats().factorizations, "{}", b.name);
     }
-    // The grid is why the reference parks nothing: the default backend
-    // solves the same points with fewer numeric factorizations.
-    let b = &suite()[3];
-    let default = run(b, &caches_on(SolverHandle::direct()));
-    let reference = run(b, &caches_on(no_parking()));
-    assert!(default.stats().factorizations < reference.stats().factorizations, "{}", b.name);
+    // The grid, and since there are five sets the RC ladder, are why the
+    // reference parks nothing: the default backend solves the same points
+    // with fewer numeric factorizations.
+    for b in [&ladder, &grid] {
+        let default = run(b, &caches_on(SolverHandle::direct()));
+        let reference = run(b, &caches_on(no_parking()));
+        assert!(default.stats().factorizations < reference.stats().factorizations, "{}", b.name);
+    }
 }
 
 #[test]

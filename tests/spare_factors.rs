@@ -1,7 +1,7 @@
 //! The parked numeric factor sets, in a serial run, a batch and a pipeline.
 //!
 //! A serial run takes parked hits when its step sizes come back to a value
-//! they left at most three keys ago. Both decks below restart integration at
+//! they left at most four keys ago. Both decks below restart integration at
 //! a source corner every so many `D` seconds, and each restart climbs the
 //! same ladder:
 //!
@@ -10,7 +10,7 @@
 //!   once for the key of the factors left one refactorization ago;
 //! * corners every `2 D`, `tstep = D/2`: `D/8` (backward Euler), `D/4`,
 //!   `D/2`, `D`, `D/8` — keys `8/D, 8/D, 4/D, 2/D, 16/D`, four in rotation,
-//!   which one parked set never serves and three always do.
+//!   which one parked set never serves and three or more always do.
 //!
 //! A batch instance runs the same loop over the same cache, so it takes the
 //! same hits: it is its solo run bit for bit and count for count — on these
@@ -196,8 +196,9 @@ fn four_keys_in_rotation_are_all_served_from_parked_sets() {
     let changes = key_changes(&with, 2.0 * D);
     assert!(changes >= 3 * (CORNERS - 1), "{changes} key changes");
     assert!(without.stats().factorizations >= changes, "{:?}", without.stats());
-    // ... and, with three parked sets, none once each of the four keys has
-    // been factored for: fewer factorizations than there are corners.
+    // ... and, with four parked sets as with three, none once each of the
+    // four keys has been factored for: fewer factorizations than there are
+    // corners.
     let stats = with.stats();
     assert!(stats.factorizations < CORNERS, "{stats:?}");
     assert_eq!(stats.newton_iterations, without.stats().newton_iterations);
