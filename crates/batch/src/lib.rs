@@ -3,21 +3,16 @@
 //! Corner sweeps, Monte Carlo runs, and parameter studies all simulate the
 //! *same topology* many times with different element values. The classic
 //! loop — build a circuit, [`MnaSystem::compile`] it, run it, repeat — pays
-//! for circuit validation, pattern construction, symbolic analysis, and
-//! stamp planning once **per instance**, even though none of those depend
-//! on element values.
+//! for circuit validation, pattern construction and stamp planning once
+//! **per instance**, even though none of those depend on element values.
 //!
-//! [`BatchSim`] amortises all of that across the batch:
+//! [`BatchSim`] amortises all of that across the batch (the linear solver of
+//! each instance is built, and orders its matrix, exactly as in a solo run):
 //!
 //! * **One compile.** The base circuit is compiled once; every instance is
 //!   derived through [`MnaSystem::with_values_from`], which re-lowers only
 //!   the element *values* and reuses the frozen sparse pattern, slot table,
 //!   and stamp plan by reference.
-//! * **One symbolic ordering.** The fill-reducing column ordering is a pure
-//!   function of the shared pattern, so it is computed once and injected
-//!   into every instance's Newton solver through
-//!   [`SolverHandle::batched`] — each instance still factors its own
-//!   values, but skips the symbolic analysis.
 //! * **Structure-of-arrays parameters.** Instance values are stored as one
 //!   contiguous column per parameter ([`BatchSim::add_instance`] appends a
 //!   row across all columns), keeping the sweep definition compact and the
@@ -37,12 +32,13 @@
 //! # Determinism
 //!
 //! Each batched instance is **bit-identical** to running the classic
-//! single-run API on the same patched circuit: value re-lowering uses the
-//! same device-construction code path as a fresh compile, and the shared
-//! ordering is exactly the one a fresh [`wavepipe_sparse::SparseLu`]
-//! factorization would compute from the (shared) pattern. Every instance
-//! runs the engine's one serial loop, so its [`wavepipe_engine::SimStats`]
-//! counters are its solo run's too. This is pinned by the property tests in
+//! single-run API on the same patched circuit with the same
+//! [`SimOptions`]: value re-lowering uses the same device-construction code
+//! path as a fresh compile, and every instance builds its linear-solver
+//! backend from the options' [`SolverHandle`](wavepipe_engine::SolverHandle)
+//! exactly as its solo run would. Every instance runs the engine's one
+//! serial loop, so its [`wavepipe_engine::SimStats`] counters are its solo
+//! run's too. This is pinned by the property tests in
 //! `tests/bit_identity.rs` and, in the root package, by
 //! `tests/stamp_kernel.rs` and `tests/spare_factors.rs`.
 //!
@@ -83,8 +79,7 @@ use std::time::Instant;
 
 use wavepipe_circuit::{Circuit, Element, Waveform};
 use wavepipe_engine::transient::run_transient_recoverable_compiled;
-use wavepipe_engine::{EngineError, MnaSystem, SimOptions, SolverHandle, TransientResult};
-use wavepipe_sparse::LuOptions;
+use wavepipe_engine::{EngineError, MnaSystem, SimOptions, TransientResult};
 
 /// Which value of a named element a batch parameter column drives.
 ///
@@ -371,9 +366,9 @@ impl BatchSim {
     }
 
     /// Per-instance simulation options (tolerances, integration method,
-    /// caches, probes). The solver handle inside is overridden per run with
-    /// the shared batched ordering; everything else is applied verbatim to
-    /// every instance.
+    /// caches, probes, solver handle), applied verbatim to every instance:
+    /// each one runs as [`wavepipe_engine::run_transient`] would with the
+    /// same options.
     #[must_use]
     pub fn with_sim(mut self, sim: SimOptions) -> Self {
         self.sim = sim;
@@ -469,7 +464,7 @@ impl BatchSim {
         ckt
     }
 
-    /// Solve one instance against the shared system and ordering.
+    /// Solve one instance against the shared system.
     fn run_instance(
         &self,
         index: usize,
@@ -542,9 +537,7 @@ impl BatchSim {
     /// Run every instance with per-instance fault isolation and collect
     /// both the completed waveforms and the structured failure reports.
     ///
-    /// The fill-reducing ordering is computed once from the shared pattern
-    /// and injected into every instance through [`SolverHandle::batched`];
-    /// instances are striped round-robin over the batch workers. A failing
+    /// Instances are striped round-robin over the batch workers. A failing
     /// (or panicking) instance is **quarantined**: it is retried once with
     /// degraded caches (device bypass, chord Newton, and the companion
     /// cache pinned off; the recovery ladder pinned on), and if the retry
@@ -555,10 +548,8 @@ impl BatchSim {
     ///
     /// # Errors
     ///
-    /// [`BatchError::NoInstances`] for an empty batch, or
-    /// [`BatchError::Engine`] when the shared symbolic preparation fails.
-    /// Per-instance failures never error here — they are data, in the
-    /// returned [`BatchOutcome`].
+    /// [`BatchError::NoInstances`] for an empty batch. Per-instance failures
+    /// never error here — they are data, in the returned [`BatchOutcome`].
     pub fn run_outcome(&self) -> Result<BatchOutcome, BatchError> {
         let mut slots: Vec<Option<Result<TransientResult, QuarantineReport>>> =
             (0..self.n_instances).map(|_| None).collect();
@@ -597,9 +588,8 @@ impl BatchSim {
     ///
     /// # Errors
     ///
-    /// [`BatchError::NoInstances`] for an empty batch, or
-    /// [`BatchError::Engine`] when the shared symbolic preparation fails.
-    /// Per-instance failures are streamed as `Err(QuarantineReport)`.
+    /// [`BatchError::NoInstances`] for an empty batch. Per-instance failures
+    /// are streamed as `Err(QuarantineReport)`.
     pub fn run_each<F>(&self, on_result: F) -> Result<BatchDispatch, BatchError>
     where
         F: FnMut(usize, Result<TransientResult, QuarantineReport>) + Send,
@@ -608,17 +598,12 @@ impl BatchSim {
             return Err(BatchError::NoInstances);
         }
         let start = Instant::now();
-        let ordering = Arc::new(
-            wavepipe_sparse::ordering::order(self.sys.pattern(), LuOptions::default().ordering)
-                .map_err(|e| BatchError::Engine(EngineError::Linear(e)))?,
-        );
-        let opts = self.sim.clone().with_solver(SolverHandle::batched(ordering));
         let workers = self.threads.min(self.n_instances);
         let prep_ns = start.elapsed().as_nanos();
 
         let sink = Mutex::new(on_result);
         let run_one = |i: usize| {
-            let r = self.run_instance_isolated(i, &opts);
+            let r = self.run_instance_isolated(i, &self.sim);
             (sink.lock().expect("result sink poisoned"))(i, r);
         };
         if workers <= 1 {
@@ -673,8 +658,9 @@ pub struct BatchDispatch {
     /// the field stays because `benchmark/` reads it and goes with
     /// [`BatchSim::with_simd`].
     pub lane_width: usize,
-    /// Wall nanoseconds spent on shared preparation (the symbolic ordering)
-    /// before any instance ran.
+    /// Wall nanoseconds spent on shared preparation before any instance ran
+    /// (the compile is [`BatchSim::compile`]'s, so this is dispatch set-up
+    /// only).
     pub prep_ns: u128,
     /// Total wall nanoseconds for the whole batch, preparation included.
     pub wall_ns: u128,
@@ -706,8 +692,8 @@ impl BatchRun {
         self.workers
     }
 
-    /// Wall nanoseconds spent on shared preparation (the symbolic
-    /// ordering) before any instance ran.
+    /// Wall nanoseconds spent on shared preparation before any instance
+    /// ran (see [`BatchDispatch::prep_ns`]).
     pub fn prep_ns(&self) -> u128 {
         self.prep_ns
     }
@@ -794,8 +780,8 @@ impl BatchOutcome {
         self.workers
     }
 
-    /// Wall nanoseconds spent on shared preparation (the symbolic
-    /// ordering) before any instance ran.
+    /// Wall nanoseconds spent on shared preparation before any instance
+    /// ran (see [`BatchDispatch::prep_ns`]).
     pub fn prep_ns(&self) -> u128 {
         self.prep_ns
     }
@@ -848,6 +834,12 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wavepipe_engine::{FaultPlan, GmresConfig, SolverHandle};
+
+    /// Every counter; the wall-clock fields are the only ones that may differ.
+    fn counts(s: &wavepipe_engine::SimStats) -> wavepipe_engine::SimStats {
+        wavepipe_engine::SimStats { wall_ns: 0, stamp_ns: 0, ..*s }
+    }
 
     fn rc_circuit() -> Circuit {
         let mut ckt = Circuit::new("rc");
@@ -908,9 +900,14 @@ mod tests {
         assert_eq!(batch.run().unwrap_err(), BatchError::NoInstances);
     }
 
-    #[test]
-    fn batch_matches_single_runs() {
-        let mut batch = BatchSim::compile(&rc_circuit(), 1e-8, 2e-6).unwrap().with_threads(2);
+    /// Runs three R/C corners through a two-worker batch under `sim` and
+    /// holds each instance to its solo `run_transient` under the same
+    /// options, bit for bit. Returns the `(instance, solo)` pairs.
+    fn batch_against_solo(sim: &SimOptions) -> Vec<(TransientResult, TransientResult)> {
+        let mut batch = BatchSim::compile(&rc_circuit(), 1e-8, 2e-6)
+            .unwrap()
+            .with_threads(2)
+            .with_sim(sim.clone());
         batch.param("R1", ParamKind::Resistance).unwrap();
         batch.param("C1", ParamKind::Capacitance).unwrap();
         let corners = [(0.5e3, 1e-9), (1e3, 1e-9), (2e3, 2e-9)];
@@ -918,26 +915,52 @@ mod tests {
             batch.add_instance(&[r, c]).unwrap();
         }
         let run = batch.run().unwrap();
-        assert_eq!(run.results().len(), 3);
         // Three instances striped over two threads.
         assert_eq!(run.workers(), 2);
-        for ((r, c), got) in corners.iter().zip(run.results()) {
-            let mut ckt = rc_circuit();
-            if let Some(Element::Resistor { resistance, .. }) = ckt.element_mut("R1") {
-                *resistance = *r;
-            }
-            if let Some(Element::Capacitor { capacitance, .. }) = ckt.element_mut("C1") {
-                *capacitance = *c;
-            }
-            // The batch engine always solves through `SolverHandle::batched`
-            // (direct LU); pin the reference to direct too so the bitwise
-            // cross-check holds on the `WAVEPIPE_SOLVER=gmres` CI leg.
-            let opts = SimOptions::default().with_solver(SolverHandle::direct());
-            let want = wavepipe_engine::run_transient(&ckt, 1e-8, 2e-6, &opts).unwrap();
-            assert_eq!(got.times(), want.times(), "time grids diverged at R={r} C={c}");
-            for k in 0..want.len() {
-                assert_eq!(got.solution(k), want.solution(k), "solutions diverged at point {k}");
-            }
+        let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        corners
+            .iter()
+            .zip(run.into_results())
+            .map(|(&(r, c), got)| {
+                let mut ckt = rc_circuit();
+                if let Some(Element::Resistor { resistance, .. }) = ckt.element_mut("R1") {
+                    *resistance = r;
+                }
+                if let Some(Element::Capacitor { capacitance, .. }) = ckt.element_mut("C1") {
+                    *capacitance = c;
+                }
+                let want = wavepipe_engine::run_transient(&ckt, 1e-8, 2e-6, sim).unwrap();
+                assert_eq!(got.times(), want.times(), "time grids diverged at R={r} C={c}");
+                for k in 0..want.len() {
+                    assert_eq!(
+                        bits(got.solution(k)),
+                        bits(want.solution(k)),
+                        "R={r} C={c} point {k}"
+                    );
+                }
+                (got, want)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batch_matches_single_runs() {
+        // The reference runs under the batch's own options, so the check
+        // holds on every CI env leg (both sides solve through GMRES under
+        // `WAVEPIPE_SOLVER=gmres`).
+        assert_eq!(batch_against_solo(&SimOptions::default()).len(), 3);
+    }
+
+    #[test]
+    fn a_gmres_batch_runs_each_instance_as_its_solo_gmres_run() {
+        // The caller's solver handle reaches every instance: a batch must
+        // not quietly solve through direct LU where its options say GMRES.
+        let sim = SimOptions::default()
+            .with_solver(SolverHandle::gmres(GmresConfig::default()))
+            .with_faults(FaultPlan::new());
+        for (got, want) in batch_against_solo(&sim) {
+            assert!(want.stats().krylov_iterations > 0, "the solo run never iterated");
+            assert_eq!(counts(got.stats()), counts(want.stats()));
         }
     }
 
@@ -960,12 +983,6 @@ mod tests {
             for k in 0..on.len() {
                 assert_eq!(on.solution(k), off.solution(k), "point {k}");
             }
-            // Every counter; the wall-clock fields are the only ones that may differ.
-            let counts = |s: &wavepipe_engine::SimStats| {
-                let mut s = *s;
-                (s.wall_ns, s.stamp_ns) = (0, 0);
-                s
-            };
             assert_eq!(counts(on.stats()), counts(off.stats()));
         }
     }
@@ -1031,7 +1048,11 @@ mod tests {
         // The acceptance scenario: 100 instances, 3 poisoned. The 97 clean
         // ones complete bit-identical to single runs; the 3 poisoned come
         // back as structured quarantine reports instead of erroring.
-        let mut batch = BatchSim::compile(&rc_circuit(), 1e-8, 1e-6).unwrap().with_threads(4);
+        let sim = SimOptions::default();
+        let mut batch = BatchSim::compile(&rc_circuit(), 1e-8, 1e-6)
+            .unwrap()
+            .with_threads(4)
+            .with_sim(sim.clone());
         batch.param("R1", ParamKind::Resistance).unwrap();
         let poisoned = [7usize, 41, 88];
         for i in 0..100 {
@@ -1047,9 +1068,8 @@ mod tests {
             if let Some(Element::Resistor { resistance, .. }) = ckt.element_mut("R1") {
                 *resistance = 0.5e3 + 10.0 * i as f64;
             }
-            // Direct-pinned reference: see `batch_matches_single_runs`.
-            let opts = SimOptions::default().with_solver(SolverHandle::direct());
-            let want = wavepipe_engine::run_transient(&ckt, 1e-8, 1e-6, &opts).unwrap();
+            // Same options on both sides: see `batch_matches_single_runs`.
+            let want = wavepipe_engine::run_transient(&ckt, 1e-8, 1e-6, &sim).unwrap();
             let got = out.results()[i].as_ref().expect("clean instance completed");
             assert_eq!(got.times(), want.times(), "time grids diverged at instance {i}");
             for k in 0..want.len() {

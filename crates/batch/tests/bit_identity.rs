@@ -6,9 +6,8 @@
 //!
 //! This is the batched engine's version of the repo-wide invariant that
 //! every parallel or cached path is pinned bit-identical to the serial
-//! engine: sharing the compiled pattern, slot table, stamp plan, and
-//! symbolic ordering across instances must not perturb a single bit of any
-//! instance's waveform.
+//! engine: sharing the compiled pattern, slot table and stamp plan across
+//! instances must not perturb a single bit of any instance's waveform.
 
 use proptest::prelude::*;
 use wavepipe_batch::{BatchSim, ParamKind};
@@ -64,10 +63,8 @@ fn corner() -> impl Strategy<Value = Corner> {
 }
 
 /// Every determinism-sensitive cache pinned ON, independent of the
-/// `WAVEPIPE_*` environment overrides a CI leg may set. The solver is
-/// pinned to direct LU: the batch engine always solves through the shared
-/// batched direct backend, so the single-run reference must not drift onto
-/// the iterative path under `WAVEPIPE_SOLVER=gmres`.
+/// `WAVEPIPE_*` environment overrides a CI leg may set, the solver (direct
+/// LU) included. Batch and reference run under these same options.
 fn pinned_opts() -> SimOptions {
     SimOptions::default()
         .with_bypass(true)
@@ -77,7 +74,7 @@ fn pinned_opts() -> SimOptions {
 }
 
 /// Classic single-run reference: patch the circuit by hand, recompile from
-/// scratch, solve with the default (unshared) direct solver.
+/// scratch, solve under the batch's options.
 fn reference(corner: &Corner) -> wavepipe_engine::TransientResult {
     let mut ckt = inverter2();
     if let Some(Element::Mosfet { model, .. }) = ckt.element_mut("Mn0") {

@@ -1,6 +1,6 @@
 //! Solver bake-off: direct sparse LU versus preconditioned GMRES on the
-//! 2-D power-grid mesh family, plus the RCM versus min-degree ordering
-//! fill comparison, swept over grid sizes.
+//! 2-D power-grid mesh family, with the direct path's min-degree fill,
+//! swept over grid sizes.
 //!
 //! Each row times a *fresh-linearization* solve — the cost the transient
 //! loop pays whenever chord Newton must refactor — for both paths:
@@ -23,18 +23,15 @@
 //! fill-reducing ordering's cost, so not gated),
 //! `gmres_vs_refactor` (`(refactor_us + solve_us) / gmres_us`: GMRES against
 //! what a transient run pays per linearization, >1 where the Krylov backend
-//! would win inside a run) and `mindeg_over_rcm_fill` (min-degree fill ÷ RCM
-//! fill, deterministic); the last two are gated by `perf-gate` against the
-//! committed baseline.
+//! would win inside a run; gated by `perf-gate` against the committed
+//! baseline) and `mindeg_fill_nnz` (`nnz(L) + nnz(U)`, deterministic).
 //!
 //! Usage: `cargo run --release -p wavepipe-bench --bin solver_bakeoff [-- --small]`
 
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
-use wavepipe_sparse::{
-    gmres, CooMatrix, CscMatrix, GmresOptions, Ilu0, LuOptions, OrderingKind, SparseLu,
-};
+use wavepipe_sparse::{gmres, CooMatrix, CscMatrix, GmresOptions, Ilu0, LuOptions, SparseLu};
 
 /// Fewest timed repetitions per path and mesh size.
 const REPS: usize = 9;
@@ -70,12 +67,6 @@ fn rhs(n: usize) -> Vec<f64> {
     (0..n).map(|i| ((i % 11) as f64) * 0.25 - 1.0).collect()
 }
 
-fn fill_nnz(a: &CscMatrix, ordering: OrderingKind) -> usize {
-    let lu = SparseLu::factor(a, &LuOptions { ordering, ..LuOptions::default() })
-        .expect("mesh matrices are nonsingular");
-    lu.nnz_l() + lu.nnz_u()
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let small = args.iter().any(|a| a == "--small");
@@ -88,16 +79,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let dim = a.ncols();
         let b = rhs(dim);
 
-        let mindeg_nnz = fill_nnz(&a, OrderingKind::MinDegree);
-        let rcm_nnz = fill_nnz(&a, OrderingKind::ReverseCuthillMcKee);
-        let fill_ratio = mindeg_nnz as f64 / rcm_nnz as f64;
-
         // Warm-up both paths once, then best-of-`reps` each. Small meshes
         // cost microseconds per call and get more repetitions, for about the
         // same wall time per row.
         let reps = (20_000 / dim).clamp(REPS, 400);
         let direct_opts = LuOptions::default();
-        black_box(SparseLu::factor(&a, &direct_opts)?.solve(&b)?);
+        let warm = SparseLu::factor(&a, &direct_opts)?;
+        let mindeg_nnz = warm.nnz_l() + warm.nnz_u();
+        black_box(warm.solve(&b)?);
         let mut direct_ns = u128::MAX;
         for _ in 0..reps {
             let t0 = Instant::now();
@@ -145,8 +134,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{name}: unknowns {dim} direct {direct_us:.1}us (refactor {refactor_us:.1}us \
              solve {solve_us:.1}us) gmres {gmres_us:.1}us \
              ({iterations} iters) speedup {speedup:.2}{} vs refactor+solve {vs_refactor:.2} \
-             | fill mindeg {mindeg_nnz} \
-             rcm {rcm_nnz} (mindeg/rcm {fill_ratio:.3})",
+             | fill mindeg {mindeg_nnz}",
             if speedup >= 1.0 { " <- crossover" } else { "" },
         );
 
@@ -157,14 +145,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let _ = write!(
             doc,
             "\n  {{\"circuit\":\"{}\",\"unknowns\":{dim},\"nnz\":{},\
-             \"mindeg_fill_nnz\":{mindeg_nnz},\"rcm_fill_nnz\":{rcm_nnz},\
-             \"mindeg_over_rcm_fill\":{},\"direct_us\":{},\"refactor_us\":{},\
+             \"mindeg_fill_nnz\":{mindeg_nnz},\"direct_us\":{},\"refactor_us\":{},\
              \"solve_us\":{},\"gmres_us\":{},\
              \"gmres_iterations\":{iterations},\"gmres_speedup\":{},\
              \"gmres_vs_refactor\":{},\"crossover\":{}}}",
             wavepipe_telemetry::json::escape(&name),
             a.nnz(),
-            wavepipe_telemetry::json::fmt_f64(fill_ratio),
             wavepipe_telemetry::json::fmt_f64(direct_us),
             wavepipe_telemetry::json::fmt_f64(refactor_us),
             wavepipe_telemetry::json::fmt_f64(solve_us),

@@ -158,22 +158,19 @@ fn overhead_metrics(doc: &JsonValue) -> Result<Metrics, String> {
 }
 
 /// `BENCH_solver.json` (an array of per-grid-size rows from the
-/// `solver_bakeoff` binary): the min-degree/RCM fill ratio (deterministic —
-/// orderings don't depend on the host) for every row, and GMRES against what
-/// a transient run pays per linearization — `gmres_vs_refactor`,
-/// `(refactor_us + solve_us) / gmres_us` — for rows of 64 unknowns and up
-/// (the sub-64 rows time single-digit-microsecond solves, which is noise,
-/// not signal). The ratio against a *fresh* factorization, `gmres_speedup`,
-/// is not gated: a run factors afresh once per hundreds of refactorizations,
-/// and that column falls whenever the ordering gets cheaper.
+/// `solver_bakeoff` binary): GMRES against what a transient run pays per
+/// linearization — `gmres_vs_refactor`, `(refactor_us + solve_us) /
+/// gmres_us` — for rows of 64 unknowns and up (the sub-64 rows time
+/// single-digit-microsecond solves, which is noise, not signal). The ratio
+/// against a *fresh* factorization, `gmres_speedup`, is not gated: a run
+/// factors afresh once per hundreds of refactorizations, and that column
+/// falls whenever the ordering gets cheaper.
 fn solver_metrics(doc: &JsonValue) -> Result<Metrics, String> {
     let mut out = Vec::new();
     for row in rows(doc)? {
         let circuit = text(row, "circuit")?;
         let unknowns = num(row, circuit, "unknowns")?;
-        let fill = num(row, circuit, "mindeg_over_rcm_fill")?;
         let vs_refactor = num(row, circuit, "gmres_vs_refactor")?;
-        out.push((format!("solver/{circuit}/mindeg_over_rcm_fill"), fill));
         if unknowns >= 64.0 {
             out.push((format!("solver/{circuit}/gmres_vs_refactor"), vs_refactor));
         }
@@ -314,12 +311,12 @@ mod tests {
     ]"#;
     const SOLVER: &str = r#"[
       {"circuit":"power_grid(4,4)","unknowns":16,"nnz":64,
-       "mindeg_fill_nnz":100,"rcm_fill_nnz":108,"mindeg_over_rcm_fill":0.926,
+       "mindeg_fill_nnz":100,
        "direct_us":6.0,"refactor_us":0.4,"solve_us":0.2,"gmres_us":8.0,
        "gmres_iterations":12,"gmres_speedup":0.75,"gmres_vs_refactor":0.075,
        "crossover":false},
       {"circuit":"power_grid(16,16)","unknowns":256,"nnz":1216,
-       "mindeg_fill_nnz":4102,"rcm_fill_nnz":5936,"mindeg_over_rcm_fill":0.691,
+       "mindeg_fill_nnz":4102,
        "direct_us":610.0,"refactor_us":23.0,"solve_us":5.0,"gmres_us":200.0,
        "gmres_iterations":24,"gmres_speedup":3.05,"gmres_vs_refactor":0.14,
        "crossover":true}
@@ -357,8 +354,8 @@ mod tests {
         let r = gate_with(NEWTON).unwrap();
         assert!(r.passed(), "{}", r.table());
         // 2 newton + 2 sweep + 2 recovery
-        // + 2 solver fill + 1 solver GMRES-vs-refactor ratio at 64+ unknowns
-        assert_eq!(r.metrics.len(), 9);
+        // + 1 solver GMRES-vs-refactor ratio at 64+ unknowns
+        assert_eq!(r.metrics.len(), 7);
     }
 
     #[test]
@@ -416,17 +413,10 @@ mod tests {
 
     #[test]
     fn sub_crossover_solver_timings_are_skipped() {
-        // Fill ratios gate on every row; the noisy microsecond-scale
-        // timing ratio of the 16-unknown grid does not.
+        // The noisy microsecond-scale timing ratio of the 16-unknown grid
+        // is not gated.
         let ms = source("solver").metrics(SOLVER).unwrap();
         let keys: Vec<&str> = ms.iter().map(|(k, _)| k.as_str()).collect();
-        assert_eq!(
-            keys,
-            [
-                "solver/power_grid(4,4)/mindeg_over_rcm_fill",
-                "solver/power_grid(16,16)/mindeg_over_rcm_fill",
-                "solver/power_grid(16,16)/gmres_vs_refactor",
-            ]
-        );
+        assert_eq!(keys, ["solver/power_grid(16,16)/gmres_vs_refactor"]);
     }
 }

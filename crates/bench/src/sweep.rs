@@ -4,9 +4,9 @@
 //! Two quantities are reported, and they answer different questions:
 //!
 //! * `work_ratio` — real, single-core CPU-work saving: total wall of the
-//!   independent loop (recompile + re-order + solve per instance) divided
-//!   by the total wall of the batched engine (compile + order **once**,
-//!   value-patch + solve per instance). Both totals are measured on this
+//!   independent loop (recompile + solve per instance) divided by the
+//!   total wall of the batched engine (compile **once**, value-patch + solve
+//!   per instance). Both totals are measured on this
 //!   host, sequentially.
 //! * `modeled_speedup` — the throughput a `workers`-wide machine gets from
 //!   the batch: per-instance walls are measured individually (sequential
@@ -135,10 +135,9 @@ pub fn fig_sweep(b: &Benchmark, instances: usize, workers: usize) -> (String, Sw
     let mut corners = Corners::new(0x5eed_cafe);
     let rows: Vec<Vec<f64>> =
         (0..instances).map(|_| noms.iter().map(|&v| v * corners.next_mult()).collect()).collect();
-    // Direct LU pinned on both sides: the batch engine always solves
-    // through its shared batched direct backend, so the independent loop
-    // must match it for the time-grid cross-check (and for the work-ratio
-    // comparison to be solver-for-solver) even under `WAVEPIPE_SOLVER`.
+    // One solver pinned for both sides, so the work-ratio comparison is
+    // solver-for-solver and the figure means the same under
+    // `WAVEPIPE_SOLVER`.
     let opts = SimOptions::default().with_solver(SolverHandle::direct());
 
     // Independent loop: rebuild + recompile + solve per instance, each

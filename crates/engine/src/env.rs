@@ -6,7 +6,7 @@
 //! |------|-------|
 //! | [`flag`], default on | `WAVEPIPE_BYPASS`, `WAVEPIPE_CHORD`, `WAVEPIPE_RECOVERY` |
 //! | [`flag`], default off | `WAVEPIPE_FAULT_NC` |
-//! | [`value`] | `WAVEPIPE_SOLVER`, `WAVEPIPE_ORDERING`, and — parsed — the `WAVEPIPE_GMRES_*` tunings |
+//! | [`value`] | `WAVEPIPE_SOLVER` |
 //! | [`number`] | `WAVEPIPE_FAULT_SEED` |
 
 use std::str::FromStr;

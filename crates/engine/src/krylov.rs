@@ -41,12 +41,11 @@
 //! until it is actually needed: `factor`/`refactor` calls only record a
 //! *pending sync* (fresh pivot search vs. frozen-pivot replay), and the
 //! fallback replays it against the inner `DirectLu` before solving. Under
-//! *forced* fallback (`max_iters = 0`, the `WAVEPIPE_GMRES_MAXITERS=0`
-//! escape hatch) the inner backend therefore sees the exact call sequence
-//! the reference [`DirectLu`] would have seen — including chord-Newton
-//! solves against frozen factors and the `PivotDegraded` retry — so the
-//! waveforms are **bitwise identical** to the direct path. The
-//! solver-equivalence suite pins this.
+//! *forced* fallback (`max_iters = 0`, the escape hatch) the inner backend
+//! therefore sees the exact call sequence the reference [`DirectLu`] would
+//! have seen — including chord-Newton solves against frozen factors and the
+//! `PivotDegraded` retry — so the waveforms are **bitwise identical** to the
+//! direct path. The solver-equivalence suite pins this.
 //!
 //! The reference is a `DirectLu` *that parks no factor sets*. This backend
 //! leaves [`SolverBackend::swap_parked`] at the trait's default on purpose:
@@ -68,13 +67,13 @@ use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
 use wavepipe_sparse::gmres::{gmres, GmresOptions};
-use wavepipe_sparse::{CscMatrix, Ilu0, LuOptions, OrderingKind, Result, SparseError};
+use wavepipe_sparse::{CscMatrix, Ilu0, Result, SparseError};
 
-use crate::env;
 use crate::solver::{DirectLu, SolverBackend, SolverFactory, SolverHandle};
 
-/// Tuning knobs for [`GmresBackend`], settable programmatically or from the
-/// environment ([`GmresConfig::from_env`]).
+/// Configuration of a [`GmresBackend`], set programmatically (the
+/// environment only selects the backend, `WAVEPIPE_SOLVER=gmres`, which runs
+/// the defaults).
 #[derive(Debug, Clone, PartialEq)]
 pub struct GmresConfig {
     /// Restart length `m` of GMRES(m). Default 30.
@@ -87,57 +86,11 @@ pub struct GmresConfig {
     /// to direct LU. `0` forces the fallback for *every* solve (the escape
     /// hatch that is pinned bit-identical to [`DirectLu`]). Default 200.
     pub max_iters: usize,
-    /// Fill-reducing ordering for the fallback direct factorizations.
-    /// Default is the [`LuOptions`] default (minimum degree), which keeps
-    /// forced fallback bit-identical to the reference direct path.
-    pub ordering: OrderingKind,
 }
 
 impl Default for GmresConfig {
     fn default() -> Self {
-        GmresConfig {
-            restart: 30,
-            tol: 1e-10,
-            max_iters: 200,
-            ordering: LuOptions::default().ordering,
-        }
-    }
-}
-
-/// Parses an ordering name as used by `WAVEPIPE_ORDERING` and the bench
-/// tools: `natural`, `mindeg` (aliases `min-degree`, `min_degree`), `rcm`
-/// (alias `reverse-cuthill-mckee`). Case-insensitive; `None` for anything
-/// else.
-pub fn parse_ordering(name: &str) -> Option<OrderingKind> {
-    match name.trim().to_ascii_lowercase().as_str() {
-        "natural" => Some(OrderingKind::Natural),
-        "mindeg" | "min-degree" | "min_degree" => Some(OrderingKind::MinDegree),
-        "rcm" | "reverse-cuthill-mckee" | "reverse_cuthill_mckee" => {
-            Some(OrderingKind::ReverseCuthillMcKee)
-        }
-        _ => None,
-    }
-}
-
-impl GmresConfig {
-    /// Defaults overridden by `WAVEPIPE_GMRES_RESTART`,
-    /// `WAVEPIPE_GMRES_TOL`, `WAVEPIPE_GMRES_MAXITERS`, and
-    /// `WAVEPIPE_ORDERING`. Unparsable values are ignored (defaults kept).
-    pub fn from_env() -> Self {
-        let mut cfg = GmresConfig::default();
-        if let Some(v) = env::value("WAVEPIPE_GMRES_RESTART").and_then(|s| s.parse().ok()) {
-            cfg.restart = v;
-        }
-        if let Some(v) = env::value("WAVEPIPE_GMRES_TOL").and_then(|s| s.parse().ok()) {
-            cfg.tol = v;
-        }
-        if let Some(v) = env::value("WAVEPIPE_GMRES_MAXITERS").and_then(|s| s.parse().ok()) {
-            cfg.max_iters = v;
-        }
-        if let Some(k) = env::value("WAVEPIPE_ORDERING").and_then(|s| parse_ordering(&s)) {
-            cfg.ordering = k;
-        }
-        cfg
+        GmresConfig { restart: 30, tol: 1e-10, max_iters: 200 }
     }
 }
 
@@ -205,12 +158,10 @@ pub struct GmresBackend {
 impl GmresBackend {
     /// A fresh, unfactored backend with the given configuration.
     pub fn new(cfg: GmresConfig) -> Self {
-        let direct =
-            DirectLu::with_options(LuOptions { ordering: cfg.ordering, ..LuOptions::default() });
         GmresBackend {
             cfg,
             state: RefCell::new(State {
-                direct,
+                direct: DirectLu::new(),
                 matrix: None,
                 ilu: None,
                 use_frozen: false,
@@ -581,7 +532,7 @@ mod tests {
         // the solve must still succeed via the direct fallback.
         let a = grid(6, 6, 1.0);
         let b = rhs(36);
-        let cfg = GmresConfig { max_iters: 1, restart: 1, tol: 1e-14, ..GmresConfig::default() };
+        let cfg = GmresConfig { max_iters: 1, restart: 1, tol: 1e-14 };
         let mut backend = GmresBackend::new(cfg);
         backend.factor(&a).unwrap();
         let mut x = vec![0.0; 36];
@@ -628,17 +579,13 @@ mod tests {
     }
 
     #[test]
-    fn handle_and_config_plumbing() {
+    fn handle_plumbing() {
         let h = SolverHandle::gmres(GmresConfig::default());
         assert!(!h.is_direct());
         let made = h.make();
         assert!(!made.factored());
         assert!(made.krylov_stats().is_some());
         assert!(SolverHandle::direct().make().krylov_stats().is_none());
-        assert_eq!(parse_ordering("RCM"), Some(OrderingKind::ReverseCuthillMcKee));
-        assert_eq!(parse_ordering("mindeg"), Some(OrderingKind::MinDegree));
-        assert_eq!(parse_ordering("natural"), Some(OrderingKind::Natural));
-        assert_eq!(parse_ordering("bogus"), None);
     }
 
     #[test]

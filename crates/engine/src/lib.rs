@@ -82,7 +82,7 @@ pub use dcsweep::{run_dc_sweep, DcSweepResult};
 pub use error::{ConvergenceReport, EngineError, RecoveryRung, Result};
 pub use fault::{FaultHandle, FaultKind, FaultPlan};
 pub use integrate::{IntegCoeffs, Method};
-pub use krylov::{parse_ordering, GmresBackend, GmresConfig, KrylovStats};
+pub use krylov::{GmresBackend, GmresConfig, KrylovStats};
 pub use mna::{MnaSystem, MnaWorkspace, StampInput, StampResult};
 pub use options::{CacheCtl, SimOptions};
 pub use result::TransientResult;

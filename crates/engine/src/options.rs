@@ -121,14 +121,11 @@ pub struct SimOptions {
     pub companion_cache: bool,
     /// Linear-solver backend selection for every Newton solve of the run.
     /// The default ([`SolverHandle::direct`]) is the classic per-solver
-    /// `SparseLu`; [`SolverHandle::batched`] shares one symbolic ordering
-    /// across sweep instances (both bit-identical to each other — see
-    /// [`crate::solver`] for the determinism contract);
-    /// [`SolverHandle::gmres`] is the iterative path for grid-scale
-    /// circuits ([`crate::krylov`]). The default honours `WAVEPIPE_SOLVER`
-    /// (`gmres` selects the Krylov backend, tuned by `WAVEPIPE_GMRES_RESTART`
-    /// / `WAVEPIPE_GMRES_TOL` / `WAVEPIPE_GMRES_MAXITERS`) and
-    /// `WAVEPIPE_ORDERING` (`natural`/`mindeg`/`rcm`).
+    /// `SparseLu`, ordered by minimum degree (see [`crate::solver`] for the
+    /// determinism contract); [`SolverHandle::gmres`] is the iterative path
+    /// for grid-scale circuits ([`crate::krylov`]). The default honours
+    /// `WAVEPIPE_SOLVER` (`gmres` selects the Krylov backend in its default
+    /// [`GmresConfig`](crate::GmresConfig)).
     pub solver: SolverHandle,
     /// Transient convergence recovery ladder: when Newton fails at a
     /// timepoint and the step has already collapsed to the floor, try —
@@ -168,19 +165,12 @@ impl CacheCtl {
 }
 
 /// Default solver selection: `WAVEPIPE_SOLVER=gmres` switches every analysis
-/// of the process to the Krylov backend (tuned by the `WAVEPIPE_GMRES_*`
-/// knobs); otherwise direct LU, through `WAVEPIPE_ORDERING` when that names
-/// a non-default fill-reducing ordering.
+/// of the process to the Krylov backend in its default configuration;
+/// otherwise direct LU.
 fn default_solver() -> SolverHandle {
-    use wavepipe_sparse::LuOptions;
-    if let Some(v) = env::value("WAVEPIPE_SOLVER") {
-        if v.eq_ignore_ascii_case("gmres") {
-            return SolverHandle::gmres(crate::krylov::GmresConfig::from_env());
-        }
-    }
-    match env::value("WAVEPIPE_ORDERING").and_then(|s| crate::krylov::parse_ordering(&s)) {
-        Some(kind) if kind != LuOptions::default().ordering => {
-            SolverHandle::direct_with_options(LuOptions { ordering: kind, ..LuOptions::default() })
+    match env::value("WAVEPIPE_SOLVER") {
+        Some(v) if v.eq_ignore_ascii_case("gmres") => {
+            SolverHandle::gmres(crate::krylov::GmresConfig::default())
         }
         _ => SolverHandle::direct(),
     }

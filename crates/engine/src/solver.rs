@@ -2,9 +2,8 @@
 //!
 //! Historically [`crate::newton::LinearCache`] called [`SparseLu`] directly;
 //! that coupling is now behind the [`SolverBackend`] trait — the seam that
-//! lets batched sweeps share symbolic work across instances today and later
-//! admits SIMD/iterative/offloaded backends without touching the Newton
-//! iteration itself.
+//! admits the iterative backend ([`crate::krylov`]) and a pipelined run's
+//! plan hand-off without touching the Newton iteration itself.
 //!
 //! # Determinism contract
 //!
@@ -13,25 +12,21 @@
 //! it produces bitwise-identical solution vectors on every run. [`DirectLu`]
 //! is additionally pinned to be bit-identical to the historical direct
 //! `SparseLu` calls (same ordering, same pivoting, same triangular solves),
-//! so swapping the seam in changed no waveform anywhere. A batched sweep
-//! hands the `DirectLu` of every instance one precomputed fill-reducing
-//! ordering ([`DirectLu::with_shared_ordering`]); because the orderings in
-//! [`wavepipe_sparse::ordering`] are pure functions of the matrix *pattern* —
-//! they never read values — a backend factoring through the shared ordering
-//! is bit-identical to the same backend deriving the identical permutation
-//! from the identical pattern itself. A pipelined run hands its worker lanes
-//! the coordinating lane's whole plan ([`DirectLu::adopting`]); a lane keeps
-//! it only where a check proves its own pivot search would have rebuilt it,
-//! in which case its factors are the ones that search would have computed,
-//! bit for bit (see [`SparseLu::adopt`]). Custom
-//! backends that cannot honour bit-determinism must say so
-//! in their documentation: WavePipe's accuracy-equivalence tests pin the
-//! default paths bitwise.
+//! so swapping the seam in changed no waveform anywhere. Every `DirectLu`
+//! orders by [`wavepipe_sparse::ordering::min_degree`], a pure function of
+//! the matrix *pattern*. The one hand-off between backends is a pipelined
+//! run's: it gives its worker lanes the coordinating lane's whole plan
+//! ([`DirectLu::adopting`]); a lane keeps it only where a check proves its
+//! own pivot search would have rebuilt it, in which case its factors are the
+//! ones that search would have computed, bit for bit (see
+//! [`SparseLu::adopt`]). Custom backends that cannot honour bit-determinism
+//! must say so in their documentation: WavePipe's accuracy-equivalence tests
+//! pin the default paths bitwise.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
-use wavepipe_sparse::ordering::order;
+use wavepipe_sparse::ordering::min_degree;
 use wavepipe_sparse::{
     CscMatrix, LuOptions, Permutation, Result, SharedPlan, SparseError, SparseLu,
 };
@@ -135,16 +130,13 @@ fn unfactored(n: usize) -> SparseError {
 
 /// The direct backend: one [`SparseLu`] per solver, exactly as the Newton
 /// loop historically used it. Bit-identical to the pre-trait direct calls —
-/// `factor` runs threshold pivoting under a fill-reducing ordering,
+/// `factor` runs threshold pivoting under the minimum-degree ordering,
 /// `refactor` replays frozen pivots KLU-style.
 ///
 /// The ordering is a pure function of the matrix pattern, so it is worked out
 /// once: a backend keeps the permutation of its first fresh factorization for
 /// later ones of the same pattern (a `PivotDegraded` re-pivot searches
-/// pivots again, not the ordering), and an owner of many backends over one
-/// compiled MNA pattern — a batch, for its instances — computes it itself
-/// and hands every backend an `Arc` of it ([`DirectLu::with_shared_ordering`]). Not a bit changes either way (see
-/// the [module docs](self)).
+/// pivots again, not the ordering).
 ///
 /// A backend can also be handed a whole plan — ordering, pivot sequence and
 /// the index arrays of `L` and `U` — that another backend's fresh
@@ -156,13 +148,12 @@ fn unfactored(n: usize) -> SparseError {
 #[derive(Debug, Default, Clone)]
 pub struct DirectLu {
     lu: Option<SparseLu>,
-    opts: LuOptions,
-    /// The permutation fresh factorizations go through: handed in, or kept
-    /// from this backend's first one.
+    /// The permutation fresh factorizations go through: a handed plan's, or
+    /// kept from this backend's first one.
     ordering: Option<Arc<Permutation>>,
     /// Pattern of the matrix a kept ordering was derived from — its column
-    /// pointers and a hash of its row indices ([`rows_hash`]); `None` for one
-    /// handed in, whose owner vouches for the pattern.
+    /// pointers and a hash of its row indices ([`rows_hash`]); `None` for a
+    /// handed plan's, whose owner vouches for the pattern.
     derived_for: Option<(Vec<usize>, u64)>,
     /// A plan handed in and not adopted yet: the next `refactor` adopts it.
     plan: Option<SharedPlan>,
@@ -180,18 +171,6 @@ impl DirectLu {
     /// A fresh, unfactored backend with default [`LuOptions`].
     pub fn new() -> Self {
         DirectLu::default()
-    }
-
-    /// A fresh backend with explicit LU options.
-    pub fn with_options(opts: LuOptions) -> Self {
-        DirectLu { opts, ..DirectLu::default() }
-    }
-
-    /// A fresh backend factoring through the shared, precomputed `ordering`
-    /// (as computed by [`wavepipe_sparse::ordering::order`] on the shared
-    /// pattern) instead of deriving one at its first fresh factorization.
-    pub fn with_shared_ordering(ordering: Arc<Permutation>) -> Self {
-        DirectLu { ordering: Some(ordering), ..DirectLu::default() }
     }
 
     /// A backend that adopts `plan` at its first `refactor` (see the type
@@ -230,19 +209,19 @@ impl SolverBackend for DirectLu {
         let q = match &self.ordering {
             Some(q) => Permutation::clone(q),
             None => {
-                let q = order(a, self.opts.ordering)?;
+                let q = min_degree(a)?;
                 self.derived_for = Some((a.col_ptr().to_vec(), rows_hash(a)));
                 self.ordering = Some(Arc::new(q.clone()));
                 q
             }
         };
-        self.lu = Some(SparseLu::factor_with_ordering(a, &self.opts, q)?);
+        self.lu = Some(SparseLu::factor_with_ordering(a, &LuOptions::default(), q)?);
         Ok(())
     }
 
     fn refactor(&mut self, a: &CscMatrix) -> Result<()> {
         if let Some(plan) = self.plan.take() {
-            self.lu = Some(SparseLu::adopt(&plan, &self.opts));
+            self.lu = Some(SparseLu::adopt(&plan, &LuOptions::default()));
         }
         let lu = self.lu.as_mut().ok_or_else(|| unfactored(a.ncols()))?;
         lu.refactor(a)
@@ -286,7 +265,7 @@ pub trait SolverFactory: fmt::Debug + Send + Sync {
 }
 
 /// A configured `DirectLu` is its own factory: `make` hands out unfactored
-/// copies carrying the same options, shared ordering and plan to adopt.
+/// copies carrying the same plan to adopt.
 impl SolverFactory for DirectLu {
     fn make(&self) -> Box<dyn SolverBackend> {
         Box::new(DirectLu { lu: None, ..self.clone() })
@@ -297,8 +276,8 @@ impl SolverFactory for DirectLu {
 /// [`crate::SimOptions`] like the probe/metrics/fault handles.
 ///
 /// The default handle builds [`DirectLu`] — the classic serial behaviour.
-/// [`SolverHandle::batched`] builds `DirectLu` instances sharing one
-/// precomputed ordering; [`SolverHandle::new`] accepts any custom factory.
+/// [`SolverHandle::adopting`] builds `DirectLu` instances handed one plan;
+/// [`SolverHandle::new`] accepts any custom factory.
 /// Equality is identity-based (two handles are equal when they
 /// share the same factory allocation), mirroring the other handles on
 /// `SimOptions`.
@@ -313,26 +292,11 @@ impl SolverHandle {
         SolverHandle { factory: None }
     }
 
-    /// Backends sharing one precomputed fill-reducing `ordering` (what a
-    /// batched sweep gives its instances; a pipelined run hands its lanes a
-    /// whole plan, [`SolverHandle::adopting`]; see
-    /// [`DirectLu::with_shared_ordering`]).
-    pub fn batched(ordering: Arc<Permutation>) -> Self {
-        SolverHandle::new(Arc::new(DirectLu::with_shared_ordering(ordering)))
-    }
-
     /// Backends that each adopt `plan` at their first refactorization (what
     /// a pipelined run gives its worker lanes, `plan` being its coordinating
     /// lane's; see [`DirectLu::adopting`]).
     pub fn adopting(plan: SharedPlan) -> Self {
         SolverHandle::new(Arc::new(DirectLu::adopting(plan)))
-    }
-
-    /// [`DirectLu`] backends with explicit [`LuOptions`] — the hook behind
-    /// the `WAVEPIPE_ORDERING` knob (direct solves through a non-default
-    /// fill-reducing ordering).
-    pub fn direct_with_options(opts: LuOptions) -> Self {
-        SolverHandle::new(Arc::new(DirectLu::with_options(opts)))
     }
 
     /// A handle around a custom factory.
@@ -376,7 +340,7 @@ impl PartialEq for SolverHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wavepipe_sparse::{CooMatrix, OrderingKind};
+    use wavepipe_sparse::CooMatrix;
 
     fn small_matrix(scale: f64) -> CscMatrix {
         // A 4x4 asymmetric pattern with enough structure for the orderings
@@ -412,24 +376,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_ordering_matches_own_ordering_bitwise() {
-        let a = small_matrix(1.0);
-        let b = [1.0, -2.0, 0.5, 3.0];
-        let q = Arc::new(order(&a, LuOptions::default().ordering).unwrap());
-        let mut own = DirectLu::new();
-        // Through the handle, so the factory path (`make` from a configured
-        // prototype) is what gets compared.
-        let mut shared = SolverHandle::batched(q).make();
-        // Two "instances" with different values over the same pattern.
-        for scale in [1.0, 3.5] {
-            let ai = small_matrix(scale);
-            let xo = solve_through(&mut own, &ai, &b);
-            let xs = solve_through(shared.as_mut(), &ai, &b);
-            assert_eq!(xs, xo, "shared-ordering factorization diverged at scale {scale}");
-        }
-    }
-
-    #[test]
     fn kept_ordering_serves_re_pivots_and_yields_to_a_new_pattern() {
         let b = [1.0, -2.0, 0.5, 3.0];
         let mut backend = DirectLu::new();
@@ -451,10 +397,7 @@ mod tests {
         assert_ne!(hub.col_ptr(), small_matrix(1.0).col_ptr());
         let x = solve_through(&mut backend, &hub, &b);
         assert_eq!(x, solve_through(&mut DirectLu::new(), &hub, &b));
-        assert_eq!(
-            backend.ordering.as_deref(),
-            Some(&order(&hub, LuOptions::default().ordering).unwrap())
-        );
+        assert_eq!(backend.ordering.as_deref(), Some(&min_degree(&hub).unwrap()));
     }
 
     #[test]
@@ -480,14 +423,13 @@ mod tests {
         let (a, b) = (hub(0), hub(3));
         assert_eq!(a.col_ptr(), b.col_ptr());
         assert_ne!(a.row_idx(), b.row_idx());
-        let kind = LuOptions::default().ordering;
-        assert_ne!(order(&a, kind).unwrap(), order(&b, kind).unwrap());
+        assert_ne!(min_degree(&a).unwrap(), min_degree(&b).unwrap());
         let rhs = [1.0, -2.0, 0.5, 3.0];
         let mut reused = DirectLu::new();
         for m in [&a, &b, &a] {
             let x = solve_through(&mut reused, m, &rhs);
             assert_eq!(x, solve_through(&mut DirectLu::new(), m, &rhs));
-            assert_eq!(reused.ordering.as_deref(), Some(&order(m, kind).unwrap()));
+            assert_eq!(reused.ordering.as_deref(), Some(&min_degree(m).unwrap()));
         }
     }
 
@@ -534,10 +476,13 @@ mod tests {
 
     #[test]
     fn a_handed_plan_is_kept_where_its_pivots_hold_and_repivoted_where_not() {
-        let natural = || LuOptions { ordering: OrderingKind::Natural, ..LuOptions::default() };
-        let mut owner = DirectLu::with_options(natural());
-        owner.factor(&branch_column([2.0, 1.0])).unwrap();
-        let handle = SolverHandle::adopting(owner.shared_plan().expect("factored"));
+        // The owner factors in the natural order, so the test decides which
+        // column is the branch column.
+        let natural = |a: &CscMatrix| {
+            SparseLu::factor_with_ordering(a, &LuOptions::default(), Permutation::identity(3))
+                .unwrap()
+        };
+        let handle = SolverHandle::adopting(natural(&branch_column([2.0, 1.0])).shared_plan());
         let b = [1.0, -2.0, 0.5];
         // Row 1 still the largest; row 2 the largest; a tie.
         for (below, kept) in [([3.0, -1.5], true), ([1.0, 3.0], false), ([1.0, -1.0], false)] {
@@ -554,11 +499,11 @@ mod tests {
                 Err(e) => panic!("{below:?}: {e}"),
             }
             assert!(!lane.adopts_plan());
-            // Either way the lane holds the factors of a backend that never
-            // adopted anything, bit for bit.
+            // Either way the lane holds the factors of its own pivot search
+            // in the plan's ordering, bit for bit.
             let (mut x, mut scratch) = (vec![0.0; 3], vec![0.0; 3]);
             lane.solve(&b, &mut x, &mut scratch).unwrap();
-            let own = solve_through(&mut DirectLu::with_options(natural()), &a, &b);
+            let own = natural(&a).solve(&b).unwrap();
             let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&x), bits(&own), "{below:?}");
         }
@@ -597,11 +542,14 @@ mod tests {
     fn handle_equality_is_identity_based() {
         assert_eq!(SolverHandle::direct(), SolverHandle::direct());
         assert_eq!(SolverHandle::default(), SolverHandle::direct());
-        let a = small_matrix(1.0);
-        let q = Arc::new(order(&a, LuOptions::default().ordering).unwrap());
-        let h = SolverHandle::batched(Arc::clone(&q));
+        let plan = || {
+            let mut owner = DirectLu::new();
+            owner.factor(&small_matrix(1.0)).unwrap();
+            owner.shared_plan().expect("factored")
+        };
+        let h = SolverHandle::adopting(plan());
         assert_eq!(h, h.clone());
-        assert_ne!(h, SolverHandle::batched(q));
+        assert_ne!(h, SolverHandle::adopting(plan()));
         assert_ne!(h, SolverHandle::direct());
         assert!(SolverHandle::direct().is_direct());
         assert!(!h.is_direct());

@@ -373,8 +373,8 @@ impl CscMatrix {
     }
 
     /// Returns the symmetrized pattern `pattern(A) | pattern(A^T)` as
-    /// adjacency lists excluding the diagonal — the input to fill-reducing
-    /// orderings.
+    /// adjacency lists excluding the diagonal — the input to the
+    /// minimum-degree ordering ([`crate::ordering::min_degree`]).
     ///
     /// # Errors
     ///

@@ -12,8 +12,7 @@
 //! * [`SparseLu`] — Gilbert–Peierls LU with threshold partial pivoting and a
 //!   KLU-style numeric-only [`SparseLu::refactor`] fast path that replays the
 //!   recorded pivot order and elimination pattern.
-//! * [`ordering`] — minimum-degree and reverse Cuthill–McKee fill-reducing
-//!   orderings.
+//! * [`ordering`] — the minimum-degree fill-reducing ordering.
 //! * [`operator`] — the matrix-free [`SparseOperator`] / [`Preconditioner`]
 //!   abstractions Krylov methods iterate against.
 //! * [`gmres()`](fn@crate::gmres) — restarted GMRES(m) with Givens-rotation least-squares and
@@ -73,4 +72,4 @@ pub use ilu::Ilu0;
 pub use lanes::{LanePackedLu, LaneSolve, MAX_LANES};
 pub use lu::{LuOptions, SharedPlan, SparseLu};
 pub use operator::{IdentityPrecond, Preconditioner, SparseOperator};
-pub use ordering::{OrderingKind, Permutation};
+pub use ordering::Permutation;

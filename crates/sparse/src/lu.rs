@@ -80,14 +80,12 @@
 
 use crate::csc::CscMatrix;
 use crate::error::{Result, SparseError};
-use crate::ordering::{order, OrderingKind, Permutation};
+use crate::ordering::{min_degree, Permutation};
 use std::sync::Arc;
 
 /// Options controlling the sparse LU factorization.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LuOptions {
-    /// Fill-reducing column ordering (default: minimum degree).
-    pub ordering: OrderingKind,
     /// Threshold partial-pivoting parameter `tau` in `(0, 1]`.
     ///
     /// The natural (diagonal) candidate is accepted when its magnitude is at
@@ -103,7 +101,7 @@ pub struct LuOptions {
 
 impl Default for LuOptions {
     fn default() -> Self {
-        LuOptions { ordering: OrderingKind::default(), pivot_threshold: 0.1, pivot_floor: 1e-13 }
+        LuOptions { pivot_threshold: 0.1, pivot_floor: 1e-13 }
     }
 }
 
@@ -287,8 +285,9 @@ fn update_rows<const W: usize>(x: &mut [f64], rows: &[u32], cols: [&[f64]; W], x
 }
 
 impl SparseLu {
-    /// Factors the square matrix `a`, choosing the column ordering and the
-    /// pivot sequence.
+    /// Factors the square matrix `a`, ordering its columns by
+    /// [`min_degree`](crate::ordering::min_degree) and choosing the pivot
+    /// sequence.
     ///
     /// # Errors
     ///
@@ -299,7 +298,7 @@ impl SparseLu {
         if a.nrows() != a.ncols() {
             return Err(SparseError::NotSquare { nrows: a.nrows(), ncols: a.ncols() });
         }
-        let q = order(a, opts.ordering)?;
+        let q = min_degree(a)?;
         Self::factor_with_ordering(a, opts, q)
     }
 
@@ -1078,15 +1077,12 @@ mod tests {
     }
 
     #[test]
-    fn factor_solve_laplacian_all_orderings() {
+    fn factor_solve_laplacian_in_min_degree_and_natural_order() {
         let a = laplacian_2d(6, 7);
-        for kind in
-            [OrderingKind::Natural, OrderingKind::MinDegree, OrderingKind::ReverseCuthillMcKee]
-        {
-            let opts = LuOptions { ordering: kind, ..LuOptions::default() };
-            let lu = SparseLu::factor(&a, &opts).unwrap();
-            assert_solves(&a, &lu, 1e-10);
-        }
+        let opts = LuOptions::default();
+        assert_solves(&a, &SparseLu::factor(&a, &opts).unwrap(), 1e-10);
+        let natural = Permutation::identity(a.ncols());
+        assert_solves(&a, &SparseLu::factor_with_ordering(&a, &opts, natural).unwrap(), 1e-10);
     }
 
     #[test]
@@ -1572,12 +1568,12 @@ mod tests {
     fn check_refactor_sequence(
         pattern: &CscMatrix,
         branch: &[bool],
-        opts: &LuOptions,
+        q: Permutation,
         rng: &mut StdRng,
     ) -> std::result::Result<SparseLu, TestCaseError> {
         let n = pattern.ncols();
         let first = redraw(pattern, branch, 0, rng);
-        let Ok(mut lu) = SparseLu::factor(&first, opts) else {
+        let Ok(mut lu) = SparseLu::factor_with_ordering(&first, &LuOptions::default(), q) else {
             return Err(TestCaseError::Reject("singular draw"));
         };
         let mut reference = lu.clone();
@@ -1617,7 +1613,8 @@ mod tests {
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
             let (pattern, branch) = banded_plus_fill(n, band, &mut rng);
-            check_refactor_sequence(&pattern, &branch, &LuOptions::default(), &mut rng)?;
+            let q = min_degree(&pattern).unwrap();
+            check_refactor_sequence(&pattern, &branch, q, &mut rng)?;
         }
     }
 
@@ -1790,8 +1787,10 @@ mod tests {
 
     #[test]
     fn the_check_takes_a_strict_largest_off_diagonal_and_refuses_a_tie_or_another_row() {
-        let opts = LuOptions { ordering: OrderingKind::Natural, ..LuOptions::default() };
-        let owner = SparseLu::factor(&branch_column([2.0, 1.0]), &opts).unwrap();
+        let opts = LuOptions::default();
+        let natural = Permutation::identity(3);
+        let owner =
+            SparseLu::factor_with_ordering(&branch_column([2.0, 1.0]), &opts, natural).unwrap();
         assert_eq!(owner.plan.p[0], 1, "row 1 is the largest candidate");
         // Row 1 still strictly the largest: the check passes, bit for bit.
         assert!(check_adoption(&owner, &branch_column([3.0, -1.5])));
@@ -1842,12 +1841,12 @@ mod tests {
     /// decides which column holds what), retrying the rare draw on which a
     /// frozen pivot degrades.
     fn check_in_natural_order(pattern: &CscMatrix, seed: u64) -> SparseLu {
-        let opts = LuOptions { ordering: OrderingKind::Natural, ..LuOptions::default() };
+        let natural = || Permutation::identity(pattern.ncols());
         let branch = vec![false; pattern.ncols()];
         (seed..seed + 20)
             .find_map(|s| {
                 let mut rng = StdRng::seed_from_u64(s);
-                match check_refactor_sequence(pattern, &branch, &opts, &mut rng) {
+                match check_refactor_sequence(pattern, &branch, natural(), &mut rng) {
                     Ok(lu) => Some(lu),
                     Err(TestCaseError::Reject(_)) => None,
                     Err(TestCaseError::Fail(msg)) => panic!("{msg}"),

@@ -1,9 +1,10 @@
-//! Fill-reducing and bandwidth-reducing orderings.
+//! The fill-reducing ordering.
 //!
 //! SPICE matrices are extremely sparse but fill in badly under natural
 //! ordering; a fill-reducing column permutation keeps the LU factors sparse.
-//! This module provides a classic minimum-degree ordering and reverse
-//! Cuthill–McKee, both operating on the symmetrized pattern of the matrix.
+//! This module provides the one ordering [`crate::SparseLu::factor`] uses, a
+//! classic minimum degree on the symmetrized pattern of the matrix, and the
+//! [`Permutation`] type any ordering is handed over in.
 
 use crate::csc::CscMatrix;
 use crate::error::{Result, SparseError};
@@ -84,33 +85,6 @@ impl Permutation {
             out[p] = x[k];
         }
         out
-    }
-}
-
-/// Ordering strategy for the sparse LU column permutation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OrderingKind {
-    /// Keep the natural (input) order.
-    Natural,
-    /// Classic minimum-degree on the symmetrized pattern (default: best fill
-    /// reduction for MNA matrices).
-    #[default]
-    MinDegree,
-    /// Reverse Cuthill–McKee: bandwidth reduction, useful for banded
-    /// ladder/line circuits.
-    ReverseCuthillMcKee,
-}
-
-/// Computes a column ordering of `a` according to `kind`.
-///
-/// # Errors
-///
-/// Returns [`SparseError::NotSquare`] if `a` is not square.
-pub fn order(a: &CscMatrix, kind: OrderingKind) -> Result<Permutation> {
-    match kind {
-        OrderingKind::Natural => Ok(Permutation::identity(a.ncols())),
-        OrderingKind::MinDegree => min_degree(a),
-        OrderingKind::ReverseCuthillMcKee => reverse_cuthill_mckee(a),
     }
 }
 
@@ -279,39 +253,6 @@ impl DegreeQueue {
         self.heap[at] = key;
         self.pos[Self::node(key) as usize] = at as u32;
     }
-}
-
-/// Reverse Cuthill–McKee ordering on the symmetrized pattern of `a`.
-///
-/// # Errors
-///
-/// Returns [`SparseError::NotSquare`] if `a` is not square.
-pub fn reverse_cuthill_mckee(a: &CscMatrix) -> Result<Permutation> {
-    let adj = a.symmetric_adjacency()?;
-    let n = adj.len();
-    let degree: Vec<usize> = adj.iter().map(Vec::len).collect();
-    let mut visited = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut queue = std::collections::VecDeque::new();
-
-    // Process every connected component, starting from a minimum-degree node.
-    loop {
-        let start = (0..n).filter(|&v| !visited[v]).min_by_key(|&v| degree[v]);
-        let Some(start) = start else { break };
-        visited[start] = true;
-        queue.push_back(start);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            let mut nbrs: Vec<usize> = adj[v].iter().copied().filter(|&u| !visited[u]).collect();
-            nbrs.sort_unstable_by_key(|&u| degree[u]);
-            for u in nbrs {
-                visited[u] = true;
-                queue.push_back(u);
-            }
-        }
-    }
-    order.reverse();
-    Permutation::from_vec(order)
 }
 
 #[cfg(test)]
@@ -533,65 +474,6 @@ mod tests {
         // leaf's, so the hub may appear at position 3 or 4 but never earlier.
         let hub_pos = p.perm().iter().position(|&v| v == 0).unwrap();
         assert!(hub_pos >= 3, "hub eliminated too early: position {hub_pos}");
-    }
-
-    #[test]
-    fn rcm_returns_valid_permutation_over_components() {
-        // Two disconnected tridiagonal blocks.
-        let mut t = CooMatrix::new(6, 6);
-        for i in 0..3 {
-            t.push(i, i, 2.0).unwrap();
-        }
-        for i in 3..6 {
-            t.push(i, i, 2.0).unwrap();
-        }
-        t.push(0, 1, -1.0).unwrap();
-        t.push(1, 0, -1.0).unwrap();
-        t.push(4, 5, -1.0).unwrap();
-        t.push(5, 4, -1.0).unwrap();
-        let p = reverse_cuthill_mckee(&t.to_csc()).unwrap();
-        assert_eq!(p.len(), 6);
-        let mut sorted = p.perm().to_vec();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..6).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn rcm_restores_unit_bandwidth_on_scrambled_path_graph() {
-        // A path graph 0-1-2-...-(n-1) whose vertex labels were scrambled:
-        // the natural bandwidth is large, but RCM must renumber it back to
-        // a chain (bandwidth exactly 1 — BFS from a degree-1 endpoint).
-        let n = 16;
-        // Deterministic scramble: multiply by 5 mod 16 (coprime with 16).
-        let label = |i: usize| (i * 5) % n;
-        let mut t = CooMatrix::new(n, n);
-        for i in 0..n {
-            t.push(label(i), label(i), 2.0).unwrap();
-        }
-        for i in 0..n - 1 {
-            t.push(label(i), label(i + 1), -1.0).unwrap();
-            t.push(label(i + 1), label(i), -1.0).unwrap();
-        }
-        let a = t.to_csc();
-        let bandwidth = |p: &Permutation| {
-            let inv = p.inv();
-            let mut bw = 0usize;
-            for (r, c, _) in a.iter() {
-                bw = bw.max(inv[r].abs_diff(inv[c]));
-            }
-            bw
-        };
-        let natural = bandwidth(&Permutation::identity(n));
-        assert!(natural > 1, "scramble failed to spread the path: bandwidth {natural}");
-        let rcm = bandwidth(&reverse_cuthill_mckee(&a).unwrap());
-        assert_eq!(rcm, 1, "RCM must recover the chain numbering, got bandwidth {rcm}");
-    }
-
-    #[test]
-    fn order_dispatches_natural() {
-        let a = tridiag(5);
-        let p = order(&a, OrderingKind::Natural).unwrap();
-        assert_eq!(p.perm(), &[0, 1, 2, 3, 4]);
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! Fill-reduction quality checks: the orderings must actually earn their
-//! keep on the matrix shapes the simulator produces.
+//! Fill-reduction quality checks: the minimum-degree ordering must actually
+//! earn its keep on the matrix shapes the simulator produces, against the
+//! natural order as the baseline.
 
-use wavepipe_sparse::{CooMatrix, CscMatrix, LuOptions, OrderingKind, SparseLu};
+use wavepipe_sparse::{CooMatrix, CscMatrix, LuOptions, Permutation, SparseLu};
 
 fn grid_laplacian(nx: usize, ny: usize) -> CscMatrix {
     let n = nx * ny;
@@ -37,9 +38,19 @@ fn arrow(n: usize) -> CscMatrix {
     t.to_csc()
 }
 
-fn fill_of(a: &CscMatrix, kind: OrderingKind) -> usize {
-    let opts = LuOptions { ordering: kind, ..LuOptions::default() };
-    let lu = SparseLu::factor(a, &opts).expect("factor");
+/// `factor` itself (minimum degree), or the natural order.
+fn factor(a: &CscMatrix, natural: bool) -> SparseLu {
+    let opts = LuOptions::default();
+    let lu = if natural {
+        SparseLu::factor_with_ordering(a, &opts, Permutation::identity(a.ncols()))
+    } else {
+        SparseLu::factor(a, &opts)
+    };
+    lu.expect("factor")
+}
+
+fn fill_of(a: &CscMatrix, natural: bool) -> usize {
+    let lu = factor(a, natural);
     lu.nnz_l() + lu.nnz_u()
 }
 
@@ -58,8 +69,8 @@ fn min_degree_keeps_arrow_matrices_sparse() {
         t.push(0, i, 1.0).unwrap();
     }
     let a = t.to_csc();
-    let natural = fill_of(&a, OrderingKind::Natural);
-    let mindeg = fill_of(&a, OrderingKind::MinDegree);
+    let natural = fill_of(&a, true);
+    let mindeg = fill_of(&a, false);
     assert!(
         mindeg * 3 < natural,
         "min-degree fill {mindeg} must crush natural {natural} on a hub-first arrow"
@@ -69,27 +80,23 @@ fn min_degree_keeps_arrow_matrices_sparse() {
 }
 
 #[test]
-fn orderings_do_not_blow_up_on_grids() {
+fn min_degree_does_not_blow_up_on_grids() {
     let a = grid_laplacian(12, 12);
-    let natural = fill_of(&a, OrderingKind::Natural);
-    let mindeg = fill_of(&a, OrderingKind::MinDegree);
-    let rcm = fill_of(&a, OrderingKind::ReverseCuthillMcKee);
+    let natural = fill_of(&a, true);
+    let mindeg = fill_of(&a, false);
     // Min-degree should be no worse than ~natural on a banded grid and
     // usually better.
     assert!(mindeg <= natural * 11 / 10, "mindeg {mindeg} vs natural {natural}");
-    assert!(rcm <= natural * 3 / 2, "rcm {rcm} vs natural {natural}");
 }
 
 #[test]
 fn tail_arrow_is_fine_for_everyone() {
     let a = arrow(50);
-    for kind in [OrderingKind::Natural, OrderingKind::MinDegree, OrderingKind::ReverseCuthillMcKee]
-    {
-        let fill = fill_of(&a, kind);
-        assert!(fill < 260, "{kind:?}: fill {fill}");
+    for natural in [true, false] {
+        let lu = factor(&a, natural);
+        let fill = lu.nnz_l() + lu.nnz_u();
+        assert!(fill < 260, "natural {natural}: fill {fill}");
         // And the factorization still solves correctly.
-        let opts = LuOptions { ordering: kind, ..LuOptions::default() };
-        let lu = SparseLu::factor(&a, &opts).unwrap();
         let xt: Vec<f64> = (0..a.ncols()).map(|i| 1.0 + i as f64 * 0.1).collect();
         let b = a.matvec(&xt).unwrap();
         let x = lu.solve(&b).unwrap();
@@ -99,55 +106,12 @@ fn tail_arrow_is_fine_for_everyone() {
     }
 }
 
-/// A band whose width alternates between wide and narrow runs — cascaded
-/// circuit sections with locally denser coupling. Min-degree's greedy
-/// choice eliminates the narrow-run vertices first, splitting the band and
-/// paying fill at the seams; RCM keeps the elimination front contiguous.
-fn lumpy_band(n: usize) -> CscMatrix {
-    let mut t = CooMatrix::new(n, n);
-    for i in 0..n {
-        t.push(i, i, 10.0).unwrap();
-        let w = if (i / 8) % 2 == 0 { 4 } else { 1 };
-        for d in 1..=w {
-            if i + d < n {
-                let v = if d == 1 { -1.0 } else { -0.3 };
-                t.push(i, i + d, v).unwrap();
-                t.push(i + d, i, v).unwrap();
-            }
-        }
-    }
-    t.to_csc()
-}
-
-#[test]
-fn rcm_beats_min_degree_on_alternating_band_structures() {
-    // The band-structure advantage the ordering bake-off banks on: on
-    // matrices that *are* bands (ladder/line cascades), the band-preserving
-    // ordering must win the fill count outright, not just tie. Fill counts
-    // are deterministic, so the pinned inequalities cannot flake.
-    for (n, a) in [(64, lumpy_band(64)), (96, lumpy_band(96))] {
-        let mindeg = fill_of(&a, OrderingKind::MinDegree);
-        let rcm = fill_of(&a, OrderingKind::ReverseCuthillMcKee);
-        assert!(
-            rcm < mindeg,
-            "lumpy_band({n}): RCM fill {rcm} must beat min-degree {mindeg} on a band structure"
-        );
-    }
-    // Recorded fill counts, pinned exactly: a change to either ordering's
-    // tie-breaking shows up here first, with the numbers in the assert.
-    let a = lumpy_band(64);
-    let (mindeg, rcm) =
-        (fill_of(&a, OrderingKind::MinDegree), fill_of(&a, OrderingKind::ReverseCuthillMcKee));
-    assert_eq!((mindeg, rcm), (418, 414), "lumpy_band(64) fill counts moved");
-}
-
 #[test]
 fn refactor_preserves_ordering_benefits() {
     // The recorded pattern of a min-degree factorization must keep its size
     // across refactorizations (no hidden re-symbolic work or growth).
     let a = grid_laplacian(8, 8);
-    let opts = LuOptions { ordering: OrderingKind::MinDegree, ..LuOptions::default() };
-    let mut lu = SparseLu::factor(&a, &opts).unwrap();
+    let mut lu = factor(&a, false);
     let fill_before = lu.nnz_l() + lu.nnz_u();
     for _ in 0..5 {
         lu.refactor(&a).unwrap();

@@ -4,8 +4,8 @@
 //! WavePipe's speedup multiplies across.
 //!
 //! The default path uses [`BatchSim`]: the chain is compiled **once** and
-//! every sample reuses the frozen sparse pattern, slot table, stamp plan,
-//! and symbolic ordering, with only the element values swapped per sample.
+//! every sample reuses the frozen sparse pattern, slot table and stamp plan,
+//! with only the element values swapped per sample.
 //! Pass `--independent` to also run the classic loop (rebuild + recompile +
 //! solve per sample) and print the measured speedup ratio.
 //!
@@ -146,7 +146,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = build_nominal()?;
     let rows = sample_rows(samples, 0.05);
 
-    // Batched path: one compile, shared ordering, striped workers.
+    // Batched path: one compile, striped workers.
     let batch_start = Instant::now();
     let mut batch = BatchSim::compile(&base, TSTEP, TSTOP)?.with_threads(2);
     for i in 0..STAGES {

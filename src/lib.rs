@@ -4,7 +4,7 @@
 //! This facade crate re-exports the full WavePipe stack:
 //!
 //! * [`sparse`] — sparse LU substrate (Gilbert–Peierls with KLU-style
-//!   refactorization, fill-reducing orderings).
+//!   refactorization, minimum-degree ordering).
 //! * [`circuit`] — netlists, device models, source waveforms, SPICE-style
 //!   parser, benchmark generators.
 //! * [`engine`] — the serial SPICE engine: MNA, Newton–Raphson, DC operating
@@ -58,7 +58,7 @@ pub use wavepipe_engine as engine;
 pub use wavepipe_core as core;
 
 /// Batched many-scenario simulation: compile once, run many parameter
-/// instances over a shared pattern, ordering, and stamp plan (re-export of
+/// instances over a shared pattern and stamp plan (re-export of
 /// `wavepipe-batch`).
 pub use wavepipe_batch as batch;
 

@@ -1,19 +1,14 @@
 //! Ordering regression pins on the *real* MNA patterns the generators
 //! compile to — not synthetic stand-ins.
 //!
-//! The bake-off facts this suite freezes (fill counts are deterministic,
-//! so every bound is exact-at-pin rather than tolerance-banded):
-//!
-//! * On the band-structured classes (`rc_ladder`, `rlc_line`) RCM matches
-//!   min-degree's fill and crushes natural ordering — band matrices are
-//!   RCM's home turf and regressions there are pure loss.
-//! * On the 2-D `power_grid` mesh min-degree wins, and RCM's deficit must
-//!   stay inside a pinned ratio — if RCM's tie-breaking drifts and the
-//!   deficit grows, the `WAVEPIPE_ORDERING=rcm` escape hatch quietly rots.
+//! Minimum degree is the one ordering `SparseLu::factor` uses. Its fill
+//! (`nnz(L) + nnz(U)`) is deterministic, so every bound here is an exact
+//! pin rather than a tolerance band: a change to the ordering or its
+//! tie-breaking moves these counts before it moves anything else.
 
-use wavepipe::circuit::generators;
+use wavepipe::circuit::generators::{self, Benchmark};
 use wavepipe::engine::MnaSystem;
-use wavepipe::sparse::{CooMatrix, CscMatrix, LuOptions, OrderingKind, SparseLu};
+use wavepipe::sparse::{CooMatrix, CscMatrix, LuOptions, SparseLu};
 
 /// Gives the structural pattern plausible conductance-like values: strong
 /// diagonal, mildly varied off-diagonals (so value-driven pivoting cannot
@@ -31,61 +26,44 @@ fn valued(pattern: &CscMatrix) -> CscMatrix {
     t.to_csc()
 }
 
-fn fill_counts(circuit: &wavepipe::circuit::Circuit) -> (usize, usize, usize) {
-    let sys = MnaSystem::compile(circuit).expect("compile");
-    let a = valued(sys.pattern());
-    let fill = |kind| {
-        let lu = SparseLu::factor(&a, &LuOptions { ordering: kind, ..LuOptions::default() })
-            .expect("factor");
-        lu.nnz_l() + lu.nnz_u()
-    };
-    (
-        fill(OrderingKind::Natural),
-        fill(OrderingKind::MinDegree),
-        fill(OrderingKind::ReverseCuthillMcKee),
-    )
+/// Asserts each circuit's min-degree fill is its pinned count.
+fn assert_fill(pinned: impl IntoIterator<Item = (Benchmark, usize)>) {
+    for (b, expected) in pinned {
+        let sys = MnaSystem::compile(&b.circuit).expect("compile");
+        let lu = SparseLu::factor(&valued(sys.pattern()), &LuOptions::default()).expect("factor");
+        assert_eq!(lu.nnz_l() + lu.nnz_u(), expected, "{}: min-degree fill moved", b.name);
+    }
 }
 
 #[test]
-fn rcm_matches_min_degree_on_band_structured_circuits() {
-    for b in [generators::rc_ladder(30), generators::rlc_line(20)] {
-        let (natural, mindeg, rcm) = fill_counts(&b.circuit);
-        // Parity band: within one fill entry per ~30 of min-degree's count.
-        assert!(
-            rcm * 30 <= mindeg * 31,
-            "{}: RCM fill {rcm} regressed past min-degree {mindeg} (natural {natural})",
-            b.name
-        );
-        assert!(
-            rcm * 4 <= natural * 3,
-            "{}: RCM fill {rcm} no longer crushes natural {natural}",
-            b.name
-        );
-    }
-    // Recorded counts for the pinned generators; an ordering change moves
-    // these before it moves anything else.
-    let (_, mindeg, rcm) = fill_counts(&generators::rc_ladder(30).circuit);
-    assert_eq!((mindeg, rcm), (94, 95), "rc_ladder(30) fill counts moved");
-    let (_, mindeg, rcm) = fill_counts(&generators::rlc_line(20).circuit);
-    assert_eq!((mindeg, rcm), (126, 126), "rlc_line(20) fill counts moved");
+fn min_degree_fill_is_pinned_on_every_generator_class() {
+    // The table suite, in `table_suite()` order.
+    let table = [604, 1937, 210, 63, 7, 368, 88, 69, 251];
+    let suite = generators::table_suite();
+    assert_eq!(suite.len(), table.len(), "the table suite changed");
+    assert_fill(suite.into_iter().zip(table));
 }
 
 #[test]
-fn rcm_deficit_on_power_grid_stays_pinned() {
-    // Min-degree is the right default on 2-D meshes; RCM trails by ~15-20%.
-    // Pin the deficit at 30% so a tie-breaking drift cannot silently turn
-    // the rcm knob into a fill bomb.
-    for b in [generators::power_grid(6, 6), generators::power_grid(8, 8)] {
-        let (natural, mindeg, rcm) = fill_counts(&b.circuit);
-        assert!(
-            rcm * 10 <= mindeg * 13,
-            "{}: RCM fill {rcm} beyond 1.3x min-degree {mindeg} (natural {natural})",
-            b.name
-        );
-        assert!(mindeg < natural, "{}: min-degree {mindeg} vs natural {natural}", b.name);
-    }
-    let (_, mindeg, rcm) = fill_counts(&generators::power_grid(8, 8).circuit);
-    assert_eq!((mindeg, rcm), (680, 816), "power_grid(8,8) fill counts moved");
+fn min_degree_fill_is_pinned_on_band_structured_circuits() {
+    assert_fill([(generators::rc_ladder(30), 94), (generators::rlc_line(20), 126)]);
+}
+
+#[test]
+fn min_degree_fill_is_pinned_on_power_grids() {
+    assert_fill([(generators::power_grid(6, 6), 327), (generators::power_grid(8, 8), 680)]);
+}
+
+#[test]
+fn min_degree_fill_is_pinned_on_the_benchmark_circuits() {
+    // What `benchmark/`'s workloads factor: the two digital chains, the
+    // 32x32 grid and the corner sweep's chain.
+    assert_fill([
+        (generators::inverter_chain(80), 413),
+        (generators::nand_chain(40), 498),
+        (generators::power_grid(32, 32), 23_674),
+        (generators::inverter_chain(8), 53),
+    ]);
 }
 
 #[test]
@@ -104,8 +82,7 @@ fn min_degree_permutations_are_the_linear_scans() {
     ];
     for (b, expected) in pinned {
         let sys = MnaSystem::compile(&b.circuit).expect("compile");
-        let q = wavepipe::sparse::ordering::order(sys.pattern(), OrderingKind::MinDegree)
-            .expect("square pattern");
+        let q = wavepipe::sparse::ordering::min_degree(sys.pattern()).expect("square pattern");
         let sum = q
             .perm()
             .iter()

@@ -8,19 +8,19 @@
 //! would not (a miss). A kept plan computes the factors the lane's own search
 //! would have, bit for bit, so every run below is the run of the same lanes
 //! with nothing to adopt — a solver handle the pipeline shares no plan under
-//! (`SolverHandle::direct_with_options`, default options: a `DirectLu` per
-//! lane, pivoting for itself) — in every accepted point and every `SimStats`
+//! (`SolverHandle::new` around a plain `DirectLu`: a `DirectLu` per lane,
+//! pivoting for itself) — in every accepted point and every `SimStats`
 //! counter. A lane's checked refactorization is charged as the factorization
 //! it replaced (DESIGN.md, "Every lane starts on one plan"), which is why the
 //! counters can be equal at all.
 
+use std::sync::Arc;
 use wavepipe::circuit::generators::{self, Benchmark};
 use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
 use wavepipe::engine::{
-    run_transient, FaultKind, FaultPlan, MetricsHandle, MetricsRegistry, SimOptions, SimStats,
-    SolverHandle, TransientResult,
+    run_transient, DirectLu, FaultKind, FaultPlan, MetricsHandle, MetricsRegistry, SimOptions,
+    SimStats, SolverHandle, TransientResult,
 };
-use wavepipe::sparse::LuOptions;
 
 /// Every cache on and everything an environment leg of CI can flip pinned.
 fn pinned(solver: SolverHandle) -> SimOptions {
@@ -35,7 +35,7 @@ fn pinned(solver: SolverHandle) -> SimOptions {
 
 /// A handle making the default `DirectLu`, which the pipeline hands no plan.
 fn own_pivots() -> SolverHandle {
-    SolverHandle::direct_with_options(LuOptions::default())
+    SolverHandle::new(Arc::new(DirectLu::new()))
 }
 
 struct Run {

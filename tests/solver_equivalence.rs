@@ -159,7 +159,7 @@ fn unreachable_tolerance_forces_fallback_bit_identically() {
     // solve completes on the direct path.
     let b = generators::power_grid(4, 4);
     let reference = run(&b, &caches_on(no_parking()));
-    let forced = GmresConfig { tol: 0.0, max_iters: 8, restart: 4, ..GmresConfig::default() };
+    let forced = GmresConfig { tol: 0.0, max_iters: 8, restart: 4 };
     let fallback = run(&b, &caches_on(SolverHandle::gmres(forced)));
     assert_bit_identical(&reference, &fallback, "tolerance-forced fallback");
     assert!(fallback.stats().solver_fallbacks > 0, "tolerance never forced the fallback");
@@ -179,12 +179,7 @@ proptest! {
     ) {
         let b = &suite()[circuit_ix];
         let reference = run(b, &caches_on(SolverHandle::direct()));
-        let cfg = GmresConfig {
-            restart,
-            tol: 10f64.powi(-(tol_exp as i32)),
-            max_iters,
-            ..GmresConfig::default()
-        };
+        let cfg = GmresConfig { restart, tol: 10f64.powi(-(tol_exp as i32)), max_iters };
         let iterative = run(b, &caches_on(SolverHandle::gmres(cfg)));
         assert_lte_scale(b, &reference, &iterative);
     }
