@@ -63,17 +63,10 @@ pub struct WavePipeOptions {
     /// stride. `1.0` (default) speculates at the same step size; values up
     /// to `rmax` speculate more aggressively.
     pub fp_stride_factor: f64,
-    /// Backward pipelining: use the recent LTE growth prediction to place
-    /// the leading point (`true`, default) instead of always stretching by
-    /// the full `rmax`.
+    /// Backward pipelining: stretch the lead's gap by `1`, `√rmax` or
+    /// `rmax`, the rung the recent LTE growth prediction rounds to (`true`,
+    /// default), instead of always by the full `rmax`.
     pub bp_adaptive_lead: bool,
-    /// Backward pipelining: minimum predicted growth factor below which
-    /// lead points are not launched. The default `0.0` disables the gate:
-    /// measured across the benchmark suite, launching leads even at low
-    /// accept rates is a net win (a rejected lead only stretches the round's
-    /// critical path by the lead/base cost difference, while an accepted one
-    /// saves a whole serial step). Kept as an ablation knob — see Figure D2.
-    pub bp_growth_gate: f64,
     /// Backward pipelining: slack multiplier on the LTE stride budget when
     /// deciding how many lead tasks to launch. `1.0` launches only leads
     /// predicted to pass; larger values also buy "lottery" leads whose
@@ -100,7 +93,6 @@ impl Default for WavePipeOptions {
             fp_refine_iters: 4,
             fp_stride_factor: 1.0,
             bp_adaptive_lead: true,
-            bp_growth_gate: 0.0,
             bp_budget_slack: f64::INFINITY,
             worker_respawns: 1,
             sim: SimOptions::default(),
@@ -187,13 +179,6 @@ impl WavePipeOptions {
     #[must_use]
     pub fn with_bp_adaptive_lead(mut self, adaptive: bool) -> Self {
         self.bp_adaptive_lead = adaptive;
-        self
-    }
-
-    /// Sets the backward-pipelining growth gate.
-    #[must_use]
-    pub fn with_bp_growth_gate(mut self, gate: f64) -> Self {
-        self.bp_growth_gate = gate;
         self
     }
 

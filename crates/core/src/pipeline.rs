@@ -575,27 +575,45 @@ impl Driver {
         self.critical_ns += s.wall_ns;
     }
 
-    /// Lead-placement growth factor: aim the backward lead at the *LTE
-    /// boundary* predicted by the last accepted point's error ratio (a step
-    /// grown by `f` scales the ratio by `f^(order+1)`; target 0.9), rather
-    /// than at the deliberately conservative base-step proposal. In rapid
-    /// growth phases (ratio ~ 0) this saturates at `rmax`.
+    /// Lead-placement growth factor, on the step lattice `1`, `√rmax`,
+    /// `rmax`: the rung below the *LTE boundary* the last accepted point's
+    /// error ratio predicts (a step grown by `f` scales the ratio by
+    /// `f^(order+1)`; target 0.9), rounded up to `rmax` from halfway there,
+    /// `(1 + rmax)/2`, and to `√rmax` from `rmax^(1/4)`, halfway on a log
+    /// scale. The boundary itself is a growth no other solve used, so a lead
+    /// aimed there would integrate across a stride whose factor key no parked
+    /// set holds; on the lattice a lead strides `(1 + g) h` for one of three
+    /// `g` of a base step that itself recurs. The middle rung keeps leads the
+    /// boundary allows up to half again longer than `h` from being cut back
+    /// to `h`, which cost the closed-form decks accuracy (EXPERIMENTS.md
+    /// E26). In rapid growth phases (ratio ~ 0), and always with
+    /// `bp_adaptive_lead` off, this is `rmax`.
     pub fn lead_growth(&self) -> f64 {
+        let rmax = self.wp.sim.rmax;
         if !self.wp.bp_adaptive_lead {
-            return self.wp.sim.rmax;
+            return rmax;
         }
         let order = self.wp.sim.method.order() as f64;
-        (0.9 / self.last_ratio).powf(1.0 / (order + 1.0)).clamp(1.0, self.wp.sim.rmax)
+        let boundary = (0.9 / self.last_ratio).powf(1.0 / (order + 1.0));
+        if boundary >= (1.0 + rmax) / 2.0 {
+            rmax
+        } else if boundary >= rmax.powf(0.25) {
+            rmax.sqrt()
+        } else {
+            1.0
+        }
     }
 
     /// Builds the backward target ladder from the current time: gaps start
-    /// at the base step and stretch by [`Driver::lead_growth`], but any lead
-    /// whose *total integration stride* would exceed the LTE-boundary budget
-    /// is not launched at all — in error-bound phases it would fail its LTE
-    /// test with certainty, and an un-launched task keeps the round's
-    /// critical path at the base solve. In growth phases (tiny error ratio)
-    /// the budget is huge and the full ladder width is used. Also returns
-    /// the last rung's gap, which a speculative chain strides on from.
+    /// at the base step and stretch by [`Driver::lead_growth`] (so they are
+    /// the base step times successive powers of one lattice growth up to
+    /// `hmax`, or the base step throughout), but any lead whose *total integration stride*
+    /// would exceed the LTE-boundary budget is not launched at all — in
+    /// error-bound phases it would fail its LTE test with certainty, and an
+    /// un-launched task keeps the round's critical path at the base solve.
+    /// In growth phases (tiny error ratio) the budget is huge and the full
+    /// ladder width is used. Also returns the last rung's gap, which a
+    /// speculative chain strides on from.
     pub fn backward_ladder(&self, width: usize) -> (Vec<f64>, f64) {
         let growth = self.lead_growth();
         let order = self.wp.sim.method.order() as f64;
@@ -612,14 +630,6 @@ impl Driver {
         } else {
             f64::INFINITY
         };
-        // Optional gating (ablation knobs, both off by default — measured
-        // across the suite, launching leads even at low accept rates is a
-        // net win): a growth-phase gate on the predicted stretch factor,
-        // with periodic probing so a regime change re-enables leads.
-        let leads_enabled = !self.wp.bp_adaptive_lead
-            || self.lead_growth() >= self.wp.bp_growth_gate
-            || self.rounds % 16 == 15;
-        let width = if leads_enabled { width } else { 1 };
         // Ladder depth scales with how well leads have been paying: one
         // lottery lead is near-free on the critical path, but deep ladders
         // only earn their keep in sustained growth phases (hysteresis on
@@ -877,6 +887,44 @@ mod tests {
         let start = Instant::now();
         drop(drv);
         assert!(start.elapsed() < Duration::from_secs(1), "drop hung");
+    }
+
+    #[test]
+    fn lead_growth_is_on_the_lattice_and_switches_halfway() {
+        let b = generators::rc_ladder(4);
+        for rmax in [2.0_f64, 4.0] {
+            for adaptive in [true, false] {
+                let sim = SimOptions::default().with_rmax(rmax);
+                let wp = WavePipeOptions::new(Scheme::Backward, 1)
+                    .with_sim(sim)
+                    .with_bp_adaptive_lead(adaptive);
+                let mut drv = Driver::new(&b.circuit, b.tstep, b.tstop, &wp).unwrap();
+                let mut seen = Vec::new();
+                for k in 0..=400 {
+                    drv.last_ratio = f64::from(k) / 400.0;
+                    let g = drv.lead_growth();
+                    assert!([1.0, rmax.sqrt(), rmax].contains(&g), "rmax {rmax}: {g}");
+                    if seen.last() != Some(&g) {
+                        seen.push(g);
+                    }
+                }
+                // Falling growth as the ratio rises, each rung once.
+                let rungs = if adaptive { vec![rmax, rmax.sqrt(), 1.0] } else { vec![rmax] };
+                assert_eq!(seen, rungs);
+                // The ratios at which the unsnapped growth reaches `(1 + rmax)/2`
+                // and `rmax^(1/4)`: a part in a thousand either side switches.
+                let order = drv.wp.sim.method.order() as f64;
+                for (at, above, below) in
+                    [((1.0 + rmax) / 2.0, rmax, rmax.sqrt()), (rmax.powf(0.25), rmax.sqrt(), 1.0)]
+                {
+                    let ratio = 0.9 / at.powf(order + 1.0);
+                    for (r, want) in [(ratio * 0.999, above), (ratio * 1.001, below)] {
+                        drv.last_ratio = r;
+                        assert_eq!(drv.lead_growth(), if adaptive { want } else { rmax });
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -52,6 +52,16 @@
 //! this table exactly. No iterations or points column, no caches-off row and
 //! no `inverter_chain(8)` or `diode_rectifier` row moved.
 //!
+//! Placing backward leads on the step lattice regenerated thirty-two rows:
+//! every `backward_x2`, `adaptive_x2` and `combined_x3` row, caches on and
+//! off (EXPERIMENTS.md E26 lists them old beside new, `tests/oracle.rs`
+//! holds every moved grid's and both closed-form decks' error no higher).
+//! The lead's gap grows by 1, `√rmax` or `rmax` instead of by the continuous
+//! LTE-boundary growth: a schedule change, not a cache change, so the runs
+//! attempt other points and the caches-off rows move with the caches-on ones
+//! (32x32 Backward x2 792 → 774 iterations, 398 → 389 points, 152 → 95
+//! factorizations with the caches on). No `serial` or `forward_x2` row moved.
+//!
 //! The constants depend on the host's `libm` (`exp`/`ln` in the device
 //! models); on a mismatch the failure message prints the rows that moved,
 //! old beside new, and then the whole table in source form. Regenerate only
@@ -69,58 +79,58 @@ type Row = (&'static str, &'static str, bool, u64, usize, usize, usize);
 const GOLDEN: &[Row] = &[
     ("inverter_chain(8)", "serial", true, 0x3e5094101b9c86c4, 1594, 536, 687),
     ("inverter_chain(8)", "serial", false, 0xbe50abc534d4a7e0, 1524, 536, 1524),
-    ("inverter_chain(8)", "backward_x2", true, 0x42cd2e45af2ae51d, 2775, 616, 1155),
-    ("inverter_chain(8)", "backward_x2", false, 0x460674e299048b53, 2645, 613, 2645),
+    ("inverter_chain(8)", "backward_x2", true, 0x508b829f50ee3c54, 2710, 599, 1112),
+    ("inverter_chain(8)", "backward_x2", false, 0x322a9eb795f9dc18, 2583, 599, 2583),
     ("inverter_chain(8)", "forward_x2", true, 0x75d3b7d5ad345924, 2687, 552, 973),
     ("inverter_chain(8)", "forward_x2", false, 0x72e8d8284371d499, 2454, 552, 2454),
-    ("inverter_chain(8)", "adaptive_x2", true, 0x928a8faf6c5255e1, 2612, 588, 1062),
-    ("inverter_chain(8)", "adaptive_x2", false, 0x18fdcb4780ec8487, 2434, 580, 2434),
-    ("inverter_chain(8)", "combined_x3", true, 0xc6ea07c0fa6d649f, 3055, 605, 1209),
-    ("inverter_chain(8)", "combined_x3", false, 0x8546d5bd3f386c6a, 2854, 608, 2854),
+    ("inverter_chain(8)", "adaptive_x2", true, 0x2efd2917934a3089, 2650, 584, 1072),
+    ("inverter_chain(8)", "adaptive_x2", false, 0x3a8e4bff15ed0396, 2483, 572, 2483),
+    ("inverter_chain(8)", "combined_x3", true, 0x6b1a12a0d8cdf06e, 3015, 600, 1192),
+    ("inverter_chain(8)", "combined_x3", false, 0x51ea1ba34a0cfdfe, 2805, 600, 2805),
     ("rc_ladder(30)", "serial", true, 0x3792faeeb4b6bdb7, 297, 148, 119),
     ("rc_ladder(30)", "serial", false, 0x683310fe4f833f2c, 297, 148, 297),
-    ("rc_ladder(30)", "backward_x2", true, 0x422defecd5a96dfd, 542, 165, 263),
-    ("rc_ladder(30)", "backward_x2", false, 0x1a1de6bf7f989179, 542, 165, 542),
+    ("rc_ladder(30)", "backward_x2", true, 0x1cb30d1ba5b6550b, 544, 166, 263),
+    ("rc_ladder(30)", "backward_x2", false, 0x7b363c44959339c1, 544, 166, 544),
     ("rc_ladder(30)", "forward_x2", true, 0x32ef4bc83650141e, 468, 148, 201),
     ("rc_ladder(30)", "forward_x2", false, 0x737ef1e9e9ef59f8, 468, 148, 468),
-    ("rc_ladder(30)", "adaptive_x2", true, 0x71f5a2df111ceb00, 536, 166, 256),
-    ("rc_ladder(30)", "adaptive_x2", false, 0xbd8dfc0f8be8be28, 536, 166, 536),
-    ("rc_ladder(30)", "combined_x3", true, 0x95b7ee7f2ea7f16c, 562, 165, 273),
-    ("rc_ladder(30)", "combined_x3", false, 0x318e0943840d048e, 562, 165, 562),
+    ("rc_ladder(30)", "adaptive_x2", true, 0x0008811086f0f6a6, 536, 166, 254),
+    ("rc_ladder(30)", "adaptive_x2", false, 0x113db5e34f773375, 536, 166, 536),
+    ("rc_ladder(30)", "combined_x3", true, 0x8297728d3d6986ca, 564, 166, 272),
+    ("rc_ladder(30)", "combined_x3", false, 0xb200305921afe8e6, 564, 166, 564),
     ("power_grid(6,6)", "serial", true, 0xc533a749f61006c8, 604, 301, 209),
     ("power_grid(6,6)", "serial", false, 0x28faa76184af2963, 604, 301, 604),
-    ("power_grid(6,6)", "backward_x2", true, 0xe952e2bd1f704e82, 780, 319, 340),
-    ("power_grid(6,6)", "backward_x2", false, 0x2db574d521c4b012, 780, 319, 780),
+    ("power_grid(6,6)", "backward_x2", true, 0xdcd3f5d1fcfbb667, 762, 307, 308),
+    ("power_grid(6,6)", "backward_x2", false, 0x3e838b7f6fbaae2e, 762, 307, 762),
     ("power_grid(6,6)", "forward_x2", true, 0xe610f49a75c92bc1, 836, 298, 241),
     ("power_grid(6,6)", "forward_x2", false, 0xca47ad931f78b575, 836, 298, 836),
-    ("power_grid(6,6)", "adaptive_x2", true, 0xa398f2efaba779b5, 787, 318, 346),
-    ("power_grid(6,6)", "adaptive_x2", false, 0x881f5b9d827ab8b5, 787, 318, 787),
-    ("power_grid(6,6)", "combined_x3", true, 0xedad4b090c4fde15, 1118, 356, 508),
-    ("power_grid(6,6)", "combined_x3", false, 0x1eb65f242d5ee8f0, 1118, 356, 1118),
+    ("power_grid(6,6)", "adaptive_x2", true, 0xb0e6adc947eb1c1c, 779, 309, 329),
+    ("power_grid(6,6)", "adaptive_x2", false, 0xb121e38808bf4df1, 779, 309, 779),
+    ("power_grid(6,6)", "combined_x3", true, 0x59aaa8ad0c47f719, 1061, 329, 427),
+    ("power_grid(6,6)", "combined_x3", false, 0xa3e2ce99f80549f2, 1061, 329, 1061),
     ("power_grid(16,16)", "serial", true, 0xcba1b6bb3fb9785b, 907, 461, 116),
     ("power_grid(16,16)", "serial", false, 0x7f35f759ec6604e5, 907, 461, 907),
-    ("power_grid(16,16)", "backward_x2", true, 0xf718898da539cdfe, 966, 472, 376),
-    ("power_grid(16,16)", "backward_x2", false, 0xf0ef38ff3290cfd2, 966, 472, 966),
+    ("power_grid(16,16)", "backward_x2", true, 0x626102f15bdc295d, 971, 462, 351),
+    ("power_grid(16,16)", "backward_x2", false, 0x531f87e85a328e5b, 971, 462, 971),
     ("power_grid(16,16)", "forward_x2", true, 0xa85b458c10326bb5, 1290, 461, 207),
     ("power_grid(16,16)", "forward_x2", false, 0xcf3cc696ab0f0dd9, 1290, 461, 1290),
-    ("power_grid(16,16)", "adaptive_x2", true, 0x68dd6860d42e3628, 1022, 470, 407),
-    ("power_grid(16,16)", "adaptive_x2", false, 0x1ff4dcc9f82bc9ce, 1022, 470, 1022),
-    ("power_grid(16,16)", "combined_x3", true, 0x1cde927f9d9493e3, 1248, 493, 463),
-    ("power_grid(16,16)", "combined_x3", false, 0x53fd21372a48df94, 1248, 493, 1248),
+    ("power_grid(16,16)", "adaptive_x2", true, 0x0fef90e723ddf38d, 1038, 468, 403),
+    ("power_grid(16,16)", "adaptive_x2", false, 0x299b9b498442eede, 1038, 468, 1038),
+    ("power_grid(16,16)", "combined_x3", true, 0x61327ba521ddce8e, 1225, 479, 375),
+    ("power_grid(16,16)", "combined_x3", false, 0x1f05c8940871bfa3, 1225, 479, 1225),
     ("diode_rectifier", "serial", true, 0x8378fa08c648a5a1, 1037, 276, 400),
     ("diode_rectifier", "serial", false, 0xc62f148d7f0a11c6, 954, 280, 954),
-    ("diode_rectifier", "backward_x2", true, 0xe01347380128d376, 1838, 304, 665),
-    ("diode_rectifier", "backward_x2", false, 0x29b1a00f987a4e16, 1654, 311, 1654),
+    ("diode_rectifier", "backward_x2", true, 0x4eea08a6da4058f9, 1851, 288, 677),
+    ("diode_rectifier", "backward_x2", false, 0x011898ead25719d7, 1658, 301, 1658),
     ("diode_rectifier", "forward_x2", true, 0x1b4c028a6fc30a1e, 1846, 285, 659),
     ("diode_rectifier", "forward_x2", false, 0x89e88e558ff1c4ee, 1724, 296, 1724),
-    ("diode_rectifier", "adaptive_x2", true, 0x506a7a54e9583117, 1825, 291, 668),
-    ("diode_rectifier", "adaptive_x2", false, 0xf31f8d9a6e5bcbc1, 1686, 302, 1686),
-    ("diode_rectifier", "combined_x3", true, 0x88f8d30039b7777c, 1849, 306, 659),
-    ("diode_rectifier", "combined_x3", false, 0x36259ff6f842ea32, 1628, 301, 1628),
+    ("diode_rectifier", "adaptive_x2", true, 0x628e26759b5bab47, 1814, 286, 656),
+    ("diode_rectifier", "adaptive_x2", false, 0x15fa7ec94f8eb29b, 1610, 300, 1610),
+    ("diode_rectifier", "combined_x3", true, 0x9f738f6ddd6877d6, 1894, 299, 704),
+    ("diode_rectifier", "combined_x3", false, 0x8c1a83bbbae67491, 1624, 296, 1624),
     ("power_grid(32,32)", "serial", true, 0x60f27ed2ef13ddf4, 885, 466, 80),
     ("power_grid(32,32)", "serial", false, 0xa81a746a2d2076a4, 885, 466, 885),
-    ("power_grid(32,32)", "backward_x2", true, 0xc1347725c4905c48, 792, 398, 152),
-    ("power_grid(32,32)", "backward_x2", false, 0x28990a0b9b127f56, 792, 398, 792),
+    ("power_grid(32,32)", "backward_x2", true, 0x1c1b5badb8f9f538, 774, 389, 95),
+    ("power_grid(32,32)", "backward_x2", false, 0x568fec795f5ee992, 774, 389, 774),
 ];
 
 const SCHEMES: [&str; 5] = ["serial", "backward_x2", "forward_x2", "adaptive_x2", "combined_x3"];

@@ -122,7 +122,7 @@ fn a_lane_whose_first_matrix_pivots_otherwise_pays_its_own_factorization() {
     assert_same_run(&adopted, &run(&b, Scheme::Backward, 2, own_pivots(), FaultPlan::new()), "own");
     // The counts of `tests/golden_bits.rs`' Backward x2 row with the caches on.
     let s = adopted.stats;
-    assert_eq!((s.newton_iterations, s.steps_accepted, s.factorizations), (2775, 616, 1155));
+    assert_eq!((s.newton_iterations, s.steps_accepted, s.factorizations), (2710, 599, 1112));
 }
 
 #[test]
