@@ -377,7 +377,7 @@ impl BatchSim {
 
     /// Inert: the lane-packed tier this switched is deleted, and a batch
     /// has one path whatever is passed. Kept because `benchmark/`, which a
-    /// code change may not edit, calls it; it goes with ROADMAP item 4's
+    /// code change may not edit, calls it; it goes with ROADMAP's
     /// benchmark-only follow-up.
     #[doc(hidden)]
     #[must_use]

@@ -1,6 +1,6 @@
 //! Prints the figure data of the WavePipe evaluation (accuracy, step-size
-//! profiles, thread scaling, and the scheduling ablations) and writes the
-//! thread-scaling series to `BENCH_figures.json` for machine tracking.
+//! profiles and thread scaling: Figures A–C) and writes the thread-scaling
+//! series to `BENCH_figures.json` for machine tracking.
 //!
 //! Usage: `cargo run --release -p wavepipe-bench --bin figures [-- --small]
 //! [--trace <path>] [--trace-format jsonl|chrome]`
@@ -10,10 +10,9 @@
 //! telemetry stream to `<path>`.
 
 use wavepipe_bench::{
-    fig_accuracy, fig_bp_ablation, fig_fp_ablation, fig_scaling, fig_step_profile, run_traced,
-    scaling_to_json, suite, Scale, TraceArgs,
+    fig_accuracy, fig_scaling, fig_step_profile, run_traced, scaling_to_json, suite, Scale,
+    TraceArgs,
 };
-use wavepipe_circuit::generators;
 use wavepipe_core::Scheme;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,10 +37,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             scaling.push((b.name.clone(), series));
         }
     }
-
-    // Figure D ablations.
-    println!("{}", fig_fp_ablation(&generators::amp_chain(2)));
-    println!("{}", fig_bp_ablation(&generators::power_grid(6, 6)));
 
     let groups: Vec<(&str, &wavepipe_bench::ScalingSeries)> =
         scaling.iter().map(|(n, s)| (n.as_str(), s)).collect();

@@ -1,5 +1,5 @@
 //! Experiment harness for the WavePipe evaluation: one function per table
-//! and figure (experiments E1–E8 of `DESIGN.md`), shared by the `tables` /
+//! and figure (experiments E1–E7 of `DESIGN.md`), shared by the `tables` /
 //! `figures` binaries and the Criterion benches.
 //!
 //! Every function returns both structured data and a formatted text block,
@@ -286,58 +286,6 @@ pub fn fig_scaling(b: &Benchmark) -> (String, ScalingSeries) {
         series.push((scheme, pts));
     }
     (out, series)
-}
-
-/// **Figure D (E8)** — forward-pipelining ablation: speculation accept rate
-/// and speedup vs the refinement iteration budget and stride factor.
-pub fn fig_fp_ablation(b: &Benchmark) -> String {
-    let serial = run_serial(b);
-    let mut out = String::new();
-    let _ = writeln!(out, "Figure D: forward-pipelining ablation — {}", b.name);
-    let _ = writeln!(
-        out,
-        "{:<14} {:<14} {:>10} {:>10}",
-        "refine-iters", "stride-factor", "accept", "speedup"
-    );
-    for refine in [2usize, 4, 8] {
-        for stride in [0.5f64, 1.0, 2.0] {
-            let opts = WavePipeOptions::new(Scheme::Forward, 2)
-                .with_fp_refine_iters(refine)
-                .with_fp_stride_factor(stride);
-            let rep = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts)
-                .unwrap_or_else(|e| panic!("{}: ablation failed: {e}", b.name));
-            let _ = writeln!(
-                out,
-                "{:<14} {:<14} {:>9.0}% {:>9.2}x",
-                refine,
-                stride,
-                rep.accept_rate() * 100.0,
-                rep.modeled_speedup(serial.stats())
-            );
-        }
-    }
-    out
-}
-
-/// **Figure D2 (E8)** — backward-pipelining ablation: lead budget slack.
-pub fn fig_bp_ablation(b: &Benchmark) -> String {
-    let serial = run_serial(b);
-    let mut out = String::new();
-    let _ = writeln!(out, "Figure D2: backward-pipelining lead-budget ablation — {}", b.name);
-    let _ = writeln!(out, "{:<14} {:>10} {:>10}", "budget-slack", "accept", "speedup");
-    for slack in [1.0f64, 2.0, 4.0, f64::INFINITY] {
-        let opts = WavePipeOptions::new(Scheme::Backward, 2).with_bp_budget_slack(slack);
-        let rep = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts)
-            .unwrap_or_else(|e| panic!("{}: ablation failed: {e}", b.name));
-        let _ = writeln!(
-            out,
-            "{:<14} {:>9.0}% {:>9.2}x",
-            if slack.is_finite() { format!("{slack}") } else { "unlimited".to_string() },
-            rep.accept_rate() * 100.0,
-            rep.modeled_speedup(serial.stats())
-        );
-    }
-    out
 }
 
 /// One caches-off / caches-on measurement pair — a row of the **Newton

@@ -128,15 +128,14 @@ fn newton_metrics(doc: &JsonValue) -> Result<Metrics, String> {
     Ok(out)
 }
 
-/// `BENCH_sweep.json` (an array of per-configuration rows): the modeled
-/// batch throughput gain and the real single-core work ratio.
+/// `BENCH_sweep.json` (an array of per-configuration rows): the real
+/// single-core work ratio. Its `measured_speedup` is a multi-thread wall
+/// ratio, which a shared runner does not hold steady enough to gate.
 fn sweep_metrics(doc: &JsonValue) -> Result<Metrics, String> {
     let mut out = Vec::new();
     for row in rows(doc)? {
         let circuit = text(row, "circuit")?;
-        for field in ["modeled_speedup", "work_ratio"] {
-            out.push((format!("sweep/{circuit}/{field}"), num(row, circuit, field)?));
-        }
+        out.push((format!("sweep/{circuit}/work_ratio"), num(row, circuit, "work_ratio")?));
     }
     Ok(out)
 }
@@ -300,9 +299,8 @@ mod tests {
       {"name":"b","speedup":1.3,"off_ms":20.0,"on_ms":15.0}
     ]"#;
     const SWEEP: &str = r#"[
-      {"circuit":"c","instances":100,"workers":8,"independent_ms":500.0,
-       "batched_cpu_ms":450.0,"batched_makespan_ms":65.0,
-       "work_ratio":1.11,"modeled_speedup":7.7}
+      {"circuit":"c","instances":100,"threads":2,"independent_ms":500.0,
+       "batched_cpu_ms":450.0,"work_ratio":1.11,"measured_speedup":1.9}
     ]"#;
     const OVERHEAD: &str = r#"[
       {"circuit":"g","serial_off_us":900,"serial_on_us":905,"backward2_us":600,
@@ -353,9 +351,9 @@ mod tests {
     fn identical_runs_pass() {
         let r = gate_with(NEWTON).unwrap();
         assert!(r.passed(), "{}", r.table());
-        // 2 newton + 2 sweep + 2 recovery
+        // 2 newton + 1 sweep + 2 recovery
         // + 1 solver GMRES-vs-refactor ratio at 64+ unknowns
-        assert_eq!(r.metrics.len(), 7);
+        assert_eq!(r.metrics.len(), 6);
     }
 
     #[test]
@@ -406,7 +404,7 @@ mod tests {
         assert!(newton.metrics("{}").is_err());
         assert!(newton.metrics(r#"[{"name":"x"}]"#).is_err());
         assert!(sweep.metrics("{}").is_err());
-        assert!(sweep.metrics(r#"[{"circuit":"x","work_ratio":1.0}]"#).is_err());
+        assert!(sweep.metrics(r#"[{"circuit":"x","measured_speedup":1.0}]"#).is_err());
         assert!(solver.metrics("{}").is_err());
         assert!(solver.metrics(r#"[{"circuit":"x","unknowns":16}]"#).is_err());
     }

@@ -47,56 +47,13 @@ pub struct WavePipeOptions {
     /// Total thread budget (including the coordinating thread): one
     /// pipeline lane each. Clamped to at least 1; `Serial` ignores it.
     pub threads: usize,
-    /// Forward pipelining: pre-filter — multiplier on the Newton tolerance
-    /// (node voltages only) above which a prediction is considered hopeless
-    /// and the speculative solve is discarded without a refinement attempt.
-    /// Predictions at LTE-chosen steps are routinely 10–50x the Newton
-    /// tolerance, so this is deliberately loose; the *real* gate is
-    /// [`WavePipeOptions::fp_refine_iters`]. Default `200.0`.
-    pub fp_accept_factor: f64,
-    /// Forward pipelining: Newton iteration budget for refining a
-    /// speculative solve against the true history. If the warm start cannot
-    /// converge within this budget it was not close enough to pay off, and
-    /// the speculation is discarded. Default `4`.
-    pub fp_refine_iters: usize,
-    /// Forward pipelining: ratio of the speculative stride to the current
-    /// stride. `1.0` (default) speculates at the same step size; values up
-    /// to `rmax` speculate more aggressively.
-    pub fp_stride_factor: f64,
-    /// Backward pipelining: stretch the lead's gap by `1`, `√rmax` or
-    /// `rmax`, the rung the recent LTE growth prediction rounds to (`true`,
-    /// default), instead of always by the full `rmax`.
-    pub bp_adaptive_lead: bool,
-    /// Backward pipelining: slack multiplier on the LTE stride budget when
-    /// deciding how many lead tasks to launch. `1.0` launches only leads
-    /// predicted to pass; larger values also buy "lottery" leads whose
-    /// rejection costs nothing but critical-path stretch. Default
-    /// `infinity` (always launch the full ladder) — see Figure D2 for the
-    /// measured trade-off.
-    pub bp_budget_slack: f64,
-    /// How many times a lost pool worker (panicked solve) may be respawned
-    /// before its lane is retired for good and rounds run narrower. All
-    /// pool tasks are speculative, so worker loss never affects results —
-    /// this only bounds how much respawn churn a persistently-faulting
-    /// lane may cause. Default `1`.
-    pub worker_respawns: usize,
     /// Engine options (tolerances, method, step limits).
     pub sim: SimOptions,
 }
 
 impl Default for WavePipeOptions {
     fn default() -> Self {
-        WavePipeOptions {
-            scheme: Scheme::default(),
-            threads: 2,
-            fp_accept_factor: 200.0,
-            fp_refine_iters: 4,
-            fp_stride_factor: 1.0,
-            bp_adaptive_lead: true,
-            bp_budget_slack: f64::INFINITY,
-            worker_respawns: 1,
-            sim: SimOptions::default(),
-        }
+        WavePipeOptions { scheme: Scheme::default(), threads: 2, sim: SimOptions::default() }
     }
 }
 
@@ -123,7 +80,7 @@ impl WavePipeOptions {
     /// Inert: the stamp-worker layer this sized is deleted, and every lane
     /// stamps through the one serial kernel whatever is passed. Kept because
     /// `benchmark/`, which a code change may not edit, calls it; it goes
-    /// with ROADMAP item 4's benchmark-only follow-up.
+    /// with ROADMAP's benchmark-only follow-up.
     #[doc(hidden)]
     #[must_use]
     pub fn with_stamp_workers(self, _: usize) -> Self {
@@ -150,50 +107,6 @@ impl WavePipeOptions {
     #[must_use]
     pub fn with_metrics(mut self, metrics: wavepipe_engine::MetricsHandle) -> Self {
         self.sim.metrics = metrics;
-        self
-    }
-
-    /// Sets the forward-pipelining acceptance pre-filter factor.
-    #[must_use]
-    pub fn with_fp_accept_factor(mut self, factor: f64) -> Self {
-        self.fp_accept_factor = factor;
-        self
-    }
-
-    /// Sets the forward-pipelining refinement iteration budget.
-    #[must_use]
-    pub fn with_fp_refine_iters(mut self, iters: usize) -> Self {
-        self.fp_refine_iters = iters;
-        self
-    }
-
-    /// Sets the forward-pipelining stride factor.
-    #[must_use]
-    pub fn with_fp_stride_factor(mut self, factor: f64) -> Self {
-        self.fp_stride_factor = factor;
-        self
-    }
-
-    /// Enables or disables LTE-adaptive lead placement for backward
-    /// pipelining.
-    #[must_use]
-    pub fn with_bp_adaptive_lead(mut self, adaptive: bool) -> Self {
-        self.bp_adaptive_lead = adaptive;
-        self
-    }
-
-    /// Sets the backward-pipelining stride budget slack.
-    #[must_use]
-    pub fn with_bp_budget_slack(mut self, slack: f64) -> Self {
-        self.bp_budget_slack = slack;
-        self
-    }
-
-    /// Sets the per-worker respawn budget after a panicked solve
-    /// (`0` retires a lost lane immediately).
-    #[must_use]
-    pub fn with_worker_respawns(mut self, respawns: usize) -> Self {
-        self.worker_respawns = respawns;
         self
     }
 
@@ -279,15 +192,9 @@ mod tests {
 
     #[test]
     fn builders_chain() {
-        let o = WavePipeOptions::default()
-            .with_scheme(Scheme::Forward)
-            .with_threads(6)
-            .with_fp_refine_iters(7)
-            .with_bp_adaptive_lead(false);
+        let o = WavePipeOptions::default().with_scheme(Scheme::Forward).with_threads(6);
         assert_eq!(o.scheme, Scheme::Forward);
         assert_eq!(o.threads, 6);
-        assert_eq!(o.fp_refine_iters, 7);
-        assert!(!o.bp_adaptive_lead);
     }
 
     #[test]

@@ -52,6 +52,15 @@ pub(crate) fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
 /// idle lane burns per hand-off.
 const POLL_BOUND: Duration = Duration::from_micros(200);
 
+/// How many times a lost pool worker (panicked solve) is respawned before its
+/// lane is retired and rounds run narrower. Every pool task is speculative,
+/// so worker loss never moves a result; this only bounds the respawn churn a
+/// persistently faulting lane may cause. One respawn is what
+/// `tests/failure_modes.rs` exercises: a lane lost twice is retired and the
+/// run goes on narrower. E10 measured the fault-free cost of the whole
+/// runtime below noise.
+const WORKER_RESPAWNS: usize = 1;
+
 /// Receives the next item of a hand-off channel: polls for at most `bound`
 /// ([`POLL_BOUND`] at both call sites; a parameter so the tests can tell the
 /// two phases apart), then parks in the blocking `recv()`. Between polls the
@@ -115,9 +124,9 @@ struct WorkerSlot {
 /// *always* replies to a received job — a panic is reported as
 /// [`EngineError::WorkerLost`] before the worker retires — so the master's
 /// result collection can never hang on a dead lane. Lost workers are
-/// respawned up to [`WavePipeOptions::worker_respawns`] times per slot;
-/// past that budget the pool shrinks and the driver runs narrower rounds,
-/// degrading ultimately to the serial single-lane schedule.
+/// respawned up to [`WORKER_RESPAWNS`] times per slot; past that budget the
+/// pool shrinks and the driver runs narrower rounds, degrading ultimately to
+/// the serial single-lane schedule.
 pub(crate) struct WorkerPool {
     slots: Vec<WorkerSlot>,
     results: Receiver<(usize, Result<PointSolution>)>,
@@ -130,8 +139,8 @@ pub(crate) struct WorkerPool {
 
 impl WorkerPool {
     /// Spawns `n` workers for the given compiled system, each with a respawn
-    /// budget of `respawns`.
-    fn new(sys: &Arc<MnaSystem>, sim: &SimOptions, n: usize, respawns: usize) -> Self {
+    /// budget of [`WORKER_RESPAWNS`].
+    fn new(sys: &Arc<MnaSystem>, sim: &SimOptions, n: usize) -> Self {
         let (result_tx, results) = channel();
         let mut pool = WorkerPool {
             slots: Vec::with_capacity(n),
@@ -145,7 +154,7 @@ impl WorkerPool {
             pool.slots.push(WorkerSlot {
                 sender: Some(tx),
                 handle: Some(handle),
-                respawns_left: respawns,
+                respawns_left: WORKER_RESPAWNS,
             });
         }
         pool
@@ -266,7 +275,7 @@ pub(crate) struct Driver {
     /// LTE error ratio observed at the last accepted point (<= 1).
     pub last_ratio: f64,
     /// Exponential moving average of the lead-point accept rate; drives the
-    /// self-tuning backward budget slack.
+    /// ladder-depth hysteresis below.
     pub lead_ema: f64,
     /// Hysteresis state: whether deep ladders / speculation are currently
     /// enabled (flips at lead-EMA 0.45 up / 0.25 down).
@@ -321,8 +330,7 @@ impl Driver {
             // as it is.
             lane_sim.solver = SolverHandle::adopting(plan);
         }
-        let pool =
-            WorkerPool::new(&sys, &lane_sim, wp.width().saturating_sub(1), wp.worker_respawns);
+        let pool = WorkerPool::new(&sys, &lane_sim, wp.width().saturating_sub(1));
         Ok(Driver {
             lead,
             pool,
@@ -586,13 +594,11 @@ impl Driver {
     /// `g` of a base step that itself recurs. The middle rung keeps leads the
     /// boundary allows up to half again longer than `h` from being cut back
     /// to `h`, which cost the closed-form decks accuracy (EXPERIMENTS.md
-    /// E26). In rapid growth phases (ratio ~ 0), and always with
-    /// `bp_adaptive_lead` off, this is `rmax`.
+    /// E26; there, always `rmax` made `digital_bp2` slower and two
+    /// tight-reference grid rows worse). In rapid growth phases (ratio ~ 0)
+    /// this is `rmax`.
     pub fn lead_growth(&self) -> f64 {
         let rmax = self.wp.sim.rmax;
-        if !self.wp.bp_adaptive_lead {
-            return rmax;
-        }
         let order = self.wp.sim.method.order() as f64;
         let boundary = (0.9 / self.last_ratio).powf(1.0 / (order + 1.0));
         if boundary >= (1.0 + rmax) / 2.0 {
@@ -605,47 +611,26 @@ impl Driver {
     }
 
     /// Builds the backward target ladder from the current time: gaps start
-    /// at the base step and stretch by [`Driver::lead_growth`] (so they are
+    /// at the base step and stretch by [`Driver::lead_growth`], so they are
     /// the base step times successive powers of one lattice growth up to
-    /// `hmax`, or the base step throughout), but any lead whose *total integration stride*
-    /// would exceed the LTE-boundary budget is not launched at all — in
-    /// error-bound phases it would fail its LTE test with certainty, and an
-    /// un-launched task keeps the round's critical path at the base solve.
-    /// In growth phases (tiny error ratio) the budget is huge and the full
-    /// ladder width is used. Also returns the last rung's gap, which a
-    /// speculative chain strides on from.
+    /// `hmax` (or the base step throughout). Every lead is launched, however
+    /// far past the LTE boundary its stride reaches: an over-ambitious lead
+    /// is a lottery ticket its LTE test discards, and in Figure D2 no finite
+    /// stride budget beat an unlimited one (EXPERIMENTS.md E8). Also returns
+    /// the last rung's gap, which a speculative chain strides on from.
     pub fn backward_ladder(&self, width: usize) -> (Vec<f64>, f64) {
         let growth = self.lead_growth();
-        let order = self.wp.sim.method.order() as f64;
-        // Total stride budget from the last accepted point. Not clamped to
-        // rmax: the budget is about error, not about per-gap stretching.
-        // The slack is self-tuning: on circuits where launched leads keep
-        // failing (LTE-bound operation), a failed lead still stretches the
-        // round's critical path — its solve is the most expensive concurrent
-        // task — so the budget contracts toward "only near-certain leads";
-        // where leads keep paying, the full configured slack applies.
-        let budget = if self.wp.bp_adaptive_lead && self.wp.bp_budget_slack.is_finite() {
-            let slack = 1.0 + (self.wp.bp_budget_slack - 1.0) * (self.lead_ema / 0.3).min(1.0);
-            self.ctl.h() * (0.95 / self.last_ratio).powf(1.0 / (order + 1.0)) * slack
-        } else {
-            f64::INFINITY
-        };
         // Ladder depth scales with how well leads have been paying: one
         // lottery lead is near-free on the critical path, but deep ladders
         // only earn their keep in sustained growth phases (hysteresis on
         // the lead-EMA avoids flapping at the threshold).
-        let width =
-            if self.wp.bp_adaptive_lead && !self.deep_mode() { width.min(2) } else { width };
+        let width = if self.deep_mode() { width } else { width.min(2) };
         let mut targets = Vec::with_capacity(width);
-        let t0 = self.ctl.t();
-        let mut t = t0;
+        let mut t = self.ctl.t();
         let mut gap = self.ctl.h();
         let mut last_gap = gap;
-        for i in 0..width {
+        for _ in 0..width {
             t += gap;
-            if i > 0 && t - t0 > budget {
-                break;
-            }
             targets.push(t);
             last_gap = gap;
             gap = (gap * growth).min(self.ctl.hmax());
@@ -893,35 +878,30 @@ mod tests {
     fn lead_growth_is_on_the_lattice_and_switches_halfway() {
         let b = generators::rc_ladder(4);
         for rmax in [2.0_f64, 4.0] {
-            for adaptive in [true, false] {
-                let sim = SimOptions::default().with_rmax(rmax);
-                let wp = WavePipeOptions::new(Scheme::Backward, 1)
-                    .with_sim(sim)
-                    .with_bp_adaptive_lead(adaptive);
-                let mut drv = Driver::new(&b.circuit, b.tstep, b.tstop, &wp).unwrap();
-                let mut seen = Vec::new();
-                for k in 0..=400 {
-                    drv.last_ratio = f64::from(k) / 400.0;
-                    let g = drv.lead_growth();
-                    assert!([1.0, rmax.sqrt(), rmax].contains(&g), "rmax {rmax}: {g}");
-                    if seen.last() != Some(&g) {
-                        seen.push(g);
-                    }
+            let sim = SimOptions::default().with_rmax(rmax);
+            let wp = WavePipeOptions::new(Scheme::Backward, 1).with_sim(sim);
+            let mut drv = Driver::new(&b.circuit, b.tstep, b.tstop, &wp).unwrap();
+            let mut seen = Vec::new();
+            for k in 0..=400 {
+                drv.last_ratio = f64::from(k) / 400.0;
+                let g = drv.lead_growth();
+                assert!([1.0, rmax.sqrt(), rmax].contains(&g), "rmax {rmax}: {g}");
+                if seen.last() != Some(&g) {
+                    seen.push(g);
                 }
-                // Falling growth as the ratio rises, each rung once.
-                let rungs = if adaptive { vec![rmax, rmax.sqrt(), 1.0] } else { vec![rmax] };
-                assert_eq!(seen, rungs);
-                // The ratios at which the unsnapped growth reaches `(1 + rmax)/2`
-                // and `rmax^(1/4)`: a part in a thousand either side switches.
-                let order = drv.wp.sim.method.order() as f64;
-                for (at, above, below) in
-                    [((1.0 + rmax) / 2.0, rmax, rmax.sqrt()), (rmax.powf(0.25), rmax.sqrt(), 1.0)]
-                {
-                    let ratio = 0.9 / at.powf(order + 1.0);
-                    for (r, want) in [(ratio * 0.999, above), (ratio * 1.001, below)] {
-                        drv.last_ratio = r;
-                        assert_eq!(drv.lead_growth(), if adaptive { want } else { rmax });
-                    }
+            }
+            // Falling growth as the ratio rises, each rung once.
+            assert_eq!(seen, [rmax, rmax.sqrt(), 1.0]);
+            // The ratios at which the unsnapped growth reaches `(1 + rmax)/2`
+            // and `rmax^(1/4)`: a part in a thousand either side switches.
+            let order = drv.wp.sim.method.order() as f64;
+            for (at, above, below) in
+                [((1.0 + rmax) / 2.0, rmax, rmax.sqrt()), (rmax.powf(0.25), rmax.sqrt(), 1.0)]
+            {
+                let ratio = 0.9 / at.powf(order + 1.0);
+                for (r, want) in [(ratio * 0.999, above), (ratio * 1.001, below)] {
+                    drv.last_ratio = r;
+                    assert_eq!(drv.lead_growth(), want);
                 }
             }
         }

@@ -29,12 +29,13 @@
 //!
 //! **Chain** tasks start Newton before their history exists. When the true
 //! previous point lands: if the prediction was close (within
-//! `fp_accept_factor` of the Newton tolerance) the speculative iterate is an
-//! excellent warm start, and the point is *re-solved against the true
-//! history* from it under a short iteration budget — only that refinement
-//! sits on the critical path; otherwise the link and everything after it is
-//! discarded and solved later as usual. Every committed point is therefore
-//! the converged solution of the true equations on the true history.
+//! [`FP_ACCEPT_FACTOR`] times the Newton tolerance) the speculative iterate
+//! is an excellent warm start, and the point is *re-solved against the true
+//! history* from it under a short iteration budget ([`FP_REFINE_ITERS`]) —
+//! only that refinement sits on the critical path; otherwise the link and
+//! everything after it is discarded and solved later as usual. Every
+//! committed point is therefore the converged solution of the true
+//! equations on the true history.
 //!
 //! | scheme   | plan at `p` lanes `(ladder, chain)`                          |
 //! |----------|--------------------------------------------------------------|
@@ -54,6 +55,20 @@ use wavepipe_circuit::Circuit;
 use wavepipe_engine::{Commit, EngineError, PointSolution, Result};
 use wavepipe_sparse::vector::wrms_norm;
 use wavepipe_telemetry::{Counter, DiscardReason, EventKind, Family};
+
+/// Forward pipelining's pre-filter: a link whose prediction lies further
+/// than this multiple of the Newton tolerance (node voltages only) from the
+/// point that landed is discarded without a refinement attempt. Predictions
+/// at LTE-chosen steps measured routinely 10–50x the tolerance, so the
+/// filter is deliberately loose; the real gate is [`FP_REFINE_ITERS`].
+const FP_ACCEPT_FACTOR: f64 = 200.0;
+
+/// Newton iteration budget for refining a speculative link against the true
+/// history: a warm start that cannot converge within it was not close enough
+/// to pay off. Figure D (EXPERIMENTS.md E8, `amp_chain(2)` Forward x2): a
+/// budget of 2 rejected warm starts that would have converged (accept rate
+/// 35 % against 54 %), and 8 read the same as 4.
+const FP_REFINE_ITERS: usize = 4;
 
 /// What one round launches: `ladder` concurrent points on the accepted
 /// history (slot 0 is the serial point, the rest are leads) and `chain`
@@ -107,8 +122,8 @@ pub(crate) fn run(
 pub(crate) fn round(drv: &mut Driver, plan: Plan) -> Result<usize> {
     drv.ctl.base_step()?;
     let (hmin, hmax) = (drv.ctl.hmin(), drv.ctl.hmax());
-    // Ladder with LTE-budget-limited width (full width in growth phases,
-    // base-only when error-bound).
+    // Ladder, full width in deep mode (sustained growth phases), at most two
+    // wide otherwise.
     let (mut targets, mut gap) = drv.backward_ladder(plan.ladder);
     let ladder_len = targets.len();
     // A plan with leads speculates past them only while the ladder actually
@@ -118,9 +133,11 @@ pub(crate) fn round(drv: &mut Driver, plan: Plan) -> Result<usize> {
     // round — a measured net loss.
     let chain =
         if plan.ladder > 1 && !(drv.deep_mode() && ladder_len >= 2) { 0 } else { plan.chain };
-    // Chain strides follow the trajectory serial would take — the recent
-    // LTE growth prediction — scaled by the ablation knob.
-    let stride = (drv.last_growth.clamp(1.0, drv.wp.sim.rmax) * drv.wp.fp_stride_factor).max(0.1);
+    // Chain strides follow the trajectory serial would take: the recent LTE
+    // growth prediction. In Figure D (E8) twice that stride collapsed the
+    // accept rate (54 % → 19 %); half of it modeled 0.99x against 0.96x, a
+    // critical-path model's gain never measured on the clock.
+    let stride = drv.last_growth.clamp(1.0, drv.wp.sim.rmax);
     let mut t = targets[ladder_len - 1];
     for _ in 0..chain {
         gap = (gap * stride).clamp(hmin, hmax);
@@ -245,7 +262,7 @@ fn walk_chain(
             // speculative iterate, under a short iteration budget — if the
             // warm start cannot converge within it, the speculation was not
             // close enough to pay off. Sequential: goes on the critical path.
-            let refined = drv.refine_solve(spec.t, &spec.x, drv.wp.fp_refine_iters)?;
+            let refined = drv.refine_solve(spec.t, &spec.x, FP_REFINE_ITERS)?;
             drv.account_sequential(&refined.stats);
             if !refined.converged {
                 // Not an error and not a step problem: the point will be
@@ -296,7 +313,7 @@ fn prediction_close(drv: &Driver, predicted: &[f64], truth: &[f64]) -> bool {
     let nn = drv.lead.system().n_nodes();
     let err: Vec<f64> = predicted[..nn].iter().zip(&truth[..nn]).map(|(&p, &t)| p - t).collect();
     let n = wrms_norm(&err, &truth[..nn], drv.wp.sim.reltol, drv.wp.sim.vntol);
-    n <= drv.wp.fp_accept_factor
+    n <= FP_ACCEPT_FACTOR
 }
 
 /// Adaptive scheme selection — the "new avenues" extension the paper's

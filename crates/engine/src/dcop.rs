@@ -37,7 +37,7 @@ fn dc_input<'a>(
 /// set that used to be passed there is deleted, and this stand-in has no
 /// value, so the argument is `None` wherever the call compiles. Kept because
 /// `benchmark/`, which a code change may not edit, passes that `None`; it
-/// goes with ROADMAP item 4's benchmark-only follow-up.
+/// goes with ROADMAP's benchmark-only follow-up.
 #[doc(hidden)]
 pub enum StampExecutor {}
 

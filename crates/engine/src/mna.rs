@@ -27,6 +27,15 @@ const GND: usize = usize::MAX;
 /// any realistic surrounding network).
 const GIC: f64 = 1e6;
 
+/// Absolute bypass tolerance on a device's controlling voltages, volts: the
+/// default `VNTOL`. E11 measured device bypass at these two tolerances (with
+/// the other cache layers, off against on); no other value was swept.
+const BYPASS_VABS: f64 = 1e-6;
+
+/// Relative bypass tolerance on a device's controlling voltages: two decades
+/// tighter than the default `RELTOL` (E11, as [`BYPASS_VABS`]).
+const BYPASS_VREL: f64 = 1e-5;
+
 fn unknown_of(node: Node) -> usize {
     if node.is_ground() {
         GND
@@ -1167,7 +1176,8 @@ impl MnaSystem {
     /// The bypass predicate: device `d`'s cached stamp may be replayed when
     /// the cache is valid (evaluated, unlimited, same `gmin`) and every
     /// controlling terminal voltage is within
-    /// `vabs + vrel * max(|v|, |v_ref|)` of the evaluation reference.
+    /// `BYPASS_VABS + BYPASS_VREL * max(|v|, |v_ref|)` of the evaluation
+    /// reference.
     #[inline(always)]
     fn may_bypass(
         &self,
@@ -1186,7 +1196,7 @@ impl MnaSystem {
             let t = self.ctrl_nodes[k as usize];
             let v = if t == u32::MAX { 0.0 } else { x[t as usize] };
             let vref = ctrl[k as usize];
-            let tol = ctl.bypass_vabs + ctl.bypass_vrel * v.abs().max(vref.abs());
+            let tol = BYPASS_VABS + BYPASS_VREL * v.abs().max(vref.abs());
             // NaN-safe: a non-finite iterate never bypasses.
             ok = (v - vref).abs() <= tol;
         }

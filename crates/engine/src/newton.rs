@@ -21,6 +21,13 @@ use wavepipe_telemetry::{Counter, EventKind, Family};
 /// sets" has the table and what the fifth cost and the sixth would).
 const PARKED_SETS: usize = 4;
 
+/// Chord contraction gate: a reused-Jacobian update is accepted only if
+/// `‖dx‖` shrank to at most this fraction of the previous iteration's. The
+/// classic modified-Newton choice; E11 measured chord reuse at this gate (a
+/// third to two thirds of linear solves reuse a factorization), and no other
+/// value was swept.
+const CHORD_THETA: f64 = 0.5;
+
 /// Which [`LinKey`] each of a backend's numeric factor sets — the active one
 /// and [`PARKED_SETS`] parked ones — was computed under, and the one rule
 /// that moves them: *keep the factors of the keys most recently solved
@@ -207,7 +214,7 @@ impl LinearCache {
     /// 1. **Chord reuse** (when enabled, un-limited, and the linear-stamp key
     ///    matches the cached factors): one triangular solve of the delta form
     ///    `dx = LU⁻¹(rhs − A·x)`, accepted only while the update norms keep
-    ///    contracting at rate `chord_theta`. With chord reuse enabled, a key
+    ///    contracting at rate `CHORD_THETA`. With chord reuse enabled, a key
     ///    that differs from the active factors' first consults the backend's
     ///    parked sets ([`FactorKeys`]): factors parked under exactly this key
     ///    trade places with the active ones and are reused the same way;
@@ -300,7 +307,7 @@ impl LinearCache {
             let dxn = norm_inf(&self.x_new);
             let contracting = match self.last_dx {
                 None => true,
-                Some(prev) => dxn <= opts.chord_theta * prev,
+                Some(prev) => dxn <= CHORD_THETA * prev,
             };
             // `norm_inf` drops NaN, so finiteness is asked of the entries.
             if all_finite(&self.x_new) && contracting {

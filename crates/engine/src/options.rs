@@ -67,7 +67,7 @@ pub struct SimOptions {
     /// the program reads the field — it holds what
     /// [`SimOptions::with_stamp_workers`] last set, `0` by default. Kept
     /// because `benchmark/`, which a code change may not edit, reads it; it
-    /// goes with ROADMAP item 4's benchmark-only follow-up.
+    /// goes with ROADMAP's benchmark-only follow-up.
     #[doc(hidden)]
     pub stamp_workers: usize,
     /// Wall-clock budget for one analysis run. `None` (default) runs to
@@ -89,30 +89,21 @@ pub struct SimOptions {
     /// run fault-free even under the env override.
     pub faults: FaultHandle,
     /// SPICE3-style device bypass: nonlinear devices whose controlling
-    /// voltages moved less than the bypass tolerance since their last
+    /// voltages moved less than the bypass tolerance (`engine::mna`'s
+    /// `BYPASS_VABS` and `BYPASS_VREL`) since their last
     /// evaluation replay their cached stamp instead of re-evaluating the
     /// model. Deterministic (the decision is a pure function of the iterate
     /// and the per-workspace cache state). The default honours
     /// `WAVEPIPE_BYPASS` (`0`/`false` disables); on otherwise.
     pub bypass: bool,
-    /// Absolute bypass tolerance on controlling voltages, volts. Default
-    /// `1e-6` (equal to `VNTOL`).
-    pub bypass_vabs: f64,
-    /// Relative bypass tolerance on controlling voltages. Default `1e-5`
-    /// (two decades tighter than `RELTOL`).
-    pub bypass_vrel: f64,
     /// Chord (modified) Newton: keep the current LU factors across
-    /// iterations — and across accepted time points — while the Newton
-    /// update keeps contracting by at least [`SimOptions::chord_theta`];
-    /// refactor on slow convergence, rejection, or step-size change.
+    /// iterations — and across accepted time points — while each Newton
+    /// update is at most half the previous one; refactor on slow
+    /// convergence, rejection, or step-size change.
     /// Convergence *criteria* are untouched, only when a new factorization
     /// is paid for. The default honours `WAVEPIPE_CHORD` (`0`/`false`
     /// disables); on otherwise.
     pub chord_newton: bool,
-    /// Chord contraction threshold: a reused-Jacobian update is accepted
-    /// only if `|dx|` shrank to at most this fraction of the previous
-    /// iteration's update. Default `0.5`.
-    pub chord_theta: f64,
     /// Step-size-keyed companion cache: reuse the assembled linear part of
     /// the matrix (resistors, sources, reactive companion conductances)
     /// across stamps that share the same integration coefficients and
@@ -136,9 +127,6 @@ pub struct SimOptions {
     /// path, so clean runs are bit-identical with it on or off. The default
     /// honours `WAVEPIPE_RECOVERY` (`0`/`false` disables); on otherwise.
     pub recovery: bool,
-    /// Deep-cut budget of recovery rung 2: how many quartering cuts below
-    /// `hmin` are attempted. Default `3` (down to `hmin / 64`).
-    pub recovery_deep_cuts: usize,
 }
 
 /// Per-stamp control block for the solver caches, derived from
@@ -148,10 +136,6 @@ pub struct SimOptions {
 pub struct CacheCtl {
     /// Enable device bypass (see [`SimOptions::bypass`]).
     pub bypass: bool,
-    /// Absolute bypass tolerance, volts.
-    pub bypass_vabs: f64,
-    /// Relative bypass tolerance.
-    pub bypass_vrel: f64,
     /// Enable the step-size-keyed companion cache.
     pub companion: bool,
 }
@@ -160,7 +144,7 @@ impl CacheCtl {
     /// A control block with every cache off: the stamp re-evaluates every
     /// device and reassembles the full matrix each call.
     pub fn disabled() -> Self {
-        CacheCtl { bypass: false, bypass_vabs: 0.0, bypass_vrel: 0.0, companion: false }
+        CacheCtl { bypass: false, companion: false }
     }
 }
 
@@ -202,14 +186,10 @@ impl Default for SimOptions {
             // `WAVEPIPE_BYPASS=0` (likewise `_CHORD`, `_RECOVERY`) turns a
             // default-on layer off for a whole test suite.
             bypass: env::flag("WAVEPIPE_BYPASS", true),
-            bypass_vabs: 1e-6,
-            bypass_vrel: 1e-5,
             chord_newton: env::flag("WAVEPIPE_CHORD", true),
-            chord_theta: 0.5,
             companion_cache: true,
             solver: default_solver(),
             recovery: env::flag("WAVEPIPE_RECOVERY", true),
-            recovery_deep_cuts: 3,
         }
     }
 }
@@ -342,21 +322,9 @@ impl SimOptions {
         self
     }
 
-    /// Builder: sets the deep-cut budget of recovery rung 2.
-    #[must_use]
-    pub fn with_recovery_deep_cuts(mut self, cuts: usize) -> Self {
-        self.recovery_deep_cuts = cuts;
-        self
-    }
-
     /// The stamp-layer cache control block these options imply.
     pub fn cache_ctl(&self) -> CacheCtl {
-        CacheCtl {
-            bypass: self.bypass,
-            bypass_vabs: self.bypass_vabs,
-            bypass_vrel: self.bypass_vrel,
-            companion: self.companion_cache,
-        }
+        CacheCtl { bypass: self.bypass, companion: self.companion_cache }
     }
 
     /// Arms the configured deadline (if any) on the attached token. Called
@@ -480,10 +448,7 @@ mod tests {
     fn recovery_knobs_pin_against_env() {
         let o = SimOptions::default().with_recovery(false);
         assert!(!o.recovery);
-        let o = o.with_recovery(true).with_recovery_deep_cuts(5);
-        assert!(o.recovery);
-        assert_eq!(o.recovery_deep_cuts, 5);
-        assert_eq!(SimOptions::default().recovery_deep_cuts, 3);
+        assert!(o.with_recovery(true).recovery);
     }
 
     #[test]
@@ -498,12 +463,8 @@ mod tests {
         // so only the builder-pinned values are asserted.
         let o = SimOptions::default().with_bypass(true).with_chord_newton(true);
         assert!(o.bypass && o.chord_newton);
-        assert_eq!(o.bypass_vabs, 1e-6);
-        assert_eq!(o.bypass_vrel, 1e-5);
-        assert_eq!(o.chord_theta, 0.5);
         let ctl = o.cache_ctl();
         assert!(ctl.bypass && ctl.companion);
-        assert_eq!(ctl.bypass_vabs, o.bypass_vabs);
 
         let off = o.with_bypass(false).with_chord_newton(false).with_companion_cache(false);
         assert!(!off.bypass && !off.chord_newton && !off.companion_cache);

@@ -13,9 +13,8 @@
 //!    with the caches *disabled*, so a stale cached stamp cannot have been
 //!    the reason Newton diverged.
 //! 2. **Deep step cuts**: the step is cut in quarters below the LTE floor
-//!    for a bounded budget ([`crate::SimOptions::recovery_deep_cuts`]) — a
-//!    few points of order-1 crawl through a violent corner costs far less
-//!    than losing the run.
+//!    for a bounded budget (`RECOVERY_DEEP_CUTS`) — a few points of order-1
+//!    crawl through a violent corner costs far less than losing the run.
 //! 3. **Local gmin ramp**: the failing point is solved under a large node
 //!    shunt conductance which is then relaxed decade by decade (the same
 //!    machinery as DC gmin stepping, warm-started stage to stage), finishing
@@ -44,6 +43,12 @@ use wavepipe_telemetry::{Counter, EventKind};
 
 /// Initial shunt conductance of the local gmin ramp (matches the DC ladder).
 const RAMP_GSHUNT0: f64 = 1e-2;
+
+/// Deep-cut budget of rung 2: quartering cuts below `hmin`, down to
+/// `hmin / 64`. E13 measured the ladder with this budget (its clean-run
+/// overhead, and `tests/recovery.rs`'s forced-non-convergence bursts, which
+/// complete through the ladder); no other value was swept.
+const RECOVERY_DEEP_CUTS: usize = 3;
 
 /// Options used for every rescue solve: solver caches pinned off (the stamp
 /// re-evaluates every device and reassembles the full matrix), and fault
@@ -146,7 +151,7 @@ impl PointSolver {
         report.rungs_tried.push(RecoveryRung::DeepCut);
         let mut rescued = None;
         let mut h = hmin;
-        for _ in 0..self.opts.recovery_deep_cuts {
+        for _ in 0..RECOVERY_DEEP_CUTS {
             h *= 0.25;
             let t_new = t0 + h;
             let out = self.rescue_solve(hw, t_new, 0.0, None, &ropts, stats)?;

@@ -84,8 +84,9 @@ impl StepController {
     /// # Errors
     ///
     /// [`EngineError::BadParameter`] for a non-positive or non-finite
-    /// `tstep`/`tstop`; otherwise whatever [`PointSolver::initial_state`]
-    /// reports.
+    /// `tstep`/`tstop`, or an `rmax` that is non-finite or below 1 (a step
+    /// ratio cap that forbids holding the step); otherwise whatever
+    /// [`PointSolver::initial_state`] reports.
     pub fn start(
         solver: &mut PointSolver,
         tstep: f64,
@@ -97,6 +98,9 @@ impl StepController {
         }
         if !(tstep > 0.0 && tstep.is_finite()) {
             return Err(EngineError::BadParameter { name: "tstep", value: tstep });
+        }
+        if !(opts.rmax >= 1.0 && opts.rmax.is_finite()) {
+            return Err(EngineError::BadParameter { name: "rmax", value: opts.rmax });
         }
         let sys = Arc::clone(&solver.sys);
         let mut stats = SimStats::new();

@@ -573,7 +573,8 @@ impl TransientOutcome {
 ///
 /// # Errors
 ///
-/// * [`EngineError::BadParameter`] for non-positive `tstep`/`tstop`.
+/// * [`EngineError::BadParameter`] for non-positive `tstep`/`tstop`, or an
+///   `rmax` below 1 or non-finite.
 /// * [`EngineError::Circuit`] for invalid netlists.
 /// * [`EngineError::NoConvergence`] if the DC operating point fails.
 /// * [`EngineError::TimestepTooSmall`] if error control collapses the step.

@@ -3,7 +3,7 @@
 //!
 //! **No caller in the program.** The batch tier described below is deleted;
 //! this module is compiled only because `benchmark/src/layers.rs` times it
-//! (`lanes.*`), and goes with ROADMAP item 4's benchmark-only follow-up.
+//! (`lanes.*`), and goes with ROADMAP's benchmark-only follow-up.
 //!
 //! The batch engine runs many transient instances whose MNA matrices share
 //! the same pattern and (usually) the same frozen pivot sequence. A

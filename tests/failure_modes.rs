@@ -69,6 +69,29 @@ fn nonpositive_analysis_windows_are_rejected() {
 }
 
 #[test]
+fn a_step_ratio_cap_below_one_is_rejected_by_every_scheme() {
+    // A cap below 1 forbids even holding the step, and NaN caps nothing: a
+    // typed error before the first step, not a panic in a `clamp` whose
+    // bounds cross or a "non-finite solution" mid-run.
+    let b = generators::rc_ladder(4);
+    for rmax in [0.2, 0.5, f64::NAN] {
+        let sim = SimOptions::default().with_rmax(rmax);
+        let serial = run_transient(&b.circuit, b.tstep, b.tstop, &sim).map(drop);
+        let runs = [(Scheme::Backward, 2), (Scheme::Forward, 2)].map(|(scheme, threads)| {
+            let opts = WavePipeOptions::new(scheme, threads).with_sim(sim.clone());
+            (scheme.to_string(), run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).map(drop))
+        });
+        for (what, r) in std::iter::once(("serial".to_string(), serial)).chain(runs) {
+            let err = r.expect_err(&what);
+            assert!(
+                matches!(err, EngineError::BadParameter { name: "rmax", .. }),
+                "rmax {rmax}, {what}: {err}"
+            );
+        }
+    }
+}
+
+#[test]
 fn empty_circuit_is_rejected() {
     let ckt = Circuit::new("empty");
     let err = run_transient(&ckt, 1e-9, 1e-6, &SimOptions::default()).unwrap_err();

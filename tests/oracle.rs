@@ -10,10 +10,11 @@
 //!   source is a sum of ramp responses: an RC low-pass behind a finite-rise
 //!   pulse train (every source corner restarts the step ladder, so the same
 //!   few step sizes come round again and again) and an underdamped series
-//!   RLC behind a finite-rise step. Serial and Backward x2, caches on and
-//!   off: the worst error over the accepted points, relative to the response's
-//!   peak, stays under a stated bound, and the caches cost none of it; that of
-//!   the default caches-on run, beside the value the parent commit read.
+//!   RLC behind a finite-rise step. Serial and every pipelining scheme (the
+//!   golden table's five), caches on and off: the worst error over the
+//!   accepted points, relative to the response's peak, stays under a stated
+//!   bound, and the caches cost none of it; that of the default caches-on
+//!   run, beside the value the parent commit read.
 //! * **Tight reference.** The three `power_grid` decks of the golden table
 //!   against a serial run at a hundredth of `reltol` and `vntol` with bypass,
 //!   chord Newton and the companion cache off: the RMS deviation of the
@@ -55,6 +56,9 @@ fn run(b: &Benchmark, scheme: &str, sim: SimOptions) -> TransientResult {
     let opts = WavePipeOptions::new(kind, threads).with_sim(sim);
     run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).expect(scheme).result
 }
+
+/// Every scheme [`run`] knows: the golden table's five.
+const SCHEMES: [&str; 5] = ["serial", "backward_x2", "forward_x2", "adaptive_x2", "combined_x3"];
 
 // ---------------------------------------------------------------------------
 // Closed form
@@ -117,7 +121,8 @@ fn rc_pulse_train() -> ClosedForm {
         probes: vec!["out".into()],
     };
     let ramp = move |tau: f64| tau + r * c * (-tau / (r * c)).exp_m1();
-    ClosedForm { bench, exact: Box::new(move |t| pwl_response(&corners, ramp, t)), bound: 5e-3 }
+    // Combined x3 leaves the most, 5.2e-3; serial 1.2e-3.
+    ClosedForm { bench, exact: Box::new(move |t| pwl_response(&corners, ramp, t)), bound: 6e-3 }
 }
 
 /// Series `R = 10 Ω`, `L = 1 µH`, `C = 1 nF` (damping ratio 0.16, ringing at
@@ -173,15 +178,21 @@ fn closed_form_error(deck: &ClosedForm, r: &TransientResult) -> f64 {
 const PARENT_WORST_REL: &[(&str, &str, f64)] = &[
     ("rc_pulse_train", "serial", 0.0011906364088431099),
     ("rc_pulse_train", "backward_x2", 0.004067549049800935),
+    ("rc_pulse_train", "forward_x2", 0.0011209858968682107),
+    ("rc_pulse_train", "adaptive_x2", 0.004401270162170855),
+    ("rc_pulse_train", "combined_x3", 0.0052201759187855854),
     ("rlc_step", "serial", 0.0191741502543366),
     ("rlc_step", "backward_x2", 0.012732058614649008),
+    ("rlc_step", "forward_x2", 0.024474602710030907),
+    ("rlc_step", "adaptive_x2", 0.013422999397600683),
+    ("rlc_step", "combined_x3", 0.014876432904657587),
 ];
 
 #[test]
 fn closed_form_responses_are_met_and_the_caches_cost_no_accuracy() {
     let mut got: Vec<(String, &str, f64)> = Vec::new();
     for deck in [rc_pulse_train(), rlc_step()] {
-        for scheme in ["serial", "backward_x2"] {
+        for scheme in SCHEMES {
             let [on, off] = [true, false]
                 .map(|caches| closed_form_error(&deck, &run(&deck.bench, scheme, pinned(caches))));
             let name = &deck.bench.name;
@@ -217,8 +228,6 @@ fn assert_no_higher_than_the_parent_s(got: &[(String, &str, f64)], parent: &[(&s
 // ---------------------------------------------------------------------------
 // Tight reference
 // ---------------------------------------------------------------------------
-
-const SCHEMES: [&str; 5] = ["serial", "backward_x2", "forward_x2", "adaptive_x2", "combined_x3"];
 
 /// (deck, scheme) -> `rms_rel` of the default caches-on run against the tight
 /// reference, as read at the parent commit.
