@@ -9,7 +9,7 @@
 //! telemetry stream to `<path>`.
 
 use wavepipe_bench::{
-    cases_to_json, run_traced, suite, table1, table2, table3, table4, table5, Scale, TraceArgs,
+    cases_to_json, run_traced, suite, table1, table2, table3, table4, Scale, TraceArgs,
 };
 use wavepipe_core::Scheme;
 
@@ -23,8 +23,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{t3}");
     let (t4, c4) = table4(scale);
     println!("{t4}");
-    let (t5, c5) = table5(scale);
-    println!("{t5}");
     println!("Speedups are modeled critical-path speedups (see DESIGN.md: this container");
     println!("has one core, so wall-clock parallel gains cannot manifest; the critical");
     println!("path is what an otherwise-idle multi-core machine realises).");
@@ -33,7 +31,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ("table2_backward", &c2),
         ("table3_forward", &c3),
         ("table4_combined", &c4),
-        ("table5_adaptive", &c5),
     ]);
     std::fs::write("BENCH_tables.json", json)?;
     println!("wrote BENCH_tables.json");

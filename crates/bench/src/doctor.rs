@@ -80,10 +80,9 @@ pub fn scheme_by_name(name: &str) -> Result<Scheme, String> {
         "backward" => Ok(Scheme::Backward),
         "forward" => Ok(Scheme::Forward),
         "combined" => Ok(Scheme::Combined),
-        "adaptive" => Ok(Scheme::Adaptive),
-        other => Err(format!(
-            "unknown scheme `{other}` — use serial, backward, forward, combined or adaptive"
-        )),
+        other => {
+            Err(format!("unknown scheme `{other}` — use serial, backward, forward or combined"))
+        }
     }
 }
 
@@ -238,7 +237,7 @@ pub struct DoctorArgs {
 pub const DOCTOR_USAGE: &str = "usage: wavepipe-doctor [<circuit-spec>] [options]\n\
      \n\
      circuit-spec       e.g. inverter_chain:120, power_grid:10,10 (default inverter_chain:120)\n\
-     --scheme <s>       serial | backward | forward | combined | adaptive (default combined)\n\
+     --scheme <s>       serial | backward | forward | combined (default combined)\n\
      --threads <n>      worker threads (default 4)\n\
      --json             emit one JSON document instead of text tables\n\
      --stable           stable section only (byte-reproducible across identical runs)\n\
@@ -366,6 +365,11 @@ mod tests {
         assert!(a.stable_only && a.json);
         assert_eq!(a.title(), "rc_ladder:6, backward x2");
         assert!(DoctorArgs::parse(argv(&["--scheme", "sideways"])).is_err());
+        // The adaptive scheduler is gone; its name gets the list of schemes.
+        let err = DoctorArgs::parse(argv(&["--scheme", "adaptive"])).unwrap_err();
+        assert!(
+            err.contains("`adaptive`") && err.contains("serial, backward, forward or combined")
+        );
         assert!(DoctorArgs::parse(argv(&["--no-such-flag"])).is_err());
         assert!(DoctorArgs::parse(argv(&["rc_ladder:6", "extra"])).is_err());
     }

@@ -191,17 +191,6 @@ pub fn table4(scale: Scale) -> (String, Vec<CaseOutcome>) {
     scheme_table("Table 4: combined backward+forward pipelining", scale, &[(Scheme::Combined, 4)])
 }
 
-/// **Table 5 (extension)** — the adaptive scheduler (not in the paper; its
-/// conclusion's "new avenues"): per-round selection between backward and
-/// forward pipelining by measured efficiency.
-pub fn table5(scale: Scale) -> (String, Vec<CaseOutcome>) {
-    scheme_table(
-        "Table 5 (extension): adaptive per-round scheme selection",
-        scale,
-        &[(Scheme::Adaptive, 2), (Scheme::Adaptive, 4)],
-    )
-}
-
 /// **Figure A (E5)** — waveform accuracy: deviation of every scheme from the
 /// serial reference, alongside the serial trap-vs-gear2 "noise floor".
 pub fn fig_accuracy(scale: Scale) -> String {
@@ -274,7 +263,7 @@ pub fn fig_scaling(b: &Benchmark) -> (String, ScalingSeries) {
     let _ = writeln!(out, "Figure C: speedup vs threads — {}", b.name);
     let _ = writeln!(out, "{:<10} {:>8} {:>8} {:>8} {:>8}", "scheme", "x1", "x2", "x3", "x4");
     let mut series = Vec::new();
-    for scheme in [Scheme::Backward, Scheme::Forward, Scheme::Combined, Scheme::Adaptive] {
+    for scheme in [Scheme::Backward, Scheme::Forward, Scheme::Combined] {
         let mut pts = Vec::new();
         let mut row = format!("{:<10}", scheme.to_string());
         for threads in 1..=4 {
@@ -612,7 +601,7 @@ mod tests {
     fn scaling_covers_thread_range() {
         let b = generators::rc_ladder(5);
         let (_, series) = fig_scaling(&b);
-        assert_eq!(series.len(), 4); // backward, forward, combined, adaptive
+        assert_eq!(series.len(), 3); // backward, forward, combined
         for (_, pts) in &series {
             assert_eq!(pts.len(), 4);
             assert_eq!(pts[0].threads, 1);

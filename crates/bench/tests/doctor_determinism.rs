@@ -35,9 +35,7 @@ fn inverter_chain_combined_doctor_is_byte_stable() {
 /// runs on each scheme's distinct commit paths).
 #[test]
 fn every_scheme_doctor_is_byte_stable_on_power_grid() {
-    for scheme in
-        [Scheme::Serial, Scheme::Backward, Scheme::Forward, Scheme::Combined, Scheme::Adaptive]
-    {
+    for scheme in [Scheme::Serial, Scheme::Backward, Scheme::Forward, Scheme::Combined] {
         let (a, _) = stable_doctor("power_grid:4,4", scheme, 3);
         let (b, _) = stable_doctor("power_grid:4,4", scheme, 3);
         assert_eq!(a, b, "{scheme}: stable doctor text diverged");

@@ -589,14 +589,17 @@ impl Circuit {
         Ok(())
     }
 
-    /// Validates the netlist: non-empty, and every node reachable from
-    /// ground through element connectivity.
+    /// Validates the netlist: non-empty, every node reachable from ground
+    /// through element connectivity, and no loop of voltage-defined branches.
     ///
     /// # Errors
     ///
     /// * [`CircuitError::Empty`] for an element-free circuit.
     /// * [`CircuitError::FloatingNode`] if some node is disconnected from
     ///   ground.
+    /// * [`CircuitError::VoltageLoop`] naming the first element that closes
+    ///   a loop of independent voltage sources, VCVS outputs and inductors
+    ///   (shorts at DC): the MNA matrix would be singular.
     pub fn validate(&self) -> Result<(), CircuitError> {
         if self.elements.is_empty() {
             return Err(CircuitError::Empty);
@@ -632,6 +635,23 @@ impl Circuit {
             if find(&mut parent, id) != groot {
                 return Err(CircuitError::FloatingNode { node: self.node_list[id].clone() });
             }
+        }
+        // Union-find over the voltage-defined branches alone: a branch whose
+        // ends are already joined closes a loop that fixes no current.
+        parent.iter_mut().enumerate().for_each(|(i, p)| *p = i);
+        for e in &self.elements {
+            let (p, n) = match *e {
+                Element::VoltageSource { p, n, .. }
+                | Element::Vcvs { p, n, .. }
+                | Element::Inductor { p, n, .. } => (p, n),
+                _ => continue,
+            };
+            let a = find(&mut parent, p.index());
+            let b = find(&mut parent, n.index());
+            if a == b {
+                return Err(CircuitError::VoltageLoop { element: e.name().to_string() });
+            }
+            parent[a] = b;
         }
         Ok(())
     }
@@ -744,6 +764,40 @@ mod tests {
     fn validate_rejects_empty() {
         let ckt = Circuit::new("empty");
         assert_eq!(ckt.validate(), Err(CircuitError::Empty));
+    }
+
+    #[test]
+    fn validate_rejects_parallel_voltage_sources() {
+        // V1 a 0 DC 1 / V2 a 0 DC 2 / R1 a 0 1k
+        let mut ckt = Circuit::new("t");
+        let a = ckt.node("a");
+        ckt.add_vsource("V1", a, Circuit::GROUND, Waveform::dc(1.0)).unwrap();
+        ckt.add_vsource("V2", a, Circuit::GROUND, Waveform::dc(2.0)).unwrap();
+        ckt.add_resistor("R1", a, Circuit::GROUND, 1e3).unwrap();
+        assert_eq!(ckt.validate(), Err(CircuitError::VoltageLoop { element: "V2".to_string() }));
+    }
+
+    #[test]
+    fn validate_rejects_an_inductor_across_a_voltage_source() {
+        // V1 a 0 DC 1 / L1 a 0 1u / R1 a 0 1k: the inductor is a short at DC.
+        let mut ckt = Circuit::new("t");
+        let a = ckt.node("a");
+        ckt.add_vsource("V1", a, Circuit::GROUND, Waveform::dc(1.0)).unwrap();
+        ckt.add_inductor("L1", a, Circuit::GROUND, 1e-6).unwrap();
+        ckt.add_resistor("R1", a, Circuit::GROUND, 1e3).unwrap();
+        assert_eq!(ckt.validate(), Err(CircuitError::VoltageLoop { element: "L1".to_string() }));
+    }
+
+    #[test]
+    fn validate_accepts_voltage_sources_in_series() {
+        // A chain of sources and an inductor to ground closes no loop.
+        let mut ckt = Circuit::new("t");
+        let (a, b, c) = (ckt.node("a"), ckt.node("b"), ckt.node("c"));
+        ckt.add_vsource("V1", a, Circuit::GROUND, Waveform::dc(1.0)).unwrap();
+        ckt.add_vsource("V2", b, a, Waveform::dc(1.0)).unwrap();
+        ckt.add_inductor("L1", c, b, 1e-6).unwrap();
+        ckt.add_resistor("R1", c, Circuit::GROUND, 1e3).unwrap();
+        ckt.validate().unwrap();
     }
 
     #[test]

@@ -16,12 +16,10 @@
 //!   the true history lands.
 //! * [`Scheme::Combined`] — a backward ladder plus one forward speculative
 //!   point.
-//! * [`Scheme::Adaptive`] — per-round selection between backward and
-//!   forward based on measured efficiency (an extension beyond the paper).
 //!
-//! The four are one round planner (`round`) under different
-//! `(ladder, chain)` plans — `(p, 0)`, `(1, p-1)`, `(p-1, 1)` and a per-round
-//! choice between the first two — driving the lanes of `pipeline`.
+//! The three are one round planner (`round`) under different
+//! `(ladder, chain)` plans — `(p, 0)`, `(1, p-1)` and `(p-1, 1)` — driving
+//! the lanes of `pipeline`.
 //!
 //! Every accepted point passes the **same** Newton tolerance and
 //! local-truncation-error test as the serial engine: a round commits through

@@ -16,10 +16,6 @@ pub enum Scheme {
     Forward,
     /// Backward pipelining plus one forward speculative point.
     Combined,
-    /// Per-round choice between backward and forward pipelining, driven by
-    /// their measured efficiency (extension beyond the paper's fixed
-    /// schemes).
-    Adaptive,
 }
 
 impl std::fmt::Display for Scheme {
@@ -29,7 +25,6 @@ impl std::fmt::Display for Scheme {
             Scheme::Backward => write!(f, "backward"),
             Scheme::Forward => write!(f, "forward"),
             Scheme::Combined => write!(f, "combined"),
-            Scheme::Adaptive => write!(f, "adaptive"),
         }
     }
 }

@@ -16,19 +16,7 @@ use wavepipe_engine::{
     Commit, EngineError, HistoryWindow, MnaSystem, PointSolution, PointSolver, Result, SimOptions,
     SimStats, SolverHandle, StepController,
 };
-use wavepipe_telemetry::{Counter, DiscardReason, EventKind, Family, Gauge};
-
-/// Static label for a scheme, for metric families (avoids a per-point
-/// `to_string` allocation on the accept path).
-pub(crate) fn scheme_label(scheme: Scheme) -> &'static str {
-    match scheme {
-        Scheme::Serial => "serial",
-        Scheme::Backward => "backward",
-        Scheme::Forward => "forward",
-        Scheme::Combined => "combined",
-        Scheme::Adaptive => "adaptive",
-    }
-}
+use wavepipe_telemetry::{Counter, DiscardReason, EventKind, Gauge};
 
 /// Renders a `catch_unwind` payload as a human-readable cause string.
 pub(crate) fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -545,13 +533,8 @@ impl Driver {
         if let Commit::Accepted { growth, ratio, .. } = commit {
             self.last_growth = growth;
             self.last_ratio = ratio;
-            self.count_scheme_point();
         }
         commit
-    }
-
-    fn count_scheme_point(&self) {
-        self.wp.sim.metrics.add_labeled(Family::PointsByScheme, scheme_label(self.wp.scheme), 1);
     }
 
     /// Adds a round's concurrent task costs: everything into the run's
@@ -570,7 +553,6 @@ impl Driver {
         let m = &self.wp.sim.metrics;
         if m.enabled() {
             m.inc(Counter::Rounds);
-            m.add_labeled(Family::RoundsByScheme, scheme_label(self.wp.scheme), 1);
             m.set_gauge(Gauge::RoundWidth, task_stats.len() as f64);
         }
     }
@@ -679,7 +661,6 @@ impl Driver {
         let work = self.ctl.rescue(&mut self.lead, h_attempt, failed_iters)?;
         self.critical_work += work.work_units();
         self.critical_ns += work.wall_ns;
-        self.count_scheme_point();
         Ok(true)
     }
 

@@ -42,7 +42,6 @@
 //! | Backward | `(p, 0)`                                                     |
 //! | Forward  | `(1, p-1)`                                                   |
 //! | Combined | `(p-1, 1)`; `(p, 0)` below three lanes                       |
-//! | Adaptive | per round, whichever of Backward's and Forward's is paying   |
 //!
 //! Width 1 is `(1, 0)` under every scheme: slot 0 alone, which is the serial
 //! step loop decision for decision (DESIGN.md invariant 6).
@@ -54,7 +53,7 @@ use std::sync::Arc;
 use wavepipe_circuit::Circuit;
 use wavepipe_engine::{Commit, EngineError, PointSolution, Result};
 use wavepipe_sparse::vector::wrms_norm;
-use wavepipe_telemetry::{Counter, DiscardReason, EventKind, Family};
+use wavepipe_telemetry::{Counter, DiscardReason, EventKind};
 
 /// Forward pipelining's pre-filter: a link whose prediction lies further
 /// than this multiple of the Newton tolerance (node voltages only) from the
@@ -80,7 +79,7 @@ pub(crate) struct Plan {
 }
 
 impl Plan {
-    /// The plan a (non-adaptive) scheme plays at `width` lanes.
+    /// The plan a scheme plays at `width` lanes.
     pub fn of(scheme: Scheme, width: usize) -> Plan {
         match scheme {
             Scheme::Forward => Plan { ladder: 1, chain: width.saturating_sub(1) },
@@ -105,11 +104,7 @@ pub(crate) fn run(
     wp: &WavePipeOptions,
 ) -> Result<RunOutcome> {
     let mut drv = Driver::new(circuit, tstep, tstop, wp)?;
-    let mut chooser = Chooser::default();
-    let error = drive(&mut drv, wp.width(), |drv, w| match wp.scheme {
-        Scheme::Adaptive => chooser.round(drv, w),
-        scheme => round(drv, Plan::of(scheme, w)),
-    });
+    let error = drive(&mut drv, wp.width(), |drv, w| round(drv, Plan::of(wp.scheme, w)));
     Ok(RunOutcome { report: drv.finish(wp.scheme), error })
 }
 
@@ -316,58 +311,6 @@ fn prediction_close(drv: &Driver, predicted: &[f64], truth: &[f64]) -> bool {
     n <= FP_ACCEPT_FACTOR
 }
 
-/// Adaptive scheme selection — the "new avenues" extension the paper's
-/// conclusion points at.
-///
-/// Backward and forward pipelining pay off in different workload phases:
-/// backward ladders compound step growth after discontinuities, forward
-/// speculation hides Newton latency on smooth stretches. Neither dominates
-/// everywhere, so this scheduler measures each plan's recent *efficiency*
-/// (committed points per unit of critical-path work) with an exponential
-/// moving average and plays the better one, probing the loser periodically
-/// so a regime change is noticed. Both plans commit through the same tests,
-/// so switching mid-run cannot affect accuracy — only which points are
-/// attempted concurrently.
-struct Chooser {
-    /// Committed points per 1000 critical work units: `[backward, forward]`.
-    /// Start equal so the first probes decide.
-    eff: [f64; 2],
-    rounds: usize,
-}
-
-impl Default for Chooser {
-    fn default() -> Self {
-        Chooser { eff: [1.0, 1.0], rounds: 0 }
-    }
-}
-
-impl Chooser {
-    /// How strongly new rounds update the efficiency estimate.
-    const EMA_ALPHA: f64 = 0.25;
-    /// Probe the currently-losing plan every this many rounds.
-    const PROBE_PERIOD: usize = 8;
-
-    fn round(&mut self, drv: &mut Driver, width: usize) -> Result<usize> {
-        let forward_better = self.eff[1] > self.eff[0];
-        let probe = self.rounds % Self::PROBE_PERIOD == Self::PROBE_PERIOD - 1;
-        // Normally play the winner; on probe rounds, play the loser.
-        let use_forward = forward_better != probe;
-        drv.wp.sim.probe.emit(drv.ctl.t(), EventKind::AdaptiveChoice { forward: use_forward });
-        let choice = if use_forward { "adaptive_forward" } else { "adaptive_backward" };
-        drv.wp.sim.metrics.add_labeled(Family::RoundsByScheme, choice, 1);
-
-        let scheme = if use_forward { Scheme::Forward } else { Scheme::Backward };
-        let cw0 = drv.critical_work;
-        let committed = round(drv, Plan::of(scheme, width))?;
-        let dcw = (drv.critical_work - cw0).max(1);
-        let e = committed as f64 * 1000.0 / dcw as f64;
-        let idx = usize::from(use_forward);
-        self.eff[idx] = (1.0 - Self::EMA_ALPHA) * self.eff[idx] + Self::EMA_ALPHA * e;
-        self.rounds += 1;
-        Ok(committed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -553,43 +496,5 @@ mod tests {
         let rep = run(&b, &WavePipeOptions::new(Scheme::Combined, 2));
         assert_eq!(rep.scheme, Scheme::Combined);
         assert_eq!(rep.speculation_accepted + rep.speculation_rejected, 0);
-    }
-
-    #[test]
-    fn adaptive_matches_serial_accuracy() {
-        for b in [generators::rc_ladder(8), generators::power_grid(4, 4)] {
-            let rep = run(&b, &WavePipeOptions::new(Scheme::Adaptive, 2));
-            let eq = verify::compare(&serial(&b), &rep.result);
-            assert!(eq.rms_rel() < 0.02, "{}: rms dev {}", b.name, eq.rms_rel());
-            assert_eq!(rep.scheme, Scheme::Adaptive);
-        }
-    }
-
-    #[test]
-    fn adaptive_is_competitive_with_the_better_pure_scheme() {
-        // On the growth-heavy power grid, adaptive must land near backward's
-        // speedup (its measured winner), not near forward's.
-        let b = generators::power_grid(4, 4);
-        let serial = serial(&b);
-        let bwd =
-            run(&b, &WavePipeOptions::new(Scheme::Backward, 2)).modeled_speedup(serial.stats());
-        let ada =
-            run(&b, &WavePipeOptions::new(Scheme::Adaptive, 2)).modeled_speedup(serial.stats());
-        assert!(
-            ada > 0.8 * bwd,
-            "adaptive {ada:.2} should track backward {bwd:.2} on a growth-heavy workload"
-        );
-    }
-
-    #[test]
-    fn adaptive_exercises_both_schemes() {
-        // Probing guarantees both lead and speculation statistics appear on
-        // a long enough run.
-        let b = generators::diode_rectifier();
-        let rep = run(&b, &WavePipeOptions::new(Scheme::Adaptive, 2));
-        let bp_attempts = rep.lead_accepted + rep.lead_rejected;
-        let fp_attempts = rep.speculation_accepted + rep.speculation_rejected;
-        assert!(bp_attempts > 0, "no backward rounds were played");
-        assert!(fp_attempts > 0, "no forward rounds were played");
     }
 }

@@ -18,7 +18,7 @@ struct LadderCase {
 }
 
 fn ladder_case() -> impl Strategy<Value = LadderCase> {
-    (2usize..8, 50.0f64..5e3, 1e-13f64..1e-11, 5e-9f64..50e-9, 2usize..4, 0u8..4).prop_map(
+    (2usize..8, 50.0f64..5e3, 1e-13f64..1e-11, 5e-9f64..50e-9, 2usize..4, 0u8..3).prop_map(
         |(sections, r, c, period, threads, scheme_pick)| LadderCase {
             sections,
             r,
@@ -70,8 +70,7 @@ proptest! {
         let scheme = match case.scheme_pick {
             0 => Scheme::Backward,
             1 => Scheme::Forward,
-            2 => Scheme::Combined,
-            _ => Scheme::Adaptive,
+            _ => Scheme::Combined,
         };
         let opts = WavePipeOptions::new(scheme, case.threads);
         let rep = run_wavepipe(&ckt, tstep, tstop, &opts).expect("wavepipe");

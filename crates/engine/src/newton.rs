@@ -337,16 +337,11 @@ impl LinearCache {
                 match self.backend.refactor(&ws.matrix) {
                     Ok(()) => {
                         // A frozen-pivot pass is still a numeric
-                        // factorization: counted in both totals. A checked
-                        // pass over an adopted plan stands in for the fresh
-                        // factorization the lane paid without one, and is
-                        // charged as that, so that the work model, which
-                        // the Adaptive scheduler reads, sees the run it
-                        // always saw.
+                        // factorization: counted in both totals, the checked
+                        // pass over an adopted plan included.
                         stats.factorizations += 1;
-                        if !adopting {
-                            stats.refactorizations += 1;
-                        } else if opts.metrics.enabled() {
+                        stats.refactorizations += 1;
+                        if adopting && opts.metrics.enabled() {
                             publish_cache_outcome(opts, Family::CacheHits, "plan");
                         }
                     }
@@ -915,11 +910,12 @@ mod tests {
         let (calls, stats) = calls_through(DirectLu::adopting(plan), "cbc", true, true);
         assert_eq!(calls, ["refactor solve", PARK, PARKED_HIT]);
         assert_eq!(calls[1..], calls_per_key("cbc", true, true)[1..]);
-        // The checked refactorization stands in for the fresh factorization
-        // it replaced, and the counters charge it as that one.
+        // The checked refactorization replaces the fresh factorization and
+        // is counted as the refactorization it is: the totals stay, one
+        // fresh pass becomes a frozen-pivot one.
         let (_, own) = calls_through(DirectLu::new(), "cbc", true, true);
-        assert_eq!(stats, own);
-        assert_eq!((stats.factorizations, stats.refactorizations), (2, 1));
+        assert_eq!(stats, SimStats { refactorizations: own.refactorizations + 1, ..own });
+        assert_eq!((stats.factorizations, stats.refactorizations), (2, 2));
     }
 
     #[test]

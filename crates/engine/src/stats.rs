@@ -25,9 +25,8 @@ pub struct SimStats {
     /// reuse an existing LU do not count here.
     pub factorizations: usize,
     /// The subset of [`SimStats::factorizations`] that were fast
-    /// frozen-pivot refactorizations (no pivot search). The one pass of a
-    /// pipeline lane that checks the plan it adopted is not among them: it is
-    /// charged as the fresh factorization it replaced (see
+    /// frozen-pivot refactorizations (no pivot search), the checked pass of a
+    /// pipeline lane over the plan it adopted among them (see
     /// [`crate::solver::DirectLu`]).
     pub refactorizations: usize,
     /// Triangular solves.

@@ -102,10 +102,6 @@ counts! {
     bypassed_devices,
     /// Linear stamps replayed from the companion cache.
     companion_hits,
-    /// Adaptive rounds that chose forward pipelining.
-    adaptive_forward,
-    /// Adaptive rounds that chose backward pipelining.
-    adaptive_backward,
     /// Worker threads lost to panics.
     workers_lost,
     /// Serial-fallback transitions.
@@ -318,13 +314,6 @@ pub fn analyze(events: &[Event]) -> TraceAnalysis {
                 c.speculation_discarded += 1;
                 *reasons.entry(reason.name()).or_insert(0) += 1;
             }
-            EventKind::AdaptiveChoice { forward } => {
-                if forward {
-                    c.adaptive_forward += 1;
-                } else {
-                    c.adaptive_backward += 1;
-                }
-            }
             EventKind::WorkerLost { .. } => c.workers_lost += 1,
             EventKind::FallbackSerial => c.serial_fallbacks += 1,
             EventKind::DeadlineHit => c.deadline_hits += 1,
@@ -444,13 +433,6 @@ impl TraceAnalysis {
                 let _ = write!(out, " {name}={n}");
             }
             let _ = writeln!(out);
-        }
-        if c.adaptive_forward + c.adaptive_backward > 0 {
-            let _ = writeln!(
-                out,
-                "  adaptive choices          {:>10}  forward / {} backward",
-                c.adaptive_forward, c.adaptive_backward
-            );
         }
         let _ = writeln!(out, "  -- solver caches --");
         let _ = writeln!(
@@ -781,9 +763,6 @@ mod tests {
             EventKind::LteReject { ratio: 2.0, h_retry: 1e-10 },
             EventKind::SpeculationAccepted,
             EventKind::SpeculationDiscarded { reason: DiscardReason::ChainBroken },
-            EventKind::AdaptiveChoice { forward: true },
-            EventKind::AdaptiveChoice { forward: false },
-            EventKind::AdaptiveChoice { forward: false },
             EventKind::WorkerLost { lane: 2 },
             EventKind::WorkerLost { lane: 1 },
             EventKind::FallbackSerial,
@@ -814,8 +793,6 @@ mod tests {
             ("lte_tests_failed", 1),
             ("speculation_accepted", 1),
             ("speculation_discarded", 1),
-            ("adaptive_forward", 1),
-            ("adaptive_backward", 2),
             ("workers_lost", 2),
             ("serial_fallbacks", 1),
             ("deadline_hits", 1),
@@ -832,12 +809,12 @@ mod tests {
         }
         assert_eq!(a.counts.scalar("no_such_count"), None);
         let stable = a.stable_report("t");
-        for line in ["adaptive choices", "krylov solves", "faults", "recovery"] {
+        for line in ["krylov solves", "faults", "recovery"] {
             assert!(stable.contains(line), "{line}: {stable}");
         }
         // A stream without those events prints none of the optional lines.
         let clean = analyze(&sample_stream()).stable_report("t");
-        for line in ["adaptive choices", "krylov solves", "faults", "recovery"] {
+        for line in ["krylov solves", "faults", "recovery"] {
             assert!(!clean.contains(line), "{line}: {clean}");
         }
     }
@@ -848,7 +825,7 @@ mod tests {
         let doc = json::parse(&a.to_json(true)).expect("doctor json parses");
         let stable = doc.get("stable").expect("stable object");
         let scalars = a.counts.scalars();
-        assert!(scalars.len() >= 27);
+        assert!(scalars.len() >= 25);
         for (name, v) in scalars {
             let got = stable.get(name).and_then(|j| j.as_f64());
             assert_eq!(got, Some(v as f64), "`{name}` missing from the JSON");

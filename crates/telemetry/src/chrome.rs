@@ -175,10 +175,10 @@ pub fn write_chrome_trace<W: Write>(events: &[Event], out: &mut W) -> io::Result
             | EventKind::PointAccepted { .. } => {}
             // Every other kind is an instant carrying `t_sim` and its declared
             // payload: on the emitting lane's track, or on the rounds track
-            // for the two run-level decisions.
+            // for the run-level deadline.
             kind => {
                 let tid = match kind {
-                    EventKind::AdaptiveChoice { .. } | EventKind::DeadlineHit => ROUNDS_TID,
+                    EventKind::DeadlineHit => ROUNDS_TID,
                     _ => ev.lane,
                 };
                 let mut args = format!("\"t_sim\":{}", json::fmt_f64(ev.t_sim));

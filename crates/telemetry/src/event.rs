@@ -265,11 +265,6 @@ event_kinds! {
         /// Why the speculation was thrown away.
         reason: DiscardReason,
     },
-    /// The adaptive scheduler picked the scheme for the next round.
-    AdaptiveChoice = "adaptive_choice" {
-        /// `true` = forward pipelining, `false` = backward.
-        forward: bool,
-    },
     /// A pool lane's worker thread panicked or disappeared and was retired
     /// from service.
     WorkerLost = "worker_lost" {
@@ -343,7 +338,7 @@ mod tests {
         let names: std::collections::HashSet<&str> =
             EventKind::SAMPLES.iter().map(EventKind::name).collect();
         assert_eq!(names.len(), EventKind::SAMPLES.len());
-        assert_eq!(names.len(), 25);
+        assert_eq!(names.len(), 24);
     }
 
     #[test]

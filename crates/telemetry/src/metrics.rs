@@ -91,7 +91,7 @@ named_enum! {
 
 named_enum! {
     /// Labeled counter families: the same few stories broken down by lane,
-    /// scheme, device class, or cache layer. The wire name is also the
+    /// device class, or cache layer. The wire name is also the
     /// Prometheus metric stem.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     pub enum Family {
@@ -99,11 +99,6 @@ named_enum! {
         SolvesByLane = "lane_solves",
         /// Committed points per pipeline lane.
         PointsByLane = "lane_points",
-        /// Committed points per scheme (`scheme="backward"`, ...) — more than
-        /// one label appears only under the adaptive scheduler.
-        PointsByScheme = "scheme_points",
-        /// Pipelined rounds per scheme.
-        RoundsByScheme = "scheme_rounds",
         /// Nonlinear model evaluations per device class (`class="mos"`, ...).
         EvalsByClass = "class_evals",
         /// Bypassed (cache-replayed) nonlinear devices per device class.
@@ -121,7 +116,6 @@ impl Family {
     pub fn label_key(self) -> &'static str {
         match self {
             Family::SolvesByLane | Family::PointsByLane => "lane",
-            Family::PointsByScheme | Family::RoundsByScheme => "scheme",
             Family::EvalsByClass | Family::BypassByClass => "class",
             Family::CacheHits | Family::CacheMisses => "cache",
         }

@@ -8,8 +8,8 @@
 //!     [--metrics pretty|json|prom] [--metrics-every <ms>]
 //! ```
 //!
-//! where `scheme` is one of `serial`, `backward`, `forward`, `combined`,
-//! `adaptive` (default `backward`) and `threads` defaults to 2. `.dc` and
+//! where `scheme` is one of `serial`, `backward`, `forward`, `combined`
+//! (default `backward`) and `threads` defaults to 2. `.dc` and
 //! `.ac` directives in the deck are honoured before the transient. With no arguments, a
 //! built-in demonstration deck (diode clipper) is simulated. The waveform of
 //! every node is written next to the deck as `<deck>.csv`.
@@ -158,7 +158,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         Some("serial") => Scheme::Serial,
         Some("forward") => Scheme::Forward,
         Some("combined") => Scheme::Combined,
-        Some("adaptive") => Scheme::Adaptive,
         Some(other) => return Err(format!("unknown scheme `{other}`").into()),
     };
     let threads: usize = args.get(3).map_or(Ok(2), |s| s.parse())?;

@@ -29,9 +29,7 @@ fn recording_probe_never_perturbs_the_run() {
     // to produce bit-identical waveforms and identical work counters to the
     // default NullProbe run, for every scheme.
     let b = generators::diode_rectifier();
-    for scheme in
-        [Scheme::Serial, Scheme::Backward, Scheme::Forward, Scheme::Combined, Scheme::Adaptive]
-    {
+    for scheme in [Scheme::Serial, Scheme::Backward, Scheme::Forward, Scheme::Combined] {
         let plain = WavePipeOptions::new(scheme, 3);
         let r_plain = run_wavepipe(&b.circuit, b.tstep, b.tstop, &plain).unwrap();
 

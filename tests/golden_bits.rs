@@ -10,10 +10,11 @@
 //! rows were added, at the commit before it, by the change that rewrote the
 //! frozen-pivot LU kernels: half of that grid's refactorization multiply-adds
 //! run in supernode chains of four or more, a tenth of the 6x6 grid's. The
-//! `forward_x2`, `adaptive_x2` and `combined_x3` rows were generated at the
-//! commit before step control moved into `engine::StepController` and the
-//! four scheme files became one round planner; that change left every
-//! serial, backward, forward and adaptive row as it was and regenerated the
+//! `forward_x2` and `combined_x3` rows (and the Adaptive x2 rows, deleted with
+//! that scheme) were generated at the commit before step control moved into
+//! `engine::StepController` and the four scheme files became one round
+//! planner; that change left every serial, backward, forward and Adaptive row
+//! as it was and regenerated the
 //! `combined_x3` rows, whose round now feeds accepted leads to the lead
 //! accept-rate EMA and strides its forward link by Forward's rule
 //! (CHANGES.md, PR 16). The `power_grid(32,32)` rows (serial and Backward x2
@@ -37,7 +38,7 @@
 //! refactored before. Every caches-on `power_grid` row has another hash and
 //! fewer factorizations (serial 259 → 210, 376 → 149, 378 → 120; 32x32
 //! Backward x2 236 → 163); `rc_ladder(30)` `forward_x2` (206 → 202) and
-//! `adaptive_x2` (258 → 257) move in that count alone, hashes equal. No
+//! Adaptive x2 (258 → 257) move in that count alone, hashes equal. No
 //! iterations or points column, no caches-off row and no `inverter_chain(8)`
 //! or `diode_rectifier` row moved.
 //!
@@ -53,7 +54,7 @@
 //! no `inverter_chain(8)` or `diode_rectifier` row moved.
 //!
 //! Placing backward leads on the step lattice regenerated thirty-two rows:
-//! every `backward_x2`, `adaptive_x2` and `combined_x3` row, caches on and
+//! every `backward_x2`, Adaptive x2 and `combined_x3` row, caches on and
 //! off (EXPERIMENTS.md E26 lists them old beside new, `tests/oracle.rs`
 //! holds every moved grid's and both closed-form decks' error no higher).
 //! The lead's gap grows by 1, `√rmax` or `rmax` instead of by the continuous
@@ -61,6 +62,8 @@
 //! attempt other points and the caches-off rows move with the caches-on ones
 //! (32x32 Backward x2 792 → 774 iterations, 398 → 389 points, 152 → 95
 //! factorizations with the caches on). No `serial` or `forward_x2` row moved.
+//!
+//! Deleting the Adaptive scheme deleted its ten rows and touched no other.
 //!
 //! The constants depend on the host's `libm` (`exp`/`ln` in the device
 //! models); on a mismatch the failure message prints the rows that moved,
@@ -83,8 +86,6 @@ const GOLDEN: &[Row] = &[
     ("inverter_chain(8)", "backward_x2", false, 0x322a9eb795f9dc18, 2583, 599, 2583),
     ("inverter_chain(8)", "forward_x2", true, 0x75d3b7d5ad345924, 2687, 552, 973),
     ("inverter_chain(8)", "forward_x2", false, 0x72e8d8284371d499, 2454, 552, 2454),
-    ("inverter_chain(8)", "adaptive_x2", true, 0x2efd2917934a3089, 2650, 584, 1072),
-    ("inverter_chain(8)", "adaptive_x2", false, 0x3a8e4bff15ed0396, 2483, 572, 2483),
     ("inverter_chain(8)", "combined_x3", true, 0x6b1a12a0d8cdf06e, 3015, 600, 1192),
     ("inverter_chain(8)", "combined_x3", false, 0x51ea1ba34a0cfdfe, 2805, 600, 2805),
     ("rc_ladder(30)", "serial", true, 0x3792faeeb4b6bdb7, 297, 148, 119),
@@ -93,8 +94,6 @@ const GOLDEN: &[Row] = &[
     ("rc_ladder(30)", "backward_x2", false, 0x7b363c44959339c1, 544, 166, 544),
     ("rc_ladder(30)", "forward_x2", true, 0x32ef4bc83650141e, 468, 148, 201),
     ("rc_ladder(30)", "forward_x2", false, 0x737ef1e9e9ef59f8, 468, 148, 468),
-    ("rc_ladder(30)", "adaptive_x2", true, 0x0008811086f0f6a6, 536, 166, 254),
-    ("rc_ladder(30)", "adaptive_x2", false, 0x113db5e34f773375, 536, 166, 536),
     ("rc_ladder(30)", "combined_x3", true, 0x8297728d3d6986ca, 564, 166, 272),
     ("rc_ladder(30)", "combined_x3", false, 0xb200305921afe8e6, 564, 166, 564),
     ("power_grid(6,6)", "serial", true, 0xc533a749f61006c8, 604, 301, 209),
@@ -103,8 +102,6 @@ const GOLDEN: &[Row] = &[
     ("power_grid(6,6)", "backward_x2", false, 0x3e838b7f6fbaae2e, 762, 307, 762),
     ("power_grid(6,6)", "forward_x2", true, 0xe610f49a75c92bc1, 836, 298, 241),
     ("power_grid(6,6)", "forward_x2", false, 0xca47ad931f78b575, 836, 298, 836),
-    ("power_grid(6,6)", "adaptive_x2", true, 0xb0e6adc947eb1c1c, 779, 309, 329),
-    ("power_grid(6,6)", "adaptive_x2", false, 0xb121e38808bf4df1, 779, 309, 779),
     ("power_grid(6,6)", "combined_x3", true, 0x59aaa8ad0c47f719, 1061, 329, 427),
     ("power_grid(6,6)", "combined_x3", false, 0xa3e2ce99f80549f2, 1061, 329, 1061),
     ("power_grid(16,16)", "serial", true, 0xcba1b6bb3fb9785b, 907, 461, 116),
@@ -113,8 +110,6 @@ const GOLDEN: &[Row] = &[
     ("power_grid(16,16)", "backward_x2", false, 0x531f87e85a328e5b, 971, 462, 971),
     ("power_grid(16,16)", "forward_x2", true, 0xa85b458c10326bb5, 1290, 461, 207),
     ("power_grid(16,16)", "forward_x2", false, 0xcf3cc696ab0f0dd9, 1290, 461, 1290),
-    ("power_grid(16,16)", "adaptive_x2", true, 0x0fef90e723ddf38d, 1038, 468, 403),
-    ("power_grid(16,16)", "adaptive_x2", false, 0x299b9b498442eede, 1038, 468, 1038),
     ("power_grid(16,16)", "combined_x3", true, 0x61327ba521ddce8e, 1225, 479, 375),
     ("power_grid(16,16)", "combined_x3", false, 0x1f05c8940871bfa3, 1225, 479, 1225),
     ("diode_rectifier", "serial", true, 0x8378fa08c648a5a1, 1037, 276, 400),
@@ -123,8 +118,6 @@ const GOLDEN: &[Row] = &[
     ("diode_rectifier", "backward_x2", false, 0x011898ead25719d7, 1658, 301, 1658),
     ("diode_rectifier", "forward_x2", true, 0x1b4c028a6fc30a1e, 1846, 285, 659),
     ("diode_rectifier", "forward_x2", false, 0x89e88e558ff1c4ee, 1724, 296, 1724),
-    ("diode_rectifier", "adaptive_x2", true, 0x628e26759b5bab47, 1814, 286, 656),
-    ("diode_rectifier", "adaptive_x2", false, 0x15fa7ec94f8eb29b, 1610, 300, 1610),
     ("diode_rectifier", "combined_x3", true, 0x9f738f6ddd6877d6, 1894, 299, 704),
     ("diode_rectifier", "combined_x3", false, 0x8c1a83bbbae67491, 1624, 296, 1624),
     ("power_grid(32,32)", "serial", true, 0x60f27ed2ef13ddf4, 885, 466, 80),
@@ -133,7 +126,7 @@ const GOLDEN: &[Row] = &[
     ("power_grid(32,32)", "backward_x2", false, 0x568fec795f5ee992, 774, 389, 774),
 ];
 
-const SCHEMES: [&str; 5] = ["serial", "backward_x2", "forward_x2", "adaptive_x2", "combined_x3"];
+const SCHEMES: [&str; 4] = ["serial", "backward_x2", "forward_x2", "combined_x3"];
 
 /// Everything an environment leg of CI can flip is pinned, so the same
 /// constants hold under the chaos seeds, `WAVEPIPE_BYPASS/CHORD=0` and
@@ -174,7 +167,6 @@ fn run(b: &Benchmark, scheme: &str, caches: bool) -> (TransientResult, SimStats)
             let (kind, threads) = match scheme {
                 "backward_x2" => (Scheme::Backward, 2),
                 "forward_x2" => (Scheme::Forward, 2),
-                "adaptive_x2" => (Scheme::Adaptive, 2),
                 "combined_x3" => (Scheme::Combined, 3),
                 other => panic!("no such golden scheme: {other}"),
             };

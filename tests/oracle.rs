@@ -11,7 +11,7 @@
 //!   pulse train (every source corner restarts the step ladder, so the same
 //!   few step sizes come round again and again) and an underdamped series
 //!   RLC behind a finite-rise step. Serial and every pipelining scheme (the
-//!   golden table's five), caches on and off: the worst error over the
+//!   golden table's four), caches on and off: the worst error over the
 //!   accepted points, relative to the response's peak, stays under a stated
 //!   bound, and the caches cost none of it; that of the default caches-on
 //!   run, beside the value the parent commit read.
@@ -49,7 +49,6 @@ fn run(b: &Benchmark, scheme: &str, sim: SimOptions) -> TransientResult {
         "serial" => return run_transient(&b.circuit, b.tstep, b.tstop, &sim).expect("serial run"),
         "backward_x2" => (Scheme::Backward, 2),
         "forward_x2" => (Scheme::Forward, 2),
-        "adaptive_x2" => (Scheme::Adaptive, 2),
         "combined_x3" => (Scheme::Combined, 3),
         other => panic!("no such scheme: {other}"),
     };
@@ -57,8 +56,8 @@ fn run(b: &Benchmark, scheme: &str, sim: SimOptions) -> TransientResult {
     run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).expect(scheme).result
 }
 
-/// Every scheme [`run`] knows: the golden table's five.
-const SCHEMES: [&str; 5] = ["serial", "backward_x2", "forward_x2", "adaptive_x2", "combined_x3"];
+/// Every scheme [`run`] knows: the golden table's four.
+const SCHEMES: [&str; 4] = ["serial", "backward_x2", "forward_x2", "combined_x3"];
 
 // ---------------------------------------------------------------------------
 // Closed form
@@ -179,12 +178,10 @@ const PARENT_WORST_REL: &[(&str, &str, f64)] = &[
     ("rc_pulse_train", "serial", 0.0011906364088431099),
     ("rc_pulse_train", "backward_x2", 0.004067549049800935),
     ("rc_pulse_train", "forward_x2", 0.0011209858968682107),
-    ("rc_pulse_train", "adaptive_x2", 0.004401270162170855),
     ("rc_pulse_train", "combined_x3", 0.0052201759187855854),
     ("rlc_step", "serial", 0.0191741502543366),
     ("rlc_step", "backward_x2", 0.012732058614649008),
     ("rlc_step", "forward_x2", 0.024474602710030907),
-    ("rlc_step", "adaptive_x2", 0.013422999397600683),
     ("rlc_step", "combined_x3", 0.014876432904657587),
 ];
 
@@ -235,12 +232,10 @@ const PARENT_RMS_REL: &[(&str, &str, f64)] = &[
     ("power_grid(6,6)", "serial", 2.2426736328520417e-6),
     ("power_grid(6,6)", "backward_x2", 3.3632182404213954e-6),
     ("power_grid(6,6)", "forward_x2", 2.347433656091548e-6),
-    ("power_grid(6,6)", "adaptive_x2", 3.2323201189937025e-6),
     ("power_grid(6,6)", "combined_x3", 2.9731138274625963e-6),
     ("power_grid(16,16)", "serial", 2.300685593062468e-5),
     ("power_grid(16,16)", "backward_x2", 6.955914590794377e-5),
     ("power_grid(16,16)", "forward_x2", 2.1331287952039203e-5),
-    ("power_grid(16,16)", "adaptive_x2", 6.448051498425705e-5),
     ("power_grid(16,16)", "combined_x3", 8.450149468510684e-5),
     ("power_grid(32,32)", "serial", 3.02089217036666e-5),
     ("power_grid(32,32)", "backward_x2", 9.08669294619352e-5),

@@ -95,10 +95,10 @@ fn stiff_diode_transient_completes_via_the_ladder() {
 #[test]
 fn every_scheme_survives_forced_nonconvergence_on_the_lead_lane() {
     // The Driver's `newton_backoff` mirrors the serial rescue-commit
-    // sequence; all four pipelining schemes must absorb a lead-lane burst.
+    // sequence; all three pipelining schemes must absorb a lead-lane burst.
     let b = generators::rc_ladder(6);
     let clean = run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default()).unwrap();
-    for scheme in [Scheme::Backward, Scheme::Forward, Scheme::Combined, Scheme::Adaptive] {
+    for scheme in [Scheme::Backward, Scheme::Forward, Scheme::Combined] {
         let opts = WavePipeOptions::new(scheme, 3).with_faults(nc_burst(30));
         let rep = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts)
             .unwrap_or_else(|e| panic!("{scheme}: ladder failed to rescue: {e}"));
@@ -130,14 +130,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     #[test]
-    fn clean_runs_ignore_the_recovery_flag(stages in 3usize..8, scheme_ix in 0usize..5) {
+    fn clean_runs_ignore_the_recovery_flag(stages in 3usize..8, scheme_ix in 0usize..4) {
         let b = generators::rc_ladder(stages);
         let scheme = [
             Scheme::Serial,
             Scheme::Backward,
             Scheme::Forward,
             Scheme::Combined,
-            Scheme::Adaptive,
         ][scheme_ix];
         let base = WavePipeOptions::new(scheme, 2);
         let on = base.clone().with_sim(

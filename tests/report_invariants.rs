@@ -8,9 +8,7 @@ use wavepipe::engine::run_transient;
 #[test]
 fn report_counters_are_internally_consistent() {
     let b = generators::power_grid(4, 4);
-    for (scheme, threads) in
-        [(Scheme::Backward, 2), (Scheme::Forward, 2), (Scheme::Combined, 4), (Scheme::Adaptive, 3)]
-    {
+    for (scheme, threads) in [(Scheme::Backward, 2), (Scheme::Forward, 2), (Scheme::Combined, 4)] {
         let rep =
             run_wavepipe(&b.circuit, b.tstep, b.tstop, &WavePipeOptions::new(scheme, threads))
                 .unwrap_or_else(|e| panic!("{scheme}: {e}"));
@@ -48,7 +46,7 @@ fn serial_work_units_match_between_paths() {
 #[test]
 fn single_thread_forward_and_combined_degenerate_gracefully() {
     let b = generators::rc_ladder(5);
-    for scheme in [Scheme::Forward, Scheme::Combined, Scheme::Adaptive] {
+    for scheme in [Scheme::Forward, Scheme::Combined] {
         let rep = run_wavepipe(&b.circuit, b.tstep, b.tstop, &WavePipeOptions::new(scheme, 1))
             .unwrap_or_else(|e| panic!("{scheme} x1: {e}"));
         assert!(rep.result.len() > 5, "{scheme} x1 must still simulate");

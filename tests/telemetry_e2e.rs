@@ -107,7 +107,7 @@ fn serial_engine_emits_balanced_solve_spans() {
 /// `ts_ns` 1000 + i, `round` 1, `lane` i mod 3, `t_sim` 1 ns). The wire
 /// format is a contract with archived traces: these bytes may only be added
 /// to.
-const GOLDEN_LINES: [&str; 25] = [
+const GOLDEN_LINES: [&str; 24] = [
     r#"{"ts_ns":1000,"round":1,"lane":0,"t_sim":0.000000001,"kind":"round_start","width":3}"#,
     r#"{"ts_ns":1001,"round":1,"lane":1,"t_sim":0.000000001,"kind":"round_end","committed":3}"#,
     r#"{"ts_ns":1002,"round":1,"lane":2,"t_sim":0.000000001,"kind":"solve_start","h":0.0000000025}"#,
@@ -125,7 +125,6 @@ const GOLDEN_LINES: [&str; 25] = [
     r#"{"ts_ns":1014,"round":1,"lane":2,"t_sim":0.000000001,"kind":"lead_discarded","reason":"lte_rejected"}"#,
     r#"{"ts_ns":1015,"round":1,"lane":0,"t_sim":0.000000001,"kind":"speculation_accepted"}"#,
     r#"{"ts_ns":1016,"round":1,"lane":1,"t_sim":0.000000001,"kind":"speculation_discarded","reason":"lte_rejected"}"#,
-    r#"{"ts_ns":1017,"round":1,"lane":2,"t_sim":0.000000001,"kind":"adaptive_choice","forward":true}"#,
     r#"{"ts_ns":1020,"round":1,"lane":2,"t_sim":0.000000001,"kind":"worker_lost","lost_lane":3}"#,
     r#"{"ts_ns":1021,"round":1,"lane":0,"t_sim":0.000000001,"kind":"fallback_serial"}"#,
     r#"{"ts_ns":1022,"round":1,"lane":1,"t_sim":0.000000001,"kind":"deadline_hit"}"#,
@@ -140,10 +139,10 @@ fn every_kind_keeps_its_golden_jsonl_bytes() {
     // A new kind without a pinned line fails here.
     assert_eq!(EventKind::SAMPLES.len(), GOLDEN_LINES.len());
     for (i, (kind, line)) in EventKind::SAMPLES.into_iter().zip(GOLDEN_LINES).enumerate() {
-        // The lines count up from when there were 27 kinds: the two that came
-        // after `adaptive_choice` went with the stamp-worker layer, and every
-        // other line keeps its bytes.
-        let n = if i < 18 { i } else { i + 2 };
+        // The lines count up from when there were 27 kinds: the kind at 1017
+        // went with the adaptive scheduler, the two after it with the
+        // stamp-worker layer, and every other line keeps its bytes.
+        let n = if i < 17 { i } else { i + 3 };
         let ev =
             Event { ts_ns: 1000 + n as u64, round: 1, lane: (n % 3) as u32, t_sim: 1e-9, kind };
         assert_eq!(jsonl::event_to_json(&ev), line, "{} encodes differently", kind.name());

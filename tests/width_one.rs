@@ -12,8 +12,7 @@ use wavepipe::engine::{
     TransientOutcome,
 };
 
-const SCHEMES: [Scheme; 5] =
-    [Scheme::Serial, Scheme::Backward, Scheme::Forward, Scheme::Combined, Scheme::Adaptive];
+const SCHEMES: [Scheme; 4] = [Scheme::Serial, Scheme::Backward, Scheme::Forward, Scheme::Combined];
 
 /// Everything an environment leg of CI can flip is pinned (as
 /// `golden_bits.rs::pinned` does); the fault plan is the test's own.
