@@ -19,7 +19,7 @@ use std::time::Instant;
 use wavepipe_circuit::generators;
 use wavepipe_core::{run_wavepipe, Scheme, WavePipeOptions};
 use wavepipe_engine::{run_transient, SimOptions};
-use wavepipe_telemetry::{json, MetricsHandle, MetricsRegistry};
+use wavepipe_telemetry::{json, MetricsRegistry, ProbeHandle};
 
 const REPS: usize = 7;
 
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Untimed armed run with metrics attached: a clean run must never tick
     // the recovery counters (the zero-overhead invariant, in counter form).
     let registry = MetricsRegistry::shared();
-    let counted = on.clone().with_metrics(MetricsHandle::new(registry.clone()));
+    let counted = on.clone().with_probe(ProbeHandle::new(registry.clone()));
     black_box(run_transient(&b.circuit, b.tstep, b.tstop, &counted).unwrap());
     let snap = registry.snapshot();
     let attempts = snap.counter("recovery_attempts");

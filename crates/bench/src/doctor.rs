@@ -1,9 +1,11 @@
-//! The `wavepipe-doctor` diagnostics harness: runs (or replays) a
-//! simulation with both the recording probe and the live metrics registry
-//! attached, then renders the bottleneck report.
+//! The `wavepipe-doctor` diagnostics harness: runs a simulation with the
+//! recording probe attached (or reads a recorded JSONL stream), folds the
+//! events into the trace analysis and a metrics snapshot, then renders the
+//! bottleneck report. A live run and a replay of its trace take the same
+//! path from the events on, so they print the same stable report.
 //!
 //! The report has two sections (see [`mod@wavepipe_telemetry::analyze`]): a
-//! **stable** section derived purely from event counts and metric counters
+//! **stable** section derived purely from event counts
 //! (byte-reproducible across identical seeded runs at a fixed thread
 //! count — the determinism tests pin this), and a **timing** section
 //! derived from timestamps (varies run to run, suppressed by `--stable`),
@@ -14,7 +16,7 @@
 
 use wavepipe_circuit::generators::{self, Benchmark};
 use wavepipe_core::WavePipeReport;
-use wavepipe_core::{run_wavepipe, MetricsHandle, MetricsRegistry, Scheme, WavePipeOptions};
+use wavepipe_core::{run_wavepipe, MetricsRegistry, Scheme, WavePipeOptions};
 use wavepipe_telemetry::analyze::{analyze, class_cache_table, TraceAnalysis};
 use wavepipe_telemetry::metrics::Snapshot;
 use wavepipe_telemetry::{Event, ProbeHandle, RecordingProbe};
@@ -26,7 +28,7 @@ pub struct DoctorRun {
     pub report: WavePipeReport,
     /// The recorded telemetry event stream.
     pub events: Vec<Event>,
-    /// End-of-run metrics snapshot.
+    /// The metrics snapshot the recorded events fold to.
     pub snapshot: Snapshot,
 }
 
@@ -86,9 +88,8 @@ pub fn scheme_by_name(name: &str) -> Result<Scheme, String> {
     }
 }
 
-/// Runs a benchmark with both the [`RecordingProbe`] and a fresh
-/// [`MetricsRegistry`] attached, returning report, events and the final
-/// metrics snapshot.
+/// Runs a benchmark with the [`RecordingProbe`] attached, returning report,
+/// events and the metrics snapshot they fold to.
 ///
 /// # Panics
 ///
@@ -96,13 +97,12 @@ pub fn scheme_by_name(name: &str) -> Result<Scheme, String> {
 /// the doctor has nothing to report on in that case.
 pub fn run_instrumented(b: &Benchmark, scheme: Scheme, threads: usize) -> DoctorRun {
     let probe = RecordingProbe::shared();
-    let registry = MetricsRegistry::shared();
-    let opts = WavePipeOptions::new(scheme, threads)
-        .with_probe(ProbeHandle::new(probe.clone()))
-        .with_metrics(MetricsHandle::new(registry.clone()));
+    let opts = WavePipeOptions::new(scheme, threads).with_probe(ProbeHandle::new(probe.clone()));
     let report = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts)
         .unwrap_or_else(|e| panic!("{}: doctor run {scheme} x{threads} failed: {e}", b.name));
-    DoctorRun { report, events: probe.events(), snapshot: registry.snapshot() }
+    let events = probe.events();
+    let snapshot = MetricsRegistry::replay(&events).snapshot();
+    DoctorRun { report, events, snapshot }
 }
 
 /// Renders the doctor report as text: the stable section (event counts plus
@@ -112,7 +112,7 @@ pub fn run_instrumented(b: &Benchmark, scheme: Scheme, threads: usize) -> Doctor
 pub fn doctor_text(
     title: &str,
     analysis: &TraceAnalysis,
-    snapshot: Option<&Snapshot>,
+    snapshot: &Snapshot,
     stable_only: bool,
 ) -> String {
     render_text(title, analysis, snapshot, stable_only, None)
@@ -125,15 +125,13 @@ pub fn doctor_text(
 fn render_text(
     title: &str,
     analysis: &TraceAnalysis,
-    snapshot: Option<&Snapshot>,
+    snapshot: &Snapshot,
     stable_only: bool,
     report: Option<&WavePipeReport>,
 ) -> String {
     use std::fmt::Write as _;
     let mut out = analysis.stable_report(title);
-    if let Some(snap) = snapshot {
-        out.push_str(&class_cache_table(snap));
-    }
+    out.push_str(&class_cache_table(snapshot));
     if !stable_only {
         out.push_str(&analysis.timing_report());
         if let Some(ledger) = report.and_then(WavePipeReport::handoff_ledger) {
@@ -144,7 +142,7 @@ fn render_text(
 }
 
 /// Renders the doctor report as one JSON document:
-/// `{"title":..., "analysis":{...}, "metrics":{...}|null}`. With
+/// `{"title":..., "analysis":{...}, "metrics":{...}}`. With
 /// `stable_only` the analysis omits its timing object and the metrics
 /// snapshot is reduced to its count-derived sections (counters and labeled
 /// families) — gauges and series include wall-clock-derived values
@@ -152,7 +150,7 @@ fn render_text(
 pub fn doctor_json(
     title: &str,
     analysis: &TraceAnalysis,
-    snapshot: Option<&Snapshot>,
+    snapshot: &Snapshot,
     stable_only: bool,
 ) -> String {
     render_json(title, analysis, snapshot, stable_only, None)
@@ -164,14 +162,11 @@ pub fn doctor_json(
 fn render_json(
     title: &str,
     analysis: &TraceAnalysis,
-    snapshot: Option<&Snapshot>,
+    snapshot: &Snapshot,
     stable_only: bool,
     report: Option<&WavePipeReport>,
 ) -> String {
-    let metrics = snapshot.map_or_else(
-        || "null".to_string(),
-        |s| if stable_only { stable_metrics_json(s) } else { s.to_json() },
-    );
+    let metrics = if stable_only { stable_metrics_json(snapshot) } else { snapshot.to_json() };
     let handoff = report.filter(|_| !stable_only).map_or_else(String::new, |r| {
         format!(
             ",\"handoff\":{{\"dispatch_ns\":{},\"lead_ns\":{},\"wait_ns\":{},\
@@ -307,25 +302,27 @@ impl DoctorArgs {
 /// Returns a message when a replay file cannot be read or parsed.
 pub fn run_doctor(args: &DoctorArgs) -> Result<String, String> {
     let title = args.title();
-    let (analysis, snapshot, report) = match &args.replay {
+    let (events, report) = match &args.replay {
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
             let events = wavepipe_telemetry::jsonl::parse_jsonl(&text)
                 .map_err(|e| format!("{}: {e}", path.display()))?;
-            (analyze(&events), None, None)
+            (events, None)
         }
         None => {
             let b = circuit_by_spec(&args.spec)?;
             let run = run_instrumented(&b, args.scheme, args.threads);
-            (analyze(&run.events), Some(run.snapshot), Some(run.report))
+            (run.events, Some(run.report))
         }
     };
+    let analysis = analyze(&events);
+    let snapshot = MetricsRegistry::replay(&events).snapshot();
     let report = report.as_ref();
     Ok(if args.json {
-        render_json(&title, &analysis, snapshot.as_ref(), args.stable_only, report)
+        render_json(&title, &analysis, &snapshot, args.stable_only, report)
     } else {
-        render_text(&title, &analysis, snapshot.as_ref(), args.stable_only, report)
+        render_text(&title, &analysis, &snapshot, args.stable_only, report)
     })
 }
 
@@ -386,23 +383,42 @@ mod tests {
         assert_eq!(a.counts.points_accepted, run.snapshot.counter("points_accepted"));
     }
 
+    /// One run with a recorder and a live registry side by side: the events
+    /// and the snapshot the registry kept while the run went.
+    fn live_run(spec: &str, scheme: Scheme, threads: usize) -> (DoctorRun, Snapshot) {
+        let b = circuit_by_spec(spec).unwrap();
+        let (probe, registry) = (RecordingProbe::shared(), MetricsRegistry::shared());
+        let both = wavepipe_telemetry::FanOut(vec![probe.clone(), registry.clone()]);
+        let opts = WavePipeOptions::new(scheme, threads)
+            .with_probe(ProbeHandle::new(std::sync::Arc::new(both)));
+        let report = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).unwrap();
+        let events = probe.events();
+        let snapshot = MetricsRegistry::replay(&events).snapshot();
+        (DoctorRun { report, events, snapshot }, registry.snapshot())
+    }
+
     #[test]
     fn the_fold_and_the_live_registry_agree_on_every_shared_name() {
-        // Two instruments, one run: a name both carry means one quantity.
+        // One instrument: every counter the live registry keeps is a scalar
+        // of the offline fold, with the same value, and its labeled cells and
+        // count histograms are what a replay of the recorded events gives.
         for (spec, scheme, threads) in [
             ("inverter_chain:40", Scheme::Combined, 3),
             ("power_grid:8,8", Scheme::Backward, 2),
             ("rc_ladder:8", Scheme::Serial, 1),
         ] {
-            let run = run_instrumented(&circuit_by_spec(spec).unwrap(), scheme, threads);
-            let mut shared = 0;
-            for (name, folded) in analyze(&run.events).counts.scalars() {
-                if let Some(&(_, live)) = run.snapshot.counters.iter().find(|(n, _)| *n == name) {
-                    assert_eq!(folded, live, "{spec} {scheme} x{threads}: `{name}`");
-                    shared += 1;
-                }
+            let (run, live) = live_run(spec, scheme, threads);
+            let counts = analyze(&run.events).counts;
+            for &(name, value) in &live.counters {
+                assert_eq!(
+                    counts.scalar(name),
+                    Some(value),
+                    "{spec} {scheme} x{threads}: `{name}`"
+                );
             }
-            assert!(shared >= 20, "only {shared} shared names");
+            assert_eq!(live.counters, run.snapshot.counters);
+            assert_eq!(live.labeled, run.snapshot.labeled);
+            assert_eq!(live.series[..2], run.snapshot.series[..2]);
         }
     }
 
@@ -411,21 +427,38 @@ mod tests {
         // A speculating scheme rejects steps on refined speculative points
         // too; the registry must see those, not only base-point rejections.
         for (scheme, threads) in [(Scheme::Forward, 2), (Scheme::Combined, 3)] {
-            let run =
-                run_instrumented(&circuit_by_spec("inverter_chain:40").unwrap(), scheme, threads);
+            let (run, live) = live_run("inverter_chain:40", scheme, threads);
             let stats = run.report.result.stats();
             for (name, want) in [
+                ("points_accepted", stats.steps_accepted),
                 ("lte_rejects", stats.steps_rejected_lte),
                 ("newton_rejects", stats.steps_rejected_newton),
-                ("points_accepted", stats.steps_accepted),
+                ("newton_iterations", stats.newton_iterations),
+                ("factorizations", stats.factorizations),
+                ("refactorizations", stats.refactorizations),
+                ("device_evals", stats.device_evals),
+                ("bypassed_devices", stats.bypass_hits),
+                ("jacobian_reuses", stats.jacobian_reuses),
+                ("companion_hits", stats.companion_hits),
+                ("krylov_iterations", stats.krylov_iterations),
+                ("precond_refreshes", stats.precond_refreshes),
+                ("solver_fallbacks", stats.solver_fallbacks),
             ] {
-                assert_eq!(
-                    run.snapshot.counter(name),
-                    want as u64,
-                    "{scheme} x{threads}: `{name}`"
-                );
+                assert_eq!(live.counter(name), want as u64, "{scheme} x{threads}: `{name}`");
             }
         }
+    }
+
+    #[test]
+    fn companion_replay_has_one_rate_in_the_summary_and_the_cache_table() {
+        let (run, _) = live_run("inverter_chain:40", Scheme::Combined, 3);
+        let text = doctor_text("t", &analyze(&run.events), &run.snapshot, true);
+        let rate = |prefix: &str| {
+            let line = text.lines().find(|l| l.trim_start().starts_with(prefix)).unwrap();
+            let word = line.split_whitespace().find(|w| w.ends_with('%')).unwrap();
+            word.trim_start_matches('(').to_string()
+        };
+        assert_eq!(rate("companion replay"), rate("companion  hits"), "{text}");
     }
 
     #[test]
@@ -461,13 +494,14 @@ mod tests {
                 .with_faults(FaultPlan::new())
                 .with_solver(solver)
         };
-        let (probe, registry) = (RecordingProbe::shared(), MetricsRegistry::shared());
+        let probe = RecordingProbe::shared();
         let opts = WavePipeOptions::new(Scheme::Serial, 1)
             .with_sim(pinned(SolverHandle::direct()))
-            .with_probe(ProbeHandle::new(probe.clone()))
-            .with_metrics(MetricsHandle::new(registry.clone()));
+            .with_probe(ProbeHandle::new(probe.clone()));
         let report = run_wavepipe(&deck.circuit, deck.tstep, deck.tstop, &opts).unwrap();
-        let run = DoctorRun { report, events: probe.events(), snapshot: registry.snapshot() };
+        let events = probe.events();
+        let run =
+            DoctorRun { report, snapshot: MetricsRegistry::replay(&events).snapshot(), events };
         // The count without parked sets: the GMRES backend keeps none, and
         // with no iterations allowed it is the direct backend call for call
         // (`tests/solver_equivalence.rs`).
@@ -483,7 +517,7 @@ mod tests {
             run.snapshot.labeled_value("cache_misses", "parked"),
             run.snapshot.counter("factorizations")
         );
-        let text = doctor_text("t", &analyze(&run.events), Some(&run.snapshot), true);
+        let text = doctor_text("t", &analyze(&run.events), &run.snapshot, true);
         let row = text.lines().find(|l| l.trim_start().starts_with("parked")).expect("parked row");
         assert!(row.contains(&format!("hits  {saved:>10}")), "{row}");
     }
@@ -503,16 +537,15 @@ mod tests {
         // transient matrix otherwise and pays its own factorization.
         for (spec, hits, misses) in [("power_grid:16,16", 1, 0), ("inverter_chain:8", 0, 1)] {
             let b = circuit_by_spec(spec).unwrap();
-            let (probe, registry) = (RecordingProbe::shared(), MetricsRegistry::shared());
+            let registry = MetricsRegistry::shared();
             let opts = WavePipeOptions::new(Scheme::Backward, 2)
                 .with_sim(sim.clone())
-                .with_probe(ProbeHandle::new(probe.clone()))
-                .with_metrics(MetricsHandle::new(registry.clone()));
+                .with_probe(ProbeHandle::new(registry.clone()));
             run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).unwrap();
             let snapshot = registry.snapshot();
             assert_eq!(snapshot.labeled_value("cache_hits", "plan"), hits, "{spec}");
             assert_eq!(snapshot.labeled_value("cache_misses", "plan"), misses, "{spec}");
-            let text = doctor_text("t", &analyze(&probe.events()), Some(&snapshot), true);
+            let text = doctor_text("t", &analyze(&[]), &snapshot, true);
             let row = text.lines().find(|l| l.trim_start().starts_with("plan")).expect("plan row");
             assert!(row.contains(&format!("hits  {hits:>10}  misses   {misses:>10}")), "{row}");
         }
@@ -523,12 +556,12 @@ mod tests {
         let b = generators::rc_ladder(6);
         let run = run_instrumented(&b, Scheme::Backward, 2);
         let a = analyze(&run.events);
-        let stable = doctor_text("t", &a, Some(&run.snapshot), true);
+        let stable = doctor_text("t", &a, &run.snapshot, true);
         assert!(stable.contains("== stable"));
         assert!(!stable.contains("== timing"));
-        let full = doctor_text("t", &a, Some(&run.snapshot), false);
+        let full = doctor_text("t", &a, &run.snapshot, false);
         assert!(full.contains("== timing"));
-        let json_doc = doctor_json("t", &a, Some(&run.snapshot), true);
+        let json_doc = doctor_json("t", &a, &run.snapshot, true);
         let parsed = wavepipe_telemetry::json::parse(&json_doc).expect("doctor json parses");
         assert!(parsed.get("analysis").is_some());
         assert!(parsed.get("metrics").is_some());
@@ -561,25 +594,31 @@ mod tests {
 
     #[test]
     fn replay_round_trips_through_jsonl() {
-        let b = generators::rc_ladder(6);
-        let run = run_instrumented(&b, Scheme::Backward, 2);
+        // Class and cache tables included: the replay folds the same events.
+        let (spec, scheme, threads) = ("inverter_chain:8", Scheme::Backward, 2);
+        let run = run_instrumented(&circuit_by_spec(spec).unwrap(), scheme, threads);
         let mut buf = Vec::new();
         wavepipe_telemetry::jsonl::write_jsonl(&run.events, &mut buf).unwrap();
-        let dir = std::env::temp_dir().join("wavepipe_doctor_replay_test");
+        let dir =
+            std::env::temp_dir().join(format!("wavepipe_doctor_replay_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("trace.jsonl");
         std::fs::write(&path, &buf).unwrap();
-        let args = DoctorArgs {
-            spec: String::new(),
-            scheme: Scheme::Backward,
-            threads: 2,
-            json: false,
-            stable_only: true,
-            replay: Some(path.clone()),
-        };
-        let live = analyze(&run.events);
-        let replayed = run_doctor(&args).unwrap();
-        assert_eq!(replayed, doctor_text(&args.title(), &live, None, true));
-        std::fs::remove_file(&path).ok();
+        for json in [false, true] {
+            let args = |replay| DoctorArgs {
+                spec: spec.to_string(),
+                scheme,
+                threads,
+                json,
+                stable_only: true,
+                replay,
+            };
+            let (live, replay) = (args(None), args(Some(path.clone())));
+            let replayed = run_doctor(&replay).unwrap();
+            assert!(replayed.contains("mos") && replayed.contains("chord"), "{replayed}");
+            let retitled = replayed.replace(&replay.title(), &live.title());
+            assert_eq!(retitled, run_doctor(&live).unwrap(), "json: {json}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

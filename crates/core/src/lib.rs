@@ -56,7 +56,7 @@ pub mod verify;
 pub use options::{Scheme, WavePipeOptions};
 pub use report::{RunOutcome, WavePipeReport};
 pub use wavepipe_telemetry as telemetry;
-pub use wavepipe_telemetry::{MetricsHandle, MetricsRegistry};
+pub use wavepipe_telemetry::MetricsRegistry;
 
 use wavepipe_circuit::Circuit;
 use wavepipe_engine::{run_transient_recoverable, Result};

@@ -96,15 +96,6 @@ impl WavePipeOptions {
         self
     }
 
-    /// Attaches a live metrics registry to the embedded engine options.
-    /// Every lane publishes into the same registry (the handle is retagged
-    /// per lane), so a snapshot taken mid-run sees the whole pipeline.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: wavepipe_engine::MetricsHandle) -> Self {
-        self.sim.metrics = metrics;
-        self
-    }
-
     /// Gives the run a wall-clock deadline (armed when stepping starts, after
     /// the DC solve). See [`SimOptions::with_deadline`].
     #[must_use]

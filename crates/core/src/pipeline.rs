@@ -16,7 +16,7 @@ use wavepipe_engine::{
     Commit, EngineError, HistoryWindow, MnaSystem, PointSolution, PointSolver, Result, SimOptions,
     SimStats, SolverHandle, StepController,
 };
-use wavepipe_telemetry::{Counter, DiscardReason, EventKind, Gauge};
+use wavepipe_telemetry::{DiscardReason, EventKind};
 
 /// Renders a `catch_unwind` payload as a human-readable cause string.
 pub(crate) fn panic_cause(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -158,7 +158,6 @@ impl WorkerPool {
         let lane = i as u32 + 1;
         let mut worker_sim = self.lane_sim.clone();
         worker_sim.probe = self.lane_sim.probe.with_lane(lane);
-        worker_sim.metrics = self.lane_sim.metrics.with_lane(lane);
         worker_sim.faults = self.lane_sim.faults.with_lane(lane);
         let mut solver = PointSolver::new(Arc::clone(&self.sys), worker_sim);
         let handle = std::thread::spawn(move || {
@@ -456,7 +455,6 @@ impl Driver {
         if self.pool.len() > 0 && self.pool.alive() == 0 && !self.serial_fallback_emitted {
             self.serial_fallback_emitted = true;
             self.wp.sim.probe.emit(self.ctl.t(), EventKind::FallbackSerial);
-            self.wp.sim.metrics.inc(Counter::SerialFallbacks);
         }
         Ok(out
             .into_iter()
@@ -477,7 +475,6 @@ impl Driver {
         self.workers_lost += 1;
         let lane = w as u32 + 1;
         self.wp.sim.probe.with_lane(lane).emit(t, EventKind::WorkerLost { lane });
-        self.wp.sim.metrics.inc(Counter::WorkersLost);
     }
 
     /// Runs a solve on the coordinating thread's solver with panic isolation:
@@ -550,11 +547,6 @@ impl Driver {
         self.critical_work += max_work;
         self.critical_ns += max_ns;
         self.rounds += 1;
-        let m = &self.wp.sim.metrics;
-        if m.enabled() {
-            m.inc(Counter::Rounds);
-            m.set_gauge(Gauge::RoundWidth, task_stats.len() as f64);
-        }
     }
 
     /// Adds inherently sequential work (speculation refinement, serial
@@ -630,11 +622,8 @@ impl Driver {
         } else if self.lead_ema < 0.25 {
             self.deep_mode = false;
         }
-        let m = &self.wp.sim.metrics;
-        if m.enabled() {
-            m.set_gauge(Gauge::LeadAcceptEma, self.lead_ema);
-            m.set_gauge(Gauge::DeepMode, if self.deep_mode { 1.0 } else { 0.0 });
-        }
+        let state = EventKind::LeadEma { ema: self.lead_ema, deep: self.deep_mode };
+        self.wp.sim.probe.emit(self.ctl.t(), state);
     }
 
     /// Whether sustained lead success currently justifies deep ladders and
@@ -732,10 +721,8 @@ pub(crate) fn usable_prefix(
 
 fn emit_discard(drv: &Driver, t: f64, slot: usize, spec_from: usize, reason: DiscardReason) {
     let kind = if slot >= spec_from {
-        drv.wp.sim.metrics.inc(Counter::SpeculationDiscarded);
         EventKind::SpeculationDiscarded { reason }
     } else {
-        drv.wp.sim.metrics.inc(Counter::LeadDiscarded);
         EventKind::LeadDiscarded { reason }
     };
     drv.wp.sim.probe.emit(t, kind);

@@ -53,7 +53,7 @@ use std::sync::Arc;
 use wavepipe_circuit::Circuit;
 use wavepipe_engine::{Commit, EngineError, PointSolution, Result};
 use wavepipe_sparse::vector::wrms_norm;
-use wavepipe_telemetry::{Counter, DiscardReason, EventKind};
+use wavepipe_telemetry::{DiscardReason, EventKind};
 
 /// Forward pipelining's pre-filter: a link whose prediction lies further
 /// than this multiple of the Newton tolerance (node voltages only) from the
@@ -205,7 +205,6 @@ fn walk_ladder(drv: &mut Driver, ladder: &[PointSolution]) -> Result<(usize, usi
                     drv.lead_accepted += 1;
                     drv.note_lead(true);
                     drv.wp.sim.probe.emit(sol.t, EventKind::LeadAccepted);
-                    drv.wp.sim.metrics.inc(Counter::LeadAccepted);
                 }
                 continue;
             }
@@ -229,7 +228,6 @@ fn walk_ladder(drv: &mut Driver, ladder: &[PointSolution]) -> Result<(usize, usi
         drv.lead_rejected += 1;
         drv.note_lead(false);
         drv.wp.sim.probe.emit(sol.t, EventKind::LeadDiscarded { reason: discard });
-        drv.wp.sim.metrics.inc(Counter::LeadDiscarded);
         break;
     }
     Ok((committed, 0))
@@ -268,7 +266,6 @@ fn walk_chain(
                     Commit::Accepted { .. } => {
                         drv.spec_accepted += 1;
                         drv.wp.sim.probe.emit(refined.t, EventKind::SpeculationAccepted);
-                        drv.wp.sim.metrics.inc(Counter::SpeculationAccepted);
                         truth = refined.x;
                         continue;
                     }
@@ -296,7 +293,6 @@ fn emit_chain_discard(drv: &Driver, links: &[PointSolution], reason: DiscardReas
     for (sol, reason) in links.iter().zip(reasons) {
         drv.wp.sim.probe.emit(sol.t, EventKind::SpeculationDiscarded { reason });
     }
-    drv.wp.sim.metrics.add(Counter::SpeculationDiscarded, links.len() as u64);
 }
 
 /// Pre-filter: `true` if a prediction was close enough to the truth that a

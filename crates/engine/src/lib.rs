@@ -96,4 +96,4 @@ pub use transient::{
     TransientOutcome,
 };
 pub use wavepipe_telemetry as telemetry;
-pub use wavepipe_telemetry::{MetricsHandle, MetricsRegistry, Probe, ProbeHandle, RecordingProbe};
+pub use wavepipe_telemetry::{MetricsRegistry, Probe, ProbeHandle, RecordingProbe};

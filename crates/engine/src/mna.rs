@@ -18,6 +18,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use wavepipe_circuit::{Circuit, Element, MosPolarity, Node, Waveform};
 use wavepipe_sparse::{CooMatrix, CscMatrix};
+use wavepipe_telemetry::{DeviceClass, EventKind};
 
 /// Sentinel unknown index for the ground node.
 const GND: usize = usize::MAX;
@@ -187,20 +188,20 @@ impl Dev {
         }
     }
 
-    /// Stable device-class label for per-class metrics families.
-    pub(crate) fn class_name(&self) -> &'static str {
+    /// The device's class, as the per-class tallies name it.
+    pub(crate) fn class(&self) -> DeviceClass {
         match self {
-            Dev::Conductance { .. } => "resistor",
-            Dev::Cap { .. } => "cap",
-            Dev::Jcap { .. } => "jcap",
-            Dev::Ind { .. } => "ind",
-            Dev::Vsrc { .. } => "vsrc",
-            Dev::Isrc { .. } => "isrc",
-            Dev::Diode { .. } => "diode",
-            Dev::Mos { .. } => "mos",
-            Dev::Bjt { .. } => "bjt",
-            Dev::Vcvs { .. } => "vcvs",
-            Dev::Vccs { .. } => "vccs",
+            Dev::Conductance { .. } => DeviceClass::Resistor,
+            Dev::Cap { .. } => DeviceClass::Cap,
+            Dev::Jcap { .. } => DeviceClass::Jcap,
+            Dev::Ind { .. } => DeviceClass::Ind,
+            Dev::Vsrc { .. } => DeviceClass::Vsrc,
+            Dev::Isrc { .. } => DeviceClass::Isrc,
+            Dev::Diode { .. } => DeviceClass::Diode,
+            Dev::Mos { .. } => DeviceClass::Mos,
+            Dev::Bjt { .. } => DeviceClass::Bjt,
+            Dev::Vcvs { .. } => DeviceClass::Vcvs,
+            Dev::Vccs { .. } => DeviceClass::Vccs,
         }
     }
 
@@ -860,8 +861,8 @@ impl MnaSystem {
             if !Dev::same_shape(new, old) {
                 return Err(mismatch(format!(
                     "device {i} is a {} on different terminals or a {}",
-                    new.class_name(),
-                    old.class_name()
+                    new.class().name(),
+                    old.class().name()
                 )));
             }
         }
@@ -996,34 +997,24 @@ impl MnaSystem {
         self.nl_elem.len()
     }
 
-    /// Publishes per-device-class evaluation / bypass tallies for one stamp
-    /// pass into a metrics registry, reading the bypass mask the pass just
-    /// computed. Purely observational — called by the Newton loop only when
-    /// metrics are enabled, never on the stamp hot path itself. Tallies are
-    /// accumulated locally first so the registry is touched once per class,
-    /// not once per device.
-    pub(crate) fn publish_class_metrics(
-        &self,
-        mask: &[bool],
-        metrics: &wavepipe_telemetry::MetricsHandle,
-    ) {
-        use wavepipe_telemetry::Family;
-        let mut evals: std::collections::BTreeMap<&'static str, u64> =
-            std::collections::BTreeMap::new();
-        let mut bypassed = evals.clone();
+    /// Hands `emit` one [`EventKind::ClassEvals`] per nonlinear device class
+    /// present: its devices evaluated and bypassed by the stamp pass that
+    /// left `mask` (the pass's bypass mask). Purely observational — the
+    /// Newton loop calls it only with a probe attached.
+    pub(crate) fn class_evals(&self, mask: &[bool], mut emit: impl FnMut(EventKind)) {
+        let mut tally = [(0u32, 0u32); DeviceClass::ALL.len()];
         for &d in &self.nl_elem {
-            let class = self.devices[d as usize].class_name();
+            let cell = &mut tally[self.devices[d as usize].class() as usize];
             if mask.get(d as usize).copied().unwrap_or(false) {
-                *bypassed.entry(class).or_insert(0) += 1;
+                cell.1 += 1;
             } else {
-                *evals.entry(class).or_insert(0) += 1;
+                cell.0 += 1;
             }
         }
-        for (class, n) in evals {
-            metrics.add_labeled(Family::EvalsByClass, class, n);
-        }
-        for (class, n) in bypassed {
-            metrics.add_labeled(Family::BypassByClass, class, n);
+        for (class, (evals, bypassed)) in DeviceClass::ALL.into_iter().zip(tally) {
+            if evals + bypassed > 0 {
+                emit(EventKind::ClassEvals { class, evals, bypassed });
+            }
         }
     }
 
@@ -1341,7 +1332,7 @@ impl MnaSystem {
     /// from its bypass cache or evaluated into it and scattered in the same
     /// sweep. The bypass decision is taken at the device's own turn (nothing
     /// this loop writes is read by a later device's predicate) and recorded
-    /// in `caches.mask` for the per-class metrics. Returns
+    /// in `caches.mask` for the per-class tallies. Returns
     /// `(evaluated, bypassed)` counts.
     fn stamp_nonlinear_fused(
         &self,

@@ -8,7 +8,7 @@ use crate::stats::SimStats;
 use std::time::Instant;
 use wavepipe_sparse::vector::{all_finite, norm_inf};
 use wavepipe_sparse::{CscMatrix, SharedPlan, SparseError};
-use wavepipe_telemetry::{Counter, EventKind, Family};
+use wavepipe_telemetry::{EventKind, FactorLayer};
 
 /// Parked numeric factor sets a backend is asked to keep beside its active
 /// one: five sets in all. After every source corner a transient run climbs a
@@ -260,9 +260,6 @@ impl LinearCache {
                         fallback: fallbacks > 0,
                     },
                 );
-                if opts.metrics.enabled() {
-                    publish_krylov_metrics(opts, iters, refreshes, fallbacks);
-                }
             }
         }
         out
@@ -294,8 +291,9 @@ impl LinearCache {
                 }
             }
             hit = turn == KeyTurn::Hit || parked_hit;
-            if !hit && opts.metrics.enabled() {
-                publish_cache_outcome(opts, Family::CacheMisses, "parked");
+            if !hit {
+                let lookup = EventKind::FactorLookup { layer: FactorLayer::Parked, hit: false };
+                opts.probe.emit(input.time, lookup);
             }
         }
         if hit && !ws.limited && self.backend.factored() {
@@ -315,9 +313,10 @@ impl LinearCache {
                     *xn += xi;
                 }
                 self.last_dx = Some(dxn);
-                stats.jacobian_reuses += 1;
-                if parked_hit && opts.metrics.enabled() {
-                    publish_cache_outcome(opts, Family::CacheHits, "parked");
+                opts.tally(stats, input.time, EventKind::JacobianReuse);
+                if parked_hit {
+                    let lookup = EventKind::FactorLookup { layer: FactorLayer::Parked, hit: true };
+                    opts.probe.emit(input.time, lookup);
                 }
                 return Ok(true);
             }
@@ -329,31 +328,33 @@ impl LinearCache {
             if fresh {
                 self.keys.fresh_plan();
                 self.backend.factor(&ws.matrix)?;
-                stats.factorizations += 1;
+                opts.tally(stats, input.time, EventKind::Factorization);
             } else {
                 // The first refactorization over an adopted plan is its
                 // pivot check: the `plan` cache layer's hit or miss.
                 let adopting = self.backend.adopts_plan();
+                let plan_check = |hit| {
+                    if adopting {
+                        let lookup = EventKind::FactorLookup { layer: FactorLayer::Plan, hit };
+                        opts.probe.emit(input.time, lookup);
+                    }
+                };
                 match self.backend.refactor(&ws.matrix) {
                     Ok(()) => {
+                        plan_check(true);
                         // A frozen-pivot pass is still a numeric
                         // factorization: counted in both totals, the checked
                         // pass over an adopted plan included.
-                        stats.factorizations += 1;
-                        stats.refactorizations += 1;
-                        if adopting && opts.metrics.enabled() {
-                            publish_cache_outcome(opts, Family::CacheHits, "plan");
-                        }
+                        opts.tally(stats, input.time, EventKind::Factorization);
+                        opts.tally(stats, input.time, EventKind::Refactorization);
                     }
                     Err(SparseError::PivotDegraded { .. }) => {
                         // Frozen pivot order went bad (or an adopted one
                         // failed its check): re-pivot from scratch.
-                        if adopting && opts.metrics.enabled() {
-                            publish_cache_outcome(opts, Family::CacheMisses, "plan");
-                        }
+                        plan_check(false);
                         self.keys.fresh_plan();
                         self.backend.factor(&ws.matrix)?;
-                        stats.factorizations += 1;
+                        opts.tally(stats, input.time, EventKind::Factorization);
                     }
                     Err(e) => return Err(e.into()),
                 }
@@ -441,54 +442,25 @@ pub fn newton_solve(
         // Cooperative budget check once per iteration: a runaway solve stops
         // within one stamp+factor of the deadline instead of at `max_iters`.
         opts.check_budget(input.time)?;
-        stats.newton_iterations += 1;
-        opts.probe.emit(input.time, EventKind::NewtonIter { iteration: it as u32 });
-        opts.metrics.inc(Counter::NewtonIterations);
+        opts.tally(stats, input.time, EventKind::NewtonIter { iteration: it as u32 });
         let t0 = Instant::now();
         let sres = sys.stamp_lane(ws, input, &x, &ctl, it == 1);
         stats.stamp_ns += t0.elapsed().as_nanos();
-        stats.device_evals += sres.evals;
-        stats.bypass_hits += sres.bypassed;
-        if sres.bypassed > 0 {
-            opts.probe
-                .emit(input.time, EventKind::BypassedDevices { devices: sres.bypassed as u32 });
-        }
-        if sres.companion_hit {
-            stats.companion_hits += 1;
-            opts.probe.emit(input.time, EventKind::CompanionHit);
-        }
-        if opts.metrics.enabled() {
-            publish_stamp_metrics(sys, ws, opts, &sres);
+        let pass = EventKind::StampPass {
+            evals: sres.evals as u32,
+            bypassed: sres.bypassed as u32,
+            companion_hit: sres.companion_hit,
+        };
+        opts.tally(stats, input.time, pass);
+        if opts.probe.enabled() {
+            sys.class_evals(&ws.caches.mask, |kind| opts.probe.emit(input.time, kind));
         }
         if !all_finite(&ws.rhs) {
             // Companion history produced a non-finite excitation: give up on
             // this point so the step controller backs off.
             return Ok(NewtonOutcome { x, iterations: it, converged: false });
         }
-        let pre_factor = stats.factorizations;
-        let pre_refactor = stats.refactorizations;
-        let pre_reuse = stats.jacobian_reuses;
         let solved = cache.factor_and_solve(ws, input, &x, opts, stats)?;
-        // factor_and_solve may chord-reuse, factor, refactor, or fall back
-        // from one to the other; mirror the counter deltas into the event
-        // stream.
-        for _ in pre_factor..stats.factorizations {
-            opts.probe.emit(input.time, EventKind::Factorization);
-        }
-        for _ in pre_refactor..stats.refactorizations {
-            opts.probe.emit(input.time, EventKind::Refactorization);
-        }
-        for _ in pre_reuse..stats.jacobian_reuses {
-            opts.probe.emit(input.time, EventKind::JacobianReuse);
-        }
-        if opts.metrics.enabled() {
-            publish_linear_metrics(
-                opts,
-                (stats.factorizations - pre_factor) as u64,
-                (stats.refactorizations - pre_refactor) as u64,
-                (stats.jacobian_reuses - pre_reuse) as u64,
-            );
-        }
         if !solved {
             // Linear solve could not be verified: back off the step.
             return Ok(NewtonOutcome { x, iterations: it, converged: false });
@@ -521,79 +493,6 @@ pub fn newton_solve(
         }
     }
     Ok(NewtonOutcome { x, iterations: max_iters, converged: false })
-}
-
-/// Mirrors one stamp pass into the metrics registry: scalar totals, the
-/// per-class breakdown (from the bypass mask the pass computed), and the
-/// bypass/companion cache layers. Kept out-of-line and `#[cold]` so the
-/// disabled path leaves the Newton loop body small — the registry is only
-/// touched when a handle is attached.
-#[cold]
-#[inline(never)]
-fn publish_stamp_metrics(
-    sys: &MnaSystem,
-    ws: &MnaWorkspace,
-    opts: &SimOptions,
-    sres: &crate::mna::StampResult,
-) {
-    opts.metrics.add(Counter::DeviceEvals, sres.evals as u64);
-    sys.publish_class_metrics(&ws.caches.mask, &opts.metrics);
-    let nl = sys.nonlinear_device_count() as u64;
-    if sres.bypassed > 0 {
-        opts.metrics.add(Counter::BypassedDevices, sres.bypassed as u64);
-        opts.metrics.add_labeled(Family::CacheHits, "bypass", sres.bypassed as u64);
-    }
-    if nl > sres.bypassed as u64 {
-        opts.metrics.add_labeled(Family::CacheMisses, "bypass", nl - sres.bypassed as u64);
-    }
-    if sres.companion_hit {
-        opts.metrics.inc(Counter::CompanionHits);
-        opts.metrics.add_labeled(Family::CacheHits, "companion", 1);
-    } else {
-        opts.metrics.add_labeled(Family::CacheMisses, "companion", 1);
-    }
-}
-
-/// Mirrors one `factor_and_solve` call's counter deltas (factorizations,
-/// refactorizations, chord reuses) into the registry's scalar counters and
-/// the `chord` cache layer. `#[cold]`/out-of-line for the same reason as
-/// [`publish_stamp_metrics`].
-#[cold]
-#[inline(never)]
-fn publish_linear_metrics(opts: &SimOptions, factored: u64, refactored: u64, reused: u64) {
-    opts.metrics.add(Counter::Factorizations, factored);
-    opts.metrics.add(Counter::Refactorizations, refactored);
-    if reused > 0 {
-        opts.metrics.add(Counter::JacobianReuses, reused);
-        opts.metrics.add_labeled(Family::CacheHits, "chord", reused);
-    }
-    if factored > 0 {
-        opts.metrics.add_labeled(Family::CacheMisses, "chord", factored);
-    }
-}
-
-/// One outcome of a factor-level cache layer. `parked`: a new key's turn at
-/// the parked factor sets — a hit is a chord step taken on factors that were
-/// parked, a numeric factorization saved beside the `chord` layer's count of
-/// the step itself, a miss a key no set was kept for. `plan`: an adopted
-/// plan's pivot check — a hit is a refactorization where the lane would have
-/// pivoted afresh, a miss the private factorization a failed check pays.
-/// `#[cold]`/out-of-line for the same reason as [`publish_stamp_metrics`].
-#[cold]
-#[inline(never)]
-fn publish_cache_outcome(opts: &SimOptions, outcome: Family, cache: &'static str) {
-    opts.metrics.add_labeled(outcome, cache, 1);
-}
-
-/// Mirrors one Krylov-path solve's counter deltas (GMRES iterations,
-/// preconditioner refreshes, direct fallbacks) into the registry.
-/// `#[cold]`/out-of-line for the same reason as [`publish_stamp_metrics`].
-#[cold]
-#[inline(never)]
-fn publish_krylov_metrics(opts: &SimOptions, iters: u64, refreshes: u64, fallbacks: u64) {
-    opts.metrics.add(Counter::KrylovIterations, iters);
-    opts.metrics.add(Counter::PrecondRefreshes, refreshes);
-    opts.metrics.add(Counter::SolverFallbacks, fallbacks);
 }
 
 #[cfg(test)]

@@ -6,8 +6,9 @@ use crate::error::{EngineError, Result};
 use crate::fault::{FaultHandle, FaultPlan};
 use crate::integrate::Method;
 use crate::solver::SolverHandle;
+use crate::stats::SimStats;
 use std::time::Duration;
-use wavepipe_telemetry::{EventKind, MetricsHandle, ProbeHandle};
+use wavepipe_telemetry::{EventKind, ProbeHandle};
 
 /// Tolerances and control knobs for the simulation engine.
 ///
@@ -55,14 +56,9 @@ pub struct SimOptions {
     pub use_ic: bool,
     /// Telemetry sink. The default ([`ProbeHandle::none`]) makes every
     /// emission a single branch; attach a recording probe to capture the
-    /// event stream. Probes only observe — they never alter the solution.
+    /// event stream, or a live `MetricsRegistry` to watch the run. Probes
+    /// only observe — they never alter the solution.
     pub probe: ProbeHandle,
-    /// Live metrics sink, carried next to the probe: instrumented sites
-    /// publish the event *and* bump the matching registry cell, so the
-    /// registry can be snapshotted mid-run without draining the event
-    /// buffer. The default ([`MetricsHandle::none`]) makes every publish a
-    /// single branch. Like probes, metrics only observe.
-    pub metrics: MetricsHandle,
     /// Inert: the stamp-worker layer this sized is deleted, and nothing in
     /// the program reads the field — it holds what
     /// [`SimOptions::with_stamp_workers`] last set, `0` by default. Kept
@@ -178,7 +174,6 @@ impl Default for SimOptions {
             lte_abstol: 1e-6,
             use_ic: false,
             probe: ProbeHandle::none(),
-            metrics: MetricsHandle::none(),
             stamp_workers: 0,
             deadline: None,
             cancel: None,
@@ -235,13 +230,6 @@ impl SimOptions {
     #[must_use]
     pub fn with_probe(mut self, probe: ProbeHandle) -> Self {
         self.probe = probe;
-        self
-    }
-
-    /// Builder: attaches a live metrics handle.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: MetricsHandle) -> Self {
-        self.metrics = metrics;
         self
     }
 
@@ -322,6 +310,14 @@ impl SimOptions {
         self
     }
 
+    /// Records one counted fact: adds it to `stats` ([`SimStats::count`])
+    /// and emits it at simulated time `t`.
+    #[inline]
+    pub fn tally(&self, stats: &mut SimStats, t: f64, kind: EventKind) {
+        stats.count(&kind);
+        self.probe.emit(t, kind);
+    }
+
     /// The stamp-layer cache control block these options imply.
     pub fn cache_ctl(&self) -> CacheCtl {
         CacheCtl { bypass: self.bypass, companion: self.companion_cache }
@@ -348,7 +344,6 @@ impl SimOptions {
         }
         if token.deadline_expired() {
             self.probe.emit(time, EventKind::DeadlineHit);
-            self.metrics.inc(wavepipe_telemetry::Counter::DeadlineHits);
             return Err(EngineError::DeadlineExceeded {
                 time,
                 budget: self.deadline.unwrap_or(Duration::ZERO),

@@ -39,7 +39,7 @@ use crate::newton::{newton_solve, NewtonOutcome};
 use crate::options::SimOptions;
 use crate::stats::SimStats;
 use crate::transient::{state_coeffs, HistoryWindow, PointSolution, PointSolver};
-use wavepipe_telemetry::{Counter, EventKind};
+use wavepipe_telemetry::EventKind;
 
 /// Initial shunt conductance of the local gmin ramp (matches the DC ladder).
 const RAMP_GSHUNT0: f64 = 1e-2;
@@ -127,7 +127,6 @@ impl PointSolver {
     ) -> Result<PointSolution> {
         let t0 = hw.t();
         self.opts.probe.emit(t0, EventKind::RecoveryAttempt { h: h_failed });
-        self.opts.metrics.inc(Counter::RecoveryAttempts);
         let ropts = rescue_options(&self.opts);
         let mut report = ConvergenceReport::default();
         report.iterations_history.push(failed_iters);
@@ -135,7 +134,6 @@ impl PointSolver {
         // --- Rung 1: cache-poisoning rollback. ---
         report.rungs_tried.push(RecoveryRung::CacheRollback);
         self.opts.probe.emit(t0, EventKind::CachePoisonRollback);
-        self.opts.metrics.inc(Counter::CacheRollbacks);
         self.cache.invalidate();
         self.ws.reset_caches();
         let t_new = t0 + hmin;
@@ -294,9 +292,6 @@ impl PointSolver {
 
     fn emit_rung(&self, t: f64, rung: u32, success: bool) {
         self.opts.probe.emit(t, EventKind::RecoveryRung { rung, success });
-        if success {
-            self.opts.metrics.inc(Counter::RecoveryRescues);
-        }
     }
 }
 

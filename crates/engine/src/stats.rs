@@ -8,6 +8,7 @@
 
 use std::ops::{Add, AddAssign};
 use std::time::Duration;
+use wavepipe_telemetry::EventKind;
 
 /// Counters accumulated during an analysis.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -61,6 +62,29 @@ impl SimStats {
     /// Fresh zeroed counters.
     pub fn new() -> Self {
         SimStats::default()
+    }
+
+    /// Adds the fact an event records to the counters it feeds — the one map
+    /// from a fact to the run's counters ([`crate::SimOptions::tally`] counts
+    /// and emits it in one call). Kinds no counter carries add nothing;
+    /// `solves`, the Krylov counters and the clocks are kept directly.
+    #[inline]
+    pub fn count(&mut self, kind: &EventKind) {
+        match *kind {
+            EventKind::NewtonIter { .. } => self.newton_iterations += 1,
+            EventKind::Factorization => self.factorizations += 1,
+            EventKind::Refactorization => self.refactorizations += 1,
+            EventKind::JacobianReuse => self.jacobian_reuses += 1,
+            EventKind::StampPass { evals, bypassed, companion_hit } => {
+                self.device_evals += evals as usize;
+                self.bypass_hits += bypassed as usize;
+                self.companion_hits += usize::from(companion_hit);
+            }
+            EventKind::PointAccepted { .. } => self.steps_accepted += 1,
+            EventKind::StepRetry { newton: true } => self.steps_rejected_newton += 1,
+            EventKind::StepRetry { newton: false } => self.steps_rejected_lte += 1,
+            _ => {}
+        }
     }
 
     /// Abstract work units: one unit per device evaluation plus a fixed
@@ -206,6 +230,39 @@ mod tests {
         assert_eq!(c.krylov_iterations, 10);
         assert_eq!(c.precond_refreshes, 3);
         assert_eq!(c.solver_fallbacks, 1);
+    }
+
+    #[test]
+    fn count_maps_each_fact_to_its_counter() {
+        let mut s = SimStats::new();
+        for kind in [
+            EventKind::NewtonIter { iteration: 1 },
+            EventKind::Factorization,
+            EventKind::Factorization,
+            EventKind::Refactorization,
+            EventKind::JacobianReuse,
+            EventKind::StampPass { evals: 7, bypassed: 3, companion_hit: true },
+            EventKind::PointAccepted { h: 1e-9 },
+            EventKind::StepRetry { newton: false },
+            EventKind::StepRetry { newton: true },
+            EventKind::SolveEnd { iterations: 2, converged: true },
+        ] {
+            s.count(&kind);
+        }
+        let want = SimStats {
+            newton_iterations: 1,
+            factorizations: 2,
+            refactorizations: 1,
+            jacobian_reuses: 1,
+            device_evals: 7,
+            bypass_hits: 3,
+            companion_hits: 1,
+            steps_accepted: 1,
+            steps_rejected_lte: 1,
+            steps_rejected_newton: 1,
+            ..SimStats::new()
+        };
+        assert_eq!(s, want);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::stats::SimStats;
 use crate::transient::{HistoryWindow, PointSolution, PointSolver};
 use std::sync::Arc;
 use wavepipe_sparse::vector::all_finite;
-use wavepipe_telemetry::{Counter, EventKind, Family, Gauge, Series};
+use wavepipe_telemetry::EventKind;
 
 /// Outcome of testing one solved candidate against the history
 /// ([`StepController::try_commit`]).
@@ -278,13 +278,9 @@ impl StepController {
     }
 
     fn accept(&mut self, sol: &PointSolution, h_next: f64) {
-        self.opts.probe.emit(sol.t, EventKind::PointAccepted { h: sol.coeffs.h });
-        if self.opts.metrics.enabled() {
-            publish_accept_metrics(&self.opts.metrics, sol.coeffs.h, h_next);
-        }
+        self.opts.tally(&mut self.stats, sol.t, EventKind::PointAccepted { h: sol.coeffs.h });
         self.hw.accept(sol);
         self.result.push(sol.t, &sol.x);
-        self.stats.steps_accepted += 1;
         self.h = h_next;
     }
 
@@ -295,8 +291,7 @@ impl StepController {
     /// integration with damped backward Euler: the estimate is then
     /// dominated by point-to-point artifacts that shrinking `h` cannot fix.
     pub fn base_lte_reject(&mut self, h_attempt: f64, h_retry: f64) {
-        self.stats.steps_rejected_lte += 1;
-        self.opts.metrics.inc(Counter::LteRejects);
+        self.retry(false);
         self.lte_reject_streak += 1;
         let crawling = h_attempt < self.hmin * 1e3;
         if self.lte_reject_streak >= 3 || crawling {
@@ -319,8 +314,7 @@ impl StepController {
     /// the true history, so it counts as a rejected step and its retry
     /// stride is the next base step.
     pub fn spec_lte_reject(&mut self, h_retry: f64) {
-        self.stats.steps_rejected_lte += 1;
-        self.opts.metrics.inc(Counter::LteRejects);
+        self.retry(false);
         self.h = h_retry;
     }
 
@@ -328,10 +322,15 @@ impl StepController {
     /// when the retry would fall below `hmin` — the point where the serial
     /// loop enters [`StepController::rescue`].
     pub fn newton_reject(&mut self, h_attempt: f64) -> bool {
-        self.stats.steps_rejected_newton += 1;
-        self.opts.metrics.inc(Counter::NewtonRejects);
+        self.retry(true);
         self.h = h_attempt * self.opts.nr_shrink;
         self.h < self.hmin
+    }
+
+    /// Counts a step the run retries: Newton failed, or (`newton` false) LTE.
+    fn retry(&mut self, newton: bool) {
+        let t = self.hw.t();
+        self.opts.tally(&mut self.stats, t, EventKind::StepRetry { newton });
     }
 
     /// The step collapsed below the floor ([`StepController::newton_reject`]
@@ -389,17 +388,4 @@ impl StepController {
         self.result.set_stats(self.stats);
         self.result
     }
-}
-
-/// Out-of-line publish of one accepted point: scalar and per-lane counts,
-/// the step-size series, and the live `current_h` gauge (the *next* proposed
-/// step). `#[cold]` so the accept path stays small when no registry is
-/// attached.
-#[cold]
-#[inline(never)]
-fn publish_accept_metrics(m: &wavepipe_telemetry::MetricsHandle, h_committed: f64, h_next: f64) {
-    m.inc(Counter::PointsAccepted);
-    m.add_lane(Family::PointsByLane, 1);
-    m.observe(Series::StepSize, h_committed);
-    m.set_gauge(Gauge::CurrentH, h_next);
 }

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use wavepipe_circuit::Circuit;
 use wavepipe_sparse::SharedPlan;
-use wavepipe_telemetry::{Counter, EventKind, Family, Series};
+use wavepipe_telemetry::EventKind;
 
 /// Number of past points retained for companions, prediction, and LTE.
 const WINDOW: usize = 4;
@@ -469,7 +469,6 @@ impl PointSolver {
                 converged: outcome.converged,
             },
         );
-        self.publish_solve_metrics(outcome.iterations, start);
         Ok(PointSolution {
             t: t_new,
             x: outcome.x,
@@ -499,7 +498,6 @@ impl PointSolver {
         self.opts
             .probe
             .emit(t_new, EventKind::SolveEnd { iterations: max_iters as u32, converged: false });
-        self.publish_solve_metrics(max_iters, start);
         PointSolution {
             t: t_new,
             x: hw.xs[0].clone(),
@@ -511,31 +509,6 @@ impl PointSolver {
             stats,
         }
     }
-
-    /// Mirrors a finished point-solve into the metrics registry: scalar and
-    /// per-lane solve counts plus the iteration / wall-time series. The
-    /// wall-time series is timing data — anything that promises byte
-    /// stability reads only the counts. The body is `#[cold]`/out-of-line so
-    /// the disabled path costs one branch without growing the solve path.
-    fn publish_solve_metrics(&self, iterations: usize, start: Instant) {
-        if self.opts.metrics.enabled() {
-            publish_solve_metrics_cold(&self.opts.metrics, iterations, start);
-        }
-    }
-}
-
-/// Out-of-line body of [`PointSolver::publish_solve_metrics`].
-#[cold]
-#[inline(never)]
-fn publish_solve_metrics_cold(
-    m: &wavepipe_telemetry::MetricsHandle,
-    iterations: usize,
-    start: Instant,
-) {
-    m.inc(Counter::Solves);
-    m.add_lane(Family::SolvesByLane, 1);
-    m.observe(Series::NewtonItersPerSolve, iterations as f64);
-    m.observe(Series::SolveMicros, start.elapsed().as_nanos() as f64 / 1e3);
 }
 
 /// A transient run's result together with the error (if any) that ended it:

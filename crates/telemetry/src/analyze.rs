@@ -5,8 +5,10 @@
 //! The analysis is split in two deliberately:
 //!
 //! * [`Counts`] — everything derived from event *counts*: speculation
-//!   accounting, Newton breakdown, cache hit rates, per-lane solve tallies.
-//!   For a fixed seed and thread count these are bit-reproducible, so the
+//!   accounting, Newton breakdown, cache hit rates, per-lane and per-class
+//!   tallies. [`Counts::add`] is the one incremental fold, which the live
+//!   [`crate::MetricsRegistry`] runs too. For a fixed seed and thread count
+//!   these are bit-reproducible, so the
 //!   [`TraceAnalysis::stable_report`] rendering is **byte-stable** across
 //!   identical runs — the auditability hook the determinism tests pin.
 //! * [`Timing`] — everything derived from timestamps: per-lane
@@ -18,7 +20,7 @@
 //! arithmetic (per-mille, truncated), so no floating-point formatting
 //! variance can leak into the stable bytes.
 
-use crate::event::{Event, EventKind};
+use crate::event::{DeviceClass, DiscardReason, Event, EventKind, FactorLayer};
 use crate::histogram::Histogram;
 use crate::json;
 use crate::metrics::{Family, Snapshot};
@@ -35,25 +37,33 @@ macro_rules! counts {
         #[derive(Debug, Clone, PartialEq)]
         pub struct Counts {
             $($(#[$doc])* pub $field: u64,)+
-            /// `(lane, solves)` per lane, ascending by lane.
-            pub lane_solves: Vec<(u32, u64)>,
+            /// Solves per lane.
+            pub lane_solves: BTreeMap<u32, u64>,
+            /// Committed points per lane.
+            pub lane_points: BTreeMap<u32, u64>,
+            /// `(evaluated, bypassed)` nonlinear devices per device class,
+            /// indexed by `DeviceClass as usize`.
+            pub class_evals: [(u64, u64); DeviceClass::ALL.len()],
             /// Newton iterations per solve (from SolveEnd).
             pub newton_iters: Histogram,
             /// Integration strides of accepted points, seconds.
             pub step_sizes: Histogram,
-            /// Discard reasons across leads and speculations, descending by
-            /// count then name.
-            pub discard_reasons: Vec<(String, u64)>,
+            /// Discarded leads and speculations per reason, indexed by
+            /// `DiscardReason as usize`.
+            discards: [u64; DiscardReason::ALL.len()],
         }
 
         impl Counts {
-            fn zero() -> Self {
+            /// Nothing counted yet.
+            pub(crate) fn zero() -> Self {
                 Counts {
                     $($field: 0,)+
-                    lane_solves: Vec::new(),
+                    lane_solves: BTreeMap::new(),
+                    lane_points: BTreeMap::new(),
+                    class_evals: [(0, 0); DeviceClass::ALL.len()],
                     newton_iters: Histogram::integer(20),
                     step_sizes: Histogram::log10(-15, 0, 2),
-                    discard_reasons: Vec::new(),
+                    discards: [0; DiscardReason::ALL.len()],
                 }
             }
 
@@ -70,19 +80,25 @@ counts! {
     rounds,
     /// Committed points.
     points_accepted,
+    /// Steps the run retried because the LTE test failed
+    /// (`SimStats::steps_rejected_lte`).
+    lte_rejects,
+    /// Steps the run retried because Newton failed
+    /// (`SimStats::steps_rejected_newton`).
+    newton_rejects,
     /// Point-solves finished (SolveEnd events).
     solves,
     /// Solves that ended unconverged.
     solves_unconverged,
     /// Newton iterations: every `NewtonIter` event, the operating point's
-    /// (emitted before any solve span) included — the same quantity as the
-    /// live `Counter::NewtonIterations` and `SimStats::newton_iterations`.
-    /// The per-solve distribution is [`Counts::newton_iters`].
+    /// (emitted before any solve span) included — the same quantity as
+    /// `SimStats::newton_iterations`. The per-solve distribution is
+    /// [`Counts::newton_iters`].
     newton_iterations,
     /// Failed LTE tests (`LteReject` events), the tests that threw away a
     /// lead or a speculation included. *Not* the step-rejection count: that
-    /// is `Counter::LteRejects` / `SimStats::steps_rejected_lte`, which
-    /// counts only the rejections that made the run retry a step.
+    /// is [`Counts::lte_rejects`], which counts only the rejections that made
+    /// the run retry a step.
     lte_tests_failed,
     /// Backward leads committed.
     lead_accepted,
@@ -92,6 +108,10 @@ counts! {
     speculation_accepted,
     /// Forward speculations discarded.
     speculation_discarded,
+    /// Stamp passes (one per Newton iteration).
+    stamp_passes,
+    /// Device evaluations, linear ones included (`SimStats::device_evals`).
+    device_evals,
     /// Numeric factorization passes of any kind.
     factorizations,
     /// Frozen-pivot refactorizations (subset of `factorizations`).
@@ -102,6 +122,14 @@ counts! {
     bypassed_devices,
     /// Linear stamps replayed from the companion cache.
     companion_hits,
+    /// Chord steps taken on factors that were parked.
+    parked_hits,
+    /// New linear-stamp keys no parked set was kept for.
+    parked_misses,
+    /// Adopted LU plans that passed their pivot check.
+    plan_hits,
+    /// Adopted LU plans that failed it.
+    plan_misses,
     /// Worker threads lost to panics.
     workers_lost,
     /// Serial-fallback transitions.
@@ -134,6 +162,89 @@ impl Counts {
     /// speculations).
     pub fn wasted_solves(&self) -> u64 {
         self.lead_discarded + self.speculation_discarded
+    }
+
+    /// Discard reasons across leads and speculations, descending by count
+    /// then name.
+    pub fn discard_reasons(&self) -> Vec<(&'static str, u64)> {
+        let mut out: Vec<(&'static str, u64)> = DiscardReason::ALL
+            .into_iter()
+            .map(|r| (r.name(), self.discards[r as usize]))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
+        out
+    }
+
+    /// Folds one event into the counts: the one incremental fold behind
+    /// both [`analyze()`] and the live [`crate::MetricsRegistry`].
+    pub fn add(&mut self, ev: &Event) {
+        match ev.kind {
+            EventKind::RoundStart { .. } => self.rounds += 1,
+            EventKind::SolveEnd { iterations, converged } => {
+                self.solves += 1;
+                self.solves_unconverged += u64::from(!converged);
+                self.newton_iters.observe(f64::from(iterations));
+                *self.lane_solves.entry(ev.lane).or_insert(0) += 1;
+            }
+            EventKind::NewtonIter { .. } => self.newton_iterations += 1,
+            EventKind::Factorization => self.factorizations += 1,
+            EventKind::Refactorization => self.refactorizations += 1,
+            EventKind::JacobianReuse => self.jacobian_reuses += 1,
+            EventKind::FactorLookup { layer, hit } => {
+                *match (layer, hit) {
+                    (FactorLayer::Parked, true) => &mut self.parked_hits,
+                    (FactorLayer::Parked, false) => &mut self.parked_misses,
+                    (FactorLayer::Plan, true) => &mut self.plan_hits,
+                    (FactorLayer::Plan, false) => &mut self.plan_misses,
+                } += 1;
+            }
+            EventKind::StampPass { evals, bypassed, companion_hit } => {
+                self.stamp_passes += 1;
+                self.device_evals += u64::from(evals);
+                self.bypassed_devices += u64::from(bypassed);
+                self.companion_hits += u64::from(companion_hit);
+            }
+            EventKind::ClassEvals { class, evals, bypassed } => {
+                let cell = &mut self.class_evals[class as usize];
+                cell.0 += u64::from(evals);
+                cell.1 += u64::from(bypassed);
+            }
+            EventKind::LteReject { .. } => self.lte_tests_failed += 1,
+            EventKind::PointAccepted { h } => {
+                self.points_accepted += 1;
+                self.step_sizes.observe(h);
+                *self.lane_points.entry(ev.lane).or_insert(0) += 1;
+            }
+            EventKind::StepRetry { newton: true } => self.newton_rejects += 1,
+            EventKind::StepRetry { newton: false } => self.lte_rejects += 1,
+            EventKind::LeadAccepted => self.lead_accepted += 1,
+            EventKind::LeadDiscarded { reason } => {
+                self.lead_discarded += 1;
+                self.discards[reason as usize] += 1;
+            }
+            EventKind::SpeculationAccepted => self.speculation_accepted += 1,
+            EventKind::SpeculationDiscarded { reason } => {
+                self.speculation_discarded += 1;
+                self.discards[reason as usize] += 1;
+            }
+            EventKind::WorkerLost { .. } => self.workers_lost += 1,
+            EventKind::FallbackSerial => self.serial_fallbacks += 1,
+            EventKind::DeadlineHit => self.deadline_hits += 1,
+            EventKind::RecoveryAttempt { .. } => self.recovery_attempts += 1,
+            EventKind::RecoveryRung { success, .. } => self.recovery_rescues += u64::from(success),
+            EventKind::CachePoisonRollback => self.cache_rollbacks += 1,
+            EventKind::KrylovSolve { iterations, precond_refreshes, fallback, .. } => {
+                self.krylov_solves += 1;
+                self.krylov_iterations += u64::from(iterations);
+                self.precond_refreshes += u64::from(precond_refreshes);
+                self.solver_fallbacks += u64::from(fallback);
+            }
+            EventKind::RoundEnd { .. }
+            | EventKind::SolveStart { .. }
+            | EventKind::StepSizeChosen { .. }
+            | EventKind::LeadEma { .. } => {}
+        }
     }
 }
 
@@ -228,8 +339,6 @@ pub fn pct(num: u64, den: u64) -> String {
 /// [`crate::RecordingProbe::events`] or [`crate::jsonl::parse_jsonl`]).
 pub fn analyze(events: &[Event]) -> TraceAnalysis {
     let mut c = Counts::zero();
-    let mut lane_solves: BTreeMap<u32, u64> = BTreeMap::new();
-    let mut reasons: HashMap<&'static str, u64> = HashMap::new();
 
     // Timing state. Solve spans use last-start-wins (dispatch stamps a
     // SolveStart, execution stamps another; busy time must exclude the
@@ -249,11 +358,11 @@ pub fn analyze(events: &[Event]) -> TraceAnalysis {
     let (mut ts_min, mut ts_max) = (u64::MAX, 0u64);
 
     for ev in events {
+        c.add(ev);
         ts_min = ts_min.min(ev.ts_ns);
         ts_max = ts_max.max(ev.ts_ns);
         match ev.kind {
             EventKind::RoundStart { .. } => {
-                c.rounds += 1;
                 let agg = rounds.entry(ev.round).or_default();
                 agg.start = ev.ts_ns;
                 agg.first_solve_start = u64::MAX;
@@ -270,13 +379,7 @@ pub fn analyze(events: &[Event]) -> TraceAnalysis {
                 }
                 agg.first_solve_start = agg.first_solve_start.min(ev.ts_ns);
             }
-            EventKind::SolveEnd { iterations, converged } => {
-                c.solves += 1;
-                if !converged {
-                    c.solves_unconverged += 1;
-                }
-                c.newton_iters.observe(f64::from(iterations));
-                *lane_solves.entry(ev.lane).or_insert(0) += 1;
+            EventKind::SolveEnd { .. } => {
                 if let Some((first, last)) = open_solve.remove(&ev.lane) {
                     let busy = ev.ts_ns.saturating_sub(last);
                     let lane = lanes.entry(ev.lane).or_insert(LaneTiming {
@@ -292,54 +395,9 @@ pub fn analyze(events: &[Event]) -> TraceAnalysis {
                     agg.solve_sum += busy;
                 }
             }
-            EventKind::NewtonIter { .. } => c.newton_iterations += 1,
-            EventKind::StepSizeChosen { .. } => {}
-            EventKind::Factorization => c.factorizations += 1,
-            EventKind::Refactorization => c.refactorizations += 1,
-            EventKind::JacobianReuse => c.jacobian_reuses += 1,
-            EventKind::BypassedDevices { devices } => c.bypassed_devices += u64::from(devices),
-            EventKind::CompanionHit => c.companion_hits += 1,
-            EventKind::LteReject { .. } => c.lte_tests_failed += 1,
-            EventKind::PointAccepted { h } => {
-                c.points_accepted += 1;
-                c.step_sizes.observe(h);
-            }
-            EventKind::LeadAccepted => c.lead_accepted += 1,
-            EventKind::LeadDiscarded { reason } => {
-                c.lead_discarded += 1;
-                *reasons.entry(reason.name()).or_insert(0) += 1;
-            }
-            EventKind::SpeculationAccepted => c.speculation_accepted += 1,
-            EventKind::SpeculationDiscarded { reason } => {
-                c.speculation_discarded += 1;
-                *reasons.entry(reason.name()).or_insert(0) += 1;
-            }
-            EventKind::WorkerLost { .. } => c.workers_lost += 1,
-            EventKind::FallbackSerial => c.serial_fallbacks += 1,
-            EventKind::DeadlineHit => c.deadline_hits += 1,
-            EventKind::RecoveryAttempt { .. } => c.recovery_attempts += 1,
-            EventKind::RecoveryRung { success, .. } => {
-                if success {
-                    c.recovery_rescues += 1;
-                }
-            }
-            EventKind::CachePoisonRollback => c.cache_rollbacks += 1,
-            EventKind::KrylovSolve { iterations, precond_refreshes, fallback, .. } => {
-                c.krylov_solves += 1;
-                c.krylov_iterations += u64::from(iterations);
-                c.precond_refreshes += u64::from(precond_refreshes);
-                if fallback {
-                    c.solver_fallbacks += 1;
-                }
-            }
+            _ => {}
         }
     }
-
-    c.lane_solves = lane_solves.into_iter().collect();
-    let mut reasons: Vec<(String, u64)> =
-        reasons.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
-    reasons.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    c.discard_reasons = reasons;
 
     // Fold the per-round spans into the wall-time decomposition.
     let (mut solve_phase, mut commit, mut launch, mut rounds_ns) = (0u64, 0u64, 0u64, 0u64);
@@ -393,7 +451,7 @@ impl TraceAnalysis {
             "  solves                    {:>10}  ({} unconverged)",
             c.solves, c.solves_unconverged
         );
-        for &(lane, n) in &c.lane_solves {
+        for (&lane, &n) in &c.lane_solves {
             let _ = writeln!(
                 out,
                 "    lane {lane:<3} solves         {:>10}  ({} of all solves)",
@@ -427,9 +485,10 @@ impl TraceAnalysis {
             pct(c.wasted_solves(), c.solves),
             c.wasted_solves()
         );
-        if !c.discard_reasons.is_empty() {
+        let reasons = c.discard_reasons();
+        if !reasons.is_empty() {
             let _ = write!(out, "  discard reasons          ");
-            for (name, n) in &c.discard_reasons {
+            for (name, n) in reasons {
                 let _ = write!(out, " {name}={n}");
             }
             let _ = writeln!(out);
@@ -452,9 +511,7 @@ impl TraceAnalysis {
         let _ = writeln!(
             out,
             "  companion replay          {:>10}  of newton stamps ({} hits)",
-            // Over the transient's stamps, i.e. the iterations inside solve
-            // spans (the operating point's run before the first span).
-            pct(c.companion_hits, c.newton_iters.sum() as u64),
+            pct(c.companion_hits, c.stamp_passes),
             c.companion_hits
         );
         let _ = writeln!(out, "  bypassed device evals     {:>10}", c.bypassed_devices);
@@ -562,14 +619,14 @@ impl TraceAnalysis {
             let _ = write!(out, "\"{name}\":{v}");
         }
         out.push_str(",\"lane_solves\":[");
-        for (i, &(lane, n)) in c.lane_solves.iter().enumerate() {
+        for (i, (&lane, &n)) in c.lane_solves.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             let _ = write!(out, "{{\"lane\":{lane},\"solves\":{n}}}");
         }
         out.push_str("],\"discard_reasons\":[");
-        for (i, (name, n)) in c.discard_reasons.iter().enumerate() {
+        for (i, (name, n)) in c.discard_reasons().into_iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -626,8 +683,8 @@ fn family_pair(snapshot: &Snapshot, a: Family, b: Family) -> Vec<(&str, u64, u64
 }
 
 /// Renders the per-device-class and per-cache-layer families of a metrics
-/// [`Snapshot`] as a stable table (counts only, deterministic): the piece
-/// of the doctor report the event stream alone cannot provide.
+/// [`Snapshot`] as a stable table (counts only, deterministic), live or
+/// replayed alike.
 pub fn class_cache_table(snapshot: &Snapshot) -> String {
     let mut out = String::new();
     let classes = family_pair(snapshot, Family::EvalsByClass, Family::BypassByClass);
@@ -704,11 +761,12 @@ mod tests {
         assert_eq!(c.solves_unconverged, 1);
         assert_eq!(c.newton_iters.sum(), 12.0);
         assert_eq!(c.step_sizes.count(), 1);
-        assert_eq!(c.lane_solves, vec![(0, 2), (1, 1)]);
+        assert_eq!(c.lane_solves, BTreeMap::from([(0, 2), (1, 1)]));
+        assert_eq!(c.lane_points, BTreeMap::from([(0, 1)]));
         assert_eq!(c.lead_accepted, 1);
         assert_eq!(c.lead_discarded, 1);
         assert_eq!(c.wasted_solves(), 1);
-        assert_eq!(c.discard_reasons, vec![("lte_rejected".to_string(), 1)]);
+        assert_eq!(c.discard_reasons(), vec![("lte_rejected", 1)]);
     }
 
     #[test]
@@ -757,10 +815,15 @@ mod tests {
             EventKind::Factorization,
             EventKind::Refactorization,
             EventKind::JacobianReuse,
-            EventKind::BypassedDevices { devices: 7 },
-            EventKind::BypassedDevices { devices: 2 },
-            EventKind::CompanionHit,
+            EventKind::StampPass { evals: 5, bypassed: 7, companion_hit: false },
+            EventKind::StampPass { evals: 4, bypassed: 2, companion_hit: true },
+            EventKind::ClassEvals { class: DeviceClass::Bjt, evals: 3, bypassed: 9 },
+            EventKind::FactorLookup { layer: FactorLayer::Parked, hit: true },
+            EventKind::FactorLookup { layer: FactorLayer::Plan, hit: false },
             EventKind::LteReject { ratio: 2.0, h_retry: 1e-10 },
+            EventKind::StepRetry { newton: false },
+            EventKind::StepRetry { newton: true },
+            EventKind::StepRetry { newton: true },
             EventKind::SpeculationAccepted,
             EventKind::SpeculationDiscarded { reason: DiscardReason::ChainBroken },
             EventKind::WorkerLost { lane: 2 },
@@ -788,9 +851,15 @@ mod tests {
             ("factorizations", 2),
             ("refactorizations", 1),
             ("jacobian_reuses", 1),
+            ("stamp_passes", 2),
+            ("device_evals", 9),
             ("bypassed_devices", 9),
             ("companion_hits", 1),
+            ("parked_hits", 1),
+            ("plan_misses", 1),
             ("lte_tests_failed", 1),
+            ("lte_rejects", 1),
+            ("newton_rejects", 2),
             ("speculation_accepted", 1),
             ("speculation_discarded", 1),
             ("workers_lost", 2),
@@ -807,6 +876,7 @@ mod tests {
         for (name, v) in want {
             assert_eq!(a.counts.scalar(name), Some(v), "{name}");
         }
+        assert_eq!(a.counts.class_evals[DeviceClass::Bjt as usize], (3, 9));
         assert_eq!(a.counts.scalar("no_such_count"), None);
         let stable = a.stable_report("t");
         for line in ["krylov solves", "faults", "recovery"] {
@@ -887,12 +957,12 @@ mod tests {
 
     #[test]
     fn class_cache_table_renders_families() {
-        let reg = crate::metrics::MetricsRegistry::shared();
-        reg.add_labeled(crate::metrics::Family::EvalsByClass, "mos", 90);
-        reg.add_labeled(crate::metrics::Family::BypassByClass, "mos", 10);
-        reg.add_labeled(crate::metrics::Family::CacheHits, "chord", 3);
-        reg.add_labeled(crate::metrics::Family::CacheMisses, "chord", 1);
-        let table = class_cache_table(&reg.snapshot());
+        let mut kinds =
+            vec![EventKind::ClassEvals { class: DeviceClass::Mos, evals: 90, bypassed: 10 }];
+        kinds.extend([EventKind::JacobianReuse; 3]);
+        kinds.push(EventKind::Factorization);
+        let events: Vec<Event> = kinds.into_iter().map(|k| ev(0, 0, 0, k)).collect();
+        let table = class_cache_table(&crate::MetricsRegistry::replay(&events).snapshot());
         assert!(table.contains("mos"));
         assert!(table.contains("10.0% bypass rate"), "{table}");
         assert!(table.contains("75.0% hit rate"), "{table}");

@@ -89,14 +89,11 @@ pub fn write_chrome_trace<W: Write>(events: &[Event], out: &mut W) -> io::Result
     let mut open_solve: Vec<Option<(u64, f64, f64)>> = vec![None; max_lane as usize + 1];
     let mut open_round: Option<(u64, u64, u32)> = None;
     // Counter-track state: accept-rate EMA over lead/speculation outcomes,
-    // concurrently in-flight solves, and the bypass hit-rate proxy (total
-    // bypassed over bypass opportunities, taking the largest observed batch
-    // as the per-iteration nonlinear device count).
+    // concurrently in-flight solves, and the running bypass hit rate (all
+    // bypassed nonlinear devices over all nonlinear devices stamped).
     let mut accept_ema = 1.0f64;
     let mut active_solves = 0u32;
-    let mut bypassed_total = 0u64;
-    let mut bypass_events = 0u64;
-    let mut max_bypass_batch = 0u64;
+    let (mut bypassed_total, mut nonlinear_total) = (0u64, 0u64);
     for ev in events {
         match ev.kind {
             EventKind::SolveStart { h } => {
@@ -149,17 +146,12 @@ pub fn write_chrome_trace<W: Write>(events: &[Event], out: &mut W) -> io::Result
                     complete(&mut objs, ROUNDS_TID, &name, start, ev.ts_ns, &args);
                 }
             }
-            EventKind::BypassedDevices { devices } => {
-                // No span — just the hit-rate counter. The largest batch seen
-                // so far stands in for the circuit's nonlinear device count
-                // (the stream itself never carries it), so early samples may
-                // underestimate the denominator and start near 1.
-                bypassed_total += u64::from(devices);
-                bypass_events += 1;
-                max_bypass_batch = max_bypass_batch.max(u64::from(devices));
-                let denom = bypass_events * max_bypass_batch;
-                if denom > 0 {
-                    let rate = bypassed_total as f64 / denom as f64;
+            EventKind::ClassEvals { evals, bypassed, .. } => {
+                // No span — just the hit-rate counter.
+                bypassed_total += u64::from(bypassed);
+                nonlinear_total += u64::from(evals) + u64::from(bypassed);
+                if nonlinear_total > 0 {
+                    let rate = bypassed_total as f64 / nonlinear_total as f64;
                     counter(&mut objs, "bypass hit rate", ev.ts_ns, "rate", rate);
                 }
             }
@@ -170,9 +162,11 @@ pub fn write_chrome_trace<W: Write>(events: &[Event], out: &mut W) -> io::Result
             | EventKind::Factorization
             | EventKind::Refactorization
             | EventKind::JacobianReuse
-            | EventKind::CompanionHit
+            | EventKind::FactorLookup { .. }
+            | EventKind::StampPass { .. }
             | EventKind::StepSizeChosen { .. }
-            | EventKind::PointAccepted { .. } => {}
+            | EventKind::PointAccepted { .. }
+            | EventKind::LeadEma { .. } => {}
             // Every other kind is an instant carrying `t_sim` and its declared
             // payload: on the emitting lane's track, or on the rounds track
             // for the run-level deadline.
@@ -393,11 +387,16 @@ mod tests {
     }
 
     #[test]
-    fn bypass_rate_counter_uses_largest_batch_as_denominator() {
+    fn bypass_rate_counter_is_the_running_hit_rate() {
+        let pass = |bypassed, evals| EventKind::ClassEvals {
+            class: crate::event::DeviceClass::Mos,
+            evals,
+            bypassed,
+        };
         let events = vec![
-            ev(10, 1, 0, EventKind::BypassedDevices { devices: 50 }),
-            ev(20, 1, 0, EventKind::BypassedDevices { devices: 100 }),
-            ev(30, 1, 0, EventKind::BypassedDevices { devices: 30 }),
+            ev(10, 1, 0, pass(50, 0)),
+            ev(20, 1, 0, pass(100, 100)),
+            ev(30, 1, 0, pass(30, 20)),
         ];
         let doc = crate::json::parse(&chrome_trace_string(&events)).expect("valid JSON");
         let cs = counters(&doc, "bypass hit rate");
@@ -405,8 +404,8 @@ mod tests {
             .iter()
             .map(|c| c.get("args").unwrap().get("rate").unwrap().as_f64().unwrap())
             .collect();
-        // 50/50, then 150/200, then 180/300.
-        assert_eq!(values, vec![1.0, 0.75, 0.6]);
+        // 50/50, then 150/250, then 180/300.
+        assert_eq!(values, vec![1.0, 0.6, 0.6]);
     }
 
     #[test]

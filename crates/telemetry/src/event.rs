@@ -27,10 +27,37 @@ named_enum! {
     }
 }
 
-impl DiscardReason {
-    /// Inverse of [`DiscardReason::name`].
-    pub fn from_name(s: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|r| r.name() == s)
+named_enum! {
+    /// The kind of a compiled device, as the per-class tallies name it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    #[allow(missing_docs)] // the names are the documentation
+    pub enum DeviceClass {
+        Resistor = "resistor",
+        Cap = "cap",
+        Jcap = "jcap",
+        Ind = "ind",
+        Vsrc = "vsrc",
+        Isrc = "isrc",
+        Diode = "diode",
+        Mos = "mos",
+        Bjt = "bjt",
+        Vcvs = "vcvs",
+        Vccs = "vccs",
+    }
+}
+
+named_enum! {
+    /// A factor-level solver cache consulted once per lookup.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum FactorLayer {
+        /// A new linear-stamp key's turn at the parked factor sets: a hit is
+        /// a chord step on factors that were parked (a factorization saved),
+        /// a miss a key no set was kept for.
+        Parked = "parked",
+        /// An adopted LU plan's pivot check: a hit is a refactorization where
+        /// the lane would have pivoted afresh, a miss the private
+        /// factorization a failed check pays.
+        Plan = "plan",
     }
 }
 
@@ -103,16 +130,27 @@ impl Field for bool {
     }
 }
 
-impl Field for DiscardReason {
-    const SAMPLE: Self = DiscardReason::LteRejected;
+/// Named enums travel as their wire name.
+macro_rules! named_fields {
+    ($($ty:ident = $sample:expr, $want:literal;)+) => {$(
+        impl Field for $ty {
+            const SAMPLE: Self = $sample;
 
-    fn encode(self, out: &mut String) {
-        let _ = write!(out, "\"{}\"", self.name());
-    }
+            fn encode(self, out: &mut String) {
+                let _ = write!(out, "\"{}\"", self.name());
+            }
 
-    fn decode(v: &JsonValue) -> Result<Self, &'static str> {
-        v.as_str().and_then(DiscardReason::from_name).ok_or("a discard reason name")
-    }
+            fn decode(v: &JsonValue) -> Result<Self, &'static str> {
+                v.as_str().and_then($ty::from_name).ok_or($want)
+            }
+        }
+    )+};
+}
+
+named_fields! {
+    DiscardReason = DiscardReason::LteRejected, "a discard reason name";
+    DeviceClass = DeviceClass::Mos, "a device class name";
+    FactorLayer = FactorLayer::Plan, "a factor layer name";
 }
 
 /// Reads field `key` of the JSONL object `obj`; the error names the field.
@@ -223,15 +261,34 @@ event_kinds! {
     /// A chord/modified-Newton iteration reused the previous LU factors
     /// without any numeric factorization pass.
     JacobianReuse = "jacobian_reuse",
-    /// One stamp pass replayed `devices` nonlinear devices from their bypass
-    /// caches instead of re-evaluating the models.
-    BypassedDevices = "bypassed_devices" {
-        /// Devices bypassed in this stamp pass.
-        devices: u32,
+    /// A factor-level cache was consulted: a parked-set turn or an adopted
+    /// plan's pivot check.
+    FactorLookup = "factor_lookup" {
+        /// Which cache.
+        layer: FactorLayer,
+        /// Whether it served the lookup.
+        hit: bool,
     },
-    /// The assembled linear matrix was replayed from the step-size-keyed
-    /// companion cache instead of being re-stamped.
-    CompanionHit = "companion_hit",
+    /// One stamp pass assembled the Newton system.
+    StampPass = "stamp_pass" {
+        /// Devices evaluated, linear ones included (bypassed ones not).
+        evals: u32,
+        /// Nonlinear devices replayed from their bypass caches.
+        bypassed: u32,
+        /// Whether the linear matrix was replayed from the step-size-keyed
+        /// companion cache instead of being re-stamped.
+        companion_hit: bool,
+    },
+    /// One stamp pass's nonlinear devices of one class (emitted per class
+    /// present, beside [`EventKind::StampPass`]).
+    ClassEvals = "class_evals" {
+        /// The device class.
+        class: DeviceClass,
+        /// Devices of the class whose model was evaluated.
+        evals: u32,
+        /// Devices of the class replayed from their bypass caches.
+        bypassed: u32,
+    },
     /// The LTE test rejected a candidate point.
     LteReject = "lte_reject" {
         /// Weighted error ratio (> 1).
@@ -251,12 +308,26 @@ event_kinds! {
         /// Stride the point was integrated with.
         h: f64,
     },
+    /// The run retries a step: its base point (or a speculative point
+    /// refined against the true history) failed the LTE test or Newton. A
+    /// failed test that only threw away a lead or a speculation is not one.
+    StepRetry = "step_retry" {
+        /// `true` for a Newton failure, `false` for an LTE rejection.
+        newton: bool,
+    },
     /// A backward-pipelined lead point survived its commit tests.
     LeadAccepted = "lead_accepted",
     /// A backward-pipelined lead point was discarded.
     LeadDiscarded = "lead_discarded" {
         /// Why the lead was thrown away.
         reason: DiscardReason,
+    },
+    /// A pipelined run folded a lead outcome into its accept-rate EMA.
+    LeadEma = "lead_ema" {
+        /// The EMA of the backward-lead accept rate (0..1).
+        ema: f64,
+        /// Whether the EMA currently justifies deep ladders and speculation.
+        deep: bool,
     },
     /// A forward-pipelined speculative point was refined and committed.
     SpeculationAccepted = "speculation_accepted",
@@ -338,7 +409,7 @@ mod tests {
         let names: std::collections::HashSet<&str> =
             EventKind::SAMPLES.iter().map(EventKind::name).collect();
         assert_eq!(names.len(), EventKind::SAMPLES.len());
-        assert_eq!(names.len(), 24);
+        assert_eq!(names.len(), 27);
     }
 
     #[test]

@@ -15,14 +15,19 @@
 //!   and wall-time decomposition that `wavepipe-doctor` and
 //!   `netlist_runner` print.
 //!
+//! A fourth consumer, the live [`MetricsRegistry`], is itself a probe: it
+//! runs the fold [`analyze()`] runs, one event at a time, so a run can be
+//! watched while it goes and a replayed trace reports the same snapshot.
+//!
 //! Each of these reads the schema from one place. The event kinds — variant,
 //! wire name, typed payload fields — are one table in `event.rs`, from which
 //! [`EventKind`], [`EventKind::name`], [`EventKind::SAMPLES`] and the JSONL
-//! payload codec are derived; [`analyze::Counts`]' scalars and the metric
-//! enums ([`Counter`], [`Gauge`], [`Family`], [`Series`]) each declare their
-//! names once. Adding an event is one entry in that table, plus an arm in
-//! [`chrome`] only if it opens or closes a span and a line in
-//! [`analyze()`] only if it feeds a count.
+//! payload codec are derived; [`analyze::Counts`]' scalars (which are also
+//! the registry's counters) and the metric enums ([`Gauge`], [`Family`],
+//! [`Series`]) each declare their names once. Adding an event is one entry
+//! in that table and an arm in [`analyze::Counts::add`] (the match is
+//! exhaustive), plus an arm in [`chrome`] only if it opens or closes a span
+//! or should stay off the timeline.
 //!
 //! Telemetry never feeds back into the simulation: probes only observe, so
 //! a recorded run is bit-identical to an unrecorded one.
@@ -70,6 +75,11 @@ macro_rules! named_enum {
                     $($name::$variant => $wire,)+
                 }
             }
+
+            /// Inverse of `name`.
+            pub fn from_name(s: &str) -> Option<Self> {
+                Self::ALL.into_iter().find(|v| v.name() == s)
+            }
         }
     };
 }
@@ -84,9 +94,7 @@ pub mod metrics;
 mod probe;
 
 pub use analyze::{analyze, TraceAnalysis};
-pub use event::{DiscardReason, Event, EventKind};
+pub use event::{DeviceClass, DiscardReason, Event, EventKind, FactorLayer};
 pub use histogram::Histogram;
-pub use metrics::{
-    Counter, Family, Gauge, LabeledValue, MetricsHandle, MetricsRegistry, Series, Snapshot,
-};
-pub use probe::{NullProbe, Probe, ProbeHandle, RecordingProbe};
+pub use metrics::{Family, Gauge, LabeledValue, MetricsRegistry, Series, Snapshot};
+pub use probe::{FanOut, NullProbe, Probe, ProbeHandle, RecordingProbe};

@@ -1,86 +1,43 @@
-//! Lock-light live metrics: atomic counters, gauges, and streaming
-//! histograms, snapshot-able while a simulation runs.
+//! The live metrics registry: a [`Probe`] that folds the event stream as it
+//! arrives, so counters, labeled families, gauges and histograms can be
+//! snapshotted while a simulation runs.
 //!
-//! The registry is the second observability layer, between the raw event
-//! stream ([`crate::Probe`]) and the offline trace analysis
-//! ([`mod@crate::analyze`]): instrumented sites publish *both* — events carry
-//! the full story for replay, the registry answers "how is the run going
-//! right now" without draining or re-walking the event buffer.
+//! The registry is not a second instrument. Its counts are [`Counts`] — the
+//! fold [`mod@crate::analyze`] runs over a recorded stream — kept current one
+//! event at a time, so a counter, a labeled cell or a histogram of a live
+//! snapshot is exactly what a replay of the same events reports. Attach it
+//! like any probe (`ProbeHandle::new(registry)`), or
+//! [`MetricsRegistry::replay`] a recorded stream into a fresh one.
 //!
-//! Design rules, mirroring [`crate::ProbeHandle`]:
-//!
-//! * the disabled path ([`MetricsHandle::none`], the default) is a single
-//!   `Option` branch per call site — no atomics, no locks, no formatting;
-//! * scalar counters and gauges are relaxed atomics (lock-free, any lane);
-//! * labeled families and histograms sit behind a mutex but are only
-//!   touched at per-solve granularity (never per device or per matrix
-//!   entry), so contention stays negligible next to a factorization;
-//! * metrics never feed back into the simulation — like probes, they only
-//!   observe, so an instrumented run is bit-identical to a bare one.
+//! * The disabled path is the probe's: with no probe attached an emit is a
+//!   single `Option` branch.
+//! * The fold sits behind one mutex, touched once per event.
+//! * Like every probe, the registry only observes, so an instrumented run is
+//!   bit-identical to a bare one.
 //!
 //! [`MetricsRegistry::snapshot`] can be called concurrently with the run
 //! (the sampler thread behind `netlist_runner --metrics-every` does exactly
-//! that); the result is a consistent-enough point-in-time [`Snapshot`] with
-//! a [`Snapshot::diff`] API and Prometheus / JSON / pretty encoders.
+//! that); the result is a consistent point-in-time [`Snapshot`] with a
+//! [`Snapshot::diff`] API and Prometheus / JSON / pretty encoders.
 
+use crate::analyze::Counts;
+use crate::event::{DeviceClass, Event, EventKind};
 use crate::histogram::Histogram;
 use crate::json;
+use crate::probe::Probe;
 use std::collections::BTreeMap;
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 named_enum! {
-    /// Monotonic event counters, one atomic cell each. The wire name is also
-    /// the Prometheus metric stem.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    #[allow(missing_docs)] // the names are the documentation
-    pub enum Counter {
-        Rounds = "rounds",
-        PointsAccepted = "points_accepted",
-        /// Steps the run had to retry because the LTE test failed on the base
-        /// point or on a speculative point re-solved against the true history
-        /// (`SimStats::steps_rejected_lte`). A failed test that only threw
-        /// away a lead or a speculation is not one — the trace analysis
-        /// counts those too, as `lte_tests_failed`.
-        LteRejects = "lte_rejects",
-        NewtonRejects = "newton_rejects",
-        Solves = "solves",
-        /// Every Newton iteration, the operating point's included
-        /// (`SimStats::newton_iterations`).
-        NewtonIterations = "newton_iterations",
-        Factorizations = "factorizations",
-        Refactorizations = "refactorizations",
-        JacobianReuses = "jacobian_reuses",
-        DeviceEvals = "device_evals",
-        BypassedDevices = "bypassed_devices",
-        CompanionHits = "companion_hits",
-        LeadAccepted = "lead_accepted",
-        LeadDiscarded = "lead_discarded",
-        SpeculationAccepted = "speculation_accepted",
-        SpeculationDiscarded = "speculation_discarded",
-        WorkersLost = "workers_lost",
-        SerialFallbacks = "serial_fallbacks",
-        DeadlineHits = "deadline_hits",
-        RecoveryAttempts = "recovery_attempts",
-        RecoveryRescues = "recovery_rescues",
-        CacheRollbacks = "cache_rollbacks",
-        KrylovIterations = "krylov_iterations",
-        PrecondRefreshes = "precond_refreshes",
-        SolverFallbacks = "solver_fallbacks",
-    }
-}
-
-named_enum! {
-    /// Instantaneous values (last write wins), stored as `f64` bits in an
-    /// atomic cell.
+    /// Instantaneous values (last write wins).
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum Gauge {
         /// EMA of the backward-lead accept rate (0..1).
         LeadAcceptEma = "lead_accept_ema",
         /// Whether the combined scheme is currently speculating (0 or 1).
         DeepMode = "deep_mode",
-        /// Current integration stride, seconds.
+        /// Stride of the latest accepted point, seconds.
         CurrentH = "current_h",
         /// Width of the most recent pipelined round.
         RoundWidth = "round_width",
@@ -126,9 +83,9 @@ named_enum! {
     /// Streaming histogram series kept by the registry.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum Series {
-        /// Newton iterations per point-solve.
+        /// Newton iterations per point-solve ([`Counts::newton_iters`]).
         NewtonItersPerSolve = "newton_iters_per_solve",
-        /// Accepted step sizes, seconds.
+        /// Accepted step sizes, seconds ([`Counts::step_sizes`]).
         StepSize = "step_size",
         /// Point-solve wall time, microseconds (timing — excluded from
         /// anything that promises byte-stability).
@@ -136,33 +93,24 @@ named_enum! {
     }
 }
 
-impl Series {
-    fn fresh(self) -> Histogram {
-        match self {
-            Series::NewtonItersPerSolve => Histogram::integer(16),
-            Series::StepSize => Histogram::log10(-15, -3, 2),
-            Series::SolveMicros => Histogram::log10(0, 6, 3),
-        }
-    }
-}
-
-/// Pre-rendered lane labels so the per-solve hot path never formats.
-const LANE_LABELS: [&str; 16] =
-    ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15"];
-
-fn lane_label(lane: u32) -> &'static str {
-    LANE_LABELS.get(lane as usize).copied().unwrap_or("16+")
+/// What the registry folds: the shared counts, plus the levels and timings
+/// only a live view wants.
+#[derive(Debug)]
+struct Live {
+    counts: Counts,
+    gauges: [f64; Gauge::ALL.len()],
+    /// Per lane, the latest `SolveStart` timestamp of the open solve.
+    solve_started: BTreeMap<u32, u64>,
+    solve_us: Histogram,
 }
 
 /// The live metrics registry. Create one with [`MetricsRegistry::shared`],
-/// hand a [`MetricsHandle`] to the simulation options, and call
+/// attach it as (or beside) the run's probe, and call
 /// [`MetricsRegistry::snapshot`] whenever — including mid-run.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    counters: [AtomicU64; Counter::ALL.len()],
-    gauges: [AtomicU64; Gauge::ALL.len()],
-    labeled: Mutex<BTreeMap<Family, BTreeMap<String, u64>>>,
-    series: Mutex<Vec<Histogram>>,
+    epoch: Instant,
+    live: Mutex<Live>,
 }
 
 impl Default for MetricsRegistry {
@@ -172,13 +120,16 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An empty registry.
+    /// An empty registry whose clock starts now.
     pub fn new() -> Self {
         MetricsRegistry {
-            counters: std::array::from_fn(|_| AtomicU64::new(0)),
-            gauges: std::array::from_fn(|_| AtomicU64::new(0f64.to_bits())),
-            labeled: Mutex::new(BTreeMap::new()),
-            series: Mutex::new(Series::ALL.iter().map(|s| s.fresh()).collect()),
+            epoch: Instant::now(),
+            live: Mutex::new(Live {
+                counts: Counts::zero(),
+                gauges: [0.0; Gauge::ALL.len()],
+                solve_started: BTreeMap::new(),
+                solve_us: Histogram::log10(0, 6, 3),
+            }),
         }
     }
 
@@ -187,87 +138,127 @@ impl MetricsRegistry {
         Arc::new(Self::new())
     }
 
-    /// Adds `n` to a counter (relaxed; callable from any lane).
-    #[inline]
-    pub fn add(&self, c: Counter, n: u64) {
-        self.counters[c as usize].fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value of a counter.
-    pub fn get(&self, c: Counter) -> u64 {
-        self.counters[c as usize].load(Ordering::Relaxed)
-    }
-
-    /// Sets a gauge (last write wins).
-    #[inline]
-    pub fn set_gauge(&self, g: Gauge, v: f64) {
-        self.gauges[g as usize].store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Raises a gauge to at least `v` (used for high-water marks such as
-    /// [`Gauge::ActiveLanes`]).
-    pub fn raise_gauge(&self, g: Gauge, v: f64) {
-        let cell = &self.gauges[g as usize];
-        let mut cur = cell.load(Ordering::Relaxed);
-        while v > f64::from_bits(cur) {
-            match cell.compare_exchange_weak(cur, v.to_bits(), Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
+    /// A registry holding the fold of a recorded stream — the same state a
+    /// registry attached to the run would have ended with.
+    pub fn replay(events: &[Event]) -> Self {
+        let reg = Self::new();
+        for ev in events {
+            reg.fold(ev);
         }
+        reg
     }
 
-    /// Current value of a gauge.
-    pub fn gauge(&self, g: Gauge) -> f64 {
-        f64::from_bits(self.gauges[g as usize].load(Ordering::Relaxed))
-    }
-
-    /// Adds `n` to one label cell of a family.
-    pub fn add_labeled(&self, f: Family, label: &str, n: u64) {
-        let mut map = self.labeled.lock().expect("metrics labeled map poisoned");
-        let inner = map.entry(f).or_default();
-        match inner.get_mut(label) {
-            Some(cell) => *cell += n,
-            None => {
-                inner.insert(label.to_string(), n);
+    /// Folds one event: live from [`Probe::record`], or replayed.
+    fn fold(&self, ev: &Event) {
+        let mut live = self.live.lock().expect("metrics registry poisoned");
+        live.counts.add(ev);
+        match ev.kind {
+            EventKind::LeadEma { ema, deep } => {
+                live.gauges[Gauge::LeadAcceptEma as usize] = ema;
+                live.gauges[Gauge::DeepMode as usize] = f64::from(u8::from(deep));
             }
+            EventKind::PointAccepted { h } => live.gauges[Gauge::CurrentH as usize] = h,
+            EventKind::RoundStart { width } => {
+                live.gauges[Gauge::RoundWidth as usize] = f64::from(width);
+            }
+            EventKind::SolveStart { .. } => {
+                live.solve_started.insert(ev.lane, ev.ts_ns);
+            }
+            EventKind::SolveEnd { .. } => {
+                if let Some(start) = live.solve_started.remove(&ev.lane) {
+                    live.solve_us.observe(ev.ts_ns.saturating_sub(start) as f64 / 1e3);
+                }
+            }
+            _ => {}
         }
-    }
-
-    /// Records one observation into a histogram series.
-    pub fn observe(&self, s: Series, v: f64) {
-        self.series.lock().expect("metrics series poisoned")[s as usize].observe(v);
     }
 
     /// A point-in-time snapshot of everything the registry holds. Safe (and
     /// intended) to call while the simulation is still running.
     pub fn snapshot(&self) -> Snapshot {
-        let counters = Counter::ALL.iter().map(|&c| (c.name(), self.get(c))).collect();
-        let gauges = Gauge::ALL.iter().map(|&g| (g.name(), self.gauge(g))).collect();
-        let labeled = {
-            let map = self.labeled.lock().expect("metrics labeled map poisoned");
-            let mut out = Vec::new();
-            for &f in &Family::ALL {
-                if let Some(inner) = map.get(&f) {
-                    for (label, &value) in inner {
-                        out.push(LabeledValue {
-                            family: f.name(),
-                            key: f.label_key(),
-                            label: label.clone(),
-                            value,
-                        });
-                    }
-                }
-            }
-            out
-        };
-        let series = {
-            let hs = self.series.lock().expect("metrics series poisoned");
-            Series::ALL.iter().map(|&s| (s.name(), hs[s as usize].clone())).collect()
-        };
-        Snapshot { counters, gauges, labeled, series }
+        let live = self.live.lock().expect("metrics registry poisoned");
+        let c = &live.counts;
+        let lanes = c.lane_solves.keys().chain(c.lane_points.keys());
+        let active_lanes = lanes.max().map_or(0.0, |&l| f64::from(l) + 1.0);
+        let gauges = Gauge::ALL
+            .iter()
+            .map(|&g| match g {
+                Gauge::ActiveLanes => (g.name(), active_lanes),
+                _ => (g.name(), live.gauges[g as usize]),
+            })
+            .collect();
+        let series = vec![
+            (Series::NewtonItersPerSolve.name(), c.newton_iters.clone()),
+            (Series::StepSize.name(), c.step_sizes.clone()),
+            (Series::SolveMicros.name(), live.solve_us.clone()),
+        ];
+        Snapshot { counters: c.scalars(), gauges, labeled: labeled(c), series }
     }
+}
+
+impl Probe for MetricsRegistry {
+    fn record(&self, lane: u32, t_sim: f64, kind: EventKind) {
+        let ts_ns = u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        self.fold(&Event { ts_ns, round: 0, lane, t_sim, kind });
+    }
+}
+
+/// The labeled families of `c`: every non-zero cell, family-major, labels
+/// sorted.
+fn labeled(c: &Counts) -> Vec<LabeledValue> {
+    let lanes = |m: &BTreeMap<u32, u64>| m.iter().map(|(l, &n)| (l.to_string(), n)).collect();
+    let classes = |pick: fn((u64, u64)) -> u64| {
+        DeviceClass::ALL
+            .iter()
+            .map(|&d| (d.name().to_string(), pick(c.class_evals[d as usize])))
+            .collect()
+    };
+    let nonlinear_evals: u64 = c.class_evals.iter().map(|e| e.0).sum();
+    let caches = |cells: [u64; 5]| {
+        ["bypass", "chord", "companion", "parked", "plan"]
+            .into_iter()
+            .zip(cells)
+            .map(|(name, n)| (name.to_string(), n))
+            .collect()
+    };
+    let families: [(Family, Vec<(String, u64)>); 6] = [
+        (Family::SolvesByLane, lanes(&c.lane_solves)),
+        (Family::PointsByLane, lanes(&c.lane_points)),
+        (Family::EvalsByClass, classes(|e| e.0)),
+        (Family::BypassByClass, classes(|e| e.1)),
+        (
+            Family::CacheHits,
+            caches([
+                c.bypassed_devices,
+                c.jacobian_reuses,
+                c.companion_hits,
+                c.parked_hits,
+                c.plan_hits,
+            ]),
+        ),
+        (
+            Family::CacheMisses,
+            caches([
+                nonlinear_evals,
+                c.factorizations,
+                c.stamp_passes - c.companion_hits,
+                c.parked_misses,
+                c.plan_misses,
+            ]),
+        ),
+    ];
+    let mut out = Vec::new();
+    for (family, mut cells) in families {
+        cells.retain(|&(_, n)| n > 0);
+        cells.sort();
+        out.extend(cells.into_iter().map(|(label, value)| LabeledValue {
+            family: family.name(),
+            key: family.label_key(),
+            label,
+            value,
+        }));
+    }
+    out
 }
 
 /// One cell of a labeled counter family, e.g. `cache_hits{cache="chord"}`.
@@ -286,7 +277,7 @@ pub struct LabeledValue {
 /// A point-in-time view of a [`MetricsRegistry`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    /// `(name, value)` for every counter, in [`Counter::ALL`] order.
+    /// `(name, value)` for every counter, in [`Counts::scalars`] order.
     pub counters: Vec<(&'static str, u64)>,
     /// `(name, value)` for every gauge, in [`Gauge::ALL`] order.
     pub gauges: Vec<(&'static str, f64)>,
@@ -463,199 +454,97 @@ impl Snapshot {
     }
 }
 
-/// A cloneable, lane-tagged handle to an optional [`MetricsRegistry`] —
-/// the exact shape of [`crate::ProbeHandle`], carried next to it on the
-/// simulation options. With no registry attached (the default) every
-/// publishing call is a single branch.
-#[derive(Clone, Default)]
-pub struct MetricsHandle {
-    reg: Option<Arc<MetricsRegistry>>,
-    lane: u32,
-}
-
-impl MetricsHandle {
-    /// The disabled handle (no registry attached).
-    pub fn none() -> Self {
-        MetricsHandle::default()
-    }
-
-    /// A handle publishing into `reg`, initially on lane 0.
-    pub fn new(reg: Arc<MetricsRegistry>) -> Self {
-        MetricsHandle { reg: Some(reg), lane: 0 }
-    }
-
-    /// The same registry, tagged with a different lane. Used when handing a
-    /// solver to a worker thread.
-    pub fn with_lane(&self, lane: u32) -> Self {
-        MetricsHandle { reg: self.reg.clone(), lane }
-    }
-
-    /// This handle's lane tag.
-    pub fn lane(&self) -> u32 {
-        self.lane
-    }
-
-    /// Whether a registry is attached (i.e. publishes are observable).
-    /// `#[inline]` so the disabled-path check folds to one predictable
-    /// branch inside cross-crate hot loops.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.reg.is_some()
-    }
-
-    /// The attached registry, if any (for snapshotting from the driver side).
-    pub fn registry(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.reg.as_ref()
-    }
-
-    /// Increments a counter by 1.
-    #[inline]
-    pub fn inc(&self, c: Counter) {
-        if let Some(r) = &self.reg {
-            r.add(c, 1);
-        }
-    }
-
-    /// Adds `n` to a counter.
-    #[inline]
-    pub fn add(&self, c: Counter, n: u64) {
-        if let Some(r) = &self.reg {
-            r.add(c, n);
-        }
-    }
-
-    /// Sets a gauge.
-    #[inline]
-    pub fn set_gauge(&self, g: Gauge, v: f64) {
-        if let Some(r) = &self.reg {
-            r.set_gauge(g, v);
-        }
-    }
-
-    /// Adds `n` to one label cell of a family.
-    #[inline]
-    pub fn add_labeled(&self, f: Family, label: &str, n: u64) {
-        if let Some(r) = &self.reg {
-            r.add_labeled(f, label, n);
-        }
-    }
-
-    /// Adds `n` to this handle's lane cell of a per-lane family, and keeps
-    /// the [`Gauge::ActiveLanes`] high-water mark current.
-    #[inline]
-    pub fn add_lane(&self, f: Family, n: u64) {
-        if let Some(r) = &self.reg {
-            r.add_labeled(f, lane_label(self.lane), n);
-            r.raise_gauge(Gauge::ActiveLanes, f64::from(self.lane) + 1.0);
-        }
-    }
-
-    /// Records one observation into a histogram series.
-    #[inline]
-    pub fn observe(&self, s: Series, v: f64) {
-        if let Some(r) = &self.reg {
-            r.observe(s, v);
-        }
-    }
-
-    /// A snapshot of the attached registry, if any.
-    pub fn snapshot(&self) -> Option<Snapshot> {
-        self.reg.as_ref().map(|r| r.snapshot())
-    }
-}
-
-impl fmt::Debug for MetricsHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MetricsHandle")
-            .field("enabled", &self.enabled())
-            .field("lane", &self.lane)
-            .finish()
-    }
-}
-
-/// Handles compare equal when they point at the *same* registry (or both
-/// at none) on the same lane — mirrors [`crate::ProbeHandle`]'s equality
-/// so options structs stay `PartialEq`.
-impl PartialEq for MetricsHandle {
-    fn eq(&self, other: &Self) -> bool {
-        self.lane == other.lane
-            && match (&self.reg, &other.reg) {
-                (None, None) => true,
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                _ => false,
-            }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::FactorLayer;
 
-    #[test]
-    fn disabled_handle_is_inert_and_compares_equal() {
-        let h = MetricsHandle::none();
-        assert!(!h.enabled());
-        h.inc(Counter::Solves);
-        h.add_lane(Family::SolvesByLane, 3);
-        h.observe(Series::StepSize, 1e-9);
-        assert!(h.snapshot().is_none());
-        assert_eq!(h, MetricsHandle::default());
+    fn replay(kinds: &[(u32, EventKind)]) -> MetricsRegistry {
+        let events: Vec<Event> = kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &(lane, kind))| Event {
+                ts_ns: 10 * i as u64,
+                round: 0,
+                lane,
+                t_sim: 0.0,
+                kind,
+            })
+            .collect();
+        MetricsRegistry::replay(&events)
     }
 
     #[test]
     fn counters_gauges_and_families_round_trip() {
-        let reg = MetricsRegistry::shared();
-        let h = MetricsHandle::new(reg.clone());
-        h.inc(Counter::PointsAccepted);
-        h.add(Counter::NewtonIterations, 5);
-        h.set_gauge(Gauge::CurrentH, 2.5e-9);
-        h.add_labeled(Family::CacheHits, "chord", 7);
-        h.with_lane(2).add_lane(Family::SolvesByLane, 4);
-        h.observe(Series::NewtonItersPerSolve, 3.0);
-
+        let reg = replay(&[
+            (2, EventKind::SolveStart { h: 1e-9 }),
+            (2, EventKind::SolveEnd { iterations: 3, converged: true }),
+            (0, EventKind::PointAccepted { h: 2.5e-9 }),
+            (0, EventKind::NewtonIter { iteration: 1 }),
+            (0, EventKind::StampPass { evals: 9, bypassed: 4, companion_hit: true }),
+            (0, EventKind::ClassEvals { class: DeviceClass::Mos, evals: 5, bypassed: 4 }),
+            (0, EventKind::JacobianReuse),
+            (0, EventKind::FactorLookup { layer: FactorLayer::Parked, hit: false }),
+            (0, EventKind::LeadEma { ema: 0.5, deep: true }),
+        ]);
         let s = reg.snapshot();
         assert_eq!(s.counter("points_accepted"), 1);
-        assert_eq!(s.counter("newton_iterations"), 5);
-        assert_eq!(s.labeled_value("cache_hits", "chord"), 7);
-        assert_eq!(s.labeled_value("lane_solves", "2"), 4);
-        assert_eq!(reg.gauge(Gauge::CurrentH), 2.5e-9);
-        assert_eq!(reg.gauge(Gauge::ActiveLanes), 3.0);
+        assert_eq!(s.counter("newton_iterations"), 1);
+        assert_eq!(s.counter("device_evals"), 9);
+        assert_eq!(s.labeled_value("lane_solves", "2"), 1);
+        assert_eq!(s.labeled_value("class_evals", "mos"), 5);
+        assert_eq!(s.labeled_value("cache_hits", "bypass"), 4);
+        assert_eq!(s.labeled_value("cache_misses", "bypass"), 5);
+        assert_eq!(s.labeled_value("cache_hits", "chord"), 1);
+        assert_eq!(s.labeled_value("cache_hits", "companion"), 1);
+        assert_eq!(s.labeled_value("cache_misses", "parked"), 1);
+        // Cells that never counted are absent, not zero.
+        assert!(!s.labeled.iter().any(|lv| lv.label == "plan" || lv.value == 0));
+        let gauge = |g: Gauge| s.gauges[g as usize].1;
+        assert_eq!(gauge(Gauge::CurrentH), 2.5e-9);
+        assert_eq!(gauge(Gauge::ActiveLanes), 3.0);
+        assert_eq!(gauge(Gauge::LeadAcceptEma), 0.5);
+        assert_eq!(gauge(Gauge::DeepMode), 1.0);
         let (name, hist) = &s.series[0];
         assert_eq!(*name, "newton_iters_per_solve");
         assert_eq!(hist.count(), 1);
+        assert_eq!(s.series[2].1.count(), 1, "one timed solve");
     }
 
     #[test]
     fn snapshot_diff_subtracts_counters_and_labels() {
-        let reg = MetricsRegistry::shared();
-        let h = MetricsHandle::new(reg.clone());
-        h.add(Counter::Solves, 10);
-        h.add_labeled(Family::CacheHits, "bypass", 4);
+        let reg = MetricsRegistry::new();
+        let solve = EventKind::SolveEnd { iterations: 2, converged: true };
+        let bypass = EventKind::StampPass { evals: 1, bypassed: 4, companion_hit: false };
+        for _ in 0..10 {
+            reg.record(0, 0.0, solve);
+        }
+        reg.record(0, 0.0, bypass);
         let early = reg.snapshot();
-        h.add(Counter::Solves, 7);
-        h.add_labeled(Family::CacheHits, "bypass", 2);
-        h.set_gauge(Gauge::RoundWidth, 3.0);
-        let late = reg.snapshot();
-        let d = late.diff(&early);
+        for _ in 0..7 {
+            reg.record(0, 0.0, solve);
+        }
+        reg.record(0, 0.0, bypass);
+        reg.record(0, 0.0, EventKind::RoundStart { width: 3 });
+        let d = reg.snapshot().diff(&early);
         assert_eq!(d.counter("solves"), 7);
-        assert_eq!(d.labeled_value("cache_hits", "bypass"), 2);
+        assert_eq!(d.labeled_value("cache_hits", "bypass"), 4);
         // Gauges are levels, not deltas.
         assert_eq!(d.gauges.iter().find(|(n, _)| *n == "round_width").unwrap().1, 3.0);
     }
 
     #[test]
     fn encoders_emit_every_section() {
-        let reg = MetricsRegistry::shared();
-        let h = MetricsHandle::new(reg.clone());
-        h.add(Counter::PointsAccepted, 42);
-        h.add_labeled(Family::CacheHits, "companion", 9);
-        h.set_gauge(Gauge::LeadAcceptEma, 0.75);
-        h.observe(Series::StepSize, 1e-9);
+        let reg = replay(&[
+            (0, EventKind::PointAccepted { h: 1e-9 }),
+            (0, EventKind::StampPass { evals: 0, bypassed: 0, companion_hit: true }),
+            (0, EventKind::LeadEma { ema: 0.75, deep: false }),
+        ]);
         let s = reg.snapshot();
 
         let prom = s.to_prometheus();
-        assert!(prom.contains("wavepipe_points_accepted_total 42"));
-        assert!(prom.contains("wavepipe_cache_hits_total{cache=\"companion\"} 9"));
+        assert!(prom.contains("wavepipe_points_accepted_total 1"));
+        assert!(prom.contains("wavepipe_cache_hits_total{cache=\"companion\"} 1"));
         assert!(prom.contains("wavepipe_lead_accept_ema 0.75"));
         assert!(prom.contains("wavepipe_step_size_count 1"));
         assert!(prom.contains("le=\"+Inf\""));
@@ -664,7 +553,7 @@ mod tests {
         let parsed = json::parse(&js).expect("snapshot json parses");
         assert_eq!(
             parsed.get("counters").and_then(|c| c.get("points_accepted")).and_then(|v| v.as_f64()),
-            Some(42.0)
+            Some(1.0)
         );
         assert_eq!(
             parsed
@@ -683,19 +572,15 @@ mod tests {
     #[test]
     fn snapshot_is_safe_while_publishing() {
         let reg = MetricsRegistry::shared();
-        let h = MetricsHandle::new(reg.clone());
+        let lane = Arc::clone(&reg);
         let publisher = std::thread::spawn(move || {
-            for i in 0..10_000u64 {
-                h.inc(Counter::Solves);
-                if i % 64 == 0 {
-                    h.add_labeled(Family::CacheHits, "chord", 1);
-                }
+            for _ in 0..10_000u64 {
+                lane.record(1, 0.0, EventKind::SolveEnd { iterations: 1, converged: true });
             }
         });
         let mut last = 0;
         for _ in 0..50 {
-            let s = reg.snapshot();
-            let v = s.counter("solves");
+            let v = reg.snapshot().counter("solves");
             assert!(v >= last, "counters are monotone under concurrent snapshots");
             last = v;
         }

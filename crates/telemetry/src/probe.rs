@@ -102,6 +102,19 @@ impl Probe for RecordingProbe {
     }
 }
 
+/// A probe delivering every event to each of its probes in turn — a
+/// recorder and a live [`crate::MetricsRegistry`] on one run, say.
+#[derive(Debug)]
+pub struct FanOut(pub Vec<Arc<dyn Probe>>);
+
+impl Probe for FanOut {
+    fn record(&self, lane: u32, t_sim: f64, kind: EventKind) {
+        for p in &self.0 {
+            p.record(lane, t_sim, kind);
+        }
+    }
+}
+
 /// A cloneable, lane-tagged handle to an optional probe.
 ///
 /// This is the type carried by `SimOptions`: `ProbeHandle::none()` (the
@@ -217,6 +230,17 @@ mod tests {
         assert_ne!(ha, ProbeHandle::new(b));
         assert_ne!(ha, ha.with_lane(3));
         assert_ne!(ha, ProbeHandle::none());
+    }
+
+    #[test]
+    fn fan_out_delivers_to_every_probe() {
+        let (a, b) = (RecordingProbe::shared(), RecordingProbe::shared());
+        let h = ProbeHandle::new(Arc::new(FanOut(vec![a.clone(), b.clone()])));
+        h.with_lane(2).emit(1e-9, EventKind::Factorization);
+        for rec in [a, b] {
+            let evs = rec.events();
+            assert_eq!((evs.len(), evs[0].lane), (1, 2));
+        }
     }
 
     #[test]

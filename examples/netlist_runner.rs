@@ -39,7 +39,7 @@ use wavepipe::circuit::parse_netlist;
 use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
 use wavepipe::engine::{run_ac, run_dc_sweep, spectrum, EngineError};
 use wavepipe::telemetry::{
-    analyze, chrome, jsonl, MetricsHandle, MetricsRegistry, ProbeHandle, RecordingProbe,
+    analyze, chrome, jsonl, FanOut, MetricsRegistry, Probe, ProbeHandle, RecordingProbe,
 };
 
 /// Cause-specific process exit code, so scripted sweeps can tell a
@@ -185,20 +185,22 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut opts = WavePipeOptions::new(scheme, threads);
     let probe = trace_path.as_ref().map(|_| RecordingProbe::shared());
-    if let Some(p) = &probe {
-        opts =
-            opts.with_probe(ProbeHandle::new(Arc::clone(p) as Arc<dyn wavepipe::telemetry::Probe>));
-    }
     let registry =
         (metrics_format.is_some() || metrics_every_ms.is_some()).then(MetricsRegistry::shared);
-    if let Some(reg) = &registry {
-        opts = opts.with_metrics(MetricsHandle::new(Arc::clone(reg)));
+    // The recorder and the registry both watch the run when both are asked
+    // for.
+    let sinks: Vec<Arc<dyn Probe>> =
+        [probe.clone().map(|p| p as Arc<dyn Probe>), registry.clone().map(|r| r as Arc<dyn Probe>)]
+            .into_iter()
+            .flatten()
+            .collect();
+    if !sinks.is_empty() {
+        opts = opts.with_probe(ProbeHandle::new(Arc::new(FanOut(sinks))));
     }
 
     // Live progress ticker: a sampler thread snapshots the shared registry
-    // every interval and prints the counter deltas — the registry is
-    // lock-light and snapshot-safe mid-run, so this never perturbs the
-    // solver lanes.
+    // every interval and prints the counter deltas — snapshots are safe
+    // mid-run, and probes never perturb the solver lanes.
     let sampler = metrics_every_ms.map(|ms| {
         let reg = Arc::clone(registry.as_ref().expect("registry exists when sampling"));
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));

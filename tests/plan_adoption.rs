@@ -17,7 +17,7 @@ use std::sync::Arc;
 use wavepipe::circuit::generators::{self, Benchmark};
 use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
 use wavepipe::engine::{
-    run_transient, DirectLu, FaultKind, FaultPlan, MetricsHandle, MetricsRegistry, SimOptions,
+    run_transient, DirectLu, FaultKind, FaultPlan, MetricsRegistry, ProbeHandle, SimOptions,
     SimStats, SolverHandle, TransientResult,
 };
 
@@ -56,7 +56,7 @@ fn run(
     let opts = WavePipeOptions::new(scheme, threads)
         .with_sim(pinned(solver))
         .with_faults(faults)
-        .with_metrics(MetricsHandle::new(registry.clone()));
+        .with_probe(ProbeHandle::new(registry.clone()));
     let rep = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).expect("pipelined run");
     let snap = registry.snapshot();
     Run {

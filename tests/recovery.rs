@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use wavepipe::circuit::generators;
 use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
 use wavepipe::engine::{
-    run_transient, EngineError, FaultKind, FaultPlan, MetricsHandle, MetricsRegistry, SimOptions,
+    run_transient, EngineError, FaultKind, FaultPlan, MetricsRegistry, ProbeHandle, SimOptions,
     TransientResult,
 };
 
@@ -47,7 +47,7 @@ fn forced_nonconvergence_is_rescued_in_the_serial_engine() {
     let registry = MetricsRegistry::shared();
     let opts = SimOptions::default()
         .with_faults(nc_burst(30))
-        .with_metrics(MetricsHandle::new(registry.clone()));
+        .with_probe(ProbeHandle::new(registry.clone()));
     let rescued = run_transient(&b.circuit, b.tstep, b.tstop, &opts)
         .expect("the ladder must rescue a forced-non-convergence burst");
     for k in 0..rescued.len() {

@@ -5,9 +5,12 @@
 
 use std::sync::Arc;
 use wavepipe::circuit::generators;
+use wavepipe::circuit::{Circuit, Waveform};
 use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
+use wavepipe::engine::SimOptions;
 use wavepipe::telemetry::{
-    analyze, chrome, json, jsonl, Event, EventKind, ProbeHandle, RecordingProbe,
+    analyze, chrome, json, jsonl, Event, EventKind, FanOut, MetricsRegistry, ProbeHandle,
+    RecordingProbe,
 };
 
 fn traced_run(
@@ -102,12 +105,13 @@ fn serial_engine_emits_balanced_solve_spans() {
     assert_eq!(analysis.timing.lanes.len(), 1);
 }
 
-/// One JSONL line per event kind, written by the commit before the codec was
-/// derived from the event table (`EventKind::SAMPLES[i]` inside the envelope
-/// `ts_ns` 1000 + i, `round` 1, `lane` i mod 3, `t_sim` 1 ns). The wire
-/// format is a contract with archived traces: these bytes may only be added
-/// to.
-const GOLDEN_LINES: [&str; 24] = [
+/// One JSONL line per event kind, in declaration order. Each line is
+/// `EventKind::SAMPLES[i]` inside the envelope `ts_ns` 1000 + n, `round` 1,
+/// `lane` n mod 3, `t_sim` 1 ns, where n is the line's own number: the lines
+/// up to 1026 were written by the commit before the codec was derived from
+/// the event table, and later kinds count on from there. The wire format is a
+/// contract with archived traces: these bytes may only be added to.
+const GOLDEN_LINES: [&str; 27] = [
     r#"{"ts_ns":1000,"round":1,"lane":0,"t_sim":0.000000001,"kind":"round_start","width":3}"#,
     r#"{"ts_ns":1001,"round":1,"lane":1,"t_sim":0.000000001,"kind":"round_end","committed":3}"#,
     r#"{"ts_ns":1002,"round":1,"lane":2,"t_sim":0.000000001,"kind":"solve_start","h":0.0000000025}"#,
@@ -116,13 +120,16 @@ const GOLDEN_LINES: [&str; 24] = [
     r#"{"ts_ns":1005,"round":1,"lane":2,"t_sim":0.000000001,"kind":"factorization"}"#,
     r#"{"ts_ns":1006,"round":1,"lane":0,"t_sim":0.000000001,"kind":"refactorization"}"#,
     r#"{"ts_ns":1007,"round":1,"lane":1,"t_sim":0.000000001,"kind":"jacobian_reuse"}"#,
-    r#"{"ts_ns":1008,"round":1,"lane":2,"t_sim":0.000000001,"kind":"bypassed_devices","devices":3}"#,
-    r#"{"ts_ns":1009,"round":1,"lane":0,"t_sim":0.000000001,"kind":"companion_hit"}"#,
+    r#"{"ts_ns":1027,"round":1,"lane":0,"t_sim":0.000000001,"kind":"factor_lookup","layer":"plan","hit":true}"#,
+    r#"{"ts_ns":1028,"round":1,"lane":1,"t_sim":0.000000001,"kind":"stamp_pass","evals":3,"bypassed":3,"companion_hit":true}"#,
+    r#"{"ts_ns":1029,"round":1,"lane":2,"t_sim":0.000000001,"kind":"class_evals","class":"mos","evals":3,"bypassed":3}"#,
     r#"{"ts_ns":1010,"round":1,"lane":1,"t_sim":0.000000001,"kind":"lte_reject","ratio":0.0000000025,"h_retry":0.0000000025}"#,
     r#"{"ts_ns":1011,"round":1,"lane":2,"t_sim":0.000000001,"kind":"step_size_chosen","h":0.0000000025,"ratio":0.0000000025}"#,
     r#"{"ts_ns":1012,"round":1,"lane":0,"t_sim":0.000000001,"kind":"point_accepted","h":0.0000000025}"#,
+    r#"{"ts_ns":1030,"round":1,"lane":0,"t_sim":0.000000001,"kind":"step_retry","newton":true}"#,
     r#"{"ts_ns":1013,"round":1,"lane":1,"t_sim":0.000000001,"kind":"lead_accepted"}"#,
     r#"{"ts_ns":1014,"round":1,"lane":2,"t_sim":0.000000001,"kind":"lead_discarded","reason":"lte_rejected"}"#,
+    r#"{"ts_ns":1031,"round":1,"lane":1,"t_sim":0.000000001,"kind":"lead_ema","ema":0.0000000025,"deep":true}"#,
     r#"{"ts_ns":1015,"round":1,"lane":0,"t_sim":0.000000001,"kind":"speculation_accepted"}"#,
     r#"{"ts_ns":1016,"round":1,"lane":1,"t_sim":0.000000001,"kind":"speculation_discarded","reason":"lte_rejected"}"#,
     r#"{"ts_ns":1020,"round":1,"lane":2,"t_sim":0.000000001,"kind":"worker_lost","lost_lane":3}"#,
@@ -139,15 +146,37 @@ fn every_kind_keeps_its_golden_jsonl_bytes() {
     // A new kind without a pinned line fails here.
     assert_eq!(EventKind::SAMPLES.len(), GOLDEN_LINES.len());
     for (i, (kind, line)) in EventKind::SAMPLES.into_iter().zip(GOLDEN_LINES).enumerate() {
-        // The lines count up from when there were 27 kinds: the kind at 1017
-        // went with the adaptive scheduler, the two after it with the
-        // stamp-worker layer, and every other line keeps its bytes.
-        let n = if i < 17 { i } else { i + 3 };
-        let ev =
-            Event { ts_ns: 1000 + n as u64, round: 1, lane: (n % 3) as u32, t_sim: 1e-9, kind };
-        assert_eq!(jsonl::event_to_json(&ev), line, "{} encodes differently", kind.name());
         let back = jsonl::event_from_json(line, i + 1).expect("golden line decodes");
+        let n = back.ts_ns - 1000;
+        let ev = Event { ts_ns: 1000 + n, round: 1, lane: (n % 3) as u32, t_sim: 1e-9, kind };
+        assert_eq!(jsonl::event_to_json(&ev), line, "{} encodes differently", kind.name());
         assert_eq!(back, ev, "{} decodes differently", kind.name());
         assert_eq!(jsonl::event_to_json(&back), line, "{} re-encodes differently", kind.name());
     }
+}
+
+#[test]
+fn the_registry_reports_the_fold_s_histograms_on_millisecond_steps() {
+    // An RC with a one-second time constant, stepped in milliseconds.
+    let mut ckt = Circuit::new("slow rc");
+    let (a, b) = (ckt.node("a"), ckt.node("b"));
+    ckt.add_vsource("V1", a, Circuit::GROUND, Waveform::pulse(0.0, 1.0, 0.1, 0.01, 0.01, 2.0, 4.0))
+        .unwrap();
+    ckt.add_resistor("R1", a, b, 1e3).unwrap();
+    ckt.add_capacitor("C1", b, Circuit::GROUND, 1e-3).unwrap();
+    let (probe, registry) = (RecordingProbe::shared(), MetricsRegistry::shared());
+    let both = FanOut(vec![probe.clone(), registry.clone()]);
+    let opts = SimOptions::default().with_probe(ProbeHandle::new(Arc::new(both)));
+    wavepipe::engine::run_transient(&ckt, 1e-3, 3.0, &opts).unwrap();
+
+    let counts = analyze(&probe.events()).counts;
+    let snap = registry.snapshot();
+    let series = |name| &snap.series.iter().find(|(n, _)| *n == name).unwrap().1;
+    let steps = series("step_size");
+    assert_eq!(*steps, counts.step_sizes);
+    assert_eq!(*series("newton_iters_per_solve"), counts.newton_iters);
+    assert!(steps.max().unwrap() > 1e-3, "no millisecond steps");
+    // Every step lands below the last finite bound: the overflow is empty.
+    let buckets = steps.cumulative_buckets();
+    assert_eq!(buckets[buckets.len() - 2].1, steps.count());
 }
