@@ -396,38 +396,7 @@ impl Circuit {
         waveform: Waveform,
     ) -> Result<(), CircuitError> {
         self.check_name(name)?;
-        self.push_element(Element::VoltageSource {
-            name: name.to_string(),
-            p,
-            n,
-            waveform,
-            ac_magnitude: 0.0,
-        });
-        Ok(())
-    }
-
-    /// Adds an independent voltage source with a small-signal AC magnitude
-    /// (used by [`AC analysis`](https://en.wikipedia.org/wiki/Small-signal_model)).
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::DuplicateName`] if the name is taken.
-    pub fn add_vsource_ac(
-        &mut self,
-        name: &str,
-        p: Node,
-        n: Node,
-        waveform: Waveform,
-        ac_magnitude: f64,
-    ) -> Result<(), CircuitError> {
-        self.check_name(name)?;
-        self.push_element(Element::VoltageSource {
-            name: name.to_string(),
-            p,
-            n,
-            waveform,
-            ac_magnitude,
-        });
+        self.push_element(Element::VoltageSource { name: name.to_string(), p, n, waveform });
         Ok(())
     }
 
@@ -444,37 +413,7 @@ impl Circuit {
         waveform: Waveform,
     ) -> Result<(), CircuitError> {
         self.check_name(name)?;
-        self.push_element(Element::CurrentSource {
-            name: name.to_string(),
-            p,
-            n,
-            waveform,
-            ac_magnitude: 0.0,
-        });
-        Ok(())
-    }
-
-    /// Adds an independent current source with a small-signal AC magnitude.
-    ///
-    /// # Errors
-    ///
-    /// [`CircuitError::DuplicateName`] if the name is taken.
-    pub fn add_isource_ac(
-        &mut self,
-        name: &str,
-        p: Node,
-        n: Node,
-        waveform: Waveform,
-        ac_magnitude: f64,
-    ) -> Result<(), CircuitError> {
-        self.check_name(name)?;
-        self.push_element(Element::CurrentSource {
-            name: name.to_string(),
-            p,
-            n,
-            waveform,
-            ac_magnitude,
-        });
+        self.push_element(Element::CurrentSource { name: name.to_string(), p, n, waveform });
         Ok(())
     }
 

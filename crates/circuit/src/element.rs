@@ -205,8 +205,6 @@ pub enum Element {
         n: Node,
         /// Time-dependent value (V).
         waveform: Waveform,
-        /// Small-signal magnitude for AC analysis (V); `0` = quiet source.
-        ac_magnitude: f64,
     },
     /// Independent current source; current flows from `p` through the source
     /// to `n` (i.e. it *pulls* current out of node `p`).
@@ -219,8 +217,6 @@ pub enum Element {
         n: Node,
         /// Time-dependent value (A).
         waveform: Waveform,
-        /// Small-signal magnitude for AC analysis (A); `0` = quiet source.
-        ac_magnitude: f64,
     },
     /// Semiconductor diode; anode `p`, cathode `n`.
     Diode {
@@ -381,7 +377,6 @@ mod tests {
             p: Node(1),
             n: Node::GROUND,
             waveform: Waveform::dc(1.0),
-            ac_magnitude: 0.0,
         };
         let l = Element::Inductor {
             name: "L1".into(),

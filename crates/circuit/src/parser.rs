@@ -17,6 +17,9 @@
 //!
 //! Comment lines start with `*`; `;` begins a trailing comment; a leading
 //! `+` continues the previous line. Everything is case-insensitive.
+//!
+//! `.tran` is the one analysis: `.ac` and `.dc` are unknown directives. A
+//! source value beyond its form's parameter list is an error, not dropped.
 
 use crate::circuit::{Circuit, CircuitError};
 use crate::element::{BjtModel, DiodeModel, MosModel, MosPolarity, Node};
@@ -36,78 +39,13 @@ pub struct TranSpec {
     pub tstart: f64,
 }
 
-/// `.ac dec|lin n fstart fstop` analysis request found in a deck.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AcSpec {
-    /// `true` for logarithmic (`dec`) spacing, `false` for linear.
-    pub decade: bool,
-    /// Points per decade (`dec`) or total points (`lin`).
-    pub points: usize,
-    /// Start frequency (Hz).
-    pub fstart: f64,
-    /// Stop frequency (Hz).
-    pub fstop: f64,
-}
-
-impl AcSpec {
-    /// Expands the sweep specification into a frequency list.
-    pub fn frequencies(&self) -> Vec<f64> {
-        if self.decade {
-            let decades = (self.fstop / self.fstart).log10();
-            let n = ((decades * self.points as f64).ceil() as usize).max(1);
-            (0..=n).map(|k| self.fstart * 10f64.powf(decades * k as f64 / n as f64)).collect()
-        } else {
-            let n = self.points.max(2);
-            (0..n)
-                .map(|k| self.fstart + (self.fstop - self.fstart) * k as f64 / (n - 1) as f64)
-                .collect()
-        }
-    }
-}
-
-/// `.dc source start stop step` analysis request found in a deck.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DcSpec {
-    /// Name of the swept independent source.
-    pub source: String,
-    /// Sweep start value.
-    pub start: f64,
-    /// Sweep stop value.
-    pub stop: f64,
-    /// Sweep increment (sign is normalised to match start->stop).
-    pub step: f64,
-}
-
-impl DcSpec {
-    /// Expands the sweep specification into the value list.
-    pub fn values(&self) -> Vec<f64> {
-        let step = if (self.stop - self.start).signum() == self.step.signum() {
-            self.step
-        } else {
-            -self.step
-        };
-        let mut out = Vec::new();
-        let mut v = self.start;
-        let n = ((self.stop - self.start) / step).abs();
-        for _ in 0..=(n.round() as usize) {
-            out.push(v);
-            v += step;
-        }
-        out
-    }
-}
-
-/// Result of parsing a deck: the circuit plus any analysis directives.
+/// Result of parsing a deck: the circuit plus its `.tran` directive.
 #[derive(Debug, Clone)]
 pub struct ParsedDeck {
     /// The parsed circuit.
     pub circuit: Circuit,
     /// The `.tran` directive, if present.
     pub tran: Option<TranSpec>,
-    /// The `.ac` directive, if present.
-    pub ac: Option<AcSpec>,
-    /// The `.dc` directive, if present.
-    pub dc: Option<DcSpec>,
 }
 
 /// Error raised while parsing a netlist, with its 1-based source line.
@@ -154,7 +92,7 @@ enum ModelCard {
     Bjt(BjtModel),
 }
 
-/// Parses a SPICE-style netlist into a circuit and analysis spec.
+/// Parses a SPICE-style netlist into a circuit and its `.tran` directive.
 ///
 /// ```
 /// # fn main() -> Result<(), wavepipe_circuit::ParseNetlistError> {
@@ -265,8 +203,6 @@ pub fn parse_netlist(text: &str) -> Result<ParsedDeck, ParseNetlistError> {
     let title = text.lines().next().unwrap_or("untitled").trim().to_string();
     let mut circuit = Circuit::new(if title.is_empty() { "untitled".to_string() } else { title });
     let mut tran = None;
-    let mut ac = None;
-    let mut dc = None;
 
     let root_scope = Scope::root();
     for (lineno, line) in &top {
@@ -286,52 +222,6 @@ pub fn parse_netlist(text: &str) -> Result<ParsedDeck, ParseNetlistError> {
                     let tstart = if toks.len() > 3 { num(lineno, &toks[3])? } else { 0.0 };
                     tran = Some(TranSpec { tstep, tstop, tstart });
                 }
-                ".ac" => {
-                    if toks.len() < 5 {
-                        return Err(ParseNetlistError::new(
-                            lineno,
-                            ".ac needs dec|lin n fstart fstop",
-                        ));
-                    }
-                    let decade = match toks[1].as_str() {
-                        "dec" => true,
-                        "lin" => false,
-                        other => {
-                            return Err(ParseNetlistError::new(
-                                lineno,
-                                format!("unsupported .ac spacing `{other}` (dec or lin)"),
-                            ))
-                        }
-                    };
-                    let points = num(lineno, &toks[2])? as usize;
-                    let fstart = num(lineno, &toks[3])?;
-                    let fstop = num(lineno, &toks[4])?;
-                    if !(fstart > 0.0 && fstop >= fstart) {
-                        return Err(ParseNetlistError::new(
-                            lineno,
-                            ".ac needs 0 < fstart <= fstop",
-                        ));
-                    }
-                    ac = Some(AcSpec { decade, points: points.max(1), fstart, fstop });
-                }
-                ".dc" => {
-                    if toks.len() < 5 {
-                        return Err(ParseNetlistError::new(
-                            lineno,
-                            ".dc needs source start stop step",
-                        ));
-                    }
-                    let step = num(lineno, &toks[4])?;
-                    if step == 0.0 {
-                        return Err(ParseNetlistError::new(lineno, ".dc step must be nonzero"));
-                    }
-                    dc = Some(DcSpec {
-                        source: toks[1].clone(),
-                        start: num(lineno, &toks[2])?,
-                        stop: num(lineno, &toks[3])?,
-                        step,
-                    });
-                }
                 ".ic" | ".options" | ".op" | ".print" | ".plot" | ".probe" => {
                     // Recognised but intentionally ignored directives.
                 }
@@ -348,7 +238,7 @@ pub fn parse_netlist(text: &str) -> Result<ParsedDeck, ParseNetlistError> {
             .map_err(|e| if e.line == 0 { ParseNetlistError::new(lineno, e.message) } else { e })?;
     }
 
-    Ok(ParsedDeck { circuit, tran, ac, dc })
+    Ok(ParsedDeck { circuit, tran })
 }
 
 /// Lowercases and splits a line on whitespace, commas, and parentheses.
@@ -423,81 +313,53 @@ fn parse_model(line: usize, toks: &[String]) -> Result<(String, ModelCard), Pars
     Ok((name, card))
 }
 
-/// Splits off an `AC <magnitude>` pair from source tokens, returning the
-/// remaining waveform tokens and the AC magnitude (0 if absent).
-fn extract_ac(line: usize, toks: &[String]) -> Result<(Vec<String>, f64), ParseNetlistError> {
-    let mut rest = Vec::with_capacity(toks.len());
-    let mut ac = 0.0;
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i] == "ac" {
-            let Some(mag) = toks.get(i + 1) else {
-                return Err(ParseNetlistError::new(line, "ac needs a magnitude"));
-            };
-            ac = num(line, mag)?;
-            i += 2;
-        } else {
-            rest.push(toks[i].clone());
-            i += 1;
-        }
-    }
-    Ok((rest, ac))
-}
-
-/// Parses the waveform tokens after the node list of a V/I source.
+/// Parses the waveform tokens after the node list of a V/I source (at
+/// least one). Each form takes at most its own parameter list: a surplus
+/// value is an error naming it, so a deck never simulates a waveform other
+/// than the one it wrote.
 fn parse_waveform(line: usize, toks: &[String]) -> Result<Waveform, ParseNetlistError> {
-    if toks.is_empty() {
-        return Err(ParseNetlistError::new(line, "source needs a value or waveform"));
+    let (form, args) = match toks[0].as_str() {
+        form @ ("dc" | "pulse" | "sin" | "exp" | "sffm" | "pwl") => (form, &toks[1..]),
+        _ => ("dc", toks),
+    };
+    let (least, most, takes) = match form {
+        "dc" => (1, 1, "one value"),
+        "pulse" => (2, 7, "v1 v2 [td tr tf pw per]"),
+        "sin" => (3, 5, "vo va freq [td theta]"),
+        "exp" => (6, 6, "v1 v2 td1 tau1 td2 tau2"),
+        "sffm" => (5, 5, "vo va fc mdi fs"),
+        _ => (2, usize::MAX, "t,v pairs"),
+    };
+    if let Some(surplus) = args.get(most) {
+        return Err(ParseNetlistError::new(
+            line,
+            format!("{form} takes {takes}; surplus value `{surplus}`"),
+        ));
     }
-    match toks[0].as_str() {
-        "dc" => {
-            if toks.len() < 2 {
-                return Err(ParseNetlistError::new(line, "dc needs a value"));
-            }
-            Ok(Waveform::Dc(num(line, &toks[1])?))
-        }
-        "pulse" => {
-            let v: Vec<f64> = toks[1..].iter().map(|t| num(line, t)).collect::<Result<_, _>>()?;
-            if v.len() < 2 {
-                return Err(ParseNetlistError::new(line, "pulse needs at least v1 v2"));
-            }
-            let g = |i: usize| v.get(i).copied().unwrap_or(0.0);
-            Ok(Waveform::Pulse {
-                v1: v[0],
-                v2: v[1],
-                td: g(2),
-                tr: g(3),
-                tf: g(4),
-                pw: g(5),
-                per: g(6),
-            })
-        }
-        "sin" => {
-            let v: Vec<f64> = toks[1..].iter().map(|t| num(line, t)).collect::<Result<_, _>>()?;
-            if v.len() < 3 {
-                return Err(ParseNetlistError::new(line, "sin needs vo va freq"));
-            }
-            let g = |i: usize| v.get(i).copied().unwrap_or(0.0);
-            Ok(Waveform::Sin { vo: v[0], va: v[1], freq: v[2], td: g(3), theta: g(4) })
-        }
+    let v: Vec<f64> = args.iter().map(|t| num(line, t)).collect::<Result<_, _>>()?;
+    if v.len() < least {
+        return Err(ParseNetlistError::new(line, format!("{form} needs {takes}")));
+    }
+    let g = |i: usize| v.get(i).copied().unwrap_or(0.0);
+    match form {
+        "dc" => Ok(Waveform::Dc(v[0])),
+        "pulse" => Ok(Waveform::Pulse {
+            v1: v[0],
+            v2: v[1],
+            td: g(2),
+            tr: g(3),
+            tf: g(4),
+            pw: g(5),
+            per: g(6),
+        }),
+        "sin" => Ok(Waveform::Sin { vo: v[0], va: v[1], freq: v[2], td: g(3), theta: g(4) }),
         "exp" => {
-            let v: Vec<f64> = toks[1..].iter().map(|t| num(line, t)).collect::<Result<_, _>>()?;
-            if v.len() < 6 {
-                return Err(ParseNetlistError::new(line, "exp needs v1 v2 td1 tau1 td2 tau2"));
-            }
             Ok(Waveform::Exp { v1: v[0], v2: v[1], td1: v[2], tau1: v[3], td2: v[4], tau2: v[5] })
         }
-        "sffm" => {
-            let v: Vec<f64> = toks[1..].iter().map(|t| num(line, t)).collect::<Result<_, _>>()?;
-            if v.len() < 5 {
-                return Err(ParseNetlistError::new(line, "sffm needs vo va fc mdi fs"));
-            }
-            Ok(Waveform::Sffm { vo: v[0], va: v[1], fc: v[2], mdi: v[3], fs: v[4] })
-        }
-        "pwl" => {
-            let v: Vec<f64> = toks[1..].iter().map(|t| num(line, t)).collect::<Result<_, _>>()?;
-            if v.len() < 2 || !v.len().is_multiple_of(2) {
-                return Err(ParseNetlistError::new(line, "pwl needs t,v pairs"));
+        "sffm" => Ok(Waveform::Sffm { vo: v[0], va: v[1], fc: v[2], mdi: v[3], fs: v[4] }),
+        _ => {
+            if !v.len().is_multiple_of(2) {
+                return Err(ParseNetlistError::new(line, format!("{form} needs {takes}")));
             }
             let pts: Vec<(f64, f64)> = v.chunks(2).map(|c| (c[0], c[1])).collect();
             for w in pts.windows(2) {
@@ -507,7 +369,6 @@ fn parse_waveform(line: usize, toks: &[String]) -> Result<Waveform, ParseNetlist
             }
             Ok(Waveform::Pwl(pts))
         }
-        _ => Ok(Waveform::Dc(num(line, &toks[0])?)),
     }
 }
 
@@ -656,24 +517,12 @@ fn parse_element(
         'v' => {
             need(4)?;
             let (p, n) = (node(ckt, &toks[1]), node(ckt, &toks[2]));
-            let (wave_toks, ac) = extract_ac(line, &toks[3..])?;
-            let wave = if wave_toks.is_empty() {
-                crate::waveform::Waveform::Dc(0.0)
-            } else {
-                parse_waveform(line, &wave_toks)?
-            };
-            ckt.add_vsource_ac(&name, p, n, wave, ac)?;
+            ckt.add_vsource(&name, p, n, parse_waveform(line, &toks[3..])?)?;
         }
         'i' => {
             need(4)?;
             let (p, n) = (node(ckt, &toks[1]), node(ckt, &toks[2]));
-            let (wave_toks, ac) = extract_ac(line, &toks[3..])?;
-            let wave = if wave_toks.is_empty() {
-                crate::waveform::Waveform::Dc(0.0)
-            } else {
-                parse_waveform(line, &wave_toks)?
-            };
-            ckt.add_isource_ac(&name, p, n, wave, ac)?;
+            ckt.add_isource(&name, p, n, parse_waveform(line, &toks[3..])?)?;
         }
         'd' => {
             need(4)?;
@@ -926,56 +775,13 @@ R1 g 0 1k
     }
 
     #[test]
-    fn ac_directive_and_source_parse() {
-        let deck = "t\nV1 in 0 DC 1 AC 1\nR1 in out 1k\nC1 out 0 1n\n.ac dec 10 1k 1meg\n.end";
-        let d = parse_netlist(deck).unwrap();
-        let ac = d.ac.expect("ac spec");
-        assert!(ac.decade);
-        assert_eq!(ac.points, 10);
-        let freqs = ac.frequencies();
-        assert!((freqs[0] - 1e3).abs() < 1e-9);
-        assert!((freqs.last().unwrap() - 1e6).abs() < 1e-3);
-        match &d.circuit.elements()[0] {
-            Element::VoltageSource { ac_magnitude, waveform, .. } => {
-                assert_eq!(*ac_magnitude, 1.0);
-                assert_eq!(*waveform, Waveform::Dc(1.0));
-            }
-            other => panic!("expected vsource, got {other:?}"),
+    fn ac_and_dc_directives_are_rejected_at_their_line() {
+        for directive in [".ac dec 10 1k 1meg", ".dc V1 0 1 0.1"] {
+            let deck = format!("t\nV1 in 0 1\nR1 in 0 1k\n{directive}\n.end");
+            let e = parse_netlist(&deck).unwrap_err();
+            assert_eq!(e.line(), 4, "{directive}: {e}");
+            assert!(e.message().contains("unknown directive"), "{directive}: {e}");
         }
-    }
-
-    #[test]
-    fn ac_only_source_defaults_to_quiet_dc() {
-        let deck = "t\nV1 in 0 AC 0.5\nR1 in 0 1k\n.end";
-        let d = parse_netlist(deck).unwrap();
-        match &d.circuit.elements()[0] {
-            Element::VoltageSource { ac_magnitude, waveform, .. } => {
-                assert_eq!(*ac_magnitude, 0.5);
-                assert_eq!(*waveform, Waveform::Dc(0.0));
-            }
-            other => panic!("expected vsource, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn dc_directive_parses_and_expands() {
-        let deck = "t\nV1 in 0 0\nR1 in 0 1k\n.dc V1 0 3.3 0.3\n.end";
-        let d = parse_netlist(deck).unwrap();
-        let dc = d.dc.expect("dc spec");
-        assert_eq!(dc.source, "v1");
-        let vals = dc.values();
-        assert_eq!(vals.len(), 12);
-        assert!((vals[0] - 0.0).abs() < 1e-12);
-        assert!((vals[11] - 3.3).abs() < 1e-9);
-    }
-
-    #[test]
-    fn dc_directive_handles_descending_sweeps() {
-        let deck = "t\nV1 in 0 0\nR1 in 0 1k\n.dc V1 2 0 0.5\n.end";
-        let d = parse_netlist(deck).unwrap();
-        let vals = d.dc.expect("dc").values();
-        assert_eq!(vals.len(), 5);
-        assert!(vals[0] > vals[4]);
     }
 
     #[test]

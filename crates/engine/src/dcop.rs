@@ -165,34 +165,6 @@ pub fn dc_operating_point(
     Ok(x)
 }
 
-/// Solves and formats the DC operating point as a human-readable table of
-/// node voltages and branch currents (the `.op` printout).
-///
-/// # Errors
-///
-/// Same failure modes as [`dc_operating_point`].
-pub fn format_dc_op(circuit: &wavepipe_circuit::Circuit, opts: &SimOptions) -> Result<String> {
-    use std::fmt::Write as _;
-    let sys = MnaSystem::compile(circuit)?;
-    let mut ws = sys.new_workspace();
-    let mut cache = LinearCache::for_options(opts);
-    let mut stats = SimStats::new();
-    let x = dc_operating_point(&sys, &mut ws, &mut cache, None, opts, &mut stats)?;
-    let mut out = String::new();
-    let _ = writeln!(out, "DC operating point ({} newton iterations)", stats.newton_iterations);
-    let _ = writeln!(out, "{:<20} {:>14}", "node", "voltage (V)");
-    for (i, name) in sys.node_names().iter().enumerate() {
-        let _ = writeln!(out, "{:<20} {:>14.6e}", format!("v({name})"), x[i]);
-    }
-    if !sys.branch_names().is_empty() {
-        let _ = writeln!(out, "{:<20} {:>14}", "branch", "current (A)");
-        for (name, idx) in sys.branch_names() {
-            let _ = writeln!(out, "{:<20} {:>14.6e}", format!("i({name})"), x[*idx]);
-        }
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,21 +257,6 @@ mod tests {
         assert!(vb > 0.5 && vb < 0.9, "vb = {vb}");
         // ib ~ (12-0.7)/1M = 11.3uA; ic ~ 1.13mA; vc ~ 12 - 2.26 ~ 9.7.
         assert!(vc > 8.0 && vc < 11.0, "vc = {vc}");
-    }
-
-    #[test]
-    fn format_dc_op_lists_all_unknowns() {
-        let mut ckt = Circuit::new("t");
-        let a = ckt.node("a");
-        let b = ckt.node("b");
-        ckt.add_vsource("V1", a, Circuit::GROUND, Waveform::dc(4.0)).unwrap();
-        ckt.add_resistor("R1", a, b, 1e3).unwrap();
-        ckt.add_resistor("R2", b, Circuit::GROUND, 1e3).unwrap();
-        let txt = format_dc_op(&ckt, &SimOptions::default()).unwrap();
-        assert!(txt.contains("v(a)"));
-        assert!(txt.contains("v(b)"));
-        assert!(txt.contains("i(V1)"));
-        assert!(txt.contains("2.0000"), "v(b) = 2 V appears: {txt}");
     }
 
     #[test]

@@ -109,11 +109,6 @@ pub enum EngineError {
         /// Time at which the blowup occurred.
         time: f64,
     },
-    /// An analysis referenced an independent source that does not exist.
-    UnknownSource {
-        /// The missing source name.
-        name: String,
-    },
     /// A pool worker died (panicked or disappeared) while holding a
     /// task. The runtime drains the round, retires the worker, and continues
     /// on the surviving lanes; this error only escapes when the *lead* lane
@@ -186,9 +181,6 @@ impl fmt::Display for EngineError {
             }
             EngineError::NumericalBlowup { time } => {
                 write!(f, "non-finite solution at t={time:.3e}")
-            }
-            EngineError::UnknownSource { name } => {
-                write!(f, "no independent source named {name}")
             }
             EngineError::WorkerLost { lane, cause } => {
                 write!(f, "worker on lane {lane} lost: {cause}")

@@ -15,12 +15,8 @@
 //!   takes every step decision: source breakpoints, Newton-reject shrink, LTE
 //!   accept/reject, convergence recovery ([`recovery`]).
 //!
-//! Beyond transient analysis the engine provides the surrounding toolbox:
-//! AC small-signal sweeps ([`ac`]), DC transfer sweeps ([`dcsweep`]),
-//! adjoint DC sensitivities ([`sensitivity`]), `.measure`-style waveform
-//! post-processing ([`measure`]), FFT/THD spectral analysis ([`spectrum`]),
-//! `.op` reports ([`dcop::format_dc_op`]), and SPICE rawfile export
-//! ([`rawfile`]).
+//! The engine runs one analysis, transient. Beside it sits only
+//! `.measure`-style waveform post-processing of its results ([`measure`]).
 //!
 //! The transient loop is deliberately factored into [`HistoryWindow`] +
 //! [`PointSolver`] + [`StepController`] so that `wavepipe-core` can solve
@@ -51,10 +47,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod ac;
 pub mod cancel;
 pub mod dcop;
-pub mod dcsweep;
 pub mod devices;
 pub mod env;
 mod error;
@@ -66,19 +60,14 @@ pub mod measure;
 pub mod mna;
 pub mod newton;
 mod options;
-pub mod rawfile;
 pub mod recovery;
 mod result;
-pub mod sensitivity;
 pub mod solver;
-pub mod spectrum;
 mod stats;
 pub mod stepctl;
 pub mod transient;
 
-pub use ac::{run_ac, AcResult, Phasor};
 pub use cancel::CancelToken;
-pub use dcsweep::{run_dc_sweep, DcSweepResult};
 pub use error::{ConvergenceReport, EngineError, RecoveryRung, Result};
 pub use fault::{FaultHandle, FaultKind, FaultPlan};
 pub use integrate::{IntegCoeffs, Method};
@@ -86,7 +75,6 @@ pub use krylov::{GmresBackend, GmresConfig, KrylovStats};
 pub use mna::{MnaSystem, MnaWorkspace, StampInput, StampResult};
 pub use options::{CacheCtl, SimOptions};
 pub use result::TransientResult;
-pub use sensitivity::{run_dc_sensitivity, SensitivityResult};
 pub use solver::{DirectLu, SolverBackend, SolverFactory, SolverHandle};
 pub use stats::SimStats;
 pub use stepctl::{Commit, StepController};

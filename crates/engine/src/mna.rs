@@ -46,11 +46,8 @@ fn unknown_of(node: Node) -> usize {
 }
 
 /// A device compiled to unknown indices and pre-derived model constants.
-///
-/// `pub(crate)` so the small-signal (AC) assembler can reuse the compiled
-/// form.
 #[derive(Debug, Clone)]
-pub(crate) enum Dev {
+enum Dev {
     Conductance {
         p: usize,
         n: usize,
@@ -85,13 +82,11 @@ pub(crate) enum Dev {
         n: usize,
         branch: usize,
         wave: Waveform,
-        ac_mag: f64,
     },
     Isrc {
         p: usize,
         n: usize,
         wave: Waveform,
-        ac_mag: f64,
     },
     Diode {
         p: usize,
@@ -396,8 +391,6 @@ pub struct MnaSystem {
     slots: Vec<usize>,
     node_names: Vec<String>,
     branch_names: Vec<(String, usize)>,
-    /// Independent source name -> index into `devices`.
-    source_names: Vec<(String, usize)>,
     source_waves: Vec<Waveform>,
     plan: StampPlan,
     /// Linear devices (stamp independent of the iterate), element order.
@@ -572,7 +565,6 @@ fn volt(x: &[f64], u: usize) -> f64 {
 struct DeviceTables {
     devices: Vec<Dev>,
     branch_names: Vec<(String, usize)>,
-    source_names: Vec<(String, usize)>,
     source_waves: Vec<Waveform>,
     n_unknowns: usize,
     n_cap_states: usize,
@@ -607,7 +599,6 @@ impl MnaSystem {
             slots: Vec::new(),
             node_names,
             branch_names: t.branch_names,
-            source_names: t.source_names,
             source_waves: t.source_waves,
             plan: StampPlan::default(),
             lin_elem: t.lin_elem,
@@ -627,7 +618,6 @@ impl MnaSystem {
         let n_nodes = circuit.node_count();
         let mut devices = Vec::new();
         let mut branch_names = Vec::new();
-        let mut source_names: Vec<(String, usize)> = Vec::new();
         let mut source_waves = Vec::new();
         let mut next_branch = n_nodes;
         let mut next_cap = 0usize;
@@ -663,27 +653,23 @@ impl MnaSystem {
                     });
                     next_branch += 1;
                 }
-                Element::VoltageSource { name, p, n, waveform, ac_magnitude } => {
+                Element::VoltageSource { name, p, n, waveform } => {
                     branch_names.push((name.clone(), next_branch));
-                    source_names.push((name.clone(), devices.len()));
                     source_waves.push(waveform.clone());
                     devices.push(Dev::Vsrc {
                         p: unknown_of(*p),
                         n: unknown_of(*n),
                         branch: next_branch,
                         wave: waveform.clone(),
-                        ac_mag: *ac_magnitude,
                     });
                     next_branch += 1;
                 }
-                Element::CurrentSource { name, p, n, waveform, ac_magnitude } => {
-                    source_names.push((name.clone(), devices.len()));
+                Element::CurrentSource { p, n, waveform, .. } => {
                     source_waves.push(waveform.clone());
                     devices.push(Dev::Isrc {
                         p: unknown_of(*p),
                         n: unknown_of(*n),
                         wave: waveform.clone(),
-                        ac_mag: *ac_magnitude,
                     });
                 }
                 Element::Diode { p, n, model, .. } => {
@@ -806,7 +792,6 @@ impl MnaSystem {
         DeviceTables {
             devices,
             branch_names,
-            source_names,
             source_waves,
             n_unknowns: next_branch,
             n_cap_states: next_cap,
@@ -880,7 +865,6 @@ impl MnaSystem {
             slots: self.slots.clone(),
             node_names: circuit.signal_node_names().map(str::to_string).collect(),
             branch_names: t.branch_names,
-            source_names: t.source_names,
             source_waves: t.source_waves,
             plan: self.plan.clone(),
             lin_elem: t.lin_elem,
@@ -1035,36 +1019,6 @@ impl MnaSystem {
     /// All signal-node names in unknown order.
     pub fn node_names(&self) -> &[String] {
         &self.node_names
-    }
-
-    /// Compiled device list (crate-internal: used by the AC assembler and
-    /// the DC-sweep source override).
-    pub(crate) fn devices(&self) -> &[Dev] {
-        &self.devices
-    }
-
-    /// Replaces the named independent source's waveform with a DC value
-    /// (the DC-sweep hot path — pattern and slot table are untouched).
-    ///
-    /// The name lookup is case-insensitive, matching netlist conventions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::EngineError::UnknownSource`] naming the missing
-    /// source if no independent source with that name exists.
-    pub fn set_source(&mut self, name: &str, value: f64) -> Result<()> {
-        let missing = || crate::EngineError::UnknownSource { name: name.to_string() };
-        let Some(&(_, idx)) = self.source_names.iter().find(|(n, _)| n.eq_ignore_ascii_case(name))
-        else {
-            return Err(missing());
-        };
-        match &mut self.devices[idx] {
-            Dev::Vsrc { wave, .. } | Dev::Isrc { wave, .. } => {
-                *wave = Waveform::Dc(value);
-                Ok(())
-            }
-            _ => Err(missing()),
-        }
     }
 
     /// All branch-current element names with their unknown indices.
@@ -1763,19 +1717,5 @@ mod tests {
         // i = gm*vin = 2 mA out of `out` node -> v(out) = -2 V across 1k.
         let out_i = sys.node_unknown("out").unwrap();
         assert!((sol[out_i] + 2.0).abs() < 1e-4, "v(out) = {}", sol[out_i]);
-    }
-
-    #[test]
-    fn set_source_names_the_missing_source() {
-        let mut ckt = Circuit::new("t");
-        let a = ckt.node("a");
-        ckt.add_vsource("V1", a, Circuit::GROUND, W::dc(1.0)).unwrap();
-        ckt.add_resistor("R1", a, Circuit::GROUND, 1.0).unwrap();
-        let mut sys = MnaSystem::compile(&ckt).unwrap();
-        assert!(sys.set_source("v1", 2.0).is_ok(), "lookup is case-insensitive");
-        match sys.set_source("Vnope", 2.0) {
-            Err(crate::EngineError::UnknownSource { name }) => assert_eq!(name, "Vnope"),
-            other => panic!("expected UnknownSource, got {other:?}"),
-        }
     }
 }

@@ -46,16 +46,6 @@ impl TransientResult {
         self.branch_names = branch_names;
     }
 
-    /// Iterates the node names in unknown order.
-    pub fn node_names_iter(&self) -> impl Iterator<Item = &str> {
-        self.node_names.iter().map(String::as_str)
-    }
-
-    /// Iterates the branch-current `(element name, unknown index)` pairs.
-    pub fn branch_names_iter(&self) -> impl Iterator<Item = (String, usize)> + '_ {
-        self.branch_names.iter().cloned()
-    }
-
     /// Unknown index of the branch current of a named element (voltage
     /// source, inductor, or VCVS), if present.
     pub fn branch_of(&self, element_name: &str) -> Option<usize> {

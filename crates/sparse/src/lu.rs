@@ -19,9 +19,8 @@
 //! lookups:
 //!
 //! * `L` by column, row positions ascending within a column. The order of
-//!   rows inside an `L` column enters no refactorization or forward/backward
-//!   solve result (every row of a column is a distinct target); only
-//!   [`SparseLu::solve_transpose`] accumulates along it.
+//!   rows inside an `L` column enters no refactorization or solve result
+//!   (every row of a column is a distinct target).
 //! * strict `U` by column, in the elimination (DFS-topological) order the
 //!   pivoting factorization found. That order *is* the order in which every
 //!   factor entry receives its updates, so it is never re-sorted.
@@ -910,104 +909,6 @@ impl SparseLu {
         Ok(())
     }
 
-    /// Solves the *transposed* system `A^T x = b` using the same factors
-    /// (`A^T = P^T L^T U^T Q^T` up to permutation transposes) — the adjoint
-    /// solve needed by sensitivity analysis and the 1-norm condition
-    /// estimator.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SparseError::DimensionMismatch`] if `b.len() != dim()`.
-    pub fn solve_transpose(&self, b: &[f64]) -> Result<Vec<f64>> {
-        let PlanView { n, q, p, l_colptr, l_rows, u_colptr, u_rows, .. } = self.plan.view();
-        let LuValues { l_vals, u_vals, u_diag } = &self.vals;
-        if b.len() != n {
-            return Err(SparseError::DimensionMismatch { expected: n, found: b.len() });
-        }
-        // From P A Q = L U:  A^T = Q U^T L^T P, so
-        // x = A^-T b = P^T L^-T U^-T Q^T b.
-        // w = Q^T b  (w[k] = b[q[k]]).
-        let mut w: Vec<f64> = (0..n).map(|k| b[q[k]]).collect();
-        // v = U^-T w: U^T is lower triangular; U's column k holds exactly
-        // the entries U(t, k) with t < k, giving a dot-product forward
-        // substitution.
-        for k in 0..n {
-            let ur = u_colptr[k]..u_colptr[k + 1];
-            let mut s = w[k];
-            for (&t, &u) in u_rows[ur.clone()].iter().zip(&u_vals[ur]) {
-                s -= u * w[t as usize];
-            }
-            w[k] = s / u_diag[k];
-        }
-        // u = L^-T v: L^T is unit upper triangular; L's column k holds
-        // L(r, k) with r > k.
-        for k in (0..n).rev() {
-            let lr = l_colptr[k]..l_colptr[k + 1];
-            let mut s = w[k];
-            for (&r, &l) in l_rows[lr.clone()].iter().zip(&l_vals[lr]) {
-                s -= l * w[r as usize];
-            }
-            w[k] = s;
-        }
-        // x = P^T u: x[p[k]] = u[k].
-        let mut x = vec![0.0; n];
-        for k in 0..n {
-            x[p[k]] = w[k];
-        }
-        Ok(x)
-    }
-
-    /// Estimates the 1-norm condition number `||A||_1 * ||A^-1||_1` using
-    /// Hager's algorithm (a handful of forward and transpose solves).
-    ///
-    /// The estimate is a lower bound that is almost always within a small
-    /// factor of the truth — accurate enough to flag dangerous conditioning.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver errors; `a` must be the factored matrix.
-    pub fn condest_1(&self, a: &CscMatrix) -> Result<f64> {
-        let n = self.dim();
-        if n == 0 {
-            return Ok(0.0);
-        }
-        // Hager's estimator for ||A^-1||_1.
-        let mut x = vec![1.0 / n as f64; n];
-        let mut est = 0.0_f64;
-        for _ in 0..5 {
-            let y = self.solve(&x)?;
-            let y1: f64 = y.iter().map(|v| v.abs()).sum();
-            if y1 <= est {
-                break;
-            }
-            est = y1;
-            let xi: Vec<f64> = y.iter().map(|v| if *v >= 0.0 { 1.0 } else { -1.0 }).collect();
-            let z = self.solve_transpose(&xi)?;
-            // Next vertex: the unit vector at the largest |z| component.
-            let (j, zmax) = z.iter().enumerate().fold((0, 0.0_f64), |acc, (i, &v)| {
-                if v.abs() > acc.1 {
-                    (i, v.abs())
-                } else {
-                    acc
-                }
-            });
-            // Converged when z^T x >= |z|_inf (standard Hager test).
-            let ztx: f64 = z.iter().zip(&x).map(|(&a, &b)| a * b).sum();
-            if zmax <= ztx {
-                break;
-            }
-            x = vec![0.0; n];
-            x[j] = 1.0;
-        }
-        // 1-norm of A = max column abs sum.
-        let mut a_norm = 0.0_f64;
-        for j in 0..a.ncols() {
-            let (_, vals) = a.col(j);
-            a_norm = a_norm.max(vals.iter().map(|v| v.abs()).sum());
-        }
-        Ok(a_norm * est)
-    }
-
     /// Solves `A x = b` and applies one step of iterative refinement using
     /// the original matrix `a` (which must be the matrix that was factored).
     ///
@@ -1233,67 +1134,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_solve_matches_dense_transpose() {
-        let rows: Vec<&[f64]> = vec![
-            &[3.0, 0.0, 1.0, 0.0, -2.0],
-            &[0.0, 2.5, 0.0, 0.0, 0.0],
-            &[0.5, -1.0, 4.0, 0.0, 0.0],
-            &[0.0, 0.0, -0.7, 1.8, 0.0],
-            &[1.0, 0.0, 0.0, -0.2, 5.0],
-        ];
-        let mut t = CooMatrix::new(5, 5);
-        for (i, r) in rows.iter().enumerate() {
-            for (j, &v) in r.iter().enumerate() {
-                if v != 0.0 {
-                    t.push(i, j, v).unwrap();
-                }
-            }
-        }
-        let a = t.to_csc();
-        let b = [1.0, -2.0, 3.0, 0.5, 4.0];
-        let lu = SparseLu::factor(&a, &LuOptions::default()).unwrap();
-        let xt = lu.solve_transpose(&b).unwrap();
-        // Check A^T xt = b via the transpose matrix.
-        let r = a.transpose().matvec(&xt).unwrap();
-        for (ri, bi) in r.iter().zip(&b) {
-            assert!((ri - bi).abs() < 1e-11, "residual {ri} vs {bi}");
-        }
-    }
-
-    #[test]
-    fn transpose_solve_on_symmetric_equals_forward() {
-        let a = laplacian_2d(4, 5);
-        // Make it exactly symmetric by symmetrizing the diagonal perturbation.
-        let lu = SparseLu::factor(&a, &LuOptions::default()).unwrap();
-        let b: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.11).cos()).collect();
-        let x1 = lu.solve(&b).unwrap();
-        let x2 = lu.solve_transpose(&b).unwrap();
-        // laplacian_2d is symmetric, so both solves agree.
-        for (p, q) in x1.iter().zip(&x2) {
-            assert!((p - q).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn condest_tracks_dense_condition_number() {
-        // Well conditioned: laplacian.
-        let a = laplacian_2d(5, 5);
-        let lu = SparseLu::factor(&a, &LuOptions::default()).unwrap();
-        let est = lu.condest_1(&a).unwrap();
-        assert!(est > 1.0 && est < 1e3, "laplacian condest {est}");
-        // Badly conditioned: nearly dependent columns.
-        let mut t = CooMatrix::new(3, 3);
-        t.push(0, 0, 1.0).unwrap();
-        t.push(1, 1, 1.0).unwrap();
-        t.push(2, 2, 1e-9).unwrap();
-        t.push(0, 2, 1.0).unwrap();
-        let b = t.to_csc();
-        let lub = SparseLu::factor(&b, &LuOptions::default()).unwrap();
-        let estb = lub.condest_1(&b).unwrap();
-        assert!(estb > 1e8, "ill-conditioned condest {estb}");
-    }
-
-    #[test]
     fn strict_partial_pivoting_also_works() {
         let a = laplacian_2d(5, 5);
         let opts = LuOptions { pivot_threshold: 1.0, ..LuOptions::default() };
@@ -1404,37 +1244,12 @@ mod tests {
         x
     }
 
-    /// The transposed solve as indexed dot products over the stored layout.
-    fn solve_transpose_reference(lu: &SparseLu, b: &[f64]) -> Vec<f64> {
-        let n = lu.plan.n;
-        let mut w: Vec<f64> = (0..n).map(|k| b[lu.plan.q.perm()[k]]).collect();
-        for k in 0..n {
-            let mut s = w[k];
-            for up in lu.plan.u_colptr[k]..lu.plan.u_colptr[k + 1] {
-                s -= lu.vals.u_vals[up] * w[lu.plan.u_rows[up] as usize];
-            }
-            w[k] = s / lu.vals.u_diag[k];
-        }
-        for k in (0..n).rev() {
-            let mut s = w[k];
-            for lp in lu.plan.l_colptr[k]..lu.plan.l_colptr[k + 1] {
-                s -= lu.vals.l_vals[lp] * w[lu.plan.l_rows[lp] as usize];
-            }
-            w[k] = s;
-        }
-        let mut x = vec![0.0; n];
-        for k in 0..n {
-            x[lu.plan.p[k]] = w[k];
-        }
-        x
-    }
-
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
     /// Refactors `lu` with the kernel and `reference` with the reference
-    /// loop; on success the factors and both solves must agree bit for bit,
+    /// loop; on success the factors and the solve must agree bit for bit,
     /// on failure the errors must be equal, and either way the persistent
     /// workspace must be back to all (positive) zeros.
     fn assert_refactor_matches_reference(
@@ -1451,10 +1266,6 @@ mod tests {
             assert_eq!(bits(&lu.vals.u_diag), bits(&reference.vals.u_diag));
             let b: Vec<f64> = (0..lu.plan.n).map(|i| (i as f64 * 0.37).sin() + 0.25).collect();
             assert_eq!(bits(&lu.solve(&b)?), bits(&solve_reference(reference, &b)));
-            assert_eq!(
-                bits(&lu.solve_transpose(&b)?),
-                bits(&solve_transpose_reference(reference, &b))
-            );
         }
         got
     }

@@ -177,10 +177,10 @@ proptest! {
         (a, b) in branch_matrix_pair(),
     ) {
         // Through the public surface: a plan pivoted on `a`, adopted for `b`.
-        // Where the pivot check passes, every solve (each unit vector, plain
-        // and transposed) is bit for bit that of `b`'s own factorization;
-        // where it fails, the error is `PivotDegraded`, and the re-pivot a
-        // caller answers it with is that own factorization.
+        // Where the pivot check passes, every solve (each unit vector) is bit
+        // for bit that of `b`'s own factorization; where it fails, the error
+        // is `PivotDegraded`, and the re-pivot a caller answers it with is
+        // that own factorization.
         let opts = LuOptions::default();
         let Ok(owner) = SparseLu::factor(&a, &opts) else {
             return Err(TestCaseError::Reject("singular draw"));
@@ -195,8 +195,6 @@ proptest! {
             (0..n).all(|i| {
                 let e: Vec<f64> = (0..n).map(|k| f64::from(u8::from(k == i))).collect();
                 bits(got.solve(&e).unwrap()) == bits(want.solve(&e).unwrap())
-                    && bits(got.solve_transpose(&e).unwrap())
-                        == bits(want.solve_transpose(&e).unwrap())
             })
         };
         match checked {
@@ -244,29 +242,5 @@ proptest! {
         for (y, z) in asx.iter().zip(&ax) {
             prop_assert!((y - alpha * z).abs() < 1e-9 * (1.0 + z.abs()));
         }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn transpose_solve_solves_the_transpose(a in dominant_matrix()) {
-        let n = a.ncols();
-        let b: Vec<f64> = (0..n).map(|i| ((i * 3 % 7) as f64) - 3.0).collect();
-        let lu = SparseLu::factor(&a, &LuOptions::default()).expect("factor");
-        let x = lu.solve_transpose(&b).expect("transpose solve");
-        let r = a.transpose().matvec(&x).expect("matvec");
-        for (ri, bi) in r.iter().zip(&b) {
-            prop_assert!((ri - bi).abs() < 1e-8, "residual {} vs {}", ri, bi);
-        }
-    }
-
-    #[test]
-    fn condest_at_least_one_and_finite(a in dominant_matrix()) {
-        let lu = SparseLu::factor(&a, &LuOptions::default()).expect("factor");
-        let est = lu.condest_1(&a).expect("condest");
-        prop_assert!(est.is_finite());
-        prop_assert!(est >= 0.99, "condition number below 1: {}", est);
     }
 }

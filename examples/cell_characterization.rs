@@ -1,13 +1,12 @@
 //! Digital cell characterisation: define an inverter once as a `.subckt`,
-//! instantiate a chain, measure propagation delays and edge rates the way a
-//! liberty-style characterisation flow would, and export the waveforms as a
-//! SPICE rawfile.
+//! instantiate a chain, and measure propagation delays and edge rates the way
+//! a liberty-style characterisation flow would.
 //!
 //! Run with: `cargo run --release --example cell_characterization`
 
 use wavepipe::circuit::parse_netlist;
 use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
-use wavepipe::engine::{measure, rawfile};
+use wavepipe::engine::measure;
 
 const DECK: &str = "\
 inverter cell characterisation
@@ -86,11 +85,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("average VDD current over one cycle: {:.2} uA", -avg * 1e6);
     }
 
-    // Rawfile export for external waveform viewers.
-    let mut raw = Vec::new();
-    rawfile::write_transient(res, "inverter cell characterisation", &mut raw)?;
-    std::fs::write("cell_characterization.raw", &raw)?;
-    println!("\nwrote cell_characterization.raw ({} bytes)", raw.len());
-    std::fs::remove_file("cell_characterization.raw").ok();
     Ok(())
 }

@@ -9,10 +9,10 @@
 //! ```
 //!
 //! where `scheme` is one of `serial`, `backward`, `forward`, `combined`
-//! (default `backward`) and `threads` defaults to 2. `.dc` and
-//! `.ac` directives in the deck are honoured before the transient. With no arguments, a
-//! built-in demonstration deck (diode clipper) is simulated. The waveform of
-//! every node is written next to the deck as `<deck>.csv`.
+//! (default `backward`) and `threads` defaults to 2. The deck's `.tran`
+//! directive is the analysis. With no arguments, a built-in demonstration
+//! deck (diode clipper) is simulated. The waveform of every node is written
+//! next to the deck as `<deck>.csv`.
 //!
 //! `--trace` attaches a recording probe and writes the event stream to
 //! `<path>`: `chrome` (default) produces a Chrome trace-event JSON document
@@ -37,7 +37,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use wavepipe::circuit::parse_netlist;
 use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
-use wavepipe::engine::{run_ac, run_dc_sweep, spectrum, EngineError};
+use wavepipe::engine::EngineError;
 use wavepipe::telemetry::{
     analyze, chrome, jsonl, FanOut, MetricsRegistry, Probe, ProbeHandle, RecordingProbe,
 };
@@ -164,21 +164,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     let parsed = parse_netlist(&deck_text)?;
 
-    // Secondary analyses first, if requested by the deck.
-    if let Some(dc) = &parsed.dc {
-        let sweep = run_dc_sweep(&parsed.circuit, &dc.source, &dc.values(), &Default::default())?;
-        println!(".dc     : swept {} over {} points", dc.source, sweep.values().len());
-    }
-    if let Some(ac) = &parsed.ac {
-        let res = run_ac(&parsed.circuit, &ac.frequencies(), &Default::default())?;
-        println!(
-            ".ac     : {} frequency points from {:.3e} to {:.3e} Hz",
-            res.frequencies().len(),
-            ac.fstart,
-            ac.fstop
-        );
-    }
-
     let tran = parsed.tran.ok_or("deck has no .tran directive — add `.tran tstep tstop`")?;
     println!("circuit : {}", parsed.circuit.summary());
     println!("analysis: .tran {:.3e} {:.3e} ({scheme}, {threads} threads)", tran.tstep, tran.tstop);
@@ -259,16 +244,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let deck = args.get(1).map_or("built-in demo", String::as_str);
         let title = format!("{deck}, {scheme} x{threads}");
         print!("{}", analyze(&events).report(&title));
-    }
-
-    // Distortion report when the deck has a sine-driven node (demo decks).
-    if let Some(out) = report.result.unknown_of("mid") {
-        let fa = spectrum::fourier(&report.result.trace(out), 2e6, 2, 5);
-        println!(
-            "fourier : v(mid) fundamental {:.3} V, THD {:.1}%",
-            fa.harmonics[0].amplitude,
-            fa.thd * 100.0
-        );
     }
 
     // Dump every signal node to CSV.

@@ -49,9 +49,8 @@ pub use wavepipe_sparse as sparse;
 /// Circuit description substrate (re-export of `wavepipe-circuit`).
 pub use wavepipe_circuit as circuit;
 
-/// Serial SPICE engine and analysis toolbox — transient, AC, DC sweep,
-/// sensitivity, measurements, spectra, rawfiles (re-export of
-/// `wavepipe-engine`).
+/// Serial SPICE transient engine with its operating point and waveform
+/// measurements (re-export of `wavepipe-engine`).
 pub use wavepipe_engine as engine;
 
 /// WavePipe parallel schemes (re-export of `wavepipe-core`).

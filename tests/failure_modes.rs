@@ -7,8 +7,8 @@ use std::time::Duration;
 use wavepipe::circuit::{generators, Circuit, CircuitError, DiodeModel, Waveform};
 use wavepipe::core::{run_wavepipe, run_wavepipe_recoverable, Scheme, WavePipeOptions};
 use wavepipe::engine::{
-    run_ac, run_dc_sweep, run_transient, run_transient_recoverable, CancelToken, EngineError,
-    FaultKind, FaultPlan, SimOptions, TransientResult,
+    run_transient, run_transient_recoverable, CancelToken, EngineError, FaultKind, FaultPlan,
+    SimOptions, TransientResult,
 };
 
 /// Asserts two waveforms share the exact time grid and bit-identical
@@ -67,9 +67,6 @@ fn nonpositive_analysis_windows_are_rejected() {
         let err = run_transient(&ckt, tstep, tstop, &SimOptions::default()).unwrap_err();
         assert!(matches!(err, EngineError::BadParameter { .. }), "({tstep},{tstop}): {err}");
     }
-    assert!(run_ac(&ckt, &[0.0], &SimOptions::default()).is_err());
-    assert!(run_ac(&ckt, &[], &SimOptions::default()).is_err());
-    assert!(run_dc_sweep(&ckt, "V1", &[], &SimOptions::default()).is_err());
 }
 
 #[test]
@@ -285,7 +282,6 @@ fn errors_format_usefully() {
         EngineError::TimestepTooSmall { time: 2e-9, step: 1e-20, hmin: 1e-18 },
         EngineError::BadParameter { name: "tstop", value: -1.0 },
         EngineError::NumericalBlowup { time: 3e-9 },
-        EngineError::UnknownSource { name: "Vx".into() },
     ];
     for e in samples {
         let msg = e.to_string();
