@@ -71,7 +71,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -79,7 +78,7 @@ use std::time::Instant;
 
 use wavepipe_circuit::{Circuit, Element, Waveform};
 use wavepipe_engine::transient::run_transient_recoverable_compiled;
-use wavepipe_engine::{EngineError, MnaSystem, SimOptions, TransientResult};
+use wavepipe_engine::{panic_message, EngineError, MnaSystem, SimOptions, TransientResult};
 
 /// Which value of a named element a batch parameter column drives.
 ///
@@ -508,7 +507,10 @@ impl BatchSim {
         let attempt = |opts: &SimOptions| -> Result<TransientResult, (EngineError, bool)> {
             catch_unwind(AssertUnwindSafe(|| self.run_instance(index, opts)))
                 .map_err(|p| {
-                    (EngineError::WorkerLost { lane: index as u32, cause: panic_message(&p) }, true)
+                    (
+                        EngineError::WorkerLost { lane: index as u32, cause: panic_message(&*p) },
+                        true,
+                    )
                 })?
                 .map_err(|e| (e, false))
         };
@@ -817,17 +819,6 @@ impl BatchOutcome {
             prep_ns: self.prep_ns,
             wall_ns: self.wall_ns,
         })
-    }
-}
-
-/// Best-effort stringification of a caught panic payload.
-fn panic_message(payload: &(dyn Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "instance worker panicked".to_string()
     }
 }
 

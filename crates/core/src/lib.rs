@@ -17,9 +17,9 @@
 //! * [`Scheme::Combined`] — a backward ladder plus one forward speculative
 //!   point.
 //!
-//! The three are one round planner (`round`) under different
-//! `(ladder, chain)` plans — `(p, 0)`, `(1, p-1)` and `(p-1, 1)` — driving
-//! the lanes of `pipeline`.
+//! The three are one round (`round`, a state machine with no threads) under
+//! different `(ladder, chain)` plans — `(p, 0)`, `(1, p-1)` and `(p-1, 1)`;
+//! `pipeline` owns the lanes that solve its tasks, and decides nothing.
 //!
 //! Every accepted point passes the **same** Newton tolerance and
 //! local-truncation-error test as the serial engine: a round commits through
@@ -122,6 +122,6 @@ pub fn run_wavepipe_recoverable(
             };
             Ok(RunOutcome { report, error: outcome.error })
         }
-        _ => round::run(circuit, tstep, tstop, opts),
+        _ => pipeline::run(circuit, tstep, tstop, opts),
     }
 }

@@ -13,6 +13,9 @@ use crate::newton::{newton_solve, LinearCache};
 use crate::options::SimOptions;
 use crate::stats::SimStats;
 
+/// Newton iteration budget of one operating-point attempt (SPICE's `ITL1`).
+pub(crate) const MAX_DC_ITERS: usize = 200;
+
 fn dc_input<'a>(
     zeros: &'a [f64],
     caps: &'a [f64],
@@ -68,7 +71,7 @@ pub fn dc_operating_point(
         cache,
         &dc_input(&zeros, &caps, opts, opts.gmin, 1.0),
         &zeros,
-        opts.max_dc_iters,
+        MAX_DC_ITERS,
         opts,
         stats,
     );
@@ -91,7 +94,7 @@ pub fn dc_operating_point(
             cache,
             &dc_input(&zeros, &caps, opts, gshunt, 1.0),
             &x,
-            opts.max_dc_iters,
+            MAX_DC_ITERS,
             opts,
             stats,
         );
@@ -113,7 +116,7 @@ pub fn dc_operating_point(
             cache,
             &dc_input(&zeros, &caps, opts, opts.gmin, 1.0),
             &x,
-            opts.max_dc_iters,
+            MAX_DC_ITERS,
             opts,
             stats,
         )?;
@@ -135,7 +138,7 @@ pub fn dc_operating_point(
             cache,
             &dc_input(&zeros, &caps, opts, opts.gmin, target),
             &x,
-            opts.max_dc_iters,
+            MAX_DC_ITERS,
             opts,
             stats,
         );

@@ -1,8 +1,22 @@
 //! Engine error types.
 
+use std::any::Any;
 use std::fmt;
 use std::time::Duration;
 use wavepipe_sparse::SparseError;
+
+/// Renders a caught panic payload (`catch_unwind`'s or `join`'s `Err`) as
+/// the cause of an [`EngineError::WorkerLost`]. Pass the payload itself,
+/// `&*boxed`: a `&Box<dyn Any>` would coerce to the box, not its contents.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic payload of unknown type".to_string()
+    }
+}
 
 /// One rung of the transient convergence recovery ladder (see
 /// `crate::recovery`).

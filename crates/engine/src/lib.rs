@@ -68,7 +68,7 @@ pub mod stepctl;
 pub mod transient;
 
 pub use cancel::CancelToken;
-pub use error::{ConvergenceReport, EngineError, RecoveryRung, Result};
+pub use error::{panic_message, ConvergenceReport, EngineError, RecoveryRung, Result};
 pub use fault::{FaultHandle, FaultKind, FaultPlan};
 pub use integrate::{IntegCoeffs, Method};
 pub use krylov::{GmresBackend, GmresConfig, KrylovStats};

@@ -17,6 +17,9 @@ use wavepipe_telemetry::EventKind;
 /// `order + 1` history points, for methods of order at most two.
 const MAX_POINTS: usize = 4;
 
+/// LTE overestimation safety divisor (SPICE's `TRTOL`).
+const TRTOL: f64 = 7.0;
+
 /// Computes the order-`(len-1)` divided difference of a vector-valued sample
 /// set in `table`, a buffer the caller keeps from one evaluation to the next,
 /// and returns it (the table's first column). `times[0]`/`xs[0]` is the
@@ -113,7 +116,7 @@ pub fn lte_step_control(
 
     // Weighted norm relative to the solution magnitude; TRTOL absorbs the
     // deliberate overestimation of the bound.
-    let ratio = wrms_norm(lte, x_new, opts.reltol, opts.lte_abstol) / opts.trtol;
+    let ratio = wrms_norm(lte, x_new, opts.reltol, opts.lte_abstol) / TRTOL;
     if !ratio.is_finite() {
         // Degenerate divided differences (e.g. near-coincident history
         // times): treat as a hard rejection with a conservative retry.
@@ -188,7 +191,7 @@ mod tests {
         let factorial = (1..=(p + 1)).product::<usize>() as f64;
         let scale = method.error_constant() * factorial * h.powi(p as i32 + 1);
         let lte: Vec<f64> = dd.iter().map(|&d| d * scale).collect();
-        wrms_norm(&lte, x_new, opts.reltol, opts.lte_abstol) / opts.trtol
+        wrms_norm(&lte, x_new, opts.reltol, opts.lte_abstol) / TRTOL
     }
 
     proptest! {

@@ -28,6 +28,10 @@ const PARKED_SETS: usize = 4;
 /// value was swept.
 const CHORD_THETA: f64 = 0.5;
 
+/// Absolute current tolerance (SPICE's `ABSTOL`), amperes: the convergence
+/// floor of every branch-current unknown.
+const ABSTOL: f64 = 1e-12;
+
 /// Which [`LinKey`] each of a backend's numeric factor sets — the active one
 /// and [`PARKED_SETS`] parked ones — was computed under, and the one rule
 /// that moves them: *keep the factors of the keys most recently solved
@@ -416,7 +420,7 @@ pub struct NewtonOutcome {
 /// Each iteration stamps the linearised system at the current iterate,
 /// (re)factors, and solves for the next iterate; convergence is the classic
 /// SPICE per-unknown delta test (`vntol`/`reltol` on node voltages,
-/// `abstol`/`reltol` on branch currents).
+/// [`ABSTOL`]/`reltol` on branch currents).
 ///
 /// # Errors
 ///
@@ -480,7 +484,7 @@ pub fn newton_solve(
             let tol = if k < n_nodes {
                 opts.vntol + opts.reltol * xn.abs().max(xo.abs())
             } else {
-                opts.abstol + opts.reltol * xn.abs().max(xo.abs())
+                ABSTOL + opts.reltol * xn.abs().max(xo.abs())
             };
             if (xn - xo).abs() > tol {
                 converged = false;

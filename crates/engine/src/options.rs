@@ -10,6 +10,12 @@ use crate::stats::SimStats;
 use std::time::Duration;
 use wavepipe_telemetry::{EventKind, ProbeHandle};
 
+/// Minimum step as a fraction of `tstop`.
+const HMIN_FRAC: f64 = 1e-10;
+
+/// Maximum step as a fraction of `tstop`.
+const HMAX_FRAC: f64 = 0.02;
+
 /// Tolerances and control knobs for the simulation engine.
 ///
 /// The defaults mirror classic SPICE3 values; every WavePipe scheme uses the
@@ -21,30 +27,15 @@ pub struct SimOptions {
     pub reltol: f64,
     /// Absolute voltage tolerance (`VNTOL`), volts. Default `1e-6`.
     pub vntol: f64,
-    /// Absolute current tolerance (`ABSTOL`), amperes. Default `1e-12`.
-    pub abstol: f64,
     /// Minimum conductance added across nonlinear junctions (`GMIN`).
     /// Default `1e-12`.
     pub gmin: f64,
-    /// Maximum Newton iterations per transient point (`ITL4`). Default `40`.
-    pub max_newton_iters: usize,
-    /// Maximum Newton iterations for the DC operating point (`ITL1`).
-    /// Default `200`.
-    pub max_dc_iters: usize,
     /// Integration method for transient analysis. Default [`Method::Trapezoidal`].
     pub method: Method,
-    /// LTE overestimation safety divisor (`TRTOL`). Default `7.0`.
-    pub trtol: f64,
     /// Maximum step-growth ratio between consecutive accepted steps.
     /// Default `2.0`. (This is the ratio WavePipe's backward pipelining
     /// compounds across threads.)
     pub rmax: f64,
-    /// Step shrink factor on Newton non-convergence. Default `1/8`.
-    pub nr_shrink: f64,
-    /// Minimum step as a fraction of `tstop`. Default `1e-10`.
-    pub hmin_frac: f64,
-    /// Maximum step as a fraction of `tstop`. Default `1/50`.
-    pub hmax_frac: f64,
     /// Charge/flux absolute LTE floor, used in the weighted LTE norm.
     /// Default `1e-6`.
     pub lte_abstol: f64,
@@ -161,16 +152,9 @@ impl Default for SimOptions {
         SimOptions {
             reltol: 1e-3,
             vntol: 1e-6,
-            abstol: 1e-12,
             gmin: 1e-12,
-            max_newton_iters: 40,
-            max_dc_iters: 200,
             method: Method::Trapezoidal,
-            trtol: 7.0,
             rmax: 2.0,
-            nr_shrink: 0.125,
-            hmin_frac: 1e-10,
-            hmax_frac: 0.02,
             lte_abstol: 1e-6,
             use_ic: false,
             probe: ProbeHandle::none(),
@@ -354,12 +338,12 @@ impl SimOptions {
 
     /// Minimum step for a run to `tstop`.
     pub fn hmin(&self, tstop: f64) -> f64 {
-        self.hmin_frac * tstop
+        HMIN_FRAC * tstop
     }
 
     /// Maximum step for a run to `tstop`.
     pub fn hmax(&self, tstop: f64) -> f64 {
-        self.hmax_frac * tstop
+        HMAX_FRAC * tstop
     }
 }
 
@@ -372,7 +356,6 @@ mod tests {
         let o = SimOptions::default();
         assert_eq!(o.reltol, 1e-3);
         assert_eq!(o.vntol, 1e-6);
-        assert_eq!(o.abstol, 1e-12);
         assert_eq!(o.method, Method::Trapezoidal);
         assert!(o.rmax >= 1.5);
     }
@@ -381,7 +364,7 @@ mod tests {
     fn hmin_hmax_scale_with_tstop() {
         let o = SimOptions::default();
         assert!(o.hmin(1e-6) < o.hmax(1e-6));
-        assert_eq!(o.hmax(1.0), o.hmax_frac);
+        assert_eq!(o.hmax(1.0), HMAX_FRAC);
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::mna::{MnaSystem, MnaWorkspace, StampInput};
 use crate::newton::{newton_solve, NewtonOutcome};
 use crate::options::SimOptions;
 use crate::stats::SimStats;
-use crate::transient::{state_coeffs, HistoryWindow, PointSolution, PointSolver};
+use crate::transient::{state_coeffs, HistoryWindow, PointSolution, PointSolver, MAX_NEWTON_ITERS};
 use wavepipe_telemetry::EventKind;
 
 /// Initial shunt conductance of the local gmin ramp (matches the DC ladder).
@@ -249,7 +249,7 @@ impl PointSolver {
             &mut self.cache,
             &input,
             &guess,
-            self.opts.max_newton_iters,
+            MAX_NEWTON_ITERS,
             ropts,
             stats,
         )?;

@@ -21,6 +21,9 @@ use std::sync::Arc;
 use wavepipe_sparse::vector::all_finite;
 use wavepipe_telemetry::EventKind;
 
+/// Step shrink factor on a Newton failure of the base point.
+const NR_SHRINK: f64 = 0.125;
+
 /// Outcome of testing one solved candidate against the history
 /// ([`StepController::try_commit`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -323,7 +326,7 @@ impl StepController {
     /// loop enters [`StepController::rescue`].
     pub fn newton_reject(&mut self, h_attempt: f64) -> bool {
         self.retry(true);
-        self.h = h_attempt * self.opts.nr_shrink;
+        self.h = h_attempt * NR_SHRINK;
         self.h < self.hmin
     }
 

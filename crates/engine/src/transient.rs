@@ -14,7 +14,7 @@
 //!   recovery) lives in [`crate::stepctl`], and WavePipe's rounds run on the
 //!   same controller, so their accepted points pass the identical tests.
 
-use crate::dcop::dc_operating_point;
+use crate::dcop::{dc_operating_point, MAX_DC_ITERS};
 use crate::error::{EngineError, Result};
 use crate::fault::FaultKind;
 use crate::integrate::{IntegCoeffs, Method};
@@ -32,6 +32,11 @@ use wavepipe_telemetry::EventKind;
 
 /// Number of past points retained for companions, prediction, and LTE.
 const WINDOW: usize = 4;
+
+/// Newton iteration budget of one transient point (SPICE's `ITL4`). Public
+/// because a pipelined round solves every slot under it: slot 0 is the
+/// serial loop's point and must see the serial loop's budget.
+pub const MAX_NEWTON_ITERS: usize = 40;
 
 /// Coefficients for updating capacitor-current *state* at an accepted point.
 ///
@@ -328,7 +333,7 @@ impl PointSolver {
             &mut self.cache,
             &input,
             &zeros,
-            self.opts.max_dc_iters,
+            MAX_DC_ITERS,
             &self.opts,
             stats,
         )?;
@@ -618,7 +623,7 @@ pub fn run_transient_recoverable_compiled(
         while !ctl.done() {
             ctl.check_budget()?;
             let (t_new, on_horizon) = ctl.propose()?;
-            let sol = solver.solve_point(ctl.history(), t_new, None, opts.max_newton_iters)?;
+            let sol = solver.solve_point(ctl.history(), t_new, None, MAX_NEWTON_ITERS)?;
             *ctl.stats_mut() += sol.stats;
             let h_attempt = sol.coeffs.h;
             match ctl.try_commit(&sol) {

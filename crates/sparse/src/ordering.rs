@@ -62,30 +62,6 @@ impl Permutation {
     pub fn inv(&self) -> &[usize] {
         &self.inv
     }
-
-    /// Applies the permutation to a vector: `out[k] = x[perm[k]]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.len()`.
-    pub fn apply(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.len());
-        self.perm.iter().map(|&p| x[p]).collect()
-    }
-
-    /// Applies the inverse permutation: `out[perm[k]] = x[k]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.len()`.
-    pub fn apply_inv(&self, x: &[f64]) -> Vec<f64> {
-        assert_eq!(x.len(), self.len());
-        let mut out = vec![0.0; x.len()];
-        for (k, &p) in self.perm.iter().enumerate() {
-            out[p] = x[k];
-        }
-        out
-    }
 }
 
 /// Minimum-degree ordering on the symmetrized pattern of `a`.
@@ -424,15 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn permutation_round_trip() {
-        let p = Permutation::from_vec(vec![2, 0, 1]).unwrap();
-        let x = [10.0, 20.0, 30.0];
-        let y = p.apply(&x);
-        assert_eq!(y, vec![30.0, 10.0, 20.0]);
-        assert_eq!(p.apply_inv(&y), x.to_vec());
-    }
-
-    #[test]
     fn invalid_permutation_rejected() {
         assert!(Permutation::from_vec(vec![0, 0, 1]).is_err());
         assert!(Permutation::from_vec(vec![0, 3]).is_err());
@@ -441,8 +408,8 @@ mod tests {
     #[test]
     fn identity_permutation_is_noop() {
         let p = Permutation::identity(4);
-        let x = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(p.apply(&x), x.to_vec());
+        assert_eq!(p.perm(), [0, 1, 2, 3]);
+        assert_eq!(p.inv(), [0, 1, 2, 3]);
     }
 
     #[test]

@@ -160,25 +160,6 @@ impl Histogram {
             .collect()
     }
 
-    /// Merges another histogram with *identical* bucket boundaries into
-    /// this one: counts add, min/max/sum/count combine. Merging is
-    /// associative and commutative, so partial histograms from concurrent
-    /// lanes can be folded in any order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the boundary vectors differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(self.bounds, other.bounds, "histogram merge requires identical boundaries");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Per-bucket `(lower_bound, count)` pairs for non-empty buckets; the
     /// underflow bucket reports the observed minimum as its bound.
     pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
@@ -302,29 +283,6 @@ mod tests {
         assert!(cum[3].0.is_infinite());
         assert_eq!(cum[3].1, 4);
     }
-
-    #[test]
-    fn merge_combines_counts_and_extremes() {
-        let mut a = Histogram::linear(0.0, 10.0, 5);
-        let mut b = Histogram::linear(0.0, 10.0, 5);
-        a.observe(1.0);
-        a.observe(3.0);
-        b.observe(7.0);
-        let mut m = a.clone();
-        m.merge(&b);
-        assert_eq!(m.count(), 3);
-        assert_eq!(m.min(), Some(1.0));
-        assert_eq!(m.max(), Some(7.0));
-        assert_eq!(m.sum(), 11.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "identical boundaries")]
-    fn merge_rejects_mismatched_bounds() {
-        let mut a = Histogram::linear(0.0, 10.0, 5);
-        let b = Histogram::linear(0.0, 10.0, 2);
-        a.merge(&b);
-    }
 }
 
 #[cfg(test)]
@@ -332,8 +290,8 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Strategy: integer-valued observations (exact in f64, so sums are
-    /// associative) spread across under/in/overflow of `linear(0, 32, 8)`.
+    /// Strategy: integer-valued observations spread across under/in/overflow
+    /// of `linear(0, 32, 8)`.
     fn observations() -> impl Strategy<Value = Vec<f64>> {
         proptest::collection::vec((0usize..56).prop_map(|v| v as f64 - 8.0), 1..64)
     }
@@ -360,34 +318,6 @@ mod proptests {
                 prop_assert!(v >= h.min().unwrap() && v <= h.max().unwrap());
                 prev = v;
             }
-        }
-
-        #[test]
-        fn merge_is_associative_and_commutative(
-            a in observations(),
-            b in observations(),
-            c in observations(),
-        ) {
-            let (ha, hb, hc) = (filled(&a), filled(&b), filled(&c));
-            // (a + b) + c
-            let mut left = ha.clone();
-            left.merge(&hb);
-            left.merge(&hc);
-            // a + (b + c)
-            let mut bc = hb.clone();
-            bc.merge(&hc);
-            let mut right = ha.clone();
-            right.merge(&bc);
-            prop_assert_eq!(&left, &right);
-            // b + a == a + b
-            let mut ab = ha.clone();
-            ab.merge(&hb);
-            let mut ba = hb.clone();
-            ba.merge(&ha);
-            prop_assert_eq!(&ab, &ba);
-            // The merged histogram equals observing everything into one.
-            let all: Vec<f64> = a.iter().chain(&b).chain(&c).copied().collect();
-            prop_assert_eq!(&left, &filled(&all));
         }
     }
 }

@@ -8,8 +8,9 @@ use wavepipe::circuit::{generators, Circuit, CircuitError, DiodeModel, Waveform}
 use wavepipe::core::{run_wavepipe, run_wavepipe_recoverable, Scheme, WavePipeOptions};
 use wavepipe::engine::{
     run_transient, run_transient_recoverable, CancelToken, EngineError, FaultKind, FaultPlan,
-    SimOptions, TransientResult,
+    ProbeHandle, RecordingProbe, SimOptions, TransientResult,
 };
+use wavepipe::telemetry::{DiscardReason, EventKind};
 
 /// Asserts two waveforms share the exact time grid and bit-identical
 /// solution vectors.
@@ -193,6 +194,37 @@ fn single_worker_panic_respawns_and_run_stays_accurate() {
     assert!(rep.lead_accepted > 0, "solves before the fault should contribute leads");
     let eq = wavepipe::core::verify::compare(&serial, &rep.result);
     assert!(eq.rms_rel() < 0.02, "rms deviation after respawn = {}", eq.rms_rel());
+}
+
+#[test]
+fn a_lost_worker_is_reported_at_its_task_target() {
+    // The lane panics at its 3rd solve, and its respawn at the respawn's
+    // 3rd: each loss is reported at the target of the task the lane lost —
+    // the one its dispatch was stamped with — both by the lane's WorkerLost
+    // event and by the slot's discard, not at t = 0 or the round's start.
+    let b = generators::power_grid(4, 4);
+    let probe = RecordingProbe::shared();
+    let plan = FaultPlan::new().with_solve_fault(1, Some(3), FaultKind::PanicWorker);
+    let opts = WavePipeOptions::new(Scheme::Backward, 2)
+        .with_faults(plan)
+        .with_probe(ProbeHandle::new(probe.clone()));
+    let rep = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).unwrap();
+    assert_eq!(rep.workers_lost, 2);
+    let events = probe.events();
+    let in_round = |round: u64, t: f64, kind: &dyn Fn(&EventKind) -> bool| {
+        events.iter().any(|e| e.round == round && e.t_sim == t && kind(&e.kind))
+    };
+    let lost: Vec<_> =
+        events.iter().filter(|e| matches!(e.kind, EventKind::WorkerLost { lane: 1 })).collect();
+    assert_eq!(lost.len(), 2);
+    for e in lost {
+        assert!(e.t_sim > 0.0, "lost at t = {}", e.t_sim);
+        let dispatched = |k: &EventKind| matches!(k, EventKind::SolveStart { .. });
+        assert!(in_round(e.round, e.t_sim, &dispatched), "no task targeted t = {}", e.t_sim);
+        let discarded =
+            |k: &EventKind| *k == EventKind::LeadDiscarded { reason: DiscardReason::WorkerLost };
+        assert!(in_round(e.round, e.t_sim, &discarded), "no discard at t = {}", e.t_sim);
+    }
 }
 
 #[test]
