@@ -19,7 +19,7 @@ use std::time::Instant;
 use wavepipe_circuit::generators;
 use wavepipe_core::{run_wavepipe, Scheme, WavePipeOptions};
 use wavepipe_engine::{run_transient, SimOptions};
-use wavepipe_telemetry::{json, MetricsRegistry, ProbeHandle};
+use wavepipe_telemetry::{analyze, json, ProbeHandle, RecordingProbe};
 
 const REPS: usize = 7;
 
@@ -53,16 +53,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         backward_best = backward_best.min(t0.elapsed().as_micros());
     }
 
-    // Untimed armed run with metrics attached: a clean run must never tick
+    // Untimed armed run with a recorder attached: a clean run must never tick
     // the recovery counters (the zero-overhead invariant, in counter form).
-    let registry = MetricsRegistry::shared();
-    let counted = on.clone().with_probe(ProbeHandle::new(registry.clone()));
+    let recorder = RecordingProbe::shared();
+    let counted = on.clone().with_probe(ProbeHandle::new(recorder.clone()));
     black_box(run_transient(&b.circuit, b.tstep, b.tstop, &counted).unwrap());
-    let snap = registry.snapshot();
-    let attempts = snap.counter("recovery_attempts");
-    let rescues = snap.counter("recovery_rescues");
-    let rollbacks = snap.counter("cache_rollbacks");
-    let accepted = snap.counter("points_accepted");
+    let counts = analyze(&recorder.events()).counts;
+    let attempts = counts.recovery_attempts;
+    let rescues = counts.recovery_rescues;
+    let rollbacks = counts.cache_rollbacks;
+    let accepted = counts.points_accepted;
     let rescue_free = if accepted > 0 { 1.0 - rescues as f64 / accepted as f64 } else { 1.0 };
 
     let ratio = off_best as f64 / on_best as f64;

@@ -1,8 +1,8 @@
 //! The `wavepipe-doctor` diagnostics harness: runs a simulation with the
 //! recording probe attached (or reads a recorded JSONL stream), folds the
-//! events into the trace analysis and a metrics snapshot, then renders the
-//! bottleneck report. A live run and a replay of its trace take the same
-//! path from the events on, so they print the same stable report.
+//! events once into the trace analysis, then renders the bottleneck report.
+//! A live run and a replay of its trace take the same path from the events
+//! on, so they print the same stable report.
 //!
 //! The report has two sections (see [`mod@wavepipe_telemetry::analyze`]): a
 //! **stable** section derived purely from event counts
@@ -16,9 +16,8 @@
 
 use wavepipe_circuit::generators::{self, Benchmark};
 use wavepipe_core::WavePipeReport;
-use wavepipe_core::{run_wavepipe, MetricsRegistry, Scheme, WavePipeOptions};
+use wavepipe_core::{run_wavepipe, Scheme, WavePipeOptions};
 use wavepipe_telemetry::analyze::{analyze, class_cache_table, TraceAnalysis};
-use wavepipe_telemetry::metrics::Snapshot;
 use wavepipe_telemetry::{Event, ProbeHandle, RecordingProbe};
 
 /// Everything one instrumented run produces.
@@ -28,8 +27,6 @@ pub struct DoctorRun {
     pub report: WavePipeReport,
     /// The recorded telemetry event stream.
     pub events: Vec<Event>,
-    /// The metrics snapshot the recorded events fold to.
-    pub snapshot: Snapshot,
 }
 
 /// Parses a circuit spec like `inverter_chain:120`, `power_grid:10,10` or
@@ -88,8 +85,8 @@ pub fn scheme_by_name(name: &str) -> Result<Scheme, String> {
     }
 }
 
-/// Runs a benchmark with the [`RecordingProbe`] attached, returning report,
-/// events and the metrics snapshot they fold to.
+/// Runs a benchmark with the [`RecordingProbe`] attached, returning report
+/// and events.
 ///
 /// # Panics
 ///
@@ -100,22 +97,15 @@ pub fn run_instrumented(b: &Benchmark, scheme: Scheme, threads: usize) -> Doctor
     let opts = WavePipeOptions::new(scheme, threads).with_probe(ProbeHandle::new(probe.clone()));
     let report = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts)
         .unwrap_or_else(|e| panic!("{}: doctor run {scheme} x{threads} failed: {e}", b.name));
-    let events = probe.events();
-    let snapshot = MetricsRegistry::replay(&events).snapshot();
-    DoctorRun { report, events, snapshot }
+    DoctorRun { report, events: probe.events() }
 }
 
 /// Renders the doctor report as text: the stable section (event counts plus
-/// the per-class / per-cache tables from the metrics snapshot — all
-/// count-derived, so byte-reproducible), then — unless `stable_only` — the
-/// wall-clock timing section.
-pub fn doctor_text(
-    title: &str,
-    analysis: &TraceAnalysis,
-    snapshot: &Snapshot,
-    stable_only: bool,
-) -> String {
-    render_text(title, analysis, snapshot, stable_only, None)
+/// the per-class / per-cache tables — all count-derived, so
+/// byte-reproducible), then — unless `stable_only` — the wall-clock timing
+/// section.
+pub fn doctor_text(title: &str, analysis: &TraceAnalysis, stable_only: bool) -> String {
+    render_text(title, analysis, stable_only, None)
 }
 
 /// [`doctor_text`], the timing section closed by the hand-off ledger of the
@@ -125,13 +115,12 @@ pub fn doctor_text(
 fn render_text(
     title: &str,
     analysis: &TraceAnalysis,
-    snapshot: &Snapshot,
     stable_only: bool,
     report: Option<&WavePipeReport>,
 ) -> String {
     use std::fmt::Write as _;
     let mut out = analysis.stable_report(title);
-    out.push_str(&class_cache_table(snapshot));
+    out.push_str(&class_cache_table(&analysis.counts));
     if !stable_only {
         out.push_str(&analysis.timing_report());
         if let Some(ledger) = report.and_then(WavePipeReport::handoff_ledger) {
@@ -142,18 +131,10 @@ fn render_text(
 }
 
 /// Renders the doctor report as one JSON document:
-/// `{"title":..., "analysis":{...}, "metrics":{...}}`. With
-/// `stable_only` the analysis omits its timing object and the metrics
-/// snapshot is reduced to its count-derived sections (counters and labeled
-/// families) — gauges and series include wall-clock-derived values
-/// (`solve_us`, EMAs sampled at shutdown) that vary run to run.
-pub fn doctor_json(
-    title: &str,
-    analysis: &TraceAnalysis,
-    snapshot: &Snapshot,
-    stable_only: bool,
-) -> String {
-    render_json(title, analysis, snapshot, stable_only, None)
+/// `{"title":..., "analysis":{...}}`. With `stable_only` the analysis omits
+/// its timing object.
+pub fn doctor_json(title: &str, analysis: &TraceAnalysis, stable_only: bool) -> String {
+    render_json(title, analysis, stable_only, None)
 }
 
 /// [`doctor_json`] plus, for a live run's `report` and unless `stable_only`,
@@ -162,11 +143,9 @@ pub fn doctor_json(
 fn render_json(
     title: &str,
     analysis: &TraceAnalysis,
-    snapshot: &Snapshot,
     stable_only: bool,
     report: Option<&WavePipeReport>,
 ) -> String {
-    let metrics = if stable_only { stable_metrics_json(snapshot) } else { snapshot.to_json() };
     let handoff = report.filter(|_| !stable_only).map_or_else(String::new, |r| {
         format!(
             ",\"handoff\":{{\"dispatch_ns\":{},\"lead_ns\":{},\"wait_ns\":{},\
@@ -175,40 +154,11 @@ fn render_json(
         )
     });
     format!(
-        "{{\"title\":\"{}\",\"analysis\":{},\"metrics\":{}{}}}",
+        "{{\"title\":\"{}\",\"analysis\":{}{}}}",
         wavepipe_telemetry::json::escape(title),
         analysis.to_json(stable_only),
-        metrics,
         handoff
     )
-}
-
-/// The byte-reproducible subset of a metrics snapshot: counters and labeled
-/// families only (all integer event counts).
-fn stable_metrics_json(s: &Snapshot) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\"counters\":{");
-    for (i, (name, v)) in s.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{name}\":{v}");
-    }
-    out.push_str("},\"labeled\":[");
-    for (i, lv) in s.labeled.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"family\":\"{}\",\"label\":\"{}\",\"value\":{}}}",
-            wavepipe_telemetry::json::escape(lv.family),
-            wavepipe_telemetry::json::escape(&lv.label),
-            lv.value
-        );
-    }
-    out.push_str("]}");
-    out
 }
 
 /// Parsed command line of the `wavepipe-doctor` binary.
@@ -317,12 +267,11 @@ pub fn run_doctor(args: &DoctorArgs) -> Result<String, String> {
         }
     };
     let analysis = analyze(&events);
-    let snapshot = MetricsRegistry::replay(&events).snapshot();
     let report = report.as_ref();
     Ok(if args.json {
-        render_json(&title, &analysis, &snapshot, args.stable_only, report)
+        render_json(&title, &analysis, args.stable_only, report)
     } else {
-        render_text(&title, &analysis, &snapshot, args.stable_only, report)
+        render_text(&title, &analysis, args.stable_only, report)
     })
 }
 
@@ -377,57 +326,23 @@ mod tests {
         let run = run_instrumented(&b, Scheme::Backward, 2);
         assert!(run.report.result.len() > 5);
         assert!(!run.events.is_empty());
-        assert!(run.snapshot.counter("points_accepted") > 0);
-        assert!(run.snapshot.counter("solves") > 0);
-        let a = analyze(&run.events);
-        assert_eq!(a.counts.points_accepted, run.snapshot.counter("points_accepted"));
+        let counts = analyze(&run.events).counts;
+        assert!(counts.points_accepted > 0);
+        assert!(counts.solves > 0);
+        assert_eq!(counts.points_accepted as usize, run.report.total.steps_accepted);
     }
 
-    /// One run with a recorder and a live registry side by side: the events
-    /// and the snapshot the registry kept while the run went.
-    fn live_run(spec: &str, scheme: Scheme, threads: usize) -> (DoctorRun, Snapshot) {
-        let b = circuit_by_spec(spec).unwrap();
-        let (probe, registry) = (RecordingProbe::shared(), MetricsRegistry::shared());
-        let both = wavepipe_telemetry::FanOut(vec![probe.clone(), registry.clone()]);
-        let opts = WavePipeOptions::new(scheme, threads)
-            .with_probe(ProbeHandle::new(std::sync::Arc::new(both)));
-        let report = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).unwrap();
-        let events = probe.events();
-        let snapshot = MetricsRegistry::replay(&events).snapshot();
-        (DoctorRun { report, events, snapshot }, registry.snapshot())
-    }
-
-    #[test]
-    fn the_fold_and_the_live_registry_agree_on_every_shared_name() {
-        // One instrument: every counter the live registry keeps is a scalar
-        // of the offline fold, with the same value, and its labeled cells and
-        // count histograms are what a replay of the recorded events gives.
-        for (spec, scheme, threads) in [
-            ("inverter_chain:40", Scheme::Combined, 3),
-            ("power_grid:8,8", Scheme::Backward, 2),
-            ("rc_ladder:8", Scheme::Serial, 1),
-        ] {
-            let (run, live) = live_run(spec, scheme, threads);
-            let counts = analyze(&run.events).counts;
-            for &(name, value) in &live.counters {
-                assert_eq!(
-                    counts.scalar(name),
-                    Some(value),
-                    "{spec} {scheme} x{threads}: `{name}`"
-                );
-            }
-            assert_eq!(live.counters, run.snapshot.counters);
-            assert_eq!(live.labeled, run.snapshot.labeled);
-            assert_eq!(live.series[..2], run.snapshot.series[..2]);
-        }
+    fn traced_run(spec: &str, scheme: Scheme, threads: usize) -> DoctorRun {
+        run_instrumented(&circuit_by_spec(spec).unwrap(), scheme, threads)
     }
 
     #[test]
     fn the_live_registry_counts_the_steps_the_run_s_own_stats_count() {
         // A speculating scheme rejects steps on refined speculative points
-        // too; the registry must see those, not only base-point rejections.
+        // too; the fold must see those, not only base-point rejections.
         for (scheme, threads) in [(Scheme::Forward, 2), (Scheme::Combined, 3)] {
-            let (run, live) = live_run("inverter_chain:40", scheme, threads);
+            let run = traced_run("inverter_chain:40", scheme, threads);
+            let counts = analyze(&run.events).counts;
             let stats = run.report.result.stats();
             for (name, want) in [
                 ("points_accepted", stats.steps_accepted),
@@ -444,15 +359,83 @@ mod tests {
                 ("precond_refreshes", stats.precond_refreshes),
                 ("solver_fallbacks", stats.solver_fallbacks),
             ] {
-                assert_eq!(live.counter(name), want as u64, "{scheme} x{threads}: `{name}`");
+                assert_eq!(counts.scalar(name), Some(want as u64), "{scheme} x{threads}: `{name}`");
             }
         }
     }
 
     #[test]
+    fn the_json_carries_each_class_cache_and_lane_row_of_the_text_once() {
+        use wavepipe_telemetry::json::{self, JsonValue};
+        let run = traced_run("inverter_chain:40", Scheme::Combined, 3);
+        let analysis = analyze(&run.events);
+        let text = doctor_text("t", &analysis, true);
+        let doc_text = doctor_json("t", &analysis, true);
+        let doc = json::parse(&doc_text).expect("doctor json parses");
+        assert!(doc.get("metrics").is_none(), "a second copy of the counts: {doc_text}");
+        let stable = doc.get("analysis").and_then(|a| a.get("stable")).unwrap();
+        let num = |v: &JsonValue, f: &str| v.get(f).and_then(JsonValue::as_f64).unwrap() as u64;
+        let array = |key: &str| stable.get(key).and_then(JsonValue::as_array).unwrap();
+        // `(label, first, second)` of each object of `key`'s array.
+        let cells = |key: &str, [label, a, b]: [&str; 3]| -> Vec<(String, u64, u64)> {
+            let label =
+                |v: &JsonValue| v.get(label).and_then(JsonValue::as_str).unwrap().to_string();
+            array(key).iter().map(|v| (label(v), num(v, a), num(v, b))).collect()
+        };
+        // `(label, first number, second number)` of each text row under
+        // `header`, up to the next header.
+        let rows = |header: &str| -> Vec<(String, u64, u64)> {
+            let section = text.split(header).nth(1).unwrap().split("  --").next().unwrap();
+            section
+                .lines()
+                .filter(|l| !l.trim().is_empty())
+                .map(|l| {
+                    let w: Vec<&str> = l.split_whitespace().collect();
+                    (w[0].to_string(), w[2].parse().unwrap(), w[4].parse().unwrap())
+                })
+                .collect()
+        };
+        let classes = cells("classes", ["class", "evals", "bypassed"]);
+        assert_eq!(classes, rows("-- per device class --"));
+        let caches = cells("caches", ["cache", "hits", "misses"]);
+        assert_eq!(caches, rows("-- per cache layer --"));
+        assert!(!classes.is_empty() && !caches.is_empty(), "{text}");
+        // A lane's solves are its row of the text, its points the fold's.
+        let lanes = |key: &str, field: &str| -> Vec<(u64, u64)> {
+            array(key).iter().map(|v| (num(v, "lane"), num(v, field))).collect()
+        };
+        let solves: Vec<(u64, u64)> = text
+            .lines()
+            .filter(|l| l.trim_start().starts_with("lane "))
+            .map(|l| {
+                let w: Vec<&str> = l.split_whitespace().collect();
+                (w[1].parse().unwrap(), w[3].parse().unwrap())
+            })
+            .collect();
+        assert_eq!(lanes("lane_solves", "solves"), solves);
+        let points = lanes("lane_points", "points");
+        let fold = analysis.counts.lane_points.iter().map(|(&l, &n)| (u64::from(l), n));
+        assert_eq!(points, fold.collect::<Vec<_>>());
+        // Every cell is in the document once.
+        let once = |needle: String| assert_eq!(doc_text.matches(&needle).count(), 1, "{needle}");
+        for (class, ..) in &classes {
+            once(format!("\"class\":\"{class}\""));
+        }
+        for (cache, ..) in &caches {
+            once(format!("\"cache\":\"{cache}\""));
+        }
+        for (lane, _) in &solves {
+            once(format!("{{\"lane\":{lane},\"solves\""));
+        }
+        for (lane, _) in &points {
+            once(format!("{{\"lane\":{lane},\"points\""));
+        }
+    }
+
+    #[test]
     fn companion_replay_has_one_rate_in_the_summary_and_the_cache_table() {
-        let (run, _) = live_run("inverter_chain:40", Scheme::Combined, 3);
-        let text = doctor_text("t", &analyze(&run.events), &run.snapshot, true);
+        let run = traced_run("inverter_chain:40", Scheme::Combined, 3);
+        let text = doctor_text("t", &analyze(&run.events), true);
         let rate = |prefix: &str| {
             let line = text.lines().find(|l| l.trim_start().starts_with(prefix)).unwrap();
             let word = line.split_whitespace().find(|w| w.ends_with('%')).unwrap();
@@ -499,9 +482,8 @@ mod tests {
             .with_sim(pinned(SolverHandle::direct()))
             .with_probe(ProbeHandle::new(probe.clone()));
         let report = run_wavepipe(&deck.circuit, deck.tstep, deck.tstop, &opts).unwrap();
-        let events = probe.events();
-        let run =
-            DoctorRun { report, snapshot: MetricsRegistry::replay(&events).snapshot(), events };
+        let run = DoctorRun { report, events: probe.events() };
+        let analysis = analyze(&run.events);
         // The count without parked sets: the GMRES backend keeps none, and
         // with no iterations allowed it is the direct backend call for call
         // (`tests/solver_equivalence.rs`).
@@ -510,14 +492,11 @@ mod tests {
             run_transient(&deck.circuit, deck.tstep, deck.tstop, &pinned(nowhere)).unwrap();
         let saved = reference.stats().factorizations - run.report.total.factorizations;
         assert!(saved >= 90, "{saved} factorizations saved");
-        assert_eq!(run.snapshot.labeled_value("cache_hits", "parked"), saved as u64);
+        assert_eq!(analysis.counts.parked_hits, saved as u64);
         // Every other new key was factored for (a linear deck: no chord step
         // ever stalls into a factorization of its own).
-        assert_eq!(
-            run.snapshot.labeled_value("cache_misses", "parked"),
-            run.snapshot.counter("factorizations")
-        );
-        let text = doctor_text("t", &analyze(&run.events), &run.snapshot, true);
+        assert_eq!(analysis.counts.parked_misses, analysis.counts.factorizations);
+        let text = doctor_text("t", &analysis, true);
         let row = text.lines().find(|l| l.trim_start().starts_with("parked")).expect("parked row");
         assert!(row.contains(&format!("hits  {saved:>10}")), "{row}");
     }
@@ -537,15 +516,15 @@ mod tests {
         // transient matrix otherwise and pays its own factorization.
         for (spec, hits, misses) in [("power_grid:16,16", 1, 0), ("inverter_chain:8", 0, 1)] {
             let b = circuit_by_spec(spec).unwrap();
-            let registry = MetricsRegistry::shared();
+            let probe = RecordingProbe::shared();
             let opts = WavePipeOptions::new(Scheme::Backward, 2)
                 .with_sim(sim.clone())
-                .with_probe(ProbeHandle::new(registry.clone()));
+                .with_probe(ProbeHandle::new(probe.clone()));
             run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).unwrap();
-            let snapshot = registry.snapshot();
-            assert_eq!(snapshot.labeled_value("cache_hits", "plan"), hits, "{spec}");
-            assert_eq!(snapshot.labeled_value("cache_misses", "plan"), misses, "{spec}");
-            let text = doctor_text("t", &analyze(&[]), &snapshot, true);
+            let analysis = analyze(&probe.events());
+            assert_eq!(analysis.counts.plan_hits, hits, "{spec}");
+            assert_eq!(analysis.counts.plan_misses, misses, "{spec}");
+            let text = doctor_text("t", &analysis, true);
             let row = text.lines().find(|l| l.trim_start().starts_with("plan")).expect("plan row");
             assert!(row.contains(&format!("hits  {hits:>10}  misses   {misses:>10}")), "{row}");
         }
@@ -556,15 +535,14 @@ mod tests {
         let b = generators::rc_ladder(6);
         let run = run_instrumented(&b, Scheme::Backward, 2);
         let a = analyze(&run.events);
-        let stable = doctor_text("t", &a, &run.snapshot, true);
+        let stable = doctor_text("t", &a, true);
         assert!(stable.contains("== stable"));
         assert!(!stable.contains("== timing"));
-        let full = doctor_text("t", &a, &run.snapshot, false);
+        let full = doctor_text("t", &a, false);
         assert!(full.contains("== timing"));
-        let json_doc = doctor_json("t", &a, &run.snapshot, true);
+        let json_doc = doctor_json("t", &a, true);
         let parsed = wavepipe_telemetry::json::parse(&json_doc).expect("doctor json parses");
         assert!(parsed.get("analysis").is_some());
-        assert!(parsed.get("metrics").is_some());
     }
 
     #[test]

@@ -14,10 +14,7 @@ fn stable_doctor(spec: &str, scheme: Scheme, threads: usize) -> (String, String)
     let run = run_instrumented(&b, scheme, threads);
     let analysis = analyze(&run.events);
     let title = format!("{spec}, {scheme} x{threads}");
-    (
-        doctor_text(&title, &analysis, &run.snapshot, true),
-        doctor_json(&title, &analysis, &run.snapshot, true),
-    )
+    (doctor_text(&title, &analysis, true), doctor_json(&title, &analysis, true))
 }
 
 /// The ISSUE acceptance scenario: `inverter_chain(120)`, combined scheme,
@@ -48,8 +45,8 @@ fn timing_section_is_outside_the_stable_report() {
     let b = circuit_by_spec("rc_ladder:8").unwrap();
     let run = run_instrumented(&b, Scheme::Backward, 2);
     let analysis = analyze(&run.events);
-    let stable = doctor_text("t", &analysis, &run.snapshot, true);
-    let full = doctor_text("t", &analysis, &run.snapshot, false);
+    let stable = doctor_text("t", &analysis, true);
+    let full = doctor_text("t", &analysis, false);
     assert!(!stable.contains("== timing"));
     assert!(full.contains("== timing"));
     assert!(full.starts_with(&stable), "full report must extend the stable prefix");

@@ -230,11 +230,6 @@ impl Waveform {
         bp.dedup();
         bp
     }
-
-    /// The value at `t = 0`, used for the DC operating point.
-    pub fn dc_value(&self) -> f64 {
-        self.value(0.0)
-    }
 }
 
 impl Default for Waveform {

@@ -58,13 +58,6 @@ impl WavePipeOptions {
         WavePipeOptions { scheme, threads: threads.max(1), ..WavePipeOptions::default() }
     }
 
-    /// Sets the pipelining scheme.
-    #[must_use]
-    pub fn with_scheme(mut self, scheme: Scheme) -> Self {
-        self.scheme = scheme;
-        self
-    }
-
     /// Sets the total thread budget (clamped to at least 1).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
@@ -178,7 +171,7 @@ mod tests {
 
     #[test]
     fn builders_chain() {
-        let o = WavePipeOptions::default().with_scheme(Scheme::Forward).with_threads(6);
+        let o = WavePipeOptions::new(Scheme::Forward, 2).with_threads(6);
         assert_eq!(o.scheme, Scheme::Forward);
         assert_eq!(o.threads, 6);
     }

@@ -68,11 +68,6 @@ impl CancelToken {
         *self.inner.deadline.lock().expect("cancel token lock") = at;
     }
 
-    /// Disarms any active deadline (cancellation state is untouched).
-    pub fn disarm_deadline(&self) {
-        *self.inner.deadline.lock().expect("cancel token lock") = None;
-    }
-
     /// True when a deadline is armed and has passed.
     pub fn deadline_expired(&self) -> bool {
         match *self.inner.deadline.lock().expect("cancel token lock") {
@@ -112,7 +107,8 @@ mod tests {
         let t = CancelToken::new();
         t.arm_deadline(Duration::ZERO);
         assert!(t.deadline_expired());
-        t.disarm_deadline();
+        // Re-arming replaces the expired deadline.
+        t.arm_deadline(Duration::from_secs(3600));
         assert!(!t.deadline_expired());
     }
 

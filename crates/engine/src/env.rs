@@ -6,8 +6,12 @@
 //! |------|-------|
 //! | [`flag`], default on | `WAVEPIPE_BYPASS`, `WAVEPIPE_CHORD`, `WAVEPIPE_RECOVERY` |
 //! | [`flag`], default off | `WAVEPIPE_FAULT_NC` |
-//! | [`value`] | `WAVEPIPE_SOLVER` |
+//! | [`choice`] of `gmres`, `direct` | `WAVEPIPE_SOLVER` |
 //! | [`number`] | `WAVEPIPE_FAULT_SEED` |
+//!
+//! A knob that is set, not blank, and not one of its rule's spellings is a
+//! mistake, not a request for the default: [`choice`] and [`number`] panic
+//! with the variable and the value.
 
 use std::str::FromStr;
 
@@ -24,23 +28,41 @@ pub fn flag(name: &str, default: bool) -> bool {
     value(name).map_or(default, |v| !matches!(v.as_str(), "0" | "false" | "off" | "no"))
 }
 
-/// The value parsed as written (no trimming); `None` when unset or
-/// unparsable.
+/// One of `options`, matched without regard to case and returned as
+/// written there; `None` when unset or blank.
+///
+/// # Panics
+///
+/// When the value is none of `options`.
+pub fn choice(name: &str, options: &[&'static str]) -> Option<&'static str> {
+    let v = value(name)?;
+    let pick = options.iter().copied().find(|o| o.eq_ignore_ascii_case(&v));
+    Some(pick.unwrap_or_else(|| panic!("{name}={v:?} is none of {options:?}")))
+}
+
+/// The value parsed, trimmed; `None` when unset or blank.
+///
+/// # Panics
+///
+/// When the value does not parse as a `T`; the message names the type.
 pub fn number<T: FromStr>(name: &str) -> Option<T> {
-    std::env::var(name).ok()?.parse().ok()
+    let v = value(name)?;
+    let what = std::any::type_name::<T>();
+    Some(v.parse().unwrap_or_else(|_| panic!("{name}={v:?} is not a {what}")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // A name no other test reads, and outside the `WAVEPIPE_` namespace that
+    // Names no other test reads, and outside the `WAVEPIPE_` namespace that
     // CI's knob count greps.
     #[test]
     fn each_rule_accepts_its_spellings() {
         let name = "WP_ENV_RULES_TEST";
         assert_eq!((value(name), flag(name, true), flag(name, false)), (None, true, false));
         assert_eq!(number::<usize>(name), None);
+        assert_eq!(choice(name, &["gmres"]), None);
         for (raw, trimmed, on, num) in [
             (" gmres ", Some("gmres"), true, None),
             ("  ", None, true, None),
@@ -48,13 +70,43 @@ mod tests {
             ("false", Some("false"), false, None),
             ("0", Some("0"), false, Some(0usize)),
             ("2", Some("2"), true, Some(2)),
-            (" 2", Some("2"), true, None),
+            (" 2", Some("2"), true, Some(2)),
         ] {
             std::env::set_var(name, raw);
             assert_eq!(value(name).as_deref(), trimmed, "{raw:?}");
             assert_eq!(flag(name, true), on, "{raw:?}");
             assert_eq!(flag(name, false), on && trimmed.is_some(), "{raw:?}");
-            assert_eq!(number(name), num, "{raw:?}");
+            // The words are no numbers: `number` panics on them (next test).
+            if num.is_some() || trimmed.is_none() {
+                assert_eq!(number(name), num, "{raw:?}");
+            }
+        }
+        for raw in ["gmres", " GMRES", "Gmres "] {
+            std::env::set_var(name, raw);
+            assert_eq!(choice(name, &["direct", "gmres"]), Some("gmres"), "{raw:?}");
+        }
+        std::env::remove_var(name);
+    }
+
+    #[test]
+    fn a_malformed_number_or_choice_panics_naming_the_variable_and_the_value() {
+        let name = "WP_ENV_MALFORMED_TEST";
+        let message = |raw: &str, read: fn(&str)| {
+            std::env::set_var(name, raw);
+            let err = std::panic::catch_unwind(|| read(name)).expect_err(raw);
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        for raw in ["0x10", "-1", "7 seeds", "krylov"] {
+            let m = message(raw, |n| {
+                let _ = number::<u64>(n);
+            });
+            assert!(m.contains(name) && m.contains(raw), "{raw:?}: {m}");
+        }
+        for raw in ["krylov", "lu", "gmres2"] {
+            let m = message(raw, |n| {
+                let _ = choice(n, &["gmres", "direct"]);
+            });
+            assert!(m.contains(name) && m.contains(raw), "{raw:?}: {m}");
         }
         std::env::remove_var(name);
     }

@@ -109,9 +109,14 @@ impl FaultPlan {
     }
 
     /// Reads `WAVEPIPE_FAULT_SEED` and builds the corresponding chaos plan,
-    /// or `None` when the variable is unset or unparsable. A truthy
+    /// or `None` when the variable is unset or blank. A truthy
     /// `WAVEPIPE_FAULT_NC` additionally enables forced-non-convergence
     /// chaos draws (the recovery-ladder CI leg).
+    ///
+    /// # Panics
+    ///
+    /// When the seed is not a `u64`: a chaos run must not go fault-free
+    /// without a word.
     pub fn from_env() -> Option<Self> {
         let seed = env::number("WAVEPIPE_FAULT_SEED")?;
         if env::flag("WAVEPIPE_FAULT_NC", false) {

@@ -976,11 +976,6 @@ impl MnaSystem {
         }
     }
 
-    /// Number of nonlinear devices (the bypass-eligible population).
-    pub fn nonlinear_device_count(&self) -> usize {
-        self.nl_elem.len()
-    }
-
     /// Hands `emit` one [`EventKind::ClassEvals`] per nonlinear device class
     /// present: its devices evaluated and bypassed by the stamp pass that
     /// left `mask` (the pass's bypass mask). Purely observational — the
@@ -1024,15 +1019,6 @@ impl MnaSystem {
     /// All branch-current element names with their unknown indices.
     pub fn branch_names(&self) -> &[(String, usize)] {
         &self.branch_names
-    }
-
-    /// Unknown index of the named branch-current element (V source, inductor,
-    /// VCVS), if present.
-    pub fn branch_unknown(&self, element_name: &str) -> Option<usize> {
-        self.branch_names
-            .iter()
-            .find(|(n, _)| n.eq_ignore_ascii_case(element_name))
-            .map(|&(_, i)| i)
     }
 
     /// Union of all source-waveform breakpoints in `[0, tstop]`, sorted and
@@ -1641,7 +1627,9 @@ mod tests {
         assert!((sol[a] - 10.0).abs() < 1e-9, "v(a) = {}", sol[a]);
         assert!((sol[b] - 5.0).abs() < 1e-9, "v(b) = {}", sol[b]);
         // Source current = -10/2k (flows out of the + terminal).
-        let br = sys.branch_unknown("V1").unwrap();
+        let [(name, br)] = sys.branch_names() else { panic!("one branch unknown") };
+        assert_eq!(name, "V1");
+        let br = *br;
         assert!((sol[br] + 0.005).abs() < 1e-9, "i(V1) = {}", sol[br]);
     }
 

@@ -420,7 +420,7 @@ pub struct NewtonOutcome {
 /// Each iteration stamps the linearised system at the current iterate,
 /// (re)factors, and solves for the next iterate; convergence is the classic
 /// SPICE per-unknown delta test (`vntol`/`reltol` on node voltages,
-/// [`ABSTOL`]/`reltol` on branch currents).
+/// `ABSTOL` (1e-12 A)/`reltol` on branch currents).
 ///
 /// # Errors
 ///

@@ -47,8 +47,8 @@ pub struct SimOptions {
     pub use_ic: bool,
     /// Telemetry sink. The default ([`ProbeHandle::none`]) makes every
     /// emission a single branch; attach a recording probe to capture the
-    /// event stream, or a live `MetricsRegistry` to watch the run. Probes
-    /// only observe — they never alter the solution.
+    /// event stream (readable mid-run). Probes only observe — they never
+    /// alter the solution.
     pub probe: ProbeHandle,
     /// Inert: the stamp-worker layer this sized is deleted, and nothing in
     /// the program reads the field — it holds what
@@ -137,12 +137,11 @@ impl CacheCtl {
 
 /// Default solver selection: `WAVEPIPE_SOLVER=gmres` switches every analysis
 /// of the process to the Krylov backend in its default configuration;
-/// otherwise direct LU.
+/// unset, blank or `direct`, direct LU. Any other value panics (see
+/// [`env::choice`]).
 fn default_solver() -> SolverHandle {
-    match env::value("WAVEPIPE_SOLVER") {
-        Some(v) if v.eq_ignore_ascii_case("gmres") => {
-            SolverHandle::gmres(crate::krylov::GmresConfig::default())
-        }
+    match env::choice("WAVEPIPE_SOLVER", &["gmres", "direct"]) {
+        Some("gmres") => SolverHandle::gmres(crate::krylov::GmresConfig::default()),
         _ => SolverHandle::direct(),
     }
 }

@@ -182,12 +182,6 @@ impl TransientResult {
         worst
     }
 
-    /// Maximum deviation across all *node voltage* unknowns (indices
-    /// `0..node_names.len()`), the waveform-accuracy metric of experiment E5.
-    pub fn max_deviation_all_nodes(&self, other: &TransientResult) -> f64 {
-        (0..self.node_names.len()).map(|u| self.max_deviation(other, u)).fold(0.0, f64::max)
-    }
-
     /// Peak absolute value of one unknown over the run.
     pub fn peak(&self, unknown: usize) -> f64 {
         self.trace(unknown).iter().fold(0.0_f64, |m, &(_, v)| m.max(v.abs()))
@@ -253,7 +247,7 @@ mod tests {
     fn deviation_of_identical_is_zero() {
         let r = ramp_result();
         assert_eq!(r.max_deviation(&r.clone(), 0), 0.0);
-        assert_eq!(r.max_deviation_all_nodes(&r.clone()), 0.0);
+        assert_eq!(r.max_deviation(&r.clone(), 1), 0.0);
     }
 
     #[test]

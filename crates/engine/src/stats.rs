@@ -7,7 +7,6 @@
 //! tasks' costs, which is what an otherwise-idle p-core machine realises.
 
 use std::ops::{Add, AddAssign};
-use std::time::Duration;
 use wavepipe_telemetry::EventKind;
 
 /// Counters accumulated during an analysis.
@@ -104,12 +103,6 @@ impl SimStats {
             + SOLVE_COST * self.solves as u64
     }
 
-    /// Wall time as a [`Duration`], saturating at `u64::MAX` nanoseconds
-    /// (~584 years) instead of silently truncating the `u128` counter.
-    pub fn wall_time(&self) -> Duration {
-        Duration::from_nanos(u64::try_from(self.wall_ns).unwrap_or(u64::MAX))
-    }
-
     /// Total rejected points.
     pub fn steps_rejected(&self) -> usize {
         self.steps_rejected_lte + self.steps_rejected_newton
@@ -180,14 +173,6 @@ mod tests {
     #[test]
     fn newton_per_step_handles_zero() {
         assert_eq!(SimStats::new().newton_per_step(), 0.0);
-    }
-
-    #[test]
-    fn wall_time_saturates_instead_of_truncating() {
-        let s = SimStats { wall_ns: u128::from(u64::MAX) + 12345, ..SimStats::new() };
-        assert_eq!(s.wall_time(), Duration::from_nanos(u64::MAX));
-        let exact = SimStats { wall_ns: 1_500_000_000, ..SimStats::new() };
-        assert_eq!(exact.wall_time(), Duration::new(1, 500_000_000));
     }
 
     #[test]

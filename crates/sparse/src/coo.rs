@@ -62,11 +62,6 @@ impl CooMatrix {
         self.ncols
     }
 
-    /// Number of stored triplets (duplicates counted individually).
-    pub fn triplet_count(&self) -> usize {
-        self.vals.len()
-    }
-
     /// Appends the triplet `(row, col, value)`.
     ///
     /// # Errors
@@ -169,7 +164,7 @@ mod tests {
         let mut a = CooMatrix::new(4, 4);
         a.push(0, 0, 1.0).unwrap();
         a.clear();
-        assert_eq!(a.triplet_count(), 0);
+        assert_eq!(a.iter().count(), 0);
         assert_eq!(a.nrows(), 4);
     }
 
@@ -177,7 +172,7 @@ mod tests {
     fn extend_collects_triplets() {
         let mut a = CooMatrix::new(2, 2);
         a.extend(vec![(0, 0, 1.0), (1, 1, 2.0)]);
-        assert_eq!(a.triplet_count(), 2);
+        assert_eq!(a.iter().count(), 2);
     }
 
     #[test]

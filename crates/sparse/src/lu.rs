@@ -835,24 +835,6 @@ impl SparseLu {
         (self.nnz_l() + self.nnz_u()) as f64 / self.a_nnz() as f64
     }
 
-    /// Crude reciprocal condition estimate: `min |u_kk| / max |u_kk|`.
-    ///
-    /// Cheap and good enough to flag ill-conditioning in step-size control.
-    pub fn rcond_estimate(&self) -> f64 {
-        let mut lo = f64::INFINITY;
-        let mut hi = 0.0_f64;
-        for &d in &self.vals.u_diag {
-            let m = d.abs();
-            lo = lo.min(m);
-            hi = hi.max(m);
-        }
-        if hi == 0.0 {
-            0.0
-        } else {
-            lo / hi
-        }
-    }
-
     /// Solves `A x = b`, allocating the result and scratch space.
     ///
     /// # Errors
@@ -907,26 +889,6 @@ impl SparseLu {
             x[qk] = yk;
         }
         Ok(())
-    }
-
-    /// Solves `A x = b` and applies one step of iterative refinement using
-    /// the original matrix `a` (which must be the matrix that was factored).
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`SparseLu::solve_with_scratch`] and
-    /// [`CscMatrix::residual_into`].
-    pub fn solve_refined(&self, a: &CscMatrix, b: &[f64]) -> Result<Vec<f64>> {
-        let mut x = self.solve(b)?;
-        let mut r = vec![0.0; self.dim()];
-        a.residual_into(&x, b, &mut r)?;
-        let mut dx = vec![0.0; self.dim()];
-        let mut scratch = vec![0.0; self.dim()];
-        self.solve_with_scratch(&r, &mut dx, &mut scratch)?;
-        for (xi, di) in x.iter_mut().zip(&dx) {
-            *xi += di;
-        }
-        Ok(x)
     }
 }
 
@@ -1100,25 +1062,10 @@ mod tests {
     }
 
     #[test]
-    fn solve_refined_improves_or_matches() {
-        let a = laplacian_2d(6, 6);
-        let lu = SparseLu::factor(&a, &LuOptions::default()).unwrap();
-        let n = a.ncols();
-        let xt: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
-        let b = a.matvec(&xt).unwrap();
-        let x = lu.solve_refined(&a, &b).unwrap();
-        let mut r = vec![0.0; n];
-        a.residual_into(&x, &b, &mut r).unwrap();
-        assert!(crate::vector::norm_inf(&r) < 1e-11);
-    }
-
-    #[test]
     fn fill_ratio_and_rcond_reasonable() {
         let a = laplacian_2d(8, 8);
         let lu = SparseLu::factor(&a, &LuOptions::default()).unwrap();
         assert!(lu.fill_ratio() >= 1.0);
-        let rc = lu.rcond_estimate();
-        assert!(rc > 0.0 && rc <= 1.0);
     }
 
     #[test]

@@ -25,11 +25,6 @@ pub fn norm2(x: &[f64]) -> f64 {
     x.iter().map(|&v| v * v).sum::<f64>().sqrt()
 }
 
-/// Returns the 1-norm `sum_i |x_i|` of `x`.
-pub fn norm1(x: &[f64]) -> f64 {
-    x.iter().map(|&v| v.abs()).sum()
-}
-
 /// Returns the dot product of `x` and `y`.
 ///
 /// # Panics
@@ -64,20 +59,6 @@ pub fn copy(src: &[f64], dst: &mut [f64]) {
 /// Fills `x` with zeros.
 pub fn zero(x: &mut [f64]) {
     x.fill(0.0);
-}
-
-/// Returns the index and magnitude of the entry of maximum absolute value,
-/// or `None` for an empty slice.
-pub fn argmax_abs(x: &[f64]) -> Option<(usize, f64)> {
-    let mut best: Option<(usize, f64)> = None;
-    for (i, &v) in x.iter().enumerate() {
-        let a = v.abs();
-        match best {
-            Some((_, b)) if b >= a => {}
-            _ => best = Some((i, a)),
-        }
-    }
-    best
 }
 
 /// Returns the maximum over `i` of `|x_i - y_i|`.
@@ -129,7 +110,6 @@ mod tests {
     fn norms_of_empty_are_zero() {
         assert_eq!(norm_inf(&[]), 0.0);
         assert_eq!(norm2(&[]), 0.0);
-        assert_eq!(norm1(&[]), 0.0);
     }
 
     #[test]
@@ -144,12 +124,6 @@ mod tests {
         assert_eq!(dot(&x, &y), 32.0);
         axpy(2.0, &x, &mut y);
         assert_eq!(y, [6.0, 9.0, 12.0]);
-    }
-
-    #[test]
-    fn argmax_abs_picks_first_of_ties() {
-        assert_eq!(argmax_abs(&[-2.0, 2.0, 1.0]), Some((0, 2.0)));
-        assert_eq!(argmax_abs(&[]), None);
     }
 
     #[test]

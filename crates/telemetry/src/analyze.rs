@@ -6,9 +6,8 @@
 //!
 //! * [`Counts`] — everything derived from event *counts*: speculation
 //!   accounting, Newton breakdown, cache hit rates, per-lane and per-class
-//!   tallies. [`Counts::add`] is the one incremental fold, which the live
-//!   [`crate::MetricsRegistry`] runs too. For a fixed seed and thread count
-//!   these are bit-reproducible, so the
+//!   tallies. [`Counts::add`] is the one incremental fold. For a fixed seed
+//!   and thread count these are bit-reproducible, so the
 //!   [`TraceAnalysis::stable_report`] rendering is **byte-stable** across
 //!   identical runs — the auditability hook the determinism tests pin.
 //! * [`Timing`] — everything derived from timestamps: per-lane
@@ -23,8 +22,7 @@
 use crate::event::{DeviceClass, DiscardReason, Event, EventKind, FactorLayer};
 use crate::histogram::Histogram;
 use crate::json;
-use crate::metrics::{Family, Snapshot};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 
 /// Declares [`Counts`]: each scalar is written once, and its field name is
@@ -55,7 +53,7 @@ macro_rules! counts {
 
         impl Counts {
             /// Nothing counted yet.
-            pub(crate) fn zero() -> Self {
+            fn zero() -> Self {
                 Counts {
                     $($field: 0,)+
                     lane_solves: BTreeMap::new(),
@@ -176,8 +174,42 @@ impl Counts {
         out
     }
 
+    /// `(class, evaluated, bypassed)` for every device class that counted
+    /// either, ascending by name: the rows of [`class_cache_table`].
+    pub fn class_rows(&self) -> Vec<(&'static str, u64, u64)> {
+        let mut rows: Vec<_> = DeviceClass::ALL
+            .into_iter()
+            .map(|d| {
+                let (evals, bypassed) = self.class_evals[d as usize];
+                (d.name(), evals, bypassed)
+            })
+            .filter(|&(_, evals, bypassed)| evals + bypassed > 0)
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    /// `(layer, hits, misses)` for every solver cache layer that counted
+    /// either: a bypassed device against an evaluated nonlinear one, a chord
+    /// reuse against a factorization, a companion replay against any other
+    /// stamp pass, and the parked and plan layers' own lookups. The rows of
+    /// [`class_cache_table`].
+    pub fn cache_rows(&self) -> Vec<(&'static str, u64, u64)> {
+        let nonlinear_evals = self.class_evals.iter().map(|e| e.0).sum();
+        [
+            ("bypass", self.bypassed_devices, nonlinear_evals),
+            ("chord", self.jacobian_reuses, self.factorizations),
+            ("companion", self.companion_hits, self.stamp_passes - self.companion_hits),
+            ("parked", self.parked_hits, self.parked_misses),
+            ("plan", self.plan_hits, self.plan_misses),
+        ]
+        .into_iter()
+        .filter(|&(_, hits, misses)| hits + misses > 0)
+        .collect()
+    }
+
     /// Folds one event into the counts: the one incremental fold behind
-    /// both [`analyze()`] and the live [`crate::MetricsRegistry`].
+    /// [`analyze()`].
     pub fn add(&mut self, ev: &Event) {
         match ev.kind {
             EventKind::RoundStart { .. } => self.rounds += 1,
@@ -625,12 +657,34 @@ impl TraceAnalysis {
             }
             let _ = write!(out, "{{\"lane\":{lane},\"solves\":{n}}}");
         }
+        out.push_str("],\"lane_points\":[");
+        for (i, (&lane, &n)) in c.lane_points.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{{\"lane\":{lane},\"points\":{n}}}");
+        }
         out.push_str("],\"discard_reasons\":[");
         for (i, (name, n)) in c.discard_reasons().into_iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             let _ = write!(out, "{{\"reason\":\"{}\",\"count\":{n}}}", json::escape(name));
+        }
+        out.push_str("],\"classes\":[");
+        for (i, (class, evals, bypassed)) in c.class_rows().into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ =
+                write!(out, "{{\"class\":\"{class}\",\"evals\":{evals},\"bypassed\":{bypassed}}}");
+        }
+        out.push_str("],\"caches\":[");
+        for (i, (cache, hits, misses)) in c.cache_rows().into_iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            let _ = write!(out, "{{\"cache\":\"{cache}\",\"hits\":{hits},\"misses\":{misses}}}");
         }
         out.push_str("]}");
         if !stable_only {
@@ -668,26 +722,11 @@ impl TraceAnalysis {
     }
 }
 
-/// `(label, a's count, b's count)` for every label either family carries,
-/// ascending by label.
-fn family_pair(snapshot: &Snapshot, a: Family, b: Family) -> Vec<(&str, u64, u64)> {
-    let (a, b) = (a.name(), b.name());
-    let labels: BTreeSet<&str> = snapshot
-        .labeled
-        .iter()
-        .filter(|lv| lv.family == a || lv.family == b)
-        .map(|lv| lv.label.as_str())
-        .collect();
-    let row = |l| (l, snapshot.labeled_value(a, l), snapshot.labeled_value(b, l));
-    labels.into_iter().map(row).collect()
-}
-
-/// Renders the per-device-class and per-cache-layer families of a metrics
-/// [`Snapshot`] as a stable table (counts only, deterministic), live or
-/// replayed alike.
-pub fn class_cache_table(snapshot: &Snapshot) -> String {
+/// Renders the per-device-class and per-cache-layer rows of `counts` as a
+/// stable table (counts only, deterministic).
+pub fn class_cache_table(counts: &Counts) -> String {
     let mut out = String::new();
-    let classes = family_pair(snapshot, Family::EvalsByClass, Family::BypassByClass);
+    let classes = counts.class_rows();
     if !classes.is_empty() {
         let _ = writeln!(out, "  -- per device class --");
     }
@@ -698,7 +737,7 @@ pub fn class_cache_table(snapshot: &Snapshot) -> String {
             pct(byp, byp + evals)
         );
     }
-    let caches = family_pair(snapshot, Family::CacheHits, Family::CacheMisses);
+    let caches = counts.cache_rows();
     if !caches.is_empty() {
         let _ = writeln!(out, "  -- per cache layer --");
     }
@@ -962,7 +1001,7 @@ mod tests {
         kinds.extend([EventKind::JacobianReuse; 3]);
         kinds.push(EventKind::Factorization);
         let events: Vec<Event> = kinds.into_iter().map(|k| ev(0, 0, 0, k)).collect();
-        let table = class_cache_table(&crate::MetricsRegistry::replay(&events).snapshot());
+        let table = class_cache_table(&analyze(&events).counts);
         assert!(table.contains("mos"));
         assert!(table.contains("10.0% bypass rate"), "{table}");
         assert!(table.contains("75.0% hit rate"), "{table}");

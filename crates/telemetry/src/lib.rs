@@ -13,21 +13,18 @@
 //!   pipelining overlap visible;
 //! * [`analyze()`] — the one fold over the stream: the counts, histograms
 //!   and wall-time decomposition that `wavepipe-doctor` and
-//!   `netlist_runner` print.
-//!
-//! A fourth consumer, the live [`MetricsRegistry`], is itself a probe: it
-//! runs the fold [`analyze()`] runs, one event at a time, so a run can be
-//! watched while it goes and a replayed trace reports the same snapshot.
+//!   `netlist_runner` print. [`RecordingProbe::events`] is safe to call
+//!   while the run goes, so a mid-run view is the same fold over the events
+//!   so far.
 //!
 //! Each of these reads the schema from one place. The event kinds — variant,
 //! wire name, typed payload fields — are one table in `event.rs`, from which
 //! [`EventKind`], [`EventKind::name`], [`EventKind::SAMPLES`] and the JSONL
-//! payload codec are derived; [`analyze::Counts`]' scalars (which are also
-//! the registry's counters) and the metric enums ([`Gauge`], [`Family`],
-//! [`Series`]) each declare their names once. Adding an event is one entry
-//! in that table and an arm in [`analyze::Counts::add`] (the match is
-//! exhaustive), plus an arm in [`chrome`] only if it opens or closes a span
-//! or should stay off the timeline.
+//! payload codec are derived; [`analyze::Counts`]' scalars declare their
+//! names once. Adding an event is one entry in that table and an arm in
+//! [`analyze::Counts::add`] (the match is exhaustive), plus an arm in
+//! [`chrome`] only if it opens or closes a span or should stay off the
+//! timeline.
 //!
 //! Telemetry never feeds back into the simulation: probes only observe, so
 //! a recorded run is bit-identical to an unrecorded one.
@@ -90,11 +87,9 @@ mod event;
 mod histogram;
 pub mod json;
 pub mod jsonl;
-pub mod metrics;
 mod probe;
 
 pub use analyze::{analyze, TraceAnalysis};
 pub use event::{DeviceClass, DiscardReason, Event, EventKind, FactorLayer};
 pub use histogram::Histogram;
-pub use metrics::{Family, Gauge, LabeledValue, MetricsRegistry, Series, Snapshot};
-pub use probe::{FanOut, NullProbe, Probe, ProbeHandle, RecordingProbe};
+pub use probe::{ProbeHandle, RecordingProbe};

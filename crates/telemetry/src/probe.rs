@@ -1,30 +1,10 @@
-//! The probe trait and its two standard implementations.
+//! The recording probe and the lane-tagged handle that carries it.
 
 use crate::event::{Event, EventKind};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// An event sink. Implementations must be cheap and thread-safe: probes are
-/// shared across all solver lanes and called from hot loops.
-///
-/// The probe — not the emitter — stamps the wall-clock timestamp and the
-/// round id, so disabled runs pay nothing for either.
-pub trait Probe: Send + Sync + fmt::Debug {
-    /// Records one event emitted on `lane` at simulated time `t_sim`.
-    fn record(&self, lane: u32, t_sim: f64, kind: EventKind);
-}
-
-/// A probe that drops everything. Exists so code can be written against a
-/// probe unconditionally; [`ProbeHandle`] short-circuits before even calling
-/// it, so the disabled path is a single `Option` check.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullProbe;
-
-impl Probe for NullProbe {
-    fn record(&self, _lane: u32, _t_sim: f64, _kind: EventKind) {}
-}
 
 /// An in-memory recorder: every event is stamped with nanoseconds since the
 /// probe's creation and the current round id, then pushed under a mutex.
@@ -53,7 +33,7 @@ impl RecordingProbe {
         Arc::new(Self::new())
     }
 
-    /// Snapshot of every event recorded so far, in record order.
+    /// A copy of every event recorded so far, in record order.
     pub fn events(&self) -> Vec<Event> {
         self.events.lock().expect("telemetry buffer poisoned").clone()
     }
@@ -73,16 +53,11 @@ impl RecordingProbe {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-}
 
-impl Default for RecordingProbe {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Probe for RecordingProbe {
-    fn record(&self, lane: u32, t_sim: f64, kind: EventKind) {
+    /// Records one event emitted on `lane` at simulated time `t_sim`. The
+    /// probe — not the emitter — stamps the wall-clock timestamp and the
+    /// round id, so disabled runs pay nothing for either.
+    pub fn record(&self, lane: u32, t_sim: f64, kind: EventKind) {
         // Rounds are strictly sequential (the round executor joins all lanes
         // before returning), so a relaxed counter is race-free in practice:
         // every in-round event is recorded between its RoundStart and the
@@ -102,16 +77,9 @@ impl Probe for RecordingProbe {
     }
 }
 
-/// A probe delivering every event to each of its probes in turn — a
-/// recorder and a live [`crate::MetricsRegistry`] on one run, say.
-#[derive(Debug)]
-pub struct FanOut(pub Vec<Arc<dyn Probe>>);
-
-impl Probe for FanOut {
-    fn record(&self, lane: u32, t_sim: f64, kind: EventKind) {
-        for p in &self.0 {
-            p.record(lane, t_sim, kind);
-        }
+impl Default for RecordingProbe {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -122,7 +90,7 @@ impl Probe for FanOut {
 /// events tagged with this handle's lane. Cloning is an `Arc` bump.
 #[derive(Clone, Default)]
 pub struct ProbeHandle {
-    probe: Option<Arc<dyn Probe>>,
+    probe: Option<Arc<RecordingProbe>>,
     lane: u32,
 }
 
@@ -133,7 +101,7 @@ impl ProbeHandle {
     }
 
     /// A handle delivering to `probe`, initially on lane 0.
-    pub fn new(probe: Arc<dyn Probe>) -> Self {
+    pub fn new(probe: Arc<RecordingProbe>) -> Self {
         ProbeHandle { probe: Some(probe), lane: 0 }
     }
 
@@ -230,17 +198,6 @@ mod tests {
         assert_ne!(ha, ProbeHandle::new(b));
         assert_ne!(ha, ha.with_lane(3));
         assert_ne!(ha, ProbeHandle::none());
-    }
-
-    #[test]
-    fn fan_out_delivers_to_every_probe() {
-        let (a, b) = (RecordingProbe::shared(), RecordingProbe::shared());
-        let h = ProbeHandle::new(Arc::new(FanOut(vec![a.clone(), b.clone()])));
-        h.with_lane(2).emit(1e-9, EventKind::Factorization);
-        for rec in [a, b] {
-            let evs = rec.events();
-            assert_eq!((evs.len(), evs[0].lane), (1, 2));
-        }
     }
 
     #[test]

@@ -4,8 +4,7 @@
 //!
 //! ```text
 //! cargo run --release --example netlist_runner -- <deck.sp> [scheme] [threads] \
-//!     [--trace <path>] [--trace-format jsonl|chrome] \
-//!     [--metrics pretty|json|prom] [--metrics-every <ms>]
+//!     [--trace <path>] [--trace-format jsonl|chrome]
 //! ```
 //!
 //! where `scheme` is one of `serial`, `backward`, `forward`, `combined`
@@ -21,12 +20,6 @@
 //! analysis. The trace analysis `wavepipe-doctor` prints (counts, step-size
 //! histogram, per-lane utilisation) follows either way.
 //!
-//! `--metrics` attaches a live [`MetricsRegistry`] and prints the end-of-run
-//! snapshot as a human table (`pretty`), JSON (`json`) or Prometheus text
-//! exposition (`prom`). `--metrics-every <ms>` additionally starts a sampler
-//! thread that prints the counter *deltas* of each interval while the
-//! simulation runs — a live progress ticker driven by the same registry.
-//!
 //! On failure the process exits with a cause-specific code so scripted
 //! sweeps can branch without parsing stderr: `2` Newton no-convergence
 //! (with the solver's forensic report on stderr), `3` timestep underflow,
@@ -34,13 +27,10 @@
 //! `7` lost worker, `1` everything else.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 use wavepipe::circuit::parse_netlist;
 use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
 use wavepipe::engine::EngineError;
-use wavepipe::telemetry::{
-    analyze, chrome, jsonl, FanOut, MetricsRegistry, Probe, ProbeHandle, RecordingProbe,
-};
+use wavepipe::telemetry::{analyze, chrome, jsonl, ProbeHandle, RecordingProbe};
 
 /// Cause-specific process exit code, so scripted sweeps can tell a
 /// convergence failure from a timestep underflow or an expired budget
@@ -88,21 +78,11 @@ enum TraceFormat {
     Chrome,
 }
 
-/// End-of-run metrics rendering.
-enum MetricsFormat {
-    Pretty,
-    Json,
-    Prom,
-}
-
 fn run() -> Result<(), Box<dyn std::error::Error>> {
-    // Split flag arguments (`--trace <path>`, `--trace-format <fmt>`,
-    // `--metrics <fmt>`, `--metrics-every <ms>`) from the positional
-    // deck/scheme/threads arguments.
+    // Split flag arguments (`--trace <path>`, `--trace-format <fmt>`) from
+    // the positional deck/scheme/threads arguments.
     let mut trace_path: Option<PathBuf> = None;
     let mut trace_format = TraceFormat::Chrome;
-    let mut metrics_format: Option<MetricsFormat> = None;
-    let mut metrics_every_ms: Option<u64> = None;
     let mut args: Vec<String> = vec![std::env::args().next().unwrap_or_default()];
     let mut raw = std::env::args().skip(1);
     while let Some(a) = raw.next() {
@@ -122,23 +102,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                         .into())
                     }
                 };
-            }
-            "--metrics" => {
-                metrics_format = Some(match raw.next().as_deref() {
-                    Some("pretty") => MetricsFormat::Pretty,
-                    Some("json") => MetricsFormat::Json,
-                    Some("prom") => MetricsFormat::Prom,
-                    other => {
-                        return Err(format!(
-                            "--metrics must be `pretty`, `json` or `prom`, got {other:?}"
-                        )
-                        .into())
-                    }
-                });
-            }
-            "--metrics-every" => {
-                let ms = raw.next().ok_or("--metrics-every needs an interval in ms")?;
-                metrics_every_ms = Some(ms.parse().map_err(|_| format!("bad interval `{ms}`"))?);
             }
             _ => args.push(a),
         }
@@ -170,66 +133,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut opts = WavePipeOptions::new(scheme, threads);
     let probe = trace_path.as_ref().map(|_| RecordingProbe::shared());
-    let registry =
-        (metrics_format.is_some() || metrics_every_ms.is_some()).then(MetricsRegistry::shared);
-    // The recorder and the registry both watch the run when both are asked
-    // for.
-    let sinks: Vec<Arc<dyn Probe>> =
-        [probe.clone().map(|p| p as Arc<dyn Probe>), registry.clone().map(|r| r as Arc<dyn Probe>)]
-            .into_iter()
-            .flatten()
-            .collect();
-    if !sinks.is_empty() {
-        opts = opts.with_probe(ProbeHandle::new(Arc::new(FanOut(sinks))));
+    if let Some(probe) = &probe {
+        opts = opts.with_probe(ProbeHandle::new(probe.clone()));
     }
-
-    // Live progress ticker: a sampler thread snapshots the shared registry
-    // every interval and prints the counter deltas — snapshots are safe
-    // mid-run, and probes never perturb the solver lanes.
-    let sampler = metrics_every_ms.map(|ms| {
-        let reg = Arc::clone(registry.as_ref().expect("registry exists when sampling"));
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            let interval = std::time::Duration::from_millis(ms.max(1));
-            let mut prev = reg.snapshot();
-            let mut tick = 0u64;
-            while !stop_flag.load(std::sync::atomic::Ordering::Relaxed) {
-                std::thread::sleep(interval);
-                let snap = reg.snapshot();
-                let d = snap.diff(&prev);
-                tick += 1;
-                println!(
-                    "metrics : [{tick:>4}] +{} points  +{} solves  +{} newton iters  \
-                     +{} lte rejects  h={:.3e}",
-                    d.counter("points_accepted"),
-                    d.counter("solves"),
-                    d.counter("newton_iterations"),
-                    d.counter("lte_rejects"),
-                    snap.gauges.iter().find(|(n, _)| *n == "current_h").map_or(0.0, |(_, v)| *v),
-                );
-                prev = snap;
-            }
-        });
-        (stop, handle)
-    });
 
     let report = run_wavepipe(&parsed.circuit, tran.tstep, tran.tstop, &opts)?;
-
-    if let Some((stop, handle)) = sampler {
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let _ = handle.join();
-    }
     println!("run     : {}", report.summary());
-
-    if let (Some(fmt), Some(reg)) = (&metrics_format, &registry) {
-        let snap = reg.snapshot();
-        match fmt {
-            MetricsFormat::Pretty => print!("{}", snap.to_pretty()),
-            MetricsFormat::Json => println!("{}", snap.to_json()),
-            MetricsFormat::Prom => print!("{}", snap.to_prometheus()),
-        }
-    }
 
     if let (Some(path), Some(probe)) = (&trace_path, &probe) {
         use std::io::Write as _;

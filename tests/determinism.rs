@@ -27,7 +27,7 @@ fn wavepipe_runs_are_bitwise_deterministic() {
 fn recording_probe_never_perturbs_the_run() {
     // Telemetry must only observe: a run with a RecordingProbe attached has
     // to produce bit-identical waveforms and identical work counters to the
-    // default NullProbe run, for every scheme.
+    // default run with no probe attached, for every scheme.
     let b = generators::diode_rectifier();
     for scheme in [Scheme::Serial, Scheme::Backward, Scheme::Forward, Scheme::Combined] {
         let plain = WavePipeOptions::new(scheme, 3);

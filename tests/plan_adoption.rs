@@ -17,9 +17,10 @@ use std::sync::Arc;
 use wavepipe::circuit::generators::{self, Benchmark};
 use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
 use wavepipe::engine::{
-    run_transient, DirectLu, FaultKind, FaultPlan, MetricsRegistry, ProbeHandle, SimOptions,
+    run_transient, DirectLu, FaultKind, FaultPlan, ProbeHandle, RecordingProbe, SimOptions,
     SimStats, SolverHandle, TransientResult,
 };
+use wavepipe::telemetry::analyze;
 
 /// Every cache on and everything an environment leg of CI can flip pinned.
 fn pinned(solver: SolverHandle) -> SimOptions {
@@ -40,7 +41,7 @@ fn own_pivots() -> SolverHandle {
 struct Run {
     result: TransientResult,
     stats: SimStats,
-    /// `cache_hits{cache="plan"}`, `cache_misses{cache="plan"}`.
+    /// `Counts::{plan_hits, plan_misses}`.
     plan: (u64, u64),
     workers_lost: usize,
 }
@@ -52,20 +53,17 @@ fn run(
     solver: SolverHandle,
     faults: FaultPlan,
 ) -> Run {
-    let registry = MetricsRegistry::shared();
+    let recorder = RecordingProbe::shared();
     let opts = WavePipeOptions::new(scheme, threads)
         .with_sim(pinned(solver))
         .with_faults(faults)
-        .with_probe(ProbeHandle::new(registry.clone()));
+        .with_probe(ProbeHandle::new(recorder.clone()));
     let rep = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).expect("pipelined run");
-    let snap = registry.snapshot();
+    let counts = analyze(&recorder.events()).counts;
     Run {
         result: rep.result,
         stats: rep.total,
-        plan: (
-            snap.labeled_value("cache_hits", "plan"),
-            snap.labeled_value("cache_misses", "plan"),
-        ),
+        plan: (counts.plan_hits, counts.plan_misses),
         workers_lost: rep.workers_lost,
     }
 }

@@ -8,9 +8,10 @@ use proptest::prelude::*;
 use wavepipe::circuit::generators;
 use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
 use wavepipe::engine::{
-    run_transient, EngineError, FaultKind, FaultPlan, MetricsRegistry, ProbeHandle, SimOptions,
+    run_transient, EngineError, FaultKind, FaultPlan, ProbeHandle, RecordingProbe, SimOptions,
     TransientResult,
 };
+use wavepipe::telemetry::analyze;
 
 /// Asserts two waveforms share the exact time grid and bit-identical
 /// solution vectors.
@@ -44,10 +45,10 @@ fn forced_nonconvergence_is_rescued_in_the_serial_engine() {
     let b = generators::rc_ladder(6);
     let clean = run_transient(&b.circuit, b.tstep, b.tstop, &SimOptions::default()).unwrap();
 
-    let registry = MetricsRegistry::shared();
+    let recorder = RecordingProbe::shared();
     let opts = SimOptions::default()
         .with_faults(nc_burst(30))
-        .with_probe(ProbeHandle::new(registry.clone()));
+        .with_probe(ProbeHandle::new(recorder.clone()));
     let rescued = run_transient(&b.circuit, b.tstep, b.tstop, &opts)
         .expect("the ladder must rescue a forced-non-convergence burst");
     for k in 0..rescued.len() {
@@ -55,10 +56,10 @@ fn forced_nonconvergence_is_rescued_in_the_serial_engine() {
     }
 
     // The ladder actually ran: attempts, rollbacks, and rescues all ticked.
-    let snap = registry.snapshot();
-    assert!(snap.counter("recovery_attempts") > 0, "no recovery attempts recorded");
-    assert!(snap.counter("cache_rollbacks") > 0, "no cache rollbacks recorded");
-    assert!(snap.counter("recovery_rescues") > 0, "no rescues recorded");
+    let counts = analyze(&recorder.events()).counts;
+    assert!(counts.recovery_attempts > 0, "no recovery attempts recorded");
+    assert!(counts.cache_rollbacks > 0, "no cache rollbacks recorded");
+    assert!(counts.recovery_rescues > 0, "no rescues recorded");
 
     // Rescued points crawl at the step floor near t=0, but the run must
     // stay accurate once the fault range is exhausted.

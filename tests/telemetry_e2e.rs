@@ -9,8 +9,7 @@ use wavepipe::circuit::{Circuit, Waveform};
 use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
 use wavepipe::engine::SimOptions;
 use wavepipe::telemetry::{
-    analyze, chrome, json, jsonl, Event, EventKind, FanOut, MetricsRegistry, ProbeHandle,
-    RecordingProbe,
+    analyze, chrome, json, jsonl, Event, EventKind, ProbeHandle, RecordingProbe,
 };
 
 fn traced_run(
@@ -164,17 +163,14 @@ fn the_registry_reports_the_fold_s_histograms_on_millisecond_steps() {
         .unwrap();
     ckt.add_resistor("R1", a, b, 1e3).unwrap();
     ckt.add_capacitor("C1", b, Circuit::GROUND, 1e-3).unwrap();
-    let (probe, registry) = (RecordingProbe::shared(), MetricsRegistry::shared());
-    let both = FanOut(vec![probe.clone(), registry.clone()]);
-    let opts = SimOptions::default().with_probe(ProbeHandle::new(Arc::new(both)));
-    wavepipe::engine::run_transient(&ckt, 1e-3, 3.0, &opts).unwrap();
+    let probe = RecordingProbe::shared();
+    let opts = SimOptions::default().with_probe(ProbeHandle::new(probe.clone()));
+    let res = wavepipe::engine::run_transient(&ckt, 1e-3, 3.0, &opts).unwrap();
 
     let counts = analyze(&probe.events()).counts;
-    let snap = registry.snapshot();
-    let series = |name| &snap.series.iter().find(|(n, _)| *n == name).unwrap().1;
-    let steps = series("step_size");
-    assert_eq!(*steps, counts.step_sizes);
-    assert_eq!(*series("newton_iters_per_solve"), counts.newton_iters);
+    let steps = &counts.step_sizes;
+    assert_eq!(steps.count(), res.stats().steps_accepted as u64);
+    assert_eq!(counts.newton_iters.count(), counts.solves);
     assert!(steps.max().unwrap() > 1e-3, "no millisecond steps");
     // Every step lands below the last finite bound: the overflow is empty.
     let buckets = steps.cumulative_buckets();
