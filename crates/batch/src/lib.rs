@@ -20,14 +20,14 @@
 //! * **Thread-striped dispatch.** [`BatchSim::run`] distributes instances
 //!   over [`BatchSim::with_threads`] batch workers.
 //! * **Streaming.** [`BatchSim::run_each`] delivers each instance's result
-//!   through a callback as it completes; `run`/`run_outcome` are collecting
-//!   wrappers over it.
+//!   through a callback as it completes; `run` is the collecting wrapper
+//!   over it.
 //! * **Fault isolation.** Every instance runs under panic containment with
 //!   one degraded-cache retry; a failure quarantines that instance only.
-//!   [`BatchSim::run_outcome`] returns the completed waveforms alongside
-//!   structured [`QuarantineReport`]s, while [`BatchSim::run`] is the
-//!   abort-mode view that collapses any quarantine into
-//!   [`BatchError::InstanceFailed`] (carrying *all* failing indices).
+//!   [`BatchSim::run_each`] streams each completed waveform or structured
+//!   [`QuarantineReport`], while [`BatchSim::run`] is the abort-mode view
+//!   that collapses any quarantine into [`BatchError::InstanceFailed`]
+//!   (carrying *all* failing indices).
 //!
 //! # Determinism
 //!
@@ -251,7 +251,7 @@ pub enum BatchError {
     NoInstances,
     /// One or more instances of the batch failed. Every instance still runs
     /// to completion (quarantine-and-continue); this error is the abort-mode
-    /// summary assembled afterwards by [`BatchOutcome::into_run`].
+    /// summary [`BatchSim::run`] assembles afterwards.
     InstanceFailed {
         /// Lowest failing instance index (the order of
         /// [`BatchSim::add_instance`] calls) — kept as the headline so the
@@ -436,16 +436,6 @@ impl BatchSim {
         Ok(self.n_instances - 1)
     }
 
-    /// Number of registered parameter columns.
-    pub fn param_count(&self) -> usize {
-        self.params.len()
-    }
-
-    /// Number of instances added so far.
-    pub fn instance_count(&self) -> usize {
-        self.n_instances
-    }
-
     /// The shared compiled system all instances derive from.
     pub fn system(&self) -> &Arc<MnaSystem> {
         &self.sys
@@ -536,51 +526,19 @@ impl BatchSim {
         }
     }
 
-    /// Run every instance with per-instance fault isolation and collect
-    /// both the completed waveforms and the structured failure reports.
+    /// Run every instance, **streaming** each per-instance result through
+    /// `on_result` as it completes instead of collecting the whole batch in
+    /// memory first. This is the execution core; [`BatchSim::run`] is the
+    /// collecting wrapper over it.
     ///
     /// Instances are striped round-robin over the batch workers. A failing
     /// (or panicking) instance is **quarantined**: it is retried once with
     /// degraded caches (device bypass, chord Newton, and the companion
     /// cache pinned off; the recovery ladder pinned on), and if the retry
-    /// also fails it lands in
-    /// [`BatchOutcome::quarantined`] while every other instance still runs
-    /// to completion. No-fault instances are bit-identical to a fault-free
-    /// run: isolation only changes what happens on the error path.
-    ///
-    /// # Errors
-    ///
-    /// [`BatchError::NoInstances`] for an empty batch. Per-instance failures
-    /// never error here — they are data, in the returned [`BatchOutcome`].
-    pub fn run_outcome(&self) -> Result<BatchOutcome, BatchError> {
-        let mut slots: Vec<Option<Result<TransientResult, QuarantineReport>>> =
-            (0..self.n_instances).map(|_| None).collect();
-        let dispatch = self.run_each(|i, r| slots[i] = Some(r))?;
-
-        let mut results = Vec::with_capacity(self.n_instances);
-        let mut quarantined = Vec::new();
-        for slot in slots {
-            match slot.expect("every unit covers its instances") {
-                Ok(r) => results.push(Some(r)),
-                Err(q) => {
-                    results.push(None);
-                    quarantined.push(q);
-                }
-            }
-        }
-        Ok(BatchOutcome {
-            results,
-            quarantined,
-            workers: dispatch.workers,
-            prep_ns: dispatch.prep_ns,
-            wall_ns: dispatch.wall_ns,
-        })
-    }
-
-    /// Run every instance, **streaming** each per-instance result through
-    /// `on_result` as it completes instead of collecting the whole batch in
-    /// memory first. This is the execution core; [`BatchSim::run_outcome`]
-    /// and [`BatchSim::run`] are collecting wrappers over it.
+    /// also fails its [`QuarantineReport`] is streamed while every other
+    /// instance still runs to completion. No-fault instances are
+    /// bit-identical to a fault-free run: isolation only changes what
+    /// happens on the error path.
     ///
     /// `on_result` receives `(instance_index, result)` exactly once per
     /// instance, in **completion order** (not index order) — workers race.
@@ -632,11 +590,11 @@ impl BatchSim {
     /// Run every instance and collect the results in instance order,
     /// aborting (after the full batch has run) if any instance failed.
     ///
-    /// This is [`BatchSim::run_outcome`] in abort mode: the same
-    /// fault-isolated execution, collapsed through
-    /// [`BatchOutcome::into_run`]. Failures are deterministic — the
-    /// lowest-index failing instance is the headline and the error carries
-    /// every failing index.
+    /// This is [`BatchSim::run_each`] collected: the same fault-isolated
+    /// execution, so every instance runs to completion before any failure
+    /// is reported. Failures are deterministic — the lowest-index
+    /// quarantined instance is the headline and the error carries every
+    /// quarantined index.
     ///
     /// # Errors
     ///
@@ -644,7 +602,29 @@ impl BatchSim {
     /// [`BatchError::InstanceFailed`] when an instance cannot be derived or
     /// does not converge (even after its degraded-cache retry).
     pub fn run(&self) -> Result<BatchRun, BatchError> {
-        self.run_outcome()?.into_run()
+        let mut slots: Vec<Option<TransientResult>> = vec![None; self.n_instances];
+        let mut quarantined = Vec::new();
+        let dispatch = self.run_each(|i, r| match r {
+            Ok(r) => slots[i] = Some(r),
+            Err(q) => quarantined.push(q),
+        })?;
+        quarantined.sort_by_key(|q: &QuarantineReport| q.index);
+        if let Some(first) = quarantined.first() {
+            return Err(BatchError::InstanceFailed {
+                index: first.index,
+                indices: quarantined.iter().map(|q| q.index).collect(),
+                source: first.error.clone(),
+            });
+        }
+        Ok(BatchRun {
+            results: slots
+                .into_iter()
+                .map(|r| r.expect("no quarantine: every slot filled"))
+                .collect(),
+            workers: dispatch.workers,
+            prep_ns: dispatch.prep_ns,
+            wall_ns: dispatch.wall_ns,
+        })
     }
 }
 
@@ -739,89 +719,6 @@ impl fmt::Display for QuarantineReport {
     }
 }
 
-/// The outcome of [`BatchSim::run_outcome`]: completed waveforms alongside
-/// structured failure reports, one slot per instance.
-///
-/// A quarantined instance leaves a `None` in [`BatchOutcome::results`] and
-/// a [`QuarantineReport`] in [`BatchOutcome::quarantined`]; every other
-/// instance's waveform is exactly what a fault-free batch would have
-/// produced.
-#[derive(Debug, Clone)]
-pub struct BatchOutcome {
-    results: Vec<Option<TransientResult>>,
-    quarantined: Vec<QuarantineReport>,
-    workers: usize,
-    prep_ns: u128,
-    wall_ns: u128,
-}
-
-impl BatchOutcome {
-    /// Per-instance slots in [`BatchSim::add_instance`] order: `Some` for
-    /// completed instances, `None` where a [`QuarantineReport`] stands in.
-    pub fn results(&self) -> &[Option<TransientResult>] {
-        &self.results
-    }
-
-    /// Completed `(index, waveform)` pairs, ascending by index.
-    pub fn completed(&self) -> impl Iterator<Item = (usize, &TransientResult)> {
-        self.results.iter().enumerate().filter_map(|(i, r)| r.as_ref().map(|r| (i, r)))
-    }
-
-    /// Quarantine reports, ascending by instance index.
-    pub fn quarantined(&self) -> &[QuarantineReport] {
-        &self.quarantined
-    }
-
-    /// True when every instance completed.
-    pub fn is_clean(&self) -> bool {
-        self.quarantined.is_empty()
-    }
-
-    /// Batch workers that executed the run.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Wall nanoseconds spent on shared preparation before any instance
-    /// ran (see [`BatchDispatch::prep_ns`]).
-    pub fn prep_ns(&self) -> u128 {
-        self.prep_ns
-    }
-
-    /// Total wall nanoseconds for the whole batch, preparation included.
-    pub fn wall_ns(&self) -> u128 {
-        self.wall_ns
-    }
-
-    /// Collapse to abort mode: a clean outcome becomes a [`BatchRun`]; any
-    /// quarantine becomes [`BatchError::InstanceFailed`] with the lowest
-    /// failing index as the headline and *all* failing indices attached.
-    ///
-    /// # Errors
-    ///
-    /// [`BatchError::InstanceFailed`] when any instance was quarantined.
-    pub fn into_run(self) -> Result<BatchRun, BatchError> {
-        if let Some(first) = self.quarantined.first() {
-            return Err(BatchError::InstanceFailed {
-                index: first.index,
-                indices: self.quarantined.iter().map(|q| q.index).collect(),
-                source: first.error.clone(),
-            });
-        }
-        let results = self
-            .results
-            .into_iter()
-            .map(|r| r.expect("clean outcome has every slot filled"))
-            .collect();
-        Ok(BatchRun {
-            results,
-            workers: self.workers,
-            prep_ns: self.prep_ns,
-            wall_ns: self.wall_ns,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -830,6 +727,21 @@ mod tests {
     /// Every counter; the wall-clock fields are the only ones that may differ.
     fn counts(s: &wavepipe_engine::SimStats) -> wavepipe_engine::SimStats {
         wavepipe_engine::SimStats { wall_ns: 0, stamp_ns: 0, ..*s }
+    }
+
+    /// [`BatchSim::run_each`] collected per instance: `Some` waveform or
+    /// `None`, and the quarantine reports ascending by index.
+    fn outcome(batch: &BatchSim) -> (Vec<Option<TransientResult>>, Vec<QuarantineReport>) {
+        let mut slots = vec![None; batch.n_instances];
+        let mut quarantined = Vec::new();
+        batch
+            .run_each(|i, r| match r {
+                Ok(r) => slots[i] = Some(r),
+                Err(q) => quarantined.push(q),
+            })
+            .unwrap();
+        quarantined.sort_by_key(|q: &QuarantineReport| q.index);
+        (slots, quarantined)
     }
 
     fn rc_circuit() -> Circuit {
@@ -871,7 +783,7 @@ mod tests {
         batch.param("R1", ParamKind::Resistance).unwrap();
         let err = batch.add_instance(&[1e3, 2e3]).unwrap_err();
         assert_eq!(err, BatchError::ParamCountMismatch { expected: 1, found: 2 });
-        assert_eq!(batch.instance_count(), 0);
+        assert_eq!(batch.run().unwrap_err(), BatchError::NoInstances);
     }
 
     #[test]
@@ -998,18 +910,17 @@ mod tests {
         batch.add_instance(&[1e3]).unwrap();
         batch.add_instance(&[f64::NAN]).unwrap(); // poisons the matrix
         batch.add_instance(&[2e3]).unwrap();
-        let out = batch.run_outcome().unwrap();
-        assert!(!out.is_clean());
-        assert_eq!(out.completed().count(), 2);
-        assert!(out.results()[0].is_some() && out.results()[2].is_some());
-        assert!(out.results()[1].is_none());
-        let [q] = out.quarantined() else { panic!("expected one quarantine") };
+        let (results, quarantined) = outcome(&batch);
+        assert_eq!(results.iter().flatten().count(), 2);
+        assert!(results[0].is_some() && results[2].is_some());
+        assert!(results[1].is_none());
+        let [q] = &quarantined[..] else { panic!("expected one quarantine") };
         assert_eq!(q.index, 1);
         assert!(q.retried, "an engine failure must get its degraded-cache retry");
         assert!(!q.panicked);
         assert!(q.to_string().contains("instance 1 quarantined"), "{q}");
         // Abort mode: lowest index is the headline, all indices attached.
-        match out.into_run().unwrap_err() {
+        match batch.run().unwrap_err() {
             BatchError::InstanceFailed { index, indices, .. } => {
                 assert_eq!(index, 1);
                 assert_eq!(indices, vec![1]);
@@ -1050,9 +961,9 @@ mod tests {
             let r = if poisoned.contains(&i) { f64::NAN } else { 0.5e3 + 10.0 * i as f64 };
             batch.add_instance(&[r]).unwrap();
         }
-        let out = batch.run_outcome().unwrap();
-        assert_eq!(out.completed().count(), 97);
-        let qidx: Vec<usize> = out.quarantined().iter().map(|q| q.index).collect();
+        let (results, quarantined) = outcome(&batch);
+        assert_eq!(results.iter().flatten().count(), 97);
+        let qidx: Vec<usize> = quarantined.iter().map(|q| q.index).collect();
         assert_eq!(qidx, poisoned);
         for i in [0usize, 25, 50, 99] {
             let mut ckt = rc_circuit();
@@ -1061,7 +972,7 @@ mod tests {
             }
             // Same options on both sides: see `batch_matches_single_runs`.
             let want = wavepipe_engine::run_transient(&ckt, 1e-8, 1e-6, &sim).unwrap();
-            let got = out.results()[i].as_ref().expect("clean instance completed");
+            let got = results[i].as_ref().expect("clean instance completed");
             assert_eq!(got.times(), want.times(), "time grids diverged at instance {i}");
             for k in 0..want.len() {
                 assert_eq!(got.solution(k), want.solution(k), "instance {i} point {k}");
@@ -1078,8 +989,8 @@ mod tests {
             .with_sim(SimOptions::default().with_cancel_token(token));
         batch.param("R1", ParamKind::Resistance).unwrap();
         batch.add_instance(&[1e3]).unwrap();
-        let out = batch.run_outcome().unwrap();
-        let [q] = out.quarantined() else { panic!("expected one quarantine") };
+        let (_, quarantined) = outcome(&batch);
+        let [q] = &quarantined[..] else { panic!("expected one quarantine") };
         assert!(q.error.is_budget(), "expected a budget error, got {:?}", q.error);
         assert!(!q.retried, "budget errors must not be retried");
     }

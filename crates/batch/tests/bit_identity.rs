@@ -153,10 +153,15 @@ fn quarantined_instance_keeps_survivors_bit_identical() {
     ];
     let refs: Vec<_> =
         corners.iter().enumerate().filter(|(i, _)| *i != 2).map(|(_, c)| reference(c)).collect();
-    let out = batch_sim(&corners, 1).run_outcome().expect("batch dispatch");
-    let qidx: Vec<usize> = out.quarantined().iter().map(|q| q.index).collect();
+    let (mut survivors, mut qidx) = (Vec::new(), Vec::new());
+    batch_sim(&corners, 1)
+        .run_each(|i, r| match r {
+            Ok(r) => survivors.push((i, r)),
+            Err(q) => qidx.push(q.index),
+        })
+        .expect("batch dispatch");
     assert_eq!(qidx, vec![2], "only the poisoned instance fails");
-    let survivors: Vec<_> = out.completed().map(|(i, r)| (i, r.clone())).collect();
+    survivors.sort_by_key(|(i, _)| *i);
     assert_eq!(survivors.len(), 3);
     for ((i, got), want) in survivors.iter().zip(&refs) {
         assert_bitwise_equal(got, want, &format!("survivor={i}"));

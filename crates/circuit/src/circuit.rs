@@ -182,11 +182,6 @@ impl Circuit {
         }
     }
 
-    /// The circuit title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// Returns the node with the given name, creating it if necessary.
     /// The names `"0"`, `"gnd"` and `"GND"` map to ground.
     pub fn node(&mut self, name: &str) -> Node {
@@ -202,21 +197,14 @@ impl Circuit {
         id
     }
 
-    /// Looks up an existing node by name without creating it.
-    pub fn find_node(&self, name: &str) -> Option<Node> {
+    /// Looks up an existing node by name without creating it: the probe the
+    /// unit tests read a built circuit's nodes with.
+    #[cfg(test)]
+    pub(crate) fn find_node(&self, name: &str) -> Option<Node> {
         if name == "0" || name.eq_ignore_ascii_case("gnd") {
             return Some(Node::GROUND);
         }
         self.node_names.get(name).copied()
-    }
-
-    /// Name of a node id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node does not belong to this circuit.
-    pub fn node_name(&self, node: Node) -> &str {
-        &self.node_list[node.index()]
     }
 
     /// Number of signal (non-ground) nodes.
@@ -495,7 +483,7 @@ impl Circuit {
     /// # Errors
     ///
     /// [`CircuitError::DuplicateName`] if the name is taken.
-    pub fn add_vcvs(
+    pub(crate) fn add_vcvs(
         &mut self,
         name: &str,
         p: Node,

@@ -13,7 +13,7 @@ pub struct Node(pub(crate) usize);
 
 impl Node {
     /// The ground (reference) node.
-    pub const GROUND: Node = Node(0);
+    pub(crate) const GROUND: Node = Node(0);
 
     /// Raw index of this node (0 = ground; signal nodes start at 1).
     pub fn index(self) -> usize {
@@ -307,7 +307,7 @@ impl Element {
     }
 
     /// All nodes this element touches (with repetition preserved).
-    pub fn nodes(&self) -> Vec<Node> {
+    pub(crate) fn nodes(&self) -> Vec<Node> {
         match *self {
             Element::Resistor { p, n, .. }
             | Element::Capacitor { p, n, .. }
@@ -325,27 +325,17 @@ impl Element {
 
     /// Returns `true` if the element's current-voltage relation is nonlinear
     /// (i.e. it participates in Newton linearisation).
-    pub fn is_nonlinear(&self) -> bool {
+    pub(crate) fn is_nonlinear(&self) -> bool {
         matches!(self, Element::Diode { .. } | Element::Mosfet { .. } | Element::Bjt { .. })
     }
 
     /// Returns `true` if the element introduces an extra MNA branch-current
     /// unknown (group-2 element).
-    pub fn has_branch_current(&self) -> bool {
+    pub(crate) fn has_branch_current(&self) -> bool {
         matches!(
             self,
             Element::VoltageSource { .. } | Element::Inductor { .. } | Element::Vcvs { .. }
         )
-    }
-
-    /// Returns `true` if the element stores energy (contributes dynamics).
-    pub fn is_reactive(&self) -> bool {
-        match self {
-            Element::Capacitor { .. } | Element::Inductor { .. } => true,
-            Element::Diode { model, .. } => model.cj0 > 0.0,
-            Element::Mosfet { model, .. } => model.cgs > 0.0 || model.cgd > 0.0,
-            _ => false,
-        }
     }
 }
 
@@ -387,7 +377,6 @@ mod tests {
         };
         assert!(v.has_branch_current());
         assert!(l.has_branch_current());
-        assert!(l.is_reactive());
     }
 
     #[test]
@@ -399,14 +388,6 @@ mod tests {
             model: DiodeModel::default(),
         };
         assert!(d.is_nonlinear());
-        assert!(!d.is_reactive());
-        let d2 = Element::Diode {
-            name: "D2".into(),
-            p: Node(1),
-            n: Node::GROUND,
-            model: DiodeModel { cj0: 1e-12, ..DiodeModel::default() },
-        };
-        assert!(d2.is_reactive());
     }
 
     #[test]
@@ -418,20 +399,5 @@ mod tests {
         assert_eq!(p.polarity, MosPolarity::Pmos);
         assert!(p.vt0 < 0.0);
         assert!((n.beta() - 2e-5 * 10.0).abs() < 1e-18);
-    }
-
-    #[test]
-    fn mosfet_is_reactive_with_caps() {
-        let m = Element::Mosfet {
-            name: "M1".into(),
-            d: Node(1),
-            g: Node(2),
-            s: Node::GROUND,
-            b: Node::GROUND,
-            model: MosModel::nmos(),
-        };
-        assert!(m.is_reactive());
-        assert!(m.is_nonlinear());
-        assert_eq!(m.nodes().len(), 4);
     }
 }

@@ -43,7 +43,7 @@ mod circuit;
 mod element;
 pub mod generators;
 mod parser;
-pub mod units;
+mod units;
 mod waveform;
 
 pub use circuit::{Circuit, CircuitError};

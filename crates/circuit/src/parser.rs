@@ -153,7 +153,8 @@ pub fn parse_netlist(text: &str) -> Result<ParsedDeck, ParseNetlistError> {
     // --- Partition `.subckt` ... `.ends` definitions from top-level lines.
     let mut subckts: HashMap<String, SubcktDef> = HashMap::new();
     let mut top: Vec<(usize, String)> = Vec::new();
-    let mut current: Option<SubcktDef> = None;
+    // The definition being collected, with the line of its `.subckt`.
+    let mut current: Option<(usize, SubcktDef)> = None;
     for (lineno, line) in &logical {
         let toks = tokenize(line);
         match toks.first().map(String::as_str) {
@@ -167,26 +168,29 @@ pub fn parse_netlist(text: &str) -> Result<ParsedDeck, ParseNetlistError> {
                 if toks.len() < 3 {
                     return Err(ParseNetlistError::new(*lineno, ".subckt needs a name and ports"));
                 }
-                current = Some(SubcktDef {
-                    name: toks[1].clone(),
-                    ports: toks[2..].to_vec(),
-                    body: Vec::new(),
-                });
+                current = Some((
+                    *lineno,
+                    SubcktDef {
+                        name: toks[1].clone(),
+                        ports: toks[2..].to_vec(),
+                        body: Vec::new(),
+                    },
+                ));
             }
             Some(".ends") => match current.take() {
-                Some(def) => {
+                Some((_, def)) => {
                     subckts.insert(def.name.clone(), def);
                 }
                 None => return Err(ParseNetlistError::new(*lineno, ".ends without .subckt")),
             },
             _ => match &mut current {
-                Some(def) => def.body.push((*lineno, line.clone())),
+                Some((_, def)) => def.body.push((*lineno, line.clone())),
                 None => top.push((*lineno, line.clone())),
             },
         }
     }
-    if let Some(def) = current {
-        return Err(ParseNetlistError::new(0, format!("unterminated .subckt {}", def.name)));
+    if let Some((line, def)) = current {
+        return Err(ParseNetlistError::new(line, format!("unterminated .subckt {}", def.name)));
     }
 
     // --- Pass 1: model cards (global, including inside subcircuits). ---
@@ -924,7 +928,8 @@ D9 n 0 DX
     #[test]
     fn unterminated_subckt_reports() {
         let deck = "t\n.subckt S a\nR1 a 0 1\nV1 a 0 1\n.end";
-        assert!(parse_netlist(deck).is_err());
+        let e = parse_netlist(deck).unwrap_err();
+        assert_eq!(e.line(), 2, "reported at the .subckt it leaves open: {e}");
     }
 
     #[test]

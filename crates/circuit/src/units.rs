@@ -8,15 +8,8 @@ use std::fmt;
 
 /// Error returned when a SPICE numeric literal cannot be parsed.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseValueError {
+pub(crate) struct ParseValueError {
     text: String,
-}
-
-impl ParseValueError {
-    /// The offending literal.
-    pub fn text(&self) -> &str {
-        &self.text
-    }
 }
 
 impl fmt::Display for ParseValueError {
@@ -32,15 +25,19 @@ impl std::error::Error for ParseValueError {}
 /// Trailing unit letters after the scale suffix are ignored, matching SPICE
 /// convention.
 ///
-/// ```
-/// use wavepipe_circuit::units::parse_value;
+/// Every value field of a deck goes through it:
 ///
-/// # fn main() -> Result<(), wavepipe_circuit::units::ParseValueError> {
-/// assert_eq!(parse_value("1k")?, 1e3);
-/// assert_eq!(parse_value("2.2u")?, 2.2e-6);
-/// assert_eq!(parse_value("3MEG")?, 3e6);
-/// assert_eq!(parse_value("10pF")?, 10e-12);
-/// assert_eq!(parse_value("1e-9")?, 1e-9);
+/// ```
+/// use wavepipe_circuit::{parse_netlist, Element};
+///
+/// # fn main() -> Result<(), wavepipe_circuit::ParseNetlistError> {
+/// let deck = "* values\nR1 a 0 1k\nR2 a 0 2.2u\nR3 a 0 3MEG\nR4 a 0 10pF\nR5 a 0 1e-9\n";
+/// let ckt = parse_netlist(deck)?.circuit;
+/// let r = |name| match ckt.element(name) {
+///     Some(Element::Resistor { resistance, .. }) => *resistance,
+///     _ => unreachable!(),
+/// };
+/// assert_eq!([r("R1"), r("R2"), r("R3"), r("R4"), r("R5")], [1e3, 2.2e-6, 3e6, 10e-12, 1e-9]);
 /// # Ok(())
 /// # }
 /// ```
@@ -48,7 +45,7 @@ impl std::error::Error for ParseValueError {}
 /// # Errors
 ///
 /// Returns [`ParseValueError`] if the literal has no leading number.
-pub fn parse_value(s: &str) -> Result<f64, ParseValueError> {
+pub(crate) fn parse_value(s: &str) -> Result<f64, ParseValueError> {
     let t = s.trim();
     if t.is_empty() {
         return Err(ParseValueError { text: s.to_string() });
@@ -118,13 +115,10 @@ fn suffix_scale(rest: &str) -> f64 {
     }
 }
 
-/// Formats a value in engineering notation with a SPICE suffix, for reports.
-///
-/// ```
-/// assert_eq!(wavepipe_circuit::units::format_eng(2.2e-6), "2.2u");
-/// assert_eq!(wavepipe_circuit::units::format_eng(1500.0), "1.5k");
-/// ```
-pub fn format_eng(v: f64) -> String {
+/// Formats a value in engineering notation with a SPICE suffix: the inverse
+/// of [`parse_value`] the unit tests round-trip through.
+#[cfg(test)]
+fn format_eng(v: f64) -> String {
     if v == 0.0 {
         return "0".to_string();
     }

@@ -2,8 +2,28 @@
 //! waveform invariants, and netlist formatting consistency.
 
 use proptest::prelude::*;
-use wavepipe_circuit::units::{format_eng, parse_value};
-use wavepipe_circuit::Waveform;
+use wavepipe_circuit::{parse_netlist, Element, Waveform};
+
+/// `v` in engineering notation with a SPICE suffix, four decimals of the
+/// scaled mantissa.
+fn format_eng(v: f64) -> String {
+    let suffixes = [(1e12, "t"), (1e9, "g"), (1e6, "meg"), (1e3, "k"), (1.0, "")];
+    let small = [(1e-3, "m"), (1e-6, "u"), (1e-9, "n"), (1e-12, "p"), (1e-15, "f")];
+    let (scale, suffix) =
+        suffixes.into_iter().chain(small).find(|&(s, _)| v.abs() >= s).unwrap_or((1.0, ""));
+    format!("{:.4}{suffix}", v / scale)
+}
+
+/// The value a deck's numeric literal parses to, read back as the DC level
+/// of a voltage source.
+fn parse_value(literal: &str) -> f64 {
+    let deck = parse_netlist(&format!("* value\nV1 a 0 {literal}\nR1 a 0 1k\n"))
+        .unwrap_or_else(|e| panic!("{literal:?} does not parse: {e}"));
+    match deck.circuit.element("V1") {
+        Some(Element::VoltageSource { waveform, .. }) => waveform.value(0.0),
+        other => panic!("V1 is {other:?}"),
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -12,7 +32,7 @@ proptest! {
     fn format_parse_round_trip(mantissa in 0.001f64..999.0, exp in -12i32..9) {
         let v = mantissa * 10f64.powi(exp);
         let s = format_eng(v);
-        let back = parse_value(&s).expect("formatted value parses");
+        let back = parse_value(&s);
         // format_eng keeps 4 decimals of the scaled mantissa.
         prop_assert!((back - v).abs() <= 2e-4 * v.abs(), "{v:e} -> {s} -> {back:e}");
     }
@@ -20,7 +40,7 @@ proptest! {
     #[test]
     fn parse_plain_floats(v in -1e9f64..1e9) {
         let s = format!("{v}");
-        let p = parse_value(&s).expect("plain float parses");
+        let p = parse_value(&s);
         prop_assert!((p - v).abs() <= 1e-12 * v.abs().max(1.0));
     }
 
@@ -113,11 +133,9 @@ proptest! {
     }
 }
 
-#[test]
-fn generated_netlists_parse_back() {
-    // Every generator family must survive a hand-written representative deck
-    // round trip through the parser (pattern equivalence, not text identity).
-    let deck = "\
+/// A hand-written deck with one card of every element family the parser
+/// reads, three model cards and a `.tran` directive.
+const DECK: &str = "\
 representative elements
 V1 a 0 PULSE(0 3.3 1n 0.1n 0.1n 4n 10n)
 I1 0 b SIN(0 1m 10meg)
@@ -142,8 +160,75 @@ R8 b f 1meg
 .model QN NPN (BF=120)
 .tran 0.01n 50n
 .end";
-    let parsed = wavepipe_circuit::parse_netlist(deck).expect("parse");
+
+#[test]
+fn generated_netlists_parse_back() {
+    // Every generator family must survive a hand-written representative deck
+    // round trip through the parser (pattern equivalence, not text identity).
+    let parsed = parse_netlist(DECK).expect("parse");
     parsed.circuit.validate().expect("validate");
     assert_eq!(parsed.circuit.element_count(), 18);
     assert_eq!(parsed.circuit.nonlinear_count(), 3);
+}
+
+/// Tokens a mutation writes into the deck: directives, an instance, numbers
+/// the value parser must reject or accept, stray punctuation.
+const HOSTILE: [&str; 16] = [
+    ".subckt", ".ends", ".model", ".tran", ".end", "X1", "0", "-1", "1e999", "nan", "(", ")", "=",
+    "+", "1k", "PULSE(",
+];
+
+/// One edit of a deck: `(kind, line, token, replacement)`, the last three
+/// taken modulo what the deck offers. Kinds: replace, insert, delete or
+/// truncate at a token, or duplicate the line.
+type Mutation = (usize, usize, usize, usize);
+
+fn mutate(deck: &str, edits: &[Mutation]) -> String {
+    let mut lines: Vec<String> = deck.lines().map(String::from).collect();
+    let pool: Vec<&str> = HOSTILE.iter().copied().chain(deck.split_whitespace()).collect();
+    for &(kind, line, token, with) in edits {
+        let l = line % lines.len();
+        let mut toks: Vec<&str> = lines[l].split_whitespace().collect();
+        let (t, with) = (token % (toks.len() + 1), pool[with % pool.len()]);
+        match kind {
+            0 if t < toks.len() => toks[t] = with,
+            1 => toks.insert(t, with),
+            2 if t < toks.len() => {
+                toks.remove(t);
+            }
+            3 => toks.truncate(t),
+            4 => {
+                let copy = lines[l].clone();
+                lines.insert(l, copy);
+                continue;
+            }
+            _ => continue,
+        }
+        lines[l] = toks.join(" ");
+    }
+    lines.join("\n")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    /// A mutated deck parses and validates, or fails with an error at one of
+    /// its own lines; nothing panics.
+    #[test]
+    fn a_mutated_deck_fails_at_one_of_its_lines_or_parses(
+        edits in proptest::collection::vec((0usize..5, 0usize..64, 0usize..16, 0usize..256), 1..4)
+    ) {
+        let deck = mutate(DECK, &edits);
+        let lines = deck.lines().count();
+        match parse_netlist(&deck) {
+            Ok(parsed) => {
+                let _ = parsed.circuit.validate();
+            }
+            Err(e) => prop_assert!(
+                (1..=lines).contains(&e.line()),
+                "error at line {} of {lines}: {e}\n{deck}",
+                e.line()
+            ),
+        }
+    }
 }

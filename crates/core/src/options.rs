@@ -58,13 +58,6 @@ impl WavePipeOptions {
         WavePipeOptions { scheme, threads: threads.max(1), ..WavePipeOptions::default() }
     }
 
-    /// Sets the total thread budget (clamped to at least 1).
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
-    }
-
     /// Inert: the stamp-worker layer this sized is deleted, and every lane
     /// stamps through the one serial kernel whatever is passed. Kept because
     /// `benchmark/`, which a code change may not edit, calls it; it goes
@@ -113,32 +106,8 @@ impl WavePipeOptions {
         self
     }
 
-    /// Enables or disables SPICE3-style device bypass in every lane's
-    /// solver. See [`SimOptions::with_bypass`].
-    #[must_use]
-    pub fn with_bypass(mut self, on: bool) -> Self {
-        self.sim = self.sim.with_bypass(on);
-        self
-    }
-
-    /// Enables or disables chord/modified-Newton LU reuse in every lane's
-    /// solver. See [`SimOptions::with_chord_newton`].
-    #[must_use]
-    pub fn with_chord_newton(mut self, on: bool) -> Self {
-        self.sim = self.sim.with_chord_newton(on);
-        self
-    }
-
-    /// Enables or disables the step-size-keyed companion (linear-stamp)
-    /// cache. See [`SimOptions::with_companion_cache`].
-    #[must_use]
-    pub fn with_companion_cache(mut self, on: bool) -> Self {
-        self.sim = self.sim.with_companion_cache(on);
-        self
-    }
-
     /// Number of concurrent point-solves a round may issue.
-    pub fn width(&self) -> usize {
+    pub(crate) fn width(&self) -> usize {
         match self.scheme {
             Scheme::Serial => 1,
             _ => self.threads.max(1),
@@ -171,7 +140,7 @@ mod tests {
 
     #[test]
     fn builders_chain() {
-        let o = WavePipeOptions::new(Scheme::Forward, 2).with_threads(6);
+        let o = WavePipeOptions::new(Scheme::Forward, 6).with_sim(SimOptions::default());
         assert_eq!(o.scheme, Scheme::Forward);
         assert_eq!(o.threads, 6);
     }

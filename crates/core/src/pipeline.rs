@@ -251,7 +251,12 @@ impl Driver {
     /// Compiles the circuit, solves the operating point and prepares the
     /// run: the worker lanes come last, so that they can start on the plan
     /// of the operating point's factorization.
-    pub fn new(circuit: &Circuit, tstep: f64, tstop: f64, wp: &WavePipeOptions) -> Result<Self> {
+    pub(crate) fn new(
+        circuit: &Circuit,
+        tstep: f64,
+        tstop: f64,
+        wp: &WavePipeOptions,
+    ) -> Result<Self> {
         let run_start = Instant::now();
         let sys = Arc::new(MnaSystem::compile(circuit)?);
         let lead = PointSolver::new(Arc::clone(&sys), wp.sim.clone());
@@ -287,7 +292,7 @@ impl Driver {
     /// the pool can still serve, closing each round's ledger (`commit_ns`).
     /// Returns the terminal error of a partial run, or `None` when the run
     /// completed.
-    pub fn drive(&mut self, scheme: Scheme, width: usize) -> Option<EngineError> {
+    pub(crate) fn drive(&mut self, scheme: Scheme, width: usize) -> Option<EngineError> {
         while !self.round.done() {
             let width = width.min(1 + self.pool.alive()).max(1);
             let outcome = self.play(Plan::of(scheme, width));
@@ -381,7 +386,7 @@ impl Driver {
 
     /// Packages the run into a report: the machine's, with the ledger, the
     /// operating point's time and the lost workers added.
-    pub fn finish(self) -> WavePipeReport {
+    pub(crate) fn finish(self) -> WavePipeReport {
         let mut rep = self.round.finish(self.run_start.elapsed().as_nanos());
         rep.critical_ns += self.dc_ns;
         (rep.dispatch_ns, rep.lead_ns) = (self.dispatch_ns, self.lead_ns);

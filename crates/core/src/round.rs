@@ -69,7 +69,7 @@ pub(crate) struct Plan {
 
 impl Plan {
     /// The plan a scheme plays at `width` lanes.
-    pub fn of(scheme: Scheme, width: usize) -> Plan {
+    pub(crate) fn of(scheme: Scheme, width: usize) -> Plan {
         match scheme {
             Scheme::Forward => Plan { ladder: 1, chain: width.saturating_sub(1) },
             // No spare lane to speculate with below three.
@@ -150,7 +150,7 @@ impl Round {
     /// # Errors
     ///
     /// See [`StepController::start`].
-    pub fn start(
+    pub(crate) fn start(
         mut lead: PointSolver,
         tstep: f64,
         tstop: f64,
@@ -179,7 +179,7 @@ impl Round {
     /// The options the other lanes solve with: under a direct solver they
     /// adopt the lead's LU plan (one plan per run, under the pivot check); a
     /// solver the caller chose is left as it is.
-    pub fn lane_options(&self) -> SimOptions {
+    pub(crate) fn lane_options(&self) -> SimOptions {
         let mut sim = self.wp.sim.clone();
         if let Some(plan) = self.lead.shared_plan().filter(|_| sim.solver.is_direct()) {
             sim.solver = SolverHandle::adopting(plan);
@@ -188,7 +188,7 @@ impl Round {
     }
 
     /// `true` once the history reached `tstop`.
-    pub fn done(&self) -> bool {
+    pub(crate) fn done(&self) -> bool {
         self.ctl.done()
     }
 
@@ -199,7 +199,7 @@ impl Round {
     /// # Errors
     ///
     /// Budget errors, and a non-finite base step.
-    pub fn plan(&mut self, plan: Plan) -> Result<Vec<Task>> {
+    pub(crate) fn plan(&mut self, plan: Plan) -> Result<Vec<Task>> {
         self.ctl.check_budget()?;
         self.ctl.base_step()?;
         let (hmin, hmax) = (self.ctl.hmin(), self.ctl.hmax());
@@ -251,7 +251,7 @@ impl Round {
     }
 
     /// Solves slot 0 on the lead lane. Offer the result like any other.
-    pub fn solve_lead(&mut self, task: &Task) -> Result<PointSolution> {
+    pub(crate) fn solve_lead(&mut self, task: &Task) -> Result<PointSolution> {
         lead_solve(&mut self.lead, &task.hw, task.t, None, MAX_NEWTON_ITERS)
     }
 
@@ -263,7 +263,7 @@ impl Round {
     /// A slot-0 error (any other slot's error only loses the slot), and the
     /// serial engine's failures at commit: a non-finite base point, a failed
     /// rescue, a lost lead lane in a refinement. They end the round.
-    pub fn offer(&mut self, slot: usize, reply: Result<PointSolution>) -> Result<()> {
+    pub(crate) fn offer(&mut self, slot: usize, reply: Result<PointSolution>) -> Result<()> {
         let reply = match reply {
             Err(e) if slot == 0 => return Err(e),
             reply => reply,
@@ -288,7 +288,7 @@ impl Round {
 
     /// Ends the round, once every slot has been offered: lands on the
     /// horizon if its target committed. Returns the points committed.
-    pub fn close(&mut self) -> usize {
+    pub(crate) fn close(&mut self) -> usize {
         let open = &self.open;
         debug_assert_eq!(open.next, open.targets.len(), "a slot was never offered");
         // The horizon target is always last in the clipped list, so landing
@@ -302,7 +302,7 @@ impl Round {
     }
 
     /// Packages the run into a report, `wall_ns` long, with an empty ledger.
-    pub fn finish(self, wall_ns: u128) -> WavePipeReport {
+    pub(crate) fn finish(self, wall_ns: u128) -> WavePipeReport {
         let result = self.ctl.finish(wall_ns);
         WavePipeReport {
             total: *result.stats(),

@@ -56,20 +56,20 @@ impl CancelToken {
     }
 
     /// True once [`CancelToken::cancel`] has been called on any clone.
-    pub fn is_cancelled(&self) -> bool {
+    pub(crate) fn is_cancelled(&self) -> bool {
         self.inner.cancelled.load(Ordering::Acquire)
     }
 
     /// Arms (or re-arms) a wall-clock deadline `budget` from now. Called by
     /// the analysis entry points; re-armable so one token can budget several
     /// consecutive runs.
-    pub fn arm_deadline(&self, budget: Duration) {
+    pub(crate) fn arm_deadline(&self, budget: Duration) {
         let at = Instant::now().checked_add(budget);
         *self.inner.deadline.lock().expect("cancel token lock") = at;
     }
 
     /// True when a deadline is armed and has passed.
-    pub fn deadline_expired(&self) -> bool {
+    pub(crate) fn deadline_expired(&self) -> bool {
         match *self.inner.deadline.lock().expect("cancel token lock") {
             Some(at) => Instant::now() >= at,
             None => false,

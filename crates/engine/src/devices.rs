@@ -5,14 +5,14 @@
 //! their `(current, conductance)` results into matrix stamps.
 
 /// Thermal voltage kT/q at 300.15 K, volts.
-pub const VT: f64 = 0.025852;
+pub(crate) const VT: f64 = 0.025852;
 
 /// Exponential with linear continuation beyond `x = 70` so Newton iterates
 /// far outside the junction's operating range produce huge-but-finite
 /// currents with a consistent derivative instead of overflowing.
 ///
 /// Returns `(value, derivative)`.
-pub fn limexp(x: f64) -> (f64, f64) {
+pub(crate) fn limexp(x: f64) -> (f64, f64) {
     const LIM: f64 = 70.0;
     if x < LIM {
         let e = x.exp();
@@ -25,7 +25,7 @@ pub fn limexp(x: f64) -> (f64, f64) {
 
 /// Critical voltage above which junction limiting engages:
 /// `vcrit = n*vt * ln(n*vt / (sqrt(2) * is))`.
-pub fn junction_vcrit(is: f64, nvt: f64) -> f64 {
+pub(crate) fn junction_vcrit(is: f64, nvt: f64) -> f64 {
     nvt * (nvt / (std::f64::consts::SQRT_2 * is)).ln()
 }
 
@@ -35,7 +35,7 @@ pub fn junction_vcrit(is: f64, nvt: f64) -> f64 {
 /// current overshoots so wildly that the next linearisation diverges.
 /// `vnew` is the voltage proposed by the linear solve, `vold` the voltage
 /// the previous linearisation used.
-pub fn pnjlim(vnew: f64, vold: f64, nvt: f64, vcrit: f64) -> f64 {
+pub(crate) fn pnjlim(vnew: f64, vold: f64, nvt: f64, vcrit: f64) -> f64 {
     if vnew > vcrit && (vnew - vold).abs() > 2.0 * nvt {
         if vold > 0.0 {
             let arg = 1.0 + (vnew - vold) / nvt;
@@ -55,7 +55,7 @@ pub fn pnjlim(vnew: f64, vold: f64, nvt: f64, vcrit: f64) -> f64 {
 /// Junction diode evaluation at junction voltage `u`.
 ///
 /// Returns `(i, g)`: the diode current and its conductance `di/du`.
-pub fn diode_eval(u: f64, is: f64, nvt: f64) -> (f64, f64) {
+pub(crate) fn diode_eval(u: f64, is: f64, nvt: f64) -> (f64, f64) {
     let (e, de) = limexp(u / nvt);
     let i = is * (e - 1.0);
     let g = is * de / nvt;
@@ -65,7 +65,7 @@ pub fn diode_eval(u: f64, is: f64, nvt: f64) -> (f64, f64) {
 /// Result of a MOSFET evaluation: drain-terminal current and its partial
 /// derivatives with respect to the raw terminal voltages.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MosEval {
+pub(crate) struct MosEval {
     /// Current flowing into the drain terminal.
     pub id: f64,
     /// `d id / d vd`.
@@ -80,7 +80,7 @@ pub struct MosEval {
 
 /// Static parameters of a level-1 MOSFET in the NMOS-equivalent frame.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MosParams {
+pub(crate) struct MosParams {
     /// `+1` for NMOS, `-1` for PMOS.
     pub sign: f64,
     /// `sign * vt0` — positive for enhancement devices of either polarity.
@@ -101,7 +101,7 @@ pub struct MosParams {
 /// symmetric — and PMOS devices are evaluated in a mirrored NMOS frame. The
 /// threshold is `vth = vt0 + gamma*(sqrt(phi - vbs) - sqrt(phi))` with the
 /// standard forward-bias clamp keeping the square root real.
-pub fn mos_eval(vd: f64, vg: f64, vs: f64, vb: f64, p: &MosParams) -> MosEval {
+pub(crate) fn mos_eval(vd: f64, vg: f64, vs: f64, vb: f64, p: &MosParams) -> MosEval {
     let sign = p.sign;
     // Map to the NMOS frame.
     let (evd, evg, evs, evb) = (sign * vd, sign * vg, sign * vs, sign * vb);
@@ -176,7 +176,7 @@ pub fn mos_eval(vd: f64, vg: f64, vs: f64, vb: f64, p: &MosParams) -> MosEval {
 /// continuous and differentiable through forward bias).
 ///
 /// Returns `(q, c)`.
-pub fn depletion_charge(v: f64, cj0: f64, vj: f64, m: f64, fc: f64) -> (f64, f64) {
+pub(crate) fn depletion_charge(v: f64, cj0: f64, vj: f64, m: f64, fc: f64) -> (f64, f64) {
     let vknee = fc * vj;
     if v < vknee {
         let x = 1.0 - v / vj;
@@ -199,7 +199,7 @@ pub fn depletion_charge(v: f64, cj0: f64, vj: f64, m: f64, fc: f64) -> (f64, f64
 /// Result of a BJT evaluation: collector and base terminal currents and
 /// their partials with respect to raw terminal voltages `(vc, vb, ve)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BjtEval {
+pub(crate) struct BjtEval {
     /// Current into the collector.
     pub ic: f64,
     /// Current into the base.
@@ -223,7 +223,7 @@ pub struct BjtEval {
 /// `sign` is `+1` for NPN, `-1` for PNP. The junction voltages `vbe_l` and
 /// `vbc_l` must already be limited by the caller (in the NPN-equivalent
 /// frame, i.e. multiplied by `sign`).
-pub fn bjt_eval(vbe_l: f64, vbc_l: f64, sign: f64, is: f64, bf: f64, br: f64) -> BjtEval {
+pub(crate) fn bjt_eval(vbe_l: f64, vbc_l: f64, sign: f64, is: f64, bf: f64, br: f64) -> BjtEval {
     let (ee, dee) = limexp(vbe_l / VT);
     let (ec, dec) = limexp(vbc_l / VT);
     let gee = dee / VT; // d(ee)/d(vbe)

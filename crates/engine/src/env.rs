@@ -1,6 +1,6 @@
 //! The one reader of the process's `WAVEPIPE_*` environment knobs: every
-//! read in this crate and in `wavepipe-batch` goes through a function below,
-//! so the accepted spellings are written once per rule.
+//! read in the program goes through a function below (all of them in this
+//! crate), so the accepted spellings are written once per rule.
 //!
 //! | rule | knobs |
 //! |------|-------|
@@ -11,12 +11,42 @@
 //!
 //! A knob that is set, not blank, and not one of its rule's spellings is a
 //! mistake, not a request for the default: [`choice`] and [`number`] panic
-//! with the variable and the value.
+//! with the variable and the value. So is a set `WAVEPIPE_*` name that is no
+//! knob at all, a misspelt one say: the first read of any knob scans the
+//! environment once for the process, and every read panics naming it.
 
 use std::str::FromStr;
+use std::sync::OnceLock;
+
+/// Every knob read through this module; CI checks it against the reads.
+const KNOBS: [&str; 6] = [
+    "WAVEPIPE_BYPASS",
+    "WAVEPIPE_CHORD",
+    "WAVEPIPE_RECOVERY",
+    "WAVEPIPE_FAULT_NC",
+    "WAVEPIPE_SOLVER",
+    "WAVEPIPE_FAULT_SEED",
+];
+
+/// The least of `names` that carries the `WAVEPIPE_` prefix and is not one
+/// of the [`KNOBS`].
+fn unknown_knob(names: impl IntoIterator<Item = String>) -> Option<String> {
+    names.into_iter().filter(|n| n.starts_with("WAVEPIPE_") && !KNOBS.contains(&n.as_str())).min()
+}
 
 /// A non-empty value, trimmed; `None` when unset or blank.
-pub fn value(name: &str) -> Option<String> {
+///
+/// # Panics
+///
+/// When the environment sets a `WAVEPIPE_*` name that is no knob.
+pub(crate) fn value(name: &str) -> Option<String> {
+    static UNKNOWN: OnceLock<Option<String>> = OnceLock::new();
+    let unknown = UNKNOWN.get_or_init(|| {
+        unknown_knob(std::env::vars_os().filter_map(|(k, _)| k.into_string().ok()))
+    });
+    if let Some(n) = unknown {
+        panic!("{n} is set but is no WavePipe knob; the knobs are {KNOBS:?}");
+    }
     let v = std::env::var(name).ok()?;
     let v = v.trim();
     (!v.is_empty()).then(|| v.to_string())
@@ -24,7 +54,7 @@ pub fn value(name: &str) -> Option<String> {
 
 /// An on/off knob: `0`, `false`, `off` and `no` turn it off, any other value
 /// on; unset or blank leaves it at `default`.
-pub fn flag(name: &str, default: bool) -> bool {
+pub(crate) fn flag(name: &str, default: bool) -> bool {
     value(name).map_or(default, |v| !matches!(v.as_str(), "0" | "false" | "off" | "no"))
 }
 
@@ -34,7 +64,7 @@ pub fn flag(name: &str, default: bool) -> bool {
 /// # Panics
 ///
 /// When the value is none of `options`.
-pub fn choice(name: &str, options: &[&'static str]) -> Option<&'static str> {
+pub(crate) fn choice(name: &str, options: &[&'static str]) -> Option<&'static str> {
     let v = value(name)?;
     let pick = options.iter().copied().find(|o| o.eq_ignore_ascii_case(&v));
     Some(pick.unwrap_or_else(|| panic!("{name}={v:?} is none of {options:?}")))
@@ -45,7 +75,7 @@ pub fn choice(name: &str, options: &[&'static str]) -> Option<&'static str> {
 /// # Panics
 ///
 /// When the value does not parse as a `T`; the message names the type.
-pub fn number<T: FromStr>(name: &str) -> Option<T> {
+pub(crate) fn number<T: FromStr>(name: &str) -> Option<T> {
     let v = value(name)?;
     let what = std::any::type_name::<T>();
     Some(v.parse().unwrap_or_else(|_| panic!("{name}={v:?} is not a {what}")))
@@ -86,6 +116,21 @@ mod tests {
             assert_eq!(choice(name, &["direct", "gmres"]), Some("gmres"), "{raw:?}");
         }
         std::env::remove_var(name);
+    }
+
+    #[test]
+    fn a_set_name_under_the_prefix_that_is_no_knob_is_found() {
+        let names = |ns: &[&str]| ns.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+        // Assembled, so that CI's count of the names the program reads does
+        // not find them here.
+        let misspelt = ["WAVEPIPE", "SOVLER"].join("_");
+        let retired = ["WAVEPIPE", "STAMP", "WORKERS"].join("_");
+        assert_eq!(unknown_knob(names(&KNOBS)), None);
+        assert_eq!(unknown_knob(names(&["PATH", "WP_SOLVER", "wavepipe_solver"])), None);
+        // Of several, the least: the same name whatever the order.
+        let set = names(&["PATH", &retired, KNOBS[4], &misspelt]);
+        assert_eq!(unknown_knob(set), Some(misspelt));
+        assert_eq!(unknown_knob(names(&[KNOBS[0], &retired])), Some(retired));
     }
 
     #[test]

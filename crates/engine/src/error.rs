@@ -33,7 +33,7 @@ pub enum RecoveryRung {
 
 impl RecoveryRung {
     /// Stable machine-readable name.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             RecoveryRung::CacheRollback => "cache_rollback",
             RecoveryRung::DeepCut => "deep_cut",

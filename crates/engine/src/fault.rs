@@ -117,7 +117,7 @@ impl FaultPlan {
     ///
     /// When the seed is not a `u64`: a chaos run must not go fault-free
     /// without a word.
-    pub fn from_env() -> Option<Self> {
+    pub(crate) fn from_env() -> Option<Self> {
         let seed = env::number("WAVEPIPE_FAULT_SEED")?;
         if env::flag("WAVEPIPE_FAULT_NC", false) {
             Some(FaultPlan::seeded_with_nonconvergence(seed))
@@ -135,13 +135,13 @@ impl FaultPlan {
     }
 
     /// True when the plan can never fire.
-    pub fn is_inert(&self) -> bool {
+    pub(crate) fn is_inert(&self) -> bool {
         self.seed.is_none() && self.solve_rules.is_empty()
     }
 
     /// The fault (if any) for the `solve`-th point solve on `lane`.
     /// Targeted rules win over chaos.
-    pub fn solve_fault(&self, lane: u32, solve: u64) -> Option<FaultKind> {
+    pub(crate) fn solve_fault(&self, lane: u32, solve: u64) -> Option<FaultKind> {
         for r in &self.solve_rules {
             if r.lane == lane && r.solve.is_none_or(|s| s == solve) {
                 return Some(r.kind);
@@ -179,13 +179,13 @@ pub struct FaultHandle {
 
 impl FaultHandle {
     /// A handle that never injects.
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         FaultHandle { plan: None, lane: 0 }
     }
 
     /// Wraps a plan (inert plans collapse to [`FaultHandle::none`], keeping
     /// the fast path branch-only).
-    pub fn new(plan: FaultPlan) -> Self {
+    pub(crate) fn new(plan: FaultPlan) -> Self {
         if plan.is_inert() {
             FaultHandle::none()
         } else {
@@ -196,7 +196,7 @@ impl FaultHandle {
     /// The environment-selected chaos handle (`WAVEPIPE_FAULT_SEED`),
     /// computed once per process so every `SimOptions::default()` shares one
     /// allocation.
-    pub fn from_env_cached() -> Self {
+    pub(crate) fn from_env_cached() -> Self {
         static CACHE: OnceLock<Option<Arc<FaultPlan>>> = OnceLock::new();
         let plan = CACHE.get_or_init(|| FaultPlan::from_env().map(Arc::new)).clone();
         FaultHandle { plan, lane: 0 }
@@ -209,7 +209,7 @@ impl FaultHandle {
     }
 
     /// The lane this handle is tagged with.
-    pub fn lane(&self) -> u32 {
+    pub(crate) fn lane(&self) -> u32 {
         self.lane
     }
 
@@ -220,7 +220,7 @@ impl FaultHandle {
 
     /// The fault (if any) for this lane's `solve`-th point solve.
     #[inline]
-    pub fn solve_fault(&self, solve: u64) -> Option<FaultKind> {
+    pub(crate) fn solve_fault(&self, solve: u64) -> Option<FaultKind> {
         self.plan.as_ref()?.solve_fault(self.lane, solve)
     }
 }

@@ -30,7 +30,7 @@ impl Method {
 
     /// Magnitude of the local-truncation-error constant in
     /// `LTE ~= C * h^(k+1) * x^(k+1)(xi)` (equal-step value).
-    pub fn error_constant(self) -> f64 {
+    pub(crate) fn error_constant(self) -> f64 {
         match self {
             Method::BackwardEuler => 0.5,
             Method::Trapezoidal => 1.0 / 12.0,
@@ -108,7 +108,7 @@ impl IntegCoeffs {
     ///
     /// `q_new`, `q_prev`, `q_prev2` are the state at the new and previous two
     /// points; `dq_prev` is the derivative at the previous point.
-    pub fn derivative(&self, q_new: f64, q_prev: f64, q_prev2: f64, dq_prev: f64) -> f64 {
+    pub(crate) fn derivative(&self, q_new: f64, q_prev: f64, q_prev2: f64, dq_prev: f64) -> f64 {
         self.a0 * q_new + self.a1 * q_prev + self.a2 * q_prev2 + self.b1 * dq_prev
     }
 }

@@ -1,73 +1,9 @@
-//! Iterative (Krylov) linear-solver backend for grid-scale circuits.
-//!
-//! Direct sparse LU is unbeatable on the band-structured matrices of ladder
-//! and line circuits, but on 2-D power-grid meshes fill-in grows superlinearly
-//! and factorization starts to dominate the transient loop. [`GmresBackend`]
-//! plugs restarted GMRES(m) ([`mod@wavepipe_sparse::gmres`]) into the
-//! [`SolverBackend`] seam so grid-scale circuits
-//! can trade the factorization for preconditioned matvecs — without touching
-//! the Newton iteration, the step controller, or any calling code.
-//!
-//! # Preconditioning
-//!
-//! The backend preconditions with whichever approximate inverse is cheapest
-//! and strongest at hand:
-//!
-//! * **Frozen chord-Newton LU factors.** When the inner [`DirectLu`] already
-//!   holds a factorization (because a previous solve fell back to it), those
-//!   possibly-stale factors are a near-perfect preconditioner for the nearby
-//!   Jacobians chord Newton produces — usually converging in one or two
-//!   iterations.
-//! * **ILU(0)** ([`wavepipe_sparse::Ilu0`]) of the current matrix otherwise.
-//!
-//! The preconditioner refreshes lazily on the first solve after a
-//! [`factor`](crate::solver::SolverBackend::factor) (a fresh linearization)
-//! and is deliberately kept across
-//! [`refactor`](crate::solver::SolverBackend::refactor) calls — the same
-//! stale-factor reuse bet chord Newton itself makes. The bet is policed:
-//! when a solve converges but needs more than a quarter of a restart cycle,
-//! the backend eagerly refactors the direct solver on the current matrix so
-//! the next solve is preconditioned by fresh factors — otherwise the drift
-//! between the frozen factors and the walking Jacobian compounds until
-//! every solve exhausts its entire iteration budget *while still
-//! converging*, which no fallback would ever catch.
-//!
-//! # Fallback and the bit-identity contract
-//!
-//! GMRES on an ill-conditioned MNA matrix can stagnate. Rather than weaken
-//! the engine's convergence guarantees, every unconverged solve **falls back
-//! to the inner [`DirectLu`]** and completes exactly as the direct path
-//! would. To make that exact, the backend defers direct factorization work
-//! until it is actually needed: `factor`/`refactor` calls only record a
-//! *pending sync* (fresh pivot search vs. frozen-pivot replay), and the
-//! fallback replays it against the inner `DirectLu` before solving. Under
-//! *forced* fallback (`max_iters = 0`, the escape hatch) the inner backend
-//! therefore sees the exact call sequence the reference [`DirectLu`] would
-//! have seen — including chord-Newton solves against frozen factors and the
-//! `PivotDegraded` retry — so the waveforms are **bitwise identical** to the
-//! direct path. The solver-equivalence suite pins this.
-//!
-//! The reference is a `DirectLu` *that parks no factor sets*. This backend
-//! leaves [`SolverBackend::swap_parked`] at the trait's default on purpose:
-//! it is being cut down to its fallback role, not grown, so a chord step the
-//! plain direct backend takes on factors it had parked (a power grid's step
-//! ladder asks for them; the band-structured and digital classes never do)
-//! is a refactorization here, as it was for both before there were parked
-//! sets. The suite compares the forced fallback with a `DirectLu` behind a
-//! wrapper without `swap_parked`, and holds the default backend equal to
-//! both on the classes that take no parked hit.
-//!
-//! Known (documented) deviations under fallback: factorization errors such
-//! as [`SparseError::Singular`] surface from `solve` rather than from
-//! `factor`/`refactor` (the same error value propagates to the same caller),
-//! and [`crate::SimStats`] factorization counters can differ on the rare
-//! `PivotDegraded` retry path. Only waveform bits are pinned.
+//! The iterative (Krylov) linear-solver backend, [`GmresBackend`].
 
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::Arc;
-use wavepipe_sparse::gmres::{gmres, GmresOptions};
-use wavepipe_sparse::{CscMatrix, Ilu0, Result, SparseError};
+use wavepipe_sparse::{gmres, CscMatrix, GmresOptions, Ilu0, Result, SparseError};
 
 use crate::solver::{DirectLu, SolverBackend, SolverFactory, SolverHandle};
 
@@ -145,7 +81,70 @@ struct State {
 }
 
 /// Restarted-GMRES backend with ILU(0)/frozen-LU preconditioning and a
-/// bit-exact direct-LU fallback. See the [module docs](self) for the design.
+/// bit-exact direct-LU fallback.
+///
+/// Direct sparse LU is unbeatable on the band-structured matrices of ladder
+/// and line circuits, but on 2-D power-grid meshes fill-in grows superlinearly
+/// and factorization starts to dominate the transient loop. [`GmresBackend`]
+/// plugs restarted GMRES(m) ([`wavepipe_sparse::gmres()`]) into the
+/// [`SolverBackend`] seam so grid-scale circuits
+/// can trade the factorization for preconditioned matvecs — without touching
+/// the Newton iteration, the step controller, or any calling code.
+///
+/// # Preconditioning
+///
+/// The backend preconditions with whichever approximate inverse is cheapest
+/// and strongest at hand:
+///
+/// * **Frozen chord-Newton LU factors.** When the inner [`DirectLu`] already
+///   holds a factorization (because a previous solve fell back to it), those
+///   possibly-stale factors are a near-perfect preconditioner for the nearby
+///   Jacobians chord Newton produces — usually converging in one or two
+///   iterations.
+/// * **ILU(0)** ([`wavepipe_sparse::Ilu0`]) of the current matrix otherwise.
+///
+/// The preconditioner refreshes lazily on the first solve after a
+/// [`factor`](crate::solver::SolverBackend::factor) (a fresh linearization)
+/// and is deliberately kept across
+/// [`refactor`](crate::solver::SolverBackend::refactor) calls — the same
+/// stale-factor reuse bet chord Newton itself makes. The bet is policed:
+/// when a solve converges but needs more than a quarter of a restart cycle,
+/// the backend eagerly refactors the direct solver on the current matrix so
+/// the next solve is preconditioned by fresh factors — otherwise the drift
+/// between the frozen factors and the walking Jacobian compounds until
+/// every solve exhausts its entire iteration budget *while still
+/// converging*, which no fallback would ever catch.
+///
+/// # Fallback and the bit-identity contract
+///
+/// GMRES on an ill-conditioned MNA matrix can stagnate. Rather than weaken
+/// the engine's convergence guarantees, every unconverged solve **falls back
+/// to the inner [`DirectLu`]** and completes exactly as the direct path
+/// would. To make that exact, the backend defers direct factorization work
+/// until it is actually needed: `factor`/`refactor` calls only record a
+/// *pending sync* (fresh pivot search vs. frozen-pivot replay), and the
+/// fallback replays it against the inner `DirectLu` before solving. Under
+/// *forced* fallback (`max_iters = 0`, the escape hatch) the inner backend
+/// therefore sees the exact call sequence the reference [`DirectLu`] would
+/// have seen — including chord-Newton solves against frozen factors and the
+/// `PivotDegraded` retry — so the waveforms are **bitwise identical** to the
+/// direct path. The solver-equivalence suite pins this.
+///
+/// The reference is a `DirectLu` *that parks no factor sets*. This backend
+/// leaves [`SolverBackend::swap_parked`] at the trait's default on purpose:
+/// it is being cut down to its fallback role, not grown, so a chord step the
+/// plain direct backend takes on factors it had parked (a power grid's step
+/// ladder asks for them; the band-structured and digital classes never do)
+/// is a refactorization here, as it was for both before there were parked
+/// sets. The suite compares the forced fallback with a `DirectLu` behind a
+/// wrapper without `swap_parked`, and holds the default backend equal to
+/// both on the classes that take no parked hit.
+///
+/// Known (documented) deviations under fallback: factorization errors such
+/// as [`SparseError::Singular`] surface from `solve` rather than from
+/// `factor`/`refactor` (the same error value propagates to the same caller),
+/// and [`crate::SimStats`] factorization counters can differ on the rare
+/// `PivotDegraded` retry path. Only waveform bits are pinned.
 pub struct GmresBackend {
     cfg: GmresConfig,
     // `SolverBackend::solve` takes `&self`; the iterative path mutates
@@ -157,7 +156,7 @@ pub struct GmresBackend {
 
 impl GmresBackend {
     /// A fresh, unfactored backend with the given configuration.
-    pub fn new(cfg: GmresConfig) -> Self {
+    pub(crate) fn new(cfg: GmresConfig) -> Self {
         GmresBackend {
             cfg,
             state: RefCell::new(State {
@@ -170,11 +169,6 @@ impl GmresBackend {
                 stats: KrylovStats::default(),
             }),
         }
-    }
-
-    /// The configuration this backend runs with.
-    pub fn config(&self) -> &GmresConfig {
-        &self.cfg
     }
 
     /// Brings the inner direct solver up to date with the staged matrix,

@@ -4,16 +4,16 @@
 //! scratch:
 //!
 //! * [`MnaSystem`] — circuit compilation to modified nodal analysis with a
-//!   frozen sparse pattern and slot-table restamping ([`mna`]).
-//! * Device linearisation with SPICE-grade numerical guards ([`devices`]):
+//!   frozen sparse pattern and slot-table restamping.
+//! * Device linearisation with SPICE-grade numerical guards:
 //!   diode/BJT junction limiting, `limexp`, channel-symmetric level-1 MOSFET.
 //! * Newton–Raphson with cached LU refactorization ([`newton`]) and DC
 //!   operating point with gmin/source-stepping continuation ([`dcop`]).
 //! * Variable-step integration (backward Euler, trapezoidal, Gear2/BDF2
 //!   with true variable-step coefficients, [`integrate`]), divided-difference
-//!   LTE estimation ([`lte`]), and one [`StepController`] ([`stepctl`]) that
+//!   LTE estimation, and one [`StepController`] that
 //!   takes every step decision: source breakpoints, Newton-reject shrink, LTE
-//!   accept/reject, convergence recovery ([`recovery`]).
+//!   accept/reject, convergence recovery.
 //!
 //! The engine runs one analysis, transient. Beside it sits only
 //! `.measure`-style waveform post-processing of its results ([`measure`]).
@@ -47,24 +47,24 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cancel;
+mod cancel;
 pub mod dcop;
-pub mod devices;
-pub mod env;
+mod devices;
+mod env;
 mod error;
-pub mod fault;
+mod fault;
 pub mod integrate;
-pub mod krylov;
-pub mod lte;
+mod krylov;
+mod lte;
 pub mod measure;
-pub mod mna;
+mod mna;
 pub mod newton;
 mod options;
-pub mod recovery;
+mod recovery;
 mod result;
-pub mod solver;
+mod solver;
 mod stats;
-pub mod stepctl;
+mod stepctl;
 pub mod transient;
 
 pub use cancel::CancelToken;

@@ -29,7 +29,7 @@ const TRTOL: f64 = 7.0;
 ///
 /// Panics if fewer than 2 points are given, lengths mismatch, or two sample
 /// times coincide.
-pub fn divided_difference<'t>(
+pub(crate) fn divided_difference<'t>(
     times: &[f64],
     xs: &[&[f64]],
     table: &'t mut Vec<f64>,
@@ -59,7 +59,7 @@ pub fn divided_difference<'t>(
 
 /// Result of the LTE test for a candidate point.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LteDecision {
+pub(crate) struct LteDecision {
     /// Weighted error ratio: `<= 1` means the point passes.
     pub ratio: f64,
     /// Suggested next step (if accepted) or retry step (if rejected).
@@ -82,7 +82,7 @@ pub struct LteDecision {
 /// on accept, and to `[0.1, 0.9] * h` on reject. `table` is the
 /// [`divided_difference`] buffer its owner keeps between points.
 #[allow(clippy::too_many_arguments)] // analysis context is deliberately explicit
-pub fn lte_step_control(
+pub(crate) fn lte_step_control(
     method: Method,
     t_new: f64,
     x_new: &[f64],

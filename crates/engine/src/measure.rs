@@ -1,6 +1,6 @@
 //! Waveform measurements: the `.measure`-style post-processing a designer
 //! applies to transient results (threshold crossings, delays, rise/fall
-//! times, period, overshoot, RMS/average).
+//! times, period, RMS/average).
 //!
 //! All functions operate on a `(time, value)` trace as produced by
 //! [`crate::TransientResult::trace`], interpolating linearly between points.
@@ -45,7 +45,12 @@ pub fn crossings(trace: &[(f64, f64)], threshold: f64, edge: Edge) -> Vec<f64> {
 }
 
 /// The `n`-th (0-based) crossing of `threshold` in the given direction.
-pub fn nth_crossing(trace: &[(f64, f64)], threshold: f64, edge: Edge, n: usize) -> Option<f64> {
+pub(crate) fn nth_crossing(
+    trace: &[(f64, f64)],
+    threshold: f64,
+    edge: Edge,
+    n: usize,
+) -> Option<f64> {
     crossings(trace, threshold, edge).into_iter().nth(n)
 }
 
@@ -98,15 +103,6 @@ pub fn period(trace: &[(f64, f64)], threshold: f64, cycles: usize) -> Option<f64
     Some((tail[cycles] - tail[0]) / cycles as f64)
 }
 
-/// Overshoot above `target`, as a fraction of `target` (0 if never exceeded).
-pub fn overshoot(trace: &[(f64, f64)], target: f64) -> f64 {
-    if target == 0.0 {
-        return 0.0;
-    }
-    let peak = trace.iter().map(|&(_, v)| v).fold(f64::MIN, f64::max);
-    ((peak - target) / target.abs()).max(0.0)
-}
-
 /// Time-weighted average of the trace over `[t0, t1]` (trapezoidal).
 pub fn average(trace: &[(f64, f64)], t0: f64, t1: f64) -> Option<f64> {
     let integral = integrate(trace, t0, t1)?;
@@ -122,7 +118,7 @@ pub fn rms(trace: &[(f64, f64)], t0: f64, t1: f64) -> Option<f64> {
 
 /// Trapezoidal integral of the trace over `[t0, t1]`; `None` if the window
 /// is empty or outside the trace.
-pub fn integrate(trace: &[(f64, f64)], t0: f64, t1: f64) -> Option<f64> {
+pub(crate) fn integrate(trace: &[(f64, f64)], t0: f64, t1: f64) -> Option<f64> {
     if trace.len() < 2 || t1 <= t0 {
         return None;
     }
@@ -211,13 +207,6 @@ mod tests {
             .collect();
         let p = period(&tr, 0.0, 3).unwrap();
         assert!((p - 1.0 / f).abs() < 1e-3, "period {p}");
-    }
-
-    #[test]
-    fn overshoot_measures_peak_excess() {
-        let tr = vec![(0.0, 0.0), (1.0, 1.2), (2.0, 1.0)];
-        assert!((overshoot(&tr, 1.0) - 0.2).abs() < 1e-12);
-        assert_eq!(overshoot(&ramp_up_down(), 2.0), 0.0);
     }
 
     #[test]

@@ -1007,23 +1007,23 @@ impl MnaSystem {
     /// # Panics
     ///
     /// Panics if `unknown >= n_nodes()`.
-    pub fn node_name_of(&self, unknown: usize) -> &str {
+    pub(crate) fn node_name_of(&self, unknown: usize) -> &str {
         &self.node_names[unknown]
     }
 
     /// All signal-node names in unknown order.
-    pub fn node_names(&self) -> &[String] {
+    pub(crate) fn node_names(&self) -> &[String] {
         &self.node_names
     }
 
     /// All branch-current element names with their unknown indices.
-    pub fn branch_names(&self) -> &[(String, usize)] {
+    pub(crate) fn branch_names(&self) -> &[(String, usize)] {
         &self.branch_names
     }
 
     /// Union of all source-waveform breakpoints in `[0, tstop]`, sorted and
     /// deduplicated.
-    pub fn breakpoints(&self, tstop: f64) -> Vec<f64> {
+    pub(crate) fn breakpoints(&self, tstop: f64) -> Vec<f64> {
         let mut bp: Vec<f64> =
             self.source_waves.iter().flat_map(|w| w.breakpoints(tstop)).collect();
         bp.push(tstop);
@@ -1321,7 +1321,7 @@ impl MnaSystem {
 
     /// Capacitor currents at the newly accepted point, for the next step's
     /// TRAP companion.
-    pub fn cap_currents_after(
+    pub(crate) fn cap_currents_after(
         &self,
         coeffs: &IntegCoeffs,
         x_new: &[f64],

@@ -127,7 +127,7 @@ impl FactorKeys {
 /// seam — the Newton loop itself never touches `SparseLu` directly. With
 /// the default [`DirectLu`] backend the behaviour (and every waveform bit)
 /// is identical to the historical direct calls; see
-/// [`crate::solver`] for the determinism contract.
+/// [`SolverBackend`] for the determinism contract.
 #[derive(Debug)]
 pub struct LinearCache {
     backend: Box<dyn SolverBackend>,
@@ -180,18 +180,18 @@ impl LinearCache {
     }
 
     /// Fresh cache around an explicit backend.
-    pub fn with_backend(backend: Box<dyn SolverBackend>) -> Self {
+    pub(crate) fn with_backend(backend: Box<dyn SolverBackend>) -> Self {
         LinearCache { backend, ..LinearCache::default() }
     }
 
     /// The plan of the backend's current factorization, for other solvers'
     /// backends to adopt (see [`SolverBackend::shared_plan`]).
-    pub fn shared_plan(&self) -> Option<SharedPlan> {
+    pub(crate) fn shared_plan(&self) -> Option<SharedPlan> {
         self.backend.shared_plan()
     }
 
     /// Drops the cached factorization (forces a fresh pivot search next time).
-    pub fn invalidate(&mut self) {
+    pub(crate) fn invalidate(&mut self) {
         self.backend.invalidate();
         self.keys = FactorKeys::default();
         self.last_dx = None;
@@ -199,7 +199,7 @@ impl LinearCache {
 
     /// Starts a new Newton solve: resets the contraction-rate history (the
     /// factors themselves stay reusable if their key still matches).
-    pub fn begin_solve(&mut self) {
+    pub(crate) fn begin_solve(&mut self) {
         self.last_dx = None;
     }
 
@@ -207,7 +207,7 @@ impl LinearCache {
     /// state the controller abandoned, so chord reuse must re-qualify via a
     /// fresh factorization (and they are not worth parking). The parked sets
     /// predate the abandoned point and keep their keys.
-    pub fn note_rejection(&mut self) {
+    pub(crate) fn note_rejection(&mut self) {
         self.keys.clear_active();
         self.last_dx = None;
     }
@@ -406,7 +406,7 @@ fn solve_verified(
 
 /// Outcome of a Newton solve.
 #[derive(Debug, Clone)]
-pub struct NewtonOutcome {
+pub(crate) struct NewtonOutcome {
     /// The converged (or last) iterate.
     pub x: Vec<f64>,
     /// Iterations performed.
@@ -428,7 +428,7 @@ pub struct NewtonOutcome {
 /// Non-convergence is reported in the outcome, not as an error, so callers
 /// can retry with continuation or a smaller step.
 #[allow(clippy::too_many_arguments)] // analysis context is deliberately explicit
-pub fn newton_solve(
+pub(crate) fn newton_solve(
     sys: &MnaSystem,
     ws: &mut MnaWorkspace,
     cache: &mut LinearCache,

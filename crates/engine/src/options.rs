@@ -99,9 +99,10 @@ pub struct SimOptions {
     pub companion_cache: bool,
     /// Linear-solver backend selection for every Newton solve of the run.
     /// The default ([`SolverHandle::direct`]) is the classic per-solver
-    /// `SparseLu`, ordered by minimum degree (see [`crate::solver`] for the
-    /// determinism contract); [`SolverHandle::gmres`] is the iterative path
-    /// for grid-scale circuits ([`crate::krylov`]). The default honours
+    /// `SparseLu`, ordered by minimum degree (see
+    /// [`SolverBackend`](crate::SolverBackend) for the determinism contract);
+    /// [`SolverHandle::gmres`] is the iterative path for grid-scale circuits
+    /// ([`GmresBackend`](crate::GmresBackend)). The default honours
     /// `WAVEPIPE_SOLVER` (`gmres` selects the Krylov backend in its default
     /// [`GmresConfig`](crate::GmresConfig)).
     pub solver: SolverHandle,
@@ -117,8 +118,8 @@ pub struct SimOptions {
 }
 
 /// Per-stamp control block for the solver caches, derived from
-/// [`SimOptions`] via [`SimOptions::cache_ctl`]. Passing
-/// [`CacheCtl::disabled`] reproduces the cache-free stamp exactly.
+/// [`SimOptions`] via [`SimOptions::cache_ctl`]. With every cache off it
+/// reproduces the cache-free stamp exactly.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheCtl {
     /// Enable device bypass (see [`SimOptions::bypass`]).
@@ -130,7 +131,7 @@ pub struct CacheCtl {
 impl CacheCtl {
     /// A control block with every cache off: the stamp re-evaluates every
     /// device and reassembles the full matrix each call.
-    pub fn disabled() -> Self {
+    pub(crate) fn disabled() -> Self {
         CacheCtl { bypass: false, companion: false }
     }
 }
@@ -296,7 +297,7 @@ impl SimOptions {
     /// Records one counted fact: adds it to `stats` ([`SimStats::count`])
     /// and emits it at simulated time `t`.
     #[inline]
-    pub fn tally(&self, stats: &mut SimStats, t: f64, kind: EventKind) {
+    pub(crate) fn tally(&self, stats: &mut SimStats, t: f64, kind: EventKind) {
         stats.count(&kind);
         self.probe.emit(t, kind);
     }
@@ -308,7 +309,7 @@ impl SimOptions {
 
     /// Arms the configured deadline (if any) on the attached token. Called
     /// by analysis entry points once the initial solution is in hand.
-    pub fn arm_deadline(&self) {
+    pub(crate) fn arm_deadline(&self) {
         if let (Some(budget), Some(token)) = (self.deadline, &self.cancel) {
             token.arm_deadline(budget);
         }
@@ -320,7 +321,7 @@ impl SimOptions {
     /// to report. Emits a [`EventKind::DeadlineHit`] telemetry event when
     /// the budget expires.
     #[inline]
-    pub fn check_budget(&self, time: f64) -> Result<()> {
+    pub(crate) fn check_budget(&self, time: f64) -> Result<()> {
         let Some(token) = &self.cancel else { return Ok(()) };
         if token.is_cancelled() {
             return Err(EngineError::Cancelled { time });
@@ -336,12 +337,12 @@ impl SimOptions {
     }
 
     /// Minimum step for a run to `tstop`.
-    pub fn hmin(&self, tstop: f64) -> f64 {
+    pub(crate) fn hmin(&self, tstop: f64) -> f64 {
         HMIN_FRAC * tstop
     }
 
     /// Maximum step for a run to `tstop`.
-    pub fn hmax(&self, tstop: f64) -> f64 {
+    pub(crate) fn hmax(&self, tstop: f64) -> f64 {
         HMAX_FRAC * tstop
     }
 }

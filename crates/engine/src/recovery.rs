@@ -117,7 +117,7 @@ impl PointSolver {
     ///   tried.
     /// * [`EngineError::Cancelled`] / [`EngineError::DeadlineExceeded`] —
     ///   budget expiry propagates immediately from inside any rung.
-    pub fn rescue_point(
+    pub(crate) fn rescue_point(
         &mut self,
         hw: &HistoryWindow,
         h_failed: f64,

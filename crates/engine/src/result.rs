@@ -42,7 +42,7 @@ impl TransientResult {
 
     /// Attaches the branch-current name map (element name -> unknown index)
     /// so currents are addressable by element name.
-    pub fn set_branch_names(&mut self, branch_names: Vec<(String, usize)>) {
+    pub(crate) fn set_branch_names(&mut self, branch_names: Vec<(String, usize)>) {
         self.branch_names = branch_names;
     }
 
@@ -79,7 +79,7 @@ impl TransientResult {
     }
 
     /// Replaces the run statistics.
-    pub fn set_stats(&mut self, stats: SimStats) {
+    pub(crate) fn set_stats(&mut self, stats: SimStats) {
         self.stats = stats;
     }
 

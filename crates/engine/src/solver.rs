@@ -2,26 +2,8 @@
 //!
 //! Historically [`crate::newton::LinearCache`] called [`SparseLu`] directly;
 //! that coupling is now behind the [`SolverBackend`] trait — the seam that
-//! admits the iterative backend ([`crate::krylov`]) and a pipelined run's
+//! admits the iterative backend ([`crate::GmresBackend`]) and a pipelined run's
 //! plan hand-off without touching the Newton iteration itself.
-//!
-//! # Determinism contract
-//!
-//! Every backend shipped by this crate is **bit-deterministic**: given the
-//! same sequence of `factor`/`refactor`/`solve` calls on the same matrices,
-//! it produces bitwise-identical solution vectors on every run. [`DirectLu`]
-//! is additionally pinned to be bit-identical to the historical direct
-//! `SparseLu` calls (same ordering, same pivoting, same triangular solves),
-//! so swapping the seam in changed no waveform anywhere. Every `DirectLu`
-//! orders by [`wavepipe_sparse::ordering::min_degree`], a pure function of
-//! the matrix *pattern*. The one hand-off between backends is a pipelined
-//! run's: it gives its worker lanes the coordinating lane's whole plan
-//! ([`DirectLu::adopting`]); a lane keeps it only where a check proves its
-//! own pivot search would have rebuilt it, in which case its factors are the
-//! ones that search would have computed, bit for bit (see
-//! [`SparseLu::adopt`]). Custom backends that cannot honour bit-determinism
-//! must say so in their documentation: WavePipe's accuracy-equivalence tests
-//! pin the default paths bitwise.
 
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -45,7 +27,23 @@ use wavepipe_sparse::{
 /// 3. [`solve`](SolverBackend::solve) — triangular solves against the most
 ///    recent successful factorization.
 ///
-/// See the [module docs](self) for the determinism contract.
+/// # Determinism contract
+///
+/// Every backend shipped by this crate is **bit-deterministic**: given the
+/// same sequence of `factor`/`refactor`/`solve` calls on the same matrices,
+/// it produces bitwise-identical solution vectors on every run. [`DirectLu`]
+/// is additionally pinned to be bit-identical to the historical direct
+/// `SparseLu` calls (same ordering, same pivoting, same triangular solves),
+/// so swapping the seam in changed no waveform anywhere. Every `DirectLu`
+/// orders by [`wavepipe_sparse::ordering::min_degree`], a pure function of
+/// the matrix *pattern*. The one hand-off between backends is a pipelined
+/// run's: it gives its worker lanes the coordinating lane's whole plan
+/// ([`SolverHandle::adopting`]); a lane keeps it only where a check proves its
+/// own pivot search would have rebuilt it, in which case its factors are the
+/// ones that search would have computed, bit for bit (see
+/// [`SparseLu::adopt`]). Custom backends that cannot honour bit-determinism
+/// must say so in their documentation: WavePipe's accuracy-equivalence tests
+/// pin the default paths bitwise.
 pub trait SolverBackend: fmt::Debug + Send {
     /// Full numeric factorization of `a` with a fresh pivot search.
     ///
@@ -140,7 +138,7 @@ fn unfactored(n: usize) -> SparseError {
 ///
 /// A backend can also be handed a whole plan — ordering, pivot sequence and
 /// the index arrays of `L` and `U` — that another backend's fresh
-/// factorization built ([`DirectLu::adopting`]): it counts as factored, and
+/// factorization built ([`SolverHandle::adopting`]): it counts as factored, and
 /// its first `refactor` adopts the plan under the pivot check of
 /// [`SparseLu::adopt`], failing with [`SparseError::PivotDegraded`] where the
 /// matrix would have pivoted otherwise, so that the caller's usual answer —
@@ -175,7 +173,7 @@ impl DirectLu {
 
     /// A backend that adopts `plan` at its first `refactor` (see the type
     /// docs) and factors afresh through the plan's ordering.
-    pub fn adopting(plan: SharedPlan) -> Self {
+    pub(crate) fn adopting(plan: SharedPlan) -> Self {
         DirectLu {
             ordering: Some(Arc::new(plan.ordering().clone())),
             plan: Some(plan),
@@ -189,7 +187,7 @@ impl DirectLu {
     /// chord-Newton LU factors as a Krylov preconditioner (a complete —
     /// possibly stale — factorization satisfies
     /// [`wavepipe_sparse::Preconditioner`]).
-    pub fn factors(&self) -> Option<&SparseLu> {
+    pub(crate) fn factors(&self) -> Option<&SparseLu> {
         self.lu.as_ref()
     }
 }
@@ -294,7 +292,9 @@ impl SolverHandle {
 
     /// Backends that each adopt `plan` at their first refactorization (what
     /// a pipelined run gives its worker lanes, `plan` being its coordinating
-    /// lane's; see [`DirectLu::adopting`]).
+    /// lane's): each is a [`DirectLu`] that counts as factored, and whose
+    /// first `refactor` adopts the plan under the pivot check of
+    /// [`SparseLu::adopt`].
     pub fn adopting(plan: SharedPlan) -> Self {
         SolverHandle::new(Arc::new(DirectLu::adopting(plan)))
     }
@@ -305,7 +305,7 @@ impl SolverHandle {
     }
 
     /// Builds one fresh backend according to this handle's selection.
-    pub fn make(&self) -> Box<dyn SolverBackend> {
+    pub(crate) fn make(&self) -> Box<dyn SolverBackend> {
         match &self.factory {
             None => Box::new(DirectLu::new()),
             Some(f) => f.make(),

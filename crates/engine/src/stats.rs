@@ -68,7 +68,7 @@ impl SimStats {
     /// and emits it in one call). Kinds no counter carries add nothing;
     /// `solves`, the Krylov counters and the clocks are kept directly.
     #[inline]
-    pub fn count(&mut self, kind: &EventKind) {
+    pub(crate) fn count(&mut self, kind: &EventKind) {
         match *kind {
             EventKind::NewtonIter { .. } => self.newton_iterations += 1,
             EventKind::Factorization => self.factorizations += 1,

@@ -89,7 +89,7 @@ impl StepController {
     /// [`EngineError::BadParameter`] for a non-positive or non-finite
     /// `tstep`/`tstop`, or an `rmax` that is non-finite or below 1 (a step
     /// ratio cap that forbids holding the step); otherwise whatever
-    /// [`PointSolver::initial_state`] reports.
+    /// the DC operating point or `use_ic` initial state reports.
     pub fn start(
         solver: &mut PointSolver,
         tstep: f64,
@@ -194,7 +194,7 @@ impl StepController {
 
     /// The next un-passed breakpoint (`tstop` is the last one). Also moves
     /// the cursor past breakpoints the history has already crossed.
-    pub fn horizon(&mut self) -> f64 {
+    pub(crate) fn horizon(&mut self) -> f64 {
         while self.next_bp < self.bps.len()
             && self.bps[self.next_bp] <= self.hw.t() + 0.5 * self.hmin
         {
@@ -220,7 +220,7 @@ impl StepController {
     /// # Errors
     ///
     /// See [`StepController::base_step`].
-    pub fn propose(&mut self) -> Result<(f64, bool)> {
+    pub(crate) fn propose(&mut self) -> Result<(f64, bool)> {
         let t = self.hw.t() + self.base_step()?;
         let limit = self.horizon();
         Ok(self.clip(t, limit))

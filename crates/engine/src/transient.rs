@@ -11,7 +11,7 @@
 //!   check the budget, let the [`StepController`] propose the next time,
 //!   solve it, hand the solution back to the controller as slot 0. Every
 //!   step decision (breakpoints, LTE accept/reject, step-size control,
-//!   recovery) lives in [`crate::stepctl`], and WavePipe's rounds run on the
+//!   recovery) lives in the [`StepController`], and WavePipe's rounds run on the
 //!   same controller, so their accepted points pass the identical tests.
 
 use crate::dcop::{dc_operating_point, MAX_DC_ITERS};
@@ -71,7 +71,7 @@ pub struct HistoryWindow {
 
 impl HistoryWindow {
     /// Starts a history at `t = 0` from the DC operating point.
-    pub fn start(x0: Vec<f64>, n_cap_states: usize) -> Self {
+    pub(crate) fn start(x0: Vec<f64>, n_cap_states: usize) -> Self {
         HistoryWindow {
             times: vec![0.0],
             xs: vec![x0],
@@ -91,39 +91,34 @@ impl HistoryWindow {
     }
 
     /// Times, newest first.
-    pub fn times(&self) -> &[f64] {
+    pub(crate) fn times(&self) -> &[f64] {
         &self.times
     }
 
     /// Solutions, newest first.
-    pub fn solutions(&self) -> &[Vec<f64>] {
+    pub(crate) fn solutions(&self) -> &[Vec<f64>] {
         &self.xs
     }
 
     /// Capacitor currents at the latest point.
-    pub fn cap_currents(&self) -> &[f64] {
+    pub(crate) fn cap_currents(&self) -> &[f64] {
         &self.cap_currents
     }
 
-    /// Accepted points since the last integration restart.
-    pub fn points_since_restart(&self) -> usize {
-        self.points_since_restart
-    }
-
     /// The previous accepted step size, if two points exist.
-    pub fn h_prev(&self) -> Option<f64> {
+    pub(crate) fn h_prev(&self) -> Option<f64> {
         (self.times.len() >= 2).then(|| self.times[0] - self.times[1])
     }
 
     /// Marks an integration restart (source slope discontinuity): the next
     /// step will use backward Euler and LTE restarts its window.
-    pub fn mark_discontinuity(&mut self) {
+    pub(crate) fn mark_discontinuity(&mut self) {
         self.points_since_restart = 0;
     }
 
     /// The method actually usable for the next step, given the requested one
     /// and the available smooth history.
-    pub fn effective_method(&self, requested: Method) -> Method {
+    pub(crate) fn effective_method(&self, requested: Method) -> Method {
         match requested {
             Method::BackwardEuler => Method::BackwardEuler,
             Method::Trapezoidal => {
@@ -153,7 +148,7 @@ impl HistoryWindow {
     }
 
     /// [`HistoryWindow::predict`] into a buffer the caller keeps.
-    pub fn predict_into(&self, t_new: f64, out: &mut Vec<f64>) {
+    pub(crate) fn predict_into(&self, t_new: f64, out: &mut Vec<f64>) {
         out.clear();
         if self.times.len() < 2 || self.points_since_restart == 0 {
             out.extend_from_slice(&self.xs[0]);
@@ -186,7 +181,7 @@ impl HistoryWindow {
     /// WavePipe, where the committing window may already contain trailing
     /// points the solve never saw. A full window rolls in place: the oldest
     /// solution's buffer takes the new one.
-    pub fn accept(&mut self, sol: &PointSolution) {
+    pub(crate) fn accept(&mut self, sol: &PointSolution) {
         if self.xs.len() == WINDOW {
             self.xs.rotate_right(1);
             self.xs[0].clone_from(&sol.x);
@@ -200,7 +195,7 @@ impl HistoryWindow {
     }
 
     /// Number of history points usable for LTE (within the smooth region).
-    pub fn usable_for_lte(&self) -> usize {
+    pub(crate) fn usable_for_lte(&self) -> usize {
         (self.points_since_restart + 1).min(self.times.len())
     }
 
@@ -280,11 +275,6 @@ impl PointSolver {
         &self.sys
     }
 
-    /// The options in effect.
-    pub fn options(&self) -> &SimOptions {
-        &self.opts
-    }
-
     /// The LU plan this solver's factors live over, for other solvers to
     /// adopt ([`crate::SolverHandle::adopting`]); `None` while it holds no
     /// factorization or its backend hands out no plan.
@@ -297,7 +287,7 @@ impl PointSolver {
     /// # Errors
     ///
     /// See [`dc_operating_point`].
-    pub fn dc_op(&mut self, stats: &mut SimStats) -> Result<Vec<f64>> {
+    pub(crate) fn dc_op(&mut self, stats: &mut SimStats) -> Result<Vec<f64>> {
         dc_operating_point(&self.sys, &mut self.ws, &mut self.cache, None, &self.opts, stats)
     }
 
@@ -309,7 +299,7 @@ impl PointSolver {
     /// # Errors
     ///
     /// Propagates operating-point / Newton failures.
-    pub fn initial_state(&mut self, stats: &mut SimStats) -> Result<Vec<f64>> {
+    pub(crate) fn initial_state(&mut self, stats: &mut SimStats) -> Result<Vec<f64>> {
         if !self.opts.use_ic {
             return self.dc_op(stats);
         }

@@ -52,16 +52,6 @@ impl CooMatrix {
         }
     }
 
-    /// Number of rows.
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    /// Number of columns.
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
     /// Appends the triplet `(row, col, value)`.
     ///
     /// # Errors
@@ -165,7 +155,7 @@ mod tests {
         a.push(0, 0, 1.0).unwrap();
         a.clear();
         assert_eq!(a.iter().count(), 0);
-        assert_eq!(a.nrows(), 4);
+        assert_eq!((a.nrows, a.ncols), (4, 4));
     }
 
     #[test]

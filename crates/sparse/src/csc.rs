@@ -1,5 +1,6 @@
 //! Compressed sparse column matrix.
 
+#[cfg(test)]
 use crate::dense::DenseMatrix;
 use crate::error::{Result, SparseError};
 
@@ -21,8 +22,10 @@ use crate::error::{Result, SparseError};
 /// t.push(1, 0, -1.0)?;
 /// t.push(1, 1, 2.0)?;
 /// let a: CscMatrix = t.to_csc();
-/// let y = a.matvec(&[1.0, 1.0])?;
-/// assert_eq!(y, vec![4.0, 1.0]);
+/// // r = b - A x: zero when b = A x.
+/// let mut r = vec![0.0; 2];
+/// a.residual_into(&[1.0, 1.0], &[4.0, 1.0], &mut r)?;
+/// assert_eq!(r, vec![0.0, 0.0]);
 /// # Ok(())
 /// # }
 /// ```
@@ -60,7 +63,7 @@ impl CscMatrix {
     ///
     /// Panics if the triplet arrays have different lengths or contain indices
     /// out of range (use [`crate::CooMatrix`] for checked assembly).
-    pub fn from_triplets(
+    pub(crate) fn from_triplets(
         nrows: usize,
         ncols: usize,
         rows: &[usize],
@@ -144,7 +147,7 @@ impl CscMatrix {
     }
 
     /// Number of rows.
-    pub fn nrows(&self) -> usize {
+    pub(crate) fn nrows(&self) -> usize {
         self.nrows
     }
 
@@ -186,7 +189,7 @@ impl CscMatrix {
     /// # Panics
     ///
     /// Panics if `j >= ncols`.
-    pub fn col(&self, j: usize) -> (&[usize], &[f64]) {
+    pub(crate) fn col(&self, j: usize) -> (&[usize], &[f64]) {
         let (s, e) = (self.col_ptr[j], self.col_ptr[j + 1]);
         (&self.row_idx[s..e], &self.values[s..e])
     }
@@ -213,12 +216,14 @@ impl CscMatrix {
         self.values.fill(0.0);
     }
 
-    /// Computes `y = A * x`.
+    /// Computes `y = A * x`: the allocating probe the unit tests check
+    /// solutions with.
     ///
     /// # Errors
     ///
     /// Returns [`SparseError::DimensionMismatch`] if `x.len() != ncols`.
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
+    #[cfg(test)]
+    pub(crate) fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
         if x.len() != self.ncols {
             return Err(SparseError::DimensionMismatch { expected: self.ncols, found: x.len() });
         }
@@ -233,7 +238,7 @@ impl CscMatrix {
     /// # Errors
     ///
     /// Returns [`SparseError::DimensionMismatch`] on any length mismatch.
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
+    pub(crate) fn matvec_into(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
         if x.len() != self.ncols {
             return Err(SparseError::DimensionMismatch { expected: self.ncols, found: x.len() });
         }
@@ -273,8 +278,8 @@ impl CscMatrix {
     /// The backward-error check of a computed solution `x` of `A x = b` in
     /// one walk of the stored entries: the residual `r = b - A*x` (written
     /// into `r`, as [`CscMatrix::residual_into`] would), its infinity norm,
-    /// `‖A‖∞` (as [`CscMatrix::norm_inf_with_scratch`] would, `rowsum` being
-    /// its buffer) and the infinity norms of `x` and `b`, each accumulated in
+    /// `‖A‖∞` (the largest absolute row sum, `rowsum` holding the row sums)
+    /// and the infinity norms of `x` and `b`, each accumulated in
     /// the order the separate calls use, so every bit agrees with them.
     ///
     /// The norms fold with `f64::max`, which drops NaN; whether the residual
@@ -361,8 +366,9 @@ impl CscMatrix {
         CscMatrix { nrows: self.ncols, ncols: self.nrows, col_ptr, row_idx, values }
     }
 
-    /// Converts to a dense matrix (intended for tests and small oracles).
-    pub fn to_dense(&self) -> DenseMatrix {
+    /// Converts to the dense oracle of the unit tests.
+    #[cfg(test)]
+    pub(crate) fn to_dense(&self) -> DenseMatrix {
         let mut d = DenseMatrix::zeros(self.nrows, self.ncols);
         for j in 0..self.ncols {
             for p in self.col_ptr[j]..self.col_ptr[j + 1] {
@@ -379,7 +385,7 @@ impl CscMatrix {
     /// # Errors
     ///
     /// Returns [`SparseError::NotSquare`] if the matrix is not square.
-    pub fn symmetric_adjacency(&self) -> Result<Vec<Vec<usize>>> {
+    pub(crate) fn symmetric_adjacency(&self) -> Result<Vec<Vec<usize>>> {
         if self.nrows != self.ncols {
             return Err(SparseError::NotSquare { nrows: self.nrows, ncols: self.ncols });
         }
@@ -402,13 +408,13 @@ impl CscMatrix {
     }
 
     /// Infinity norm of the matrix (maximum absolute row sum).
-    pub fn norm_inf(&self) -> f64 {
+    pub(crate) fn norm_inf(&self) -> f64 {
         self.norm_inf_with_scratch(&mut Vec::new())
     }
 
     /// [`CscMatrix::norm_inf`] with a caller-provided row-sum buffer, for
     /// callers that take the norm once per factorization.
-    pub fn norm_inf_with_scratch(&self, rowsum: &mut Vec<f64>) -> f64 {
+    pub(crate) fn norm_inf_with_scratch(&self, rowsum: &mut Vec<f64>) -> f64 {
         rowsum.clear();
         rowsum.resize(self.nrows, 0.0);
         for p in 0..self.nnz() {

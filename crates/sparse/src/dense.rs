@@ -1,28 +1,12 @@
-//! Dense matrix with LU solve — the correctness oracle for the sparse path
-//! and the solver of choice for very small systems.
+//! Dense matrix with LU solve — the unit tests' correctness oracle for the
+//! sparse path (compiled for tests only).
 
 use crate::error::{Result, SparseError};
 
-/// A row-major dense matrix of `f64`.
-///
-/// Used as a test oracle for the sparse LU and as a direct solver for tiny
-/// systems (a handful of unknowns) where sparse bookkeeping costs more than it
-/// saves.
-///
-/// ```
-/// use wavepipe_sparse::DenseMatrix;
-///
-/// # fn main() -> Result<(), wavepipe_sparse::SparseError> {
-/// let mut a = DenseMatrix::zeros(2, 2);
-/// a.set(0, 0, 2.0);
-/// a.set(1, 1, 4.0);
-/// let x = a.solve(&[2.0, 8.0])?;
-/// assert_eq!(x, vec![1.0, 2.0]);
-/// # Ok(())
-/// # }
-/// ```
+/// A row-major dense matrix of `f64`, solved by LU with partial pivoting:
+/// the oracle the sparse LU is checked against.
 #[derive(Debug, Clone, PartialEq)]
-pub struct DenseMatrix {
+pub(crate) struct DenseMatrix {
     nrows: usize,
     ncols: usize,
     data: Vec<f64>,
@@ -30,12 +14,12 @@ pub struct DenseMatrix {
 
 impl DenseMatrix {
     /// Creates an `nrows x ncols` matrix of zeros.
-    pub fn zeros(nrows: usize, ncols: usize) -> Self {
+    pub(crate) fn zeros(nrows: usize, ncols: usize) -> Self {
         DenseMatrix { nrows, ncols, data: vec![0.0; nrows * ncols] }
     }
 
     /// Creates the `n x n` identity.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
             m.set(i, i, 1.0);
@@ -48,7 +32,7 @@ impl DenseMatrix {
     /// # Panics
     ///
     /// Panics if the rows have inconsistent lengths.
-    pub fn from_rows(rows: &[&[f64]]) -> Self {
+    pub(crate) fn from_rows(rows: &[&[f64]]) -> Self {
         let nrows = rows.len();
         let ncols = rows.first().map_or(0, |r| r.len());
         let mut data = Vec::with_capacity(nrows * ncols);
@@ -59,22 +43,12 @@ impl DenseMatrix {
         DenseMatrix { nrows, ncols, data }
     }
 
-    /// Number of rows.
-    pub fn nrows(&self) -> usize {
-        self.nrows
-    }
-
-    /// Number of columns.
-    pub fn ncols(&self) -> usize {
-        self.ncols
-    }
-
     /// Returns entry `(i, j)`.
     ///
     /// # Panics
     ///
     /// Panics if out of bounds.
-    pub fn get(&self, i: usize, j: usize) -> f64 {
+    pub(crate) fn get(&self, i: usize, j: usize) -> f64 {
         assert!(i < self.nrows && j < self.ncols);
         self.data[i * self.ncols + j]
     }
@@ -84,7 +58,7 @@ impl DenseMatrix {
     /// # Panics
     ///
     /// Panics if out of bounds.
-    pub fn set(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn set(&mut self, i: usize, j: usize, v: f64) {
         assert!(i < self.nrows && j < self.ncols);
         self.data[i * self.ncols + j] = v;
     }
@@ -94,7 +68,7 @@ impl DenseMatrix {
     /// # Panics
     ///
     /// Panics if out of bounds.
-    pub fn add(&mut self, i: usize, j: usize, v: f64) {
+    pub(crate) fn add(&mut self, i: usize, j: usize, v: f64) {
         assert!(i < self.nrows && j < self.ncols);
         self.data[i * self.ncols + j] += v;
     }
@@ -104,7 +78,7 @@ impl DenseMatrix {
     /// # Errors
     ///
     /// Returns [`SparseError::DimensionMismatch`] if `x.len() != ncols`.
-    pub fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
+    pub(crate) fn matvec(&self, x: &[f64]) -> Result<Vec<f64>> {
         if x.len() != self.ncols {
             return Err(SparseError::DimensionMismatch { expected: self.ncols, found: x.len() });
         }
@@ -124,7 +98,7 @@ impl DenseMatrix {
     /// * [`SparseError::NotSquare`] if the matrix is not square.
     /// * [`SparseError::DimensionMismatch`] if `b.len() != nrows`.
     /// * [`SparseError::Singular`] if a pivot underflows.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
+    pub(crate) fn solve(&self, b: &[f64]) -> Result<Vec<f64>> {
         if self.nrows != self.ncols {
             return Err(SparseError::NotSquare { nrows: self.nrows, ncols: self.ncols });
         }
@@ -177,15 +151,6 @@ impl DenseMatrix {
             x[k] = s / a[k * n + k];
         }
         Ok(x)
-    }
-
-    /// Returns the infinity norm (maximum absolute row sum).
-    pub fn norm_inf(&self) -> f64 {
-        (0..self.nrows)
-            .map(|i| {
-                self.data[i * self.ncols..(i + 1) * self.ncols].iter().map(|v| v.abs()).sum::<f64>()
-            })
-            .fold(0.0, f64::max)
     }
 }
 

@@ -48,7 +48,7 @@ pub struct GmresOutcome {
     /// Whether the relative-residual target was met.
     pub converged: bool,
     /// Whether the iteration was cut short because a full restart cycle
-    /// failed to make meaningful progress (see [`STAGNATION_FACTOR`]).
+    /// failed to shrink the true residual below 0.99 of its predecessor.
     pub stagnated: bool,
     /// Inner (Arnoldi) iterations performed, summed over cycles.
     pub iterations: usize,
@@ -62,7 +62,7 @@ pub struct GmresOutcome {
 /// fraction of its predecessor counts as stagnation: further cycles would
 /// re-explore the same Krylov space, so the iteration reports failure and
 /// lets the caller fall back to a direct factorization.
-pub const STAGNATION_FACTOR: f64 = 0.99;
+pub(crate) const STAGNATION_FACTOR: f64 = 0.99;
 
 fn norm2(v: &[f64]) -> f64 {
     // Fixed-order accumulation: part of the determinism contract.

@@ -23,7 +23,7 @@ use crate::operator::Preconditioner;
 /// An ILU(0) factorization: `A ≈ L·U` with `pattern(L + U) = pattern(A)`.
 ///
 /// ```
-/// use wavepipe_sparse::{CooMatrix, ilu::Ilu0};
+/// use wavepipe_sparse::{CooMatrix, Ilu0, Preconditioner, SparseOperator};
 ///
 /// # fn main() -> Result<(), wavepipe_sparse::SparseError> {
 /// // Tridiagonal matrices have no fill, so ILU(0) is the exact LU.
@@ -38,9 +38,10 @@ use crate::operator::Preconditioner;
 /// let a = t.to_csc();
 /// let ilu = Ilu0::factor(&a)?;
 /// let x = [1.0, 2.0, 3.0];
-/// let b = a.matvec(&x)?;
-/// let mut z = vec![0.0; 3];
-/// ilu.apply_into(&b, &mut z)?;
+/// let mut b = vec![0.0; 3];
+/// a.apply(&x, &mut b)?;
+/// let (mut z, mut work) = (vec![0.0; 3], vec![0.0; 3]);
+/// ilu.apply(&b, &mut z, &mut work)?;
 /// for (zi, xi) in z.iter().zip(&x) {
 ///     assert!((zi - xi).abs() < 1e-12);
 /// }
@@ -140,28 +141,12 @@ impl Ilu0 {
         Ok(Ilu0 { n, col_ptr, row_idx, values, diag })
     }
 
-    /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// The factor value stored at `(row, col)`, or `0.0` outside the pattern
-    /// (strictly-lower entries are `L`, the rest are `U`). Intended for
-    /// tests and diagnostics.
-    pub fn factor_entry(&self, row: usize, col: usize) -> f64 {
-        let (s, e) = (self.col_ptr[col], self.col_ptr[col + 1]);
-        match self.row_idx[s..e].binary_search(&row) {
-            Ok(k) => self.values[s + k],
-            Err(_) => 0.0,
-        }
-    }
-
     /// Applies the preconditioner: solves `L·U·z = r` in place of `z`.
     ///
     /// # Errors
     ///
     /// Returns [`SparseError::DimensionMismatch`] on a wrong-length buffer.
-    pub fn apply_into(&self, r: &[f64], z: &mut [f64]) -> Result<()> {
+    pub(crate) fn apply_into(&self, r: &[f64], z: &mut [f64]) -> Result<()> {
         if r.len() != self.n {
             return Err(SparseError::DimensionMismatch { expected: self.n, found: r.len() });
         }
@@ -233,6 +218,13 @@ mod tests {
         }
     }
 
+    /// The factor value stored at `(row, col)`, or `0.0` outside the pattern
+    /// (strictly-lower entries are `L`, the rest are `U`).
+    fn factor_entry(ilu: &Ilu0, row: usize, col: usize) -> f64 {
+        let (s, e) = (ilu.col_ptr[col], ilu.col_ptr[col + 1]);
+        ilu.row_idx[s..e].binary_search(&row).map_or(0.0, |k| ilu.values[s + k])
+    }
+
     #[test]
     fn hand_checked_four_by_four() {
         // A =
@@ -265,16 +257,16 @@ mod tests {
         let l32 = -1.0 / u22;
         let u33 = 4.0 - (-0.25) * (-1.0) + l32;
 
-        assert!((ilu.factor_entry(1, 0) - (-0.25)).abs() < 1e-15);
-        assert!((ilu.factor_entry(3, 0) - (-0.25)).abs() < 1e-15);
-        assert!((ilu.factor_entry(1, 1) - u11).abs() < 1e-15);
-        assert!((ilu.factor_entry(2, 1) - (-1.0 / u11)).abs() < 1e-15);
-        assert!((ilu.factor_entry(2, 2) - u22).abs() < 1e-15);
-        assert!((ilu.factor_entry(3, 2) - l32).abs() < 1e-15);
-        assert!((ilu.factor_entry(3, 3) - u33).abs() < 1e-15);
+        assert!((factor_entry(&ilu, 1, 0) - (-0.25)).abs() < 1e-15);
+        assert!((factor_entry(&ilu, 3, 0) - (-0.25)).abs() < 1e-15);
+        assert!((factor_entry(&ilu, 1, 1) - u11).abs() < 1e-15);
+        assert!((factor_entry(&ilu, 2, 1) - (-1.0 / u11)).abs() < 1e-15);
+        assert!((factor_entry(&ilu, 2, 2) - u22).abs() < 1e-15);
+        assert!((factor_entry(&ilu, 3, 2) - l32).abs() < 1e-15);
+        assert!((factor_entry(&ilu, 3, 3) - u33).abs() < 1e-15);
         // Dropped fill stays outside the pattern.
-        assert_eq!(ilu.factor_entry(2, 0), 0.0);
-        assert_eq!(ilu.factor_entry(3, 1), 0.0);
+        assert_eq!(factor_entry(&ilu, 2, 0), 0.0);
+        assert_eq!(factor_entry(&ilu, 3, 1), 0.0);
     }
 
     #[test]

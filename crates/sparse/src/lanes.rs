@@ -38,11 +38,12 @@ use crate::lu::SparseLu;
 use crate::ordering::Permutation;
 
 /// Maximum number of lanes a [`LanePackedLu`] can hold.
-pub const MAX_LANES: usize = 4;
+pub(crate) const MAX_LANES: usize = 4;
 
-/// Numeric LU factors for up to [`MAX_LANES`] same-structure matrices,
-/// stored lane-interleaved. See the [module docs](self) for the layout and
-/// determinism argument.
+/// Numeric LU factors for up to four same-structure matrices, stored
+/// lane-interleaved: lane `l` of factor entry `idx` lives at
+/// `vals[idx * k + l]`, and each lane replays the exact scalar operation
+/// sequence of [`SparseLu::refactor`] / [`SparseLu::solve`].
 #[derive(Debug, Clone)]
 pub struct LanePackedLu {
     k: usize,
@@ -72,9 +73,9 @@ pub struct LanePackedLu {
 
 /// One lane's solve request for [`LanePackedLu::solve_lanes`].
 pub struct LaneSolve<'a> {
-    /// Right-hand side, length `dim()`.
+    /// Right-hand side, length the matrix dimension.
     pub b: &'a [f64],
-    /// Solution output, length `dim()`.
+    /// Solution output, length the matrix dimension.
     pub x: &'a mut [f64],
 }
 
@@ -113,25 +114,10 @@ impl LanePackedLu {
         }
     }
 
-    /// Number of lanes in the pack.
-    pub fn lane_count(&self) -> usize {
-        self.k
-    }
-
-    /// Dimension of the packed factors.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Whether `lane` currently holds adopted factors.
-    pub fn is_present(&self, lane: usize) -> bool {
-        self.present[lane]
-    }
-
     /// True when `lu` has the same symbolic structure (dimension, ordering,
     /// pivot sequence, elimination pattern, pattern nnz, and pivot floor) as
     /// this pack, i.e. its numeric values can live in a lane.
-    pub fn structure_matches(&self, lu: &SparseLu) -> bool {
+    pub(crate) fn structure_matches(&self, lu: &SparseLu) -> bool {
         let plan = &*lu.plan;
         plan.n == self.n
             && lu.a_nnz() == self.a_nnz
@@ -150,7 +136,7 @@ impl LanePackedLu {
     ///
     /// # Panics
     ///
-    /// Panics if `lane >= lane_count()`.
+    /// Panics if `lane` is not below the lane count.
     pub fn adopt(&mut self, lane: usize, lu: &SparseLu) -> bool {
         assert!(lane < self.k);
         if !self.structure_matches(lu) {
@@ -170,11 +156,6 @@ impl LanePackedLu {
         true
     }
 
-    /// Drops `lane`'s factors (the lane can later re-adopt).
-    pub fn evict(&mut self, lane: usize) {
-        self.present[lane] = false;
-    }
-
     /// Numeric refactorization of every requested lane in one sweep over the
     /// shared structure, mirroring [`SparseLu::refactor`] per lane.
     ///
@@ -188,7 +169,7 @@ impl LanePackedLu {
     ///
     /// # Panics
     ///
-    /// Panics if `mats.len()` or `errs.len()` differs from `lane_count()`.
+    /// Panics if `mats.len()` or `errs.len()` differs from the lane count.
     // The `for l in 0..k` inner loops below are the lane kernels: lock-step
     // indexed traversal of several `idx * k + l`-interleaved arrays at once.
     // Iterator chains would hide that structure from both the reader and the
@@ -357,8 +338,9 @@ impl LanePackedLu {
     ///
     /// # Panics
     ///
-    /// Panics if `reqs.len() != lane_count()`, if a requested lane is not
-    /// present, or if a buffer length differs from `dim()`.
+    /// Panics if `reqs.len()` differs from the lane count, if a requested
+    /// lane is not present, or if a buffer length differs from the matrix
+    /// dimension.
     // Same lane-kernel shape as `refactor_lanes` — see the note there.
     #[allow(clippy::needless_range_loop)]
     pub fn solve_lanes(&mut self, reqs: &mut [Option<LaneSolve<'_>>]) {
@@ -523,8 +505,8 @@ mod tests {
         pack.refactor_lanes(&[Some(&good), Some(&bad)], &mut errs);
         assert!(errs[0].is_none());
         assert!(matches!(errs[1], Some(SparseError::NotFinite { .. })));
-        assert!(pack.is_present(0));
-        assert!(!pack.is_present(1));
+        assert!(pack.present[0]);
+        assert!(!pack.present[1]);
         // Survivor solves bit-identically to a scalar refactor of the same
         // matrix, and a fresh refactor after the failure still works (the
         // failed lane's workspace was scrubbed).
@@ -567,6 +549,6 @@ mod tests {
         let other = SparseLu::factor(&other_t.to_csc(), &opts).unwrap();
         let mut pack = LanePackedLu::from_structure(2, &seed);
         assert!(!pack.adopt(0, &other));
-        assert!(!pack.is_present(0));
+        assert!(!pack.present[0]);
     }
 }

@@ -7,19 +7,17 @@
 //!
 //! * [`CooMatrix`] — triplet assembly with MNA "stamping" semantics
 //!   (duplicates are summed, cancelled entries stay in the pattern).
-//! * [`CscMatrix`] — compressed sparse column storage, matvec/residual
-//!   kernels, pattern queries.
+//! * [`CscMatrix`] — compressed sparse column storage, residual and
+//!   backward-error kernels, pattern queries.
 //! * [`SparseLu`] — Gilbert–Peierls LU with threshold partial pivoting and a
 //!   KLU-style numeric-only [`SparseLu::refactor`] fast path that replays the
 //!   recorded pivot order and elimination pattern.
 //! * [`ordering`] — the minimum-degree fill-reducing ordering.
-//! * [`operator`] — the matrix-free [`SparseOperator`] / [`Preconditioner`]
-//!   abstractions Krylov methods iterate against.
+//! * [`SparseOperator`] / [`Preconditioner`] — the matrix-free abstractions
+//!   Krylov methods iterate against.
 //! * [`gmres()`](fn@crate::gmres) — restarted GMRES(m) with Givens-rotation least-squares and
 //!   right preconditioning.
-//! * [`ilu`] — the zero-fill ILU(0) preconditioner.
-//! * [`DenseMatrix`] — dense LU used as a correctness oracle and for tiny
-//!   systems.
+//! * [`Ilu0`] — the zero-fill ILU(0) preconditioner.
 //! * [`vector`] — dense vector kernels including the weighted-RMS error norm
 //!   used by local-truncation-error control.
 //!
@@ -42,8 +40,11 @@
 //!
 //! // Factor once, then solve (and refactor cheaply when values change).
 //! let lu = SparseLu::factor(&a, &LuOptions::default())?;
-//! let x = lu.solve(&[1.0, 0.0, 0.0])?;
-//! assert!((a.matvec(&x)?[0] - 1.0).abs() < 1e-12);
+//! let b = [1.0, 0.0, 0.0];
+//! let x = lu.solve(&b)?;
+//! let mut r = vec![0.0; 3];
+//! a.residual_into(&x, &b, &mut r)?;
+//! assert!(r.iter().all(|ri| ri.abs() < 1e-12));
 //! # Ok(())
 //! # }
 //! ```
@@ -53,23 +54,23 @@
 
 mod coo;
 mod csc;
+#[cfg(test)]
 mod dense;
 mod error;
-pub mod gmres;
-pub mod ilu;
-pub mod lanes;
+mod gmres;
+mod ilu;
+mod lanes;
 mod lu;
-pub mod operator;
+mod operator;
 pub mod ordering;
 pub mod vector;
 
 pub use coo::CooMatrix;
 pub use csc::{BackwardError, CscMatrix};
-pub use dense::DenseMatrix;
 pub use error::{Result, SparseError};
 pub use gmres::{gmres, GmresOptions, GmresOutcome};
 pub use ilu::Ilu0;
-pub use lanes::{LanePackedLu, LaneSolve, MAX_LANES};
+pub use lanes::{LanePackedLu, LaneSolve};
 pub use lu::{LuOptions, SharedPlan, SparseLu};
-pub use operator::{IdentityPrecond, Preconditioner, SparseOperator};
+pub use operator::{Preconditioner, SparseOperator};
 pub use ordering::Permutation;

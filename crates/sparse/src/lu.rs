@@ -111,7 +111,7 @@ impl Default for LuOptions {
 /// fill-reducing column permutation chosen up front.
 ///
 /// ```
-/// use wavepipe_sparse::{CooMatrix, LuOptions, SparseLu};
+/// use wavepipe_sparse::{CooMatrix, LuOptions, SparseLu, SparseOperator};
 ///
 /// # fn main() -> Result<(), wavepipe_sparse::SparseError> {
 /// let mut t = CooMatrix::new(2, 2);
@@ -122,7 +122,8 @@ impl Default for LuOptions {
 /// let a = t.to_csc();
 /// let lu = SparseLu::factor(&a, &LuOptions::default())?;
 /// let x = lu.solve(&[1.0, 2.0])?;
-/// let b = a.matvec(&x)?;
+/// let mut b = vec![0.0; 2];
+/// a.apply(&x, &mut b)?;
 /// assert!((b[0] - 1.0).abs() < 1e-12 && (b[1] - 2.0).abs() < 1e-12);
 /// # Ok(())
 /// # }
@@ -808,7 +809,7 @@ impl SparseLu {
     }
 
     /// Dimension of the factored matrix.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.plan.n
     }
 

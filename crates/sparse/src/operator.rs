@@ -5,13 +5,13 @@
 //! [`gmres()`](fn@crate::gmres) run against an assembled [`CscMatrix`], a matrix-free
 //! stencil, or a product of operators without caring which. The companion
 //! [`Preconditioner`] trait captures the approximate-inverse action
-//! `z = M⁻¹·r`; both a dropped-fill [`crate::ilu::Ilu0`] factorization and a
+//! `z = M⁻¹·r`; both a dropped-fill [`crate::Ilu0`] factorization and a
 //! full (possibly stale) [`SparseLu`] factorization satisfy it, which is how
 //! the engine reuses frozen chord-Newton LU factors as a Krylov
 //! preconditioner.
 
 use crate::csc::CscMatrix;
-use crate::error::{Result, SparseError};
+use crate::error::Result;
 use crate::lu::SparseLu;
 
 /// The action of a square linear operator: `y = A·x`.
@@ -27,8 +27,8 @@ pub trait SparseOperator {
     ///
     /// # Errors
     ///
-    /// Returns [`SparseError::DimensionMismatch`] when `x` or `y` is not of
-    /// length [`dim`](SparseOperator::dim).
+    /// Returns [`SparseError::DimensionMismatch`](crate::SparseError::DimensionMismatch)
+    /// when `x` or `y` is not of length [`dim`](SparseOperator::dim).
     fn apply(&self, x: &[f64], y: &mut [f64]) -> Result<()>;
 }
 
@@ -55,25 +55,28 @@ pub trait Preconditioner {
     ///
     /// # Errors
     ///
-    /// Returns [`SparseError::DimensionMismatch`] when any buffer length
-    /// disagrees with [`dim`](Preconditioner::dim).
+    /// Returns [`SparseError::DimensionMismatch`](crate::SparseError::DimensionMismatch)
+    /// when any buffer length disagrees with [`dim`](Preconditioner::dim).
     fn apply(&self, r: &[f64], z: &mut [f64], scratch: &mut [f64]) -> Result<()>;
 }
 
-/// The do-nothing preconditioner `M = I`, for running unpreconditioned
-/// Krylov iterations through the same code path.
+/// The do-nothing preconditioner `M = I`, with which the unit tests run
+/// unpreconditioned Krylov iterations through the same code path.
+#[cfg(test)]
 #[derive(Debug, Clone, Copy)]
-pub struct IdentityPrecond {
+pub(crate) struct IdentityPrecond {
     n: usize,
 }
 
+#[cfg(test)]
 impl IdentityPrecond {
     /// An identity preconditioner of dimension `n`.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         IdentityPrecond { n }
     }
 }
 
+#[cfg(test)]
 impl Preconditioner for IdentityPrecond {
     fn dim(&self) -> usize {
         self.n
@@ -81,10 +84,10 @@ impl Preconditioner for IdentityPrecond {
 
     fn apply(&self, r: &[f64], z: &mut [f64], _scratch: &mut [f64]) -> Result<()> {
         if r.len() != self.n {
-            return Err(SparseError::DimensionMismatch { expected: self.n, found: r.len() });
+            return Err(crate::SparseError::DimensionMismatch { expected: self.n, found: r.len() });
         }
         if z.len() != self.n {
-            return Err(SparseError::DimensionMismatch { expected: self.n, found: z.len() });
+            return Err(crate::SparseError::DimensionMismatch { expected: self.n, found: z.len() });
         }
         z.copy_from_slice(r);
         Ok(())

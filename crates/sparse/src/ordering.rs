@@ -26,7 +26,7 @@ impl Permutation {
     ///
     /// Returns [`SparseError::DimensionMismatch`] if `perm` is not a
     /// permutation of `0..perm.len()`.
-    pub fn from_vec(perm: Vec<usize>) -> Result<Self> {
+    pub(crate) fn from_vec(perm: Vec<usize>) -> Result<Self> {
         let n = perm.len();
         let mut inv = vec![usize::MAX; n];
         for (k, &p) in perm.iter().enumerate() {
@@ -44,23 +44,13 @@ impl Permutation {
     }
 
     /// Length of the permutation.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.perm.len()
-    }
-
-    /// Returns `true` if the permutation is empty.
-    pub fn is_empty(&self) -> bool {
-        self.perm.is_empty()
     }
 
     /// New-to-old mapping: original index at position `k`.
     pub fn perm(&self) -> &[usize] {
         &self.perm
-    }
-
-    /// Old-to-new mapping: position of original index `i`.
-    pub fn inv(&self) -> &[usize] {
-        &self.inv
     }
 }
 
@@ -409,7 +399,7 @@ mod tests {
     fn identity_permutation_is_noop() {
         let p = Permutation::identity(4);
         assert_eq!(p.perm(), [0, 1, 2, 3]);
-        assert_eq!(p.inv(), [0, 1, 2, 3]);
+        assert_eq!(p.inv, [0, 1, 2, 3]);
     }
 
     #[test]

@@ -16,61 +16,6 @@ pub fn norm_inf(x: &[f64]) -> f64 {
     x.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
 }
 
-/// Returns the Euclidean norm of `x`.
-///
-/// ```
-/// assert!((wavepipe_sparse::vector::norm2(&[3.0, 4.0]) - 5.0).abs() < 1e-15);
-/// ```
-pub fn norm2(x: &[f64]) -> f64 {
-    x.iter().map(|&v| v * v).sum::<f64>().sqrt()
-}
-
-/// Returns the dot product of `x` and `y`.
-///
-/// # Panics
-///
-/// Panics if `x` and `y` have different lengths.
-pub fn dot(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "dot: length mismatch");
-    x.iter().zip(y).map(|(&a, &b)| a * b).sum()
-}
-
-/// Computes `y += alpha * x` in place.
-///
-/// # Panics
-///
-/// Panics if `x` and `y` have different lengths.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yi, &xi) in y.iter_mut().zip(x) {
-        *yi += alpha * xi;
-    }
-}
-
-/// Copies `src` into `dst`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn copy(src: &[f64], dst: &mut [f64]) {
-    dst.copy_from_slice(src);
-}
-
-/// Fills `x` with zeros.
-pub fn zero(x: &mut [f64]) {
-    x.fill(0.0);
-}
-
-/// Returns the maximum over `i` of `|x_i - y_i|`.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn max_abs_diff(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "max_abs_diff: length mismatch");
-    x.iter().zip(y).fold(0.0_f64, |m, (&a, &b)| m.max((a - b).abs()))
-}
-
 /// Returns `true` if every entry of `x` is finite.
 pub fn all_finite(x: &[f64]) -> bool {
     x.iter().all(|v| v.is_finite())
@@ -109,21 +54,11 @@ mod tests {
     #[test]
     fn norms_of_empty_are_zero() {
         assert_eq!(norm_inf(&[]), 0.0);
-        assert_eq!(norm2(&[]), 0.0);
     }
 
     #[test]
     fn norm_inf_ignores_sign() {
         assert_eq!(norm_inf(&[-7.0, 2.0]), 7.0);
-    }
-
-    #[test]
-    fn dot_and_axpy_agree_with_manual() {
-        let x = [1.0, 2.0, 3.0];
-        let mut y = [4.0, 5.0, 6.0];
-        assert_eq!(dot(&x, &y), 32.0);
-        axpy(2.0, &x, &mut y);
-        assert_eq!(y, [6.0, 9.0, 12.0]);
     }
 
     #[test]
@@ -142,11 +77,6 @@ mod tests {
         // weight = 1e-9 + 1e-3*1 ~= 1e-3 so ratio ~= 1.
         let n = wrms_norm(&e, &r, 1e-3, 1e-9);
         assert!((n - 1.0).abs() < 1e-5, "n = {n}");
-    }
-
-    #[test]
-    fn max_abs_diff_basic() {
-        assert_eq!(max_abs_diff(&[1.0, 2.0], &[1.5, 1.0]), 1.0);
     }
 
     #[test]

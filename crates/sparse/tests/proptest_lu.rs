@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use wavepipe_sparse::{
-    CooMatrix, CscMatrix, DenseMatrix, LuOptions, Permutation, SparseError, SparseLu,
+    CooMatrix, CscMatrix, LuOptions, Permutation, SparseError, SparseLu, SparseOperator,
 };
 
 /// Strategy: a random diagonally dominant sparse matrix of dimension 2..=24.
@@ -75,8 +75,29 @@ fn branch_matrix_pair() -> impl Strategy<Value = (CscMatrix, CscMatrix)> {
     })
 }
 
-fn dense_of(a: &CscMatrix) -> DenseMatrix {
-    a.to_dense()
+/// The dense oracle: `A x = b` by Gaussian elimination with partial
+/// pivoting on a dense copy of `a`.
+fn dense_solve(a: &CscMatrix, b: &[f64]) -> Vec<f64> {
+    let n = a.ncols();
+    let mut m: Vec<Vec<f64>> =
+        (0..n).map(|i| (0..n).map(|j| a.get(i, j)).chain([b[i]]).collect()).collect();
+    for k in 0..n {
+        let p = (k..n).max_by(|&i, &j| m[i][k].abs().total_cmp(&m[j][k].abs())).unwrap();
+        m.swap(k, p);
+        let pivot = m[k].clone();
+        for row in &mut m[k + 1..] {
+            let f = row[k] / pivot[k];
+            for (v, pv) in row[k..].iter_mut().zip(&pivot[k..]) {
+                *v -= f * pv;
+            }
+        }
+    }
+    let mut x = vec![0.0; n];
+    for k in (0..n).rev() {
+        let s: f64 = (k + 1..n).map(|j| m[k][j] * x[j]).sum();
+        x[k] = (m[k][n] - s) / m[k][k];
+    }
+    x
 }
 
 proptest! {
@@ -88,7 +109,7 @@ proptest! {
         let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
         let lu = SparseLu::factor(&a, &LuOptions::default()).expect("dominant => nonsingular");
         let xs = lu.solve(&b).expect("solve");
-        let xd = dense_of(&a).solve(&b).expect("dense solve");
+        let xd = dense_solve(&a, &b);
         for (s, d) in xs.iter().zip(&xd) {
             prop_assert!((s - d).abs() < 1e-8, "sparse {} vs dense {}", s, d);
         }
@@ -236,9 +257,10 @@ proptest! {
     fn matvec_linear(a in dominant_matrix(), alpha in -3.0f64..3.0) {
         let n = a.ncols();
         let x: Vec<f64> = (0..n).map(|i| (i as f64) * 0.25 - 1.0).collect();
-        let ax = a.matvec(&x).expect("matvec");
+        let (mut ax, mut asx) = (vec![0.0; n], vec![0.0; n]);
+        a.apply(&x, &mut ax).expect("matvec");
         let sx: Vec<f64> = x.iter().map(|v| alpha * v).collect();
-        let asx = a.matvec(&sx).expect("matvec scaled");
+        a.apply(&sx, &mut asx).expect("matvec scaled");
         for (y, z) in asx.iter().zip(&ax) {
             prop_assert!((y - alpha * z).abs() < 1e-9 * (1.0 + z.abs()));
         }

@@ -6,7 +6,7 @@
 //!
 //! * [`Counts`] — everything derived from event *counts*: speculation
 //!   accounting, Newton breakdown, cache hit rates, per-lane and per-class
-//!   tallies. [`Counts::add`] is the one incremental fold. For a fixed seed
+//!   tallies. `Counts::add` is the one incremental fold. For a fixed seed
 //!   and thread count these are bit-reproducible, so the
 //!   [`TraceAnalysis::stable_report`] rendering is **byte-stable** across
 //!   identical runs — the auditability hook the determinism tests pin.
@@ -158,13 +158,13 @@ impl Counts {
 
     /// Solves whose result was thrown away (discarded leads plus discarded
     /// speculations).
-    pub fn wasted_solves(&self) -> u64 {
+    pub(crate) fn wasted_solves(&self) -> u64 {
         self.lead_discarded + self.speculation_discarded
     }
 
     /// Discard reasons across leads and speculations, descending by count
     /// then name.
-    pub fn discard_reasons(&self) -> Vec<(&'static str, u64)> {
+    pub(crate) fn discard_reasons(&self) -> Vec<(&'static str, u64)> {
         let mut out: Vec<(&'static str, u64)> = DiscardReason::ALL
             .into_iter()
             .map(|r| (r.name(), self.discards[r as usize]))
@@ -176,7 +176,7 @@ impl Counts {
 
     /// `(class, evaluated, bypassed)` for every device class that counted
     /// either, ascending by name: the rows of [`class_cache_table`].
-    pub fn class_rows(&self) -> Vec<(&'static str, u64, u64)> {
+    pub(crate) fn class_rows(&self) -> Vec<(&'static str, u64, u64)> {
         let mut rows: Vec<_> = DeviceClass::ALL
             .into_iter()
             .map(|d| {
@@ -194,7 +194,7 @@ impl Counts {
     /// reuse against a factorization, a companion replay against any other
     /// stamp pass, and the parked and plan layers' own lookups. The rows of
     /// [`class_cache_table`].
-    pub fn cache_rows(&self) -> Vec<(&'static str, u64, u64)> {
+    pub(crate) fn cache_rows(&self) -> Vec<(&'static str, u64, u64)> {
         let nonlinear_evals = self.class_evals.iter().map(|e| e.0).sum();
         [
             ("bypass", self.bypassed_devices, nonlinear_evals),
@@ -210,7 +210,7 @@ impl Counts {
 
     /// Folds one event into the counts: the one incremental fold behind
     /// [`analyze()`].
-    pub fn add(&mut self, ev: &Event) {
+    pub(crate) fn add(&mut self, ev: &Event) {
         match ev.kind {
             EventKind::RoundStart { .. } => self.rounds += 1,
             EventKind::SolveEnd { iterations, converged } => {
@@ -325,7 +325,7 @@ pub struct Timing {
 impl Timing {
     /// Achieved solve concurrency: machine solve time over critical-path
     /// solve time (1.0 = no overlap, `p` = perfect `p`-wide pipelining).
-    pub fn solve_overlap(&self) -> f64 {
+    pub(crate) fn solve_overlap(&self) -> f64 {
         if self.critical_solve_ns == 0 {
             return 1.0;
         }
@@ -333,8 +333,12 @@ impl Timing {
     }
 
     /// The dominant wall-time component as a `(label, fraction)` pair —
-    /// the headline of a doctor report.
-    pub fn dominant(&self) -> (&'static str, f64) {
+    /// the headline of a doctor report — or `None` for a trace without
+    /// rounds (a serial run), which has no round phases to rank.
+    pub(crate) fn dominant(&self) -> Option<(&'static str, f64)> {
+        if self.rounds_ns == 0 {
+            return None;
+        }
         let wall = self.wall_ns.max(1) as f64;
         let outside = self.wall_ns.saturating_sub(self.rounds_ns);
         let cands = [
@@ -344,7 +348,7 @@ impl Timing {
             ("outside rounds", outside),
         ];
         let (label, ns) = cands.iter().max_by_key(|(_, ns)| *ns).copied().unwrap_or(("idle", 0));
-        (label, ns as f64 / wall)
+        Some((label, ns as f64 / wall))
     }
 }
 
@@ -359,7 +363,7 @@ pub struct TraceAnalysis {
 
 /// Truncating per-mille ratio rendered as `"12.3%"` — integer arithmetic
 /// only, so equal counts always render equal bytes.
-pub fn pct(num: u64, den: u64) -> String {
+pub(crate) fn pct(num: u64, den: u64) -> String {
     if den == 0 {
         return "n/a".to_string();
     }
@@ -584,14 +588,20 @@ impl TraceAnalysis {
         let wall = t.wall_ns.max(1) as f64;
         let mut out = String::new();
         let _ = writeln!(out, "== timing (wall-clock; varies run to run) ==");
-        let (label, frac) = t.dominant();
-        let _ = writeln!(
-            out,
-            "  bottleneck: {} is {:.0}% of wall time ({:.3} ms total)",
-            label,
-            frac * 100.0,
-            t.wall_ns as f64 / 1e6
-        );
+        let ms = t.wall_ns as f64 / 1e6;
+        let _ = match t.dominant() {
+            Some((label, frac)) => writeln!(
+                out,
+                "  bottleneck: {label} is {:.0}% of wall time ({ms:.3} ms total)",
+                frac * 100.0
+            ),
+            None => writeln!(
+                out,
+                "  bottleneck: no rounds in this trace (a serial run); solves are {:.0}% of wall \
+                 time ({ms:.3} ms total)",
+                (t.lead_ns + t.speculative_ns) as f64 / wall * 100.0
+            ),
+        };
         let _ = writeln!(
             out,
             "  critical path: launch {:.1}%  solve phase {:.1}%  commit tail {:.1}%  \
@@ -836,6 +846,30 @@ mod tests {
         assert!((t.solve_overlap() - 153.0 / 113.0).abs() < 1e-12);
         // A serial stream has no rounds, hence nothing to overlap.
         assert_eq!(analyze(&[]).timing.solve_overlap(), 1.0);
+    }
+
+    #[test]
+    fn a_trace_without_rounds_reports_its_solve_share() {
+        // A serial run: solves on lane 0, no round events.
+        let serial = [
+            ev(0, 0, 0, EventKind::SolveStart { h: 1e-9 }),
+            ev(60, 0, 0, EventKind::SolveEnd { iterations: 3, converged: true }),
+            ev(70, 0, 0, EventKind::PointAccepted { h: 1e-9 }),
+            ev(80, 0, 0, EventKind::SolveStart { h: 1e-9 }),
+            ev(95, 0, 0, EventKind::SolveEnd { iterations: 2, converged: true }),
+            ev(100, 0, 0, EventKind::PointAccepted { h: 1e-9 }),
+        ];
+        let a = analyze(&serial);
+        assert_eq!((a.timing.rounds_ns, a.timing.lead_ns), (0, 75));
+        assert_eq!(a.timing.dominant(), None);
+        let timing = a.timing_report();
+        assert!(
+            timing.contains("bottleneck: no rounds in this trace (a serial run); solves are 75%"),
+            "{timing}"
+        );
+        assert!(!timing.contains("outside rounds is"), "{timing}");
+        // A pipelined trace still ranks its round phases.
+        assert_eq!(analyze(&sample_stream()).timing.dominant().map(|d| d.0), Some("solve phase"));
     }
 
     /// One or two events of every kind that feeds a scalar the sample stream

@@ -25,7 +25,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `bounds` is empty or not strictly ascending.
-    pub fn with_bounds(bounds: Vec<f64>) -> Self {
+    pub(crate) fn with_bounds(bounds: Vec<f64>) -> Self {
         assert!(!bounds.is_empty(), "histogram needs at least one boundary");
         assert!(
             bounds.windows(2).all(|w| w[0] < w[1]),
@@ -51,7 +51,7 @@ impl Histogram {
 
     /// Logarithmic buckets spanning `10^lo_exp .. 10^hi_exp`, `per_decade`
     /// buckets per decade. Suited to step-size distributions.
-    pub fn log10(lo_exp: i32, hi_exp: i32, per_decade: usize) -> Self {
+    pub(crate) fn log10(lo_exp: i32, hi_exp: i32, per_decade: usize) -> Self {
         assert!(hi_exp > lo_exp && per_decade >= 1);
         let steps = (hi_exp - lo_exp) as usize * per_decade;
         let bounds =
@@ -61,12 +61,12 @@ impl Histogram {
 
     /// Unit-width integer buckets `1, 2, ..., max` (plus overflow). Suited
     /// to Newton-iteration counts.
-    pub fn integer(max: usize) -> Self {
+    pub(crate) fn integer(max: usize) -> Self {
         Self::with_bounds((1..=max + 1).map(|i| i as f64).collect())
     }
 
     /// Records one observation.
-    pub fn observe(&mut self, v: f64) {
+    pub(crate) fn observe(&mut self, v: f64) {
         if v.is_nan() {
             return;
         }
@@ -107,7 +107,7 @@ impl Histogram {
     /// quantiles between its actual extremes instead of the raw bucket
     /// boundary (which over-reported p50/p99 whenever the boundary lay
     /// beyond the observations, and collapsed every quantile to one edge).
-    pub fn quantile(&self, q: f64) -> Option<f64> {
+    pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
         if self.count == 0 {
             return None;
         }
@@ -139,11 +139,6 @@ impl Histogram {
         self.sum
     }
 
-    /// The bucket boundaries this histogram was built with.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
     /// Cumulative `(upper_bound, count_below_or_equal)` pairs in Prometheus
     /// `le` convention; the final pair's bound is `+inf` and its count the
     /// total.
@@ -162,7 +157,7 @@ impl Histogram {
 
     /// Per-bucket `(lower_bound, count)` pairs for non-empty buckets; the
     /// underflow bucket reports the observed minimum as its bound.
-    pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
+    pub(crate) fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
         self.counts
             .iter()
             .enumerate()

@@ -22,7 +22,7 @@
 //! [`EventKind`], [`EventKind::name`], [`EventKind::SAMPLES`] and the JSONL
 //! payload codec are derived; [`analyze::Counts`]' scalars declare their
 //! names once. Adding an event is one entry in that table and an arm in
-//! [`analyze::Counts::add`] (the match is exhaustive), plus an arm in
+//! `analyze::Counts::add` (the match is exhaustive), plus an arm in
 //! [`chrome`] only if it opens or closes a span or should stay off the
 //! timeline.
 //!
@@ -74,7 +74,7 @@ macro_rules! named_enum {
             }
 
             /// Inverse of `name`.
-            pub fn from_name(s: &str) -> Option<Self> {
+            pub(crate) fn from_name(s: &str) -> Option<Self> {
                 Self::ALL.into_iter().find(|v| v.name() == s)
             }
         }

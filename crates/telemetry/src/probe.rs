@@ -20,7 +20,7 @@ pub struct RecordingProbe {
 
 impl RecordingProbe {
     /// A fresh recorder whose epoch is *now*.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         RecordingProbe {
             epoch: Instant::now(),
             round: AtomicU64::new(0),
@@ -45,7 +45,7 @@ impl RecordingProbe {
     }
 
     /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.events.lock().expect("telemetry buffer poisoned").len()
     }
 
@@ -57,7 +57,7 @@ impl RecordingProbe {
     /// Records one event emitted on `lane` at simulated time `t_sim`. The
     /// probe — not the emitter — stamps the wall-clock timestamp and the
     /// round id, so disabled runs pay nothing for either.
-    pub fn record(&self, lane: u32, t_sim: f64, kind: EventKind) {
+    pub(crate) fn record(&self, lane: u32, t_sim: f64, kind: EventKind) {
         // Rounds are strictly sequential (the round executor joins all lanes
         // before returning), so a relaxed counter is race-free in practice:
         // every in-round event is recorded between its RoundStart and the
@@ -109,11 +109,6 @@ impl ProbeHandle {
     /// solver to a worker thread.
     pub fn with_lane(&self, lane: u32) -> Self {
         ProbeHandle { probe: self.probe.clone(), lane }
-    }
-
-    /// This handle's lane tag.
-    pub fn lane(&self) -> u32 {
-        self.lane
     }
 
     /// Whether a probe is attached (i.e. emits are observable).

@@ -75,7 +75,7 @@ pub use wavepipe_telemetry as telemetry;
 /// ([`run_transient_recoverable`], [`run_wavepipe_recoverable`],
 /// [`CancelToken`], [`FaultPlan`]), and batched many-scenario sweeps over a
 /// pluggable solver backend with per-instance fault isolation
-/// ([`BatchSim`], [`BatchRun`], [`BatchOutcome`], [`QuarantineReport`],
+/// ([`BatchSim`], [`BatchRun`], [`QuarantineReport`],
 /// [`ParamKind`], [`SolverBackend`], [`SolverHandle`]), plus the iterative
 /// Krylov solver path ([`GmresBackend`], [`GmresConfig`]).
 ///
@@ -93,7 +93,6 @@ pub use wavepipe_telemetry as telemetry;
 /// [`FaultPlan`]: prelude::FaultPlan
 /// [`BatchSim`]: prelude::BatchSim
 /// [`BatchRun`]: prelude::BatchRun
-/// [`BatchOutcome`]: prelude::BatchOutcome
 /// [`QuarantineReport`]: prelude::QuarantineReport
 /// [`ParamKind`]: prelude::ParamKind
 /// [`SolverBackend`]: prelude::SolverBackend
@@ -101,9 +100,7 @@ pub use wavepipe_telemetry as telemetry;
 /// [`GmresBackend`]: prelude::GmresBackend
 /// [`GmresConfig`]: prelude::GmresConfig
 pub mod prelude {
-    pub use wavepipe_batch::{
-        BatchError, BatchOutcome, BatchRun, BatchSim, ParamKind, QuarantineReport,
-    };
+    pub use wavepipe_batch::{BatchError, BatchRun, BatchSim, ParamKind, QuarantineReport};
     pub use wavepipe_circuit::{Circuit, Waveform};
     pub use wavepipe_core::{
         run_wavepipe, run_wavepipe_recoverable, RunOutcome, Scheme, WavePipeOptions,

@@ -157,13 +157,12 @@ fn batch_instances_are_their_solo_runs_bits_and_counts() {
 
 /// The four stamp-worker names `benchmark/` still compiles against select
 /// nothing: a run that sets them is the default run — same bits, same
-/// counts, same thread count — and the environment no longer reaches the
-/// field.
+/// counts, same thread count. No environment name reaches the field:
+/// `engine::env` refuses any `WAVEPIPE_*` name that is no knob, which its
+/// unit tests check as a pure function, since setting a variable here
+/// would race every other test.
 #[test]
 fn with_stamp_workers_is_inert() {
-    // Assembled so that CI's count of the `WAVEPIPE_*` names the program
-    // reads does not find one here.
-    std::env::set_var(["WAVEPIPE", "STAMP", "WORKERS"].join("_"), "2");
     assert_eq!(SimOptions::default().stamp_workers, 0);
 
     let b = generators::inverter_chain(8);
