@@ -2,22 +2,12 @@
 //! profiles and thread scaling: Figures A–C) and writes the thread-scaling
 //! series to `BENCH_figures.json` for machine tracking.
 //!
-//! Usage: `cargo run --release -p wavepipe-bench --bin figures [-- --small]
-//! [--trace <path>] [--trace-format jsonl|chrome]`
-//!
-//! `--trace` additionally performs one Combined-scheme demonstration run on
-//! the first suite benchmark with a recording probe attached and writes the
-//! telemetry stream to `<path>`.
+//! Usage: `cargo run --release -p wavepipe-bench --bin figures [-- --small]`
 
-use wavepipe_bench::{
-    fig_accuracy, fig_scaling, fig_step_profile, run_traced, scaling_to_json, suite, Scale,
-    TraceArgs,
-};
-use wavepipe_core::Scheme;
+use wavepipe_bench::{fig_accuracy, fig_scaling, fig_step_profile, scaling_to_json, suite, Scale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (trace, args) = TraceArgs::parse(std::env::args().skip(1))?;
-    let scale = if args.iter().any(|a| a == "--small") { Scale::Small } else { Scale::Full };
+    let scale = if std::env::args().any(|a| a == "--small") { Scale::Small } else { Scale::Full };
     println!("{}", fig_accuracy(scale));
 
     // Figure B on the two circuits whose step profiles differ the most.
@@ -42,18 +32,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         scaling.iter().map(|(n, s)| (n.as_str(), s)).collect();
     std::fs::write("BENCH_figures.json", scaling_to_json(&groups))?;
     println!("wrote BENCH_figures.json");
-
-    if let Some(path) = &trace.path {
-        let b = &all[0];
-        let (rep, events) = run_traced(b, Scheme::Combined, 4);
-        trace.write(&events)?;
-        println!(
-            "wrote {} ({} events, traced {} on {})",
-            path.display(),
-            events.len(),
-            rep.scheme,
-            b.name
-        );
-    }
     Ok(())
 }

@@ -1,21 +1,12 @@
 //! Prints Tables 1–4 of the WavePipe evaluation and writes the measured
 //! numbers to `BENCH_tables.json` for machine tracking across commits.
 //!
-//! Usage: `cargo run --release -p wavepipe-bench --bin tables [-- --small]
-//! [--trace <path>] [--trace-format jsonl|chrome]`
-//!
-//! `--trace` additionally performs one Combined-scheme demonstration run on
-//! the first suite benchmark with a recording probe attached and writes the
-//! telemetry stream to `<path>`.
+//! Usage: `cargo run --release -p wavepipe-bench --bin tables [-- --small]`
 
-use wavepipe_bench::{
-    cases_to_json, run_traced, suite, table1, table2, table3, table4, Scale, TraceArgs,
-};
-use wavepipe_core::Scheme;
+use wavepipe_bench::{cases_to_json, table1, table2, table3, table4, Scale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let (trace, args) = TraceArgs::parse(std::env::args().skip(1))?;
-    let scale = if args.iter().any(|a| a == "--small") { Scale::Small } else { Scale::Full };
+    let scale = if std::env::args().any(|a| a == "--small") { Scale::Small } else { Scale::Full };
     println!("{}", table1(scale));
     let (t2, c2) = table2(scale);
     println!("{t2}");
@@ -34,18 +25,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ]);
     std::fs::write("BENCH_tables.json", json)?;
     println!("wrote BENCH_tables.json");
-
-    if let Some(path) = &trace.path {
-        let b = &suite(scale)[0];
-        let (rep, events) = run_traced(b, Scheme::Combined, 4);
-        trace.write(&events)?;
-        println!(
-            "wrote {} ({} events, traced {} on {})",
-            path.display(),
-            events.len(),
-            rep.scheme,
-            b.name
-        );
-    }
     Ok(())
 }

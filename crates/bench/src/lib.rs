@@ -1,6 +1,6 @@
 //! Experiment harness for the WavePipe evaluation: one function per table
 //! and figure (experiments E1–E7 of `DESIGN.md`), shared by the `tables` /
-//! `figures` binaries and the Criterion benches.
+//! `figures` binaries.
 //!
 //! Every function returns both structured data and a formatted text block,
 //! so the binaries print paper-style rows and the tests can assert on the
@@ -9,7 +9,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod doctor;
 pub mod perfgate;
 pub mod sweep;
 
@@ -17,7 +16,7 @@ use std::fmt::Write as _;
 use wavepipe_circuit::generators::{self, Benchmark};
 use wavepipe_core::{run_wavepipe, verify, Scheme, WavePipeOptions, WavePipeReport};
 use wavepipe_engine::{run_transient, Method, SimOptions, TransientResult};
-use wavepipe_telemetry::{json, Event, ProbeHandle, RecordingProbe};
+use wavepipe_telemetry::json;
 
 /// Experiment scale: the full paper-style suite or a reduced suite for CI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -419,18 +418,6 @@ pub fn newton_path_to_json(rows: &[NewtonPathRow]) -> String {
     out
 }
 
-/// Like [`run_scheme`] but with a [`RecordingProbe`] attached: returns the
-/// report plus the recorded telemetry event stream (for `--trace` in the
-/// bench binaries).
-pub fn run_traced(b: &Benchmark, scheme: Scheme, threads: usize) -> (WavePipeReport, Vec<Event>) {
-    let probe = RecordingProbe::shared();
-    let opts = WavePipeOptions::new(scheme, threads).with_probe(ProbeHandle::new(probe.clone()));
-    let rep = run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts)
-        .unwrap_or_else(|e| panic!("{}: traced {scheme} x{threads} failed: {e}", b.name));
-    let events = probe.events();
-    (rep, events)
-}
-
 fn case_json(c: &CaseOutcome) -> String {
     format!(
         "{{\"name\":\"{}\",\"scheme\":\"{}\",\"threads\":{},\
@@ -505,67 +492,6 @@ pub fn scaling_to_json(figures: &[(&str, &ScalingSeries)]) -> String {
     }
     out.push_str("\n}\n");
     out
-}
-
-/// `--trace` / `--trace-format` options shared by the bench binaries.
-#[derive(Debug, Default)]
-pub struct TraceArgs {
-    /// Output path (`None` = tracing not requested).
-    pub path: Option<std::path::PathBuf>,
-    /// `true` = JSONL, `false` = Chrome trace-event JSON (the default).
-    pub jsonl: bool,
-}
-
-impl TraceArgs {
-    /// Extracts `--trace <path>` / `--trace-format jsonl|chrome` from an
-    /// argument list, returning the remaining arguments untouched.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when a flag is missing its value or the format is
-    /// unknown.
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<(Self, Vec<String>), String> {
-        let mut ta = TraceArgs::default();
-        let mut rest = Vec::new();
-        let mut args = args;
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--trace" => {
-                    let p = args.next().ok_or("--trace needs a file path")?;
-                    ta.path = Some(std::path::PathBuf::from(p));
-                }
-                "--trace-format" => match args.next().as_deref() {
-                    Some("jsonl") => ta.jsonl = true,
-                    Some("chrome") => ta.jsonl = false,
-                    other => {
-                        return Err(format!(
-                            "--trace-format must be `jsonl` or `chrome`, got {other:?}"
-                        ))
-                    }
-                },
-                _ => rest.push(a),
-            }
-        }
-        Ok((ta, rest))
-    }
-
-    /// Writes `events` to the requested path in the requested format.
-    /// No-op when tracing was not requested.
-    ///
-    /// # Errors
-    ///
-    /// Propagates file-creation and write failures.
-    pub fn write(&self, events: &[Event]) -> std::io::Result<()> {
-        use std::io::Write as _;
-        let Some(path) = &self.path else { return Ok(()) };
-        let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
-        if self.jsonl {
-            wavepipe_telemetry::jsonl::write_jsonl(events, &mut file)?;
-        } else {
-            wavepipe_telemetry::chrome::write_chrome_trace(events, &mut file)?;
-        }
-        file.flush()
-    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //!
 //! | rule | knobs |
 //! |------|-------|
-//! | [`flag`], default on | `WAVEPIPE_BYPASS`, `WAVEPIPE_CHORD`, `WAVEPIPE_RECOVERY` |
+//! | [`flag`], default on | `WAVEPIPE_BYPASS`, `WAVEPIPE_CHORD` |
 //! | [`flag`], default off | `WAVEPIPE_FAULT_NC` |
 //! | [`choice`] of `gmres`, `direct` | `WAVEPIPE_SOLVER` |
 //! | [`number`] | `WAVEPIPE_FAULT_SEED` |
@@ -19,10 +19,9 @@ use std::str::FromStr;
 use std::sync::OnceLock;
 
 /// Every knob read through this module; CI checks it against the reads.
-const KNOBS: [&str; 6] = [
+const KNOBS: [&str; 5] = [
     "WAVEPIPE_BYPASS",
     "WAVEPIPE_CHORD",
-    "WAVEPIPE_RECOVERY",
     "WAVEPIPE_FAULT_NC",
     "WAVEPIPE_SOLVER",
     "WAVEPIPE_FAULT_SEED",

@@ -214,7 +214,8 @@ impl FaultHandle {
     }
 
     /// True when a plan is attached.
-    pub fn enabled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn enabled(&self) -> bool {
         self.plan.is_some()
     }
 

@@ -112,8 +112,8 @@ pub struct SimOptions {
     /// disabled), bounded deep step cuts below the LTE floor, and a local
     /// gmin/gshunt continuation ramp, before surfacing a typed
     /// [`EngineError::NoConvergence`]. The ladder only runs on the error
-    /// path, so clean runs are bit-identical with it on or off. The default
-    /// honours `WAVEPIPE_RECOVERY` (`0`/`false` disables); on otherwise.
+    /// path, so clean runs are bit-identical with it on or off. On by
+    /// default.
     pub recovery: bool,
 }
 
@@ -162,13 +162,13 @@ impl Default for SimOptions {
             deadline: None,
             cancel: None,
             faults: FaultHandle::from_env_cached(),
-            // `WAVEPIPE_BYPASS=0` (likewise `_CHORD`, `_RECOVERY`) turns a
-            // default-on layer off for a whole test suite.
+            // `WAVEPIPE_BYPASS=0` (likewise `_CHORD`) turns a default-on
+            // layer off for a whole test suite.
             bypass: env::flag("WAVEPIPE_BYPASS", true),
             chord_newton: env::flag("WAVEPIPE_CHORD", true),
             companion_cache: true,
             solver: default_solver(),
-            recovery: env::flag("WAVEPIPE_RECOVERY", true),
+            recovery: true,
         }
     }
 }
@@ -286,8 +286,7 @@ impl SimOptions {
     }
 
     /// Builder: enables or disables the transient convergence recovery
-    /// ladder (pins the run against the `WAVEPIPE_RECOVERY` environment
-    /// override).
+    /// ladder.
     #[must_use]
     pub fn with_recovery(mut self, recovery: bool) -> Self {
         self.recovery = recovery;

@@ -130,7 +130,8 @@ impl TransientResult {
     }
 
     /// Step sizes between consecutive accepted points.
-    pub fn step_sizes(&self) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn step_sizes(&self) -> Vec<f64> {
         self.times.windows(2).map(|w| w[1] - w[0]).collect()
     }
 

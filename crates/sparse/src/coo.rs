@@ -21,8 +21,7 @@ use crate::error::{Result, SparseError};
 /// a.push(0, 0, 2.0)?; // summed with the previous entry
 /// a.push(1, 1, 4.0)?;
 /// let csc = a.to_csc();
-/// assert_eq!(csc.get(0, 0), 3.0);
-/// assert_eq!(csc.get(1, 1), 4.0);
+/// assert_eq!(csc.values(), &[3.0, 4.0]);
 /// # Ok(())
 /// # }
 /// ```
@@ -86,12 +85,14 @@ impl CooMatrix {
     }
 
     /// Iterates over the stored triplets in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         self.rows.iter().zip(&self.cols).zip(&self.vals).map(|((&r, &c), &v)| (r, c, v))
     }
 
     /// Removes all triplets, keeping the allocation.
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn clear(&mut self) {
         self.rows.clear();
         self.cols.clear();
         self.vals.clear();

@@ -125,7 +125,8 @@ impl CscMatrix {
     }
 
     /// Creates the `n x n` identity matrix.
-    pub fn identity(n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn identity(n: usize) -> Self {
         CscMatrix {
             nrows: n,
             ncols: n,
@@ -199,7 +200,8 @@ impl CscMatrix {
     /// # Panics
     ///
     /// Panics if the indices are out of bounds.
-    pub fn get(&self, row: usize, col: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn get(&self, row: usize, col: usize) -> f64 {
         assert!(row < self.nrows && col < self.ncols);
         self.find_index(row, col).map_or(0.0, |p| self.values[p])
     }
@@ -340,32 +342,6 @@ impl CscMatrix {
         Ok(out)
     }
 
-    /// Returns the transpose as a new CSC matrix.
-    pub fn transpose(&self) -> CscMatrix {
-        let mut count = vec![0usize; self.nrows + 1];
-        for &r in &self.row_idx {
-            count[r + 1] += 1;
-        }
-        for i in 0..self.nrows {
-            count[i + 1] += count[i];
-        }
-        let mut col_ptr = count.clone();
-        let mut row_idx = vec![0usize; self.nnz()];
-        let mut values = vec![0f64; self.nnz()];
-        let mut next = count;
-        for j in 0..self.ncols {
-            for p in self.col_ptr[j]..self.col_ptr[j + 1] {
-                let r = self.row_idx[p];
-                let q = next[r];
-                row_idx[q] = j;
-                values[q] = self.values[p];
-                next[r] += 1;
-            }
-        }
-        col_ptr.truncate(self.nrows + 1);
-        CscMatrix { nrows: self.ncols, ncols: self.nrows, col_ptr, row_idx, values }
-    }
-
     /// Converts to the dense oracle of the unit tests.
     #[cfg(test)]
     pub(crate) fn to_dense(&self) -> DenseMatrix {
@@ -424,7 +400,8 @@ impl CscMatrix {
     }
 
     /// Iterates over all stored entries as `(row, col, value)` in column-major order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.ncols).flat_map(move |j| {
             (self.col_ptr[j]..self.col_ptr[j + 1])
                 .map(move |p| (self.row_idx[p], j, self.values[p]))
@@ -474,21 +451,6 @@ mod tests {
             a.matvec(&[1.0]),
             Err(SparseError::DimensionMismatch { expected: 3, found: 1 })
         ));
-    }
-
-    #[test]
-    fn transpose_round_trip() {
-        let a = sample();
-        let att = a.transpose().transpose();
-        assert_eq!(a, att);
-    }
-
-    #[test]
-    fn transpose_moves_entries() {
-        let a = sample();
-        let at = a.transpose();
-        assert_eq!(at.get(0, 2), 4.0);
-        assert_eq!(at.get(2, 0), 1.0);
     }
 
     #[test]

@@ -79,8 +79,9 @@ fn branch_matrix_pair() -> impl Strategy<Value = (CscMatrix, CscMatrix)> {
 /// pivoting on a dense copy of `a`.
 fn dense_solve(a: &CscMatrix, b: &[f64]) -> Vec<f64> {
     let n = a.ncols();
+    let entry = |i, j| a.find_index(i, j).map_or(0.0, |p| a.values()[p]);
     let mut m: Vec<Vec<f64>> =
-        (0..n).map(|i| (0..n).map(|j| a.get(i, j)).chain([b[i]]).collect()).collect();
+        (0..n).map(|i| (0..n).map(|j| entry(i, j)).chain([b[i]]).collect()).collect();
     for k in 0..n {
         let p = (k..n).max_by(|&i, &j| m[i][k].abs().total_cmp(&m[j][k].abs())).unwrap();
         m.swap(k, p);
@@ -134,13 +135,13 @@ proptest! {
     fn refactor_equals_fresh_factor(a in dominant_matrix(), scale in 0.5f64..2.0) {
         let n = a.ncols();
         // Build a same-pattern matrix with scaled values.
-        let mut t = CooMatrix::new(n, n);
-        for (r, c, v) in a.iter() {
-            let nv = if r == c { v * scale + 0.1 } else { v * scale };
-            t.push(r, c, nv).expect("in bounds");
+        let mut a2 = a.clone();
+        for c in 0..n {
+            for p in a.col_ptr()[c]..a.col_ptr()[c + 1] {
+                let v = a.values()[p];
+                a2.values_mut()[p] = if a.row_idx()[p] == c { v * scale + 0.1 } else { v * scale };
+            }
         }
-        let a2 = t.to_csc();
-        prop_assume!(a2.nnz() == a.nnz());
 
         let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
         let mut lu = SparseLu::factor(&a, &LuOptions::default()).expect("factor");
@@ -246,11 +247,6 @@ proptest! {
         let rel = wavepipe_sparse::vector::norm_inf(&r)
             / (1.0 + wavepipe_sparse::vector::norm_inf(&b));
         prop_assert!(rel < 1e-9, "relative residual {}", rel);
-    }
-
-    #[test]
-    fn transpose_involution(a in dominant_matrix()) {
-        prop_assert_eq!(&a, &a.transpose().transpose());
     }
 
     #[test]

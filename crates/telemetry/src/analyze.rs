@@ -7,9 +7,9 @@
 //! * [`Counts`] — everything derived from event *counts*: speculation
 //!   accounting, Newton breakdown, cache hit rates, per-lane and per-class
 //!   tallies. `Counts::add` is the one incremental fold. For a fixed seed
-//!   and thread count these are bit-reproducible, so the
-//!   [`TraceAnalysis::stable_report`] rendering is **byte-stable** across
-//!   identical runs — the auditability hook the determinism tests pin.
+//!   and thread count these are bit-reproducible, so the stable section of
+//!   [`TraceAnalysis::report`] is **byte-stable** across identical runs —
+//!   the auditability hook the determinism tests pin.
 //! * [`Timing`] — everything derived from timestamps: per-lane
 //!   busy/idle/blocked fractions and the critical-path decomposition of
 //!   wall time. Real nanoseconds differ run to run, so this section is
@@ -472,10 +472,9 @@ pub fn analyze(events: &[Event]) -> TraceAnalysis {
 }
 
 impl TraceAnalysis {
-    /// The count-derived report: byte-stable across identical seeded runs
-    /// at a fixed thread count. `title` names the run (circuit, scheme,
-    /// threads) and must itself be deterministic.
-    pub fn stable_report(&self, title: &str) -> String {
+    /// The count-derived section: byte-stable across identical seeded runs
+    /// at a fixed thread count.
+    pub(crate) fn stable_report(&self, title: &str) -> String {
         let c = &self.counts;
         let mut out = String::new();
         let _ = writeln!(out, "wavepipe-doctor: {title}");
@@ -581,9 +580,9 @@ impl TraceAnalysis {
         out
     }
 
-    /// The timestamp-derived report: per-lane utilization and the
+    /// The timestamp-derived section: per-lane utilization and the
     /// critical-path decomposition. **Not** byte-stable across runs.
-    pub fn timing_report(&self) -> String {
+    pub(crate) fn timing_report(&self) -> String {
         let t = &self.timing;
         let wall = t.wall_ns.max(1) as f64;
         let mut out = String::new();
@@ -602,15 +601,18 @@ impl TraceAnalysis {
                 (t.lead_ns + t.speculative_ns) as f64 / wall * 100.0
             ),
         };
-        let _ = writeln!(
-            out,
-            "  critical path: launch {:.1}%  solve phase {:.1}%  commit tail {:.1}%  \
-             outside rounds {:.1}%",
-            t.launch_ns as f64 / wall * 100.0,
-            t.solve_phase_ns as f64 / wall * 100.0,
-            t.commit_ns as f64 / wall * 100.0,
-            t.wall_ns.saturating_sub(t.rounds_ns) as f64 / wall * 100.0,
-        );
+        // A trace without rounds has no round phases to decompose.
+        if t.rounds_ns > 0 {
+            let _ = writeln!(
+                out,
+                "  critical path: launch {:.1}%  solve phase {:.1}%  commit tail {:.1}%  \
+                 outside rounds {:.1}%",
+                t.launch_ns as f64 / wall * 100.0,
+                t.solve_phase_ns as f64 / wall * 100.0,
+                t.commit_ns as f64 / wall * 100.0,
+                t.wall_ns.saturating_sub(t.rounds_ns) as f64 / wall * 100.0,
+            );
+        }
         let _ = writeln!(
             out,
             "  solve time: lead lane {:.3} ms, speculative lanes {:.3} ms",
@@ -638,10 +640,17 @@ impl TraceAnalysis {
         out
     }
 
-    /// Both sections, with the accepted-step-size distribution (count-derived
-    /// too, but too long for the stable section) between them.
-    pub fn report(&self, title: &str) -> String {
+    /// The report: the stable section with its per-class / per-cache
+    /// table, then — unless `stable_only` — the accepted-step-size
+    /// distribution (count-derived too, but too long for the stable section)
+    /// and the timing section. `title` names the run (circuit, scheme,
+    /// threads) and must itself be deterministic.
+    pub fn report(&self, title: &str, stable_only: bool) -> String {
         let mut out = self.stable_report(title);
+        out.push_str(&class_cache_table(&self.counts));
+        if stable_only {
+            return out;
+        }
         if self.counts.step_sizes.count() > 0 {
             let _ = write!(out, "  accepted step sizes (s):\n{}", self.counts.step_sizes);
         }
@@ -734,7 +743,7 @@ impl TraceAnalysis {
 
 /// Renders the per-device-class and per-cache-layer rows of `counts` as a
 /// stable table (counts only, deterministic).
-pub fn class_cache_table(counts: &Counts) -> String {
+fn class_cache_table(counts: &Counts) -> String {
     let mut out = String::new();
     let classes = counts.class_rows();
     if !classes.is_empty() {
@@ -868,6 +877,7 @@ mod tests {
             "{timing}"
         );
         assert!(!timing.contains("outside rounds is"), "{timing}");
+        assert!(!timing.contains("critical path"), "no rounds to decompose: {timing}");
         // A pipelined trace still ranks its round phases.
         assert_eq!(analyze(&sample_stream()).timing.dominant().map(|d| d.0), Some("solve phase"));
     }
@@ -1004,10 +1014,10 @@ mod tests {
         assert!(timing.contains("bottleneck:"));
         assert!(timing.contains("lane 0"));
         assert!(timing.contains("solve overlap: 1.35x"), "{timing}");
-        let full = a.report("t");
+        let full = a.report("t", false);
         assert!(full.starts_with(&a.stable_report("t")) && full.ends_with(&timing));
         assert!(full.contains("accepted step sizes (s):\n"), "{full}");
-        assert!(!analyze(&[]).report("t").contains("accepted step sizes"));
+        assert!(!analyze(&[]).report("t", false).contains("accepted step sizes"));
         let json_doc = a.to_json(false);
         let parsed = json::parse(&json_doc).expect("doctor json parses");
         assert_eq!(

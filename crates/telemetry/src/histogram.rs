@@ -43,7 +43,8 @@ impl Histogram {
     }
 
     /// `n` equal-width buckets between `lo` and `hi` (plus under/overflow).
-    pub fn linear(lo: f64, hi: f64, n: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn linear(lo: f64, hi: f64, n: usize) -> Self {
         assert!(n >= 1 && hi > lo);
         let w = (hi - lo) / n as f64;
         Self::with_bounds((0..=n).map(|i| lo + w * i as f64).collect())
@@ -84,7 +85,8 @@ impl Histogram {
     }
 
     /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
     }
 
@@ -94,7 +96,8 @@ impl Histogram {
     }
 
     /// Mean observation (`None` when empty).
-    pub fn mean(&self) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum / self.count as f64)
     }
 
@@ -135,7 +138,8 @@ impl Histogram {
     }
 
     /// Total of all observations (0 when empty).
-    pub fn sum(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn sum(&self) -> f64 {
         self.sum
     }
 

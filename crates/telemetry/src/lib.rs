@@ -12,10 +12,10 @@
 //!   rendering rounds and point-solves as per-lane duration spans, making
 //!   pipelining overlap visible;
 //! * [`analyze()`] — the one fold over the stream: the counts, histograms
-//!   and wall-time decomposition that `wavepipe-doctor` and
-//!   `netlist_runner` print. [`RecordingProbe::events`] is safe to call
-//!   while the run goes, so a mid-run view is the same fold over the events
-//!   so far.
+//!   and wall-time decomposition that `wavepipe doctor` and
+//!   `wavepipe run --trace` print. [`RecordingProbe::events`] is safe to
+//!   call while the run goes, so a mid-run view is the same fold over the
+//!   events so far.
 //!
 //! Each of these reads the schema from one place. The event kinds — variant,
 //! wire name, typed payload fields — are one table in `event.rs`, from which

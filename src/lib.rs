@@ -37,8 +37,8 @@
 //! # }
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `wavepipe-bench` for the
-//! harness regenerating every table and figure of the paper's evaluation.
+//! See `examples/` for runnable scenarios, the `wavepipe` binary (`run`,
+//! `doctor`) for the command line, and `wavepipe-bench` for the paper's tables.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
