@@ -2,12 +2,13 @@
 //! profiles and thread scaling: Figures A–C) and writes the thread-scaling
 //! series to `BENCH_figures.json` for machine tracking.
 //!
-//! Usage: `cargo run --release -p wavepipe-bench --bin figures [-- --small]`
+//! Usage: `cargo run --release -p wavepipe-bench --bin figures [-- --small]`;
+//! any other argument is a usage error (exit 64).
 
 use wavepipe_bench::{fig_accuracy, fig_scaling, fig_step_profile, scaling_to_json, suite, Scale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = if std::env::args().any(|a| a == "--small") { Scale::Small } else { Scale::Full };
+    let scale = Scale::from_args("figures");
     println!("{}", fig_accuracy(scale));
 
     // Figure B on the two circuits whose step profiles differ the most.

@@ -1,12 +1,13 @@
 //! Prints Tables 1–4 of the WavePipe evaluation and writes the measured
 //! numbers to `BENCH_tables.json` for machine tracking across commits.
 //!
-//! Usage: `cargo run --release -p wavepipe-bench --bin tables [-- --small]`
+//! Usage: `cargo run --release -p wavepipe-bench --bin tables [-- --small]`;
+//! any other argument is a usage error (exit 64).
 
 use wavepipe_bench::{cases_to_json, table1, table2, table3, table4, Scale};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let scale = if std::env::args().any(|a| a == "--small") { Scale::Small } else { Scale::Full };
+    let scale = Scale::from_args("tables");
     println!("{}", table1(scale));
     let (t2, c2) = table2(scale);
     println!("{t2}");

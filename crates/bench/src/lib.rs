@@ -28,6 +28,24 @@ pub enum Scale {
     Small,
 }
 
+impl Scale {
+    /// The scale a bench bin's arguments ask for: `--small`, or nothing for
+    /// the full suite. Any other argument is a request the bin would not
+    /// meet, so it prints a usage line naming `bin` and exits with 64, the
+    /// `wavepipe` binary's usage code.
+    pub fn from_args(bin: &str) -> Scale {
+        let mut scale = Scale::Full;
+        for arg in std::env::args().skip(1) {
+            if arg != "--small" {
+                eprintln!("{bin}: unknown argument `{arg}`\nusage: {bin} [--small]");
+                std::process::exit(64);
+            }
+            scale = Scale::Small;
+        }
+        scale
+    }
+}
+
 /// The benchmark suite at the requested scale.
 pub fn suite(scale: Scale) -> Vec<Benchmark> {
     match scale {

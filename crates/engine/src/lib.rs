@@ -65,6 +65,7 @@ mod result;
 mod solver;
 mod stats;
 mod stepctl;
+mod stepkey;
 pub mod transient;
 
 pub use cancel::CancelToken;

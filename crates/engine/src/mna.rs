@@ -14,6 +14,7 @@ use crate::devices::{
 use crate::error::Result;
 use crate::integrate::IntegCoeffs;
 use crate::options::CacheCtl;
+use crate::stepkey::{KeyTurn, KeyedSlots, LinKey, PARKED_SETS};
 use std::ops::Range;
 use std::sync::Arc;
 use wavepipe_circuit::{Circuit, Element, MosPolarity, Node, Waveform};
@@ -284,41 +285,14 @@ impl MnaWorkspace {
     pub(crate) fn reset_caches(&mut self) {
         self.caches.valid.fill(false);
         self.caches.mask.fill(false);
-        self.caches.lin_key = None;
-    }
-}
-
-/// Key identifying which assembled *linear* matrix (node shunts, resistors,
-/// sources, reactive companion conductances) a cached copy corresponds to.
-/// Everything else a linear stamp's matrix entries depend on is compile-time
-/// constant; the RHS (time, history, `source_scale`) is always re-emitted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct LinKey {
-    /// DC stamp (capacitors open, inductors short).
-    dc: bool,
-    /// Bit pattern of the leading integration coefficient `a0` (the only
-    /// coefficient that reaches matrix entries: `geq = c*a0`, `leq = l*a0`).
-    a0: u64,
-    /// Bit pattern of the continuation node shunt.
-    gshunt: u64,
-    /// `UIC` initial-condition stamp.
-    ic: bool,
-}
-
-impl LinKey {
-    /// The key the given stamp inputs select.
-    pub(crate) fn of(input: &StampInput<'_>) -> Self {
-        LinKey {
-            dc: input.coeffs.is_none(),
-            a0: input.coeffs.map_or(0, |c| c.a0.to_bits()),
-            gshunt: input.gshunt.to_bits(),
-            ic: input.ic_mode,
-        }
+        self.caches.lin_keys = KeyedSlots::default();
     }
 }
 
 /// Per-workspace solver caches: SPICE3-style device bypass state plus the
-/// step-size-keyed companion (linear-matrix) cache.
+/// step-size-keyed companion (linear-matrix) cache, which keeps a snapshot
+/// for the active key and for each of [`PARKED_SETS`] parked ones by the
+/// rule the Newton cache keeps its factor sets by ([`KeyedSlots`]).
 ///
 /// The bypass decision is a pure function of the iterate and this state, and
 /// the state itself only changes on actual device evaluations, so two runs
@@ -343,11 +317,16 @@ pub(crate) struct StampCaches {
     rhs: Vec<f64>,
     /// Junction `gmin` the cached evaluations used.
     gmin: f64,
-    /// Which assembled linear matrix `lin_mat` holds (`None` = invalid).
-    lin_key: Option<LinKey>,
+    /// Which assembled linear matrix `lin_mat` and each of `lin_parked`
+    /// holds.
+    lin_keys: KeyedSlots,
     /// Matrix values snapshot taken after the prologue + linear phase
-    /// (nonlinear slots still zero), replayed on a key hit.
+    /// (nonlinear slots still zero), replayed when the key or its twin
+    /// comes back.
     lin_mat: Vec<f64>,
+    /// Snapshots of the keys `lin_keys` parked, each allocated the first
+    /// time its slot is named.
+    lin_parked: [Vec<f64>; PARKED_SETS],
     /// RHS snapshot taken after the linear phase of the most recent stamp
     /// pass that walked it. Linear-device RHS contributions depend only on
     /// the companion key's inputs plus the previous-point solutions and
@@ -969,8 +948,9 @@ impl MnaSystem {
                 mat: vec![0.0; self.slots.len()],
                 rhs: vec![0.0; self.plan.rhs_targets.len()],
                 gmin: 0.0,
-                lin_key: None,
+                lin_keys: KeyedSlots::default(),
                 lin_mat: vec![0.0; self.pattern.nnz()],
+                lin_parked: Default::default(),
                 lin_rhs: vec![0.0; self.n_unknowns],
             },
         }
@@ -1178,9 +1158,10 @@ impl MnaSystem {
 
     /// Linear phase: zeroes the workspace, applies the node-shunt prologue,
     /// and stamps every linear device — replaying the assembled matrix from
-    /// the companion cache when the step-size key matches, and on iterations
-    /// after the first of a point (`first_iter` false) the linear RHS as
-    /// well. Returns whether the cache hit.
+    /// the companion cache when it holds a snapshot for the step-size key or
+    /// its twin (the active one, or a parked one it trades places with), and
+    /// on iterations after the first of a point (`first_iter` false) the
+    /// linear RHS as well. Returns whether the cache hit.
     fn stamp_linear_phase(
         &self,
         ws: &mut MnaWorkspace,
@@ -1192,7 +1173,12 @@ impl MnaSystem {
         ws.limited = false;
         let key = LinKey::of(input);
         let MnaWorkspace { matrix, rhs, junction_state, limited, caches } = ws;
-        let hit = ctl.companion && caches.lin_key == Some(key);
+        let turn = if ctl.companion { caches.lin_keys.turn(key) } else { KeyTurn::Miss };
+        if let KeyTurn::ParkedHit(slot) | KeyTurn::Park(slot) = turn {
+            std::mem::swap(&mut caches.lin_mat, &mut caches.lin_parked[slot]);
+            caches.lin_keys.swapped(turn);
+        }
+        let hit = matches!(turn, KeyTurn::Hit | KeyTurn::ParkedHit(_));
         if hit && !first_iter {
             // Same point, same key: both the linear matrix and the linear
             // RHS are replays of the first iteration's snapshots. Linear
@@ -1261,8 +1247,13 @@ impl MnaSystem {
                     );
                 }
             }
-            caches.lin_mat.copy_from_slice(matrix.values());
-            caches.lin_key = if ctl.companion { Some(key) } else { None };
+            caches.lin_mat.clear();
+            caches.lin_mat.extend_from_slice(matrix.values());
+            if ctl.companion {
+                caches.lin_keys.filled(key);
+            } else {
+                caches.lin_keys.clear_active();
+            }
         }
         caches.lin_rhs.copy_from_slice(rhs);
         hit
@@ -1670,6 +1661,61 @@ mod tests {
         let lu = wavepipe_sparse::SparseLu::factor(&ws.matrix, &Default::default()).unwrap();
         let sol = lu.solve(&ws.rhs).unwrap();
         assert!(sol[0].abs() < 1e-4, "cap pins the node, v = {}", sol[0]);
+    }
+
+    #[test]
+    fn a_twin_replays_its_parked_linear_stamp_within_the_twin_bound() {
+        // Floating and grounded capacitors and an inductor: every kind of
+        // companion conductance `a0` reaches.
+        let mut ckt = Circuit::new("rlc");
+        let (a, b, c) = (ckt.node("a"), ckt.node("b"), ckt.node("c"));
+        ckt.add_vsource("V1", a, Circuit::GROUND, W::dc(1.0)).unwrap();
+        ckt.add_resistor("R1", a, b, 50.0).unwrap();
+        ckt.add_capacitor("C1", b, c, 2e-12).unwrap();
+        ckt.add_inductor("L1", c, Circuit::GROUND, 1e-9).unwrap();
+        ckt.add_capacitor("C2", c, Circuit::GROUND, 1e-12).unwrap();
+        let sys = MnaSystem::compile(&ckt).unwrap();
+        let x = vec![0.1; sys.n_unknowns()];
+        let caps = vec![1e-4; sys.cap_state_count()];
+        let input = |h: f64| StampInput {
+            coeffs: Some(IntegCoeffs::new(Method::Trapezoidal, h, h)),
+            time: 5e-9,
+            ..dc_input(&x, &caps)
+        };
+        let ctl = CacheCtl { bypass: false, companion: true };
+        let fresh = |h: f64| {
+            let mut ws = sys.new_workspace();
+            sys.stamp(&mut ws, &input(h), &x);
+            (ws.matrix.values().to_vec(), ws.rhs)
+        };
+        let (h, t) = (2.5e-11, 3.7e-9);
+        let twin = (t + h) - t;
+        assert_ne!(twin, h);
+        let mut ws = sys.new_workspace();
+        // `h` is walked, then parked by `2h`; its twin finds it parked.
+        for step in [h, 2.0 * h] {
+            assert!(!sys.stamp_with(&mut ws, &input(step), &x, &ctl).companion_hit);
+        }
+        assert!(sys.stamp_with(&mut ws, &input(twin), &x, &ctl).companion_hit);
+        let (want, want_rhs) = fresh(twin);
+        assert_eq!(ws.rhs, want_rhs, "the RHS is always re-emitted");
+        let mut moved = false;
+        for (&got, &want) in ws.matrix.values().iter().zip(&want) {
+            moved |= got != want;
+            let bound = crate::stepkey::TWIN_REL * want.abs() + f64::EPSILON * want.abs();
+            assert!((got - want).abs() <= bound, "{got:e} vs a fresh {want:e}");
+        }
+        assert!(moved, "the twin's own walk computes other bits");
+        // An exact key's replay, parked or active, is the walk's bits.
+        for step in [2.0 * h, h, h] {
+            assert!(sys.stamp_with(&mut ws, &input(step), &x, &ctl).companion_hit);
+            let (want, want_rhs) = fresh(step);
+            assert_eq!(ws.matrix.values(), &want[..], "{step:e}");
+            assert_eq!(ws.rhs, want_rhs);
+        }
+        // A reset forgets every snapshot.
+        ws.reset_caches();
+        assert!(!sys.stamp_with(&mut ws, &input(h), &x, &ctl).companion_hit);
     }
 
     #[test]

@@ -1,25 +1,15 @@
 //! Newton–Raphson solution of the stamped MNA system.
 
 use crate::error::Result;
-use crate::mna::{LinKey, MnaSystem, MnaWorkspace, StampInput};
+use crate::mna::{MnaSystem, MnaWorkspace, StampInput};
 use crate::options::SimOptions;
 use crate::solver::{DirectLu, SolverBackend};
 use crate::stats::SimStats;
+use crate::stepkey::{KeyTurn, KeyedSlots, LinKey};
 use std::time::Instant;
 use wavepipe_sparse::vector::{all_finite, norm_inf};
 use wavepipe_sparse::{CscMatrix, SharedPlan, SparseError};
 use wavepipe_telemetry::{EventKind, FactorLayer};
-
-/// Parked numeric factor sets a backend is asked to keep beside its active
-/// one: five sets in all. After every source corner a transient run climbs a
-/// step ladder (`h, 2h, 4h, 8h`, now and then a longer rung), and the next
-/// corner asks again for rungs the last one left; an exact-key LRU stops
-/// missing on a ladder only once it holds the ladder and more, so the misses
-/// fall with every set: `power_grid(32,32)` serial refactors at 378, 378,
-/// 378, 120, 80 and 54 of its 378 key changes with one to six sets. Five is
-/// where the benchmark's memory bound stops it (DESIGN.md "Why four parked
-/// sets" has the table and what the fifth cost and the sixth would).
-const PARKED_SETS: usize = 4;
 
 /// Chord contraction gate: a reused-Jacobian update is accepted only if
 /// `‖dx‖` shrank to at most this fraction of the previous iteration's. The
@@ -31,92 +21,6 @@ const CHORD_THETA: f64 = 0.5;
 /// Absolute current tolerance (SPICE's `ABSTOL`), amperes: the convergence
 /// floor of every branch-current unknown.
 const ABSTOL: f64 = 1e-12;
-
-/// Which [`LinKey`] each of a backend's numeric factor sets — the active one
-/// and [`PARKED_SETS`] parked ones — was computed under, and the one rule
-/// that moves them: *keep the factors of the keys most recently solved
-/// under*. [`LinearCache`] is its one driver, beside a real backend.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct FactorKeys {
-    /// Key of the set solves go through. Chord reuse is only legal while it
-    /// matches (same `h`, same `gshunt`, same analysis mode); `None` disables
-    /// reuse until the next verified factorization.
-    active: Option<LinKey>,
-    /// Key of the set parked in each slot; `None` while the slot holds
-    /// nothing usable.
-    parked: [Option<LinKey>; PARKED_SETS],
-    /// The recency order: `clock` as it read when each slot last took the
-    /// set that was active. The lowest belongs to the least recently active.
-    parked_at: [u64; PARKED_SETS],
-    /// Counts the trades.
-    clock: u64,
-}
-
-/// What a linearization's key finds in a [`FactorKeys`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum KeyTurn {
-    /// The active set was computed under this key.
-    Hit,
-    /// The set parked in this slot was: trade places and reuse it.
-    ParkedHit(usize),
-    /// None was, and the active set is worth keeping: trade places with this
-    /// slot so the refactorization that follows overwrites what it held — an
-    /// empty slot first, else the least recently active set.
-    Park(usize),
-    /// None was, and the active set's key is gone (a rejected point, a
-    /// failed verification): refactor over it.
-    Miss,
-}
-
-impl FactorKeys {
-    /// The rule: exact keys, least recently active out.
-    fn turn(&self, key: LinKey) -> KeyTurn {
-        if self.active == Some(key) {
-            KeyTurn::Hit
-        } else if let Some(slot) = self.parked.iter().position(|&k| k == Some(key)) {
-            KeyTurn::ParkedHit(slot)
-        } else if self.active.is_some() {
-            let oldest = (0..PARKED_SETS)
-                .min_by_key(|&s| (self.parked[s].is_some(), self.parked_at[s]))
-                .expect("PARKED_SETS is not zero");
-            KeyTurn::Park(oldest)
-        } else {
-            KeyTurn::Miss
-        }
-    }
-
-    /// The active set traded places with the one in `turn`'s slot
-    /// ([`KeyTurn::ParkedHit`] or [`KeyTurn::Park`]). After a park the set
-    /// now active is the one about to be overwritten, so it has no key.
-    fn swapped(&mut self, turn: KeyTurn) {
-        let (KeyTurn::ParkedHit(slot) | KeyTurn::Park(slot)) = turn else {
-            return;
-        };
-        std::mem::swap(&mut self.active, &mut self.parked[slot]);
-        if matches!(turn, KeyTurn::Park(_)) {
-            self.active = None;
-        }
-        self.clock += 1;
-        self.parked_at[slot] = self.clock;
-    }
-
-    /// The active set verified as the factors of `key`'s matrix.
-    fn factored(&mut self, key: LinKey) {
-        self.active = Some(key);
-    }
-
-    /// The active set was computed along a path the caller abandoned (a
-    /// rejected point, a failed verification). The parked ones were not.
-    fn clear_active(&mut self) {
-        self.active = None;
-    }
-
-    /// A fresh pivot search replaced the plan every set lived over: the
-    /// parked ones are gone.
-    fn fresh_plan(&mut self) {
-        self.parked = [None; PARKED_SETS];
-    }
-}
 
 /// Cached linear-solver state: the solver backend holding the current
 /// factorization (reused across stamps with the fixed pattern) and solve
@@ -138,7 +42,7 @@ pub struct LinearCache {
     rowsum: Vec<f64>,
     /// Linear-stamp keys the backend's active and parked factors were
     /// computed under.
-    keys: FactorKeys,
+    keys: KeyedSlots,
     /// Newton update norm of the previous iterate in the current solve, for
     /// the contraction-rate gate. Reset at the start of every solve.
     last_dx: Option<f64>,
@@ -152,7 +56,7 @@ impl Default for LinearCache {
             scratch: Vec::new(),
             resid: Vec::new(),
             rowsum: Vec::new(),
-            keys: FactorKeys::default(),
+            keys: KeyedSlots::default(),
             last_dx: None,
         }
     }
@@ -193,7 +97,7 @@ impl LinearCache {
     /// Drops the cached factorization (forces a fresh pivot search next time).
     pub(crate) fn invalidate(&mut self) {
         self.backend.invalidate();
-        self.keys = FactorKeys::default();
+        self.keys = KeyedSlots::default();
         self.last_dx = None;
     }
 
@@ -216,12 +120,14 @@ impl LinearCache {
     /// stamped system, preferring the cheapest path that can be trusted:
     ///
     /// 1. **Chord reuse** (when enabled, un-limited, and the linear-stamp key
-    ///    matches the cached factors): one triangular solve of the delta form
-    ///    `dx = LU⁻¹(rhs − A·x)`, accepted only while the update norms keep
-    ///    contracting at rate `CHORD_THETA`. With chord reuse enabled, a key
-    ///    that differs from the active factors' first consults the backend's
-    ///    parked sets ([`FactorKeys`]): factors parked under exactly this key
-    ///    trade places with the active ones and are reused the same way;
+    ///    is the cached factors' or its twin, [`LinKey::twin`]): one
+    ///    triangular solve of the delta form `dx = LU⁻¹(rhs − A·x)`, accepted
+    ///    only while the update norms keep contracting at rate
+    ///    `CHORD_THETA`. With chord reuse enabled, a key that differs from
+    ///    the active factors' first consults the backend's parked sets
+    ///    ([`KeyedSlots`], `PARKED_SETS` of them): factors parked under
+    ///    this key or its twin trade places with the active ones and are
+    ///    reused the same way;
     ///    otherwise the active ones are parked, so that path 2 overwrites an
     ///    empty set or the least recently active one.
     /// 2. Frozen-pivot refactorization of the existing pivot order.
@@ -330,7 +236,7 @@ impl LinearCache {
         for attempt in 0..2 {
             let fresh = !self.backend.factored() || attempt > 0;
             if fresh {
-                self.keys.fresh_plan();
+                self.keys.clear_parked();
                 self.backend.factor(&ws.matrix)?;
                 opts.tally(stats, input.time, EventKind::Factorization);
             } else {
@@ -356,7 +262,7 @@ impl LinearCache {
                         // Frozen pivot order went bad (or an adopted one
                         // failed its check): re-pivot from scratch.
                         plan_check(false);
-                        self.keys.fresh_plan();
+                        self.keys.clear_parked();
                         self.backend.factor(&ws.matrix)?;
                         opts.tally(stats, input.time, EventKind::Factorization);
                     }
@@ -367,7 +273,7 @@ impl LinearCache {
             stats.solves += 1;
             if solve_verified(&ws.matrix, &self.x_new, &ws.rhs, &mut self.resid, &mut self.rowsum)?
             {
-                self.keys.factored(key);
+                self.keys.filled(key);
                 let mut dxn = 0.0f64;
                 for (&xn, &xi) in self.x_new.iter().zip(x) {
                     dxn = dxn.max((xn - xi).abs());
@@ -622,7 +528,7 @@ mod tests {
         assert!(cache.resid.iter().any(|r| r.is_nan()) && cache.resid.iter().any(|r| !r.is_nan()));
         // The factorization was fresh, so there is no retry and no chord key.
         assert_eq!((stats.factorizations, stats.solves), (1, 1));
-        assert_eq!(cache.keys, FactorKeys::default());
+        assert_eq!(cache.keys, KeyedSlots::default());
         // Newton reports the point as not converged after that one iteration.
         let out =
             newton_solve(&sys, &mut ws, &mut cache, &input, &zeros, 20, &opts, &mut stats).unwrap();
@@ -679,9 +585,10 @@ mod tests {
     }
 
     /// Runs one linearization per entry of `steps` on an RC low-pass (the
-    /// step size is the key; `'!'` notes a rejected point instead) and
-    /// returns the backend calls each one made. Every solve must solve its
-    /// own system, whichever factor set served it.
+    /// step size is the key; a step followed by `'` or `''` is that step's
+    /// first or second roundoff twin; `'!'` notes a rejected point instead)
+    /// and returns the backend calls each one made. Every solve must solve
+    /// its own system, whichever factor set served it.
     fn calls_per_key(steps: &str, chord: bool, parks: bool) -> Vec<String> {
         calls_through(DirectLu::new(), steps, chord, parks).0
     }
@@ -706,12 +613,17 @@ mod tests {
         let x = vec![0.25; sys.n_unknowns()];
         let caps = vec![0.0; sys.cap_state_count()];
         let mut out = Vec::new();
-        for step in steps.chars() {
+        let mut tokens = steps.chars().peekable();
+        while let Some(step) = tokens.next() {
             if step == '!' {
                 cache.note_rejection();
                 continue;
             }
-            let input = rc_step(step, &x, &caps, &opts);
+            let mut twin = 0;
+            while tokens.next_if_eq(&'\'').is_some() {
+                twin += 1;
+            }
+            let input = rc_step(step, twin, &x, &caps, &opts);
             sys.stamp(&mut ws, &input, &x);
             cache.begin_solve();
             assert!(cache.factor_and_solve(&ws, &input, &x, &opts, &mut stats).unwrap());
@@ -733,10 +645,20 @@ mod tests {
         MnaSystem::compile(&ckt).unwrap()
     }
 
-    /// The stamp input of step `'a'` (1 ns) .. `'f'` (32 ns).
-    fn rc_step<'a>(step: char, x: &'a [f64], caps: &'a [f64], opts: &SimOptions) -> StampInput<'a> {
+    /// The stamp input of step `'a'` (1 ns) .. `'f'` (32 ns), or of its
+    /// roundoff twin number `twin`: the step as taken from `t = twin · 3.7 ns`
+    /// (`t + h − t`), a few ulps off `h`.
+    fn rc_step<'a>(
+        step: char,
+        twin: u32,
+        x: &'a [f64],
+        caps: &'a [f64],
+        opts: &SimOptions,
+    ) -> StampInput<'a> {
         assert!(('a'..='f').contains(&step), "no such step: {step}");
         let h = 1e-9 * f64::from(1u32 << (step as u32 - 'a' as u32));
+        let t = 3.7e-9 * f64::from(twin);
+        let h = (t + h) - t;
         StampInput {
             coeffs: Some(crate::integrate::IntegCoeffs::new(opts.method, h, h)),
             ..dc_input(x, caps, opts)
@@ -782,6 +704,22 @@ mod tests {
     }
 
     #[test]
+    fn a_step_s_roundoff_twins_share_its_factors() {
+        // Three bit patterns of one 1 ns step, and each a different key.
+        let (x, caps, opts) = ([0.0; 3], [0.0; 1], SimOptions::default());
+        let a0 = |twin| rc_step('a', twin, &x, &caps, &opts).coeffs.unwrap().a0;
+        assert!(a0(0) != a0(1) && a0(1) != a0(2) && a0(0) != a0(2));
+        // `a'` is a chord step on `a`'s factors, and `a''`, after `b`, finds
+        // them parked: one factorization for `a` and its twins.
+        assert_eq!(
+            calls_per_key("aa'ba''", true, true),
+            ["factor solve", "solve", PARK, PARKED_HIT]
+        );
+        // Without parked sets a twin still reuses the active factors.
+        assert_eq!(calls_per_key("aa'a''b", true, false)[..3], ["factor solve", "solve", "solve"]);
+    }
+
+    #[test]
     fn a_sixth_key_evicts_the_least_recently_active_set() {
         // `f` finds every slot taken and overwrites `a`'s, parked first and
         // never asked for since: `a` is refactored again ...
@@ -803,7 +741,7 @@ mod tests {
         let mut ws = sys.new_workspace();
         let opts = SimOptions::default();
         let (x, caps) = (vec![0.25; sys.n_unknowns()], vec![0.0; sys.cap_state_count()]);
-        sys.stamp(&mut ws, &rc_step('a', &x, &caps, &opts), &x);
+        sys.stamp(&mut ws, &rc_step('a', 0, &x, &caps, &opts), &x);
         let mut owner = DirectLu::new();
         owner.factor(&ws.matrix).unwrap();
         let plan = owner.shared_plan().expect("a factored direct backend hands out its plan");
@@ -859,69 +797,6 @@ mod tests {
         );
         // The same key twice running is the chord path, as before.
         assert_eq!(calls_per_key("aab", true, false), ["factor solve", "solve", "refactor solve"]);
-    }
-
-    /// Key number `i`, told apart by the continuation shunt.
-    fn key(i: u8) -> LinKey {
-        let opts = SimOptions::default();
-        LinKey::of(&StampInput { gshunt: f64::from(i), ..dc_input(&[], &[], &opts) })
-    }
-
-    proptest::proptest! {
-        /// [`FactorKeys`] against the textbook list: the keys factors are
-        /// held for, most recently active first, five at most; the front is
-        /// the active set's (`None` once its point was rejected). Any mix of
-        /// linearizations (a key number), rejected points (8) and re-pivots
-        /// (9) takes both to the same keys by the same kind of turn.
-        #[test]
-        fn factor_keys_are_an_lru_of_five_over_exact_keys(
-            ops in proptest::collection::vec(0u8..10, 0..200),
-        ) {
-            let mut keys = FactorKeys::default();
-            let mut lru: Vec<Option<u8>> = Vec::new();
-            for op in ops {
-                match op {
-                    8 => {
-                        keys.clear_active();
-                        lru.iter_mut().take(1).for_each(|front| *front = None);
-                    }
-                    9 => {
-                        keys.fresh_plan();
-                        lru.truncate(1);
-                    }
-                    k => {
-                        let want = match lru.iter().position(|&held| held == Some(k)) {
-                            Some(0) => KeyTurn::Hit,
-                            Some(_) => KeyTurn::ParkedHit(0),
-                            None if lru.first().copied().flatten().is_some() => KeyTurn::Park(0),
-                            None => KeyTurn::Miss,
-                        };
-                        lru.retain(|&held| held != Some(k));
-                        if lru.first() == Some(&None) {
-                            lru.remove(0);
-                        }
-                        lru.insert(0, Some(k));
-                        lru.truncate(1 + PARKED_SETS);
-
-                        let turn = keys.turn(key(k));
-                        // The same kind of turn, whichever slot.
-                        proptest::prop_assert!(
-                            std::mem::discriminant(&turn) == std::mem::discriminant(&want),
-                            "{turn:?} where the list says {want:?}"
-                        );
-                        keys.swapped(turn);
-                        keys.factored(key(k));
-                    }
-                }
-                proptest::prop_assert_eq!(keys.active, lru.first().copied().flatten().map(key));
-                let mut parked: Vec<u8> = lru.iter().skip(1).map(|k| k.unwrap()).collect();
-                parked.sort_unstable();
-                let held: Vec<u8> =
-                    (0..8).filter(|&k| keys.parked.contains(&Some(key(k)))).collect();
-                proptest::prop_assert_eq!(&held, &parked);
-                proptest::prop_assert_eq!(keys.parked.iter().flatten().count(), held.len());
-            }
-        }
     }
 
     #[test]

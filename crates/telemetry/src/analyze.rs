@@ -477,7 +477,7 @@ impl TraceAnalysis {
     pub(crate) fn stable_report(&self, title: &str) -> String {
         let c = &self.counts;
         let mut out = String::new();
-        let _ = writeln!(out, "wavepipe-doctor: {title}");
+        let _ = writeln!(out, "wavepipe doctor: {title}");
         let _ = writeln!(out, "== stable (count-derived; byte-reproducible) ==");
         let _ = writeln!(out, "  rounds                    {:>10}", c.rounds);
         let _ = writeln!(out, "  points accepted           {:>10}", c.points_accepted);
@@ -1007,7 +1007,7 @@ mod tests {
     fn reports_render_expected_lines() {
         let a = analyze(&sample_stream());
         let stable = a.stable_report("rc_ladder, backward x2");
-        assert!(stable.contains("wavepipe-doctor: rc_ladder, backward x2"));
+        assert!(stable.contains("wavepipe doctor: rc_ladder, backward x2"));
         assert!(stable.contains("speculation waste"));
         assert!(stable.contains("33.3%"), "1 wasted of 3 solves: {stable}");
         let timing = a.timing_report();

@@ -65,66 +65,34 @@
 //!
 //! Deleting the Adaptive scheme deleted its ten rows and touched no other.
 //!
-//! The constants depend on the host's `libm` (`exp`/`ln` in the device
-//! models); on a mismatch the failure message prints the rows that moved,
-//! old beside new, and then the whole table in source form. Regenerate only
-//! for a change that is *meant* to move bits, and only the rows it moves.
+//! Making a step's roundoff twins one key regenerated twenty-one rows, all
+//! with the caches on (EXPERIMENTS.md E31 lists them old beside new,
+//! `tests/oracle.rs` holds every row no higher): the parked factor sets, and
+//! the linear-matrix snapshots the companion cache now parks beside them,
+//! take two keys whose `a0` lie within 2^-36 of each other for one step, so
+//! the same nominal step after the next source corner finds its factors and
+//! its linear stamp again (32x32 serial 80 → 44 factorizations, Backward x2
+//! 95 → 80). Every `power_grid`, `rc_ladder(30)` and `inverter_chain(8)` row
+//! moved, and three `diode_rectifier` rows; the iterations or points column
+//! moved only in `inverter_chain(8)` `forward_x2` (2687 → 2688 iterations)
+//! and those three `diode_rectifier` rows (`forward_x2` 1846 → 1914
+//! iterations, 285 → 293 points). No caches-off row moved.
+//!
+//! The table itself is `tests/common/golden.rs`, which other tests read for
+//! a row's counts. The constants depend on the host's `libm` (`exp`/`ln` in
+//! the device models); on a mismatch the failure message prints the rows
+//! that moved, old beside new, and then the whole table in source form.
+//! Regenerate only for a change that is *meant* to move bits, and only the
+//! rows it moves.
 
 use wavepipe::circuit::generators::{self, Benchmark};
 use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
 use wavepipe::engine::TransientResult;
 use wavepipe::engine::{run_transient, FaultPlan, SimOptions, SimStats, SolverHandle};
 
-/// (circuit, scheme, caches) -> (hash, newton iterations, accepted points,
-/// factorizations).
-type Row = (&'static str, &'static str, bool, u64, usize, usize, usize);
-
-const GOLDEN: &[Row] = &[
-    ("inverter_chain(8)", "serial", true, 0x3e5094101b9c86c4, 1594, 536, 687),
-    ("inverter_chain(8)", "serial", false, 0xbe50abc534d4a7e0, 1524, 536, 1524),
-    ("inverter_chain(8)", "backward_x2", true, 0x508b829f50ee3c54, 2710, 599, 1112),
-    ("inverter_chain(8)", "backward_x2", false, 0x322a9eb795f9dc18, 2583, 599, 2583),
-    ("inverter_chain(8)", "forward_x2", true, 0x75d3b7d5ad345924, 2687, 552, 973),
-    ("inverter_chain(8)", "forward_x2", false, 0x72e8d8284371d499, 2454, 552, 2454),
-    ("inverter_chain(8)", "combined_x3", true, 0x6b1a12a0d8cdf06e, 3015, 600, 1192),
-    ("inverter_chain(8)", "combined_x3", false, 0x51ea1ba34a0cfdfe, 2805, 600, 2805),
-    ("rc_ladder(30)", "serial", true, 0x3792faeeb4b6bdb7, 297, 148, 119),
-    ("rc_ladder(30)", "serial", false, 0x683310fe4f833f2c, 297, 148, 297),
-    ("rc_ladder(30)", "backward_x2", true, 0x1cb30d1ba5b6550b, 544, 166, 263),
-    ("rc_ladder(30)", "backward_x2", false, 0x7b363c44959339c1, 544, 166, 544),
-    ("rc_ladder(30)", "forward_x2", true, 0x32ef4bc83650141e, 468, 148, 201),
-    ("rc_ladder(30)", "forward_x2", false, 0x737ef1e9e9ef59f8, 468, 148, 468),
-    ("rc_ladder(30)", "combined_x3", true, 0x8297728d3d6986ca, 564, 166, 272),
-    ("rc_ladder(30)", "combined_x3", false, 0xb200305921afe8e6, 564, 166, 564),
-    ("power_grid(6,6)", "serial", true, 0xc533a749f61006c8, 604, 301, 209),
-    ("power_grid(6,6)", "serial", false, 0x28faa76184af2963, 604, 301, 604),
-    ("power_grid(6,6)", "backward_x2", true, 0xdcd3f5d1fcfbb667, 762, 307, 308),
-    ("power_grid(6,6)", "backward_x2", false, 0x3e838b7f6fbaae2e, 762, 307, 762),
-    ("power_grid(6,6)", "forward_x2", true, 0xe610f49a75c92bc1, 836, 298, 241),
-    ("power_grid(6,6)", "forward_x2", false, 0xca47ad931f78b575, 836, 298, 836),
-    ("power_grid(6,6)", "combined_x3", true, 0x59aaa8ad0c47f719, 1061, 329, 427),
-    ("power_grid(6,6)", "combined_x3", false, 0xa3e2ce99f80549f2, 1061, 329, 1061),
-    ("power_grid(16,16)", "serial", true, 0xcba1b6bb3fb9785b, 907, 461, 116),
-    ("power_grid(16,16)", "serial", false, 0x7f35f759ec6604e5, 907, 461, 907),
-    ("power_grid(16,16)", "backward_x2", true, 0x626102f15bdc295d, 971, 462, 351),
-    ("power_grid(16,16)", "backward_x2", false, 0x531f87e85a328e5b, 971, 462, 971),
-    ("power_grid(16,16)", "forward_x2", true, 0xa85b458c10326bb5, 1290, 461, 207),
-    ("power_grid(16,16)", "forward_x2", false, 0xcf3cc696ab0f0dd9, 1290, 461, 1290),
-    ("power_grid(16,16)", "combined_x3", true, 0x61327ba521ddce8e, 1225, 479, 375),
-    ("power_grid(16,16)", "combined_x3", false, 0x1f05c8940871bfa3, 1225, 479, 1225),
-    ("diode_rectifier", "serial", true, 0x8378fa08c648a5a1, 1037, 276, 400),
-    ("diode_rectifier", "serial", false, 0xc62f148d7f0a11c6, 954, 280, 954),
-    ("diode_rectifier", "backward_x2", true, 0x4eea08a6da4058f9, 1851, 288, 677),
-    ("diode_rectifier", "backward_x2", false, 0x011898ead25719d7, 1658, 301, 1658),
-    ("diode_rectifier", "forward_x2", true, 0x1b4c028a6fc30a1e, 1846, 285, 659),
-    ("diode_rectifier", "forward_x2", false, 0x89e88e558ff1c4ee, 1724, 296, 1724),
-    ("diode_rectifier", "combined_x3", true, 0x9f738f6ddd6877d6, 1894, 299, 704),
-    ("diode_rectifier", "combined_x3", false, 0x8c1a83bbbae67491, 1624, 296, 1624),
-    ("power_grid(32,32)", "serial", true, 0x60f27ed2ef13ddf4, 885, 466, 80),
-    ("power_grid(32,32)", "serial", false, 0xa81a746a2d2076a4, 885, 466, 885),
-    ("power_grid(32,32)", "backward_x2", true, 0x1c1b5badb8f9f538, 774, 389, 95),
-    ("power_grid(32,32)", "backward_x2", false, 0x568fec795f5ee992, 774, 389, 774),
-];
+#[path = "common/golden.rs"]
+mod golden;
+use golden::{Row, GOLDEN};
 
 const SCHEMES: [&str; 4] = ["serial", "backward_x2", "forward_x2", "combined_x3"];
 

@@ -22,6 +22,10 @@ use wavepipe::engine::{
 };
 use wavepipe::telemetry::analyze;
 
+#[path = "common/golden.rs"]
+mod golden;
+use golden::GOLDEN;
+
 /// Every cache on and everything an environment leg of CI can flip pinned.
 fn pinned(solver: SolverHandle) -> SimOptions {
     SimOptions::default()
@@ -124,9 +128,16 @@ fn a_lane_whose_first_matrix_pivots_otherwise_pays_its_own_factorization() {
     let adopted = run(&b, Scheme::Backward, 2, SolverHandle::direct(), FaultPlan::new());
     assert_eq!(adopted.plan, (0, 1));
     assert_same_run(&adopted, &run(&b, Scheme::Backward, 2, own_pivots(), FaultPlan::new()), "own");
-    // The counts of `tests/golden_bits.rs`' Backward x2 row with the caches on.
+    // The counts of the golden table's Backward x2 row with the caches on.
+    let &(.., iterations, points, factorizations) = GOLDEN
+        .iter()
+        .find(|row| (row.0, row.1, row.2) == ("inverter_chain(8)", "backward_x2", true))
+        .expect("a golden row for inverter_chain(8) Backward x2");
     let s = adopted.stats;
-    assert_eq!((s.newton_iterations, s.steps_accepted, s.factorizations), (2710, 599, 1112));
+    assert_eq!(
+        (s.newton_iterations, s.steps_accepted, s.factorizations),
+        (iterations, points, factorizations)
+    );
 }
 
 #[test]
