@@ -483,12 +483,11 @@ impl BatchSim {
     /// failure, and a single retry with degraded caches.
     ///
     /// The retry pins every value-reuse optimisation off (device bypass,
-    /// chord Newton, companion cache) and forces the transient recovery
-    /// ladder on — if the first failure was a poisoned cache or a
-    /// convergence cliff the caches papered over, the degraded re-run is
-    /// the rollback that clears it. Budget errors (cancellation, expired
-    /// per-instance deadline) quarantine immediately without a retry: the
-    /// caller asked this instance to stop.
+    /// chord Newton, companion cache) — if the first failure was a
+    /// poisoned cache or a convergence cliff the caches papered over, the
+    /// degraded re-run is the rollback that clears it. Budget errors
+    /// (cancellation, expired per-instance deadline) quarantine immediately
+    /// without a retry: the caller asked this instance to stop.
     fn run_instance_isolated(
         &self,
         index: usize,
@@ -516,8 +515,7 @@ impl BatchSim {
             .instance_opts(base)
             .with_bypass(false)
             .with_chord_newton(false)
-            .with_companion_cache(false)
-            .with_recovery(true);
+            .with_companion_cache(false);
         match attempt(&degraded) {
             Ok(r) => Ok(r),
             Err((error, p2)) => {
@@ -534,11 +532,11 @@ impl BatchSim {
     /// Instances are striped round-robin over the batch workers. A failing
     /// (or panicking) instance is **quarantined**: it is retried once with
     /// degraded caches (device bypass, chord Newton, and the companion
-    /// cache pinned off; the recovery ladder pinned on), and if the retry
-    /// also fails its [`QuarantineReport`] is streamed while every other
-    /// instance still runs to completion. No-fault instances are
-    /// bit-identical to a fault-free run: isolation only changes what
-    /// happens on the error path.
+    /// cache pinned off), and if the retry also fails its
+    /// [`QuarantineReport`] is streamed while every other instance still
+    /// runs to completion. No-fault instances are bit-identical to a
+    /// fault-free run: isolation only changes what happens on the error
+    /// path.
     ///
     /// `on_result` receives `(instance_index, result)` exactly once per
     /// instance, in **completion order** (not index order) — workers race.

@@ -3,14 +3,14 @@
 //! MOS-heavy chain and the analog grid, and writes the rows to
 //! `BENCH_newton.json`.
 //!
-//! Usage: `cargo run --release -p wavepipe-bench --bin newton_path [-- --small]`
+//! Usage: `cargo run --release -p wavepipe-bench --bin newton_path [-- --small]`;
+//! any other argument is a usage error (exit 64).
 
-use wavepipe_bench::{fig_newton_path, newton_path_to_json};
+use wavepipe_bench::{fig_newton_path, newton_path_to_json, Scale};
 use wavepipe_circuit::generators;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let small = args.iter().any(|a| a == "--small");
+    let small = Scale::from_args("newton_path") == Scale::Small;
 
     // One digital chain (deep quiescent regions → bypass-friendly) and one
     // analog grid (smooth trajectories → chord-friendly): the cache layers

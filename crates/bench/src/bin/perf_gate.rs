@@ -3,8 +3,7 @@
 //! baselines on their ratio-type metrics (speedups), prints a delta table,
 //! and exits non-zero when any metric regressed beyond the tolerance.
 //!
-//! Usage, with one flag pair per manifest row (`newton`, `sweep`, `overhead`,
-//! `solver`):
+//! Usage, with one flag pair per manifest row (`newton`, `sweep`, `solver`):
 //!
 //! ```text
 //! perf-gate --<stem>-baseline <file> --<stem>-fresh <file> ... [--tolerance 0.15]

@@ -26,11 +26,13 @@
 //! would win inside a run; gated by `perf-gate` against the committed
 //! baseline) and `mindeg_fill_nnz` (`nnz(L) + nnz(U)`, deterministic).
 //!
-//! Usage: `cargo run --release -p wavepipe-bench --bin solver_bakeoff [-- --small]`
+//! Usage: `cargo run --release -p wavepipe-bench --bin solver_bakeoff [-- --small]`;
+//! any other argument is a usage error (exit 64).
 
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
+use wavepipe_bench::Scale;
 use wavepipe_sparse::{gmres, CooMatrix, CscMatrix, GmresOptions, Ilu0, LuOptions, SparseLu};
 
 /// Fewest timed repetitions per path and mesh size.
@@ -68,8 +70,7 @@ fn rhs(n: usize) -> Vec<f64> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let small = args.iter().any(|a| a == "--small");
+    let small = Scale::from_args("solver_bakeoff") == Scale::Small;
     let sizes: &[usize] = if small { &[4, 8] } else { &[2, 4, 8, 16, 24, 32, 48, 64, 96] };
 
     let mut doc = String::from("[");

@@ -2,14 +2,15 @@
 //! one-run-at-a-time loop on a many-instance parameter sweep) and writes
 //! the row to `BENCH_sweep.json`.
 //!
-//! Usage: `cargo run --release -p wavepipe-bench --bin sweep [-- --small]`
+//! Usage: `cargo run --release -p wavepipe-bench --bin sweep [-- --small]`;
+//! any other argument is a usage error (exit 64).
 
 use wavepipe_bench::sweep::{fig_sweep, sweep_to_json};
+use wavepipe_bench::Scale;
 use wavepipe_circuit::generators;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let small = args.iter().any(|a| a == "--small");
+    let small = Scale::from_args("sweep") == Scale::Small;
 
     // A 100-instance corner sweep of the 8-stage inverter chain on up to 8
     // workers, as many as the host has cores. `--small` shrinks chain,

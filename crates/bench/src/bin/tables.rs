@@ -15,9 +15,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{t3}");
     let (t4, c4) = table4(scale);
     println!("{t4}");
-    println!("Speedups are modeled critical-path speedups (see DESIGN.md: this container");
-    println!("has one core, so wall-clock parallel gains cannot manifest; the critical");
-    println!("path is what an otherwise-idle multi-core machine realises).");
+    println!("Speedups are modeled critical-path speedups, not wall-clock ratios: what an");
+    println!("otherwise-idle machine with a core per lane realises, however many cores ran");
+    println!("these tables (see DESIGN.md).");
 
     let json = cases_to_json(&[
         ("table2_backward", &c2),

@@ -49,12 +49,6 @@ pub const MANIFEST: &[Source] = &[
         tolerance: DEFAULT_TOLERANCE,
     },
     Source {
-        stem: "overhead",
-        file: "BENCH_overhead.json",
-        extract: overhead_metrics,
-        tolerance: DEFAULT_TOLERANCE,
-    },
-    Source {
         stem: "solver",
         file: "BENCH_solver.json",
         extract: solver_metrics,
@@ -136,22 +130,6 @@ fn sweep_metrics(doc: &JsonValue) -> Result<Metrics, String> {
     for row in rows(doc)? {
         let circuit = text(row, "circuit")?;
         out.push((format!("sweep/{circuit}/work_ratio"), num(row, circuit, "work_ratio")?));
-    }
-    Ok(out)
-}
-
-/// `BENCH_overhead.json` (an array of per-circuit rows from the `overhead`
-/// binary): the recovery-off/on wall-time ratio (≈1 when the ladder is free
-/// on clean runs; drops when arming it starts costing) and the rescue-free
-/// fraction of accepted points (exactly 1 on a clean run — any clean-run
-/// ladder engagement drops it deterministically, no timing noise involved).
-fn overhead_metrics(doc: &JsonValue) -> Result<Metrics, String> {
-    let mut out = Vec::new();
-    for row in rows(doc)? {
-        let circuit = text(row, "circuit")?;
-        for field in ["off_on_ratio", "rescue_free_fraction"] {
-            out.push((format!("recovery/{circuit}/{field}"), num(row, circuit, field)?));
-        }
     }
     Ok(out)
 }
@@ -302,11 +280,6 @@ mod tests {
       {"circuit":"c","instances":100,"threads":2,"independent_ms":500.0,
        "batched_cpu_ms":450.0,"work_ratio":1.11,"measured_speedup":1.9}
     ]"#;
-    const OVERHEAD: &str = r#"[
-      {"circuit":"g","serial_off_us":900,"serial_on_us":905,"backward2_us":600,
-       "off_on_ratio":0.9945,"recovery_attempts":0,"recovery_rescues":0,
-       "cache_rollbacks":0,"rescue_free_fraction":1.0}
-    ]"#;
     const SOLVER: &str = r#"[
       {"circuit":"power_grid(4,4)","unknowns":16,"nnz":64,
        "mindeg_fill_nnz":100,
@@ -336,7 +309,7 @@ mod tests {
     /// Gates the fixture documents against themselves, except that the
     /// fresh newton document is `fresh_newton`.
     fn gate_with(fresh_newton: &str) -> Result<GateReport, String> {
-        let docs: Vec<(String, String)> = [NEWTON, SWEEP, OVERHEAD, SOLVER]
+        let docs: Vec<(String, String)> = [NEWTON, SWEEP, SOLVER]
             .iter()
             .zip(MANIFEST)
             .map(|(doc, s)| {
@@ -351,9 +324,9 @@ mod tests {
     fn identical_runs_pass() {
         let r = gate_with(NEWTON).unwrap();
         assert!(r.passed(), "{}", r.table());
-        // 2 newton + 1 sweep + 2 recovery
-        // + 1 solver GMRES-vs-refactor ratio at 64+ unknowns
-        assert_eq!(r.metrics.len(), 6);
+        // 2 newton + 1 sweep + 1 solver GMRES-vs-refactor ratio at 64+
+        // unknowns
+        assert_eq!(r.metrics.len(), 4);
     }
 
     #[test]

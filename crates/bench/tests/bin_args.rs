@@ -1,5 +1,6 @@
-//! The `tables` and `figures` bins take `--small` and nothing else: any other
-//! argument (such as the `--trace` they no longer have) is a usage error,
+//! The bench bins (`tables`, `figures`, `newton_path`, `sweep`,
+//! `solver_bakeoff`) take `--small` and nothing else: any other argument
+//! (such as the `--trace` the first two no longer have) is a usage error,
 //! reported before any work and before any file is written.
 
 use std::path::PathBuf;
@@ -19,9 +20,13 @@ fn run_in_empty_dir(exe: &str, name: &str, args: &[&str]) -> (Option<i32>, Strin
 
 #[test]
 fn tables_and_figures_refuse_an_unknown_argument_with_the_usage_code() {
-    for (name, exe) in
-        [("tables", env!("CARGO_BIN_EXE_tables")), ("figures", env!("CARGO_BIN_EXE_figures"))]
-    {
+    for (name, exe) in [
+        ("tables", env!("CARGO_BIN_EXE_tables")),
+        ("figures", env!("CARGO_BIN_EXE_figures")),
+        ("newton_path", env!("CARGO_BIN_EXE_newton_path")),
+        ("sweep", env!("CARGO_BIN_EXE_sweep")),
+        ("solver_bakeoff", env!("CARGO_BIN_EXE_solver_bakeoff")),
+    ] {
         for args in [&["--small", "--trace", "x.trace"][..], &["--smal"], &["small"]] {
             let (code, stderr, empty) = run_in_empty_dir(exe, name, args);
             assert_eq!(code, Some(64), "{name} {args:?}: {stderr}");

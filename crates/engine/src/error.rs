@@ -99,16 +99,6 @@ pub enum EngineError {
         /// recovery rungs tried before the error escaped.
         report: Box<ConvergenceReport>,
     },
-    /// The transient step size collapsed below the minimum: the local
-    /// truncation error could not be controlled.
-    TimestepTooSmall {
-        /// Time at which the step collapsed.
-        time: f64,
-        /// The step that was rejected.
-        step: f64,
-        /// The minimum allowed step.
-        hmin: f64,
-    },
     /// The circuit failed structural validation.
     Circuit(wavepipe_circuit::CircuitError),
     /// An invalid analysis parameter (e.g. `tstop <= 0`).
@@ -185,9 +175,6 @@ impl fmt::Display for EngineError {
                     write!(f, " ({report})")?;
                 }
                 Ok(())
-            }
-            EngineError::TimestepTooSmall { time, step, hmin } => {
-                write!(f, "timestep {step:.3e} below minimum {hmin:.3e} at t={time:.3e}")
             }
             EngineError::Circuit(e) => write!(f, "invalid circuit: {e}"),
             EngineError::BadParameter { name, value } => {

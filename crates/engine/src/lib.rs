@@ -80,9 +80,8 @@ pub use solver::{DirectLu, SolverBackend, SolverFactory, SolverHandle};
 pub use stats::SimStats;
 pub use stepctl::{Commit, StepController};
 pub use transient::{
-    run_transient, run_transient_compiled, run_transient_recoverable,
-    run_transient_recoverable_compiled, HistoryWindow, PointSolution, PointSolver,
-    TransientOutcome,
+    run_transient, run_transient_recoverable, run_transient_recoverable_compiled, HistoryWindow,
+    PointSolution, PointSolver, TransientOutcome,
 };
 pub use wavepipe_telemetry as telemetry;
 pub use wavepipe_telemetry::{ProbeHandle, RecordingProbe};

@@ -106,15 +106,6 @@ pub struct SimOptions {
     /// `WAVEPIPE_SOLVER` (`gmres` selects the Krylov backend in its default
     /// [`GmresConfig`](crate::GmresConfig)).
     pub solver: SolverHandle,
-    /// Transient convergence recovery ladder: when Newton fails at a
-    /// timepoint and the step has already collapsed to the floor, try —
-    /// in order — a cache-poisoning rollback (solver caches invalidated and
-    /// disabled), bounded deep step cuts below the LTE floor, and a local
-    /// gmin/gshunt continuation ramp, before surfacing a typed
-    /// [`EngineError::NoConvergence`]. The ladder only runs on the error
-    /// path, so clean runs are bit-identical with it on or off. On by
-    /// default.
-    pub recovery: bool,
 }
 
 /// Per-stamp control block for the solver caches, derived from
@@ -168,7 +159,6 @@ impl Default for SimOptions {
             chord_newton: env::flag("WAVEPIPE_CHORD", true),
             companion_cache: true,
             solver: default_solver(),
-            recovery: true,
         }
     }
 }
@@ -282,14 +272,6 @@ impl SimOptions {
     #[must_use]
     pub fn with_solver(mut self, solver: SolverHandle) -> Self {
         self.solver = solver;
-        self
-    }
-
-    /// Builder: enables or disables the transient convergence recovery
-    /// ladder.
-    #[must_use]
-    pub fn with_recovery(mut self, recovery: bool) -> Self {
-        self.recovery = recovery;
         self
     }
 
@@ -419,13 +401,6 @@ mod tests {
         o.arm_deadline();
         let err = o.check_budget(2e-9).unwrap_err();
         assert!(matches!(err, EngineError::DeadlineExceeded { .. }), "{err}");
-    }
-
-    #[test]
-    fn recovery_knobs_pin_against_env() {
-        let o = SimOptions::default().with_recovery(false);
-        assert!(!o.recovery);
-        assert!(o.with_recovery(true).recovery);
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Transient convergence recovery ladder.
 //!
 //! When Newton fails at a time point and the controller has already shrunk
-//! the step to the floor, the classic engine gives up with
-//! [`EngineError::TimestepTooSmall`]. This module mirrors the DC
-//! continuation ladder ([`crate::dcop`]) at transient time: before the error
-//! escapes, the failing point is retried through a sequence of increasingly
-//! aggressive rungs —
+//! the step to the floor, the step controller does not give up: this module
+//! mirrors the DC continuation ladder ([`crate::dcop`]) at transient time,
+//! retrying the failing point through a sequence of increasingly aggressive
+//! rungs —
 //!
 //! 1. **Cache-poisoning rollback**: every solver cache (bypass masks, the
 //!    chord LU keys of the active *and* every parked factor set, companion
@@ -23,12 +22,12 @@
 //!    with the worst-residual node, the per-attempt iteration history, and
 //!    the rungs tried.
 //!
-//! **Determinism.** The ladder only engages where the classic loop would
-//! have *errored*, so a run that never fails is bit-identical with recovery
-//! on or off (the zero-overhead invariant, pinned by proptests). Rescue
-//! solves are exempt from deterministic fault injection and do not advance
-//! the per-solver solve counter, so a fault plan addresses exactly the same
-//! (lane, solve) coordinates whether or not a ladder ran in between — and a
+//! **Determinism.** The ladder only engages where Newton has failed at the
+//! step floor, so a clean run never enters it (the zero-overhead invariant,
+//! pinned by `tests/recovery.rs`). Rescue solves are exempt from
+//! deterministic fault injection and do not advance the per-solver solve
+//! counter, so a fault plan addresses exactly the same (lane, solve)
+//! coordinates whether or not a ladder ran in between — and a
 //! forced-non-convergence fault cannot chase its own rescue.
 
 use crate::error::{ConvergenceReport, EngineError, RecoveryRung, Result};
@@ -45,9 +44,8 @@ use wavepipe_telemetry::EventKind;
 const RAMP_GSHUNT0: f64 = 1e-2;
 
 /// Deep-cut budget of rung 2: quartering cuts below `hmin`, down to
-/// `hmin / 64`. E13 measured the ladder with this budget (its clean-run
-/// overhead, and `tests/recovery.rs`'s forced-non-convergence bursts, which
-/// complete through the ladder); no other value was swept.
+/// `hmin / 64`. `tests/recovery.rs`'s forced-non-convergence bursts
+/// complete through the ladder with this budget; no other value was swept.
 const RECOVERY_DEEP_CUTS: usize = 3;
 
 /// Options used for every rescue solve: solver caches pinned off (the stamp

@@ -345,7 +345,6 @@ impl StepController {
     ///
     /// # Errors
     ///
-    /// * [`EngineError::TimestepTooSmall`] when recovery is disabled.
     /// * [`EngineError::NoConvergence`] when every rung failed.
     /// * Budget errors propagating out of a rescue solve.
     pub fn rescue(
@@ -354,13 +353,6 @@ impl StepController {
         h_attempt: f64,
         failed_iters: usize,
     ) -> Result<SimStats> {
-        if !self.opts.recovery {
-            return Err(EngineError::TimestepTooSmall {
-                time: self.hw.t(),
-                step: self.h,
-                hmin: self.hmin,
-            });
-        }
         let mut work = SimStats::new();
         let rescued = solver.rescue_point(&self.hw, h_attempt, self.hmin, failed_iters, &mut work);
         self.stats += work;

@@ -544,8 +544,8 @@ impl TransientOutcome {
 /// * [`EngineError::BadParameter`] for non-positive `tstep`/`tstop`, or an
 ///   `rmax` below 1 or non-finite.
 /// * [`EngineError::Circuit`] for invalid netlists.
-/// * [`EngineError::NoConvergence`] if the DC operating point fails.
-/// * [`EngineError::TimestepTooSmall`] if error control collapses the step.
+/// * [`EngineError::NoConvergence`] if the DC operating point fails, or a
+///   time point the recovery ladder could not rescue.
 /// * [`EngineError::DeadlineExceeded`] / [`EngineError::Cancelled`] when a
 ///   configured budget ends the run early (use
 ///   [`run_transient_recoverable`] to keep the partial waveform).
@@ -558,23 +558,8 @@ pub fn run_transient(
     run_transient_recoverable(circuit, tstep, tstop, opts)?.into_result()
 }
 
-/// [`run_transient`] on an already-compiled system (avoids recompilation
-/// when the same circuit is simulated repeatedly).
-///
-/// # Errors
-///
-/// Same as [`run_transient`].
-pub fn run_transient_compiled(
-    sys: &Arc<MnaSystem>,
-    tstep: f64,
-    tstop: f64,
-    opts: &SimOptions,
-) -> Result<TransientResult> {
-    run_transient_recoverable_compiled(sys, tstep, tstop, opts)?.into_result()
-}
-
 /// [`run_transient`], keeping the accepted waveform prefix when the run ends
-/// early: a `TimestepTooSmall` at `t = 0.9 * tstop` (or an expired deadline)
+/// early: a `NoConvergence` at `t = 0.9 * tstop` (or an expired deadline)
 /// returns 90% of the waveform plus the error instead of nothing.
 ///
 /// # Errors

@@ -80,16 +80,14 @@ fn main() {
 }
 
 /// Cause-specific process exit code, so scripted sweeps can tell a
-/// convergence failure from a timestep underflow or an expired budget
+/// convergence failure from a numerical blowup or an expired budget
 /// without parsing stderr: `2` Newton no-convergence (with the solver's
-/// forensic report on stderr), `3` timestep underflow, `4` numerical blowup,
-/// `5` singular matrix, `6` deadline/cancellation, `7` lost worker, `1`
-/// anything else.
+/// forensic report on stderr), `4` numerical blowup, `5` singular matrix,
+/// `6` deadline/cancellation, `7` lost worker, `1` anything else.
 fn exit_code(e: &(dyn Error + 'static)) -> i32 {
     let Some(e) = e.downcast_ref::<EngineError>() else { return 1 };
     match e {
         EngineError::NoConvergence { .. } => 2,
-        EngineError::TimestepTooSmall { .. } => 3,
         EngineError::NumericalBlowup { .. } => 4,
         EngineError::Linear(_) => 5,
         EngineError::DeadlineExceeded { .. } | EngineError::Cancelled { .. } => 6,
@@ -169,7 +167,11 @@ impl Args {
                 (_, "--scheme") => parsed.scheme = scheme_by_name(&value()?)?,
                 (_, "--threads") => {
                     let t = value()?;
-                    parsed.threads = t.parse().map_err(|_| format!("bad thread count `{t}`"))?;
+                    parsed.threads = t
+                        .parse()
+                        .ok()
+                        .filter(|&n| n > 0)
+                        .ok_or_else(|| format!("bad thread count `{t}`: at least 1"))?;
                 }
                 (Command::Run, "--trace") => parsed.trace = Some(PathBuf::from(value()?)),
                 (Command::Run, "--trace-format") => match value()?.as_str() {
@@ -516,6 +518,11 @@ mod tests {
         );
         assert!(Args::parse(argv(&["doctor", "--no-such-flag"])).is_err());
         assert!(Args::parse(argv(&["doctor", "rc_ladder:6", "extra"])).is_err());
+        // A width of 0 would run x1 under a title that says x0.
+        for command in ["run", "doctor"] {
+            let err = Args::parse(argv(&[command, "rc_ladder:6", "--threads", "0"])).unwrap_err();
+            assert!(err.contains("bad thread count `0`"), "{err}");
+        }
     }
 
     #[test]

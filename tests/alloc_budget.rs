@@ -18,7 +18,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 use wavepipe::circuit::generators;
-use wavepipe::engine::{run_transient_compiled, FaultPlan, MnaSystem, SimOptions, SolverHandle};
+use wavepipe::engine::{
+    run_transient_recoverable_compiled, FaultPlan, MnaSystem, SimOptions, SolverHandle,
+};
 
 thread_local! {
     /// Allocations (and reallocations) made by this thread.
@@ -62,7 +64,9 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 /// (allocations, solved points) of one serial run to `tstop`.
 fn run(sys: &Arc<MnaSystem>, tstep: f64, tstop: f64, opts: &SimOptions) -> (u64, u64) {
     let before = ALLOCATIONS.with(Cell::get);
-    let result = run_transient_compiled(sys, tstep, tstop, opts).expect("serial run");
+    let result = run_transient_recoverable_compiled(sys, tstep, tstop, opts)
+        .and_then(|outcome| outcome.into_result())
+        .expect("serial run");
     let allocations = ALLOCATIONS.with(Cell::get) - before;
     let s = result.stats();
     let solves = s.steps_accepted + s.steps_rejected_lte + s.steps_rejected_newton;

@@ -130,9 +130,7 @@ fn antiparallel_diodes_with_huge_drive_still_converge_or_error_cleanly() {
             assert!(
                 matches!(
                     e,
-                    EngineError::NoConvergence { .. }
-                        | EngineError::TimestepTooSmall { .. }
-                        | EngineError::NumericalBlowup { .. }
+                    EngineError::NoConvergence { .. } | EngineError::NumericalBlowup { .. }
                 ),
                 "unexpected error kind: {e}"
             );
@@ -311,7 +309,6 @@ fn chaos_seed_runs_complete_and_stay_accurate() {
 fn errors_format_usefully() {
     let samples: Vec<EngineError> = vec![
         EngineError::NoConvergence { time: 1e-9, iterations: 40, report: Box::default() },
-        EngineError::TimestepTooSmall { time: 2e-9, step: 1e-20, hmin: 1e-18 },
         EngineError::BadParameter { name: "tstop", value: -1.0 },
         EngineError::NumericalBlowup { time: 3e-9 },
     ];

@@ -103,7 +103,6 @@ fn pinned(caches: bool) -> SimOptions {
     SimOptions::default()
         .with_solver(SolverHandle::direct())
         .with_faults(FaultPlan::new())
-        .with_recovery(true)
         .with_bypass(caches)
         .with_chord_newton(caches)
         .with_companion_cache(caches)

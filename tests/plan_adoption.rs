@@ -31,7 +31,6 @@ fn pinned(solver: SolverHandle) -> SimOptions {
     SimOptions::default()
         .with_solver(solver)
         .with_faults(FaultPlan::new())
-        .with_recovery(true)
         .with_bypass(true)
         .with_chord_newton(true)
         .with_companion_cache(true)

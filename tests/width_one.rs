@@ -17,7 +17,7 @@ const SCHEMES: [Scheme; 4] = [Scheme::Serial, Scheme::Backward, Scheme::Forward,
 /// Everything an environment leg of CI can flip is pinned (as
 /// `golden_bits.rs::pinned` does); the fault plan is the test's own.
 fn pinned(plan: FaultPlan) -> SimOptions {
-    SimOptions::default().with_solver(SolverHandle::direct()).with_faults(plan).with_recovery(true)
+    SimOptions::default().with_solver(SolverHandle::direct()).with_faults(plan)
 }
 
 fn serial(b: &Benchmark, plan: &FaultPlan) -> TransientOutcome {
