@@ -78,7 +78,9 @@ use std::time::Instant;
 
 use wavepipe_circuit::{Circuit, Element, Waveform};
 use wavepipe_engine::transient::run_transient_recoverable_compiled;
-use wavepipe_engine::{panic_message, EngineError, MnaSystem, SimOptions, TransientResult};
+use wavepipe_engine::{
+    panic_message, CancelToken, EngineError, MnaSystem, SimOptions, TransientResult,
+};
 
 /// Which value of a named element a batch parameter column drives.
 ///
@@ -466,14 +468,15 @@ impl BatchSim {
     }
 
     /// Per-instance options: a configured deadline is a *per-instance*
-    /// budget, so each instance (and each retry) gets a fresh private token
-    /// — one slow instance must not spend its siblings' budget or cancel
-    /// them when it expires. A caller-owned cancel token *without* a
-    /// deadline stays shared: cancelling it stops the whole batch.
+    /// budget, so each instance (and each retry) gets a private
+    /// [`CancelToken::child`] of the configured token — one slow instance
+    /// must not spend its siblings' budget or cancel them when it expires,
+    /// while cancelling the caller's token still stops the whole batch.
+    /// Without a deadline the configured token is shared as it is.
     fn instance_opts(&self, base: &SimOptions) -> SimOptions {
         let mut opts = base.clone();
         if let Some(budget) = opts.deadline {
-            opts.cancel = None;
+            opts.cancel = opts.cancel.as_ref().map(CancelToken::child);
             opts = opts.with_deadline(budget);
         }
         opts
@@ -980,16 +983,20 @@ mod tests {
 
     #[test]
     fn cancelled_batch_quarantines_without_retry() {
-        let token = wavepipe_engine::CancelToken::new();
-        token.cancel();
-        let mut batch = BatchSim::compile(&rc_circuit(), 1e-8, 1e-6)
-            .unwrap()
-            .with_sim(SimOptions::default().with_cancel_token(token));
-        batch.param("R1", ParamKind::Resistance).unwrap();
-        batch.add_instance(&[1e3]).unwrap();
-        let (_, quarantined) = outcome(&batch);
-        let [q] = &quarantined[..] else { panic!("expected one quarantine") };
-        assert!(q.error.is_budget(), "expected a budget error, got {:?}", q.error);
-        assert!(!q.retried, "budget errors must not be retried");
+        // With a deadline too, each instance spends a private budget, and
+        // the caller's token still stops it.
+        for deadline in [None, Some(std::time::Duration::from_secs(3600))] {
+            let token = CancelToken::new();
+            token.cancel();
+            let mut sim = SimOptions::default().with_cancel_token(token);
+            sim.deadline = deadline;
+            let mut batch = BatchSim::compile(&rc_circuit(), 1e-8, 1e-6).unwrap().with_sim(sim);
+            batch.param("R1", ParamKind::Resistance).unwrap();
+            batch.add_instance(&[1e3]).unwrap();
+            let (_, quarantined) = outcome(&batch);
+            let [q] = &quarantined[..] else { panic!("{deadline:?}: expected one quarantine") };
+            assert!(q.error.is_budget(), "{deadline:?}: {:?}", q.error);
+            assert!(!q.retried, "{deadline:?}: budget errors must not be retried");
+        }
     }
 }

@@ -2,9 +2,11 @@
 //! and figure (experiments E1–E7 of `DESIGN.md`), shared by the `tables` /
 //! `figures` binaries.
 //!
-//! Every function returns both structured data and a formatted text block,
-//! so the binaries print paper-style rows and the tests can assert on the
-//! numbers.
+//! Every function returns a formatted text block for the binaries to print;
+//! the per-case measurement ([`measure`]), the thread-scaling series and the
+//! Newton hot-path rows also come back as data, for tests and the
+//! `newton_path` document. The tables and figures print counts and
+//! deviations, no clock, so they print the same bytes on every run.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -67,27 +69,18 @@ pub fn run_scheme(b: &Benchmark, scheme: Scheme, threads: usize) -> WavePipeRepo
         .unwrap_or_else(|e| panic!("{}: {scheme} x{threads} failed: {e}", b.name))
 }
 
-/// A measured (serial, wavepipe) pair with derived metrics.
-#[derive(Debug, Clone)]
+/// One WavePipe run measured against its serial reference: the run's
+/// deterministic counts and the waveform deviation between the two. No
+/// field reads a clock, so two measurements of the same case are equal.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CaseOutcome {
-    /// Benchmark name.
-    pub name: String,
-    /// Scheme measured.
-    pub scheme: Scheme,
-    /// Threads used.
-    pub threads: usize,
-    /// Serial accepted points.
-    pub serial_points: usize,
-    /// Serial Newton iterations.
-    pub serial_iters: usize,
-    /// WavePipe accepted points.
-    pub wp_points: usize,
-    /// Modelled (critical-path) speedup.
-    pub speedup: f64,
-    /// Wall-clock-based speedup (serial wall / critical-path wall; the
-    /// per-task wall times are measured individually, so their round maxima
-    /// approximate a parallel machine even on a single-core host).
-    pub wall_speedup: f64,
+    /// Accepted points.
+    pub points: usize,
+    /// Rounds played.
+    pub rounds: usize,
+    /// Newton iterations over every lane, discarded leads and speculations
+    /// included.
+    pub iters: usize,
     /// Lead / speculation accept rate.
     pub accept_rate: f64,
     /// Max waveform deviation relative to serial peak.
@@ -112,14 +105,9 @@ pub fn measure_against(
     let rep = run_scheme(b, scheme, threads);
     let eq = verify::compare(serial, &rep.result);
     CaseOutcome {
-        name: b.name.clone(),
-        scheme,
-        threads,
-        serial_points: serial.len(),
-        serial_iters: serial.stats().newton_iterations,
-        wp_points: rep.result.len(),
-        speedup: rep.modeled_speedup(serial.stats()),
-        wall_speedup: rep.wall_speedup(serial.stats()),
+        points: rep.result.len(),
+        rounds: rep.rounds,
+        iters: rep.total.newton_iterations,
         accept_rate: rep.accept_rate(),
         max_rel_dev: eq.max_rel(),
         rms_rel_dev: eq.rms_rel(),
@@ -151,60 +139,59 @@ pub fn table1(scale: Scale) -> String {
     out
 }
 
-fn scheme_table(title: &str, scale: Scale, runs: &[(Scheme, usize)]) -> (String, Vec<CaseOutcome>) {
+fn scheme_table(title: &str, scale: Scale, runs: &[(Scheme, usize)]) -> String {
     let mut out = String::new();
-    let mut cases = Vec::new();
-    let _ = writeln!(out, "{title}");
+    let _ = writeln!(out, "{title} (points, rounds, Newton iterations, accept rate)");
+    let mut groups = format!("{:<40}", "");
     let mut header = format!("{:<22} {:>8} {:>8}", "circuit", "ser.pts", "ser.itr");
     for (s, t) in runs {
-        header.push_str(&format!(" {:>12}", format!("{s}x{t}")));
+        groups.push_str(&format!(" {:^32}", format!("{s} x{t}")));
+        header.push_str(&format!(" {:>7} {:>7} {:>8} {:>7}", "pts", "rounds", "iters", "accept"));
     }
-    header.push_str(&format!(" {:>8} {:>8} {:>9}", "wall", "accept", "rms.dev"));
+    header.push_str(&format!(" {:>9}", "rms.dev"));
+    let _ = writeln!(out, "{}", groups.trim_end());
     let _ = writeln!(out, "{header}");
     for b in suite(scale) {
         let serial = run_serial(&b);
         let mut row =
             format!("{:<22} {:>8} {:>8}", b.name, serial.len(), serial.stats().newton_iterations);
-        let mut last: Option<CaseOutcome> = None;
+        let mut rms = 0.0;
         for &(s, t) in runs {
             let c = measure_against(&b, &serial, s, t);
-            row.push_str(&format!(" {:>11.2}x", c.speedup));
-            last = Some(c.clone());
-            cases.push(c);
-        }
-        if let Some(c) = last {
             row.push_str(&format!(
-                " {:>7.2}x {:>7.0}% {:>9.1e}",
-                c.wall_speedup,
-                c.accept_rate * 100.0,
-                c.rms_rel_dev
+                " {:>7} {:>7} {:>8} {:>6.0}%",
+                c.points,
+                c.rounds,
+                c.iters,
+                c.accept_rate * 100.0
             ));
+            rms = c.rms_rel_dev;
         }
-        let _ = writeln!(out, "{row}");
+        let _ = writeln!(out, "{row} {rms:>9.1e}");
     }
-    (out, cases)
+    out
 }
 
-/// **Table 2 (E2)** — backward pipelining speedups at 2 and 3 threads.
-pub fn table2(scale: Scale) -> (String, Vec<CaseOutcome>) {
+/// **Table 2 (E2)** — backward pipelining at 2 and 3 threads.
+pub fn table2(scale: Scale) -> String {
     scheme_table(
-        "Table 2: backward pipelining (modeled critical-path speedup over serial)",
+        "Table 2: backward pipelining",
         scale,
         &[(Scheme::Backward, 2), (Scheme::Backward, 3)],
     )
 }
 
-/// **Table 3 (E3)** — forward pipelining speedups at 2 and 3 threads.
-pub fn table3(scale: Scale) -> (String, Vec<CaseOutcome>) {
+/// **Table 3 (E3)** — forward pipelining at 2 and 3 threads.
+pub fn table3(scale: Scale) -> String {
     scheme_table(
-        "Table 3: forward pipelining (modeled critical-path speedup over serial)",
+        "Table 3: forward pipelining",
         scale,
         &[(Scheme::Forward, 2), (Scheme::Forward, 3)],
     )
 }
 
 /// **Table 4 (E4)** — combined scheme at 4 threads.
-pub fn table4(scale: Scale) -> (String, Vec<CaseOutcome>) {
+pub fn table4(scale: Scale) -> String {
     scheme_table("Table 4: combined backward+forward pipelining", scale, &[(Scheme::Combined, 4)])
 }
 
@@ -262,31 +249,42 @@ pub fn fig_step_profile(b: &Benchmark) -> String {
 }
 
 /// One point of the thread-scaling figure.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScalingPoint {
     /// Thread count.
     pub threads: usize,
-    /// Modelled speedup.
-    pub speedup: f64,
+    /// Rounds played.
+    pub rounds: usize,
+    /// Newton iterations over every lane.
+    pub iters: usize,
 }
 
 /// Per-scheme scaling series, as produced by [`fig_scaling`].
 pub type ScalingSeries = Vec<(Scheme, Vec<ScalingPoint>)>;
 
-/// **Figure C (E7)** — speedup vs thread count (1–4) for each scheme.
+/// **Figure C (E7)** — rounds and Newton iterations vs thread count (1–4)
+/// for each scheme. A round is the pipelined analogue of a serial point, so
+/// rounds below the serial point count are the steps the scheme saved, and
+/// iterations above the serial count the work it spent to save them.
 pub fn fig_scaling(b: &Benchmark) -> (String, ScalingSeries) {
     let serial = run_serial(b);
     let mut out = String::new();
-    let _ = writeln!(out, "Figure C: speedup vs threads — {}", b.name);
-    let _ = writeln!(out, "{:<10} {:>8} {:>8} {:>8} {:>8}", "scheme", "x1", "x2", "x3", "x4");
+    let _ = writeln!(
+        out,
+        "Figure C: rounds / Newton iterations vs threads — {} (serial: {} points / {} iterations)",
+        b.name,
+        serial.len(),
+        serial.stats().newton_iterations
+    );
+    let _ = writeln!(out, "{:<10} {:>13} {:>13} {:>13} {:>13}", "scheme", "x1", "x2", "x3", "x4");
     let mut series = Vec::new();
     for scheme in [Scheme::Backward, Scheme::Forward, Scheme::Combined] {
         let mut pts = Vec::new();
         let mut row = format!("{:<10}", scheme.to_string());
         for threads in 1..=4 {
             let c = measure_against(b, &serial, scheme, threads);
-            row.push_str(&format!(" {:>7.2}x", c.speedup));
-            pts.push(ScalingPoint { threads, speedup: c.speedup });
+            row.push_str(&format!(" {:>13}", format!("{}/{}", c.rounds, c.iters)));
+            pts.push(ScalingPoint { threads, rounds: c.rounds, iters: c.iters });
         }
         let _ = writeln!(out, "{row}");
         series.push((scheme, pts));
@@ -436,82 +434,6 @@ pub fn newton_path_to_json(rows: &[NewtonPathRow]) -> String {
     out
 }
 
-fn case_json(c: &CaseOutcome) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"scheme\":\"{}\",\"threads\":{},\
-         \"serial_points\":{},\"serial_iters\":{},\"wp_points\":{},\
-         \"speedup\":{},\"wall_speedup\":{},\"accept_rate\":{},\
-         \"max_rel_dev\":{},\"rms_rel_dev\":{}}}",
-        json::escape(&c.name),
-        c.scheme,
-        c.threads,
-        c.serial_points,
-        c.serial_iters,
-        c.wp_points,
-        json::fmt_f64(c.speedup),
-        json::fmt_f64(c.wall_speedup),
-        json::fmt_f64(c.accept_rate),
-        json::fmt_f64(c.max_rel_dev),
-        json::fmt_f64(c.rms_rel_dev)
-    )
-}
-
-/// Machine-readable form of named [`CaseOutcome`] groups, e.g.
-/// `{"table2": [...], "table3": [...]}` — written by the `tables` binary as
-/// `BENCH_tables.json` so the perf trajectory can be tracked across commits.
-pub fn cases_to_json(groups: &[(&str, &[CaseOutcome])]) -> String {
-    let mut out = String::from("{");
-    for (gi, (name, cases)) in groups.iter().enumerate() {
-        if gi > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\n  \"{}\": [", json::escape(name));
-        for (ci, c) in cases.iter().enumerate() {
-            if ci > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    {}", case_json(c));
-        }
-        out.push_str("\n  ]");
-    }
-    out.push_str("\n}\n");
-    out
-}
-
-/// Machine-readable form of named thread-scaling series, e.g.
-/// `{"power_grid": {"backward": [{"threads":1,"speedup":1.0}, ...]}}` —
-/// written by the `figures` binary as `BENCH_figures.json`.
-pub fn scaling_to_json(figures: &[(&str, &ScalingSeries)]) -> String {
-    let mut out = String::from("{");
-    for (fi, (name, series)) in figures.iter().enumerate() {
-        if fi > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\n  \"{}\": {{", json::escape(name));
-        for (si, (scheme, pts)) in series.iter().enumerate() {
-            if si > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    \"{scheme}\": [");
-            for (pi, p) in pts.iter().enumerate() {
-                if pi > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"threads\":{},\"speedup\":{}}}",
-                    p.threads,
-                    json::fmt_f64(p.speedup)
-                );
-            }
-            out.push(']');
-        }
-        out.push_str("\n  }");
-    }
-    out.push_str("\n}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,9 +450,11 @@ mod tests {
     fn measure_produces_finite_metrics() {
         let b = generators::rc_ladder(6);
         let c = measure(&b, Scheme::Backward, 2);
-        assert!(c.speedup.is_finite() && c.speedup > 0.0);
         assert!(c.max_rel_dev.is_finite());
-        assert!(c.wp_points > 5);
+        assert!(c.points > 5);
+        assert!(c.rounds > 0 && c.iters >= c.rounds);
+        // Counts and deviations only: the same case measures the same.
+        assert_eq!(c, measure(&b, Scheme::Backward, 2));
     }
 
     #[test]

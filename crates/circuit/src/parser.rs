@@ -35,7 +35,8 @@ pub struct TranSpec {
     pub tstep: f64,
     /// Stop time.
     pub tstop: f64,
-    /// Start of output recording (simulation always starts at 0).
+    /// Start of output recording (simulation always starts at 0), in
+    /// `[0, tstop)`.
     pub tstart: f64,
 }
 
@@ -224,6 +225,14 @@ pub fn parse_netlist(text: &str) -> Result<ParsedDeck, ParseNetlistError> {
                     let tstep = num(lineno, &toks[1])?;
                     let tstop = num(lineno, &toks[2])?;
                     let tstart = if toks.len() > 3 { num(lineno, &toks[3])? } else { 0.0 };
+                    // Unless a tstart is given, a bad tstop is the engine's
+                    // to name (`invalid parameter tstop`).
+                    if toks.len() > 3 && !(0.0..tstop).contains(&tstart) {
+                        return Err(ParseNetlistError::new(
+                            lineno,
+                            format!(".tran tstart {tstart:e} is outside [0, tstop = {tstop:e})"),
+                        ));
+                    }
                     tran = Some(TranSpec { tstep, tstop, tstart });
                 }
                 ".ic" | ".options" | ".op" | ".print" | ".plot" | ".probe" => {

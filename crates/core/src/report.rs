@@ -1,4 +1,4 @@
-//! Run reports: work accounting and speedup computation.
+//! Run reports: counts, work accounting and the hand-off ledger.
 
 use crate::options::Scheme;
 use wavepipe_engine::{EngineError, Result, SimStats, TransientResult};
@@ -11,9 +11,9 @@ use wavepipe_engine::{EngineError, Result, SimStats, TransientResult};
 /// * **critical path** — per round, only the *maximum* concurrent task cost
 ///   counts, plus any sequential commit/refinement work. On an
 ///   otherwise-idle machine with at least `threads` cores, wall-clock time
-///   is proportional to the critical path. It is a model: `benchmark/`
-///   measures the wall clock (this host has 2 vCPUs, so widths up to x2),
-///   and the critical path is the cross-check printed beside it.
+///   is proportional to the critical path. It is a model, and is printed
+///   nowhere but in `benchmark/`, as a cross-check beside the measured wall
+///   clock.
 ///
 /// What the model leaves out is in the **hand-off ledger**: `dispatch_ns`,
 /// `lead_ns`, `wait_ns` and `commit_ns` are four laps of one clock per round,
@@ -66,37 +66,30 @@ pub struct WavePipeReport {
 }
 
 impl WavePipeReport {
-    /// Modelled speedup over a serial run: serial work divided by this run's
-    /// critical-path work.
-    pub fn modeled_speedup(&self, serial: &SimStats) -> f64 {
-        if self.critical_work == 0 {
-            return 1.0;
-        }
-        serial.work_units() as f64 / self.critical_work as f64
-    }
-
-    /// Wall-clock-modelled speedup: serial wall time over critical-path time.
-    pub fn wall_speedup(&self, serial: &SimStats) -> f64 {
-        if self.critical_ns == 0 {
-            return 1.0;
-        }
-        serial.wall_ns as f64 / self.critical_ns as f64
+    /// Leading and speculative solves the run played, paid off or not.
+    fn pipelined_solves(&self) -> usize {
+        self.lead_accepted
+            + self.lead_rejected
+            + self.speculation_accepted
+            + self.speculation_rejected
     }
 
     /// Fraction of speculative / leading solves that paid off.
     pub fn accept_rate(&self) -> f64 {
-        let total = self.lead_accepted
-            + self.lead_rejected
-            + self.speculation_accepted
-            + self.speculation_rejected;
-        if total == 0 {
-            return 1.0;
+        match self.pipelined_solves() {
+            0 => 1.0,
+            n => (self.lead_accepted + self.speculation_accepted) as f64 / n as f64,
         }
-        (self.lead_accepted + self.speculation_accepted) as f64 / total as f64
     }
 
-    /// One-line human-readable summary.
+    /// One-line human-readable summary: counts, the measured wall time, and
+    /// the accept rate when the run played any leading or speculative solve.
     pub fn summary(&self) -> String {
+        let accept = if self.pipelined_solves() > 0 {
+            format!(", accept {:.0}%", self.accept_rate() * 100.0)
+        } else {
+            String::new()
+        };
         let faults = if self.workers_lost > 0 {
             format!(", {} workers lost", self.workers_lost)
         } else {
@@ -104,14 +97,14 @@ impl WavePipeReport {
         };
         let handoff = self.handoff_ledger().map_or_else(String::new, |l| format!(", {l}"));
         format!(
-            "{} x{}: {} pts, {} rounds, cp {} units / {:.2} ms, accept {:.0}%{}{}",
+            "{} x{}: {} pts, {} rounds, {} newton iters, wall {:.2} ms{}{}{}",
             self.scheme,
             self.threads,
             self.result.len(),
             self.rounds,
-            self.critical_work,
-            self.critical_ns as f64 / 1e6,
-            self.accept_rate() * 100.0,
+            self.total.newton_iterations,
+            self.total.wall_ns as f64 / 1e6,
+            accept,
             faults,
             handoff
         )
@@ -165,14 +158,14 @@ impl RunOutcome {
 mod tests {
     use super::*;
 
-    fn dummy_report(critical_work: u64) -> WavePipeReport {
+    fn dummy_report() -> WavePipeReport {
         WavePipeReport {
             result: TransientResult::new(1, vec!["a".into()]),
             scheme: Scheme::Backward,
             threads: 2,
             rounds: 10,
-            total: SimStats::new(),
-            critical_work,
+            total: SimStats { newton_iterations: 40, wall_ns: 2_500_000, ..SimStats::new() },
+            critical_work: 50,
             critical_ns: 1_000_000,
             dispatch_ns: 100_000,
             lead_ns: 800_000,
@@ -187,21 +180,8 @@ mod tests {
     }
 
     #[test]
-    fn modeled_speedup_ratio() {
-        let r = dummy_report(50);
-        let serial = SimStats { device_evals: 100, ..SimStats::new() };
-        assert!((r.modeled_speedup(&serial) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_critical_work_degrades_gracefully() {
-        let r = dummy_report(0);
-        assert_eq!(r.modeled_speedup(&SimStats::new()), 1.0);
-    }
-
-    #[test]
     fn accept_rate_counts_both_kinds() {
-        let mut r = dummy_report(10);
+        let mut r = dummy_report();
         r.speculation_accepted = 5;
         r.speculation_rejected = 5;
         assert!((r.accept_rate() - 13.0 / 20.0).abs() < 1e-12);
@@ -209,17 +189,24 @@ mod tests {
 
     #[test]
     fn summary_contains_scheme_and_ledger() {
-        let s = dummy_report(1).summary();
+        let s = dummy_report().summary();
         assert!(s.contains("backward x2:"), "{s}");
+        assert!(s.contains("10 rounds, 40 newton iters, wall 2.50 ms, accept 80%"), "{s}");
         assert!(s.contains("dispatch/lead/wait/commit 0.10/0.80/0.30/0.05 ms"), "{s}");
-        let serial = WavePipeReport { scheme: Scheme::Serial, ..dummy_report(1) };
+        // A serial run has no ledger, and no leads to accept.
+        let serial = WavePipeReport {
+            scheme: Scheme::Serial,
+            lead_accepted: 0,
+            lead_rejected: 0,
+            ..dummy_report()
+        };
         assert_eq!(serial.handoff_ledger(), None);
-        assert!(!serial.summary().contains("hand-off"));
+        assert!(!serial.summary().contains("hand-off") && !serial.summary().contains("accept"));
     }
 
     #[test]
     fn summary_reports_lost_workers_only_when_any() {
-        let mut r = dummy_report(1);
+        let mut r = dummy_report();
         assert!(!r.summary().contains("workers lost"));
         r.workers_lost = 2;
         assert!(r.summary().contains("2 workers lost"), "{}", r.summary());
@@ -227,10 +214,10 @@ mod tests {
 
     #[test]
     fn outcome_into_result_round_trips() {
-        let clean = RunOutcome { report: dummy_report(1), error: None };
+        let clean = RunOutcome { report: dummy_report(), error: None };
         assert!(clean.into_result().is_ok());
         let partial = RunOutcome {
-            report: dummy_report(1),
+            report: dummy_report(),
             error: Some(EngineError::Cancelled { time: 1e-9 }),
         };
         assert!(matches!(partial.into_result(), Err(EngineError::Cancelled { .. })));

@@ -583,6 +583,12 @@ mod tests {
         run_wavepipe(&b.circuit, b.tstep, b.tstop, opts).unwrap()
     }
 
+    /// Serial work over the run's critical-path work: the work model that
+    /// `benchmark/` prints as its `core.modeled_speedup` cross-check.
+    fn critical_path_ratio(b: &Benchmark, rep: &WavePipeReport) -> f64 {
+        serial(b).stats().work_units() as f64 / rep.critical_work as f64
+    }
+
     #[test]
     fn plans_cover_the_lanes_they_are_given() {
         for width in 1..=5 {
@@ -740,7 +746,7 @@ mod tests {
         // solve); the pulsed power grid spends most of its time there.
         let b = generators::power_grid(4, 4);
         let rep = run(&b, &WavePipeOptions::new(Scheme::Backward, 2));
-        let speedup = rep.modeled_speedup(serial(&b).stats());
+        let speedup = critical_path_ratio(&b, &rep);
         assert!(speedup > 1.3, "modeled speedup = {speedup:.2}");
         assert!(rep.lead_accepted > 0);
     }
@@ -799,13 +805,14 @@ mod tests {
         // best case is parity; on Newton-heavier nonlinear circuits the
         // refinement is cheaper than a cold solve and FP pulls ahead.
         let lin = generators::rc_ladder(8);
-        let s_lin = run(&lin, &WavePipeOptions::new(Scheme::Forward, 2))
-            .modeled_speedup(serial(&lin).stats());
+        let ratio = |b: &Benchmark| {
+            critical_path_ratio(b, &run(b, &WavePipeOptions::new(Scheme::Forward, 2)))
+        };
+        let s_lin = ratio(&lin);
         assert!(s_lin > 0.80, "linear-circuit FP should stay near parity, got {s_lin:.3}");
 
         let amp = generators::amp_chain(1);
-        let s_amp = run(&amp, &WavePipeOptions::new(Scheme::Forward, 2))
-            .modeled_speedup(serial(&amp).stats());
+        let s_amp = ratio(&amp);
         assert!(s_amp > 1.0, "nonlinear-circuit FP speedup = {s_amp:.3}");
     }
 
@@ -838,11 +845,8 @@ mod tests {
         // where backward pays (pulsed grid), combined must stay in its
         // neighbourhood — the speculation may add or cost a little.
         let b = generators::power_grid(4, 4);
-        let serial = serial(&b);
-        let s_bwd =
-            run(&b, &WavePipeOptions::new(Scheme::Backward, 2)).modeled_speedup(serial.stats());
-        let s_cmb =
-            run(&b, &WavePipeOptions::new(Scheme::Combined, 4)).modeled_speedup(serial.stats());
+        let s_bwd = critical_path_ratio(&b, &run(&b, &WavePipeOptions::new(Scheme::Backward, 2)));
+        let s_cmb = critical_path_ratio(&b, &run(&b, &WavePipeOptions::new(Scheme::Combined, 4)));
         assert!(s_bwd > 1.15, "backward should pay here, got {s_bwd:.2}");
         assert!(s_cmb > s_bwd * 0.75, "combined ({s_cmb:.2}) should track backward ({s_bwd:.2})");
     }

@@ -93,11 +93,8 @@ proptest! {
         let ckt = build(&case);
         let tstop = 1.5 * case.period;
         let tstep = case.period / 60.0;
-        let serial = run_transient(&ckt, tstep, tstop, &SimOptions::default()).expect("serial");
         let rep = run_wavepipe(&ckt, tstep, tstop, &WavePipeOptions::new(Scheme::Backward, case.threads))
             .expect("wavepipe");
-        let s = rep.modeled_speedup(serial.stats());
-        prop_assert!(s.is_finite() && s > 0.2 && s < 8.0, "speedup {}", s);
         prop_assert!(rep.critical_work <= rep.total.work_units());
         prop_assert!(rep.result.len() >= 3);
     }

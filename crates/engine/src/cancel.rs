@@ -16,11 +16,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Inner {
     cancelled: AtomicBool,
     /// Armed deadline instant, if a wall-clock budget is active.
     deadline: Mutex<Option<Instant>>,
+    /// The token this one was made from by [`CancelToken::child`], whose
+    /// cancellation this one also reads.
+    parent: Option<CancelToken>,
 }
 
 /// Shared, clonable cancellation handle.
@@ -28,26 +31,24 @@ struct Inner {
 /// All clones observe the same state; `clone` is an `Arc` bump. Equality is
 /// identity (two tokens are equal iff they share state), mirroring
 /// [`wavepipe_telemetry::ProbeHandle`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     inner: Arc<Inner>,
-}
-
-impl Default for CancelToken {
-    fn default() -> Self {
-        CancelToken::new()
-    }
 }
 
 impl CancelToken {
     /// Creates a fresh, un-cancelled token with no deadline armed.
     pub fn new() -> Self {
-        CancelToken {
-            inner: Arc::new(Inner {
-                cancelled: AtomicBool::new(false),
-                deadline: Mutex::new(None),
-            }),
-        }
+        CancelToken::default()
+    }
+
+    /// A fresh token with its own deadline that also reads as cancelled
+    /// once this one is. Cancelling the child leaves this token alone, so
+    /// each of several runs can spend a private budget while one caller's
+    /// [`CancelToken::cancel`] still stops them all.
+    pub fn child(&self) -> Self {
+        let inner = Inner { parent: Some(self.clone()), ..Inner::default() };
+        CancelToken { inner: Arc::new(inner) }
     }
 
     /// Requests cancellation. Idempotent; visible to all clones.
@@ -55,9 +56,11 @@ impl CancelToken {
         self.inner.cancelled.store(true, Ordering::Release);
     }
 
-    /// True once [`CancelToken::cancel`] has been called on any clone.
+    /// True once [`CancelToken::cancel`] has been called on any clone, or
+    /// on the token this one is a [`CancelToken::child`] of.
     pub(crate) fn is_cancelled(&self) -> bool {
         self.inner.cancelled.load(Ordering::Acquire)
+            || self.inner.parent.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
     /// Arms (or re-arms) a wall-clock deadline `budget` from now. Called by
@@ -100,6 +103,18 @@ mod tests {
         let c = t.clone();
         t.cancel();
         assert!(c.is_cancelled());
+    }
+
+    #[test]
+    fn a_child_reads_its_parent_s_cancel_but_keeps_its_own_deadline() {
+        let parent = CancelToken::new();
+        let (a, b) = (parent.child(), parent.child());
+        a.arm_deadline(Duration::ZERO);
+        assert!(a.deadline_expired() && !b.deadline_expired() && !parent.deadline_expired());
+        a.cancel();
+        assert!(!parent.is_cancelled() && !b.is_cancelled());
+        parent.cancel();
+        assert!(b.is_cancelled());
     }
 
     #[test]

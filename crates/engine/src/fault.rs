@@ -12,7 +12,7 @@
 //!   suite. Chaos deliberately injects only *soft* faults the runtime
 //!   retries through (forced singular factorizations anywhere, NaN solutions
 //!   on speculative lanes only): worker panics would permanently shrink
-//!   pools and defeat the suite's speedup assertions, and a NaN on lane 0
+//!   pools and defeat the suite's critical-path assertions, and a NaN on lane 0
 //!   ends the run. Targeted rules have no such restriction.
 //!
 //! **The one rule for a non-finite point.** A converged but non-finite

@@ -188,15 +188,17 @@ impl TransientResult {
         self.trace(unknown).iter().fold(0.0_f64, |m, &(_, v)| m.max(v.abs()))
     }
 
-    /// Writes the traces of the named unknowns as CSV (`t,name1,name2,...`).
-    pub fn to_csv(&self, unknowns: &[(String, usize)]) -> String {
+    /// Writes the traces of the named unknowns as CSV (`t,name1,name2,...`),
+    /// one row per point at `t >= tstart` (`.tran`'s `tstart`: a run always
+    /// starts at 0, its output may start later).
+    pub fn to_csv(&self, unknowns: &[(String, usize)], tstart: f64) -> String {
         let mut out = String::from("t");
         for (name, _) in unknowns {
             out.push(',');
             out.push_str(name);
         }
         out.push('\n');
-        for (k, &t) in self.times.iter().enumerate() {
+        for (k, &t) in self.times.iter().enumerate().filter(|&(_, &t)| t >= tstart) {
             out.push_str(&format!("{t:.6e}"));
             for &(_, u) in unknowns {
                 out.push_str(&format!(",{:.6e}", self.solution(k)[u]));
@@ -278,10 +280,14 @@ mod tests {
     #[test]
     fn csv_has_header_and_rows() {
         let r = ramp_result();
-        let csv = r.to_csv(&[("a".into(), 0)]);
+        let csv = r.to_csv(&[("a".into(), 0)], 0.0);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines[0], "t,a");
         assert_eq!(lines.len(), 12);
+        // From `tstart` on: the header and the points at t = 0.5 ..= 1.0.
+        let late = r.to_csv(&[("a".into(), 0)], 0.45);
+        assert_eq!(late.lines().count(), 7);
+        assert!(late.lines().nth(1).unwrap().starts_with("5.000000e-1,"), "{late}");
     }
 
     /// Row `k` of the block-boundary results: unknown `u` holds `k + u/n`.
@@ -305,7 +311,7 @@ mod tests {
             assert_eq!(r.blocks.len(), 3);
             assert!(r.blocks.iter().all(|blk| blk.capacity() == b * n));
             let u = n - 1;
-            let csv = r.to_csv(&[("last".into(), u)]);
+            let csv = r.to_csv(&[("last".into(), u)], 0.0);
             let lines: Vec<&str> = csv.lines().skip(1).collect();
             let trace = r.trace(u);
             assert_eq!((lines.len(), trace.len()), (r.len(), r.len()));

@@ -2,9 +2,11 @@
 //!
 //! Besides the usual SPICE counters (steps, Newton iterations, rejections),
 //! the stats carry a *work* measure in abstract cost units and in measured
-//! nanoseconds. WavePipe's speedup reports are computed from these: on a
+//! nanoseconds. WavePipe's critical-path work is summed from these: on a
 //! p-thread round, the critical-path cost is the maximum of the concurrent
 //! tasks' costs, which is what an otherwise-idle p-core machine realises.
+//! It is a model, read only by `benchmark/` as a cross-check beside the
+//! measured wall clock.
 
 use std::ops::{Add, AddAssign};
 use wavepipe_telemetry::EventKind;
@@ -88,7 +90,7 @@ impl SimStats {
 
     /// Abstract work units: one unit per device evaluation plus a fixed
     /// charge per matrix operation. This is the hardware-independent cost
-    /// model used for critical-path speedups.
+    /// model behind the critical-path work.
     pub fn work_units(&self) -> u64 {
         const FACTOR_COST: u64 = 40;
         const REFACTOR_COST: u64 = 12;

@@ -2,9 +2,10 @@
 //! grid under pulsed switching loads with diode clamps — the "large weakly
 //! nonlinear network" class of the paper's evaluation.
 //!
-//! Reports the worst supply droop seen at the grid centre and the WavePipe
-//! speedups; the droop figure is the quantity a power-integrity engineer
-//! actually reads off this simulation.
+//! Reports the worst supply droop seen at the grid centre and, per WavePipe
+//! run, its rounds, Newton iterations and measured wall time; the droop
+//! figure is the quantity a power-integrity engineer actually reads off this
+//! simulation.
 //!
 //! Run with: `cargo run --release --example power_grid`
 
@@ -22,8 +23,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let worst_droop =
         serial.trace(centre).iter().map(|&(_, v)| vdd_nominal - v).fold(f64::MIN, f64::max);
     println!(
-        "serial   : {} points; worst centre-node droop {:.1} mV ({:.2}% of VDD)",
+        "serial   : {} points, {} newton iterations, wall {:.2} ms; \
+         worst centre-node droop {:.1} mV ({:.2}% of VDD)",
         serial.len(),
+        serial.stats().newton_iterations,
+        serial.stats().wall_ns as f64 / 1e6,
         worst_droop * 1e3,
         worst_droop / vdd_nominal * 100.0
     );
@@ -42,10 +46,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|&(_, v)| vdd_nominal - v)
             .fold(f64::MIN, f64::max);
         println!(
-            "{:<9} x{}: speedup {:.2}x, droop {:.1} mV (Δ {:.3} mV), max dev {:.2e} V",
+            "{:<9} x{}: {} rounds, {} newton iterations, wall {:.2} ms, \
+             droop {:.1} mV (Δ {:.3} mV), max dev {:.2e} V",
             scheme.to_string(),
             threads,
-            report.modeled_speedup(serial.stats()),
+            report.rounds,
+            report.total.newton_iterations,
+            report.total.wall_ns as f64 / 1e6,
             wp_droop * 1e3,
             (wp_droop - worst_droop).abs() * 1e3,
             eq.max_abs

@@ -1,5 +1,5 @@
 //! Quickstart: build an RC low-pass filter, simulate it serially and with
-//! every WavePipe scheme, and compare accuracy and modelled speedup.
+//! every WavePipe scheme, and compare accuracy, counts and measured wall time.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -27,10 +27,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- Serial reference. ---
     let serial = run_transient(&ckt, tstep, tstop, &SimOptions::default())?;
     println!(
-        "\nserial   : {} points, {} newton iterations, {} rejected steps",
+        "\nserial   : {} points, {} newton iterations, {} rejected steps, wall {:.2} ms",
         serial.len(),
         serial.stats().newton_iterations,
         serial.stats().steps_rejected(),
+        serial.stats().wall_ns as f64 / 1e6,
     );
     let out_idx = serial.unknown_of("out").expect("out node exists");
     println!(
@@ -45,10 +46,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let report = run_wavepipe(&ckt, tstep, tstop, &opts)?;
         let eq = verify::compare(&serial, &report.result);
         println!(
-            "{:<9}: {} points, modeled speedup {:.2}x, max deviation {:.2e} V (rms {:.2e})",
+            "{:<9}: {} points, {} rounds, {} newton iterations, wall {:.2} ms, \
+             max deviation {:.2e} V (rms {:.2e})",
             scheme.to_string(),
             report.result.len(),
-            report.modeled_speedup(serial.stats()),
+            report.rounds,
+            report.total.newton_iterations,
+            report.total.wall_ns as f64 / 1e6,
             eq.max_abs,
             eq.rms
         );

@@ -3,7 +3,8 @@
 //! varying by orders of magnitude between edges and plateaus).
 //!
 //! Measures the oscillation period from the serial run, verifies the
-//! WavePipe runs reproduce it, and prints the speedup picture.
+//! WavePipe runs reproduce it, and prints each run's counts and measured
+//! wall time.
 //!
 //! Run with: `cargo run --release --example ring_oscillator`
 
@@ -41,8 +42,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let period = period_of(&serial, &bench.probes[0], vmid)
         .ok_or("oscillator did not start — check the kick source")?;
     println!(
-        "serial   : {} points, oscillation period {:.3} ns ({:.1} MHz)",
+        "serial   : {} points, {} newton iterations, wall {:.2} ms, \
+         oscillation period {:.3} ns ({:.1} MHz)",
         serial.len(),
+        serial.stats().newton_iterations,
+        serial.stats().wall_ns as f64 / 1e6,
         period * 1e9,
         1e-3 / period / 1e6 * 1e3
     );
@@ -54,10 +58,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .ok_or("wavepipe run lost the oscillation")?;
         let period_err = (p - period).abs() / period;
         println!(
-            "{:<9}: {} points, modeled speedup {:.2}x, period {:.3} ns (err {:.2}%)",
+            "{:<9}: {} points, {} rounds, {} newton iterations, wall {:.2} ms, \
+             period {:.3} ns (err {:.2}%)",
             scheme.to_string(),
             report.result.len(),
-            report.modeled_speedup(serial.stats()),
+            report.rounds,
+            report.total.newton_iterations,
+            report.total.wall_ns as f64 / 1e6,
             p * 1e9,
             period_err * 100.0
         );

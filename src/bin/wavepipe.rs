@@ -2,8 +2,9 @@
 //! subcommands take a circuit: a SPICE deck, simulated over its `.tran`
 //! directive, or a generator spec such as `inverter_chain:40`.
 //!
-//! `run` prints the run summary and writes every signal node's waveform to
-//! `<deck>.csv` (a spec's to `<spec>.csv` here, `:` and `,` as `_`). With
+//! `run` prints the run summary and writes every signal node's waveform, from
+//! the deck's `.tran` `tstart` on, to `<deck>.csv` (a spec's to `<spec>.csv`
+//! here, `:` and `,` as `_`). With
 //! `--trace` it records the event stream — a Chrome trace to open in
 //! `chrome://tracing` or Perfetto, or one JSON object per event — and prints
 //! the doctor report of it.
@@ -287,6 +288,9 @@ struct Deck {
     circuit: Circuit,
     tstep: f64,
     tstop: f64,
+    /// Where the written waveform starts (`.tran`'s `tstart`; `0` for a
+    /// generator spec). The run itself always starts at `0`.
+    tstart: f64,
 }
 
 /// Loads a circuit: a file is a SPICE deck, simulated over its `.tran`
@@ -294,11 +298,11 @@ struct Deck {
 fn load(input: &str) -> Result<Deck, Box<dyn Error>> {
     if !Path::new(input).is_file() {
         let b = circuit_by_spec(input)?;
-        return Ok(Deck { circuit: b.circuit, tstep: b.tstep, tstop: b.tstop });
+        return Ok(Deck { circuit: b.circuit, tstep: b.tstep, tstop: b.tstop, tstart: 0.0 });
     }
     let parsed = parse_netlist(&std::fs::read_to_string(input)?)?;
     let tran = parsed.tran.ok_or("deck has no .tran directive — add `.tran tstep tstop`")?;
-    Ok(Deck { circuit: parsed.circuit, tstep: tran.tstep, tstop: tran.tstop })
+    Ok(Deck { circuit: parsed.circuit, tstep: tran.tstep, tstop: tran.tstop, tstart: tran.tstart })
 }
 
 /// Everything one instrumented run produces.
@@ -378,12 +382,12 @@ fn write_trace(path: &Path, format: TraceFormat, events: &[Event]) -> std::io::R
 }
 
 /// `wavepipe run`: simulates, prints the summary (and with `--trace` the
-/// doctor report of the recorded events), and writes the waveform CSV.
+/// doctor report of the recorded events), and writes the waveform CSV from
+/// the deck's `tstart` on.
 fn run(args: &Args) -> Result<(), Box<dyn Error>> {
     let deck = load(&args.input)?;
     let (scheme, threads) = (args.scheme, args.threads);
     println!("circuit : {}", deck.circuit.summary());
-    println!("analysis: .tran {:.3e} {:.3e} ({scheme}, {threads} threads)", deck.tstep, deck.tstop);
     let (report, events) = match &args.trace {
         Some(_) => {
             let run = run_instrumented(&deck, scheme, threads)?;
@@ -394,6 +398,12 @@ fn run(args: &Args) -> Result<(), Box<dyn Error>> {
             (run_wavepipe(&deck.circuit, deck.tstep, deck.tstop, &opts)?, None)
         }
     };
+    // The width that ran: a serial run is x1 whatever `--threads` asked.
+    let tstart = if deck.tstart > 0.0 { format!(" {:.3e}", deck.tstart) } else { String::new() };
+    println!(
+        "analysis: .tran {:.3e} {:.3e}{tstart} ({} x{})",
+        deck.tstep, deck.tstop, report.scheme, report.threads
+    );
     println!("run     : {}", report.summary());
     if let (Some(path), Some(events)) = (&args.trace, &events) {
         write_trace(path, args.trace_format, events)?;
@@ -412,11 +422,12 @@ fn run(args: &Args) -> Result<(), Box<dyn Error>> {
         .signal_node_names()
         .filter_map(|n| report.result.unknown_of(n).map(|u| (n.to_string(), u)))
         .collect();
-    std::fs::write(&out_path, report.result.to_csv(&columns))?;
+    let csv = report.result.to_csv(&columns, deck.tstart);
+    std::fs::write(&out_path, &csv)?;
     println!(
         "wrote   : {} ({} points x {} nodes)",
         out_path.display(),
-        report.result.len(),
+        csv.lines().count() - 1,
         columns.len()
     );
     Ok(())
@@ -682,7 +693,7 @@ mod tests {
         ckt.add_capacitor("C1", b, Circuit::GROUND, 100e-9).unwrap();
         ckt.add_resistor("R2", b, c, 1e3).unwrap();
         ckt.add_capacitor("C2", c, Circuit::GROUND, 100e-9).unwrap();
-        let deck = Deck { circuit: ckt, tstep: d / 2.0, tstop: 64.0 * d };
+        let deck = Deck { circuit: ckt, tstep: d / 2.0, tstop: 64.0 * d, tstart: 0.0 };
         // Everything an environment leg of CI can flip is pinned.
         let pinned = |solver: SolverHandle| {
             SimOptions::default()
