@@ -292,19 +292,57 @@ pub fn fig_scaling(b: &Benchmark) -> (String, ScalingSeries) {
     (out, series)
 }
 
+/// Alternating pairs a gated ratio is timed over, in one process.
+pub const PAIRS: usize = 5;
+
+/// Times `a` and `b` (each returns its own wall nanoseconds) in [`PAIRS`]
+/// alternating pairs, each side first in every other pair, so that neither
+/// always runs on the warmer cache or in the quieter moment; returns each
+/// pair's `(a, b)`.
+pub fn alternating_pairs(
+    mut a: impl FnMut() -> u128,
+    mut b: impl FnMut() -> u128,
+) -> Vec<(f64, f64)> {
+    (0..PAIRS)
+        .map(|i| {
+            let (ta, tb) = if i % 2 == 0 {
+                let ta = a();
+                (ta, b())
+            } else {
+                let tb = b();
+                (a(), tb)
+            };
+            (ta as f64, tb.max(1) as f64)
+        })
+        .collect()
+}
+
+/// The median of `values` (the mean of the middle two for an even count).
+pub fn median(mut values: Vec<f64>) -> f64 {
+    assert!(!values.is_empty(), "median of nothing");
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[mid]
+    } else {
+        (values[mid - 1] + values[mid]) / 2.0
+    }
+}
+
 /// One caches-off / caches-on measurement pair — a row of the **Newton
 /// hot-path figure (E11)**.
 #[derive(Debug, Clone)]
 pub struct NewtonPathRow {
     /// Benchmark name.
     pub name: String,
-    /// Best-of-repeats wall time with bypass, chord, and companion caching
-    /// all disabled, milliseconds.
+    /// Median wall time over [`PAIRS`] runs with bypass, chord, and
+    /// companion caching all disabled, milliseconds.
     pub off_ms: f64,
-    /// Best-of-repeats wall time with all three cache layers enabled,
-    /// milliseconds.
+    /// Median wall time over [`PAIRS`] runs with all three cache layers
+    /// enabled, milliseconds.
     pub on_ms: f64,
-    /// End-to-end single-thread speedup, `off_ms / on_ms`.
+    /// End-to-end single-thread speedup: the median over [`PAIRS`]
+    /// alternating off/on pairs of each pair's off/on wall ratio.
     pub speedup: f64,
     /// Mean Newton-iteration cost without caching, microseconds.
     pub us_per_iter_off: f64,
@@ -325,27 +363,26 @@ pub struct NewtonPathRow {
 /// **Newton hot-path figure (E11)** — end-to-end effect of the solver-cache
 /// layers (device bypass, chord Newton, companion caching) on single-thread
 /// transient runs: each benchmark is run with every cache disabled and with
-/// all of them enabled, `REPEATS` times each keeping the fastest, and the
-/// waveforms are cross-checked to stay within LTE-scale deviation.
+/// all of them enabled, in [`PAIRS`] alternating pairs, the speedup being
+/// the median of the pairs' ratios; the waveforms are cross-checked to stay
+/// within LTE-scale deviation.
 pub fn fig_newton_path(subjects: &[Benchmark]) -> (String, Vec<NewtonPathRow>) {
-    const REPEATS: usize = 3;
     let off_opts = SimOptions::default()
         .with_bypass(false)
         .with_chord_newton(false)
         .with_companion_cache(false);
     let on_opts =
         SimOptions::default().with_bypass(true).with_chord_newton(true).with_companion_cache(true);
-    let best = |b: &Benchmark, opts: &SimOptions, what: &str| -> TransientResult {
-        let mut best: Option<TransientResult> = None;
-        for _ in 0..REPEATS {
+    // Every run of one side computes the same trajectory and counters; the
+    // last is kept for them.
+    let timed =
+        |b: &Benchmark, opts: &SimOptions, what: &str, last: &mut Option<TransientResult>| {
             let r = run_transient(&b.circuit, b.tstep, b.tstop, opts)
                 .unwrap_or_else(|e| panic!("{} {what}: {e}", b.name));
-            if best.as_ref().is_none_or(|p| r.stats().wall_ns < p.stats().wall_ns) {
-                best = Some(r);
-            }
-        }
-        best.expect("at least one repeat")
-    };
+            let ns = r.stats().wall_ns;
+            *last = Some(r);
+            ns
+        };
     let mut out = String::new();
     let _ = writeln!(out, "Newton hot path: solver caches off vs on (single-thread)");
     let _ = writeln!(
@@ -363,8 +400,14 @@ pub fn fig_newton_path(subjects: &[Benchmark]) -> (String, Vec<NewtonPathRow>) {
     );
     let mut rows = Vec::with_capacity(subjects.len());
     for b in subjects {
-        let off = best(b, &off_opts, "caches off");
-        let on = best(b, &on_opts, "caches on");
+        let (mut off, mut on) = (None, None);
+        let pairs = alternating_pairs(
+            || timed(b, &off_opts, "caches off", &mut off),
+            || timed(b, &on_opts, "caches on", &mut on),
+        );
+        let (off, on) = (off.expect("timed"), on.expect("timed"));
+        let off_ns = median(pairs.iter().map(|p| p.0).collect());
+        let on_ns = median(pairs.iter().map(|p| p.1).collect());
         // Accuracy guard: a speedup that moved the waveform is not a result.
         // The rms-relative-to-peak metric of E5 tolerates the per-stage edge
         // jitter that accumulates down deep chains; 2% is the same bound the
@@ -374,11 +417,11 @@ pub fn fig_newton_path(subjects: &[Benchmark]) -> (String, Vec<NewtonPathRow>) {
         let (so, sn) = (off.stats(), on.stats());
         let row = NewtonPathRow {
             name: b.name.clone(),
-            off_ms: so.wall_ns as f64 / 1e6,
-            on_ms: sn.wall_ns as f64 / 1e6,
-            speedup: so.wall_ns as f64 / sn.wall_ns.max(1) as f64,
-            us_per_iter_off: so.wall_ns as f64 / 1e3 / so.newton_iterations.max(1) as f64,
-            us_per_iter_on: sn.wall_ns as f64 / 1e3 / sn.newton_iterations.max(1) as f64,
+            off_ms: off_ns / 1e6,
+            on_ms: on_ns / 1e6,
+            speedup: median(pairs.iter().map(|(off, on)| off / on).collect()),
+            us_per_iter_off: off_ns / 1e3 / so.newton_iterations.max(1) as f64,
+            us_per_iter_on: on_ns / 1e3 / sn.newton_iterations.max(1) as f64,
             fact_off: so.factorizations,
             fact_on: sn.factorizations,
             bypass_hits: sn.bypass_hits,

@@ -5,10 +5,12 @@
 //!
 //! * `work_ratio` — real, single-core CPU-work saving: total wall of the
 //!   independent loop (recompile + solve per instance) divided by the
-//!   total wall of the batched engine (compile **once**, value-patch + solve
-//!   per instance). Both totals are measured on this host, sequentially.
+//!   total wall of the batched engine on one worker (compile **once**,
+//!   value-patch + solve per instance). Both are timed on this host,
+//!   sequentially, in [`PAIRS`](crate::PAIRS) alternating pairs in one process, and the
+//!   ratio is the median of the pairs' ratios.
 //! * `measured_speedup` — the throughput the batch gets at the host's real
-//!   width: the same independent-loop total divided by the wall of one batch
+//!   width: the median independent-loop total divided by the wall of one batch
 //!   run on `threads` workers, where `threads` is the requested width capped
 //!   at [`std::thread::available_parallelism`]. Nothing is modeled, so the
 //!   number is only as steady as the host; the perf gate does not gate it.
@@ -18,6 +20,7 @@
 //! twin (the bit-identity property pinned ulp-level by
 //! `wavepipe-batch/tests/bit_identity.rs`).
 
+use crate::{alternating_pairs, median};
 use std::fmt::Write as _;
 use std::time::Instant;
 use wavepipe_batch::{BatchSim, ParamKind};
@@ -36,11 +39,14 @@ pub struct SweepRow {
     /// Batch workers of the timed parallel run: the requested width, capped
     /// at the host's available parallelism.
     pub threads: usize,
-    /// Total wall of the independent loop, milliseconds.
+    /// Total wall of the independent loop, milliseconds: the median over
+    /// [`PAIRS`](crate::PAIRS) runs.
     pub independent_ms: f64,
-    /// Total sequential wall of the batched engine, milliseconds.
+    /// Total sequential wall of the batched engine, milliseconds: the median
+    /// over [`PAIRS`](crate::PAIRS) runs.
     pub batched_cpu_ms: f64,
-    /// Real single-core work saving, `independent_ms / batched_cpu_ms`.
+    /// Real single-core work saving: the median over [`PAIRS`](crate::PAIRS) alternating
+    /// pairs of each pair's independent/batched wall ratio.
     pub work_ratio: f64,
     /// Measured throughput gain, `independent_ms` over the wall of the batch
     /// on `threads` workers.
@@ -119,10 +125,10 @@ fn patched(base: &Circuit, stages: usize, row: &[f64]) -> Circuit {
 }
 
 /// **Batched corner-sweep figure** — runs `instances` corners of the
-/// benchmark through the independent loop and through [`BatchSim`], once on
-/// one worker and once on `workers` capped at the host's available
-/// parallelism, and cross-checks every batched time grid against its
-/// independent twin. See the module docs for what each reported number
+/// benchmark through the independent loop and through [`BatchSim`] on one
+/// worker in [`PAIRS`](crate::PAIRS) alternating pairs, then once on `workers` capped at
+/// the host's available parallelism, and cross-checks every batched time
+/// grid against its independent twin. See the module docs for what each reported number
 /// means.
 pub fn fig_sweep(b: &Benchmark, instances: usize, workers: usize) -> (String, SweepRow) {
     assert!(instances >= 1 && workers >= 1);
@@ -138,21 +144,27 @@ pub fn fig_sweep(b: &Benchmark, instances: usize, workers: usize) -> (String, Sw
     let opts = SimOptions::default().with_solver(SolverHandle::direct());
 
     // Independent loop: rebuild + recompile + solve per instance, each
-    // timed individually.
+    // timed individually. Every pass computes the same results; the last
+    // pass's are what the batches are checked against.
     let mut independent = Vec::with_capacity(instances);
-    let mut independent_ns = 0u128;
-    for row in &rows {
-        let ckt = patched(&b.circuit, stages, row);
-        let t0 = Instant::now();
-        let res = run_transient(&ckt, b.tstep, b.tstop, &opts)
-            .unwrap_or_else(|e| panic!("{}: independent run failed: {e}", b.name));
-        independent_ns += t0.elapsed().as_nanos();
-        independent.push(res);
-    }
+    let mut independent_loop = || -> u128 {
+        independent.clear();
+        let mut ns = 0u128;
+        for row in &rows {
+            let ckt = patched(&b.circuit, stages, row);
+            let t0 = Instant::now();
+            let res = run_transient(&ckt, b.tstep, b.tstop, &opts)
+                .unwrap_or_else(|e| panic!("{}: independent run failed: {e}", b.name));
+            ns += t0.elapsed().as_nanos();
+            independent.push(res);
+        }
+        ns
+    };
 
-    // Batched engine, compile to last result, timed whole: once on one
-    // worker (the work comparison) and once at the host's width.
-    let batched = |threads: usize| -> u128 {
+    // Batched engine, compile to last result, timed whole: in pairs with the
+    // loop on one worker (the work comparison), then once at the host's
+    // width. Each run hands back its instances' time grids.
+    let batched = |threads: usize| -> (u128, Vec<Vec<f64>>) {
         let t0 = Instant::now();
         let mut batch = BatchSim::compile(&b.circuit, b.tstep, b.tstop)
             .unwrap_or_else(|e| panic!("{}: batch compile failed: {e}", b.name))
@@ -168,28 +180,37 @@ pub fn fig_sweep(b: &Benchmark, instances: usize, workers: usize) -> (String, Sw
         }
         let run = batch.run().unwrap_or_else(|e| panic!("{}: batch run failed: {e}", b.name));
         let ns = t0.elapsed().as_nanos();
-        // Correctness cross-check: identical time grids instance by instance.
-        for (i, (got, want)) in run.results().iter().zip(&independent).enumerate() {
+        (ns, run.results().iter().map(|r| r.times().to_vec()).collect())
+    };
+    let mut grids = Vec::new();
+    let pairs = alternating_pairs(&mut independent_loop, || {
+        let (ns, times) = batched(1);
+        grids.push((1, times));
+        ns
+    });
+    let (parallel_ns, times) = batched(threads);
+    grids.push((threads, times));
+    // Correctness cross-check: identical time grids instance by instance.
+    for (threads, times) in &grids {
+        for (i, (got, want)) in times.iter().zip(&independent).enumerate() {
             assert_eq!(
-                got.times(),
+                got.as_slice(),
                 want.times(),
                 "{}: batched instance {i} on {threads} workers diverged from its independent twin",
                 b.name
             );
         }
-        ns
-    };
-    let batched_ns = batched(1);
-    let parallel_ns = batched(threads);
+    }
+    let independent_ns = median(pairs.iter().map(|p| p.0).collect());
 
     let row = SweepRow {
         circuit: b.name.clone(),
         instances,
         threads,
-        independent_ms: independent_ns as f64 / 1e6,
-        batched_cpu_ms: batched_ns as f64 / 1e6,
-        work_ratio: independent_ns as f64 / batched_ns.max(1) as f64,
-        measured_speedup: independent_ns as f64 / parallel_ns.max(1) as f64,
+        independent_ms: independent_ns / 1e6,
+        batched_cpu_ms: median(pairs.iter().map(|p| p.1).collect()) / 1e6,
+        work_ratio: median(pairs.iter().map(|(loop_ns, batch_ns)| loop_ns / batch_ns).collect()),
+        measured_speedup: independent_ns / parallel_ns.max(1) as f64,
     };
 
     let mut out = String::new();

@@ -224,10 +224,16 @@ pub fn parse_netlist(text: &str) -> Result<ParsedDeck, ParseNetlistError> {
                     }
                     let tstep = num(lineno, &toks[1])?;
                     let tstop = num(lineno, &toks[2])?;
+                    for (name, v) in [("tstep", tstep), ("tstop", tstop)] {
+                        if v <= 0.0 {
+                            return Err(ParseNetlistError::new(
+                                lineno,
+                                format!(".tran {name} {v:e} is not positive"),
+                            ));
+                        }
+                    }
                     let tstart = if toks.len() > 3 { num(lineno, &toks[3])? } else { 0.0 };
-                    // Unless a tstart is given, a bad tstop is the engine's
-                    // to name (`invalid parameter tstop`).
-                    if toks.len() > 3 && !(0.0..tstop).contains(&tstart) {
+                    if !(0.0..tstop).contains(&tstart) {
                         return Err(ParseNetlistError::new(
                             lineno,
                             format!(".tran tstart {tstart:e} is outside [0, tstop = {tstop:e})"),

@@ -44,7 +44,8 @@ impl std::error::Error for ParseValueError {}
 ///
 /// # Errors
 ///
-/// Returns [`ParseValueError`] if the literal has no leading number.
+/// Returns [`ParseValueError`] if the literal has no leading number, or if
+/// its value is not finite (`1e400`, `1e300t` overflow to infinity).
 pub(crate) fn parse_value(s: &str) -> Result<f64, ParseValueError> {
     let t = s.trim();
     if t.is_empty() {
@@ -86,8 +87,11 @@ pub(crate) fn parse_value(s: &str) -> Result<f64, ParseValueError> {
     }
     let (num, rest) = t.split_at(i);
     let base: f64 = num.parse().map_err(|_| ParseValueError { text: s.to_string() })?;
-    let scale = suffix_scale(rest);
-    Ok(base * scale)
+    let value = base * suffix_scale(rest);
+    if !value.is_finite() {
+        return Err(ParseValueError { text: s.to_string() });
+    }
+    Ok(value)
 }
 
 /// Maps a trailing suffix (case-insensitive, extra unit letters ignored) to
@@ -196,6 +200,15 @@ mod tests {
         assert!(parse_value("k1").is_err());
         assert!(parse_value("--3").is_err());
         assert!(parse_value(".").is_err());
+    }
+
+    #[test]
+    fn rejects_values_that_overflow() {
+        for text in ["1e400", "-1e400", "1e300t", "1e308k", "inf", "nan"] {
+            assert!(parse_value(text).is_err(), "{text}");
+        }
+        assert_eq!(parse_value("1e299g").unwrap(), 1e299 * 1e9);
+        assert_eq!(parse_value("1.7e308").unwrap(), 1.7e308);
     }
 
     #[test]

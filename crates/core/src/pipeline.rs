@@ -225,17 +225,19 @@ pub(crate) struct Driver {
     /// The operating point's solve, on the critical path: it is inherently
     /// sequential.
     dc_ns: u128,
-    /// The hand-off ledger: four laps of one clock ([`Driver::lap`]) per
-    /// round, so the sums partition the stepping loop's wall time exactly.
+    /// The hand-off ledger: four kinds of lap of one clock ([`Driver::lap`])
+    /// per round, so the sums partition the stepping loop's wall time exactly.
     /// `dispatch_ns`: from the previous round's end (the first round: from
     /// the end of set-up) until this round's tasks are with their lanes.
     dispatch_ns: u128,
     /// The coordinating lane's own solve.
     lead_ns: u128,
-    /// From the end of that solve until the last worker reply is in; a
-    /// round that dispatched nothing takes no lap, so width 1 reads zero.
+    /// Waiting for worker replies: from the end of each commit until the
+    /// next reply is in. A round that dispatched nothing waits for none, so
+    /// width 1 reads zero.
     wait_ns: u128,
-    /// From there to the round's end: respawns, commits, refinements.
+    /// Commits and refinements (slot 0's as soon as it is solved, each
+    /// reply's as it arrives), respawns and the round's close.
     commit_ns: u128,
     /// Where the last ledger lap ended.
     mark: Instant,
@@ -305,9 +307,10 @@ impl Driver {
     }
 
     /// One round: plan, dispatch slots 1.. to the workers, solve slot 0 on
-    /// this thread, offer each reply as it arrives (a lost worker's as
-    /// [`EngineError::WorkerLost`]), close. Slot 0 is offered last, after
-    /// every reply is in (the barrier), so the round commits in one go.
+    /// this thread and offer it at once, so it commits while the workers
+    /// still solve; then offer each reply as it arrives (a lost worker's as
+    /// [`EngineError::WorkerLost`]), each committing as soon as the slots
+    /// left of it have, and close once every reply is in.
     fn play(&mut self, plan: Plan) -> Result<()> {
         let tasks = self.round.plan(plan)?;
         // Which pool slot each task went to, for marking dead workers when
@@ -350,18 +353,24 @@ impl Driver {
         self.dispatch_ns += self.lap();
         let lead = self.round.solve_lead(&tasks[0]);
         self.lead_ns += self.lap();
-        let dispatched = workers.iter().flatten().count();
-        for _ in 0..dispatched {
+        // Slot 0 commits while the workers still solve. Every dispatched
+        // reply is received whatever happens, so none is left for a later
+        // round; after an error none is offered, and the error ends the run.
+        let mut outcome = self.round.offer(0, lead);
+        self.commit_ns += self.lap();
+        for _ in 0..workers.iter().flatten().count() {
             let (slot, reply) = recv_handoff(&self.pool.results, POLL_BOUND)
                 .expect("the pool keeps a result sender, so the channel stays open");
+            self.wait_ns += self.lap();
             if let (Err(EngineError::WorkerLost { .. }), Some(w)) = (&reply, workers[slot]) {
                 self.note_worker_lost(w, tasks[slot].t);
             }
-            self.round.offer(slot, reply)?;
+            if outcome.is_ok() {
+                outcome = self.round.offer(slot, reply);
+            }
+            self.commit_ns += self.lap();
         }
-        if dispatched > 0 {
-            self.wait_ns += self.lap();
-        }
+        outcome?;
         // Bring lost workers back while their respawn budget lasts, so a
         // transient fault costs one narrow round rather than the whole run.
         self.pool.respawn_dead();
@@ -369,7 +378,6 @@ impl Driver {
             self.serial_fallback_emitted = true;
             self.probe.emit(tasks[0].hw.t(), EventKind::FallbackSerial);
         }
-        self.round.offer(0, lead)?;
         self.round.close();
         Ok(())
     }

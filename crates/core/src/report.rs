@@ -16,7 +16,7 @@ use wavepipe_engine::{EngineError, Result, SimStats, TransientResult};
 ///   clock.
 ///
 /// What the model leaves out is in the **hand-off ledger**: `dispatch_ns`,
-/// `lead_ns`, `wait_ns` and `commit_ns` are four laps of one clock per round,
+/// `lead_ns`, `wait_ns` and `commit_ns` are laps of one clock in every round,
 /// so together they are the wall time of the stepping loop (everything in
 /// `total.wall_ns` after compile, DC solve and pool start-up).
 #[derive(Debug, Clone)]
@@ -43,12 +43,13 @@ pub struct WavePipeReport {
     pub dispatch_ns: u128,
     /// Ledger: the coordinating lane's own solve of the round's base point.
     pub lead_ns: u128,
-    /// Ledger: from the end of that solve until the last worker's reply is
-    /// in — the sync-wait. Exactly zero when no round dispatched a task
+    /// Ledger: the sync-wait — from the end of each commit until the next
+    /// worker reply is in. Exactly zero when no round dispatched a task
     /// (width 1).
     pub wait_ns: u128,
-    /// Ledger: from the last reply to the round's end — work accounting,
-    /// LTE tests and commits, sequential refinements, worker respawns.
+    /// Ledger: slot 0's commit as soon as it is solved, each reply's as it
+    /// arrives (work accounting, LTE tests, sequential refinements), worker
+    /// respawns and the round's close.
     pub commit_ns: u128,
     /// Backward pipelining: leading points accepted / rejected.
     pub lead_accepted: usize,

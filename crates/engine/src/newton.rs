@@ -18,6 +18,16 @@ use wavepipe_telemetry::{EventKind, FactorLayer};
 /// value was swept.
 const CHORD_THETA: f64 = 0.5;
 
+/// Refactor weight ([`SolverBackend::refactor_weight`]) from which a key no
+/// twin holds takes the factor set of the nearest key within
+/// [`crate::stepkey::NEAR_REL`] for a chord step. On the 32x32 grid a near
+/// set costs about 1.6 extra chord iterations per refactorization it saves,
+/// each some 2–2.5 solves' worth (solve, residual, stamp): break-even near 4.
+/// Every golden deck but the 16x16 and 32x32 grids weighs less; on the
+/// digital chains a refactorization costs under one solve, and near sets
+/// there were measured slower (EXPERIMENTS.md E33).
+const NEAR_MIN_WEIGHT: f64 = 4.0;
+
 /// Absolute current tolerance (SPICE's `ABSTOL`), amperes: the convergence
 /// floor of every branch-current unknown.
 const ABSTOL: f64 = 1e-12;
@@ -129,7 +139,11 @@ impl LinearCache {
     ///    this key or its twin trade places with the active ones and are
     ///    reused the same way;
     ///    otherwise the active ones are parked, so that path 2 overwrites an
-    ///    empty set or the least recently active one.
+    ///    empty set or the least recently active one. Where a refactorization
+    ///    costs at least [`NEAR_MIN_WEIGHT`] solves, a key no twin holds
+    ///    first takes the set of the nearest key ([`KeyedSlots::near`]) the
+    ///    same way; should its chord step stall, that set is parked as well,
+    ///    since it is exact for its own key.
     /// 2. Frozen-pivot refactorization of the existing pivot order.
     /// 3. Fresh factorization with full pivot search.
     ///
@@ -189,11 +203,19 @@ impl LinearCache {
         self.resid.resize(n, 0.0);
         let key = LinKey::of(input);
         // With chord reuse on, the key first has its turn at the factor sets;
-        // `hit` says whether the active one is now this key's, `parked_hit`
-        // that it was parked until this call.
-        let (mut hit, mut parked_hit) = (false, false);
+        // `hit` says whether the active one is now this key's (or, `near`,
+        // the nearest key's), `parked_hit` that it was parked until this call.
+        let (mut hit, mut parked_hit, mut near) = (false, false, false);
         if opts.chord_newton {
-            let turn = self.keys.turn(key);
+            let mut turn = self.keys.turn(key);
+            if matches!(turn, KeyTurn::Park(_) | KeyTurn::Miss)
+                && !ws.limited
+                && self.backend.refactor_weight() >= NEAR_MIN_WEIGHT
+            {
+                if let Some(nearest) = self.keys.near(key) {
+                    (turn, near) = (nearest, true);
+                }
+            }
             if let KeyTurn::ParkedHit(slot) | KeyTurn::Park(slot) = turn {
                 if self.backend.swap_parked(slot) {
                     self.keys.swapped(turn);
@@ -201,6 +223,7 @@ impl LinearCache {
                 }
             }
             hit = turn == KeyTurn::Hit || parked_hit;
+            near &= hit;
             if !hit {
                 let lookup = EventKind::FactorLookup { layer: FactorLayer::Parked, hit: false };
                 opts.probe.emit(input.time, lookup);
@@ -224,14 +247,26 @@ impl LinearCache {
                 }
                 self.last_dx = Some(dxn);
                 opts.tally(stats, input.time, EventKind::JacobianReuse);
-                if parked_hit {
-                    let lookup = EventKind::FactorLookup { layer: FactorLayer::Parked, hit: true };
-                    opts.probe.emit(input.time, lookup);
+                if near || parked_hit {
+                    let layer = if near { FactorLayer::Near } else { FactorLayer::Parked };
+                    opts.probe.emit(input.time, EventKind::FactorLookup { layer, hit: true });
                 }
                 return Ok(true);
             }
             // Contraction stalled (or blew up): pay for a factorization of
             // the current Jacobian this iteration.
+        }
+        if near {
+            // The near set is exact for its own key: park it, as a key no set
+            // was kept for parks the active one, and refactor into another.
+            let lookup = EventKind::FactorLookup { layer: FactorLayer::Near, hit: false };
+            opts.probe.emit(input.time, lookup);
+            let turn = self.keys.turn(key);
+            if let KeyTurn::Park(slot) = turn {
+                if self.backend.swap_parked(slot) {
+                    self.keys.swapped(turn);
+                }
+            }
         }
         for attempt in 0..2 {
             let fresh = !self.backend.factored() || attempt > 0;
@@ -408,6 +443,7 @@ pub(crate) fn newton_solve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stepkey::NEAR_REL;
     use wavepipe_circuit::{Circuit, DiodeModel, Waveform};
 
     fn dc_input<'a>(zeros: &'a [f64], caps: &'a [f64], opts: &SimOptions) -> StampInput<'a> {
@@ -536,11 +572,13 @@ mod tests {
     }
 
     /// A direct backend that logs every call the cache makes; `parks: false`
-    /// leaves [`SolverBackend::swap_parked`] at the trait's "unsupported".
+    /// leaves [`SolverBackend::swap_parked`] at the trait's "unsupported",
+    /// and `weight` stands in for the refactor weight of its factors.
     #[derive(Debug, Clone)]
     struct Logged {
         inner: DirectLu,
         parks: bool,
+        weight: Option<f64>,
         log: std::sync::Arc<std::sync::Mutex<Vec<&'static str>>>,
     }
 
@@ -582,15 +620,27 @@ mod tests {
         fn adopts_plan(&self) -> bool {
             self.inner.adopts_plan()
         }
+        fn refactor_weight(&self) -> f64 {
+            self.weight.unwrap_or_else(|| self.inner.refactor_weight())
+        }
     }
 
     /// Runs one linearization per entry of `steps` on an RC low-pass (the
     /// step size is the key; a step followed by `'` or `''` is that step's
-    /// first or second roundoff twin; `'!'` notes a rejected point instead)
-    /// and returns the backend calls each one made. Every solve must solve
-    /// its own system, whichever factor set served it.
+    /// first or second roundoff twin; an upper-case step is the lower-case
+    /// one 3 % longer, a near key; `'!'` notes a rejected point instead, and
+    /// `'~'` makes the next step continue a solve whose last update was
+    /// tiny, so that a chord step stalls) and returns the backend calls each
+    /// one made. Every solve must solve its own system, whichever factor set
+    /// served it; a chord step on a near key's set, contract its residual.
     fn calls_per_key(steps: &str, chord: bool, parks: bool) -> Vec<String> {
-        calls_through(DirectLu::new(), steps, chord, parks).0
+        calls_through(DirectLu::new(), steps, chord, parks, None).0
+    }
+
+    /// [`calls_per_key`], chord steps and parked sets on, through a backend
+    /// whose refactorizations weigh `weight` solves.
+    fn calls_weighing(weight: f64, steps: &str) -> Vec<String> {
+        calls_through(DirectLu::new(), steps, true, true, Some(weight)).0
     }
 
     /// [`calls_per_key`] through `inner`, with the counters of the run.
@@ -599,6 +649,7 @@ mod tests {
         steps: &str,
         chord: bool,
         parks: bool,
+        weight: Option<f64>,
     ) -> (Vec<String>, SimStats) {
         let sys = rc_low_pass();
         let mut ws = sys.new_workspace();
@@ -607,16 +658,21 @@ mod tests {
             .with_bypass(false)
             .with_companion_cache(false);
         let log = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-        let backend = Logged { inner, parks, log: log.clone() };
+        let backend = Logged { inner, parks, weight, log: log.clone() };
         let mut cache = LinearCache::with_backend(Box::new(backend));
         let mut stats = SimStats::new();
         let x = vec![0.25; sys.n_unknowns()];
         let caps = vec![0.0; sys.cap_state_count()];
         let mut out = Vec::new();
         let mut tokens = steps.chars().peekable();
+        let mut stall = false;
         while let Some(step) = tokens.next() {
-            if step == '!' {
-                cache.note_rejection();
+            match step {
+                '!' => cache.note_rejection(),
+                '~' => stall = true,
+                _ => {}
+            }
+            if !step.is_ascii_alphabetic() {
                 continue;
             }
             let mut twin = 0;
@@ -625,12 +681,23 @@ mod tests {
             }
             let input = rc_step(step, twin, &x, &caps, &opts);
             sys.stamp(&mut ws, &input, &x);
-            cache.begin_solve();
-            assert!(cache.factor_and_solve(&ws, &input, &x, &opts, &mut stats).unwrap());
+            if std::mem::take(&mut stall) {
+                cache.last_dx = Some(f64::MIN_POSITIVE);
+            } else {
+                cache.begin_solve();
+            }
             let mut resid = vec![0.0; x.len()];
+            ws.matrix.residual_into(&x, &ws.rhs, &mut resid).unwrap();
+            let before = norm_inf(&resid);
+            assert!(cache.factor_and_solve(&ws, &input, &x, &opts, &mut stats).unwrap());
             ws.matrix.residual_into(&cache.x_new, &ws.rhs, &mut resid).unwrap();
-            assert!(norm_inf(&resid) <= 1e-9 * norm_inf(&ws.rhs), "step {step}: {resid:?}");
-            out.push(log.lock().unwrap().drain(..).collect::<Vec<_>>().join(" "));
+            let calls = log.lock().unwrap().drain(..).collect::<Vec<_>>().join(" ");
+            if step.is_ascii_uppercase() && !calls.contains("factor") {
+                assert!(norm_inf(&resid) <= NEAR_REL * before, "step {step}: {resid:?}");
+            } else {
+                assert!(norm_inf(&resid) <= 1e-9 * norm_inf(&ws.rhs), "step {step}: {resid:?}");
+            }
+            out.push(calls);
         }
         (out, stats)
     }
@@ -645,9 +712,10 @@ mod tests {
         MnaSystem::compile(&ckt).unwrap()
     }
 
-    /// The stamp input of step `'a'` (1 ns) .. `'f'` (32 ns), or of its
-    /// roundoff twin number `twin`: the step as taken from `t = twin · 3.7 ns`
-    /// (`t + h − t`), a few ulps off `h`.
+    /// The stamp input of step `'a'` (1 ns) .. `'f'` (32 ns), `'A'` .. `'F'`
+    /// (the same 33/32 as long), or of its roundoff twin number `twin`: the
+    /// step as taken from `t = twin · 3.7 ns` (`t + h − t`), a few ulps off
+    /// `h`.
     fn rc_step<'a>(
         step: char,
         twin: u32,
@@ -655,8 +723,10 @@ mod tests {
         caps: &'a [f64],
         opts: &SimOptions,
     ) -> StampInput<'a> {
-        assert!(('a'..='f').contains(&step), "no such step: {step}");
-        let h = 1e-9 * f64::from(1u32 << (step as u32 - 'a' as u32));
+        let lower = step.to_ascii_lowercase();
+        assert!(('a'..='f').contains(&lower), "no such step: {step}");
+        let h = 1e-9 * f64::from(1u32 << (lower as u32 - 'a' as u32));
+        let h = if step.is_ascii_uppercase() { h * 33.0 / 32.0 } else { h };
         let t = 3.7e-9 * f64::from(twin);
         let h = (t + h) - t;
         StampInput {
@@ -748,15 +818,67 @@ mod tests {
         // ... a backend handed its plan refactors instead of factoring, at `c`
         // as at any step (this matrix pivots as `a`'s did), and after that
         // the sequence is the one a backend that factored itself runs.
-        let (calls, stats) = calls_through(DirectLu::adopting(plan), "cbc", true, true);
+        let (calls, stats) = calls_through(DirectLu::adopting(plan), "cbc", true, true, None);
         assert_eq!(calls, ["refactor solve", PARK, PARKED_HIT]);
         assert_eq!(calls[1..], calls_per_key("cbc", true, true)[1..]);
         // The checked refactorization replaces the fresh factorization and
         // is counted as the refactorization it is: the totals stay, one
         // fresh pass becomes a frozen-pivot one.
-        let (_, own) = calls_through(DirectLu::new(), "cbc", true, true);
+        let (_, own) = calls_through(DirectLu::new(), "cbc", true, true, None);
         assert_eq!(stats, SimStats { refactorizations: own.refactorizations + 1, ..own });
         assert_eq!((stats.factorizations, stats.refactorizations), (2, 2));
+    }
+
+    #[test]
+    fn a_near_key_takes_the_nearest_set_for_a_chord_step_where_refactoring_is_heavy() {
+        // `A` lies 3 % off `a`: a chord step on `a`'s factors, active or
+        // parked, and no numeric work.
+        assert_eq!(calls_weighing(NEAR_MIN_WEIGHT, "aA"), ["factor solve", "solve"]);
+        assert_eq!(calls_weighing(NEAR_MIN_WEIGHT, "abA"), ["factor solve", PARK, PARKED_HIT]);
+        // The set keeps `a`'s key: `a` is a hit on it, `b` still parked.
+        assert_eq!(
+            calls_weighing(NEAR_MIN_WEIGHT, "abAab"),
+            ["factor solve", PARK, PARKED_HIT, "solve", PARKED_HIT]
+        );
+        // `A`'s twin finds the set its twin took.
+        assert_eq!(calls_weighing(NEAR_MIN_WEIGHT, "aAA'"), ["factor solve", "solve", "solve"]);
+        // Near nothing: `B` is an octave from `a`.
+        assert_eq!(calls_weighing(NEAR_MIN_WEIGHT, "aB"), ["factor solve", PARK]);
+    }
+
+    #[test]
+    fn a_stalled_chord_step_on_a_near_set_parks_it_before_refactoring() {
+        // The second step on `a`'s set for `A` stalls: the set is parked and
+        // `A` refactored into another, so `a` finds its own set parked ...
+        assert_eq!(
+            calls_weighing(NEAR_MIN_WEIGHT, "aA~Aa"),
+            ["factor solve", "solve", "solve swap refactor solve", PARKED_HIT]
+        );
+        // ... and `A` its own, a hit after that.
+        assert_eq!(
+            calls_weighing(NEAR_MIN_WEIGHT, "aA~AA"),
+            ["factor solve", "solve", "solve swap refactor solve", "solve"]
+        );
+        // A stall on a key's own set refactors in place, as it always did.
+        assert_eq!(
+            calls_weighing(NEAR_MIN_WEIGHT, "a~a"),
+            ["factor solve", "solve refactor solve"]
+        );
+    }
+
+    #[test]
+    fn a_backend_under_the_weight_gate_never_takes_a_near_set() {
+        let under = NEAR_MIN_WEIGHT * (1.0 - 1e-9);
+        assert_eq!(calls_weighing(under, "aA"), ["factor solve", PARK]);
+        assert_eq!(
+            calls_weighing(under, "abAab"),
+            ["factor solve", PARK, PARK, PARKED_HIT, PARKED_HIT]
+        );
+        // The weight of the deck's own factors is well under.
+        assert_eq!(calls_per_key("aA", true, true), ["factor solve", PARK]);
+        // Nor does a backend without parked sets, whatever it weighs.
+        let heavy = calls_through(DirectLu::new(), "aAa", true, false, Some(1e3)).0;
+        assert_eq!(heavy, ["factor solve", "solve", "solve"]);
     }
 
     #[test]

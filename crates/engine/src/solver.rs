@@ -119,6 +119,16 @@ pub trait SolverBackend: fmt::Debug + Send {
     fn adopts_plan(&self) -> bool {
         false
     }
+
+    /// How many [`solve`](SolverBackend::solve)s one
+    /// [`refactor`](SolverBackend::refactor) of the current factors costs
+    /// (see [`SparseLu::refactor_weight`]). The Newton cache lets a key take
+    /// parked factors of a *near* key, not only its twin's, where this is
+    /// high enough; 0, the default, for a backend without factors or whose
+    /// refactorizations cost no such ratio, takes twins only.
+    fn refactor_weight(&self) -> f64 {
+        0.0
+    }
 }
 
 /// The solve-layer error for operating on an unfactored backend.
@@ -253,6 +263,10 @@ impl SolverBackend for DirectLu {
 
     fn adopts_plan(&self) -> bool {
         self.plan.is_some()
+    }
+
+    fn refactor_weight(&self) -> f64 {
+        self.lu.as_ref().map_or(0.0, SparseLu::refactor_weight)
     }
 }
 

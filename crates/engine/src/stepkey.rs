@@ -30,6 +30,17 @@ pub(crate) const PARKED_SETS: usize = 4;
 /// come within 1e-11 of each other.
 pub(crate) const TWIN_REL: f64 = 1.0 / (1u64 << 36) as f64;
 
+/// Relative distance within which a key no twin holds may take the factor
+/// set of another transient key: `2^-4`. Chord Newton tolerates stale
+/// factors (an inexact Newton method); a set whose `a0` lies this near
+/// changes each companion conductance by at most a sixteenth, and its chord
+/// steps still contract. Only the factor sets take such a key
+/// ([`KeyedSlots::near`]), and only where a refactorization costs several
+/// solves (`newton::NEAR_MIN_WEIGHT`). `2^-4` is the widest power of two at
+/// which the serial 32x32 grid takes no near set and keeps every bit; at
+/// `2^-3` it does, and the pipelined grid is no faster (EXPERIMENTS.md E33).
+pub(crate) const NEAR_REL: f64 = 1.0 / 16.0;
+
 /// Key identifying which assembled *linear* matrix (node shunts, resistors,
 /// sources, reactive companion conductances) a cached object corresponds to.
 /// Everything else a linear stamp's matrix entries depend on is compile-time
@@ -68,6 +79,16 @@ impl LinKey {
             && self.ic == other.ic
             && self.gshunt == other.gshunt
             && (self.a0 - other.a0).abs() <= TWIN_REL * self.a0.abs().max(other.a0.abs())
+    }
+
+    /// How far `other`'s `a0` lies from `self`'s, relative to the larger of
+    /// the two, where both are transient stamps of the same flags and lie
+    /// within [`NEAR_REL`] of each other; `None` otherwise, and always for a
+    /// DC key.
+    fn near(self, other: LinKey) -> Option<f64> {
+        let same = !self.dc && !other.dc && self.ic == other.ic && self.gshunt == other.gshunt;
+        let (gap, scale) = ((self.a0 - other.a0).abs(), self.a0.abs().max(other.a0.abs()));
+        (same && gap <= NEAR_REL * scale).then(|| gap / scale)
     }
 }
 
@@ -122,6 +143,20 @@ impl KeyedSlots {
         } else {
             KeyTurn::Miss
         }
+    }
+
+    /// For a key [`KeyedSlots::turn`] found no twin for: the entry of the
+    /// key nearest it within [`NEAR_REL`] ([`KeyTurn::Hit`] for the active
+    /// one, [`KeyTurn::ParkedHit`] for a parked one; the active one, then the
+    /// lowest slot, on a tie), or `None`. The entry keeps its own key, so
+    /// keys never drift. Only the factor sets ask: a linear stamp must be
+    /// exact, so the companion cache keeps to `turn`.
+    pub(crate) fn near(&self, key: LinKey) -> Option<KeyTurn> {
+        let gap = |held: Option<LinKey>| held.and_then(|k| k.near(key));
+        let active = gap(self.active).map(|d| (d, KeyTurn::Hit));
+        let parked = (0..PARKED_SETS)
+            .filter_map(|s| gap(self.parked[s]).map(|d| (d, KeyTurn::ParkedHit(s))));
+        active.into_iter().chain(parked).min_by(|a, b| a.0.total_cmp(&b.0)).map(|(_, turn)| turn)
     }
 
     /// The active entry traded places with the one in `turn`'s slot
@@ -200,6 +235,75 @@ mod tests {
         assert!(!LinKey { gshunt: 1e-9f64.to_bits(), ..dc }.twin(dc));
         assert!(!LinKey { gshunt: 1e-9f64.to_bits(), ..trap }.twin(trap));
         assert!(!dc.twin(trap) && !trap.twin(dc));
+    }
+
+    /// The key of a trapezoidal step of `h` picoseconds.
+    fn ps(h: f64) -> LinKey {
+        step(Method::Trapezoidal, h * 1e-12)
+    }
+
+    /// Slots holding `parked` (in slot order), then `active`, as a run of
+    /// keys leaves them; an active `None` is a point rejected after them.
+    fn holding(parked: &[LinKey], active: Option<LinKey>) -> KeyedSlots {
+        let mut keys = KeyedSlots::default();
+        for &k in parked.iter().chain([&active.unwrap_or(ps(1e4))]) {
+            keys.swapped(keys.turn(k));
+            keys.filled(k);
+        }
+        if active.is_none() {
+            keys.clear_active();
+        }
+        keys
+    }
+
+    #[test]
+    fn a_key_no_twin_holds_takes_the_nearest_set_and_the_companion_turn_does_not() {
+        let keys = holding(&[ps(60.0), ps(66.0), ps(75.0)], Some(ps(57.0)));
+        // `turn`, which the companion cache keeps to, still parks ...
+        assert_eq!(keys.turn(ps(64.0)), KeyTurn::Park(3));
+        assert_eq!(holding(&[ps(66.0)], None).turn(ps(64.0)), KeyTurn::Miss);
+        // ... where `near` finds the nearest set, active or parked.
+        assert_eq!(keys.near(ps(64.0)), Some(KeyTurn::ParkedHit(1)));
+        assert_eq!(keys.near(ps(58.0)), Some(KeyTurn::Hit));
+        assert_eq!(keys.near(ps(72.0)), Some(KeyTurn::ParkedHit(2)));
+        assert_eq!((keys.near(ps(90.0)), keys.near(ps(45.0))), (None, None));
+        // An abandoned active set is no candidate.
+        let rejected = holding(&[ps(75.0)], None);
+        assert_eq!(
+            (rejected.near(ps(58.0)), rejected.near(ps(74.0))),
+            (None, Some(KeyTurn::ParkedHit(0)))
+        );
+    }
+
+    #[test]
+    fn the_near_bound_holds_on_both_sides() {
+        // Relative to the larger `a0`: `a0 (1 - NEAR_REL)` and
+        // `a0 / (1 - NEAR_REL)` lie on the bound, a hair further beyond it.
+        let held = ps(25.0);
+        let (below, above) = (held.a0 * (1.0 - NEAR_REL), held.a0 / (1.0 - NEAR_REL));
+        for (a0, near) in [(below, true), (below * (1.0 - 1e-12), false)]
+            .into_iter()
+            .chain([(above * (1.0 - 1e-12), true), (above * (1.0 + 1e-12), false)])
+        {
+            let other = LinKey { a0, ..held };
+            assert_eq!(holding(&[], Some(held)).near(other).is_some(), near, "{a0:e}");
+            assert_eq!(holding(&[], Some(other)).near(held).is_some(), near, "{a0:e}");
+        }
+    }
+
+    #[test]
+    fn a_near_key_must_match_the_flags_and_is_never_a_dc_key() {
+        let (trap, keys) = (ps(64.0), holding(&[], Some(ps(66.0))));
+        assert!(keys.near(trap).is_some());
+        for other in [LinKey { ic: true, ..trap }, LinKey { gshunt: 1e-9f64.to_bits(), ..trap }] {
+            assert_eq!(keys.near(other), None);
+        }
+        // DC keys all carry `a0 = 0`: a DC key is near nothing, and a DC set
+        // serves no near key.
+        let dc = LinKey { dc: true, a0: 0.0, gshunt: 0, ic: false };
+        assert_eq!(holding(&[], Some(dc)).near(dc), None);
+        assert_eq!(holding(&[], Some(LinKey { dc: true, ..trap })).near(trap), None);
+        assert_eq!(keys.near(LinKey { dc: true, ..ps(66.0) }), None);
     }
 
     /// Key number `k` (0..8): eight steps spaced an octave apart. Its twin

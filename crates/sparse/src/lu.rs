@@ -182,6 +182,9 @@ pub(crate) struct LuPlan {
     /// the sorted `L(u_rows[up])` is `[u_rows[up + 1]]` followed by
     /// `L(u_rows[up + 1])`.
     u_run: Vec<u8>,
+    /// Multiply-adds of one refactorization: `|L(t)|` summed over the stored
+    /// `U` entries `t`, counted by the pass that builds the chain plan.
+    madds: u64,
     /// Column pointers of the factored matrix: the pattern `refactor` accepts.
     a_colptr: Vec<usize>,
     /// Pivot position of each stored entry of the factored matrix, CSC order.
@@ -330,6 +333,7 @@ impl SparseLu {
             u_colptr: vec![0; n + 1],
             u_rows: Vec::with_capacity(a.nnz() * 2),
             u_run: Vec::new(),
+            madds: 0,
             a_colptr: a.col_ptr().to_vec(),
             a_pos: Vec::new(),
         };
@@ -559,14 +563,21 @@ impl LuPlan {
                 _ => NONE,
             })
             .collect();
+        // One walk over every stored U entry builds the chain plan and
+        // counts the multiply-adds each entry's source column costs.
         self.u_run = vec![1; self.u_rows.len()];
+        let mut madds = 0;
         for k in 0..n {
-            for up in (self.u_colptr[k] + 1..self.u_colptr[k + 1]).rev() {
-                if next[self.u_rows[up - 1] as usize] == self.u_rows[up] {
+            let us = self.u_colptr[k];
+            for up in (us..self.u_colptr[k + 1]).rev() {
+                let t = self.u_rows[up] as usize;
+                madds += self.l_colptr[t + 1] - self.l_colptr[t];
+                if up > us && next[self.u_rows[up - 1] as usize] == t as u32 {
                     self.u_run[up - 1] = self.u_run[up].saturating_add(1);
                 }
             }
         }
+        self.madds = madds as u64;
     }
 }
 
@@ -826,6 +837,14 @@ impl SparseLu {
     /// Number of stored entries of the factored matrix.
     pub(crate) fn a_nnz(&self) -> usize {
         self.plan.a_pos.len()
+    }
+
+    /// How many triangular solves one [`refactor`](Self::refactor) costs:
+    /// its multiply-adds over `nnz(L) + nnz(U)`, those of one solve. Below
+    /// one on circuits whose factors hardly fill in, and growing with the
+    /// fill of a mesh.
+    pub fn refactor_weight(&self) -> f64 {
+        self.plan.madds as f64 / (self.nnz_l() + self.nnz_u()) as f64
     }
 
     /// Fill ratio: `(nnz(L) + nnz(U)) / nnz(A)`.
@@ -1113,10 +1132,12 @@ mod tests {
     /// The refactorization loop as it was before chains, written against the
     /// stored layout: one source column at a time with the `xr != 0.0` skip,
     /// a private workspace scattered through `pinv` (not the scatter map),
-    /// separate `col_max` and zeroing passes.
-    fn refactor_reference(lu: &mut SparseLu, a: &CscMatrix) -> Result<()> {
+    /// separate `col_max` and zeroing passes. Returns the multiply-adds its
+    /// column loops stand for, zero multipliers included.
+    fn refactor_reference(lu: &mut SparseLu, a: &CscMatrix) -> Result<u64> {
         lu.check_pattern(a)?;
         let mut x = vec![0.0_f64; lu.plan.n];
+        let mut madds = 0;
         for k in 0..lu.plan.n {
             let (us, ue) = (lu.plan.u_colptr[k], lu.plan.u_colptr[k + 1]);
             let (ls, le) = (lu.plan.l_colptr[k], lu.plan.l_colptr[k + 1]);
@@ -1133,6 +1154,7 @@ mod tests {
                 let t = lu.plan.u_rows[up] as usize;
                 let xr = x[t];
                 lu.vals.u_vals[up] = xr;
+                madds += (lu.plan.l_colptr[t + 1] - lu.plan.l_colptr[t]) as u64;
                 if xr != 0.0 {
                     for pp in lu.plan.l_colptr[t]..lu.plan.l_colptr[t + 1] {
                         x[lu.plan.l_rows[pp] as usize] -= lu.vals.l_vals[pp] * xr;
@@ -1161,7 +1183,7 @@ mod tests {
             }
             x[k] = 0.0;
         }
-        Ok(())
+        Ok(madds)
     }
 
     /// Forward/backward substitution as indexed loops over the stored layout.
@@ -1199,14 +1221,19 @@ mod tests {
     /// Refactors `lu` with the kernel and `reference` with the reference
     /// loop; on success the factors and the solve must agree bit for bit,
     /// on failure the errors must be equal, and either way the persistent
-    /// workspace must be back to all (positive) zeros.
+    /// workspace must be back to all (positive) zeros. The plan's count of
+    /// multiply-adds must be the reference loops'.
     fn assert_refactor_matches_reference(
         lu: &mut SparseLu,
         reference: &mut SparseLu,
         a: &CscMatrix,
     ) -> Result<()> {
         let got = lu.refactor(a);
-        assert_eq!(got, refactor_reference(reference, a));
+        let want = refactor_reference(reference, a);
+        if let Ok(madds) = want {
+            assert_eq!(lu.plan.madds, madds, "multiply-adds of one refactorization");
+        }
+        assert_eq!(got, want.map(|_| ()));
         assert!(lu.work.iter().all(|v| v.to_bits() == 0), "workspace left dirty after {got:?}");
         if got.is_ok() {
             assert_eq!(bits(&lu.vals.l_vals), bits(&reference.vals.l_vals));

@@ -124,6 +124,10 @@ counts! {
     parked_hits,
     /// New linear-stamp keys no parked set was kept for.
     parked_misses,
+    /// Chord steps taken on the factor set of a near key.
+    near_hits,
+    /// Chord steps on a near key's set that stalled into a refactorization.
+    near_misses,
     /// Adopted LU plans that passed their pivot check.
     plan_hits,
     /// Adopted LU plans that failed it.
@@ -192,7 +196,7 @@ impl Counts {
     /// `(layer, hits, misses)` for every solver cache layer that counted
     /// either: a bypassed device against an evaluated nonlinear one, a chord
     /// reuse against a factorization, a companion replay against any other
-    /// stamp pass, and the parked and plan layers' own lookups. The rows of
+    /// stamp pass, and the parked, near and plan layers' own lookups. The rows of
     /// [`class_cache_table`].
     pub(crate) fn cache_rows(&self) -> Vec<(&'static str, u64, u64)> {
         let nonlinear_evals = self.class_evals.iter().map(|e| e.0).sum();
@@ -201,6 +205,7 @@ impl Counts {
             ("chord", self.jacobian_reuses, self.factorizations),
             ("companion", self.companion_hits, self.stamp_passes - self.companion_hits),
             ("parked", self.parked_hits, self.parked_misses),
+            ("near", self.near_hits, self.near_misses),
             ("plan", self.plan_hits, self.plan_misses),
         ]
         .into_iter()
@@ -227,6 +232,8 @@ impl Counts {
                 *match (layer, hit) {
                     (FactorLayer::Parked, true) => &mut self.parked_hits,
                     (FactorLayer::Parked, false) => &mut self.parked_misses,
+                    (FactorLayer::Near, true) => &mut self.near_hits,
+                    (FactorLayer::Near, false) => &mut self.near_misses,
                     (FactorLayer::Plan, true) => &mut self.plan_hits,
                     (FactorLayer::Plan, false) => &mut self.plan_misses,
                 } += 1;
@@ -902,6 +909,8 @@ mod tests {
             EventKind::StampPass { evals: 4, bypassed: 2, companion_hit: true },
             EventKind::ClassEvals { class: DeviceClass::Bjt, evals: 3, bypassed: 9 },
             EventKind::FactorLookup { layer: FactorLayer::Parked, hit: true },
+            EventKind::FactorLookup { layer: FactorLayer::Near, hit: true },
+            EventKind::FactorLookup { layer: FactorLayer::Near, hit: false },
             EventKind::FactorLookup { layer: FactorLayer::Plan, hit: false },
             EventKind::LteReject { ratio: 2.0, h_retry: 1e-10 },
             EventKind::StepRetry { newton: false },
@@ -939,6 +948,8 @@ mod tests {
             ("bypassed_devices", 9),
             ("companion_hits", 1),
             ("parked_hits", 1),
+            ("near_hits", 1),
+            ("near_misses", 1),
             ("plan_misses", 1),
             ("lte_tests_failed", 1),
             ("lte_rejects", 1),

@@ -54,6 +54,11 @@ named_enum! {
         /// a chord step on factors that were parked (a factorization saved),
         /// a miss a key no set was kept for.
         Parked = "parked",
+        /// A key no twin holds took the factor set of the nearest key within
+        /// a sixteenth of its `a0` (where a refactorization costs several
+        /// solves): a hit is a chord step on that set, a miss one that
+        /// stalled into a refactorization.
+        Near = "near",
         /// An adopted LU plan's pivot check: a hit is a refactorization where
         /// the lane would have pivoted afresh, a miss the private
         /// factorization a failed check pays.
@@ -261,8 +266,8 @@ event_kinds! {
     /// A chord/modified-Newton iteration reused the previous LU factors
     /// without any numeric factorization pass.
     JacobianReuse = "jacobian_reuse",
-    /// A factor-level cache was consulted: a parked-set turn or an adopted
-    /// plan's pivot check.
+    /// A factor-level cache was consulted: a parked-set turn, a near key's
+    /// set or an adopted plan's pivot check.
     FactorLookup = "factor_lookup" {
         /// Which cache.
         layer: FactorLayer,

@@ -101,10 +101,14 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<Event>, JsonlError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::FactorLayer;
 
+    /// Every kind's sample, then a factor lookup in every layer.
     fn sample_events() -> Vec<Event> {
+        let layers = FactorLayer::ALL.map(|layer| EventKind::FactorLookup { layer, hit: false });
         EventKind::SAMPLES
             .into_iter()
+            .chain(layers)
             .enumerate()
             .map(|(i, kind)| Event {
                 ts_ns: 1000 + i as u64,

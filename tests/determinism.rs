@@ -2,7 +2,7 @@
 
 use wavepipe::circuit::generators;
 use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
-use wavepipe::engine::run_transient;
+use wavepipe::engine::{run_transient, SimOptions};
 use wavepipe::telemetry::{analyze, ProbeHandle, RecordingProbe};
 
 #[test]
@@ -20,6 +20,46 @@ fn wavepipe_runs_are_bitwise_deterministic() {
         assert_eq!(r1.rounds, r2.rounds);
         assert_eq!(r1.lead_accepted, r2.lead_accepted);
         assert_eq!(r1.speculation_accepted, r2.speculation_accepted);
+    }
+}
+
+#[test]
+fn a_grid_that_takes_near_keys_runs_bit_equal_run_to_run_and_probed() {
+    // The 16x16 grid's refactorizations weigh some five solves, so its lanes
+    // take the factor sets of near keys (the 4x4 grid's weigh under two and
+    // never do): which set a key takes must not depend on thread timing or
+    // on a probe.
+    let b = generators::power_grid(16, 16);
+    for scheme in [Scheme::Backward, Scheme::Forward, Scheme::Combined] {
+        let run = |probe: Option<ProbeHandle>| {
+            let opts = WavePipeOptions::new(scheme, 3);
+            let opts = match probe {
+                Some(p) => opts.with_probe(p),
+                None => opts,
+            };
+            run_wavepipe(&b.circuit, b.tstep, b.tstop, &opts).unwrap()
+        };
+        let recording = RecordingProbe::shared();
+        let runs = [run(None), run(None), run(Some(ProbeHandle::new(recording.clone())))];
+        let near = analyze(&recording.events()).counts.near_hits;
+        for r in &runs[1..] {
+            assert_eq!(r.result.times(), runs[0].result.times(), "{scheme}: time grids differ");
+            for k in 0..r.result.len() {
+                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(r.result.solution(k)),
+                    bits(runs[0].result.solution(k)),
+                    "{scheme}: point {k} differs"
+                );
+            }
+            assert_eq!(r.total.factorizations, runs[0].total.factorizations, "{scheme}");
+            assert_eq!(r.total.newton_iterations, runs[0].total.newton_iterations, "{scheme}");
+            assert_eq!(r.rounds, runs[0].rounds, "{scheme}");
+        }
+        // Unless the environment turned chord steps or direct LU off, the
+        // rule ran.
+        let d = SimOptions::default();
+        assert_eq!(near > 0, d.chord_newton && d.solver.is_direct(), "{scheme}: {near} near hits");
     }
 }
 

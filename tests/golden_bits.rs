@@ -78,6 +78,17 @@
 //! and those three `diode_rectifier` rows (`forward_x2` 1846 → 1914
 //! iterations, 285 → 293 points). No caches-off row moved.
 //!
+//! Letting a key take the factor set of a near key regenerated five rows,
+//! all with the caches on (EXPERIMENTS.md E33 lists them old beside new,
+//! `tests/oracle.rs` holds every row no higher): where a refactorization
+//! costs at least four solves, a key no twin holds takes the set whose `a0`
+//! lies nearest within 2^-4 for a chord step. Of the golden decks only the
+//! 16x16 and 32x32 grids weigh that much: every `power_grid(16,16)` row
+//! (serial 95 → 77 factorizations, 907 → 911 iterations; Backward x2 335 →
+//! 237) and 32x32 `backward_x2` (80 → 27, 774 → 859 iterations) moved. The
+//! 32x32 serial run meets no key that near and kept its row. No points
+//! column and no caches-off row moved.
+//!
 //! The table itself is `tests/common/golden.rs`, which other tests read for
 //! a row's counts. The constants depend on the host's `libm` (`exp`/`ln` in
 //! the device models); on a mismatch the failure message prints the rows
@@ -89,6 +100,7 @@ use wavepipe::circuit::generators::{self, Benchmark};
 use wavepipe::core::{run_wavepipe, Scheme, WavePipeOptions};
 use wavepipe::engine::TransientResult;
 use wavepipe::engine::{run_transient, FaultPlan, SimOptions, SimStats, SolverHandle};
+use wavepipe::engine::{DirectLu, IntegCoeffs, MnaSystem, SolverBackend, StampInput};
 
 #[path = "common/golden.rs"]
 mod golden;
@@ -187,4 +199,50 @@ fn trajectories_match_the_parent_commit_bit_for_bit() {
         got == GOLDEN,
         "trajectories moved (hash, iterations, points, factorizations):\n{moved}\ncomputed table:\n{table}"
     );
+}
+
+/// The refactor weight of `b`'s transient stamp (at `tstep`, from an all-zero
+/// state) under a fresh minimum-degree plan: the solves one refactorization
+/// costs.
+fn transient_weight(b: &Benchmark) -> f64 {
+    let sys = MnaSystem::compile(&b.circuit).unwrap();
+    let mut ws = sys.new_workspace();
+    let sim = SimOptions::default();
+    let (x, caps) = (vec![0.0; sys.n_unknowns()], vec![0.0; sys.cap_state_count()]);
+    let input = StampInput {
+        time: 0.0,
+        coeffs: Some(IntegCoeffs::new(sim.method, b.tstep, b.tstep)),
+        x_prev: &x,
+        x_prev2: &x,
+        cap_currents: &caps,
+        gmin: sim.gmin,
+        gshunt: 0.0,
+        source_scale: 1.0,
+        ic_mode: false,
+    };
+    sys.stamp(&mut ws, &input, &x);
+    let mut lu = DirectLu::new();
+    lu.factor(&ws.matrix).unwrap();
+    lu.refactor_weight()
+}
+
+#[test]
+fn only_the_16x16_and_32x32_grids_weigh_enough_to_take_near_keys() {
+    // Which rows near keys can move: the Newton cache takes a near key's
+    // factor set only from a refactor weight of 4 (`NEAR_MIN_WEIGHT` in
+    // `engine::newton`).
+    const NEAR_MIN_WEIGHT: f64 = 4.0;
+    for b in [
+        generators::inverter_chain(8),
+        generators::rc_ladder(30),
+        generators::power_grid(6, 6),
+        generators::diode_rectifier(),
+    ] {
+        let w = transient_weight(&b);
+        assert!(w > 0.0 && w < NEAR_MIN_WEIGHT, "{}: weight {w}", b.name);
+    }
+    for b in [generators::power_grid(16, 16), generators::power_grid(32, 32)] {
+        let w = transient_weight(&b);
+        assert!(w >= NEAR_MIN_WEIGHT, "{}: weight {w}", b.name);
+    }
 }

@@ -122,6 +122,15 @@ fn malformed_decks_report_lines() {
         ("t\nR1 a 0 1k\nV1 a 0 DC 1 garbage\n.end", 3, "`garbage`"),
         ("t\nR1 a 0 1k\nV1 a 0 1 2 3\n.end", 3, "`2`"),
         ("t\nR1 a 0 1k\nV1 a 0 PULSE(0 1 0 1n 1n 5n 10n 99)\n.end", 3, "`99`"),
+        // A value that overflows is no value; a `.tran` step or stop must be
+        // positive (`tstart` was checked already).
+        ("t\nR1 a 0 1k\nV1 a 0 DC 1e400\n.end", 3, "1e400"),
+        ("t\nR1 a 0 1k\nC1 a 0 1e300t\n.end", 3, "1e300t"),
+        ("t\nR1 a 0 1k\n.tran 1n 1e400\n.end", 3, "1e400"),
+        ("t\nR1 a 0 1k\n.tran 0 1u\n.end", 3, "tstep"),
+        ("t\nR1 a 0 1k\n.tran -1n 1u\n.end", 3, "tstep"),
+        ("t\nR1 a 0 1k\n.tran 1n 0\n.end", 3, "tstop"),
+        ("t\nR1 a 0 1k\n.tran 1n -1u 0\n.end", 3, "tstop"),
     ] {
         let err = parse_netlist(deck).expect_err("must fail");
         assert_eq!(err.line(), expected_line, "deck: {deck:?} -> {err}");

@@ -53,3 +53,23 @@ fn a_tstart_outside_zero_to_tstop_is_an_error_at_its_line() {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+#[test]
+fn a_value_that_overflows_and_a_tran_that_is_not_positive_are_errors_at_their_line() {
+    // (what replaces the demo's `.tran`, the line the error names, a word it
+    // holds): a source at `1e400` used to reach Newton as an infinity, and
+    // the `.tran` cases the engine named without a line.
+    for (case, tran, line, word) in [
+        ("tstep0", ".tran 0 1u", 8, "tstep"),
+        ("tstop_inf", ".tran 1n 1e400", 8, "1e400"),
+        ("source_inf", ".tran 5n 2u\nV2 big 0 DC 1e400", 9, "1e400"),
+        ("scaled_inf", ".tran 5n 2u\nR2 big 0 1e300t", 9, "1e300t"),
+    ] {
+        let (out, dir) = run_demo(case, tran, &[]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{case}: {stderr}");
+        assert!(stderr.contains(&format!("netlist line {line}")), "{case}: {stderr}");
+        assert!(stderr.contains(word), "{case}: {stderr}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
